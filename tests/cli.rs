@@ -1,0 +1,163 @@
+//! Byte-level pins of the `cubeftl-sim` binary: one flag line per run
+//! mode, each compared — stdout, stderr, exit code and every output
+//! file — against a snapshot under `tests/data/cli/`.
+//!
+//! The snapshots were generated before the harness collapsed into one
+//! `Scenario`/`run`, so they hold the CLI to the bytes the per-mode
+//! runners produced. A missing snapshot is written and the test fails
+//! once ("re-run"); to regenerate one on purpose, delete its file.
+//!
+//! `{out}` in a flag line is the case's private output directory (it is
+//! substituted back in the captured text, so snapshots are
+//! machine-independent). Output files are pinned by size and FNV-1a
+//! hash, not content — the telemetry suite already pins the formats.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs the binary on `args` from the repository root and renders
+/// everything observable about the run as snapshot text.
+fn observe(name: &str, args: &str) -> String {
+    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("cli")
+        .join(name);
+    let _ = std::fs::remove_dir_all(&out);
+    std::fs::create_dir_all(&out).expect("create the case's output directory");
+    let out_str = out.to_str().expect("utf-8 temp path");
+    let run = Command::new(env!("CARGO_BIN_EXE_cubeftl-sim"))
+        .args(args.split_whitespace().map(|a| a.replace("{out}", out_str)))
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("spawn cubeftl-sim");
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).replace(out_str, "{out}");
+    let mut files: Vec<String> = std::fs::read_dir(&out)
+        .expect("list the output directory")
+        .map(|e| {
+            let path = e.expect("directory entry").path();
+            let body = std::fs::read(&path).expect("read an output file");
+            format!(
+                "{} {} bytes fnv64 {:016x}\n",
+                path.file_name().expect("file name").to_string_lossy(),
+                body.len(),
+                fnv64(&body)
+            )
+        })
+        .collect();
+    files.sort();
+    format!(
+        "$ cubeftl-sim {args}\nexit: {:?}\n--- stdout\n{}--- stderr\n{}--- files\n{}",
+        run.status.code(),
+        text(&run.stdout),
+        text(&run.stderr),
+        files.concat()
+    )
+}
+
+fn check(name: &str, args: &str) {
+    let snap = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data/cli")
+        .join(format!("{name}.snap"));
+    let got = observe(name, args);
+    match std::fs::read_to_string(&snap) {
+        Ok(want) => assert!(
+            got == want,
+            "{name}: output drifted from {}\n--- got\n{got}\n--- want\n{want}",
+            snap.display()
+        ),
+        Err(_) => {
+            std::fs::write(&snap, &got).expect("write the new snapshot");
+            panic!("{name}: no snapshot yet; wrote {} — re-run", snap.display());
+        }
+    }
+}
+
+macro_rules! cases {
+    ($($name:ident: $args:expr;)*) => {$(
+        #[test]
+        fn $name() {
+            check(stringify!($name), $args);
+        }
+    )*};
+}
+
+/// Every telemetry writer at once.
+const FILES: &str = "--trace-out {out}/trace.ndjson --metrics-out {out}/metrics.ndjson \
+                     --series-out {out}/series.csv --sample-interval-us 2000";
+
+cases! {
+    plain: "--ftl cube --blocks 16 --requests 3000";
+    plain_files: &format!("--ftl cube --blocks 16 --requests 1500 --workload mail --aging eol {FILES}");
+    plain_trace_events: "--ftl cube --blocks 16 --requests 1500 --aging eol \
+                         --trace-out {out}/trace.ndjson --trace-events retry,gc";
+    all_kinds: "--ftl all --blocks 16 --requests 2000 --workload oltp --aging midlife --temp 45";
+    faults_maint: "--ftl all --blocks 16 --requests 1200 --workload web --aging eol --maint \
+                   --maint-gap-us 50 --maint-scrub-batch 96 --fault-seed 7 \
+                   --fault-rate ber-spike=0.02 --fault-rate abort=0.01 \
+                   --fault-rate stuck-retry=0.05 --fault-rate uncorrectable=0.02";
+    read_pipeline_v2: "--ftl cube --blocks 16 --requests 3000 --workload rocks --aging eol \
+                       --ort-capacity 16 --ort-cluster on --retry-opt on";
+    shards4: &format!("--ftl cube --blocks 16 --requests 3000 --shards 4 {FILES}");
+    shards4_one_thread: &format!("--ftl cube --blocks 16 --requests 3000 --shards 4 --array-threads 1 {FILES}");
+    shards4_all_kinds: "--ftl all --blocks 12 --requests 2000 --shards 4 --array-stripe 16 --maint";
+    trace_file: "--ftl all --blocks 16 --trace-file tests/data/sample_trace.csv";
+    trace_file_native_shards4: "--ftl cube --blocks 16 --shards 4 --array-stripe 8 \
+                                --trace-file tests/data/traces/ycsb_a.csv";
+    capture_plain: "--ftl cube --blocks 16 --requests 800 --workload proxy \
+                    --capture-trace-out {out}/cap.csv --metrics-out {out}/metrics.ndjson";
+    capture_kv: "--ftl cube --blocks 16 --requests 800 --kv b --capture-trace-out {out}/cap.csv";
+    capture_replay: "--ftl cube --blocks 16 --trace-file tests/data/traces/ycsb_a.csv \
+                     --capture-trace-out {out}/cap.csv";
+    kv_a: &format!("--ftl cube --blocks 16 --requests 3000 --kv a --aging eol {FILES}");
+    kv_a_all_kinds: "--ftl all --blocks 16 --requests 2000 --kv f --kv-keys 4000 --kv-fanout 4";
+    kv_a_shards4: &format!("--ftl cube --blocks 16 --requests 3000 --kv a --shards 4 --array-threads 2 {FILES}");
+    qos: &format!("--ftl cube --blocks 16 --requests 3000 --queues 4 --tenants 12 \
+                   --tenant-weights 8,4,2,1 --qos-slo-read-us 5000 {FILES}");
+    qos_all_kinds_trace: "--ftl all --blocks 16 --requests 2000 --queues 2 --tenants 20 \
+                          --qos-equal-arrivals --qos-arrival-us 40 --qos-sq-depth 4 \
+                          --qos-trace tests/data/traces/msr_web_rd.csv";
+    qos_shards4: &format!("--ftl cube --blocks 16 --requests 3000 --shards 4 --queues 4 --tenants 12 {FILES}");
+    spo_at: "--ftl all --blocks 16 --requests 1500 --workload oltp --aging midlife \
+             --spo-at 800 --ckpt-interval 32";
+    spo_never_fires: "--ftl cube --blocks 16 --requests 1000 --spo-at 5000";
+    spo_rate: "--ftl cube --blocks 16 --requests 3000 --workload mail --spo-rate 0.002 \
+               --spo-seed 45063 --ckpt-interval 0 --maint";
+    spo_shards4: "--ftl all --blocks 16 --requests 3000 --workload mail --aging midlife \
+                  --shards 4 --spo-at-us 40000";
+    failure: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 4 --array-stripe 16 \
+              --array-parity --fail-shard 1@3000 --spare-shards 1 \
+              --trace-out {out}/trace.ndjson --metrics-out {out}/metrics.ndjson";
+    failure_spo: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 4 --array-stripe 16 \
+                  --array-parity --fail-shard 1@3000 --spare-shards 1 --spo-at-us 2000 \
+                  --rebuild-batch 4 --rebuild-gap-us 100";
+    failure_seeded: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 3 \
+                     --array-stripe 16 --array-parity --fail-seed 7 --spare-shards 1";
+    failure_parity_off: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 3 \
+                         --array-stripe 16 --fail-shard 1@3000 --spare-shards 1";
+    failure_healthy: "--ftl cube --blocks 16 --requests 1500 --shards 3 --array-parity \
+                      --metrics-out {out}/metrics.ndjson";
+    lifetime: "--ftl all --blocks 16 --requests 2000 --workload mail --lifetime-epochs 3 \
+               --lifetime-pe 150 --lifetime-months 3 --maint";
+    lifetime_shards4: "--ftl cube --blocks 16 --requests 2000 --lifetime-epochs 3 --shards 4 \
+                       --array-threads 2";
+    lifetime_trace_file: "--ftl cube --blocks 16 --lifetime-epochs 3 \
+                          --trace-file tests/data/traces/ycsb_a.csv";
+    lifetime_workloads: "--ftl cube --blocks 16 --requests 2000 --lifetime-epochs 3 \
+                         --lifetime-workloads a,c --kv-keys 4000";
+    lifetime_workloads_shards4: "--ftl cube --blocks 16 --requests 2000 --shards 4 \
+                                 --lifetime-workloads oltp,a --lifetime-pattern-wear on";
+    rejects_kv_with_qos: "--ftl cube --blocks 16 --kv a --queues 4";
+    rejects_lifetime_with_spo: "--ftl cube --blocks 16 --lifetime-epochs 3 --spo-at 100";
+    rejects_array_spo_by_ops: "--ftl cube --blocks 16 --shards 4 --spo-at 100";
+    rejects_resilience_without_array: "--ftl cube --blocks 16 --array-parity";
+    rejects_fewer_tenants_than_shards: "--ftl cube --blocks 16 --shards 4 --queues 4 --tenants 2";
+    rejects_capture_on_an_array: "--ftl cube --blocks 16 --shards 4 --capture-trace-out {out}/cap.csv";
+    rejects_qos_knob_without_engagement: "--ftl cube --blocks 16 --qos-sq-depth 4";
+    rejects_telemetry_in_lifetime_mode: "--ftl cube --blocks 16 --lifetime-epochs 3 --metrics-out {out}/metrics.ndjson";
+    rejects_unknown_flag: "--ftl cube --bogus 1";
+}
