@@ -3,8 +3,9 @@
 //! throughput (simulated host requests per wall-clock second) for the
 //! paper's headline comparison pair.
 
+use bench::eval;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use cubeftl::harness::{run_eval, EvalConfig};
+use cubeftl::harness::EvalConfig;
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
 use std::hint::black_box;
 
@@ -16,14 +17,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.throughput(Throughput::Elements(cfg.requests));
     for kind in [FtlKind::Page, FtlKind::Cube] {
         group.bench_function(kind.name(), |b| {
-            b.iter(|| {
-                black_box(run_eval(
-                    kind,
-                    StandardWorkload::Mail,
-                    AgingState::Fresh,
-                    &cfg,
-                ))
-            })
+            b.iter(|| black_box(eval(kind, StandardWorkload::Mail, AgingState::Fresh, &cfg)))
         });
     }
     group.finish();
@@ -34,7 +28,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     for kind in [FtlKind::Page, FtlKind::Cube] {
         group.bench_function(kind.name(), |b| {
             b.iter(|| {
-                black_box(run_eval(
+                black_box(eval(
                     kind,
                     StandardWorkload::Rocks,
                     AgingState::EndOfLife,

@@ -10,8 +10,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin ablate`
 
-use bench::{banner, eval_config_from_args, Table};
-use cubeftl::harness::{run_eval, run_eval_custom};
+use bench::{banner, eval, eval_config_from_args, eval_custom, Table};
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
 use ftl::{Ftl, LatencyPredictor, Opm};
 use nand3d::{BlockId, EccModel, NandChip, NandConfig, ProgramParams, WlData};
@@ -26,7 +25,7 @@ fn main() {
     for mu in [0.0, 0.5, 0.8, 0.9, 0.99] {
         let mut ftl_cfg = cfg.ftl_config();
         ftl_cfg.mu_threshold = mu;
-        let r = run_eval_custom(
+        let r = eval_custom(
             FtlKind::Cube,
             StandardWorkload::Rocks,
             AgingState::Fresh,
@@ -54,7 +53,7 @@ fn main() {
         let mut ftl_cfg = cfg.ftl_config();
         ftl_cfg.active_blocks_per_chip = blocks;
         ftl_cfg.gc_free_block_threshold = ftl_cfg.gc_free_block_threshold.max(blocks);
-        let r = run_eval_custom(
+        let r = eval_custom(
             FtlKind::Cube,
             StandardWorkload::Oltp,
             AgingState::Fresh,
@@ -76,7 +75,7 @@ fn main() {
     for pages in [16usize, 48, 128, 256] {
         let mut c = cfg.clone();
         c.ssd.buffer_pages = pages;
-        let r = run_eval(
+        let r = eval(
             FtlKind::Cube,
             StandardWorkload::Rocks,
             AgingState::Fresh,
@@ -97,7 +96,7 @@ fn main() {
     for p in [0.0, 0.002, 0.01, 0.05] {
         let mut c = cfg.clone();
         c.disturbance_prob = p;
-        let r = run_eval(
+        let r = eval(
             FtlKind::Cube,
             StandardWorkload::Mail,
             AgingState::MidLife,

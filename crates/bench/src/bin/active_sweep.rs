@@ -16,8 +16,7 @@
 //! Run with: `cargo run --release -p bench --bin active_sweep`
 //! (`--out PATH` writes the NDJSON to a file instead of stdout).
 
-use bench::{banner_err, eval_config_from_args, write_bench_json, Table};
-use cubeftl::harness::run_eval_custom;
+use bench::{banner_err, eval_config_from_args, eval_custom, write_bench_json, Table};
 use cubeftl::{AgingState, FtlKind, MetricRegistry, StandardWorkload};
 use std::time::Instant;
 
@@ -53,7 +52,7 @@ fn main() {
             ftl_cfg.active_blocks_per_chip = blocks;
             // GC must keep at least one free block per write point.
             ftl_cfg.gc_free_block_threshold = ftl_cfg.gc_free_block_threshold.max(blocks);
-            let r = run_eval_custom(FtlKind::Cube, workload, AgingState::Fresh, &cfg, ftl_cfg);
+            let r = eval_custom(FtlKind::Cube, workload, AgingState::Fresh, &cfg, ftl_cfg);
             let prefix = format!("sweep.active{blocks}.{name}");
             reg.gauge(&format!("{prefix}.iops"), r.iops);
             reg.gauge(

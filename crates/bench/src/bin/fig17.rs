@@ -6,9 +6,8 @@
 //! the paper-scale 32-GB SSD (slow); the default reduced scale keeps the
 //! topology and FTL behaviour.
 
-use bench::{banner, eval_config_from_args, Table};
-use cubeftl::harness::run_fig17_cell;
-use cubeftl::{AgingState, StandardWorkload};
+use bench::{banner, eval, eval_config_from_args, Table};
+use cubeftl::{AgingState, FtlKind, StandardWorkload};
 
 fn main() {
     let cfg = eval_config_from_args();
@@ -23,7 +22,8 @@ fn main() {
         banner(&format!("Fig. 17 — normalized IOPS, {aging}"));
         let mut t = Table::new(["workload", "pageFTL", "vertFTL", "cubeFTL", "cube/page"]);
         for workload in StandardWorkload::ALL {
-            let (page, vert, cube) = run_fig17_cell(workload, aging, &cfg);
+            let [page, vert, cube] = [FtlKind::Page, FtlKind::Vert, FtlKind::Cube]
+                .map(|kind| eval(kind, workload, aging, &cfg));
             let norm = |iops: f64| format!("{:.2}", iops / page.iops);
             best_vs_page = best_vs_page.max(cube.iops / page.iops - 1.0);
             best_vs_vert = best_vs_vert.max(cube.iops / vert.iops - 1.0);

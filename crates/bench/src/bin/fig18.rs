@@ -7,8 +7,7 @@
 //! (b) Read-latency CDF — even with no read retries at the fresh state,
 //! reads queue behind fewer/shorter programs under cubeFTL.
 
-use bench::{banner, eval_config_from_args, Table};
-use cubeftl::harness::run_eval;
+use bench::{banner, eval, eval_config_from_args, Table};
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
 
 fn main() {
@@ -21,7 +20,7 @@ fn main() {
     let kinds = FtlKind::ALL; // page, vert, cube-, cube
     let mut reports: Vec<_> = kinds
         .iter()
-        .map(|&k| run_eval(k, StandardWorkload::Rocks, AgingState::Fresh, &cfg))
+        .map(|&k| eval(k, StandardWorkload::Rocks, AgingState::Fresh, &cfg))
         .collect();
 
     for (which, title) in [

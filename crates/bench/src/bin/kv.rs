@@ -26,9 +26,9 @@
 //!
 //! Run with: `cargo run --release -p bench --bin kv`
 
-use bench::{banner, eval_config_from_args, write_bench_json, Table};
+use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
 use cubeftl::harness::{
-    register_kv_metrics, run_array_kv_eval, run_kv_eval, ArrayEvalConfig, KvSpec, TelemetrySpec,
+    register_kv_metrics, ArrayEvalConfig, EvalConfig, KvSpec, RunOutput, Scenario,
 };
 use cubeftl::{
     AgingState, FtlKind, KvAppReport, KvStream, MetricRegistry, StandardWorkload, YcsbKind,
@@ -58,37 +58,40 @@ fn bench_spec(kind: YcsbKind) -> KvSpec {
     kv
 }
 
+/// A Cube device (or array) driven by the bench's engine under `kind`.
+fn kv_run(
+    aging: AgingState,
+    kind: YcsbKind,
+    cfg: &EvalConfig,
+    arr: Option<ArrayEvalConfig>,
+) -> RunOutput {
+    run(&Scenario {
+        array: arr,
+        kv: bench_spec(kind),
+        // The workload is ignored: the KV layer drives the device.
+        ..Scenario::new(FtlKind::Cube, StandardWorkload::Rocks, aging, cfg)
+    })
+}
+
 /// Runs one evaluation cell.
 fn run_cell(
     aging: AgingState,
     aging_label: &'static str,
     kind: YcsbKind,
-    cfg: &cubeftl::harness::EvalConfig,
+    cfg: &EvalConfig,
 ) -> CurvePoint {
-    let (r, _) = run_kv_eval(
-        FtlKind::Cube,
-        StandardWorkload::Rocks, // ignored: the KV layer drives the device
-        aging,
-        cfg,
-        &bench_spec(kind),
-        &TelemetrySpec::off(),
-        false,
-    );
-    let app = r.app.expect("KV layer engaged");
-    let retry_per_read = if r.sim.reads == 0 {
-        0.0
-    } else {
-        r.sim.ftl.read_retries as f64 / r.sim.reads as f64
-    };
+    let mut r = kv_run(aging, kind, cfg, None);
+    let app = r.kv.take().expect("KV layer engaged").apps.remove(0);
+    let sim = r.sim();
     CurvePoint {
         aging: aging_label,
         kind,
-        iops: r.sim.iops,
-        tprog_mean_us: r.sim.write_latency.mean(),
-        num_retry: r.sim.ftl.read_retries,
-        retry_per_read,
-        wa_host: r.sim.wa_host().unwrap_or(0.0),
-        wa_total: r.sim.wa_total().unwrap_or(0.0),
+        iops: sim.iops,
+        tprog_mean_us: sim.write_latency.mean(),
+        num_retry: sim.ftl.read_retries,
+        retry_per_read: r.retry_rate(0),
+        wa_host: sim.wa_host().unwrap_or(0.0),
+        wa_total: sim.wa_total().unwrap_or(0.0),
         app,
     }
 }
@@ -140,18 +143,19 @@ fn write_pages_at_ops(kind: YcsbKind, space: u64, seed: u64, ops: u64) -> u64 {
 
 /// Canonical per-shard counter dump of an array KV run — the
 /// thread-invariance witness.
-fn array_fingerprint(r: &cubeftl::harness::ArrayKvEvalReport) -> String {
+fn array_fingerprint(r: &RunOutput) -> String {
+    let merged = r.merged();
     let mut s = format!(
         "merged: iops {:.4} completed {} retries {}\n",
-        r.merged.iops, r.merged.completed, r.merged.ftl.read_retries
+        merged.iops, merged.completed, merged.ftl.read_retries
     );
-    for (i, sh) in r.shards.iter().enumerate() {
+    for (i, sh) in r.phases[0].shards.iter().enumerate() {
         s.push_str(&format!(
             "shard {i}: completed {} reads {} writes {} retries {} gc {}\n",
             sh.completed, sh.reads, sh.writes, sh.ftl.read_retries, sh.ftl.gc_runs,
         ));
     }
-    for (i, app) in r.apps.iter().enumerate() {
+    for (i, app) in r.kv.iter().flat_map(|kv| &kv.apps).enumerate() {
         s.push_str(&format!("app {i}: {app:?}\n"));
     }
     s
@@ -296,25 +300,9 @@ fn main() {
     // Bar 5: a 4-shard array KV run is worker-thread invariant.
     let mut arr = ArrayEvalConfig::new(4);
     arr.threads = 1;
-    let (serial, _) = run_array_kv_eval(
-        FtlKind::Cube,
-        StandardWorkload::Rocks,
-        AgingState::Fresh,
-        &cfg,
-        &arr,
-        &bench_spec(YcsbKind::A),
-        &TelemetrySpec::off(),
-    );
+    let serial = kv_run(AgingState::Fresh, YcsbKind::A, &cfg, Some(arr));
     arr.threads = 4;
-    let (threaded, _) = run_array_kv_eval(
-        FtlKind::Cube,
-        StandardWorkload::Rocks,
-        AgingState::Fresh,
-        &cfg,
-        &arr,
-        &bench_spec(YcsbKind::A),
-        &TelemetrySpec::off(),
-    );
+    let threaded = kv_run(AgingState::Fresh, YcsbKind::A, &cfg, Some(arr));
     assert_eq!(
         array_fingerprint(&serial),
         array_fingerprint(&threaded),

@@ -29,8 +29,8 @@
 //!
 //! Run with: `cargo run --release -p bench --bin lifetime`
 
-use bench::{banner, eval_config_from_args, write_bench_json, Table};
-use cubeftl::harness::{run_lifetime_array_eval, run_lifetime_eval, ArrayEvalConfig};
+use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
+use cubeftl::harness::{ArrayEvalConfig, EvalConfig, RunOutput, Scenario};
 use cubeftl::{AgingState, FtlKind, LifetimeConfig, MaintConfig, MetricRegistry, StandardWorkload};
 use std::time::Instant;
 
@@ -50,27 +50,31 @@ struct CurvePoint {
     scrub_blocks: u64,
 }
 
+/// One Cube Mail campaign from a fresh device (or array).
+fn campaign(cfg: &EvalConfig, life: &LifetimeConfig, arr: Option<ArrayEvalConfig>) -> RunOutput {
+    run(&Scenario {
+        array: arr,
+        lifetime: Some(*life),
+        ..Scenario::new(
+            FtlKind::Cube,
+            StandardWorkload::Mail,
+            AgingState::Fresh,
+            cfg,
+        )
+    })
+}
+
 /// Runs one single-device campaign and flattens it into curve points.
-fn run_campaign(
-    label: &'static str,
-    cfg: &cubeftl::harness::EvalConfig,
-    life: &LifetimeConfig,
-) -> Vec<CurvePoint> {
-    let r = run_lifetime_eval(
-        FtlKind::Cube,
-        StandardWorkload::Mail,
-        AgingState::Fresh,
-        cfg,
-        life,
-    );
+fn run_campaign(label: &'static str, cfg: &EvalConfig, life: &LifetimeConfig) -> Vec<CurvePoint> {
+    let r = campaign(cfg, life, None);
+    let summaries = &r.aging.as_ref().expect("campaign ran").summaries;
     let mut pe_cum = 0u32;
     let mut months_cum = 0.0f64;
-    let mut points = Vec::with_capacity(r.epochs.len());
-    for (e, rep) in r.epochs.iter().enumerate() {
+    let mut points = Vec::new();
+    for (e, rep) in r.epochs().map(|p| &p.shards[0]).enumerate() {
         if e > 0 {
-            let s = &r.summaries[e - 1];
             pe_cum += life.pe_per_epoch;
-            months_cum += s.retention_added_months;
+            months_cum += summaries[e - 1][0].retention_added_months;
         }
         points.push(CurvePoint {
             maint: label,
@@ -118,9 +122,9 @@ fn curve_csv(points: &[CurvePoint]) -> String {
 
 /// Canonical per-epoch, per-shard counter dump of an array campaign —
 /// the thread-invariance witness.
-fn array_fingerprint(r: &cubeftl::harness::LifetimeArrayEvalReport) -> String {
+fn array_fingerprint(r: &RunOutput) -> String {
     let mut s = String::new();
-    for (e, rep) in r.epochs.iter().enumerate() {
+    for (e, rep) in r.epochs().enumerate() {
         s.push_str(&format!(
             "epoch {e}: iops {:.4} completed {} retries {}\n",
             rep.merged.iops, rep.merged.completed, rep.merged.ftl.read_retries
@@ -137,7 +141,8 @@ fn array_fingerprint(r: &cubeftl::harness::LifetimeArrayEvalReport) -> String {
             ));
         }
     }
-    for (k, step) in r.summaries.iter().enumerate() {
+    let summaries = &r.aging.as_ref().expect("campaign ran").summaries;
+    for (k, step) in summaries.iter().enumerate() {
         for (i, sum) in step.iter().enumerate() {
             s.push_str(&format!(
                 "step {k} shard {i}: blocks {} pe {} months {:.4}\n",
@@ -312,23 +317,9 @@ fn main() {
     short.epochs = 3;
     let mut arr = ArrayEvalConfig::new(4);
     arr.threads = 1;
-    let serial = run_lifetime_array_eval(
-        FtlKind::Cube,
-        StandardWorkload::Mail,
-        AgingState::Fresh,
-        &cfg,
-        &arr,
-        &short,
-    );
+    let serial = campaign(&cfg, &short, Some(arr));
     arr.threads = 4;
-    let threaded = run_lifetime_array_eval(
-        FtlKind::Cube,
-        StandardWorkload::Mail,
-        AgingState::Fresh,
-        &cfg,
-        &arr,
-        &short,
-    );
+    let threaded = campaign(&cfg, &short, Some(arr));
     assert_eq!(
         array_fingerprint(&serial),
         array_fingerprint(&threaded),

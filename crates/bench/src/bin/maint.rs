@@ -10,8 +10,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin maint`
 
-use bench::{banner, eval_config_from_args, write_bench_json, Table};
-use cubeftl::harness::run_eval;
+use bench::{banner, eval, eval_config_from_args, write_bench_json, Table};
 use cubeftl::{
     AgingState, FaultKind, FaultPlan, FtlKind, MaintConfig, MetricRegistry, StandardWorkload,
 };
@@ -52,7 +51,7 @@ fn main() {
         cfg.maint = maint;
         cfg.ssd.maint.enabled = maint.is_some();
         cfg.ssd.maint.min_gap_us = gap_us;
-        let r = run_eval(
+        let r = eval(
             FtlKind::Cube,
             StandardWorkload::Web,
             AgingState::EndOfLife,

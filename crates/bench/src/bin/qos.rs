@@ -30,9 +30,12 @@
 //! Run with: `cargo run --release -p bench --bin qos` (`--smoke` for
 //! the CI-sized variant).
 
-use bench::{banner, eval_config_from_args, write_bench_json, Table};
-use cubeftl::harness::{run_qos_eval, EvalConfig, QosSpec, TelemetrySpec};
-use cubeftl::{AgingState, FtlKind, MetricRegistry, StandardWorkload, TenantClass, TenantMix};
+use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
+use cubeftl::harness::{EvalConfig, QosSpec, Scenario};
+use cubeftl::{
+    AgingState, FtlKind, MetricRegistry, QosReport, SimReport, StandardWorkload, TenantClass,
+    TenantMix,
+};
 use std::time::Instant;
 
 const KIND: FtlKind = FtlKind::Cube;
@@ -63,6 +66,23 @@ fn base_spec() -> QosSpec {
     }
 }
 
+/// The device report and per-tenant outcome of one engaged run.
+struct QosRun {
+    sim: SimReport,
+    qos: QosReport,
+}
+
+fn qos_run(cfg: &EvalConfig, spec: &QosSpec) -> QosRun {
+    let mut r = run(&Scenario {
+        qos: spec.clone(),
+        ..Scenario::new(KIND, WORKLOAD, AGING, cfg)
+    });
+    QosRun {
+        qos: r.qos.take().expect("front-end engaged"),
+        sim: r.into_sim(),
+    }
+}
+
 /// Measures uniform-traffic device capacity (requests per simulated
 /// second): a short all-at-once burst keeps every queue backlogged for
 /// the whole run, so the device serves at capacity end to end.
@@ -73,14 +93,7 @@ fn calibrate(cfg: &EvalConfig) -> f64 {
         arrival_interval_us: 0.01,
         ..base_spec()
     };
-    let (r, _) = run_qos_eval(
-        KIND,
-        WORKLOAD,
-        AGING,
-        &cal_cfg,
-        &spec,
-        &TelemetrySpec::off(),
-    );
+    let r = qos_run(&cal_cfg, &spec);
     assert!(r.sim.iops > 0.0, "calibration run completed nothing");
     r.sim.iops
 }
@@ -116,7 +129,7 @@ fn main() {
         arrival_interval_us: 1e6 / (2.0 * capacity),
         ..base_spec()
     };
-    let (ra, _) = run_qos_eval(KIND, WORKLOAD, AGING, &cfg, &spec_a, &TelemetrySpec::off());
+    let ra = qos_run(&cfg, &spec_a);
     let total_completed: u64 = ra.qos.tenants.iter().map(|t| t.completed).sum();
     let w_total: u32 = PROP_WEIGHTS.iter().sum();
     let mut t = Table::new([
@@ -195,7 +208,7 @@ fn main() {
             slo_read_us: Some(slo_read_us),
             ..base_spec()
         };
-        let (r, _) = run_qos_eval(KIND, WORKLOAD, AGING, &cfg, &spec, &TelemetrySpec::off());
+        let r = qos_run(&cfg, &spec);
         for (class, sum) in r.qos.by_class() {
             t.row([
                 format!("{load:.1}x"),
@@ -263,7 +276,7 @@ fn main() {
     );
 
     // Determinism: the 2x cell double-runs byte-identically.
-    let (again, _) = run_qos_eval(KIND, WORKLOAD, AGING, &cfg, &spec2, &TelemetrySpec::off());
+    let again = qos_run(&cfg, &spec2);
     assert_eq!(
         format!("{:?}", (&r2.sim, &r2.qos.tenants)),
         format!("{:?}", (&again.sim, &again.qos.tenants)),

@@ -21,10 +21,8 @@
 //! Run with: `cargo run --release -p bench --bin rebuild` (`--smoke`
 //! for the CI-sized variant).
 
-use bench::{banner, eval_config_from_args, write_bench_json, Table};
-use cubeftl::harness::{
-    run_array_eval, run_array_failure_eval, ArrayEvalConfig, ArrayFailureConfig, FailSpec,
-};
+use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
+use cubeftl::harness::{ArrayEvalConfig, ArrayFailureConfig, FailSpec, Phase, Scenario};
 use cubeftl::{AgingState, FtlKind, MetricRegistry, StandardWorkload};
 use std::time::Instant;
 
@@ -41,10 +39,14 @@ fn main() {
     // The healthy baseline fixes both the latency yardstick and the
     // failure instant: the shard dies ~40% into the shortest shard's
     // healthy makespan, so the degraded phase always has work left.
-    let healthy = run_array_eval(FtlKind::Cube, workload, aging, &cfg, &arr);
-    let healthy_p50 = healthy.merged.read_latency.percentile(50.0);
-    let healthy_p99 = healthy.merged.read_latency.percentile(99.0);
-    let makespan = healthy
+    let array = Scenario {
+        array: Some(arr),
+        ..Scenario::new(FtlKind::Cube, workload, aging, &cfg)
+    };
+    let healthy = run(&array);
+    let healthy_p50 = healthy.merged().read_latency.percentile(50.0);
+    let healthy_p99 = healthy.merged().read_latency.percentile(99.0);
+    let makespan = healthy.phases[0]
         .shards
         .iter()
         .map(|s| s.sim_time_us)
@@ -80,7 +82,11 @@ fn main() {
         fc.spare_shards = 1;
         fc.rebuild.batch_pages = batch;
         fc.rebuild.gap_us = gap_us;
-        let r = run_array_failure_eval(FtlKind::Cube, workload, aging, &cfg, &arr, &fc);
+        let out = run(&Scenario {
+            failure: Some(fc),
+            ..array.clone()
+        });
+        let r = out.failure.expect("failure spec was set");
         assert!(
             r.audit.zero_loss,
             "batch {batch} gap {gap_us}: rebuild must reach zero loss ({:?})",
@@ -88,7 +94,8 @@ fn main() {
         );
         assert_eq!(r.audit.rebuilt_mapped_pages, r.audit.acked_pages);
         assert!(r.resilience.degraded_reads > 0, "degraded reads exercised");
-        let d = r.degraded.as_ref().expect("degraded phase ran");
+        let d = &out.phases[1].merged;
+        assert_eq!(out.phases[1].phase, Phase::Degraded, "degraded phase ran");
         let (p50, p99) = (
             d.read_latency.percentile(50.0),
             d.read_latency.percentile(99.0),

@@ -18,8 +18,8 @@
 //!
 //! Run with: `cargo run --release -p bench --bin retry`
 
-use bench::{banner, eval_config_from_args, write_bench_json, Table};
-use cubeftl::harness::{run_eval_traced, TelemetrySpec};
+use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
+use cubeftl::harness::{Scenario, TelemetrySpec};
 use cubeftl::{
     events_to_ndjson, AgingState, EventKind, EventMask, FtlKind, MetricRegistry, OrtClusterConfig,
     RetryOptConfig, StandardWorkload, TraceEvent,
@@ -104,8 +104,11 @@ fn main() {
         ] {
             cfg.ort_cluster = cluster;
             cfg.retry_opt = opt;
-            let (report, telemetry) =
-                run_eval_traced(FtlKind::Cube, StandardWorkload::Rocks, aging, &cfg, &tel);
+            let out = run(&Scenario {
+                telemetry: tel,
+                ..Scenario::new(FtlKind::Cube, StandardWorkload::Rocks, aging, &cfg)
+            });
+            let (report, telemetry) = (out.sim(), &out.telemetry);
             let (retry_events, num_retry, seeded_events, early_terms) =
                 sum_trace(&telemetry.events);
             assert_eq!(
@@ -216,16 +219,18 @@ fn main() {
 
     // Determinism: a double run of the v2 EndOfLife cell reproduces the
     // retry trace byte for byte.
-    let (_, again) = run_eval_traced(
-        FtlKind::Cube,
-        StandardWorkload::Rocks,
-        AgingState::EndOfLife,
-        &cfg,
-        &tel,
-    );
+    let again = run(&Scenario {
+        telemetry: tel,
+        ..Scenario::new(
+            FtlKind::Cube,
+            StandardWorkload::Rocks,
+            AgingState::EndOfLife,
+            &cfg,
+        )
+    });
     assert_eq!(
         v2.trace,
-        events_to_ndjson(&again.events),
+        events_to_ndjson(&again.telemetry.events),
         "double run must reproduce the retry trace byte-identically"
     );
 

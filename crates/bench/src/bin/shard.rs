@@ -20,8 +20,8 @@
 //! Run with: `cargo run --release -p bench --bin shard` (`--smoke` for
 //! the CI-sized variant).
 
-use bench::{banner, eval_config_from_args, write_bench_json, Table};
-use cubeftl::harness::{run_array_eval, ArrayEvalConfig};
+use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
+use cubeftl::harness::{ArrayEvalConfig, Scenario};
 use cubeftl::{AgingState, FtlKind, MetricRegistry, StandardWorkload};
 use std::time::Instant;
 
@@ -42,14 +42,20 @@ fn main() {
         "wall ms",
         "p99 rd (ms)",
     ]);
+    let array_run = |arr: ArrayEvalConfig| {
+        run(&Scenario {
+            array: Some(arr),
+            ..Scenario::new(FtlKind::Cube, workload, aging, &cfg)
+        })
+    };
     let mut base_iops = 0.0;
     let mut iops_at_4 = 0.0;
     for shards in [1usize, 2, 4, 8] {
         let arr = ArrayEvalConfig::new(shards);
         let wall = Instant::now();
-        let mut r = run_array_eval(FtlKind::Cube, workload, aging, &cfg, &arr);
+        let r = array_run(arr);
         let wall_ms = wall.elapsed().as_secs_f64() * 1000.0;
-        let m = &mut r.merged;
+        let m = r.merged();
         assert_eq!(
             m.completed, cfg.requests,
             "the array must complete the full budget at {shards} shards"
@@ -93,8 +99,7 @@ fn main() {
     let report_at = |threads: usize| {
         let mut arr = ArrayEvalConfig::new(4);
         arr.threads = threads;
-        let r = run_array_eval(FtlKind::Cube, workload, aging, &cfg, &arr);
-        format!("{:?}", r.merged)
+        format!("{:?}", array_run(arr).merged())
     };
     let one = report_at(1);
     assert_eq!(one, report_at(4), "1 vs 4 worker threads must not differ");

@@ -24,8 +24,8 @@
 //! Run with: `cargo run --release -p bench --bin spo` (`--smoke` for
 //! the CI-sized variant).
 
-use bench::{banner, eval_config_from_args, write_bench_json, Table};
-use cubeftl::harness::{run_spo_eval, SpoConfig};
+use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
+use cubeftl::harness::{CrashReport, EvalConfig, RunOutput, Scenario, SpoConfig};
 use cubeftl::{AgingState, FtlDriver, FtlKind, MetricRegistry, SpoTrigger, StandardWorkload};
 use ssdsim::HostContext;
 use std::time::Instant;
@@ -52,15 +52,14 @@ fn main() {
             trigger: SpoTrigger::AtOps(cut_at),
             ckpt_interval_host_wls: interval,
         };
-        let r = run_spo_eval(
-            FtlKind::Cube,
-            StandardWorkload::Oltp,
-            AgingState::MidLife,
-            &cfg,
-            &spo,
+        let (_, r) = crash_run(&cfg, spo);
+        assert_eq!(
+            r.shards_cut(),
+            1,
+            "cut at {cut_at} of {} must fire",
+            cfg.requests
         );
-        assert!(r.fired(), "cut at {cut_at} of {} must fire", cfg.requests);
-        let rec = r.recovery.expect("recovery ran");
+        let rec = r.recoveries[0].as_ref().expect("recovery ran");
         assert!(
             r.lost_lpns.is_empty(),
             "host-acknowledged data lost at interval {interval}: {:?}",
@@ -108,7 +107,22 @@ fn main() {
 /// reproducible point in the run — early cuts land mid-prefill-GC,
 /// late cuts after many checkpoints. Every fired cell must lose zero
 /// host-acknowledged LPNs.
-fn cadence_rate_grid(cfg: &cubeftl::harness::EvalConfig, reg: &mut MetricRegistry) {
+/// One OLTP mid-life crash experiment on a single Cube device.
+fn crash_run(cfg: &EvalConfig, spo: SpoConfig) -> (RunOutput, CrashReport) {
+    let out = run(&Scenario {
+        spo: Some(spo),
+        ..Scenario::new(
+            FtlKind::Cube,
+            StandardWorkload::Oltp,
+            AgingState::MidLife,
+            cfg,
+        )
+    });
+    let crash = out.crash.clone().expect("a cut was armed");
+    (out, crash)
+}
+
+fn cadence_rate_grid(cfg: &EvalConfig, reg: &mut MetricRegistry) {
     let mut cfg = cfg.clone();
     cfg.requests = cfg.requests.min(6_000);
     let rates = [0.0005, 0.002, 0.008];
@@ -130,24 +144,17 @@ fn cadence_rate_grid(cfg: &cubeftl::harness::EvalConfig, reg: &mut MetricRegistr
                 },
                 ckpt_interval_host_wls: interval,
             };
-            let r = run_spo_eval(
-                FtlKind::Cube,
-                StandardWorkload::Oltp,
-                AgingState::MidLife,
-                &cfg,
-                &spo,
-            );
+            let (out, r) = crash_run(&cfg, spo);
             assert!(
                 r.lost_lpns.is_empty(),
                 "lost {} host-acknowledged LPNs at cadence {interval}, rate {rate}",
                 r.lost_lpns.len()
             );
-            cells.push(if r.fired() {
+            cells.push(if let Some(rec) = &r.recoveries[0] {
                 fired_cells += 1;
-                let rec = r.recovery.as_ref().expect("recovery ran");
                 format!(
                     "cut@{} ({:.1}ms, 0 lost)",
-                    r.pre_cut.completed,
+                    out.sim().completed,
                     rec.nand_us / 1000.0
                 )
             } else {

@@ -4,8 +4,7 @@
 //! Run with: `cargo run --release -p bench --bin summary` (add `--full`
 //! for the paper-scale SSD in the simulation rows).
 
-use bench::{banner, eval_config_from_args, paper_chip, Table};
-use cubeftl::harness::{run_eval, run_fig17_cell};
+use bench::{banner, eval, eval_config_from_args, paper_chip, Table};
 use cubeftl::{AgingState, FtlKind, ProgramOrder, StandardWorkload};
 use ftl::Opm;
 use nand3d::ispp::split_margin_mv;
@@ -255,7 +254,8 @@ fn main() {
 
     // --- System-level anchors (simulated SSD) --------------------------
     banner("running Fig. 17 cells (this is the slow part)...");
-    let (p_oltp, v_oltp, c_oltp) = run_fig17_cell(StandardWorkload::Oltp, AgingState::Fresh, &cfg);
+    let [p_oltp, v_oltp, c_oltp] = [FtlKind::Page, FtlKind::Vert, FtlKind::Cube]
+        .map(|kind| eval(kind, StandardWorkload::Oltp, AgingState::Fresh, &cfg));
     t.row([
         "cubeFTL vs pageFTL, OLTP fresh",
         "+48%",
@@ -268,8 +268,8 @@ fn main() {
         &format!("{:+.0}%", (c_oltp.iops / v_oltp.iops - 1.0) * 100.0),
         "Fig. 17(a)",
     ]);
-    let (p_proxy, _, c_proxy) =
-        run_fig17_cell(StandardWorkload::Proxy, AgingState::EndOfLife, &cfg);
+    let [p_proxy, c_proxy] = [FtlKind::Page, FtlKind::Cube]
+        .map(|kind| eval(kind, StandardWorkload::Proxy, AgingState::EndOfLife, &cfg));
     t.row([
         "cubeFTL vs pageFTL, Proxy EOL (largest)",
         "largest gain",
@@ -277,19 +277,19 @@ fn main() {
         "Fig. 17(c)",
     ]);
 
-    let page_rocks = run_eval(
+    let page_rocks = eval(
         FtlKind::Page,
         StandardWorkload::Rocks,
         AgingState::Fresh,
         &cfg,
     );
-    let minus_rocks = run_eval(
+    let minus_rocks = eval(
         FtlKind::CubeMinus,
         StandardWorkload::Rocks,
         AgingState::Fresh,
         &cfg,
     );
-    let cube_rocks = run_eval(
+    let cube_rocks = eval(
         FtlKind::Cube,
         StandardWorkload::Rocks,
         AgingState::Fresh,

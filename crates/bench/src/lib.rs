@@ -10,8 +10,8 @@
 //! * (default) — the reduced scale (64 blocks/chip), which preserves the
 //!   topology and FTL behaviour at laptop runtimes.
 
-use cubeftl::harness::EvalConfig;
-use cubeftl::MetricRegistry;
+use cubeftl::harness::{EvalConfig, RunOutput, Scenario, WorkloadSource};
+use cubeftl::{AgingState, FtlConfig, FtlKind, MetricRegistry, SimReport};
 use nand3d::{NandChip, NandConfig};
 
 /// Seed used by every figure binary (reproducible output).
@@ -32,6 +32,39 @@ pub fn exemplar_layers(chip: &NandChip) -> [(&'static str, u16); 4] {
         ("h-layer_kappa", k),
         ("h-layer_omega", o),
     ]
+}
+
+/// Runs a scenario a binary assembled itself: a rejection is a bug in
+/// that binary, so it panics with the reason.
+pub fn run(sc: &Scenario) -> RunOutput {
+    sc.run()
+        .unwrap_or_else(|e| panic!("scenario rejected: {e}"))
+}
+
+/// One plain single-device evaluation cell: its device report.
+pub fn eval(
+    kind: FtlKind,
+    workload: impl Into<WorkloadSource>,
+    aging: AgingState,
+    cfg: &EvalConfig,
+) -> SimReport {
+    run(&Scenario::new(kind, workload, aging, cfg)).into_sim()
+}
+
+/// [`eval`] under an explicit FTL configuration — the entry point of
+/// the ablation studies (μ_TH sweeps, active-block counts, …).
+pub fn eval_custom(
+    kind: FtlKind,
+    workload: impl Into<WorkloadSource>,
+    aging: AgingState,
+    cfg: &EvalConfig,
+    ftl_cfg: FtlConfig,
+) -> SimReport {
+    run(&Scenario {
+        ftl: Some(ftl_cfg),
+        ..Scenario::new(kind, workload, aging, cfg)
+    })
+    .into_sim()
 }
 
 /// Parses the common CLI flags of the figure binaries.

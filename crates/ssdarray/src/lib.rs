@@ -160,49 +160,13 @@ where
     /// order, and only then merges — so neither the thread count nor
     /// the completion order can reach the report.
     pub fn run(&mut self) -> ArrayRunOutcome {
-        let n = self.shards.len();
-        let threads = self.threads.clamp(1, n);
-
-        let (job_tx, job_rx) = mpsc::channel::<(usize, ArrayShard<F, W>)>();
-        for job in self.shards.drain(..).enumerate() {
-            job_tx.send(job).expect("queue is open");
-        }
-        drop(job_tx);
-        let job_rx = Mutex::new(job_rx);
-
-        let (done_tx, done_rx) = mpsc::channel::<Done<F, W>>();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let job_rx = &job_rx;
-                let done_tx = done_tx.clone();
-                scope.spawn(move || loop {
-                    // Hold the lock only for the pop, not the simulation.
-                    let job = job_rx.lock().expect("queue lock").try_recv();
-                    let Ok((idx, mut shard)) = job else { break };
-                    let (report, spo) = run_shard(&mut shard);
-                    done_tx.send((idx, shard, report, spo)).expect("collector");
-                });
-            }
-        });
-        drop(done_tx);
-
-        // Fan-in barrier: collect every shard into its index slot.
-        let mut slots: Vec<Option<Finished<F, W>>> = (0..n).map(|_| None).collect();
-        for (idx, shard, report, spo) in done_rx.iter() {
-            debug_assert!(slots[idx].is_none(), "shard {idx} finished twice");
-            slots[idx] = Some((shard, report, spo));
-        }
-
-        let mut shard_reports = Vec::with_capacity(n);
-        let mut spo_events = Vec::with_capacity(n);
-        for slot in slots {
-            let (shard, report, spo) = slot.expect("every shard completes");
+        let shards = std::mem::take(&mut self.shards);
+        let (mut shard_reports, mut spo_events) = (Vec::new(), Vec::new());
+        for (shard, (report, spo)) in fan_out(shards, self.threads, run_shard) {
             self.shards.push(shard);
             shard_reports.push(report);
             spo_events.push(spo);
         }
-
         ArrayRunOutcome {
             report: ArrayReport::merge(&shard_reports),
             shard_reports,
@@ -211,10 +175,62 @@ where
     }
 }
 
-/// A finished shard, its report, and its (possibly un-fired) SPO event.
-type Finished<F, W> = (ArrayShard<F, W>, SimReport, Option<SpoEvent>);
-/// What a worker sends home: a [`Finished`] tagged with its shard index.
-type Done<F, W> = (usize, ArrayShard<F, W>, SimReport, Option<SpoEvent>);
+/// The worker pool behind both engines: deals `shards` to `threads`
+/// workers through a job queue, runs `run_one` on each, and returns
+/// every shard with its result **in index order**.
+///
+/// Workers send finished shards home tagged with their index; the
+/// collector waits for *all* of them (the fan-in barrier) and restores
+/// index order before returning — so neither the thread count nor the
+/// completion order can reach a report. One worker needs no pool: the
+/// shards run back to back on the caller's thread.
+fn fan_out<S: Send, R: Send>(
+    shards: Vec<S>,
+    threads: usize,
+    run_one: impl Fn(&mut S) -> R + Sync,
+) -> Vec<(S, R)> {
+    let n = shards.len();
+    let finish = |mut shard: S| {
+        let result = run_one(&mut shard);
+        (shard, result)
+    };
+    if threads <= 1 {
+        return shards.into_iter().map(finish).collect();
+    }
+
+    let (job_tx, job_rx) = mpsc::channel::<(usize, S)>();
+    for job in shards.into_iter().enumerate() {
+        job_tx.send(job).expect("queue is open");
+    }
+    drop(job_tx);
+    let job_rx = Mutex::new(job_rx);
+    let (done_tx, done_rx) = mpsc::channel::<(usize, (S, R))>();
+
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(n) {
+            let (job_rx, finish) = (&job_rx, &finish);
+            let done_tx = done_tx.clone();
+            scope.spawn(move || loop {
+                // Hold the lock only for the pop, not the simulation.
+                let job = job_rx.lock().expect("queue lock").try_recv();
+                let Ok((idx, shard)) = job else { break };
+                done_tx.send((idx, finish(shard))).expect("collector");
+            });
+        }
+    });
+    drop(done_tx);
+
+    // Fan-in barrier: collect every shard into its index slot.
+    let mut slots: Vec<Option<(S, R)>> = (0..n).map(|_| None).collect();
+    for (idx, done) in done_rx.iter() {
+        debug_assert!(slots[idx].is_none(), "shard {idx} finished twice");
+        slots[idx] = Some(done);
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every shard completes"))
+        .collect()
+}
 
 /// One shard of a front-driven array: a device plus the host front-end
 /// (e.g. `hostq`'s multi-queue QoS front) that feeds it open-loop.
@@ -272,57 +288,20 @@ where
         self
     }
 
-    /// The shards, in index order (drain fronts after a run).
-    pub fn shards(&self) -> &[FrontShard<F, H>] {
-        &self.shards
-    }
-
-    /// Mutable access to the shards, in index order.
-    pub fn shards_mut(&mut self) -> &mut [FrontShard<F, H>] {
-        &mut self.shards
+    /// Consumes the array, returning the shards in index order (drain
+    /// fronts after a run).
+    pub fn into_shards(self) -> Vec<FrontShard<F, H>> {
+        self.shards
     }
 
     /// Runs every shard to drain and merges the results in shard order.
     pub fn run(&mut self) -> FrontRunOutcome {
-        let n = self.shards.len();
-        let threads = self.threads.clamp(1, n);
-
-        let (job_tx, job_rx) = mpsc::channel::<(usize, FrontShard<F, H>)>();
-        for job in self.shards.drain(..).enumerate() {
-            job_tx.send(job).expect("queue is open");
-        }
-        drop(job_tx);
-        let job_rx = Mutex::new(job_rx);
-
-        let (done_tx, done_rx) = mpsc::channel::<(usize, FrontShard<F, H>, SimReport)>();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let job_rx = &job_rx;
-                let done_tx = done_tx.clone();
-                scope.spawn(move || loop {
-                    let job = job_rx.lock().expect("queue lock").try_recv();
-                    let Ok((idx, mut shard)) = job else { break };
-                    let report = run_front_shard(&mut shard);
-                    done_tx.send((idx, shard, report)).expect("collector");
-                });
-            }
-        });
-        drop(done_tx);
-
-        let mut slots: Vec<Option<(FrontShard<F, H>, SimReport)>> = (0..n).map(|_| None).collect();
-        for (idx, shard, report) in done_rx.iter() {
-            debug_assert!(slots[idx].is_none(), "shard {idx} finished twice");
-            slots[idx] = Some((shard, report));
-        }
-
-        let mut shard_reports = Vec::with_capacity(n);
-        for slot in slots {
-            let (shard, report) = slot.expect("every shard completes");
+        let shards = std::mem::take(&mut self.shards);
+        let mut shard_reports = Vec::new();
+        for (shard, report) in fan_out(shards, self.threads, run_front_shard) {
             self.shards.push(shard);
             shard_reports.push(report);
         }
-
         FrontRunOutcome {
             report: ArrayReport::merge(&shard_reports),
             shard_reports,

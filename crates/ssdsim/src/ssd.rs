@@ -565,8 +565,6 @@ pub struct SsdSim {
     spo_rng: Option<StdRng>,
     /// Set once the armed trigger fires; consumed by [`SsdSim::run_end`].
     spo_event: Option<SpoEvent>,
-    /// Events processed this run (progress logging under `SSDSIM_DEBUG`).
-    event_count: u64,
     /// Structured event trace sink (inert unless
     /// [`SsdSim::enable_telemetry`] armed a mask).
     trace: Collector,
@@ -656,7 +654,6 @@ impl SsdSim {
             spo: None,
             spo_rng: None,
             spo_event: None,
-            event_count: 0,
             trace: Collector::disabled(),
             sampler: None,
             front_mode: false,
@@ -915,19 +912,6 @@ impl SsdSim {
             debug_assert!(ev.t >= self.now - 1e-9, "time went backwards");
             self.sample_until(ev.t, ftl);
             sliced += 1;
-            self.event_count += 1;
-            if self.event_count.is_multiple_of(1_000_000) && std::env::var("SSDSIM_DEBUG").is_ok() {
-                eprintln!(
-                    "events={}M now={:.0} completed={} outstanding={} stalled={} buffer={}/{}",
-                    self.event_count / 1_000_000,
-                    self.now,
-                    self.completed,
-                    self.outstanding,
-                    self.stalled.len(),
-                    self.buffer.fill(),
-                    self.buffer.capacity()
-                );
-            }
             let completed_before = self.completed;
             self.now = ev.t;
             match ev.kind {
@@ -1062,7 +1046,6 @@ impl SsdSim {
             let ev = self.events.pop().expect("peeked event exists");
             debug_assert!(ev.t >= self.now - 1e-9, "time went backwards");
             self.sample_until(ev.t, ftl);
-            self.event_count += 1;
             self.now = ev.t;
             match ev.kind {
                 EventKind::WriteAccepted { req } => self.finish_request(req),
@@ -1203,7 +1186,6 @@ impl SsdSim {
         self.spo = None;
         self.spo_rng = None;
         self.spo_event = None;
-        self.event_count = 0;
         self.front_mode = false;
         self.front_done.clear();
         self.rebuild_sched = None;

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example ycsb_rocksdb`
 
-use cubeftl::harness::{run_eval, EvalConfig};
+use cubeftl::harness::{EvalConfig, Scenario};
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
 
 fn main() {
@@ -21,7 +21,10 @@ fn main() {
     );
     let mut page_iops = None;
     for kind in FtlKind::ALL {
-        let r = run_eval(kind, StandardWorkload::Rocks, AgingState::EndOfLife, &cfg);
+        let r = Scenario::new(kind, StandardWorkload::Rocks, AgingState::EndOfLife, &cfg)
+            .run()
+            .expect("a plain scenario is valid")
+            .into_sim();
         let base = *page_iops.get_or_insert(r.iops);
         println!(
             "{:<10} {:>9.0} {:>12.3} {:>12.3} {:>12.3} {:>10}  ({:+.0}% IOPS vs pageFTL)",

@@ -63,7 +63,9 @@
 //! priority gap — repopulates a blank spare (`--spare-shards 1`). Adding
 //! `--spo-at-us` composes an array-wide power cut into the degraded
 //! phase. The run exits non-zero unless the audit proves zero
-//! host-acknowledged loss.
+//! host-acknowledged loss. Array resilience cannot be combined with
+//! the QoS front-end, `--trace-file`, `--kv`, a lifetime campaign,
+//! `--capture-trace-out` or `--series-out`.
 //!
 //! `--ort-capacity N` bounds the per-chip offset-reuse table to N entries
 //! with LRU eviction (default: unbounded); hit/miss/eviction counters
@@ -97,7 +99,10 @@
 //! routes to shard `t % shards` and results merge in shard order — the
 //! per-tenant outcome is byte-identical at any `--array-threads` count.
 //! With `--queues 1 --tenants 1` (the default) the front-end is
-//! disengaged and runs take the legacy closed-loop path untouched.
+//! disengaged and the device is driven by its closed-loop stream.
+//! Engaged, it cannot be combined with `--trace-file` (use
+//! `--qos-trace`), SPO cuts, array resilience, `--kv`, a lifetime
+//! campaign or `--capture-trace-out`.
 //!
 //! `--lifetime-epochs N` (N > 1, or any other `--lifetime-*` knob)
 //! engages the fast-forward aging campaign (`crates/lifetime`): the
@@ -116,8 +121,9 @@
 //! (each shard ages under its own seeded engine, byte-identical at any
 //! `--array-threads` count) and single-device `--trace-file` (the
 //! recorded trace replays at every age point); it cannot be combined
-//! with SPO cuts, the QoS front-end, array resilience, or the
-//! telemetry output files.
+//! with SPO cuts, the QoS front-end, array resilience, `--kv` (use
+//! `--lifetime-workloads`), `--capture-trace-out` or the telemetry
+//! output files.
 //!
 //! `--kv KIND` replaces the synthetic workload with the kvsim
 //! application layer (`crates/kvsim`): a real miniature LSM-tree KV
@@ -133,16 +139,20 @@
 //! level fanout and count); the key count is clamped to fit the
 //! device. Combines with `--shards` (one independent engine per
 //! shard, byte-identical at any `--array-threads` count) and the
-//! telemetry files (`kv.*` metrics, `kv` trace events); it cannot be
-//! combined with `--trace-file`, the QoS front-end, SPO cuts, or
-//! array resilience. Without `--kv` every run is byte-identical to
-//! the pre-KV binary.
+//! telemetry files (`kv.*` metrics, `kv` trace events) and SPO cuts
+//! (`--spo-at`, or `--shards N --spo-at-us`: the crash experiment's
+//! device-level zero-acknowledged-loss audit over the engine's LPNs);
+//! it cannot be combined with `--trace-file`, the QoS front-end, array
+//! resilience, or `--lifetime-epochs` (use `--lifetime-workloads`).
+//! Without `--kv` every run is byte-identical to the pre-KV binary.
 //!
 //! `--capture-trace-out PATH` records the device-level request stream
 //! of a single-device run (synthetic, `--kv`, or `--trace-file`
 //! replay) as an MSR-style CSV that `--trace-file` replays
 //! byte-identically. Capture observes without perturbing: the run's
-//! report is unchanged. Requires a single `--ftl` kind.
+//! report is unchanged. Requires a single `--ftl` kind; it cannot be
+//! combined with `--shards`, the QoS front-end, SPO cuts, array
+//! resilience or a lifetime campaign.
 //!
 //! `--lifetime-workloads W1,W2,...` overrides the lifetime campaign's
 //! workload per epoch: epoch `e` runs phase `e mod N` of the list.
@@ -161,9 +171,12 @@
 //! sampled every `--sample-interval-us T` of virtual time (CSV when the
 //! path ends in `.csv`, NDJSON otherwise); `--metrics-out PATH` writes
 //! the end-of-run metric registry (named counters, gauges and latency
-//! histograms) as NDJSON. Trace and series output require a single
-//! `--ftl` kind and the standard run modes (no `--trace-file`, no SPO);
-//! double runs produce byte-identical files at any `--array-threads`.
+//! histograms) as NDJSON. The files require a single `--ftl` kind and
+//! cannot be combined with an SPO cut (array-resilience runs export
+//! their barrier-stamped events and per-phase metrics instead, without
+//! `--series-out`) or a lifetime campaign; `--trace-file` replays are
+//! traced like any other stream. Double runs produce byte-identical
+//! files at any `--array-threads`.
 //!
 //! Examples:
 //!
@@ -185,23 +198,37 @@
 //! ```
 
 use cubeftl::harness::{
-    register_kv_metrics, run_array_eval, run_array_eval_traced, run_array_failure_eval,
-    run_array_kv_eval, run_array_qos_eval, run_array_spo_eval, run_array_trace_eval,
-    run_eval_traced, run_kv_eval, run_lifetime_array_eval_mixed, run_lifetime_eval_mixed,
-    run_lifetime_trace_eval, run_qos_eval, run_spo_eval, run_trace_eval, run_trace_eval_capture,
-    ArrayEvalConfig, ArrayFailureConfig, ArraySpoConfig, EpochWorkload, EvalConfig, FailSpec,
-    KvSpec, QosSpec, SpoConfig, TelemetrySpec,
+    register_kv_metrics, ArrayEvalConfig, ArrayFailureConfig, EpochWorkload, EvalConfig, FailSpec,
+    KvSpec, Phase, QosSpec, RunOutput, Scenario, ScenarioError, SpoConfig, TelemetrySpec,
+    WorkloadSource,
 };
 use cubeftl::{
-    events_to_ndjson, AgingState, ArrayReport, EventMask, FaultKind, FaultPlan, FtlKind,
-    KvAppReport, LifetimeConfig, MaintConfig, MetricRegistry, OrtClusterConfig, QosReport,
-    RetryOptConfig, SimReport, SpoTrigger, StandardWorkload, Trace, YcsbKind,
+    events_to_ndjson, AgingState, EventMask, FaultKind, FaultPlan, FtlKind, FtlStats, KvAppReport,
+    LatencyRecorder, LifetimeConfig, MaintConfig, MaintSchedule, MetricRegistry, OrtClusterConfig,
+    QosReport, RetryOptConfig, SpoTrigger, StandardWorkload, Trace, YcsbKind,
 };
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// Page size the simulator models (bus transfer is per 16-KB page);
 /// byte-addressed trace files are converted at this granularity.
 const PAGE_BYTES: u64 = 16 * 1024;
+
+/// Why the binary stops before running anything.
+enum Stop {
+    /// A malformed command line: print the usage text.
+    Usage,
+    /// `--help`.
+    Help,
+    /// A well-formed but unsupported request: print the message.
+    Message(String),
+}
+
+impl From<ScenarioError> for Stop {
+    fn from(e: ScenarioError) -> Self {
+        Stop::Message(e.to_string())
+    }
+}
 
 fn parse_ftl(s: &str) -> Option<Vec<FtlKind>> {
     Some(match s {
@@ -246,7 +273,29 @@ fn parse_fault_class(s: &str) -> Option<FaultKind> {
     })
 }
 
-fn usage() -> ExitCode {
+/// Parses a flag value and range-checks it; anything else is a usage
+/// error.
+fn num<T: FromStr>(v: &str, ok: impl Fn(&T) -> bool) -> Result<T, Stop> {
+    v.parse().ok().filter(ok).ok_or(Stop::Usage)
+}
+
+fn any<T>(_: &T) -> bool {
+    true
+}
+
+fn positive(t: &f64) -> bool {
+    *t > 0.0 && t.is_finite()
+}
+
+fn on_off(v: &str) -> Result<bool, Stop> {
+    match v {
+        "on" => Ok(true),
+        "off" => Ok(false),
+        _ => Err(Stop::Usage),
+    }
+}
+
+fn usage() {
     eprintln!(
         "usage: cubeftl-sim [--ftl page|vert|cube|cube-|all] [--workload mail|web|proxy|oltp|rocks|mongo]\n\
          \x20                  [--aging fresh|midlife|eol] [--requests N] [--blocks N] [--seed N] [--temp C]\n\
@@ -275,11 +324,37 @@ fn usage() -> ExitCode {
          \x20 SPEC:  all|none|comma list of host,ispp,retry,gc,maint,ckpt,spo,opm,hostq,slo,kv\n\
          \x20 W:     mail|web|proxy|oltp|rocks|mongo or a YCSB KV kind a|b|c|d|f"
     );
-    ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&std::env::args().skip(1).collect::<Vec<_>>()) {
+        Ok(code) => code,
+        Err(Stop::Help) => {
+            usage();
+            ExitCode::SUCCESS
+        }
+        Err(Stop::Usage) => {
+            usage();
+            ExitCode::FAILURE
+        }
+        Err(Stop::Message(m)) => {
+            eprintln!("{m}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Where the output-file flags point.
+#[derive(Default)]
+struct Outputs {
+    trace: Option<String>,
+    series: Option<String>,
+    metrics: Option<String>,
+    capture: Option<String>,
+}
+
+/// Flags → [`Scenario`] → [`Scenario::run`] per `--ftl` kind → print.
+fn run(args: &[String]) -> Result<ExitCode, Stop> {
     let mut kinds = vec![FtlKind::Cube];
     let mut workload = StandardWorkload::Rocks;
     let mut aging = AgingState::Fresh;
@@ -287,427 +362,170 @@ fn main() -> ExitCode {
     let mut celsius: Option<f64> = None;
     let mut fault_seed: Option<u64> = None;
     let mut fault_rates: Vec<(FaultKind, f64)> = Vec::new();
-    let mut maint: Option<MaintConfig> = None;
+    // Any --maint* flag enables maintenance, any --lifetime-* flag the
+    // aging campaign (from the standard fresh→end-of-life shape).
+    let (mut maint_on, mut life_on) = (false, false);
+    let mut maint = MaintConfig::default_on();
     let mut maint_gap_us: Option<f64> = None;
+    let mut life = LifetimeConfig::campaign();
     let mut spo_trigger: Option<SpoTrigger> = None;
     let mut spo_seed: Option<u64> = None;
     let mut ckpt_interval: u64 = 64;
-    let mut shards: usize = 1;
-    let mut stripe_pages: u64 = 64;
-    let mut array_threads: usize = 0;
-    let mut array_parity = false;
-    let mut fail_spec: Option<FailSpec> = None;
+    let mut arr = ArrayEvalConfig::new(1);
+    let mut fc = ArrayFailureConfig::off();
     let mut fail_seed: Option<u64> = None;
-    let mut spare_shards: usize = 0;
-    let mut rebuild_batch: Option<u32> = None;
-    let mut rebuild_gap_us: Option<f64> = None;
+    let (mut rebuild_batch, mut rebuild_gap_us): (Option<u32>, Option<f64>) = (None, None);
     let mut trace_file: Option<String> = None;
     let mut qos = QosSpec::off();
     let mut qos_trace_file: Option<String> = None;
-    // Any --lifetime-* knob engages the fast-forward aging campaign,
-    // starting from the standard fresh→end-of-life shape.
-    let mut life: Option<LifetimeConfig> = None;
-    let mut lifetime_phases: Option<Vec<EpochWorkload>> = None;
-    // The KV application layer: --kv picks the workload, the --kv-*
-    // knobs shape the engine (inert without a KV workload anywhere).
+    let mut phases: Option<Vec<EpochWorkload>> = None;
     let mut kv = KvSpec::off();
-    let mut kv_knob_seen = false;
-    let mut capture_out: Option<String> = None;
-    // QoS knobs are inert with one queue and one tenant; reject that
-    // combination instead of silently ignoring the flags.
-    let mut qos_knob_seen = false;
-    let mut trace_out: Option<String> = None;
+    // The --qos-* / --kv-* knobs are inert without their layer engaged;
+    // that combination is rejected instead of silently ignored.
+    let (mut qos_knob_seen, mut kv_knob_seen) = (false, false);
+    let mut out = Outputs::default();
     let mut trace_events: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut series_out: Option<String> = None;
     let mut sample_interval_us: Option<f64> = None;
 
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
+        maint_on |= flag.starts_with("--maint");
+        life_on |= flag.starts_with("--lifetime-");
+        qos_knob_seen |= flag.starts_with("--qos-") || flag == "--tenant-weights";
+        kv_knob_seen |= flag.starts_with("--kv-");
         // Valueless flags advance by one; everything else consumes a value.
+        i += 1;
         match flag {
-            "--maint" => {
-                maint.get_or_insert_with(MaintConfig::default_on);
-                i += 1;
-                continue;
-            }
+            "--maint" => continue,
             "--qos-equal-arrivals" => {
                 qos.equal_arrivals = true;
-                qos_knob_seen = true;
-                i += 1;
                 continue;
             }
             "--array-parity" => {
-                array_parity = true;
-                i += 1;
+                fc.parity = true;
                 continue;
             }
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => return Err(Stop::Help),
             _ => {}
         }
-        let value = args.get(i + 1);
-        match (flag, value) {
-            ("--ftl", Some(v)) => match parse_ftl(v) {
-                Some(k) => kinds = k,
-                None => return usage(),
-            },
-            ("--workload", Some(v)) => match parse_workload(v) {
-                Some(w) => workload = w,
-                None => return usage(),
-            },
-            ("--aging", Some(v)) => match parse_aging(v) {
-                Some(a) => aging = a,
-                None => return usage(),
-            },
-            ("--requests", Some(v)) => match v.parse() {
-                Ok(n) => cfg.requests = n,
-                Err(_) => return usage(),
-            },
-            ("--blocks", Some(v)) => match v.parse() {
-                Ok(n) => cfg.blocks_per_chip = n,
-                Err(_) => return usage(),
-            },
-            ("--seed", Some(v)) => match v.parse() {
-                Ok(n) => cfg.seed = n,
-                Err(_) => return usage(),
-            },
-            ("--temp", Some(v)) => match v.parse() {
-                Ok(c) => celsius = Some(c),
-                Err(_) => return usage(),
-            },
-            ("--fault-seed", Some(v)) => match v.parse() {
-                Ok(n) => fault_seed = Some(n),
-                Err(_) => return usage(),
-            },
-            ("--fault-rate", Some(v)) => {
-                let Some((class, rate)) = v.split_once('=') else {
-                    return usage();
-                };
-                match (parse_fault_class(class), rate.parse::<f64>()) {
-                    (Some(kind), Ok(rate)) if (0.0..=1.0).contains(&rate) => {
-                        fault_rates.push((kind, rate));
-                    }
-                    _ => return usage(),
-                }
+        let v = args.get(i).ok_or(Stop::Usage)?.as_str();
+        i += 1;
+        match flag {
+            "--ftl" => kinds = parse_ftl(v).ok_or(Stop::Usage)?,
+            "--workload" => workload = parse_workload(v).ok_or(Stop::Usage)?,
+            "--aging" => aging = parse_aging(v).ok_or(Stop::Usage)?,
+            "--requests" => cfg.requests = num(v, any)?,
+            "--blocks" => cfg.blocks_per_chip = num(v, any)?,
+            "--seed" => cfg.seed = num(v, any)?,
+            "--temp" => celsius = Some(num(v, any)?),
+            "--fault-seed" => fault_seed = Some(num(v, any)?),
+            "--fault-rate" => {
+                let (class, rate) = v.split_once('=').ok_or(Stop::Usage)?;
+                let kind = parse_fault_class(class).ok_or(Stop::Usage)?;
+                fault_rates.push((kind, num(rate, |r| (0.0..=1.0).contains(r))?));
             }
-            ("--maint-gap-us", Some(v)) => match v.parse::<f64>() {
-                Ok(g) if g >= 0.0 => {
-                    maint.get_or_insert_with(MaintConfig::default_on);
-                    maint_gap_us = Some(g);
-                }
-                _ => return usage(),
-            },
-            ("--maint-scrub-months", Some(v)) => match v.parse::<f64>() {
-                Ok(m) if m > 0.0 => {
-                    maint
-                        .get_or_insert_with(MaintConfig::default_on)
-                        .scrub_retention_min_months = m;
-                }
-                _ => return usage(),
-            },
-            ("--maint-scrub-ber", Some(v)) => match v.parse::<f64>() {
-                Ok(b) if b > 0.0 => {
-                    maint
-                        .get_or_insert_with(MaintConfig::default_on)
-                        .scrub_ber_threshold = b;
-                }
-                _ => return usage(),
-            },
-            ("--maint-remonitor-pe", Some(v)) => match v.parse::<u32>() {
-                Ok(n) => {
-                    maint
-                        .get_or_insert_with(MaintConfig::default_on)
-                        .remonitor_pe_budget = n;
-                }
-                Err(_) => return usage(),
-            },
-            ("--maint-wear-limit", Some(v)) => match v.parse::<u32>() {
-                Ok(n) if n > 0 => {
-                    maint
-                        .get_or_insert_with(MaintConfig::default_on)
-                        .wear_spread_limit = n;
-                }
-                _ => return usage(),
-            },
-            ("--maint-scrub-batch", Some(v)) => match v.parse::<u32>() {
-                Ok(n) if n > 0 => {
-                    maint
-                        .get_or_insert_with(MaintConfig::default_on)
-                        .scrub_batch_pages = n;
-                }
-                _ => return usage(),
-            },
-            ("--spo-at", Some(v)) => match v.parse::<u64>() {
-                Ok(n) if n > 0 => spo_trigger = Some(SpoTrigger::AtOps(n)),
-                _ => return usage(),
-            },
-            ("--spo-at-us", Some(v)) => match v.parse::<f64>() {
-                Ok(t) if t > 0.0 => spo_trigger = Some(SpoTrigger::AtTimeUs(t)),
-                _ => return usage(),
-            },
-            ("--spo-rate", Some(v)) => match v.parse::<f64>() {
-                // Seed is patched in after the parse loop (the flag
-                // order must not matter).
-                Ok(p) if (0.0..=1.0).contains(&p) => {
-                    spo_trigger = Some(SpoTrigger::Seeded { seed: 0, rate: p });
-                }
-                _ => return usage(),
-            },
-            ("--spo-seed", Some(v)) => match v.parse::<u64>() {
-                Ok(n) => spo_seed = Some(n),
-                Err(_) => return usage(),
-            },
-            ("--ckpt-interval", Some(v)) => match v.parse::<u64>() {
-                Ok(n) => ckpt_interval = n,
-                Err(_) => return usage(),
-            },
-            ("--shards", Some(v)) => match v.parse::<usize>() {
-                Ok(n) if n >= 1 => shards = n,
-                _ => return usage(),
-            },
-            ("--array-stripe", Some(v)) => match v.parse::<u64>() {
-                Ok(n) if n >= 1 => stripe_pages = n,
-                _ => return usage(),
-            },
-            ("--array-threads", Some(v)) => match v.parse::<usize>() {
-                Ok(n) => array_threads = n,
-                Err(_) => return usage(),
-            },
-            ("--fail-shard", Some(v)) => match FailSpec::parse(v) {
-                Ok(f) => fail_spec = Some(f),
-                Err(e) => {
-                    eprintln!("--fail-shard: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            ("--fail-seed", Some(v)) => match v.parse::<u64>() {
-                Ok(n) => fail_seed = Some(n),
-                Err(_) => return usage(),
-            },
-            ("--spare-shards", Some(v)) => match v.parse::<usize>() {
-                Ok(n) => spare_shards = n,
-                Err(_) => return usage(),
-            },
-            ("--rebuild-batch", Some(v)) => match v.parse::<u32>() {
-                Ok(n) if n >= 1 => rebuild_batch = Some(n),
-                _ => return usage(),
-            },
-            ("--rebuild-gap-us", Some(v)) => match v.parse::<f64>() {
-                Ok(t) if t >= 0.0 && t.is_finite() => rebuild_gap_us = Some(t),
-                _ => return usage(),
-            },
-            ("--ort-capacity", Some(v)) => match v.parse::<usize>() {
-                Ok(n) if n >= 1 => cfg.ort_capacity = n,
-                _ => return usage(),
-            },
-            ("--ort-cluster", Some(v)) => match v.as_str() {
-                "on" => cfg.ort_cluster = OrtClusterConfig::on(),
-                "off" => cfg.ort_cluster = OrtClusterConfig::default(),
-                _ => return usage(),
-            },
-            ("--retry-opt", Some(v)) => match v.as_str() {
-                "on" => cfg.retry_opt = RetryOptConfig::on(),
-                "off" => cfg.retry_opt = RetryOptConfig::default(),
-                _ => return usage(),
-            },
-            ("--trace-file", Some(v)) => trace_file = Some(v.clone()),
-            ("--queues", Some(v)) => match v.parse::<u32>() {
-                Ok(n) if n >= 1 => qos.queues = n,
-                _ => return usage(),
-            },
-            ("--tenants", Some(v)) => match v.parse::<u32>() {
-                Ok(n) if n >= 1 => qos.tenants = n,
-                _ => return usage(),
-            },
-            ("--tenant-weights", Some(v)) => {
-                let weights: Option<Vec<u32>> = v
+            "--maint-gap-us" => maint_gap_us = Some(num(v, |&g| g >= 0.0)?),
+            "--maint-scrub-months" => maint.scrub_retention_min_months = num(v, |&m| m > 0.0)?,
+            "--maint-scrub-ber" => maint.scrub_ber_threshold = num(v, |&b| b > 0.0)?,
+            "--maint-remonitor-pe" => maint.remonitor_pe_budget = num(v, any)?,
+            "--maint-wear-limit" => maint.wear_spread_limit = num(v, |&n| n > 0)?,
+            "--maint-scrub-batch" => maint.scrub_batch_pages = num(v, |&n| n > 0)?,
+            "--spo-at" => spo_trigger = Some(SpoTrigger::AtOps(num(v, |&n| n > 0)?)),
+            "--spo-at-us" => spo_trigger = Some(SpoTrigger::AtTimeUs(num(v, |&t| t > 0.0)?)),
+            // The seed is patched in after the parse loop (the flag
+            // order must not matter).
+            "--spo-rate" => {
+                let rate = num(v, |p| (0.0..=1.0).contains(p))?;
+                spo_trigger = Some(SpoTrigger::Seeded { seed: 0, rate });
+            }
+            "--spo-seed" => spo_seed = Some(num(v, any)?),
+            "--ckpt-interval" => ckpt_interval = num(v, any)?,
+            "--shards" => arr.shards = num(v, |&n| n >= 1)?,
+            "--array-stripe" => arr.stripe_pages = num(v, |&n| n >= 1)?,
+            "--array-threads" => arr.threads = num(v, any)?,
+            "--fail-shard" => {
+                let f = FailSpec::parse(v).map_err(|e| Stop::Message(format!("--fail-shard: {e}")));
+                fc.fail = Some(f?);
+            }
+            "--fail-seed" => fail_seed = Some(num(v, any)?),
+            "--spare-shards" => fc.spare_shards = num(v, any)?,
+            "--rebuild-batch" => rebuild_batch = Some(num(v, |&n| n >= 1)?),
+            "--rebuild-gap-us" => {
+                rebuild_gap_us = Some(num(v, |t: &f64| *t >= 0.0 && t.is_finite())?)
+            }
+            "--ort-capacity" => cfg.ort_capacity = num(v, |&n| n >= 1)?,
+            "--ort-cluster" if on_off(v)? => cfg.ort_cluster = OrtClusterConfig::on(),
+            "--ort-cluster" => cfg.ort_cluster = OrtClusterConfig::default(),
+            "--retry-opt" if on_off(v)? => cfg.retry_opt = RetryOptConfig::on(),
+            "--retry-opt" => cfg.retry_opt = RetryOptConfig::default(),
+            "--trace-file" => trace_file = Some(v.to_owned()),
+            "--queues" => qos.queues = num(v, |&n| n >= 1)?,
+            "--tenants" => qos.tenants = num(v, |&n| n >= 1)?,
+            "--tenant-weights" => {
+                qos.weights = v
                     .split(',')
-                    .map(|w| w.trim().parse::<u32>().ok().filter(|&w| w >= 1))
-                    .collect();
-                match weights {
-                    Some(w) if !w.is_empty() => {
-                        qos.weights = w;
-                        qos_knob_seen = true;
-                    }
-                    _ => return usage(),
-                }
+                    .map(|w| num(w.trim(), |&w| w >= 1))
+                    .collect::<Result<_, _>>()?;
             }
-            ("--qos-sq-depth", Some(v)) => match v.parse::<usize>() {
-                Ok(n) if n >= 1 => {
-                    qos.sq_depth = n;
-                    qos_knob_seen = true;
-                }
-                _ => return usage(),
-            },
-            ("--qos-arrival-us", Some(v)) => match v.parse::<f64>() {
-                Ok(t) if t > 0.0 && t.is_finite() => {
-                    qos.arrival_interval_us = t;
-                    qos_knob_seen = true;
-                }
-                _ => return usage(),
-            },
-            ("--qos-slo-read-us", Some(v)) => match v.parse::<f64>() {
-                Ok(t) if t > 0.0 && t.is_finite() => {
-                    qos.slo_read_us = Some(t);
-                    qos_knob_seen = true;
-                }
-                _ => return usage(),
-            },
-            ("--qos-slo-write-us", Some(v)) => match v.parse::<f64>() {
-                Ok(t) if t > 0.0 && t.is_finite() => {
-                    qos.slo_write_us = Some(t);
-                    qos_knob_seen = true;
-                }
-                _ => return usage(),
-            },
-            ("--qos-trace", Some(v)) => {
-                qos_trace_file = Some(v.clone());
-                qos_knob_seen = true;
+            "--qos-sq-depth" => qos.sq_depth = num(v, |&n| n >= 1)?,
+            "--qos-arrival-us" => qos.arrival_interval_us = num(v, positive)?,
+            "--qos-slo-read-us" => qos.slo_read_us = Some(num(v, positive)?),
+            "--qos-slo-write-us" => qos.slo_write_us = Some(num(v, positive)?),
+            "--qos-trace" => qos_trace_file = Some(v.to_owned()),
+            "--lifetime-epochs" => life.epochs = num(v, |&n| n >= 1)?,
+            "--lifetime-pe" => life.pe_per_epoch = num(v, any)?,
+            "--lifetime-months" => {
+                life.months_per_epoch = num(v, |m: &f64| *m >= 0.0 && m.is_finite())?;
             }
-            ("--lifetime-epochs", Some(v)) => match v.parse::<u32>() {
-                Ok(n) if n >= 1 => life.get_or_insert_with(LifetimeConfig::campaign).epochs = n,
-                _ => return usage(),
-            },
-            ("--lifetime-pe", Some(v)) => match v.parse::<u32>() {
-                Ok(n) => {
-                    life.get_or_insert_with(LifetimeConfig::campaign)
-                        .pe_per_epoch = n
-                }
-                Err(_) => return usage(),
-            },
-            ("--lifetime-months", Some(v)) => match v.parse::<f64>() {
-                Ok(m) if m >= 0.0 && m.is_finite() => {
-                    life.get_or_insert_with(LifetimeConfig::campaign)
-                        .months_per_epoch = m;
-                }
-                _ => return usage(),
-            },
-            ("--lifetime-exp", Some(v)) => match v.parse::<f64>() {
-                Ok(q) if q > 0.0 && q <= 1.0 => {
-                    life.get_or_insert_with(LifetimeConfig::campaign)
-                        .early_retention_exp = q;
-                }
-                _ => return usage(),
-            },
-            ("--lifetime-variation", Some(v)) => match v.parse::<f64>() {
-                Ok(s) if (0.0..=1.0).contains(&s) => {
-                    life.get_or_insert_with(LifetimeConfig::campaign)
-                        .variation_strength = s;
-                }
-                _ => return usage(),
-            },
-            ("--lifetime-pattern-wear", Some(v)) => match v.as_str() {
-                "on" => {
-                    life.get_or_insert_with(LifetimeConfig::campaign)
-                        .pattern_wear = true
-                }
-                "off" => {
-                    life.get_or_insert_with(LifetimeConfig::campaign)
-                        .pattern_wear = false
-                }
-                _ => return usage(),
-            },
-            ("--lifetime-seed", Some(v)) => match v.parse::<u64>() {
-                Ok(n) => life.get_or_insert_with(LifetimeConfig::campaign).seed = n,
-                Err(_) => return usage(),
-            },
-            ("--lifetime-workloads", Some(v)) => {
-                let phases: Option<Vec<EpochWorkload>> = v
+            "--lifetime-exp" => life.early_retention_exp = num(v, |&q| q > 0.0 && q <= 1.0)?,
+            "--lifetime-variation" => {
+                life.variation_strength = num(v, |s| (0.0..=1.0).contains(s))?;
+            }
+            "--lifetime-pattern-wear" => life.pattern_wear = on_off(v)?,
+            "--lifetime-seed" => life.seed = num(v, any)?,
+            "--lifetime-workloads" => {
+                let parsed: Option<Vec<EpochWorkload>> = v
                     .split(',')
                     .map(|p| EpochWorkload::parse(p.trim()))
                     .collect();
-                match phases {
-                    Some(p) if !p.is_empty() => {
-                        life.get_or_insert_with(LifetimeConfig::campaign);
-                        lifetime_phases = Some(p);
-                    }
-                    _ => {
-                        eprintln!(
-                            "--lifetime-workloads: each phase is mail|web|proxy|oltp|rocks|mongo \
-                             or a YCSB KV kind (a|b|c|d|f)"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
+                phases = Some(parsed.ok_or_else(|| {
+                    Stop::Message(
+                        "--lifetime-workloads: each phase is mail|web|proxy|oltp|rocks|mongo \
+                         or a YCSB KV kind (a|b|c|d|f)"
+                            .to_owned(),
+                    )
+                })?);
             }
-            ("--kv", Some(v)) => match YcsbKind::parse(v) {
-                Some(k) => kv.workload = Some(k),
-                None => return usage(),
-            },
-            ("--kv-keys", Some(v)) => match v.parse::<u64>() {
-                Ok(n) if n >= 1 => {
-                    kv.keys = n;
-                    kv_knob_seen = true;
-                }
-                _ => return usage(),
-            },
-            ("--kv-value-bytes", Some(v)) => match v.parse::<u32>() {
-                Ok(n) if n >= 1 => {
-                    kv.value_bytes = n;
-                    kv_knob_seen = true;
-                }
-                _ => return usage(),
-            },
-            ("--kv-memtable-entries", Some(v)) => match v.parse::<u32>() {
-                Ok(n) if n >= 1 => {
-                    kv.memtable_entries = n;
-                    kv_knob_seen = true;
-                }
-                _ => return usage(),
-            },
-            ("--kv-l0-files", Some(v)) => match v.parse::<u32>() {
-                Ok(n) if n >= 2 => {
-                    kv.l0_files = n;
-                    kv_knob_seen = true;
-                }
-                _ => return usage(),
-            },
-            ("--kv-fanout", Some(v)) => match v.parse::<u32>() {
-                Ok(n) if n >= 2 => {
-                    kv.fanout = n;
-                    kv_knob_seen = true;
-                }
-                _ => return usage(),
-            },
-            ("--kv-levels", Some(v)) => match v.parse::<u32>() {
-                Ok(n) if n >= 2 => {
-                    kv.max_levels = n;
-                    kv_knob_seen = true;
-                }
-                _ => return usage(),
-            },
-            ("--capture-trace-out", Some(v)) => capture_out = Some(v.clone()),
-            ("--trace-out", Some(v)) => trace_out = Some(v.clone()),
-            ("--trace-events", Some(v)) => trace_events = Some(v.clone()),
-            ("--metrics-out", Some(v)) => metrics_out = Some(v.clone()),
-            ("--series-out", Some(v)) => series_out = Some(v.clone()),
-            ("--sample-interval-us", Some(v)) => match v.parse::<f64>() {
-                Ok(t) if t > 0.0 && t.is_finite() => sample_interval_us = Some(t),
-                _ => return usage(),
-            },
-            _ => return usage(),
+            "--kv" => kv.workload = Some(YcsbKind::parse(v).ok_or(Stop::Usage)?),
+            "--kv-keys" => kv.keys = num(v, |&n| n >= 1)?,
+            "--kv-value-bytes" => kv.value_bytes = num(v, |&n| n >= 1)?,
+            "--kv-memtable-entries" => kv.memtable_entries = num(v, |&n| n >= 1)?,
+            "--kv-l0-files" => kv.l0_files = num(v, |&n| n >= 2)?,
+            "--kv-fanout" => kv.fanout = num(v, |&n| n >= 2)?,
+            "--kv-levels" => kv.max_levels = num(v, |&n| n >= 2)?,
+            "--capture-trace-out" => out.capture = Some(v.to_owned()),
+            "--trace-out" => out.trace = Some(v.to_owned()),
+            "--trace-events" => trace_events = Some(v.to_owned()),
+            "--metrics-out" => out.metrics = Some(v.to_owned()),
+            "--series-out" => out.series = Some(v.to_owned()),
+            "--sample-interval-us" => sample_interval_us = Some(num(v, positive)?),
+            _ => return Err(Stop::Usage),
         }
-        i += 2;
     }
 
     if fault_seed.is_some() && fault_rates.is_empty() {
         // A seed alone injects nothing; require at least one rate.
-        return usage();
+        return Err(Stop::Usage);
     }
     if !fault_rates.is_empty() {
-        let mut plan = FaultPlan::seeded(fault_seed.unwrap_or(cfg.seed));
-        for (kind, rate) in fault_rates {
-            plan = plan.with_rate(kind, rate);
-        }
-        cfg.faults = Some(plan);
+        let plan = FaultPlan::seeded(fault_seed.unwrap_or(cfg.seed));
+        let with_rate = |plan: FaultPlan, (kind, rate)| plan.with_rate(kind, rate);
+        cfg.faults = Some(fault_rates.into_iter().fold(plan, with_rate));
     }
-    if let Some(m) = maint {
-        cfg.maint = Some(m);
-        cfg.ssd.maint = cubeftl::MaintSchedule::on();
+    if maint_on {
+        cfg.maint = Some(maint);
+        cfg.ssd.maint = MaintSchedule::on();
         if let Some(g) = maint_gap_us {
             cfg.ssd.maint.min_gap_us = g;
         }
@@ -716,40 +534,26 @@ fn main() -> ExitCode {
         *seed = spo_seed.unwrap_or(cfg.seed);
     } else if spo_seed.is_some() {
         // A seed alone arms nothing; it only parameterizes --spo-rate.
-        return usage();
+        return Err(Stop::Usage);
     }
 
-    if trace_events.is_some() && trace_out.is_none() {
-        eprintln!("--trace-events only filters --trace-out; add --trace-out PATH");
-        return ExitCode::FAILURE;
+    let message = |m: &str| Err(Stop::Message(m.to_owned()));
+    if trace_events.is_some() && out.trace.is_none() {
+        return message("--trace-events only filters --trace-out; add --trace-out PATH");
     }
-    if series_out.is_some() != sample_interval_us.is_some() {
-        eprintln!("--series-out and --sample-interval-us must be given together");
-        return ExitCode::FAILURE;
+    if out.series.is_some() != sample_interval_us.is_some() {
+        return message("--series-out and --sample-interval-us must be given together");
     }
+    // --trace-out alone traces every category.
     let events = match &trace_events {
-        Some(spec) => match EventMask::parse(spec) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("--trace-events: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        // --trace-out alone traces every category.
+        Some(spec) => {
+            EventMask::parse(spec).map_err(|e| Stop::Message(format!("--trace-events: {e}")))?
+        }
         None => EventMask::ALL,
     };
-    let tel = TelemetrySpec {
-        events: if trace_out.is_some() {
-            events
-        } else {
-            EventMask::NONE
-        },
-        sample_interval_us,
-    };
-    let telemetry_on = trace_out.is_some() || series_out.is_some() || metrics_out.is_some();
+    let telemetry_on = out.trace.is_some() || out.series.is_some() || out.metrics.is_some();
     if telemetry_on && kinds.len() > 1 {
-        eprintln!("telemetry output files cover one run: use a single --ftl kind");
-        return ExitCode::FAILURE;
+        return message("telemetry output files cover one run: use a single --ftl kind");
     }
 
     println!(
@@ -769,263 +573,198 @@ fn main() -> ExitCode {
     if let Some(c) = celsius {
         cfg.ambient_celsius = c;
     }
-    let trace = match &trace_file {
-        Some(path) => match load_trace(path) {
-            Ok(t) => {
-                println!("trace {path}: {} requests ({})", t.len(), t.label());
-                Some(t)
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    if trace.is_some() && spo_trigger.is_some() {
-        eprintln!("--trace-file cannot be combined with a sudden power-off");
-        return ExitCode::FAILURE;
+    let trace = trace_file.as_deref().map(load_trace).transpose()?;
+    if let (Some(path), Some(t)) = (&trace_file, &trace) {
+        println!("trace {path}: {} requests ({})", t.len(), t.label());
     }
+
+    // Checks that concern flags rather than the scenario they build.
     if qos_knob_seen && !qos.engaged() {
-        eprintln!("QoS flags need the front-end engaged: pass --queues > 1 or --tenants > 1");
-        return ExitCode::FAILURE;
+        return message("QoS flags need the front-end engaged: pass --queues > 1 or --tenants > 1");
     }
-    if qos.engaged() {
-        if trace.is_some() {
-            eprintln!(
-                "--trace-file replays a single closed-loop stream; with the QoS \
-                 front-end use --qos-trace PATH (replayed as tenant 0)"
-            );
-            return ExitCode::FAILURE;
-        }
-        if spo_trigger.is_some() {
-            eprintln!("the QoS front-end cannot be combined with a sudden power-off");
-            return ExitCode::FAILURE;
-        }
-        if shards > 1 {
-            if qos_trace_file.is_some() {
-                eprintln!("--qos-trace replays on one device: drop --shards");
-                return ExitCode::FAILURE;
-            }
-            if (qos.tenants as usize) < shards {
-                eprintln!("every shard needs a tenant: use --tenants >= --shards");
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(path) = &qos_trace_file {
-            match load_trace(path) {
-                Ok(t) => {
-                    println!(
-                        "qos trace {path}: {} requests ({}) as tenant 0",
-                        t.len(),
-                        t.label()
-                    );
-                    qos.trace = Some(t);
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-    let resilience_engaged = array_parity
-        || fail_spec.is_some()
+    qos.trace = qos_trace_file.as_deref().map(load_trace).transpose()?;
+    let resilience = fc.parity
+        || fc.fail.is_some()
         || fail_seed.is_some()
-        || spare_shards > 0
+        || fc.spare_shards > 0
         || rebuild_batch.is_some()
         || rebuild_gap_us.is_some();
-    if resilience_engaged {
-        if shards <= 1 {
-            eprintln!(
-                "array resilience flags (--array-parity/--fail-shard/--fail-seed/\
-                 --spare-shards/--rebuild-*) need an array: pass --shards > 1"
-            );
-            return ExitCode::FAILURE;
-        }
-        if fail_spec.is_some() && fail_seed.is_some() {
-            eprintln!("--fail-shard and --fail-seed are exclusive: pick one");
-            return ExitCode::FAILURE;
-        }
-        if let Some(f) = &fail_spec {
-            if f.shard >= shards {
-                eprintln!(
-                    "--fail-shard {}: the array has shards 0..{}",
-                    f.shard, shards
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        if qos.engaged() {
-            eprintln!("array resilience cannot be combined with the QoS front-end");
-            return ExitCode::FAILURE;
-        }
-        if trace.is_some() {
-            eprintln!("array resilience cannot be combined with --trace-file");
-            return ExitCode::FAILURE;
-        }
-        if series_out.is_some() {
-            eprintln!(
-                "failure runs emit barrier-stamped events, not sampled series: \
-                 use --trace-out/--metrics-out (drop --series-out)"
-            );
-            return ExitCode::FAILURE;
-        }
+    if arr.shards > 1 && fc.fail.is_some() && fail_seed.is_some() {
+        return message("--fail-shard and --fail-seed are exclusive: pick one");
     }
-    if telemetry_on && (trace.is_some() || (spo_trigger.is_some() && !resilience_engaged)) {
-        eprintln!(
-            "telemetry output (--trace-out/--series-out/--metrics-out) is only \
-             available in the standard run modes (no --trace-file, no SPO)"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let phases_have_kv = lifetime_phases
-        .as_deref()
-        .is_some_and(|p| p.iter().any(|w| matches!(w, EpochWorkload::Kv(_))));
-    if kv_knob_seen && kv.workload.is_none() && !phases_have_kv {
-        eprintln!(
+    let kv_phase = |p: &Vec<EpochWorkload>| p.iter().any(|w| matches!(w, EpochWorkload::Kv(_)));
+    if kv_knob_seen && !kv.engaged() && !phases.as_ref().is_some_and(kv_phase) {
+        return message(
             "KV engine knobs (--kv-*) shape the kvsim engine: pass --kv KIND \
-             or a KV phase in --lifetime-workloads"
+             or a KV phase in --lifetime-workloads",
         );
-        return ExitCode::FAILURE;
     }
-    if kv.workload.is_some() {
-        if trace.is_some() {
-            eprintln!("--kv generates its own device traffic: drop --trace-file");
-            return ExitCode::FAILURE;
-        }
-        if qos.engaged() {
-            eprintln!("--kv cannot be combined with the QoS front-end");
-            return ExitCode::FAILURE;
-        }
-        if spo_trigger.is_some() {
-            eprintln!("--kv cannot be combined with a sudden power-off");
-            return ExitCode::FAILURE;
-        }
-        if resilience_engaged {
-            eprintln!("--kv cannot be combined with array resilience");
-            return ExitCode::FAILURE;
-        }
-        if life.is_some() {
-            eprintln!(
-                "in lifetime mode the per-epoch workload comes from \
-                 --lifetime-workloads (e.g. --lifetime-workloads a,a,c); drop --kv"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    if capture_out.is_some() {
-        if shards > 1 {
-            eprintln!("--capture-trace-out records one device's stream: drop --shards");
-            return ExitCode::FAILURE;
-        }
-        if qos.engaged() || spo_trigger.is_some() || resilience_engaged || life.is_some() {
-            eprintln!(
-                "--capture-trace-out is only available in the standard \
-                 single-device run modes (synthetic, --kv, or --trace-file replay)"
-            );
-            return ExitCode::FAILURE;
-        }
-        if kinds.len() > 1 {
-            eprintln!("--capture-trace-out covers one run: use a single --ftl kind");
-            return ExitCode::FAILURE;
-        }
+    if life_on && trace.is_some() && phases.is_some() && arr.shards == 1 {
+        return message("--trace-file replays one recorded stream: drop --lifetime-workloads");
     }
 
-    if let Some(life) = life {
-        if spo_trigger.is_some() {
-            eprintln!("a lifetime campaign cannot be combined with a sudden power-off");
-            return ExitCode::FAILURE;
-        }
-        if qos.engaged() {
-            eprintln!("a lifetime campaign cannot be combined with the QoS front-end");
-            return ExitCode::FAILURE;
-        }
-        if resilience_engaged {
-            eprintln!("a lifetime campaign cannot be combined with array resilience");
-            return ExitCode::FAILURE;
-        }
-        if telemetry_on {
-            eprintln!(
-                "telemetry output files are not available in lifetime mode \
-                 (the campaign prints one drift row per epoch)"
-            );
-            return ExitCode::FAILURE;
-        }
-        if trace.is_some() && shards > 1 {
-            eprintln!("--trace-file lifetime replay is single-device: drop --shards");
-            return ExitCode::FAILURE;
-        }
-        if trace.is_some() && lifetime_phases.is_some() {
-            eprintln!("--trace-file replays one recorded stream: drop --lifetime-workloads");
-            return ExitCode::FAILURE;
-        }
-        let phases = lifetime_phases.unwrap_or_else(|| vec![EpochWorkload::Std(workload)]);
-        return run_lifetime(
-            kinds,
-            &phases,
+    fc.rebuild.batch_pages = rebuild_batch.unwrap_or(fc.rebuild.batch_pages);
+    fc.rebuild.gap_us = rebuild_gap_us.unwrap_or(fc.rebuild.gap_us);
+    let mut sc = Scenario {
+        array: (arr.shards > 1).then_some(arr),
+        qos,
+        kv,
+        lifetime: life_on.then_some(life),
+        spo: spo_trigger.map(|trigger| SpoConfig {
+            trigger,
+            ckpt_interval_host_wls: ckpt_interval,
+        }),
+        failure: resilience.then_some(fc),
+        // Failure runs export their barrier-stamped events instead of
+        // device telemetry.
+        telemetry: TelemetrySpec {
+            events: if out.trace.is_some() && !resilience {
+                events
+            } else {
+                EventMask::NONE
+            },
+            sample_interval_us,
+        },
+        capture: out.capture.is_some(),
+        ..Scenario::new(
+            kinds[0],
+            match (trace, phases) {
+                (Some(t), _) => WorkloadSource::Trace(t),
+                (None, Some(p)) => WorkloadSource::Epochs(p),
+                (None, None) => WorkloadSource::Standard(workload),
+            },
             aging,
             &cfg,
-            &life,
-            &kv,
-            shards,
-            stripe_pages,
-            array_threads,
-            &trace,
-        );
+        )
+    };
+    sc.validate()?;
+    // --metrics-out alone arms no collector, but is telemetry output.
+    if telemetry_on && sc.spo.is_some() && !resilience {
+        return Err(ScenarioError::TelemetryWithSpo.into());
+    }
+    if telemetry_on && sc.lifetime.is_some() {
+        return Err(ScenarioError::LifetimeWithTelemetry.into());
+    }
+    if sc.capture && kinds.len() > 1 {
+        return message("--capture-trace-out covers one run: use a single --ftl kind");
+    }
+    if let (Some(path), Some(t)) = (&qos_trace_file, &sc.qos.trace) {
+        let (n, label) = (t.len(), t.label());
+        println!("qos trace {path}: {n} requests ({label}) as tenant 0");
     }
 
-    if shards > 1 {
-        let arr = ArrayEvalConfig {
-            shards,
-            stripe_pages,
-            threads: array_threads,
-        };
-        if resilience_engaged {
-            let mut fc = ArrayFailureConfig::off();
-            fc.parity = array_parity;
-            fc.fail = fail_spec;
-            fc.spare_shards = spare_shards;
-            if let Some(b) = rebuild_batch {
-                fc.rebuild.batch_pages = b;
-            }
-            if let Some(g) = rebuild_gap_us {
-                fc.rebuild.gap_us = g;
-            }
-            fc.ckpt_interval_host_wls = ckpt_interval;
-            if let Some(trigger) = spo_trigger {
-                let SpoTrigger::AtTimeUs(cut_at_us) = trigger else {
-                    eprintln!(
-                        "--shards cuts the whole array at one virtual instant: \
-                         use --spo-at-us (not --spo-at or --spo-rate)"
-                    );
-                    return ExitCode::FAILURE;
-                };
-                fc.spo_cut_at_us = Some(cut_at_us);
-            }
-            return run_array_failure(
-                kinds,
-                workload,
-                aging,
-                &cfg,
-                &arr,
-                fc,
-                fail_seed,
-                &trace_out,
-                &metrics_out,
-            );
-        }
-        if let Some(trigger) = spo_trigger {
-            let SpoTrigger::AtTimeUs(cut_at_us) = trigger else {
-                eprintln!(
-                    "--shards cuts the whole array at one virtual instant: \
-                     use --spo-at-us (not --spo-at or --spo-rate)"
-                );
-                return ExitCode::FAILURE;
+    print_banners(&sc);
+    let mut lost = false;
+    for kind in kinds {
+        sc.kind = kind;
+        if let (Some(seed), Some(fc)) = (fail_seed, &mut sc.failure) {
+            // The seeded plan needs the healthy makespan; probe it with a
+            // plain array run (deterministic, so the plan is too). The
+            // failure lands inside every shard's run: use the shortest.
+            let probe = Scenario {
+                array: sc.array,
+                ..Scenario::new(kind, workload, aging, &cfg)
             };
-            return run_array_spo(kinds, workload, aging, &cfg, &arr, cut_at_us, ckpt_interval);
+            let makespan = probe.run()?.phases[0]
+                .shards
+                .iter()
+                .map(|s| s.sim_time_us)
+                .fold(f64::INFINITY, f64::min);
+            let f = FailSpec::seeded(seed, arr.shards, makespan);
+            println!(
+                "seeded failure plan (seed {seed}): shard {} dies at {:.1} ms",
+                f.shard,
+                f.at_us / 1000.0
+            );
+            fc.fail = Some(f);
         }
+        let r = sc.run()?;
+        lost |= print_run(&sc, &r);
+        if let (Some(path), Some(c)) = (&out.capture, &r.captured) {
+            std::fs::write(path, c.to_msr_csv(PAGE_BYTES))
+                .map_err(|e| Stop::Message(format!("cannot write {path}: {e}")))?;
+            println!("capture: {} requests -> {path}", c.len());
+        }
+        if sc.lifetime.is_none() {
+            write_telemetry(&out, &sc, &r).map_err(Stop::Message)?;
+        }
+    }
+    Ok(if lost {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    })
+}
+
+/// "checkpoint every N host WLs", with 0 spelled out.
+fn ckpt_cadence(interval: u64) -> String {
+    if interval == 0 {
+        "∞ (disabled)".to_owned()
+    } else {
+        interval.to_string()
+    }
+}
+
+/// The lines that announce a run mode, once before the per-FTL output.
+fn print_banners(sc: &Scenario) {
+    if let Some(life) = &sc.lifetime {
+        println!(
+            "lifetime campaign: {} epochs × {} requests, +{} P/E and +{} months per step \
+             (exp {}), variation {}, pattern wear {}, seed {}",
+            life.epochs.max(1),
+            sc.cfg.requests,
+            life.pe_per_epoch,
+            life.months_per_epoch,
+            life.early_retention_exp,
+            life.variation_strength,
+            if life.pattern_wear { "on" } else { "off" },
+            life.seed,
+        );
+        if let WorkloadSource::Epochs(phases) = &sc.workload {
+            if phases.len() > 1 {
+                let names: Vec<&str> = phases.iter().map(|p| p.label()).collect();
+                println!("phases (cycled per epoch): {}", names.join(", "));
+            }
+        }
+        println!();
+        return;
+    }
+    let cut = sc
+        .spo
+        .as_ref()
+        .map(|s| (s.trigger, s.ckpt_interval_host_wls));
+    if let Some(fc) = &sc.failure {
+        println!(
+            "array resilience: parity {}, {} spare shard(s), rebuild batch {} pages / gap {:.0} µs{}\n",
+            if fc.parity { "on" } else { "off" },
+            fc.spare_shards,
+            fc.rebuild.batch_pages,
+            fc.rebuild.gap_us,
+            match cut {
+                Some((SpoTrigger::AtTimeUs(t), _)) =>
+                    format!(", SPO cut at {:.1} ms into the degraded phase", t / 1000.0),
+                _ => String::new(),
+            },
+        );
+        return;
+    }
+    match cut {
+        Some((SpoTrigger::AtTimeUs(t), ckpt)) if sc.array.is_some() => println!(
+            "array-wide sudden power-off armed: every shard cut at {:.1} ms, \
+             checkpoint every {} host WLs\n",
+            t / 1000.0,
+            ckpt_cadence(ckpt)
+        ),
+        Some((trigger, ckpt)) => println!(
+            "sudden power-off armed: {trigger:?}, checkpoint every {} host WLs\n",
+            ckpt_cadence(ckpt)
+        ),
+        None => {}
+    }
+    if cut.is_some() {
+        return;
+    }
+    if let Some(arr) = sc.array {
         println!(
             "array: {} shards, stripe {} pages, {} worker threads\n",
             arr.shards,
@@ -1036,215 +775,119 @@ fn main() -> ExitCode {
                 arr.threads
             }
         );
-        if qos.engaged() {
-            println!(
-                "qos: {} queues, {} tenants (weights {:?}), sq depth {}, arrival {} µs\n",
-                qos.queues, qos.tenants, qos.weights, qos.sq_depth, qos.arrival_interval_us
-            );
-            print_table_header();
-            for kind in kinds {
-                let (mut r, tel_out) =
-                    run_array_qos_eval(kind, workload, aging, &cfg, &arr, &qos, &tel);
-                print_array_row(&mut r.merged, cfg.maint.is_some(), cfg.faults.is_some());
-                print_qos_summary(&r.qos);
-                let write =
-                    write_telemetry(&trace_out, &series_out, &metrics_out, &tel_out, || {
-                        let mut reg = MetricRegistry::new();
-                        r.merged.register_metrics(&mut reg, "array");
-                        r.qos.register_metrics(&mut reg);
-                        reg
-                    });
-                if let Err(e) = write {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            return ExitCode::SUCCESS;
-        }
-        if kv.workload.is_some() {
-            print_kv_banner(&kv);
-            print_table_header();
-            for kind in kinds {
-                let (mut r, tel_out) =
-                    run_array_kv_eval(kind, workload, aging, &cfg, &arr, &kv, &tel);
-                print_array_row(&mut r.merged, cfg.maint.is_some(), cfg.faults.is_some());
-                print_kv_array_summary(&r.apps, r.merged.sim_time_us);
-                let write =
-                    write_telemetry(&trace_out, &series_out, &metrics_out, &tel_out, || {
-                        let mut reg = MetricRegistry::new();
-                        r.merged.register_metrics(&mut reg, "array");
-                        for (s, app) in r.apps.iter().enumerate() {
-                            register_kv_metrics(
-                                &mut reg,
-                                &format!("kv.shard{s}."),
-                                app,
-                                r.merged.sim_time_us,
-                            );
-                        }
-                        reg
-                    });
-                if let Err(e) = write {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            return ExitCode::SUCCESS;
-        }
-        print_table_header();
-        for kind in kinds {
-            let (mut r, tel_out) = match &trace {
-                Some(t) => (
-                    run_array_trace_eval(kind, aging, &cfg, &arr, t),
-                    Default::default(),
-                ),
-                None => run_array_eval_traced(kind, workload, aging, &cfg, &arr, &tel),
-            };
-            print_array_row(&mut r.merged, cfg.maint.is_some(), cfg.faults.is_some());
-            let write = write_telemetry(&trace_out, &series_out, &metrics_out, &tel_out, || {
-                let mut reg = MetricRegistry::new();
-                r.merged.register_metrics(&mut reg, "array");
-                reg
-            });
-            if let Err(e) = write {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return ExitCode::SUCCESS;
     }
-
+    let qos = &sc.qos;
     if qos.engaged() {
         println!(
             "qos: {} queues, {} tenants (weights {:?}), sq depth {}, arrival {} µs\n",
             qos.queues, qos.tenants, qos.weights, qos.sq_depth, qos.arrival_interval_us
         );
-        print_table_header();
-        for kind in kinds {
-            let (mut r, tel_out) = run_qos_eval(kind, workload, aging, &cfg, &qos, &tel);
-            print_report_row(&mut r.sim, cfg.maint.is_some(), cfg.faults.is_some());
-            print_qos_summary(&r.qos);
-            let write = write_telemetry(&trace_out, &series_out, &metrics_out, &tel_out, || {
-                let mut reg = MetricRegistry::new();
-                r.sim.register_metrics(&mut reg, "ssd");
-                r.qos.register_metrics(&mut reg);
-                reg
-            });
-            if let Err(e) = write {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return ExitCode::SUCCESS;
     }
-
-    if let Some(trace) = &trace {
-        print_table_header();
-        for kind in kinds {
-            if let Some(path) = &capture_out {
-                let (mut r, captured) = run_trace_eval_capture(kind, aging, &cfg, trace);
-                print_report_row(&mut r, cfg.maint.is_some(), cfg.faults.is_some());
-                if let Err(e) = write_capture(path, &captured) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            } else {
-                let mut r = run_trace_eval(kind, aging, &cfg, trace);
-                print_report_row(&mut r, cfg.maint.is_some(), cfg.faults.is_some());
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(trigger) = spo_trigger {
-        return run_spo(kinds, workload, aging, &cfg, trigger, ckpt_interval);
-    }
-    if kv.workload.is_some() {
-        print_kv_banner(&kv);
+    if let Some(kind) = sc.kv.workload {
+        let c = sc.kv.kv_config();
+        println!(
+            "kv: {} over {} keys ({}-byte values), memtable {} entries, \
+             L0 trigger {}, fanout {}, {} levels\n",
+            kind.label(),
+            c.keys,
+            c.value_bytes,
+            c.memtable_entries,
+            c.l0_files,
+            c.fanout,
+            c.max_levels,
+        );
     }
     print_table_header();
-    for kind in kinds {
-        if kv.workload.is_some() || capture_out.is_some() {
-            let (mut r, tel_out) = run_kv_eval(
-                kind,
-                workload,
-                aging,
-                &cfg,
-                &kv,
-                &tel,
-                capture_out.is_some(),
-            );
-            print_report_row(&mut r.sim, cfg.maint.is_some(), cfg.faults.is_some());
-            if let Some(app) = &r.app {
-                print_kv_summary(app, r.sim.sim_time_us);
-            }
-            if let (Some(path), Some(c)) = (&capture_out, &r.captured) {
-                if let Err(e) = write_capture(path, c) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            let write = write_telemetry(&trace_out, &series_out, &metrics_out, &tel_out, || {
-                let mut reg = MetricRegistry::new();
-                r.sim.register_metrics(&mut reg, "ssd");
-                if let Some(app) = &r.app {
-                    register_kv_metrics(&mut reg, "kv.", app, r.sim.sim_time_us);
-                }
-                reg
-            });
-            if let Err(e) = write {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-            continue;
-        }
-        let (mut r, tel_out) = run_eval_traced(kind, workload, aging, &cfg, &tel);
-        print_report_row(&mut r, cfg.maint.is_some(), cfg.faults.is_some());
-        let write = write_telemetry(&trace_out, &series_out, &metrics_out, &tel_out, || {
-            let mut reg = MetricRegistry::new();
-            r.register_metrics(&mut reg, "ssd");
-            reg
-        });
-        if let Err(e) = write {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+}
+
+/// Prints one run in the format of its mode; returns whether any
+/// host-acknowledged data was lost.
+fn print_run(sc: &Scenario, r: &RunOutput) -> bool {
+    if let Some(life) = &sc.lifetime {
+        print_lifetime(life, r, sc.array.is_none());
+        return false;
     }
-    ExitCode::SUCCESS
+    if sc.failure.is_some() {
+        return print_failure(sc, r);
+    }
+    if sc.spo.is_some() {
+        return match sc.array {
+            Some(arr) => print_array_spo(sc, &arr, r),
+            None => print_spo(r),
+        };
+    }
+    let (maint_on, faults_on) = (sc.cfg.maint.is_some(), sc.cfg.faults.is_some());
+    let m = r.merged();
+    if sc.array.is_some() {
+        print_row(
+            &m.ftl_name,
+            m.iops,
+            &m.read_latency,
+            &m.write_latency,
+            &m.ftl,
+            m.wa_host(),
+            m.wa_total(),
+        );
+        let per_shard: Vec<String> = m.per_shard_iops.iter().map(|i| format!("{i:.0}")).collect();
+        println!(
+            "{:<10} shards: [{}] IOPS, makespan {:.1} ms, {} requests total",
+            "", // aligned under the FTL column
+            per_shard.join(", "),
+            m.sim_time_us / 1000.0,
+            m.completed,
+        );
+        let mqd = m.chip_stats.iter().map(|c| c.max_queue_depth).max();
+        let busy = if m.chip_stats.is_empty() {
+            0.0
+        } else {
+            m.chip_stats
+                .iter()
+                .map(|c| c.busy_fraction(m.sim_time_us))
+                .sum::<f64>()
+                / m.chip_stats.len() as f64
+        };
+        let bg = m.chip_stats.iter().map(|c| c.maint_ops).sum();
+        print_detail_lines(&m.ftl, mqd.unwrap_or(0), busy, bg, maint_on, faults_on);
+    } else {
+        let s = r.sim();
+        print_row(
+            &s.ftl_name,
+            s.iops,
+            &s.read_latency,
+            &s.write_latency,
+            &s.ftl,
+            s.wa_host(),
+            s.wa_total(),
+        );
+        let (mqd, busy, bg) = (
+            s.max_queue_depth(),
+            s.mean_busy_fraction(),
+            s.background_ops(),
+        );
+        print_detail_lines(&s.ftl, mqd, busy, bg, maint_on, faults_on);
+    }
+    if let Some(qos) = &r.qos {
+        print_qos_summary(qos);
+    }
+    match (&r.kv, sc.array) {
+        (Some(kv), Some(_)) => print_kv_array_summary(&kv.apps, m.sim_time_us),
+        (Some(kv), None) => print_kv_summary(&kv.apps[0], m.sim_time_us),
+        (None, _) => {}
+    }
+    false
 }
 
-/// Writes a captured device-level stream as a replayable MSR-style CSV.
-fn write_capture(path: &str, trace: &Trace) -> Result<(), String> {
-    std::fs::write(path, trace.to_msr_csv(PAGE_BYTES))
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("capture: {} requests -> {path}", trace.len());
-    Ok(())
-}
-
-/// The KV engagement banner: workload and engine shape.
-fn print_kv_banner(kv: &KvSpec) {
-    let Some(kind) = kv.workload else { return };
-    let c = kv.kv_config();
-    println!(
-        "kv: {} over {} keys ({}-byte values), memtable {} entries, \
-         L0 trigger {}, fanout {}, {} levels\n",
-        kind.label(),
-        c.keys,
-        c.value_bytes,
-        c.memtable_entries,
-        c.l0_files,
-        c.fanout,
-        c.max_levels,
-    );
+fn ops_per_sec(ops: u64, sim_time_us: f64) -> f64 {
+    if sim_time_us > 0.0 {
+        ops as f64 / (sim_time_us / 1e6)
+    } else {
+        0.0
+    }
 }
 
 /// The app-level KV outcome lines under a report row.
 fn print_kv_summary(app: &KvAppReport, sim_time_us: f64) {
     let s = &app.stats;
-    let ops_per_sec = if sim_time_us > 0.0 {
-        s.ops as f64 / (sim_time_us / 1e6)
-    } else {
-        0.0
-    };
     println!(
         "{:<10} kv: {} ({} keys): {} ops ({} rd / {} upd / {} ins / {} rmw) at {:.0} ops/s",
         "", // aligned under the FTL column
@@ -1255,7 +898,7 @@ fn print_kv_summary(app: &KvAppReport, sim_time_us: f64) {
         s.updates,
         s.inserts,
         s.rmws,
-        ops_per_sec,
+        ops_per_sec(s.ops, sim_time_us),
     );
     println!(
         "{:<10} kv: app-WA {:.2}, rd p99 {} pages, upd p99 {} pages, \
@@ -1270,57 +913,72 @@ fn print_kv_summary(app: &KvAppReport, sim_time_us: f64) {
     );
 }
 
-/// The per-shard KV outcome of an array run: one line per shard plus
-/// the aggregate.
+/// The per-shard KV outcome of an array run: the aggregate plus each
+/// engine's app-WA.
 fn print_kv_array_summary(apps: &[KvAppReport], sim_time_us: f64) {
-    if apps.is_empty() {
-        return;
-    }
     let ops: u64 = apps.iter().map(|a| a.stats.ops).sum();
-    let ops_per_sec = if sim_time_us > 0.0 {
-        ops as f64 / (sim_time_us / 1e6)
-    } else {
-        0.0
-    };
     let was: Vec<String> = apps.iter().map(|a| format!("{:.2}", a.app_wa())).collect();
     println!(
         "{:<10} kv: {} total ops across {} engines at {:.0} ops/s, per-shard app-WA [{}]",
         "", // aligned under the FTL column
         ops,
         apps.len(),
-        ops_per_sec,
+        ops_per_sec(ops, sim_time_us),
         was.join(", "),
     );
 }
 
-/// Writes the requested telemetry files; `None` paths are skipped. The
-/// metric registry is built lazily — only when `--metrics-out` asked
-/// for it.
-fn write_telemetry(
-    trace_out: &Option<String>,
-    series_out: &Option<String>,
-    metrics_out: &Option<String>,
-    tel: &cubeftl::harness::TelemetryOutput,
-    registry: impl FnOnce() -> MetricRegistry,
-) -> Result<(), String> {
+/// Writes the requested telemetry files. The metric registry is built
+/// only when `--metrics-out` asked for it. Failure runs export their
+/// barrier-stamped events and the per-phase array metrics.
+fn write_telemetry(out: &Outputs, sc: &Scenario, r: &RunOutput) -> Result<(), String> {
     let write = |path: &str, contents: &str| {
         std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
     };
-    if let Some(path) = trace_out {
-        write(path, &events_to_ndjson(&tel.events))?;
-        println!("trace: {} events -> {path}", tel.events.len());
+    let events = r
+        .failure
+        .as_ref()
+        .map_or(&r.telemetry.events, |f| &f.events);
+    if let Some(path) = &out.trace {
+        write(path, &events_to_ndjson(events))?;
+        println!("trace: {} events -> {path}", events.len());
     }
-    if let Some(path) = series_out {
+    if let Some(path) = &out.series {
+        let series = &r.telemetry.series;
         let body = if path.ends_with(".csv") {
-            tel.series.to_csv()
+            series.to_csv()
         } else {
-            tel.series.to_ndjson()
+            series.to_ndjson()
         };
         write(path, &body)?;
-        println!("series: {} samples -> {path}", tel.series.rows.len());
+        println!("series: {} samples -> {path}", series.rows.len());
     }
-    if let Some(path) = metrics_out {
-        let reg = registry();
+    if let Some(path) = &out.metrics {
+        let mut reg = MetricRegistry::new();
+        let m = r.merged();
+        match (sc.array, &r.kv) {
+            (Some(_), kv) => {
+                m.register_metrics(&mut reg, "array");
+                for (s, app) in kv.iter().flat_map(|kv| kv.apps.iter().enumerate()) {
+                    register_kv_metrics(&mut reg, &format!("kv.shard{s}."), app, m.sim_time_us);
+                }
+            }
+            (None, kv) => {
+                r.sim().register_metrics(&mut reg, "ssd");
+                if let Some(kv) = kv {
+                    register_kv_metrics(&mut reg, "kv.", &kv.apps[0], m.sim_time_us);
+                }
+            }
+        }
+        if let Some(qos) = &r.qos {
+            qos.register_metrics(&mut reg);
+        }
+        if let Some(f) = &r.failure {
+            if let Some(d) = r.phase(Phase::Degraded) {
+                d.merged.register_metrics(&mut reg, "degraded");
+            }
+            f.resilience.register_metrics(&mut reg, "array");
+        }
         write(path, &reg.to_ndjson())?;
         println!("metrics: {} entries -> {path}", reg.entries().len());
     }
@@ -1330,14 +988,15 @@ fn write_telemetry(
 /// Loads a trace file: the native `cubeftl trace v1` line format, or an
 /// MSR-Cambridge-style CSV (byte offsets converted to 16-KB pages; LPNs
 /// are folded into the simulated address space at run time).
-fn load_trace(path: &str) -> Result<Trace, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
+fn load_trace(path: &str) -> Result<Trace, Stop> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| Stop::Message(format!("cannot read trace {path}: {e}")))?;
     if text.lines().next().map(str::trim) == Some(workloads::trace::TRACE_HEADER) {
-        text.parse().map_err(|e| format!("{path}: {e}"))
+        text.parse()
     } else {
-        Trace::from_msr_csv(&text, PAGE_BYTES, 1 << 40).map_err(|e| format!("{path}: {e}"))
+        Trace::from_msr_csv(&text, PAGE_BYTES, 1 << 40)
     }
+    .map_err(|e| Stop::Message(format!("{path}: {e}")))
 }
 
 fn print_table_header() {
@@ -1360,9 +1019,44 @@ fn fmt_wa(w: Option<f64>) -> String {
         .unwrap_or_else(|| "-".to_owned())
 }
 
+/// The headline row of one device or array, and under it the
+/// read-vs-write tail split: the table keeps its historic columns
+/// (p50/p99 read, p90 write); the detail line carries the full
+/// p99/p999 split for both directions.
+fn print_row(
+    name: &str,
+    iops: f64,
+    read: &LatencyRecorder,
+    write: &LatencyRecorder,
+    ftl: &FtlStats,
+    wa_host: Option<f64>,
+    wa_total: Option<f64>,
+) {
+    println!(
+        "{:<10} {:>10.0} {:>12.3} {:>12.3} {:>12.3} {:>9} {:>9} {:>6} {:>6}",
+        name,
+        iops,
+        read.percentile(50.0) / 1000.0,
+        read.percentile(99.0) / 1000.0,
+        write.percentile(90.0) / 1000.0,
+        ftl.gc_runs,
+        ftl.read_retries,
+        fmt_wa(wa_host),
+        fmt_wa(wa_total),
+    );
+    println!(
+        "{:<10} latency: rd p99 {:.3} / p999 {:.3} ms, wr p99 {:.3} / p999 {:.3} ms",
+        "", // aligned under the FTL column
+        read.percentile(99.0) / 1000.0,
+        read.percentile(99.9) / 1000.0,
+        write.percentile(99.0) / 1000.0,
+        write.percentile(99.9) / 1000.0,
+    );
+}
+
 /// The per-FTL detail lines shared by every table mode.
 fn print_detail_lines(
-    ftl: &cubeftl::FtlStats,
+    ftl: &FtlStats,
     max_queue_depth: usize,
     mean_busy: f64,
     background_ops: u64,
@@ -1417,86 +1111,11 @@ fn print_detail_lines(
     }
 }
 
-fn print_report_row(r: &mut cubeftl::SimReport, maint_on: bool, faults_on: bool) {
-    println!(
-        "{:<10} {:>10.0} {:>12.3} {:>12.3} {:>12.3} {:>9} {:>9} {:>6} {:>6}",
-        r.ftl_name,
-        r.iops,
-        r.read_latency.percentile(50.0) / 1000.0,
-        r.read_latency.percentile(99.0) / 1000.0,
-        r.write_latency.percentile(90.0) / 1000.0,
-        r.ftl.gc_runs,
-        r.ftl.read_retries,
-        fmt_wa(r.wa_host()),
-        fmt_wa(r.wa_total()),
-    );
-    print_latency_split(&r.read_latency, &r.write_latency);
-    let (mqd, busy, bg) = (
-        r.max_queue_depth(),
-        r.mean_busy_fraction(),
-        r.background_ops(),
-    );
-    print_detail_lines(&r.ftl, mqd, busy, bg, maint_on, faults_on);
-}
-
-/// The read-vs-write tail split: the headline table keeps its historic
-/// columns (p50/p99 read, p90 write); this detail line carries the full
-/// p99/p999 split for both directions.
-fn print_latency_split(read: &cubeftl::LatencyRecorder, write: &cubeftl::LatencyRecorder) {
-    println!(
-        "{:<10} latency: rd p99 {:.3} / p999 {:.3} ms, wr p99 {:.3} / p999 {:.3} ms",
-        "", // aligned under the FTL column
-        read.percentile(99.0) / 1000.0,
-        read.percentile(99.9) / 1000.0,
-        write.percentile(99.0) / 1000.0,
-        write.percentile(99.9) / 1000.0,
-    );
-}
-
-fn print_array_row(m: &mut ArrayReport, maint_on: bool, faults_on: bool) {
-    println!(
-        "{:<10} {:>10.0} {:>12.3} {:>12.3} {:>12.3} {:>9} {:>9} {:>6} {:>6}",
-        m.ftl_name,
-        m.iops,
-        m.read_latency.percentile(50.0) / 1000.0,
-        m.read_latency.percentile(99.0) / 1000.0,
-        m.write_latency.percentile(90.0) / 1000.0,
-        m.ftl.gc_runs,
-        m.ftl.read_retries,
-        fmt_wa(m.wa_host()),
-        fmt_wa(m.wa_total()),
-    );
-    print_latency_split(&m.read_latency, &m.write_latency);
-    let per_shard: Vec<String> = m.per_shard_iops.iter().map(|i| format!("{i:.0}")).collect();
-    println!(
-        "{:<10} shards: [{}] IOPS, makespan {:.1} ms, {} requests total",
-        "", // aligned under the FTL column
-        per_shard.join(", "),
-        m.sim_time_us / 1000.0,
-        m.completed,
-    );
-    let mqd = m.chip_stats.iter().map(|c| c.max_queue_depth).max();
-    let busy = if m.chip_stats.is_empty() {
-        0.0
-    } else {
-        m.chip_stats
-            .iter()
-            .map(|c| c.busy_fraction(m.sim_time_us))
-            .sum::<f64>()
-            / m.chip_stats.len() as f64
-    };
-    let bg = m.chip_stats.iter().map(|c| c.maint_ops).sum();
-    print_detail_lines(&m.ftl, mqd.unwrap_or(0), busy, bg, maint_on, faults_on);
-}
-
 /// The per-tenant QoS outcome: population totals, per-class aggregates,
 /// and a per-tenant table bounded to the
 /// [`QosReport::MAX_TENANT_DETAIL`] lowest global ids (the rest is
 /// covered by the class rows).
 fn print_qos_summary(qos: &QosReport) {
-    if qos.tenants.is_empty() {
-        return;
-    }
     let total = qos.total();
     let offered = total.admitted + total.shed;
     let shed_pct = if offered > 0 {
@@ -1564,513 +1183,268 @@ fn print_qos_summary(qos: &QosReport) {
     }
 }
 
-/// One row of the lifetime drift table: the per-epoch metrics the
-/// campaign exists to expose (throughput, retry pressure, write
-/// amplification), keyed by the cumulative age behind the epoch.
-#[allow(clippy::too_many_arguments)]
-fn print_lifetime_row(
-    name: &str,
-    epoch: usize,
-    pe: u64,
-    months: f64,
-    iops: f64,
-    reads: u64,
-    ftl: &cubeftl::FtlStats,
-    wa_host: Option<f64>,
-    wa_total: Option<f64>,
-) {
-    let retry_rate = if reads == 0 {
-        0.0
-    } else {
-        ftl.read_retries as f64 / reads as f64
-    };
+/// The fast-forward aging campaign: one drift row per epoch — the
+/// metrics the campaign exists to expose (throughput, retry pressure,
+/// write amplification), keyed by the cumulative nominal age behind the
+/// epoch — and, for a single device, the verdict line: retry and WA
+/// drift from the fresh epoch to end-of-life.
+fn print_lifetime(life: &LifetimeConfig, r: &RunOutput, verdict: bool) {
     println!(
-        "{:<10} {:>5} {:>8} {:>8.1} {:>10.0} {:>9} {:>11.4} {:>9} {:>6} {:>6}",
-        name,
-        epoch,
-        pe,
-        months,
-        iops,
-        ftl.read_retries,
-        retry_rate,
-        ftl.gc_runs,
-        fmt_wa(wa_host),
-        fmt_wa(wa_total),
+        "{:<10} {:>5} {:>8} {:>8} {:>10} {:>9} {:>11} {:>9} {:>6} {:>6}",
+        "FTL",
+        "epoch",
+        "+P/E",
+        "+months",
+        "IOPS",
+        "retries",
+        "retry/read",
+        "GC runs",
+        "WA(h)",
+        "WA(t)"
     );
-}
-
-/// The fast-forward aging campaign: one drift row per epoch, from the
-/// fresh device to end-of-life, with the applied aging step between
-/// consecutive rows.
-#[allow(clippy::too_many_arguments)]
-fn run_lifetime(
-    kinds: Vec<FtlKind>,
-    phases: &[EpochWorkload],
-    aging: AgingState,
-    cfg: &EvalConfig,
-    life: &LifetimeConfig,
-    kv: &KvSpec,
-    shards: usize,
-    stripe_pages: u64,
-    array_threads: usize,
-    trace: &Option<Trace>,
-) -> ExitCode {
-    println!(
-        "lifetime campaign: {} epochs × {} requests, +{} P/E and +{} months per step \
-         (exp {}), variation {}, pattern wear {}, seed {}",
-        life.epochs.max(1),
-        cfg.requests,
-        life.pe_per_epoch,
-        life.months_per_epoch,
-        life.early_retention_exp,
-        life.variation_strength,
-        if life.pattern_wear { "on" } else { "off" },
-        life.seed,
-    );
-    if phases.len() > 1 {
-        let names: Vec<&str> = phases.iter().map(|p| p.label()).collect();
-        println!("phases (cycled per epoch): {}", names.join(", "));
+    let summaries = &r.aging.as_ref().expect("campaign ran").summaries;
+    let (mut pe, mut months) = (0u64, 0.0);
+    for (e, rep) in r.epochs().enumerate() {
+        if e > 0 {
+            pe += u64::from(life.pe_per_epoch);
+            months += summaries[e - 1][0].retention_added_months;
+        }
+        let m = &rep.merged;
+        println!(
+            "{:<10} {:>5} {:>8} {:>8.1} {:>10.0} {:>9} {:>11.4} {:>9} {:>6} {:>6}",
+            m.ftl_name,
+            e,
+            pe,
+            months,
+            m.iops,
+            m.ftl.read_retries,
+            r.retry_rate(e),
+            m.ftl.gc_runs,
+            fmt_wa(m.wa_host()),
+            fmt_wa(m.wa_total()),
+        );
+    }
+    if let (true, Some(fresh), Some(eol)) = (verdict, r.epochs().next(), r.epochs().last()) {
+        let last = r.epochs().count() - 1;
+        println!(
+            "{:<10} drift: retry/read {:.4} -> {:.4}, WA(h) {} -> {}, IOPS {:.0} -> {:.0}",
+            "", // aligned under the FTL column
+            r.retry_rate(0),
+            r.retry_rate(last),
+            fmt_wa(fresh.merged.wa_host()),
+            fmt_wa(eol.merged.wa_host()),
+            fresh.merged.iops,
+            eol.merged.iops,
+        );
     }
     println!();
-    for kind in kinds {
-        println!(
-            "{:<10} {:>5} {:>8} {:>8} {:>10} {:>9} {:>11} {:>9} {:>6} {:>6}",
-            "FTL",
-            "epoch",
-            "+P/E",
-            "+months",
-            "IOPS",
-            "retries",
-            "retry/read",
-            "GC runs",
-            "WA(h)",
-            "WA(t)"
-        );
-        // Cumulative nominal age behind each epoch row.
-        let mut pe: u64 = 0;
-        let mut months: f64 = 0.0;
-        if shards > 1 {
-            let arr = ArrayEvalConfig {
-                shards,
-                stripe_pages,
-                threads: array_threads,
-            };
-            let r = run_lifetime_array_eval_mixed(kind, phases, aging, cfg, &arr, life, kv);
-            for (e, rep) in r.epochs.iter().enumerate() {
-                if e > 0 {
-                    pe += u64::from(life.pe_per_epoch);
-                    months += r.summaries[e - 1]
-                        .first()
-                        .map_or(0.0, |s| s.retention_added_months);
-                }
-                let m = &rep.merged;
-                print_lifetime_row(
-                    &m.ftl_name,
-                    e,
-                    pe,
-                    months,
-                    m.iops,
-                    m.reads,
-                    &m.ftl,
-                    m.wa_host(),
-                    m.wa_total(),
-                );
-            }
-        } else {
-            let r = match trace {
-                Some(t) => run_lifetime_trace_eval(kind, aging, cfg, life, t),
-                None => run_lifetime_eval_mixed(kind, phases, aging, cfg, life, kv),
-            };
-            for (e, rep) in r.epochs.iter().enumerate() {
-                if e > 0 {
-                    let s = &r.summaries[e - 1];
-                    pe += u64::from(life.pe_per_epoch);
-                    months += s.retention_added_months;
-                }
-                print_lifetime_row(
-                    &rep.ftl_name,
-                    e,
-                    pe,
-                    months,
-                    rep.iops,
-                    rep.reads,
-                    &rep.ftl,
-                    rep.wa_host(),
-                    rep.wa_total(),
-                );
-            }
-            print_lifetime_drift(&r.epochs);
-        }
-        println!();
-    }
-    ExitCode::SUCCESS
-}
-
-/// The campaign verdict line: retry and WA drift from the fresh epoch
-/// to end-of-life.
-fn print_lifetime_drift(epochs: &[SimReport]) {
-    let (Some(fresh), Some(eol)) = (epochs.first(), epochs.last()) else {
-        return;
-    };
-    let rate = |r: &SimReport| {
-        if r.reads == 0 {
-            0.0
-        } else {
-            r.ftl.read_retries as f64 / r.reads as f64
-        }
-    };
-    println!(
-        "{:<10} drift: retry/read {:.4} -> {:.4}, WA(h) {} -> {}, IOPS {:.0} -> {:.0}",
-        "", // aligned under the FTL column
-        rate(fresh),
-        rate(eol),
-        fmt_wa(fresh.wa_host()),
-        fmt_wa(eol.wa_host()),
-        fresh.iops,
-        eol.iops,
-    );
 }
 
 /// The array resilience experiment: rotating parity, an optional
 /// whole-shard failure (explicit `--fail-shard` or a seeded plan),
 /// degraded reads on the survivors, and a deterministic background
 /// rebuild onto the spare — optionally composed with an array-wide SPO
-/// cut mid-rebuild. Exits non-zero if the audit finds any
+/// cut mid-rebuild. Returns whether the audit found any
 /// host-acknowledged loss.
-#[allow(clippy::too_many_arguments)]
-fn run_array_failure(
-    kinds: Vec<FtlKind>,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    arr: &ArrayEvalConfig,
-    mut fc: ArrayFailureConfig,
-    fail_seed: Option<u64>,
-    trace_out: &Option<String>,
-    metrics_out: &Option<String>,
-) -> ExitCode {
+fn print_failure(sc: &Scenario, r: &RunOutput) -> bool {
+    let fc = sc.failure.as_ref().expect("failure mode");
+    let f = r.failure.as_ref().expect("failure mode reports resilience");
+    let healthy = r.merged();
+    println!("{}:", healthy.ftl_name);
+    match (&fc.fail, f.resilience.failed_shard) {
+        (Some(fail), Some(s)) => {
+            println!(
+                "  failure  shard {s} died at {:.1} ms; {} requests completed before, \
+                 {} durable data pages on the dead shard ({} array-acked, {} unprotected)",
+                fail.at_us / 1000.0,
+                healthy.completed,
+                f.audit.durable_data_pages,
+                f.audit.acked_pages,
+                f.audit.unprotected_pages,
+            );
+        }
+        _ => {
+            println!(
+                "  failure  none injected; healthy run: {} requests at {:.0} aggregate IOPS",
+                healthy.completed, healthy.iops,
+            );
+        }
+    }
+    if let Some(d) = r.phase(Phase::Degraded) {
+        println!(
+            "  degraded {} requests on the survivors: {} degraded reads \
+             ({} survivor fragment reads), {} writes redirected, {} dropped",
+            d.merged.completed,
+            f.resilience.degraded_reads,
+            f.resilience.degraded_fragment_reads,
+            f.resilience.redirected_writes,
+            f.audit.dropped_requests,
+        );
+    }
+    if let Some(spare) = f.resilience.spare_shard {
+        println!(
+            "  rebuild  {} pages onto spare shard {spare} in {:.1} ms \
+             ({} survivor reads, idle-window paced)",
+            f.resilience.rebuild_pages,
+            f.resilience.rebuild_time_us / 1000.0,
+            f.resilience.rebuild_reads,
+        );
+    }
+    let crash = r.crash.as_ref();
+    if let (Some(SpoTrigger::AtTimeUs(cut)), Some(crash)) = (sc.spo.map(|s| s.trigger), crash) {
+        let recs = || crash.recoveries.iter().flatten();
+        println!(
+            "  spo      composed cut at {:.1} ms hit {} shard(s): \
+             {} torn WLs quarantined, {} OOB records replayed",
+            cut / 1000.0,
+            recs().count(),
+            recs().map(|rec| rec.torn_wls_quarantined).sum::<u64>(),
+            recs().map(|rec| rec.oob_records_replayed).sum::<u64>(),
+        );
+        if let Some(res) = r.phase(Phase::Resumed) {
+            println!(
+                "  resumed  {} remaining requests at {:.0} aggregate IOPS",
+                res.merged.completed, res.merged.iops,
+            );
+        }
+    }
+    let spo_lost = crash.map_or(0, |c| c.lost_lpns.len());
+    if f.audit.zero_loss && spo_lost == 0 {
+        println!(
+            "  audit    zero host-acknowledged loss: {}/{} acked pages rebuilt and mapped\n",
+            f.audit.rebuilt_mapped_pages, f.audit.acked_pages,
+        );
+        return false;
+    }
     println!(
-        "array resilience: parity {}, {} spare shard(s), rebuild batch {} pages / gap {:.0} µs{}\n",
-        if fc.parity { "on" } else { "off" },
-        fc.spare_shards,
-        fc.rebuild.batch_pages,
-        fc.rebuild.gap_us,
-        fc.spo_cut_at_us
-            .map(|t| format!(", SPO cut at {:.1} ms into the degraded phase", t / 1000.0))
-            .unwrap_or_default(),
-    );
-    let mut lost = false;
-    for kind in kinds {
-        if let Some(seed) = fail_seed {
-            // The seeded plan needs the healthy makespan; probe it with a
-            // plain array run (deterministic, so the plan is too). The
-            // failure lands inside every shard's run: use the shortest.
-            let probe = run_array_eval(kind, workload, aging, cfg, arr);
-            let makespan = probe
-                .shards
-                .iter()
-                .map(|s| s.sim_time_us)
-                .fold(f64::INFINITY, f64::min);
-            let f = FailSpec::seeded(seed, arr.shards, makespan);
-            println!(
-                "seeded failure plan (seed {seed}): shard {} dies at {:.1} ms",
-                f.shard,
-                f.at_us / 1000.0
-            );
-            fc.fail = Some(f);
-        }
-        let r = run_array_failure_eval(kind, workload, aging, cfg, arr, &fc);
-        println!("{}:", r.healthy.ftl_name);
-        match (&fc.fail, r.resilience.failed_shard) {
-            (Some(f), Some(s)) => {
-                println!(
-                    "  failure  shard {s} died at {:.1} ms; {} requests completed before, \
-                     {} durable data pages on the dead shard ({} array-acked, {} unprotected)",
-                    f.at_us / 1000.0,
-                    r.healthy.completed,
-                    r.audit.durable_data_pages,
-                    r.audit.acked_pages,
-                    r.audit.unprotected_pages,
-                );
-            }
-            _ => {
-                println!(
-                    "  failure  none injected; healthy run: {} requests at {:.0} aggregate IOPS",
-                    r.healthy.completed, r.healthy.iops,
-                );
-            }
-        }
-        if let Some(d) = &r.degraded {
-            println!(
-                "  degraded {} requests on the survivors: {} degraded reads \
-                 ({} survivor fragment reads), {} writes redirected, {} dropped",
-                d.completed,
-                r.resilience.degraded_reads,
-                r.resilience.degraded_fragment_reads,
-                r.resilience.redirected_writes,
-                r.audit.dropped_requests,
-            );
-        }
-        if let Some(spare) = r.resilience.spare_shard {
-            println!(
-                "  rebuild  {} pages onto spare shard {spare} in {:.1} ms \
-                 ({} survivor reads, idle-window paced)",
-                r.resilience.rebuild_pages,
-                r.resilience.rebuild_time_us / 1000.0,
-                r.resilience.rebuild_reads,
-            );
-        }
-        if let Some(cut) = fc.spo_cut_at_us {
-            let fired = r.recoveries.iter().flatten().count();
-            let torn: u64 = r
-                .recoveries
-                .iter()
-                .flatten()
-                .map(|rec| rec.torn_wls_quarantined)
-                .sum();
-            let replayed: u64 = r
-                .recoveries
-                .iter()
-                .flatten()
-                .map(|rec| rec.oob_records_replayed)
-                .sum();
-            println!(
-                "  spo      composed cut at {:.1} ms hit {fired} shard(s): \
-                 {torn} torn WLs quarantined, {replayed} OOB records replayed",
-                cut / 1000.0,
-            );
-            if let Some(res) = &r.resumed {
-                println!(
-                    "  resumed  {} remaining requests at {:.0} aggregate IOPS",
-                    res.completed, res.iops,
-                );
-            }
-        }
-        if r.audit.zero_loss && r.spo_lost_lpns.is_empty() {
-            println!(
-                "  audit    zero host-acknowledged loss: {}/{} acked pages rebuilt and mapped\n",
-                r.audit.rebuilt_mapped_pages, r.audit.acked_pages,
-            );
+        "  audit    LOST {} host-acknowledged pages, {} SPO-lost LPNs{}\n",
+        f.audit.lost_pages,
+        spo_lost,
+        if fc.parity {
+            ""
         } else {
-            lost = true;
-            println!(
-                "  audit    LOST {} host-acknowledged pages, {} SPO-lost LPNs{}\n",
-                r.audit.lost_pages,
-                r.spo_lost_lpns.len(),
-                if fc.parity {
-                    ""
-                } else {
-                    " — parity off, the dead shard is unrecoverable"
-                },
-            );
-        }
-        let tel_out = cubeftl::harness::TelemetryOutput {
-            events: r.events.clone(),
-            series: Default::default(),
-        };
-        let write = write_telemetry(trace_out, &None, metrics_out, &tel_out, || {
-            let mut reg = MetricRegistry::new();
-            r.healthy.register_metrics(&mut reg, "array");
-            if let Some(d) = &r.degraded {
-                d.register_metrics(&mut reg, "degraded");
-            }
-            r.resilience.register_metrics(&mut reg, "array");
-            reg
-        });
-        if let Err(e) = write {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if lost {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+            " — parity off, the dead shard is unrecoverable"
+        },
+    );
+    true
 }
 
 /// The array-wide crash experiment: every shard cut at the same virtual
-/// instant, recovered independently, merged in shard order. Exits
-/// non-zero if any shard lost host-acknowledged data.
-fn run_array_spo(
-    kinds: Vec<FtlKind>,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    arr: &ArrayEvalConfig,
-    cut_at_us: f64,
-    ckpt_interval: u64,
-) -> ExitCode {
-    let spo = ArraySpoConfig {
-        cut_at_us,
-        ckpt_interval_host_wls: ckpt_interval,
+/// instant, recovered independently, merged in shard order. Returns
+/// whether any shard lost host-acknowledged data.
+fn print_array_spo(sc: &Scenario, arr: &ArrayEvalConfig, r: &RunOutput) -> bool {
+    let crash = r.crash.as_ref().expect("a cut was armed");
+    let cut_at_us = match sc.spo.map(|s| s.trigger) {
+        Some(SpoTrigger::AtTimeUs(t)) => t,
+        _ => 0.0,
     };
+    println!("{}:", r.merged().ftl_name);
     println!(
-        "array-wide sudden power-off armed: every shard cut at {:.1} ms, \
-         checkpoint every {} host WLs\n",
+        "  cut      {}/{} shards hit at {:.1} ms; {} requests completed before the cut, \
+         {} checkpoints taken",
+        crash.shards_cut(),
+        arr.shards,
         cut_at_us / 1000.0,
-        if ckpt_interval == 0 {
-            "∞ (disabled)".to_owned()
-        } else {
-            ckpt_interval.to_string()
-        }
+        r.merged().completed,
+        crash.checkpoints_taken,
     );
-    let mut lost = false;
-    for kind in kinds {
-        let r = run_array_spo_eval(kind, workload, aging, cfg, arr, &spo);
-        println!("{}:", r.pre_cut.ftl_name);
+    let recs = || crash.recoveries.iter().flatten();
+    println!(
+        "  recovery {} torn WLs quarantined, {} h-layers demoted, \
+         {} OOB records replayed across the array",
+        recs().map(|rec| rec.torn_wls_quarantined).sum::<u64>(),
+        recs().map(|rec| rec.layers_demoted).sum::<u64>(),
+        recs().map(|rec| rec.oob_records_replayed).sum::<u64>(),
+    );
+    if let Some(res) = r.phase(Phase::Resumed) {
         println!(
-            "  cut      {}/{} shards hit at {:.1} ms; {} requests completed before the cut, \
-             {} checkpoints taken",
-            r.shards_cut(),
-            arr.shards,
-            cut_at_us / 1000.0,
-            r.pre_cut.completed,
-            r.checkpoints_taken,
+            "  resumed  {} remaining requests at {:.0} aggregate IOPS",
+            res.merged.completed, res.merged.iops,
         );
-        let torn: u64 = r
-            .recoveries
-            .iter()
-            .flatten()
-            .map(|rec| rec.torn_wls_quarantined)
-            .sum();
-        let demoted: u64 = r
-            .recoveries
-            .iter()
-            .flatten()
-            .map(|rec| rec.layers_demoted)
-            .sum();
-        let replayed: u64 = r
-            .recoveries
-            .iter()
-            .flatten()
-            .map(|rec| rec.oob_records_replayed)
-            .sum();
-        println!(
-            "  recovery {} torn WLs quarantined, {} h-layers demoted, \
-             {} OOB records replayed across the array",
-            torn, demoted, replayed,
-        );
-        if let Some(res) = &r.resumed {
-            println!(
-                "  resumed  {} remaining requests at {:.0} aggregate IOPS",
-                res.completed, res.iops,
-            );
-        } else {
-            println!("  resumed  nothing left to replay");
-        }
-        if r.lost_lpns.is_empty() {
-            println!("  audit    zero host-acknowledged data loss on any shard\n");
-        } else {
-            lost = true;
-            println!(
-                "  audit    LOST {} host-acknowledged (shard, LPN) pairs: {:?}\n",
-                r.lost_lpns.len(),
-                &r.lost_lpns[..r.lost_lpns.len().min(16)]
-            );
-        }
-    }
-    if lost {
-        ExitCode::FAILURE
     } else {
-        ExitCode::SUCCESS
+        println!("  resumed  nothing left to replay");
     }
+    if crash.lost_lpns.is_empty() {
+        println!("  audit    zero host-acknowledged data loss on any shard\n");
+        return false;
+    }
+    println!(
+        "  audit    LOST {} host-acknowledged (shard, LPN) pairs: {:?}\n",
+        crash.lost_lpns.len(),
+        &crash.lost_lpns[..crash.lost_lpns.len().min(16)]
+    );
+    true
 }
 
 /// The double-run crash experiment: golden run, cut, recovery, resume.
-/// Exits non-zero if any host-acknowledged write is lost.
-fn run_spo(
-    kinds: Vec<FtlKind>,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    trigger: SpoTrigger,
-    ckpt_interval: u64,
-) -> ExitCode {
-    let spo = SpoConfig {
-        trigger,
-        ckpt_interval_host_wls: ckpt_interval,
+/// Returns whether any host-acknowledged write was lost.
+fn print_spo(r: &RunOutput) -> bool {
+    let crash = r.crash.as_ref().expect("a cut was armed");
+    let golden = &r.phase(Phase::Golden).expect("golden phase ran").shards[0];
+    let pre_cut = r.sim();
+    println!("{}:", golden.ftl_name);
+    let (Some(event), Some(rec)) = (&crash.events[0], &crash.recoveries[0]) else {
+        println!(
+            "  trigger never fired ({} requests completed in {:.1} ms); \
+             run matches the golden run\n",
+            pre_cut.completed,
+            pre_cut.sim_time_us / 1000.0
+        );
+        return false;
     };
     println!(
-        "sudden power-off armed: {trigger:?}, checkpoint every {} host WLs\n",
-        if ckpt_interval == 0 {
-            "∞ (disabled)".to_owned()
-        } else {
-            ckpt_interval.to_string()
-        }
+        "  cut      at {:.1} ms: {} issued, {} acked ({} acked writes, {} in PLP buffer), \
+         {} checkpoints taken",
+        event.at_us / 1000.0,
+        event.issued,
+        event.completed,
+        event.acked_write_lpns.len(),
+        event.buffered_lpns.len(),
+        crash.checkpoints_taken,
     );
-    let mut lost = false;
-    for kind in kinds {
-        let r = run_spo_eval(kind, workload, aging, cfg, &spo);
-        println!("{}:", r.golden.ftl_name);
-        let Some(event) = &r.spo else {
-            println!(
-                "  trigger never fired ({} requests completed in {:.1} ms); \
-                 run matches the golden run\n",
-                r.pre_cut.completed,
-                r.pre_cut.sim_time_us / 1000.0
-            );
-            continue;
-        };
-        let rec = r.recovery.as_ref().expect("recovery ran when SPO fired");
-        println!(
-            "  cut      at {:.1} ms: {} issued, {} acked ({} acked writes, {} in PLP buffer), \
-             {} checkpoints taken",
-            event.at_us / 1000.0,
-            event.issued,
-            event.completed,
-            event.acked_write_lpns.len(),
-            event.buffered_lpns.len(),
-            r.checkpoints_taken,
-        );
-        println!(
-            "  recovery in {:.3} ms: checkpoint {}, {}/{} blocks scanned ({} probed), \
-             {} OOB records replayed",
-            rec.nand_us / 1000.0,
-            if rec.checkpoint_loaded {
-                format!(
-                    "seq {} loaded ({} entries)",
-                    rec.checkpoint_seq, rec.ckpt_entries_restored
-                )
-            } else {
-                "none".to_owned()
-            },
-            rec.blocks_scanned,
-            r.total_blocks,
-            rec.blocks_probed,
-            rec.oob_records_replayed,
-        );
-        println!(
-            "  physics  {} torn WLs quarantined, {} h-layers demoted, \
-             {} interrupted erases redone, {} PLP pages replayed",
-            rec.torn_wls_quarantined,
-            rec.layers_demoted,
-            rec.interrupted_erases_redone,
-            rec.plp_pages_replayed,
-        );
-        if let Some(res) = &r.resumed {
-            println!(
-                "  resumed  {} remaining requests at {:.0} IOPS \
-                 (golden full run: {:.0} IOPS)",
-                res.completed, res.iops, r.golden.iops,
-            );
+    println!(
+        "  recovery in {:.3} ms: checkpoint {}, {}/{} blocks scanned ({} probed), \
+         {} OOB records replayed",
+        rec.nand_us / 1000.0,
+        if rec.checkpoint_loaded {
+            format!(
+                "seq {} loaded ({} entries)",
+                rec.checkpoint_seq, rec.ckpt_entries_restored
+            )
         } else {
-            println!("  resumed  nothing left to replay (cut after the last request)");
-        }
-        if r.lost_lpns.is_empty() {
-            println!("  audit    zero host-acknowledged data loss\n");
-        } else {
-            lost = true;
-            println!(
-                "  audit    LOST {} host-acknowledged LPNs: {:?}\n",
-                r.lost_lpns.len(),
-                &r.lost_lpns[..r.lost_lpns.len().min(16)]
-            );
-        }
-    }
-    if lost {
-        ExitCode::FAILURE
+            "none".to_owned()
+        },
+        rec.blocks_scanned,
+        crash.total_blocks,
+        rec.blocks_probed,
+        rec.oob_records_replayed,
+    );
+    println!(
+        "  physics  {} torn WLs quarantined, {} h-layers demoted, \
+         {} interrupted erases redone, {} PLP pages replayed",
+        rec.torn_wls_quarantined,
+        rec.layers_demoted,
+        rec.interrupted_erases_redone,
+        rec.plp_pages_replayed,
+    );
+    if let Some(res) = r.phase(Phase::Resumed) {
+        println!(
+            "  resumed  {} remaining requests at {:.0} IOPS \
+             (golden full run: {:.0} IOPS)",
+            res.shards[0].completed, res.shards[0].iops, golden.iops,
+        );
     } else {
-        ExitCode::SUCCESS
+        println!("  resumed  nothing left to replay (cut after the last request)");
     }
+    if crash.lost_lpns.is_empty() {
+        println!("  audit    zero host-acknowledged data loss\n");
+        return false;
+    }
+    let lost: Vec<u64> = crash.lost_lpns.iter().map(|&(_, l)| l).collect();
+    println!(
+        "  audit    LOST {} host-acknowledged LPNs: {:?}\n",
+        lost.len(),
+        &lost[..lost.len().min(16)]
+    );
+    true
 }

@@ -1,10 +1,33 @@
 //! One-call paper experiments: configure, prefill, age, run, report.
 //!
-//! The paper's evaluation (§6) runs each FTL under each workload at each
-//! aging state on a 32-GB SSD. [`run_eval`] reproduces one such cell;
-//! [`EvalConfig`] controls the scale (full paper scale, or a reduced
-//! block count for quick runs — the FTL behaviour is unchanged, only the
-//! physical capacity shrinks).
+//! The paper's evaluation (§6) is one experiment shape — build an FTL,
+//! prefill, age, drive a workload, report — so the harness has one
+//! value describing an experiment, [`Scenario`], and one way to run it,
+//! [`Scenario::run`]. Every feature is an orthogonal field of the
+//! scenario (sharded array, QoS front-end, KV application layer,
+//! lifetime campaign, sudden power-off, shard failure, telemetry,
+//! trace capture); [`Scenario::validate`] names the combinations that
+//! are not supported.
+//!
+//! `run` is one pipeline. It prepares the shard list once — a single
+//! device is a one-element list seeded with the master seed, an array
+//! seeds shard `s` with [`shard_seed`] — and then executes a sequence
+//! of *phases* separated by *barriers*:
+//!
+//! ```text
+//! [golden]  per epoch: [age] → main → [fail: redirect + rebuild plan → degraded]
+//!                                   → [cut: crash recovery → resumed]
+//! drain telemetry / QoS / KV reports in shard order
+//! ```
+//!
+//! A phase builds each shard's host side (request stream or QoS front),
+//! runs the shard list on the worker pool and collects the reports in
+//! shard order. A barrier is a sequence point — every shard has stopped
+//! — at which the caller's thread rewrites the shard list: crash
+//! recovery after a power cut, the failure redirect and rebuild plan,
+//! or a lifetime aging step. Everything a barrier computes is a pure
+//! function of the stopped shards, so any scenario is byte-identical at
+//! any worker-thread count.
 
 use ftl::{Ftl, FtlConfig, FtlKind, MaintConfig, OrtClusterConfig, RecoveryReport};
 use hostq::{split_arrival_budget, split_even_budget, HostQueueConfig, HostQueueFront, QosReport};
@@ -17,7 +40,7 @@ use ssdarray::{
 };
 use ssdsim::{
     HostOp, HostRequest, MaintSchedule, RebuildOp, RebuildProgress, RebuildSchedule, SimReport,
-    SpoEvent, SpoTrigger, SsdConfig, SsdSim, StepOutcome,
+    SpoEvent, SpoTrigger, SsdConfig, SsdSim,
 };
 use std::collections::BTreeSet;
 use telemetry::{
@@ -25,7 +48,6 @@ use telemetry::{
 };
 use workloads::{
     build_population, shard_seed, StandardWorkload, TenantMix, TenantProfile, Trace, Workload,
-    YcsbWorkload,
 };
 
 /// Scale and length of one evaluation run.
@@ -102,14 +124,7 @@ impl EvalConfig {
             requests: 2_000,
             prefill_fraction: 0.5,
             disturbance_prob: 0.0,
-            ambient_celsius: 30.0,
-            seed: 42,
-            ssd: SsdConfig::paper(),
-            faults: None,
-            maint: None,
-            ort_capacity: usize::MAX,
-            ort_cluster: OrtClusterConfig::default(),
-            retry_opt: RetryOptConfig::default(),
+            ..EvalConfig::paper()
         }
     }
 
@@ -131,33 +146,8 @@ impl Default for EvalConfig {
     }
 }
 
-/// Builds an FTL of `kind`, prefills it, pins the aging state, and runs
-/// `workload` under the closed-loop simulator. Fully deterministic for a
-/// given [`EvalConfig`].
-pub fn run_eval(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-) -> SimReport {
-    run_eval_custom(kind, workload, aging, cfg, cfg.ftl_config())
-}
-
-/// Like [`run_eval`] but with an explicit FTL configuration — the entry
-/// point for ablation studies (μ_TH sweeps, active-block counts, …).
-pub fn run_eval_custom(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    ftl_cfg: FtlConfig,
-) -> SimReport {
-    run_eval_traced_custom(kind, workload, aging, cfg, ftl_cfg, &TelemetrySpec::off()).0
-}
-
-/// Telemetry switches for a traced evaluation run. [`TelemetrySpec::off`]
-/// keeps the engine on the zero-cost path: a traced run with telemetry
-/// off is byte-identical to its untraced counterpart.
+/// Telemetry switches of a run. With everything off
+/// ([`TelemetrySpec::off`]) the engine stays on its zero-cost path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetrySpec {
     /// Event categories to trace (`EventMask::NONE` disables tracing).
@@ -184,6 +174,11 @@ impl TelemetrySpec {
             sample_interval_us: Some(interval_us),
         }
     }
+
+    /// Whether any collector or sampler is armed.
+    pub fn engaged(&self) -> bool {
+        !self.events.is_empty() || self.sample_interval_us.is_some()
+    }
 }
 
 impl Default for TelemetrySpec {
@@ -192,67 +187,26 @@ impl Default for TelemetrySpec {
     }
 }
 
-/// Telemetry artifacts of one traced run.
+/// Telemetry artifacts of one run.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryOutput {
     /// The merged event trace: per shard, the device-side stream merged
-    /// with the FTL-side stream in virtual-time order; shard streams
-    /// concatenated in shard-index order.
+    /// with the FTL-side (and QoS-front) stream in virtual-time order;
+    /// shard streams concatenated in shard-index order.
     pub events: Vec<TraceEvent>,
     /// The sampled time series (empty when sampling was off).
     pub series: Series,
 }
 
-/// Like [`run_eval`] but with telemetry: returns the report plus the
-/// event trace and sampled time series. Telemetry arms *after* prefill,
-/// so the trace covers exactly the measured run.
-pub fn run_eval_traced(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    tel: &TelemetrySpec,
-) -> (SimReport, TelemetryOutput) {
-    run_eval_traced_custom(kind, workload, aging, cfg, cfg.ftl_config(), tel)
-}
-
-/// The fully general single-device entry point: explicit FTL
-/// configuration and telemetry switches. Everything else delegates here.
-pub fn run_eval_traced_custom(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    ftl_cfg: FtlConfig,
-    tel: &TelemetrySpec,
-) -> (SimReport, TelemetryOutput) {
-    let mut ssd_cfg = cfg.ssd;
-    // Maintenance needs the simulator to offer idle windows: derive the
-    // schedule from the FTL-side config unless one was set explicitly.
-    if cfg.maint.is_some_and(|m| m.enabled) && !ssd_cfg.maint.enabled {
-        ssd_cfg.maint = MaintSchedule::on();
-    }
-    let mut sim = SsdSim::new(ssd_cfg);
-    let mut ftl = setup_ftl(kind, aging, cfg, ftl_cfg, &mut sim);
-    ftl.reset_stats();
-    // Arm telemetry only now: prefill runs at t = 0 and would otherwise
-    // flood the trace with setup writes outside the measured window.
-    sim.enable_telemetry(tel.events, 0, tel.sample_interval_us);
-    ftl.enable_telemetry(tel.events, 0);
-
-    let logical = ftl.logical_pages();
-    let prefill = (logical as f64 * cfg.prefill_fraction) as u64;
-    let stream = workload.build(prefill.max(1024), cfg.seed);
-    let report = sim.run(&mut ftl, stream, cfg.requests);
-    let telemetry = TelemetryOutput {
-        events: merge_streams(sim.take_trace(), ftl.take_trace()),
-        series: sim.take_series(),
-    };
-    (report, telemetry)
-}
-
-/// Configuration of a sudden-power-off experiment on top of an
-/// [`EvalConfig`].
+/// A sudden power-off on top of a scenario: when the power dies and how
+/// often the FTL checkpoints its map before that.
+///
+/// On a single device the run becomes the double-run crash experiment
+/// (an uninterrupted golden phase first); on an array the trigger must
+/// be [`SpoTrigger::AtTimeUs`] — the cut hits **every shard at the same
+/// virtual instant**, and each shard runs its own crash recovery. With
+/// a shard failure injected, the instant counts from the start of the
+/// degraded phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpoConfig {
     /// When the power dies.
@@ -273,168 +227,13 @@ impl SpoConfig {
     }
 }
 
-/// Outcome of one [`run_spo_eval`] double-run experiment.
-#[derive(Debug, Clone)]
-pub struct SpoEvalReport {
-    /// The uninterrupted golden run (same seed, same workload, same
-    /// checkpoint cadence — the only difference is the power cut).
-    pub golden: SimReport,
-    /// The truncated run up to the cut (or the full run if the trigger
-    /// never fired).
-    pub pre_cut: SimReport,
-    /// Device state at the cut; `None` if the trigger never fired.
-    pub spo: Option<SpoEvent>,
-    /// What boot-time recovery did; `None` if the trigger never fired.
-    pub recovery: Option<RecoveryReport>,
-    /// The post-recovery resume run over the workload remainder.
-    pub resumed: Option<SimReport>,
-    /// Host-acknowledged LPNs that were mapped (or buffer-resident) at
-    /// the cut but unmapped after recovery. **Must be empty** — any
-    /// entry is host-visible data loss.
-    pub lost_lpns: Vec<u64>,
-    /// Checkpoints taken before the cut.
-    pub checkpoints_taken: u64,
-    /// Total blocks in the array (for bounding recovery scan cost).
-    pub total_blocks: u64,
-}
-
-impl SpoEvalReport {
-    /// Whether the armed trigger actually fired.
-    pub fn fired(&self) -> bool {
-        self.spo.is_some()
-    }
-}
-
-fn setup_ftl(
-    kind: FtlKind,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    ftl_cfg: FtlConfig,
-    sim: &mut SsdSim,
-) -> Ftl {
-    let mut ftl = Ftl::new(kind, ftl_cfg);
-    ftl.set_aging(aging);
-    ftl.set_ambient_celsius(cfg.ambient_celsius);
-    let logical = ftl.logical_pages();
-    let prefill = (logical as f64 * cfg.prefill_fraction) as u64;
-    sim.prefill(&mut ftl, 0..prefill);
-    ftl.set_disturbance_prob(cfg.disturbance_prob);
-    if let Some(plan) = &cfg.faults {
-        ftl.set_fault_plan(plan);
-    }
-    if let Some(maint) = cfg.maint {
-        ftl.enable_maintenance(maint);
-    }
-    ftl
-}
-
-/// Runs the double-run SPO experiment: an uninterrupted golden run, then
-/// an identical run cut short by `spo.trigger`, the power-cut physics
-/// (torn WL programs, interrupted erases), a boot-time recovery
-/// ([`Ftl::power_cycle`]) and a resume over the workload remainder.
-///
-/// The returned report carries the zero-loss audit: every LPN that was
-/// host-acknowledged (mapped in the FTL or resident in the PLP-protected
-/// buffer) at the cut and is missing after recovery lands in
-/// `lost_lpns`.
-pub fn run_spo_eval(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    spo: &SpoConfig,
-) -> SpoEvalReport {
-    let mut ssd_cfg = cfg.ssd;
-    if cfg.maint.is_some_and(|m| m.enabled) && !ssd_cfg.maint.enabled {
-        ssd_cfg.maint = MaintSchedule::on();
-    }
-
-    // Golden run: identical setup and checkpoint cadence, no cut.
-    let mut sim = SsdSim::new(ssd_cfg);
-    let mut ftl = setup_ftl(kind, aging, cfg, cfg.ftl_config(), &mut sim);
-    ftl.enable_checkpointing(spo.ckpt_interval_host_wls);
-    ftl.reset_stats();
-    let logical = ftl.logical_pages();
-    let prefill = (logical as f64 * cfg.prefill_fraction) as u64;
-    let stream = workload.build(prefill.max(1024), cfg.seed);
-    let golden = sim.run(&mut ftl, stream, cfg.requests);
-
-    // SPO run: same seed, same stream, trigger armed. The stream is
-    // held by `&mut` so the unissued remainder survives for the resume.
-    let mut sim = SsdSim::new(ssd_cfg);
-    let mut ftl = setup_ftl(kind, aging, cfg, cfg.ftl_config(), &mut sim);
-    ftl.enable_checkpointing(spo.ckpt_interval_host_wls);
-    ftl.reset_stats();
-    let g = ftl.geometry();
-    let total_blocks = u64::from(g.blocks_per_chip) * ftl.mapping().chips() as u64;
-    let mut stream = workload.build(prefill.max(1024), cfg.seed);
-    let (pre_cut, event) = sim.run_with_spo(&mut ftl, &mut stream, cfg.requests, spo.trigger);
-    let checkpoints_taken = ftl.checkpoints_taken();
-
-    let Some(event) = event else {
-        return SpoEvalReport {
-            golden,
-            pre_cut,
-            spo: None,
-            recovery: None,
-            resumed: None,
-            lost_lpns: Vec::new(),
-            checkpoints_taken,
-            total_blocks,
-        };
-    };
-
-    // The durable-data ledger at the instant of the cut: everything the
-    // FTL has mapped plus everything the PLP capacitor preserves.
-    let mut durable: Vec<u64> = (0..logical).filter(|&l| ftl.is_mapped(l)).collect();
-    durable.extend(event.buffered_lpns.iter().copied());
-    durable.sort_unstable();
-    durable.dedup();
-
-    // Physics of the cut: every in-flight flush tears its WL program
-    // (and its in-flight GC erase, when one ran).
-    for f in &event.interrupted_flushes {
-        ftl.power_cut(f.chip, f.lpns, f.did_gc);
-    }
-
-    // Boot: rebuild the L2P from checkpoint + OOB scan, quarantine torn
-    // WLs, re-erase interrupted blocks, replay the PLP dump. OPM/ORT
-    // come back cold by design.
-    let (mut ftl, recovery) = ftl.power_cycle(&event.buffered_lpns);
-
-    let lost_lpns: Vec<u64> = durable
-        .iter()
-        .copied()
-        .filter(|&l| !ftl.is_mapped(l))
-        .collect();
-
-    // Resume the interrupted workload over the remainder of the stream.
-    if let Some(maint) = cfg.maint {
-        ftl.enable_maintenance(maint);
-    }
-    let remaining = cfg.requests.saturating_sub(event.issued);
-    let resumed = (remaining > 0).then(|| sim.run(&mut ftl, &mut stream, remaining));
-
-    SpoEvalReport {
-        golden,
-        pre_cut,
-        spo: Some(event),
-        recovery: Some(recovery),
-        resumed,
-        lost_lpns,
-        checkpoints_taken,
-        total_blocks,
-    }
-}
-
-/// Scale-out parameters of a sharded-array evaluation on top of an
-/// [`EvalConfig`].
+/// Scale-out parameters of a sharded-array scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayEvalConfig {
     /// Independent device shards.
     pub shards: usize,
-    /// LPN-striping stripe size in pages (trace routing only; synthetic
-    /// workloads draw per-shard substreams directly).
+    /// LPN-striping stripe size in pages (trace and failure routing
+    /// only; synthetic workloads draw per-shard substreams directly).
     pub stripe_pages: u64,
     /// Worker threads for the engine; 0 means one per shard. Purely a
     /// resource knob — any value yields the same merged report.
@@ -449,375 +248,6 @@ impl ArrayEvalConfig {
             stripe_pages: 64,
             threads: 0,
         }
-    }
-
-    /// The LPN striper these parameters imply.
-    pub fn router(&self) -> StripeRouter {
-        StripeRouter::new(self.shards, self.stripe_pages)
-    }
-
-    fn engine_threads(&self) -> usize {
-        if self.threads == 0 {
-            self.shards
-        } else {
-            self.threads
-        }
-    }
-}
-
-/// Results of one sharded-array evaluation.
-#[derive(Debug, Clone)]
-pub struct ArrayEvalReport {
-    /// The merged array-wide report (shard-order fan-in).
-    pub merged: ArrayReport,
-    /// Per-shard reports, indexed by shard.
-    pub shards: Vec<SimReport>,
-}
-
-/// Splits a total request budget over shards: the first `total % shards`
-/// shards take one extra request.
-fn split_requests(total: u64, shards: usize) -> Vec<u64> {
-    let base = total / shards as u64;
-    let rem = total % shards as u64;
-    (0..shards as u64)
-        .map(|s| base + u64::from(s < rem))
-        .collect()
-}
-
-/// One fully prepared shard: device simulator and prefilled FTL, seeded
-/// from the master seed and the shard index.
-fn setup_shard(
-    kind: FtlKind,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    shard: usize,
-) -> (SsdSim, Ftl, u64) {
-    let mut ssd_cfg = cfg.ssd;
-    if cfg.maint.is_some_and(|m| m.enabled) && !ssd_cfg.maint.enabled {
-        ssd_cfg.maint = MaintSchedule::on();
-    }
-    let mut ftl_cfg = cfg.ftl_config();
-    ftl_cfg.seed = shard_seed(cfg.seed, shard);
-    let mut sim = SsdSim::new(ssd_cfg);
-    let ftl = setup_ftl(kind, aging, cfg, ftl_cfg, &mut sim);
-    let logical = ftl.logical_pages();
-    let prefill = (logical as f64 * cfg.prefill_fraction) as u64;
-    (sim, ftl, prefill)
-}
-
-/// Runs one evaluation cell on a sharded array: `arr.shards` independent
-/// devices, each prefilled and driven by its own deterministic workload
-/// substream (seeded by [`shard_seed`]), executed by the thread-per-shard
-/// engine and merged in shard order. Deterministic for a given
-/// configuration at any thread count.
-pub fn run_array_eval(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    arr: &ArrayEvalConfig,
-) -> ArrayEvalReport {
-    run_array_eval_traced(kind, workload, aging, cfg, arr, &TelemetrySpec::off()).0
-}
-
-/// Like [`run_array_eval`] but with telemetry: every shard's collectors
-/// are tagged with its shard index, and after the engine's fan-in
-/// sequence point the per-shard streams are drained **in shard-index
-/// order** — so the combined trace and series are byte-identical at any
-/// worker-thread count.
-pub fn run_array_eval_traced(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    arr: &ArrayEvalConfig,
-    tel: &TelemetrySpec,
-) -> (ArrayEvalReport, TelemetryOutput) {
-    assert!(arr.shards >= 1, "need at least one shard");
-    let budgets = split_requests(cfg.requests, arr.shards);
-    let shards = (0..arr.shards)
-        .map(|s| {
-            let (mut sim, mut ftl, prefill) = setup_shard(kind, aging, cfg, s);
-            ftl.reset_stats();
-            sim.enable_telemetry(tel.events, s as u32, tel.sample_interval_us);
-            ftl.enable_telemetry(tel.events, s as u32);
-            let stream = workload.build(prefill.max(1024), shard_seed(cfg.seed, s));
-            ArrayShard {
-                sim,
-                ftl,
-                workload: stream,
-                requests: budgets[s],
-                spo: None,
-                rebuild: None,
-            }
-        })
-        .collect();
-    let mut array = SsdArray::new(shards).with_threads(arr.engine_threads());
-    let out = array.run();
-    // Sequence point: every shard has finished and sits back in its
-    // index slot. Drain shard by shard, in shard order, merging each
-    // shard's device and FTL streams by virtual time.
-    let mut events = Vec::new();
-    let mut series = Series::new(tel.sample_interval_us.unwrap_or(0.0));
-    for shard in array.shards_mut() {
-        events.extend(merge_streams(
-            shard.sim.take_trace(),
-            shard.ftl.take_trace(),
-        ));
-        series.extend(&shard.sim.take_series());
-    }
-    (
-        ArrayEvalReport {
-            merged: out.report,
-            shards: out.shard_reports,
-        },
-        TelemetryOutput { events, series },
-    )
-}
-
-/// Folds a trace's LPNs into `logical_pages` (modulo the space, spans
-/// clamped at its end) so any recorded trace replays on any geometry.
-fn fold_requests(requests: &[HostRequest], logical_pages: u64) -> Vec<HostRequest> {
-    requests
-        .iter()
-        .map(|r| {
-            let lpn = r.lpn % logical_pages;
-            let span = u64::from(r.n_pages).min(logical_pages - lpn);
-            HostRequest {
-                op: r.op,
-                lpn,
-                n_pages: u32::try_from(span).expect("span fits"),
-            }
-        })
-        .collect()
-}
-
-/// Replays a recorded [`Trace`] against one prefilled device and reports
-/// the run. Trace LPNs are folded into the device's logical space.
-pub fn run_trace_eval(
-    kind: FtlKind,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    trace: &Trace,
-) -> SimReport {
-    let mut ssd_cfg = cfg.ssd;
-    if cfg.maint.is_some_and(|m| m.enabled) && !ssd_cfg.maint.enabled {
-        ssd_cfg.maint = MaintSchedule::on();
-    }
-    let mut sim = SsdSim::new(ssd_cfg);
-    let mut ftl = setup_ftl(kind, aging, cfg, cfg.ftl_config(), &mut sim);
-    ftl.reset_stats();
-    let logical = ftl.logical_pages();
-    let folded = fold_requests(trace.requests(), logical);
-    let n = folded.len() as u64;
-    sim.run(&mut ftl, folded, n)
-}
-
-/// Replays a recorded [`Trace`] against a sharded array: the global
-/// trace is folded into the array's striped global space and fanned out
-/// through the [`StripeRouter`] (spans split at stripe boundaries), so
-/// every shard replays exactly the fragments that map to it.
-pub fn run_array_trace_eval(
-    kind: FtlKind,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    arr: &ArrayEvalConfig,
-    trace: &Trace,
-) -> ArrayEvalReport {
-    assert!(arr.shards >= 1, "need at least one shard");
-    let router = arr.router();
-
-    // Prepare every shard first to learn the shard-local capacity; the
-    // striped global space truncates each shard to a whole number of
-    // stripes so no fragment can overflow its device.
-    let mut prepared: Vec<(SsdSim, Ftl)> = Vec::with_capacity(arr.shards);
-    let mut local_limit = u64::MAX;
-    for s in 0..arr.shards {
-        let (sim, mut ftl, _prefill) = setup_shard(kind, aging, cfg, s);
-        ftl.reset_stats();
-        local_limit = local_limit.min(ftl.logical_pages());
-        prepared.push((sim, ftl));
-    }
-    let stripes_per_shard = local_limit / arr.stripe_pages;
-    assert!(
-        stripes_per_shard >= 1,
-        "stripe of {} pages exceeds the shard-local space of {} pages",
-        arr.stripe_pages,
-        local_limit
-    );
-    let global_pages = stripes_per_shard * arr.stripe_pages * arr.shards as u64;
-
-    let folded = fold_requests(trace.requests(), global_pages);
-    let mut per_shard = router.route_stream(folded);
-
-    let shards = prepared
-        .into_iter()
-        .enumerate()
-        .map(|(s, (sim, ftl))| {
-            let local: Vec<HostRequest> = std::mem::take(&mut per_shard[s]);
-            let requests = local.len() as u64;
-            ArrayShard {
-                sim,
-                ftl,
-                workload: local.into_iter(),
-                requests,
-                spo: None,
-                rebuild: None,
-            }
-        })
-        .collect();
-    let out = SsdArray::new(shards)
-        .with_threads(arr.engine_threads())
-        .run();
-    ArrayEvalReport {
-        merged: out.report,
-        shards: out.shard_reports,
-    }
-}
-
-/// Configuration of an array-wide sudden-power-off experiment: the cut
-/// hits **every shard at the same virtual instant** (one wall-clock
-/// event taking down the whole enclosure), then each shard runs its own
-/// crash recovery.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArraySpoConfig {
-    /// Simulated time of the array-wide cut, µs.
-    pub cut_at_us: f64,
-    /// Checkpoint interval in host WL programs per shard (0 = scan-only
-    /// recovery).
-    pub ckpt_interval_host_wls: u64,
-}
-
-/// Outcome of one [`run_array_spo_eval`] experiment.
-#[derive(Debug, Clone)]
-pub struct ArraySpoEvalReport {
-    /// The merged truncated run up to the cut.
-    pub pre_cut: ArrayReport,
-    /// Per-shard truncated reports, indexed by shard.
-    pub shard_pre_cut: Vec<SimReport>,
-    /// Whether each shard's trigger fired (a shard that drained its
-    /// budget before the instant never sees the cut).
-    pub fired: Vec<bool>,
-    /// Per-shard recovery reports (`None` where the cut never landed).
-    pub recoveries: Vec<Option<RecoveryReport>>,
-    /// Host-acknowledged `(shard, local LPN)` pairs lost across the
-    /// array. **Must be empty** — any entry is data loss.
-    pub lost_lpns: Vec<(usize, u64)>,
-    /// The merged post-recovery resume run, when any work remained.
-    pub resumed: Option<ArrayReport>,
-    /// Checkpoints taken across all shards before the cut.
-    pub checkpoints_taken: u64,
-}
-
-impl ArraySpoEvalReport {
-    /// Shards whose trigger fired.
-    pub fn shards_cut(&self) -> usize {
-        self.fired.iter().filter(|&&f| f).count()
-    }
-}
-
-/// Runs the array-wide SPO experiment: every shard is armed with
-/// [`SpoTrigger::AtTimeUs`] at the same virtual instant, the array runs
-/// until each shard is cut (or drained), then each shard independently
-/// suffers the power-cut physics, boots through crash recovery, and
-/// resumes its workload remainder. Merging follows shard order
-/// throughout, so the experiment is deterministic at any thread count.
-pub fn run_array_spo_eval(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    arr: &ArrayEvalConfig,
-    spo: &ArraySpoConfig,
-) -> ArraySpoEvalReport {
-    assert!(arr.shards >= 1, "need at least one shard");
-    assert!(spo.cut_at_us > 0.0, "the cut must be after time zero");
-    let budgets = split_requests(cfg.requests, arr.shards);
-    let shards = (0..arr.shards)
-        .map(|s| {
-            let (sim, mut ftl, prefill) = setup_shard(kind, aging, cfg, s);
-            ftl.enable_checkpointing(spo.ckpt_interval_host_wls);
-            ftl.reset_stats();
-            let stream = workload.build(prefill.max(1024), shard_seed(cfg.seed, s));
-            ArrayShard {
-                sim,
-                ftl,
-                workload: stream,
-                requests: budgets[s],
-                spo: Some(SpoTrigger::AtTimeUs(spo.cut_at_us)),
-                rebuild: None,
-            }
-        })
-        .collect();
-    let mut array = SsdArray::new(shards).with_threads(arr.engine_threads());
-    let out = array.run();
-
-    // Sequence point: every shard has stopped. Recover shard by shard,
-    // in shard order.
-    let mut fired = Vec::with_capacity(arr.shards);
-    let mut recoveries = Vec::with_capacity(arr.shards);
-    let mut lost_lpns = Vec::new();
-    let mut checkpoints_taken = 0;
-    let mut resumed_shards = Vec::with_capacity(arr.shards);
-    for (s, mut shard) in array.into_shards().into_iter().enumerate() {
-        checkpoints_taken += shard.ftl.checkpoints_taken();
-        let event = &out.spo_events[s];
-        fired.push(event.is_some());
-        let remaining = match event {
-            Some(event) => {
-                // Durable ledger at the instant of this shard's cut:
-                // mapped LPNs plus the PLP-protected buffer dump.
-                let logical = shard.ftl.logical_pages();
-                let mut durable: Vec<u64> =
-                    (0..logical).filter(|&l| shard.ftl.is_mapped(l)).collect();
-                durable.extend(event.buffered_lpns.iter().copied());
-                durable.sort_unstable();
-                durable.dedup();
-
-                for f in &event.interrupted_flushes {
-                    shard.ftl.power_cut(f.chip, f.lpns, f.did_gc);
-                }
-                let (mut recovered, recovery) = shard.ftl.power_cycle(&event.buffered_lpns);
-                lost_lpns.extend(
-                    durable
-                        .iter()
-                        .copied()
-                        .filter(|&l| !recovered.is_mapped(l))
-                        .map(|l| (s, l)),
-                );
-                if let Some(maint) = cfg.maint {
-                    recovered.enable_maintenance(maint);
-                }
-                shard.ftl = recovered;
-                recoveries.push(Some(recovery));
-                budgets[s].saturating_sub(event.issued)
-            }
-            None => {
-                recoveries.push(None);
-                0
-            }
-        };
-        shard.requests = remaining;
-        shard.spo = None;
-        resumed_shards.push(shard);
-    }
-
-    let any_remaining = resumed_shards.iter().any(|s| s.requests > 0);
-    let resumed = any_remaining.then(|| {
-        SsdArray::new(resumed_shards)
-            .with_threads(arr.engine_threads())
-            .run()
-            .report
-    });
-
-    ArraySpoEvalReport {
-        pre_cut: out.report,
-        shard_pre_cut: out.shard_reports,
-        fired,
-        recoveries,
-        lost_lpns,
-        resumed,
-        checkpoints_taken,
     }
 }
 
@@ -868,11 +298,12 @@ impl FailSpec {
     }
 }
 
-/// Array-resilience switches on top of an [`ArrayEvalConfig`]: rotating
+/// Array-resilience switches of a sharded scenario: rotating
 /// cross-shard parity, whole-shard failure injection, hot spares and
-/// the background rebuild pacing. Everything off ([`ArrayFailureConfig::off`])
-/// routes requests exactly like the plain [`StripeRouter`] and runs a
-/// single healthy phase.
+/// the background rebuild pacing. With the spec present the host
+/// stream is one global stream routed through the [`ParityRouter`]
+/// (with everything off it routes exactly like the plain
+/// [`StripeRouter`]) instead of per-shard substreams.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayFailureConfig {
     /// Rotating cross-shard XOR parity (RAID-5-style, one parity stripe
@@ -886,12 +317,6 @@ pub struct ArrayFailureConfig {
     pub spare_shards: usize,
     /// Background rebuild pacing (unit size, host-priority gap).
     pub rebuild: RebuildSchedule,
-    /// Optional array-wide sudden-power-off cut during the degraded
-    /// phase, µs into that phase — composes the failure with the
-    /// existing SPO machinery.
-    pub spo_cut_at_us: Option<f64>,
-    /// Checkpoint cadence (host WLs) when an SPO cut is composed.
-    pub ckpt_interval_host_wls: u64,
 }
 
 impl ArrayFailureConfig {
@@ -902,14 +327,7 @@ impl ArrayFailureConfig {
             fail: None,
             spare_shards: 0,
             rebuild: RebuildSchedule::on(),
-            spo_cut_at_us: None,
-            ckpt_interval_host_wls: 64,
         }
-    }
-
-    /// Whether any resilience feature is engaged.
-    pub fn engaged(&self) -> bool {
-        self.parity || self.fail.is_some() || self.spare_shards > 0 || self.spo_cut_at_us.is_some()
     }
 }
 
@@ -943,559 +361,11 @@ pub struct FailureAudit {
     pub zero_loss: bool,
 }
 
-/// Outcome of one [`run_array_failure_eval`] experiment.
-#[derive(Debug, Clone)]
-pub struct ArrayFailureReport {
-    /// The merged healthy phase (up to the failure instant, or the full
-    /// run when no failure is injected).
-    pub healthy: ArrayReport,
-    /// Per-shard healthy-phase reports, indexed by shard.
-    pub shard_healthy: Vec<SimReport>,
-    /// The merged degraded phase (survivors plus the spare in the dead
-    /// shard's slot), `None` when no failure was injected.
-    pub degraded: Option<ArrayReport>,
-    /// The merged post-SPO-recovery resume phase, when an SPO cut was
-    /// composed and fired.
-    pub resumed: Option<ArrayReport>,
-    /// Per-participant SPO recovery reports for the composed cut,
-    /// indexed like the degraded phase (`None` where no cut landed).
-    pub recoveries: Vec<Option<RecoveryReport>>,
-    /// Host-acknowledged `(shard id, local LPN)` pairs lost to the
-    /// composed SPO cut. **Must be empty.**
-    pub spo_lost_lpns: Vec<(usize, u64)>,
-    /// Resilience counters (degraded reads, rebuild traffic, loss).
-    pub resilience: ResilienceReport,
-    /// The spare's combined rebuild progress (reads/writes/curve).
-    pub rebuild: RebuildProgress,
-    /// The zero-loss audit.
-    pub audit: FailureAudit,
-    /// Degraded/rebuild trace events emitted at the phase barriers
-    /// (timestamps of degraded-phase events are offset by the failure
-    /// instant, since each phase's virtual clock restarts at zero).
-    pub events: Vec<TraceEvent>,
-}
-
-/// Sums two [`RebuildProgress`] snapshots from consecutive phases,
-/// shifting the second phase's timestamps by `offset_us`.
-fn combine_progress(a: &RebuildProgress, b: &RebuildProgress, offset_us: f64) -> RebuildProgress {
-    let mut curve = a.curve.clone();
-    curve.extend(
-        b.curve
-            .iter()
-            .map(|&(t, n)| (offset_us + t, a.ops_done() + n)),
-    );
-    RebuildProgress {
-        reads_done: a.reads_done + b.reads_done,
-        writes_done: a.writes_done + b.writes_done,
-        skipped: a.skipped + b.skipped,
-        done_at_us: if b.ops_done() > 0 || b.done_at_us > 0.0 {
-            offset_us + b.done_at_us
-        } else {
-            a.done_at_us
-        },
-        curve,
-    }
-}
-
-/// Runs the array-resilience experiment: a global host stream is routed
-/// through the rotating-parity router ([`ParityRouter`]; plain striping
-/// when parity is off), the array runs healthy until the failure
-/// instant (every shard stopped at the same virtual time), then a
-/// deterministic barrier computes the dead shard's durable ledger,
-/// redirects its unissued remainder (reads become survivor fragment
-/// reads for XOR reconstruction; writes and trims move to the hot
-/// spare), arms the background rebuild (survivors read fragments, the
-/// spare programs reconstructed pages — paced by the idle-window
-/// scheduler with a host-priority gap), and runs the degraded phase. An
-/// optional SPO cut composes on top, with per-shard crash recovery and
-/// a final resume phase.
-///
-/// Every fan-out is pre-computed at a barrier and every fan-in is in
-/// shard order, so the whole report is byte-identical at any worker
-/// thread count. Each phase's virtual clock restarts at zero
-/// (per-device runs are self-contained); phase-relative times are
-/// offset by the failure instant where the report needs one timeline.
-pub fn run_array_failure_eval(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    arr: &ArrayEvalConfig,
-    fc: &ArrayFailureConfig,
-) -> ArrayFailureReport {
-    assert!(arr.shards >= 1, "need at least one shard");
-    if let Some(f) = &fc.fail {
-        assert!(f.shard < arr.shards, "failed shard out of range");
-        assert!(f.at_us > 0.0, "the failure must be after time zero");
-        assert!(
-            fc.parity || fc.spare_shards > 0 || arr.shards >= 1,
-            "a failure needs parity or a spare to be survivable"
-        );
-    }
-    let s_total = arr.shards;
-    let router = ParityRouter::new(s_total, arr.stripe_pages, fc.parity);
-
-    // Prepare every shard first to learn the shard-local capacity (as
-    // in `run_array_trace_eval`): the routed region is whole rows.
-    let mut prepared: Vec<(SsdSim, Ftl)> = Vec::with_capacity(s_total);
-    let mut local_limit = u64::MAX;
-    let mut prefill_local = 0;
-    for s in 0..s_total {
-        let (sim, mut ftl, prefill) = setup_shard(kind, aging, cfg, s);
-        if fc.spo_cut_at_us.is_some() {
-            ftl.enable_checkpointing(fc.ckpt_interval_host_wls);
-        }
-        ftl.reset_stats();
-        local_limit = local_limit.min(ftl.logical_pages());
-        prefill_local = prefill;
-        prepared.push((sim, ftl));
-    }
-    let p = arr.stripe_pages;
-    let rows = local_limit / p;
-    assert!(
-        rows >= 1,
-        "stripe of {p} pages exceeds the shard-local space of {local_limit} pages"
-    );
-    let d = router.data_shards() as u64;
-    let local_used = rows * p;
-    let global_data_pages = rows * p * d;
-
-    // Draw the global stream over the prefilled rows (every shard
-    // prefills local `0..prefill`, so rows below `prefill/P` are fully
-    // resident on data and parity shards alike).
-    let hot_rows = (prefill_local / p).clamp(1, rows);
-    let hot_global = (hot_rows * p * d).max(1024).min(global_data_pages);
-    let stream: Vec<HostRequest> = workload
-        .build(hot_global, cfg.seed)
-        .take(usize::try_from(cfg.requests).expect("requests fit"))
-        .collect();
-    let stream = fold_requests(&stream, global_data_pages);
-
-    // Route fragment-by-fragment, keeping the global order: the flat
-    // list drives the remainder redirection at the failure barrier, the
-    // per-shard vectors drive the healthy phase.
-    let routed: Vec<(usize, HostRequest)> = stream.iter().flat_map(|r| router.split(*r)).collect();
-    let mut per_shard: Vec<Vec<HostRequest>> = vec![Vec::new(); s_total];
-    for &(s, req) in &routed {
-        per_shard[s].push(req);
-    }
-    let budgets: Vec<u64> = per_shard.iter().map(|v| v.len() as u64).collect();
-
-    // ---- Healthy phase: run to the failure instant (or drain). ----
-    let trigger = fc.fail.map(|f| SpoTrigger::AtTimeUs(f.at_us));
-    let shards: Vec<ArrayShard<Ftl, std::vec::IntoIter<HostRequest>>> = prepared
-        .into_iter()
-        .enumerate()
-        .map(|(s, (sim, ftl))| ArrayShard {
-            sim,
-            ftl,
-            workload: std::mem::take(&mut per_shard[s]).into_iter(),
-            requests: budgets[s],
-            spo: trigger,
-            rebuild: None,
-        })
-        .collect();
-    let mut array = SsdArray::new(shards).with_threads(arr.engine_threads());
-    let out = array.run();
-
-    let Some(fail) = fc.fail else {
-        return ArrayFailureReport {
-            healthy: out.report,
-            shard_healthy: out.shard_reports,
-            degraded: None,
-            resumed: None,
-            recoveries: Vec::new(),
-            spo_lost_lpns: Vec::new(),
-            resilience: ResilienceReport {
-                parity: fc.parity,
-                ..ResilienceReport::default()
-            },
-            rebuild: RebuildProgress::default(),
-            audit: FailureAudit {
-                zero_loss: true,
-                ..FailureAudit::default()
-            },
-            events: Vec::new(),
-        };
-    };
-    let failed = fail.shard;
-
-    // ---- Failure barrier (sequence point: every shard stopped). ----
-    let parts: Vec<(SsdSim, Ftl)> = array
-        .into_shards()
-        .into_iter()
-        .map(|sh| (sh.sim, sh.ftl))
-        .collect();
-    let issued: Vec<u64> = (0..s_total)
-        .map(|s| out.spo_events[s].as_ref().map_or(budgets[s], |e| e.issued))
-        .collect();
-    let buffered: Vec<BTreeSet<u64>> = (0..s_total)
-        .map(|s| {
-            out.spo_events[s]
-                .as_ref()
-                .map_or_else(BTreeSet::new, |e| e.buffered_lpns.iter().copied().collect())
-        })
-        .collect();
-
-    // The dead shard's durable ledger over the routed region, split by
-    // page role; live parity stripes (any survivor data in the row)
-    // join the rebuild so the spare restores full redundancy.
-    let mut durable_data: Vec<u64> = Vec::new();
-    let mut parity_locals: Vec<u64> = Vec::new();
-    for l in 0..local_used {
-        let durable = parts[failed].1.is_mapped(l) || buffered[failed].contains(&l);
-        match router.page_at(failed, l) {
-            PageRole::Data(_) if durable => durable_data.push(l),
-            PageRole::Parity { .. } => {
-                let live = (0..s_total)
-                    .filter(|&t| t != failed)
-                    .any(|t| parts[t].1.is_mapped(l) || buffered[t].contains(&l));
-                if live {
-                    parity_locals.push(l);
-                }
-            }
-            _ => {}
-        }
-    }
-    // Array-acknowledged = both legs durable at the failure instant.
-    let acked: Vec<u64> = if fc.parity {
-        durable_data
-            .iter()
-            .copied()
-            .filter(|&l| {
-                let holder = router.parity_shard(l / p);
-                parts[holder].1.is_mapped(l) || buffered[holder].contains(&l)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    // ---- Redirect the dead shard's unissued remainder. ----
-    let spare = (fc.spare_shards > 0).then_some(s_total);
-    let mut ids: Vec<usize> = (0..s_total).collect();
-    match spare {
-        Some(id) => ids[failed] = id,
-        None => {
-            ids.remove(failed);
-        }
-    }
-    let pos_of = |id: usize| {
-        ids.iter()
-            .position(|&x| x == id)
-            .expect("participant shard")
-    };
-    let n_part = ids.len();
-    let mut phase_b: Vec<Vec<HostRequest>> = vec![Vec::new(); n_part];
-    let mut cursors = vec![0u64; s_total];
-    let mut degraded_reads = 0u64;
-    let mut degraded_fragment_reads = 0u64;
-    let mut per_frag = vec![0u64; s_total + usize::from(spare.is_some())];
-    let mut redirected_writes = 0u64;
-    let mut dropped_requests = 0u64;
-    let mut degraded_read_events: Vec<(u64, u32)> = Vec::new();
-    for &(s, req) in &routed {
-        if cursors[s] < issued[s] {
-            cursors[s] += 1; // already issued in the healthy phase
-            continue;
-        }
-        cursors[s] += 1;
-        if s != failed {
-            phase_b[pos_of(s)].push(req);
-            continue;
-        }
-        match req.op {
-            HostOp::Read if fc.parity => {
-                // Degraded read: every survivor serves its fragment at
-                // the same local index; XOR reconstructs the data.
-                degraded_reads += u64::from(req.n_pages);
-                for t in (0..s_total).filter(|&t| t != failed) {
-                    phase_b[pos_of(t)].push(HostRequest {
-                        op: HostOp::Read,
-                        lpn: req.lpn,
-                        n_pages: req.n_pages,
-                    });
-                    degraded_fragment_reads += u64::from(req.n_pages);
-                    per_frag[t] += u64::from(req.n_pages);
-                }
-                degraded_read_events.push((req.lpn, (s_total - 1) as u32));
-            }
-            HostOp::Read => dropped_requests += 1,
-            HostOp::Write | HostOp::Trim => {
-                if let Some(id) = spare {
-                    // The spare takes over the dead slot; the fragment's
-                    // parity update already sits in its holder's stream.
-                    phase_b[pos_of(id)].push(req);
-                    redirected_writes += 1;
-                } else {
-                    dropped_requests += 1;
-                }
-            }
-        }
-    }
-
-    // ---- Rebuild plan: survivors read, the spare programs. ----
-    let mut rebuild_set: Vec<u64> = durable_data.clone();
-    rebuild_set.extend(parity_locals.iter().copied());
-    rebuild_set.sort_unstable();
-    let do_rebuild = fc.parity && spare.is_some() && !rebuild_set.is_empty();
-
-    // ---- Degraded phase: survivors + the spare in the dead slot. ----
-    let b_budgets: Vec<u64> = phase_b.iter().map(|v| v.len() as u64).collect();
-    let spo_b = fc.spo_cut_at_us.map(SpoTrigger::AtTimeUs);
-    let mut parts_opt: Vec<Option<(SsdSim, Ftl)>> = parts.into_iter().map(Some).collect();
-    let mut b_shards = Vec::with_capacity(n_part);
-    for (pos, &id) in ids.iter().enumerate() {
-        let (sim, ftl) = if id < s_total {
-            parts_opt[id].take().expect("survivor present")
-        } else {
-            // The hot spare: same geometry, its own seed, no prefill —
-            // a blank standby device.
-            let mut spare_cfg = cfg.clone();
-            spare_cfg.prefill_fraction = 0.0;
-            let (sim, mut ftl, _) = setup_shard(kind, aging, &spare_cfg, id);
-            if fc.spo_cut_at_us.is_some() {
-                ftl.enable_checkpointing(fc.ckpt_interval_host_wls);
-            }
-            ftl.reset_stats();
-            (sim, ftl)
-        };
-        let reqs: Vec<HostRequest> = std::mem::take(&mut phase_b[pos]);
-        let rebuild = do_rebuild.then(|| RebuildPlan {
-            sched: fc.rebuild,
-            ops: if id == s_total {
-                rebuild_set.iter().map(|&l| RebuildOp::Write(l)).collect()
-            } else {
-                rebuild_set.iter().map(|&l| RebuildOp::Read(l)).collect()
-            },
-        });
-        b_shards.push(ArrayShard {
-            sim,
-            ftl,
-            workload: reqs.into_iter(),
-            requests: b_budgets[pos],
-            spo: spo_b,
-            rebuild,
-        });
-    }
-    let mut b_array = SsdArray::new(b_shards).with_threads(arr.engine_threads());
-    let b_out = b_array.run();
-    let mut final_shards = b_array.into_shards();
-    let b_prog: Vec<RebuildProgress> = final_shards
-        .iter()
-        .map(|sh| sh.sim.rebuild_progress().clone())
-        .collect();
-    let offset_us = b_out.report.sim_time_us;
-
-    // ---- Composed SPO cut: per-shard crash recovery + resume. ----
-    let mut recoveries: Vec<Option<RecoveryReport>> = vec![None; n_part];
-    let mut spo_lost_lpns: Vec<(usize, u64)> = Vec::new();
-    let mut resumed = None;
-    let mut c_prog: Vec<RebuildProgress> = vec![RebuildProgress::default(); n_part];
-    if fc.spo_cut_at_us.is_some() && b_out.spo_events.iter().any(Option::is_some) {
-        let mut c_shards = Vec::with_capacity(n_part);
-        for (pos, mut shard) in final_shards.into_iter().enumerate() {
-            let id = ids[pos];
-            // Carry unfinished rebuild work across the cut — the next
-            // run_begin would otherwise discard it.
-            let pending = shard.sim.take_rebuild_pending();
-            let remaining = match &b_out.spo_events[pos] {
-                Some(event) => {
-                    let logical = shard.ftl.logical_pages();
-                    let mut durable: Vec<u64> =
-                        (0..logical).filter(|&l| shard.ftl.is_mapped(l)).collect();
-                    durable.extend(event.buffered_lpns.iter().copied());
-                    durable.sort_unstable();
-                    durable.dedup();
-                    for f in &event.interrupted_flushes {
-                        shard.ftl.power_cut(f.chip, f.lpns, f.did_gc);
-                    }
-                    let (mut recovered, recovery) = shard.ftl.power_cycle(&event.buffered_lpns);
-                    spo_lost_lpns.extend(
-                        durable
-                            .iter()
-                            .copied()
-                            .filter(|&l| !recovered.is_mapped(l))
-                            .map(|l| (id, l)),
-                    );
-                    if let Some(maint) = cfg.maint {
-                        recovered.enable_maintenance(maint);
-                    }
-                    shard.ftl = recovered;
-                    recoveries[pos] = Some(recovery);
-                    b_budgets[pos].saturating_sub(event.issued)
-                }
-                None => 0,
-            };
-            shard.requests = remaining;
-            shard.spo = None;
-            shard.rebuild = (!pending.is_empty()).then_some(RebuildPlan {
-                sched: fc.rebuild,
-                ops: pending,
-            });
-            c_shards.push(shard);
-        }
-        if c_shards
-            .iter()
-            .any(|s| s.requests > 0 || s.rebuild.is_some())
-        {
-            let mut c_array = SsdArray::new(c_shards).with_threads(arr.engine_threads());
-            let c_out = c_array.run();
-            resumed = Some(c_out.report);
-            final_shards = c_array.into_shards();
-            c_prog = final_shards
-                .iter()
-                .map(|sh| sh.sim.rebuild_progress().clone())
-                .collect();
-        } else {
-            final_shards = c_shards;
-        }
-    }
-
-    // ---- Combined rebuild progress and the zero-loss audit. ----
-    let progress: Vec<RebuildProgress> = (0..n_part)
-        .map(|pos| combine_progress(&b_prog[pos], &c_prog[pos], offset_us))
-        .collect();
-    let spare_progress = spare
-        .map(|id| progress[pos_of(id)].clone())
-        .unwrap_or_default();
-    let rebuild_reads: u64 = ids
-        .iter()
-        .enumerate()
-        .filter(|&(_, &id)| id < s_total)
-        .map(|(pos, _)| progress[pos].reads_done)
-        .sum();
-    let mut per_shard_rebuild_reads = vec![0u64; s_total + usize::from(spare.is_some())];
-    for (pos, &id) in ids.iter().enumerate() {
-        if id < s_total {
-            per_shard_rebuild_reads[id] = progress[pos].reads_done;
-        }
-    }
-
-    let spare_ftl = spare.map(|id| &final_shards[pos_of(id)].ftl);
-    let rebuilt_mapped_pages = spare_ftl.map_or(0, |f| {
-        acked.iter().filter(|&&l| f.is_mapped(l)).count() as u64
-    });
-    // A page survives if the spare holds it, or if it is still
-    // reconstructable: the parity leg (and every survivor data leg)
-    // lives on an alive shard. Survivor durability after the composed
-    // SPO cut is audited separately through `spo_lost_lpns`.
-    let lost_pages = if fc.parity {
-        acked
-            .iter()
-            .filter(|&&l| {
-                let on_spare = spare_ftl.is_some_and(|f| f.is_mapped(l));
-                let holder = router.parity_shard(l / p);
-                let holder_alive = ids.contains(&holder);
-                !(on_spare || holder_alive)
-            })
-            .count() as u64
-    } else {
-        durable_data.len() as u64
-    };
-    let audit = FailureAudit {
-        durable_data_pages: durable_data.len() as u64,
-        acked_pages: acked.len() as u64,
-        unprotected_pages: durable_data.len() as u64 - acked.len() as u64,
-        rebuilt_mapped_pages,
-        dropped_requests,
-        lost_pages,
-        zero_loss: lost_pages == 0,
-    };
-
-    let resilience = ResilienceReport {
-        parity: fc.parity,
-        failed_shard: Some(failed as u32),
-        fail_at_us: fail.at_us,
-        spare_shard: spare.map(|id| id as u32),
-        degraded_reads,
-        degraded_fragment_reads,
-        rebuild_pages: spare_progress.writes_done,
-        rebuild_reads,
-        rebuild_time_us: spare_progress.done_at_us,
-        redirected_writes,
-        lost_pages,
-        per_shard_degraded_reads: per_frag,
-        per_shard_rebuild_reads,
-    };
-
-    // ---- Barrier-level trace events (degraded/rebuild categories). ----
-    let mut collector =
-        Collector::enabled(EventMask::DEGRADED.union(EventMask::REBUILD), failed as u32);
-    collector.emit(
-        fail.at_us,
-        EventKind::ShardFail {
-            failed: failed as u32,
-            phase: "inject",
-            detail: audit.durable_data_pages,
-        },
-    );
-    collector.emit(
-        fail.at_us,
-        EventKind::ShardFail {
-            failed: failed as u32,
-            phase: "detect",
-            detail: degraded_reads + redirected_writes,
-        },
-    );
-    for &(lpn, fragments) in &degraded_read_events {
-        collector.emit(fail.at_us, EventKind::DegradedRead { lpn, fragments });
-    }
-    if let Some(id) = spare {
-        for &(t, ops) in &spare_progress.curve {
-            collector.emit(
-                fail.at_us + t,
-                EventKind::RebuildUnit {
-                    spare: id as u32,
-                    action: "write",
-                    pages: ops,
-                },
-            );
-        }
-        for (pos, &sid) in ids.iter().enumerate() {
-            if sid < s_total && progress[pos].reads_done > 0 {
-                collector.emit(
-                    fail.at_us + progress[pos].done_at_us,
-                    EventKind::RebuildUnit {
-                        spare: sid as u32,
-                        action: "read",
-                        pages: progress[pos].reads_done,
-                    },
-                );
-            }
-        }
-        if spare_progress.writes_done > 0 {
-            collector.emit(
-                fail.at_us + spare_progress.done_at_us,
-                EventKind::ShardFail {
-                    failed: failed as u32,
-                    phase: "restored",
-                    detail: rebuilt_mapped_pages,
-                },
-            );
-        }
-    }
-
-    ArrayFailureReport {
-        healthy: out.report,
-        shard_healthy: out.shard_reports,
-        degraded: Some(b_out.report),
-        resumed,
-        recoveries,
-        spo_lost_lpns,
-        resilience,
-        rebuild: spare_progress,
-        audit,
-        events: collector.take(),
-    }
-}
-
-/// Multi-queue QoS front-end switches on top of an [`EvalConfig`].
+/// Multi-queue QoS front-end switches.
 ///
 /// With one queue and one tenant ([`QosSpec::off`], or `--queues 1
-/// --tenants 1`) the spec is *not engaged*: evaluation routes through
-/// the exact legacy closed-loop path, so all pre-existing goldens
-/// reproduce byte-for-byte by construction.
+/// --tenants 1`) the spec is *not engaged*: every shard is driven by
+/// its closed-loop request stream and the other knobs are inert.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QosSpec {
     /// Submission/completion queue pairs (`--queues`).
@@ -1518,7 +388,7 @@ pub struct QosSpec {
     /// Write-latency SLO, µs (`--qos-slo-write-us`).
     pub slo_write_us: Option<f64>,
     /// Tenant stream personality override. `None` = every tenant runs
-    /// the evaluation cell's [`StandardWorkload`].
+    /// the scenario's [`StandardWorkload`].
     pub mix: Option<TenantMix>,
     /// Optional recorded trace replayed by tenant 0 instead of its
     /// synthetic stream (`--qos-trace`; single-device runs only).
@@ -1526,7 +396,7 @@ pub struct QosSpec {
 }
 
 impl QosSpec {
-    /// The disengaged spec (legacy single-stream behaviour).
+    /// The disengaged spec (closed-loop single-stream behaviour).
     pub fn off() -> Self {
         QosSpec {
             queues: 1,
@@ -1542,8 +412,7 @@ impl QosSpec {
         }
     }
 
-    /// Whether the multi-queue front-end is engaged. Disengaged runs
-    /// take the legacy closed-loop path untouched.
+    /// Whether the multi-queue front-end is engaged.
     pub fn engaged(&self) -> bool {
         self.queues > 1 || self.tenants > 1
     }
@@ -1570,12 +439,6 @@ impl QosSpec {
         }
     }
 
-    /// Builds the tenant population for one evaluation cell.
-    fn population(&self, workload: StandardWorkload, seed: u64) -> Vec<TenantProfile> {
-        let mix = self.mix.unwrap_or(TenantMix::Standard(workload));
-        build_population(self.tenants, &self.weights, Some(mix), seed)
-    }
-
     /// Builds tenant streams over `space` pages, honouring the tenant-0
     /// trace override.
     fn streams(&self, profiles: &[TenantProfile], space: u64) -> Vec<Box<dyn Workload + Send>> {
@@ -1600,526 +463,10 @@ impl Default for QosSpec {
     }
 }
 
-/// Results of one QoS evaluation: the device report plus the per-tenant
-/// outcome. `qos.tenants` is empty when the spec was not engaged.
-#[derive(Debug, Clone)]
-pub struct QosEvalReport {
-    /// The device-side report.
-    pub sim: SimReport,
-    /// Per-tenant QoS outcomes (empty when disengaged).
-    pub qos: QosReport,
-}
-
-/// Runs one evaluation cell through the multi-queue QoS front-end: the
-/// tenant population arrives open-loop, per-tenant submission queues
-/// shed beyond their depth bound, and the Q8.8 DWRR scheduler dispatches
-/// to the device. A disengaged spec routes through the exact legacy
-/// closed-loop path ([`run_eval_traced_custom`]).
-pub fn run_qos_eval(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    qos: &QosSpec,
-    tel: &TelemetrySpec,
-) -> (QosEvalReport, TelemetryOutput) {
-    if !qos.engaged() {
-        let (sim, telemetry) =
-            run_eval_traced_custom(kind, workload, aging, cfg, cfg.ftl_config(), tel);
-        return (
-            QosEvalReport {
-                sim,
-                qos: QosReport::default(),
-            },
-            telemetry,
-        );
-    }
-    let mut ssd_cfg = cfg.ssd;
-    if cfg.maint.is_some_and(|m| m.enabled) && !ssd_cfg.maint.enabled {
-        ssd_cfg.maint = MaintSchedule::on();
-    }
-    let mut sim = SsdSim::new(ssd_cfg);
-    let mut ftl = setup_ftl(kind, aging, cfg, cfg.ftl_config(), &mut sim);
-    ftl.reset_stats();
-    sim.enable_telemetry(tel.events, 0, tel.sample_interval_us);
-    ftl.enable_telemetry(tel.events, 0);
-
-    let logical = ftl.logical_pages();
-    let prefill = (logical as f64 * cfg.prefill_fraction) as u64;
-    let space = prefill.max(1024);
-    let profiles = qos.population(workload, cfg.seed);
-    let streams = qos.streams(&profiles, space);
-    let budgets = qos.budgets(cfg.requests, &profiles);
-    let mut front = HostQueueFront::new(qos.front_config(), profiles, streams, budgets);
-    front.enable_telemetry(tel.events, 0);
-
-    sim.run_front_begin(u64::MAX);
-    while sim.run_step_front(&mut ftl, &mut front, u64::MAX) == StepOutcome::Running {}
-    let report = sim.run_front_end(&ftl);
-    let qos_report = front.report();
-    let telemetry = TelemetryOutput {
-        events: merge_streams(
-            merge_streams(sim.take_trace(), ftl.take_trace()),
-            front.take_trace(),
-        ),
-        series: sim.take_series(),
-    };
-    (
-        QosEvalReport {
-            sim: report,
-            qos: qos_report,
-        },
-        telemetry,
-    )
-}
-
-/// Results of one sharded QoS evaluation.
-#[derive(Debug, Clone)]
-pub struct ArrayQosEvalReport {
-    /// The merged array-wide device report.
-    pub merged: ArrayReport,
-    /// Per-shard device reports, indexed by shard.
-    pub shards: Vec<SimReport>,
-    /// The merged per-tenant QoS outcome (empty when disengaged).
-    pub qos: QosReport,
-}
-
-/// Runs one QoS evaluation cell on a sharded array. Tenant `t` routes
-/// to shard `t % shards` (global tenant ids are preserved on each
-/// shard); every shard runs its own front over its tenant subset, and
-/// fan-in merges device reports, QoS outcomes and telemetry strictly in
-/// shard order — byte-identical at any worker-thread count. A
-/// disengaged spec routes through the legacy array path.
-pub fn run_array_qos_eval(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    arr: &ArrayEvalConfig,
-    qos: &QosSpec,
-    tel: &TelemetrySpec,
-) -> (ArrayQosEvalReport, TelemetryOutput) {
-    assert!(arr.shards >= 1, "need at least one shard");
-    if !qos.engaged() {
-        let (r, telemetry) = run_array_eval_traced(kind, workload, aging, cfg, arr, tel);
-        return (
-            ArrayQosEvalReport {
-                merged: r.merged,
-                shards: r.shards,
-                qos: QosReport::default(),
-            },
-            telemetry,
-        );
-    }
-    assert!(
-        qos.trace.is_none(),
-        "per-tenant trace replay is single-device only"
-    );
-    let all_profiles = qos.population(workload, cfg.seed);
-    let budgets = qos.budgets(cfg.requests, &all_profiles);
-    let shards = (0..arr.shards)
-        .map(|s| {
-            let (mut sim, mut ftl, prefill) = setup_shard(kind, aging, cfg, s);
-            ftl.reset_stats();
-            sim.enable_telemetry(tel.events, s as u32, tel.sample_interval_us);
-            ftl.enable_telemetry(tel.events, s as u32);
-            let space = prefill.max(1024);
-            // This shard's tenant subset, with global ids intact.
-            let (profiles, shard_budgets): (Vec<_>, Vec<_>) = all_profiles
-                .iter()
-                .zip(&budgets)
-                .filter(|(p, _)| p.id as usize % arr.shards == s)
-                .map(|(p, b)| (*p, *b))
-                .unzip();
-            assert!(
-                !profiles.is_empty(),
-                "shard {s} has no tenants: use at least as many tenants as shards"
-            );
-            let streams = profiles.iter().map(|p| p.build_stream(space)).collect();
-            let mut front =
-                HostQueueFront::new(qos.front_config(), profiles, streams, shard_budgets);
-            front.enable_telemetry(tel.events, s as u32);
-            FrontShard {
-                sim,
-                ftl,
-                front,
-                requests: u64::MAX,
-            }
-        })
-        .collect();
-    let mut array = FrontArray::new(shards).with_threads(arr.engine_threads());
-    let out = array.run();
-    // Sequence point: shards sit back in index order. Drain QoS reports
-    // and telemetry shard by shard.
-    let mut qos_reports = Vec::new();
-    let mut events = Vec::new();
-    let mut series = Series::new(tel.sample_interval_us.unwrap_or(0.0));
-    for shard in array.shards_mut() {
-        qos_reports.push(shard.front.report());
-        events.extend(merge_streams(
-            merge_streams(shard.sim.take_trace(), shard.ftl.take_trace()),
-            shard.front.take_trace(),
-        ));
-        series.extend(&shard.sim.take_series());
-    }
-    (
-        ArrayQosEvalReport {
-            merged: out.report,
-            shards: out.shard_reports,
-            qos: QosReport::merge(qos_reports),
-        },
-        TelemetryOutput { events, series },
-    )
-}
-
-/// Per-epoch seed of a lifetime campaign's workload stream. Epoch 0
-/// uses the master seed unchanged — a disengaged campaign therefore
-/// reproduces the corresponding plain evaluation byte-for-byte — and
-/// later epochs draw fresh domain-separated substreams, so the device
-/// does not replay the identical request sequence at every age.
-fn epoch_seed(seed: u64, epoch: u32) -> u64 {
-    if epoch == 0 {
-        seed
-    } else {
-        // Domain separator: ASCII "LIFETIME".
-        shard_seed(seed ^ 0x4C49_4645_5449_4D45, epoch as usize)
-    }
-}
-
-/// Outcome of one fast-forward aging campaign on a single device: the
-/// workload phases bracketing each aging step, from fresh (epoch 0) to
-/// end-of-life (the last epoch).
-#[derive(Debug, Clone)]
-pub struct LifetimeEvalReport {
-    /// Per-epoch workload reports; index 0 is the fresh device. FTL
-    /// counters are reset at each epoch boundary, so every report's
-    /// `ftl` block covers exactly its own epoch.
-    pub epochs: Vec<SimReport>,
-    /// Per-step aging summaries (`epochs.len() − 1` entries; step `k`
-    /// sits between epoch `k − 1` and epoch `k`).
-    pub summaries: Vec<EpochSummary>,
-    /// AGING trace events emitted at the epoch barriers. Each phase's
-    /// virtual clock restarts at zero; barrier timestamps are offset by
-    /// the cumulative end times of the preceding epochs, giving one
-    /// concatenated campaign timeline.
-    pub events: Vec<TraceEvent>,
-}
-
-impl LifetimeEvalReport {
-    /// Read retries per completed read of epoch `e` — the campaign's
-    /// headline drift metric.
-    pub fn retry_rate(&self, e: usize) -> f64 {
-        let r = &self.epochs[e];
-        if r.reads == 0 {
-            0.0
-        } else {
-            r.ftl.read_retries as f64 / r.reads as f64
-        }
-    }
-}
-
-/// Runs one fast-forward aging campaign on a single device: the FTL is
-/// built and prefilled once, then alternates workload epochs with aging
-/// steps. Each step walks every block at a barrier (no host traffic in
-/// flight) and advances its virtual age — P/E cycles scaled by the
-/// similarity-model wear-rate spread and the resident data's pattern
-/// stress, retention months shaped by the early-retention-loss curve —
-/// so OPM re-monitoring, retry chains and background maintenance race
-/// real drift across epochs instead of meeting a pre-baked aged state.
-///
-/// Fully deterministic: the engine draws nothing from an RNG stream,
-/// and with [`LifetimeConfig::off`] the single epoch reproduces
-/// [`run_eval`] byte-for-byte.
-pub fn run_lifetime_eval(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    life: &LifetimeConfig,
-) -> LifetimeEvalReport {
-    run_lifetime_eval_mixed(
-        kind,
-        &[EpochWorkload::Std(workload)],
-        aging,
-        cfg,
-        life,
-        &KvSpec::off(),
-    )
-}
-
-/// Like [`run_lifetime_eval`] but with a per-epoch workload override:
-/// epoch `e` runs `phases[e % phases.len()]`, so a campaign can model
-/// phase-varying load (e.g. YCSB-A churn epochs followed by YCSB-C
-/// read-back epochs). KV phases draw their engine shape from `kv`
-/// (pass [`KvSpec::off`] for defaults). With a single `Std` phase this
-/// is exactly [`run_lifetime_eval`] — the stream construction per
-/// epoch is identical.
-pub fn run_lifetime_eval_mixed(
-    kind: FtlKind,
-    phases: &[EpochWorkload],
-    aging: AgingState,
-    cfg: &EvalConfig,
-    life: &LifetimeConfig,
-    kv: &KvSpec,
-) -> LifetimeEvalReport {
-    assert!(!phases.is_empty(), "need at least one workload phase");
-    life.validate();
-    let mut ssd_cfg = cfg.ssd;
-    if cfg.maint.is_some_and(|m| m.enabled) && !ssd_cfg.maint.enabled {
-        ssd_cfg.maint = MaintSchedule::on();
-    }
-    let mut sim = SsdSim::new(ssd_cfg);
-    let mut ftl = setup_ftl(kind, aging, cfg, cfg.ftl_config(), &mut sim);
-    if life.steps() > 0 {
-        ftl.enable_lifetime_aging();
-    }
-    let logical = ftl.logical_pages();
-    let space = ((logical as f64 * cfg.prefill_fraction) as u64).max(1024);
-    let mut engine = LifetimeEngine::new(*life);
-    let mut collector = Collector::enabled(EventMask::AGING, 0);
-    let epochs = life.epochs.max(1);
-    let mut reports = Vec::with_capacity(epochs as usize);
-    let mut summaries = Vec::with_capacity(life.steps() as usize);
-    let mut t_offset = 0.0;
-    for e in 0..epochs {
-        if e > 0 {
-            // Aging barrier: the previous epoch has fully drained.
-            let s = ftl.advance_lifetime_epoch(&mut engine);
-            collector.emit(
-                t_offset,
-                EventKind::EpochAdvance {
-                    epoch: e,
-                    pe_add: s.pe_added,
-                    retention_add_months: s.retention_added_months,
-                    blocks: s.blocks_aged,
-                },
-            );
-            summaries.push(s);
-        }
-        ftl.reset_stats();
-        let stream = phases[e as usize % phases.len()].build(kv, space, epoch_seed(cfg.seed, e));
-        let report = sim.run(&mut ftl, stream, cfg.requests);
-        t_offset += report.sim_time_us;
-        reports.push(report);
-    }
-    LifetimeEvalReport {
-        epochs: reports,
-        summaries,
-        events: collector.take(),
-    }
-}
-
-/// Like [`run_lifetime_eval`] but replaying a recorded [`Trace`] in
-/// every epoch (LPNs folded into the device's logical space, as in
-/// [`run_trace_eval`]): the same recorded request sequence is measured
-/// at each age point, isolating the aging drift from workload drift.
-/// With [`LifetimeConfig::off`] the single epoch reproduces
-/// [`run_trace_eval`] byte-for-byte.
-pub fn run_lifetime_trace_eval(
-    kind: FtlKind,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    life: &LifetimeConfig,
-    trace: &Trace,
-) -> LifetimeEvalReport {
-    life.validate();
-    let mut ssd_cfg = cfg.ssd;
-    if cfg.maint.is_some_and(|m| m.enabled) && !ssd_cfg.maint.enabled {
-        ssd_cfg.maint = MaintSchedule::on();
-    }
-    let mut sim = SsdSim::new(ssd_cfg);
-    let mut ftl = setup_ftl(kind, aging, cfg, cfg.ftl_config(), &mut sim);
-    if life.steps() > 0 {
-        ftl.enable_lifetime_aging();
-    }
-    let logical = ftl.logical_pages();
-    let folded = fold_requests(trace.requests(), logical);
-    let n = folded.len() as u64;
-    let mut engine = LifetimeEngine::new(*life);
-    let mut collector = Collector::enabled(EventMask::AGING, 0);
-    let epochs = life.epochs.max(1);
-    let mut reports = Vec::with_capacity(epochs as usize);
-    let mut summaries = Vec::with_capacity(life.steps() as usize);
-    let mut t_offset = 0.0;
-    for e in 0..epochs {
-        if e > 0 {
-            let s = ftl.advance_lifetime_epoch(&mut engine);
-            collector.emit(
-                t_offset,
-                EventKind::EpochAdvance {
-                    epoch: e,
-                    pe_add: s.pe_added,
-                    retention_add_months: s.retention_added_months,
-                    blocks: s.blocks_aged,
-                },
-            );
-            summaries.push(s);
-        }
-        ftl.reset_stats();
-        let report = sim.run(&mut ftl, folded.clone(), n);
-        t_offset += report.sim_time_us;
-        reports.push(report);
-    }
-    LifetimeEvalReport {
-        epochs: reports,
-        summaries,
-        events: collector.take(),
-    }
-}
-
-/// Outcome of one fast-forward aging campaign on a sharded array.
-#[derive(Debug, Clone)]
-pub struct LifetimeArrayEvalReport {
-    /// Per-epoch array reports; index 0 is the fresh array.
-    pub epochs: Vec<ArrayEvalReport>,
-    /// Per-step, per-shard aging summaries (`summaries[k][s]` is shard
-    /// `s` of the step between epoch `k` and epoch `k + 1`).
-    pub summaries: Vec<Vec<EpochSummary>>,
-    /// AGING trace events, emitted shard-major at each barrier with
-    /// timestamps offset onto the concatenated campaign timeline.
-    pub events: Vec<TraceEvent>,
-}
-
-/// Runs one fast-forward aging campaign on a sharded array. Every shard
-/// carries its own [`LifetimeEngine`] seeded from the shard index, and
-/// every aging step runs at a barrier (all shards drained) in shard
-/// order on the caller's thread — so the campaign is byte-identical at
-/// any worker-thread count. With [`LifetimeConfig::off`] the single
-/// epoch reproduces [`run_array_eval`] byte-for-byte.
-pub fn run_lifetime_array_eval(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    arr: &ArrayEvalConfig,
-    life: &LifetimeConfig,
-) -> LifetimeArrayEvalReport {
-    run_lifetime_array_eval_mixed(
-        kind,
-        &[EpochWorkload::Std(workload)],
-        aging,
-        cfg,
-        arr,
-        life,
-        &KvSpec::off(),
-    )
-}
-
-/// Like [`run_lifetime_array_eval`] but with a per-epoch workload
-/// override (see [`run_lifetime_eval_mixed`]): epoch `e` runs
-/// `phases[e % phases.len()]` on every shard, each shard stream seeded
-/// `shard_seed(epoch_seed(seed, e), s)` exactly as the single-phase
-/// runner does.
-#[allow(clippy::too_many_arguments)]
-pub fn run_lifetime_array_eval_mixed(
-    kind: FtlKind,
-    phases: &[EpochWorkload],
-    aging: AgingState,
-    cfg: &EvalConfig,
-    arr: &ArrayEvalConfig,
-    life: &LifetimeConfig,
-    kv: &KvSpec,
-) -> LifetimeArrayEvalReport {
-    assert!(!phases.is_empty(), "need at least one workload phase");
-    assert!(arr.shards >= 1, "need at least one shard");
-    life.validate();
-    let budgets = split_requests(cfg.requests, arr.shards);
-    let mut spaces = Vec::with_capacity(arr.shards);
-    let mut parts: Vec<(SsdSim, Ftl)> = (0..arr.shards)
-        .map(|s| {
-            let (sim, mut ftl, prefill) = setup_shard(kind, aging, cfg, s);
-            if life.steps() > 0 {
-                ftl.enable_lifetime_aging();
-            }
-            spaces.push(prefill.max(1024));
-            (sim, ftl)
-        })
-        .collect();
-    // One engine per shard, seeded from the shard index: shard
-    // campaigns are independent, so neither the fan-out order nor the
-    // thread count can matter.
-    let mut engines: Vec<LifetimeEngine> = (0..arr.shards)
-        .map(|s| {
-            let mut lc = *life;
-            lc.seed = shard_seed(life.seed, s);
-            LifetimeEngine::new(lc)
-        })
-        .collect();
-    let epochs = life.epochs.max(1);
-    let mut reports = Vec::with_capacity(epochs as usize);
-    let mut summaries = Vec::new();
-    let mut events = Vec::new();
-    let mut t_offset = 0.0;
-    for e in 0..epochs {
-        if e > 0 {
-            // Aging barrier (sequence point: every shard stopped):
-            // walk the shards in index order on this thread.
-            let mut step = Vec::with_capacity(arr.shards);
-            for (s, (_, ftl)) in parts.iter_mut().enumerate() {
-                let sum = ftl.advance_lifetime_epoch(&mut engines[s]);
-                let mut c = Collector::enabled(EventMask::AGING, s as u32);
-                c.emit(
-                    t_offset,
-                    EventKind::EpochAdvance {
-                        epoch: e,
-                        pe_add: sum.pe_added,
-                        retention_add_months: sum.retention_added_months,
-                        blocks: sum.blocks_aged,
-                    },
-                );
-                events.extend(c.take());
-                step.push(sum);
-            }
-            summaries.push(step);
-        }
-        let shards: Vec<_> = parts
-            .drain(..)
-            .enumerate()
-            .map(|(s, (sim, mut ftl))| {
-                ftl.reset_stats();
-                let stream = phases[e as usize % phases.len()].build(
-                    kv,
-                    spaces[s],
-                    shard_seed(epoch_seed(cfg.seed, e), s),
-                );
-                ArrayShard {
-                    sim,
-                    ftl,
-                    workload: stream,
-                    requests: budgets[s],
-                    spo: None,
-                    rebuild: None,
-                }
-            })
-            .collect();
-        let mut array = SsdArray::new(shards).with_threads(arr.engine_threads());
-        let out = array.run();
-        t_offset += out.report.sim_time_us;
-        reports.push(ArrayEvalReport {
-            merged: out.report,
-            shards: out.shard_reports,
-        });
-        parts = array
-            .into_shards()
-            .into_iter()
-            .map(|sh| (sh.sim, sh.ftl))
-            .collect();
-    }
-    LifetimeArrayEvalReport {
-        epochs: reports,
-        summaries,
-        events,
-    }
-}
-
-// ---------------------------------------------------------------------
-// KV application evaluation (kvsim) and device-trace capture
-// ---------------------------------------------------------------------
-
-/// Switchboard for the KV application layer on top of an [`EvalConfig`]:
-/// which YCSB workload drives the [`kvsim`] LSM engine, and the engine's
-/// shape. [`KvSpec::off`] (no workload) leaves every runner byte-identical
-/// to its plain counterpart.
+/// Switchboard for the KV application layer: which YCSB workload drives
+/// the [`kvsim`] LSM engine, and the engine's shape. With
+/// [`KvSpec::off`] (no workload) the scenario's own workload source
+/// drives the device; the shape still applies to KV lifetime phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvSpec {
     /// The YCSB workload driving the engine; `None` disengages the KV
@@ -2140,7 +487,7 @@ pub struct KvSpec {
 }
 
 impl KvSpec {
-    /// Disengaged: runners delegate to their plain counterparts.
+    /// Disengaged, with the default engine shape.
     pub fn off() -> Self {
         let d = KvConfig::default_shape();
         KvSpec {
@@ -2188,319 +535,6 @@ impl Default for KvSpec {
     }
 }
 
-/// Outcome of one single-device KV evaluation.
-#[derive(Debug, Clone)]
-pub struct KvEvalReport {
-    /// The device-level report.
-    pub sim: SimReport,
-    /// App-level results (`None` when the KV layer was disengaged).
-    pub app: Option<KvAppReport>,
-    /// KV maintenance events (flushes, compactions) as shard-tagged
-    /// trace events, timestamped by measured-op ordinal. Always
-    /// collected when the KV layer is engaged, independent of the
-    /// telemetry mask (mirroring `ArrayFailureReport::events`).
-    pub events: Vec<TraceEvent>,
-    /// The captured device-level request stream, when capture was on.
-    pub captured: Option<Trace>,
-}
-
-/// Outcome of one sharded-array KV evaluation.
-#[derive(Debug, Clone)]
-pub struct ArrayKvEvalReport {
-    /// The array-merged device report.
-    pub merged: ArrayReport,
-    /// Per-shard device reports, in shard order.
-    pub shards: Vec<SimReport>,
-    /// Per-shard app-level results, in shard order (empty when the KV
-    /// layer was disengaged).
-    pub apps: Vec<KvAppReport>,
-    /// KV maintenance events across all shards, shard-major.
-    pub events: Vec<TraceEvent>,
-}
-
-/// Converts the engine's maintenance log into shard-tagged trace events
-/// (timestamp = measured-op ordinal; the KV layer has no device clock).
-fn kv_trace_events(events: &[KvEvent], shard: u32) -> Vec<TraceEvent> {
-    let mut c = Collector::enabled(EventMask::KV, shard);
-    for e in events {
-        c.emit(
-            e.op_index as f64,
-            EventKind::KvMaint {
-                op_index: e.op_index,
-                action: e.action,
-                level: e.level,
-                pages_in: e.pages_in,
-                pages_out: e.pages_out,
-            },
-        );
-    }
-    c.take()
-}
-
-/// An iterator adaptor that (optionally) records every yielded request,
-/// so any run's device-level LPN stream can be exported as a replayable
-/// [`Trace`]. With recording off it is a zero-cost pass-through.
-#[derive(Debug)]
-pub struct TraceRecorder<W> {
-    inner: W,
-    recording: bool,
-    recorded: Vec<HostRequest>,
-}
-
-impl<W> TraceRecorder<W> {
-    /// Wraps `inner`; records only when `recording` is set.
-    pub fn new(inner: W, recording: bool) -> Self {
-        TraceRecorder {
-            inner,
-            recording,
-            recorded: Vec::new(),
-        }
-    }
-
-    /// The wrapped stream (for post-run report extraction).
-    pub fn inner(&self) -> &W {
-        &self.inner
-    }
-
-    /// The recorded stream as a labelled trace.
-    pub fn into_trace(self, label: impl Into<String>) -> Trace {
-        Trace::from_requests(label, self.recorded)
-    }
-}
-
-impl<W: Iterator<Item = HostRequest>> Iterator for TraceRecorder<W> {
-    type Item = HostRequest;
-
-    fn next(&mut self) -> Option<HostRequest> {
-        let req = self.inner.next();
-        if self.recording {
-            if let Some(r) = req {
-                self.recorded.push(r);
-            }
-        }
-        req
-    }
-}
-
-/// Like [`run_eval_traced`] but also captures the device-level request
-/// stream the workload produced, as a replayable [`Trace`] labelled with
-/// the workload name. The run itself is byte-identical to the untraced
-/// one — the recorder only observes.
-pub fn run_eval_capture(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    tel: &TelemetrySpec,
-) -> (SimReport, TelemetryOutput, Trace) {
-    let mut ssd_cfg = cfg.ssd;
-    if cfg.maint.is_some_and(|m| m.enabled) && !ssd_cfg.maint.enabled {
-        ssd_cfg.maint = MaintSchedule::on();
-    }
-    let mut sim = SsdSim::new(ssd_cfg);
-    let mut ftl = setup_ftl(kind, aging, cfg, cfg.ftl_config(), &mut sim);
-    ftl.reset_stats();
-    sim.enable_telemetry(tel.events, 0, tel.sample_interval_us);
-    ftl.enable_telemetry(tel.events, 0);
-    let logical = ftl.logical_pages();
-    let prefill = (logical as f64 * cfg.prefill_fraction) as u64;
-    let mut stream = TraceRecorder::new(workload.build(prefill.max(1024), cfg.seed), true);
-    let report = sim.run(&mut ftl, &mut stream, cfg.requests);
-    let telemetry = TelemetryOutput {
-        events: merge_streams(sim.take_trace(), ftl.take_trace()),
-        series: sim.take_series(),
-    };
-    let trace = stream.into_trace(workload.label());
-    (report, telemetry, trace)
-}
-
-/// Like [`run_trace_eval`] but also re-captures the folded stream as it
-/// was actually issued to the device. Replaying a captured trace and
-/// capturing it again yields a byte-identical export — the round-trip
-/// identity the trace tooling is tested against.
-pub fn run_trace_eval_capture(
-    kind: FtlKind,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    trace: &Trace,
-) -> (SimReport, Trace) {
-    let mut ssd_cfg = cfg.ssd;
-    if cfg.maint.is_some_and(|m| m.enabled) && !ssd_cfg.maint.enabled {
-        ssd_cfg.maint = MaintSchedule::on();
-    }
-    let mut sim = SsdSim::new(ssd_cfg);
-    let mut ftl = setup_ftl(kind, aging, cfg, cfg.ftl_config(), &mut sim);
-    ftl.reset_stats();
-    let logical = ftl.logical_pages();
-    let folded = fold_requests(trace.requests(), logical);
-    let n = folded.len() as u64;
-    let mut stream = TraceRecorder::new(folded.into_iter(), true);
-    let report = sim.run(&mut ftl, &mut stream, n);
-    (report, stream.into_trace(trace.label()))
-}
-
-/// Runs one single-device evaluation with the KV application layer.
-/// Disengaged (`kv.workload == None`) and without capture this is
-/// byte-identical to [`run_eval_traced`]. Engaged, the device is driven
-/// by a [`KvStream`] — a real miniature LSM engine under the chosen YCSB
-/// workload — and the report carries the app-level results and the
-/// engine's maintenance events. `capture` additionally records the
-/// device-level request stream as a replayable trace.
-pub fn run_kv_eval(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    kv: &KvSpec,
-    tel: &TelemetrySpec,
-    capture: bool,
-) -> (KvEvalReport, TelemetryOutput) {
-    let Some(kv_kind) = kv.workload else {
-        if capture {
-            let (sim, t, trace) = run_eval_capture(kind, workload, aging, cfg, tel);
-            return (
-                KvEvalReport {
-                    sim,
-                    app: None,
-                    events: Vec::new(),
-                    captured: Some(trace),
-                },
-                t,
-            );
-        }
-        let (sim, t) = run_eval_traced_custom(kind, workload, aging, cfg, cfg.ftl_config(), tel);
-        return (
-            KvEvalReport {
-                sim,
-                app: None,
-                events: Vec::new(),
-                captured: None,
-            },
-            t,
-        );
-    };
-    let mut ssd_cfg = cfg.ssd;
-    if cfg.maint.is_some_and(|m| m.enabled) && !ssd_cfg.maint.enabled {
-        ssd_cfg.maint = MaintSchedule::on();
-    }
-    let mut sim = SsdSim::new(ssd_cfg);
-    let mut ftl = setup_ftl(kind, aging, cfg, cfg.ftl_config(), &mut sim);
-    ftl.reset_stats();
-    sim.enable_telemetry(tel.events, 0, tel.sample_interval_us);
-    ftl.enable_telemetry(tel.events, 0);
-    let logical = ftl.logical_pages();
-    let prefill = (logical as f64 * cfg.prefill_fraction) as u64;
-    let mut stream = TraceRecorder::new(
-        KvStream::new(kv.kv_config(), kv_kind, prefill.max(1024), cfg.seed),
-        capture,
-    );
-    let report = sim.run(&mut ftl, &mut stream, cfg.requests);
-    let kv_events = kv_trace_events(stream.inner().events(), 0);
-    let mut telemetry = TelemetryOutput {
-        events: merge_streams(sim.take_trace(), ftl.take_trace()),
-        series: sim.take_series(),
-    };
-    if tel.events.contains(EventMask::KV) {
-        telemetry.events.extend(kv_events.iter().cloned());
-    }
-    let app = stream.inner().report();
-    let captured = capture.then(|| stream.into_trace(kv_kind.label()));
-    (
-        KvEvalReport {
-            sim: report,
-            app: Some(app),
-            events: kv_events,
-            captured,
-        },
-        telemetry,
-    )
-}
-
-/// Runs one sharded-array evaluation with the KV application layer: one
-/// independent LSM engine per shard, seeded by [`shard_seed`], executed
-/// by the thread-per-shard engine. Disengaged this is byte-identical to
-/// [`run_array_eval_traced`]. Deterministic at any worker-thread count:
-/// every stream is a pure function of its shard seed, and all fan-in
-/// (reports, app results, telemetry) drains in shard-index order after
-/// the engine's sequence point.
-pub fn run_array_kv_eval(
-    kind: FtlKind,
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-    arr: &ArrayEvalConfig,
-    kv: &KvSpec,
-    tel: &TelemetrySpec,
-) -> (ArrayKvEvalReport, TelemetryOutput) {
-    let Some(kv_kind) = kv.workload else {
-        let (r, t) = run_array_eval_traced(kind, workload, aging, cfg, arr, tel);
-        return (
-            ArrayKvEvalReport {
-                merged: r.merged,
-                shards: r.shards,
-                apps: Vec::new(),
-                events: Vec::new(),
-            },
-            t,
-        );
-    };
-    assert!(arr.shards >= 1, "need at least one shard");
-    let budgets = split_requests(cfg.requests, arr.shards);
-    let shards: Vec<ArrayShard<Ftl, KvStream>> = (0..arr.shards)
-        .map(|s| {
-            let (mut sim, mut ftl, prefill) = setup_shard(kind, aging, cfg, s);
-            ftl.reset_stats();
-            sim.enable_telemetry(tel.events, s as u32, tel.sample_interval_us);
-            ftl.enable_telemetry(tel.events, s as u32);
-            let stream = KvStream::new(
-                kv.kv_config(),
-                kv_kind,
-                prefill.max(1024),
-                shard_seed(cfg.seed, s),
-            );
-            ArrayShard {
-                sim,
-                ftl,
-                workload: stream,
-                requests: budgets[s],
-                spo: None,
-                rebuild: None,
-            }
-        })
-        .collect();
-    let mut array = SsdArray::new(shards).with_threads(arr.engine_threads());
-    let out = array.run();
-    // Sequence point: drain everything in shard-index order.
-    let mut tel_events = Vec::new();
-    let mut series = Series::new(tel.sample_interval_us.unwrap_or(0.0));
-    let mut apps = Vec::with_capacity(arr.shards);
-    let mut events = Vec::new();
-    for (s, shard) in array.shards_mut().iter_mut().enumerate() {
-        tel_events.extend(merge_streams(
-            shard.sim.take_trace(),
-            shard.ftl.take_trace(),
-        ));
-        series.extend(&shard.sim.take_series());
-        apps.push(shard.workload.report());
-        events.extend(kv_trace_events(shard.workload.events(), s as u32));
-    }
-    if tel.events.contains(EventMask::KV) {
-        tel_events.extend(events.iter().cloned());
-    }
-    (
-        ArrayKvEvalReport {
-            merged: out.report,
-            shards: out.shard_reports,
-            apps,
-            events,
-        },
-        TelemetryOutput {
-            events: tel_events,
-            series,
-        },
-    )
-}
-
 /// Registers the app-level results of one KV stream under `prefix`
 /// (e.g. `"kv."` or `"kv.shard0."`): raw engine counters, derived
 /// gauges (app-WA, p99 page costs) and throughput against the device's
@@ -2512,47 +546,40 @@ pub fn register_kv_metrics(
     sim_time_us: f64,
 ) {
     let s = &app.stats;
-    reg.counter(&format!("{prefix}ops"), s.ops);
-    reg.counter(&format!("{prefix}reads"), s.reads);
-    reg.counter(&format!("{prefix}updates"), s.updates);
-    reg.counter(&format!("{prefix}inserts"), s.inserts);
-    reg.counter(&format!("{prefix}rmws"), s.rmws);
-    reg.counter(&format!("{prefix}read_hits"), s.read_hits);
-    reg.counter(&format!("{prefix}user_bytes"), s.user_bytes);
-    reg.counter(&format!("{prefix}flushes"), s.flushes);
-    reg.counter(&format!("{prefix}compactions"), s.compactions);
-    reg.counter(&format!("{prefix}sst_pages_written"), s.sst_pages_written);
-    reg.counter(
-        &format!("{prefix}compaction_pages_written"),
-        s.compaction_pages_written,
-    );
-    reg.counter(
-        &format!("{prefix}compaction_pages_read"),
-        s.compaction_pages_read,
-    );
-    reg.counter(&format!("{prefix}wal_pages_written"), s.wal_pages_written);
-    reg.counter(&format!("{prefix}probe_pages_read"), s.probe_pages_read);
-    reg.counter(&format!("{prefix}keys"), app.keys);
-    reg.counter(&format!("{prefix}load_sst_pages"), app.load_sst_pages);
-    reg.counter(
-        &format!("{prefix}compaction_debt_pages"),
-        app.compaction_debt_pages,
-    );
-    reg.gauge(&format!("{prefix}app_wa"), app.app_wa());
-    reg.gauge(
-        &format!("{prefix}read_p99_pages"),
-        app.read_p99_pages as f64,
-    );
-    reg.gauge(
-        &format!("{prefix}update_p99_pages"),
-        app.update_p99_pages as f64,
-    );
+    for (name, value) in [
+        ("ops", s.ops),
+        ("reads", s.reads),
+        ("updates", s.updates),
+        ("inserts", s.inserts),
+        ("rmws", s.rmws),
+        ("read_hits", s.read_hits),
+        ("user_bytes", s.user_bytes),
+        ("flushes", s.flushes),
+        ("compactions", s.compactions),
+        ("sst_pages_written", s.sst_pages_written),
+        ("compaction_pages_written", s.compaction_pages_written),
+        ("compaction_pages_read", s.compaction_pages_read),
+        ("wal_pages_written", s.wal_pages_written),
+        ("probe_pages_read", s.probe_pages_read),
+        ("keys", app.keys),
+        ("load_sst_pages", app.load_sst_pages),
+        ("compaction_debt_pages", app.compaction_debt_pages),
+    ] {
+        reg.counter(&format!("{prefix}{name}"), value);
+    }
     let ops_per_sec = if sim_time_us > 0.0 {
         s.ops as f64 / (sim_time_us / 1e6)
     } else {
         0.0
     };
-    reg.gauge(&format!("{prefix}ops_per_sec"), ops_per_sec);
+    for (name, value) in [
+        ("app_wa", app.app_wa()),
+        ("read_p99_pages", app.read_p99_pages as f64),
+        ("update_p99_pages", app.update_p99_pages as f64),
+        ("ops_per_sec", ops_per_sec),
+    ] {
+        reg.gauge(&format!("{prefix}{name}"), value);
+    }
 }
 
 /// One phase of a mixed-workload lifetime campaign: either a §6.1
@@ -2588,18 +615,6 @@ impl EpochWorkload {
             EpochWorkload::Kv(kind) => kind.label(),
         }
     }
-
-    /// Builds the phase's stream over `space` pages. `Std` phases build
-    /// exactly what the single-phase runners build; `Kv` phases take
-    /// their engine shape from `kv`.
-    fn build(self, kv: &KvSpec, space: u64, seed: u64) -> Box<dyn Workload + Send> {
-        match self {
-            EpochWorkload::Std(w) => w.build(space, seed),
-            EpochWorkload::Kv(kind) => {
-                Box::new(YcsbWorkload::with_config(kv.kv_config(), kind, space, seed))
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for EpochWorkload {
@@ -2608,72 +623,1545 @@ impl std::fmt::Display for EpochWorkload {
     }
 }
 
-/// Runs the three-FTL comparison of Fig. 17 for one workload and aging
-/// state. Returns `(pageFTL, vertFTL, cubeFTL)` reports.
-pub fn run_fig17_cell(
-    workload: StandardWorkload,
-    aging: AgingState,
-    cfg: &EvalConfig,
-) -> (SimReport, SimReport, SimReport) {
-    (
-        run_eval(FtlKind::Page, workload, aging, cfg),
-        run_eval(FtlKind::Vert, workload, aging, cfg),
-        run_eval(FtlKind::Cube, workload, aging, cfg),
-    )
+/// Where a scenario's host requests come from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorkloadSource {
+    /// One of the six §6.1 generators, seeded per shard (and per epoch).
+    Standard(StandardWorkload),
+    /// A recorded trace, its LPNs folded into the device's logical
+    /// space (modulo the space, spans clamped at its end) — striped
+    /// across the shards of an array, replayed whole in every epoch of
+    /// a lifetime campaign.
+    Trace(Trace),
+    /// Per-epoch phases: epoch `e` runs phase `e % len`, so a lifetime
+    /// campaign can model phase-varying load (e.g. YCSB-A churn epochs
+    /// followed by YCSB-C read-back epochs). KV phases take their
+    /// engine shape from the scenario's [`KvSpec`].
+    Epochs(Vec<EpochWorkload>),
+}
+
+impl From<StandardWorkload> for WorkloadSource {
+    fn from(w: StandardWorkload) -> Self {
+        WorkloadSource::Standard(w)
+    }
+}
+
+impl From<&Trace> for WorkloadSource {
+    fn from(t: &Trace) -> Self {
+        WorkloadSource::Trace(t.clone())
+    }
+}
+
+impl From<Vec<EpochWorkload>> for WorkloadSource {
+    fn from(phases: Vec<EpochWorkload>) -> Self {
+        WorkloadSource::Epochs(phases)
+    }
+}
+
+/// Why a [`Scenario`] cannot run. The messages name the `cubeftl-sim`
+/// flag behind each field, since the CLI prints them verbatim.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ScenarioError {
+    /// `WorkloadSource::Epochs` with no phase.
+    NoPhases,
+    /// An array of zero shards.
+    NoShards,
+    /// `requests` does not fit this platform's `usize`.
+    RequestsOverflow(u64),
+    /// A cut or failure instant at or before time zero.
+    NotAfterTimeZero(&'static str),
+    /// The stripe unit exceeds the smallest shard's logical space.
+    StripeTooLarge { stripe: u64, local: u64 },
+    /// A trace source with the QoS front-end engaged.
+    TraceWithQos,
+    /// The QoS front-end with a power cut.
+    QosWithSpo,
+    /// The tenant-0 trace override on an array.
+    TenantTraceOnArray,
+    /// Fewer tenants than shards: some shard's front would be empty.
+    FewerTenantsThanShards,
+    /// A failure spec without an array of at least two shards.
+    ResilienceNeedsArray,
+    /// The failed shard is not in the array.
+    FailedShardOutOfRange { shard: usize, shards: usize },
+    /// A failure spec with the QoS front-end engaged.
+    ResilienceWithQos,
+    /// A failure spec with a trace source.
+    ResilienceWithTrace,
+    /// A failure spec with series sampling.
+    ResilienceWithSeries,
+    /// Device telemetry with a power cut.
+    TelemetryWithSpo,
+    /// The KV layer with a trace source.
+    KvWithTrace,
+    /// The KV layer with the QoS front-end engaged.
+    KvWithQos,
+    /// The KV layer with a failure spec.
+    KvWithResilience,
+    /// The KV layer with a lifetime campaign or per-epoch phases.
+    KvWithLifetime,
+    /// Trace capture on an array.
+    CaptureOnArray,
+    /// Trace capture outside the standard single-device modes.
+    CaptureMode,
+    /// A lifetime campaign with a power cut.
+    LifetimeWithSpo,
+    /// A lifetime campaign (or per-epoch phases) with the QoS front-end.
+    LifetimeWithQos,
+    /// A lifetime campaign (or per-epoch phases) with a failure spec.
+    LifetimeWithResilience,
+    /// A lifetime campaign with device telemetry.
+    LifetimeWithTelemetry,
+    /// A lifetime campaign replaying a trace on an array.
+    LifetimeTraceOnArray,
+    /// A power cut on an array that is not an `AtTimeUs` instant.
+    ArraySpoNeedsInstant,
+}
+
+impl std::fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use ScenarioError::*;
+        match self {
+            NoPhases => f.write_str("need at least one workload phase"),
+            NoShards => f.write_str("need at least one shard"),
+            RequestsOverflow(n) => write!(f, "{n} requests do not fit this platform's usize"),
+            NotAfterTimeZero(what) => write!(f, "{what} must be after time zero"),
+            StripeTooLarge { stripe, local } => write!(
+                f,
+                "stripe of {stripe} pages exceeds the shard-local space of {local} pages"
+            ),
+            TraceWithQos => f.write_str(
+                "--trace-file replays a single closed-loop stream; with the QoS \
+                 front-end use --qos-trace PATH (replayed as tenant 0)",
+            ),
+            QosWithSpo => {
+                f.write_str("the QoS front-end cannot be combined with a sudden power-off")
+            }
+            TenantTraceOnArray => f.write_str("--qos-trace replays on one device: drop --shards"),
+            FewerTenantsThanShards => {
+                f.write_str("every shard needs a tenant: use --tenants >= --shards")
+            }
+            ResilienceNeedsArray => f.write_str(
+                "array resilience flags (--array-parity/--fail-shard/--fail-seed/\
+                 --spare-shards/--rebuild-*) need an array: pass --shards > 1",
+            ),
+            FailedShardOutOfRange { shard, shards } => {
+                write!(f, "--fail-shard {shard}: the array has shards 0..{shards}")
+            }
+            ResilienceWithQos => {
+                f.write_str("array resilience cannot be combined with the QoS front-end")
+            }
+            ResilienceWithTrace => {
+                f.write_str("array resilience cannot be combined with --trace-file")
+            }
+            ResilienceWithSeries => f.write_str(
+                "failure runs emit barrier-stamped events, not sampled series: \
+                 use --trace-out/--metrics-out (drop --series-out)",
+            ),
+            TelemetryWithSpo => f.write_str(
+                "telemetry output (--trace-out/--series-out/--metrics-out) is only \
+                 available in the standard run modes (no SPO)",
+            ),
+            KvWithTrace => f.write_str("--kv generates its own device traffic: drop --trace-file"),
+            KvWithQos => f.write_str("--kv cannot be combined with the QoS front-end"),
+            KvWithResilience => f.write_str("--kv cannot be combined with array resilience"),
+            KvWithLifetime => f.write_str(
+                "in lifetime mode the per-epoch workload comes from \
+                 --lifetime-workloads (e.g. --lifetime-workloads a,a,c); drop --kv",
+            ),
+            CaptureOnArray => {
+                f.write_str("--capture-trace-out records one device's stream: drop --shards")
+            }
+            CaptureMode => f.write_str(
+                "--capture-trace-out is only available in the standard \
+                 single-device run modes (synthetic, --kv, or --trace-file replay)",
+            ),
+            LifetimeWithSpo => {
+                f.write_str("a lifetime campaign cannot be combined with a sudden power-off")
+            }
+            LifetimeWithQos => {
+                f.write_str("a lifetime campaign cannot be combined with the QoS front-end")
+            }
+            LifetimeWithResilience => {
+                f.write_str("a lifetime campaign cannot be combined with array resilience")
+            }
+            LifetimeWithTelemetry => f.write_str(
+                "telemetry output files are not available in lifetime mode \
+                 (the campaign prints one drift row per epoch)",
+            ),
+            LifetimeTraceOnArray => {
+                f.write_str("--trace-file lifetime replay is single-device: drop --shards")
+            }
+            ArraySpoNeedsInstant => f.write_str(
+                "--shards cuts the whole array at one virtual instant: \
+                 use --spo-at-us (not --spo-at or --spo-rate)",
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
+
+/// One experiment: an FTL on a device (or array) of a given age, a
+/// workload source, and the orthogonal feature specs. Build one with
+/// [`Scenario::new`] and set the fields the experiment needs; see the
+/// module docs for how [`Scenario::run`] executes it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scenario {
+    /// The FTL under test.
+    pub kind: FtlKind,
+    /// The pre-baked aging state the device starts from.
+    pub aging: AgingState,
+    /// Scale, length, seed and device-side options.
+    pub cfg: EvalConfig,
+    /// Explicit FTL configuration — the hook for ablation studies (μ_TH
+    /// sweeps, active-block counts, …). `None` = `cfg.ftl_config()`.
+    pub ftl: Option<FtlConfig>,
+    /// Where host requests come from.
+    pub workload: WorkloadSource,
+    /// Sharded array; `None` = one device seeded with the master seed.
+    pub array: Option<ArrayEvalConfig>,
+    /// Multi-queue QoS front-end (open-loop tenants instead of the
+    /// closed-loop stream, when engaged).
+    pub qos: QosSpec,
+    /// KV application layer (an LSM engine per shard instead of the
+    /// workload source, when engaged).
+    pub kv: KvSpec,
+    /// Fast-forward aging campaign: `epochs` workload epochs separated
+    /// by aging barriers.
+    pub lifetime: Option<LifetimeConfig>,
+    /// Sudden power-off, crash recovery and resume.
+    pub spo: Option<SpoConfig>,
+    /// Array resilience: parity routing, shard failure, rebuild.
+    pub failure: Option<ArrayFailureConfig>,
+    /// Device/FTL/front telemetry, armed after prefill so the trace
+    /// covers exactly the measured run.
+    pub telemetry: TelemetrySpec,
+    /// Record the device-level request stream as a replayable trace
+    /// (single device only). The recorder only observes.
+    pub capture: bool,
+}
+
+/// Which step of the pipeline a [`PhaseReport`] covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// The uninterrupted reference run of a single-device power-cut
+    /// experiment (same seed, stream and checkpoint cadence, no cut).
+    Golden,
+    /// The first measured phase of an epoch: the whole run, or the part
+    /// up to the power cut or the shard failure.
+    Main,
+    /// Survivors plus the spare after a shard failure.
+    Degraded,
+    /// The workload remainder after crash recovery.
+    Resumed,
+}
+
+/// Reports of one executed phase.
+#[derive(Debug, Clone)]
+pub struct PhaseReport {
+    /// The pipeline step.
+    pub phase: Phase,
+    /// The array-wide report (shard-order fan-in; over one shard for a
+    /// single device).
+    pub merged: ArrayReport,
+    /// Per-shard reports, in shard order.
+    pub shards: Vec<SimReport>,
+}
+
+/// The crash-recovery part of a run with a power cut armed. Vectors
+/// are indexed by position in the phase that was cut.
+#[derive(Debug, Clone, Default)]
+pub struct CrashReport {
+    /// Device state at the cut per shard (`None` where the trigger
+    /// never fired — e.g. the shard drained first).
+    pub events: Vec<Option<SpoEvent>>,
+    /// What boot-time recovery did per shard (`None` where no cut
+    /// landed).
+    pub recoveries: Vec<Option<RecoveryReport>>,
+    /// Host-acknowledged `(shard id, local LPN)` pairs that were mapped
+    /// (or PLP-buffer-resident) at the cut but unmapped after recovery.
+    /// **Must be empty** — any entry is host-visible data loss.
+    pub lost_lpns: Vec<(usize, u64)>,
+    /// Checkpoints taken across all shards before the cut.
+    pub checkpoints_taken: u64,
+    /// Total blocks across all shards (bounds the recovery scan cost).
+    pub total_blocks: u64,
+}
+
+impl CrashReport {
+    /// Shards whose trigger fired.
+    pub fn shards_cut(&self) -> usize {
+        self.events.iter().flatten().count()
+    }
+}
+
+/// The resilience part of a run with an [`ArrayFailureConfig`].
+#[derive(Debug, Clone, Default)]
+pub struct FailureReport {
+    /// Resilience counters (degraded reads, rebuild traffic, loss).
+    pub resilience: ResilienceReport,
+    /// The spare's combined rebuild progress (reads/writes/curve).
+    pub rebuild: RebuildProgress,
+    /// The zero-loss audit.
+    pub audit: FailureAudit,
+    /// Degraded/rebuild trace events emitted at the phase barriers
+    /// (timestamps of degraded-phase events are offset by the failure
+    /// instant, since each phase's virtual clock restarts at zero).
+    pub events: Vec<TraceEvent>,
+}
+
+/// The aging part of a lifetime campaign.
+#[derive(Debug, Clone, Default)]
+pub struct AgingReport {
+    /// Per-step, per-shard aging summaries (`summaries[k][s]` is shard
+    /// `s` of the step between epoch `k` and epoch `k + 1`).
+    pub summaries: Vec<Vec<EpochSummary>>,
+    /// AGING trace events, emitted shard-major at each barrier. Each
+    /// phase's virtual clock restarts at zero; barrier timestamps are
+    /// offset by the cumulative end times of the preceding epochs,
+    /// giving one concatenated campaign timeline.
+    pub events: Vec<TraceEvent>,
+}
+
+/// The application-level part of a run with the KV layer engaged.
+#[derive(Debug, Clone, Default)]
+pub struct KvReport {
+    /// Per-shard app-level results, in shard order.
+    pub apps: Vec<KvAppReport>,
+    /// KV maintenance events (flushes, compactions) across all shards,
+    /// shard-major, timestamped by measured-op ordinal. Collected
+    /// independent of the telemetry mask.
+    pub events: Vec<TraceEvent>,
+}
+
+/// Everything one [`Scenario::run`] produced: the executed phases in
+/// order, plus one optional part per engaged feature.
+#[derive(Debug, Clone, Default)]
+pub struct RunOutput {
+    /// Reports of the executed phases, in execution order. FTL counters
+    /// are reset at each epoch boundary, so every epoch's reports cover
+    /// exactly that epoch.
+    pub phases: Vec<PhaseReport>,
+    /// Device telemetry (empty with [`TelemetrySpec::off`]).
+    pub telemetry: TelemetryOutput,
+    /// Crash recovery, when a power cut was armed.
+    pub crash: Option<CrashReport>,
+    /// Resilience counters and audit, with a failure spec.
+    pub failure: Option<FailureReport>,
+    /// Aging steps, in a lifetime campaign.
+    pub aging: Option<AgingReport>,
+    /// Per-tenant outcomes, with the QoS front-end engaged.
+    pub qos: Option<QosReport>,
+    /// App-level results, with the KV layer engaged.
+    pub kv: Option<KvReport>,
+    /// The captured device-level request stream, when capture was on.
+    pub captured: Option<Trace>,
+}
+
+impl RunOutput {
+    /// The first phase of kind `phase`, if one ran.
+    pub fn phase(&self, phase: Phase) -> Option<&PhaseReport> {
+        self.phases.iter().find(|p| p.phase == phase)
+    }
+
+    /// The main phase of every epoch (one entry outside a campaign).
+    pub fn epochs(&self) -> impl Iterator<Item = &PhaseReport> {
+        self.phases.iter().filter(|p| p.phase == Phase::Main)
+    }
+
+    /// The array-wide report of the (first) main phase.
+    pub fn merged(&self) -> &ArrayReport {
+        &self.main_phase().merged
+    }
+
+    /// The device report of the (first) main phase — shard 0's on an
+    /// array.
+    pub fn sim(&self) -> &SimReport {
+        &self.main_phase().shards[0]
+    }
+
+    /// [`RunOutput::sim`] by value.
+    pub fn into_sim(mut self) -> SimReport {
+        let at = self.phases.iter().position(|p| p.phase == Phase::Main);
+        self.phases
+            .swap_remove(at.expect("every run has a main phase"))
+            .shards
+            .swap_remove(0)
+    }
+
+    fn main_phase(&self) -> &PhaseReport {
+        self.phase(Phase::Main).expect("every run has a main phase")
+    }
+
+    /// Read retries per completed read of epoch `e` — a campaign's
+    /// headline drift metric.
+    pub fn retry_rate(&self, e: usize) -> f64 {
+        let m = &self.epochs().nth(e).expect("epoch ran").merged;
+        if m.reads == 0 {
+            0.0
+        } else {
+            m.ftl.read_retries as f64 / m.reads as f64
+        }
+    }
+}
+
+/// Folds a trace's LPNs into `logical_pages` (modulo the space, spans
+/// clamped at its end) so any recorded trace replays on any geometry.
+fn fold_requests(requests: &[HostRequest], logical_pages: u64) -> Vec<HostRequest> {
+    requests
+        .iter()
+        .map(|r| {
+            let lpn = r.lpn % logical_pages;
+            let span = u64::from(r.n_pages).min(logical_pages - lpn);
+            HostRequest {
+                op: r.op,
+                lpn,
+                n_pages: u32::try_from(span).expect("span fits"),
+            }
+        })
+        .collect()
+}
+
+/// Splits a total request budget over shards: the first `total % shards`
+/// shards take one extra request.
+fn split_requests(total: u64, shards: usize) -> Vec<u64> {
+    let base = total / shards as u64;
+    let rem = total % shards as u64;
+    (0..shards as u64)
+        .map(|s| base + u64::from(s < rem))
+        .collect()
+}
+
+/// Per-epoch seed of a workload stream. Epoch 0 uses the master seed
+/// unchanged — a one-epoch run is the plain run — and later epochs draw
+/// fresh domain-separated substreams, so the device does not replay the
+/// identical request sequence at every age.
+fn epoch_seed(seed: u64, epoch: u32) -> u64 {
+    if epoch == 0 {
+        seed
+    } else {
+        // Domain separator: ASCII "LIFETIME".
+        shard_seed(seed ^ 0x4C49_4645_5449_4D45, epoch as usize)
+    }
+}
+
+/// Sums two [`RebuildProgress`] snapshots from consecutive phases,
+/// shifting the second phase's timestamps by `offset_us`.
+fn combine_progress(a: &RebuildProgress, b: &RebuildProgress, offset_us: f64) -> RebuildProgress {
+    let mut curve = a.curve.clone();
+    curve.extend(
+        b.curve
+            .iter()
+            .map(|&(t, n)| (offset_us + t, a.ops_done() + n)),
+    );
+    RebuildProgress {
+        reads_done: a.reads_done + b.reads_done,
+        writes_done: a.writes_done + b.writes_done,
+        skipped: a.skipped + b.skipped,
+        done_at_us: if b.ops_done() > 0 || b.done_at_us > 0.0 {
+            offset_us + b.done_at_us
+        } else {
+            a.done_at_us
+        },
+        curve,
+    }
+}
+
+/// Converts the engine's maintenance log into shard-tagged trace events
+/// (timestamp = measured-op ordinal; the KV layer has no device clock).
+fn kv_trace_events(events: &[KvEvent], shard: u32) -> Vec<TraceEvent> {
+    let mut c = Collector::enabled(EventMask::KV, shard);
+    for e in events {
+        c.emit(
+            e.op_index as f64,
+            EventKind::KvMaint {
+                op_index: e.op_index,
+                action: e.action,
+                level: e.level,
+                pages_in: e.pages_in,
+                pages_out: e.pages_out,
+            },
+        );
+    }
+    c.take()
+}
+
+/// Every LPN of `ftl` that is durable at a power cut: mapped in the
+/// FTL, or resident in the PLP-protected buffer dump.
+fn durable_ledger(ftl: &Ftl, event: &SpoEvent) -> Vec<u64> {
+    let mut durable: Vec<u64> = (0..ftl.logical_pages())
+        .filter(|&l| ftl.is_mapped(l))
+        .collect();
+    durable.extend(event.buffered_lpns.iter().copied());
+    durable.sort_unstable();
+    durable.dedup();
+    durable
+}
+
+/// The request source of one closed-loop shard.
+enum Source {
+    Gen(Box<dyn Workload + Send>),
+    Replay(std::vec::IntoIter<HostRequest>),
+    Kv(Box<KvStream>),
+}
+
+/// One closed-loop shard's request stream, optionally recording every
+/// yielded request for [`Scenario::capture`].
+struct Stream {
+    src: Source,
+    recorded: Option<Vec<HostRequest>>,
+}
+
+impl Stream {
+    fn new(src: Source, capture: bool) -> Self {
+        Stream {
+            src,
+            recorded: capture.then(Vec::new),
+        }
+    }
+}
+
+impl Iterator for Stream {
+    type Item = HostRequest;
+
+    fn next(&mut self) -> Option<HostRequest> {
+        let req = match &mut self.src {
+            Source::Gen(w) => w.next(),
+            Source::Replay(it) => it.next(),
+            Source::Kv(kv) => kv.next(),
+        };
+        if let (Some(rec), Some(r)) = (&mut self.recorded, req) {
+            rec.push(r);
+        }
+        req
+    }
+}
+
+/// The host side of the shard list: closed-loop streams or QoS fronts.
+enum Hosts {
+    Streams(Vec<Stream>),
+    Fronts(Vec<HostQueueFront>),
+}
+
+/// What the shard list runs next: every shard's host side and request
+/// budget. With a failure spec `routed` keeps the global stream in
+/// issue order as `(shard, fragment)` pairs — the failure barrier
+/// redirects its unissued remainder.
+struct Load {
+    hosts: Hosts,
+    budgets: Vec<u64>,
+    routed: Vec<(usize, HostRequest)>,
+}
+
+impl Load {
+    /// Closed-loop replay of one pre-routed request list per shard.
+    fn replay(per_shard: Vec<Vec<HostRequest>>, capture: bool) -> Self {
+        Load {
+            budgets: per_shard.iter().map(|v| v.len() as u64).collect(),
+            hosts: Hosts::Streams(
+                per_shard
+                    .into_iter()
+                    .map(|v| Stream::new(Source::Replay(v.into_iter()), capture))
+                    .collect(),
+            ),
+            routed: Vec::new(),
+        }
+    }
+}
+
+/// One prepared shard between phases.
+struct Dev {
+    /// Shard id: seed index and telemetry tag (a hot spare takes the
+    /// first id past the array).
+    id: usize,
+    sim: SsdSim,
+    ftl: Ftl,
+    /// Pages written by the prefill.
+    prefill: u64,
+}
+
+impl Dev {
+    /// The address space the shard's generators draw from.
+    fn space(&self) -> u64 {
+        self.prefill.max(1024)
+    }
+}
+
+/// What the failure barrier hands to the final audit.
+struct FailureState {
+    fail: FailSpec,
+    router: ParityRouter,
+    spare: Option<usize>,
+    durable_data: Vec<u64>,
+    acked: Vec<u64>,
+    degraded_reads: u64,
+    degraded_fragment_reads: u64,
+    per_shard_degraded_reads: Vec<u64>,
+    redirected_writes: u64,
+    dropped_requests: u64,
+    degraded_read_events: Vec<(u64, u32)>,
+    /// Rebuild progress per degraded-phase participant, and that
+    /// phase's makespan (the resumed phase's clock offset).
+    progress: Vec<RebuildProgress>,
+    offset_us: f64,
+}
+
+impl Scenario {
+    /// A plain single-device scenario: every feature spec off.
+    pub fn new(
+        kind: FtlKind,
+        workload: impl Into<WorkloadSource>,
+        aging: AgingState,
+        cfg: &EvalConfig,
+    ) -> Self {
+        Scenario {
+            kind,
+            aging,
+            cfg: cfg.clone(),
+            ftl: None,
+            workload: workload.into(),
+            array: None,
+            qos: QosSpec::off(),
+            kv: KvSpec::off(),
+            lifetime: None,
+            spo: None,
+            failure: None,
+            telemetry: TelemetrySpec::off(),
+            capture: false,
+        }
+    }
+
+    /// Checks the scenario for unsupported combinations and
+    /// out-of-range values, in the order the CLI reports them.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        use ScenarioError::*;
+        let check = |bad: bool, e: ScenarioError| if bad { Err(e) } else { Ok(()) };
+        let trace = matches!(self.workload, WorkloadSource::Trace(_));
+        let phased = matches!(self.workload, WorkloadSource::Epochs(_));
+        let campaign = self.lifetime.is_some() || phased;
+        let qos = self.qos.engaged();
+        let shards = self.array.map(|a| a.shards);
+        let not_positive = |t: f64| t <= 0.0 || t.is_nan();
+
+        check(shards == Some(0), NoShards)?;
+        check(
+            matches!(&self.workload, WorkloadSource::Epochs(p) if p.is_empty()),
+            NoPhases,
+        )?;
+        usize::try_from(self.cfg.requests).map_err(|_| RequestsOverflow(self.cfg.requests))?;
+        if qos {
+            check(trace, TraceWithQos)?;
+            check(self.spo.is_some(), QosWithSpo)?;
+            if let Some(n) = shards {
+                check(self.qos.trace.is_some(), TenantTraceOnArray)?;
+                check((self.qos.tenants as usize) < n, FewerTenantsThanShards)?;
+            }
+        }
+        if let Some(fc) = &self.failure {
+            let n = shards.filter(|&n| n > 1).ok_or(ResilienceNeedsArray)?;
+            if let Some(f) = fc.fail {
+                check(
+                    f.shard >= n,
+                    FailedShardOutOfRange {
+                        shard: f.shard,
+                        shards: n,
+                    },
+                )?;
+                check(not_positive(f.at_us), NotAfterTimeZero("the failure"))?;
+            }
+            check(qos, ResilienceWithQos)?;
+            check(trace, ResilienceWithTrace)?;
+            check(
+                self.telemetry.sample_interval_us.is_some(),
+                ResilienceWithSeries,
+            )?;
+        }
+        check(
+            self.telemetry.engaged() && self.spo.is_some() && self.failure.is_none(),
+            TelemetryWithSpo,
+        )?;
+        if self.kv.engaged() {
+            check(trace, KvWithTrace)?;
+            check(qos, KvWithQos)?;
+            check(self.failure.is_some(), KvWithResilience)?;
+            check(campaign, KvWithLifetime)?;
+        }
+        if self.capture {
+            check(shards.is_some(), CaptureOnArray)?;
+            check(
+                qos || self.spo.is_some() || self.failure.is_some() || campaign,
+                CaptureMode,
+            )?;
+        }
+        if campaign {
+            check(self.spo.is_some(), LifetimeWithSpo)?;
+            check(qos, LifetimeWithQos)?;
+            check(self.failure.is_some(), LifetimeWithResilience)?;
+            check(self.telemetry.engaged(), LifetimeWithTelemetry)?;
+            check(trace && shards.is_some(), LifetimeTraceOnArray)?;
+        }
+        if let Some(spo) = &self.spo {
+            match spo.trigger {
+                SpoTrigger::AtTimeUs(t) => check(not_positive(t), NotAfterTimeZero("the cut"))?,
+                _ => check(shards.is_some(), ArraySpoNeedsInstant)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs the scenario. Fully deterministic for a given value, at any
+    /// worker-thread count; see the module docs for the pipeline.
+    pub fn run(&self) -> Result<RunOutput, ScenarioError> {
+        self.validate()?;
+        let mut out = RunOutput {
+            crash: self.spo.map(|_| CrashReport::default()),
+            aging: self.lifetime.map(|_| AgingReport::default()),
+            ..RunOutput::default()
+        };
+        if self.spo.is_some() && self.array.is_none() {
+            // The double-run crash experiment: an identically prepared
+            // device runs the same stream uninterrupted first.
+            let mut devs = self.prepare();
+            let mut load = self.load(&devs, 0)?;
+            let golden = self.exec(Phase::Golden, &mut devs, &mut load, None, None);
+            out.phases.push(golden.0);
+        }
+
+        let mut devs = self.prepare();
+        // One aging engine per shard, seeded from the shard id: shard
+        // campaigns are independent, so neither the fan-out order nor
+        // the thread count can matter.
+        let mut engines: Vec<LifetimeEngine> = match self.lifetime {
+            Some(life) => devs
+                .iter()
+                .map(|d| {
+                    LifetimeEngine::new(LifetimeConfig {
+                        seed: self.seed_for(life.seed, d.id),
+                        ..life
+                    })
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        let mut load = self.load(&devs, 0)?;
+        let mut t_offset = 0.0;
+        for epoch in 0..self.lifetime.map_or(1, |l| l.epochs.max(1)) {
+            if let (Some(aging), true) = (&mut out.aging, epoch > 0) {
+                let step = age(&mut devs, &mut engines, epoch, t_offset, &mut aging.events);
+                aging.summaries.push(step);
+                load = self.load(&devs, epoch)?;
+            }
+            let fail = self.failure.and_then(|fc| fc.fail);
+            let cut = self.spo.map(|s| s.trigger);
+            // With a failure spec the main phase stops at the failure
+            // instant, and the cut belongs to the degraded phase.
+            let (stop, mut cut_armed) = match &self.failure {
+                Some(_) => (fail.map(|f| SpoTrigger::AtTimeUs(f.at_us)), false),
+                None => (cut, true),
+            };
+            let (main, mut events) = self.exec(Phase::Main, &mut devs, &mut load, stop, None);
+            t_offset += main.merged.sim_time_us;
+            out.phases.push(main);
+
+            let mut failure = None;
+            if let Some(fail) = fail {
+                let (mut state, plans) = self.fail_barrier(fail, &mut devs, &mut load, &events);
+                let (degraded, cut_events) =
+                    self.exec(Phase::Degraded, &mut devs, &mut load, cut, Some(plans));
+                state.offset_us = degraded.merged.sim_time_us;
+                state.progress = rebuild_progress(&devs);
+                out.phases.push(degraded);
+                (events, cut_armed) = (cut_events, true);
+                failure = Some(state);
+            }
+            let mut resumed_progress = vec![RebuildProgress::default(); devs.len()];
+            if let (Some(crash), true) = (&mut out.crash, cut_armed) {
+                let plans = self.recover(&mut devs, &events, &mut load.budgets, crash);
+                crash.events = events;
+                if load.budgets.iter().any(|&b| b > 0) || plans.iter().any(Option::is_some) {
+                    let resumed =
+                        self.exec(Phase::Resumed, &mut devs, &mut load, None, Some(plans));
+                    out.phases.push(resumed.0);
+                    resumed_progress = rebuild_progress(&devs);
+                }
+            }
+            if let Some(fc) = &self.failure {
+                out.failure = Some(match failure {
+                    Some(state) => state.audit(fc.parity, &devs, &resumed_progress),
+                    None => FailureReport {
+                        resilience: ResilienceReport {
+                            parity: fc.parity,
+                            ..ResilienceReport::default()
+                        },
+                        audit: FailureAudit {
+                            zero_loss: true,
+                            ..FailureAudit::default()
+                        },
+                        ..FailureReport::default()
+                    },
+                });
+            }
+        }
+        self.drain(&mut devs, load.hosts, &mut out);
+        Ok(out)
+    }
+
+    /// Shard `s`'s seed under master seed `base`: the master seed
+    /// itself on a single device, [`shard_seed`] on an array.
+    fn seed_for(&self, base: u64, s: usize) -> u64 {
+        if self.array.is_some() {
+            shard_seed(base, s)
+        } else {
+            base
+        }
+    }
+
+    /// Worker threads of the engine.
+    fn threads(&self) -> usize {
+        match self.array {
+            Some(a) if a.threads == 0 => a.shards,
+            Some(a) => a.threads,
+            None => 1,
+        }
+    }
+
+    /// Builds every shard: device simulator and prefilled FTL.
+    fn prepare(&self) -> Vec<Dev> {
+        (0..self.array.map_or(1, |a| a.shards))
+            .map(|s| self.prepare_dev(s, self.cfg.prefill_fraction))
+            .collect()
+    }
+
+    /// One fully prepared shard, seeded from the master seed and the
+    /// shard id, prefilled to `prefill_fraction` of its logical space.
+    fn prepare_dev(&self, id: usize, prefill_fraction: f64) -> Dev {
+        let cfg = &self.cfg;
+        let mut ssd_cfg = cfg.ssd;
+        // Maintenance needs the simulator to offer idle windows: derive
+        // the schedule from the FTL-side config unless one was set
+        // explicitly.
+        if cfg.maint.is_some_and(|m| m.enabled) && !ssd_cfg.maint.enabled {
+            ssd_cfg.maint = MaintSchedule::on();
+        }
+        let mut ftl_cfg = self.ftl.unwrap_or_else(|| cfg.ftl_config());
+        if self.array.is_some() {
+            ftl_cfg.seed = shard_seed(cfg.seed, id);
+        }
+        let mut sim = SsdSim::new(ssd_cfg);
+        let mut ftl = Ftl::new(self.kind, ftl_cfg);
+        ftl.set_aging(self.aging);
+        ftl.set_ambient_celsius(cfg.ambient_celsius);
+        let prefill = (ftl.logical_pages() as f64 * prefill_fraction) as u64;
+        sim.prefill(&mut ftl, 0..prefill);
+        ftl.set_disturbance_prob(cfg.disturbance_prob);
+        if let Some(plan) = &cfg.faults {
+            ftl.set_fault_plan(plan);
+        }
+        if let Some(maint) = cfg.maint {
+            ftl.enable_maintenance(maint);
+        }
+        if let Some(spo) = &self.spo {
+            ftl.enable_checkpointing(spo.ckpt_interval_host_wls);
+        }
+        if self.lifetime.is_some_and(|l| l.steps() > 0) {
+            ftl.enable_lifetime_aging();
+        }
+        ftl.reset_stats();
+        // Arm telemetry only now: prefill runs at t = 0 and would
+        // otherwise flood the trace with setup writes outside the
+        // measured window.
+        let tel = &self.telemetry;
+        sim.enable_telemetry(tel.events, id as u32, tel.sample_interval_us);
+        ftl.enable_telemetry(tel.events, id as u32);
+        Dev {
+            id,
+            sim,
+            ftl,
+            prefill,
+        }
+    }
+
+    /// The stream of one shard for `epoch` over `space` pages.
+    fn source(&self, epoch: u32, space: u64, seed: u64) -> Source {
+        let kv = |kind| {
+            Source::Kv(Box::new(KvStream::new(
+                self.kv.kv_config(),
+                kind,
+                space,
+                seed,
+            )))
+        };
+        match (&self.workload, self.kv.workload) {
+            (_, Some(kind)) => kv(kind),
+            (WorkloadSource::Epochs(phases), None) => match phases[epoch as usize % phases.len()] {
+                EpochWorkload::Std(w) => Source::Gen(w.build(space, seed)),
+                EpochWorkload::Kv(kind) => kv(kind),
+            },
+            (WorkloadSource::Standard(w), None) => Source::Gen(w.build(space, seed)),
+            (WorkloadSource::Trace(t), None) => {
+                Source::Replay(fold_requests(t.requests(), space).into_iter())
+            }
+        }
+    }
+
+    /// The routed region of an array: whole stripes of the smallest
+    /// shard, so no fragment can overflow its device. Returns
+    /// `(stripes per shard, stripe pages)`.
+    fn stripes(&self, devs: &[Dev]) -> Result<(u64, u64), ScenarioError> {
+        let stripe = self.array.map_or(1, |a| a.stripe_pages);
+        let local = devs
+            .iter()
+            .map(|d| d.ftl.logical_pages())
+            .min()
+            .unwrap_or(0);
+        if stripe == 0 || local / stripe == 0 {
+            return Err(ScenarioError::StripeTooLarge { stripe, local });
+        }
+        Ok((local / stripe, stripe))
+    }
+
+    /// Builds what the shard list runs in `epoch`.
+    fn load(&self, devs: &[Dev], epoch: u32) -> Result<Load, ScenarioError> {
+        let cfg = &self.cfg;
+        let n = devs.len();
+        let seed = epoch_seed(cfg.seed, epoch);
+        Ok(match (&self.workload, &self.failure) {
+            (WorkloadSource::Standard(w), _) if self.qos.engaged() => {
+                // Tenant `t` routes to shard `t % shards`, global ids
+                // intact; every shard runs its own front over its
+                // subset.
+                let mix = self.qos.mix.unwrap_or(TenantMix::Standard(*w));
+                let all =
+                    build_population(self.qos.tenants, &self.qos.weights, Some(mix), cfg.seed);
+                let budgets = self.qos.budgets(cfg.requests, &all);
+                let fronts = devs
+                    .iter()
+                    .map(|d| {
+                        let (profiles, shard_budgets): (Vec<_>, Vec<_>) = all
+                            .iter()
+                            .zip(&budgets)
+                            .filter(|(p, _)| p.id as usize % n == d.id)
+                            .map(|(p, b)| (*p, *b))
+                            .unzip();
+                        let streams = self.qos.streams(&profiles, d.space());
+                        let mut front = HostQueueFront::new(
+                            self.qos.front_config(),
+                            profiles,
+                            streams,
+                            shard_budgets,
+                        );
+                        front.enable_telemetry(self.telemetry.events, d.id as u32);
+                        front
+                    })
+                    .collect();
+                Load {
+                    hosts: Hosts::Fronts(fronts),
+                    budgets: vec![u64::MAX; n],
+                    routed: Vec::new(),
+                }
+            }
+            (_, Some(fc)) => {
+                // One global stream over the prefilled rows (every
+                // shard prefills local `0..prefill`, so rows below
+                // `prefill / stripe` are fully resident on data and
+                // parity shards alike), routed fragment by fragment in
+                // global order.
+                let (rows, p) = self.stripes(devs)?;
+                let router = ParityRouter::new(n, p, fc.parity);
+                let d = router.data_shards() as u64;
+                let global = rows * p * d;
+                let hot_rows = (devs[n - 1].prefill / p).clamp(1, rows);
+                let hot = (hot_rows * p * d).max(1024).min(global);
+                let stream: Vec<HostRequest> = Stream::new(self.source(epoch, hot, seed), false)
+                    .take(usize::try_from(cfg.requests).unwrap_or(usize::MAX))
+                    .collect();
+                let routed: Vec<(usize, HostRequest)> = fold_requests(&stream, global)
+                    .into_iter()
+                    .flat_map(|r| router.split(r))
+                    .collect();
+                let mut per_shard = vec![Vec::new(); n];
+                for &(s, req) in &routed {
+                    per_shard[s].push(req);
+                }
+                Load {
+                    routed,
+                    ..Load::replay(per_shard, false)
+                }
+            }
+            (WorkloadSource::Trace(t), None) if self.array.is_some() => {
+                // The global trace is folded into the striped global
+                // space and fanned out through the stripe router (spans
+                // split at stripe boundaries), so every shard replays
+                // exactly the fragments that map to it.
+                let (rows, p) = self.stripes(devs)?;
+                let folded = fold_requests(t.requests(), rows * p * n as u64);
+                Load::replay(StripeRouter::new(n, p).route_stream(folded), false)
+            }
+            (WorkloadSource::Trace(t), None) => {
+                let folded = fold_requests(t.requests(), devs[0].ftl.logical_pages());
+                Load::replay(vec![folded], self.capture)
+            }
+            _ => Load {
+                hosts: Hosts::Streams(
+                    devs.iter()
+                        .map(|d| {
+                            let seed = self.seed_for(seed, d.id);
+                            Stream::new(self.source(epoch, d.space(), seed), self.capture)
+                        })
+                        .collect(),
+                ),
+                budgets: split_requests(cfg.requests, n),
+                routed: Vec::new(),
+            },
+        })
+    }
+
+    /// Executes one phase: hands every shard and its host side to the
+    /// worker pool, waits for all of them (the fan-in sequence point)
+    /// and takes both back in shard order. `plans[i]` arms background
+    /// rebuild work on shard `i`.
+    fn exec(
+        &self,
+        phase: Phase,
+        devs: &mut Vec<Dev>,
+        load: &mut Load,
+        spo: Option<SpoTrigger>,
+        plans: Option<Vec<Option<RebuildPlan>>>,
+    ) -> (PhaseReport, Vec<Option<SpoEvent>>) {
+        let meta: Vec<(usize, u64)> = devs.iter().map(|d| (d.id, d.prefill)).collect();
+        let mut plans = plans.unwrap_or_default().into_iter();
+        let parts = devs.drain(..).zip(&load.budgets);
+        let restore = |(id, prefill): (usize, u64), sim, ftl| Dev {
+            id,
+            sim,
+            ftl,
+            prefill,
+        };
+        let (merged, shards, events) = match &mut load.hosts {
+            Hosts::Streams(streams) => {
+                let shards = parts
+                    .zip(streams.drain(..))
+                    .map(|((d, &requests), workload)| ArrayShard {
+                        sim: d.sim,
+                        ftl: d.ftl,
+                        workload,
+                        requests,
+                        spo,
+                        rebuild: plans.next().flatten(),
+                    })
+                    .collect();
+                let mut array = SsdArray::new(shards).with_threads(self.threads());
+                let run = array.run();
+                for (sh, m) in array.into_shards().into_iter().zip(meta) {
+                    devs.push(restore(m, sh.sim, sh.ftl));
+                    streams.push(sh.workload);
+                }
+                (run.report, run.shard_reports, run.spo_events)
+            }
+            Hosts::Fronts(fronts) => {
+                let shards = parts
+                    .zip(fronts.drain(..))
+                    .map(|((d, &requests), front)| FrontShard {
+                        sim: d.sim,
+                        ftl: d.ftl,
+                        front,
+                        requests,
+                    })
+                    .collect();
+                let mut array = FrontArray::new(shards).with_threads(self.threads());
+                let run = array.run();
+                for (sh, m) in array.into_shards().into_iter().zip(meta) {
+                    devs.push(restore(m, sh.sim, sh.ftl));
+                    fronts.push(sh.front);
+                }
+                let events = vec![None; run.shard_reports.len()];
+                (run.report, run.shard_reports, events)
+            }
+        };
+        (
+            PhaseReport {
+                phase,
+                merged,
+                shards,
+            },
+            events,
+        )
+    }
+
+    /// The crash-recovery barrier. Every shard whose cut landed suffers
+    /// the power-cut physics (every in-flight flush tears its WL
+    /// program, and its in-flight GC erase when one ran), boots through
+    /// [`Ftl::power_cycle`] (L2P rebuilt from checkpoint + OOB scan,
+    /// torn WLs quarantined, interrupted blocks re-erased, the PLP dump
+    /// replayed; OPM/ORT come back cold by design) and is audited
+    /// against its durable ledger. `budgets` become the unissued
+    /// remainders; the returned plans carry unfinished rebuild work
+    /// across the cut (the next run would otherwise discard it).
+    fn recover(
+        &self,
+        devs: &mut Vec<Dev>,
+        events: &[Option<SpoEvent>],
+        budgets: &mut [u64],
+        crash: &mut CrashReport,
+    ) -> Vec<Option<RebuildPlan>> {
+        for d in devs.iter() {
+            let g = d.ftl.geometry();
+            crash.checkpoints_taken += d.ftl.checkpoints_taken();
+            crash.total_blocks += u64::from(g.blocks_per_chip) * d.ftl.mapping().chips() as u64;
+        }
+        crash.recoveries = vec![None; devs.len()];
+        let sched = self
+            .failure
+            .map_or_else(RebuildSchedule::on, |fc| fc.rebuild);
+        let stopped: Vec<Dev> = std::mem::take(devs);
+        let mut plans = Vec::with_capacity(stopped.len());
+        for (pos, mut d) in stopped.into_iter().enumerate() {
+            let pending = d.sim.take_rebuild_pending();
+            plans.push((!pending.is_empty()).then_some(RebuildPlan {
+                sched,
+                ops: pending,
+            }));
+            budgets[pos] = match &events[pos] {
+                Some(event) => {
+                    let durable = durable_ledger(&d.ftl, event);
+                    for f in &event.interrupted_flushes {
+                        d.ftl.power_cut(f.chip, f.lpns, f.did_gc);
+                    }
+                    let (mut recovered, recovery) = d.ftl.power_cycle(&event.buffered_lpns);
+                    crash.lost_lpns.extend(
+                        durable
+                            .into_iter()
+                            .filter(|&l| !recovered.is_mapped(l))
+                            .map(|l| (d.id, l)),
+                    );
+                    if let Some(maint) = self.cfg.maint {
+                        recovered.enable_maintenance(maint);
+                    }
+                    d.ftl = recovered;
+                    crash.recoveries[pos] = Some(recovery);
+                    budgets[pos].saturating_sub(event.issued)
+                }
+                None => 0,
+            };
+            devs.push(d);
+        }
+        plans
+    }
+
+    /// The failure barrier (sequence point: every shard stopped at the
+    /// failure instant). Computes the dead shard's durable ledger,
+    /// redirects its unissued remainder — reads become survivor
+    /// fragment reads for XOR reconstruction, writes and trims move to
+    /// the hot spare — swaps the spare into the dead slot and plans the
+    /// background rebuild (survivors read fragments, the spare programs
+    /// reconstructed pages). Rewrites `devs` and `load` for the degraded
+    /// phase and returns the rebuild plans with it.
+    fn fail_barrier(
+        &self,
+        fail: FailSpec,
+        devs: &mut Vec<Dev>,
+        load: &mut Load,
+        events: &[Option<SpoEvent>],
+    ) -> (FailureState, Vec<Option<RebuildPlan>>) {
+        let fc = self.failure.expect("a failure was injected");
+        let s_total = devs.len();
+        let failed = fail.shard;
+        let (rows, p) = self
+            .stripes(devs)
+            .expect("this epoch's load was routed over these stripes");
+        let router = ParityRouter::new(s_total, p, fc.parity);
+        let issued: Vec<u64> = (0..s_total)
+            .map(|s| events[s].as_ref().map_or(load.budgets[s], |e| e.issued))
+            .collect();
+        let buffered: Vec<BTreeSet<u64>> = events
+            .iter()
+            .map(|e| {
+                e.as_ref()
+                    .map_or_else(BTreeSet::new, |e| e.buffered_lpns.iter().copied().collect())
+            })
+            .collect();
+        let durable = |s: usize, l: u64| devs[s].ftl.is_mapped(l) || buffered[s].contains(&l);
+
+        // The dead shard's durable ledger over the routed region, split
+        // by page role; live parity stripes (any survivor data in the
+        // row) join the rebuild so the spare restores full redundancy.
+        let mut durable_data: Vec<u64> = Vec::new();
+        let mut rebuild_set: Vec<u64> = Vec::new();
+        for l in 0..rows * p {
+            let keep = match router.page_at(failed, l) {
+                PageRole::Data(_) => {
+                    let d = durable(failed, l);
+                    if d {
+                        durable_data.push(l);
+                    }
+                    d
+                }
+                PageRole::Parity { .. } => (0..s_total).any(|t| t != failed && durable(t, l)),
+            };
+            if keep {
+                rebuild_set.push(l);
+            }
+        }
+        // Array-acknowledged = both legs durable at the failure instant.
+        let acked: Vec<u64> = durable_data
+            .iter()
+            .copied()
+            .filter(|&l| fc.parity && durable(router.parity_shard(l / p), l))
+            .collect();
+
+        // Redirect the dead shard's unissued remainder.
+        let spare = (fc.spare_shards > 0).then_some(s_total);
+        let mut ids: Vec<usize> = (0..s_total).collect();
+        match spare {
+            Some(id) => ids[failed] = id,
+            None => {
+                ids.remove(failed);
+            }
+        }
+        let pos_of = |id: usize| {
+            ids.iter()
+                .position(|&x| x == id)
+                .expect("participant shard")
+        };
+        let mut state = FailureState {
+            fail,
+            router,
+            spare,
+            durable_data,
+            acked,
+            degraded_reads: 0,
+            degraded_fragment_reads: 0,
+            per_shard_degraded_reads: vec![0; s_total + usize::from(spare.is_some())],
+            redirected_writes: 0,
+            dropped_requests: 0,
+            degraded_read_events: Vec::new(),
+            progress: Vec::new(),
+            offset_us: 0.0,
+        };
+        let mut phase_b: Vec<Vec<HostRequest>> = vec![Vec::new(); ids.len()];
+        let mut cursors = vec![0u64; s_total];
+        for &(s, req) in &load.routed {
+            cursors[s] += 1;
+            if cursors[s] <= issued[s] {
+                continue; // already issued in the healthy phase
+            }
+            if s != failed {
+                phase_b[pos_of(s)].push(req);
+                continue;
+            }
+            match req.op {
+                HostOp::Read if fc.parity => {
+                    // Degraded read: every survivor serves its fragment
+                    // at the same local index; XOR reconstructs the
+                    // data.
+                    let pages = u64::from(req.n_pages);
+                    state.degraded_reads += pages;
+                    for t in (0..s_total).filter(|&t| t != failed) {
+                        phase_b[pos_of(t)].push(HostRequest {
+                            op: HostOp::Read,
+                            ..req
+                        });
+                        state.degraded_fragment_reads += pages;
+                        state.per_shard_degraded_reads[t] += pages;
+                    }
+                    state
+                        .degraded_read_events
+                        .push((req.lpn, (s_total - 1) as u32));
+                }
+                HostOp::Read => state.dropped_requests += 1,
+                HostOp::Write | HostOp::Trim => match spare {
+                    // The spare takes over the dead slot; the
+                    // fragment's parity update already sits in its
+                    // holder's stream.
+                    Some(id) => {
+                        phase_b[pos_of(id)].push(req);
+                        state.redirected_writes += 1;
+                    }
+                    None => state.dropped_requests += 1,
+                },
+            }
+        }
+
+        // Survivors plus the spare in the dead slot: a blank standby
+        // device of the same geometry under its own seed.
+        devs.remove(failed);
+        if let Some(id) = spare {
+            devs.insert(failed, self.prepare_dev(id, 0.0));
+        }
+        let do_rebuild = fc.parity && spare.is_some() && !rebuild_set.is_empty();
+        let plans = ids
+            .iter()
+            .map(|&id| {
+                let op: fn(u64) -> RebuildOp = if id == s_total {
+                    RebuildOp::Write
+                } else {
+                    RebuildOp::Read
+                };
+                do_rebuild.then(|| RebuildPlan {
+                    sched: fc.rebuild,
+                    ops: rebuild_set.iter().map(|&l| op(l)).collect(),
+                })
+            })
+            .collect();
+        *load = Load::replay(phase_b, false);
+        (state, plans)
+    }
+
+    /// The label a captured stream is exported under.
+    fn label(&self) -> String {
+        match (&self.workload, self.kv.workload) {
+            (_, Some(kind)) => kind.label().to_owned(),
+            (WorkloadSource::Standard(w), None) => w.label().to_owned(),
+            (WorkloadSource::Trace(t), None) => t.label().to_owned(),
+            (WorkloadSource::Epochs(p), None) => p[0].label().to_owned(),
+        }
+    }
+
+    /// The fan-in after the last phase: every shard sits back in its
+    /// index slot, so telemetry, QoS outcomes, app reports and the
+    /// capture drain in shard order — byte-identical at any
+    /// worker-thread count.
+    fn drain(&self, devs: &mut [Dev], hosts: Hosts, out: &mut RunOutput) {
+        let tel = &self.telemetry;
+        let (mut streams, mut fronts) = match hosts {
+            Hosts::Streams(s) => (s, Vec::new()),
+            Hosts::Fronts(f) => (Vec::new(), f),
+        };
+        let mut events = Vec::new();
+        let mut series = Series::new(tel.sample_interval_us.unwrap_or(0.0));
+        let mut qos = Vec::new();
+        let mut kv = KvReport::default();
+        for (i, d) in devs.iter_mut().enumerate() {
+            let mut trace = merge_streams(d.sim.take_trace(), d.ftl.take_trace());
+            if let Some(front) = fronts.get_mut(i) {
+                qos.push(front.report());
+                trace = merge_streams(trace, front.take_trace());
+            }
+            events.extend(trace);
+            series.extend(&d.sim.take_series());
+            if let Some(Source::Kv(engine)) = streams.get(i).map(|s| &s.src) {
+                kv.apps.push(engine.report());
+                kv.events
+                    .extend(kv_trace_events(engine.events(), d.id as u32));
+            }
+        }
+        if tel.events.contains(EventMask::KV) {
+            events.extend(kv.events.iter().cloned());
+        }
+        out.telemetry = TelemetryOutput { events, series };
+        out.qos = self.qos.engaged().then(|| QosReport::merge(qos));
+        out.kv = self.kv.engaged().then_some(kv);
+        out.captured = streams
+            .pop()
+            .and_then(|s| s.recorded)
+            .map(|recorded| Trace::from_requests(self.label(), recorded));
+    }
+}
+
+impl FailureState {
+    /// The end of a failure experiment: combines each participant's
+    /// rebuild progress over the degraded and resumed phases, audits
+    /// the array-acknowledged pages against the final shard list and
+    /// emits the barrier-level trace events.
+    fn audit(self, parity: bool, devs: &[Dev], resumed: &[RebuildProgress]) -> FailureReport {
+        let s_total = self.router.shards();
+        let failed = self.fail.shard;
+        let p = self.router.stripe_pages();
+        let progress: Vec<RebuildProgress> = self
+            .progress
+            .iter()
+            .zip(resumed)
+            .map(|(b, c)| combine_progress(b, c, self.offset_us))
+            .collect();
+        let spare_pos = devs.iter().position(|d| d.id == s_total);
+        let spare_progress = spare_pos
+            .map(|pos| progress[pos].clone())
+            .unwrap_or_default();
+        let mut per_shard_rebuild_reads = vec![0u64; self.per_shard_degraded_reads.len()];
+        for (d, prog) in devs.iter().zip(&progress) {
+            if d.id < s_total {
+                per_shard_rebuild_reads[d.id] = prog.reads_done;
+            }
+        }
+
+        let spare_ftl = spare_pos.map(|pos| &devs[pos].ftl);
+        let on_spare = |l: u64| spare_ftl.is_some_and(|f| f.is_mapped(l));
+        let rebuilt_mapped_pages = self.acked.iter().filter(|&&l| on_spare(l)).count() as u64;
+        // A page survives if the spare holds it, or if it is still
+        // reconstructable: the parity leg (and every survivor data leg)
+        // lives on an alive shard. Survivor durability after a composed
+        // power cut is audited separately through the crash report.
+        let lost_pages = if parity {
+            self.acked
+                .iter()
+                .filter(|&&l| {
+                    let holder = self.router.parity_shard(l / p);
+                    !(on_spare(l) || devs.iter().any(|d| d.id == holder))
+                })
+                .count() as u64
+        } else {
+            self.durable_data.len() as u64
+        };
+        let durable_data_pages = self.durable_data.len() as u64;
+        let audit = FailureAudit {
+            durable_data_pages,
+            acked_pages: self.acked.len() as u64,
+            unprotected_pages: durable_data_pages - self.acked.len() as u64,
+            rebuilt_mapped_pages,
+            dropped_requests: self.dropped_requests,
+            lost_pages,
+            zero_loss: lost_pages == 0,
+        };
+
+        // Barrier-level trace events (degraded/rebuild categories).
+        let at = self.fail.at_us;
+        let mut collector =
+            Collector::enabled(EventMask::DEGRADED.union(EventMask::REBUILD), failed as u32);
+        let mut shard_fail = |t: f64, phase: &'static str, detail: u64| {
+            let failed = failed as u32;
+            collector.emit(
+                t,
+                EventKind::ShardFail {
+                    failed,
+                    phase,
+                    detail,
+                },
+            );
+        };
+        shard_fail(at, "inject", durable_data_pages);
+        shard_fail(at, "detect", self.degraded_reads + self.redirected_writes);
+        for &(lpn, fragments) in &self.degraded_read_events {
+            collector.emit(at, EventKind::DegradedRead { lpn, fragments });
+        }
+        if self.spare.is_some() {
+            let mut unit = |t: f64, spare: usize, action: &'static str, pages: u64| {
+                let spare = spare as u32;
+                collector.emit(
+                    at + t,
+                    EventKind::RebuildUnit {
+                        spare,
+                        action,
+                        pages,
+                    },
+                );
+            };
+            for &(t, ops) in &spare_progress.curve {
+                unit(t, s_total, "write", ops);
+            }
+            for (d, prog) in devs.iter().zip(&progress) {
+                if d.id < s_total && prog.reads_done > 0 {
+                    unit(prog.done_at_us, d.id, "read", prog.reads_done);
+                }
+            }
+            if spare_progress.writes_done > 0 {
+                collector.emit(
+                    at + spare_progress.done_at_us,
+                    EventKind::ShardFail {
+                        failed: failed as u32,
+                        phase: "restored",
+                        detail: rebuilt_mapped_pages,
+                    },
+                );
+            }
+        }
+
+        FailureReport {
+            resilience: ResilienceReport {
+                parity,
+                failed_shard: Some(failed as u32),
+                fail_at_us: at,
+                spare_shard: self.spare.map(|id| id as u32),
+                degraded_reads: self.degraded_reads,
+                degraded_fragment_reads: self.degraded_fragment_reads,
+                rebuild_pages: spare_progress.writes_done,
+                rebuild_reads: per_shard_rebuild_reads.iter().sum(),
+                rebuild_time_us: spare_progress.done_at_us,
+                redirected_writes: self.redirected_writes,
+                lost_pages,
+                per_shard_degraded_reads: self.per_shard_degraded_reads,
+                per_shard_rebuild_reads,
+            },
+            rebuild: spare_progress,
+            audit,
+            events: collector.take(),
+        }
+    }
+}
+
+/// Every shard's rebuild progress over the phase that just ran.
+fn rebuild_progress(devs: &[Dev]) -> Vec<RebuildProgress> {
+    devs.iter()
+        .map(|d| d.sim.rebuild_progress().clone())
+        .collect()
+}
+
+/// The lifetime aging barrier before `epoch` (sequence point: every
+/// shard drained). Walks the shards in index order on this thread:
+/// every block's virtual age advances — P/E cycles scaled by the
+/// similarity-model wear-rate spread and the resident data's pattern
+/// stress, retention months shaped by the early-retention-loss curve —
+/// so OPM re-monitoring, retry chains and background maintenance race
+/// real drift across epochs instead of meeting a pre-baked aged state.
+fn age(
+    devs: &mut [Dev],
+    engines: &mut [LifetimeEngine],
+    epoch: u32,
+    t_offset: f64,
+    events: &mut Vec<TraceEvent>,
+) -> Vec<EpochSummary> {
+    devs.iter_mut()
+        .zip(engines)
+        .map(|(d, engine)| {
+            let s = d.ftl.advance_lifetime_epoch(engine);
+            let mut c = Collector::enabled(EventMask::AGING, d.id as u32);
+            c.emit(
+                t_offset,
+                EventKind::EpochAdvance {
+                    epoch,
+                    pe_add: s.pe_added,
+                    retention_add_months: s.retention_added_months,
+                    blocks: s.blocks_aged,
+                },
+            );
+            events.extend(c.take());
+            d.ftl.reset_stats();
+            s
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn eval(kind: FtlKind, workload: StandardWorkload, aging: AgingState) -> SimReport {
+        Scenario::new(kind, workload, aging, &EvalConfig::smoke())
+            .run()
+            .expect("a plain scenario is valid")
+            .into_sim()
+    }
+
     #[test]
     fn smoke_eval_completes_all_requests() {
-        let cfg = EvalConfig::smoke();
-        let r = run_eval(
-            FtlKind::Page,
-            StandardWorkload::Mail,
-            AgingState::Fresh,
-            &cfg,
-        );
-        assert_eq!(r.completed, cfg.requests);
+        let r = eval(FtlKind::Page, StandardWorkload::Mail, AgingState::Fresh);
+        assert_eq!(r.completed, EvalConfig::smoke().requests);
         assert!(r.iops > 0.0);
         assert!(r.reads > 0 && r.writes > 0);
     }
 
     #[test]
     fn eval_is_deterministic() {
-        let cfg = EvalConfig::smoke();
-        let a = run_eval(
-            FtlKind::Cube,
-            StandardWorkload::Web,
-            AgingState::MidLife,
-            &cfg,
-        );
-        let b = run_eval(
-            FtlKind::Cube,
-            StandardWorkload::Web,
-            AgingState::MidLife,
-            &cfg,
-        );
+        let a = eval(FtlKind::Cube, StandardWorkload::Web, AgingState::MidLife);
+        let b = eval(FtlKind::Cube, StandardWorkload::Web, AgingState::MidLife);
         assert_eq!(a.iops, b.iops);
         assert_eq!(a.sim_time_us, b.sim_time_us);
     }
 
     #[test]
     fn cube_beats_page_on_a_write_heavy_workload() {
-        let cfg = EvalConfig::smoke();
-        let page = run_eval(
-            FtlKind::Page,
-            StandardWorkload::Oltp,
-            AgingState::Fresh,
-            &cfg,
-        );
-        let cube = run_eval(
-            FtlKind::Cube,
-            StandardWorkload::Oltp,
-            AgingState::Fresh,
-            &cfg,
-        );
+        let page = eval(FtlKind::Page, StandardWorkload::Oltp, AgingState::Fresh);
+        let cube = eval(FtlKind::Cube, StandardWorkload::Oltp, AgingState::Fresh);
         assert!(
             cube.iops > page.iops,
             "cubeFTL {} IOPS vs pageFTL {} IOPS",

@@ -15,18 +15,25 @@
 //! * [`workloads`] — the six evaluation workloads (Filebench
 //!   Mail/Web/Proxy/OLTP, YCSB-A over LSM and B-tree engine models).
 //!
-//! The [`harness`] module glues these together into one-call paper
-//! experiments; `crates/bench` hosts one binary per paper figure.
+//! The [`harness`] module glues these together: one
+//! [`harness::Scenario`] value describes an experiment (FTL, aging,
+//! scale, workload source, and the array / QoS / KV / lifetime /
+//! power-cut / shard-failure / telemetry specs as orthogonal fields)
+//! and [`harness::Scenario::run`] executes it through one
+//! phase-and-barrier pipeline, returning a [`harness::RunOutput`].
+//! `crates/bench` hosts one binary per paper figure.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use cubeftl::harness::{EvalConfig, run_eval};
+//! use cubeftl::harness::{EvalConfig, Scenario};
 //! use cubeftl::{AgingState, FtlKind, StandardWorkload};
 //!
 //! let cfg = EvalConfig::smoke();
-//! let report = run_eval(FtlKind::Cube, StandardWorkload::Mail, AgingState::Fresh, &cfg);
+//! let scenario = Scenario::new(FtlKind::Cube, StandardWorkload::Mail, AgingState::Fresh, &cfg);
+//! let report = scenario.run()?.into_sim();
 //! assert!(report.iops > 0.0);
+//! # Ok::<(), cubeftl::harness::ScenarioError>(())
 //! ```
 
 pub use ftl::{

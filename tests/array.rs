@@ -3,13 +3,16 @@
 //! worker-thread count, on repeated runs, and across trace routing.
 //!
 //! `CUBEFTL_SHARDS` (CI sets 4) overrides the default shard count so
-//! the same suite exercises whichever array width the job asks for.
+//! the same suite exercises whichever array width the job asks for;
+//! `CUBEFTL_THREADS` adds a worker-thread count to the invariance test.
 
+mod common;
+
+use common::run;
 use cubeftl::harness::{
-    run_array_eval, run_array_spo_eval, run_array_trace_eval, ArrayEvalConfig, ArraySpoConfig,
-    EvalConfig,
+    ArrayEvalConfig, EvalConfig, Phase, RunOutput, Scenario, SpoConfig, WorkloadSource,
 };
-use cubeftl::{AgingState, FtlKind, StandardWorkload, Trace};
+use cubeftl::{AgingState, FtlKind, SpoTrigger, StandardWorkload};
 
 /// Shard count under test: `CUBEFTL_SHARDS` if set (CI runs the suite
 /// once with 4), else 2 to keep the default run fast.
@@ -27,23 +30,28 @@ fn cfg() -> EvalConfig {
     cfg
 }
 
+/// One Cube array cell.
+fn array_run(
+    workload: impl Into<WorkloadSource>,
+    aging: AgingState,
+    cfg: &EvalConfig,
+    arr: &ArrayEvalConfig,
+) -> RunOutput {
+    run(&Scenario {
+        array: Some(*arr),
+        ..Scenario::new(FtlKind::Cube, workload, aging, cfg)
+    })
+}
+
 #[test]
 fn array_double_run_is_byte_identical() {
     let cfg = cfg();
     for shards in [1, shards_under_test().max(2)] {
         let arr = ArrayEvalConfig::new(shards);
-        let run = || {
-            run_array_eval(
-                FtlKind::Cube,
-                StandardWorkload::Oltp,
-                AgingState::MidLife,
-                &cfg,
-                &arr,
-            )
-        };
+        let run = || array_run(StandardWorkload::Oltp, AgingState::MidLife, &cfg, &arr);
         assert_eq!(
-            format!("{:?}", run().merged),
-            format!("{:?}", run().merged),
+            format!("{:?}", run().merged()),
+            format!("{:?}", run().merged()),
             "{shards}-shard array diverged between identical runs"
         );
     }
@@ -56,17 +64,12 @@ fn array_report_is_identical_at_any_thread_count() {
     let at = |threads: usize| {
         let mut arr = ArrayEvalConfig::new(shards);
         arr.threads = threads;
-        let r = run_array_eval(
-            FtlKind::Cube,
-            StandardWorkload::Mail,
-            AgingState::Fresh,
-            &cfg,
-            &arr,
-        );
-        format!("{:?}", r.merged)
+        let r = array_run(StandardWorkload::Mail, AgingState::Fresh, &cfg, &arr);
+        format!("{:?}", r.merged())
     };
     let one = at(1);
     assert_eq!(one, at(2), "1 vs 2 worker threads");
+    assert_eq!(one, at(common::threads()), "1 vs env worker threads");
     assert_eq!(one, at(shards), "1 vs {shards} worker threads");
 }
 
@@ -74,65 +77,64 @@ fn array_report_is_identical_at_any_thread_count() {
 fn array_completes_the_exact_budget_and_sums_shard_counters() {
     let cfg = cfg();
     let arr = ArrayEvalConfig::new(shards_under_test());
-    let r = run_array_eval(
-        FtlKind::Cube,
-        StandardWorkload::Oltp,
-        AgingState::Fresh,
-        &cfg,
-        &arr,
-    );
-    assert_eq!(r.merged.completed, cfg.requests);
-    assert_eq!(r.merged.shards, arr.shards);
+    let out = array_run(StandardWorkload::Oltp, AgingState::Fresh, &cfg, &arr);
+    let (merged, shards) = (out.merged(), &out.phases[0].shards);
+    assert_eq!(merged.completed, cfg.requests);
+    assert_eq!(merged.shards, arr.shards);
     assert_eq!(
-        r.merged.completed,
-        r.shards.iter().map(|s| s.completed).sum::<u64>()
+        merged.completed,
+        shards.iter().map(|s| s.completed).sum::<u64>()
     );
     assert_eq!(
-        r.merged.per_shard_completed,
-        r.shards.iter().map(|s| s.completed).collect::<Vec<_>>()
+        merged.per_shard_completed,
+        shards.iter().map(|s| s.completed).collect::<Vec<_>>()
     );
-    let iops_sum: f64 = r.shards.iter().map(|s| s.iops).sum();
-    assert!((r.merged.iops - iops_sum).abs() < 1e-9);
+    let iops_sum: f64 = shards.iter().map(|s| s.iops).sum();
+    assert!((merged.iops - iops_sum).abs() < 1e-9);
     // The makespan is the slowest shard, not a sum.
-    for s in &r.shards {
-        assert!(s.sim_time_us <= r.merged.sim_time_us);
+    for s in shards {
+        assert!(s.sim_time_us <= merged.sim_time_us);
     }
 }
 
 #[test]
 fn array_trace_routing_is_deterministic() {
-    let text =
-        std::fs::read_to_string("tests/data/sample_trace.csv").expect("sample trace present");
-    let trace = Trace::from_msr_csv(&text, 16 * 1024, 1 << 40).expect("sample trace parses");
+    let trace = common::msr_trace("sample_trace.csv");
     let cfg = cfg();
     let arr = ArrayEvalConfig::new(shards_under_test().max(2));
-    let run = || run_array_trace_eval(FtlKind::Cube, AgingState::Fresh, &cfg, &arr, &trace);
+    let run = || array_run(&trace, AgingState::Fresh, &cfg, &arr);
     let a = run();
     let b = run();
-    assert_eq!(format!("{:?}", a.merged), format!("{:?}", b.merged));
+    assert_eq!(format!("{:?}", a.merged()), format!("{:?}", b.merged()));
     // Striping may split spans at stripe boundaries but never drops or
     // invents host work: at least one fragment per trace request.
-    assert!(a.merged.completed >= trace.len() as u64);
+    assert!(a.merged().completed >= trace.len() as u64);
 }
 
-/// Cut instant that lands mid-run on every shard: half the fastest
-/// shard's uninterrupted makespan (each shard starts at virtual time
-/// zero, so all of them are still busy then).
-fn mid_run_cut_us(
-    kind: FtlKind,
+/// A Cube array scenario cut mid-run on every shard: at half the
+/// fastest shard's uninterrupted makespan (each shard starts at virtual
+/// time zero, so all of them are still busy then).
+fn mid_run_cut(
     workload: StandardWorkload,
     aging: AgingState,
     cfg: &EvalConfig,
     arr: &ArrayEvalConfig,
-) -> f64 {
-    let probe = run_array_eval(kind, workload, aging, cfg, arr);
-    let min_time = probe
+    ckpt_interval_host_wls: u64,
+) -> Scenario {
+    let min_time = array_run(workload, aging, cfg, arr).phases[0]
         .shards
         .iter()
         .map(|s| s.sim_time_us)
         .fold(f64::INFINITY, f64::min);
     assert!(min_time.is_finite() && min_time > 0.0);
-    min_time * 0.5
+    Scenario {
+        array: Some(*arr),
+        spo: Some(SpoConfig {
+            trigger: SpoTrigger::AtTimeUs(min_time * 0.5),
+            ckpt_interval_host_wls,
+        }),
+        ..Scenario::new(FtlKind::Cube, workload, aging, cfg)
+    }
 }
 
 #[test]
@@ -140,36 +142,33 @@ fn array_wide_spo_recovers_every_shard_with_zero_loss() {
     let mut cfg = cfg();
     cfg.requests = 2_000;
     let arr = ArrayEvalConfig::new(shards_under_test().max(2));
-    let spo = ArraySpoConfig {
-        cut_at_us: mid_run_cut_us(
-            FtlKind::Cube,
-            StandardWorkload::Mail,
-            AgingState::MidLife,
-            &cfg,
-            &arr,
-        ),
-        ckpt_interval_host_wls: 32,
-    };
-    let r = run_array_spo_eval(
-        FtlKind::Cube,
+    let r = run(&mid_run_cut(
         StandardWorkload::Mail,
         AgingState::MidLife,
         &cfg,
         &arr,
-        &spo,
+        32,
+    ));
+    let crash = r.crash.as_ref().expect("a cut was armed");
+    assert_eq!(
+        crash.shards_cut(),
+        arr.shards,
+        "every shard cut at the instant"
     );
-    assert_eq!(r.shards_cut(), arr.shards, "every shard cut at the instant");
     assert!(
-        r.lost_lpns.is_empty(),
+        crash.lost_lpns.is_empty(),
         "host-acknowledged data lost: {:?}",
-        r.lost_lpns
+        crash.lost_lpns
     );
-    assert!(r.recoveries.iter().all(Option::is_some));
-    let resumed = r.resumed.expect("workload remainder resumed");
+    assert!(crash.recoveries.iter().all(Option::is_some));
+    let resumed = &r
+        .phase(Phase::Resumed)
+        .expect("workload remainder resumed")
+        .merged;
     // Requests in flight at the cut were issued but never acknowledged,
     // so they are neither completed nor replayed; the shortfall is
     // bounded by the per-device queue depth.
-    let done = r.pre_cut.completed + resumed.completed;
+    let done = r.merged().completed + resumed.completed;
     assert!(resumed.completed > 0, "the remainder must actually resume");
     assert!(done <= cfg.requests);
     assert!(
@@ -184,26 +183,11 @@ fn array_spo_experiment_is_deterministic() {
     let mut cfg = cfg();
     cfg.requests = 1_500;
     let arr = ArrayEvalConfig::new(2);
-    let spo = ArraySpoConfig {
-        cut_at_us: mid_run_cut_us(
-            FtlKind::Cube,
-            StandardWorkload::Oltp,
-            AgingState::Fresh,
-            &cfg,
-            &arr,
-        ),
-        ckpt_interval_host_wls: 64,
-    };
+    let sc = mid_run_cut(StandardWorkload::Oltp, AgingState::Fresh, &cfg, &arr, 64);
     let run = || {
-        let r = run_array_spo_eval(
-            FtlKind::Cube,
-            StandardWorkload::Oltp,
-            AgingState::Fresh,
-            &cfg,
-            &arr,
-            &spo,
-        );
-        format!("{:?} {:?} {:?}", r.pre_cut, r.resumed, r.lost_lpns)
+        let r = run(&sc);
+        let lost = &r.crash.as_ref().expect("a cut was armed").lost_lpns;
+        format!("{:?} {:?} {lost:?}", r.merged(), r.phase(Phase::Resumed))
     };
     assert_eq!(run(), run());
 }

@@ -7,12 +7,15 @@
 //! any worker-thread count; with everything off the parity router must
 //! route byte-identically to the plain [`StripeRouter`].
 
+mod common;
+
 use cubeftl::harness::{
-    run_array_failure_eval, ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec,
+    ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, FailureReport, Phase, RunOutput,
+    Scenario, SpoConfig,
 };
 use cubeftl::{
     page_fingerprint, xor_parity, AgingState, FtlKind, HostRequest, PageRole, ParityRouter,
-    StandardWorkload, StripeRouter,
+    SpoTrigger, StandardWorkload, StripeRouter,
 };
 use proptest::prelude::*;
 
@@ -22,17 +25,38 @@ fn cfg() -> EvalConfig {
     cfg
 }
 
-/// Worker threads driving the engine; `CUBEFTL_FAILURE_THREADS`
-/// overrides (CI re-runs the suite at 2 and 8) — results must be
-/// identical at any value.
+/// Worker threads driving the engine: `CUBEFTL_THREADS` (CI re-runs
+/// the suite at 2 and 8) — results must be identical at any value.
 fn arr(shards: usize) -> ArrayEvalConfig {
     let mut arr = ArrayEvalConfig::new(shards);
     arr.stripe_pages = 16;
-    arr.threads = std::env::var("CUBEFTL_FAILURE_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    arr.threads = common::threads();
     arr
+}
+
+/// One OLTP mid-life failure experiment, optionally with an array-wide
+/// power cut composed into the degraded phase.
+fn failure_run(
+    arr: &ArrayEvalConfig,
+    fc: &ArrayFailureConfig,
+    spo_cut_at_us: Option<f64>,
+) -> (RunOutput, FailureReport) {
+    let out = common::run(&Scenario {
+        array: Some(*arr),
+        failure: Some(*fc),
+        spo: spo_cut_at_us.map(|t| SpoConfig {
+            trigger: SpoTrigger::AtTimeUs(t),
+            ckpt_interval_host_wls: 64,
+        }),
+        ..Scenario::new(
+            FtlKind::Cube,
+            StandardWorkload::Oltp,
+            AgingState::MidLife,
+            &cfg(),
+        )
+    });
+    let failure = out.failure.clone().expect("failure spec was set");
+    (out, failure)
 }
 
 /// A failure scenario reliably mid-run at smoke scale.
@@ -72,46 +96,25 @@ fn parity_off_routes_identically_to_plain_striping() {
 
 #[test]
 fn healthy_run_is_deterministic_and_loss_free() {
-    let cfg = cfg();
     let arr = arr(3);
     let mut fc = ArrayFailureConfig::off();
     fc.parity = true;
-    let run = || {
-        run_array_failure_eval(
-            FtlKind::Cube,
-            StandardWorkload::Oltp,
-            AgingState::MidLife,
-            &cfg,
-            &arr,
-            &fc,
-        )
-    };
-    let a = run();
-    let b = run();
+    let (out_a, a) = failure_run(&arr, &fc, None);
+    let (out_b, b) = failure_run(&arr, &fc, None);
     assert!(a.audit.zero_loss);
-    assert!(a.degraded.is_none());
+    assert!(out_a.phase(Phase::Degraded).is_none());
     assert_eq!(a.resilience.failed_shard, None);
-    assert!(a.healthy.completed > 0);
+    assert!(out_a.merged().completed > 0);
     assert_eq!(
-        format!("{:?}", (&a.healthy, &a.audit)),
-        format!("{:?}", (&b.healthy, &b.audit)),
+        format!("{:?}", (out_a.merged(), &a.audit)),
+        format!("{:?}", (out_b.merged(), &b.audit)),
         "healthy parity-on run diverged between identical runs"
     );
 }
 
 #[test]
 fn failure_degraded_rebuild_reaches_zero_loss() {
-    let cfg = cfg();
-    let arr = arr(3);
-    let fc = fail_cfg();
-    let r = run_array_failure_eval(
-        FtlKind::Cube,
-        StandardWorkload::Oltp,
-        AgingState::MidLife,
-        &cfg,
-        &arr,
-        &fc,
-    );
+    let (_, r) = failure_run(&arr(3), &fail_cfg(), None);
     assert_eq!(r.resilience.failed_shard, Some(1));
     assert_eq!(r.resilience.spare_shard, Some(3));
     assert!(
@@ -150,18 +153,9 @@ fn failure_degraded_rebuild_reaches_zero_loss() {
 
 #[test]
 fn parity_off_failure_loses_the_dead_shard() {
-    let cfg = cfg();
-    let arr = arr(3);
     let mut fc = fail_cfg();
     fc.parity = false; // no redundancy: the dead shard's data is gone
-    let r = run_array_failure_eval(
-        FtlKind::Cube,
-        StandardWorkload::Oltp,
-        AgingState::MidLife,
-        &cfg,
-        &arr,
-        &fc,
-    );
+    let (_, r) = failure_run(&arr(3), &fc, None);
     assert!(r.audit.durable_data_pages > 0);
     assert_eq!(r.audit.lost_pages, r.audit.durable_data_pages);
     assert!(!r.audit.zero_loss, "parity off must show the loss");
@@ -171,32 +165,13 @@ fn parity_off_failure_loses_the_dead_shard() {
 
 #[test]
 fn failure_report_is_identical_at_any_thread_count_and_on_reruns() {
-    let cfg = cfg();
     let shards = 3;
     let fc = fail_cfg();
     let at = |threads: usize| {
         let mut a = arr(shards);
         a.threads = threads;
-        let r = run_array_failure_eval(
-            FtlKind::Cube,
-            StandardWorkload::Oltp,
-            AgingState::MidLife,
-            &cfg,
-            &a,
-            &fc,
-        );
-        format!(
-            "{:?}",
-            (
-                &r.healthy,
-                &r.degraded,
-                &r.resumed,
-                &r.resilience,
-                &r.rebuild,
-                &r.audit,
-                &r.events
-            )
-        )
+        let (out, r) = failure_run(&a, &fc, None);
+        format!("{:?}", (&out.phases, &r))
     };
     let one = at(1);
     assert_eq!(one, at(2), "1 vs 2 worker threads");
@@ -206,38 +181,24 @@ fn failure_report_is_identical_at_any_thread_count_and_on_reruns() {
 
 #[test]
 fn failure_composes_with_an_array_spo_cut() {
-    let cfg = cfg();
     let arr = arr(3);
-    let mut fc = fail_cfg();
-    fc.spo_cut_at_us = Some(2_000.0); // cut mid-degraded-phase
-    let r = run_array_failure_eval(
-        FtlKind::Cube,
-        StandardWorkload::Oltp,
-        AgingState::MidLife,
-        &cfg,
-        &arr,
-        &fc,
-    );
+    let fc = fail_cfg();
+    let cut = Some(2_000.0); // mid-degraded-phase
+    let (out, r) = failure_run(&arr, &fc, cut);
+    let crash = out.crash.as_ref().expect("a cut was armed");
     assert!(
-        r.recoveries.iter().any(Option::is_some),
+        crash.recoveries.iter().any(Option::is_some),
         "the composed SPO cut must land on at least one shard"
     );
     assert!(
-        r.spo_lost_lpns.is_empty(),
+        crash.lost_lpns.is_empty(),
         "crash recovery lost acknowledged data: {:?}",
-        r.spo_lost_lpns
+        crash.lost_lpns
     );
     assert!(r.audit.zero_loss, "failure + SPO still reaches zero loss");
     assert_eq!(r.audit.rebuilt_mapped_pages, r.audit.acked_pages);
     // Determinism holds for the composed scenario too.
-    let rerun = run_array_failure_eval(
-        FtlKind::Cube,
-        StandardWorkload::Oltp,
-        AgingState::MidLife,
-        &cfg,
-        &arr,
-        &fc,
-    );
+    let (_, rerun) = failure_run(&arr, &fc, cut);
     assert_eq!(
         format!("{:?}", (&r.resilience, &r.audit, &r.rebuild)),
         format!("{:?}", (&rerun.resilience, &rerun.audit, &rerun.rebuild)),

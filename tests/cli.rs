@@ -11,6 +11,11 @@
 //! substituted back in the captured text, so snapshots are
 //! machine-independent). Output files are pinned by size and FNV-1a
 //! hash, not content — the telemetry suite already pins the formats.
+//!
+//! The thread-invariance test honours `CUBEFTL_THREADS` (CI runs the
+//! suite at 2 and 8) as the second `--array-threads` count.
+
+mod common;
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -151,6 +156,11 @@ cases! {
                          --lifetime-workloads a,c --kv-keys 4000";
     lifetime_workloads_shards4: "--ftl cube --blocks 16 --requests 2000 --shards 4 \
                                  --lifetime-workloads oltp,a --lifetime-pattern-wear on";
+    trace_file_files: &format!("--ftl cube --blocks 16 --trace-file tests/data/traces/ycsb_a.csv {FILES}");
+    trace_file_spo: "--ftl cube --blocks 16 --trace-file tests/data/traces/ycsb_a.csv --spo-at 400";
+    kv_spo: "--ftl cube --blocks 16 --requests 3000 --kv a --kv-keys 4000 --spo-at 1500";
+    kv_spo_shards4: "--ftl cube --blocks 16 --requests 3000 --kv a --kv-keys 4000 --shards 4 \
+                     --spo-at-us 20000";
     rejects_kv_with_qos: "--ftl cube --blocks 16 --kv a --queues 4";
     rejects_lifetime_with_spo: "--ftl cube --blocks 16 --lifetime-epochs 3 --spo-at 100";
     rejects_array_spo_by_ops: "--ftl cube --blocks 16 --shards 4 --spo-at 100";
@@ -160,4 +170,22 @@ cases! {
     rejects_qos_knob_without_engagement: "--ftl cube --blocks 16 --qos-sq-depth 4";
     rejects_telemetry_in_lifetime_mode: "--ftl cube --blocks 16 --lifetime-epochs 3 --metrics-out {out}/metrics.ndjson";
     rejects_unknown_flag: "--ftl cube --bogus 1";
+}
+
+#[test]
+fn sharded_run_is_identical_at_any_array_threads() {
+    // Everything but the flag line and the banner's thread count —
+    // table, summaries, every output file — must be byte-identical.
+    let at = |threads: usize| {
+        let flags = format!(
+            "--ftl cube --blocks 16 --requests 2000 --kv a --shards 4 \
+             --array-threads {threads} {FILES}"
+        );
+        observe(&format!("array_threads_{threads}"), &flags)
+            .lines()
+            .filter(|l| !l.starts_with("$ ") && !l.starts_with("array: "))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(at(1), at(common::threads().max(2)));
 }

@@ -8,8 +8,14 @@
 //! draw, an iteration-order dependence, a platform difference) fails
 //! loudly.
 
-use cubeftl::harness::{run_eval, EvalConfig};
-use cubeftl::{AgingState, FaultKind, FaultPlan, FtlKind, StandardWorkload};
+mod common;
+
+use common::{check_golden, eval, run};
+use cubeftl::harness::{EvalConfig, KvSpec, Phase, QosSpec, Scenario, SpoConfig, TelemetrySpec};
+use cubeftl::{
+    events_to_ndjson, AgingState, FaultKind, FaultPlan, FtlKind, MetricRegistry, SimReport,
+    StandardWorkload,
+};
 
 /// A smoke-scale config with every fault class enabled at a rate high
 /// enough to fire many times in 2k requests.
@@ -30,8 +36,8 @@ fn faulty_cfg() -> EvalConfig {
 fn double_run_is_byte_identical_without_faults() {
     let cfg = EvalConfig::smoke();
     for kind in [FtlKind::Page, FtlKind::Cube] {
-        let a = run_eval(kind, StandardWorkload::Oltp, AgingState::MidLife, &cfg);
-        let b = run_eval(kind, StandardWorkload::Oltp, AgingState::MidLife, &cfg);
+        let a = eval(kind, StandardWorkload::Oltp, AgingState::MidLife, &cfg);
+        let b = eval(kind, StandardWorkload::Oltp, AgingState::MidLife, &cfg);
         // Debug formatting covers every field, including every latency
         // sample, bit-exactly.
         assert_eq!(
@@ -46,13 +52,13 @@ fn double_run_is_byte_identical_without_faults() {
 #[test]
 fn double_run_is_byte_identical_with_faults() {
     let cfg = faulty_cfg();
-    let a = run_eval(
+    let a = eval(
         FtlKind::Cube,
         StandardWorkload::Mail,
         AgingState::MidLife,
         &cfg,
     );
-    let b = run_eval(
+    let b = eval(
         FtlKind::Cube,
         StandardWorkload::Mail,
         AgingState::MidLife,
@@ -72,13 +78,13 @@ fn fault_seed_changes_the_fault_stream_but_not_correctness() {
     if let Some(plan) = &mut cfg_b.faults {
         plan.seed = 0x5EED;
     }
-    let a = run_eval(
+    let a = eval(
         FtlKind::Cube,
         StandardWorkload::Web,
         AgingState::MidLife,
         &cfg_a,
     );
-    let b = run_eval(
+    let b = eval(
         FtlKind::Cube,
         StandardWorkload::Web,
         AgingState::MidLife,
@@ -97,15 +103,18 @@ fn fault_seed_changes_the_fault_stream_but_not_correctness() {
 #[test]
 fn golden_smoke_report_is_stable() {
     let cfg = EvalConfig::smoke();
-    let r = run_eval(
+    assert_golden_smoke(&eval(
         FtlKind::Cube,
         StandardWorkload::Mail,
         AgingState::Fresh,
         &cfg,
-    );
-    // Integer-exact golden values for the default smoke configuration
-    // (seed 42). These pin the whole pipeline: workload generation,
-    // buffering, WL allocation, GC and NAND timing.
+    ));
+}
+
+/// Integer-exact golden values for the default smoke configuration
+/// (seed 42). These pin the whole pipeline: workload generation,
+/// buffering, WL allocation, GC and NAND timing.
+fn assert_golden_smoke(r: &SimReport) {
     assert_eq!(r.completed, 2_000);
     assert_eq!(
         (r.reads, r.writes, r.trims),
@@ -128,7 +137,7 @@ const GOLDEN_SAFETY: u64 = 0;
 #[test]
 fn golden_faulty_report_is_stable() {
     let cfg = faulty_cfg();
-    let r = run_eval(
+    let r = eval(
         FtlKind::Cube,
         StandardWorkload::Mail,
         AgingState::Fresh,
@@ -155,13 +164,13 @@ fn double_run_is_byte_identical_with_maintenance() {
     let mut cfg = faulty_cfg();
     cfg.requests = 6_000;
     cfg.maint = Some(cubeftl::MaintConfig::default_on());
-    let a = run_eval(
+    let a = eval(
         FtlKind::Cube,
         StandardWorkload::Web,
         AgingState::EndOfLife,
         &cfg,
     );
-    let b = run_eval(
+    let b = eval(
         FtlKind::Cube,
         StandardWorkload::Web,
         AgingState::EndOfLife,
@@ -188,31 +197,69 @@ fn spo_at_fixed_op_double_run_is_byte_identical() {
     // report, the recovered mapping and the resumed run must all be
     // byte-identical — crash recovery may not introduce a single
     // nondeterministic draw or iteration-order dependence.
-    use cubeftl::harness::{run_spo_eval, SpoConfig};
-    let cfg = EvalConfig::smoke();
-    let spo = SpoConfig::at_ops(1_100);
-    let run = || {
-        run_spo_eval(
+    let sc = Scenario {
+        spo: Some(SpoConfig::at_ops(1_100)),
+        ..Scenario::new(
             FtlKind::Cube,
             StandardWorkload::Oltp,
             AgingState::MidLife,
-            &cfg,
-            &spo,
+            &EvalConfig::smoke(),
         )
     };
-    let (a, b) = (run(), run());
-    assert!(a.fired(), "the armed trigger must fire");
-    assert_eq!(a.spo, b.spo, "cut snapshots diverged");
+    let crash = |sc: &Scenario| {
+        let r = run(sc);
+        (r.crash.clone().expect("a cut was armed"), r)
+    };
+    let ((a, ra), (b, rb)) = (crash(&sc), crash(&sc));
+    assert_eq!(a.shards_cut(), 1, "the armed trigger must fire");
+    assert_eq!(a.events, b.events, "cut snapshots diverged");
     assert_eq!(
-        format!("{:?}", a.recovery),
-        format!("{:?}", b.recovery),
+        format!("{:?}", a.recoveries),
+        format!("{:?}", b.recoveries),
         "recovery reports diverged"
     );
     assert_eq!(
-        format!("{:?}", a.resumed),
-        format!("{:?}", b.resumed),
+        format!("{:?}", ra.phase(Phase::Resumed)),
+        format!("{:?}", rb.phase(Phase::Resumed)),
         "post-recovery resumed runs diverged"
     );
     assert_eq!(a.lost_lpns, b.lost_lpns);
     assert!(a.lost_lpns.is_empty(), "no host-acknowledged loss");
+}
+
+#[test]
+fn scenario_with_every_spec_off_reproduces_the_goldens() {
+    // Every feature is a field of the one scenario type; with each of
+    // them spelled out at its off value the run must still land on the
+    // constants above and on the committed telemetry snapshots — an
+    // off spec may not leave a trace in the pipeline.
+    let off = |requests: u64, telemetry: TelemetrySpec| {
+        let mut cfg = EvalConfig::smoke();
+        cfg.requests = requests;
+        run(&Scenario {
+            ftl: None,
+            array: None,
+            qos: QosSpec::off(),
+            kv: KvSpec::off(),
+            lifetime: None,
+            spo: None,
+            failure: None,
+            telemetry,
+            capture: false,
+            ..Scenario::new(
+                FtlKind::Cube,
+                StandardWorkload::Mail,
+                AgingState::Fresh,
+                &cfg,
+            )
+        })
+    };
+    assert_golden_smoke(off(2_000, TelemetrySpec::off()).sim());
+    let traced = off(300, TelemetrySpec::all(2_000.0));
+    let telemetry = &traced.telemetry;
+    check_golden("golden_trace.ndjson", &events_to_ndjson(&telemetry.events));
+    check_golden("golden_series.csv", &telemetry.series.to_csv());
+    let mut reg = MetricRegistry::new();
+    traced.sim().register_metrics(&mut reg, "ssd");
+    check_golden("golden_metrics.ndjson", &reg.to_ndjson());
 }

@@ -1,6 +1,9 @@
 //! Cross-crate integration tests: workloads → simulator → FTL → NAND.
 
-use cubeftl::harness::{run_eval, EvalConfig};
+mod common;
+
+use common::eval;
+use cubeftl::harness::EvalConfig;
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
 
 fn smoke() -> EvalConfig {
@@ -12,7 +15,7 @@ fn every_ftl_completes_every_workload_fresh() {
     let cfg = smoke();
     for kind in FtlKind::ALL {
         for workload in StandardWorkload::ALL {
-            let r = run_eval(kind, workload, AgingState::Fresh, &cfg);
+            let r = eval(kind, workload, AgingState::Fresh, &cfg);
             assert_eq!(
                 r.completed,
                 cfg.requests,
@@ -29,7 +32,7 @@ fn every_ftl_completes_every_workload_fresh() {
 fn every_ftl_survives_end_of_life() {
     let cfg = smoke();
     for kind in FtlKind::ALL {
-        let r = run_eval(kind, StandardWorkload::Mail, AgingState::EndOfLife, &cfg);
+        let r = eval(kind, StandardWorkload::Mail, AgingState::EndOfLife, &cfg);
         assert_eq!(r.completed, cfg.requests, "{}", kind.name());
     }
 }
@@ -38,13 +41,13 @@ fn every_ftl_survives_end_of_life() {
 fn aged_reads_are_slower_for_the_ps_unaware_baseline() {
     // §6.2: read retries appear with aging and hurt pageFTL.
     let cfg = smoke();
-    let fresh = run_eval(
+    let fresh = eval(
         FtlKind::Page,
         StandardWorkload::Web,
         AgingState::Fresh,
         &cfg,
     );
-    let aged = run_eval(
+    let aged = eval(
         FtlKind::Page,
         StandardWorkload::Web,
         AgingState::EndOfLife,
@@ -58,13 +61,13 @@ fn aged_reads_are_slower_for_the_ps_unaware_baseline() {
 #[test]
 fn cube_reduces_retries_against_page_at_end_of_life() {
     let cfg = smoke();
-    let page = run_eval(
+    let page = eval(
         FtlKind::Page,
         StandardWorkload::Proxy,
         AgingState::EndOfLife,
         &cfg,
     );
-    let cube = run_eval(
+    let cube = eval(
         FtlKind::Cube,
         StandardWorkload::Proxy,
         AgingState::EndOfLife,
@@ -82,7 +85,7 @@ fn cube_reduces_retries_against_page_at_end_of_life() {
 #[test]
 fn cube_uses_followers_page_does_not_optimize() {
     let cfg = smoke();
-    let cube = run_eval(
+    let cube = eval(
         FtlKind::Cube,
         StandardWorkload::Oltp,
         AgingState::Fresh,
@@ -98,19 +101,19 @@ fn cube_uses_followers_page_does_not_optimize() {
 fn vert_beats_page_cube_beats_vert_on_writes() {
     // Fig. 17(a) ordering for a write-heavy workload.
     let cfg = smoke();
-    let page = run_eval(
+    let page = eval(
         FtlKind::Page,
         StandardWorkload::Oltp,
         AgingState::Fresh,
         &cfg,
     );
-    let vert = run_eval(
+    let vert = eval(
         FtlKind::Vert,
         StandardWorkload::Oltp,
         AgingState::Fresh,
         &cfg,
     );
-    let cube = run_eval(
+    let cube = eval(
         FtlKind::Cube,
         StandardWorkload::Oltp,
         AgingState::Fresh,
@@ -133,7 +136,7 @@ fn vert_beats_page_cube_beats_vert_on_writes() {
 #[test]
 fn reports_are_internally_consistent() {
     let cfg = smoke();
-    let r = run_eval(
+    let r = eval(
         FtlKind::Cube,
         StandardWorkload::Mongo,
         AgingState::MidLife,
@@ -155,7 +158,7 @@ fn trims_flow_through_the_stack_and_reduce_gc_work() {
     let mut cfg = EvalConfig::reduced();
     cfg.requests = 20_000;
     cfg.prefill_fraction = 0.95;
-    let r = run_eval(
+    let r = eval(
         FtlKind::Cube,
         StandardWorkload::Rocks,
         AgingState::Fresh,
@@ -174,7 +177,7 @@ fn write_amplification_exceeds_one_under_gc() {
     // Mongo's random leaf updates scatter invalidations, so GC victims
     // carry valid pages to migrate (unlike pure log overwrites, which
     // invalidate whole blocks and make GC free).
-    let r = run_eval(
+    let r = eval(
         FtlKind::Page,
         StandardWorkload::Mongo,
         AgingState::Fresh,
@@ -192,7 +195,7 @@ fn write_amplification_exceeds_one_under_gc() {
 #[test]
 fn mail_deletes_files_via_trim() {
     let cfg = smoke();
-    let r = run_eval(
+    let r = eval(
         FtlKind::Page,
         StandardWorkload::Mail,
         AgingState::Fresh,
@@ -207,7 +210,7 @@ fn larger_scale_run_is_stable() {
     let mut cfg = EvalConfig::reduced();
     cfg.requests = 25_000;
     cfg.prefill_fraction = 0.95;
-    let r = run_eval(
+    let r = eval(
         FtlKind::Cube,
         StandardWorkload::Oltp,
         AgingState::MidLife,
@@ -226,21 +229,26 @@ fn write_heavy_trace_survives_a_lifetime_epoch() {
     // aging campaign: the full stack (trace folding -> simulator -> FTL
     // -> per-block NAND aging) holds together when the device ages
     // between replays.
-    use cubeftl::harness::run_lifetime_trace_eval;
-    use cubeftl::{LifetimeConfig, Trace};
+    use cubeftl::harness::Scenario;
+    use cubeftl::LifetimeConfig;
 
     let cfg = smoke();
-    let text =
-        std::fs::read_to_string("tests/data/traces/msr_usr_wr.csv").expect("usr trace present");
-    let trace = Trace::from_msr_csv(&text, 16 * 1024, 1 << 40).expect("usr trace parses");
+    let trace = common::msr_trace("traces/msr_usr_wr.csv");
     let mut life = LifetimeConfig::campaign();
     life.epochs = 2;
-    let r = run_lifetime_trace_eval(FtlKind::Cube, AgingState::Fresh, &cfg, &life, &trace);
-    assert_eq!(r.epochs.len(), 2);
-    assert_eq!(r.summaries.len(), 1, "one aging step between the replays");
-    assert!(r.summaries[0].blocks_aged > 0);
-    for rep in &r.epochs {
-        assert_eq!(rep.completed, trace.len() as u64);
-        assert!(rep.writes > rep.reads, "the usr volume is write-heavy");
+    let r = common::run(&Scenario {
+        lifetime: Some(life),
+        ..Scenario::new(FtlKind::Cube, &trace, AgingState::Fresh, &cfg)
+    });
+    assert_eq!(r.epochs().count(), 2);
+    let summaries = &r.aging.as_ref().expect("campaign ran").summaries;
+    assert_eq!(summaries.len(), 1, "one aging step between the replays");
+    assert!(summaries[0][0].blocks_aged > 0);
+    for rep in r.epochs() {
+        assert_eq!(rep.merged.completed, trace.len() as u64);
+        assert!(
+            rep.merged.writes > rep.merged.reads,
+            "the usr volume is write-heavy"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the extension features: trace record/replay,
 //! latency prediction, PS-aware ECC, and the configurable WAM.
 
-use cubeftl::harness::{run_eval_custom, EvalConfig};
+use cubeftl::harness::{EvalConfig, Scenario};
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
 use ftl::{Ftl, FtlConfig, LatencyPredictor, Opm};
 use nand3d::{BlockId, EccModel, NandChip, NandConfig, ProgramParams, WlData};
@@ -98,13 +98,18 @@ fn wam_active_block_knob_changes_behaviour_but_not_correctness() {
         let mut ftl_cfg = cfg.ftl_config();
         ftl_cfg.active_blocks_per_chip = blocks;
         ftl_cfg.gc_free_block_threshold = ftl_cfg.gc_free_block_threshold.max(blocks);
-        let r = run_eval_custom(
-            FtlKind::Cube,
-            StandardWorkload::Mail,
-            AgingState::Fresh,
-            &cfg,
-            ftl_cfg,
-        );
+        let r = Scenario {
+            ftl: Some(ftl_cfg),
+            ..Scenario::new(
+                FtlKind::Cube,
+                StandardWorkload::Mail,
+                AgingState::Fresh,
+                &cfg,
+            )
+        }
+        .run()
+        .expect("a custom FTL configuration is a valid scenario")
+        .into_sim();
         assert_eq!(r.completed, cfg.requests, "{blocks} active blocks");
     }
 }

@@ -2,7 +2,10 @@
 //! through the FTL into the NAND model, every injected anomaly is
 //! recovered, and the recovery work is visible in the [`SimReport`].
 
-use cubeftl::harness::{run_eval, EvalConfig};
+mod common;
+
+use common::eval;
+use cubeftl::harness::EvalConfig;
 use cubeftl::{AgingState, FaultKind, FaultPlan, FtlKind, StandardWorkload};
 
 /// All five fault classes, hot enough to fire repeatedly in a smoke run.
@@ -29,7 +32,7 @@ fn every_ftl_completes_under_heavy_faults() {
     let cfg = faulty_cfg(0xFA17);
     for kind in FtlKind::ALL {
         for workload in [StandardWorkload::Mail, StandardWorkload::Oltp] {
-            let r = run_eval(kind, workload, AgingState::MidLife, &cfg);
+            let r = eval(kind, workload, AgingState::MidLife, &cfg);
             assert_eq!(
                 r.completed,
                 cfg.requests,
@@ -44,7 +47,7 @@ fn every_ftl_completes_under_heavy_faults() {
 #[test]
 fn recovery_counters_surface_in_the_report() {
     let cfg = faulty_cfg(0xFA17);
-    let r = run_eval(
+    let r = eval(
         FtlKind::Cube,
         StandardWorkload::Mail,
         AgingState::MidLife,
@@ -78,8 +81,8 @@ fn faults_cost_latency_but_not_results() {
     let clean = EvalConfig::smoke();
     let faulty = faulty_cfg(0xFA17);
     let kind = FtlKind::Cube;
-    let a = run_eval(kind, StandardWorkload::Web, AgingState::MidLife, &clean);
-    let b = run_eval(kind, StandardWorkload::Web, AgingState::MidLife, &faulty);
+    let a = eval(kind, StandardWorkload::Web, AgingState::MidLife, &clean);
+    let b = eval(kind, StandardWorkload::Web, AgingState::MidLife, &faulty);
     // Same workload stream either way.
     assert_eq!(a.completed, b.completed);
     assert_eq!((a.reads, a.writes), (b.reads, b.writes));
@@ -100,13 +103,13 @@ fn safety_check_absorbs_ber_spikes_for_ps_aware_kinds() {
     // elevated BER — it must report zero recovery actions.
     let mut cfg = EvalConfig::smoke();
     cfg.faults = Some(FaultPlan::seeded(3).with_rate(FaultKind::BerSpike, 0.05));
-    let cube = run_eval(
+    let cube = eval(
         FtlKind::Cube,
         StandardWorkload::Oltp,
         AgingState::MidLife,
         &cfg,
     );
-    let page = run_eval(
+    let page = eval(
         FtlKind::Page,
         StandardWorkload::Oltp,
         AgingState::MidLife,
@@ -125,13 +128,13 @@ fn plan_seed_uncorrelates_chips() {
     // Two plans with the same rates and different seeds must not inject
     // the same fault pattern (per-chip streams are derived from the plan
     // seed, not from the chip's process seed).
-    let a = run_eval(
+    let a = eval(
         FtlKind::Cube,
         StandardWorkload::Mail,
         AgingState::MidLife,
         &faulty_cfg(1),
     );
-    let b = run_eval(
+    let b = eval(
         FtlKind::Cube,
         StandardWorkload::Mail,
         AgingState::MidLife,

@@ -1,20 +1,21 @@
-//! The kvsim application layer end to end through the harness:
-//! defaults-off golden identity against the plain runners, engaged
-//! byte-identical double runs, YCSB-A vs YCSB-C app-WA ordering,
-//! worker-thread invariance on sharded arrays, trace-capture
-//! round-trips, and property tests on the Zipf sampler and LSM engine.
+//! The kvsim application layer end to end through the harness: an
+//! inert disengaged spec, engaged byte-identical double runs, YCSB-A vs
+//! YCSB-C app-WA ordering, worker-thread invariance on sharded arrays,
+//! trace-capture round-trips, the device-level crash audit under a KV
+//! stream, and property tests on the Zipf sampler and LSM engine.
 //!
-//! The thread-invariance test honours `CUBEFTL_KV_THREADS` (CI runs
-//! the suite at 2 and 8) as the second worker-thread count.
+//! The thread-invariance test honours `CUBEFTL_THREADS` (CI runs the
+//! suite at 2 and 8) as the second worker-thread count.
 
+mod common;
+
+use common::{eval, run};
 use cubeftl::harness::{
-    run_array_eval_traced, run_array_kv_eval, run_eval_capture, run_eval_traced, run_kv_eval,
-    run_trace_eval, run_trace_eval_capture, ArrayEvalConfig, ArrayKvEvalReport, EvalConfig, KvSpec,
-    TelemetrySpec,
+    ArrayEvalConfig, EvalConfig, KvSpec, RunOutput, Scenario, SpoConfig, WorkloadSource,
 };
 use cubeftl::{
-    splitmix64, AgingState, FtlKind, IntZipf, KvConfig, KvStream, LsmTree, SplitMix,
-    StandardWorkload, Trace, YcsbKind,
+    splitmix64, AgingState, FtlKind, IntZipf, KvAppReport, KvConfig, KvStream, LsmTree, SplitMix,
+    SpoTrigger, StandardWorkload, Trace, YcsbKind,
 };
 use proptest::prelude::*;
 
@@ -35,118 +36,78 @@ fn spec(kind: YcsbKind) -> KvSpec {
     kv
 }
 
-/// Second worker-thread count of the invariance test: CI sets
-/// `CUBEFTL_KV_THREADS` to 2 and 8; default 4 (= one per shard).
-fn threads_under_test() -> usize {
-    std::env::var("CUBEFTL_KV_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
+/// A fresh Cube device under `kv`.
+fn kv_scenario(workload: impl Into<WorkloadSource>, kv: KvSpec) -> Scenario {
+    Scenario {
+        kv,
+        ..Scenario::new(FtlKind::Cube, workload, AgingState::Fresh, &cfg())
+    }
+}
+
+/// The single engine's app-level results.
+fn app(r: &RunOutput) -> &KvAppReport {
+    &r.kv.as_ref().expect("engaged run reports app metrics").apps[0]
+}
+
+/// A spec without a workload is disengaged whatever its shape says: the
+/// scenario's own workload drives the device and no KV part is
+/// reported.
+fn assert_shape_is_inert_when_disengaged(base: &Scenario) {
+    let mut shaped = spec(YcsbKind::A);
+    shaped.workload = None;
+    let plain = run(base);
+    let r = run(&Scenario {
+        kv: shaped,
+        ..base.clone()
+    });
+    assert!(r.kv.is_none(), "disengaged run reports no app metrics");
+    assert!(r.captured.is_none());
+    assert_eq!(
+        format!("{:?} {:?}", r.phases, r.telemetry),
+        format!("{:?} {:?}", plain.phases, plain.telemetry),
+        "a disengaged KV spec must leave the run untouched"
+    );
 }
 
 #[test]
 fn defaults_off_reproduces_run_eval_traced_byte_for_byte() {
-    let cfg = cfg();
-    let tel = TelemetrySpec::off();
-    let plain = run_eval_traced(
+    assert_shape_is_inert_when_disengaged(&Scenario::new(
         FtlKind::Cube,
         StandardWorkload::Mail,
         AgingState::MidLife,
-        &cfg,
-        &tel,
-    );
-    let (r, t) = run_kv_eval(
-        FtlKind::Cube,
-        StandardWorkload::Mail,
-        AgingState::MidLife,
-        &cfg,
-        &KvSpec::off(),
-        &tel,
-        false,
-    );
-    assert!(r.app.is_none(), "disengaged run reports no app metrics");
-    assert!(r.events.is_empty(), "disengaged run emits no KV events");
-    assert!(r.captured.is_none());
-    assert_eq!(
-        format!("{:?} {:?}", r.sim, t),
-        format!("{:?} {:?}", plain.0, plain.1),
-        "disengaged KV runner must reproduce run_eval_traced exactly"
-    );
+        &cfg(),
+    ));
 }
 
 #[test]
 fn defaults_off_reproduces_run_array_eval_traced_byte_for_byte() {
-    let cfg = cfg();
-    let arr = ArrayEvalConfig::new(4);
-    let tel = TelemetrySpec::off();
-    let plain = run_array_eval_traced(
-        FtlKind::Cube,
-        StandardWorkload::Oltp,
-        AgingState::Fresh,
-        &cfg,
-        &arr,
-        &tel,
-    );
-    let (r, t) = run_array_kv_eval(
-        FtlKind::Cube,
-        StandardWorkload::Oltp,
-        AgingState::Fresh,
-        &cfg,
-        &arr,
-        &KvSpec::off(),
-        &tel,
-    );
-    assert!(r.apps.is_empty());
-    assert!(r.events.is_empty());
-    assert_eq!(
-        format!("{:?} {:?} {:?}", r.merged, r.shards, t),
-        format!("{:?} {:?} {:?}", plain.0.merged, plain.0.shards, plain.1),
-        "disengaged array KV runner must reproduce run_array_eval_traced exactly"
-    );
+    assert_shape_is_inert_when_disengaged(&Scenario {
+        array: Some(ArrayEvalConfig::new(4)),
+        ..Scenario::new(
+            FtlKind::Cube,
+            StandardWorkload::Oltp,
+            AgingState::Fresh,
+            &cfg(),
+        )
+    });
 }
 
 #[test]
 fn engaged_kv_run_is_byte_identical_across_reruns() {
-    let cfg = cfg();
-    let run = || {
-        run_kv_eval(
-            FtlKind::Cube,
-            StandardWorkload::Mail,
-            AgingState::Fresh,
-            &cfg,
-            &spec(YcsbKind::A),
-            &TelemetrySpec::off(),
-            false,
-        )
-    };
-    let (a, _) = run();
-    let (b, _) = run();
-    let app = a.app.as_ref().expect("engaged run reports app metrics");
-    assert!(app.stats.ops > 0, "measured ops ran");
-    assert!(app.stats.flushes > 0, "memtable flushed at least once");
+    let sc = kv_scenario(StandardWorkload::Mail, spec(YcsbKind::A));
+    let (a, b) = (run(&sc), run(&sc));
+    assert!(app(&a).stats.ops > 0, "measured ops ran");
+    assert!(app(&a).stats.flushes > 0, "memtable flushed at least once");
     assert_eq!(
-        format!("{:?} {:?} {:?}", a.sim, a.app, a.events),
-        format!("{:?} {:?} {:?}", b.sim, b.app, b.events),
+        format!("{:?} {:?}", a.sim(), a.kv),
+        format!("{:?} {:?}", b.sim(), b.kv),
         "engaged KV run must be deterministic"
     );
 }
 
 #[test]
 fn ycsb_a_amplifies_writes_more_than_ycsb_c() {
-    let cfg = cfg();
-    let at = |kind: YcsbKind| {
-        let (r, _) = run_kv_eval(
-            FtlKind::Cube,
-            StandardWorkload::Mail,
-            AgingState::Fresh,
-            &cfg,
-            &spec(kind),
-            &TelemetrySpec::off(),
-            false,
-        );
-        r.app.expect("engaged")
-    };
+    let at = |kind: YcsbKind| app(&run(&kv_scenario(StandardWorkload::Mail, spec(kind)))).clone();
     let a = at(YcsbKind::A);
     let c = at(YcsbKind::C);
     assert!(
@@ -168,54 +129,49 @@ fn ycsb_a_amplifies_writes_more_than_ycsb_c() {
     );
 }
 
-fn array_fingerprint(r: &ArrayKvEvalReport) -> String {
-    format!("{:?} {:?} {:?} {:?}", r.merged, r.shards, r.apps, r.events)
-}
-
 #[test]
 fn array_kv_run_is_identical_at_any_thread_count() {
-    let cfg = cfg();
     let at = |threads: usize| {
         let mut arr = ArrayEvalConfig::new(4);
         arr.threads = threads;
-        let (r, _) = run_array_kv_eval(
-            FtlKind::Cube,
-            StandardWorkload::Mail,
-            AgingState::Fresh,
-            &cfg,
-            &arr,
-            &spec(YcsbKind::A),
-            &TelemetrySpec::off(),
-        );
-        assert_eq!(r.apps.len(), 4, "one KV engine per shard");
-        array_fingerprint(&r)
+        let r = run(&Scenario {
+            array: Some(arr),
+            ..kv_scenario(StandardWorkload::Mail, spec(YcsbKind::A))
+        });
+        let kv = r.kv.as_ref().expect("engaged");
+        assert_eq!(kv.apps.len(), 4, "one KV engine per shard");
+        format!("{:?} {kv:?}", r.phases)
     };
     let one = at(1);
-    assert_eq!(one, at(threads_under_test()), "1 vs env worker threads");
+    assert_eq!(one, at(common::threads()), "1 vs env worker threads");
     assert_eq!(one, at(2), "1 vs 2 worker threads");
+}
+
+/// Replays `trace` with capture on and returns the re-captured CSV.
+fn recapture(trace: &Trace) -> String {
+    let r = run(&Scenario {
+        capture: true,
+        ..kv_scenario(trace, KvSpec::off())
+    });
+    r.captured
+        .expect("capture requested")
+        .to_msr_csv(PAGE_BYTES)
 }
 
 #[test]
 fn kv_capture_round_trips_byte_identically() {
-    let cfg = cfg();
-    let (r, _) = run_kv_eval(
-        FtlKind::Cube,
-        StandardWorkload::Mail,
-        AgingState::Fresh,
-        &cfg,
-        &spec(YcsbKind::A),
-        &TelemetrySpec::off(),
-        true,
-    );
+    let r = run(&Scenario {
+        capture: true,
+        ..kv_scenario(StandardWorkload::Mail, spec(YcsbKind::A))
+    });
     let captured = r.captured.expect("capture requested");
     assert_eq!(captured.label(), "ycsb_a");
     let csv = captured.to_msr_csv(PAGE_BYTES);
     let parsed = Trace::from_msr_csv(&csv, PAGE_BYTES, 1 << 40).expect("captured CSV parses");
     assert_eq!(parsed.requests(), captured.requests());
     // Replaying the capture and re-capturing reproduces the same bytes.
-    let (_, recaptured) = run_trace_eval_capture(FtlKind::Cube, AgingState::Fresh, &cfg, &parsed);
     assert_eq!(
-        recaptured.to_msr_csv(PAGE_BYTES),
+        recapture(&parsed),
         csv,
         "capture -> replay -> capture must be byte-identical"
     );
@@ -223,38 +179,59 @@ fn kv_capture_round_trips_byte_identically() {
 
 #[test]
 fn plain_workload_capture_round_trips_byte_identically() {
-    let cfg = cfg();
-    let (plain, _) = run_eval_traced(
-        FtlKind::Cube,
-        StandardWorkload::Web,
-        AgingState::Fresh,
-        &cfg,
-        &TelemetrySpec::off(),
-    );
-    let (r, _, captured) = run_eval_capture(
-        FtlKind::Cube,
-        StandardWorkload::Web,
-        AgingState::Fresh,
-        &cfg,
-        &TelemetrySpec::off(),
-    );
+    let sc = kv_scenario(StandardWorkload::Web, KvSpec::off());
+    let plain = run(&sc).into_sim();
+    let r = run(&Scenario {
+        capture: true,
+        ..sc
+    });
     assert_eq!(
-        format!("{r:?}"),
+        format!("{:?}", r.sim()),
         format!("{plain:?}"),
         "capturing must not perturb the run"
     );
-    assert_eq!(captured.len() as u64, r.completed);
+    let captured = r.captured.expect("capture requested");
+    assert_eq!(captured.len() as u64, plain.completed);
     let csv = captured.to_msr_csv(PAGE_BYTES);
     let parsed = Trace::from_msr_csv(&csv, PAGE_BYTES, 1 << 40).expect("capture parses");
-    let (_, recaptured) = run_trace_eval_capture(FtlKind::Cube, AgingState::Fresh, &cfg, &parsed);
-    assert_eq!(recaptured.to_msr_csv(PAGE_BYTES), csv);
+    assert_eq!(recapture(&parsed), csv);
+}
+
+#[test]
+fn kv_stream_survives_a_power_cut_with_zero_device_loss() {
+    // The crash barrier is independent of where requests come from: a
+    // KV-driven device (and a KV-driven array) recovers every
+    // acknowledged LPN, resumes the same engine's stream, and does so
+    // byte-identically on a rerun.
+    let single = Scenario {
+        spo: Some(SpoConfig::at_ops(1_200)),
+        ..kv_scenario(StandardWorkload::Mail, spec(YcsbKind::A))
+    };
+    let array = Scenario {
+        array: Some(ArrayEvalConfig::new(4)),
+        spo: Some(SpoConfig {
+            trigger: SpoTrigger::AtTimeUs(20_000.0),
+            ckpt_interval_host_wls: 64,
+        }),
+        ..kv_scenario(StandardWorkload::Mail, spec(YcsbKind::A))
+    };
+    for (sc, shards) in [(single, 1), (array, 4)] {
+        let r = run(&sc);
+        let crash = r.crash.as_ref().expect("a cut was armed");
+        assert_eq!(crash.shards_cut(), shards, "the cut lands mid-run");
+        assert!(crash.lost_lpns.is_empty(), "lost {:?}", crash.lost_lpns);
+        assert_eq!(r.kv.as_ref().expect("engaged").apps.len(), shards);
+        let again = run(&sc);
+        assert_eq!(
+            format!("{:?} {:?} {:?}", r.phases, r.crash, r.kv),
+            format!("{:?} {:?} {:?}", again.phases, again.crash, again.kv),
+        );
+    }
 }
 
 #[test]
 fn shipped_ycsb_a_sample_trace_replays_deterministically() {
-    let text = std::fs::read_to_string("tests/data/traces/ycsb_a.csv")
-        .expect("shipped ycsb_a capture present");
-    let trace = Trace::from_msr_csv(&text, PAGE_BYTES, 1 << 40).expect("ycsb_a trace parses");
+    let trace = common::msr_trace("traces/ycsb_a.csv");
     assert_eq!(trace.label(), "ycsb_a", "capture carries its label");
     assert!(trace.len() > 100, "non-trivial sample");
     let reads = trace
@@ -264,7 +241,7 @@ fn shipped_ycsb_a_sample_trace_replays_deterministically() {
         .count();
     assert!(reads > 0 && reads < trace.len(), "mixed op trace");
     let cfg = cfg();
-    let run = || run_trace_eval(FtlKind::Cube, AgingState::Fresh, &cfg, &trace);
+    let run = || eval(FtlKind::Cube, &trace, AgingState::Fresh, &cfg);
     let a = run();
     assert_eq!(a.completed, trace.len() as u64);
     assert_eq!(format!("{a:?}"), format!("{:?}", run()));

@@ -1,20 +1,18 @@
 //! Lifetime fast-forward aging campaigns, end to end through the
 //! harness: byte-identical double runs, worker-thread invariance on
-//! sharded arrays, defaults-off golden identity against the plain
-//! runners, and property tests on the aging semantics.
+//! sharded arrays, a one-epoch campaign as the identity, and property
+//! tests on the aging semantics.
 //!
-//! The thread-invariance test honours `CUBEFTL_LIFETIME_THREADS` (CI
-//! runs the suite at 2 and 8) as the second worker-thread count.
+//! The thread-invariance test honours `CUBEFTL_THREADS` (CI runs the
+//! suite at 2 and 8) as the second worker-thread count.
 
-use cubeftl::harness::{
-    run_array_eval, run_eval, run_lifetime_array_eval, run_lifetime_eval, run_lifetime_trace_eval,
-    run_trace_eval, ArrayEvalConfig, EvalConfig,
-};
+mod common;
+
+use common::run;
+use cubeftl::harness::{ArrayEvalConfig, EvalConfig, Scenario, WorkloadSource};
 use cubeftl::{AgingState, FtlKind, LifetimeConfig, StandardWorkload, Trace};
 use nand3d::Environment;
 use proptest::prelude::*;
-
-const PAGE_BYTES: u64 = 16 * 1024;
 
 fn cfg() -> EvalConfig {
     let mut cfg = EvalConfig::smoke();
@@ -29,175 +27,133 @@ fn campaign() -> LifetimeConfig {
     life
 }
 
-/// Second worker-thread count of the invariance test: CI sets
-/// `CUBEFTL_LIFETIME_THREADS` to 2 and 8; default 4 (= one per shard).
-fn threads_under_test() -> usize {
-    std::env::var("CUBEFTL_LIFETIME_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
+/// A fresh Cube device (or array) under `life`.
+fn scenario(
+    workload: impl Into<WorkloadSource>,
+    aging: AgingState,
+    arr: Option<ArrayEvalConfig>,
+    life: Option<LifetimeConfig>,
+) -> Scenario {
+    Scenario {
+        array: arr,
+        lifetime: life,
+        ..Scenario::new(FtlKind::Cube, workload, aging, &cfg())
+    }
 }
 
 fn usr_trace() -> Trace {
-    let text = std::fs::read_to_string("tests/data/traces/msr_usr_wr.csv")
-        .expect("write-heavy usr trace present");
-    Trace::from_msr_csv(&text, PAGE_BYTES, 1 << 40).expect("usr trace parses")
+    common::msr_trace("traces/msr_usr_wr.csv")
 }
 
 #[test]
 fn campaign_double_run_is_byte_identical() {
-    let cfg = cfg();
-    let life = campaign();
-    let run = || {
-        run_lifetime_eval(
-            FtlKind::Cube,
-            StandardWorkload::Mail,
-            AgingState::Fresh,
-            &cfg,
-            &life,
-        )
-    };
-    let a = run();
-    let b = run();
+    let sc = scenario(
+        StandardWorkload::Mail,
+        AgingState::Fresh,
+        None,
+        Some(campaign()),
+    );
+    let (a, b) = (run(&sc), run(&sc));
     assert_eq!(
-        format!("{:?}", a.epochs),
-        format!("{:?}", b.epochs),
+        format!("{:?}", a.phases),
+        format!("{:?}", b.phases),
         "per-epoch reports diverged between identical campaigns"
     );
-    assert_eq!(format!("{:?}", a.summaries), format!("{:?}", b.summaries));
-    assert_eq!(format!("{:?}", a.events), format!("{:?}", b.events));
+    assert_eq!(format!("{:?}", a.aging), format!("{:?}", b.aging));
 }
 
 #[test]
 fn array_campaign_is_identical_at_any_thread_count() {
-    let cfg = cfg();
-    let life = campaign();
     let at = |threads: usize| {
         let mut arr = ArrayEvalConfig::new(4);
         arr.threads = threads;
-        let r = run_lifetime_array_eval(
-            FtlKind::Cube,
+        let r = run(&scenario(
             StandardWorkload::Oltp,
             AgingState::Fresh,
-            &cfg,
-            &arr,
-            &life,
-        );
-        let per_epoch: Vec<String> = r
-            .epochs
-            .iter()
-            .map(|e| format!("{:?} {:?}", e.merged, e.shards))
-            .collect();
-        format!("{per_epoch:?} {:?} {:?}", r.summaries, r.events)
+            Some(arr),
+            Some(campaign()),
+        ));
+        format!("{:?} {:?}", r.phases, r.aging)
     };
     let one = at(1);
-    assert_eq!(one, at(threads_under_test()), "1 vs env worker threads");
+    assert_eq!(one, at(common::threads()), "1 vs env worker threads");
     assert_eq!(one, at(2), "1 vs 2 worker threads");
+}
+
+/// A one-epoch campaign ([`LifetimeConfig::off`]) applies no aging
+/// step, so it must report exactly what the scenario without a
+/// campaign reports.
+fn assert_off_campaign_is_the_identity(plain: Scenario) {
+    let r = run(&Scenario {
+        lifetime: Some(LifetimeConfig::off()),
+        ..plain.clone()
+    });
+    let aging = r.aging.as_ref().expect("campaign part present");
+    assert_eq!(r.epochs().count(), 1, "off config runs a single epoch");
+    assert!(aging.summaries.is_empty(), "no aging steps applied");
+    assert!(aging.events.is_empty(), "no barrier events emitted");
+    assert_eq!(
+        format!("{:?}", r.phases),
+        format!("{:?}", run(&plain).phases),
+        "a disengaged campaign must reproduce the plain run exactly"
+    );
 }
 
 #[test]
 fn off_campaign_reproduces_run_eval_byte_for_byte() {
-    let cfg = cfg();
-    let life = LifetimeConfig::off();
-    let plain = run_eval(
-        FtlKind::Cube,
+    assert_off_campaign_is_the_identity(scenario(
         StandardWorkload::Web,
         AgingState::MidLife,
-        &cfg,
-    );
-    let r = run_lifetime_eval(
-        FtlKind::Cube,
-        StandardWorkload::Web,
-        AgingState::MidLife,
-        &cfg,
-        &life,
-    );
-    assert_eq!(r.epochs.len(), 1, "off config runs a single epoch");
-    assert!(r.summaries.is_empty(), "no aging steps applied");
-    assert!(r.events.is_empty(), "no barrier events emitted");
-    assert_eq!(
-        format!("{:?}", r.epochs[0]),
-        format!("{plain:?}"),
-        "disengaged campaign must reproduce run_eval exactly"
-    );
+        None,
+        None,
+    ));
 }
 
 #[test]
 fn off_campaign_reproduces_run_trace_eval_byte_for_byte() {
-    let cfg = cfg();
-    let trace = usr_trace();
-    let plain = run_trace_eval(FtlKind::Cube, AgingState::Fresh, &cfg, &trace);
-    let r = run_lifetime_trace_eval(
-        FtlKind::Cube,
-        AgingState::Fresh,
-        &cfg,
-        &LifetimeConfig::off(),
-        &trace,
-    );
-    assert_eq!(r.epochs.len(), 1);
-    assert_eq!(format!("{:?}", r.epochs[0]), format!("{plain:?}"));
+    assert_off_campaign_is_the_identity(scenario(&usr_trace(), AgingState::Fresh, None, None));
 }
 
 #[test]
 fn off_campaign_reproduces_run_array_eval_byte_for_byte() {
-    let cfg = cfg();
-    let arr = ArrayEvalConfig::new(4);
-    let plain = run_array_eval(
-        FtlKind::Cube,
+    assert_off_campaign_is_the_identity(scenario(
         StandardWorkload::Oltp,
         AgingState::Fresh,
-        &cfg,
-        &arr,
-    );
-    let r = run_lifetime_array_eval(
-        FtlKind::Cube,
-        StandardWorkload::Oltp,
-        AgingState::Fresh,
-        &cfg,
-        &arr,
-        &LifetimeConfig::off(),
-    );
-    assert_eq!(r.epochs.len(), 1);
-    assert_eq!(
-        format!("{:?} {:?}", r.epochs[0].merged, r.epochs[0].shards),
-        format!("{:?} {:?}", plain.merged, plain.shards),
-        "disengaged array campaign must reproduce run_array_eval exactly"
-    );
+        Some(ArrayEvalConfig::new(4)),
+        None,
+    ));
 }
 
 #[test]
 fn campaign_ages_the_device_and_emits_barrier_events() {
-    let cfg = cfg();
     let life = campaign();
-    let r = run_lifetime_eval(
-        FtlKind::Cube,
+    let r = run(&scenario(
         StandardWorkload::Mail,
         AgingState::Fresh,
-        &cfg,
-        &life,
-    );
-    assert_eq!(r.epochs.len(), life.epochs as usize);
-    assert_eq!(r.summaries.len(), life.steps() as usize);
-    assert_eq!(r.events.len(), life.steps() as usize);
-    for s in &r.summaries {
+        None,
+        Some(life),
+    ));
+    let aging = r.aging.as_ref().expect("campaign ran");
+    assert_eq!(r.epochs().count(), life.epochs as usize);
+    assert_eq!(aging.summaries.len(), life.steps() as usize);
+    assert_eq!(aging.events.len(), life.steps() as usize);
+    for s in aging.summaries.iter().flatten() {
         assert!(s.blocks_aged > 0, "every step must touch blocks");
         assert!(s.pe_added > 0);
         assert!(s.retention_added_months > 0.0);
     }
     // Barrier timestamps sit on the concatenated campaign timeline.
     let mut last = 0.0;
-    for e in &r.events {
+    for e in &aging.events {
         assert!(e.t_us >= last, "barrier events must not run backwards");
         last = e.t_us;
     }
     // An aged device retries at least as much as the fresh epoch.
-    assert!(r.retry_rate(r.epochs.len() - 1) >= r.retry_rate(0));
+    assert!(r.retry_rate(r.epochs().count() - 1) >= r.retry_rate(0));
 }
 
 #[test]
 fn write_heavy_trace_replays_inside_every_campaign_epoch() {
-    let cfg = cfg();
     let trace = usr_trace();
     let writes = trace
         .requests()
@@ -210,19 +166,19 @@ fn write_heavy_trace_replays_inside_every_campaign_epoch() {
         trace.len()
     );
     let life = campaign();
-    let run = || run_lifetime_trace_eval(FtlKind::Cube, AgingState::Fresh, &cfg, &life, &trace);
-    let r = run();
-    assert_eq!(r.epochs.len(), life.epochs as usize);
-    for rep in &r.epochs {
+    let sc = scenario(&trace, AgingState::Fresh, None, Some(life));
+    let r = run(&sc);
+    assert_eq!(r.epochs().count(), life.epochs as usize);
+    for rep in r.epochs() {
         assert_eq!(
-            rep.completed,
+            rep.merged.completed,
             trace.len() as u64,
             "every epoch replays the whole trace"
         );
     }
     assert_eq!(
-        format!("{:?}", r.epochs),
-        format!("{:?}", run().epochs),
+        format!("{:?}", r.phases),
+        format!("{:?}", run(&sc).phases),
         "trace campaign must be deterministic"
     );
 }

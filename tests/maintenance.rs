@@ -3,7 +3,10 @@
 //! and disabling maintenance must leave the simulator bit-identical to
 //! the seed behaviour.
 
-use cubeftl::harness::{run_eval, EvalConfig};
+mod common;
+
+use common::eval;
+use cubeftl::harness::EvalConfig;
 use cubeftl::{
     AgingState, FaultKind, FaultPlan, FtlKind, MaintConfig, SimReport, StandardWorkload,
 };
@@ -23,7 +26,7 @@ fn retention_heavy_cfg() -> EvalConfig {
 }
 
 fn run(cfg: &EvalConfig) -> SimReport {
-    run_eval(
+    eval(
         FtlKind::Cube,
         StandardWorkload::Web,
         AgingState::EndOfLife,

@@ -1,31 +1,42 @@
 //! End-to-end guarantees of the multi-queue QoS front-end
-//! (`crates/hostq`): the off-switch reproduces the legacy closed-loop
-//! path byte-for-byte, engaged runs are byte-identical across repeats
-//! and worker-thread counts, overload differentiates service by class,
-//! recorded traces replay as tenant streams, and the DWRR core holds
-//! its scheduling invariants under property testing.
+//! (`crates/hostq`): a disengaged spec is inert whatever its knobs say,
+//! engaged runs are byte-identical across repeats and worker-thread
+//! counts, overload differentiates service by class, recorded traces
+//! replay as tenant streams, and the DWRR core holds its scheduling
+//! invariants under property testing.
 //!
-//! The thread-invariance test honours `CUBEFTL_QOS_THREADS` (the second
+//! The thread-invariance test honours `CUBEFTL_THREADS` (the second
 //! worker-thread count to compare against single-threaded; default 4)
 //! so CI can pin different counts.
 
-use cubeftl::harness::{
-    run_array_eval_traced, run_array_qos_eval, run_eval_traced, run_qos_eval, ArrayEvalConfig,
-    EvalConfig, QosSpec, TelemetrySpec,
-};
+mod common;
+
+use common::run;
+use cubeftl::harness::{ArrayEvalConfig, EvalConfig, QosSpec, Scenario, TelemetrySpec};
 use cubeftl::{
     events_to_ndjson, AgingState, DwrrScheduler, FtlKind, StandardWorkload, TenantMix, Trace,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
-const KIND: FtlKind = FtlKind::Cube;
-const WORKLOAD: StandardWorkload = StandardWorkload::Mail;
-
 fn smoke(requests: u64) -> EvalConfig {
     let mut cfg = EvalConfig::smoke();
     cfg.requests = requests;
     cfg
+}
+
+/// A Cube device under Mail traffic with `qos` in front of it.
+fn scenario(aging: AgingState, requests: u64, qos: QosSpec, tel: TelemetrySpec) -> Scenario {
+    Scenario {
+        qos,
+        telemetry: tel,
+        ..Scenario::new(
+            FtlKind::Cube,
+            StandardWorkload::Mail,
+            aging,
+            &smoke(requests),
+        )
+    }
 }
 
 /// An engaged spec: 8 queues, 32 tenants, a 4-step weight cycle.
@@ -38,97 +49,111 @@ fn engaged_spec() -> QosSpec {
     }
 }
 
+/// `--queues 1 --tenants 1` is the closed loop, not an approximation of
+/// it: with one queue and one tenant every other knob is inert, so the
+/// run — report, trace and series — is the plain run's.
+fn assert_knobs_are_inert_when_disengaged(base: Scenario) {
+    let knobs = QosSpec {
+        queues: 1,
+        tenants: 1,
+        sq_depth: 2,
+        slo_read_us: Some(1.0),
+        mix: Some(TenantMix::Uniform),
+        ..engaged_spec()
+    };
+    assert!(!knobs.engaged());
+    let plain = run(&base);
+    let qos = run(&Scenario {
+        qos: knobs,
+        ..base.clone()
+    });
+    assert_eq!(format!("{:?}", plain.phases), format!("{:?}", qos.phases));
+    assert_eq!(
+        events_to_ndjson(&plain.telemetry.events),
+        events_to_ndjson(&qos.telemetry.events)
+    );
+    assert_eq!(
+        plain.telemetry.series.to_csv(),
+        qos.telemetry.series.to_csv()
+    );
+    assert!(qos.qos.is_none(), "disengaged run has no tenants");
+}
+
 #[test]
 fn disengaged_spec_is_byte_identical_to_the_legacy_path() {
-    // `--queues 1 --tenants 1` must not merely approximate the old
-    // behaviour — it must route through the identical code path, so
-    // every pre-existing golden reproduces byte-for-byte.
-    let cfg = smoke(2_000);
-    let tel = TelemetrySpec::all(2_000.0);
-    let (legacy, legacy_tel) = run_eval_traced(KIND, WORKLOAD, AgingState::Fresh, &cfg, &tel);
-    let (qos, qos_tel) = run_qos_eval(
-        KIND,
-        WORKLOAD,
+    assert_knobs_are_inert_when_disengaged(scenario(
         AgingState::Fresh,
-        &cfg,
-        &QosSpec::off(),
-        &tel,
-    );
-    assert_eq!(format!("{legacy:?}"), format!("{:?}", qos.sim));
-    assert_eq!(
-        events_to_ndjson(&legacy_tel.events),
-        events_to_ndjson(&qos_tel.events)
-    );
-    assert_eq!(legacy_tel.series.to_csv(), qos_tel.series.to_csv());
-    assert!(qos.qos.tenants.is_empty(), "disengaged run has no tenants");
+        2_000,
+        QosSpec::off(),
+        TelemetrySpec::all(2_000.0),
+    ));
 }
 
 #[test]
 fn disengaged_array_spec_is_byte_identical_to_the_legacy_path() {
-    let cfg = smoke(1_200);
-    let arr = ArrayEvalConfig::new(4);
-    let tel = TelemetrySpec::all(1_000.0);
-    let (legacy, legacy_tel) =
-        run_array_eval_traced(KIND, WORKLOAD, AgingState::Fresh, &cfg, &arr, &tel);
-    let (qos, qos_tel) = run_array_qos_eval(
-        KIND,
-        WORKLOAD,
-        AgingState::Fresh,
-        &cfg,
-        &arr,
-        &QosSpec::off(),
-        &tel,
-    );
-    assert_eq!(format!("{:?}", legacy.merged), format!("{:?}", qos.merged));
-    assert_eq!(
-        events_to_ndjson(&legacy_tel.events),
-        events_to_ndjson(&qos_tel.events)
-    );
-    assert!(qos.qos.tenants.is_empty());
+    assert_knobs_are_inert_when_disengaged(Scenario {
+        array: Some(ArrayEvalConfig::new(4)),
+        ..scenario(
+            AgingState::Fresh,
+            1_200,
+            QosSpec::off(),
+            TelemetrySpec::all(1_000.0),
+        )
+    });
 }
 
 #[test]
 fn engaged_double_run_is_byte_identical() {
-    let cfg = smoke(2_500);
     let mut spec = engaged_spec();
     spec.slo_read_us = Some(5_000.0);
-    let tel = TelemetrySpec::all(2_000.0);
-    let run = || run_qos_eval(KIND, WORKLOAD, AgingState::Fresh, &cfg, &spec, &tel);
-    let (ra, ta) = run();
-    let (rb, tb) = run();
-    assert_eq!(format!("{:?}", ra.sim), format!("{:?}", rb.sim));
-    assert_eq!(format!("{:?}", ra.qos), format!("{:?}", rb.qos));
-    assert_eq!(events_to_ndjson(&ta.events), events_to_ndjson(&tb.events));
-    assert_eq!(ta.series.to_csv(), tb.series.to_csv());
-    assert!(ra.qos.total().completed > 0, "the run must serve requests");
+    let sc = scenario(AgingState::Fresh, 2_500, spec, TelemetrySpec::all(2_000.0));
+    let (a, b) = (run(&sc), run(&sc));
+    assert_eq!(format!("{:?}", a.sim()), format!("{:?}", b.sim()));
+    assert_eq!(format!("{:?}", a.qos), format!("{:?}", b.qos));
+    assert_eq!(
+        events_to_ndjson(&a.telemetry.events),
+        events_to_ndjson(&b.telemetry.events)
+    );
+    assert_eq!(a.telemetry.series.to_csv(), b.telemetry.series.to_csv());
+    let served = a.qos.expect("engaged").total().completed;
+    assert!(served > 0, "the run must serve requests");
 }
 
 #[test]
 fn sharded_qos_run_is_worker_thread_invariant() {
     // 4 shards × 8 queues × 32 tenants at 1 worker thread vs N
-    // (CUBEFTL_QOS_THREADS, default 4): device reports, per-tenant
+    // (CUBEFTL_THREADS, default 4): device reports, per-tenant
     // outcomes, traces and series must all be byte-identical — shard
     // fan-in follows shard order, never completion order.
-    let threads_b: usize = std::env::var("CUBEFTL_QOS_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let cfg = smoke(2_400);
-    let spec = engaged_spec();
-    let tel = TelemetrySpec::all(2_000.0);
-    let run = |threads: usize| {
+    let at = |threads: usize| {
         let mut arr = ArrayEvalConfig::new(4);
         arr.threads = threads;
-        run_array_qos_eval(KIND, WORKLOAD, AgingState::MidLife, &cfg, &arr, &spec, &tel)
+        run(&Scenario {
+            array: Some(arr),
+            ..scenario(
+                AgingState::MidLife,
+                2_400,
+                engaged_spec(),
+                TelemetrySpec::all(2_000.0),
+            )
+        })
     };
-    let (ra, ta) = run(1);
-    let (rb, tb) = run(threads_b);
-    assert_eq!(format!("{:?}", ra.merged), format!("{:?}", rb.merged));
-    assert_eq!(format!("{:?}", ra.qos), format!("{:?}", rb.qos));
-    assert_eq!(events_to_ndjson(&ta.events), events_to_ndjson(&tb.events));
-    assert_eq!(ta.series.to_csv(), tb.series.to_csv());
+    let (a, b) = (at(1), at(common::threads()));
+    assert_eq!(format!("{:?}", a.merged()), format!("{:?}", b.merged()));
+    assert_eq!(format!("{:?}", a.qos), format!("{:?}", b.qos));
+    assert_eq!(
+        events_to_ndjson(&a.telemetry.events),
+        events_to_ndjson(&b.telemetry.events)
+    );
+    assert_eq!(a.telemetry.series.to_csv(), b.telemetry.series.to_csv());
     // Every tenant appears exactly once after the shard merge.
-    let ids: Vec<u32> = ra.qos.tenants.iter().map(|t| t.id).collect();
+    let ids: Vec<u32> = a
+        .qos
+        .expect("engaged")
+        .tenants
+        .iter()
+        .map(|t| t.id)
+        .collect();
     assert_eq!(ids, (0..32).collect::<Vec<u32>>());
 }
 
@@ -137,7 +162,6 @@ fn overload_differentiates_service_by_class() {
     // Uniform single-page streams under heavy overload: the submission
     // queues saturate, so completions track DWRR service shares and the
     // protected class sees a lower queueing tail than best-effort.
-    let cfg = smoke(6_000);
     let spec = QosSpec {
         queues: 4,
         tenants: 8,
@@ -145,17 +169,16 @@ fn overload_differentiates_service_by_class() {
         mix: Some(TenantMix::Uniform),
         ..QosSpec::off()
     };
-    let (r, _) = run_qos_eval(
-        KIND,
-        WORKLOAD,
+    let r = run(&scenario(
         AgingState::Fresh,
-        &cfg,
-        &spec,
-        &TelemetrySpec::off(),
-    );
-    let total = r.qos.total();
+        6_000,
+        spec,
+        TelemetrySpec::off(),
+    ));
+    let qos = r.qos.expect("engaged");
+    let total = qos.total();
     assert!(total.shed > 0, "the run must actually overload");
-    let by_class: std::collections::HashMap<_, _> = r.qos.by_class().into_iter().collect();
+    let by_class: std::collections::HashMap<_, _> = qos.by_class().into_iter().collect();
     let protected = &by_class[&cubeftl::TenantClass::Protected];
     let best_effort = &by_class[&cubeftl::TenantClass::BestEffort];
     // Per-tenant service: protected tenants carry 8× the weight of
@@ -190,21 +213,18 @@ fn recorded_traces_replay_as_tenant_zero() {
         let trace = Trace::from_msr_csv(&text, 16 * 1024, 1 << 40)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(trace.len() >= 16, "{}: trace too short", path.display());
-        let cfg = smoke(600);
         let spec = QosSpec {
             tenants: 4,
             weights: vec![4, 1],
             trace: Some(trace.clone()),
             ..QosSpec::off()
         };
-        let tel = TelemetrySpec::off();
-        let run = || run_qos_eval(KIND, WORKLOAD, AgingState::Fresh, &cfg, &spec, &tel);
-        let (ra, _) = run();
-        let (rb, _) = run();
+        let sc = scenario(AgingState::Fresh, 600, spec, TelemetrySpec::off());
+        let (ra, rb) = (run(&sc), run(&sc));
         assert_eq!(format!("{:?}", ra.qos), format!("{:?}", rb.qos));
         // Tenant 0 completed something and never more than the trace
         // (plus nothing synthetic leaked into it).
-        let t0 = &ra.qos.tenants[0];
+        let t0 = &ra.qos.as_ref().expect("engaged").tenants[0];
         assert!(t0.completed > 0, "{}: tenant 0 idle", path.display());
         assert!(
             t0.admitted + t0.shed <= trace.len() as u64,

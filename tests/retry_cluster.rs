@@ -15,9 +15,11 @@
 //!   snapshot (`tests/data/golden_retry.ndjson`, regenerate with
 //!   `UPDATE_GOLDEN=1 cargo test --test retry_cluster`).
 
+mod common;
+
+use common::{check_golden, eval, run};
 use cubeftl::harness::{
-    run_array_eval_traced, run_eval, run_eval_traced, run_spo_eval, ArrayEvalConfig, EvalConfig,
-    SpoConfig, TelemetrySpec,
+    ArrayEvalConfig, EvalConfig, Phase, RunOutput, Scenario, SpoConfig, TelemetrySpec,
 };
 use cubeftl::{
     events_to_ndjson, AgingState, EventMask, FtlKind, OrtClusterConfig, RetryOptConfig,
@@ -51,9 +53,18 @@ fn retry_tel() -> TelemetrySpec {
 
 /// NumRetry of one Rocks run at `aging` under `cfg`.
 fn num_retry(cfg: &EvalConfig, aging: AgingState) -> u64 {
-    run_eval(FtlKind::Cube, StandardWorkload::Rocks, aging, cfg)
+    eval(FtlKind::Cube, StandardWorkload::Rocks, aging, cfg)
         .ftl
         .read_retries
+}
+
+/// One Cube Rocks run at `aging` with the retry chain traced.
+fn retry_traced(cfg: &EvalConfig, aging: AgingState, arr: Option<ArrayEvalConfig>) -> RunOutput {
+    run(&Scenario {
+        array: arr,
+        telemetry: retry_tel(),
+        ..Scenario::new(FtlKind::Cube, StandardWorkload::Rocks, aging, cfg)
+    })
 }
 
 #[test]
@@ -64,7 +75,7 @@ fn cluster_off_reproduces_the_pre_pr_golden() {
     let cfg = EvalConfig::smoke();
     assert!(!cfg.ort_cluster.enabled, "the cluster must default to off");
     assert_eq!(cfg.retry_opt, RetryOptConfig::default());
-    let r = run_eval(
+    let r = eval(
         FtlKind::Cube,
         StandardWorkload::Mail,
         AgingState::Fresh,
@@ -83,7 +94,7 @@ fn cluster_off_reproduces_the_pre_pr_golden() {
     let mut explicit_off = EvalConfig::smoke();
     explicit_off.ort_cluster = OrtClusterConfig::default();
     explicit_off.retry_opt = RetryOptConfig::default();
-    let r2 = run_eval(
+    let r2 = eval(
         FtlKind::Cube,
         StandardWorkload::Mail,
         AgingState::Fresh,
@@ -132,16 +143,11 @@ fn cluster_seeding_marks_the_trace_and_feeds_the_counters() {
     // tell the same story: seeded retry events appear iff the cluster
     // seeded lookups, and the trace's NumRetry equals the counter.
     let cfg = v2_cfg(15_000);
-    let (report, out) = run_eval_traced(
-        FtlKind::Cube,
-        StandardWorkload::Rocks,
-        AgingState::EndOfLife,
-        &cfg,
-        &retry_tel(),
-    );
+    let out = retry_traced(&cfg, AgingState::EndOfLife, None);
+    let report = out.sim();
     let mut num = 0u64;
     let mut seeded = 0u64;
-    for e in &out.events {
+    for e in &out.telemetry.events {
         if let cubeftl::EventKind::ReadRetry {
             retries, seeded: s, ..
         } = e.kind
@@ -169,51 +175,34 @@ fn post_spo_boot_reseeds_from_the_rebuilt_cluster() {
     // from live decodes — the resumed run must then seed its cold
     // lookups again, and the whole crash path stays deterministic with
     // the v2 pipeline on.
-    let cfg = v2_cfg(2_000);
-    let spo = SpoConfig::at_ops(1_100);
-    let run = || {
-        run_spo_eval(
+    let sc = Scenario {
+        spo: Some(SpoConfig::at_ops(1_100)),
+        ..Scenario::new(
             FtlKind::Cube,
             StandardWorkload::Rocks,
             AgingState::EndOfLife,
-            &cfg,
-            &spo,
+            &v2_cfg(2_000),
         )
     };
-    let (a, b) = (run(), run());
-    assert!(a.fired(), "the armed trigger must fire");
-    assert!(a.lost_lpns.is_empty(), "no host-acknowledged loss");
-    let resumed = a.resumed.as_ref().expect("workload had a remainder");
+    let (a, b) = (run(&sc), run(&sc));
+    let (crash_a, crash_b) = (a.crash.as_ref(), b.crash.as_ref());
+    let crash = crash_a.expect("a cut was armed");
+    assert_eq!(crash.shards_cut(), 1, "the armed trigger must fire");
+    assert!(crash.lost_lpns.is_empty(), "no host-acknowledged loss");
+    let resumed = a.phase(Phase::Resumed).expect("workload had a remainder");
     assert!(
-        resumed.ftl.cluster_seeds > 0,
+        resumed.merged.ftl.cluster_seeds > 0,
         "the rebuilt cluster must seed cold post-SPO lookups"
     );
     assert_eq!(
-        format!("{:?}", a.recovery),
-        format!("{:?}", b.recovery),
+        format!("{:?}", crash.recoveries),
+        format!("{:?}", crash_b.expect("a cut was armed").recoveries),
         "recovery reports diverged with the v2 pipeline on"
     );
     assert_eq!(
-        format!("{:?}", a.resumed),
-        format!("{:?}", b.resumed),
+        format!("{resumed:?}"),
+        format!("{:?}", b.phase(Phase::Resumed).expect("rerun resumed too")),
         "post-recovery resumed runs diverged with the v2 pipeline on"
-    );
-}
-
-/// Golden-file comparison with `UPDATE_GOLDEN=1` regeneration (same
-/// convention as `tests/telemetry.rs`).
-fn check_golden(name: &str, actual: &str) {
-    let path = format!("{}/tests/data/{name}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, actual).expect("write golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e}; regenerate with UPDATE_GOLDEN=1"));
-    assert_eq!(
-        golden, actual,
-        "{name} drifted from the golden snapshot; if intentional, \
-         regenerate with UPDATE_GOLDEN=1 and review the diff"
     );
 }
 
@@ -223,14 +212,11 @@ fn golden_retry_trace_is_stable_and_double_run_identical() {
     // covering seeded, unseeded and early-terminated chains.
     let cfg = v2_cfg(800);
     let trace = |cfg: &EvalConfig| {
-        let (_, out) = run_eval_traced(
-            FtlKind::Cube,
-            StandardWorkload::Rocks,
-            AgingState::MidLife,
-            cfg,
-            &retry_tel(),
-        );
-        events_to_ndjson(&out.events)
+        events_to_ndjson(
+            &retry_traced(cfg, AgingState::MidLife, None)
+                .telemetry
+                .events,
+        )
     };
     let a = trace(&cfg);
     assert_eq!(a, trace(&cfg), "double run diverged");
@@ -255,30 +241,18 @@ fn retry_trace_is_thread_count_invariant() {
     // clusters are isolated, so fan-out order cannot leak in.
     let shards = shards_under_test();
     let cfg = v2_cfg(4_000);
-    let run = |threads: usize| {
+    let at = |threads: usize| {
         let mut arr = ArrayEvalConfig::new(shards);
         arr.threads = threads;
-        run_array_eval_traced(
-            FtlKind::Cube,
-            StandardWorkload::Rocks,
-            AgingState::EndOfLife,
-            &cfg,
-            &arr,
-            &retry_tel(),
+        let r = retry_traced(&cfg, AgingState::EndOfLife, Some(arr));
+        (
+            events_to_ndjson(&r.telemetry.events),
+            format!("{:?}", r.merged()),
         )
     };
-    let (ra, ta) = run(1);
-    let (rb, tb) = run(shards);
-    assert_eq!(
-        events_to_ndjson(&ta.events),
-        events_to_ndjson(&tb.events),
-        "array retry trace diverged across thread counts"
-    );
-    assert_eq!(
-        format!("{:?}", ra.merged),
-        format!("{:?}", rb.merged),
-        "merged report diverged across thread counts"
-    );
+    let one = at(1);
+    assert_eq!(one, at(shards), "1 vs {shards} worker threads");
+    assert_eq!(one, at(common::threads()), "1 vs env worker threads");
 }
 
 #[test]
@@ -289,14 +263,11 @@ fn retry_trace_is_deterministic_at_any_ort_capacity() {
     let run = |capacity: usize| {
         let mut cfg = v2_cfg(6_000);
         cfg.ort_capacity = capacity;
-        let (_, out) = run_eval_traced(
-            FtlKind::Cube,
-            StandardWorkload::Rocks,
-            AgingState::EndOfLife,
-            &cfg,
-            &retry_tel(),
-        );
-        events_to_ndjson(&out.events)
+        events_to_ndjson(
+            &retry_traced(&cfg, AgingState::EndOfLife, None)
+                .telemetry
+                .events,
+        )
     };
     let bounded = run(4);
     assert_eq!(bounded, run(4), "bounded double run diverged");

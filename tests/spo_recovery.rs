@@ -1,7 +1,7 @@
 //! End-to-end sudden-power-off recovery: the acceptance tests for the
 //! crash-consistency subsystem.
 //!
-//! The double-run harness ([`run_spo_eval`]) runs the same seeded
+//! A single-device scenario with an [`SpoConfig`] runs the same seeded
 //! workload twice — once uninterrupted (golden), once cut short by the
 //! armed trigger — then applies the power-cut physics (torn WL
 //! programs, interrupted erases), boots a fresh FTL from flash contents
@@ -16,34 +16,41 @@
 //! * **cold monitored state** — the OPM/ORT are rebuilt from nothing
 //!   (re-monitored on first touch per h-layer), never deserialized.
 
-use cubeftl::harness::{run_spo_eval, EvalConfig, SpoConfig, SpoEvalReport};
+mod common;
+
+use cubeftl::harness::{CrashReport, EvalConfig, Phase, RunOutput, Scenario, SpoConfig};
 use cubeftl::{AgingState, FtlKind, SpoTrigger, StandardWorkload};
 
-fn spo_run(kind: FtlKind, cut_at: u64, ckpt_interval: u64) -> SpoEvalReport {
-    let cfg = EvalConfig::smoke();
+/// One single-device crash experiment: the run and its crash part,
+/// whose `events[0]` / `recoveries[0]` are `None` if the trigger never
+/// fired.
+fn crash_run(
+    kind: FtlKind,
+    workload: StandardWorkload,
+    aging: AgingState,
+    spo: SpoConfig,
+) -> (RunOutput, CrashReport) {
+    let out = common::run(&Scenario {
+        spo: Some(spo),
+        ..Scenario::new(kind, workload, aging, &EvalConfig::smoke())
+    });
+    let crash = out.crash.clone().expect("a cut was armed");
+    (out, crash)
+}
+
+fn spo_run(kind: FtlKind, cut_at: u64, ckpt_interval: u64) -> (RunOutput, CrashReport) {
     let spo = SpoConfig {
         trigger: SpoTrigger::AtOps(cut_at),
         ckpt_interval_host_wls: ckpt_interval,
     };
-    run_spo_eval(
-        kind,
-        StandardWorkload::Oltp,
-        AgingState::MidLife,
-        &cfg,
-        &spo,
-    )
+    crash_run(kind, StandardWorkload::Oltp, AgingState::MidLife, spo)
 }
 
 #[test]
 fn spo_recovery_loses_no_acknowledged_write() {
     for kind in [FtlKind::Page, FtlKind::Cube] {
-        let r = spo_run(kind, 900, 64);
-        assert!(
-            r.fired(),
-            "{}: trigger armed at op 900 must fire",
-            kind.name()
-        );
-        let rec = r.recovery.expect("recovery ran");
+        let (out, r) = spo_run(kind, 900, 64);
+        let rec = r.recoveries[0].expect("trigger armed at op 900 must fire");
         assert!(
             r.lost_lpns.is_empty(),
             "{}: lost host-acknowledged LPNs {:?} (recovery: {rec:?})",
@@ -52,7 +59,7 @@ fn spo_recovery_loses_no_acknowledged_write() {
         );
         // The cut happened mid-traffic: something must have actually been
         // at risk, otherwise the test proves nothing.
-        let spo = r.spo.as_ref().expect("event captured");
+        let spo = r.events[0].as_ref().expect("event captured");
         assert!(spo.completed >= 900, "cut after 900 completions");
         assert!(
             !spo.buffered_lpns.is_empty() || !spo.interrupted_flushes.is_empty(),
@@ -65,16 +72,15 @@ fn spo_recovery_loses_no_acknowledged_write() {
             "every PLP-dumped page is re-written during recovery"
         );
         // The resumed run drains the workload remainder.
-        let resumed = r.resumed.as_ref().expect("workload had a remainder");
-        assert!(resumed.completed > 0);
+        let resumed = out.phase(Phase::Resumed).expect("workload had a remainder");
+        assert!(resumed.merged.completed > 0);
     }
 }
 
 #[test]
 fn recovery_rebuilds_map_from_checkpoint_plus_bounded_scan() {
-    let r = spo_run(FtlKind::Cube, 1200, 32);
-    assert!(r.fired());
-    let rec = r.recovery.expect("recovery ran");
+    let (_, r) = spo_run(FtlKind::Cube, 1200, 32);
+    let rec = r.recoveries[0].expect("recovery ran");
     assert!(
         r.checkpoints_taken > 0,
         "interval 32 must checkpoint before op 1200"
@@ -98,12 +104,11 @@ fn recovery_rebuilds_map_from_checkpoint_plus_bounded_scan() {
 
 #[test]
 fn without_checkpoints_recovery_scans_more_but_still_loses_nothing() {
-    let with_ckpt = spo_run(FtlKind::Cube, 1000, 32);
-    let without = spo_run(FtlKind::Cube, 1000, 0);
-    assert!(with_ckpt.fired() && without.fired());
+    let (_, with_ckpt) = spo_run(FtlKind::Cube, 1000, 32);
+    let (_, without) = spo_run(FtlKind::Cube, 1000, 0);
     let (a, b) = (
-        with_ckpt.recovery.expect("recovery ran"),
-        without.recovery.expect("recovery ran"),
+        with_ckpt.recoveries[0].expect("recovery ran"),
+        without.recoveries[0].expect("recovery ran"),
     );
     assert!(!b.checkpoint_loaded, "interval 0 disables checkpointing");
     assert_eq!(b.ckpt_entries_restored, 0);
@@ -125,9 +130,9 @@ fn torn_wls_are_quarantined_and_their_layers_demoted() {
     // A late cut on the cube FTL: flush batches are in flight on several
     // chips, so their WLs are torn and (for the PS-aware FTL) their
     // h-layers must boot demoted.
-    let r = spo_run(FtlKind::Cube, 1500, 64);
-    let spo = r.spo.as_ref().expect("event captured");
-    let rec = r.recovery.expect("recovery ran");
+    let (_, r) = spo_run(FtlKind::Cube, 1500, 64);
+    let spo = r.events[0].as_ref().expect("event captured");
+    let rec = r.recoveries[0].expect("recovery ran");
     if spo.interrupted_flushes.is_empty() {
         // Nothing was in flight at this cut point: nothing to quarantine.
         assert_eq!(rec.torn_wls_quarantined, 0);
@@ -150,7 +155,6 @@ fn torn_wls_are_quarantined_and_their_layers_demoted() {
 
 #[test]
 fn seeded_random_trigger_is_reproducible() {
-    let cfg = EvalConfig::smoke();
     let spo = SpoConfig {
         trigger: SpoTrigger::Seeded {
             seed: 0xB007,
@@ -158,28 +162,22 @@ fn seeded_random_trigger_is_reproducible() {
         },
         ckpt_interval_host_wls: 64,
     };
-    let a = run_spo_eval(
-        FtlKind::Cube,
-        StandardWorkload::Mail,
-        AgingState::Fresh,
-        &cfg,
-        &spo,
-    );
-    let b = run_spo_eval(
-        FtlKind::Cube,
-        StandardWorkload::Mail,
-        AgingState::Fresh,
-        &cfg,
-        &spo,
-    );
+    let run = || {
+        crash_run(
+            FtlKind::Cube,
+            StandardWorkload::Mail,
+            AgingState::Fresh,
+            spo,
+        )
+        .1
+    };
+    let (a, b) = (run(), run());
     assert_eq!(
-        a.spo, b.spo,
+        a.events, b.events,
         "same SPO seed ⇒ identical cut point and device snapshot"
     );
-    if a.fired() {
-        assert_eq!(format!("{:?}", a.recovery), format!("{:?}", b.recovery));
-        assert!(a.lost_lpns.is_empty());
-    }
+    assert_eq!(format!("{:?}", a.recoveries), format!("{:?}", b.recoveries));
+    assert!(a.lost_lpns.is_empty());
 }
 
 #[test]
@@ -187,9 +185,10 @@ fn unfired_trigger_leaves_the_run_untouched() {
     // A trigger beyond the request count never fires; the truncated run
     // must equal the golden run bit-for-bit (the SPO machinery may not
     // perturb the event path when dormant).
-    let r = spo_run(FtlKind::Cube, u64::MAX, 64);
-    assert!(!r.fired());
-    assert!(r.recovery.is_none() && r.resumed.is_none());
-    assert_eq!(format!("{:?}", r.golden), format!("{:?}", r.pre_cut));
+    let (out, r) = spo_run(FtlKind::Cube, u64::MAX, 64);
+    assert_eq!(r.shards_cut(), 0);
+    assert!(r.recoveries[0].is_none() && out.phase(Phase::Resumed).is_none());
+    let golden = &out.phase(Phase::Golden).expect("golden phase ran").shards[0];
+    assert_eq!(format!("{golden:?}"), format!("{:?}", out.sim()));
     assert!(r.lost_lpns.is_empty());
 }

@@ -7,26 +7,40 @@
 //! `UPDATE_GOLDEN=1 cargo test --test telemetry` and review the diff —
 //! the point is that *unintentional* drift fails loudly.
 
+mod common;
+
+use common::{check_golden, eval, run};
 use cubeftl::harness::{
-    run_array_eval_traced, run_eval, run_eval_traced, ArrayEvalConfig, EvalConfig, TelemetryOutput,
-    TelemetrySpec,
+    ArrayEvalConfig, EvalConfig, Scenario, TelemetryOutput, TelemetrySpec, WorkloadSource,
 };
 use cubeftl::{
     events_to_ndjson, AgingState, EventMask, FtlKind, MetricRegistry, SimReport, StandardWorkload,
 };
 use telemetry::{validate_ndjson, validate_trace_ndjson};
 
+/// One traced fresh Cube run of `requests` smoke-scale requests.
+fn traced(
+    workload: impl Into<WorkloadSource>,
+    requests: u64,
+    tel: TelemetrySpec,
+) -> (SimReport, TelemetryOutput) {
+    let mut cfg = EvalConfig::smoke();
+    cfg.requests = requests;
+    let mut r = run(&Scenario {
+        telemetry: tel,
+        ..Scenario::new(FtlKind::Cube, workload, AgingState::Fresh, &cfg)
+    });
+    let telemetry = std::mem::take(&mut r.telemetry);
+    (r.into_sim(), telemetry)
+}
+
 /// One traced smoke run with every category on and a tight sampling
 /// interval (2 ms of virtual time).
 fn traced_smoke(requests: u64) -> (SimReport, TelemetryOutput) {
-    let mut cfg = EvalConfig::smoke();
-    cfg.requests = requests;
-    run_eval_traced(
-        FtlKind::Cube,
+    traced(
         StandardWorkload::Mail,
-        AgingState::Fresh,
-        &cfg,
-        &TelemetrySpec::all(2_000.0),
+        requests,
+        TelemetrySpec::all(2_000.0),
     )
 }
 
@@ -37,7 +51,7 @@ fn telemetry_does_not_perturb_the_simulation() {
     // also what keeps the pre-PR golden snapshot in determinism.rs
     // valid with telemetry compiled in.)
     let cfg = EvalConfig::smoke();
-    let plain = run_eval(
+    let plain = eval(
         FtlKind::Cube,
         StandardWorkload::Mail,
         AgingState::Fresh,
@@ -87,19 +101,11 @@ fn emitted_files_are_schema_valid() {
 
 #[test]
 fn event_mask_filters_categories() {
-    let mut cfg = EvalConfig::smoke();
-    cfg.requests = 500;
     let tel = TelemetrySpec {
         events: EventMask::ISPP,
         sample_interval_us: None,
     };
-    let (_, out) = run_eval_traced(
-        FtlKind::Cube,
-        StandardWorkload::Mail,
-        AgingState::Fresh,
-        &cfg,
-        &tel,
-    );
+    let (_, out) = traced(StandardWorkload::Mail, 500, tel);
     assert!(!out.events.is_empty(), "ISPP events must fire on writes");
     for e in &out.events {
         let line = e.to_json();
@@ -109,22 +115,6 @@ fn event_mask_filters_categories() {
         );
     }
     assert!(out.series.rows.is_empty(), "sampling was off");
-}
-
-/// Golden-file comparison with `UPDATE_GOLDEN=1` regeneration.
-fn check_golden(name: &str, actual: &str) {
-    let path = format!("{}/tests/data/{name}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, actual).expect("write golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e}; regenerate with UPDATE_GOLDEN=1"));
-    assert_eq!(
-        golden, actual,
-        "{name} drifted from the golden snapshot; if intentional, \
-         regenerate with UPDATE_GOLDEN=1 and review the diff"
-    );
 }
 
 #[test]
@@ -147,20 +137,22 @@ fn array_telemetry_is_thread_count_invariant() {
     let mut cfg = EvalConfig::smoke();
     cfg.requests = 1_200;
     let tel = TelemetrySpec::all(1_000.0);
-    let run = |threads: usize| {
+    let at = |threads: usize| {
         let mut arr = ArrayEvalConfig::new(4);
         arr.threads = threads;
-        run_array_eval_traced(
-            FtlKind::Cube,
-            StandardWorkload::Oltp,
-            AgingState::MidLife,
-            &cfg,
-            &arr,
-            &tel,
-        )
+        run(&Scenario {
+            array: Some(arr),
+            telemetry: tel,
+            ..Scenario::new(
+                FtlKind::Cube,
+                StandardWorkload::Oltp,
+                AgingState::MidLife,
+                &cfg,
+            )
+        })
     };
-    let (ra, ta) = run(1);
-    let (rb, tb) = run(4);
+    let (ra, rb) = (at(1), at(4));
+    let (ta, tb) = (&ra.telemetry, &rb.telemetry);
     assert_eq!(
         events_to_ndjson(&ta.events),
         events_to_ndjson(&tb.events),
@@ -168,8 +160,8 @@ fn array_telemetry_is_thread_count_invariant() {
     );
     assert_eq!(ta.series.to_csv(), tb.series.to_csv());
     assert_eq!(
-        format!("{:?}", ra.merged),
-        format!("{:?}", rb.merged),
+        format!("{:?}", ra.merged()),
+        format!("{:?}", rb.merged()),
         "merged report diverged across thread counts"
     );
 
@@ -185,4 +177,24 @@ fn array_telemetry_is_thread_count_invariant() {
             "shard {s} emitted no events — per-shard tagging broken"
         );
     }
+}
+
+#[test]
+fn trace_replay_emits_telemetry_like_any_other_stream() {
+    // Collectors hang off the device, not off the request source: a
+    // replayed trace is traced and sampled exactly like a generator,
+    // without perturbing the replay, byte-identically on a rerun.
+    let trace = common::msr_trace("traces/ycsb_a.csv");
+    let tel = TelemetrySpec::all(2_000.0);
+    let (report, out) = traced(&trace, 0, tel);
+    let (plain, _) = traced(&trace, 0, TelemetrySpec::off());
+    assert_eq!(report.completed, trace.len() as u64);
+    assert_eq!(format!("{plain:?}"), format!("{report:?}"));
+    let ndjson = events_to_ndjson(&out.events);
+    let n = validate_trace_ndjson(&ndjson).expect("trace NDJSON is well-formed");
+    assert!(n > 0, "the replay must emit events");
+    assert!(!out.series.rows.is_empty(), "the sampler must produce rows");
+    let (_, again) = traced(&trace, 0, tel);
+    assert_eq!(ndjson, events_to_ndjson(&again.events));
+    assert_eq!(out.series.to_csv(), again.series.to_csv());
 }

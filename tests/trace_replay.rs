@@ -3,15 +3,14 @@
 //! address space, and replays deterministically on single devices and
 //! sharded arrays alike.
 
-use cubeftl::harness::{run_trace_eval, EvalConfig};
+mod common;
+
+use common::{eval, run};
+use cubeftl::harness::{EvalConfig, Phase, Scenario, SpoConfig};
 use cubeftl::{AgingState, FtlKind, Trace};
 
-const PAGE_BYTES: u64 = 16 * 1024;
-
 fn sample() -> Trace {
-    let text =
-        std::fs::read_to_string("tests/data/sample_trace.csv").expect("sample trace present");
-    Trace::from_msr_csv(&text, PAGE_BYTES, 1 << 40).expect("sample trace parses")
+    common::msr_trace("sample_trace.csv")
 }
 
 #[test]
@@ -32,7 +31,7 @@ fn sample_trace_parses_with_mixed_ops_and_spans() {
 #[test]
 fn trace_replay_completes_every_request_deterministically() {
     let cfg = EvalConfig::smoke();
-    let run = || run_trace_eval(FtlKind::Cube, AgingState::Fresh, &cfg, &sample());
+    let run = || eval(FtlKind::Cube, &sample(), AgingState::Fresh, &cfg);
     let a = run();
     assert_eq!(a.completed, 40);
     assert!(a.reads > 0 && a.writes > 0);
@@ -44,7 +43,7 @@ fn trace_lpns_fold_into_the_device_address_space() {
     let cfg = EvalConfig::smoke();
     // The raw trace addresses terabyte offsets; the smoke device is a
     // few thousand pages. Replay must fold, not reject or overflow.
-    let r = run_trace_eval(FtlKind::Page, AgingState::Fresh, &cfg, &sample());
+    let r = eval(FtlKind::Page, &sample(), AgingState::Fresh, &cfg);
     assert_eq!(r.completed, 40);
 }
 
@@ -54,4 +53,34 @@ fn native_trace_format_still_round_trips() {
     let back: Trace = trace.to_text().parse().expect("native format round-trips");
     assert_eq!(back.len(), trace.len());
     assert_eq!(back.requests(), trace.requests());
+}
+
+#[test]
+fn trace_replay_survives_a_power_cut_with_zero_loss() {
+    // The crash barrier does not care where requests come from: a
+    // replayed trace is cut, recovered and resumed over its unissued
+    // remainder like any generator stream — byte-identically on a rerun.
+    let trace = common::msr_trace("traces/ycsb_a.csv");
+    let sc = Scenario {
+        spo: Some(SpoConfig::at_ops(400)),
+        ..Scenario::new(
+            FtlKind::Cube,
+            &trace,
+            AgingState::Fresh,
+            &EvalConfig::smoke(),
+        )
+    };
+    let r = run(&sc);
+    let crash = r.crash.as_ref().expect("a cut was armed");
+    assert_eq!(crash.shards_cut(), 1, "the cut lands inside the trace");
+    assert!(crash.lost_lpns.is_empty(), "lost {:?}", crash.lost_lpns);
+    let resumed = r.phase(Phase::Resumed).expect("the remainder resumes");
+    assert!(resumed.merged.completed > 0);
+    let done = r.sim().completed + resumed.merged.completed;
+    assert!(done <= trace.len() as u64);
+    let again = run(&sc);
+    assert_eq!(
+        format!("{:?} {:?}", r.phases, r.crash),
+        format!("{:?} {:?}", again.phases, again.crash),
+    );
 }
