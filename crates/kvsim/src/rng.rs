@@ -5,16 +5,15 @@
 //! library RNG, nothing that could drift between builds. The same
 //! finalizer doubles as the key/value fingerprint hash.
 
+use ssdsim::detrand::mix64;
+
 /// Weyl-sequence increment of splitmix64.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The splitmix64 finalizer: a bijection on `u64` with full avalanche.
 #[inline]
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(GOLDEN);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+pub fn splitmix64(z: u64) -> u64 {
+    mix64(z.wrapping_add(GOLDEN))
 }
 
 /// A seeded splitmix64 stream.
@@ -33,10 +32,7 @@ impl SplitMix {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(self.state)
     }
 
     /// A draw reduced to `[0, bound)`; `bound` must be positive.

@@ -173,9 +173,8 @@ impl AgingPlan {
     }
 }
 
-/// splitmix64 — the workspace's standard seed-derivation mix (same
-/// construction as `workloads::shard_seed`, duplicated here to keep the
-/// crate dependency-free).
+/// splitmix64 — a private copy of `ssdsim::detrand::mix64` over the
+/// golden-gamma offset: this crate has no dependencies by design.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;

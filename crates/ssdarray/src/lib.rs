@@ -3,9 +3,11 @@
 //! Scales the single-device simulator out to an array of `N`
 //! independent shards, the way a host-managed multi-device deployment
 //! (or a multi-core simulation campaign) would: each shard is a
-//! complete [`SsdSim`] device with its own FTL, chips, and workload
-//! substream, and the front-end fans host work out to the shards and
-//! folds the results back into one [`ArrayReport`].
+//! complete [`SsdSim`] device with its own FTL, chips, and host — any
+//! [`HostFront`]: a closed-loop request substream (the trivial front)
+//! or an open-loop front-end such as `hostq`'s multi-queue QoS front
+//! over the shard's tenant subset — and the engine fans host work out
+//! to the shards and folds the results back into one [`ArrayReport`].
 //!
 //! ## Determinism by construction
 //!
@@ -13,8 +15,8 @@
 //! merged report at any thread count**. Two properties make that hold
 //! without any cross-thread coordination:
 //!
-//! * **Fan-out is pre-computed.** Shard seeds, workload substreams and
-//!   per-shard request budgets are all derived before any thread
+//! * **Fan-out is pre-computed.** Shard seeds, hosts and per-shard
+//!   request budgets are all derived before any thread
 //!   starts; shards never exchange state while running, so each shard's
 //!   result depends only on its own inputs.
 //! * **Fan-in is ordered.** Workers report `(shard index, result)`; the
@@ -36,8 +38,8 @@ pub use report::{ArrayReport, ResilienceReport};
 pub use stripe::StripeRouter;
 
 use ssdsim::{
-    FtlDriver, HostFront, HostRequest, RebuildOp, RebuildSchedule, SimReport, SpoEvent, SpoTrigger,
-    SsdSim, StepOutcome,
+    FtlDriver, HostFront, RebuildOp, RebuildSchedule, SimReport, SpoEvent, SpoTrigger, SsdSim,
+    StepOutcome,
 };
 use std::sync::mpsc;
 use std::sync::Mutex;
@@ -59,14 +61,14 @@ pub struct RebuildPlan {
     pub ops: Vec<RebuildOp>,
 }
 
-/// One shard: a complete simulated device plus its workload substream.
-pub struct ArrayShard<F, W> {
+/// One shard: a complete simulated device plus its host side.
+pub struct ArrayShard<F, H: HostFront> {
     /// The shard's device simulator.
     pub sim: SsdSim,
     /// The shard's FTL.
     pub ftl: F,
-    /// The shard's request substream.
-    pub workload: W,
+    /// The shard's host: a request substream or an open-loop front.
+    pub workload: H,
     /// Host requests this shard issues (at most).
     pub requests: u64,
     /// Optional sudden-power-off trigger armed on this shard.
@@ -95,22 +97,22 @@ impl ArrayRunOutcome {
 }
 
 /// The array front-end: owns the shards and the execution engine.
-pub struct SsdArray<F, W> {
-    shards: Vec<ArrayShard<F, W>>,
+pub struct SsdArray<F, H: HostFront> {
+    shards: Vec<ArrayShard<F, H>>,
     threads: usize,
 }
 
-impl<F, W> SsdArray<F, W>
+impl<F, H> SsdArray<F, H>
 where
     F: FtlDriver + Send,
-    W: Iterator<Item = HostRequest> + Send,
+    H: HostFront + Send,
 {
     /// An array over `shards`, executed on one worker thread per shard.
     ///
     /// # Panics
     ///
     /// Panics on an empty shard list.
-    pub fn new(shards: Vec<ArrayShard<F, W>>) -> Self {
+    pub fn new(shards: Vec<ArrayShard<F, H>>) -> Self {
         assert!(!shards.is_empty(), "need at least one shard");
         let threads = shards.len();
         SsdArray { shards, threads }
@@ -134,19 +136,14 @@ where
     }
 
     /// The shards (e.g. to inspect an FTL after a run).
-    pub fn shards(&self) -> &[ArrayShard<F, W>] {
+    pub fn shards(&self) -> &[ArrayShard<F, H>] {
         &self.shards
     }
 
-    /// Mutable access to the shards (e.g. to re-arm triggers between
-    /// runs).
-    pub fn shards_mut(&mut self) -> &mut [ArrayShard<F, W>] {
-        &mut self.shards
-    }
-
-    /// Consumes the array, returning the shards — the harness uses this
-    /// to run per-shard crash recovery after an array-wide power cut.
-    pub fn into_shards(self) -> Vec<ArrayShard<F, W>> {
+    /// Consumes the array, returning the shards in index order — the
+    /// harness uses this to rewrite the shard list at a barrier (crash
+    /// recovery, failure redirect) and to drain per-shard host state.
+    pub fn into_shards(self) -> Vec<ArrayShard<F, H>> {
         self.shards
     }
 
@@ -175,7 +172,7 @@ where
     }
 }
 
-/// The worker pool behind both engines: deals `shards` to `threads`
+/// The engine's worker pool: deals `shards` to `threads`
 /// workers through a job queue, runs `run_one` on each, and returns
 /// every shard with its result **in index order**.
 ///
@@ -232,103 +229,11 @@ fn fan_out<S: Send, R: Send>(
         .collect()
 }
 
-/// One shard of a front-driven array: a device plus the host front-end
-/// (e.g. `hostq`'s multi-queue QoS front) that feeds it open-loop.
-pub struct FrontShard<F, H> {
-    /// The shard's device simulator.
-    pub sim: SsdSim,
-    /// The shard's FTL.
-    pub ftl: F,
-    /// The shard's host front-end (its tenant subset).
-    pub front: H,
-    /// Cap on host requests the device issues this run.
-    pub requests: u64,
-}
-
-/// Results of one front-driven array run.
-#[derive(Debug, Clone)]
-pub struct FrontRunOutcome {
-    /// The merged array-wide report.
-    pub report: ArrayReport,
-    /// Per-shard reports, indexed by shard.
-    pub shard_reports: Vec<SimReport>,
-}
-
-/// The front-driven array engine: [`SsdArray`]'s fan-out/fan-in
-/// discipline (pre-computed shard inputs, index-slot collection, merge
-/// strictly in shard order) over [`SsdSim::run_step_front`]. After
-/// [`FrontArray::run`] the shards sit back in index order, so the
-/// caller can drain per-shard front state (QoS reports, telemetry)
-/// shard-ordered.
-pub struct FrontArray<F, H> {
-    shards: Vec<FrontShard<F, H>>,
-    threads: usize,
-}
-
-impl<F, H> FrontArray<F, H>
-where
-    F: FtlDriver + Send,
-    H: HostFront + Send,
-{
-    /// An array over `shards`, one worker thread per shard by default.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty shard list.
-    pub fn new(shards: Vec<FrontShard<F, H>>) -> Self {
-        assert!(!shards.is_empty(), "need at least one shard");
-        let threads = shards.len();
-        FrontArray { shards, threads }
-    }
-
-    /// Caps the worker-thread count (clamped to `1..=shards`). Purely a
-    /// resource knob: any count produces the same merged report.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.clamp(1, self.shards.len());
-        self
-    }
-
-    /// Consumes the array, returning the shards in index order (drain
-    /// fronts after a run).
-    pub fn into_shards(self) -> Vec<FrontShard<F, H>> {
-        self.shards
-    }
-
-    /// Runs every shard to drain and merges the results in shard order.
-    pub fn run(&mut self) -> FrontRunOutcome {
-        let shards = std::mem::take(&mut self.shards);
-        let mut shard_reports = Vec::new();
-        for (shard, report) in fan_out(shards, self.threads, run_front_shard) {
-            self.shards.push(shard);
-            shard_reports.push(report);
-        }
-        FrontRunOutcome {
-            report: ArrayReport::merge(&shard_reports),
-            shard_reports,
-        }
-    }
-}
-
-/// Simulates one front-driven shard to drain in bounded event slices.
-fn run_front_shard<F, H>(shard: &mut FrontShard<F, H>) -> SimReport
+/// Simulates one shard to completion in bounded event slices.
+fn run_shard<F, H>(shard: &mut ArrayShard<F, H>) -> (SimReport, Option<SpoEvent>)
 where
     F: FtlDriver,
     H: HostFront,
-{
-    shard.sim.run_front_begin(shard.requests);
-    while shard
-        .sim
-        .run_step_front(&mut shard.ftl, &mut shard.front, STEP_EVENTS)
-        == StepOutcome::Running
-    {}
-    shard.sim.run_front_end(&shard.ftl)
-}
-
-/// Simulates one shard to completion in bounded event slices.
-fn run_shard<F, W>(shard: &mut ArrayShard<F, W>) -> (SimReport, Option<SpoEvent>)
-where
-    F: FtlDriver,
-    W: Iterator<Item = HostRequest>,
 {
     shard.sim.run_begin(shard.requests, shard.spo);
     // Arm after run_begin: the reset inside run_begin clears any prior
@@ -348,7 +253,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdsim::{HostOp, SsdConfig};
+    use ssdsim::{FrontRequest, HostRequest, SsdConfig};
+    use std::collections::VecDeque;
 
     /// A trivial FTL: fixed-latency reads and writes, enough to exercise
     /// the engine without the full `ftl` crate.
@@ -411,6 +317,7 @@ mod tests {
     fn build(
         shards: usize,
         requests: u64,
+        spo: Option<SpoTrigger>,
     ) -> SsdArray<NullFtl, impl Iterator<Item = HostRequest> + Send> {
         SsdArray::new(
             (0..shards)
@@ -419,16 +326,93 @@ mod tests {
                     ftl: NullFtl::new(),
                     workload: mixed_stream(s as u64 + 1),
                     requests,
-                    spo: None,
+                    spo,
                     rebuild: None,
                 })
                 .collect(),
         )
     }
 
+    /// An open-loop stub front: one request every `gap_us`, one FIFO.
+    struct TimedFront<W> {
+        stream: W,
+        gap_us: f64,
+        arrived: u32,
+        budget: u32,
+        queue: VecDeque<FrontRequest>,
+    }
+
+    impl<W: Iterator<Item = HostRequest>> HostFront for TimedFront<W> {
+        fn next_arrival_us(&self) -> Option<f64> {
+            (self.arrived < self.budget).then(|| f64::from(self.arrived) * self.gap_us)
+        }
+
+        fn advance(&mut self, now_us: f64) {
+            while self.next_arrival_us().is_some_and(|t| t <= now_us) {
+                let req = self.stream.next().expect("endless stream");
+                let token = self.arrived;
+                self.queue.push_back(FrontRequest { req, token });
+                self.arrived += 1;
+            }
+        }
+
+        fn pop(&mut self, _now_us: f64) -> Option<FrontRequest> {
+            self.queue.pop_front()
+        }
+
+        fn complete(&mut self, _token: u32, _now_us: f64) {}
+
+        fn exhausted(&self) -> bool {
+            self.arrived == self.budget && self.queue.is_empty()
+        }
+    }
+
+    /// Either kind of host behind one shard type.
+    enum AnyHost<W> {
+        Stream(W),
+        Front(TimedFront<W>),
+    }
+
+    impl<W: Iterator<Item = HostRequest>> HostFront for AnyHost<W> {
+        fn next_arrival_us(&self) -> Option<f64> {
+            match self {
+                AnyHost::Stream(w) => w.next_arrival_us(),
+                AnyHost::Front(f) => f.next_arrival_us(),
+            }
+        }
+
+        fn advance(&mut self, now_us: f64) {
+            match self {
+                AnyHost::Stream(w) => w.advance(now_us),
+                AnyHost::Front(f) => f.advance(now_us),
+            }
+        }
+
+        fn pop(&mut self, now_us: f64) -> Option<FrontRequest> {
+            match self {
+                AnyHost::Stream(w) => w.pop(now_us),
+                AnyHost::Front(f) => f.pop(now_us),
+            }
+        }
+
+        fn complete(&mut self, token: u32, now_us: f64) {
+            match self {
+                AnyHost::Stream(w) => w.complete(token, now_us),
+                AnyHost::Front(f) => f.complete(token, now_us),
+            }
+        }
+
+        fn exhausted(&self) -> bool {
+            match self {
+                AnyHost::Stream(w) => w.exhausted(),
+                AnyHost::Front(f) => f.exhausted(),
+            }
+        }
+    }
+
     #[test]
     fn array_completes_every_shard_budget() {
-        let mut array = build(4, 300);
+        let mut array = build(4, 300, None);
         let out = array.run();
         assert_eq!(out.report.shards, 4);
         assert_eq!(out.report.completed, 4 * 300);
@@ -445,7 +429,7 @@ mod tests {
     #[test]
     fn report_is_identical_at_any_thread_count() {
         let run_at = |threads: usize| {
-            let mut array = build(4, 250).with_threads(threads);
+            let mut array = build(4, 250, None).with_threads(threads);
             format!("{:?}", array.run().report)
         };
         let one = run_at(1);
@@ -455,19 +439,15 @@ mod tests {
 
     #[test]
     fn repeated_runs_are_byte_identical() {
-        let a = format!("{:?}", build(3, 200).run().report);
-        let b = format!("{:?}", build(3, 200).run().report);
+        let a = format!("{:?}", build(3, 200, None).run().report);
+        let b = format!("{:?}", build(3, 200, None).run().report);
         assert_eq!(a, b);
     }
 
     #[test]
     fn array_wide_spo_cuts_every_shard_at_one_instant() {
         let cut_us = 40_000.0;
-        let mut array = build(3, 1_000_000);
-        for shard in array.shards_mut() {
-            shard.spo = Some(SpoTrigger::AtTimeUs(cut_us));
-        }
-        let out = array.run();
+        let out = build(3, 1_000_000, Some(SpoTrigger::AtTimeUs(cut_us))).run();
         assert!(out.any_fired());
         for (s, ev) in out.spo_events.iter().enumerate() {
             let ev = ev.as_ref().expect("every shard cut");
@@ -478,7 +458,7 @@ mod tests {
 
     #[test]
     fn merged_counters_match_shard_sums() {
-        let mut array = build(2, 400);
+        let mut array = build(2, 400, None);
         let out = array.run();
         let reads: u64 = out.shard_reports.iter().map(|r| r.reads).sum();
         let writes: u64 = out.shard_reports.iter().map(|r| r.writes).sum();
@@ -491,6 +471,43 @@ mod tests {
                 .map(|r| r.read_latency.len())
                 .sum::<usize>()
         );
-        let _ = HostOp::Read;
+    }
+
+    #[test]
+    fn mixed_hosts_are_thread_count_invariant() {
+        // Even shards run a closed-loop stream, odd shards an open-loop
+        // front, through the one engine.
+        let run_at = |threads: usize| {
+            let shards = (0..4u32)
+                .map(|s| {
+                    let stream = mixed_stream(u64::from(s) + 1);
+                    let workload = if s % 2 == 0 {
+                        AnyHost::Stream(stream)
+                    } else {
+                        AnyHost::Front(TimedFront {
+                            stream,
+                            gap_us: 40.0 * f64::from(s),
+                            arrived: 0,
+                            budget: 250,
+                            queue: VecDeque::new(),
+                        })
+                    };
+                    ArrayShard {
+                        sim: SsdSim::new(SsdConfig::small()),
+                        ftl: NullFtl::new(),
+                        workload,
+                        requests: 250,
+                        spo: None,
+                        rebuild: None,
+                    }
+                })
+                .collect();
+            let out = SsdArray::new(shards).with_threads(threads).run();
+            assert_eq!(out.report.completed, 4 * 250);
+            format!("{:?}", out.report)
+        };
+        let one = run_at(1);
+        assert_eq!(one, run_at(2), "1 vs 2 threads");
+        assert_eq!(one, run_at(4), "1 vs 4 threads");
     }
 }

@@ -44,6 +44,7 @@
 //! striping, byte-identical to [`crate::StripeRouter`] — the default
 //! path reproduces every pre-parity golden.
 
+use ssdsim::detrand::mix64;
 use ssdsim::{HostOp, HostRequest};
 
 /// What a shard-local page holds under the rotating-parity layout.
@@ -274,13 +275,11 @@ impl ParityRouter {
 /// over these 64-bit fingerprints instead (XOR algebra is identical).
 /// splitmix64 finalizer over both words.
 pub fn page_fingerprint(lpn: u64, version: u64) -> u64 {
-    let mut z = lpn
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(version.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(0x94D0_49BB_1331_11EB);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(
+        lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(version.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+            .wrapping_add(0x94D0_49BB_1331_11EB),
+    )
 }
 
 /// XOR-combines data fingerprints into a parity fingerprint. The
@@ -370,6 +369,18 @@ mod tests {
     fn degraded_sources_are_the_survivors_at_the_same_local() {
         let r = ParityRouter::new(4, 8, true);
         assert_eq!(r.degraded_sources(1, 13), vec![(0, 13), (2, 13), (3, 13)]);
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        assert_eq!(
+            [(0, 0), (42, 1), (u64::MAX, 7)].map(|(l, v)| page_fingerprint(l, v)),
+            [
+                0x2848_D6A4_A7B2_8BC1,
+                0x21D3_0E74_6CE7_6967,
+                0xE92F_91A4_9F11_317E
+            ]
+        );
     }
 
     #[test]

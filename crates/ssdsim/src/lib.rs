@@ -5,8 +5,11 @@
 //! NAND latencies into end-to-end IOPS and request latencies under
 //! queueing, bus contention and write-buffer dynamics.
 //!
-//! The simulator is a closed-loop host model: it keeps a fixed number of
-//! outstanding requests (the queue depth) against an SSD built from
+//! The simulator has one event loop ([`SsdSim::run_step`]) whose host
+//! side is an argument, a [`HostFront`]. Driven by a plain request
+//! iterator — the trivial front — it is the paper's closed-loop host
+//! model: it keeps a fixed number of outstanding requests (the queue
+//! depth) against an SSD built from
 //!
 //! * a [`FtlDriver`] — the flash translation layer under test (the
 //!   `ftl` crate provides `pageFTL`, `vertFTL`, `cubeFTL` and
@@ -21,6 +24,7 @@
 //! distributions (for the CDFs of Fig. 18) and FTL-internal counters.
 
 pub mod buffer;
+pub mod detrand;
 pub mod driver;
 pub mod front;
 pub mod request;

@@ -1,7 +1,8 @@
-//! The closed-loop SSD simulation engine.
+//! The SSD simulation engine.
 //!
-//! [`SsdSim`] models the evaluation platform of §6.1: a host issuing
-//! requests at a fixed queue depth against an SSD with a DRAM write
+//! [`SsdSim`] models the evaluation platform of §6.1: a host — any
+//! [`HostFront`], a plain request iterator being the closed loop at a
+//! fixed queue depth — against an SSD with a DRAM write
 //! buffer, `B` buses and `C` chips (chip `i` sits on bus `i mod B`).
 //! Writes complete when buffered; a background flush drains the buffer to
 //! NAND one WL (3 pages) at a time through the FTL under test. Reads hit
@@ -69,7 +70,7 @@ impl Default for MaintSchedule {
 }
 
 /// When the simulated power supply dies mid-run (see
-/// [`SsdSim::run_with_spo`]).
+/// [`SsdSim::run_begin`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SpoTrigger {
     /// Cut power as soon as `n` host requests have completed.
@@ -509,8 +510,7 @@ struct InFlightRequest {
     lpn: u64,
     /// Span length in pages.
     pages: u32,
-    /// Front-end token echoed back on completion (front mode only; 0 on
-    /// the legacy closed-loop path).
+    /// The host's token, echoed back on completion.
     token: u32,
 }
 
@@ -570,12 +570,6 @@ pub struct SsdSim {
     trace: Collector,
     /// Virtual-time series sampler (`None` = sampling off).
     sampler: Option<SamplerState>,
-    /// Whether the run is driven by a [`HostFront`] (open-loop front
-    /// mode) instead of the legacy closed-loop workload iterator.
-    front_mode: bool,
-    /// Completions awaiting delivery to the front: `(token, t_us)` in
-    /// completion order. Only populated in front mode.
-    front_done: Vec<(u32, f64)>,
     /// Pacing of the background rebuild service (`None` = rebuild off,
     /// the zero-cost default path).
     rebuild_sched: Option<RebuildSchedule>,
@@ -656,8 +650,6 @@ impl SsdSim {
             spo_event: None,
             trace: Collector::disabled(),
             sampler: None,
-            front_mode: false,
-            front_done: Vec::new(),
             rebuild_sched: None,
             rebuild_queue: VecDeque::new(),
             rebuild_inflight: 0,
@@ -761,51 +753,20 @@ impl SsdSim {
         F: FtlDriver + ?Sized,
         W: IntoIterator<Item = HostRequest>,
     {
-        self.run_inner(ftl, workload, max_requests, None).0
-    }
-
-    /// Like [`SsdSim::run`], but with a sudden-power-off trigger armed.
-    /// If the trigger fires before the workload drains, the run halts
-    /// mid-operation and the returned [`SpoEvent`] describes the exact
-    /// device state at the cut; the report then covers the truncated
-    /// run. Returns `None` for the event when the trigger never fired.
-    ///
-    /// Pass the workload by `&mut` iterator to keep the unissued
-    /// remainder for the post-recovery resume run.
-    pub fn run_with_spo<F, W>(
-        &mut self,
-        ftl: &mut F,
-        workload: W,
-        max_requests: u64,
-        trigger: SpoTrigger,
-    ) -> (SimReport, Option<SpoEvent>)
-    where
-        F: FtlDriver + ?Sized,
-        W: IntoIterator<Item = HostRequest>,
-    {
-        self.run_inner(ftl, workload, max_requests, Some(trigger))
-    }
-
-    fn run_inner<F, W>(
-        &mut self,
-        ftl: &mut F,
-        workload: W,
-        max_requests: u64,
-        spo: Option<SpoTrigger>,
-    ) -> (SimReport, Option<SpoEvent>)
-    where
-        F: FtlDriver + ?Sized,
-        W: IntoIterator<Item = HostRequest>,
-    {
-        self.run_begin(max_requests, spo);
+        self.run_begin(max_requests, None);
         let mut workload = workload.into_iter();
         while self.run_step(ftl, &mut workload, u64::MAX) == StepOutcome::Running {}
-        self.run_end(ftl)
+        self.run_end(ftl).0
     }
 
     /// Arms a new run: resets the platform state, caps the number of
-    /// host requests pulled from the workload at `max_requests` and
-    /// installs an optional sudden-power-off trigger.
+    /// host requests pulled from the host at `max_requests` and
+    /// installs an optional sudden-power-off trigger. If the trigger
+    /// fires before the run drains, [`SsdSim::run_step`] halts
+    /// mid-operation with [`StepOutcome::PowerCut`], [`SsdSim::run_end`]
+    /// returns the [`SpoEvent`] describing the exact device state at the
+    /// cut beside the report of the truncated run, and the host keeps
+    /// its unissued remainder for the post-recovery resume run.
     ///
     /// Together with [`SsdSim::run_step`] and [`SsdSim::run_end`] this
     /// is the stepping API an external engine (the sharded array
@@ -830,13 +791,14 @@ impl SsdSim {
     /// are dispatched front-to-back in units of at most
     /// `sched.batch_pages`, each op starting only on an idle chip and
     /// each unit separated by `sched.gap_us` of host-priority backoff.
-    /// Rebuild work keeps the event loop alive past the host workload,
-    /// so a run drains only once the queue is empty.
+    /// Rebuild work keeps the event loop alive past the host's last
+    /// request (or arrival), whatever the host is, so a run drains only
+    /// once the queue is empty.
     ///
     /// Call **after** [`SsdSim::run_begin`] — arming belongs to one run
     /// and is cleared by the next `run_begin`. The op list is computed
     /// by the caller before the run starts, so the service itself is a
-    /// pure function of `(ops, sched, workload, ftl)` and byte-identity
+    /// pure function of `(ops, sched, host, ftl)` and byte-identity
     /// across step budgets and thread counts is preserved.
     pub fn arm_rebuild(
         &mut self,
@@ -878,76 +840,80 @@ impl SsdSim {
         self.rebuild_queue.drain(..).collect()
     }
 
-    /// Advances the armed run by at most `max_events` simulation events.
-    /// The outcome is a pure function of the workload, the FTL and the
+    /// Advances the armed run by at most `max_events` steps. This is
+    /// the engine's one event loop, whatever the host is. A step is a
+    /// device event from the heap or — for a host with an arrival
+    /// process — a time-jump to its next arrival, taken whenever that
+    /// arrival precedes every pending event *and* the device has queue
+    /// room (otherwise the arrival is consumed naturally once event
+    /// processing moves `now` past it). After every step the engine
+    /// hands the step's completion back to the host, polls it for new
+    /// work, offers idle chips to maintenance and the rebuild service,
+    /// and checks the armed power-off trigger; an
+    /// [`SpoTrigger::AtTimeUs`] cut precedes any step at or past its
+    /// instant, arrivals included.
+    ///
+    /// The outcome is a pure function of the host, the FTL and the
     /// configuration: slicing a run into any sequence of budgets yields
-    /// byte-identical results, because the issue/maintenance polls at a
-    /// slice boundary are idempotent at an unchanged simulated time.
-    pub fn run_step<F, W>(&mut self, ftl: &mut F, workload: &mut W, max_events: u64) -> StepOutcome
+    /// byte-identical results, because the polls at a slice boundary
+    /// are idempotent at an unchanged simulated time.
+    pub fn run_step<F, H>(&mut self, ftl: &mut F, host: &mut H, max_events: u64) -> StepOutcome
     where
         F: FtlDriver + ?Sized,
-        W: Iterator<Item = HostRequest>,
+        H: HostFront + ?Sized,
     {
         if self.spo_event.is_some() {
             return StepOutcome::PowerCut;
         }
-        self.fill_queue(workload, ftl);
-        self.try_maint(ftl);
-        self.try_rebuild(ftl);
+        self.poll(ftl, host);
         let mut sliced = 0u64;
         while sliced < max_events {
-            let Some(&ev) = self.events.peek() else {
+            let next_event = self.events.peek().map(|e| e.t);
+            let arrival = if self.can_issue() {
+                host.next_arrival_us()
+                    .filter(|&ta| next_event.is_none_or(|te| ta < te))
+            } else {
+                None
+            };
+            let Some(t) = arrival.or(next_event) else {
                 return StepOutcome::Drained;
             };
             if let Some(SpoTrigger::AtTimeUs(t_cut)) = self.spo {
-                if ev.t >= t_cut {
-                    // Power dies strictly before the next event executes.
+                if t >= t_cut {
+                    // Power dies strictly before the next step executes.
                     self.sample_until(t_cut, ftl);
                     self.now = self.now.max(t_cut);
-                    self.spo_event = Some(self.spo_snapshot());
-                    return StepOutcome::PowerCut;
+                    return self.cut_power();
                 }
             }
-            let ev = self.events.pop().expect("peeked event exists");
-            debug_assert!(ev.t >= self.now - 1e-9, "time went backwards");
-            self.sample_until(ev.t, ftl);
+            self.sample_until(t, ftl);
             sliced += 1;
             let completed_before = self.completed;
-            self.now = ev.t;
-            match ev.kind {
-                EventKind::WriteAccepted { req } => self.finish_request(req),
-                EventKind::ReadPartServed { req } => {
-                    self.requests[req].remaining_pages -= 1;
-                    if self.requests[req].remaining_pages == 0 {
-                        self.finish_request(req);
-                    }
+            if arrival.is_some() {
+                // Jump virtual time to the arrival; the poll admits it.
+                self.now = self.now.max(t);
+            } else {
+                let ev = self.events.pop().expect("peeked event exists");
+                debug_assert!(ev.t >= self.now - 1e-9, "time went backwards");
+                self.now = ev.t;
+                match ev.kind {
+                    EventKind::WriteAccepted { req } => self.finish_request(req, host),
+                    EventKind::ReadPartServed { req } => self.read_part_done(req, host),
+                    EventKind::ChipIdle { chip } => self.chip_op_done(chip, ftl, host),
+                    EventKind::RebuildTick => self.rebuild_tick_armed = false,
                 }
-                EventKind::ChipIdle { chip } => self.chip_op_done(chip, ftl),
-                EventKind::RebuildTick => self.rebuild_tick_armed = false,
             }
-            self.fill_queue(workload, ftl);
-            self.try_maint(ftl);
-            self.try_rebuild(ftl);
-            match self.spo {
-                Some(SpoTrigger::AtOps(n)) if self.completed >= n => {
-                    self.spo_event = Some(self.spo_snapshot());
-                    return StepOutcome::PowerCut;
-                }
+            self.poll(ftl, host);
+            let fired = match self.spo {
+                Some(SpoTrigger::AtOps(n)) => self.completed >= n,
                 Some(SpoTrigger::Seeded { rate, .. }) if rate > 0.0 => {
                     let rng = self.spo_rng.as_mut().expect("seeded trigger has an RNG");
-                    let mut fired = false;
-                    for _ in completed_before..self.completed {
-                        if rng.gen_bool(rate) {
-                            fired = true;
-                            break;
-                        }
-                    }
-                    if fired {
-                        self.spo_event = Some(self.spo_snapshot());
-                        return StepOutcome::PowerCut;
-                    }
+                    (completed_before..self.completed).any(|_| rng.gen_bool(rate))
                 }
-                _ => {}
+                _ => false,
+            };
+            if fired {
+                return self.cut_power();
             }
         }
         StepOutcome::Running
@@ -980,108 +946,27 @@ impl SsdSim {
         (report, spo_event)
     }
 
-    /// Arms an open-loop run driven by a [`HostFront`] instead of a
-    /// workload iterator. Pair with [`SsdSim::run_step_front`] and
-    /// [`SsdSim::run_front_end`]. SPO triggers are not supported in
-    /// front mode.
+    // The three `run_front_*` names are one-line aliases kept for their
+    // single caller, `benchmark/layers` (frozen for one PR); the next
+    // `benchmark` PR moves it to `run_begin`/`run_step`/`run_end` and
+    // deletes them.
+    #[doc(hidden)]
     pub fn run_front_begin(&mut self, max_requests: u64) {
-        self.run_begin(max_requests, None);
-        self.front_mode = true;
+        self.run_begin(max_requests, None)
     }
 
-    /// Advances an open-loop front-driven run by at most `max_events`
-    /// steps (device events and arrival time-jumps both count). Like
-    /// [`SsdSim::run_step`], the outcome is a pure function of the
-    /// front, the FTL and the configuration: the polls at a slice
-    /// boundary are idempotent at an unchanged simulated time, so any
-    /// slicing yields byte-identical results.
-    ///
-    /// The loop alternates two sources of progress: device events from
-    /// the heap, and time-jumps to the front's next arrival whenever
-    /// that arrival precedes every pending event *and* the device has
-    /// queue room (otherwise the arrival is consumed naturally once
-    /// event processing moves `now` past it). Completions are handed
-    /// back to the front before new work is pulled, so the front's
-    /// latency accounting always sees completion-before-dispatch order
-    /// at equal timestamps.
-    pub fn run_step_front<F, H>(
-        &mut self,
-        ftl: &mut F,
-        front: &mut H,
-        max_events: u64,
-    ) -> StepOutcome
+    #[doc(hidden)]
+    pub fn run_step_front<F, H>(&mut self, ftl: &mut F, front: &mut H, max: u64) -> StepOutcome
     where
         F: FtlDriver + ?Sized,
         H: HostFront + ?Sized,
     {
-        debug_assert!(self.front_mode, "run_front_begin must arm front mode");
-        self.deliver_front_completions(front);
-        self.front_fill(front, ftl);
-        self.try_maint(ftl);
-        let mut sliced = 0u64;
-        while sliced < max_events {
-            let next_event_t = self.events.peek().map(|e| e.t);
-            let next_arrival = if self.can_issue() {
-                front.next_arrival_us()
-            } else {
-                None
-            };
-            let jump_to = match (next_event_t, next_arrival) {
-                (None, None) => return StepOutcome::Drained,
-                (Some(te), Some(ta)) if ta < te => Some(ta),
-                (None, Some(ta)) => Some(ta),
-                _ => None,
-            };
-            sliced += 1;
-            if let Some(ta) = jump_to {
-                // Device idle (or next event later than the arrival):
-                // jump virtual time forward to the arrival instant and
-                // let the front admit it.
-                self.sample_until(ta, ftl);
-                self.now = self.now.max(ta);
-                self.front_fill(front, ftl);
-                self.try_maint(ftl);
-                continue;
-            }
-            let ev = self.events.pop().expect("peeked event exists");
-            debug_assert!(ev.t >= self.now - 1e-9, "time went backwards");
-            self.sample_until(ev.t, ftl);
-            self.now = ev.t;
-            match ev.kind {
-                EventKind::WriteAccepted { req } => self.finish_request(req),
-                EventKind::ReadPartServed { req } => {
-                    self.requests[req].remaining_pages -= 1;
-                    if self.requests[req].remaining_pages == 0 {
-                        self.finish_request(req);
-                    }
-                }
-                EventKind::ChipIdle { chip } => self.chip_op_done(chip, ftl),
-                // Rebuild is only armed on legacy closed-loop runs; a
-                // stray tick in front mode is a harmless no-op.
-                EventKind::RebuildTick => self.rebuild_tick_armed = false,
-            }
-            self.deliver_front_completions(front);
-            self.front_fill(front, ftl);
-            self.try_maint(ftl);
-        }
-        StepOutcome::Running
+        self.run_step(ftl, front, max)
     }
 
-    /// Finalizes a front-driven run and returns its report.
+    #[doc(hidden)]
     pub fn run_front_end<F: FtlDriver + ?Sized>(&mut self, ftl: &F) -> SimReport {
-        debug_assert!(
-            self.front_done.is_empty(),
-            "front completions left undelivered"
-        );
         self.run_end(ftl).0
-    }
-
-    /// Hands buffered completions back to the front in completion order
-    /// at their recorded completion instants.
-    fn deliver_front_completions<H: HostFront + ?Sized>(&mut self, front: &mut H) {
-        for (token, t) in self.front_done.drain(..) {
-            front.complete(token, t);
-        }
     }
 
     /// Whether the device can accept another host request right now.
@@ -1090,19 +975,28 @@ impl SsdSim {
             && (self.requests.len() as u64) < self.issue_limit
     }
 
-    /// Advances the front to `now` (consuming arrivals) and pulls
-    /// scheduled requests while the device has queue room. Idempotent
-    /// at an unchanged `now`.
-    fn front_fill<F, H>(&mut self, front: &mut H, ftl: &mut F)
+    /// The poll after every step: advances the host to `now`
+    /// (consuming arrivals), pulls requests while the device has queue
+    /// room, then offers idle chips to maintenance and the rebuild
+    /// service. Idempotent at an unchanged `now`.
+    fn poll<F, H>(&mut self, ftl: &mut F, host: &mut H)
     where
         F: FtlDriver + ?Sized,
         H: HostFront + ?Sized,
     {
-        front.advance(self.now);
+        host.advance(self.now);
         while self.can_issue() {
-            let Some(fr) = front.pop(self.now) else { break };
+            let Some(fr) = host.pop(self.now) else { break };
             self.issue(fr.req, fr.token, ftl);
         }
+        self.try_maint(ftl);
+        self.try_rebuild(ftl);
+    }
+
+    /// The armed trigger fired: freeze the device state at `now`.
+    fn cut_power(&mut self) -> StepOutcome {
+        self.spo_event = Some(self.spo_snapshot());
+        StepOutcome::PowerCut
     }
 
     /// Captures the device state at the instant of the power cut: the
@@ -1186,8 +1080,6 @@ impl SsdSim {
         self.spo = None;
         self.spo_rng = None;
         self.spo_event = None;
-        self.front_mode = false;
-        self.front_done.clear();
         self.rebuild_sched = None;
         self.rebuild_queue.clear();
         self.rebuild_inflight = 0;
@@ -1218,19 +1110,6 @@ impl SsdSim {
         HostContext {
             buffer_utilization: self.buffer.utilization(),
             now_us: self.now,
-        }
-    }
-
-    fn fill_queue<F, W>(&mut self, workload: &mut W, ftl: &mut F)
-    where
-        F: FtlDriver + ?Sized,
-        W: Iterator<Item = HostRequest>,
-    {
-        while self.outstanding < self.config.queue_depth
-            && (self.requests.len() as u64) < self.issue_limit
-        {
-            let Some(req) = workload.next() else { break };
-            self.issue(req, 0, ftl);
         }
     }
 
@@ -1321,15 +1200,24 @@ impl SsdSim {
         }
     }
 
-    fn finish_request(&mut self, req: usize) {
+    /// One page of read request `req` was served (from buffer or NAND).
+    fn read_part_done<H: HostFront + ?Sized>(&mut self, req: usize, host: &mut H) {
+        self.requests[req].remaining_pages -= 1;
+        if self.requests[req].remaining_pages == 0 {
+            self.finish_request(req, host);
+        }
+    }
+
+    /// Completes request `req` and hands its token back to the host. An
+    /// event completes at most one request, so the host sees completions
+    /// in completion order, each before the poll at its instant.
+    fn finish_request<H: HostFront + ?Sized>(&mut self, req: usize, host: &mut H) {
         let r = &mut self.requests[req];
         debug_assert!(!r.done, "request completed twice");
         r.done = true;
         let latency = self.now - r.arrival_us;
-        let (op, lpn, token) = (r.op, r.lpn, r.token);
-        if self.front_mode {
-            self.front_done.push((token, self.now));
-        }
+        let (op, lpn) = (r.op, r.lpn);
+        host.complete(r.token, self.now);
         match op {
             HostOp::Write => {
                 self.write_latency.record(latency);
@@ -1405,19 +1293,18 @@ impl SsdSim {
         self.push_event(done, EventKind::ChipIdle { chip });
     }
 
-    fn chip_op_done<F: FtlDriver + ?Sized>(&mut self, chip: usize, ftl: &mut F) {
+    fn chip_op_done<F, H>(&mut self, chip: usize, ftl: &mut F, host: &mut H)
+    where
+        F: FtlDriver + ?Sized,
+        H: HostFront + ?Sized,
+    {
         let op = self.chips[chip]
             .current
             .take()
             .expect("chip completion without an operation");
         self.chips[chip].busy = false;
         match op {
-            ChipOp::Read { req, .. } => {
-                self.requests[req].remaining_pages -= 1;
-                if self.requests[req].remaining_pages == 0 {
-                    self.finish_request(req);
-                }
-            }
+            ChipOp::Read { req, .. } => self.read_part_done(req, host),
             ChipOp::Flush {
                 lpns,
                 nand_us,
@@ -1727,6 +1614,7 @@ impl SsdSim {
 mod tests {
     use super::*;
     use crate::driver::{FtlStats, PageRead, WlWrite};
+    use crate::front::FrontRequest;
     use std::collections::HashMap;
 
     /// A stub FTL with fixed latencies, striping reads by LPN.
@@ -1808,6 +1696,77 @@ mod tests {
         fn name(&self) -> &str {
             "stub"
         }
+    }
+
+    /// An open-loop stub front: request `i` arrives at `arrivals[i].0`
+    /// with token `i`, waits in one FIFO, and completions are logged.
+    struct StubFront {
+        arrivals: Vec<(f64, HostRequest)>,
+        consumed: usize,
+        queue: VecDeque<FrontRequest>,
+        done: Vec<(u32, f64)>,
+    }
+
+    impl StubFront {
+        /// `n` mixed requests over LPNs `0..120`, request `i` arriving at
+        /// `at(i)` µs (non-decreasing).
+        fn new(n: u64, at: impl Fn(u64) -> f64) -> Self {
+            StubFront {
+                arrivals: mixed_requests(n)
+                    .zip(0..)
+                    .map(|(r, i)| (at(i), r))
+                    .collect(),
+                consumed: 0,
+                queue: VecDeque::new(),
+                done: Vec::new(),
+            }
+        }
+    }
+
+    impl HostFront for StubFront {
+        fn next_arrival_us(&self) -> Option<f64> {
+            self.arrivals.get(self.consumed).map(|a| a.0)
+        }
+
+        fn advance(&mut self, now_us: f64) {
+            while let Some(&(t, req)) = self.arrivals.get(self.consumed) {
+                if t > now_us {
+                    break;
+                }
+                let token = self.consumed as u32;
+                self.queue.push_back(FrontRequest { req, token });
+                self.consumed += 1;
+            }
+        }
+
+        fn pop(&mut self, _now_us: f64) -> Option<FrontRequest> {
+            self.queue.pop_front()
+        }
+
+        fn complete(&mut self, token: u32, now_us: f64) {
+            self.done.push((token, now_us));
+        }
+
+        fn exhausted(&self) -> bool {
+            self.consumed == self.arrivals.len() && self.queue.is_empty()
+        }
+    }
+
+    fn mixed_requests(n: u64) -> impl Iterator<Item = HostRequest> + Clone {
+        (0..n).map(|i| match i % 3 {
+            0 => HostRequest::read(i % 120),
+            1 => HostRequest::write(i % 120),
+            _ => HostRequest::read_span(i % 100, 3),
+        })
+    }
+
+    /// A small device with LPNs `0..120` mapped.
+    fn prefilled() -> (SsdSim, StubFtl) {
+        let cfg = SsdConfig::small();
+        let mut sim = SsdSim::new(cfg);
+        let mut ftl = StubFtl::new(cfg.chips);
+        sim.prefill(&mut ftl, 0..120);
+        (sim, ftl)
     }
 
     #[test]
@@ -2273,6 +2232,117 @@ mod tests {
         assert!(
             slow > fast,
             "larger host-priority gap must stretch the rebuild ({fast} vs {slow})"
+        );
+    }
+
+    #[test]
+    fn front_driven_run_is_slice_invariant() {
+        // A burst that saturates the queue, then sparse arrivals the
+        // engine has to jump to.
+        let at = |i: u64| {
+            if i < 100 {
+                i as f64 * 35.0
+            } else {
+                50_000.0 + i as f64 * 1_500.0
+            }
+        };
+        let run_with = |max_events: u64| {
+            let (mut sim, mut ftl) = prefilled();
+            let mut front = StubFront::new(200, at);
+            sim.run_begin(u64::MAX, None);
+            while sim.run_step(&mut ftl, &mut front, max_events) == StepOutcome::Running {}
+            assert!(front.exhausted());
+            (format!("{:?}", sim.run_end(&ftl).0), front.done)
+        };
+        let whole = run_with(u64::MAX);
+        assert_eq!(whole.1.len(), 200);
+        assert!(whole.1.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert_eq!(whole, run_with(1));
+        assert_eq!(whole, run_with(7));
+    }
+
+    #[test]
+    fn an_iterator_gives_one_report_through_every_entry_point() {
+        let (mut sim, mut ftl) = prefilled();
+        let via_run = format!("{:?}", sim.run(&mut ftl, mixed_requests(300), 300));
+
+        let (mut sim, mut ftl) = prefilled();
+        let mut stream = mixed_requests(300);
+        sim.run_begin(300, None);
+        while sim.run_step(&mut ftl, &mut stream, 7) == StepOutcome::Running {}
+        assert_eq!(via_run, format!("{:?}", sim.run_end(&ftl).0));
+
+        let (mut sim, mut ftl) = prefilled();
+        let mut stream = mixed_requests(300);
+        sim.run_front_begin(300);
+        while sim.run_step_front(&mut ftl, &mut stream, 7) == StepOutcome::Running {}
+        assert_eq!(via_run, format!("{:?}", sim.run_front_end(&ftl)));
+    }
+
+    #[test]
+    fn timed_cut_under_a_front_precedes_arrivals_and_completions_at_its_instant() {
+        // Sparse arrivals: the device idles between them, so the cut at
+        // arrival 10's instant is decided on the arrival-jump path.
+        let t_cut = 10_000.0;
+        let (mut sim, mut ftl) = prefilled();
+        let mut front = StubFront::new(40, |i| i as f64 * 1_000.0);
+        sim.run_begin(u64::MAX, Some(SpoTrigger::AtTimeUs(t_cut)));
+        let outcome = loop {
+            match sim.run_step(&mut ftl, &mut front, 7) {
+                StepOutcome::Running => {}
+                done => break done,
+            }
+        };
+        assert_eq!(outcome, StepOutcome::PowerCut);
+        assert_eq!(
+            sim.run_step(&mut ftl, &mut front, 7),
+            StepOutcome::PowerCut,
+            "a cut run stays cut"
+        );
+        let (report, event) = sim.run_end(&ftl);
+        let event = event.expect("the trigger fired");
+        assert_eq!(event.at_us, t_cut);
+        assert_eq!(front.consumed, 10, "arrivals before the cut, none at it");
+        assert_eq!(event.issued, 10);
+        assert!(front.done.iter().all(|&(_, t)| t < t_cut));
+        assert_eq!(front.done.len() as u64, event.completed);
+        assert_eq!(report.completed, event.completed);
+    }
+
+    #[test]
+    fn rebuild_under_a_front_drains_past_the_last_arrival_like_the_closed_loop() {
+        let sched = RebuildSchedule {
+            batch_pages: 4,
+            gap_us: 50.0,
+        };
+        let ops = || {
+            (0..50u64)
+                .map(RebuildOp::Read)
+                .chain((5_000..5_030u64).map(RebuildOp::Write))
+        };
+        let run_with = |host: &mut dyn HostFront| {
+            let (mut sim, mut ftl) = prefilled();
+            sim.run_begin(u64::MAX, None);
+            sim.arm_rebuild(sched, ops());
+            while sim.run_step(&mut ftl, host, 7) == StepOutcome::Running {}
+            let progress = sim.rebuild_progress().clone();
+            (format!("{:?}", sim.run_end(&ftl).0), progress)
+        };
+        // Every arrival at t = 0 *is* the closed loop: the backlog is
+        // pulled at exactly the instants the iterator would be.
+        let closed = run_with(&mut mixed_requests(60));
+        assert_eq!(closed.1.ops_done(), 80);
+        assert_eq!(closed, run_with(&mut StubFront::new(60, |_| 0.0)));
+
+        // Timed arrivals: the service keeps the run alive past the last.
+        let mut front = StubFront::new(20, |i| i as f64 * 100.0);
+        let (_, progress) = run_with(&mut front);
+        assert!(front.exhausted());
+        assert_eq!(front.done.len(), 20);
+        assert_eq!(progress.ops_done(), 80);
+        assert!(
+            progress.done_at_us > 1_900.0,
+            "drained after the last arrival"
         );
     }
 }

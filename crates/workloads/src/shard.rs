@@ -9,7 +9,7 @@
 //! * shards draw decorrelated streams — adjacent shard indices land far
 //!   apart in seed space.
 
-use crate::{StandardWorkload, Workload};
+use ssdsim::detrand::mix64;
 
 /// Golden-ratio increment of splitmix64 — spreads consecutive shard
 /// indices across the seed space before mixing.
@@ -21,27 +21,13 @@ const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// by a per-shard gamma multiple. Distinct shard indices give distinct
 /// outputs for any master seed (the finalizer is a bijection on `u64`).
 pub fn shard_seed(master: u64, shard: usize) -> u64 {
-    let mut z = master ^ GAMMA.wrapping_mul(shard as u64 + 1);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Builds the per-shard substream of a [`StandardWorkload`]: the same
-/// personality over the *shard-local* logical address space, seeded by
-/// [`shard_seed`].
-pub fn build_substream(
-    workload: StandardWorkload,
-    local_pages: u64,
-    master_seed: u64,
-    shard: usize,
-) -> Box<dyn Workload + Send> {
-    workload.build(local_pages, shard_seed(master_seed, shard))
+    mix64(master ^ GAMMA.wrapping_mul(shard as u64 + 1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StandardWorkload;
     use std::collections::HashSet;
 
     #[test]
@@ -52,24 +38,29 @@ mod tests {
                 assert!(seen.insert(shard_seed(master, shard)), "collision");
             }
         }
-        // Pinned value: any change here silently breaks array replays.
-        assert_eq!(shard_seed(42, 0), shard_seed(42, 0));
-        assert_ne!(shard_seed(42, 0), shard_seed(42, 1));
+        // Pinned values: any change here silently breaks array replays.
+        assert_eq!(
+            [0, 1, 2, 3].map(|s| shard_seed(42, s)),
+            [
+                0xBDD7_3226_2FEB_6E95,
+                0xD963_9A00_6C85_ADB0,
+                0x5FD3_0D2F_CBEF_75E3,
+                0x581C_E1FF_0E4A_E394
+            ]
+        );
         assert_ne!(shard_seed(42, 0), shard_seed(43, 0));
     }
 
     #[test]
     fn substreams_are_deterministic_and_decorrelated() {
-        let a: Vec<_> = build_substream(StandardWorkload::Rocks, 10_000, 7, 0)
-            .take(200)
-            .collect();
-        let b: Vec<_> = build_substream(StandardWorkload::Rocks, 10_000, 7, 0)
-            .take(200)
-            .collect();
+        let stream = |shard| -> Vec<_> {
+            StandardWorkload::Rocks
+                .build(10_000, shard_seed(7, shard))
+                .take(200)
+                .collect()
+        };
+        let (a, b, c) = (stream(0), stream(0), stream(1));
         assert_eq!(a, b, "same shard replays identically");
-        let c: Vec<_> = build_substream(StandardWorkload::Rocks, 10_000, 7, 1)
-            .take(200)
-            .collect();
         assert_ne!(a, c, "different shards draw different streams");
     }
 }

@@ -14,6 +14,7 @@ use crate::{StandardWorkload, Workload, YcsbWorkload};
 use kvsim::YcsbKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ssdsim::detrand::mix64;
 use ssdsim::HostRequest;
 
 /// Domain-separation constant for tenant seed derivation (distinct from
@@ -25,10 +26,7 @@ const TENANT_GAMMA: u64 = 0xD1B5_4A32_D192_ED03;
 /// multiple. Distinct tenant ids give distinct outputs for any master
 /// seed (the finalizer is a bijection on `u64`).
 pub fn tenant_seed(master: u64, tenant: u32) -> u64 {
-    let mut z = master ^ TENANT_GAMMA.wrapping_mul(u64::from(tenant) + 1);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(master ^ TENANT_GAMMA.wrapping_mul(u64::from(tenant) + 1))
 }
 
 /// Service class of a tenant — determines which reporting aggregate it
@@ -219,6 +217,16 @@ mod tests {
                 "tenant and shard streams must be domain-separated"
             );
         }
+        // Pinned values: any change here silently breaks QoS replays.
+        assert_eq!(
+            [0, 1, 2, 3].map(|t| tenant_seed(42, t)),
+            [
+                0x6BB1_50A2_DF30_D29B,
+                0x34CD_C529_004B_4D22,
+                0x870F_C6FE_AED8_BBFD,
+                0xBA5E_DFA4_8CF4_51E8
+            ]
+        );
     }
 
     #[test]

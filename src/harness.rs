@@ -20,12 +20,12 @@
 //! drain telemetry / QoS / KV reports in shard order
 //! ```
 //!
-//! A phase builds each shard's host side (request stream or QoS front),
-//! runs the shard list on the worker pool and collects the reports in
-//! shard order. A barrier is a sequence point — every shard has stopped
-//! — at which the caller's thread rewrites the shard list: crash
-//! recovery after a power cut, the failure redirect and rebuild plan,
-//! or a lifetime aging step. Everything a barrier computes is a pure
+//! A phase hands each shard and its host (request stream or QoS front —
+//! the engine does not care which) to the worker pool and collects the
+//! reports in shard order. A barrier is a sequence point — every shard
+//! has stopped — at which the caller's thread rewrites the shard list:
+//! crash recovery after a power cut, the failure redirect and rebuild
+//! plan, or a lifetime aging step. Everything a barrier computes is a pure
 //! function of the stopped shards, so any scenario is byte-identical at
 //! any worker-thread count.
 
@@ -35,12 +35,13 @@ use kvsim::{KvAppReport, KvConfig, KvEvent, KvStream, YcsbKind};
 use lifetime::{EpochSummary, LifetimeConfig, LifetimeEngine};
 use nand3d::{AgingState, FaultPlan, RetryOptConfig};
 use ssdarray::{
-    ArrayReport, ArrayShard, FrontArray, FrontShard, PageRole, ParityRouter, RebuildPlan,
-    ResilienceReport, SsdArray, StripeRouter,
+    ArrayReport, ArrayShard, PageRole, ParityRouter, RebuildPlan, ResilienceReport, SsdArray,
+    StripeRouter,
 };
+use ssdsim::detrand::mix64;
 use ssdsim::{
-    HostOp, HostRequest, MaintSchedule, RebuildOp, RebuildProgress, RebuildSchedule, SimReport,
-    SpoEvent, SpoTrigger, SsdConfig, SsdSim,
+    HostFront, HostOp, HostRequest, MaintSchedule, RebuildOp, RebuildProgress, RebuildSchedule,
+    SimReport, SpoEvent, SpoTrigger, SsdConfig, SsdSim,
 };
 use std::collections::BTreeSet;
 use telemetry::{
@@ -285,10 +286,7 @@ impl FailSpec {
     /// landing in the 30–70 % band of `makespan_us` (a probe run's
     /// shortest shard makespan) so the failure reliably hits mid-run.
     pub fn seeded(seed: u64, shards: usize, makespan_us: f64) -> Self {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = mix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
         let shard = (z % shards.max(1) as u64) as usize;
         let frac = 0.3 + 0.4 * ((z >> 8) % 1000) as f64 / 1000.0;
         FailSpec {
@@ -716,6 +714,15 @@ pub enum ScenarioError {
     LifetimeTraceOnArray,
     /// A power cut on an array that is not an `AtTimeUs` instant.
     ArraySpoNeedsInstant,
+    /// A replayed trace holds a write the device's buffer can never
+    /// accept: request `index` of the replay stream built from the
+    /// `source` flag's file.
+    OversizedWrite {
+        source: &'static str,
+        pages: u32,
+        buffer: usize,
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -795,6 +802,16 @@ impl std::fmt::Display for ScenarioError {
             ArraySpoNeedsInstant => f.write_str(
                 "--shards cuts the whole array at one virtual instant: \
                  use --spo-at-us (not --spo-at or --spo-rate)",
+            ),
+            OversizedWrite {
+                source,
+                pages,
+                buffer,
+                index,
+            } => write!(
+                f,
+                "{source}: write of {pages} pages exceeds the {buffer}-page write buffer \
+                 (request {index})"
             ),
         }
     }
@@ -1023,6 +1040,26 @@ fn fold_requests(requests: &[HostRequest], logical_pages: u64) -> Vec<HostReques
         .collect()
 }
 
+/// Rejects a replay stream holding a write larger than the device's
+/// `buffer`-page write buffer — recorded volumes contain multi-megabyte
+/// writes, and the engine can only assert on one.
+fn check_writes(
+    source: &'static str,
+    requests: &[HostRequest],
+    buffer: usize,
+) -> Result<(), ScenarioError> {
+    let oversized = |r: &HostRequest| r.op == HostOp::Write && r.n_pages as usize > buffer;
+    match requests.iter().position(oversized) {
+        Some(index) => Err(ScenarioError::OversizedWrite {
+            source,
+            pages: requests[index].n_pages,
+            buffer,
+            index,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Splits a total request budget over shards: the first `total % shards`
 /// shards take one extra request.
 fn split_requests(total: u64, shards: usize) -> Vec<u64> {
@@ -1166,6 +1203,22 @@ impl Load {
                     .collect(),
             ),
             routed: Vec::new(),
+        }
+    }
+
+    /// Runs `phase` of `sc` over `devs` with this load's host list,
+    /// whichever kind it holds ([`Scenario::exec`]).
+    fn run(
+        &mut self,
+        sc: &Scenario,
+        phase: Phase,
+        devs: &mut Vec<Dev>,
+        spo: Option<SpoTrigger>,
+        plans: Option<Vec<Option<RebuildPlan>>>,
+    ) -> (PhaseReport, Vec<Option<SpoEvent>>) {
+        match &mut self.hosts {
+            Hosts::Streams(h) => sc.exec(phase, devs, h, &self.budgets, spo, plans),
+            Hosts::Fronts(h) => sc.exec(phase, devs, h, &self.budgets, spo, plans),
         }
     }
 }
@@ -1324,7 +1377,7 @@ impl Scenario {
             // device runs the same stream uninterrupted first.
             let mut devs = self.prepare();
             let mut load = self.load(&devs, 0)?;
-            let golden = self.exec(Phase::Golden, &mut devs, &mut load, None, None);
+            let golden = load.run(self, Phase::Golden, &mut devs, None, None);
             out.phases.push(golden.0);
         }
 
@@ -1360,7 +1413,7 @@ impl Scenario {
                 Some(_) => (fail.map(|f| SpoTrigger::AtTimeUs(f.at_us)), false),
                 None => (cut, true),
             };
-            let (main, mut events) = self.exec(Phase::Main, &mut devs, &mut load, stop, None);
+            let (main, mut events) = load.run(self, Phase::Main, &mut devs, stop, None);
             t_offset += main.merged.sim_time_us;
             out.phases.push(main);
 
@@ -1368,7 +1421,7 @@ impl Scenario {
             if let Some(fail) = fail {
                 let (mut state, plans) = self.fail_barrier(fail, &mut devs, &mut load, &events);
                 let (degraded, cut_events) =
-                    self.exec(Phase::Degraded, &mut devs, &mut load, cut, Some(plans));
+                    load.run(self, Phase::Degraded, &mut devs, cut, Some(plans));
                 state.offset_us = degraded.merged.sim_time_us;
                 state.progress = rebuild_progress(&devs);
                 out.phases.push(degraded);
@@ -1380,8 +1433,7 @@ impl Scenario {
                 let plans = self.recover(&mut devs, &events, &mut load.budgets, crash);
                 crash.events = events;
                 if load.budgets.iter().any(|&b| b > 0) || plans.iter().any(Option::is_some) {
-                    let resumed =
-                        self.exec(Phase::Resumed, &mut devs, &mut load, None, Some(plans));
+                    let resumed = load.run(self, Phase::Resumed, &mut devs, None, Some(plans));
                     out.phases.push(resumed.0);
                     resumed_progress = rebuild_progress(&devs);
                 }
@@ -1535,6 +1587,10 @@ impl Scenario {
                 let all =
                     build_population(self.qos.tenants, &self.qos.weights, Some(mix), cfg.seed);
                 let budgets = self.qos.budgets(cfg.requests, &all);
+                if let Some(t) = &self.qos.trace {
+                    let folded = fold_requests(t.requests(), devs[0].space());
+                    check_writes("--qos-trace", &folded, cfg.ssd.buffer_pages)?;
+                }
                 let fronts = devs
                     .iter()
                     .map(|d| {
@@ -1596,10 +1652,15 @@ impl Scenario {
                 // exactly the fragments that map to it.
                 let (rows, p) = self.stripes(devs)?;
                 let folded = fold_requests(t.requests(), rows * p * n as u64);
-                Load::replay(StripeRouter::new(n, p).route_stream(folded), false)
+                let per_shard = StripeRouter::new(n, p).route_stream(folded);
+                for fragments in &per_shard {
+                    check_writes("--trace-file", fragments, cfg.ssd.buffer_pages)?;
+                }
+                Load::replay(per_shard, false)
             }
             (WorkloadSource::Trace(t), None) => {
                 let folded = fold_requests(t.requests(), devs[0].ftl.logical_pages());
+                check_writes("--trace-file", &folded, cfg.ssd.buffer_pages)?;
                 Load::replay(vec![folded], self.capture)
             }
             _ => Load {
@@ -1617,75 +1678,52 @@ impl Scenario {
         })
     }
 
-    /// Executes one phase: hands every shard and its host side to the
-    /// worker pool, waits for all of them (the fan-in sequence point)
-    /// and takes both back in shard order. `plans[i]` arms background
-    /// rebuild work on shard `i`.
-    fn exec(
+    /// Executes one phase, whatever the hosts are: hands every shard and
+    /// its host to the worker pool, waits for all of them (the fan-in
+    /// sequence point) and takes both back in shard order. `plans[i]`
+    /// arms background rebuild work on shard `i`.
+    fn exec<H: HostFront + Send>(
         &self,
         phase: Phase,
         devs: &mut Vec<Dev>,
-        load: &mut Load,
+        hosts: &mut Vec<H>,
+        budgets: &[u64],
         spo: Option<SpoTrigger>,
         plans: Option<Vec<Option<RebuildPlan>>>,
     ) -> (PhaseReport, Vec<Option<SpoEvent>>) {
         let meta: Vec<(usize, u64)> = devs.iter().map(|d| (d.id, d.prefill)).collect();
         let mut plans = plans.unwrap_or_default().into_iter();
-        let parts = devs.drain(..).zip(&load.budgets);
-        let restore = |(id, prefill): (usize, u64), sim, ftl| Dev {
-            id,
-            sim,
-            ftl,
-            prefill,
-        };
-        let (merged, shards, events) = match &mut load.hosts {
-            Hosts::Streams(streams) => {
-                let shards = parts
-                    .zip(streams.drain(..))
-                    .map(|((d, &requests), workload)| ArrayShard {
-                        sim: d.sim,
-                        ftl: d.ftl,
-                        workload,
-                        requests,
-                        spo,
-                        rebuild: plans.next().flatten(),
-                    })
-                    .collect();
-                let mut array = SsdArray::new(shards).with_threads(self.threads());
-                let run = array.run();
-                for (sh, m) in array.into_shards().into_iter().zip(meta) {
-                    devs.push(restore(m, sh.sim, sh.ftl));
-                    streams.push(sh.workload);
-                }
-                (run.report, run.shard_reports, run.spo_events)
-            }
-            Hosts::Fronts(fronts) => {
-                let shards = parts
-                    .zip(fronts.drain(..))
-                    .map(|((d, &requests), front)| FrontShard {
-                        sim: d.sim,
-                        ftl: d.ftl,
-                        front,
-                        requests,
-                    })
-                    .collect();
-                let mut array = FrontArray::new(shards).with_threads(self.threads());
-                let run = array.run();
-                for (sh, m) in array.into_shards().into_iter().zip(meta) {
-                    devs.push(restore(m, sh.sim, sh.ftl));
-                    fronts.push(sh.front);
-                }
-                let events = vec![None; run.shard_reports.len()];
-                (run.report, run.shard_reports, events)
-            }
-        };
+        let shards = devs
+            .drain(..)
+            .zip(hosts.drain(..))
+            .zip(budgets)
+            .map(|((d, workload), &requests)| ArrayShard {
+                sim: d.sim,
+                ftl: d.ftl,
+                workload,
+                requests,
+                spo,
+                rebuild: plans.next().flatten(),
+            })
+            .collect();
+        let mut array = SsdArray::new(shards).with_threads(self.threads());
+        let run = array.run();
+        for (sh, (id, prefill)) in array.into_shards().into_iter().zip(meta) {
+            devs.push(Dev {
+                id,
+                sim: sh.sim,
+                ftl: sh.ftl,
+                prefill,
+            });
+            hosts.push(sh.workload);
+        }
         (
             PhaseReport {
                 phase,
-                merged,
-                shards,
+                merged: run.report,
+                shards: run.shard_reports,
             },
-            events,
+            run.spo_events,
         )
     }
 

@@ -58,8 +58,8 @@ pub use nand3d::{
     NandConfig, OobStatus, ProgramParams, ReadParams, RetryOptConfig, TargetedFault, WlAddr, WlOob,
 };
 pub use ssdarray::{
-    page_fingerprint, xor_parity, ArrayReport, ArrayRunOutcome, ArrayShard, FrontArray, FrontShard,
-    PageRole, ParityRouter, RebuildPlan, ResilienceReport, SsdArray, StripeRouter,
+    page_fingerprint, xor_parity, ArrayReport, ArrayRunOutcome, ArrayShard, PageRole, ParityRouter,
+    RebuildPlan, ResilienceReport, SsdArray, StripeRouter,
 };
 pub use ssdsim::{
     ChipStats, FrontRequest, FtlDriver, FtlStats, HostFront, HostRequest, LatencyRecorder,

@@ -170,6 +170,7 @@ cases! {
     rejects_qos_knob_without_engagement: "--ftl cube --blocks 16 --qos-sq-depth 4";
     rejects_telemetry_in_lifetime_mode: "--ftl cube --blocks 16 --lifetime-epochs 3 --metrics-out {out}/metrics.ndjson";
     rejects_unknown_flag: "--ftl cube --bogus 1";
+    rejects_oversized_trace_write: "--ftl cube --blocks 16 --trace-file tests/data/oversized_write.csv";
 }
 
 #[test]

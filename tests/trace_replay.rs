@@ -6,7 +6,7 @@
 mod common;
 
 use common::{eval, run};
-use cubeftl::harness::{EvalConfig, Phase, Scenario, SpoConfig};
+use cubeftl::harness::{EvalConfig, Phase, QosSpec, Scenario, ScenarioError, SpoConfig};
 use cubeftl::{AgingState, FtlKind, Trace};
 
 fn sample() -> Trace {
@@ -83,4 +83,40 @@ fn trace_replay_survives_a_power_cut_with_zero_loss() {
         format!("{:?} {:?}", r.phases, r.crash),
         format!("{:?} {:?}", again.phases, again.crash),
     );
+}
+
+#[test]
+fn a_write_larger_than_the_write_buffer_is_rejected_not_replayed() {
+    // Row 2 of the file is a 4-MiB write: 256 pages against the paper
+    // SSD's 48-page buffer. Real MSR volumes contain such rows.
+    let trace = common::msr_trace("oversized_write.csv");
+    let cfg = EvalConfig::smoke();
+    let plain = Scenario::new(FtlKind::Cube, &trace, AgingState::Fresh, &cfg);
+    let err = plain.run().expect_err("the write can never be buffered");
+    let want = |source| ScenarioError::OversizedWrite {
+        source,
+        pages: 256,
+        buffer: 48,
+        index: 2,
+    };
+    assert_eq!(err, want("--trace-file"));
+    assert_eq!(
+        err.to_string(),
+        "--trace-file: write of 256 pages exceeds the 48-page write buffer (request 2)"
+    );
+    // The same file as the QoS front's tenant-0 replay.
+    let qos = Scenario {
+        qos: QosSpec {
+            tenants: 4,
+            trace: Some(trace),
+            ..QosSpec::off()
+        },
+        ..Scenario::new(
+            FtlKind::Cube,
+            cubeftl::StandardWorkload::Mail,
+            AgingState::Fresh,
+            &cfg,
+        )
+    };
+    assert_eq!(qos.run().expect_err("rejected"), want("--qos-trace"));
 }
