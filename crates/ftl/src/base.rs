@@ -21,8 +21,8 @@ use crate::order::ProgramOrder;
 use crate::recovery::{Checkpoint, RecoveryReport, CKPT_PAGE_PROGRAM_US, OOB_READ_US};
 use lifetime::{block_pattern_stress, page_state_fraction, EpochSummary, LifetimeEngine};
 use nand3d::{
-    AgingState, BlockId, FaultCounters, FaultPlan, FlashArray, Geometry, OobStatus, PageAddr,
-    PageState, ProgramParams, ReadFaultKind, ReadParams, WlAddr, WlData, WlOob,
+    AgingState, BlockId, Environment, FaultCounters, FaultPlan, FlashArray, Geometry, OobStatus,
+    PageAddr, PageState, ProgramParams, ReadFaultKind, ReadParams, WlAddr, WlData, WlOob,
 };
 use ssdsim::{FtlDriver, FtlStats, HostContext, MaintWork, PageRead, WlWrite};
 use std::collections::VecDeque;
@@ -123,6 +123,8 @@ pub struct Ftl {
     stats: FtlStats,
     /// Re-entrancy guard: GC's own writes must not trigger GC.
     in_gc: bool,
+    /// Scratch list of the LPNs one page migration moves.
+    migrate_lpns: Vec<u64>,
     /// Background maintenance services (when enabled).
     maint: Option<MaintState>,
     /// Whether the current write originates from a maintenance migration
@@ -185,6 +187,7 @@ impl Ftl {
             }),
             stats: FtlStats::default(),
             in_gc: false,
+            migrate_lpns: Vec::new(),
             maint: None,
             in_maint: false,
             seq_counter: 0,
@@ -446,7 +449,7 @@ impl Ftl {
         self.maint.as_ref().is_some_and(|m| m.config.wear_leveling)
     }
 
-    /// Live erase counts of every block on `chip`.
+    /// Live erase counts of every block on `chip`, for the checkpoint.
     fn erase_counts(&self, chip: usize) -> Vec<u32> {
         let env = self.array.chip(chip).expect("valid chip").env();
         (0..self.geometry().blocks_per_chip as usize)
@@ -459,49 +462,20 @@ impl Ftl {
         self.config.nand.geometry
     }
 
-    /// Pops a free block on `chip`, updating the free-pool bitmap. With
-    /// wear leveling active, the least-worn free block is allocated first
-    /// (cold blocks absorb new writes); otherwise FIFO order.
+    /// Pops a free block on `chip`, updating the free-pool bitmap.
     fn pop_free_block(&mut self, chip: usize) -> Option<BlockId> {
-        let b = if self.wear_leveling_on() {
-            let wear = self.erase_counts(chip);
-            let i = self.free_blocks[chip]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, b)| (wear[b.0 as usize], b.0))?
-                .0;
-            self.free_blocks[chip].remove(i)?
-        } else {
-            self.free_blocks[chip].pop_front()?
-        };
-        self.is_free[chip][b.0 as usize] = false;
-        Some(b)
+        let wear = wear_env(&self.maint, &self.array, chip);
+        take_free_block(&mut self.free_blocks[chip], &mut self.is_free[chip], wear)
     }
 
     /// Selects the next WL to program on `chip` according to the
     /// variant's allocation policy.
     fn select_wl(&mut self, chip: usize, mu: f64) -> WlChoice {
-        // Split borrows: the WAM needs an allocator closure over the free
-        // pool, so the wear snapshot is taken before self.wam is borrowed.
-        let wear = (self.wam.is_some() && self.wear_leveling_on()).then(|| self.erase_counts(chip));
         if let Some(wam) = &mut self.wam {
+            let wear = wear_env(&self.maint, &self.array, chip);
             let free = &mut self.free_blocks[chip];
             let is_free = &mut self.is_free[chip];
-            return wam.select(chip, mu, || {
-                let b = match &wear {
-                    Some(w) => {
-                        let i = free
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, b)| (w[b.0 as usize], b.0))?
-                            .0;
-                        free.remove(i)?
-                    }
-                    None => free.pop_front()?,
-                };
-                is_free[b.0 as usize] = false;
-                Some(b)
-            });
+            return wam.select(chip, mu, || take_free_block(free, is_free, wear));
         }
         // Sequential horizontal-first write point.
         let g = self.geometry();
@@ -702,33 +676,7 @@ impl Ftl {
         let mut rounds = 0;
         while self.free_blocks[chip].len() <= self.config.gc_free_block_threshold && rounds < 16 {
             rounds += 1;
-            let victim = {
-                let wear_limit = self
-                    .maint
-                    .as_ref()
-                    .filter(|m| m.config.wear_leveling)
-                    .map(|m| m.config.wear_spread_limit);
-                let wear = wear_limit.map(|_| self.erase_counts(chip));
-                let active: Vec<BlockId> = self.active_blocks(chip);
-                let is_free = &self.is_free[chip];
-                let candidates = (0..g.blocks_per_chip).map(BlockId).filter(|b| {
-                    !is_free[b.0 as usize]
-                        && !active.contains(b)
-                        && !self.ckpt_region_contains(chip, *b)
-                });
-                match (wear_limit, &wear) {
-                    (Some(limit), Some(w)) => select_victim_wear_aware(
-                        &self.mapping,
-                        chip,
-                        candidates,
-                        per_block,
-                        |b| w[b.0 as usize],
-                        limit,
-                    ),
-                    _ => select_victim(&self.mapping, chip, candidates, per_block),
-                }
-            };
-            let Some(victim) = victim else {
+            let Some(victim) = self.gc_victim(chip) else {
                 // No block holds any garbage (e.g. right after a unique
                 // prefill): collecting would only shuffle valid pages
                 // between blocks without freeing anything. Keep writing
@@ -746,30 +694,11 @@ impl Ftl {
                 break;
             }
 
-            // Migrate the victim's valid pages.
-            let valid: Vec<u64> = self
-                .mapping
-                .valid_pages_of_block(chip, victim.0)
-                .map(|(lpn, _)| lpn)
-                .collect();
+            let (moved, _) = self.migrate_pages(chip, victim, usize::MAX, mu, &mut latency);
             if self.in_maint {
-                self.stats.maint_gc_page_moves += valid.len() as u64;
+                self.stats.maint_gc_page_moves += moved;
             } else {
-                self.stats.gc_page_moves += valid.len() as u64;
-            }
-            for lpn in &valid {
-                // Read the page (through the variant's read policy: the
-                // ORT benefits GC reads too).
-                latency += self
-                    .read_mapped(*lpn)
-                    .expect("valid page must be mapped")
-                    .nand_us;
-            }
-            for group in valid.chunks(3) {
-                let mut lpns = [WlData::PAD; 3];
-                lpns[..group.len()].copy_from_slice(group);
-                let (t, _) = self.program_and_map(chip, lpns, mu);
-                latency += t;
+                self.stats.gc_page_moves += moved;
             }
 
             // All pages moved: erase (stamped with the operation sequence
@@ -797,7 +726,7 @@ impl Ftl {
                     EventKind::GcVictim {
                         chip: chip as u32,
                         block: victim.0,
-                        moved_wls: (valid.len() as u32).div_ceil(3),
+                        moved_wls: (moved as u32).div_ceil(3),
                         wear_aware: self.wear_leveling_on(),
                     },
                 );
@@ -818,12 +747,86 @@ impl Ftl {
                 .is_some_and(|c| c.region.contains(&block))
     }
 
-    /// Blocks currently open for writing on `chip`.
-    fn active_blocks(&self, chip: usize) -> Vec<BlockId> {
+    /// Whether `block` is currently open for writing on `chip`.
+    fn is_active(&self, chip: usize, block: BlockId) -> bool {
         match &self.wam {
-            Some(wam) => wam.active_blocks(chip).collect(),
-            None => self.seq[chip].iter().map(|sa| sa.block).collect(),
+            Some(wam) => wam.active_blocks(chip).any(|b| b == block),
+            None => self.seq[chip].is_some_and(|sa| sa.block == block),
         }
+    }
+
+    /// Whether `block` is a closed data block of `chip` — neither free,
+    /// nor open for writing, nor backing the checkpoint region — and so
+    /// eligible for GC, wear leveling and scrubbing.
+    fn is_closed(&self, chip: usize, block: BlockId) -> bool {
+        !self.is_free[chip][block.0 as usize]
+            && !self.is_active(chip, block)
+            && !self.ckpt_region_contains(chip, block)
+    }
+
+    /// The block to reclaim next on `chip`: the closed block with the
+    /// fewest valid pages, wear-aware while wear leveling is on. `None`
+    /// when no closed block holds any garbage.
+    fn gc_victim(&self, chip: usize) -> Option<BlockId> {
+        let g = self.geometry();
+        let per_block = g.pages_per_block();
+        let candidates = (0..g.blocks_per_chip)
+            .map(BlockId)
+            .filter(|b| self.is_closed(chip, *b));
+        match self.maint.as_ref().filter(|m| m.config.wear_leveling) {
+            Some(m) => {
+                let env = self.array.chip(chip).expect("valid chip").env();
+                select_victim_wear_aware(
+                    &self.mapping,
+                    chip,
+                    candidates,
+                    per_block,
+                    |b| env.erase_count(b.0 as usize),
+                    m.config.wear_spread_limit,
+                )
+            }
+            None => select_victim(&self.mapping, chip, candidates, per_block),
+        }
+    }
+
+    /// Moves up to `limit` valid pages of `block` to fresh WLs: each is
+    /// read through the variant's read policy (the ORT benefits GC reads
+    /// too), then they are re-programmed three to a WL. The NAND time is
+    /// added to `latency` term by term. Returns the number of pages
+    /// moved and whether `block` has valid pages left.
+    fn migrate_pages(
+        &mut self,
+        chip: usize,
+        block: BlockId,
+        limit: usize,
+        mu: f64,
+        latency: &mut f64,
+    ) -> (u64, bool) {
+        // The list must be taken before the mapping changes under it;
+        // its buffer is reused from one migration to the next.
+        let mut lpns = std::mem::take(&mut self.migrate_lpns);
+        lpns.clear();
+        lpns.extend(
+            self.mapping
+                .valid_pages_of_block(chip, block.0)
+                .map(|(lpn, _)| lpn),
+        );
+        let pages_left = lpns.len() > limit;
+        lpns.truncate(limit);
+        for lpn in &lpns {
+            *latency += self
+                .read_mapped(*lpn)
+                .expect("valid page must be mapped")
+                .nand_us;
+        }
+        for group in lpns.chunks(3) {
+            let mut wl = [WlData::PAD; 3];
+            wl[..group.len()].copy_from_slice(group);
+            *latency += self.program_and_map(chip, wl, mu).0;
+        }
+        let moved = lpns.len() as u64;
+        self.migrate_lpns = lpns;
+        (moved, pages_left)
     }
 
     /// Reads the mapped location of `lpn` with the variant's read policy.
@@ -1298,6 +1301,7 @@ impl Ftl {
             opm,
             stats: FtlStats::default(),
             in_gc: false,
+            migrate_lpns: Vec::new(),
             maint: None,
             in_maint: false,
             seq_counter,
@@ -1448,7 +1452,6 @@ impl Ftl {
         let cfg = self.maint.as_ref()?.config;
         let g = self.geometry();
         let blocks = g.blocks_per_chip;
-        let active = self.active_blocks(chip);
         let st = self.maint.as_mut().expect("maintenance enabled");
         let cursor = st.scrub_cursor[chip];
         // Taking the flag clears it; it is re-armed below only while the
@@ -1457,7 +1460,7 @@ impl Ftl {
         let resuming = std::mem::take(&mut st.scrub_resume[chip]);
         for i in 0..blocks {
             let b = BlockId((cursor + i) % blocks);
-            if self.is_free[chip][b.0 as usize] || active.contains(&b) {
+            if self.is_free[chip][b.0 as usize] || self.is_active(chip, b) {
                 continue;
             }
             if self.ckpt_region_contains(chip, b) {
@@ -1665,18 +1668,14 @@ impl Ftl {
         if let Some(t) = self.maint_ckpt_wear_step(chip) {
             return Some(t);
         }
-        let wear = self.erase_counts(chip);
-        let hottest = *wear.iter().max()?;
-        let active = self.active_blocks(chip);
-        let (coldest_block, coldest) = wear
-            .iter()
-            .enumerate()
-            .filter(|(b, _)| {
-                !self.is_free[chip][*b]
-                    && !active.contains(&BlockId(*b as u32))
-                    && !self.ckpt_region_contains(chip, BlockId(*b as u32))
-            })
-            .map(|(b, e)| (BlockId(b as u32), *e))
+        let env = self.array.chip(chip).expect("valid chip").env();
+        let wear = |b: u32| env.erase_count(b as usize);
+        let blocks = 0..self.geometry().blocks_per_chip;
+        let hottest = blocks.clone().map(wear).max()?;
+        let (coldest_block, coldest) = blocks
+            .map(BlockId)
+            .filter(|b| self.is_closed(chip, *b))
+            .map(|b| (b, wear(b.0)))
             .min_by_key(|(b, e)| (*e, b.0))?;
         if hottest.saturating_sub(coldest) <= cfg.wear_spread_limit {
             return None;
@@ -1720,12 +1719,10 @@ impl Ftl {
         if self.free_blocks[0].is_empty() {
             return None;
         }
-        let wear = self.erase_counts(0);
-        let coldest_free = self.free_blocks[0]
-            .iter()
-            .map(|b| wear[b.0 as usize])
-            .min()?;
-        if wear[old.0 as usize].saturating_sub(coldest_free) <= cfg.wear_spread_limit {
+        let env = self.array.chip(0).expect("chip 0 exists").env();
+        let wear = |b: &BlockId| env.erase_count(b.0 as usize);
+        let coldest_free = self.free_blocks[0].iter().map(wear).min()?;
+        if wear(&old).saturating_sub(coldest_free) <= cfg.wear_spread_limit {
             return None;
         }
         let fresh = self.pop_free_block(0).expect("pool checked non-empty");
@@ -1790,35 +1787,7 @@ impl Ftl {
                 // block the batch below could strand the allocator.
                 return (0.0, RefreshOutcome::Stalled);
             }
-            let g = self.geometry();
-            let per_block = g.pages_per_block();
-            let victim = {
-                let wear_limit = self
-                    .maint
-                    .as_ref()
-                    .filter(|m| m.config.wear_leveling)
-                    .map(|m| m.config.wear_spread_limit);
-                let wear = wear_limit.map(|_| self.erase_counts(chip));
-                let active: Vec<BlockId> = self.active_blocks(chip);
-                let is_free = &self.is_free[chip];
-                let candidates = (0..g.blocks_per_chip).map(BlockId).filter(|b| {
-                    !is_free[b.0 as usize]
-                        && !active.contains(b)
-                        && !self.ckpt_region_contains(chip, *b)
-                });
-                match (wear_limit, &wear) {
-                    (Some(limit), Some(w)) => select_victim_wear_aware(
-                        &self.mapping,
-                        chip,
-                        candidates,
-                        per_block,
-                        |b| w[b.0 as usize],
-                        limit,
-                    ),
-                    _ => select_victim(&self.mapping, chip, candidates, per_block),
-                }
-            };
-            let Some(victim) = victim else {
+            let Some(victim) = self.gc_victim(chip) else {
                 return (0.0, RefreshOutcome::Stalled);
             };
             if victim != block {
@@ -1848,27 +1817,9 @@ impl Ftl {
         batch: u32,
     ) -> (f64, RefreshOutcome) {
         let mut latency = 0.0;
-        let mut valid: Vec<u64> = self
-            .mapping
-            .valid_pages_of_block(chip, block.0)
-            .map(|(lpn, _)| lpn)
-            .collect();
-        let erase_after = valid.len() <= batch.max(1) as usize;
-        valid.truncate(batch.max(1) as usize);
-        for lpn in &valid {
-            latency += self
-                .read_mapped(*lpn)
-                .expect("valid page must be mapped")
-                .nand_us;
-        }
-        for group in valid.chunks(3) {
-            let mut lpns = [WlData::PAD; 3];
-            lpns[..group.len()].copy_from_slice(group);
-            let (t, _) = self.program_and_map(chip, lpns, mu);
-            latency += t;
-        }
-        let pages_moved = valid.len() as u64;
-        if !erase_after {
+        let limit = batch.max(1) as usize;
+        let (pages_moved, pages_left) = self.migrate_pages(chip, block, limit, mu, &mut latency);
+        if pages_left {
             return (latency, RefreshOutcome::Partial { pages_moved });
         }
         self.mapping.assert_block_clean(chip, block.0);
@@ -1916,6 +1867,43 @@ impl Ftl {
         }
         report.latency_us
     }
+}
+
+/// The erase counters that steer allocation and victim selection on
+/// `chip` while the wear-leveling service is on. A function of the two
+/// fields it reads, so callers can go on mutating the free pools.
+fn wear_env<'a>(
+    maint: &Option<MaintState>,
+    array: &'a FlashArray,
+    chip: usize,
+) -> Option<&'a Environment> {
+    maint
+        .as_ref()
+        .is_some_and(|m| m.config.wear_leveling)
+        .then(|| array.chip(chip).expect("valid chip").env())
+}
+
+/// Takes the next block to allocate out of a chip's free pool: FIFO
+/// order, or — under wear leveling, `wear` given — the least-worn free
+/// block (cold blocks absorb new writes), ties broken by block id.
+fn take_free_block(
+    free: &mut VecDeque<BlockId>,
+    is_free: &mut [bool],
+    wear: Option<&Environment>,
+) -> Option<BlockId> {
+    let b = match wear {
+        Some(env) => {
+            let i = free
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, b)| (env.erase_count(b.0 as usize), b.0))?
+                .0;
+            free.remove(i)?
+        }
+        None => free.pop_front()?,
+    };
+    is_free[b.0 as usize] = false;
+    Some(b)
 }
 
 /// Result of one bounded [`Ftl::refresh_block`] dispatch.
@@ -2614,6 +2602,37 @@ mod tests {
         write_all(&mut ftl, (0..1200).map(|i| i % 120), cfg.chips, 0.7);
         for lpn in 0..120 {
             assert!(ftl.read_page(lpn, &ctx(0.0)).is_some(), "lost lpn {lpn}");
+        }
+    }
+
+    #[test]
+    fn wear_leveling_allocates_the_least_worn_free_block_lowest_id_first() {
+        // Cube allocates through the WAM's closure, Page through the
+        // sequential write point: both must pick by wear, then by id.
+        for kind in [FtlKind::Cube, FtlKind::Page] {
+            let mut ftl = Ftl::new(kind, FtlConfig::small());
+            // Wear every block of chip 0 except 3 and 5; FIFO order
+            // would hand out block 0.
+            for b in (0..ftl.geometry().blocks_per_chip).filter(|b| ![3, 5].contains(b)) {
+                for _ in 0..=b % 2 {
+                    ftl.array.chip_mut(0).unwrap().erase(BlockId(b)).unwrap();
+                }
+            }
+            ftl.enable_maintenance(MaintConfig::default_on());
+            let mut allocated = Vec::new();
+            while allocated.len() < 3 {
+                let block = ftl.select_wl(0, 0.0).addr().block;
+                if !allocated.contains(&block) {
+                    allocated.push(block);
+                }
+            }
+            assert_eq!(
+                allocated,
+                [BlockId(3), BlockId(5), BlockId(0)],
+                "{}: unworn blocks by id, then the least worn",
+                kind.name()
+            );
+            assert!(allocated.iter().all(|b| !ftl.is_free[0][b.0 as usize]));
         }
     }
 

@@ -7,10 +7,14 @@
 //!   `[L_min^Pi, L_max^Pi]` loop intervals and `BER_EP1`, computes the
 //!   per-state skip counts `N_skip^Pi` and the `V_Start`/`V_Final`
 //!   adjustment via the offline `S_M` conversion table, and keeps them
-//!   until the followers of that h-layer consume them.
+//!   for the followers of that h-layer until the block is erased.
 //! * For reads it maintains the **optimal read-reference table (ORT)**:
 //!   the most recent working `ΔV_Ref` offset per h-layer (2 bytes per
 //!   h-layer in the paper's encoding, ~0.001% space overhead).
+//!
+//! Both live in one flat table per chip with a slot per h-layer of
+//! every block, allocated once: every operation is an index, and an
+//! erase touches one block's h-layers however large the device is.
 
 use crate::config::OrtClusterConfig;
 use nand3d::ispp::{margin_mv_for_spare, split_margin_mv};
@@ -20,7 +24,6 @@ use nand3d::{
 };
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
 
 /// Parameters monitored from a leader-WL program, ready for reuse by the
 /// followers of the same h-layer.
@@ -42,6 +45,27 @@ pub struct LeaderParams {
 }
 
 impl LeaderParams {
+    /// Derives the follower parameters from a leader-WL program report
+    /// (§5.1): `N_skip^Pi` from the loop intervals, and the window
+    /// adjustment from `BER_EP1` through the `S_M` conversion and split
+    /// tables.
+    fn from_report(report: &ProgramReport, engine: &IsppEngine) -> Self {
+        let mut n_skip = [0u8; NUM_PROGRAM_STATES];
+        for (s, iv) in report.loop_intervals.iter().enumerate() {
+            n_skip[s] = iv.safe_skip();
+        }
+        let spare = engine.spare_margin(report.ber_ep1, report.pe_cycles);
+        let total_mv = margin_mv_for_spare(spare, engine.ispp_model());
+        let (v_start_up_mv, v_final_down_mv) = split_margin_mv(total_mv, engine.ispp_model());
+        LeaderParams {
+            n_skip,
+            leader_intervals: report.loop_intervals,
+            v_start_up_mv,
+            v_final_down_mv,
+            leader_post_ber: report.post_ber,
+        }
+    }
+
     /// The optimized [`ProgramParams`] for a follower WL.
     pub fn to_program_params(&self) -> ProgramParams {
         ProgramParams {
@@ -51,12 +75,6 @@ impl LeaderParams {
         }
     }
 }
-
-/// Key of an h-layer within the SSD: (chip, block, h-layer).
-type LayerKey = (u32, u32, u16);
-
-/// Key of an ORT entry within one chip: (block, h-layer).
-type OrtKey = (u32, u16);
 
 /// One cached `ΔV_Ref` offset plus its LRU stamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,100 +89,117 @@ struct OrtEntry {
     stamp: u64,
 }
 
-/// A capacity-bounded per-chip ORT with LRU eviction.
+/// Everything the OPM holds about one h-layer of one block. The paper's
+/// OPM is a table indexed by position (§5.1) and so is this one: a
+/// chip's slots sit at `block * hlayers_per_block + h`, so every lookup
+/// is an index and an erase clears one contiguous run of slots.
+#[derive(Debug, Clone, Copy, Default)]
+struct LayerSlot {
+    /// Leader-derived program parameters. They outlive the followers
+    /// that consume them: the slot is only cleared by a safety-check
+    /// invalidation or the block's erase.
+    leader: Option<LeaderParams>,
+    /// Post-program BER of the last WL programmed on the h-layer
+    /// (safety-check reference).
+    last_post_ber: Option<f64>,
+    /// P/E cycle count of the block when the parameters were monitored —
+    /// the maintenance subsystem's staleness reference for periodic
+    /// re-monitoring.
+    recorded_pe: Option<u32>,
+    /// Demoted by the §4.1.4 safety check: the monitored parameters were
+    /// discarded (followers fall back to conservative defaults — no VFY
+    /// skips, full window) until a leader-style program re-monitors the
+    /// layer.
+    demoted: bool,
+    /// Excluded from cluster seeding until the next decode — set by
+    /// crash recovery for torn or resumed h-layers whose pre-cut offsets
+    /// are no longer trustworthy.
+    quarantined: bool,
+    /// The ORT entry: the last known good read offset, while cached. It
+    /// describes the cells' read behaviour, not a program, so unlike the
+    /// fields above it survives the block's erase.
+    ort: Option<OrtEntry>,
+}
+
+/// One chip's slot table and the bookkeeping of its capacity-bounded ORT.
 ///
 /// The paper sizes the ORT at ~2 bytes per h-layer of the whole device
-/// (§5.1); a real controller holds it in scarce SRAM, so the table is
-/// modelled as a cache: at most `capacity` h-layers per chip keep a
-/// cached offset, and inserting into a full table evicts the least
-/// recently used entry. A lookup miss falls back to the default offset
-/// (0 — read-reference unshifted), exactly what the dense table returned
-/// for never-updated entries, so an unbounded capacity reproduces the
-/// previous behaviour bit for bit.
+/// (§5.1); a real controller holds it in scarce SRAM, so it is modelled
+/// as a cache: at most `capacity` slots per chip hold an [`OrtEntry`],
+/// and caching one more evicts the least recently used. A lookup miss
+/// falls back to the default offset (0 — read reference unshifted). With
+/// `capacity` equal to the slot count (the default) nothing is ever
+/// evicted and the ORT is the paper's full table.
 #[derive(Debug, Clone)]
-struct OrtCache {
-    entries: HashMap<OrtKey, OrtEntry>,
+struct ChipTable {
+    slots: Vec<LayerSlot>,
+    /// Indices of the slots holding an ORT entry, in no particular
+    /// order: an eviction scans these (at most `capacity`) slots rather
+    /// than the table, and their number is the entry count.
+    cached: Vec<u32>,
     capacity: usize,
-    /// Monotonic access counter; unique per entry, so LRU eviction is
-    /// deterministic (no iteration-order dependence).
+    /// Monotonic access counter, bumped by every `ort_get` and
+    /// `ort_insert`; stamps are unique per entry, so the LRU victim is
+    /// unambiguous.
     tick: u64,
 }
 
-impl OrtCache {
-    fn new(capacity: usize) -> Self {
-        OrtCache {
-            entries: HashMap::new(),
+impl ChipTable {
+    fn new(slots: usize, capacity: usize) -> Self {
+        ChipTable {
+            slots: vec![LayerSlot::default(); slots],
+            cached: Vec::new(),
             capacity: capacity.max(1),
             tick: 0,
         }
     }
 
-    /// Cached offset, bumping the entry's recency.
-    fn get(&mut self, key: OrtKey) -> Option<u8> {
+    /// Slot `i`'s cached offset, bumping the entry's recency.
+    fn ort_get(&mut self, i: usize) -> Option<u8> {
         self.tick += 1;
         let tick = self.tick;
-        self.entries.get_mut(&key).map(|e| {
+        self.slots[i].ort.as_mut().map(|e| {
             e.stamp = tick;
             e.offset
         })
     }
 
-    /// Cached offset without touching recency or counters.
-    fn peek(&self, key: OrtKey) -> Option<u8> {
-        self.entries.get(&key).map(|e| e.offset)
-    }
-
-    /// Inserts or refreshes an entry; returns `true` when a victim was
-    /// evicted to make room. In smoothed mode a refresh folds the new
-    /// decode into the entry's Q8.8 EWMA (weight 1/4) and caches its
-    /// rounding; otherwise the entry stores the decode verbatim.
-    fn insert(&mut self, key: OrtKey, offset: u8, smooth: bool) -> bool {
+    /// Inserts or refreshes slot `i`'s entry; returns `true` when a
+    /// victim was evicted to make room. In smoothed mode a refresh folds
+    /// the new decode into the entry's Q8.8 EWMA (weight 1/4) and caches
+    /// its rounding; otherwise the entry stores the decode verbatim.
+    fn ort_insert(&mut self, i: usize, offset: u8, smooth: bool) -> bool {
         self.tick += 1;
         let stamp = self.tick;
-        if let Some(e) = self.entries.get_mut(&key) {
+        let mut fresh = OrtEntry {
+            offset,
+            ewma_q8: u16::from(offset) << 8,
+            stamp,
+        };
+        if let Some(e) = &mut self.slots[i].ort {
             if smooth {
-                let x = u32::from(offset) << 8;
-                let ewma = (u32::from(e.ewma_q8) * 3 + x) / 4;
-                *e = OrtEntry {
-                    offset: (((ewma + 128) >> 8) as u8).min(MAX_OFFSET_INDEX),
-                    ewma_q8: ewma as u16,
-                    stamp,
-                };
-            } else {
-                *e = OrtEntry {
-                    offset,
-                    ewma_q8: u16::from(offset) << 8,
-                    stamp,
-                };
+                let ewma = (u32::from(e.ewma_q8) * 3 + u32::from(fresh.ewma_q8)) / 4;
+                fresh.offset = (((ewma + 128) >> 8) as u8).min(MAX_OFFSET_INDEX);
+                fresh.ewma_q8 = ewma as u16;
             }
+            *e = fresh;
             return false;
         }
-        let mut evicted = false;
-        if self.entries.len() >= self.capacity {
-            // Unique stamps make the minimum unambiguous regardless of
-            // HashMap iteration order.
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-                .expect("full cache has a victim");
-            self.entries.remove(&victim);
-            evicted = true;
+        let evicted = self.cached.len() >= self.capacity;
+        if evicted {
+            let slots = &self.slots;
+            let lru = self
+                .cached
+                .iter_mut()
+                .min_by_key(|s| slots[**s as usize].ort.map(|e| e.stamp))
+                .expect("capacity is at least 1");
+            self.slots[*lru as usize].ort = None;
+            *lru = i as u32;
+        } else {
+            self.cached.push(i as u32);
         }
-        self.entries.insert(
-            key,
-            OrtEntry {
-                offset,
-                ewma_q8: u16::from(offset) << 8,
-                stamp,
-            },
-        );
+        self.slots[i].ort = Some(fresh);
         evicted
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
     }
 }
 
@@ -229,20 +264,14 @@ impl OffsetCluster {
 /// The Optimal Parameter Manager.
 #[derive(Debug, Clone)]
 pub struct Opm {
-    /// Leader-derived program parameters per h-layer, kept until the
-    /// followers consume them (the map stays small: only h-layers of
-    /// active blocks have entries).
-    leader_params: HashMap<LayerKey, LeaderParams>,
-    /// Post-program BER of the last WL programmed on each h-layer
-    /// (safety-check reference).
-    last_post_ber: HashMap<LayerKey, f64>,
-    /// P/E cycle count of the block when each h-layer's parameters were
-    /// monitored — the maintenance subsystem's staleness reference for
-    /// periodic re-monitoring.
-    recorded_pe: HashMap<LayerKey, u32>,
-    /// The ORT: last known good read offset per h-layer of every block,
-    /// capacity-bounded per chip with LRU eviction.
-    ort: Vec<OrtCache>,
+    /// One slot table per chip, allocated once for the whole device.
+    chips: Vec<ChipTable>,
+    /// H-layers per block: the slot stride of one block.
+    hlayers: usize,
+    /// Slots currently holding leader parameters.
+    pending: usize,
+    /// Slots currently demoted.
+    demoted: usize,
     /// ORT lookups served from a cached entry.
     ort_hits: u64,
     /// ORT lookups that fell back to the default offset.
@@ -258,23 +287,12 @@ pub struct Opm {
     cluster: Option<Vec<OffsetCluster>>,
     /// Minimum decode samples an h-layer cluster needs before it seeds.
     cluster_min_samples: u32,
-    /// Per-chip (block, h) keys excluded from cluster seeding until
-    /// their next decode — set by crash recovery for torn or resumed
-    /// h-layers whose pre-cut offsets are no longer trustworthy.
-    cluster_quarantine: Vec<HashSet<OrtKey>>,
     /// ORT misses answered with a cluster seed.
     cluster_seeds: u64,
     /// Seeded reads whose decode confirmed the seed exactly.
     cluster_hits: u64,
     /// Seeded reads whose decode landed on a different offset.
     cluster_mispredicts: u64,
-    /// H-layers per block (cluster sizing survives `power_cycle`).
-    hlayers: usize,
-    /// H-layers demoted by the §4.1.4 safety check: their monitored
-    /// parameters were discarded (followers fall back to conservative
-    /// defaults — no VFY skips, full window) until a leader-style
-    /// program re-monitors the layer.
-    demoted: HashSet<LayerKey>,
     /// Safety-check threshold: a follower whose post-program BER exceeds
     /// the previous WL's by this factor is considered improperly
     /// programmed (§4.1.4).
@@ -293,25 +311,25 @@ impl Opm {
     /// entries (LRU-evicted beyond that). `usize::MAX` means unbounded;
     /// the capacity is clamped to at least 1.
     pub fn with_ort_capacity(geometry: &Geometry, chips: usize, ort_capacity: usize) -> Self {
-        let entries = geometry.blocks_per_chip as usize * usize::from(geometry.hlayers_per_block);
-        let capacity = ort_capacity.min(entries);
+        let hlayers = usize::from(geometry.hlayers_per_block);
+        let slots = geometry.blocks_per_chip as usize * hlayers;
+        let capacity = ort_capacity.min(slots);
         Opm {
-            leader_params: HashMap::new(),
-            last_post_ber: HashMap::new(),
-            recorded_pe: HashMap::new(),
-            ort: (0..chips).map(|_| OrtCache::new(capacity)).collect(),
+            chips: (0..chips)
+                .map(|_| ChipTable::new(slots, capacity))
+                .collect(),
+            hlayers,
+            pending: 0,
+            demoted: 0,
             ort_hits: 0,
             ort_misses: 0,
             ort_evictions: 0,
             ort_fallbacks: Cell::new(0),
             cluster: None,
             cluster_min_samples: 1,
-            cluster_quarantine: (0..chips).map(|_| HashSet::new()).collect(),
             cluster_seeds: 0,
             cluster_hits: 0,
             cluster_mispredicts: 0,
-            hlayers: usize::from(geometry.hlayers_per_block),
-            demoted: HashSet::new(),
             safety_factor: 3.0,
         }
     }
@@ -321,14 +339,14 @@ impl Opm {
     /// traffic, exactly as it would after a power cycle.
     pub fn set_cluster(&mut self, cfg: OrtClusterConfig) {
         if cfg.enabled {
-            let (chips, hlayers) = (self.ort.len(), self.hlayers);
+            let (chips, hlayers) = (self.chips.len(), self.hlayers);
             self.cluster = Some((0..chips).map(|_| OffsetCluster::new(hlayers)).collect());
             self.cluster_min_samples = cfg.min_samples.max(1);
         } else {
             self.cluster = None;
         }
-        for q in &mut self.cluster_quarantine {
-            q.clear();
+        for slot in self.chips.iter_mut().flat_map(|c| &mut c.slots) {
+            slot.quarantined = false;
         }
     }
 
@@ -346,21 +364,26 @@ impl Opm {
         if self.cluster.is_none() {
             return false;
         }
-        self.cluster_quarantine[chip].insert((block, h))
+        let i = self.index(block, h);
+        !std::mem::replace(&mut self.chips[chip].slots[i].quarantined, true)
     }
 
-    fn key(chip: usize, wl: WlAddr) -> LayerKey {
-        (chip as u32, wl.block.0, wl.h.0)
+    /// Index of h-layer `h` of `block` in its chip's slot table.
+    fn index(&self, block: u32, h: u16) -> usize {
+        block as usize * self.hlayers + usize::from(h)
     }
 
-    fn ort_key(wl: WlAddr) -> OrtKey {
-        (wl.block.0, wl.h.0)
+    fn slot(&self, chip: usize, wl: WlAddr) -> &LayerSlot {
+        &self.chips[chip].slots[self.index(wl.block.0, wl.h.0)]
     }
 
-    /// Records a leader-WL program report and derives the follower
-    /// parameters (§5.1): `N_skip^Pi` from the loop intervals, and the
-    /// window adjustment from `BER_EP1` through the `S_M` conversion and
-    /// split tables.
+    fn slot_mut(&mut self, chip: usize, wl: WlAddr) -> &mut LayerSlot {
+        let i = self.index(wl.block.0, wl.h.0);
+        &mut self.chips[chip].slots[i]
+    }
+
+    /// Records a leader-WL program report and the follower parameters
+    /// derived from it (§5.1).
     pub fn record_leader(
         &mut self,
         chip: usize,
@@ -368,36 +391,25 @@ impl Opm {
         report: &ProgramReport,
         engine: &IsppEngine,
     ) {
-        let mut n_skip = [0u8; NUM_PROGRAM_STATES];
-        for (s, iv) in report.loop_intervals.iter().enumerate() {
-            n_skip[s] = iv.safe_skip();
-        }
-        let spare = engine.spare_margin(report.ber_ep1, report.pe_cycles);
-        let total_mv = margin_mv_for_spare(spare, engine.ispp_model());
-        let (v_start_up_mv, v_final_down_mv) = split_margin_mv(total_mv, engine.ispp_model());
-        let key = Self::key(chip, wl);
-        self.leader_params.insert(
-            key,
-            LeaderParams {
-                n_skip,
-                leader_intervals: report.loop_intervals,
-                v_start_up_mv,
-                v_final_down_mv,
-                leader_post_ber: report.post_ber,
-            },
-        );
-        self.last_post_ber.insert(key, report.post_ber);
-        self.recorded_pe.insert(key, report.pe_cycles);
+        let slot = self.slot_mut(chip, wl);
+        let was_pending = slot
+            .leader
+            .replace(LeaderParams::from_report(report, engine))
+            .is_some();
+        slot.last_post_ber = Some(report.post_ber);
+        slot.recorded_pe = Some(report.pe_cycles);
         // A fresh monitor re-promotes a demoted layer (§4.1.4: the
         // re-programmed WL runs with default parameters and its report
         // becomes the new reference).
-        self.demoted.remove(&key);
+        let was_demoted = std::mem::take(&mut slot.demoted);
+        self.pending += usize::from(!was_pending);
+        self.demoted -= usize::from(was_demoted);
     }
 
     /// The follower program parameters for `wl`'s h-layer, if its leader
     /// has been monitored.
     pub fn follower_params(&self, chip: usize, wl: WlAddr) -> Option<&LeaderParams> {
-        self.leader_params.get(&Self::key(chip, wl))
+        self.slot(chip, wl).leader.as_ref()
     }
 
     /// Runs the §4.1.4 safety check on a just-completed WL program:
@@ -405,13 +417,14 @@ impl Opm {
     /// h-layer. Returns `true` if the WL must be considered improperly
     /// programmed (and the data re-programmed on the following WL).
     pub fn safety_check(&mut self, chip: usize, wl: WlAddr, report: &ProgramReport) -> bool {
-        let key = Self::key(chip, wl);
-        let anomalous = match self.last_post_ber.get(&key) {
-            Some(prev) => report.post_ber > prev * self.safety_factor,
+        let safety_factor = self.safety_factor;
+        let slot = self.slot_mut(chip, wl);
+        let anomalous = match slot.last_post_ber {
+            Some(prev) => report.post_ber > prev * safety_factor,
             None => false,
         };
         if !anomalous {
-            self.last_post_ber.insert(key, report.post_ber);
+            slot.last_post_ber = Some(report.post_ber);
         }
         anomalous
     }
@@ -420,10 +433,11 @@ impl Opm {
     /// safety-check failure so the next program re-monitors, and when a
     /// block is erased).
     pub fn invalidate_layer(&mut self, chip: usize, wl: WlAddr) {
-        let key = Self::key(chip, wl);
-        self.leader_params.remove(&key);
-        self.last_post_ber.remove(&key);
-        self.recorded_pe.remove(&key);
+        let slot = self.slot_mut(chip, wl);
+        let was_pending = slot.leader.take().is_some();
+        slot.last_post_ber = None;
+        slot.recorded_pe = None;
+        self.pending -= usize::from(was_pending);
     }
 
     /// The block P/E count at the time `wl`'s h-layer parameters were
@@ -431,7 +445,7 @@ impl Opm {
     /// maintenance subsystem compares this against the block's current
     /// P/E count to decide when re-monitoring is due.
     pub fn recorded_pe(&self, chip: usize, wl: WlAddr) -> Option<u32> {
-        self.recorded_pe.get(&Self::key(chip, wl)).copied()
+        self.slot(chip, wl).recorded_pe
     }
 
     /// §4.1.4 demotion: drops the h-layer's monitored VFY-skip/window
@@ -442,33 +456,36 @@ impl Opm {
     /// demoted.
     pub fn demote_layer(&mut self, chip: usize, wl: WlAddr) -> bool {
         self.invalidate_layer(chip, wl);
-        self.demoted.insert(Self::key(chip, wl))
+        let newly = !std::mem::replace(&mut self.slot_mut(chip, wl).demoted, true);
+        self.demoted += usize::from(newly);
+        newly
     }
 
     /// Whether `wl`'s h-layer is currently demoted (awaiting re-monitor).
     pub fn is_demoted(&self, chip: usize, wl: WlAddr) -> bool {
-        self.demoted.contains(&Self::key(chip, wl))
+        self.slot(chip, wl).demoted
     }
 
     /// Number of h-layers currently demoted.
     pub fn demoted_layers(&self) -> usize {
-        self.demoted.len()
+        self.demoted
     }
 
-    /// Drops all monitored program parameters of `block` (erase). An
-    /// erase also clears demotion flags: a fresh block starts clean.
+    /// Drops all monitored program parameters of `block` (erase): one
+    /// contiguous run of `hlayers` slots, whatever the device size. An
+    /// erase also clears demotion flags — a fresh block starts clean —
+    /// and recovery quarantines, which are moot once the block is
+    /// re-programmed from scratch. Cached read offsets stay.
     pub fn invalidate_block(&mut self, chip: usize, block: u32) {
-        self.leader_params
-            .retain(|k, _| !(k.0 == chip as u32 && k.1 == block));
-        self.last_post_ber
-            .retain(|k, _| !(k.0 == chip as u32 && k.1 == block));
-        self.recorded_pe
-            .retain(|k, _| !(k.0 == chip as u32 && k.1 == block));
-        self.demoted
-            .retain(|k| !(k.0 == chip as u32 && k.1 == block));
-        // An erased block is re-programmed from scratch; any recovery
-        // quarantine on its h-layers is moot.
-        self.cluster_quarantine[chip].retain(|k| k.0 != block);
+        let first = self.index(block, 0);
+        for slot in &mut self.chips[chip].slots[first..first + self.hlayers] {
+            self.pending -= usize::from(slot.leader.is_some());
+            self.demoted -= usize::from(slot.demoted);
+            *slot = LayerSlot {
+                ort: slot.ort,
+                ..LayerSlot::default()
+            };
+        }
     }
 
     /// The cluster seed for `wl`, if one is available: the cluster is
@@ -477,7 +494,8 @@ impl Opm {
     /// is not quarantined by crash recovery.
     fn cluster_seed(&self, chip: usize, wl: WlAddr) -> Option<u8> {
         let clusters = self.cluster.as_ref()?;
-        if self.is_demoted(chip, wl) || self.cluster_quarantine[chip].contains(&Self::ort_key(wl)) {
+        let slot = self.slot(chip, wl);
+        if slot.demoted || slot.quarantined {
             return None;
         }
         clusters[chip].predict(usize::from(wl.h.0), self.cluster_min_samples)
@@ -489,7 +507,8 @@ impl Opm {
     /// available (counts a miss and a seed); otherwise the default
     /// offset 0 (counts a miss and a fallback).
     pub fn lookup_offset(&mut self, chip: usize, wl: WlAddr) -> OffsetLookup {
-        if let Some(offset) = self.ort[chip].get(Self::ort_key(wl)) {
+        let i = self.index(wl.block.0, wl.h.0);
+        if let Some(offset) = self.chips[chip].ort_get(i) {
             self.ort_hits += 1;
             return OffsetLookup {
                 offset,
@@ -527,8 +546,8 @@ impl Opm {
     /// default) and counts a fallback when it lands on the default, so
     /// `ort_fallbacks` agrees between the read path and prediction.
     pub fn peek_offset(&self, chip: usize, wl: WlAddr) -> u8 {
-        match self.ort[chip].peek(Self::ort_key(wl)) {
-            Some(offset) => offset,
+        match self.slot(chip, wl).ort {
+            Some(e) => e.offset,
             None => match self.cluster_seed(chip, wl) {
                 Some(offset) => offset,
                 None => {
@@ -558,13 +577,15 @@ impl Opm {
     /// quarantine on the key — a fresh decode re-vouches for it.
     pub fn update_read_offset(&mut self, chip: usize, wl: WlAddr, final_offset: u8) {
         let smooth = self.cluster.is_some();
-        if self.ort[chip].insert(Self::ort_key(wl), final_offset, smooth) {
+        let i = self.index(wl.block.0, wl.h.0);
+        let table = &mut self.chips[chip];
+        if table.ort_insert(i, final_offset, smooth) {
             self.ort_evictions += 1;
         }
+        table.slots[i].quarantined = false;
         if let Some(clusters) = self.cluster.as_mut() {
             clusters[chip].record(usize::from(wl.h.0), final_offset);
         }
-        self.cluster_quarantine[chip].remove(&Self::ort_key(wl));
     }
 
     /// `(hits, misses, evictions)` of the ORT since the last reset.
@@ -601,31 +622,49 @@ impl Opm {
 
     /// Number of ORT entries currently cached on `chip`.
     pub fn ort_entries(&self, chip: usize) -> usize {
-        self.ort[chip].len()
+        self.chips[chip].cached.len()
     }
 
     /// Per-chip ORT capacity (h-layer entries).
     pub fn ort_capacity(&self) -> usize {
-        self.ort.first().map_or(0, |c| c.capacity)
+        self.chips.first().map_or(0, |c| c.capacity)
     }
 
-    /// Number of leader-parameter entries currently held (bounded by the
-    /// active blocks, §5.2).
+    /// Number of h-layers currently holding leader parameters. They are
+    /// held until the block's erase, so the count follows the written
+    /// blocks, not just the active ones.
     pub fn pending_layers(&self) -> usize {
-        self.leader_params.len()
+        self.pending
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nand3d::{CalibratedModel, LoopInterval, NandChip, NandConfig, WlData};
+    use nand3d::{LoopInterval, NandChip, NandConfig, WlData};
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
 
     fn setup() -> (Opm, NandChip) {
         let config = NandConfig::small();
         let chip = NandChip::new(config, 3);
         let opm = Opm::new(&config.geometry, 2);
         (opm, chip)
+    }
+
+    fn report_with(post_ber: f64, pe_cycles: u32) -> ProgramReport {
+        ProgramReport {
+            latency_us: 700.0,
+            loop_intervals: [LoopInterval { lmin: 2, lmax: 3 }; NUM_PROGRAM_STATES],
+            ber_ep1: 1e-4,
+            post_ber,
+            pulses: 11,
+            verifies: 50,
+            margin_excess_loops: 0,
+            disturbed: false,
+            pe_cycles,
+            aborted: false,
+        }
     }
 
     #[test]
@@ -683,18 +722,7 @@ mod tests {
         let (mut opm, chip) = setup();
         let g = *chip.geometry();
         let wl = g.wl_addr(nand3d::BlockId(0), 1, 0);
-        let mk = |post_ber: f64| ProgramReport {
-            latency_us: 700.0,
-            loop_intervals: [LoopInterval { lmin: 2, lmax: 3 }; NUM_PROGRAM_STATES],
-            ber_ep1: 1e-4,
-            post_ber,
-            pulses: 11,
-            verifies: 50,
-            margin_excess_loops: 0,
-            disturbed: false,
-            pe_cycles: 0,
-            aborted: false,
-        };
+        let mk = |post_ber: f64| report_with(post_ber, 0);
         assert!(
             !opm.safety_check(0, wl, &mk(1e-4)),
             "first WL sets baseline"
@@ -826,6 +854,12 @@ mod tests {
         let ssd_bytes = config.geometry.bytes_per_chip() * 8;
         let overhead = bytes_total as f64 / ssd_bytes as f64;
         assert!(overhead < 1e-4, "ORT overhead {overhead}");
+    }
+
+    #[test]
+    fn slot_size_matches_the_design_notes() {
+        // DESIGN.md "OPM memory" quotes bytes per h-layer from this.
+        assert_eq!(std::mem::size_of::<LayerSlot>(), 112);
     }
 
     #[test]
@@ -1014,7 +1048,253 @@ mod tests {
         assert_eq!(opm.ort_fallbacks(), 0);
     }
 
-    // Silence an unused-import lint when tests compile alone.
-    #[allow(dead_code)]
-    fn _uses(_: CalibratedModel) {}
+    type Key = (usize, u32, u16);
+
+    /// The OPM as it was before the slot table — one hash container per
+    /// field keyed by `(chip, block, h)`, erase by `retain`, LRU victim
+    /// by a scan for the minimum stamp — kept as the reference the table
+    /// is compared against.
+    #[derive(Default)]
+    struct RefOpm {
+        leader: HashMap<Key, LeaderParams>,
+        last_post_ber: HashMap<Key, f64>,
+        recorded_pe: HashMap<Key, u32>,
+        demoted: HashSet<Key>,
+        quarantine: HashSet<Key>,
+        ort: HashMap<Key, OrtEntry>,
+        tick: [u64; 2],
+        capacity: usize,
+        cluster: Option<Vec<OffsetCluster>>,
+        /// hits, misses, evictions, seeds, cluster hits, mispredicts.
+        counters: [u64; 6],
+        fallbacks: Cell<u64>,
+    }
+
+    impl RefOpm {
+        fn record_leader(&mut self, key: Key, report: &ProgramReport, engine: &IsppEngine) {
+            self.leader
+                .insert(key, LeaderParams::from_report(report, engine));
+            self.last_post_ber.insert(key, report.post_ber);
+            self.recorded_pe.insert(key, report.pe_cycles);
+            self.demoted.remove(&key);
+        }
+
+        fn safety_check(&mut self, key: Key, report: &ProgramReport) -> bool {
+            let anomalous = self
+                .last_post_ber
+                .get(&key)
+                .is_some_and(|prev| report.post_ber > prev * 3.0);
+            if !anomalous {
+                self.last_post_ber.insert(key, report.post_ber);
+            }
+            anomalous
+        }
+
+        fn invalidate_layer(&mut self, key: Key) {
+            self.leader.remove(&key);
+            self.last_post_ber.remove(&key);
+            self.recorded_pe.remove(&key);
+        }
+
+        fn demote_layer(&mut self, key: Key) -> bool {
+            self.invalidate_layer(key);
+            self.demoted.insert(key)
+        }
+
+        fn invalidate_block(&mut self, chip: usize, block: u32) {
+            let keep = |k: &Key| !(k.0 == chip && k.1 == block);
+            self.leader.retain(|k, _| keep(k));
+            self.last_post_ber.retain(|k, _| keep(k));
+            self.recorded_pe.retain(|k, _| keep(k));
+            self.demoted.retain(keep);
+            self.quarantine.retain(keep);
+        }
+
+        fn quarantine_cluster_key(&mut self, key: Key) -> bool {
+            self.cluster.is_some() && self.quarantine.insert(key)
+        }
+
+        fn cluster_seed(&self, key: Key) -> Option<u8> {
+            let clusters = self.cluster.as_ref()?;
+            if self.demoted.contains(&key) || self.quarantine.contains(&key) {
+                return None;
+            }
+            clusters[key.0].predict(usize::from(key.2), 2)
+        }
+
+        fn lookup_offset(&mut self, key: Key) -> OffsetLookup {
+            self.tick[key.0] += 1;
+            if let Some(e) = self.ort.get_mut(&key) {
+                e.stamp = self.tick[key.0];
+                self.counters[0] += 1;
+                return OffsetLookup {
+                    offset: e.offset,
+                    seeded: false,
+                };
+            }
+            self.counters[1] += 1;
+            let seed = self.cluster_seed(key);
+            match seed {
+                Some(_) => self.counters[3] += 1,
+                None => self.fallbacks.set(self.fallbacks.get() + 1),
+            }
+            OffsetLookup {
+                offset: seed.unwrap_or(0),
+                seeded: seed.is_some(),
+            }
+        }
+
+        fn peek_offset(&self, key: Key) -> u8 {
+            match self.ort.get(&key) {
+                Some(e) => e.offset,
+                None => self.cluster_seed(key).unwrap_or_else(|| {
+                    self.fallbacks.set(self.fallbacks.get() + 1);
+                    0
+                }),
+            }
+        }
+
+        fn note_read_outcome(&mut self, lookup: OffsetLookup, final_offset: u8) {
+            if lookup.seeded {
+                self.counters[if final_offset == lookup.offset { 4 } else { 5 }] += 1;
+            }
+        }
+
+        fn update_read_offset(&mut self, key: Key, offset: u8) {
+            self.tick[key.0] += 1;
+            let stamp = self.tick[key.0];
+            let mut fresh = OrtEntry {
+                offset,
+                ewma_q8: u16::from(offset) << 8,
+                stamp,
+            };
+            if let Some(e) = self.ort.get(&key) {
+                if self.cluster.is_some() {
+                    let ewma = (u32::from(e.ewma_q8) * 3 + u32::from(fresh.ewma_q8)) / 4;
+                    fresh.offset = (((ewma + 128) >> 8) as u8).min(MAX_OFFSET_INDEX);
+                    fresh.ewma_q8 = ewma as u16;
+                }
+            } else if self.ort_entries(key.0) >= self.capacity {
+                let victim = *self
+                    .ort
+                    .iter()
+                    .filter(|(k, _)| k.0 == key.0)
+                    .min_by_key(|(_, e)| e.stamp)
+                    .expect("full cache has a victim")
+                    .0;
+                self.ort.remove(&victim);
+                self.counters[2] += 1;
+            }
+            self.ort.insert(key, fresh);
+            if let Some(clusters) = self.cluster.as_mut() {
+                clusters[key.0].record(usize::from(key.2), offset);
+            }
+            self.quarantine.remove(&key);
+        }
+
+        fn ort_entries(&self, chip: usize) -> usize {
+            self.ort.keys().filter(|k| k.0 == chip).count()
+        }
+    }
+
+    proptest! {
+        /// The slot table against the hash-map OPM it replaced: random
+        /// operation sequences, cluster on and off, ORT capacities 1, 4
+        /// and the full table. Every return value and every counter must
+        /// agree after every step — which, for the bounded capacities,
+        /// pins the LRU victim.
+        #[test]
+        fn slot_table_matches_the_hash_map_opm(
+            ops in prop::collection::vec(
+                (0u8..14, 0usize..2, 0u32..4, 0u16..6, 0u8..8, 0u32..5),
+                1..300,
+            ),
+        ) {
+            let g = Geometry {
+                blocks_per_chip: 4,
+                hlayers_per_block: 6,
+                wls_per_hlayer: 3,
+                pages_per_wl: 3,
+                page_size: 16 * 1024,
+            };
+            let chip = NandChip::new(NandConfig::small(), 3);
+            let engine = chip.ispp();
+            for (cluster_on, capacity) in [false, true]
+                .into_iter()
+                .flat_map(|c| [1, 4, usize::MAX].map(|cap| (c, cap)))
+            {
+                let mut opm = Opm::with_ort_capacity(&g, 2, capacity);
+                opm.set_cluster(OrtClusterConfig { enabled: cluster_on, min_samples: 2 });
+                let mut reference = RefOpm {
+                    capacity: capacity.min(4 * 6),
+                    cluster: cluster_on.then(|| vec![OffsetCluster::new(6); 2]),
+                    ..RefOpm::default()
+                };
+                for &(op, chip, block, h, offset, scale) in &ops {
+                    let wl = g.wl_addr(nand3d::BlockId(block), h, 0);
+                    let key = (chip, block, h);
+                    // BER steps of ×4 cross the ×3 safety threshold.
+                    let report = report_with(1e-4 * f64::from(4u32.pow(scale)), scale);
+                    match op {
+                        0 | 1 => {
+                            opm.record_leader(chip, wl, &report, engine);
+                            reference.record_leader(key, &report, engine);
+                        }
+                        2 | 3 => prop_assert_eq!(
+                            opm.safety_check(chip, wl, &report),
+                            reference.safety_check(key, &report)
+                        ),
+                        4 => prop_assert_eq!(
+                            opm.demote_layer(chip, wl),
+                            reference.demote_layer(key)
+                        ),
+                        5 => {
+                            opm.invalidate_layer(chip, wl);
+                            reference.invalidate_layer(key);
+                        }
+                        6 => {
+                            opm.invalidate_block(chip, block);
+                            reference.invalidate_block(chip, block);
+                        }
+                        7 | 8 => {
+                            let lookup = opm.lookup_offset(chip, wl);
+                            prop_assert_eq!(lookup, reference.lookup_offset(key));
+                            opm.note_read_outcome(lookup, offset);
+                            reference.note_read_outcome(lookup, offset);
+                        }
+                        9 => prop_assert_eq!(
+                            opm.peek_offset(chip, wl),
+                            reference.peek_offset(key)
+                        ),
+                        10..=12 => {
+                            opm.update_read_offset(chip, wl, offset);
+                            reference.update_read_offset(key, offset);
+                        }
+                        _ => prop_assert_eq!(
+                            opm.quarantine_cluster_key(chip, block, h),
+                            reference.quarantine_cluster_key(key)
+                        ),
+                    }
+                    prop_assert_eq!(
+                        opm.follower_params(chip, wl),
+                        reference.leader.get(&key)
+                    );
+                    prop_assert_eq!(
+                        opm.recorded_pe(chip, wl),
+                        reference.recorded_pe.get(&key).copied()
+                    );
+                    prop_assert_eq!(opm.is_demoted(chip, wl), reference.demoted.contains(&key));
+                    let c = reference.counters;
+                    prop_assert_eq!(opm.ort_counters(), (c[0], c[1], c[2]));
+                    prop_assert_eq!(opm.cluster_counters(), (c[3], c[4], c[5]));
+                    prop_assert_eq!(opm.ort_fallbacks(), reference.fallbacks.get());
+                    prop_assert_eq!(opm.pending_layers(), reference.leader.len());
+                    prop_assert_eq!(opm.demoted_layers(), reference.demoted.len());
+                    for chip in 0..2 {
+                        prop_assert_eq!(opm.ort_entries(chip), reference.ort_entries(chip));
+                    }
+                }
+            }
+        }
+    }
 }

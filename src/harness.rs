@@ -666,6 +666,9 @@ pub enum ScenarioError {
     NoShards,
     /// `requests` does not fit this platform's `usize`.
     RequestsOverflow(u64),
+    /// The block count per chip is below what GC and the active blocks
+    /// need, or its pages overflow the mapping's 32-bit page index.
+    BlocksOutOfRange { blocks: u32, min: u32, max: u32 },
     /// A cut or failure instant at or before time zero.
     NotAfterTimeZero(&'static str),
     /// The stripe unit exceeds the smallest shard's logical space.
@@ -732,6 +735,10 @@ impl std::fmt::Display for ScenarioError {
             NoPhases => f.write_str("need at least one workload phase"),
             NoShards => f.write_str("need at least one shard"),
             RequestsOverflow(n) => write!(f, "{n} requests do not fit this platform's usize"),
+            BlocksOutOfRange { blocks, min, max } => write!(
+                f,
+                "{blocks} blocks per chip is out of range: this configuration takes {min} to {max}"
+            ),
             NotAfterTimeZero(what) => write!(f, "{what} must be after time zero"),
             StripeTooLarge { stripe, local } => write!(
                 f,
@@ -1303,6 +1310,20 @@ impl Scenario {
             NoPhases,
         )?;
         usize::try_from(self.cfg.requests).map_err(|_| RequestsOverflow(self.cfg.requests))?;
+        let ftl = self.ftl_config();
+        let g = ftl.nand.geometry;
+        // GC must keep its free-block threshold and the open blocks
+        // aside and still have closed blocks to collect.
+        let reserved = ftl.gc_free_block_threshold.max(ftl.active_blocks_per_chip) as u32;
+        let (blocks, min, max) = (
+            g.blocks_per_chip,
+            2 * reserved + 2,
+            u32::MAX / g.pages_per_block(),
+        );
+        check(
+            !(min..=max).contains(&blocks),
+            BlocksOutOfRange { blocks, min, max },
+        )?;
         if qos {
             check(trace, TraceWithQos)?;
             check(self.spo.is_some(), QosWithSpo)?;
@@ -1485,6 +1506,12 @@ impl Scenario {
             .collect()
     }
 
+    /// The FTL configuration of every shard: the explicit one, or the
+    /// one the evaluation scale implies.
+    fn ftl_config(&self) -> FtlConfig {
+        self.ftl.unwrap_or_else(|| self.cfg.ftl_config())
+    }
+
     /// One fully prepared shard, seeded from the master seed and the
     /// shard id, prefilled to `prefill_fraction` of its logical space.
     fn prepare_dev(&self, id: usize, prefill_fraction: f64) -> Dev {
@@ -1496,7 +1523,7 @@ impl Scenario {
         if cfg.maint.is_some_and(|m| m.enabled) && !ssd_cfg.maint.enabled {
             ssd_cfg.maint = MaintSchedule::on();
         }
-        let mut ftl_cfg = self.ftl.unwrap_or_else(|| cfg.ftl_config());
+        let mut ftl_cfg = self.ftl_config();
         if self.array.is_some() {
             ftl_cfg.seed = shard_seed(cfg.seed, id);
         }

@@ -171,6 +171,8 @@ cases! {
     rejects_telemetry_in_lifetime_mode: "--ftl cube --blocks 16 --lifetime-epochs 3 --metrics-out {out}/metrics.ndjson";
     rejects_unknown_flag: "--ftl cube --bogus 1";
     rejects_oversized_trace_write: "--ftl cube --blocks 16 --trace-file tests/data/oversized_write.csv";
+    rejects_too_few_blocks: "--ftl cube --blocks 4";
+    rejects_too_many_blocks: "--ftl cube --blocks 4000000000";
 }
 
 #[test]
