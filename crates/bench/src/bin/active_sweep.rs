@@ -16,12 +16,10 @@
 //! Run with: `cargo run --release -p bench --bin active_sweep`
 //! (`--out PATH` writes the NDJSON to a file instead of stdout).
 
-use bench::{banner_err, eval_config_from_args, eval_custom, write_bench_json, Table};
+use bench::{banner_err, eval_config_from_args, eval_custom, Table};
 use cubeftl::{AgingState, FtlKind, MetricRegistry, StandardWorkload};
-use std::time::Instant;
 
 fn main() {
-    let wall = Instant::now();
     let args: Vec<String> = std::env::args().collect();
     let out = args
         .iter()
@@ -77,9 +75,6 @@ fn main() {
     }
     eprint!("{}", table.render());
     eprintln!("(the paper's choice of two active blocks per chip is §5.2)");
-
-    reg.gauge("bench.wall_ms", wall.elapsed().as_secs_f64() * 1000.0);
-    write_bench_json("active_sweep", &mut reg);
 
     let ndjson = reg.to_ndjson();
     match &out {

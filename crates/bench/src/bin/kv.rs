@@ -20,20 +20,14 @@
 //! * a 4-shard array KV run is byte-identical at 1 and 4 worker
 //!   threads.
 //!
-//! `--out PATH` overrides the curve path (default `kv_curve.csv`,
-//! honouring `$BENCH_JSON_DIR`); `--smoke` runs the CI-scale
-//! configuration.
+//! `--out PATH` overrides the curve path (default `./kv_curve.csv`);
+//! `--smoke` runs the CI-scale configuration.
 //!
 //! Run with: `cargo run --release -p bench --bin kv`
 
-use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
-use cubeftl::harness::{
-    register_kv_metrics, ArrayEvalConfig, EvalConfig, KvSpec, RunOutput, Scenario,
-};
-use cubeftl::{
-    AgingState, FtlKind, KvAppReport, KvStream, MetricRegistry, StandardWorkload, YcsbKind,
-};
-use std::time::Instant;
+use bench::{banner, eval_config_from_args, run, Table};
+use cubeftl::harness::{ArrayEvalConfig, EvalConfig, KvSpec, RunOutput, Scenario};
+use cubeftl::{AgingState, FtlKind, KvAppReport, KvStream, TenantMix, YcsbKind};
 
 /// One cell of the curve: device and app metrics for one
 /// (aging, workload) pair.
@@ -51,11 +45,12 @@ struct CurvePoint {
 
 /// The engine shape the bench drives: a small memtable so flushes and
 /// compactions cycle many times inside a CI-scale run.
-fn bench_spec(kind: YcsbKind) -> KvSpec {
-    let mut kv = KvSpec::with_workload(kind);
-    kv.keys = 4_096;
-    kv.memtable_entries = 512;
-    kv
+fn bench_spec() -> KvSpec {
+    KvSpec {
+        keys: 4_096,
+        memtable_entries: 512,
+        ..KvSpec::default()
+    }
 }
 
 /// A Cube device (or array) driven by the bench's engine under `kind`.
@@ -67,9 +62,8 @@ fn kv_run(
 ) -> RunOutput {
     run(&Scenario {
         array: arr,
-        kv: bench_spec(kind),
-        // The workload is ignored: the KV layer drives the device.
-        ..Scenario::new(FtlKind::Cube, StandardWorkload::Rocks, aging, cfg)
+        kv: bench_spec(),
+        ..Scenario::new(FtlKind::Cube, TenantMix::Kv(kind), aging, cfg)
     })
 }
 
@@ -132,8 +126,7 @@ fn curve_csv(points: &[CurvePoint]) -> String {
 /// emits for exactly `ops` measured operations — the equal-op-count
 /// comparison the A-vs-C bar is stated over.
 fn write_pages_at_ops(kind: YcsbKind, space: u64, seed: u64, ops: u64) -> u64 {
-    let spec = bench_spec(kind);
-    let mut s = KvStream::new(spec.kv_config(), kind, space, seed);
+    let mut s = KvStream::new(bench_spec().kv_config(), kind, space, seed);
     while s.report().stats.ops < ops {
         let _ = s.next();
     }
@@ -162,19 +155,12 @@ fn array_fingerprint(r: &RunOutput) -> String {
 }
 
 fn main() {
-    let wall = Instant::now();
     let args: Vec<String> = std::env::args().collect();
     let out_path = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| {
-            let dir = std::env::var("BENCH_JSON_DIR").unwrap_or_else(|_| ".".to_owned());
-            std::path::Path::new(&dir)
-                .join("kv_curve.csv")
-                .to_string_lossy()
-                .into_owned()
-        });
+        .unwrap_or_else(|| "./kv_curve.csv".to_owned());
 
     let mut cfg = eval_config_from_args();
     // Enough device requests that the engine cycles through many
@@ -182,7 +168,7 @@ fn main() {
     cfg.requests = cfg.requests.clamp(8_000, 24_000);
 
     banner("kv application layer — YCSB-A vs YCSB-C on the kvsim LSM engine (cubeFTL)");
-    let spec = bench_spec(YcsbKind::A);
+    let spec = bench_spec();
     println!(
         "engine: {} keys, memtable {} entries, L0 trigger {}, fanout {}, {} levels; \
          {} device requests per cell\n",
@@ -308,29 +294,6 @@ fn main() {
         array_fingerprint(&threaded),
         "array KV run must be byte-identical at 1 and 4 worker threads"
     );
-
-    // Machine-readable export: every cell's device and app metrics plus
-    // the headline bars and wall clock.
-    let mut reg = MetricRegistry::new();
-    for p in &points {
-        let prefix = format!("kv.{}.{}", p.aging, p.kind.label());
-        reg.gauge(&format!("{prefix}.iops"), p.iops);
-        reg.gauge(&format!("{prefix}.tprog_mean_us"), p.tprog_mean_us);
-        reg.counter(&format!("{prefix}.num_retry"), p.num_retry);
-        reg.gauge(&format!("{prefix}.retry_per_read"), p.retry_per_read);
-        reg.gauge(&format!("{prefix}.wa_host"), p.wa_host);
-        reg.gauge(&format!("{prefix}.wa_total"), p.wa_total);
-        register_kv_metrics(&mut reg, &format!("{prefix}."), &p.app, 0.0);
-    }
-    reg.gauge("bench.fresh_a_app_wa", fresh_a.app.app_wa());
-    reg.counter("bench.equal_op_write_pages_a", wr_a);
-    reg.counter("bench.equal_op_write_pages_c", wr_c);
-    reg.gauge(
-        "bench.a_over_c_write_ratio",
-        wr_a as f64 / (wr_c.max(1)) as f64,
-    );
-    reg.gauge("bench.wall_ms", wall.elapsed().as_secs_f64() * 1000.0);
-    write_bench_json("kv", &mut reg);
 
     println!(
         "\n(YCSB-A amplified {:.2}x at the application level and out-wrote read-only",

@@ -20,19 +20,17 @@
 //! * a 4-shard array campaign is byte-identical at 1 and 4 worker
 //!   threads.
 //!
-//! `--out PATH` overrides the curve path (default `lifetime_curve.csv`,
-//! honouring `$BENCH_JSON_DIR`); `--smoke` runs the CI-scale
-//! configuration. `--epochs N`, `--pe N`, `--months F`,
+//! `--out PATH` overrides the curve path (default
+//! `./lifetime_curve.csv`); `--smoke` runs the CI-scale configuration. `--epochs N`, `--pe N`, `--months F`,
 //! `--scrub-months F`, `--remonitor-pe N` and `--wl 0|1` override the
 //! aging schedule and maintenance tuning for exploration (the
 //! assertions assume the defaults).
 //!
 //! Run with: `cargo run --release -p bench --bin lifetime`
 
-use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
+use bench::{banner, eval_config_from_args, run, Table};
 use cubeftl::harness::{ArrayEvalConfig, EvalConfig, RunOutput, Scenario};
-use cubeftl::{AgingState, FtlKind, LifetimeConfig, MaintConfig, MetricRegistry, StandardWorkload};
-use std::time::Instant;
+use cubeftl::{AgingState, FtlKind, LifetimeConfig, MaintConfig, StandardWorkload};
 
 /// What one campaign epoch contributed to the curve.
 struct CurvePoint {
@@ -162,19 +160,12 @@ fn flag_val(args: &[String], flag: &str) -> Option<f64> {
 }
 
 fn main() {
-    let wall = Instant::now();
     let args: Vec<String> = std::env::args().collect();
     let out_path = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| {
-            let dir = std::env::var("BENCH_JSON_DIR").unwrap_or_else(|_| ".".to_owned());
-            std::path::Path::new(&dir)
-                .join("lifetime_curve.csv")
-                .to_string_lossy()
-                .into_owned()
-        });
+        .unwrap_or_else(|| "./lifetime_curve.csv".to_owned());
 
     let mut cfg = eval_config_from_args();
     // Five workload phases per campaign; bound each for CI runtimes.
@@ -325,29 +316,6 @@ fn main() {
         array_fingerprint(&threaded),
         "array campaign must be byte-identical at 1 and 4 worker threads"
     );
-
-    // Machine-readable export: the full curve plus the headline payoff
-    // and wall clock (the perf-trajectory artifact).
-    let mut reg = MetricRegistry::new();
-    for p in no_maint.iter().chain(with_maint.iter()) {
-        let prefix = format!("lifetime.maint_{}.e{}", p.maint, p.epoch);
-        reg.gauge(&format!("{prefix}.iops"), p.iops);
-        reg.gauge(&format!("{prefix}.tprog_mean_us"), p.tprog_mean_us);
-        reg.counter(&format!("{prefix}.num_retry"), p.num_retry);
-        reg.gauge(&format!("{prefix}.retry_per_read"), p.retry_per_read);
-        reg.gauge(&format!("{prefix}.wa_host"), p.wa_host);
-        reg.gauge(&format!("{prefix}.wa_total"), p.wa_total);
-        reg.counter(&format!("{prefix}.gc_runs"), p.gc_runs);
-        reg.counter(&format!("{prefix}.scrub_blocks"), p.scrub_blocks);
-    }
-    reg.gauge("bench.eol_retry_per_read_no_maint", eol.retry_per_read);
-    reg.gauge("bench.eol_retry_per_read_maint", eol_maint.retry_per_read);
-    reg.gauge(
-        "bench.maint_eol_retry_reduction",
-        1.0 - eol_maint.retry_per_read / eol.retry_per_read.max(f64::MIN_POSITIVE),
-    );
-    reg.gauge("bench.wall_ms", wall.elapsed().as_secs_f64() * 1000.0);
-    write_bench_json("lifetime", &mut reg);
 
     println!(
         "\n(the device aged {} P/E and {:.1} retention-months across {} epochs:",

@@ -10,15 +10,10 @@
 //!
 //! Run with: `cargo run --release -p bench --bin maint`
 
-use bench::{banner, eval, eval_config_from_args, write_bench_json, Table};
-use cubeftl::{
-    AgingState, FaultKind, FaultPlan, FtlKind, MaintConfig, MetricRegistry, StandardWorkload,
-};
-use std::time::Instant;
+use bench::{banner, eval, eval_config_from_args, Table};
+use cubeftl::{AgingState, FaultKind, FaultPlan, FtlKind, MaintConfig, StandardWorkload};
 
 fn main() {
-    let bench_wall = Instant::now();
-    let mut reg = MetricRegistry::new();
     let mut cfg = eval_config_from_args();
     cfg.requests = cfg.requests.min(30_000);
     cfg.faults = Some(
@@ -69,21 +64,6 @@ fn main() {
             r.wa_host().map(|w| format!("{w:.2}")).unwrap_or_default(),
             r.wa_total().map(|w| format!("{w:.2}")).unwrap_or_default(),
         ]);
-        let prefix = format!("maint.{label}");
-        reg.gauge(&format!("{prefix}.iops"), r.iops);
-        reg.gauge(
-            &format!("{prefix}.read_p99_us"),
-            r.read_latency.percentile(99.0),
-        );
-        reg.gauge(
-            &format!("{prefix}.mean_retries"),
-            r.ftl.read_retries as f64 / r.ftl.nand_reads.max(1) as f64,
-        );
-        reg.counter(
-            &format!("{prefix}.uncorrectable"),
-            r.ftl.uncorrectable_recoveries,
-        );
-        reg.counter(&format!("{prefix}.scrub_blocks"), r.ftl.scrub_blocks);
         reports.push(r);
     }
     t.print();
@@ -121,7 +101,4 @@ fn main() {
         " coverage for tail latency: {} -> {})",
         off.ftl.uncorrectable_recoveries, reports[1].ftl.uncorrectable_recoveries
     );
-
-    reg.gauge("bench.wall_ms", bench_wall.elapsed().as_secs_f64() * 1000.0);
-    write_bench_json("maint", &mut reg);
 }

@@ -23,23 +23,17 @@
 //! A double run of the 2× cell must reproduce the full report
 //! byte-identically (the front adds no nondeterminism).
 //!
-//! `--out PATH` writes both phases as one CSV (`phase` column);
-//! `BENCH_qos.json` carries the machine-readable export (see
-//! [`bench::write_bench_json`]).
+//! `--out PATH` writes both phases as one CSV (`phase` column).
 //!
 //! Run with: `cargo run --release -p bench --bin qos` (`--smoke` for
 //! the CI-sized variant).
 
-use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
+use bench::{banner, eval_config_from_args, run, Table};
 use cubeftl::harness::{EvalConfig, QosSpec, Scenario};
-use cubeftl::{
-    AgingState, FtlKind, MetricRegistry, QosReport, SimReport, StandardWorkload, TenantClass,
-    TenantMix,
-};
-use std::time::Instant;
+use cubeftl::{AgingState, FtlKind, QosReport, SimReport, TenantClass, TenantMix};
 
 const KIND: FtlKind = FtlKind::Cube;
-const WORKLOAD: StandardWorkload = StandardWorkload::Mail; // overridden by the Uniform mix
+const WORKLOAD: TenantMix = TenantMix::Uniform;
 const AGING: AgingState = AgingState::MidLife;
 
 /// Phase A / calibration weights.
@@ -61,7 +55,6 @@ fn base_spec() -> QosSpec {
         tenants: 4,
         weights: PROP_WEIGHTS.to_vec(),
         sq_depth: 16,
-        mix: Some(TenantMix::Uniform),
         ..QosSpec::off()
     }
 }
@@ -104,7 +97,6 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned());
-    let wall = Instant::now();
 
     let mut cfg = eval_config_from_args();
     cfg.requests = cfg.requests.clamp(6_000, 20_000);
@@ -288,17 +280,4 @@ fn main() {
         std::fs::write(path, &csv).expect("write QoS CSV");
         println!("\ncurve written to {path}");
     }
-
-    // Machine-readable export: the 2x overload cell's device + QoS
-    // metrics plus the bench's own headline numbers.
-    let mut reg = MetricRegistry::new();
-    r2.sim.register_metrics(&mut reg, "ssd");
-    r2.qos.register_metrics(&mut reg);
-    reg.gauge("bench.capacity_req_per_s", capacity);
-    reg.gauge("bench.slo_read_us", slo_read_us);
-    reg.gauge("bench.prop_worst_share_err", worst_err);
-    reg.gauge("bench.protected_read_p99_us", prot_p99);
-    reg.counter("bench.best_effort_shed", best_effort.shed);
-    reg.gauge("bench.wall_ms", wall.elapsed().as_secs_f64() * 1000.0);
-    write_bench_json("qos", &mut reg);
 }

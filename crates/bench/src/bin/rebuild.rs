@@ -16,19 +16,16 @@
 //!
 //! Every cell re-asserts the zero-host-acknowledged-loss audit. The
 //! default cell's rebuild curve (virtual time, ops done) is written to
-//! `rebuild_curve.csv` next to `BENCH_rebuild.json`.
+//! `rebuild_curve.csv` in the current directory.
 //!
 //! Run with: `cargo run --release -p bench --bin rebuild` (`--smoke`
 //! for the CI-sized variant).
 
-use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
+use bench::{banner, eval_config_from_args, run, Table};
 use cubeftl::harness::{ArrayEvalConfig, ArrayFailureConfig, FailSpec, Phase, Scenario};
-use cubeftl::{AgingState, FtlKind, MetricRegistry, StandardWorkload};
-use std::time::Instant;
+use cubeftl::{AgingState, FtlKind, StandardWorkload};
 
 fn main() {
-    let bench_wall = Instant::now();
-    let mut reg = MetricRegistry::new();
     let mut cfg = eval_config_from_args();
     cfg.requests = cfg.requests.min(4_000);
     let workload = StandardWorkload::Oltp;
@@ -109,14 +106,6 @@ fn main() {
             format!("{:+.1}%", (p99 / healthy_p99 - 1.0) * 100.0),
             format!("{}", r.audit.lost_pages),
         ]);
-        let prefix = format!("rebuild.batch{batch}.gap{gap_us:.0}");
-        reg.gauge(&format!("{prefix}.time_us"), r.resilience.rebuild_time_us);
-        reg.counter(&format!("{prefix}.pages"), r.resilience.rebuild_pages);
-        reg.gauge(&format!("{prefix}.degraded_read_p99_us"), p99);
-        reg.counter(
-            &format!("{prefix}.degraded_reads"),
-            r.resilience.degraded_reads,
-        );
         if batch == 8 {
             gap_times.push((gap_us, r.resilience.rebuild_time_us));
         }
@@ -146,25 +135,17 @@ fn main() {
         widest.1 / tightest.1,
     );
 
-    // The default cell's rebuild curve — the CI artifact next to the
-    // perf export.
+    // The default cell's rebuild curve — the CI artifact.
     let r = default_cell.expect("default cell ran");
-    let dir = std::env::var("BENCH_JSON_DIR").unwrap_or_else(|_| ".".to_owned());
-    let path = std::path::Path::new(&dir).join("rebuild_curve.csv");
+    let path = std::path::Path::new("./rebuild_curve.csv");
     let mut csv = String::from("t_us,ops_done\n");
     for (t_us, ops) in &r.rebuild.curve {
         csv.push_str(&format!("{t_us},{ops}\n"));
     }
-    std::fs::write(&path, csv).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    std::fs::write(path, csv).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!(
         "\nrebuild curve ({} points) written to {}",
         r.rebuild.curve.len(),
         path.display()
     );
-
-    reg.gauge("rebuild.healthy_read_p50_us", healthy_p50);
-    reg.gauge("rebuild.healthy_read_p99_us", healthy_p99);
-    reg.gauge("rebuild.fail_at_us", fail.at_us);
-    reg.gauge("bench.wall_ms", bench_wall.elapsed().as_secs_f64() * 1000.0);
-    write_bench_json("rebuild", &mut reg);
 }

@@ -18,13 +18,12 @@
 //!
 //! Run with: `cargo run --release -p bench --bin retry`
 
-use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
+use bench::{banner, eval_config_from_args, run, Table};
 use cubeftl::harness::{Scenario, TelemetrySpec};
 use cubeftl::{
-    events_to_ndjson, AgingState, EventKind, EventMask, FtlKind, MetricRegistry, OrtClusterConfig,
-    RetryOptConfig, StandardWorkload, TraceEvent,
+    events_to_ndjson, AgingState, EventKind, EventMask, FtlKind, OrtClusterConfig, RetryOptConfig,
+    StandardWorkload, TraceEvent,
 };
-use std::time::Instant;
 
 /// The reduction bar of the tentpole: v2 must cut NumRetry by at least
 /// this fraction at the aged EndOfLife state.
@@ -70,7 +69,6 @@ fn sum_trace(events: &[TraceEvent]) -> (u64, u64, u64, u64) {
 }
 
 fn main() {
-    let wall = Instant::now();
     let args: Vec<String> = std::env::args().collect();
     let out_path = args
         .iter()
@@ -233,21 +231,6 @@ fn main() {
         events_to_ndjson(&again.telemetry.events),
         "double run must reproduce the retry trace byte-identically"
     );
-
-    // Machine-readable export: the full curve plus the headline
-    // reduction and wall clock (the perf-trajectory artifact).
-    let mut reg = MetricRegistry::new();
-    for p in &points {
-        let prefix = format!("retry.{}.{}", p.aging, p.pipeline);
-        reg.counter(&format!("{prefix}.reads"), p.reads);
-        reg.counter(&format!("{prefix}.retry_events"), p.retry_events);
-        reg.counter(&format!("{prefix}.num_retry"), p.num_retry);
-        reg.counter(&format!("{prefix}.seeded_events"), p.seeded_events);
-        reg.counter(&format!("{prefix}.early_terminations"), p.early_terms);
-    }
-    reg.gauge("bench.eol_num_retry_reduction", reduction);
-    reg.gauge("bench.wall_ms", wall.elapsed().as_secs_f64() * 1000.0);
-    write_bench_json("retry", &mut reg);
 
     println!(
         "\n(v2 cut NumRetry {} -> {} at EndOfLife, a {:.1}% reduction — cross-block",

@@ -20,14 +20,12 @@
 //! Run with: `cargo run --release -p bench --bin shard` (`--smoke` for
 //! the CI-sized variant).
 
-use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
+use bench::{banner, eval_config_from_args, run, Table};
 use cubeftl::harness::{ArrayEvalConfig, Scenario};
-use cubeftl::{AgingState, FtlKind, MetricRegistry, StandardWorkload};
+use cubeftl::{AgingState, FtlKind, StandardWorkload};
 use std::time::Instant;
 
 fn main() {
-    let bench_wall = Instant::now();
-    let mut reg = MetricRegistry::new();
     let mut cfg = eval_config_from_args();
     cfg.requests = cfg.requests.min(8_000);
     let workload = StandardWorkload::Oltp;
@@ -74,14 +72,6 @@ fn main() {
             format!("{wall_ms:.0}"),
             format!("{:.3}", m.read_latency.percentile(99.0) / 1000.0),
         ]);
-        let prefix = format!("shard.{shards}");
-        reg.gauge(&format!("{prefix}.agg_iops"), m.iops);
-        reg.gauge(&format!("{prefix}.makespan_us"), m.sim_time_us);
-        reg.gauge(&format!("{prefix}.wall_ms"), wall_ms);
-        reg.gauge(
-            &format!("{prefix}.read_p99_us"),
-            m.read_latency.percentile(99.0),
-        );
     }
     t.print();
     assert!(
@@ -109,11 +99,4 @@ fn main() {
          repeated runs ({} debug-printed bytes compared)",
         one.len()
     );
-
-    // Machine-readable export: the per-shard-count scaling curve plus
-    // the headline speedup and wall clock (the perf-trajectory
-    // artifact).
-    reg.gauge("bench.scaling_4shard", iops_at_4 / base_iops);
-    reg.gauge("bench.wall_ms", bench_wall.elapsed().as_secs_f64() * 1000.0);
-    write_bench_json("shard", &mut reg);
 }

@@ -24,15 +24,12 @@
 //! Run with: `cargo run --release -p bench --bin spo` (`--smoke` for
 //! the CI-sized variant).
 
-use bench::{banner, eval_config_from_args, run, write_bench_json, Table};
+use bench::{banner, eval_config_from_args, run, Table};
 use cubeftl::harness::{CrashReport, EvalConfig, RunOutput, Scenario, SpoConfig};
-use cubeftl::{AgingState, FtlDriver, FtlKind, MetricRegistry, SpoTrigger, StandardWorkload};
+use cubeftl::{AgingState, FtlDriver, FtlKind, SpoTrigger, StandardWorkload};
 use ssdsim::HostContext;
-use std::time::Instant;
 
 fn main() {
-    let bench_wall = Instant::now();
-    let mut reg = MetricRegistry::new();
     let mut cfg = eval_config_from_args();
     cfg.requests = cfg.requests.min(20_000);
     let cut_at = cfg.requests * 3 / 4;
@@ -78,12 +75,6 @@ fn main() {
             format!("{:.3}", rec.nand_us / 1000.0),
             format!("{}", r.lost_lpns.len()),
         ]);
-        let prefix = format!("spo.ckpt{interval}");
-        reg.gauge(&format!("{prefix}.recovery_us"), rec.nand_us);
-        reg.counter(&format!("{prefix}.blocks_scanned"), rec.blocks_scanned);
-        reg.counter(&format!("{prefix}.oob_replayed"), rec.oob_records_replayed);
-        reg.counter(&format!("{prefix}.checkpoints"), r.checkpoints_taken);
-        reg.counter(&format!("{prefix}.lost_lpns"), r.lost_lpns.len() as u64);
     }
     t.print();
     println!(
@@ -92,13 +83,10 @@ fn main() {
     );
 
     banner("zero-loss grid — checkpoint cadence x seeded cut rate (OLTP, MidLife)");
-    cadence_rate_grid(&cfg, &mut reg);
+    cadence_rate_grid(&cfg);
 
     banner("post-boot warm-up — cold OPM/ORT re-monitored on first touch per h-layer");
-    warmup_curve(&mut reg);
-
-    reg.gauge("bench.wall_ms", bench_wall.elapsed().as_secs_f64() * 1000.0);
-    write_bench_json("spo", &mut reg);
+    warmup_curve();
 }
 
 /// Sweeps the crash-consistency contract over where the cut lands, not
@@ -122,7 +110,7 @@ fn crash_run(cfg: &EvalConfig, spo: SpoConfig) -> (RunOutput, CrashReport) {
     (out, crash)
 }
 
-fn cadence_rate_grid(cfg: &EvalConfig, reg: &mut MetricRegistry) {
+fn cadence_rate_grid(cfg: &EvalConfig) {
     let mut cfg = cfg.clone();
     cfg.requests = cfg.requests.min(6_000);
     let rates = [0.0005, 0.002, 0.008];
@@ -168,7 +156,6 @@ fn cadence_rate_grid(cfg: &EvalConfig, reg: &mut MetricRegistry) {
         fired_cells >= 6,
         "the grid must actually exercise crashes ({fired_cells} cells fired)"
     );
-    reg.counter("spo.grid.fired_cells", u64::from(fired_cells));
     println!(
         "\n(cells show the cut point in completed requests and the recovery NAND cost;\n\
          \x20every fired cell recovered with zero host-acknowledged loss)"
@@ -182,7 +169,7 @@ fn cadence_rate_grid(cfg: &EvalConfig, reg: &mut MetricRegistry) {
 /// programs and full retry searches until each h-layer's leader is
 /// re-monitored on first touch); later passes converge back to the
 /// warm device's numbers.
-fn warmup_curve(reg: &mut MetricRegistry) {
+fn warmup_curve() {
     let cfg = cubeftl::FtlConfig::small();
     let ctx = HostContext {
         buffer_utilization: 0.5,
@@ -257,10 +244,6 @@ fn warmup_curve(reg: &mut MetricRegistry) {
     println!(
         "(the cold boot pays full-verify programs until each h-layer's leader is re-monitored)"
     );
-    reg.gauge("spo.warmup.warm_tprog_us", warm_tprog);
-    reg.gauge("spo.warmup.cold_pass0_tprog_us", first.0);
-    reg.gauge("spo.warmup.last_pass_tprog_us", last.0);
-    reg.gauge("spo.warmup.cold_pass0_retries", first.1);
 }
 
 /// Overwrites LPNs `0..n` once, round-robin across chips; returns the

@@ -11,7 +11,7 @@
 //!   topology and FTL behaviour at laptop runtimes.
 
 use cubeftl::harness::{EvalConfig, RunOutput, Scenario, WorkloadSource};
-use cubeftl::{AgingState, FtlConfig, FtlKind, MetricRegistry, SimReport};
+use cubeftl::{AgingState, FtlConfig, FtlKind, SimReport};
 use nand3d::{NandChip, NandConfig};
 
 /// Seed used by every figure binary (reproducible output).
@@ -83,37 +83,6 @@ pub fn eval_config_from_args() -> EvalConfig {
         }
     }
     cfg
-}
-
-/// Version stamp shared by every `BENCH_*.json` artifact. Bump it when
-/// an entry is renamed or its meaning changes so downstream consumers
-/// (the CI regression-warning step, local diff scripts) can tell a
-/// schema break from a real perf shift.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
-
-/// Writes a `BENCH_<name>.json` perf artifact: the registry exported
-/// through the metrics exporter (name-sorted NDJSON, one object per
-/// line — the schema of every other telemetry export). This seeds the
-/// perf trajectory ROADMAP item 4 asks for: each bench binary registers
-/// its headline numbers plus a `bench.wall_ms` gauge, CI uploads the
-/// files, and successive runs form the baseline for regression gates.
-///
-/// Every artifact carries `bench.schema_version` =
-/// [`BENCH_SCHEMA_VERSION`], injected here so individual binaries
-/// cannot drift out of step.
-///
-/// The file lands in `$BENCH_JSON_DIR` when set, else the current
-/// directory. Returns the path written.
-pub fn write_bench_json(name: &str, reg: &mut MetricRegistry) -> std::path::PathBuf {
-    reg.counter("bench.schema_version", BENCH_SCHEMA_VERSION);
-    let dir = std::env::var("BENCH_JSON_DIR").unwrap_or_else(|_| ".".to_owned());
-    let path = std::path::Path::new(&dir).join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, reg.to_ndjson())
-        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    // stderr, so binaries with machine-readable stdout (active_sweep)
-    // can export without polluting their pipe output.
-    eprintln!("\nperf export written to {}", path.display());
-    path
 }
 
 /// A minimal fixed-width text-table printer for figure output.

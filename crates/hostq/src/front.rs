@@ -258,6 +258,15 @@ impl HostQueueFront {
         self.trace.take()
     }
 
+    /// Every tenant's global id and request stream, in the order the
+    /// profiles were passed in.
+    pub fn streams(&self) -> impl Iterator<Item = (u32, &dyn Workload)> {
+        self.tenants.iter().map(|t| {
+            let stream: &dyn Workload = t.stream.as_ref();
+            (t.profile.id, stream)
+        })
+    }
+
     /// Total arrivals shed across the population so far.
     pub fn total_shed(&self) -> u64 {
         self.tenants.iter().map(|t| t.shed).sum()

@@ -31,11 +31,9 @@
 
 pub mod parity;
 pub mod report;
-pub mod stripe;
 
 pub use parity::{page_fingerprint, xor_parity, PageRole, ParityRouter};
 pub use report::{ArrayReport, ResilienceReport};
-pub use stripe::StripeRouter;
 
 use ssdsim::{
     FtlDriver, HostFront, RebuildOp, RebuildSchedule, SimReport, SpoEvent, SpoTrigger, SsdSim,

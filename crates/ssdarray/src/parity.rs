@@ -40,9 +40,17 @@
 //!    reads local page `l` on every surviving shard and XORs — no
 //!    per-shard offset arithmetic in the degraded path.
 //!
-//! With `parity: false` the router degenerates to plain `S`-wide
-//! striping, byte-identical to [`crate::StripeRouter`] — the default
-//! path reproduces every pre-parity golden.
+//! With `parity: false` the router is the array's plain LPN striper —
+//! `D = S`, no row gives a stripe away, and the maps reduce to
+//!
+//! ```text
+//! shard(g)  = (g / P) % S
+//! local(g)  = (g / (P·S))·P + g % P
+//! global(s, l) = (l / P)·P·S + s·P + l % P
+//! ```
+//!
+//! — so trace replay on a healthy array routes through the same type,
+//! and the default path reproduces every pre-parity golden.
 
 use ssdsim::detrand::mix64;
 use ssdsim::{HostOp, HostRequest};
@@ -294,16 +302,52 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parity_off_matches_plain_striping() {
-        let plain = crate::StripeRouter::new(4, 8);
-        let off = ParityRouter::new(4, 8, false);
-        for g in 0..4 * 8 * 5 + 3 {
-            assert_eq!(plain.to_local(g), off.to_local(g));
-            let (s, l) = off.to_local(g);
-            assert_eq!(off.to_global(s, l), g);
+    fn parity_off_is_plain_striping() {
+        for shards in [1usize, 2, 3, 4, 8] {
+            for p in [1u64, 4, 64] {
+                let off = ParityRouter::new(shards, p, false);
+                let s64 = shards as u64;
+                for g in 0..(p * s64 * 3 + 7) {
+                    let plain = (((g / p) % s64) as usize, (g / (p * s64)) * p + g % p);
+                    assert_eq!(off.to_local(g), plain);
+                    assert_eq!(off.shard_of(g), plain.0);
+                    assert_eq!(off.to_global(plain.0, plain.1), g, "roundtrip at {g}");
+                }
+            }
         }
-        let req = HostRequest::write_span(6, 20);
-        assert_eq!(plain.split(req), off.split(req));
+    }
+
+    #[test]
+    fn split_cuts_spans_at_stripe_boundaries() {
+        let r = ParityRouter::new(2, 4, false);
+        // Pages 6..13 cross three stripes: [6,7] on shard 1, [8..11] on
+        // shard 0, [12] on shard 1.
+        let parts = r.split(HostRequest::write_span(6, 7));
+        assert_eq!(parts.len(), 3);
+        assert_eq!(parts[0], (1, HostRequest::write_span(2, 2)));
+        assert_eq!(parts[1], (0, HostRequest::write_span(4, 4)));
+        assert_eq!(parts[2], (1, HostRequest::write_span(4, 1)));
+        let pages: u64 = parts.iter().map(|(_, q)| u64::from(q.n_pages)).sum();
+        assert_eq!(pages, 7, "no page lost or duplicated");
+    }
+
+    #[test]
+    fn route_stream_preserves_order_and_ops() {
+        let r = ParityRouter::new(2, 1, false);
+        let stream = [
+            HostRequest::write(0),
+            HostRequest::read(1),
+            HostRequest::trim_span(2, 2),
+        ];
+        let routed = r.route_stream(stream);
+        assert_eq!(
+            routed[0],
+            vec![HostRequest::write(0), HostRequest::trim_span(1, 1)]
+        );
+        assert_eq!(
+            routed[1],
+            vec![HostRequest::read(0), HostRequest::trim_span(1, 1)]
+        );
     }
 
     #[test]

@@ -85,33 +85,16 @@ impl ArrayReport {
         merged
     }
 
-    /// Host-attributed write amplification over the whole array (same
-    /// definition as [`SimReport::wa_host`], on the accumulated
-    /// counters). `None` when nothing was written.
+    /// Host-attributed write amplification over the whole array
+    /// ([`ssdsim::FtlStats::wa_host`] on the accumulated counters).
     pub fn wa_host(&self) -> Option<f64> {
-        let host_pages = self.ftl.host_wl_programs * 3;
-        if host_pages == 0 {
-            return None;
-        }
-        let nand_pages =
-            (self.ftl.host_wl_programs + self.ftl.safety_reprograms + self.ftl.program_aborts) * 3
-                + self.ftl.gc_page_moves;
-        Some(nand_pages as f64 / host_pages as f64)
+        self.ftl.wa_host()
     }
 
-    /// Total write amplification including background maintenance and
-    /// checkpoint-region metadata programs, over the whole array.
+    /// Total write amplification over the whole array
+    /// ([`ssdsim::FtlStats::wa_total`] on the accumulated counters).
     pub fn wa_total(&self) -> Option<f64> {
-        let host_pages = self.ftl.host_wl_programs * 3;
-        if host_pages == 0 {
-            return None;
-        }
-        let nand_pages =
-            (self.ftl.host_wl_programs + self.ftl.safety_reprograms + self.ftl.program_aborts) * 3
-                + self.ftl.gc_page_moves
-                + self.ftl.maint_page_moves()
-                + self.ftl.ckpt_page_programs;
-        Some(nand_pages as f64 / host_pages as f64)
+        self.ftl.wa_total()
     }
 
     /// Total fault-recovery actions across all shards.

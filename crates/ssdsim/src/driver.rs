@@ -146,6 +146,33 @@ impl FtlStats {
         self.scrub_page_moves + self.wear_level_moves + self.maint_gc_page_moves
     }
 
+    /// Host-attributed write amplification: NAND pages programmed on
+    /// behalf of host traffic (host WLs + host-triggered GC migrations +
+    /// safety re-programs) per host page written. `None` when nothing
+    /// was written.
+    pub fn wa_host(&self) -> Option<f64> {
+        self.wa(0)
+    }
+
+    /// Total write amplification: background maintenance (scrub and
+    /// wear-level migrations, maintenance-triggered GC) and
+    /// checkpoint-region metadata programs on top of the
+    /// host-attributed pages. `wa_total == wa_host` when maintenance
+    /// and checkpointing are off.
+    pub fn wa_total(&self) -> Option<f64> {
+        self.wa(self.maint_page_moves() + self.ckpt_page_programs)
+    }
+
+    /// NAND pages programmed for the host plus `background_pages`, per
+    /// host page written (three pages per WL).
+    fn wa(&self, background_pages: u64) -> Option<f64> {
+        let host_pages = self.host_wl_programs * 3;
+        let nand_pages = (self.host_wl_programs + self.safety_reprograms + self.program_aborts) * 3
+            + self.gc_page_moves
+            + background_pages;
+        (host_pages > 0).then(|| nand_pages as f64 / host_pages as f64)
+    }
+
     /// Total background maintenance actions (block scrubs, wear-level
     /// migrations and OPM re-monitors) — the CLI's background-op count.
     pub fn maint_actions(&self) -> u64 {

@@ -239,44 +239,14 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Write amplification as seen by the host: alias of
-    /// [`SimReport::wa_host`], kept for callers that predate the
-    /// host/total split.
-    pub fn write_amplification(&self) -> Option<f64> {
-        self.wa_host()
-    }
-
-    /// Host-attributed write amplification: NAND pages programmed on
-    /// behalf of host traffic (host WLs + host-triggered GC migrations +
-    /// safety re-programs) per host page written. Returns `None` when
-    /// the run wrote nothing.
+    /// Host-attributed write amplification ([`FtlStats::wa_host`]).
     pub fn wa_host(&self) -> Option<f64> {
-        let host_pages: u64 = self.ftl.host_wl_programs * 3;
-        if host_pages == 0 {
-            return None;
-        }
-        let nand_pages =
-            (self.ftl.host_wl_programs + self.ftl.safety_reprograms + self.ftl.program_aborts) * 3
-                + self.ftl.gc_page_moves;
-        Some(nand_pages as f64 / host_pages as f64)
+        self.ftl.wa_host()
     }
 
-    /// Total write amplification including background maintenance
-    /// (scrub and wear-level migrations, maintenance-triggered GC) and
-    /// checkpoint-region metadata programs on top of the
-    /// host-attributed pages. `wa_total == wa_host` when maintenance
-    /// and checkpointing are off.
+    /// Total write amplification ([`FtlStats::wa_total`]).
     pub fn wa_total(&self) -> Option<f64> {
-        let host_pages: u64 = self.ftl.host_wl_programs * 3;
-        if host_pages == 0 {
-            return None;
-        }
-        let nand_pages =
-            (self.ftl.host_wl_programs + self.ftl.safety_reprograms + self.ftl.program_aborts) * 3
-                + self.ftl.gc_page_moves
-                + self.ftl.maint_page_moves()
-                + self.ftl.ckpt_page_programs;
-        Some(nand_pages as f64 / host_pages as f64)
+        self.ftl.wa_total()
     }
 
     /// Total background maintenance operations dispatched across chips.
@@ -1556,16 +1526,6 @@ impl SsdSim {
             let d_completed = self.completed - s.win_completed;
             let d_reads = stats.nand_reads - s.last_ftl.nand_reads;
             let d_retries = stats.read_retries - s.last_ftl.read_retries;
-            let host_pages = stats.host_wl_programs * 3;
-            let wa_total = if host_pages == 0 {
-                0.0
-            } else {
-                ((stats.host_wl_programs + stats.safety_reprograms + stats.program_aborts) * 3
-                    + stats.gc_page_moves
-                    + stats.maint_page_moves()
-                    + stats.ckpt_page_programs) as f64
-                    / host_pages as f64
-            };
             s.series.push(
                 s.shard,
                 SampleRow {
@@ -1589,7 +1549,7 @@ impl SsdSim {
                         .map(|c| c.queue.len() as u64 + u64::from(c.busy))
                         .sum(),
                     free_blocks: ftl.free_blocks(),
-                    wa_total,
+                    wa_total: stats.wa_total().unwrap_or(0.0),
                 },
             );
             s.win_completed = self.completed;
@@ -2019,17 +1979,17 @@ mod tests {
     }
 
     #[test]
-    fn write_amplification_reported() {
+    fn wa_host_reported() {
         let cfg = SsdConfig::small();
         let mut sim = SsdSim::new(cfg);
         let mut ftl = StubFtl::new(cfg.chips);
         let report = sim.run(&mut ftl, (0..120u64).map(HostRequest::write), 120);
         // The stub never garbage-collects, so WA = 1 exactly.
-        assert_eq!(report.write_amplification(), Some(1.0));
+        assert_eq!(report.wa_host(), Some(1.0));
         // A fresh FTL that never wrote reports no WA.
         let mut fresh = StubFtl::new(cfg.chips);
         let empty = sim.run(&mut fresh, std::iter::empty(), 0);
-        assert_eq!(empty.write_amplification(), None);
+        assert_eq!(empty.wa_host(), None);
     }
 
     #[test]

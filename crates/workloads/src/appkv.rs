@@ -9,11 +9,14 @@
 //! instead of being baked into a synthetic mix.
 
 use crate::Workload;
-use kvsim::{KvAppReport, KvConfig, KvEvent, KvStream, YcsbKind};
+use kvsim::{KvConfig, KvStream, YcsbKind};
 use ssdsim::HostRequest;
 
 /// A YCSB workload driving the kvsim LSM engine over the device's
 /// logical space. Endless and deterministic per `(config, kind, seed)`.
+/// App-level results (ops, hit rates, p99 page costs, app-WA,
+/// compaction debt) and the flush/compaction log are read off the
+/// engine through [`Workload::kv_engine`].
 #[derive(Debug)]
 pub struct YcsbWorkload {
     stream: KvStream,
@@ -21,34 +24,13 @@ pub struct YcsbWorkload {
 }
 
 impl YcsbWorkload {
-    /// Default engine shape over `logical_pages` (key count clamped to
-    /// fit the space).
-    pub fn new(kind: YcsbKind, logical_pages: u64, seed: u64) -> Self {
-        Self::with_config(KvConfig::default_shape(), kind, logical_pages, seed)
-    }
-
-    /// Explicit engine shape.
-    pub fn with_config(cfg: KvConfig, kind: YcsbKind, logical_pages: u64, seed: u64) -> Self {
+    /// An engine of shape `cfg` over `logical_pages` (key count clamped
+    /// to fit the space).
+    pub fn new(cfg: KvConfig, kind: YcsbKind, logical_pages: u64, seed: u64) -> Self {
         YcsbWorkload {
             stream: KvStream::new(cfg, kind, logical_pages, seed),
             label: kind.label(),
         }
-    }
-
-    /// App-level results so far (ops, hit rates, p99 page costs,
-    /// app-WA, compaction debt).
-    pub fn report(&self) -> KvAppReport {
-        self.stream.report()
-    }
-
-    /// Flush/compaction events so far, for telemetry tagging.
-    pub fn events(&self) -> &[KvEvent] {
-        self.stream.events()
-    }
-
-    /// The engine configuration after clamping.
-    pub fn config(&self) -> &KvConfig {
-        self.stream.config()
     }
 }
 
@@ -64,6 +46,10 @@ impl Workload for YcsbWorkload {
     fn label(&self) -> &str {
         self.label
     }
+
+    fn kv_engine(&self) -> Option<&KvStream> {
+        Some(&self.stream)
+    }
 }
 
 #[cfg(test)]
@@ -72,7 +58,8 @@ mod tests {
 
     #[test]
     fn wrapper_labels_and_streams() {
-        let mut w = YcsbWorkload::new(YcsbKind::A, 16_384, 9);
+        let shape = KvConfig::default_shape;
+        let mut w = YcsbWorkload::new(shape(), YcsbKind::A, 16_384, 9);
         assert_eq!(w.label(), "ycsb_a");
         let reqs: Vec<_> = (&mut w).take(3_000).collect();
         assert_eq!(reqs.len(), 3_000);
@@ -81,7 +68,7 @@ mod tests {
                 assert!(lpn < 16_384, "lpn {lpn} out of space");
             }
         }
-        let again: Vec<_> = YcsbWorkload::new(YcsbKind::A, 16_384, 9)
+        let again: Vec<_> = YcsbWorkload::new(shape(), YcsbKind::A, 16_384, 9)
             .take(3_000)
             .collect();
         assert_eq!(reqs, again, "stream must be deterministic");
@@ -89,9 +76,9 @@ mod tests {
 
     #[test]
     fn report_reflects_measured_ops() {
-        let mut w = YcsbWorkload::new(YcsbKind::B, 16_384, 5);
+        let mut w = YcsbWorkload::new(KvConfig::default_shape(), YcsbKind::B, 16_384, 5);
         for _ in (&mut w).take(4_000) {}
-        let r = w.report();
+        let r = w.kv_engine().expect("runs an engine").report();
         assert!(r.stats.ops > 0);
         assert!(r.stats.reads >= r.stats.updates, "B is read-mostly");
     }

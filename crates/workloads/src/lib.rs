@@ -52,6 +52,13 @@ use ssdsim::HostRequest;
 pub trait Workload: Iterator<Item = HostRequest> {
     /// Display name for reports (matches the paper's figure labels).
     fn label(&self) -> &str;
+
+    /// The application engine behind the stream, when it runs one: its
+    /// app-level report and maintenance log reach the run's fan-in
+    /// through here, whichever host interface drives the stream.
+    fn kv_engine(&self) -> Option<&kvsim::KvStream> {
+        None
+    }
 }
 
 /// The six evaluation workloads of §6.1.
@@ -81,6 +88,13 @@ impl StandardWorkload {
         StandardWorkload::Rocks,
         StandardWorkload::Mongo,
     ];
+
+    /// Parses a figure label, case-insensitively (`mail`, `OLTP`, …).
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::ALL
+            .into_iter()
+            .find(|w| w.label().eq_ignore_ascii_case(s))
+    }
 
     /// Figure label.
     pub fn label(self) -> &'static str {
@@ -196,5 +210,13 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(StandardWorkload::Rocks.build(1000, 0).label(), "Rocks");
         assert_eq!(StandardWorkload::Mail.to_string(), "Mail");
+        for kind in StandardWorkload::ALL {
+            assert_eq!(kind.build(1000, 0).label(), kind.label());
+            assert_eq!(
+                StandardWorkload::parse(&kind.label().to_lowercase()),
+                Some(kind)
+            );
+        }
+        assert_eq!(StandardWorkload::parse("a"), None);
     }
 }

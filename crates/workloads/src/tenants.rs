@@ -11,7 +11,7 @@
 //! standard generators.
 
 use crate::{StandardWorkload, Workload, YcsbWorkload};
-use kvsim::YcsbKind;
+use kvsim::{KvConfig, YcsbKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssdsim::detrand::mix64;
@@ -69,7 +69,10 @@ impl TenantClass {
     }
 }
 
-/// The request-stream personality of one tenant.
+/// The request-stream personality of a host: the one type that names a
+/// generator, for a tenant of a population and for a whole scenario
+/// alike, with the one [`TenantMix::parse`] and the one
+/// [`TenantMix::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TenantMix {
     /// One of the six §6.1 generators.
@@ -86,6 +89,25 @@ pub enum TenantMix {
 }
 
 impl TenantMix {
+    /// Parses the names the CLI takes: a standard workload label
+    /// (case-insensitive) or any [`YcsbKind`] spelling (`a`, `ycsb_a`,
+    /// …).
+    pub fn parse(s: &str) -> Option<Self> {
+        StandardWorkload::parse(s)
+            .map(TenantMix::Standard)
+            .or_else(|| YcsbKind::parse(s).map(TenantMix::Kv))
+    }
+
+    /// Builds the request stream over `logical_pages`; a KV personality
+    /// runs an engine of shape `kv`.
+    pub fn build(self, kv: KvConfig, logical_pages: u64, seed: u64) -> Box<dyn Workload + Send> {
+        match self {
+            TenantMix::Standard(w) => w.build(logical_pages, seed),
+            TenantMix::Uniform => Box::new(UniformTenantWorkload::new(logical_pages, seed)),
+            TenantMix::Kv(kind) => Box::new(YcsbWorkload::new(kv, kind, logical_pages, seed)),
+        }
+    }
+
     /// Display label.
     pub fn label(self) -> &'static str {
         match self {
@@ -113,13 +135,11 @@ pub struct TenantProfile {
 }
 
 impl TenantProfile {
-    /// Builds this tenant's request stream over `logical_pages`.
+    /// Builds this tenant's request stream over `logical_pages` (KV
+    /// tenants at the default engine shape).
     pub fn build_stream(&self, logical_pages: u64) -> Box<dyn Workload + Send> {
-        match self.mix {
-            TenantMix::Standard(w) => w.build(logical_pages, self.seed),
-            TenantMix::Uniform => Box::new(UniformTenantWorkload::new(logical_pages, self.seed)),
-            TenantMix::Kv(kind) => Box::new(YcsbWorkload::new(kind, logical_pages, self.seed)),
-        }
+        self.mix
+            .build(KvConfig::default_shape(), logical_pages, self.seed)
     }
 }
 

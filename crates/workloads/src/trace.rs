@@ -103,9 +103,14 @@ impl Trace {
 
     /// An owning iterator replaying the trace as a [`Workload`].
     pub fn replay(&self) -> TraceReplay {
+        self.clone().into_replay()
+    }
+
+    /// [`Trace::replay`] without the copy.
+    pub fn into_replay(self) -> TraceReplay {
         TraceReplay {
-            requests: self.requests.clone(),
-            label: self.label.clone(),
+            requests: self.requests,
+            label: self.label,
             pos: 0,
         }
     }

@@ -63,9 +63,10 @@
 //! priority gap — repopulates a blank spare (`--spare-shards 1`). Adding
 //! `--spo-at-us` composes an array-wide power cut into the degraded
 //! phase. The run exits non-zero unless the audit proves zero
-//! host-acknowledged loss. Array resilience cannot be combined with
-//! the QoS front-end, `--trace-file`, `--kv`, a lifetime campaign,
-//! `--capture-trace-out` or `--series-out`.
+//! host-acknowledged loss. The request source is free (`--workload`,
+//! `--kv` or `--trace-file`: one global stream, routed); array
+//! resilience cannot be combined with the QoS front-end, a lifetime
+//! campaign, `--capture-trace-out` or `--series-out`.
 //!
 //! `--ort-capacity N` bounds the per-chip offset-reuse table to N entries
 //! with LRU eviction (default: unbounded); hit/miss/eviction counters
@@ -100,9 +101,11 @@
 //! per-tenant outcome is byte-identical at any `--array-threads` count.
 //! With `--queues 1 --tenants 1` (the default) the front-end is
 //! disengaged and the device is driven by its closed-loop stream.
-//! Engaged, it cannot be combined with `--trace-file` (use
-//! `--qos-trace`), SPO cuts, array resilience, `--kv`, a lifetime
-//! campaign or `--capture-trace-out`.
+//! Engaged, every tenant runs the workload the run names — with `--kv`
+//! one LSM engine per tenant, each reporting its own app-level results
+//! — and it cannot be combined with `--trace-file` (use `--qos-trace`),
+//! SPO cuts, array resilience, a lifetime campaign or
+//! `--capture-trace-out`.
 //!
 //! `--lifetime-epochs N` (N > 1, or any other `--lifetime-*` knob)
 //! engages the fast-forward aging campaign (`crates/lifetime`): the
@@ -119,11 +122,11 @@
 //! (5 epochs to the paper's 2K P/E + 12 months end-of-life point).
 //! Combines with `--maint` (maintenance races the drift), `--shards`
 //! (each shard ages under its own seeded engine, byte-identical at any
-//! `--array-threads` count) and single-device `--trace-file` (the
-//! recorded trace replays at every age point); it cannot be combined
-//! with SPO cuts, the QoS front-end, array resilience, `--kv` (use
-//! `--lifetime-workloads`), `--capture-trace-out` or the telemetry
-//! output files.
+//! `--array-threads` count), `--kv` (a fresh engine per epoch) and
+//! `--trace-file` (the recorded trace replays at every age point, on
+//! one device or striped over the array); it cannot be combined with
+//! SPO cuts, the QoS front-end, array resilience, `--capture-trace-out`
+//! or the telemetry output files.
 //!
 //! `--kv KIND` replaces the synthetic workload with the kvsim
 //! application layer (`crates/kvsim`): a real miniature LSM-tree KV
@@ -138,13 +141,15 @@
 //! engine (key count, value size, memtable/SST entries, L0 trigger,
 //! level fanout and count); the key count is clamped to fit the
 //! device. Combines with `--shards` (one independent engine per
-//! shard, byte-identical at any `--array-threads` count) and the
-//! telemetry files (`kv.*` metrics, `kv` trace events) and SPO cuts
+//! shard, byte-identical at any `--array-threads` count), the
+//! telemetry files (`kv.*` metrics, `kv` trace events), SPO cuts
 //! (`--spo-at`, or `--shards N --spo-at-us`: the crash experiment's
-//! device-level zero-acknowledged-loss audit over the engine's LPNs);
-//! it cannot be combined with `--trace-file`, the QoS front-end, array
-//! resilience, or `--lifetime-epochs` (use `--lifetime-workloads`).
-//! Without `--kv` every run is byte-identical to the pre-KV binary.
+//! device-level zero-acknowledged-loss audit over the engine's LPNs),
+//! the QoS front-end (one engine per tenant), array resilience (one
+//! engine behind the routed global stream) and a lifetime campaign.
+//! `--kv`, `--trace-file` and `--lifetime-workloads` each name the
+//! request source, so at most one of them may be given. Without `--kv`
+//! every run is byte-identical to the pre-KV binary.
 //!
 //! `--capture-trace-out PATH` records the device-level request stream
 //! of a single-device run (synthetic, `--kv`, or `--trace-file`
@@ -169,9 +174,10 @@
 //! (`all`, `none`, or a comma list of `host,ispp,retry,gc,maint,ckpt,
 //! spo,opm,hostq,slo`; default `all`); `--series-out PATH` writes a time series
 //! sampled every `--sample-interval-us T` of virtual time (CSV when the
-//! path ends in `.csv`, NDJSON otherwise); `--metrics-out PATH` writes
-//! the end-of-run metric registry (named counters, gauges and latency
-//! histograms) as NDJSON. The files require a single `--ftl` kind and
+//! path ends in `.csv`, NDJSON otherwise; T is at least 1 µs);
+//! `--metrics-out PATH` writes the end-of-run metric registry (named
+//! counters, gauges and latency histograms) as NDJSON. The files
+//! require a single `--ftl` kind and
 //! cannot be combined with an SPO cut (array-resilience runs export
 //! their barrier-stamped events and per-phase metrics instead, without
 //! `--series-out`) or a lifetime campaign; `--trace-file` replays are
@@ -198,14 +204,13 @@
 //! ```
 
 use cubeftl::harness::{
-    register_kv_metrics, ArrayEvalConfig, ArrayFailureConfig, EpochWorkload, EvalConfig, FailSpec,
-    KvSpec, Phase, QosSpec, RunOutput, Scenario, ScenarioError, SpoConfig, TelemetrySpec,
-    WorkloadSource,
+    register_kv_metrics, ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, KvSpec, Phase,
+    QosSpec, RunOutput, Scenario, ScenarioError, SpoConfig, TelemetrySpec, WorkloadSource,
 };
 use cubeftl::{
     events_to_ndjson, AgingState, EventMask, FaultKind, FaultPlan, FtlKind, FtlStats, KvAppReport,
     LatencyRecorder, LifetimeConfig, MaintConfig, MaintSchedule, MetricRegistry, OrtClusterConfig,
-    QosReport, RetryOptConfig, SpoTrigger, StandardWorkload, Trace, YcsbKind,
+    QosReport, RetryOptConfig, SpoTrigger, StandardWorkload, TenantMix, Trace, YcsbKind,
 };
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -237,18 +242,6 @@ fn parse_ftl(s: &str) -> Option<Vec<FtlKind>> {
         "cube" => vec![FtlKind::Cube],
         "cube-" | "cube_minus" => vec![FtlKind::CubeMinus],
         "all" => FtlKind::ALL.to_vec(),
-        _ => return None,
-    })
-}
-
-fn parse_workload(s: &str) -> Option<StandardWorkload> {
-    Some(match s {
-        "mail" => StandardWorkload::Mail,
-        "web" => StandardWorkload::Web,
-        "proxy" => StandardWorkload::Proxy,
-        "oltp" => StandardWorkload::Oltp,
-        "rocks" => StandardWorkload::Rocks,
-        "mongo" => StandardWorkload::Mongo,
         _ => return None,
     })
 }
@@ -378,8 +371,9 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     let mut trace_file: Option<String> = None;
     let mut qos = QosSpec::off();
     let mut qos_trace_file: Option<String> = None;
-    let mut phases: Option<Vec<EpochWorkload>> = None;
-    let mut kv = KvSpec::off();
+    let mut phases: Option<Vec<TenantMix>> = None;
+    let mut kv_kind: Option<YcsbKind> = None;
+    let mut kv = KvSpec::default();
     // The --qos-* / --kv-* knobs are inert without their layer engaged;
     // that combination is rejected instead of silently ignored.
     let (mut qos_knob_seen, mut kv_knob_seen) = (false, false);
@@ -413,7 +407,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         i += 1;
         match flag {
             "--ftl" => kinds = parse_ftl(v).ok_or(Stop::Usage)?,
-            "--workload" => workload = parse_workload(v).ok_or(Stop::Usage)?,
+            "--workload" => workload = StandardWorkload::parse(v).ok_or(Stop::Usage)?,
             "--aging" => aging = parse_aging(v).ok_or(Stop::Usage)?,
             "--requests" => cfg.requests = num(v, any)?,
             "--blocks" => cfg.blocks_per_chip = num(v, any)?,
@@ -485,10 +479,8 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
             "--lifetime-pattern-wear" => life.pattern_wear = on_off(v)?,
             "--lifetime-seed" => life.seed = num(v, any)?,
             "--lifetime-workloads" => {
-                let parsed: Option<Vec<EpochWorkload>> = v
-                    .split(',')
-                    .map(|p| EpochWorkload::parse(p.trim()))
-                    .collect();
+                let parsed: Option<Vec<TenantMix>> =
+                    v.split(',').map(|p| TenantMix::parse(p.trim())).collect();
                 phases = Some(parsed.ok_or_else(|| {
                     Stop::Message(
                         "--lifetime-workloads: each phase is mail|web|proxy|oltp|rocks|mongo \
@@ -497,7 +489,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
                     )
                 })?);
             }
-            "--kv" => kv.workload = Some(YcsbKind::parse(v).ok_or(Stop::Usage)?),
+            "--kv" => kv_kind = Some(YcsbKind::parse(v).ok_or(Stop::Usage)?),
             "--kv-keys" => kv.keys = num(v, |&n| n >= 1)?,
             "--kv-value-bytes" => kv.value_bytes = num(v, |&n| n >= 1)?,
             "--kv-memtable-entries" => kv.memtable_entries = num(v, |&n| n >= 1)?,
@@ -573,10 +565,30 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     if let Some(c) = celsius {
         cfg.ambient_celsius = c;
     }
-    let trace = trace_file.as_deref().map(load_trace).transpose()?;
-    if let (Some(path), Some(t)) = (&trace_file, &trace) {
-        println!("trace {path}: {} requests ({})", t.len(), t.label());
+    // One field says where requests come from, so at most one flag may
+    // (--workload only sets the default the others replace).
+    let named = [
+        ("--kv", kv_kind.is_some()),
+        ("--trace-file", trace_file.is_some()),
+        ("--lifetime-workloads", phases.is_some()),
+    ];
+    let mut named = named.iter().filter(|(_, given)| *given);
+    if let (Some((a, _)), Some((b, _))) = (named.next(), named.next()) {
+        return message(&format!(
+            "{a} and {b} both name the request source: pick one"
+        ));
     }
+    let source =
+        match &trace_file {
+            Some(path) => {
+                let t = load_trace(path)?;
+                println!("trace {path}: {} requests ({})", t.len(), t.label());
+                WorkloadSource::Trace(t)
+            }
+            None => WorkloadSource::Phases(phases.unwrap_or_else(|| {
+                vec![kv_kind.map_or(TenantMix::Standard(workload), TenantMix::Kv)]
+            })),
+        };
 
     // Checks that concern flags rather than the scenario they build.
     if qos_knob_seen && !qos.engaged() {
@@ -592,15 +604,13 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     if arr.shards > 1 && fc.fail.is_some() && fail_seed.is_some() {
         return message("--fail-shard and --fail-seed are exclusive: pick one");
     }
-    let kv_phase = |p: &Vec<EpochWorkload>| p.iter().any(|w| matches!(w, EpochWorkload::Kv(_)));
-    if kv_knob_seen && !kv.engaged() && !phases.as_ref().is_some_and(kv_phase) {
+    let runs_kv = matches!(&source, WorkloadSource::Phases(p)
+        if p.iter().any(|w| matches!(w, TenantMix::Kv(_))));
+    if kv_knob_seen && !runs_kv {
         return message(
             "KV engine knobs (--kv-*) shape the kvsim engine: pass --kv KIND \
              or a KV phase in --lifetime-workloads",
         );
-    }
-    if life_on && trace.is_some() && phases.is_some() && arr.shards == 1 {
-        return message("--trace-file replays one recorded stream: drop --lifetime-workloads");
     }
 
     fc.rebuild.batch_pages = rebuild_batch.unwrap_or(fc.rebuild.batch_pages);
@@ -626,16 +636,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
             sample_interval_us,
         },
         capture: out.capture.is_some(),
-        ..Scenario::new(
-            kinds[0],
-            match (trace, phases) {
-                (Some(t), _) => WorkloadSource::Trace(t),
-                (None, Some(p)) => WorkloadSource::Epochs(p),
-                (None, None) => WorkloadSource::Standard(workload),
-            },
-            aging,
-            &cfg,
-        )
+        ..Scenario::new(kinds[0], source, aging, &cfg)
     };
     sc.validate()?;
     // --metrics-out alone arms no collector, but is telemetry output.
@@ -663,7 +664,8 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
             // failure lands inside every shard's run: use the shortest.
             let probe = Scenario {
                 array: sc.array,
-                ..Scenario::new(kind, workload, aging, &cfg)
+                kv: sc.kv,
+                ..Scenario::new(kind, sc.workload.clone(), aging, &cfg)
             };
             let makespan = probe.run()?.phases[0]
                 .shards
@@ -720,7 +722,7 @@ fn print_banners(sc: &Scenario) {
             if life.pattern_wear { "on" } else { "off" },
             life.seed,
         );
-        if let WorkloadSource::Epochs(phases) = &sc.workload {
+        if let WorkloadSource::Phases(phases) = &sc.workload {
             if phases.len() > 1 {
                 let names: Vec<&str> = phases.iter().map(|p| p.label()).collect();
                 println!("phases (cycled per epoch): {}", names.join(", "));
@@ -783,19 +785,21 @@ fn print_banners(sc: &Scenario) {
             qos.queues, qos.tenants, qos.weights, qos.sq_depth, qos.arrival_interval_us
         );
     }
-    if let Some(kind) = sc.kv.workload {
-        let c = sc.kv.kv_config();
-        println!(
-            "kv: {} over {} keys ({}-byte values), memtable {} entries, \
-             L0 trigger {}, fanout {}, {} levels\n",
-            kind.label(),
-            c.keys,
-            c.value_bytes,
-            c.memtable_entries,
-            c.l0_files,
-            c.fanout,
-            c.max_levels,
-        );
+    if let WorkloadSource::Phases(phases) = &sc.workload {
+        if let TenantMix::Kv(kind) = phases[0] {
+            let c = sc.kv.kv_config();
+            println!(
+                "kv: {} over {} keys ({}-byte values), memtable {} entries, \
+                 L0 trigger {}, fanout {}, {} levels\n",
+                kind.label(),
+                c.keys,
+                c.value_bytes,
+                c.memtable_entries,
+                c.l0_files,
+                c.fanout,
+                c.max_levels,
+            );
+        }
     }
     print_table_header();
 }
@@ -869,12 +873,25 @@ fn print_run(sc: &Scenario, r: &RunOutput) -> bool {
     if let Some(qos) = &r.qos {
         print_qos_summary(qos);
     }
-    match (&r.kv, sc.array) {
-        (Some(kv), Some(_)) => print_kv_array_summary(&kv.apps, m.sim_time_us),
+    match (&r.kv, kv_unit(sc)) {
+        (Some(kv), Some(unit)) => print_kv_engines_summary(&kv.apps, unit, m.sim_time_us),
         (Some(kv), None) => print_kv_summary(&kv.apps[0], m.sim_time_us),
         (None, _) => {}
     }
     false
+}
+
+/// What the engines of a KV run are counted in: one per tenant under
+/// the QoS front-end, one per shard on an array, and a single anonymous
+/// engine otherwise (one device, or a failure run's global stream).
+fn kv_unit(sc: &Scenario) -> Option<&'static str> {
+    if sc.qos.engaged() {
+        Some("tenant")
+    } else if sc.array.is_some() && sc.failure.is_none() {
+        Some("shard")
+    } else {
+        None
+    }
 }
 
 fn ops_per_sec(ops: u64, sim_time_us: f64) -> f64 {
@@ -913,13 +930,13 @@ fn print_kv_summary(app: &KvAppReport, sim_time_us: f64) {
     );
 }
 
-/// The per-shard KV outcome of an array run: the aggregate plus each
-/// engine's app-WA.
-fn print_kv_array_summary(apps: &[KvAppReport], sim_time_us: f64) {
+/// The KV outcome of a run with one engine per `unit`: the aggregate
+/// plus each engine's app-WA.
+fn print_kv_engines_summary(apps: &[KvAppReport], unit: &str, sim_time_us: f64) {
     let ops: u64 = apps.iter().map(|a| a.stats.ops).sum();
     let was: Vec<String> = apps.iter().map(|a| format!("{:.2}", a.app_wa())).collect();
     println!(
-        "{:<10} kv: {} total ops across {} engines at {:.0} ops/s, per-shard app-WA [{}]",
+        "{:<10} kv: {} total ops across {} engines at {:.0} ops/s, per-{unit} app-WA [{}]",
         "", // aligned under the FTL column
         ops,
         apps.len(),
@@ -955,20 +972,15 @@ fn write_telemetry(out: &Outputs, sc: &Scenario, r: &RunOutput) -> Result<(), St
     }
     if let Some(path) = &out.metrics {
         let mut reg = MetricRegistry::new();
-        let m = r.merged();
-        match (sc.array, &r.kv) {
-            (Some(_), kv) => {
-                m.register_metrics(&mut reg, "array");
-                for (s, app) in kv.iter().flat_map(|kv| kv.apps.iter().enumerate()) {
-                    register_kv_metrics(&mut reg, &format!("kv.shard{s}."), app, m.sim_time_us);
-                }
-            }
-            (None, kv) => {
-                r.sim().register_metrics(&mut reg, "ssd");
-                if let Some(kv) = kv {
-                    register_kv_metrics(&mut reg, "kv.", &kv.apps[0], m.sim_time_us);
-                }
-            }
+        match sc.array {
+            Some(_) => r.merged().register_metrics(&mut reg, "array"),
+            None => r.sim().register_metrics(&mut reg, "ssd"),
+        }
+        // Engines run across every phase (one, outside failure runs).
+        let sim_time_us = r.phases.iter().map(|p| p.merged.sim_time_us).sum();
+        for (i, app) in r.kv.iter().flat_map(|kv| kv.apps.iter().enumerate()) {
+            let prefix = kv_unit(sc).map_or("kv.".to_owned(), |unit| format!("kv.{unit}{i}."));
+            register_kv_metrics(&mut reg, &prefix, app, sim_time_us);
         }
         if let Some(qos) = &r.qos {
             qos.register_metrics(&mut reg);

@@ -4,10 +4,12 @@
 //! prefill, age, drive a workload, report — so the harness has one
 //! value describing an experiment, [`Scenario`], and one way to run it,
 //! [`Scenario::run`]. Every feature is an orthogonal field of the
-//! scenario (sharded array, QoS front-end, KV application layer,
-//! lifetime campaign, sudden power-off, shard failure, telemetry,
-//! trace capture); [`Scenario::validate`] names the combinations that
-//! are not supported.
+//! scenario (sharded array, QoS front-end, lifetime campaign, sudden
+//! power-off, shard failure, telemetry, trace capture), and exactly one
+//! field — [`Scenario::workload`] — says where requests come from: a
+//! [`TenantMix`] personality per epoch, or a recorded trace.
+//! [`Scenario::validate`] names the combinations that are not
+//! supported, each with its reason.
 //!
 //! `run` is one pipeline. It prepares the shard list once — a single
 //! device is a one-element list seeded with the master seed, an array
@@ -31,12 +33,11 @@
 
 use ftl::{Ftl, FtlConfig, FtlKind, MaintConfig, OrtClusterConfig, RecoveryReport};
 use hostq::{split_arrival_budget, split_even_budget, HostQueueConfig, HostQueueFront, QosReport};
-use kvsim::{KvAppReport, KvConfig, KvEvent, KvStream, YcsbKind};
+use kvsim::{KvAppReport, KvConfig, KvEvent};
 use lifetime::{EpochSummary, LifetimeConfig, LifetimeEngine};
 use nand3d::{AgingState, FaultPlan, RetryOptConfig};
 use ssdarray::{
     ArrayReport, ArrayShard, PageRole, ParityRouter, RebuildPlan, ResilienceReport, SsdArray,
-    StripeRouter,
 };
 use ssdsim::detrand::mix64;
 use ssdsim::{
@@ -300,8 +301,8 @@ impl FailSpec {
 /// cross-shard parity, whole-shard failure injection, hot spares and
 /// the background rebuild pacing. With the spec present the host
 /// stream is one global stream routed through the [`ParityRouter`]
-/// (with everything off it routes exactly like the plain
-/// [`StripeRouter`]) instead of per-shard substreams.
+/// (with everything off it is plain LPN striping) instead of per-shard
+/// substreams.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayFailureConfig {
     /// Rotating cross-shard XOR parity (RAID-5-style, one parity stripe
@@ -385,9 +386,6 @@ pub struct QosSpec {
     pub slo_read_us: Option<f64>,
     /// Write-latency SLO, µs (`--qos-slo-write-us`).
     pub slo_write_us: Option<f64>,
-    /// Tenant stream personality override. `None` = every tenant runs
-    /// the scenario's [`StandardWorkload`].
-    pub mix: Option<TenantMix>,
     /// Optional recorded trace replayed by tenant 0 instead of its
     /// synthetic stream (`--qos-trace`; single-device runs only).
     pub trace: Option<Trace>,
@@ -405,7 +403,6 @@ impl QosSpec {
             equal_arrivals: false,
             slo_read_us: None,
             slo_write_us: None,
-            mix: None,
             trace: None,
         }
     }
@@ -437,19 +434,19 @@ impl QosSpec {
         }
     }
 
-    /// Builds tenant streams over `space` pages, honouring the tenant-0
-    /// trace override.
-    fn streams(&self, profiles: &[TenantProfile], space: u64) -> Vec<Box<dyn Workload + Send>> {
+    /// Builds tenant streams over `space` pages (KV tenants run an
+    /// engine of shape `kv`), honouring the tenant-0 trace override.
+    fn streams(
+        &self,
+        profiles: &[TenantProfile],
+        space: u64,
+        kv: KvConfig,
+    ) -> Vec<Box<dyn Workload + Send>> {
         profiles
             .iter()
-            .map(|p| -> Box<dyn Workload + Send> {
-                match (&self.trace, p.id) {
-                    (Some(trace), 0) => {
-                        let folded = fold_requests(trace.requests(), space);
-                        Box::new(Trace::from_requests(trace.label(), folded).replay())
-                    }
-                    _ => p.build_stream(space),
-                }
+            .map(|p| match (&self.trace, p.id) {
+                (Some(trace), 0) => replay(trace.label(), fold_requests(trace.requests(), space)),
+                _ => p.mix.build(kv, space, p.seed),
             })
             .collect()
     }
@@ -461,15 +458,11 @@ impl Default for QosSpec {
     }
 }
 
-/// Switchboard for the KV application layer: which YCSB workload drives
-/// the [`kvsim`] LSM engine, and the engine's shape. With
-/// [`KvSpec::off`] (no workload) the scenario's own workload source
-/// drives the device; the shape still applies to KV lifetime phases.
+/// The shape of the [`kvsim`] LSM engine behind every KV personality
+/// ([`TenantMix::Kv`]) the scenario's workload names; inert when it
+/// names none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvSpec {
-    /// The YCSB workload driving the engine; `None` disengages the KV
-    /// layer entirely.
-    pub workload: Option<YcsbKind>,
     /// Key-space size (clamped by the engine to fit the device).
     pub keys: u64,
     /// Value payload per entry, bytes.
@@ -485,33 +478,6 @@ pub struct KvSpec {
 }
 
 impl KvSpec {
-    /// Disengaged, with the default engine shape.
-    pub fn off() -> Self {
-        let d = KvConfig::default_shape();
-        KvSpec {
-            workload: None,
-            keys: d.keys,
-            value_bytes: d.value_bytes,
-            memtable_entries: d.memtable_entries,
-            l0_files: d.l0_files,
-            fanout: d.fanout,
-            max_levels: d.max_levels,
-        }
-    }
-
-    /// The default engine shape under `kind`.
-    pub fn with_workload(kind: YcsbKind) -> Self {
-        KvSpec {
-            workload: Some(kind),
-            ..KvSpec::off()
-        }
-    }
-
-    /// Whether the KV layer is active.
-    pub fn engaged(&self) -> bool {
-        self.workload.is_some()
-    }
-
     /// The engine configuration this spec describes.
     pub fn kv_config(&self) -> KvConfig {
         KvConfig {
@@ -528,8 +494,17 @@ impl KvSpec {
 }
 
 impl Default for KvSpec {
+    /// The default engine shape.
     fn default() -> Self {
-        KvSpec::off()
+        let d = KvConfig::default_shape();
+        KvSpec {
+            keys: d.keys,
+            value_bytes: d.value_bytes,
+            memtable_entries: d.memtable_entries,
+            l0_files: d.l0_files,
+            fanout: d.fanout,
+            max_levels: d.max_levels,
+        }
     }
 }
 
@@ -580,67 +555,33 @@ pub fn register_kv_metrics(
     }
 }
 
-/// One phase of a mixed-workload lifetime campaign: either a §6.1
-/// block-level generator or a KV application workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochWorkload {
-    /// A standard block-level generator.
-    Std(StandardWorkload),
-    /// The kvsim LSM engine under a YCSB workload.
-    Kv(YcsbKind),
-}
-
-impl EpochWorkload {
-    /// Parses a phase name: the six standard workload labels
-    /// (case-insensitive) or any [`YcsbKind`] spelling (`a`, `ycsb_a`,
-    /// …).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "mail" => Some(EpochWorkload::Std(StandardWorkload::Mail)),
-            "web" => Some(EpochWorkload::Std(StandardWorkload::Web)),
-            "proxy" => Some(EpochWorkload::Std(StandardWorkload::Proxy)),
-            "oltp" => Some(EpochWorkload::Std(StandardWorkload::Oltp)),
-            "rocks" => Some(EpochWorkload::Std(StandardWorkload::Rocks)),
-            "mongo" => Some(EpochWorkload::Std(StandardWorkload::Mongo)),
-            _ => YcsbKind::parse(s).map(EpochWorkload::Kv),
-        }
-    }
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            EpochWorkload::Std(w) => w.label(),
-            EpochWorkload::Kv(kind) => kind.label(),
-        }
-    }
-}
-
-impl std::fmt::Display for EpochWorkload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// Where a scenario's host requests come from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSource {
-    /// One of the six §6.1 generators, seeded per shard (and per epoch).
-    Standard(StandardWorkload),
+    /// Generator personalities, seeded per shard and per epoch: epoch
+    /// `e` runs phase `e % len`. One phase is the plain case; several
+    /// let a lifetime campaign model phase-varying load (e.g. YCSB-A
+    /// churn epochs followed by YCSB-C read-back epochs; outside a
+    /// campaign only phase 0 runs). KV phases take their engine shape
+    /// from the scenario's [`KvSpec`]; with the QoS front-end engaged
+    /// every tenant runs the phase's personality.
+    Phases(Vec<TenantMix>),
     /// A recorded trace, its LPNs folded into the device's logical
     /// space (modulo the space, spans clamped at its end) — striped
     /// across the shards of an array, replayed whole in every epoch of
     /// a lifetime campaign.
     Trace(Trace),
-    /// Per-epoch phases: epoch `e` runs phase `e % len`, so a lifetime
-    /// campaign can model phase-varying load (e.g. YCSB-A churn epochs
-    /// followed by YCSB-C read-back epochs). KV phases take their
-    /// engine shape from the scenario's [`KvSpec`].
-    Epochs(Vec<EpochWorkload>),
+}
+
+impl From<TenantMix> for WorkloadSource {
+    fn from(mix: TenantMix) -> Self {
+        WorkloadSource::Phases(vec![mix])
+    }
 }
 
 impl From<StandardWorkload> for WorkloadSource {
     fn from(w: StandardWorkload) -> Self {
-        WorkloadSource::Standard(w)
+        TenantMix::Standard(w).into()
     }
 }
 
@@ -650,17 +591,20 @@ impl From<&Trace> for WorkloadSource {
     }
 }
 
-impl From<Vec<EpochWorkload>> for WorkloadSource {
-    fn from(phases: Vec<EpochWorkload>) -> Self {
-        WorkloadSource::Epochs(phases)
+impl From<Vec<TenantMix>> for WorkloadSource {
+    fn from(phases: Vec<TenantMix>) -> Self {
+        WorkloadSource::Phases(phases)
     }
 }
 
 /// Why a [`Scenario`] cannot run. The messages name the `cubeftl-sim`
-/// flag behind each field, since the CLI prints them verbatim.
+/// flag behind each field, since the CLI prints them verbatim. Every
+/// rejected *combination* of features gives its reason in one line: it
+/// is meaningless, or deferred — it needs the one timeline across
+/// phases and epochs that their zero-restarting virtual clocks lack.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
-    /// `WorkloadSource::Epochs` with no phase.
+    /// `WorkloadSource::Phases` with no phase.
     NoPhases,
     /// An array of zero shards.
     NoShards,
@@ -669,15 +613,22 @@ pub enum ScenarioError {
     /// The block count per chip is below what GC and the active blocks
     /// need, or its pages overflow the mapping's 32-bit page index.
     BlocksOutOfRange { blocks: u32, min: u32, max: u32 },
+    /// A series sampling interval finer than any simulated operation:
+    /// the sampler emits one row per interval of virtual time, so the
+    /// run would not end.
+    SampleIntervalTooSmall { interval_us: f64, min_us: f64 },
     /// A cut or failure instant at or before time zero.
     NotAfterTimeZero(&'static str),
     /// The stripe unit exceeds the smallest shard's logical space.
     StripeTooLarge { stripe: u64, local: u64 },
     /// A trace source with the QoS front-end engaged.
+    /// Meaningless: one stream has no tenants; [`QosSpec::trace`] is tenant 0's.
     TraceWithQos,
     /// The QoS front-end with a power cut.
+    /// Deferred (phase timeline): queued arrivals would cross the cut.
     QosWithSpo,
     /// The tenant-0 trace override on an array.
+    /// Deferred: the override folds into one device's space, not a striped one.
     TenantTraceOnArray,
     /// Fewer tenants than shards: some shard's front would be empty.
     FewerTenantsThanShards,
@@ -686,35 +637,32 @@ pub enum ScenarioError {
     /// The failed shard is not in the array.
     FailedShardOutOfRange { shard: usize, shards: usize },
     /// A failure spec with the QoS front-end engaged.
+    /// Deferred (phase timeline): arrivals would cross into the degraded phase.
     ResilienceWithQos,
-    /// A failure spec with a trace source.
-    ResilienceWithTrace,
     /// A failure spec with series sampling.
+    /// Deferred (phase timeline): healthy and degraded clocks both start at zero.
     ResilienceWithSeries,
     /// Device telemetry with a power cut.
+    /// Deferred (phase timeline): golden, cut and resumed clocks all start at zero.
     TelemetryWithSpo,
-    /// The KV layer with a trace source.
-    KvWithTrace,
-    /// The KV layer with the QoS front-end engaged.
-    KvWithQos,
-    /// The KV layer with a failure spec.
-    KvWithResilience,
-    /// The KV layer with a lifetime campaign or per-epoch phases.
-    KvWithLifetime,
     /// Trace capture on an array.
+    /// Meaningless: a capture is the one stream a single device replays.
     CaptureOnArray,
-    /// Trace capture outside the standard single-device modes.
+    /// Trace capture with a front-end, cut, failure or campaign.
+    /// Deferred (phase timeline): the recorder covers one phase's streams.
     CaptureMode,
     /// A lifetime campaign with a power cut.
+    /// Deferred (epoch timeline): the cut needs an instant on it.
     LifetimeWithSpo,
-    /// A lifetime campaign (or per-epoch phases) with the QoS front-end.
+    /// A lifetime campaign with the QoS front-end.
+    /// Deferred (epoch timeline): fronts and their clocks are rebuilt per epoch.
     LifetimeWithQos,
-    /// A lifetime campaign (or per-epoch phases) with a failure spec.
+    /// A lifetime campaign with a failure spec.
+    /// Deferred (epoch timeline): the failure needs an instant on it.
     LifetimeWithResilience,
     /// A lifetime campaign with device telemetry.
+    /// Deferred (epoch timeline): every epoch's events restart at t = 0.
     LifetimeWithTelemetry,
-    /// A lifetime campaign replaying a trace on an array.
-    LifetimeTraceOnArray,
     /// A power cut on an array that is not an `AtTimeUs` instant.
     ArraySpoNeedsInstant,
     /// A replayed trace holds a write the device's buffer can never
@@ -738,6 +686,14 @@ impl std::fmt::Display for ScenarioError {
             BlocksOutOfRange { blocks, min, max } => write!(
                 f,
                 "{blocks} blocks per chip is out of range: this configuration takes {min} to {max}"
+            ),
+            SampleIntervalTooSmall {
+                interval_us,
+                min_us,
+            } => write!(
+                f,
+                "--sample-interval-us {interval_us} is finer than any simulated operation: \
+                 use at least {min_us}"
             ),
             NotAfterTimeZero(what) => write!(f, "{what} must be after time zero"),
             StripeTooLarge { stripe, local } => write!(
@@ -765,9 +721,6 @@ impl std::fmt::Display for ScenarioError {
             ResilienceWithQos => {
                 f.write_str("array resilience cannot be combined with the QoS front-end")
             }
-            ResilienceWithTrace => {
-                f.write_str("array resilience cannot be combined with --trace-file")
-            }
             ResilienceWithSeries => f.write_str(
                 "failure runs emit barrier-stamped events, not sampled series: \
                  use --trace-out/--metrics-out (drop --series-out)",
@@ -775,13 +728,6 @@ impl std::fmt::Display for ScenarioError {
             TelemetryWithSpo => f.write_str(
                 "telemetry output (--trace-out/--series-out/--metrics-out) is only \
                  available in the standard run modes (no SPO)",
-            ),
-            KvWithTrace => f.write_str("--kv generates its own device traffic: drop --trace-file"),
-            KvWithQos => f.write_str("--kv cannot be combined with the QoS front-end"),
-            KvWithResilience => f.write_str("--kv cannot be combined with array resilience"),
-            KvWithLifetime => f.write_str(
-                "in lifetime mode the per-epoch workload comes from \
-                 --lifetime-workloads (e.g. --lifetime-workloads a,a,c); drop --kv",
             ),
             CaptureOnArray => {
                 f.write_str("--capture-trace-out records one device's stream: drop --shards")
@@ -803,9 +749,6 @@ impl std::fmt::Display for ScenarioError {
                 "telemetry output files are not available in lifetime mode \
                  (the campaign prints one drift row per epoch)",
             ),
-            LifetimeTraceOnArray => {
-                f.write_str("--trace-file lifetime replay is single-device: drop --shards")
-            }
             ArraySpoNeedsInstant => f.write_str(
                 "--shards cuts the whole array at one virtual instant: \
                  use --spo-at-us (not --spo-at or --spo-rate)",
@@ -826,8 +769,8 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// One experiment: an FTL on a device (or array) of a given age, a
-/// workload source, and the orthogonal feature specs. Build one with
+/// One experiment: an FTL on a device (or array) of a given age, the
+/// one workload source, and the orthogonal feature specs. Build one with
 /// [`Scenario::new`] and set the fields the experiment needs; see the
 /// module docs for how [`Scenario::run`] executes it.
 #[derive(Debug, Clone, PartialEq)]
@@ -841,15 +784,15 @@ pub struct Scenario {
     /// Explicit FTL configuration — the hook for ablation studies (μ_TH
     /// sweeps, active-block counts, …). `None` = `cfg.ftl_config()`.
     pub ftl: Option<FtlConfig>,
-    /// Where host requests come from.
+    /// Where host requests come from — the only field that names a
+    /// generator.
     pub workload: WorkloadSource,
     /// Sharded array; `None` = one device seeded with the master seed.
     pub array: Option<ArrayEvalConfig>,
     /// Multi-queue QoS front-end (open-loop tenants instead of the
     /// closed-loop stream, when engaged).
     pub qos: QosSpec,
-    /// KV application layer (an LSM engine per shard instead of the
-    /// workload source, when engaged).
+    /// Engine shape of the workload's KV personalities.
     pub kv: KvSpec,
     /// Fast-forward aging campaign: `epochs` workload epochs separated
     /// by aging barriers.
@@ -948,12 +891,15 @@ pub struct AgingReport {
     pub events: Vec<TraceEvent>,
 }
 
-/// The application-level part of a run with the KV layer engaged.
+/// The application-level part of a run whose (last) epoch ran KV
+/// engines.
 #[derive(Debug, Clone, Default)]
 pub struct KvReport {
-    /// Per-shard app-level results, in shard order.
+    /// App-level results per engine: in shard order, or in tenant-id
+    /// order under the QoS front-end (one engine per tenant). A failure
+    /// run has the one engine behind its routed global stream.
     pub apps: Vec<KvAppReport>,
-    /// KV maintenance events (flushes, compactions) across all shards,
+    /// KV maintenance events (flushes, compactions) across all engines,
     /// shard-major, timestamped by measured-op ordinal. Collected
     /// independent of the telemetry mask.
     pub events: Vec<TraceEvent>,
@@ -977,7 +923,7 @@ pub struct RunOutput {
     pub aging: Option<AgingReport>,
     /// Per-tenant outcomes, with the QoS front-end engaged.
     pub qos: Option<QosReport>,
-    /// App-level results, with the KV layer engaged.
+    /// App-level results, when KV engines ran.
     pub kv: Option<KvReport>,
     /// The captured device-level request stream, when capture was on.
     pub captured: Option<Trace>,
@@ -1045,6 +991,11 @@ fn fold_requests(requests: &[HostRequest], logical_pages: u64) -> Vec<HostReques
             }
         })
         .collect()
+}
+
+/// A closed-loop replay of `requests` under `label`.
+fn replay(label: &str, requests: Vec<HostRequest>) -> Box<dyn Workload + Send> {
+    Box::new(Trace::from_requests(label, requests).into_replay())
 }
 
 /// Rejects a replay stream holding a write larger than the device's
@@ -1143,22 +1094,15 @@ fn durable_ledger(ftl: &Ftl, event: &SpoEvent) -> Vec<u64> {
     durable
 }
 
-/// The request source of one closed-loop shard.
-enum Source {
-    Gen(Box<dyn Workload + Send>),
-    Replay(std::vec::IntoIter<HostRequest>),
-    Kv(Box<KvStream>),
-}
-
 /// One closed-loop shard's request stream, optionally recording every
 /// yielded request for [`Scenario::capture`].
 struct Stream {
-    src: Source,
+    src: Box<dyn Workload + Send>,
     recorded: Option<Vec<HostRequest>>,
 }
 
 impl Stream {
-    fn new(src: Source, capture: bool) -> Self {
+    fn new(src: Box<dyn Workload + Send>, capture: bool) -> Self {
         Stream {
             src,
             recorded: capture.then(Vec::new),
@@ -1170,11 +1114,7 @@ impl Iterator for Stream {
     type Item = HostRequest;
 
     fn next(&mut self) -> Option<HostRequest> {
-        let req = match &mut self.src {
-            Source::Gen(w) => w.next(),
-            Source::Replay(it) => it.next(),
-            Source::Kv(kv) => kv.next(),
-        };
+        let req = self.src.next();
         if let (Some(rec), Some(r)) = (&mut self.recorded, req) {
             rec.push(r);
         }
@@ -1191,26 +1131,34 @@ enum Hosts {
 /// What the shard list runs next: every shard's host side and request
 /// budget. With a failure spec `routed` keeps the global stream in
 /// issue order as `(shard, fragment)` pairs — the failure barrier
-/// redirects its unissued remainder.
+/// redirects its unissued remainder — and `global` the generator it
+/// was drawn from.
 struct Load {
     hosts: Hosts,
     budgets: Vec<u64>,
     routed: Vec<(usize, HostRequest)>,
+    global: Option<Box<dyn Workload + Send>>,
 }
 
 impl Load {
-    /// Closed-loop replay of one pre-routed request list per shard.
-    fn replay(per_shard: Vec<Vec<HostRequest>>, capture: bool) -> Self {
+    /// `hosts` under `budgets`, nothing routed.
+    fn new(hosts: Hosts, budgets: Vec<u64>) -> Self {
         Load {
-            budgets: per_shard.iter().map(|v| v.len() as u64).collect(),
-            hosts: Hosts::Streams(
-                per_shard
-                    .into_iter()
-                    .map(|v| Stream::new(Source::Replay(v.into_iter()), capture))
-                    .collect(),
-            ),
+            hosts,
+            budgets,
             routed: Vec::new(),
+            global: None,
         }
+    }
+
+    /// Closed-loop replay of one pre-routed request list per shard.
+    fn replay(label: &str, per_shard: Vec<Vec<HostRequest>>, capture: bool) -> Self {
+        let budgets = per_shard.iter().map(|v| v.len() as u64).collect();
+        let streams = per_shard
+            .into_iter()
+            .map(|v| Stream::new(replay(label, v), capture))
+            .collect();
+        Load::new(Hosts::Streams(streams), budgets)
     }
 
     /// Runs `phase` of `sc` over `devs` with this load's host list,
@@ -1283,7 +1231,7 @@ impl Scenario {
             workload: workload.into(),
             array: None,
             qos: QosSpec::off(),
-            kv: KvSpec::off(),
+            kv: KvSpec::default(),
             lifetime: None,
             spo: None,
             failure: None,
@@ -1298,15 +1246,14 @@ impl Scenario {
         use ScenarioError::*;
         let check = |bad: bool, e: ScenarioError| if bad { Err(e) } else { Ok(()) };
         let trace = matches!(self.workload, WorkloadSource::Trace(_));
-        let phased = matches!(self.workload, WorkloadSource::Epochs(_));
-        let campaign = self.lifetime.is_some() || phased;
+        let campaign = self.lifetime.is_some();
         let qos = self.qos.engaged();
         let shards = self.array.map(|a| a.shards);
         let not_positive = |t: f64| t <= 0.0 || t.is_nan();
 
         check(shards == Some(0), NoShards)?;
         check(
-            matches!(&self.workload, WorkloadSource::Epochs(p) if p.is_empty()),
+            matches!(&self.workload, WorkloadSource::Phases(p) if p.is_empty()),
             NoPhases,
         )?;
         usize::try_from(self.cfg.requests).map_err(|_| RequestsOverflow(self.cfg.requests))?;
@@ -1324,6 +1271,15 @@ impl Scenario {
             !(min..=max).contains(&blocks),
             BlocksOutOfRange { blocks, min, max },
         )?;
+        if let Some(interval_us) = self.telemetry.sample_interval_us {
+            // 1 µs: below the shortest simulated operation.
+            let min_us = 1.0;
+            let too_small = SampleIntervalTooSmall {
+                interval_us,
+                min_us,
+            };
+            check(interval_us.is_nan() || interval_us < min_us, too_small)?;
+        }
         if qos {
             check(trace, TraceWithQos)?;
             check(self.spo.is_some(), QosWithSpo)?;
@@ -1345,7 +1301,6 @@ impl Scenario {
                 check(not_positive(f.at_us), NotAfterTimeZero("the failure"))?;
             }
             check(qos, ResilienceWithQos)?;
-            check(trace, ResilienceWithTrace)?;
             check(
                 self.telemetry.sample_interval_us.is_some(),
                 ResilienceWithSeries,
@@ -1355,12 +1310,6 @@ impl Scenario {
             self.telemetry.engaged() && self.spo.is_some() && self.failure.is_none(),
             TelemetryWithSpo,
         )?;
-        if self.kv.engaged() {
-            check(trace, KvWithTrace)?;
-            check(qos, KvWithQos)?;
-            check(self.failure.is_some(), KvWithResilience)?;
-            check(campaign, KvWithLifetime)?;
-        }
         if self.capture {
             check(shards.is_some(), CaptureOnArray)?;
             check(
@@ -1373,7 +1322,6 @@ impl Scenario {
             check(qos, LifetimeWithQos)?;
             check(self.failure.is_some(), LifetimeWithResilience)?;
             check(self.telemetry.engaged(), LifetimeWithTelemetry)?;
-            check(trace && shards.is_some(), LifetimeTraceOnArray)?;
         }
         if let Some(spo) = &self.spo {
             match spo.trigger {
@@ -1476,7 +1424,7 @@ impl Scenario {
                 });
             }
         }
-        self.drain(&mut devs, load.hosts, &mut out);
+        self.drain(&mut devs, load, &mut out);
         Ok(out)
     }
 
@@ -1562,25 +1510,12 @@ impl Scenario {
     }
 
     /// The stream of one shard for `epoch` over `space` pages.
-    fn source(&self, epoch: u32, space: u64, seed: u64) -> Source {
-        let kv = |kind| {
-            Source::Kv(Box::new(KvStream::new(
-                self.kv.kv_config(),
-                kind,
-                space,
-                seed,
-            )))
-        };
-        match (&self.workload, self.kv.workload) {
-            (_, Some(kind)) => kv(kind),
-            (WorkloadSource::Epochs(phases), None) => match phases[epoch as usize % phases.len()] {
-                EpochWorkload::Std(w) => Source::Gen(w.build(space, seed)),
-                EpochWorkload::Kv(kind) => kv(kind),
-            },
-            (WorkloadSource::Standard(w), None) => Source::Gen(w.build(space, seed)),
-            (WorkloadSource::Trace(t), None) => {
-                Source::Replay(fold_requests(t.requests(), space).into_iter())
+    fn source(&self, epoch: u32, space: u64, seed: u64) -> Box<dyn Workload + Send> {
+        match &self.workload {
+            WorkloadSource::Phases(phases) => {
+                phases[epoch as usize % phases.len()].build(self.kv.kv_config(), space, seed)
             }
+            WorkloadSource::Trace(t) => replay(t.label(), fold_requests(t.requests(), space)),
         }
     }
 
@@ -1606,11 +1541,11 @@ impl Scenario {
         let n = devs.len();
         let seed = epoch_seed(cfg.seed, epoch);
         Ok(match (&self.workload, &self.failure) {
-            (WorkloadSource::Standard(w), _) if self.qos.engaged() => {
-                // Tenant `t` routes to shard `t % shards`, global ids
-                // intact; every shard runs its own front over its
-                // subset.
-                let mix = self.qos.mix.unwrap_or(TenantMix::Standard(*w));
+            (WorkloadSource::Phases(phases), _) if self.qos.engaged() => {
+                // Every tenant runs the epoch's personality. Tenant `t`
+                // routes to shard `t % shards`, global ids intact;
+                // every shard runs its own front over its subset.
+                let mix = phases[epoch as usize % phases.len()];
                 let all =
                     build_population(self.qos.tenants, &self.qos.weights, Some(mix), cfg.seed);
                 let budgets = self.qos.budgets(cfg.requests, &all);
@@ -1627,7 +1562,7 @@ impl Scenario {
                             .filter(|(p, _)| p.id as usize % n == d.id)
                             .map(|(p, b)| (*p, *b))
                             .unzip();
-                        let streams = self.qos.streams(&profiles, d.space());
+                        let streams = self.qos.streams(&profiles, d.space(), self.kv.kv_config());
                         let mut front = HostQueueFront::new(
                             self.qos.front_config(),
                             profiles,
@@ -1638,11 +1573,7 @@ impl Scenario {
                         front
                     })
                     .collect();
-                Load {
-                    hosts: Hosts::Fronts(fronts),
-                    budgets: vec![u64::MAX; n],
-                    routed: Vec::new(),
-                }
+                Load::new(Hosts::Fronts(fronts), vec![u64::MAX; n])
             }
             (_, Some(fc)) => {
                 // One global stream over the prefilled rows (every
@@ -1656,7 +1587,9 @@ impl Scenario {
                 let global = rows * p * d;
                 let hot_rows = (devs[n - 1].prefill / p).clamp(1, rows);
                 let hot = (hot_rows * p * d).max(1024).min(global);
-                let stream: Vec<HostRequest> = Stream::new(self.source(epoch, hot, seed), false)
+                let mut source = self.source(epoch, hot, seed);
+                let stream: Vec<HostRequest> = source
+                    .by_ref()
                     .take(usize::try_from(cfg.requests).unwrap_or(usize::MAX))
                     .collect();
                 let routed: Vec<(usize, HostRequest)> = fold_requests(&stream, global)
@@ -1667,41 +1600,46 @@ impl Scenario {
                 for &(s, req) in &routed {
                     per_shard[s].push(req);
                 }
+                // Only a recorded trace can hold such a write:
+                // generators size theirs to the buffer.
+                for fragments in &per_shard {
+                    check_writes("--trace-file", fragments, cfg.ssd.buffer_pages)?;
+                }
                 Load {
                     routed,
-                    ..Load::replay(per_shard, false)
+                    global: Some(source),
+                    ..Load::replay("", per_shard, false)
                 }
             }
             (WorkloadSource::Trace(t), None) if self.array.is_some() => {
                 // The global trace is folded into the striped global
-                // space and fanned out through the stripe router (spans
-                // split at stripe boundaries), so every shard replays
-                // exactly the fragments that map to it.
+                // space and fanned out through the parity-off router
+                // (plain striping; spans split at stripe boundaries),
+                // so every shard replays exactly the fragments that map
+                // to it.
                 let (rows, p) = self.stripes(devs)?;
                 let folded = fold_requests(t.requests(), rows * p * n as u64);
-                let per_shard = StripeRouter::new(n, p).route_stream(folded);
+                let per_shard = ParityRouter::new(n, p, false).route_stream(folded);
                 for fragments in &per_shard {
                     check_writes("--trace-file", fragments, cfg.ssd.buffer_pages)?;
                 }
-                Load::replay(per_shard, false)
+                Load::replay("", per_shard, false)
             }
             (WorkloadSource::Trace(t), None) => {
                 let folded = fold_requests(t.requests(), devs[0].ftl.logical_pages());
                 check_writes("--trace-file", &folded, cfg.ssd.buffer_pages)?;
-                Load::replay(vec![folded], self.capture)
+                Load::replay(t.label(), vec![folded], self.capture)
             }
-            _ => Load {
-                hosts: Hosts::Streams(
-                    devs.iter()
-                        .map(|d| {
-                            let seed = self.seed_for(seed, d.id);
-                            Stream::new(self.source(epoch, d.space(), seed), self.capture)
-                        })
-                        .collect(),
-                ),
-                budgets: split_requests(cfg.requests, n),
-                routed: Vec::new(),
-            },
+            (WorkloadSource::Phases(_), None) => {
+                let streams = devs
+                    .iter()
+                    .map(|d| {
+                        let seed = self.seed_for(seed, d.id);
+                        Stream::new(self.source(epoch, d.space(), seed), self.capture)
+                    })
+                    .collect();
+                Load::new(Hosts::Streams(streams), split_requests(cfg.requests, n))
+            }
         })
     }
 
@@ -1969,58 +1907,66 @@ impl Scenario {
                 })
             })
             .collect();
-        *load = Load::replay(phase_b, false);
+        *load = Load {
+            global: load.global.take(),
+            ..Load::replay("", phase_b, false)
+        };
         (state, plans)
-    }
-
-    /// The label a captured stream is exported under.
-    fn label(&self) -> String {
-        match (&self.workload, self.kv.workload) {
-            (_, Some(kind)) => kind.label().to_owned(),
-            (WorkloadSource::Standard(w), None) => w.label().to_owned(),
-            (WorkloadSource::Trace(t), None) => t.label().to_owned(),
-            (WorkloadSource::Epochs(p), None) => p[0].label().to_owned(),
-        }
     }
 
     /// The fan-in after the last phase: every shard sits back in its
     /// index slot, so telemetry, QoS outcomes, app reports and the
     /// capture drain in shard order — byte-identical at any
     /// worker-thread count.
-    fn drain(&self, devs: &mut [Dev], hosts: Hosts, out: &mut RunOutput) {
+    fn drain(&self, devs: &mut [Dev], load: Load, out: &mut RunOutput) {
         let tel = &self.telemetry;
-        let (mut streams, mut fronts) = match hosts {
+        let (mut streams, mut fronts) = match load.hosts {
             Hosts::Streams(s) => (s, Vec::new()),
             Hosts::Fronts(f) => (Vec::new(), f),
         };
         let mut events = Vec::new();
         let mut series = Series::new(tel.sample_interval_us.unwrap_or(0.0));
         let mut qos = Vec::new();
-        let mut kv = KvReport::default();
+        // Whatever drives a stream, the engine behind it reports here,
+        // keyed by the order `KvReport::apps` documents.
+        let mut apps: Vec<(u32, KvAppReport)> = Vec::new();
+        let mut kv_events = Vec::new();
+        let mut app = |key: u32, shard: usize, stream: &dyn Workload| {
+            if let Some(engine) = stream.kv_engine() {
+                apps.push((key, engine.report()));
+                kv_events.extend(kv_trace_events(engine.events(), shard as u32));
+            }
+        };
+        if let Some(global) = &load.global {
+            app(0, 0, global.as_ref());
+        }
         for (i, d) in devs.iter_mut().enumerate() {
             let mut trace = merge_streams(d.sim.take_trace(), d.ftl.take_trace());
             if let Some(front) = fronts.get_mut(i) {
                 qos.push(front.report());
                 trace = merge_streams(trace, front.take_trace());
+                front.streams().for_each(|(t, s)| app(t, d.id, s));
+            }
+            if let Some(s) = streams.get(i) {
+                app(i as u32, d.id, s.src.as_ref());
             }
             events.extend(trace);
             series.extend(&d.sim.take_series());
-            if let Some(Source::Kv(engine)) = streams.get(i).map(|s| &s.src) {
-                kv.apps.push(engine.report());
-                kv.events
-                    .extend(kv_trace_events(engine.events(), d.id as u32));
-            }
         }
+        apps.sort_by_key(|&(key, _)| key);
         if tel.events.contains(EventMask::KV) {
-            events.extend(kv.events.iter().cloned());
+            events.extend(kv_events.iter().cloned());
         }
         out.telemetry = TelemetryOutput { events, series };
         out.qos = self.qos.engaged().then(|| QosReport::merge(qos));
-        out.kv = self.kv.engaged().then_some(kv);
-        out.captured = streams
-            .pop()
-            .and_then(|s| s.recorded)
-            .map(|recorded| Trace::from_requests(self.label(), recorded));
+        out.kv = (!apps.is_empty()).then(|| KvReport {
+            apps: apps.into_iter().map(|(_, app)| app).collect(),
+            events: kv_events,
+        });
+        out.captured = streams.pop().and_then(|s| {
+            let recorded = s.recorded?;
+            Some(Trace::from_requests(s.src.label(), recorded))
+        });
     }
 }
 

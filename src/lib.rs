@@ -59,7 +59,7 @@ pub use nand3d::{
 };
 pub use ssdarray::{
     page_fingerprint, xor_parity, ArrayReport, ArrayRunOutcome, ArrayShard, PageRole, ParityRouter,
-    RebuildPlan, ResilienceReport, SsdArray, StripeRouter,
+    RebuildPlan, ResilienceReport, SsdArray,
 };
 pub use ssdsim::{
     ChipStats, FrontRequest, FtlDriver, FtlStats, HostFront, HostRequest, LatencyRecorder,

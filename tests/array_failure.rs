@@ -4,18 +4,19 @@
 //!
 //! Determinism discipline matches `tests/array.rs`: the same master
 //! seed must produce a byte-identical report on repeated runs and at
-//! any worker-thread count; with everything off the parity router must
-//! route byte-identically to the plain [`StripeRouter`].
+//! any worker-thread count — whatever the request source: a generator,
+//! a KV engine or a recorded trace; with everything off the parity
+//! router must be plain LPN striping.
 
 mod common;
 
 use cubeftl::harness::{
-    ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, FailureReport, Phase, RunOutput,
-    Scenario, SpoConfig,
+    ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, FailureReport, KvSpec, Phase,
+    RunOutput, Scenario, SpoConfig, WorkloadSource,
 };
 use cubeftl::{
     page_fingerprint, xor_parity, AgingState, FtlKind, HostRequest, PageRole, ParityRouter,
-    SpoTrigger, StandardWorkload, StripeRouter,
+    SpoTrigger, StandardWorkload, TenantMix, YcsbKind,
 };
 use proptest::prelude::*;
 
@@ -34,9 +35,11 @@ fn arr(shards: usize) -> ArrayEvalConfig {
     arr
 }
 
-/// One OLTP mid-life failure experiment, optionally with an array-wide
-/// power cut composed into the degraded phase.
-fn failure_run(
+/// One mid-life failure experiment under `workload` (KV engines shaped
+/// small, so flushes and compactions cycle at test scale), optionally
+/// with an array-wide power cut composed into the degraded phase.
+fn failure_run_of(
+    workload: impl Into<WorkloadSource>,
     arr: &ArrayEvalConfig,
     fc: &ArrayFailureConfig,
     spo_cut_at_us: Option<f64>,
@@ -48,15 +51,24 @@ fn failure_run(
             trigger: SpoTrigger::AtTimeUs(t),
             ckpt_interval_host_wls: 64,
         }),
-        ..Scenario::new(
-            FtlKind::Cube,
-            StandardWorkload::Oltp,
-            AgingState::MidLife,
-            &cfg(),
-        )
+        kv: KvSpec {
+            keys: 2_048,
+            memtable_entries: 256,
+            ..KvSpec::default()
+        },
+        ..Scenario::new(FtlKind::Cube, workload, AgingState::MidLife, &cfg())
     });
     let failure = out.failure.clone().expect("failure spec was set");
     (out, failure)
+}
+
+/// [`failure_run_of`] the OLTP generator.
+fn failure_run(
+    arr: &ArrayEvalConfig,
+    fc: &ArrayFailureConfig,
+    spo_cut_at_us: Option<f64>,
+) -> (RunOutput, FailureReport) {
+    failure_run_of(StandardWorkload::Oltp, arr, fc, spo_cut_at_us)
 }
 
 /// A failure scenario reliably mid-run at smoke scale.
@@ -73,10 +85,11 @@ fn fail_cfg() -> ArrayFailureConfig {
 
 #[test]
 fn parity_off_routes_identically_to_plain_striping() {
-    // The defaults-off router IS the pre-parity router: every request
-    // stream fans out to byte-identical per-shard vectors.
-    let plain = StripeRouter::new(3, 16);
-    let off = ParityRouter::new(3, 16, false);
+    // The defaults-off router IS the array's plain striper: global page
+    // `g` lands on shard `(g / P) % S` at local `(g / (P·S))·P + g % P`,
+    // every request stream fanning out in stream order.
+    let (s, p) = (3u64, 16u64);
+    let off = ParityRouter::new(s as usize, p, false);
     let stream: Vec<HostRequest> = (0..500u64)
         .map(|i| {
             let lpn = (i * 37) % 700;
@@ -87,11 +100,25 @@ fn parity_off_routes_identically_to_plain_striping() {
             }
         })
         .collect();
-    assert_eq!(
-        plain.route_stream(stream.clone()),
-        off.route_stream(stream),
-        "parity-off routing must reproduce plain striping byte-for-byte"
-    );
+    let mut plain = vec![Vec::new(); s as usize];
+    for r in &stream {
+        for g in r.lpns() {
+            plain[((g / p) % s) as usize].push((r.op, (g / (p * s)) * p + g % p));
+        }
+    }
+    for (routed, plain) in off.route_stream(stream).iter().zip(&plain) {
+        for r in routed {
+            assert!(
+                r.lpn % p + u64::from(r.n_pages) <= p,
+                "fragment crosses a stripe"
+            );
+        }
+        let pages: Vec<_> = routed
+            .iter()
+            .flat_map(|r| r.lpns().map(move |l| (r.op, l)))
+            .collect();
+        assert_eq!(&pages, plain, "parity-off routing must be plain striping");
+    }
 }
 
 #[test]
@@ -165,18 +192,34 @@ fn parity_off_failure_loses_the_dead_shard() {
 
 #[test]
 fn failure_report_is_identical_at_any_thread_count_and_on_reruns() {
+    // The barrier is independent of where requests come from: a
+    // generator, a KV engine (whose app report rides along) and a
+    // recorded trace all reach zero loss, identically at any thread
+    // count.
     let shards = 3;
     let fc = fail_cfg();
-    let at = |threads: usize| {
-        let mut a = arr(shards);
-        a.threads = threads;
-        let (out, r) = failure_run(&a, &fc, None);
-        format!("{:?}", (&out.phases, &r))
-    };
-    let one = at(1);
-    assert_eq!(one, at(2), "1 vs 2 worker threads");
-    assert_eq!(one, at(shards + 1), "1 vs N+1 worker threads");
-    assert_eq!(one, at(1), "double run");
+    let sources: [(WorkloadSource, bool); 3] = [
+        (StandardWorkload::Oltp.into(), false),
+        (TenantMix::Kv(YcsbKind::A).into(), true),
+        ((&common::msr_trace("traces/ycsb_a.csv")).into(), false),
+    ];
+    for (source, runs_engine) in sources {
+        let at = |threads: usize| {
+            let mut a = arr(shards);
+            a.threads = threads;
+            let (out, r) = failure_run_of(source.clone(), &a, &fc, None);
+            assert!(r.audit.zero_loss, "{source:?} lost data");
+            assert!(r.audit.acked_pages > 0, "{source:?} acked nothing");
+            let apps = out.kv.as_ref().map_or(0, |kv| kv.apps.len());
+            assert_eq!(apps, usize::from(runs_engine), "one engine feeds the array");
+            format!("{:?}", (&out.phases, &r, &out.kv))
+        };
+        let one = at(1);
+        assert_eq!(one, at(2), "1 vs 2 worker threads");
+        assert_eq!(one, at(common::threads()), "1 vs env worker threads");
+        assert_eq!(one, at(shards + 1), "1 vs N+1 worker threads");
+        assert_eq!(one, at(1), "double run");
+    }
 }
 
 #[test]

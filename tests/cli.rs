@@ -161,7 +161,19 @@ cases! {
     kv_spo: "--ftl cube --blocks 16 --requests 3000 --kv a --kv-keys 4000 --spo-at 1500";
     kv_spo_shards4: "--ftl cube --blocks 16 --requests 3000 --kv a --kv-keys 4000 --shards 4 \
                      --spo-at-us 20000";
-    rejects_kv_with_qos: "--ftl cube --blocks 16 --kv a --queues 4";
+    kv_failure: "--ftl cube --blocks 16 --requests 2000 --kv a --kv-keys 4000 --shards 4 \
+                 --array-stripe 16 --array-parity --fail-shard 1@3000 --spare-shards 1 \
+                 --metrics-out {out}/metrics.ndjson";
+    trace_file_failure: "--ftl cube --blocks 16 --trace-file tests/data/traces/ycsb_a.csv --shards 4 \
+                         --array-stripe 16 --array-parity --fail-shard 1@3000 --spare-shards 1";
+    kv_lifetime: "--ftl cube --blocks 16 --requests 2000 --kv a --kv-keys 4000 --lifetime-epochs 3";
+    lifetime_trace_file_shards4: "--ftl cube --blocks 16 --lifetime-epochs 3 --shards 4 \
+                                  --array-stripe 8 --trace-file tests/data/traces/ycsb_a.csv";
+    kv_qos: &format!("--ftl cube --blocks 16 --requests 1500 --kv a --kv-keys 4000 --queues 4 \
+                      --tenants 4 --tenant-weights 4,1 --qos-arrival-us 3000 {FILES}");
+    rejects_kv_with_trace_file: "--ftl cube --blocks 16 --kv a --trace-file tests/data/sample_trace.csv";
+    rejects_tiny_sample_interval: "--ftl cube --blocks 16 --series-out {out}/series.csv \
+                                   --sample-interval-us 0.0000001";
     rejects_lifetime_with_spo: "--ftl cube --blocks 16 --lifetime-epochs 3 --spo-at 100";
     rejects_array_spo_by_ops: "--ftl cube --blocks 16 --shards 4 --spo-at 100";
     rejects_resilience_without_array: "--ftl cube --blocks 16 --array-parity";
@@ -178,17 +190,36 @@ cases! {
 #[test]
 fn sharded_run_is_identical_at_any_array_threads() {
     // Everything but the flag line and the banner's thread count —
-    // table, summaries, every output file — must be byte-identical.
-    let at = |threads: usize| {
-        let flags = format!(
-            "--ftl cube --blocks 16 --requests 2000 --kv a --shards 4 \
-             --array-threads {threads} {FILES}"
-        );
-        observe(&format!("array_threads_{threads}"), &flags)
-            .lines()
-            .filter(|l| !l.starts_with("$ ") && !l.starts_with("array: "))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(at(1), at(common::threads().max(2)));
+    // table, summaries, every output file — must be byte-identical,
+    // whichever source and barriers the run composes.
+    let lines = [
+        format!("--requests 2000 --kv a --shards 4 {FILES}"),
+        "--requests 2000 --kv a --kv-keys 4000 --shards 4 --array-stripe 16 --array-parity \
+         --fail-shard 1@3000 --spare-shards 1 --metrics-out {out}/metrics.ndjson"
+            .to_owned(),
+        "--trace-file tests/data/traces/ycsb_a.csv --shards 4 --array-stripe 16 --array-parity \
+         --fail-shard 1@3000 --spare-shards 1 --trace-out {out}/trace.ndjson"
+            .to_owned(),
+        "--requests 2000 --kv a --kv-keys 4000 --shards 4 --lifetime-epochs 3".to_owned(),
+        "--lifetime-epochs 3 --shards 4 --array-stripe 8 \
+         --trace-file tests/data/traces/ycsb_a.csv"
+            .to_owned(),
+        format!(
+            "--requests 1500 --kv a --kv-keys 4000 --shards 4 --queues 4 --tenants 8 \
+             --qos-arrival-us 1000 {FILES}"
+        ),
+    ];
+    for (i, line) in lines.iter().enumerate() {
+        let at = |threads: usize| {
+            let flags = format!("--ftl cube --blocks 16 {line} --array-threads {threads}");
+            observe(&format!("array_threads_{i}_{threads}"), &flags)
+                .lines()
+                .filter(|l| !l.starts_with("$ ") && !l.starts_with("array: "))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let one = at(1);
+        assert!(one.contains("exit: Some(0)"), "{line}: {one}");
+        assert_eq!(one, at(common::threads().max(2)), "{line}");
+    }
 }

@@ -240,7 +240,7 @@ fn scenario_with_every_spec_off_reproduces_the_goldens() {
             ftl: None,
             array: None,
             qos: QosSpec::off(),
-            kv: KvSpec::off(),
+            kv: KvSpec::default(),
             lifetime: None,
             spo: None,
             failure: None,

@@ -183,7 +183,7 @@ fn write_amplification_exceeds_one_under_gc() {
         AgingState::Fresh,
         &cfg,
     );
-    let wa = r.write_amplification().expect("Mongo writes");
+    let wa = r.wa_host().expect("Mongo writes");
     assert!(r.ftl.gc_runs > 0);
     assert!(wa > 1.0, "GC migrations must amplify writes: {wa}");
     assert!(

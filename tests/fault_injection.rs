@@ -72,7 +72,7 @@ fn recovery_counters_surface_in_the_report() {
     );
     // Abort re-issues and safety re-programs are extra NAND programs and
     // must show up as write amplification.
-    let wa = r.write_amplification().expect("the run wrote data");
+    let wa = r.wa_host().expect("the run wrote data");
     assert!(wa > 1.0, "recovery programs must amplify writes, wa={wa}");
 }
 

@@ -1,8 +1,10 @@
 //! The kvsim application layer end to end through the harness: an
-//! inert disengaged spec, engaged byte-identical double runs, YCSB-A vs
-//! YCSB-C app-WA ordering, worker-thread invariance on sharded arrays,
-//! trace-capture round-trips, the device-level crash audit under a KV
-//! stream, and property tests on the Zipf sampler and LSM engine.
+//! engine shape that is inert without a KV personality, byte-identical
+//! double runs, YCSB-A vs YCSB-C app-WA ordering, worker-thread
+//! invariance on sharded arrays, one engine per tenant behind the QoS
+//! front-end, trace-capture round-trips, the device-level crash audit
+//! under a KV stream, and property tests on the Zipf sampler and LSM
+//! engine.
 //!
 //! The thread-invariance test honours `CUBEFTL_THREADS` (CI runs the
 //! suite at 2 and 8) as the second worker-thread count.
@@ -11,11 +13,11 @@ mod common;
 
 use common::{eval, run};
 use cubeftl::harness::{
-    ArrayEvalConfig, EvalConfig, KvSpec, RunOutput, Scenario, SpoConfig, WorkloadSource,
+    ArrayEvalConfig, EvalConfig, KvSpec, QosSpec, RunOutput, Scenario, SpoConfig, WorkloadSource,
 };
 use cubeftl::{
     splitmix64, AgingState, FtlKind, IntZipf, KvAppReport, KvConfig, KvStream, LsmTree, SplitMix,
-    SpoTrigger, StandardWorkload, Trace, YcsbKind,
+    SpoTrigger, StandardWorkload, TenantMix, Trace, YcsbKind,
 };
 use proptest::prelude::*;
 
@@ -29,19 +31,26 @@ fn cfg() -> EvalConfig {
 
 /// A small engine shape so flushes and compactions cycle many times
 /// inside a test-scale run.
-fn spec(kind: YcsbKind) -> KvSpec {
-    let mut kv = KvSpec::with_workload(kind);
-    kv.keys = 2_048;
-    kv.memtable_entries = 256;
-    kv
+fn spec() -> KvSpec {
+    KvSpec {
+        keys: 2_048,
+        memtable_entries: 256,
+        ..KvSpec::default()
+    }
 }
 
-/// A fresh Cube device under `kv`.
-fn kv_scenario(workload: impl Into<WorkloadSource>, kv: KvSpec) -> Scenario {
+/// A fresh Cube device driven by `workload`, its KV engines (if any)
+/// shaped by [`spec`].
+fn scenario(workload: impl Into<WorkloadSource>) -> Scenario {
     Scenario {
-        kv,
+        kv: spec(),
         ..Scenario::new(FtlKind::Cube, workload, AgingState::Fresh, &cfg())
     }
+}
+
+/// [`scenario`] under the YCSB workload `kind`.
+fn kv_scenario(kind: YcsbKind) -> Scenario {
+    scenario(TenantMix::Kv(kind))
 }
 
 /// The single engine's app-level results.
@@ -49,15 +58,13 @@ fn app(r: &RunOutput) -> &KvAppReport {
     &r.kv.as_ref().expect("engaged run reports app metrics").apps[0]
 }
 
-/// A spec without a workload is disengaged whatever its shape says: the
-/// scenario's own workload drives the device and no KV part is
-/// reported.
+/// The engine shape is inert unless the workload names a KV
+/// personality: the scenario's own workload drives the device and no KV
+/// part is reported.
 fn assert_shape_is_inert_when_disengaged(base: &Scenario) {
-    let mut shaped = spec(YcsbKind::A);
-    shaped.workload = None;
     let plain = run(base);
     let r = run(&Scenario {
-        kv: shaped,
+        kv: spec(),
         ..base.clone()
     });
     assert!(r.kv.is_none(), "disengaged run reports no app metrics");
@@ -94,7 +101,7 @@ fn defaults_off_reproduces_run_array_eval_traced_byte_for_byte() {
 
 #[test]
 fn engaged_kv_run_is_byte_identical_across_reruns() {
-    let sc = kv_scenario(StandardWorkload::Mail, spec(YcsbKind::A));
+    let sc = kv_scenario(YcsbKind::A);
     let (a, b) = (run(&sc), run(&sc));
     assert!(app(&a).stats.ops > 0, "measured ops ran");
     assert!(app(&a).stats.flushes > 0, "memtable flushed at least once");
@@ -107,7 +114,7 @@ fn engaged_kv_run_is_byte_identical_across_reruns() {
 
 #[test]
 fn ycsb_a_amplifies_writes_more_than_ycsb_c() {
-    let at = |kind: YcsbKind| app(&run(&kv_scenario(StandardWorkload::Mail, spec(kind)))).clone();
+    let at = |kind: YcsbKind| app(&run(&kv_scenario(kind))).clone();
     let a = at(YcsbKind::A);
     let c = at(YcsbKind::C);
     assert!(
@@ -136,7 +143,7 @@ fn array_kv_run_is_identical_at_any_thread_count() {
         arr.threads = threads;
         let r = run(&Scenario {
             array: Some(arr),
-            ..kv_scenario(StandardWorkload::Mail, spec(YcsbKind::A))
+            ..kv_scenario(YcsbKind::A)
         });
         let kv = r.kv.as_ref().expect("engaged");
         assert_eq!(kv.apps.len(), 4, "one KV engine per shard");
@@ -147,11 +154,54 @@ fn array_kv_run_is_identical_at_any_thread_count() {
     assert_eq!(one, at(2), "1 vs 2 worker threads");
 }
 
+#[test]
+fn every_tenant_behind_a_front_runs_its_own_engine() {
+    // A KV personality is a tenant's generator like any other: each of
+    // the four tenants drives its own engine (in tenant-id order, on
+    // whichever shard the tenant routes to), and the app reports are as
+    // deterministic as the device's.
+    let sc = Scenario {
+        qos: QosSpec {
+            queues: 2,
+            tenants: 4,
+            weights: vec![4, 1],
+            arrival_interval_us: 40.0,
+            ..QosSpec::off()
+        },
+        ..kv_scenario(YcsbKind::A)
+    };
+    let r = run(&sc);
+    let kv = r.kv.as_ref().expect("KV tenants report app metrics");
+    assert_eq!(kv.apps.len(), 4, "one engine per tenant");
+    assert!(kv.apps.iter().all(|a| a.kind == YcsbKind::A));
+    let ops = |i: usize| kv.apps[i].stats.ops;
+    assert!(ops(1) > 0, "every tenant's engine served ops");
+    assert!(ops(0) > ops(1), "the weight-4 tenant out-ran the weight-1");
+    let qos = r.qos.as_ref().expect("front-end engaged");
+    assert_eq!(qos.tenants.len(), 4);
+    let again = run(&sc);
+    assert_eq!(
+        format!("{:?} {:?} {:?}", r.phases, r.qos, r.kv),
+        format!("{:?} {:?} {:?}", again.phases, again.qos, again.kv),
+    );
+    let sharded = |threads: usize| {
+        let mut arr = ArrayEvalConfig::new(2);
+        arr.threads = threads;
+        let r = run(&Scenario {
+            array: Some(arr),
+            ..sc.clone()
+        });
+        assert_eq!(r.kv.as_ref().expect("KV tenants").apps.len(), 4);
+        format!("{:?} {:?} {:?}", r.phases, r.qos, r.kv)
+    };
+    assert_eq!(sharded(1), sharded(common::threads().max(2)));
+}
+
 /// Replays `trace` with capture on and returns the re-captured CSV.
 fn recapture(trace: &Trace) -> String {
     let r = run(&Scenario {
         capture: true,
-        ..kv_scenario(trace, KvSpec::off())
+        ..scenario(trace)
     });
     r.captured
         .expect("capture requested")
@@ -162,7 +212,7 @@ fn recapture(trace: &Trace) -> String {
 fn kv_capture_round_trips_byte_identically() {
     let r = run(&Scenario {
         capture: true,
-        ..kv_scenario(StandardWorkload::Mail, spec(YcsbKind::A))
+        ..kv_scenario(YcsbKind::A)
     });
     let captured = r.captured.expect("capture requested");
     assert_eq!(captured.label(), "ycsb_a");
@@ -179,7 +229,7 @@ fn kv_capture_round_trips_byte_identically() {
 
 #[test]
 fn plain_workload_capture_round_trips_byte_identically() {
-    let sc = kv_scenario(StandardWorkload::Web, KvSpec::off());
+    let sc = scenario(StandardWorkload::Web);
     let plain = run(&sc).into_sim();
     let r = run(&Scenario {
         capture: true,
@@ -205,7 +255,7 @@ fn kv_stream_survives_a_power_cut_with_zero_device_loss() {
     // byte-identically on a rerun.
     let single = Scenario {
         spo: Some(SpoConfig::at_ops(1_200)),
-        ..kv_scenario(StandardWorkload::Mail, spec(YcsbKind::A))
+        ..kv_scenario(YcsbKind::A)
     };
     let array = Scenario {
         array: Some(ArrayEvalConfig::new(4)),
@@ -213,7 +263,7 @@ fn kv_stream_survives_a_power_cut_with_zero_device_loss() {
             trigger: SpoTrigger::AtTimeUs(20_000.0),
             ckpt_interval_host_wls: 64,
         }),
-        ..kv_scenario(StandardWorkload::Mail, spec(YcsbKind::A))
+        ..kv_scenario(YcsbKind::A)
     };
     for (sc, shards) in [(single, 1), (array, 4)] {
         let r = run(&sc);

@@ -64,20 +64,27 @@ fn campaign_double_run_is_byte_identical() {
 
 #[test]
 fn array_campaign_is_identical_at_any_thread_count() {
-    let at = |threads: usize| {
-        let mut arr = ArrayEvalConfig::new(4);
-        arr.threads = threads;
-        let r = run(&scenario(
-            StandardWorkload::Oltp,
-            AgingState::Fresh,
-            Some(arr),
-            Some(campaign()),
-        ));
-        format!("{:?} {:?}", r.phases, r.aging)
-    };
-    let one = at(1);
-    assert_eq!(one, at(common::threads()), "1 vs env worker threads");
-    assert_eq!(one, at(2), "1 vs 2 worker threads");
+    // Per-shard generator substreams and a striped trace replay alike:
+    // aging runs at the epoch barriers, so the thread count cannot
+    // matter.
+    let sources: [WorkloadSource; 2] = [StandardWorkload::Oltp.into(), (&usr_trace()).into()];
+    for source in sources {
+        let at = |threads: usize| {
+            let mut arr = ArrayEvalConfig::new(4);
+            arr.threads = threads;
+            let r = run(&scenario(
+                source.clone(),
+                AgingState::Fresh,
+                Some(arr),
+                Some(campaign()),
+            ));
+            assert_eq!(r.epochs().count(), 3, "every epoch ran");
+            format!("{:?} {:?}", r.phases, r.aging)
+        };
+        let one = at(1);
+        assert_eq!(one, at(common::threads()), "1 vs env worker threads");
+        assert_eq!(one, at(2), "1 vs 2 worker threads");
+    }
 }
 
 /// A one-epoch campaign ([`LifetimeConfig::off`]) applies no aging

@@ -493,20 +493,18 @@ proptest! {
         stripe in 1u64..129,
         lpn in 0u64..1_000_000,
     ) {
-        let router = cubeftl::StripeRouter::new(shards, stripe);
+        let router = cubeftl::ParityRouter::new(shards, stripe, false);
         let (s, local) = router.to_local(lpn);
         prop_assert_eq!(s, router.shard_of(lpn));
         prop_assert!(s < shards);
         prop_assert_eq!(router.to_global(s, local), lpn);
         // Capacity accounting: the local LPN fits the shard's share of
-        // any global space that contains the LPN.
-        let global_pages = lpn + 1;
-        let mut total = 0;
-        for sh in 0..shards {
-            total += router.local_pages(global_pages, sh);
-        }
-        prop_assert_eq!(total, global_pages);
-        prop_assert!(local < router.local_pages(global_pages, s));
+        // the smallest whole-row global space that contains the LPN,
+        // and the shares add up to that space.
+        let per_row = stripe * shards as u64;
+        let global_pages = (lpn / per_row + 1) * per_row;
+        prop_assert_eq!(router.local_pages(global_pages) * shards as u64, global_pages);
+        prop_assert!(local < router.local_pages(global_pages));
     }
 
     /// Splitting a span request at stripe boundaries conserves pages:
@@ -518,7 +516,7 @@ proptest! {
         lpn in 0u64..100_000,
         n in 1u32..400,
     ) {
-        let router = cubeftl::StripeRouter::new(shards, stripe);
+        let router = cubeftl::ParityRouter::new(shards, stripe, false);
         let req = ssdsim::HostRequest::write_span(lpn, n);
         let parts = router.split(req);
         let mut next = lpn;

@@ -58,7 +58,6 @@ fn assert_knobs_are_inert_when_disengaged(base: Scenario) {
         tenants: 1,
         sq_depth: 2,
         slo_read_us: Some(1.0),
-        mix: Some(TenantMix::Uniform),
         ..engaged_spec()
     };
     assert!(!knobs.engaged());
@@ -166,15 +165,12 @@ fn overload_differentiates_service_by_class() {
         queues: 4,
         tenants: 8,
         weights: vec![8, 4, 2, 1],
-        mix: Some(TenantMix::Uniform),
         ..QosSpec::off()
     };
-    let r = run(&scenario(
-        AgingState::Fresh,
-        6_000,
-        spec,
-        TelemetrySpec::off(),
-    ));
+    let r = run(&Scenario {
+        workload: TenantMix::Uniform.into(),
+        ..scenario(AgingState::Fresh, 6_000, spec, TelemetrySpec::off())
+    });
     let qos = r.qos.expect("engaged");
     let total = qos.total();
     assert!(total.shed > 0, "the run must actually overload");
