@@ -1,60 +1,234 @@
-//! Greedy garbage collection: victim selection.
+//! Greedy garbage collection and block migration.
 //!
 //! All four FTL variants share the same GC policy (the paper's
 //! contribution is orthogonal to GC): when a chip runs low on free
 //! blocks, the block with the fewest valid pages among the closed blocks
-//! is migrated and erased.
+//! is migrated and erased. Retention scrubbing and wear leveling are the
+//! same page migration with a batch limit (refresh is migration), so
+//! there is one migration routine, `Ftl::migrate_block`, and one way a
+//! drained block returns to the free pool, `Ftl::release_block`.
 
+use crate::base::{Ftl, Origin};
 use crate::mapping::Mapping;
-use nand3d::BlockId;
+use nand3d::{BlockId, Environment, WlData};
+use telemetry::{EventKind, EventMask};
 
-/// Selects the GC victim on `chip`: the candidate block with the fewest
-/// valid pages. Returns `None` when `candidates` is empty or every
-/// candidate is fully valid (nothing reclaimable).
+/// Selects the victim on `chip`: the candidate block with the fewest
+/// valid pages, lowest id on ties. Returns `None` when `candidates` is
+/// empty or every candidate is fully valid (nothing reclaimable).
+///
+/// With `wear` — the chip's erase counters and a spread limit, while
+/// wear leveling is on — reclaimable candidates whose erase count
+/// exceeds the coldest one's by more than the limit are excluded
+/// (erasing them again would widen the hot/cold spread), and ties on
+/// the valid count break toward the less-worn block before the id.
 pub fn select_victim(
     mapping: &Mapping,
     chip: usize,
-    candidates: impl Iterator<Item = BlockId>,
+    candidates: impl Iterator<Item = BlockId> + Clone,
     pages_per_block: u32,
+    wear: Option<(&Environment, u32)>,
 ) -> Option<BlockId> {
-    candidates
-        .map(|b| (mapping.valid_in_block(chip, b.0), b))
-        .filter(|(valid, _)| *valid < pages_per_block)
-        .min_by_key(|(valid, b)| (*valid, b.0))
-        .map(|(_, b)| b)
+    let wear_of = |b: BlockId| wear.map_or(0, |(env, _)| env.erase_count(b.0 as usize));
+    let reclaimable = candidates.filter(|b| mapping.valid_in_block(chip, b.0) < pages_per_block);
+    let hottest_allowed = match wear {
+        Some((_, spread_limit)) => reclaimable
+            .clone()
+            .map(wear_of)
+            .min()?
+            .saturating_add(spread_limit),
+        None => u32::MAX,
+    };
+    reclaimable
+        .filter(|b| wear_of(*b) <= hottest_allowed)
+        .min_by_key(|b| (mapping.valid_in_block(chip, b.0), wear_of(*b), b.0))
 }
 
-/// Wear-aware victim selection for the maintenance subsystem's wear
-/// leveling: like [`select_victim`] it reclaims the block with the
-/// fewest valid pages, but candidates whose erase count exceeds the
-/// coldest candidate's by more than `wear_spread_limit` are excluded
-/// (erasing them again would widen the hot/cold spread), and remaining
-/// ties break toward the less-worn block.
-pub fn select_victim_wear_aware(
-    mapping: &Mapping,
-    chip: usize,
-    candidates: impl Iterator<Item = BlockId>,
-    pages_per_block: u32,
-    erase_count: impl Fn(BlockId) -> u32,
-    wear_spread_limit: u32,
-) -> Option<BlockId> {
-    let scored: Vec<(u32, u32, BlockId)> = candidates
-        .map(|b| (mapping.valid_in_block(chip, b.0), erase_count(b), b))
-        .filter(|(valid, _, _)| *valid < pages_per_block)
-        .collect();
-    let coldest = scored.iter().map(|(_, wear, _)| *wear).min()?;
-    scored
-        .into_iter()
-        .filter(|(_, wear, _)| *wear <= coldest.saturating_add(wear_spread_limit))
-        .min_by_key(|(valid, wear, b)| (*valid, *wear, b.0))
-        .map(|(_, _, b)| b)
+impl Ftl {
+    /// Runs garbage collection on `chip` until the free pool is above the
+    /// threshold. `origin` is [`Origin::Gc`] under a host write and
+    /// [`Origin::Maint`] under the PLP replay; it attributes the page
+    /// moves and the migration's reads and writes. Returns the NAND
+    /// latency spent.
+    pub(crate) fn run_gc(&mut self, chip: usize, mu: f64, origin: Origin) -> f64 {
+        let mut latency = 0.0;
+        let g = self.geometry();
+        let per_block = g.pages_per_block();
+        // Bound the work per invocation: GC latency is charged to the
+        // triggering write, and unbounded rounds would stall the host.
+        let mut rounds = 0;
+        while self.pool_low(chip) && rounds < 16 {
+            rounds += 1;
+            let Some(victim) = self.gc_victim(chip) else {
+                // No block holds any garbage (e.g. right after a unique
+                // prefill): collecting would only shuffle valid pages
+                // between blocks without freeing anything. Keep writing
+                // into the remaining free pool; overwrites will create
+                // reclaimable garbage before it runs out (guaranteed by
+                // the over-provisioning: unique data can never fill the
+                // physical space).
+                break;
+            };
+            // Profitability check: migrating the victim consumes free WLs
+            // for its valid pages; require at least one WL of net gain or
+            // GC cannot make forward progress.
+            let reclaimable = per_block - self.mapping.valid_in_block(chip, victim.0);
+            if reclaimable < u32::from(g.pages_per_wl) {
+                break;
+            }
+
+            let (moved, _) = self.migrate_block(chip, victim, usize::MAX, mu, origin, &mut latency);
+            match origin {
+                Origin::Maint => self.stats.maint_gc_page_moves += moved,
+                Origin::Host | Origin::Gc => self.stats.gc_page_moves += moved,
+            }
+            self.last_gc_erase[chip] = Some(victim);
+            self.stats.gc_runs += 1;
+            if self.trace.wants(EventMask::GC) {
+                self.trace.emit(
+                    self.tel_now_us,
+                    EventKind::GcVictim {
+                        chip: chip as u32,
+                        block: victim.0,
+                        moved_wls: (moved as u32).div_ceil(3),
+                        wear_aware: self.wear_leveling_on(),
+                    },
+                );
+            }
+        }
+        latency
+    }
+
+    /// Whether `block` is currently open for writing on `chip`.
+    pub(crate) fn is_active(&self, chip: usize, block: BlockId) -> bool {
+        match &self.wam {
+            Some(wam) => wam.active_blocks(chip).any(|b| b == block),
+            None => self.seq[chip].is_some_and(|sa| sa.block == block),
+        }
+    }
+
+    /// Whether `block` is a closed data block of `chip` — neither free,
+    /// nor open for writing, nor backing the checkpoint region (which
+    /// holds no mapped pages, so victim selection would see it as
+    /// maximally profitable and erase the live checkpoint) — and so
+    /// eligible for GC, wear leveling and scrubbing.
+    pub(crate) fn is_closed(&self, chip: usize, block: BlockId) -> bool {
+        !self.free[chip].contains(block)
+            && !self.is_active(chip, block)
+            && !self.ckpt_region_contains(chip, block)
+    }
+
+    /// The block to reclaim next on `chip`: the closed block with the
+    /// fewest valid pages, wear-aware while wear leveling is on. `None`
+    /// when no closed block holds any garbage.
+    pub(crate) fn gc_victim(&self, chip: usize) -> Option<BlockId> {
+        let g = self.geometry();
+        let candidates = (0..g.blocks_per_chip)
+            .map(BlockId)
+            .filter(|b| self.is_closed(chip, *b));
+        let wear = self
+            .maint
+            .as_ref()
+            .filter(|m| m.config.wear_leveling)
+            .map(|m| {
+                let env = self.array.chip(chip).expect("valid chip").env();
+                (env, m.config.wear_spread_limit)
+            });
+        select_victim(&self.mapping, chip, candidates, g.pages_per_block(), wear)
+    }
+
+    /// Moves up to `limit` valid pages of `block` to fresh WLs — each is
+    /// read through the variant's read policy (the ORT benefits GC reads
+    /// too), then they are re-programmed three to a WL — and, once none
+    /// remain, releases the block. The NAND time is added to `latency`
+    /// term by term. Returns the number of pages moved and whether the
+    /// block was released.
+    pub(crate) fn migrate_block(
+        &mut self,
+        chip: usize,
+        block: BlockId,
+        limit: usize,
+        mu: f64,
+        origin: Origin,
+        latency: &mut f64,
+    ) -> (u64, bool) {
+        // The list must be taken before the mapping changes under it;
+        // its buffer is reused from one migration to the next.
+        let mut lpns = std::mem::take(&mut self.migrate_lpns);
+        lpns.clear();
+        lpns.extend(
+            self.mapping
+                .valid_pages_of_block(chip, block.0)
+                .map(|(lpn, _)| lpn),
+        );
+        let drained = lpns.len() <= limit;
+        lpns.truncate(limit);
+        for lpn in &lpns {
+            *latency += self
+                .read_mapped(*lpn, origin)
+                .expect("valid page must be mapped")
+                .nand_us;
+        }
+        for group in lpns.chunks(3) {
+            let mut wl = [WlData::PAD; 3];
+            wl[..group.len()].copy_from_slice(group);
+            *latency += self.program_and_map(chip, wl, mu, origin).0;
+        }
+        let moved = lpns.len() as u64;
+        self.migrate_lpns = lpns;
+        if drained {
+            *latency += self.release_block(chip, block);
+        }
+        (moved, drained)
+    }
+
+    /// Erases `block` on `chip`, stamped with the next operation
+    /// sequence number (so recovery can tell the block changed hands).
+    /// Returns the erase latency.
+    pub(crate) fn erase_tagged(&mut self, chip: usize, block: BlockId) -> f64 {
+        self.seq_counter += 1;
+        self.array
+            .chip_mut(chip)
+            .expect("valid chip")
+            .erase_tagged(block, self.seq_counter)
+            .expect("block in range")
+    }
+
+    /// The one way a block holding no valid page returns to the free
+    /// pool: erase it (young again under per-block retention tracking),
+    /// drop its h-layers' monitored parameters and queue it for
+    /// allocation. Returns the erase latency.
+    pub(crate) fn release_block(&mut self, chip: usize, block: BlockId) -> f64 {
+        self.mapping.assert_block_clean(chip, block.0);
+        let latency = self.erase_tagged(chip, block);
+        if let Some(opm) = &mut self.opm {
+            opm.invalidate_block(chip, block.0);
+        }
+        self.free[chip].put(block);
+        self.stats.erases += 1;
+        latency
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mapping::Ppn;
+    use crate::testutil::{ctx, write_all};
+    use crate::FtlConfig;
     use nand3d::Geometry;
+    use ssdsim::FtlDriver;
+
+    /// Erase counters with block `b` erased `erases[b]` times.
+    fn worn(erases: &[u32]) -> Environment {
+        let mut env = Environment::new(erases.len(), 0);
+        for (b, &n) in erases.iter().enumerate() {
+            for _ in 0..n {
+                env.record_erase(b);
+            }
+        }
+        env
+    }
 
     #[test]
     fn picks_min_valid_block() {
@@ -66,7 +240,7 @@ mod tests {
         m.map(2, Ppn { chip: 0, page: 1 });
         m.map(3, Ppn { chip: 0, page: ppb });
         let candidates = [BlockId(0), BlockId(1)];
-        let victim = select_victim(&m, 0, candidates.into_iter(), ppb);
+        let victim = select_victim(&m, 0, candidates.into_iter(), ppb, None);
         assert_eq!(victim, Some(BlockId(1)));
     }
 
@@ -79,7 +253,7 @@ mod tests {
             m.map(u64::from(p), Ppn { chip: 0, page: p });
         }
         assert_eq!(
-            select_victim(&m, 0, [BlockId(0)].into_iter(), ppb),
+            select_victim(&m, 0, [BlockId(0)].into_iter(), ppb, None),
             None,
             "no garbage to reclaim"
         );
@@ -89,14 +263,14 @@ mod tests {
     fn empty_candidates_yield_none() {
         let g = Geometry::small();
         let m = Mapping::new(g, 1, 10);
-        assert_eq!(select_victim(&m, 0, std::iter::empty(), 96), None);
+        assert_eq!(select_victim(&m, 0, std::iter::empty(), 96, None), None);
     }
 
     #[test]
     fn ties_break_deterministically() {
         let g = Geometry::small();
         let m = Mapping::new(g, 1, 10);
-        let victim = select_victim(&m, 0, [BlockId(3), BlockId(1)].into_iter(), 96);
+        let victim = select_victim(&m, 0, [BlockId(3), BlockId(1)].into_iter(), 96, None);
         assert_eq!(victim, Some(BlockId(1)), "lowest id wins ties");
     }
 
@@ -118,15 +292,15 @@ mod tests {
                 },
             );
         }
-        let wear = |b: BlockId| if b.0 == 0 { 40 } else { 2 };
+        let wear = worn(&[40, 2]);
         let candidates = [BlockId(0), BlockId(1)];
         assert_eq!(
-            select_victim(&m, 0, candidates.into_iter(), ppb),
+            select_victim(&m, 0, candidates.into_iter(), ppb, None),
             Some(BlockId(0)),
             "greedy ignores wear"
         );
         assert_eq!(
-            select_victim_wear_aware(&m, 0, candidates.into_iter(), ppb, wear, 8),
+            select_victim(&m, 0, candidates.into_iter(), ppb, Some((&wear, 8))),
             Some(BlockId(1)),
             "wear-aware excludes the hot block"
         );
@@ -149,10 +323,10 @@ mod tests {
                 page: ppb + 1,
             },
         );
-        let wear = |b: BlockId| if b.0 == 0 { 5 } else { 2 };
+        let wear = worn(&[5, 2]);
         let candidates = [BlockId(0), BlockId(1)];
         assert_eq!(
-            select_victim_wear_aware(&m, 0, candidates.into_iter(), ppb, wear, 8),
+            select_victim(&m, 0, candidates.into_iter(), ppb, Some((&wear, 8))),
             Some(BlockId(0)),
             "within the spread limit the emptiest block still wins"
         );
@@ -163,18 +337,13 @@ mod tests {
         let g = Geometry::small();
         let m = Mapping::new(g, 1, 10);
         // All candidates empty; block 4 is the least worn.
-        let wear = |b: BlockId| match b.0 {
-            2 => 7,
-            4 => 1,
-            _ => 3,
-        };
-        let victim = select_victim_wear_aware(
+        let wear = worn(&[3, 3, 7, 3, 1, 3, 3]);
+        let victim = select_victim(
             &m,
             0,
             [BlockId(2), BlockId(4), BlockId(6)].into_iter(),
             96,
-            wear,
-            100,
+            Some((&wear, 100)),
         );
         assert_eq!(victim, Some(BlockId(4)), "cold block wins the tie");
     }
@@ -189,11 +358,11 @@ mod tests {
             m.map(u64::from(p), Ppn { chip: 0, page: p });
         }
         assert_eq!(
-            select_victim_wear_aware(&m, 0, [BlockId(0)].into_iter(), ppb, |_| 0, 8),
+            select_victim(&m, 0, [BlockId(0)].into_iter(), ppb, Some((&worn(&[0]), 8))),
             None
         );
         assert_eq!(
-            select_victim_wear_aware(&m, 0, std::iter::empty(), ppb, |_| 0, 8),
+            select_victim(&m, 0, std::iter::empty(), ppb, Some((&worn(&[0]), 8))),
             None,
             "no candidates at all"
         );
@@ -208,9 +377,62 @@ mod tests {
         // With a single (reclaimable) candidate, the spread window is
         // anchored on that candidate itself, so it is always eligible.
         assert_eq!(
-            select_victim_wear_aware(&m, 0, [BlockId(0)].into_iter(), ppb, |_| 1000, 0),
+            select_victim(
+                &m,
+                0,
+                [BlockId(0)].into_iter(),
+                ppb,
+                Some((&worn(&[1000]), 0))
+            ),
             Some(BlockId(0)),
             "sole free-able block must remain selectable"
+        );
+    }
+
+    #[test]
+    fn gc_reclaims_space_under_sustained_overwrites() {
+        let cfg = FtlConfig::small();
+        for kind in crate::FtlKind::ALL {
+            let mut ftl = Ftl::new(kind, cfg);
+            let working_set = 200u64;
+            // Write far more data than physical capacity / 3 to force GC.
+            let total = cfg.nand.geometry.pages_per_chip() * cfg.chips as u64 * 3;
+            write_all(
+                &mut ftl,
+                (0..total).map(|i| i % working_set),
+                cfg.chips,
+                0.5,
+            );
+            let stats = ftl.stats();
+            assert!(stats.gc_runs > 0, "{}: GC never ran", kind.name());
+            assert!(stats.erases > 0);
+            // All data still readable after GC.
+            for lpn in 0..working_set {
+                assert!(
+                    ftl.read_page(lpn, &ctx(0.0)).is_some(),
+                    "{}: lost lpn {lpn}",
+                    kind.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoint_region_is_never_a_gc_victim() {
+        let cfg = FtlConfig::small();
+        let mut ftl = Ftl::cube(cfg);
+        ftl.enable_checkpointing(u64::MAX);
+        write_all(&mut ftl, 0..120, cfg.chips, 0.5);
+        ftl.take_checkpoint();
+        let region = ftl.ckpt_region();
+        assert_eq!(region.len(), 1);
+        // Hammer the device hard enough for sustained GC on chip 0.
+        write_all(&mut ftl, (0..2400).map(|i| i % 200), cfg.chips, 0.9);
+        assert!(ftl.stats().gc_runs > 0, "workload must trigger GC");
+        assert_eq!(
+            ftl.ckpt_region(),
+            region,
+            "GC must never erase the live checkpoint region"
         );
     }
 }

@@ -22,6 +22,19 @@
 //! All four implement [`ssdsim::FtlDriver`] and run unmodified under the
 //! `ssdsim` engine.
 //!
+//! # Modules
+//!
+//! [`base`] holds the [`Ftl`] struct, its constructors and accessors
+//! and the `FtlDriver` entry points. The shared mechanisms each exist
+//! once, and take *who is asking* (`Origin`: host, GC or maintenance)
+//! as an argument: [`mod@write`] (free pools, WL allocation,
+//! program-and-map), [`read`] (the policy read), [`gc`] (victim
+//! selection, block migration, `release_block`), [`recovery`]
+//! (checkpoint codec, metadata ring, power cut and power cycle),
+//! [`maint`] (scrub / re-monitor / wear-level services) and [`aging`]
+//! (lifetime epochs), over [`mapping`] (L2P/P2L), [`cube`] (OPM and
+//! WAM), [`order`] (program orders), [`config`] and [`predictor`].
+//!
 //! # Example
 //!
 //! ```
@@ -36,6 +49,7 @@
 //! assert_eq!(r.chip, 0);
 //! ```
 
+pub mod aging;
 pub mod base;
 pub mod config;
 pub mod cube;
@@ -44,7 +58,11 @@ pub mod maint;
 pub mod mapping;
 pub mod order;
 pub mod predictor;
+pub mod read;
 pub mod recovery;
+#[cfg(test)]
+mod testutil;
+pub mod write;
 
 pub use base::{Ftl, FtlKind};
 pub use config::{FtlConfig, OrtClusterConfig};

@@ -1,7 +1,7 @@
 //! Page-level address translation (L2P/P2L) and per-block validity
 //! accounting.
 
-use nand3d::Geometry;
+use nand3d::{Geometry, PageAddr, PageIndex, WlAddr, WlData};
 use serde::{Deserialize, Serialize};
 
 /// A physical page number: chip index plus the page's flat index within
@@ -94,6 +94,30 @@ impl Mapping {
         let b = self.block_of_page(ppn.page) as usize;
         self.valid[ppn.chip as usize][b] += 1;
         old
+    }
+
+    /// Installs one programmed WL: maps every live page of `lpns`
+    /// (padding skipped) to its page of `wl` on `chip`. Returns the
+    /// number of pages mapped. The write path and crash recovery's OOB
+    /// replay both install through here.
+    pub fn map_wl(&mut self, chip: usize, wl: WlAddr, lpns: &[u64; 3]) -> u64 {
+        let mut mapped = 0;
+        for (i, &lpn) in lpns.iter().enumerate() {
+            if lpn == WlData::PAD {
+                continue;
+            }
+            let page = PageAddr {
+                wl,
+                page: PageIndex(i as u8),
+            };
+            let ppn = Ppn {
+                chip: chip as u32,
+                page: self.geometry.page_flat(page) as u32,
+            };
+            self.map(lpn, ppn);
+            mapped += 1;
+        }
+        mapped
     }
 
     /// Unmaps `lpn` (TRIM or overwrite), returning its old location.

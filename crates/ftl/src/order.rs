@@ -77,7 +77,7 @@ impl ProgramOrder {
         self,
         geometry: &'g Geometry,
         block: BlockId,
-    ) -> impl Iterator<Item = WlAddr> + 'g {
+    ) -> impl DoubleEndedIterator<Item = WlAddr> + ExactSizeIterator + 'g {
         (0..geometry.wls_per_block()).map(move |i| self.wl_at(geometry, block, i))
     }
 

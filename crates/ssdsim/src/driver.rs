@@ -53,80 +53,104 @@ pub struct PageRead {
     pub retries: u32,
 }
 
-/// FTL-internal counters, reported alongside the simulator's own
-/// statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct FtlStats {
+/// Declares [`FtlStats`] from the one list of its counters: the struct
+/// (every field a `u64`), [`FtlStats::accumulate`] and
+/// [`FtlStats::register_metrics`] (metric name = field name).
+macro_rules! ftl_stats {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// FTL-internal counters, reported alongside the simulator's own
+        /// statistics.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+        pub struct FtlStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl FtlStats {
+            /// Adds every counter of `other` — the array front-end merges
+            /// per-shard stats this way, in shard order.
+            pub fn accumulate(&mut self, other: &FtlStats) {
+                $(self.$name += other.$name;)*
+            }
+
+            /// Registers every counter under `prefix` (e.g. `ftl.gc_runs`).
+            pub fn register_metrics(&self, reg: &mut telemetry::MetricRegistry, prefix: &str) {
+                $(reg.counter(&format!("{prefix}.{}", stringify!($name)), self.$name);)*
+            }
+        }
+    };
+}
+
+ftl_stats! {
     /// Host WLs programmed.
-    pub host_wl_programs: u64,
+    host_wl_programs,
     /// WLs programmed on the fast follower path.
-    pub follower_wl_programs: u64,
+    follower_wl_programs,
     /// Garbage collections run.
-    pub gc_runs: u64,
+    gc_runs,
     /// Valid pages migrated by GC.
-    pub gc_page_moves: u64,
+    gc_page_moves,
     /// Blocks erased.
-    pub erases: u64,
+    erases,
     /// Total read retries observed.
-    pub read_retries: u64,
+    read_retries,
     /// Page reads served from NAND.
-    pub nand_reads: u64,
+    nand_reads,
     /// §4.1.4 safety-check re-programs.
-    pub safety_reprograms: u64,
+    safety_reprograms,
     /// §4.1.4 h-layer demotions: monitored parameters discarded and the
     /// layer held at conservative defaults until re-monitored.
-    pub safety_demotions: u64,
+    safety_demotions,
     /// Program suspend/abort events recovered by re-issuing the data on
     /// the next WL.
-    pub program_aborts: u64,
+    program_aborts,
     /// Reads recovered from a stale cached `ΔV_Ref` (ORT refreshed).
-    pub stuck_retry_recoveries: u64,
+    stuck_retry_recoveries,
     /// Reads recovered from an uncorrectable first attempt via a full
     /// offset scan.
-    pub uncorrectable_recoveries: u64,
+    uncorrectable_recoveries,
     /// Host TRIMs applied (pages unmapped).
-    pub host_trims: u64,
+    host_trims,
     /// Blocks refreshed (migrated and erased) by the retention scrubber.
-    pub scrub_blocks: u64,
+    scrub_blocks,
     /// Valid pages migrated by the retention scrubber.
-    pub scrub_page_moves: u64,
+    scrub_page_moves,
     /// Leader-WL sample reads issued by the scrubber to probe block BER.
-    pub scrub_sample_reads: u64,
+    scrub_sample_reads,
     /// H-layers re-monitored by the periodic OPM refresh service.
-    pub remonitored_layers: u64,
+    remonitored_layers,
     /// Valid pages migrated by the wear-leveling service.
-    pub wear_level_moves: u64,
+    wear_level_moves,
     /// Valid pages migrated by garbage collections that ran *inside*
     /// maintenance (free-pool top-up before a scrub migration);
     /// `gc_page_moves` then counts host-triggered GC only.
-    pub maint_gc_page_moves: u64,
+    maint_gc_page_moves,
     /// ORT lookups answered by a cached per-h-layer `ΔV_Ref` entry.
-    pub ort_hits: u64,
+    ort_hits,
     /// ORT lookups that found no cached entry (the read starts from the
     /// default offset).
-    pub ort_misses: u64,
+    ort_misses,
     /// ORT entries evicted by the capacity-bounded LRU.
-    pub ort_evictions: u64,
+    ort_evictions,
     /// ORT lookups (read path and prediction peeks) that fell all the
     /// way back to the default offset 0 — no cached entry and no
     /// cross-block cluster seed.
-    pub ort_fallbacks: u64,
+    ort_fallbacks,
     /// ORT misses answered by the cross-block h-layer offset cluster.
-    pub cluster_seeds: u64,
+    cluster_seeds,
     /// Cluster-seeded reads whose decode confirmed the seed exactly.
-    pub cluster_hits: u64,
+    cluster_hits,
     /// Cluster-seeded reads whose decode landed on a different offset.
-    pub cluster_mispredicts: u64,
+    cluster_mispredicts,
     /// Host reads whose hopeless retry chain was cut short (seeded walk
     /// abandoned for the default schedule, or a shortened full scan).
-    pub early_terminations: u64,
+    early_terminations,
     /// Metadata pages programmed into the reserved checkpoint region by
     /// L2P checkpoint flushes — real NAND wear, counted into total
     /// write amplification.
-    pub ckpt_page_programs: u64,
+    ckpt_page_programs,
     /// Checkpoint-region block erases (the region is a ring: a block is
     /// recycled whenever cumulative checkpoint pages fill one).
-    pub ckpt_erases: u64,
+    ckpt_erases,
 }
 
 impl FtlStats {
@@ -185,77 +209,6 @@ impl FtlStats {
         let total = self.ort_hits + self.ort_misses;
         (total > 0).then(|| self.ort_hits as f64 / total as f64)
     }
-
-    /// Adds every counter of `other` — the array front-end merges
-    /// per-shard stats this way, in shard order.
-    pub fn accumulate(&mut self, other: &FtlStats) {
-        self.host_wl_programs += other.host_wl_programs;
-        self.follower_wl_programs += other.follower_wl_programs;
-        self.gc_runs += other.gc_runs;
-        self.gc_page_moves += other.gc_page_moves;
-        self.erases += other.erases;
-        self.read_retries += other.read_retries;
-        self.nand_reads += other.nand_reads;
-        self.safety_reprograms += other.safety_reprograms;
-        self.safety_demotions += other.safety_demotions;
-        self.program_aborts += other.program_aborts;
-        self.stuck_retry_recoveries += other.stuck_retry_recoveries;
-        self.uncorrectable_recoveries += other.uncorrectable_recoveries;
-        self.host_trims += other.host_trims;
-        self.scrub_blocks += other.scrub_blocks;
-        self.scrub_page_moves += other.scrub_page_moves;
-        self.scrub_sample_reads += other.scrub_sample_reads;
-        self.remonitored_layers += other.remonitored_layers;
-        self.wear_level_moves += other.wear_level_moves;
-        self.maint_gc_page_moves += other.maint_gc_page_moves;
-        self.ort_hits += other.ort_hits;
-        self.ort_misses += other.ort_misses;
-        self.ort_evictions += other.ort_evictions;
-        self.ort_fallbacks += other.ort_fallbacks;
-        self.cluster_seeds += other.cluster_seeds;
-        self.cluster_hits += other.cluster_hits;
-        self.cluster_mispredicts += other.cluster_mispredicts;
-        self.early_terminations += other.early_terminations;
-        self.ckpt_page_programs += other.ckpt_page_programs;
-        self.ckpt_erases += other.ckpt_erases;
-    }
-
-    /// Registers every counter under `prefix` (e.g. `ftl.gc_runs`).
-    pub fn register_metrics(&self, reg: &mut telemetry::MetricRegistry, prefix: &str) {
-        for (name, value) in [
-            ("host_wl_programs", self.host_wl_programs),
-            ("follower_wl_programs", self.follower_wl_programs),
-            ("gc_runs", self.gc_runs),
-            ("gc_page_moves", self.gc_page_moves),
-            ("erases", self.erases),
-            ("read_retries", self.read_retries),
-            ("nand_reads", self.nand_reads),
-            ("safety_reprograms", self.safety_reprograms),
-            ("safety_demotions", self.safety_demotions),
-            ("program_aborts", self.program_aborts),
-            ("stuck_retry_recoveries", self.stuck_retry_recoveries),
-            ("uncorrectable_recoveries", self.uncorrectable_recoveries),
-            ("host_trims", self.host_trims),
-            ("scrub_blocks", self.scrub_blocks),
-            ("scrub_page_moves", self.scrub_page_moves),
-            ("scrub_sample_reads", self.scrub_sample_reads),
-            ("remonitored_layers", self.remonitored_layers),
-            ("wear_level_moves", self.wear_level_moves),
-            ("maint_gc_page_moves", self.maint_gc_page_moves),
-            ("ort_hits", self.ort_hits),
-            ("ort_misses", self.ort_misses),
-            ("ort_evictions", self.ort_evictions),
-            ("ort_fallbacks", self.ort_fallbacks),
-            ("cluster_seeds", self.cluster_seeds),
-            ("cluster_hits", self.cluster_hits),
-            ("cluster_mispredicts", self.cluster_mispredicts),
-            ("early_terminations", self.early_terminations),
-            ("ckpt_page_programs", self.ckpt_page_programs),
-            ("ckpt_erases", self.ckpt_erases),
-        ] {
-            reg.counter(&format!("{prefix}.{name}"), value);
-        }
-    }
 }
 
 /// A flash translation layer drivable by [`SsdSim`](crate::SsdSim).
@@ -313,6 +266,29 @@ mod tests {
         assert_eq!(s.host_wl_programs, 0);
         assert_eq!(s.gc_runs, 0);
         assert_eq!(s.read_retries, 0);
+    }
+
+    #[test]
+    fn every_ftl_stats_field_is_a_listed_counter() {
+        let one = FtlStats {
+            erases: 1,
+            ckpt_erases: 2,
+            ..FtlStats::default()
+        };
+        let mut sum = one;
+        sum.accumulate(&one);
+        let mut reg = telemetry::MetricRegistry::new();
+        sum.register_metrics(&mut reg, "ftl");
+        assert_eq!(
+            std::mem::size_of::<FtlStats>(),
+            8 * reg.len(),
+            "a field outside the `ftl_stats!` list escapes accumulate and register_metrics"
+        );
+        let keys: Vec<&str> = reg.entries().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys.len(), 29);
+        assert_eq!(keys[0], "ftl.host_wl_programs");
+        assert_eq!(keys[28], "ftl.ckpt_erases");
+        assert_eq!((sum.erases, sum.ckpt_erases, sum.gc_runs), (2, 4, 0));
     }
 
     #[test]

@@ -584,6 +584,21 @@ struct SamplerState {
     last_ftl: crate::driver::FtlStats,
 }
 
+impl SamplerState {
+    /// A sampler at the start of a run: first threshold one interval in.
+    fn new(interval_us: f64, shard: u32) -> Self {
+        SamplerState {
+            interval_us,
+            next_us: interval_us,
+            shard,
+            series: Series::new(interval_us),
+            win_completed: 0,
+            win_tprog: LogHistogram::new(),
+            last_ftl: crate::driver::FtlStats::default(),
+        }
+    }
+}
+
 // The sharded array engine (crate `ssdarray`) runs one `SsdSim` per
 // worker thread; keep the engine `Send`.
 const _: fn() = || {
@@ -658,15 +673,7 @@ impl SsdSim {
                 interval_us > 0.0 && interval_us.is_finite(),
                 "sample interval must be positive"
             );
-            SamplerState {
-                interval_us,
-                next_us: interval_us,
-                shard,
-                series: Series::new(interval_us),
-                win_completed: 0,
-                win_tprog: LogHistogram::new(),
-                last_ftl: crate::driver::FtlStats::default(),
-            }
+            SamplerState::new(interval_us, shard)
         });
     }
 
@@ -1026,45 +1033,16 @@ impl SsdSim {
         }
     }
 
+    /// Back to the state [`SsdSim::new`] builds; only the telemetry
+    /// arming (collector mask and shard, sampler interval and shard)
+    /// carries over.
     fn reset(&mut self) {
-        self.now = 0.0;
-        self.seq = 0;
-        self.host_free_at = 0.0;
-        self.bus_free_at.iter_mut().for_each(|b| *b = 0.0);
-        for c in &mut self.chips {
-            *c = ChipState::default();
-        }
-        self.buffer = WriteBuffer::new(self.config.buffer_pages);
-        self.events.clear();
-        self.requests.clear();
-        self.stalled.clear();
-        self.outstanding = 0;
-        self.completed = 0;
-        self.reads_done = 0;
-        self.writes_done = 0;
-        self.trims_done = 0;
-        self.read_latency = LatencyRecorder::new();
-        self.write_latency = LatencyRecorder::new();
-        self.spo_trims = None;
-        self.issue_limit = 0;
-        self.spo = None;
-        self.spo_rng = None;
-        self.spo_event = None;
-        self.rebuild_sched = None;
-        self.rebuild_queue.clear();
-        self.rebuild_inflight = 0;
-        self.rebuild_allowed_at = 0.0;
-        self.rebuild_tick_armed = false;
-        self.rebuild_chip = 0;
-        self.rebuild_progress = RebuildProgress::default();
+        let armed = std::mem::replace(self, SsdSim::new(self.config));
+        self.trace = armed.trace;
         self.trace.reset();
-        if let Some(s) = &mut self.sampler {
-            s.next_us = s.interval_us;
-            s.series = Series::new(s.interval_us);
-            s.win_completed = 0;
-            s.win_tprog = LogHistogram::new();
-            s.last_ftl = crate::driver::FtlStats::default();
-        }
+        self.sampler = armed
+            .sampler
+            .map(|s| SamplerState::new(s.interval_us, s.shard));
     }
 
     fn push_event(&mut self, t: f64, kind: EventKind) {
@@ -1302,20 +1280,21 @@ impl SsdSim {
         self.try_flush(ftl);
     }
 
-    /// One rebuild page op finished on a chip. When it was the last of
-    /// its unit, close the unit: checkpoint the progress curve, start
-    /// the host-priority gap, and keep the liveness timer armed while
-    /// work remains.
+    /// One rebuild page op finished on a chip; the last of its unit
+    /// closes the unit.
     fn rebuild_op_done(&mut self) {
         debug_assert!(self.rebuild_inflight > 0, "rebuild completion unaccounted");
         self.rebuild_inflight -= 1;
-        if self.rebuild_inflight > 0 {
-            return;
+        if self.rebuild_inflight == 0 {
+            self.close_rebuild_unit();
         }
-        let gap = self
-            .rebuild_sched
-            .as_ref()
-            .map_or(0.0, |s| s.gap_us.max(1.0));
+    }
+
+    /// Closes a rebuild unit: checkpoint the progress curve, start the
+    /// host-priority gap, and keep the liveness timer armed while work
+    /// remains.
+    fn close_rebuild_unit(&mut self) {
+        let gap = self.rebuild_sched.map_or(0.0, |s| s.gap_us.max(1.0));
         self.rebuild_allowed_at = self.now + gap;
         self.rebuild_progress
             .curve
@@ -1482,15 +1461,7 @@ impl SsdSim {
         if dispatched > 0 && self.rebuild_inflight == 0 {
             // The whole unit was skips: close it here, nothing will
             // complete on a chip.
-            self.rebuild_allowed_at = self.now + sched.gap_us.max(1.0);
-            self.rebuild_progress
-                .curve
-                .push((self.now, self.rebuild_progress.ops_done()));
-            if self.rebuild_queue.is_empty() {
-                self.rebuild_progress.done_at_us = self.now;
-            } else {
-                self.arm_rebuild_tick(self.rebuild_allowed_at);
-            }
+            self.close_rebuild_unit();
         }
     }
 

@@ -44,7 +44,7 @@ use ssdsim::{
     HostFront, HostOp, HostRequest, MaintSchedule, RebuildOp, RebuildProgress, RebuildSchedule,
     SimReport, SpoEvent, SpoTrigger, SsdConfig, SsdSim,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use telemetry::{
     merge_streams, Collector, EventKind, EventMask, MetricRegistry, Series, TraceEvent,
 };
@@ -192,9 +192,10 @@ impl Default for TelemetrySpec {
 /// Telemetry artifacts of one run.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryOutput {
-    /// The merged event trace: per shard, the device-side stream merged
-    /// with the FTL-side (and QoS-front) stream in virtual-time order;
-    /// shard streams concatenated in shard-index order.
+    /// The merged event trace: per shard and phase, the device-side
+    /// stream merged with the FTL-side (and QoS-front) stream in
+    /// virtual-time order, phases laid end to end on one timeline;
+    /// shard streams concatenated in shard-id order.
     pub events: Vec<TraceEvent>,
     /// The sampled time series (empty when sampling was off).
     pub series: Series,
@@ -1367,9 +1368,17 @@ impl Scenario {
             None => Vec::new(),
         };
         let mut load = self.load(&devs, 0)?;
+        let mut traces = BTreeMap::new();
         let mut t_offset = 0.0;
+        // Where the phase whose events sit in the collectors starts on
+        // the run's timeline. Every phase clock restarts at zero and
+        // `run_begin` resets the simulator's collector, so they are
+        // gathered before each following phase, and at the drain.
+        let mut start = 0.0;
         for epoch in 0..self.lifetime.map_or(1, |l| l.epochs.max(1)) {
             if let (Some(aging), true) = (&mut out.aging, epoch > 0) {
+                gather(&mut devs, &mut load.hosts, start, &mut traces);
+                start = t_offset;
                 let step = age(&mut devs, &mut engines, epoch, t_offset, &mut aging.events);
                 aging.summaries.push(step);
                 load = self.load(&devs, epoch)?;
@@ -1383,15 +1392,19 @@ impl Scenario {
                 None => (cut, true),
             };
             let (main, mut events) = load.run(self, Phase::Main, &mut devs, stop, None);
-            t_offset += main.merged.sim_time_us;
+            let mut span = main.merged.sim_time_us;
+            t_offset += span;
             out.phases.push(main);
 
             let mut failure = None;
             if let Some(fail) = fail {
+                // The dead shard leaves at the barrier, its events with it.
+                gather(&mut devs, &mut load.hosts, start, &mut traces);
                 let (mut state, plans) = self.fail_barrier(fail, &mut devs, &mut load, &events);
                 let (degraded, cut_events) =
                     load.run(self, Phase::Degraded, &mut devs, cut, Some(plans));
-                state.offset_us = degraded.merged.sim_time_us;
+                (start, span) = (fail.at_us, degraded.merged.sim_time_us);
+                state.offset_us = span;
                 state.progress = rebuild_progress(&devs);
                 out.phases.push(degraded);
                 (events, cut_armed) = (cut_events, true);
@@ -1399,9 +1412,13 @@ impl Scenario {
             }
             let mut resumed_progress = vec![RebuildProgress::default(); devs.len()];
             if let (Some(crash), true) = (&mut out.crash, cut_armed) {
+                // Recovery stamps its events on the clock of the phase
+                // it cut, so they are gathered with that phase.
                 let plans = self.recover(&mut devs, &events, &mut load.budgets, crash);
                 crash.events = events;
                 if load.budgets.iter().any(|&b| b > 0) || plans.iter().any(Option::is_some) {
+                    gather(&mut devs, &mut load.hosts, start, &mut traces);
+                    start += span;
                     let resumed = load.run(self, Phase::Resumed, &mut devs, None, Some(plans));
                     out.phases.push(resumed.0);
                     resumed_progress = rebuild_progress(&devs);
@@ -1424,7 +1441,7 @@ impl Scenario {
                 });
             }
         }
-        self.drain(&mut devs, load, &mut out);
+        self.drain(&mut devs, load, traces, start, &mut out);
         Ok(out)
     }
 
@@ -1914,19 +1931,33 @@ impl Scenario {
         (state, plans)
     }
 
-    /// The fan-in after the last phase: every shard sits back in its
-    /// index slot, so telemetry, QoS outcomes, app reports and the
-    /// capture drain in shard order — byte-identical at any
-    /// worker-thread count.
-    fn drain(&self, devs: &mut [Dev], load: Load, out: &mut RunOutput) {
+    /// The fan-in after the last phase (which started at `start_us`):
+    /// every shard sits back in its index slot, so the sampled series,
+    /// QoS outcomes, app reports and the capture drain in shard order —
+    /// byte-identical at any worker-thread count — and the per-shard
+    /// event buffers concatenate in shard-id order.
+    fn drain(
+        &self,
+        devs: &mut [Dev],
+        mut load: Load,
+        mut traces: BTreeMap<usize, Vec<TraceEvent>>,
+        start_us: f64,
+        out: &mut RunOutput,
+    ) {
         let tel = &self.telemetry;
-        let (mut streams, mut fronts) = match load.hosts {
+        // The QoS reports first: they close each front's event stream
+        // with its end-of-run SLO summaries.
+        let qos: Vec<QosReport> = match &mut load.hosts {
+            Hosts::Fronts(fronts) => fronts.iter_mut().map(HostQueueFront::report).collect(),
+            Hosts::Streams(_) => Vec::new(),
+        };
+        gather(devs, &mut load.hosts, start_us, &mut traces);
+        let (mut streams, fronts) = match load.hosts {
             Hosts::Streams(s) => (s, Vec::new()),
             Hosts::Fronts(f) => (Vec::new(), f),
         };
-        let mut events = Vec::new();
+        let mut events: Vec<TraceEvent> = traces.into_values().flatten().collect();
         let mut series = Series::new(tel.sample_interval_us.unwrap_or(0.0));
-        let mut qos = Vec::new();
         // Whatever drives a stream, the engine behind it reports here,
         // keyed by the order `KvReport::apps` documents.
         let mut apps: Vec<(u32, KvAppReport)> = Vec::new();
@@ -1941,16 +1972,12 @@ impl Scenario {
             app(0, 0, global.as_ref());
         }
         for (i, d) in devs.iter_mut().enumerate() {
-            let mut trace = merge_streams(d.sim.take_trace(), d.ftl.take_trace());
-            if let Some(front) = fronts.get_mut(i) {
-                qos.push(front.report());
-                trace = merge_streams(trace, front.take_trace());
+            if let Some(front) = fronts.get(i) {
                 front.streams().for_each(|(t, s)| app(t, d.id, s));
             }
             if let Some(s) = streams.get(i) {
                 app(i as u32, d.id, s.src.as_ref());
             }
-            events.extend(trace);
             series.extend(&d.sim.take_series());
         }
         apps.sort_by_key(|&(key, _)| key);
@@ -2097,6 +2124,30 @@ impl FailureState {
             audit,
             events: collector.take(),
         }
+    }
+}
+
+/// The fan-in of the event collectors at the end of the phase that
+/// started at `start_us` on the run's timeline: per shard, the
+/// device-side stream merged with the FTL-side and QoS-front streams
+/// in virtual-time order, moved to `start_us` and appended to that
+/// shard's buffer.
+fn gather(
+    devs: &mut [Dev],
+    hosts: &mut Hosts,
+    start_us: f64,
+    traces: &mut BTreeMap<usize, Vec<TraceEvent>>,
+) {
+    for (i, d) in devs.iter_mut().enumerate() {
+        let mut trace = merge_streams(d.sim.take_trace(), d.ftl.take_trace());
+        if let Hosts::Fronts(fronts) = hosts {
+            trace = merge_streams(trace, fronts[i].take_trace());
+        }
+        let moved = trace.into_iter().map(|e| TraceEvent {
+            t_us: e.t_us + start_us,
+            ..e
+        });
+        traces.entry(d.id).or_default().extend(moved);
     }
 }
 

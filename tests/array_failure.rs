@@ -12,11 +12,11 @@ mod common;
 
 use cubeftl::harness::{
     ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, FailureReport, KvSpec, Phase,
-    RunOutput, Scenario, SpoConfig, WorkloadSource,
+    RunOutput, Scenario, SpoConfig, TelemetrySpec, WorkloadSource,
 };
 use cubeftl::{
-    page_fingerprint, xor_parity, AgingState, FtlKind, HostRequest, PageRole, ParityRouter,
-    SpoTrigger, StandardWorkload, TenantMix, YcsbKind,
+    events_to_ndjson, page_fingerprint, xor_parity, AgingState, EventKind, EventMask, FtlKind,
+    HostRequest, PageRole, ParityRouter, SpoTrigger, StandardWorkload, TenantMix, YcsbKind,
 };
 use proptest::prelude::*;
 
@@ -246,6 +246,69 @@ fn failure_composes_with_an_array_spo_cut() {
         format!("{:?}", (&r.resilience, &r.audit, &r.rebuild)),
         format!("{:?}", (&rerun.resilience, &rerun.audit, &rerun.rebuild)),
     );
+}
+
+/// A failure run's event trace spans every phase on one timeline: no
+/// phase's device-side events are dropped at the next `run_begin`, and
+/// no shard's clock runs backwards across a barrier — the failure's, or
+/// a power cut's composed into the degraded phase.
+#[test]
+fn failure_trace_keeps_every_phase_on_one_timeline() {
+    let run = |threads: usize, cut_at_us: Option<f64>| {
+        let mut cfg = EvalConfig::smoke();
+        cfg.blocks_per_chip = 16;
+        let mut arr = ArrayEvalConfig::new(4);
+        arr.stripe_pages = 16;
+        arr.threads = threads;
+        common::run(&Scenario {
+            array: Some(arr),
+            failure: Some(fail_cfg()),
+            spo: cut_at_us.map(|t| SpoConfig {
+                trigger: SpoTrigger::AtTimeUs(t),
+                ckpt_interval_host_wls: 64,
+            }),
+            telemetry: TelemetrySpec {
+                events: EventMask::ALL,
+                sample_interval_us: None,
+            },
+            ..Scenario::new(
+                FtlKind::Cube,
+                StandardWorkload::Oltp,
+                AgingState::Fresh,
+                &cfg,
+            )
+        })
+    };
+    for cut_at_us in [None, Some(2_000.0)] {
+        let out = run(1, cut_at_us);
+        let phases: Vec<Phase> = out.phases.iter().map(|p| p.phase).collect();
+        let mut want = vec![Phase::Main, Phase::Degraded];
+        want.extend(cut_at_us.map(|_| Phase::Resumed));
+        assert_eq!(phases, want);
+        let events = &out.telemetry.events;
+        let completed: u64 = out.phases.iter().map(|p| p.merged.completed).sum();
+        let host_io = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::HostIo { .. }))
+            .count() as u64;
+        assert_eq!(host_io, completed, "one host_io event per completion");
+        let mut last = std::collections::BTreeMap::new();
+        for e in events {
+            let t = last.entry(e.shard).or_insert(0.0);
+            assert!(
+                e.t_us >= *t,
+                "shard {} runs backwards at {}",
+                e.shard,
+                e.t_us
+            );
+            *t = e.t_us;
+        }
+        assert_eq!(
+            events_to_ndjson(events),
+            events_to_ndjson(&run(common::threads(), cut_at_us).telemetry.events),
+            "the trace must not depend on the worker-thread count"
+        );
+    }
 }
 
 proptest! {
