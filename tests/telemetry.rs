@@ -16,7 +16,7 @@ use cubeftl::harness::{
 use cubeftl::{
     events_to_ndjson, AgingState, EventMask, FtlKind, MetricRegistry, SimReport, StandardWorkload,
 };
-use telemetry::{validate_ndjson, validate_trace_ndjson};
+use telemetry::{validate_ndjson, validate_trace_ndjson, EventKind, TraceEvent};
 
 /// One traced fresh Cube run of `requests` smoke-scale requests.
 fn traced(
@@ -197,4 +197,144 @@ fn trace_replay_emits_telemetry_like_any_other_stream() {
     let (_, again) = traced(&trace, 0, tel);
     assert_eq!(ndjson, events_to_ndjson(&again.events));
     assert_eq!(out.series.to_csv(), again.series.to_csv());
+}
+
+/// One hand-built event per kind — plus `fault: None` and `Some`, both
+/// `bool` values and non-finite `f64`s (clamped to `0`) — so every
+/// declared field of every kind is serialized at least once, including
+/// the kinds no `--trace-out` run can reach (`checkpoint`, `spo`).
+fn one_event_per_kind() -> Vec<TraceEvent> {
+    let kinds = [
+        EventKind::HostIo {
+            op: "read",
+            lpn: 123_456_789_012,
+            latency_us: 61.25,
+        },
+        EventKind::HostIo {
+            op: "trim",
+            lpn: 0,
+            latency_us: f64::NAN,
+        },
+        EventKind::IsppProgram {
+            chip: 3,
+            leader: true,
+            pulses: 11,
+            verifies: 54,
+            margin_excess_loops: 2,
+            latency_us: 717.5,
+            aborted: false,
+        },
+        EventKind::IsppProgram {
+            chip: 0,
+            leader: false,
+            pulses: 7,
+            verifies: 9,
+            margin_excess_loops: 0,
+            latency_us: f64::INFINITY,
+            aborted: true,
+        },
+        EventKind::ReadRetry {
+            chip: 1,
+            lpn: 42,
+            retries: 5,
+            fault: None,
+            seeded: true,
+            early_term: false,
+        },
+        EventKind::ReadRetry {
+            chip: 2,
+            lpn: 43,
+            retries: 9,
+            fault: Some("uncorrectable"),
+            seeded: false,
+            early_term: true,
+        },
+        EventKind::GcVictim {
+            chip: 1,
+            block: 17,
+            moved_wls: 96,
+            wear_aware: true,
+        },
+        EventKind::Maint {
+            chip: 2,
+            service: "scrub",
+            page_moves: 12,
+        },
+        EventKind::Checkpoint {
+            pages: 3,
+            bytes: 40_960,
+            latency_us: 2109.0,
+        },
+        EventKind::Spo {
+            phase: "recovery_done",
+            detail: 8000,
+        },
+        EventKind::Opm {
+            chip: 0,
+            layer: 288,
+            action: "demote",
+        },
+        EventKind::HostQueue {
+            queue: 3,
+            tenant: 11,
+            action: "shed",
+            depth: 64,
+        },
+        EventKind::TenantSlo {
+            tenant: 7,
+            completed: 1500,
+            shed: 20,
+            read_p99_us: 812.5,
+            write_p99_us: 0.0,
+            violations: 4,
+        },
+        EventKind::ShardFail {
+            failed: 1,
+            phase: "detect",
+            detail: 512,
+        },
+        EventKind::DegradedRead {
+            lpn: 4242,
+            fragments: 3,
+        },
+        EventKind::RebuildUnit {
+            spare: 4,
+            action: "write",
+            pages: 64,
+        },
+        EventKind::EpochAdvance {
+            epoch: 2,
+            pe_add: 48_000,
+            retention_add_months: 2.25,
+            blocks: 96,
+        },
+        EventKind::KvMaint {
+            op_index: 900,
+            action: "compact",
+            level: 2,
+            pages_in: 128,
+            pages_out: 120,
+        },
+    ];
+    (0u32..)
+        .zip(kinds)
+        .map(|(i, kind)| TraceEvent {
+            t_us: if i == 1 {
+                f64::NEG_INFINITY
+            } else {
+                f64::from(i) * 12.5
+            },
+            shard: i % 4,
+            seq: u64::from(i) * 3,
+            kind,
+        })
+        .collect()
+}
+
+#[test]
+fn golden_event_kinds_are_stable() {
+    check_golden(
+        "golden_event_kinds.ndjson",
+        &events_to_ndjson(&one_event_per_kind()),
+    );
 }
