@@ -10,13 +10,13 @@
 //!
 //! Run with: `cargo run --release -p bench --bin ablate`
 
-use bench::{banner, eval, eval_config_from_args, eval_custom, Table};
+use bench::{banner, eval, eval_custom, BenchArgs, Table};
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
 use ftl::{Ftl, LatencyPredictor, Opm};
 use nand3d::{BlockId, EccModel, NandChip, NandConfig, ProgramParams, WlData};
 
 fn main() {
-    let mut cfg = eval_config_from_args();
+    let mut cfg = BenchArgs::parse(false).cfg;
     cfg.requests = cfg.requests.min(40_000);
 
     // ---- 1. μ_TH sweep --------------------------------------------------

@@ -16,16 +16,13 @@
 //! Run with: `cargo run --release -p bench --bin active_sweep`
 //! (`--out PATH` writes the NDJSON to a file instead of stdout).
 
-use bench::{banner_err, eval_config_from_args, eval_custom, Table};
+use bench::{banner_err, eval_custom, BenchArgs, Table};
 use cubeftl::{AgingState, FtlKind, MetricRegistry, StandardWorkload};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned());
-    let mut cfg = eval_config_from_args();
+    let args = BenchArgs::parse(true);
+    let out = args.out.as_deref();
+    let mut cfg = args.cfg;
     cfg.requests = cfg.requests.min(40_000);
 
     banner_err("sensitivity — active blocks per chip × workload (cubeFTL, fresh)");

@@ -20,7 +20,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
+    let full = bench::BenchArgs::parse(false).full;
     let chips = if full { 32 } else { 8 };
     let blocks_per_chip = 128u32;
     let array = FlashArray::new(NandConfig::paper(), chips, FIGURE_SEED);

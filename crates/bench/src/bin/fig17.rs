@@ -6,11 +6,11 @@
 //! the paper-scale 32-GB SSD (slow); the default reduced scale keeps the
 //! topology and FTL behaviour.
 
-use bench::{banner, eval, eval_config_from_args, Table};
+use bench::{banner, eval, BenchArgs, Table};
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
 
 fn main() {
-    let cfg = eval_config_from_args();
+    let cfg = BenchArgs::parse(false).cfg;
     println!(
         "scale: {} blocks/chip, {} requests per cell",
         cfg.blocks_per_chip, cfg.requests

@@ -7,11 +7,11 @@
 //! (b) Read-latency CDF — even with no read retries at the fresh state,
 //! reads queue behind fewer/shorter programs under cubeFTL.
 
-use bench::{banner, eval, eval_config_from_args, Table};
+use bench::{banner, eval, BenchArgs, Table};
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
 
 fn main() {
-    let cfg = eval_config_from_args();
+    let cfg = BenchArgs::parse(false).cfg;
     println!(
         "scale: {} blocks/chip, {} requests per FTL",
         cfg.blocks_per_chip, cfg.requests

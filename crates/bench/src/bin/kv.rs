@@ -25,7 +25,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin kv`
 
-use bench::{banner, eval_config_from_args, run, Table};
+use bench::{banner, run, BenchArgs, Table};
 use cubeftl::harness::{ArrayEvalConfig, EvalConfig, KvSpec, RunOutput, Scenario};
 use cubeftl::{AgingState, FtlKind, KvAppReport, KvStream, TenantMix, YcsbKind};
 
@@ -155,14 +155,10 @@ fn array_fingerprint(r: &RunOutput) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "./kv_curve.csv".to_owned());
+    let args = BenchArgs::parse(true);
+    let out_path = args.out.as_deref().unwrap_or("./kv_curve.csv");
 
-    let mut cfg = eval_config_from_args();
+    let mut cfg = args.cfg;
     // Enough device requests that the engine cycles through many
     // flush/compaction rounds, bounded for CI runtimes.
     cfg.requests = cfg.requests.clamp(8_000, 24_000);
@@ -214,7 +210,7 @@ fn main() {
     t.print();
 
     let csv = curve_csv(&points);
-    std::fs::write(&out_path, &csv).expect("write curve CSV");
+    std::fs::write(out_path, &csv).expect("write curve CSV");
     println!("\ncurve written to {out_path}");
 
     let cell = |aging: &str, kind: YcsbKind| {

@@ -21,14 +21,13 @@
 //!   threads.
 //!
 //! `--out PATH` overrides the curve path (default
-//! `./lifetime_curve.csv`); `--smoke` runs the CI-scale configuration. `--epochs N`, `--pe N`, `--months F`,
-//! `--scrub-months F`, `--remonitor-pe N` and `--wl 0|1` override the
-//! aging schedule and maintenance tuning for exploration (the
-//! assertions assume the defaults).
+//! `./lifetime_curve.csv`); `--smoke` runs the CI-scale configuration.
+//! The schedule and maintenance tuning are the ones the assertions
+//! assume; explore others with `cubeftl-sim --lifetime-*` / `--maint-*`.
 //!
 //! Run with: `cargo run --release -p bench --bin lifetime`
 
-use bench::{banner, eval_config_from_args, run, Table};
+use bench::{banner, run, BenchArgs, Table};
 use cubeftl::harness::{ArrayEvalConfig, EvalConfig, RunOutput, Scenario};
 use cubeftl::{AgingState, FtlKind, LifetimeConfig, MaintConfig, StandardWorkload};
 
@@ -151,23 +150,11 @@ fn array_fingerprint(r: &RunOutput) -> String {
     s
 }
 
-/// `--flag VALUE` lookup for the schedule-override knobs.
-fn flag_val(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "./lifetime_curve.csv".to_owned());
+    let args = BenchArgs::parse(true);
+    let out_path = args.out.as_deref().unwrap_or("./lifetime_curve.csv");
 
-    let mut cfg = eval_config_from_args();
+    let mut cfg = args.cfg;
     // Five workload phases per campaign; bound each for CI runtimes.
     cfg.requests = cfg.requests.clamp(2_000, 12_000);
     let mut life = LifetimeConfig::campaign();
@@ -179,15 +166,6 @@ fn main() {
     // storms whose rewrites reset retention mid-campaign and break the
     // per-epoch monotonicity the curve asserts.
     life.pe_per_epoch = 100;
-    if let Some(v) = flag_val(&args, "--epochs") {
-        life.epochs = v as u32;
-    }
-    if let Some(v) = flag_val(&args, "--pe") {
-        life.pe_per_epoch = v as u32;
-    }
-    if let Some(v) = flag_val(&args, "--months") {
-        life.months_per_epoch = v;
-    }
 
     banner("lifetime campaign — fresh -> end-of-life drift (Mail, cubeFTL)");
     println!(
@@ -206,15 +184,6 @@ fn main() {
     // states; under this accelerated schedule (~12 retention-months per
     // campaign) the scrubber must engage proactively to race the drift.
     maint.scrub_retention_min_months = 2.0;
-    if let Some(v) = flag_val(&args, "--scrub-months") {
-        maint.scrub_retention_min_months = v;
-    }
-    if let Some(v) = flag_val(&args, "--wl") {
-        maint.wear_leveling = v != 0.0;
-    }
-    if let Some(v) = flag_val(&args, "--remonitor-pe") {
-        maint.remonitor_pe_budget = v as u32;
-    }
     cfg.maint = Some(maint);
     let with_maint = run_campaign("on", &cfg, &life);
 
@@ -253,7 +222,7 @@ fn main() {
             .map(|x| x.1)
             .unwrap_or(""),
     );
-    std::fs::write(&out_path, &csv).expect("write curve CSV");
+    std::fs::write(out_path, &csv).expect("write curve CSV");
     println!("\ncurve written to {out_path}");
 
     // Bar 1: the maintenance-off retry curve is monotone non-decreasing

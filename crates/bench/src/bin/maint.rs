@@ -10,11 +10,11 @@
 //!
 //! Run with: `cargo run --release -p bench --bin maint`
 
-use bench::{banner, eval, eval_config_from_args, Table};
+use bench::{banner, eval, BenchArgs, Table};
 use cubeftl::{AgingState, FaultKind, FaultPlan, FtlKind, MaintConfig, StandardWorkload};
 
 fn main() {
-    let mut cfg = eval_config_from_args();
+    let mut cfg = BenchArgs::parse(false).cfg;
     cfg.requests = cfg.requests.min(30_000);
     cfg.faults = Some(
         FaultPlan::seeded(cfg.seed)

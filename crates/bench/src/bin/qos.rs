@@ -28,7 +28,7 @@
 //! Run with: `cargo run --release -p bench --bin qos` (`--smoke` for
 //! the CI-sized variant).
 
-use bench::{banner, eval_config_from_args, run, Table};
+use bench::{banner, run, BenchArgs, Table};
 use cubeftl::harness::{EvalConfig, QosSpec, Scenario};
 use cubeftl::{AgingState, FtlKind, QosReport, SimReport, TenantClass, TenantMix};
 
@@ -92,13 +92,9 @@ fn calibrate(cfg: &EvalConfig) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned());
-
-    let mut cfg = eval_config_from_args();
+    let args = BenchArgs::parse(true);
+    let out_path = args.out.as_deref();
+    let mut cfg = args.cfg;
     cfg.requests = cfg.requests.clamp(6_000, 20_000);
     let mut csv = String::from(
         "phase,cell,tenant_or_class,weight,admitted,shed,completed,share,expected_share,\

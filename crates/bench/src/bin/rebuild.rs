@@ -21,12 +21,12 @@
 //! Run with: `cargo run --release -p bench --bin rebuild` (`--smoke`
 //! for the CI-sized variant).
 
-use bench::{banner, eval_config_from_args, run, Table};
+use bench::{banner, run, BenchArgs, Table};
 use cubeftl::harness::{ArrayEvalConfig, ArrayFailureConfig, FailSpec, Phase, Scenario};
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
 
 fn main() {
-    let mut cfg = eval_config_from_args();
+    let mut cfg = BenchArgs::parse(false).cfg;
     cfg.requests = cfg.requests.min(4_000);
     let workload = StandardWorkload::Oltp;
     let aging = AgingState::MidLife;

@@ -18,7 +18,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin retry`
 
-use bench::{banner, eval_config_from_args, run, Table};
+use bench::{banner, run, BenchArgs, Table};
 use cubeftl::harness::{Scenario, TelemetrySpec};
 use cubeftl::{
     events_to_ndjson, AgingState, EventKind, EventMask, FtlKind, OrtClusterConfig, RetryOptConfig,
@@ -69,13 +69,9 @@ fn sum_trace(events: &[TraceEvent]) -> (u64, u64, u64, u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned());
-
-    let mut cfg = eval_config_from_args();
+    let args = BenchArgs::parse(true);
+    let out_path = args.out.as_deref();
+    let mut cfg = args.cfg;
     // Enough read traffic for the cluster to warm past its per-h-layer
     // sample threshold even at smoke scale, bounded for CI runtimes.
     cfg.requests = cfg.requests.clamp(15_000, 30_000);

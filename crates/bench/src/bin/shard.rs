@@ -20,13 +20,13 @@
 //! Run with: `cargo run --release -p bench --bin shard` (`--smoke` for
 //! the CI-sized variant).
 
-use bench::{banner, eval_config_from_args, run, Table};
+use bench::{banner, run, BenchArgs, Table};
 use cubeftl::harness::{ArrayEvalConfig, Scenario};
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
 use std::time::Instant;
 
 fn main() {
-    let mut cfg = eval_config_from_args();
+    let mut cfg = BenchArgs::parse(false).cfg;
     cfg.requests = cfg.requests.min(8_000);
     let workload = StandardWorkload::Oltp;
     let aging = AgingState::MidLife;

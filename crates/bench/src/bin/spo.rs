@@ -24,13 +24,13 @@
 //! Run with: `cargo run --release -p bench --bin spo` (`--smoke` for
 //! the CI-sized variant).
 
-use bench::{banner, eval_config_from_args, run, Table};
+use bench::{banner, run, BenchArgs, Table};
 use cubeftl::harness::{CrashReport, EvalConfig, RunOutput, Scenario, SpoConfig};
 use cubeftl::{AgingState, FtlDriver, FtlKind, SpoTrigger, StandardWorkload};
 use ssdsim::HostContext;
 
 fn main() {
-    let mut cfg = eval_config_from_args();
+    let mut cfg = BenchArgs::parse(false).cfg;
     cfg.requests = cfg.requests.min(20_000);
     let cut_at = cfg.requests * 3 / 4;
 

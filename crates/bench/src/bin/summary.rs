@@ -4,14 +4,14 @@
 //! Run with: `cargo run --release -p bench --bin summary` (add `--full`
 //! for the paper-scale SSD in the simulation rows).
 
-use bench::{banner, eval, eval_config_from_args, paper_chip, Table};
+use bench::{banner, eval, paper_chip, BenchArgs, Table};
 use cubeftl::{AgingState, FtlKind, ProgramOrder, StandardWorkload};
 use ftl::Opm;
 use nand3d::ispp::split_margin_mv;
 use nand3d::{delta_h, delta_v, BlockId, ProgramParams, ReadParams, WlData};
 
 fn main() {
-    let cfg = eval_config_from_args();
+    let cfg = BenchArgs::parse(false).cfg;
     let mut t = Table::new(["anchor", "paper", "measured", "source"]);
 
     // --- Device-level anchors ------------------------------------------

@@ -8,13 +8,13 @@
 //!
 //! Run with: `cargo run --release -p bench --bin sweep_aging`
 
-use bench::{banner, eval_config_from_args, Table};
+use bench::{banner, BenchArgs, Table};
 use cubeftl::{FtlKind, StandardWorkload};
 use ftl::Ftl;
 use ssdsim::SsdSim;
 
 fn main() {
-    let mut cfg = eval_config_from_args();
+    let mut cfg = BenchArgs::parse(false).cfg;
     cfg.requests = cfg.requests.min(30_000);
 
     banner("IOPS vs retention time at 2K P/E (Mail workload)");

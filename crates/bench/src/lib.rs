@@ -1,14 +1,18 @@
 //! Shared utilities for the figure-regeneration binaries
-//! (`src/bin/figNN.rs`) and the Criterion benches.
+//! (`src/bin/figNN.rs`) and the experiment binaries.
 //!
 //! Each binary regenerates the data series of one figure of the paper;
-//! see `DESIGN.md` for the figure → binary index. The binaries accept:
+//! see `DESIGN.md` for the figure → binary index. The binaries that
+//! run the simulator parse their command line through [`BenchArgs`]:
 //!
 //! * `--full` — the paper-scale SSD (428 blocks/chip ≈ 32 GB),
 //! * `--smoke` — a tiny CI-scale run,
 //! * `--requests N` — override the simulated request count,
 //! * (default) — the reduced scale (64 blocks/chip), which preserves the
-//!   topology and FTL behaviour at laptop runtimes.
+//!   topology and FTL behaviour at laptop runtimes,
+//! * `--out PATH` — where a binary writes a result file,
+//!
+//! and exit non-zero on anything else.
 
 use cubeftl::harness::{EvalConfig, RunOutput, Scenario, WorkloadSource};
 use cubeftl::{AgingState, FtlConfig, FtlKind, SimReport};
@@ -67,22 +71,57 @@ pub fn eval_custom(
     .into_sim()
 }
 
-/// Parses the common CLI flags of the figure binaries.
-pub fn eval_config_from_args() -> EvalConfig {
-    let args: Vec<String> = std::env::args().collect();
-    let mut cfg = if args.iter().any(|a| a == "--full") {
-        EvalConfig::paper()
-    } else if args.iter().any(|a| a == "--smoke") {
-        EvalConfig::smoke()
-    } else {
-        EvalConfig::reduced()
-    };
-    if let Some(i) = args.iter().position(|a| a == "--requests") {
-        if let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-            cfg.requests = n;
-        }
+/// The parsed command line of a bench binary.
+#[derive(Debug, Clone)]
+pub struct BenchArgs {
+    /// The evaluation scale — paper (`--full`), CI (`--smoke`) or the
+    /// reduced default — with `--requests N` applied.
+    pub cfg: EvalConfig,
+    /// Whether `--full` chose the paper scale.
+    pub full: bool,
+    /// `--out PATH`: where to write the binary's result file.
+    pub out: Option<String>,
+}
+
+impl BenchArgs {
+    /// Parses the process arguments: `--full | --smoke | --requests N`,
+    /// and `--out PATH` for a binary that `writes_a_file`. Anything
+    /// else is reported on stderr and the process exits with status 2.
+    pub fn parse(writes_a_file: bool) -> Self {
+        Self::try_parse(std::env::args().skip(1), writes_a_file).unwrap_or_else(|e| {
+            let out = if writes_a_file { " [--out PATH]" } else { "" };
+            eprintln!("{e}\nflags: [--full | --smoke] [--requests N]{out}");
+            std::process::exit(2)
+        })
     }
-    cfg
+
+    fn try_parse(
+        mut args: impl Iterator<Item = String>,
+        writes_a_file: bool,
+    ) -> Result<Self, String> {
+        let mut parsed = BenchArgs {
+            cfg: EvalConfig::reduced(),
+            full: false,
+            out: None,
+        };
+        let mut requests = None;
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--full" => (parsed.cfg, parsed.full) = (EvalConfig::paper(), true),
+                "--smoke" => (parsed.cfg, parsed.full) = (EvalConfig::smoke(), false),
+                "--requests" => {
+                    let v = value()?;
+                    let n = v.parse::<u64>();
+                    requests = Some(n.map_err(|_| format!("--requests: {v:?} is not a count"))?);
+                }
+                "--out" if writes_a_file => parsed.out = Some(value()?),
+                _ => return Err(format!("unknown flag {flag:?}")),
+            }
+        }
+        parsed.cfg.requests = requests.unwrap_or(parsed.cfg.requests);
+        Ok(parsed)
+    }
 }
 
 /// A minimal fixed-width text-table printer for figure output.
@@ -185,6 +224,28 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn row_arity_checked() {
         Table::new(["a", "b"]).row(["only-one"]);
+    }
+
+    #[test]
+    fn bench_args_reject_what_they_do_not_know() {
+        let parse = |line: &str, writes_a_file| {
+            BenchArgs::try_parse(line.split_whitespace().map(str::to_owned), writes_a_file)
+        };
+        let ok = parse("--smoke --requests 300 --out f.csv", true).unwrap();
+        assert_eq!(ok.cfg.requests, 300);
+        assert_eq!(ok.cfg.blocks_per_chip, EvalConfig::smoke().blocks_per_chip);
+        assert_eq!((ok.out.as_deref(), ok.full), (Some("f.csv"), false));
+        assert!(parse("--full", false).unwrap().full);
+        for bad in [
+            "--smok",
+            "--requests",
+            "--requests many",
+            "--out f.csv",
+            "extra",
+        ] {
+            assert!(parse(bad, false).is_err(), "{bad} must be rejected");
+        }
+        assert!(parse("--out", true).is_err(), "--out needs its path");
     }
 
     #[test]

@@ -294,13 +294,6 @@ impl Ftl {
         self.trace.take()
     }
 
-    /// Advances the trace clock to `now_us` — for out-of-band entry
-    /// points ([`Ftl::power_cut`], [`Ftl::take_checkpoint`]) invoked
-    /// outside a [`HostContext`]-carrying call.
-    pub fn set_trace_now(&mut self, now_us: f64) {
-        self.tel_now_us = now_us;
-    }
-
     /// Registers the FTL's physical-layer counters — per-chip NAND
     /// command totals, array-wide injected-fault totals and the current
     /// free-pool size — under `prefix` (e.g. `nand.chip0.programs`,

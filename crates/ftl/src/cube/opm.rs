@@ -350,11 +350,6 @@ impl Opm {
         }
     }
 
-    /// Whether cross-block cluster seeding is enabled.
-    pub fn cluster_enabled(&self) -> bool {
-        self.cluster.is_some()
-    }
-
     /// Excludes one (block, h-layer) key on `chip` from cluster seeding
     /// until its next successful decode. Crash recovery quarantines the
     /// torn and resumed h-layers it cannot vouch for. Returns `true` if

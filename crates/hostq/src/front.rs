@@ -267,11 +267,6 @@ impl HostQueueFront {
         })
     }
 
-    /// Total arrivals shed across the population so far.
-    pub fn total_shed(&self) -> u64 {
-        self.tenants.iter().map(|t| t.shed).sum()
-    }
-
     /// Arrivals shed per submission queue so far, indexed by queue
     /// (tenant sheds attributed to the queue the tenant maps to).
     pub fn queue_shed(&self) -> Vec<u64> {

@@ -566,7 +566,9 @@ impl LsmTree {
     fn maintain(&mut self) {
         loop {
             if self.levels[0].len() >= self.cfg.l0_files as usize {
-                self.compact_l0();
+                // L0 runs overlap each other: all of them go down at once.
+                let l0 = std::mem::take(&mut self.levels[0]);
+                self.compact(l0, 1);
                 continue;
             }
             let mut acted = false;
@@ -595,40 +597,6 @@ impl LsmTree {
         map.into_iter().collect()
     }
 
-    fn compact_l0(&mut self) {
-        // Inputs: every L0 run (newest first) plus every overlapping
-        // L1 run.
-        let l0: Vec<Sst> = std::mem::take(&mut self.levels[0]);
-        let lo = l0.iter().map(Sst::first).min().expect("l0 non-empty");
-        let hi = l0.iter().map(Sst::last).max().expect("l0 non-empty");
-        let overlap: Vec<Sst> = Self::extract_overlap(&mut self.levels[1], lo, hi);
-        let mut pages_in = 0u64;
-        let mut sources: Vec<Vec<(u64, u64)>> = Vec::with_capacity(l0.len() + overlap.len());
-        for sst in l0.iter().rev().chain(overlap.iter()) {
-            pages_in += u64::from(sst.pages);
-            sources.push(sst.entries.clone());
-        }
-        let merged = Self::merge(sources);
-        for sst in l0.iter().chain(overlap.iter()) {
-            self.emit_span(SpanKind::Read, sst.lpn, u64::from(sst.pages));
-        }
-        let pages_out = self.write_runs(merged, 1);
-        for sst in l0.iter().chain(overlap.iter()) {
-            self.emit_span(SpanKind::Trim, sst.lpn, u64::from(sst.pages));
-            self.release(sst.lpn, u64::from(sst.pages));
-        }
-        self.stats.compactions += 1;
-        self.stats.compaction_pages_read += pages_in;
-        self.stats.compaction_pages_written += pages_out;
-        self.events.push(KvEvent {
-            op_index: self.op_index,
-            action: "compact",
-            level: 1,
-            pages_in,
-            pages_out,
-        });
-    }
-
     fn compact_level(&mut self, n: usize) {
         // Victim: the run at or after the round-robin cursor (wraps),
         // so compaction pressure sweeps the key space evenly.
@@ -638,24 +606,26 @@ impl LsmTree {
         let idx = if idx >= level.len() { 0 } else { idx };
         let victim = level.remove(idx);
         self.cursors[n] = victim.last().wrapping_add(1);
-        let overlap: Vec<Sst> =
-            Self::extract_overlap(&mut self.levels[n + 1], victim.first(), victim.last());
-        let mut pages_in = u64::from(victim.pages);
-        let mut sources: Vec<Vec<(u64, u64)>> = Vec::with_capacity(1 + overlap.len());
-        sources.push(victim.entries.clone());
-        for sst in &overlap {
+        self.compact(vec![victim], n + 1);
+    }
+
+    /// Merges `upper` (runs taken off the level above, oldest first)
+    /// with every overlapping run of level `into`, and writes the
+    /// result back into `into`.
+    fn compact(&mut self, upper: Vec<Sst>, into: usize) {
+        let lo = upper.iter().map(Sst::first).min().expect("non-empty upper");
+        let hi = upper.iter().map(Sst::last).max().expect("non-empty upper");
+        let overlap = Self::extract_overlap(&mut self.levels[into], lo, hi);
+        // Newest first: earlier sources win on key collisions.
+        let newest_first = upper.iter().rev().chain(&overlap);
+        let merged = Self::merge(newest_first.map(|sst| sst.entries.clone()).collect());
+        let mut pages_in = 0u64;
+        for sst in upper.iter().chain(&overlap) {
             pages_in += u64::from(sst.pages);
-            sources.push(sst.entries.clone());
-        }
-        let merged = Self::merge(sources);
-        self.emit_span(SpanKind::Read, victim.lpn, u64::from(victim.pages));
-        for sst in &overlap {
             self.emit_span(SpanKind::Read, sst.lpn, u64::from(sst.pages));
         }
-        let pages_out = self.write_runs(merged, n + 1);
-        self.emit_span(SpanKind::Trim, victim.lpn, u64::from(victim.pages));
-        self.release(victim.lpn, u64::from(victim.pages));
-        for sst in &overlap {
+        let pages_out = self.write_runs(merged, into);
+        for sst in upper.iter().chain(&overlap) {
             self.emit_span(SpanKind::Trim, sst.lpn, u64::from(sst.pages));
             self.release(sst.lpn, u64::from(sst.pages));
         }
@@ -665,7 +635,7 @@ impl LsmTree {
         self.events.push(KvEvent {
             op_index: self.op_index,
             action: "compact",
-            level: (n + 1) as u32,
+            level: into as u32,
             pages_in,
             pages_out,
         });

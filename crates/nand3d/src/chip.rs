@@ -281,11 +281,6 @@ impl NandChip {
         &self.ispp
     }
 
-    /// The read-retry engine (exposed for characterization experiments).
-    pub fn retry_engine(&self) -> &RetryEngine {
-        &self.retry
-    }
-
     /// Sets the retry-chain optimization switches (Park-et-al-style
     /// speculation, prediction and early termination).
     pub fn set_retry_opt(&mut self, opt: crate::read::RetryOptConfig) {

@@ -161,12 +161,6 @@ impl Environment {
         }
     }
 
-    /// Whether per-block retention tracking is enabled.
-    #[inline]
-    pub fn block_retention_tracking(&self) -> bool {
-        self.track_block_retention
-    }
-
     /// Whether `block` was erased (and thus retention-refreshed) since
     /// tracking was enabled.
     #[inline]

@@ -201,12 +201,6 @@ impl Geometry {
             + wl.v.0 as usize
     }
 
-    /// Flattens a WL address to a dense index within its block.
-    #[inline]
-    pub fn wl_in_block(&self, wl: WlAddr) -> usize {
-        wl.h.0 as usize * self.wls_per_hlayer as usize + wl.v.0 as usize
-    }
-
     /// Flattens a page address to a dense per-chip index in
     /// `0..pages_per_chip()`.
     #[inline]

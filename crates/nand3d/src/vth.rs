@@ -19,7 +19,6 @@
 //!   state overlap — the physical reason window shrinking consumes the
 //!   spare margin `S_M`.
 
-use crate::config::IsppModel;
 use serde::{Deserialize, Serialize};
 
 /// Number of Vth states of a TLC cell (E plus P1..P7).
@@ -119,12 +118,6 @@ impl Default for VthModel {
 }
 
 impl VthModel {
-    /// A model whose reference step matches the ISPP window quantization
-    /// (so offset indices here and in the retry engine are commensurate).
-    pub fn from_ispp(_ispp: &IsppModel) -> Self {
-        VthModel::default()
-    }
-
     /// Derives the Vth landscape under `cond`.
     pub fn landscape(&self, cond: &VthConditions) -> VthLandscape {
         let x = f64::from(cond.pe) / 2000.0;

@@ -123,11 +123,6 @@ where
         self
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Worker threads the engine will use.
     pub fn threads(&self) -> usize {
         self.threads

@@ -107,42 +107,13 @@ impl ArrayReport {
     /// accumulated FTL counters (under `{prefix}.ftl`) and per-shard
     /// throughput (under `{prefix}.shard{s}`).
     pub fn register_metrics(&self, reg: &mut telemetry::MetricRegistry, prefix: &str) {
-        reg.gauge(&format!("{prefix}.iops"), self.iops);
-        reg.gauge(&format!("{prefix}.sim_time_us"), self.sim_time_us);
+        ssdsim::register_host_metrics!(self, reg, prefix);
         if let Some(wa) = self.wa_host() {
             reg.gauge(&format!("{prefix}.wa_host"), wa);
         }
         if let Some(wa) = self.wa_total() {
             reg.gauge(&format!("{prefix}.wa_total"), wa);
         }
-        reg.counter(&format!("{prefix}.completed"), self.completed);
-        reg.counter(&format!("{prefix}.reads"), self.reads);
-        reg.counter(&format!("{prefix}.writes"), self.writes);
-        reg.counter(&format!("{prefix}.trims"), self.trims);
-        reg.histogram(
-            &format!("{prefix}.read_latency_us"),
-            self.read_latency.histogram(),
-        );
-        reg.histogram(
-            &format!("{prefix}.write_latency_us"),
-            self.write_latency.histogram(),
-        );
-        reg.gauge(
-            &format!("{prefix}.read_p99_us"),
-            self.read_latency.percentile(99.0),
-        );
-        reg.gauge(
-            &format!("{prefix}.read_p999_us"),
-            self.read_latency.percentile(99.9),
-        );
-        reg.gauge(
-            &format!("{prefix}.write_p99_us"),
-            self.write_latency.percentile(99.0),
-        );
-        reg.gauge(
-            &format!("{prefix}.write_p999_us"),
-            self.write_latency.percentile(99.9),
-        );
         self.ftl.register_metrics(reg, &format!("{prefix}.ftl"));
         for (s, (iops, completed)) in self
             .per_shard_iops

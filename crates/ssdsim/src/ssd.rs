@@ -211,6 +211,50 @@ impl ChipStats {
     }
 }
 
+/// The twelve registrations every device-level report shares — one
+/// device's [`SimReport`] or an array's merged report — and the one
+/// place their metric names are spelled: throughput, makespan, the
+/// completion counters, both latency histograms and their p99/p999
+/// gauges. `$report` is any value with `SimReport`'s `iops`,
+/// `sim_time_us`, `completed`, `reads`, `writes`, `trims`,
+/// `read_latency` and `write_latency` fields.
+#[macro_export]
+macro_rules! register_host_metrics {
+    ($report:expr, $reg:expr, $prefix:expr) => {{
+        let (r, reg, prefix) = ($report, &mut *$reg, $prefix);
+        reg.gauge(&format!("{prefix}.iops"), r.iops);
+        reg.gauge(&format!("{prefix}.sim_time_us"), r.sim_time_us);
+        reg.counter(&format!("{prefix}.completed"), r.completed);
+        reg.counter(&format!("{prefix}.reads"), r.reads);
+        reg.counter(&format!("{prefix}.writes"), r.writes);
+        reg.counter(&format!("{prefix}.trims"), r.trims);
+        reg.histogram(
+            &format!("{prefix}.read_latency_us"),
+            r.read_latency.histogram(),
+        );
+        reg.histogram(
+            &format!("{prefix}.write_latency_us"),
+            r.write_latency.histogram(),
+        );
+        reg.gauge(
+            &format!("{prefix}.read_p99_us"),
+            r.read_latency.percentile(99.0),
+        );
+        reg.gauge(
+            &format!("{prefix}.read_p999_us"),
+            r.read_latency.percentile(99.9),
+        );
+        reg.gauge(
+            &format!("{prefix}.write_p99_us"),
+            r.write_latency.percentile(99.0),
+        );
+        reg.gauge(
+            &format!("{prefix}.write_p999_us"),
+            r.write_latency.percentile(99.9),
+        );
+    }};
+}
+
 /// Results of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -280,36 +324,7 @@ impl SimReport {
     /// `ssd.chip0.busy_us`). The report itself stays the compatibility
     /// view; the registry is the export surface.
     pub fn register_metrics(&self, reg: &mut MetricRegistry, prefix: &str) {
-        reg.gauge(&format!("{prefix}.iops"), self.iops);
-        reg.gauge(&format!("{prefix}.sim_time_us"), self.sim_time_us);
-        reg.counter(&format!("{prefix}.completed"), self.completed);
-        reg.counter(&format!("{prefix}.reads"), self.reads);
-        reg.counter(&format!("{prefix}.writes"), self.writes);
-        reg.counter(&format!("{prefix}.trims"), self.trims);
-        reg.histogram(
-            &format!("{prefix}.read_latency_us"),
-            self.read_latency.histogram(),
-        );
-        reg.histogram(
-            &format!("{prefix}.write_latency_us"),
-            self.write_latency.histogram(),
-        );
-        reg.gauge(
-            &format!("{prefix}.read_p99_us"),
-            self.read_latency.percentile(99.0),
-        );
-        reg.gauge(
-            &format!("{prefix}.read_p999_us"),
-            self.read_latency.percentile(99.9),
-        );
-        reg.gauge(
-            &format!("{prefix}.write_p99_us"),
-            self.write_latency.percentile(99.0),
-        );
-        reg.gauge(
-            &format!("{prefix}.write_p999_us"),
-            self.write_latency.percentile(99.9),
-        );
+        crate::register_host_metrics!(self, reg, prefix);
         reg.gauge(&format!("{prefix}.wa_host"), self.wa_host().unwrap_or(0.0));
         reg.gauge(
             &format!("{prefix}.wa_total"),
@@ -800,11 +815,6 @@ impl SsdSim {
     /// rebuild was never armed).
     pub fn rebuild_progress(&self) -> &RebuildProgress {
         &self.rebuild_progress
-    }
-
-    /// Rebuild ops still pending (not yet dispatched).
-    pub fn rebuild_pending(&self) -> usize {
-        self.rebuild_queue.len()
     }
 
     /// Drains the pending rebuild queue — used to carry unfinished

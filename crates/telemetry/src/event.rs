@@ -7,58 +7,60 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EventMask(u32);
 
-impl EventMask {
+/// The category table: one entry per category, `CONSTANT "name"` — its
+/// bit is its position in the list. The constants, [`EventMask::NAMES`]
+/// and [`EventMask::ALL`] all come from here.
+macro_rules! event_categories {
+    ($($(#[$doc:meta])* $cat:ident $name:literal,)*) => {
+        #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+        enum Bit { $($cat),* }
+
+        impl EventMask {
+            $($(#[$doc])* pub const $cat: EventMask = EventMask(1 << Bit::$cat as u32);)*
+            /// Every category.
+            pub const ALL: EventMask = EventMask(0 $(| Self::$cat.0)*);
+            /// Name table used by [`EventMask::parse`] and `--trace-events`.
+            pub const NAMES: [(&'static str, EventMask); [$($name),*].len()] =
+                [$(($name, Self::$cat)),*];
+        }
+    };
+}
+
+event_categories! {
     /// Host I/O completions (read/write/trim latency).
-    pub const HOST_IO: EventMask = EventMask(1 << 0);
+    HOST_IO "host",
     /// ISPP WL programs (pulses, verifies, margin excess, abort flag).
-    pub const ISPP: EventMask = EventMask(1 << 1);
+    ISPP "ispp",
     /// Read-retry chains (retry count, recovered fault kind).
-    pub const READ_RETRY: EventMask = EventMask(1 << 2);
+    READ_RETRY "retry",
     /// GC victim selection and migration/erase.
-    pub const GC: EventMask = EventMask(1 << 3);
+    GC "gc",
     /// Background maintenance units (scrub, wear-level, re-monitor).
-    pub const MAINT: EventMask = EventMask(1 << 4);
+    MAINT "maint",
     /// L2P checkpoint flushes to the metadata region.
-    pub const CKPT: EventMask = EventMask(1 << 5);
+    CKPT "ckpt",
     /// Sudden-power-off cut and boot-recovery phases.
-    pub const SPO: EventMask = EventMask(1 << 6);
+    SPO "spo",
     /// OPM leader monitor / §4.1.4 demotion transitions.
-    pub const OPM: EventMask = EventMask(1 << 7);
+    OPM "opm",
     /// Host front-end queue transitions (admission shed, backpressure).
-    pub const HOSTQ: EventMask = EventMask(1 << 8);
+    HOSTQ "hostq",
     /// Per-tenant SLO attainment summaries.
-    pub const SLO: EventMask = EventMask(1 << 9);
+    SLO "slo",
     /// Whole-shard failure and degraded-mode reconstruction reads.
-    pub const DEGRADED: EventMask = EventMask(1 << 10);
+    DEGRADED "degraded",
     /// Background rebuild units onto a spare shard.
-    pub const REBUILD: EventMask = EventMask(1 << 11);
+    REBUILD "rebuild",
     /// Lifetime-campaign epoch barriers (fast-forward aging steps).
-    pub const AGING: EventMask = EventMask(1 << 12);
+    AGING "aging",
     /// kvsim application-level maintenance (memtable flushes, LSM
     /// compactions).
-    pub const KV: EventMask = EventMask(1 << 13);
-    /// Every category.
-    pub const ALL: EventMask = EventMask(0x3fff);
+    KV "kv",
+}
+
+impl EventMask {
     /// No category (the disabled collector).
     pub const NONE: EventMask = EventMask(0);
-
-    /// Name table used by [`EventMask::parse`] and `--trace-events`.
-    pub const NAMES: [(&'static str, EventMask); 14] = [
-        ("host", Self::HOST_IO),
-        ("ispp", Self::ISPP),
-        ("retry", Self::READ_RETRY),
-        ("gc", Self::GC),
-        ("maint", Self::MAINT),
-        ("ckpt", Self::CKPT),
-        ("spo", Self::SPO),
-        ("opm", Self::OPM),
-        ("hostq", Self::HOSTQ),
-        ("slo", Self::SLO),
-        ("degraded", Self::DEGRADED),
-        ("rebuild", Self::REBUILD),
-        ("aging", Self::AGING),
-        ("kv", Self::KV),
-    ];
 
     /// Whether every bit of `other` is enabled here.
     pub fn contains(self, other: EventMask) -> bool {
@@ -73,6 +75,12 @@ impl EventMask {
     /// Union of two masks.
     pub fn union(self, other: EventMask) -> EventMask {
         EventMask(self.0 | other.0)
+    }
+
+    /// The category names of [`EventMask::NAMES`] joined by `sep` — the
+    /// list `--trace-events` help and errors print.
+    pub fn name_list(sep: &str) -> String {
+        Self::NAMES.map(|(n, _)| n).join(sep)
     }
 
     /// Parses a `--trace-events` value: `all`, `none`, or a
@@ -91,7 +99,7 @@ impl EventMask {
                 None => {
                     return Err(format!(
                         "unknown event category {part:?} (expected one of: all, none, {})",
-                        Self::NAMES.map(|(n, _)| n).join(", ")
+                        Self::name_list(", ")
                     ))
                 }
             }
@@ -100,20 +108,60 @@ impl EventMask {
     }
 }
 
-/// The typed payload of one trace event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EventKind {
+/// The event table: one entry per kind — `Variant "json_kind" CATEGORY
+/// { field: type, ... }` with the fields in export order; the type is
+/// the field's value kind (see `crate::Value`). [`EventKind`], its
+/// category, its serializer and [`EventKind::SCHEMA`] all come from
+/// here.
+macro_rules! event_kinds {
+    ($($(#[$doc:meta])* $variant:ident $json:literal $cat:ident {
+        $($(#[$fdoc:meta])* $field:ident: $ty:ty,)*
+    })*) => {
+        /// The typed payload of one trace event.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum EventKind {
+            $($(#[$doc])* $variant { $($(#[$fdoc])* $field: $ty,)* },)*
+        }
+
+        impl EventKind {
+            /// Every kind as `(JSON kind, category, field names in
+            /// export order)`.
+            pub const SCHEMA: &'static [(&'static str, EventMask, &'static [&'static str])] =
+                &[$(($json, EventMask::$cat, &[$(stringify!($field)),*])),*];
+
+            /// The mask category this event belongs to.
+            pub fn category(&self) -> EventMask {
+                match self {
+                    $(EventKind::$variant { .. } => EventMask::$cat,)*
+                }
+            }
+
+            /// Appends `"json_kind"` and then every field as
+            /// `,"name":value`, in declared order.
+            fn write_json(&self, out: &mut String) {
+                match self {
+                    $(EventKind::$variant { $($field),* } => {
+                        out.push_str(concat!("\"", $json, "\""));
+                        $(json_field!(out, $field, $field);)*
+                    })*
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// A host request completed.
-    HostIo {
+    HostIo "host_io" HOST_IO {
         /// `"read"`, `"write"` or `"trim"`.
         op: &'static str,
         /// First logical page of the request.
         lpn: u64,
         /// Host-visible latency in µs.
         latency_us: f64,
-    },
+    }
     /// One WL program through the ISPP engine.
-    IsppProgram {
+    IsppProgram "ispp_program" ISPP {
         /// Chip index.
         chip: u32,
         /// Whether this WL was the h-layer leader (full-verify monitor).
@@ -128,9 +176,9 @@ pub enum EventKind {
         latency_us: f64,
         /// Whether the program aborted (injected fault).
         aborted: bool,
-    },
+    }
     /// A page read that needed the retry chain.
-    ReadRetry {
+    ReadRetry "read_retry" READ_RETRY {
         /// Chip index.
         chip: u32,
         /// Logical page read.
@@ -145,9 +193,9 @@ pub enum EventKind {
         /// Whether the retry chain terminated early (seeded-chain guard
         /// or the `--retry-opt` early-termination scan).
         early_term: bool,
-    },
+    }
     /// GC selected a victim block.
-    GcVictim {
+    GcVictim "gc_victim" GC {
         /// Chip index.
         chip: u32,
         /// Victim block id.
@@ -156,34 +204,34 @@ pub enum EventKind {
         moved_wls: u32,
         /// Whether the wear-aware selector was used.
         wear_aware: bool,
-    },
+    }
     /// One background maintenance unit ran.
-    Maint {
+    Maint "maint" MAINT {
         /// Chip index.
         chip: u32,
         /// `"scrub"`, `"wear_level"` or `"remonitor"`.
         service: &'static str,
         /// Pages moved by this unit.
         page_moves: u64,
-    },
+    }
     /// An L2P checkpoint was flushed to the metadata region.
-    Checkpoint {
+    Checkpoint "checkpoint" CKPT {
         /// Metadata pages programmed.
         pages: u32,
         /// Encoded checkpoint size in bytes.
         bytes: u64,
         /// Latency charged to the triggering write, in µs.
         latency_us: f64,
-    },
+    }
     /// A sudden-power-off phase boundary.
-    Spo {
+    Spo "spo" SPO {
         /// `"cut"`, `"recovery_begin"` or `"recovery_done"`.
         phase: &'static str,
         /// Phase detail: completed ops at the cut, or replayed WLs.
         detail: u64,
-    },
+    }
     /// An OPM transition on one (chip, h-layer).
-    Opm {
+    Opm "opm" OPM {
         /// Chip index.
         chip: u32,
         /// h-layer index.
@@ -191,10 +239,10 @@ pub enum EventKind {
         /// `"monitor"` (leader promoted/recorded) or `"demote"`
         /// (§4.1.4 safety-check demotion).
         action: &'static str,
-    },
+    }
     /// A host front-end queue transition: an arrival was shed by
     /// admission control (submission queue at its depth bound).
-    HostQueue {
+    HostQueue "host_queue" HOSTQ {
         /// Submission queue index.
         queue: u32,
         /// Tenant the arrival belonged to.
@@ -204,10 +252,10 @@ pub enum EventKind {
         action: &'static str,
         /// Queue occupancy at the instant of the transition.
         depth: u32,
-    },
+    }
     /// End-of-run SLO attainment for one tenant (emitted for the
     /// bounded-cardinality reporting set only).
-    TenantSlo {
+    TenantSlo "tenant_slo" SLO {
         /// Tenant id.
         tenant: u32,
         /// Requests completed for this tenant.
@@ -220,10 +268,10 @@ pub enum EventKind {
         write_p99_us: f64,
         /// SLO violations counted against this tenant.
         violations: u64,
-    },
+    }
     /// A whole-shard failure boundary (injection, detection at the
     /// barrier, or rebuild-complete restoration of full redundancy).
-    ShardFail {
+    ShardFail "shard_fail" DEGRADED {
         /// Array index of the failed shard.
         failed: u32,
         /// `"inject"`, `"detect"` or `"restored"`.
@@ -231,17 +279,17 @@ pub enum EventKind {
         /// Phase detail: durable pages at stake (detect), rebuilt
         /// pages (restored), or the failure time in µs (inject).
         detail: u64,
-    },
+    }
     /// A degraded-mode read: a lost page served by XOR-reconstructing
     /// it from the surviving shards' pages of the same stripe row.
-    DegradedRead {
+    DegradedRead "degraded_read" DEGRADED {
         /// Global data LPN reconstructed.
         lpn: u64,
         /// Surviving fragments read to rebuild it (S − 1).
         fragments: u32,
-    },
+    }
     /// One bounded background rebuild unit ran against the spare.
-    RebuildUnit {
+    RebuildUnit "rebuild_unit" REBUILD {
         /// Spare shard serving as rebuild target.
         spare: u32,
         /// `"read"` (survivor fragment reads) or `"write"` (spare
@@ -249,10 +297,10 @@ pub enum EventKind {
         action: &'static str,
         /// Pages moved by this unit.
         pages: u64,
-    },
+    }
     /// A lifetime-campaign epoch barrier: virtual device age was
     /// fast-forwarded between workload phases.
-    EpochAdvance {
+    EpochAdvance "epoch_advance" AGING {
         /// Workload epoch about to start (1-based; epoch 0 is the
         /// fresh baseline and carries no barrier).
         epoch: u32,
@@ -263,10 +311,10 @@ pub enum EventKind {
         retention_add_months: f64,
         /// Blocks whose age advanced.
         blocks: u64,
-    },
+    }
     /// A kvsim maintenance action: a memtable flush or an LSM
     /// compaction moved SST data on the device.
-    KvMaint {
+    KvMaint "kv_maint" KV {
         /// Measured application op ordinal the action landed on
         /// (0 during the bulk-load phase).
         op_index: u64,
@@ -278,28 +326,6 @@ pub enum EventKind {
         pages_in: u64,
         /// Pages written to output runs.
         pages_out: u64,
-    },
-}
-
-impl EventKind {
-    /// The mask category this event belongs to.
-    pub fn category(&self) -> EventMask {
-        match self {
-            EventKind::HostIo { .. } => EventMask::HOST_IO,
-            EventKind::IsppProgram { .. } => EventMask::ISPP,
-            EventKind::ReadRetry { .. } => EventMask::READ_RETRY,
-            EventKind::GcVictim { .. } => EventMask::GC,
-            EventKind::Maint { .. } => EventMask::MAINT,
-            EventKind::Checkpoint { .. } => EventMask::CKPT,
-            EventKind::Spo { .. } => EventMask::SPO,
-            EventKind::Opm { .. } => EventMask::OPM,
-            EventKind::HostQueue { .. } => EventMask::HOSTQ,
-            EventKind::TenantSlo { .. } => EventMask::SLO,
-            EventKind::ShardFail { .. } | EventKind::DegradedRead { .. } => EventMask::DEGRADED,
-            EventKind::RebuildUnit { .. } => EventMask::REBUILD,
-            EventKind::EpochAdvance { .. } => EventMask::AGING,
-            EventKind::KvMaint { .. } => EventMask::KV,
-        }
     }
 }
 
@@ -328,180 +354,7 @@ impl TraceEvent {
             self.shard,
             self.seq
         );
-        match &self.kind {
-            EventKind::HostIo {
-                op,
-                lpn,
-                latency_us,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"host_io\",\"op\":\"{op}\",\"lpn\":{lpn},\"latency_us\":{}",
-                    fmt_num(*latency_us)
-                );
-            }
-            EventKind::IsppProgram {
-                chip,
-                leader,
-                pulses,
-                verifies,
-                margin_excess_loops,
-                latency_us,
-                aborted,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"ispp_program\",\"chip\":{chip},\"leader\":{leader},\"pulses\":{pulses},\
-                     \"verifies\":{verifies},\"margin_excess_loops\":{margin_excess_loops},\
-                     \"latency_us\":{},\"aborted\":{aborted}",
-                    fmt_num(*latency_us)
-                );
-            }
-            EventKind::ReadRetry {
-                chip,
-                lpn,
-                retries,
-                fault,
-                seeded,
-                early_term,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"read_retry\",\"chip\":{chip},\"lpn\":{lpn},\"retries\":{retries},\"fault\":"
-                );
-                match fault {
-                    Some(f) => {
-                        let _ = write!(s, "\"{f}\"");
-                    }
-                    None => s.push_str("null"),
-                }
-                let _ = write!(s, ",\"seeded\":{seeded},\"early_term\":{early_term}");
-            }
-            EventKind::GcVictim {
-                chip,
-                block,
-                moved_wls,
-                wear_aware,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"gc_victim\",\"chip\":{chip},\"block\":{block},\"moved_wls\":{moved_wls},\"wear_aware\":{wear_aware}"
-                );
-            }
-            EventKind::Maint {
-                chip,
-                service,
-                page_moves,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"maint\",\"chip\":{chip},\"service\":\"{service}\",\"page_moves\":{page_moves}"
-                );
-            }
-            EventKind::Checkpoint {
-                pages,
-                bytes,
-                latency_us,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"checkpoint\",\"pages\":{pages},\"bytes\":{bytes},\"latency_us\":{}",
-                    fmt_num(*latency_us)
-                );
-            }
-            EventKind::Spo { phase, detail } => {
-                let _ = write!(s, "\"spo\",\"phase\":\"{phase}\",\"detail\":{detail}");
-            }
-            EventKind::Opm {
-                chip,
-                layer,
-                action,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"opm\",\"chip\":{chip},\"layer\":{layer},\"action\":\"{action}\""
-                );
-            }
-            EventKind::HostQueue {
-                queue,
-                tenant,
-                action,
-                depth,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"host_queue\",\"queue\":{queue},\"tenant\":{tenant},\"action\":\"{action}\",\"depth\":{depth}"
-                );
-            }
-            EventKind::TenantSlo {
-                tenant,
-                completed,
-                shed,
-                read_p99_us,
-                write_p99_us,
-                violations,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"tenant_slo\",\"tenant\":{tenant},\"completed\":{completed},\"shed\":{shed},\
-                     \"read_p99_us\":{},\"write_p99_us\":{},\"violations\":{violations}",
-                    fmt_num(*read_p99_us),
-                    fmt_num(*write_p99_us)
-                );
-            }
-            EventKind::ShardFail {
-                failed,
-                phase,
-                detail,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"shard_fail\",\"failed\":{failed},\"phase\":\"{phase}\",\"detail\":{detail}"
-                );
-            }
-            EventKind::DegradedRead { lpn, fragments } => {
-                let _ = write!(
-                    s,
-                    "\"degraded_read\",\"lpn\":{lpn},\"fragments\":{fragments}"
-                );
-            }
-            EventKind::RebuildUnit {
-                spare,
-                action,
-                pages,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"rebuild_unit\",\"spare\":{spare},\"action\":\"{action}\",\"pages\":{pages}"
-                );
-            }
-            EventKind::EpochAdvance {
-                epoch,
-                pe_add,
-                retention_add_months,
-                blocks,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"epoch_advance\",\"epoch\":{epoch},\"pe_add\":{pe_add},\
-                     \"retention_add_months\":{},\"blocks\":{blocks}",
-                    fmt_num(*retention_add_months)
-                );
-            }
-            EventKind::KvMaint {
-                op_index,
-                action,
-                level,
-                pages_in,
-                pages_out,
-            } => {
-                let _ = write!(
-                    s,
-                    "\"kv_maint\",\"op_index\":{op_index},\"action\":\"{action}\",\
-                     \"level\":{level},\"pages_in\":{pages_in},\"pages_out\":{pages_out}"
-                );
-            }
-        }
+        self.kind.write_json(&mut s);
         s.push('}');
         s
     }

@@ -43,8 +43,8 @@ pub fn validate_trace_ndjson(text: &str) -> Result<usize, String> {
     Ok(n)
 }
 
-/// Parses one JSON object and returns its top-level keys.
-fn parse_object_keys(s: &str) -> Result<Vec<String>, String> {
+/// Parses one JSON object and returns its top-level keys in order.
+pub fn parse_object_keys(s: &str) -> Result<Vec<String>, String> {
     let bytes = s.as_bytes();
     let mut p = Parser { bytes, pos: 0 };
     p.skip_ws();

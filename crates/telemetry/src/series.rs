@@ -8,44 +8,57 @@
 //! cumulative/instantaneous columns (completed, queue depth, free
 //! blocks, WA) are as of the sample instant.
 
-use crate::fmt_num;
+use crate::Value;
 use std::fmt::Write as _;
 
-/// One sample of the time series.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SampleRow {
-    /// Virtual sample instant in µs.
-    pub t_us: f64,
-    /// Cumulative host requests completed.
-    pub completed: u64,
-    /// Window throughput in IOPS.
-    pub iops: f64,
-    /// Mean NAND program latency of host WL programs in the window, µs.
-    pub tprog_mean_us: f64,
-    /// p99 NAND program latency of host WL programs in the window, µs.
-    pub tprog_p99_us: f64,
-    /// Read retries per NAND read in the window.
-    pub retry_rate: f64,
-    /// Operations queued across all chips at the sample instant.
-    pub queue_depth: u64,
-    /// Free blocks across all chips at the sample instant.
-    pub free_blocks: u64,
-    /// Cumulative total write amplification (0 until the first host WL).
-    pub wa_total: f64,
+/// The column table: one entry per column, `name: type`, in export
+/// order. [`SampleRow`], the CSV header and both row writers come from
+/// here.
+macro_rules! sample_columns {
+    ($($(#[$doc:meta])* $col:ident: $ty:ty,)*) => {
+        /// One sample of the time series.
+        #[derive(Debug, Clone, Copy, PartialEq, Default)]
+        pub struct SampleRow {
+            $($(#[$doc])* pub $col: $ty,)*
+        }
+
+        /// CSV column order shared by the writer and its header.
+        const COLUMNS: &[&str] = &[$(stringify!($col)),*];
+
+        impl SampleRow {
+            /// Appends every column as `,value`.
+            fn write_csv(&self, out: &mut String) {
+                $(out.push(','); self.$col.write(out);)*
+            }
+
+            /// Appends every column as `,"name":value`.
+            fn write_json(&self, out: &mut String) {
+                $(json_field!(out, $col, &self.$col);)*
+            }
+        }
+    };
 }
 
-/// CSV column order shared by the writer and its header.
-const COLUMNS: [&str; 9] = [
-    "t_us",
-    "completed",
-    "iops",
-    "tprog_mean_us",
-    "tprog_p99_us",
-    "retry_rate",
-    "queue_depth",
-    "free_blocks",
-    "wa_total",
-];
+sample_columns! {
+    /// Virtual sample instant in µs.
+    t_us: f64,
+    /// Cumulative host requests completed.
+    completed: u64,
+    /// Window throughput in IOPS.
+    iops: f64,
+    /// Mean NAND program latency of host WL programs in the window, µs.
+    tprog_mean_us: f64,
+    /// p99 NAND program latency of host WL programs in the window, µs.
+    tprog_p99_us: f64,
+    /// Read retries per NAND read in the window.
+    retry_rate: f64,
+    /// Operations queued across all chips at the sample instant.
+    queue_depth: u64,
+    /// Free blocks across all chips at the sample instant.
+    free_blocks: u64,
+    /// Cumulative total write amplification (0 until the first host WL).
+    wa_total: f64,
+}
 
 /// A complete sampled series for one run (or one shard).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -83,19 +96,9 @@ impl Series {
         out.push_str(&COLUMNS.join(","));
         out.push('\n');
         for (shard, r) in &self.rows {
-            let _ = writeln!(
-                out,
-                "{shard},{},{},{},{},{},{},{},{},{}",
-                fmt_num(r.t_us),
-                r.completed,
-                fmt_num(r.iops),
-                fmt_num(r.tprog_mean_us),
-                fmt_num(r.tprog_p99_us),
-                fmt_num(r.retry_rate),
-                r.queue_depth,
-                r.free_blocks,
-                fmt_num(r.wa_total)
-            );
+            let _ = write!(out, "{shard}");
+            r.write_csv(&mut out);
+            out.push('\n');
         }
         out
     }
@@ -104,21 +107,9 @@ impl Series {
     pub fn to_ndjson(&self) -> String {
         let mut out = String::with_capacity(self.rows.len() * 160);
         for (shard, r) in &self.rows {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"sample\",\"shard\":{shard},\"t_us\":{},\"completed\":{},\
-                 \"iops\":{},\"tprog_mean_us\":{},\"tprog_p99_us\":{},\"retry_rate\":{},\
-                 \"queue_depth\":{},\"free_blocks\":{},\"wa_total\":{}}}",
-                fmt_num(r.t_us),
-                r.completed,
-                fmt_num(r.iops),
-                fmt_num(r.tprog_mean_us),
-                fmt_num(r.tprog_p99_us),
-                fmt_num(r.retry_rate),
-                r.queue_depth,
-                r.free_blocks,
-                fmt_num(r.wa_total)
-            );
+            let _ = write!(out, "{{\"type\":\"sample\",\"shard\":{shard}");
+            r.write_json(&mut out);
+            out.push_str("}\n");
         }
         out
     }
@@ -151,6 +142,9 @@ mod tests {
         let header = lines.next().unwrap();
         let data = lines.next().unwrap();
         assert_eq!(header.split(',').count(), data.split(',').count());
+        // Every `SampleRow` field is 8 bytes wide, so this fails when a
+        // field exists outside the `sample_columns!` list.
+        assert_eq!(std::mem::size_of::<SampleRow>(), 8 * COLUMNS.len());
         assert!(header.starts_with("shard,t_us,"));
         assert!(data.starts_with("0,100,10,1000,"));
     }

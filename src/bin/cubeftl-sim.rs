@@ -172,8 +172,9 @@
 //! data (see `crates/telemetry`): `--trace-out PATH` writes the
 //! structured event trace as NDJSON, filtered by `--trace-events SPEC`
 //! (`all`, `none`, or a comma list of `host,ispp,retry,gc,maint,ckpt,
-//! spo,opm,hostq,slo`; default `all`); `--series-out PATH` writes a time series
-//! sampled every `--sample-interval-us T` of virtual time (CSV when the
+//! spo,opm,hostq,slo,degraded,rebuild,aging,kv` — the table in
+//! `telemetry::event`; default `all`); `--series-out PATH` writes a time
+//! series sampled every `--sample-interval-us T` of virtual time (CSV when the
 //! path ends in `.csv`, NDJSON otherwise; T is at least 1 µs);
 //! `--metrics-out PATH` writes the end-of-run metric registry (named
 //! counters, gauges and latency histograms) as NDJSON. The files
@@ -314,8 +315,9 @@ fn usage() {
          \x20                  [--trace-out PATH] [--trace-events SPEC] [--metrics-out PATH]\n\
          \x20                  [--series-out PATH] [--sample-interval-us T]\n\
          \x20 CLASS: ispp-outlier|ber-spike|stuck-retry|uncorrectable|abort\n\
-         \x20 SPEC:  all|none|comma list of host,ispp,retry,gc,maint,ckpt,spo,opm,hostq,slo,kv\n\
-         \x20 W:     mail|web|proxy|oltp|rocks|mongo or a YCSB KV kind a|b|c|d|f"
+         \x20 SPEC:  all|none|comma list of {}\n\
+         \x20 W:     mail|web|proxy|oltp|rocks|mongo or a YCSB KV kind a|b|c|d|f",
+        EventMask::name_list(",")
     );
 }
 
@@ -341,6 +343,8 @@ fn main() -> ExitCode {
 #[derive(Default)]
 struct Outputs {
     trace: Option<String>,
+    /// The `--trace-events` categories `trace` keeps.
+    events: EventMask,
     series: Option<String>,
     metrics: Option<String>,
     capture: Option<String>,
@@ -537,7 +541,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         return message("--series-out and --sample-interval-us must be given together");
     }
     // --trace-out alone traces every category.
-    let events = match &trace_events {
+    out.events = match &trace_events {
         Some(spec) => {
             EventMask::parse(spec).map_err(|e| Stop::Message(format!("--trace-events: {e}")))?
         }
@@ -629,7 +633,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         // device telemetry.
         telemetry: TelemetrySpec {
             events: if out.trace.is_some() && !resilience {
-                events
+                out.events
             } else {
                 EventMask::NONE
             },
@@ -947,16 +951,27 @@ fn print_kv_engines_summary(apps: &[KvAppReport], unit: &str, sim_time_us: f64) 
 
 /// Writes the requested telemetry files. The metric registry is built
 /// only when `--metrics-out` asked for it. Failure runs export their
-/// barrier-stamped events and the per-phase array metrics.
+/// barrier-stamped events — no collector masked those, so the
+/// `--trace-events` filter is applied here — and the per-phase array
+/// metrics.
 fn write_telemetry(out: &Outputs, sc: &Scenario, r: &RunOutput) -> Result<(), String> {
     let write = |path: &str, contents: &str| {
         std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
     };
-    let events = r
-        .failure
-        .as_ref()
-        .map_or(&r.telemetry.events, |f| &f.events);
     if let Some(path) = &out.trace {
+        let barrier: Vec<_>;
+        let events = match &r.failure {
+            Some(f) => {
+                barrier = f
+                    .events
+                    .iter()
+                    .copied()
+                    .filter(|e| out.events.contains(e.kind.category()))
+                    .collect();
+                &barrier
+            }
+            None => &r.telemetry.events,
+        };
         write(path, &events_to_ndjson(events))?;
         println!("trace: {} events -> {path}", events.len());
     }

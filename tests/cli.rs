@@ -137,6 +137,9 @@ cases! {
     failure: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 4 --array-stripe 16 \
               --array-parity --fail-shard 1@3000 --spare-shards 1 \
               --trace-out {out}/trace.ndjson --metrics-out {out}/metrics.ndjson";
+    failure_trace_events: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 4 \
+                           --array-stripe 16 --array-parity --fail-shard 1@3000 --spare-shards 1 \
+                           --trace-out {out}/trace.ndjson --trace-events degraded";
     failure_spo: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 4 --array-stripe 16 \
                   --array-parity --fail-shard 1@3000 --spare-shards 1 --spo-at-us 2000 \
                   --rebuild-batch 4 --rebuild-gap-us 100";

@@ -16,6 +16,7 @@ use cubeftl::harness::{
 use cubeftl::{
     events_to_ndjson, AgingState, EventMask, FtlKind, MetricRegistry, SimReport, StandardWorkload,
 };
+use telemetry::json::parse_object_keys;
 use telemetry::{validate_ndjson, validate_trace_ndjson, EventKind, TraceEvent};
 
 /// One traced fresh Cube run of `requests` smoke-scale requests.
@@ -336,5 +337,40 @@ fn golden_event_kinds_are_stable() {
     check_golden(
         "golden_event_kinds.ndjson",
         &events_to_ndjson(&one_event_per_kind()),
+    );
+}
+
+#[test]
+fn every_golden_event_line_has_its_declared_keys_in_declared_order() {
+    for name in ["golden_event_kinds.ndjson", "golden_trace.ndjson"] {
+        let path = format!("{}/tests/data/{name}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        for line in text.lines() {
+            let keys = parse_object_keys(line).unwrap_or_else(|e| panic!("{name}: {e}: {line}"));
+            assert_eq!(keys[..4], ["t_us", "shard", "seq", "kind"], "{line}");
+            let (_, _, fields) = EventKind::SCHEMA
+                .iter()
+                .find(|(kind, ..)| line.contains(&format!("\"kind\":\"{kind}\"")))
+                .unwrap_or_else(|| panic!("{name}: undeclared kind: {line}"));
+            assert_eq!(keys[4..], **fields, "{line}");
+        }
+    }
+    // The hand-built file covers the whole schema, one kind at a time.
+    let kinds = events_to_ndjson(&one_event_per_kind());
+    for (kind, category, _) in EventKind::SCHEMA {
+        assert!(kinds.contains(&format!("\"kind\":\"{kind}\"")), "{kind}");
+        assert!(EventMask::ALL.contains(*category), "{kind}");
+    }
+}
+
+#[test]
+fn all_is_the_union_of_the_named_categories() {
+    let union = EventMask::NAMES
+        .iter()
+        .fold(EventMask::NONE, |m, (_, bit)| m.union(*bit));
+    assert_eq!(EventMask::ALL, union);
+    assert_eq!(
+        EventMask::parse(&EventMask::name_list(",")),
+        Ok(EventMask::ALL)
     );
 }
