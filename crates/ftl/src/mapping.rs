@@ -16,6 +16,19 @@ pub struct Ppn {
 
 const UNMAPPED: u64 = u64::MAX;
 
+/// The L2P entry of an unmapped LPN (`chip == u32::MAX`), in the table
+/// and in the checkpoint that serializes it.
+pub(crate) const UNMAPPED_PPN: Ppn = Ppn {
+    chip: u32::MAX,
+    page: 0,
+};
+
+/// Decodes one L2P entry.
+#[inline]
+pub(crate) fn mapped(entry: Ppn) -> Option<Ppn> {
+    (entry.chip != UNMAPPED_PPN.chip).then_some(entry)
+}
+
 /// Bidirectional page mapping with per-block valid-page counts.
 ///
 /// The L2P direction serves host reads; the P2L direction and the valid
@@ -24,8 +37,9 @@ const UNMAPPED: u64 = u64::MAX;
 pub struct Mapping {
     geometry: Geometry,
     chips: usize,
-    /// Logical page → physical page.
-    l2p: Vec<Option<Ppn>>,
+    /// Logical page → physical page (`UNMAPPED_PPN` if none): 8 bytes
+    /// per LPN, the entry a checkpoint writes to flash.
+    l2p: Vec<Ppn>,
     /// Per chip: flat physical page → logical page (or `UNMAPPED`).
     p2l: Vec<Vec<u64>>,
     /// Per chip, per block: number of valid (mapped) pages.
@@ -40,7 +54,7 @@ impl Mapping {
         Mapping {
             geometry,
             chips,
-            l2p: vec![None; logical_pages as usize],
+            l2p: vec![UNMAPPED_PPN; logical_pages as usize],
             p2l: vec![vec![UNMAPPED; pages_per_chip]; chips],
             valid: vec![vec![0; geometry.blocks_per_chip as usize]; chips],
         }
@@ -55,7 +69,7 @@ impl Mapping {
     /// trimmed.
     #[inline]
     pub fn lookup(&self, lpn: u64) -> Option<Ppn> {
-        self.l2p.get(lpn as usize).copied().flatten()
+        self.l2p.get(lpn as usize).copied().and_then(mapped)
     }
 
     /// The logical page stored at `ppn`, or `None` if the physical page
@@ -89,7 +103,7 @@ impl Mapping {
             "physical page already mapped"
         );
         let old = self.unmap(lpn);
-        self.l2p[lpn as usize] = Some(ppn);
+        self.l2p[lpn as usize] = ppn;
         self.p2l[ppn.chip as usize][ppn.page as usize] = lpn;
         let b = self.block_of_page(ppn.page) as usize;
         self.valid[ppn.chip as usize][b] += 1;
@@ -122,7 +136,8 @@ impl Mapping {
 
     /// Unmaps `lpn` (TRIM or overwrite), returning its old location.
     pub fn unmap(&mut self, lpn: u64) -> Option<Ppn> {
-        let old = self.l2p.get_mut(lpn as usize)?.take()?;
+        let entry = self.l2p.get_mut(lpn as usize)?;
+        let old = mapped(std::mem::replace(entry, UNMAPPED_PPN))?;
         self.p2l[old.chip as usize][old.page as usize] = UNMAPPED;
         let b = self.block_of_page(old.page) as usize;
         self.valid[old.chip as usize][b] -= 1;
@@ -162,10 +177,10 @@ impl Mapping {
         }
     }
 
-    /// A snapshot of the full L2P table (index = LPN), the payload a
+    /// The full L2P table in LPN order, read in place — the payload a
     /// periodic checkpoint serializes.
-    pub fn l2p_snapshot(&self) -> Vec<Option<Ppn>> {
-        self.l2p.clone()
+    pub fn l2p_entries(&self) -> impl ExactSizeIterator<Item = Option<Ppn>> + '_ {
+        self.l2p.iter().copied().map(mapped)
     }
 
     /// Total valid pages across all chips (live data).

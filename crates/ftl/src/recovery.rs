@@ -24,7 +24,7 @@
 //! metadata ring, [`Ftl::power_cut`] and [`Ftl::power_cycle`] — follows.
 
 use crate::base::{Ftl, Origin};
-use crate::mapping::{Mapping, Ppn};
+use crate::mapping::{mapped, Mapping, Ppn, UNMAPPED_PPN};
 use crate::write::{block_wls, FreePool, SeqAlloc};
 use nand3d::{BlockId, OobStatus, PageState, WlAddr, WlData};
 use ssdsim::FtlStats;
@@ -32,9 +32,6 @@ use telemetry::{EventKind, EventMask};
 
 /// Magic prefix of the checkpoint blob ("CKP1").
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CKP1";
-
-/// Sentinel chip index marking an unmapped LPN in the encoded L2P table.
-const UNMAPPED_CHIP: u32 = u32::MAX;
 
 /// Nominal program latency charged per metadata page when a checkpoint
 /// is flushed to the reserved region (full-verify TLC page program; the
@@ -81,34 +78,7 @@ impl Checkpoint {
     /// erase_counts[chip][block]          u32 LE each
     /// ```
     pub fn encode(&self) -> Vec<u8> {
-        let chips = self.erase_counts.len() as u32;
-        let blocks = self.erase_counts.first().map_or(0, Vec::len) as u32;
-        let mut out = Vec::with_capacity(
-            4 + 8 + 8 + 4 + 4 + self.l2p.len() * 8 + (chips * blocks) as usize * 4,
-        );
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(self.l2p.len() as u64).to_le_bytes());
-        out.extend_from_slice(&chips.to_le_bytes());
-        out.extend_from_slice(&blocks.to_le_bytes());
-        for entry in &self.l2p {
-            match entry {
-                Some(ppn) => {
-                    out.extend_from_slice(&ppn.chip.to_le_bytes());
-                    out.extend_from_slice(&ppn.page.to_le_bytes());
-                }
-                None => {
-                    out.extend_from_slice(&UNMAPPED_CHIP.to_le_bytes());
-                    out.extend_from_slice(&0u32.to_le_bytes());
-                }
-            }
-        }
-        for per_chip in &self.erase_counts {
-            for &count in per_chip {
-                out.extend_from_slice(&count.to_le_bytes());
-            }
-        }
-        out
+        encode_checkpoint(self.seq, self.l2p.iter().copied(), &self.erase_counts)
     }
 
     /// Deserializes a blob produced by [`Checkpoint::encode`].
@@ -139,7 +109,7 @@ impl Checkpoint {
         for _ in 0..logical_pages {
             let chip = u32_at(at);
             let page = u32_at(at + 4);
-            l2p.push((chip != UNMAPPED_CHIP).then_some(Ppn { chip, page }));
+            l2p.push(mapped(Ppn { chip, page }));
             at += 8;
         }
         let mut erase_counts = Vec::with_capacity(chips);
@@ -171,6 +141,35 @@ impl Checkpoint {
         let blocks = self.erase_counts.first().map_or(0, Vec::len);
         28 + self.l2p.len() * 8 + chips * blocks * 4
     }
+}
+
+/// Writes the [`Checkpoint::encode`] layout from its parts, so a flush
+/// serializes the live L2P table without first copying it.
+fn encode_checkpoint(
+    seq: u64,
+    l2p: impl ExactSizeIterator<Item = Option<Ppn>>,
+    erase_counts: &[Vec<u32>],
+) -> Vec<u8> {
+    let chips = erase_counts.len() as u32;
+    let blocks = erase_counts.first().map_or(0, Vec::len) as u32;
+    let mut out =
+        Vec::with_capacity(4 + 8 + 8 + 4 + 4 + l2p.len() * 8 + (chips * blocks) as usize * 4);
+    out.extend_from_slice(&CHECKPOINT_MAGIC);
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(l2p.len() as u64).to_le_bytes());
+    out.extend_from_slice(&chips.to_le_bytes());
+    out.extend_from_slice(&blocks.to_le_bytes());
+    for entry in l2p {
+        let ppn = entry.unwrap_or(UNMAPPED_PPN);
+        out.extend_from_slice(&ppn.chip.to_le_bytes());
+        out.extend_from_slice(&ppn.page.to_le_bytes());
+    }
+    for per_chip in erase_counts {
+        for &count in per_chip {
+            out.extend_from_slice(&count.to_le_bytes());
+        }
+    }
+    out
 }
 
 /// What boot-time recovery did and what it cost, returned by
@@ -297,19 +296,14 @@ impl Ftl {
             return 0.0;
         }
         let blocks = self.geometry().blocks_per_chip as usize;
-        let erase_counts = self
+        let erase_counts: Vec<Vec<u32>> = self
             .array
             .iter()
             .map(|c| (0..blocks).map(|b| c.env().erase_count(b)).collect())
             .collect();
-        let ckpt = Checkpoint {
-            seq: self.seq_counter,
-            l2p: self.mapping.l2p_snapshot(),
-            erase_counts,
-        };
-        let pages = ckpt.pages(CKPT_PAGE_BYTES);
-        let blob = ckpt.encode();
+        let blob = encode_checkpoint(self.seq_counter, self.mapping.l2p_entries(), &erase_counts);
         let bytes = blob.len() as u64;
+        let pages = bytes.div_ceil(CKPT_PAGE_BYTES as u64);
         let mut latency = pages as f64 * CKPT_PAGE_PROGRAM_US;
         // Metadata-region wear: the flushed pages are real NAND programs,
         // and the ring recycles (erases) a region block every time the
@@ -700,6 +694,35 @@ mod tests {
         let blob = ckpt.encode();
         assert_eq!(blob.len(), 28 + 3 * 8 + 6 * 4);
         assert_eq!(Checkpoint::decode(&blob), Ok(ckpt));
+    }
+
+    /// The flush encodes the live table in place. The pinned bytes were
+    /// captured from the encoder that serialized a cloned
+    /// `Vec<Option<Ppn>>` of this same mapping: mapped, re-mapped,
+    /// trimmed and never-written LPNs.
+    #[test]
+    fn live_table_encodes_to_the_pinned_bytes() {
+        let mut m = Mapping::new(nand3d::Geometry::small(), 2, 8);
+        m.map(0, Ppn { chip: 0, page: 5 });
+        m.map(2, Ppn { chip: 1, page: 17 });
+        m.map(5, Ppn { chip: 0, page: 99 });
+        m.map(6, Ppn { chip: 1, page: 3 });
+        m.map(5, Ppn { chip: 1, page: 200 });
+        m.unmap(2);
+        let seq = 0x0102_0304_0506_0708;
+        let erase_counts = vec![vec![1, 2, 3], vec![0, 9, 4]];
+        let blob = encode_checkpoint(seq, m.l2p_entries(), &erase_counts);
+        let hex: String = blob.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "434b5031080706050403020108000000000000000200000003000000\
+             0000000005000000ffffffff00000000ffffffff00000000ffffffff00000000\
+             ffffffff0000000001000000c80000000100000003000000ffffffff00000000\
+             010000000200000003000000000000000900000004000000"
+        );
+        let decoded = Checkpoint::decode(&blob).expect("well-formed blob");
+        assert!(decoded.l2p.iter().copied().eq(m.l2p_entries()));
+        assert_eq!(decoded.encode(), blob);
     }
 
     #[test]

@@ -112,9 +112,9 @@ pub struct SpoEvent {
     pub issued: u64,
     /// Host requests completed (acknowledged) before the cut.
     pub completed: u64,
-    /// Every LPN of every *acknowledged* write request — the data the
+    /// Pages of every *acknowledged* write request — how much data the
     /// device must not lose.
-    pub acked_write_lpns: Vec<u64>,
+    pub acked_write_pages: u64,
     /// Every LPN trimmed before the cut (a resurrected trimmed LPN is
     /// acceptable; a lost acknowledged LPN is not).
     pub trimmed_lpns: Vec<u64>,
@@ -488,21 +488,72 @@ struct ChipState {
 #[derive(Debug)]
 struct InFlightRequest {
     arrival_us: f64,
-    remaining_pages: u32,
+    /// Pages not yet served. A read counts down to zero, one
+    /// `ReadPartServed`/`ChipOp::Read` per page; a write or trim keeps
+    /// its span until its single `WriteAccepted`.
+    pages_left: u32,
     op: HostOp,
-    done: bool,
-    /// First LPN of the request's span (for the SPO acked-write ledger).
+    /// First LPN of the request's span.
     lpn: u64,
-    /// Span length in pages.
-    pages: u32,
     /// The host's token, echoed back on completion.
     token: u32,
 }
 
+/// The in-flight request table, a slab: events name requests by slot. A
+/// slot is live from [`RequestTable::insert`] to [`RequestTable::remove`]
+/// and is reused before the table grows, so the table holds as many
+/// slots as requests were ever in flight at once — at most
+/// `queue_depth`, however long the run.
+#[derive(Debug, Default)]
+struct RequestTable {
+    slots: Vec<Option<InFlightRequest>>,
+    free: Vec<usize>,
+}
+
+impl RequestTable {
+    fn insert(&mut self, request: InFlightRequest) -> usize {
+        match self.free.pop() {
+            Some(id) => {
+                self.slots[id] = Some(request);
+                id
+            }
+            None => {
+                self.slots.push(Some(request));
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    /// The live request in slot `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free: no event may name a request after
+    /// the one that completed it.
+    fn get_mut(&mut self, id: usize) -> &mut InFlightRequest {
+        self.slots[id].as_mut().expect("event names a free slot")
+    }
+
+    /// Frees slot `id` and returns its request (panics like
+    /// [`RequestTable::get_mut`]).
+    fn remove(&mut self, id: usize) -> InFlightRequest {
+        let request = self.slots[id].take().expect("event names a free slot");
+        self.free.push(id);
+        request
+    }
+
+    /// Slots allocated so far, live or free.
+    fn slots(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+/// A write waiting for buffer room: its table slot and its span.
 #[derive(Debug)]
 struct StalledWrite {
     req: usize,
-    lpns: Vec<u64>,
+    lpn: u64,
+    pages: u32,
 }
 
 /// Outcome of one bounded [`SsdSim::run_step`] slice.
@@ -530,13 +581,17 @@ pub struct SsdSim {
     chips: Vec<ChipState>,
     buffer: WriteBuffer,
     events: BinaryHeap<Event>,
-    requests: Vec<InFlightRequest>,
+    requests: RequestTable,
     stalled: VecDeque<StalledWrite>,
+    /// Host requests pulled from the host this run.
+    issued: u64,
     outstanding: usize,
     completed: u64,
     reads_done: u64,
     writes_done: u64,
     trims_done: u64,
+    /// Pages of the completed write requests (the SPO ledger).
+    acked_write_pages: u64,
     read_latency: LatencyRecorder,
     write_latency: LatencyRecorder,
     /// TRIMmed LPNs of the current run — recorded only while an SPO
@@ -634,13 +689,15 @@ impl SsdSim {
             chips: (0..config.chips).map(|_| ChipState::default()).collect(),
             buffer: WriteBuffer::new(config.buffer_pages),
             events: BinaryHeap::new(),
-            requests: Vec::new(),
+            requests: RequestTable::default(),
             stalled: VecDeque::new(),
+            issued: 0,
             outstanding: 0,
             completed: 0,
             reads_done: 0,
             writes_done: 0,
             trims_done: 0,
+            acked_write_pages: 0,
             read_latency: LatencyRecorder::new(),
             write_latency: LatencyRecorder::new(),
             spo_trims: None,
@@ -958,8 +1015,7 @@ impl SsdSim {
 
     /// Whether the device can accept another host request right now.
     fn can_issue(&self) -> bool {
-        self.outstanding < self.config.queue_depth
-            && (self.requests.len() as u64) < self.issue_limit
+        self.outstanding < self.config.queue_depth && self.issued < self.issue_limit
     }
 
     /// The poll after every step: advances the host to `now`
@@ -1026,17 +1082,11 @@ impl SsdSim {
             .copied()
             .collect();
         buffered.reverse();
-        let acked_write_lpns = self
-            .requests
-            .iter()
-            .filter(|r| r.done && r.op == HostOp::Write)
-            .flat_map(|r| r.lpn..r.lpn + u64::from(r.pages))
-            .collect();
         SpoEvent {
             at_us: self.now,
-            issued: self.requests.len() as u64,
+            issued: self.issued,
             completed: self.completed,
-            acked_write_lpns,
+            acked_write_pages: self.acked_write_pages,
             trimmed_lpns: self.spo_trims.take().unwrap_or_default(),
             buffered_lpns: buffered,
             interrupted_flushes: interrupted,
@@ -1079,16 +1129,18 @@ impl SsdSim {
         let submit = self.now.max(self.host_free_at);
         self.host_free_at = submit + self.config.t_submit_us;
 
-        let id = self.requests.len();
-        self.requests.push(InFlightRequest {
+        let id = self.requests.insert(InFlightRequest {
             arrival_us: submit,
-            remaining_pages: req.n_pages,
+            pages_left: req.n_pages,
             op: req.op,
-            done: false,
             lpn: req.lpn,
-            pages: req.n_pages,
             token,
         });
+        debug_assert!(
+            self.requests.slots() <= self.config.queue_depth,
+            "request table outgrew the queue depth"
+        );
+        self.issued += 1;
         self.outstanding += 1;
 
         match req.op {
@@ -1105,7 +1157,8 @@ impl SsdSim {
                 } else {
                     self.stalled.push_back(StalledWrite {
                         req: id,
-                        lpns: req.lpns().collect(),
+                        lpn: req.lpn,
+                        pages: req.n_pages,
                     });
                 }
                 self.try_flush(ftl);
@@ -1160,8 +1213,9 @@ impl SsdSim {
 
     /// One page of read request `req` was served (from buffer or NAND).
     fn read_part_done<H: HostFront + ?Sized>(&mut self, req: usize, host: &mut H) {
-        self.requests[req].remaining_pages -= 1;
-        if self.requests[req].remaining_pages == 0 {
+        let r = self.requests.get_mut(req);
+        r.pages_left -= 1;
+        if r.pages_left == 0 {
             self.finish_request(req, host);
         }
     }
@@ -1170,9 +1224,10 @@ impl SsdSim {
     /// event completes at most one request, so the host sees completions
     /// in completion order, each before the poll at its instant.
     fn finish_request<H: HostFront + ?Sized>(&mut self, req: usize, host: &mut H) {
-        let r = &mut self.requests[req];
-        debug_assert!(!r.done, "request completed twice");
-        r.done = true;
+        // The slot is freed here and nowhere else. No later event names
+        // it: a read's last `ReadPartServed`/`ChipOp::Read` and a write's
+        // or trim's single `WriteAccepted` are the only ways in.
+        let r = self.requests.remove(req);
         let latency = self.now - r.arrival_us;
         let (op, lpn) = (r.op, r.lpn);
         host.complete(r.token, self.now);
@@ -1180,6 +1235,7 @@ impl SsdSim {
             HostOp::Write => {
                 self.write_latency.record(latency);
                 self.writes_done += 1;
+                self.acked_write_pages += u64::from(r.pages_left);
             }
             HostOp::Read => {
                 self.read_latency.record(latency);
@@ -1327,12 +1383,12 @@ impl SsdSim {
 
     fn retry_stalled_writes(&mut self) {
         while let Some(front) = self.stalled.front() {
-            if !self.buffer.has_room(front.lpns.len()) {
+            if !self.buffer.has_room(front.pages as usize) {
                 break;
             }
             let sw = self.stalled.pop_front().expect("front exists");
-            for lpn in &sw.lpns {
-                let accepted = self.buffer.push(*lpn);
+            for lpn in sw.lpn..sw.lpn + u64::from(sw.pages) {
+                let accepted = self.buffer.push(lpn);
                 debug_assert!(accepted, "room was checked");
             }
             self.push_event(
@@ -1652,11 +1708,16 @@ mod tests {
         /// `n` mixed requests over LPNs `0..120`, request `i` arriving at
         /// `at(i)` µs (non-decreasing).
         fn new(n: u64, at: impl Fn(u64) -> f64) -> Self {
+            Self::from_requests(mixed_requests(n), at)
+        }
+
+        /// `requests`, request `i` arriving at `at(i)` µs (non-decreasing).
+        fn from_requests(
+            requests: impl Iterator<Item = HostRequest>,
+            at: impl Fn(u64) -> f64,
+        ) -> Self {
             StubFront {
-                arrivals: mixed_requests(n)
-                    .zip(0..)
-                    .map(|(r, i)| (at(i), r))
-                    .collect(),
+                arrivals: requests.zip(0..).map(|(r, i)| (at(i), r)).collect(),
                 consumed: 0,
                 queue: VecDeque::new(),
                 done: Vec::new(),
@@ -1698,6 +1759,16 @@ mod tests {
             0 => HostRequest::read(i % 120),
             1 => HostRequest::write(i % 120),
             _ => HostRequest::read_span(i % 100, 3),
+        })
+    }
+
+    /// [`mixed_requests`] with every seventh request a 2-page trim and
+    /// every seventh a 5-page write (which stalls the 16-page buffer).
+    fn mixed_with_trims(n: u64) -> impl Iterator<Item = HostRequest> + Clone {
+        mixed_requests(n).zip(0u64..).map(|(r, i)| match i % 7 {
+            3 => HostRequest::trim_span(i % 110, 2),
+            5 => HostRequest::write_span(i % 100, 5),
+            _ => r,
         })
     }
 
@@ -2285,5 +2356,107 @@ mod tests {
             progress.done_at_us > 1_900.0,
             "drained after the last arrival"
         );
+    }
+
+    #[test]
+    fn request_table_is_bounded_by_queue_depth() {
+        let n = 20_000u64;
+        for queue_depth in [1usize, 4, 32] {
+            let cfg = SsdConfig {
+                queue_depth,
+                ..SsdConfig::small()
+            };
+            let mut sim = SsdSim::new(cfg);
+            let mut ftl = StubFtl::new(cfg.chips);
+            sim.prefill(&mut ftl, 0..120);
+            sim.run_begin(n, None);
+            let mut stream = mixed_with_trims(n);
+            while sim.run_step(&mut ftl, &mut stream, 1) == StepOutcome::Running {
+                assert!(
+                    sim.requests.slots() <= queue_depth,
+                    "{} slots at queue depth {queue_depth}",
+                    sim.requests.slots()
+                );
+            }
+            assert!(sim.requests.slots() <= queue_depth);
+            assert!(sim.requests.slots.iter().all(Option::is_none), "drained");
+            assert_eq!(sim.requests.free.len(), sim.requests.slots());
+            // The iterator front's tokens are all 0: completions can only
+            // be counted against issues.
+            assert_eq!(sim.issued, n);
+            let report = sim.run_end(&ftl).0;
+            assert_eq!(report.completed, n);
+            assert!(report.trims > 0 && report.reads > 0);
+            assert!(
+                report.write_latency.max() > 100.0,
+                "some writes must have stalled"
+            );
+        }
+    }
+
+    #[test]
+    fn every_token_completes_once_across_slot_reuse() {
+        // A saturating burst, then arrivals sparse enough for the table
+        // to empty between them: slots are reused in both regimes.
+        let n = 12_000u64;
+        let at = |i: u64| {
+            if i < 8_000 {
+                i as f64 * 20.0
+            } else {
+                1_000_000.0 + i as f64 * 2_000.0
+            }
+        };
+        let (mut sim, mut ftl) = prefilled();
+        let mut front = StubFront::from_requests(mixed_with_trims(n), at);
+        sim.run_begin(u64::MAX, None);
+        while sim.run_step(&mut ftl, &mut front, 64) == StepOutcome::Running {}
+        assert!(front.exhausted());
+        assert!(sim.requests.slots() <= sim.config.queue_depth);
+        assert_eq!(sim.run_end(&ftl).0.completed, n);
+        let mut seen = vec![false; n as usize];
+        for &(token, t_done) in &front.done {
+            assert!(!seen[token as usize], "token {token} completed twice");
+            seen[token as usize] = true;
+            assert!(
+                t_done >= front.arrivals[token as usize].0,
+                "token {token} completed before it arrived"
+            );
+        }
+        assert!(seen.iter().all(|&s| s), "every token completes");
+    }
+
+    #[test]
+    fn spo_event_counts_match_the_grow_only_table() {
+        // The expected numbers were printed by the engine as it was when
+        // `requests` kept one entry per issued request for the whole run
+        // and the acked-write ledger was rebuilt by walking it.
+        for (queue_depth, at, issued, acked_write_pages, trimmed, buffered) in [
+            (4usize, 1_500u64, 1_504u64, 1_428u64, 430usize, 12usize),
+            (1, 700, 701, 667, 200, 8),
+            (32, 2_345, 2_377, 2_180, 680, 16),
+        ] {
+            let cfg = SsdConfig {
+                queue_depth,
+                ..SsdConfig::small()
+            };
+            let mut sim = SsdSim::new(cfg);
+            let mut ftl = StubFtl::new(cfg.chips);
+            sim.prefill(&mut ftl, 0..120);
+            sim.run_begin(4_000, Some(SpoTrigger::AtOps(at)));
+            let mut stream = mixed_with_trims(4_000);
+            let outcome = loop {
+                match sim.run_step(&mut ftl, &mut stream, 7) {
+                    StepOutcome::Running => {}
+                    done => break done,
+                }
+            };
+            assert_eq!(outcome, StepOutcome::PowerCut);
+            let event = sim.run_end(&ftl).1.expect("the trigger fired");
+            assert_eq!(event.issued, issued);
+            assert_eq!(event.completed, at);
+            assert_eq!(event.acked_write_pages, acked_write_pages);
+            assert_eq!(event.trimmed_lpns.len(), trimmed);
+            assert_eq!(event.buffered_lpns.len(), buffered);
+        }
     }
 }

@@ -1425,7 +1425,7 @@ fn print_spo(r: &RunOutput) -> bool {
         event.at_us / 1000.0,
         event.issued,
         event.completed,
-        event.acked_write_lpns.len(),
+        event.acked_write_pages,
         event.buffered_lpns.len(),
         crash.checkpoints_taken,
     );
