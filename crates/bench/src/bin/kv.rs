@@ -26,7 +26,7 @@
 //! Run with: `cargo run --release -p bench --bin kv`
 
 use bench::{banner, run, BenchArgs, Table};
-use cubeftl::harness::{ArrayEvalConfig, EvalConfig, KvSpec, RunOutput, Scenario};
+use cubeftl::harness::{ArrayEvalConfig, EvalConfig, KvSpec, Scenario};
 use cubeftl::{AgingState, FtlKind, KvAppReport, KvStream, TenantMix, YcsbKind};
 
 /// One cell of the curve: device and app metrics for one
@@ -54,17 +54,17 @@ fn bench_spec() -> KvSpec {
 }
 
 /// A Cube device (or array) driven by the bench's engine under `kind`.
-fn kv_run(
+fn kv_scenario(
     aging: AgingState,
     kind: YcsbKind,
     cfg: &EvalConfig,
     arr: Option<ArrayEvalConfig>,
-) -> RunOutput {
-    run(&Scenario {
+) -> Scenario {
+    Scenario {
         array: arr,
         kv: bench_spec(),
         ..Scenario::new(FtlKind::Cube, TenantMix::Kv(kind), aging, cfg)
-    })
+    }
 }
 
 /// Runs one evaluation cell.
@@ -74,7 +74,7 @@ fn run_cell(
     kind: YcsbKind,
     cfg: &EvalConfig,
 ) -> CurvePoint {
-    let mut r = kv_run(aging, kind, cfg, None);
+    let mut r = run(&kv_scenario(aging, kind, cfg, None));
     let app = r.kv.take().expect("KV layer engaged").apps.remove(0);
     let sim = r.sim();
     CurvePoint {
@@ -132,26 +132,6 @@ fn write_pages_at_ops(kind: YcsbKind, space: u64, seed: u64, ops: u64) -> u64 {
     }
     let r = s.report();
     r.stats.sst_pages_written - r.load_sst_pages + r.stats.wal_pages_written
-}
-
-/// Canonical per-shard counter dump of an array KV run — the
-/// thread-invariance witness.
-fn array_fingerprint(r: &RunOutput) -> String {
-    let merged = r.merged();
-    let mut s = format!(
-        "merged: iops {:.4} completed {} retries {}\n",
-        merged.iops, merged.completed, merged.ftl.read_retries
-    );
-    for (i, sh) in r.phases[0].shards.iter().enumerate() {
-        s.push_str(&format!(
-            "shard {i}: completed {} reads {} writes {} retries {} gc {}\n",
-            sh.completed, sh.reads, sh.writes, sh.ftl.read_retries, sh.ftl.gc_runs,
-        ));
-    }
-    for (i, app) in r.kv.iter().flat_map(|kv| &kv.apps).enumerate() {
-        s.push_str(&format!("app {i}: {app:?}\n"));
-    }
-    s
 }
 
 fn main() {
@@ -279,15 +259,17 @@ fn main() {
         "double run must reproduce the KV curve byte-identically"
     );
 
-    // Bar 5: a 4-shard array KV run is worker-thread invariant.
-    let mut arr = ArrayEvalConfig::new(4);
-    arr.threads = 1;
-    let serial = kv_run(AgingState::Fresh, YcsbKind::A, &cfg, Some(arr));
-    arr.threads = 4;
-    let threaded = kv_run(AgingState::Fresh, YcsbKind::A, &cfg, Some(arr));
+    // Bar 5: a 4-shard array KV run is worker-thread invariant — the
+    // witness is the run's whole metric registry.
+    let metrics_at = |threads: usize| {
+        let mut arr = ArrayEvalConfig::new(4);
+        arr.threads = threads;
+        let sc = kv_scenario(AgingState::Fresh, YcsbKind::A, &cfg, Some(arr));
+        run(&sc).metrics(&sc).to_ndjson()
+    };
     assert_eq!(
-        array_fingerprint(&serial),
-        array_fingerprint(&threaded),
+        metrics_at(1),
+        metrics_at(4),
         "array KV run must be byte-identical at 1 and 4 worker threads"
     );
 

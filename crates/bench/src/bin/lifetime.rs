@@ -28,7 +28,7 @@
 //! Run with: `cargo run --release -p bench --bin lifetime`
 
 use bench::{banner, run, BenchArgs, Table};
-use cubeftl::harness::{ArrayEvalConfig, EvalConfig, RunOutput, Scenario};
+use cubeftl::harness::{ArrayEvalConfig, EvalConfig, Scenario};
 use cubeftl::{AgingState, FtlKind, LifetimeConfig, MaintConfig, StandardWorkload};
 
 /// What one campaign epoch contributed to the curve.
@@ -48,8 +48,8 @@ struct CurvePoint {
 }
 
 /// One Cube Mail campaign from a fresh device (or array).
-fn campaign(cfg: &EvalConfig, life: &LifetimeConfig, arr: Option<ArrayEvalConfig>) -> RunOutput {
-    run(&Scenario {
+fn campaign(cfg: &EvalConfig, life: &LifetimeConfig, arr: Option<ArrayEvalConfig>) -> Scenario {
+    Scenario {
         array: arr,
         lifetime: Some(*life),
         ..Scenario::new(
@@ -58,12 +58,12 @@ fn campaign(cfg: &EvalConfig, life: &LifetimeConfig, arr: Option<ArrayEvalConfig
             AgingState::Fresh,
             cfg,
         )
-    })
+    }
 }
 
 /// Runs one single-device campaign and flattens it into curve points.
 fn run_campaign(label: &'static str, cfg: &EvalConfig, life: &LifetimeConfig) -> Vec<CurvePoint> {
-    let r = campaign(cfg, life, None);
+    let r = run(&campaign(cfg, life, None));
     let summaries = &r.aging.as_ref().expect("campaign ran").summaries;
     let mut pe_cum = 0u32;
     let mut months_cum = 0.0f64;
@@ -115,39 +115,6 @@ fn curve_csv(points: &[CurvePoint]) -> String {
         ));
     }
     csv
-}
-
-/// Canonical per-epoch, per-shard counter dump of an array campaign —
-/// the thread-invariance witness.
-fn array_fingerprint(r: &RunOutput) -> String {
-    let mut s = String::new();
-    for (e, rep) in r.epochs().enumerate() {
-        s.push_str(&format!(
-            "epoch {e}: iops {:.4} completed {} retries {}\n",
-            rep.merged.iops, rep.merged.completed, rep.merged.ftl.read_retries
-        ));
-        for (i, sh) in rep.shards.iter().enumerate() {
-            s.push_str(&format!(
-                "  shard {i}: completed {} reads {} writes {} retries {} gc {} host_wl {}\n",
-                sh.completed,
-                sh.reads,
-                sh.writes,
-                sh.ftl.read_retries,
-                sh.ftl.gc_runs,
-                sh.ftl.host_wl_programs,
-            ));
-        }
-    }
-    let summaries = &r.aging.as_ref().expect("campaign ran").summaries;
-    for (k, step) in summaries.iter().enumerate() {
-        for (i, sum) in step.iter().enumerate() {
-            s.push_str(&format!(
-                "step {k} shard {i}: blocks {} pe {} months {:.4}\n",
-                sum.blocks_aged, sum.pe_added, sum.retention_added_months
-            ));
-        }
-    }
-    s
 }
 
 fn main() {
@@ -272,17 +239,19 @@ fn main() {
         "double run must reproduce the drift curve byte-identically"
     );
 
-    // Bar 4: a 4-shard array campaign is worker-thread invariant.
+    // Bar 4: a 4-shard array campaign is worker-thread invariant — the
+    // witness is the campaign's whole metric registry, epoch by epoch.
     let mut short = life;
     short.epochs = 3;
-    let mut arr = ArrayEvalConfig::new(4);
-    arr.threads = 1;
-    let serial = campaign(&cfg, &short, Some(arr));
-    arr.threads = 4;
-    let threaded = campaign(&cfg, &short, Some(arr));
+    let metrics_at = |threads: usize| {
+        let mut arr = ArrayEvalConfig::new(4);
+        arr.threads = threads;
+        let sc = campaign(&cfg, &short, Some(arr));
+        run(&sc).metrics(&sc).to_ndjson()
+    };
     assert_eq!(
-        array_fingerprint(&serial),
-        array_fingerprint(&threaded),
+        metrics_at(1),
+        metrics_at(4),
         "array campaign must be byte-identical at 1 and 4 worker threads"
     );
 

@@ -36,7 +36,8 @@ pub use driver::{FtlDriver, FtlStats, HostContext, MaintWork, PageRead, WlWrite}
 pub use front::{FrontRequest, HostFront};
 pub use request::{HostOp, HostRequest};
 pub use ssd::{
-    ChipStats, InFlightFlush, MaintSchedule, RebuildOp, RebuildProgress, RebuildSchedule,
-    SimReport, SpoEvent, SpoTrigger, SsdConfig, SsdSim, StepOutcome,
+    background_ops, max_queue_depth, mean_busy_fraction, ChipStats, InFlightFlush, MaintSchedule,
+    RebuildOp, RebuildProgress, RebuildSchedule, SimReport, SpoEvent, SpoTrigger, SsdConfig,
+    SsdSim, StepOutcome,
 };
 pub use stats::LatencyRecorder;

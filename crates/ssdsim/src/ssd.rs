@@ -211,6 +211,28 @@ impl ChipStats {
     }
 }
 
+/// Background maintenance operations dispatched across `chips`.
+pub fn background_ops(chips: &[ChipStats]) -> u64 {
+    chips.iter().map(|c| c.maint_ops).sum()
+}
+
+/// Deepest per-chip queue observed on any of `chips`.
+pub fn max_queue_depth(chips: &[ChipStats]) -> usize {
+    chips.iter().map(|c| c.max_queue_depth).max().unwrap_or(0)
+}
+
+/// Mean per-chip busy-time fraction of `chips` over `sim_time_us`.
+pub fn mean_busy_fraction(chips: &[ChipStats], sim_time_us: f64) -> f64 {
+    if chips.is_empty() {
+        return 0.0;
+    }
+    chips
+        .iter()
+        .map(|c| c.busy_fraction(sim_time_us))
+        .sum::<f64>()
+        / chips.len() as f64
+}
+
 /// The twelve registrations every device-level report shares — one
 /// device's [`SimReport`] or an array's merged report — and the one
 /// place their metric names are spelled: throughput, makespan, the
@@ -295,28 +317,17 @@ impl SimReport {
 
     /// Total background maintenance operations dispatched across chips.
     pub fn background_ops(&self) -> u64 {
-        self.chip_stats.iter().map(|c| c.maint_ops).sum()
+        background_ops(&self.chip_stats)
     }
 
     /// Deepest per-chip queue observed anywhere in the array.
     pub fn max_queue_depth(&self) -> usize {
-        self.chip_stats
-            .iter()
-            .map(|c| c.max_queue_depth)
-            .max()
-            .unwrap_or(0)
+        max_queue_depth(&self.chip_stats)
     }
 
     /// Mean per-chip busy-time fraction over the run.
     pub fn mean_busy_fraction(&self) -> f64 {
-        if self.chip_stats.is_empty() {
-            return 0.0;
-        }
-        self.chip_stats
-            .iter()
-            .map(|c| c.busy_fraction(self.sim_time_us))
-            .sum::<f64>()
-            / self.chip_stats.len() as f64
+        mean_busy_fraction(&self.chip_stats, self.sim_time_us)
     }
 
     /// Registers the report's numbers into a metric registry under

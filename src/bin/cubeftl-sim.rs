@@ -66,7 +66,7 @@
 //! host-acknowledged loss. The request source is free (`--workload`,
 //! `--kv` or `--trace-file`: one global stream, routed); array
 //! resilience cannot be combined with the QoS front-end, a lifetime
-//! campaign, `--capture-trace-out` or `--series-out`.
+//! campaign or `--capture-trace-out`.
 //!
 //! `--ort-capacity N` bounds the per-chip offset-reuse table to N entries
 //! with LRU eviction (default: unbounded); hit/miss/eviction counters
@@ -125,8 +125,8 @@
 //! `--array-threads` count), `--kv` (a fresh engine per epoch) and
 //! `--trace-file` (the recorded trace replays at every age point, on
 //! one device or striped over the array); it cannot be combined with
-//! SPO cuts, the QoS front-end, array resilience, `--capture-trace-out`
-//! or the telemetry output files.
+//! SPO cuts, the QoS front-end, array resilience or
+//! `--capture-trace-out`.
 //!
 //! `--kv KIND` replaces the synthetic workload with the kvsim
 //! application layer (`crates/kvsim`): a real miniature LSM-tree KV
@@ -178,11 +178,15 @@
 //! path ends in `.csv`, NDJSON otherwise; T is at least 1 µs);
 //! `--metrics-out PATH` writes the end-of-run metric registry (named
 //! counters, gauges and latency histograms) as NDJSON. The files
-//! require a single `--ftl` kind and
-//! cannot be combined with an SPO cut (array-resilience runs export
-//! their barrier-stamped events and per-phase metrics instead, without
-//! `--series-out`) or a lifetime campaign; `--trace-file` replays are
-//! traced like any other stream. Double runs produce byte-identical
+//! require a single `--ftl` kind; beyond that they are what the flags
+//! say on every run. Whatever phases a run composes — the cut and the
+//! resumed run of an SPO experiment (its golden reference run stays
+//! untraced), the degraded phase after a shard failure, the epochs of a
+//! lifetime campaign — sit end to end on one timeline, with the barrier
+//! events (`spo`, `degraded`, `rebuild`, `aging`) in between; the
+//! series keeps counting `completed` across them, and the metrics name
+//! each phase (`ssd`/`array`, `degraded`, `resumed`, with `epoch{e}.`
+//! in front inside a campaign). Double runs produce byte-identical
 //! files at any `--array-threads`.
 //!
 //! Examples:
@@ -202,16 +206,18 @@
 //! cargo run --release --bin cubeftl-sim -- --ftl cube --maint --lifetime-epochs 5 --lifetime-pe 500
 //! cargo run --release --bin cubeftl-sim -- --ftl cube --trace-out run.ndjson --trace-events ispp,retry,gc
 //! cargo run --release --bin cubeftl-sim -- --ftl cube --series-out run.csv --sample-interval-us 5000 --metrics-out metrics.ndjson
+//! cargo run --release --bin cubeftl-sim -- --ftl cube --spo-at 40000 --series-out warmup.csv --sample-interval-us 5000
+//! cargo run --release --bin cubeftl-sim -- --ftl cube --lifetime-epochs 5 --trace-out drift.ndjson --trace-events aging,retry
 //! ```
 
 use cubeftl::harness::{
-    register_kv_metrics, ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, KvSpec, Phase,
-    QosSpec, RunOutput, Scenario, ScenarioError, SpoConfig, TelemetrySpec, WorkloadSource,
+    ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, KvSpec, Phase, QosSpec, RunOutput,
+    Scenario, ScenarioError, SpoConfig, TelemetrySpec, WorkloadSource,
 };
 use cubeftl::{
-    events_to_ndjson, AgingState, EventMask, FaultKind, FaultPlan, FtlKind, FtlStats, KvAppReport,
-    LatencyRecorder, LifetimeConfig, MaintConfig, MaintSchedule, MetricRegistry, OrtClusterConfig,
-    QosReport, RetryOptConfig, SpoTrigger, StandardWorkload, TenantMix, Trace, YcsbKind,
+    events_to_ndjson, AgingState, ArrayReport, EventMask, FaultKind, FaultPlan, FtlKind,
+    KvAppReport, LifetimeConfig, MaintConfig, MaintSchedule, OrtClusterConfig, QosReport,
+    RetryOptConfig, SpoTrigger, StandardWorkload, TenantMix, Trace, YcsbKind,
 };
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -343,8 +349,6 @@ fn main() -> ExitCode {
 #[derive(Default)]
 struct Outputs {
     trace: Option<String>,
-    /// The `--trace-events` categories `trace` keeps.
-    events: EventMask,
     series: Option<String>,
     metrics: Option<String>,
     capture: Option<String>,
@@ -541,11 +545,12 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         return message("--series-out and --sample-interval-us must be given together");
     }
     // --trace-out alone traces every category.
-    out.events = match &trace_events {
-        Some(spec) => {
+    let events = match (&out.trace, &trace_events) {
+        (None, _) => EventMask::NONE,
+        (Some(_), None) => EventMask::ALL,
+        (Some(_), Some(spec)) => {
             EventMask::parse(spec).map_err(|e| Stop::Message(format!("--trace-events: {e}")))?
         }
-        None => EventMask::ALL,
     };
     let telemetry_on = out.trace.is_some() || out.series.is_some() || out.metrics.is_some();
     if telemetry_on && kinds.len() > 1 {
@@ -629,27 +634,14 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
             ckpt_interval_host_wls: ckpt_interval,
         }),
         failure: resilience.then_some(fc),
-        // Failure runs export their barrier-stamped events instead of
-        // device telemetry.
         telemetry: TelemetrySpec {
-            events: if out.trace.is_some() && !resilience {
-                out.events
-            } else {
-                EventMask::NONE
-            },
+            events,
             sample_interval_us,
         },
         capture: out.capture.is_some(),
         ..Scenario::new(kinds[0], source, aging, &cfg)
     };
     sc.validate()?;
-    // --metrics-out alone arms no collector, but is telemetry output.
-    if telemetry_on && sc.spo.is_some() && !resilience {
-        return Err(ScenarioError::TelemetryWithSpo.into());
-    }
-    if telemetry_on && sc.lifetime.is_some() {
-        return Err(ScenarioError::LifetimeWithTelemetry.into());
-    }
     if sc.capture && kinds.len() > 1 {
         return message("--capture-trace-out covers one run: use a single --ftl kind");
     }
@@ -691,9 +683,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
                 .map_err(|e| Stop::Message(format!("cannot write {path}: {e}")))?;
             println!("capture: {} requests -> {path}", c.len());
         }
-        if sc.lifetime.is_none() {
-            write_telemetry(&out, &sc, &r).map_err(Stop::Message)?;
-        }
+        write_telemetry(&out, &sc, &r).map_err(Stop::Message)?;
     }
     Ok(if lost {
         ExitCode::FAILURE
@@ -824,18 +814,11 @@ fn print_run(sc: &Scenario, r: &RunOutput) -> bool {
             None => print_spo(r),
         };
     }
-    let (maint_on, faults_on) = (sc.cfg.maint.is_some(), sc.cfg.faults.is_some());
+    // A device prints as its one-shard merge: field for field the
+    // device report.
     let m = r.merged();
+    print_row(m);
     if sc.array.is_some() {
-        print_row(
-            &m.ftl_name,
-            m.iops,
-            &m.read_latency,
-            &m.write_latency,
-            &m.ftl,
-            m.wa_host(),
-            m.wa_total(),
-        );
         let per_shard: Vec<String> = m.per_shard_iops.iter().map(|i| format!("{i:.0}")).collect();
         println!(
             "{:<10} shards: [{}] IOPS, makespan {:.1} ms, {} requests total",
@@ -844,58 +827,18 @@ fn print_run(sc: &Scenario, r: &RunOutput) -> bool {
             m.sim_time_us / 1000.0,
             m.completed,
         );
-        let mqd = m.chip_stats.iter().map(|c| c.max_queue_depth).max();
-        let busy = if m.chip_stats.is_empty() {
-            0.0
-        } else {
-            m.chip_stats
-                .iter()
-                .map(|c| c.busy_fraction(m.sim_time_us))
-                .sum::<f64>()
-                / m.chip_stats.len() as f64
-        };
-        let bg = m.chip_stats.iter().map(|c| c.maint_ops).sum();
-        print_detail_lines(&m.ftl, mqd.unwrap_or(0), busy, bg, maint_on, faults_on);
-    } else {
-        let s = r.sim();
-        print_row(
-            &s.ftl_name,
-            s.iops,
-            &s.read_latency,
-            &s.write_latency,
-            &s.ftl,
-            s.wa_host(),
-            s.wa_total(),
-        );
-        let (mqd, busy, bg) = (
-            s.max_queue_depth(),
-            s.mean_busy_fraction(),
-            s.background_ops(),
-        );
-        print_detail_lines(&s.ftl, mqd, busy, bg, maint_on, faults_on);
     }
+    print_detail_lines(m, sc.cfg.maint.is_some(), sc.cfg.faults.is_some());
     if let Some(qos) = &r.qos {
         print_qos_summary(qos);
     }
-    match (&r.kv, kv_unit(sc)) {
-        (Some(kv), Some(unit)) => print_kv_engines_summary(&kv.apps, unit, m.sim_time_us),
-        (Some(kv), None) => print_kv_summary(&kv.apps[0], m.sim_time_us),
-        (None, _) => {}
+    if let Some(kv) = &r.kv {
+        match kv.unit {
+            Some(unit) => print_kv_engines_summary(&kv.apps, unit, m.sim_time_us),
+            None => print_kv_summary(&kv.apps[0], m.sim_time_us),
+        }
     }
     false
-}
-
-/// What the engines of a KV run are counted in: one per tenant under
-/// the QoS front-end, one per shard on an array, and a single anonymous
-/// engine otherwise (one device, or a failure run's global stream).
-fn kv_unit(sc: &Scenario) -> Option<&'static str> {
-    if sc.qos.engaged() {
-        Some("tenant")
-    } else if sc.array.is_some() && sc.failure.is_none() {
-        Some("shard")
-    } else {
-        None
-    }
 }
 
 fn ops_per_sec(ops: u64, sim_time_us: f64) -> f64 {
@@ -949,29 +892,14 @@ fn print_kv_engines_summary(apps: &[KvAppReport], unit: &str, sim_time_us: f64) 
     );
 }
 
-/// Writes the requested telemetry files. The metric registry is built
-/// only when `--metrics-out` asked for it. Failure runs export their
-/// barrier-stamped events — no collector masked those, so the
-/// `--trace-events` filter is applied here — and the per-phase array
-/// metrics.
+/// Writes the requested telemetry files, whatever the run composed.
+/// The metric registry is built only when `--metrics-out` asked for it.
 fn write_telemetry(out: &Outputs, sc: &Scenario, r: &RunOutput) -> Result<(), String> {
     let write = |path: &str, contents: &str| {
         std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
     };
     if let Some(path) = &out.trace {
-        let barrier: Vec<_>;
-        let events = match &r.failure {
-            Some(f) => {
-                barrier = f
-                    .events
-                    .iter()
-                    .copied()
-                    .filter(|e| out.events.contains(e.kind.category()))
-                    .collect();
-                &barrier
-            }
-            None => &r.telemetry.events,
-        };
+        let events = &r.telemetry.events;
         write(path, &events_to_ndjson(events))?;
         println!("trace: {} events -> {path}", events.len());
     }
@@ -986,26 +914,7 @@ fn write_telemetry(out: &Outputs, sc: &Scenario, r: &RunOutput) -> Result<(), St
         println!("series: {} samples -> {path}", series.rows.len());
     }
     if let Some(path) = &out.metrics {
-        let mut reg = MetricRegistry::new();
-        match sc.array {
-            Some(_) => r.merged().register_metrics(&mut reg, "array"),
-            None => r.sim().register_metrics(&mut reg, "ssd"),
-        }
-        // Engines run across every phase (one, outside failure runs).
-        let sim_time_us = r.phases.iter().map(|p| p.merged.sim_time_us).sum();
-        for (i, app) in r.kv.iter().flat_map(|kv| kv.apps.iter().enumerate()) {
-            let prefix = kv_unit(sc).map_or("kv.".to_owned(), |unit| format!("kv.{unit}{i}."));
-            register_kv_metrics(&mut reg, &prefix, app, sim_time_us);
-        }
-        if let Some(qos) = &r.qos {
-            qos.register_metrics(&mut reg);
-        }
-        if let Some(f) = &r.failure {
-            if let Some(d) = r.phase(Phase::Degraded) {
-                d.merged.register_metrics(&mut reg, "degraded");
-            }
-            f.resilience.register_metrics(&mut reg, "array");
-        }
+        let reg = r.metrics(sc);
         write(path, &reg.to_ndjson())?;
         println!("metrics: {} entries -> {path}", reg.entries().len());
     }
@@ -1050,26 +959,19 @@ fn fmt_wa(w: Option<f64>) -> String {
 /// read-vs-write tail split: the table keeps its historic columns
 /// (p50/p99 read, p90 write); the detail line carries the full
 /// p99/p999 split for both directions.
-fn print_row(
-    name: &str,
-    iops: f64,
-    read: &LatencyRecorder,
-    write: &LatencyRecorder,
-    ftl: &FtlStats,
-    wa_host: Option<f64>,
-    wa_total: Option<f64>,
-) {
+fn print_row(m: &ArrayReport) {
+    let (read, write) = (&m.read_latency, &m.write_latency);
     println!(
         "{:<10} {:>10.0} {:>12.3} {:>12.3} {:>12.3} {:>9} {:>9} {:>6} {:>6}",
-        name,
-        iops,
+        m.ftl_name,
+        m.iops,
         read.percentile(50.0) / 1000.0,
         read.percentile(99.0) / 1000.0,
         write.percentile(90.0) / 1000.0,
-        ftl.gc_runs,
-        ftl.read_retries,
-        fmt_wa(wa_host),
-        fmt_wa(wa_total),
+        m.ftl.gc_runs,
+        m.ftl.read_retries,
+        fmt_wa(m.wa_host()),
+        fmt_wa(m.wa_total()),
     );
     println!(
         "{:<10} latency: rd p99 {:.3} / p999 {:.3} ms, wr p99 {:.3} / p999 {:.3} ms",
@@ -1082,23 +984,20 @@ fn print_row(
 }
 
 /// The per-FTL detail lines shared by every table mode.
-fn print_detail_lines(
-    ftl: &FtlStats,
-    max_queue_depth: usize,
-    mean_busy: f64,
-    background_ops: u64,
-    maint_on: bool,
-    faults_on: bool,
-) {
+fn print_detail_lines(m: &ArrayReport, maint_on: bool, faults_on: bool) {
+    let (ftl, chips) = (&m.ftl, &m.chip_stats);
     println!(
         "{:<10} chips: max queue depth {}, mean busy {:.1}%{}",
         "", // aligned under the FTL column
-        max_queue_depth,
-        mean_busy * 100.0,
+        ssdsim::max_queue_depth(chips),
+        ssdsim::mean_busy_fraction(chips, m.sim_time_us) * 100.0,
         if maint_on {
             format!(
                 ", {} background ops ({} scrubs, {} re-monitors, {} wear moves)",
-                background_ops, ftl.scrub_blocks, ftl.remonitored_layers, ftl.wear_level_moves,
+                ssdsim::background_ops(chips),
+                ftl.scrub_blocks,
+                ftl.remonitored_layers,
+                ftl.wear_level_moves,
             )
         } else {
             String::new()

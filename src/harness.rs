@@ -22,6 +22,13 @@
 //! drain telemetry / QoS / KV reports in shard order
 //! ```
 //!
+//! Every barrier first gathers the stopped shards' events and sampled
+//! series onto the run's one timeline (each phase clock restarts at
+//! zero; the gather moves the phase to where it started), so telemetry
+//! is a spec like any other: whatever phases a scenario composes, they
+//! all export through [`TelemetryOutput`]. Only the golden phase — the
+//! untraced reference of the crash experiment — stays off it.
+//!
 //! A phase hands each shard and its host (request stream or QoS front —
 //! the engine does not care which) to the worker pool and collects the
 //! reports in shard order. A barrier is a sequence point — every shard
@@ -46,7 +53,7 @@ use ssdsim::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::{
-    merge_streams, Collector, EventKind, EventMask, MetricRegistry, Series, TraceEvent,
+    merge_streams, Collector, EventKind, EventMask, MetricRegistry, SampleRow, Series, TraceEvent,
 };
 use workloads::{
     build_population, shard_seed, StandardWorkload, TenantMix, TenantProfile, Trace, Workload,
@@ -176,11 +183,6 @@ impl TelemetrySpec {
             sample_interval_us: Some(interval_us),
         }
     }
-
-    /// Whether any collector or sampler is armed.
-    pub fn engaged(&self) -> bool {
-        !self.events.is_empty() || self.sample_interval_us.is_some()
-    }
 }
 
 impl Default for TelemetrySpec {
@@ -189,15 +191,21 @@ impl Default for TelemetrySpec {
     }
 }
 
-/// Telemetry artifacts of one run.
+/// Telemetry artifacts of one run — the only event list and the only
+/// series, whatever phases the scenario composed.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryOutput {
     /// The merged event trace: per shard and phase, the device-side
     /// stream merged with the FTL-side (and QoS-front) stream in
-    /// virtual-time order, phases laid end to end on one timeline;
-    /// shard streams concatenated in shard-id order.
+    /// virtual-time order, phases laid end to end on one timeline with
+    /// the barrier events (shard failure, rebuild, aging steps) in
+    /// between; shard streams concatenated in shard-id order. KV
+    /// maintenance events follow, engine by engine — their `t_us` is
+    /// the measured-op ordinal (the KV layer has no device clock).
     pub events: Vec<TraceEvent>,
-    /// The sampled time series (empty when sampling was off).
+    /// The sampled time series (empty when sampling was off), shard by
+    /// shard: `t_us` is strictly increasing across a shard's phases and
+    /// `completed` keeps counting from one phase into the next.
     pub series: Series,
 }
 
@@ -513,7 +521,7 @@ impl Default for KvSpec {
 /// (e.g. `"kv."` or `"kv.shard0."`): raw engine counters, derived
 /// gauges (app-WA, p99 page costs) and throughput against the device's
 /// virtual clock.
-pub fn register_kv_metrics(
+fn register_kv_metrics(
     reg: &mut MetricRegistry,
     prefix: &str,
     app: &KvAppReport,
@@ -601,8 +609,9 @@ impl From<Vec<TenantMix>> for WorkloadSource {
 /// Why a [`Scenario`] cannot run. The messages name the `cubeftl-sim`
 /// flag behind each field, since the CLI prints them verbatim. Every
 /// rejected *combination* of features gives its reason in one line: it
-/// is meaningless, or deferred — it needs the one timeline across
-/// phases and epochs that their zero-restarting virtual clocks lack.
+/// is meaningless, or deferred — the engine (not the telemetry, which
+/// has one) needs a timeline across phases and epochs that their
+/// zero-restarting virtual clocks lack.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
     /// `WorkloadSource::Phases` with no phase.
@@ -640,12 +649,6 @@ pub enum ScenarioError {
     /// A failure spec with the QoS front-end engaged.
     /// Deferred (phase timeline): arrivals would cross into the degraded phase.
     ResilienceWithQos,
-    /// A failure spec with series sampling.
-    /// Deferred (phase timeline): healthy and degraded clocks both start at zero.
-    ResilienceWithSeries,
-    /// Device telemetry with a power cut.
-    /// Deferred (phase timeline): golden, cut and resumed clocks all start at zero.
-    TelemetryWithSpo,
     /// Trace capture on an array.
     /// Meaningless: a capture is the one stream a single device replays.
     CaptureOnArray,
@@ -661,9 +664,6 @@ pub enum ScenarioError {
     /// A lifetime campaign with a failure spec.
     /// Deferred (epoch timeline): the failure needs an instant on it.
     LifetimeWithResilience,
-    /// A lifetime campaign with device telemetry.
-    /// Deferred (epoch timeline): every epoch's events restart at t = 0.
-    LifetimeWithTelemetry,
     /// A power cut on an array that is not an `AtTimeUs` instant.
     ArraySpoNeedsInstant,
     /// A replayed trace holds a write the device's buffer can never
@@ -722,14 +722,6 @@ impl std::fmt::Display for ScenarioError {
             ResilienceWithQos => {
                 f.write_str("array resilience cannot be combined with the QoS front-end")
             }
-            ResilienceWithSeries => f.write_str(
-                "failure runs emit barrier-stamped events, not sampled series: \
-                 use --trace-out/--metrics-out (drop --series-out)",
-            ),
-            TelemetryWithSpo => f.write_str(
-                "telemetry output (--trace-out/--series-out/--metrics-out) is only \
-                 available in the standard run modes (no SPO)",
-            ),
             CaptureOnArray => {
                 f.write_str("--capture-trace-out records one device's stream: drop --shards")
             }
@@ -746,10 +738,6 @@ impl std::fmt::Display for ScenarioError {
             LifetimeWithResilience => {
                 f.write_str("a lifetime campaign cannot be combined with array resilience")
             }
-            LifetimeWithTelemetry => f.write_str(
-                "telemetry output files are not available in lifetime mode \
-                 (the campaign prints one drift row per epoch)",
-            ),
             ArraySpoNeedsInstant => f.write_str(
                 "--shards cuts the whole array at one virtual instant: \
                  use --spo-at-us (not --spo-at or --spo-rate)",
@@ -873,10 +861,6 @@ pub struct FailureReport {
     pub rebuild: RebuildProgress,
     /// The zero-loss audit.
     pub audit: FailureAudit,
-    /// Degraded/rebuild trace events emitted at the phase barriers
-    /// (timestamps of degraded-phase events are offset by the failure
-    /// instant, since each phase's virtual clock restarts at zero).
-    pub events: Vec<TraceEvent>,
 }
 
 /// The aging part of a lifetime campaign.
@@ -885,11 +869,6 @@ pub struct AgingReport {
     /// Per-step, per-shard aging summaries (`summaries[k][s]` is shard
     /// `s` of the step between epoch `k` and epoch `k + 1`).
     pub summaries: Vec<Vec<EpochSummary>>,
-    /// AGING trace events, emitted shard-major at each barrier. Each
-    /// phase's virtual clock restarts at zero; barrier timestamps are
-    /// offset by the cumulative end times of the preceding epochs,
-    /// giving one concatenated campaign timeline.
-    pub events: Vec<TraceEvent>,
 }
 
 /// The application-level part of a run whose (last) epoch ran KV
@@ -900,10 +879,11 @@ pub struct KvReport {
     /// order under the QoS front-end (one engine per tenant). A failure
     /// run has the one engine behind its routed global stream.
     pub apps: Vec<KvAppReport>,
-    /// KV maintenance events (flushes, compactions) across all engines,
-    /// shard-major, timestamped by measured-op ordinal. Collected
-    /// independent of the telemetry mask.
-    pub events: Vec<TraceEvent>,
+    /// What `apps` counts engines in: `"tenant"` under the QoS
+    /// front-end, `"shard"` on an array, `None` for the single
+    /// anonymous engine of one device or of a failure run's global
+    /// stream.
+    pub unit: Option<&'static str>,
 }
 
 /// Everything one [`Scenario::run`] produced: the executed phases in
@@ -963,6 +943,59 @@ impl RunOutput {
 
     fn main_phase(&self) -> &PhaseReport {
         self.phase(Phase::Main).expect("every run has a main phase")
+    }
+
+    /// The end-of-run metric registry of this run of `sc` — what
+    /// `--metrics-out` writes. One rule names the phases: a main phase
+    /// registers under `ssd` (a device) or `array`, a degraded one
+    /// under `degraded`, a resumed one under `resumed`, each with
+    /// `epoch{e}.` in front inside a lifetime campaign; the golden
+    /// reference never registers. Beside them: the KV engines (`kv.*`,
+    /// counted per [`KvReport::unit`]), the QoS front and the
+    /// resilience counters.
+    pub fn metrics(&self, sc: &Scenario) -> MetricRegistry {
+        let mut reg = MetricRegistry::new();
+        let mut epochs = 0;
+        // The engines ran from the last main phase on (a campaign
+        // builds fresh ones per epoch).
+        let mut engine_time_us = 0.0;
+        for p in &self.phases {
+            // One device's main phase registers its `SimReport`.
+            let device = p.phase == Phase::Main && sc.array.is_none();
+            let name = match p.phase {
+                Phase::Golden => continue,
+                Phase::Main if device => "ssd",
+                Phase::Main => "array",
+                Phase::Degraded => "degraded",
+                Phase::Resumed => "resumed",
+            };
+            if p.phase == Phase::Main {
+                (epochs, engine_time_us) = (epochs + 1, 0.0);
+            }
+            engine_time_us += p.merged.sim_time_us;
+            let name = match sc.lifetime {
+                Some(_) => format!("epoch{}.{name}", epochs - 1),
+                None => name.to_owned(),
+            };
+            if device {
+                p.shards[0].register_metrics(&mut reg, &name);
+            } else {
+                p.merged.register_metrics(&mut reg, &name);
+            }
+        }
+        if let Some(kv) = &self.kv {
+            for (i, app) in kv.apps.iter().enumerate() {
+                let prefix = kv.unit.map_or("kv.".to_owned(), |u| format!("kv.{u}{i}."));
+                register_kv_metrics(&mut reg, &prefix, app, engine_time_us);
+            }
+        }
+        if let Some(qos) = &self.qos {
+            qos.register_metrics(&mut reg);
+        }
+        if let Some(f) = &self.failure {
+            f.resilience.register_metrics(&mut reg, "array");
+        }
+        reg
     }
 
     /// Read retries per completed read of epoch `e` — a campaign's
@@ -1065,9 +1098,10 @@ fn combine_progress(a: &RebuildProgress, b: &RebuildProgress, offset_us: f64) ->
 }
 
 /// Converts the engine's maintenance log into shard-tagged trace events
-/// (timestamp = measured-op ordinal; the KV layer has no device clock).
-fn kv_trace_events(events: &[KvEvent], shard: u32) -> Vec<TraceEvent> {
-    let mut c = Collector::enabled(EventMask::KV, shard);
+/// under `mask` (timestamp = measured-op ordinal; the KV layer has no
+/// device clock).
+fn kv_trace_events(events: &[KvEvent], mask: EventMask, shard: u32) -> Vec<TraceEvent> {
+    let mut c = Collector::enabled(mask, shard);
     for e in events {
         c.emit(
             e.op_index as f64,
@@ -1302,15 +1336,7 @@ impl Scenario {
                 check(not_positive(f.at_us), NotAfterTimeZero("the failure"))?;
             }
             check(qos, ResilienceWithQos)?;
-            check(
-                self.telemetry.sample_interval_us.is_some(),
-                ResilienceWithSeries,
-            )?;
         }
-        check(
-            self.telemetry.engaged() && self.spo.is_some() && self.failure.is_none(),
-            TelemetryWithSpo,
-        )?;
         if self.capture {
             check(shards.is_some(), CaptureOnArray)?;
             check(
@@ -1322,7 +1348,6 @@ impl Scenario {
             check(self.spo.is_some(), LifetimeWithSpo)?;
             check(qos, LifetimeWithQos)?;
             check(self.failure.is_some(), LifetimeWithResilience)?;
-            check(self.telemetry.engaged(), LifetimeWithTelemetry)?;
         }
         if let Some(spo) = &self.spo {
             match spo.trigger {
@@ -1344,14 +1369,15 @@ impl Scenario {
         };
         if self.spo.is_some() && self.array.is_none() {
             // The double-run crash experiment: an identically prepared
-            // device runs the same stream uninterrupted first.
-            let mut devs = self.prepare();
+            // device runs the same stream uninterrupted first — the
+            // untraced reference, not part of the run's timeline.
+            let mut devs = self.prepare(TelemetrySpec::off());
             let mut load = self.load(&devs, 0)?;
             let golden = load.run(self, Phase::Golden, &mut devs, None, None);
             out.phases.push(golden.0);
         }
 
-        let mut devs = self.prepare();
+        let mut devs = self.prepare(self.telemetry);
         // One aging engine per shard, seeded from the shard id: shard
         // campaigns are independent, so neither the fan-out order nor
         // the thread count can matter.
@@ -1368,18 +1394,19 @@ impl Scenario {
             None => Vec::new(),
         };
         let mut load = self.load(&devs, 0)?;
-        let mut traces = BTreeMap::new();
+        // Every phase clock restarts at zero and `run_begin` resets the
+        // simulator's collector and sampler, so each phase is gathered
+        // onto the timeline before the next one runs, and at the drain.
+        let mut line = Timeline {
+            mask: self.telemetry.events,
+            ..Timeline::default()
+        };
         let mut t_offset = 0.0;
-        // Where the phase whose events sit in the collectors starts on
-        // the run's timeline. Every phase clock restarts at zero and
-        // `run_begin` resets the simulator's collector, so they are
-        // gathered before each following phase, and at the drain.
-        let mut start = 0.0;
         for epoch in 0..self.lifetime.map_or(1, |l| l.epochs.max(1)) {
             if let (Some(aging), true) = (&mut out.aging, epoch > 0) {
-                gather(&mut devs, &mut load.hosts, start, &mut traces);
-                start = t_offset;
-                let step = age(&mut devs, &mut engines, epoch, t_offset, &mut aging.events);
+                line.gather(&mut devs, &mut load.hosts, &out.phases);
+                line.start_us = t_offset;
+                let step = age(&mut devs, &mut engines, epoch, &mut line);
                 aging.summaries.push(step);
                 load = self.load(&devs, epoch)?;
             }
@@ -1399,11 +1426,11 @@ impl Scenario {
             let mut failure = None;
             if let Some(fail) = fail {
                 // The dead shard leaves at the barrier, its events with it.
-                gather(&mut devs, &mut load.hosts, start, &mut traces);
+                line.gather(&mut devs, &mut load.hosts, &out.phases);
                 let (mut state, plans) = self.fail_barrier(fail, &mut devs, &mut load, &events);
                 let (degraded, cut_events) =
                     load.run(self, Phase::Degraded, &mut devs, cut, Some(plans));
-                (start, span) = (fail.at_us, degraded.merged.sim_time_us);
+                (line.start_us, span) = (fail.at_us, degraded.merged.sim_time_us);
                 state.offset_us = span;
                 state.progress = rebuild_progress(&devs);
                 out.phases.push(degraded);
@@ -1417,8 +1444,8 @@ impl Scenario {
                 let plans = self.recover(&mut devs, &events, &mut load.budgets, crash);
                 crash.events = events;
                 if load.budgets.iter().any(|&b| b > 0) || plans.iter().any(Option::is_some) {
-                    gather(&mut devs, &mut load.hosts, start, &mut traces);
-                    start += span;
+                    line.gather(&mut devs, &mut load.hosts, &out.phases);
+                    line.start_us += span;
                     let resumed = load.run(self, Phase::Resumed, &mut devs, None, Some(plans));
                     out.phases.push(resumed.0);
                     resumed_progress = rebuild_progress(&devs);
@@ -1426,7 +1453,7 @@ impl Scenario {
             }
             if let Some(fc) = &self.failure {
                 out.failure = Some(match failure {
-                    Some(state) => state.audit(fc.parity, &devs, &resumed_progress),
+                    Some(state) => state.audit(fc.parity, &devs, &resumed_progress, &mut line),
                     None => FailureReport {
                         resilience: ResilienceReport {
                             parity: fc.parity,
@@ -1441,7 +1468,7 @@ impl Scenario {
                 });
             }
         }
-        self.drain(&mut devs, load, traces, start, &mut out);
+        self.drain(&mut devs, load, line, &mut out);
         Ok(out)
     }
 
@@ -1464,10 +1491,11 @@ impl Scenario {
         }
     }
 
-    /// Builds every shard: device simulator and prefilled FTL.
-    fn prepare(&self) -> Vec<Dev> {
+    /// Builds every shard: device simulator and prefilled FTL, with
+    /// `tel` armed.
+    fn prepare(&self, tel: TelemetrySpec) -> Vec<Dev> {
         (0..self.array.map_or(1, |a| a.shards))
-            .map(|s| self.prepare_dev(s, self.cfg.prefill_fraction))
+            .map(|s| self.prepare_dev(s, self.cfg.prefill_fraction, tel))
             .collect()
     }
 
@@ -1479,7 +1507,7 @@ impl Scenario {
 
     /// One fully prepared shard, seeded from the master seed and the
     /// shard id, prefilled to `prefill_fraction` of its logical space.
-    fn prepare_dev(&self, id: usize, prefill_fraction: f64) -> Dev {
+    fn prepare_dev(&self, id: usize, prefill_fraction: f64, tel: TelemetrySpec) -> Dev {
         let cfg = &self.cfg;
         let mut ssd_cfg = cfg.ssd;
         // Maintenance needs the simulator to offer idle windows: derive
@@ -1515,7 +1543,6 @@ impl Scenario {
         // Arm telemetry only now: prefill runs at t = 0 and would
         // otherwise flood the trace with setup writes outside the
         // measured window.
-        let tel = &self.telemetry;
         sim.enable_telemetry(tel.events, id as u32, tel.sample_interval_us);
         ftl.enable_telemetry(tel.events, id as u32);
         Dev {
@@ -1907,7 +1934,7 @@ impl Scenario {
         // device of the same geometry under its own seed.
         devs.remove(failed);
         if let Some(id) = spare {
-            devs.insert(failed, self.prepare_dev(id, 0.0));
+            devs.insert(failed, self.prepare_dev(id, 0.0, self.telemetry));
         }
         let do_rebuild = fc.parity && spare.is_some() && !rebuild_set.is_empty();
         let plans = ids
@@ -1931,64 +1958,64 @@ impl Scenario {
         (state, plans)
     }
 
-    /// The fan-in after the last phase (which started at `start_us`):
-    /// every shard sits back in its index slot, so the sampled series,
-    /// QoS outcomes, app reports and the capture drain in shard order —
-    /// byte-identical at any worker-thread count — and the per-shard
-    /// event buffers concatenate in shard-id order.
-    fn drain(
-        &self,
-        devs: &mut [Dev],
-        mut load: Load,
-        mut traces: BTreeMap<usize, Vec<TraceEvent>>,
-        start_us: f64,
-        out: &mut RunOutput,
-    ) {
-        let tel = &self.telemetry;
+    /// The fan-in after the last phase: every shard sits back in its
+    /// index slot, so the QoS outcomes, app reports and the capture
+    /// drain in shard order — byte-identical at any worker-thread count
+    /// — and the timeline's per-shard buffers concatenate in shard-id
+    /// order.
+    fn drain(&self, devs: &mut [Dev], mut load: Load, mut line: Timeline, out: &mut RunOutput) {
         // The QoS reports first: they close each front's event stream
         // with its end-of-run SLO summaries.
         let qos: Vec<QosReport> = match &mut load.hosts {
             Hosts::Fronts(fronts) => fronts.iter_mut().map(HostQueueFront::report).collect(),
             Hosts::Streams(_) => Vec::new(),
         };
-        gather(devs, &mut load.hosts, start_us, &mut traces);
+        line.gather(devs, &mut load.hosts, &out.phases);
         let (mut streams, fronts) = match load.hosts {
             Hosts::Streams(s) => (s, Vec::new()),
             Hosts::Fronts(f) => (Vec::new(), f),
         };
-        let mut events: Vec<TraceEvent> = traces.into_values().flatten().collect();
-        let mut series = Series::new(tel.sample_interval_us.unwrap_or(0.0));
+        let (mut events, mut rows) = (Vec::new(), Vec::new());
+        for shard in line.shards.into_values() {
+            events.extend(shard.events);
+            rows.extend(shard.rows);
+        }
         // Whatever drives a stream, the engine behind it reports here,
         // keyed by the order `KvReport::apps` documents.
         let mut apps: Vec<(u32, KvAppReport)> = Vec::new();
-        let mut kv_events = Vec::new();
         let mut app = |key: u32, shard: usize, stream: &dyn Workload| {
             if let Some(engine) = stream.kv_engine() {
                 apps.push((key, engine.report()));
-                kv_events.extend(kv_trace_events(engine.events(), shard as u32));
+                events.extend(kv_trace_events(engine.events(), line.mask, shard as u32));
             }
         };
         if let Some(global) = &load.global {
             app(0, 0, global.as_ref());
         }
-        for (i, d) in devs.iter_mut().enumerate() {
+        for (i, d) in devs.iter().enumerate() {
             if let Some(front) = fronts.get(i) {
                 front.streams().for_each(|(t, s)| app(t, d.id, s));
             }
             if let Some(s) = streams.get(i) {
                 app(i as u32, d.id, s.src.as_ref());
             }
-            series.extend(&d.sim.take_series());
         }
         apps.sort_by_key(|&(key, _)| key);
-        if tel.events.contains(EventMask::KV) {
-            events.extend(kv_events.iter().cloned());
-        }
-        out.telemetry = TelemetryOutput { events, series };
+        let interval_us = self.telemetry.sample_interval_us.unwrap_or(0.0);
+        out.telemetry = TelemetryOutput {
+            events,
+            series: Series { interval_us, rows },
+        };
         out.qos = self.qos.engaged().then(|| QosReport::merge(qos));
         out.kv = (!apps.is_empty()).then(|| KvReport {
             apps: apps.into_iter().map(|(_, app)| app).collect(),
-            events: kv_events,
+            unit: if self.qos.engaged() {
+                Some("tenant")
+            } else if self.array.is_some() && self.failure.is_none() {
+                Some("shard")
+            } else {
+                None
+            },
         });
         out.captured = streams.pop().and_then(|s| {
             let recorded = s.recorded?;
@@ -2002,7 +2029,13 @@ impl FailureState {
     /// rebuild progress over the degraded and resumed phases, audits
     /// the array-acknowledged pages against the final shard list and
     /// emits the barrier-level trace events.
-    fn audit(self, parity: bool, devs: &[Dev], resumed: &[RebuildProgress]) -> FailureReport {
+    fn audit(
+        self,
+        parity: bool,
+        devs: &[Dev],
+        resumed: &[RebuildProgress],
+        line: &mut Timeline,
+    ) -> FailureReport {
         let s_total = self.router.shards();
         let failed = self.fail.shard;
         let p = self.router.stripe_pages();
@@ -2052,7 +2085,8 @@ impl FailureState {
             zero_loss: lost_pages == 0,
         };
 
-        // Barrier-level trace events (degraded/rebuild categories).
+        // Barrier-level trace events (degraded/rebuild categories),
+        // numbered as one stream whatever the scenario's mask keeps.
         let at = self.fail.at_us;
         let mut collector =
             Collector::enabled(EventMask::DEGRADED.union(EventMask::REBUILD), failed as u32);
@@ -2104,6 +2138,7 @@ impl FailureState {
             }
         }
 
+        line.insert(failed, collector.take());
         FailureReport {
             resilience: ResilienceReport {
                 parity,
@@ -2122,32 +2157,70 @@ impl FailureState {
             },
             rebuild: spare_progress,
             audit,
-            events: collector.take(),
         }
     }
 }
 
-/// The fan-in of the event collectors at the end of the phase that
-/// started at `start_us` on the run's timeline: per shard, the
-/// device-side stream merged with the FTL-side and QoS-front streams
-/// in virtual-time order, moved to `start_us` and appended to that
-/// shard's buffer.
-fn gather(
-    devs: &mut [Dev],
-    hosts: &mut Hosts,
+/// What one shard id contributed to the run's timeline.
+#[derive(Default)]
+struct ShardLine {
+    events: Vec<TraceEvent>,
+    rows: Vec<(u32, SampleRow)>,
+    /// Host requests completed in the phases gathered so far.
+    completed: u64,
+}
+
+/// The run's one timeline: what the collectors and samplers of every
+/// phase recorded, per shard id, each phase moved to where it started.
+#[derive(Default)]
+struct Timeline {
+    /// The scenario's event mask (barrier events are filtered by it).
+    mask: EventMask,
+    /// Where the phase now in the collectors starts, µs.
     start_us: f64,
-    traces: &mut BTreeMap<usize, Vec<TraceEvent>>,
-) {
-    for (i, d) in devs.iter_mut().enumerate() {
-        let mut trace = merge_streams(d.sim.take_trace(), d.ftl.take_trace());
-        if let Hosts::Fronts(fronts) = hosts {
-            trace = merge_streams(trace, fronts[i].take_trace());
+    shards: BTreeMap<usize, ShardLine>,
+}
+
+impl Timeline {
+    /// The fan-in at the end of the phase `ran` ends with: per shard,
+    /// the device-side event stream merged with the FTL-side and
+    /// QoS-front streams in virtual-time order, and the sampled rows,
+    /// both moved to the phase's start and appended to that shard's
+    /// line; a row's `completed` continues the shard's count.
+    fn gather(&mut self, devs: &mut [Dev], hosts: &mut Hosts, ran: &[PhaseReport]) {
+        let phase = ran.last().expect("a phase ran");
+        let start_us = self.start_us;
+        for (i, d) in devs.iter_mut().enumerate() {
+            let mut trace = merge_streams(d.sim.take_trace(), d.ftl.take_trace());
+            if let Hosts::Fronts(fronts) = hosts {
+                trace = merge_streams(trace, fronts[i].take_trace());
+            }
+            let line = self.shards.entry(d.id).or_default();
+            line.events.extend(trace.into_iter().map(|e| TraceEvent {
+                t_us: e.t_us + start_us,
+                ..e
+            }));
+            let base = line.completed;
+            let rows = d.sim.take_series().rows.into_iter().map(|(shard, r)| {
+                let row = SampleRow {
+                    t_us: r.t_us + start_us,
+                    completed: r.completed + base,
+                    ..r
+                };
+                (shard, row)
+            });
+            line.rows.extend(rows);
+            line.completed += phase.shards[i].completed;
         }
-        let moved = trace.into_iter().map(|e| TraceEvent {
-            t_us: e.t_us + start_us,
-            ..e
-        });
-        traces.entry(d.id).or_default().extend(moved);
+    }
+
+    /// Adds what a barrier emitted for shard `id`, after everything the
+    /// shard recorded so far: the events the scenario's mask keeps, in
+    /// time order.
+    fn insert(&mut self, id: usize, mut emitted: Vec<TraceEvent>) {
+        emitted.retain(|e| self.mask.contains(e.kind.category()));
+        emitted.sort_by(|a, b| a.t_us.total_cmp(&b.t_us));
+        self.shards.entry(id).or_default().events.extend(emitted);
     }
 }
 
@@ -2169,8 +2242,7 @@ fn age(
     devs: &mut [Dev],
     engines: &mut [LifetimeEngine],
     epoch: u32,
-    t_offset: f64,
-    events: &mut Vec<TraceEvent>,
+    line: &mut Timeline,
 ) -> Vec<EpochSummary> {
     devs.iter_mut()
         .zip(engines)
@@ -2178,7 +2250,7 @@ fn age(
             let s = d.ftl.advance_lifetime_epoch(engine);
             let mut c = Collector::enabled(EventMask::AGING, d.id as u32);
             c.emit(
-                t_offset,
+                line.start_us,
                 EventKind::EpochAdvance {
                     epoch,
                     pe_add: s.pe_added,
@@ -2186,7 +2258,7 @@ fn age(
                     blocks: s.blocks_aged,
                 },
             );
-            events.extend(c.take());
+            line.insert(d.id, c.take());
             d.ftl.reset_stats();
             s
         })

@@ -37,7 +37,9 @@ fn arr(shards: usize) -> ArrayEvalConfig {
 
 /// One mid-life failure experiment under `workload` (KV engines shaped
 /// small, so flushes and compactions cycle at test scale), optionally
-/// with an array-wide power cut composed into the degraded phase.
+/// with an array-wide power cut composed into the degraded phase. The
+/// barrier categories are armed, so the run's one event list carries
+/// the failure audit's events.
 fn failure_run_of(
     workload: impl Into<WorkloadSource>,
     arr: &ArrayEvalConfig,
@@ -55,6 +57,10 @@ fn failure_run_of(
             keys: 2_048,
             memtable_entries: 256,
             ..KvSpec::default()
+        },
+        telemetry: TelemetrySpec {
+            events: EventMask::DEGRADED.union(EventMask::REBUILD),
+            sample_interval_us: None,
         },
         ..Scenario::new(FtlKind::Cube, workload, AgingState::MidLife, &cfg())
     });
@@ -141,7 +147,7 @@ fn healthy_run_is_deterministic_and_loss_free() {
 
 #[test]
 fn failure_degraded_rebuild_reaches_zero_loss() {
-    let (_, r) = failure_run(&arr(3), &fail_cfg(), None);
+    let (out, r) = failure_run(&arr(3), &fail_cfg(), None);
     assert_eq!(r.resilience.failed_shard, Some(1));
     assert_eq!(r.resilience.spare_shard, Some(3));
     assert!(
@@ -165,15 +171,14 @@ fn failure_degraded_rebuild_reaches_zero_loss() {
     );
     assert_eq!(r.resilience.per_shard_degraded_reads[1], 0);
     // The barrier emitted the degraded/rebuild trace events.
-    assert!(r.events.iter().any(|e| e
+    let events = &out.telemetry.events;
+    assert!(events.iter().any(|e| e
         .to_json()
         .contains("\"shard_fail\",\"failed\":1,\"phase\":\"inject\"")));
-    assert!(r
-        .events
+    assert!(events
         .iter()
         .any(|e| e.to_json().contains("\"rebuild_unit\"")));
-    assert!(r
-        .events
+    assert!(events
         .iter()
         .any(|e| e.to_json().contains("\"degraded_read\"")));
 }
@@ -212,7 +217,8 @@ fn failure_report_is_identical_at_any_thread_count_and_on_reruns() {
             assert!(r.audit.acked_pages > 0, "{source:?} acked nothing");
             let apps = out.kv.as_ref().map_or(0, |kv| kv.apps.len());
             assert_eq!(apps, usize::from(runs_engine), "one engine feeds the array");
-            format!("{:?}", (&out.phases, &r, &out.kv))
+            assert!(!out.telemetry.events.is_empty(), "the barrier emitted");
+            format!("{:?}", (&out.phases, &r, &out.kv, &out.telemetry.events))
         };
         let one = at(1);
         assert_eq!(one, at(2), "1 vs 2 worker threads");

@@ -134,15 +134,28 @@ cases! {
                --spo-seed 45063 --ckpt-interval 0 --maint";
     spo_shards4: "--ftl all --blocks 16 --requests 3000 --workload mail --aging midlife \
                   --shards 4 --spo-at-us 40000";
+    spo_files: &format!("--ftl cube --blocks 16 --requests 1500 --workload oltp --aging midlife \
+                         --spo-at 800 --ckpt-interval 32 {FILES}");
+    spo_shards4_files: &format!("--ftl cube --blocks 16 --requests 3000 --workload mail \
+                                 --aging midlife --shards 4 --spo-at-us 40000 {FILES}");
     failure: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 4 --array-stripe 16 \
               --array-parity --fail-shard 1@3000 --spare-shards 1 \
-              --trace-out {out}/trace.ndjson --metrics-out {out}/metrics.ndjson";
+              --trace-out {out}/trace.ndjson --trace-events degraded,rebuild \
+              --metrics-out {out}/metrics.ndjson";
+    failure_series: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 4 \
+                     --array-stripe 16 --array-parity --fail-shard 1@3000 --spare-shards 1 \
+                     --series-out {out}/series.csv --sample-interval-us 2000";
     failure_trace_events: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 4 \
                            --array-stripe 16 --array-parity --fail-shard 1@3000 --spare-shards 1 \
                            --trace-out {out}/trace.ndjson --trace-events degraded";
     failure_spo: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 4 --array-stripe 16 \
                   --array-parity --fail-shard 1@3000 --spare-shards 1 --spo-at-us 2000 \
                   --rebuild-batch 4 --rebuild-gap-us 100";
+    failure_spo_trace_events_spo: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 4 \
+                                   --array-stripe 16 --array-parity --fail-shard 1@3000 \
+                                   --spare-shards 1 --spo-at-us 2000 --rebuild-batch 4 \
+                                   --rebuild-gap-us 100 --trace-out {out}/trace.ndjson \
+                                   --trace-events spo";
     failure_seeded: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 3 \
                      --array-stripe 16 --array-parity --fail-seed 7 --spare-shards 1";
     failure_parity_off: "--ftl cube --blocks 16 --requests 2000 --workload oltp --shards 3 \
@@ -151,6 +164,7 @@ cases! {
                       --metrics-out {out}/metrics.ndjson";
     lifetime: "--ftl all --blocks 16 --requests 2000 --workload mail --lifetime-epochs 3 \
                --lifetime-pe 150 --lifetime-months 3 --maint";
+    lifetime_files: &format!("--ftl cube --blocks 16 --requests 1500 --lifetime-epochs 3 {FILES}");
     lifetime_shards4: "--ftl cube --blocks 16 --requests 2000 --lifetime-epochs 3 --shards 4 \
                        --array-threads 2";
     lifetime_trace_file: "--ftl cube --blocks 16 --lifetime-epochs 3 \
@@ -183,7 +197,6 @@ cases! {
     rejects_fewer_tenants_than_shards: "--ftl cube --blocks 16 --shards 4 --queues 4 --tenants 2";
     rejects_capture_on_an_array: "--ftl cube --blocks 16 --shards 4 --capture-trace-out {out}/cap.csv";
     rejects_qos_knob_without_engagement: "--ftl cube --blocks 16 --qos-sq-depth 4";
-    rejects_telemetry_in_lifetime_mode: "--ftl cube --blocks 16 --lifetime-epochs 3 --metrics-out {out}/metrics.ndjson";
     rejects_unknown_flag: "--ftl cube --bogus 1";
     rejects_oversized_trace_write: "--ftl cube --blocks 16 --trace-file tests/data/oversized_write.csv";
     rejects_too_few_blocks: "--ftl cube --blocks 4";
@@ -210,6 +223,14 @@ fn sharded_run_is_identical_at_any_array_threads() {
         format!(
             "--requests 1500 --kv a --kv-keys 4000 --shards 4 --queues 4 --tenants 8 \
              --qos-arrival-us 1000 {FILES}"
+        ),
+        format!(
+            "--requests 3000 --workload mail --aging midlife --shards 4 --spo-at-us 40000 {FILES}"
+        ),
+        format!("--requests 1500 --shards 4 --lifetime-epochs 3 {FILES}"),
+        format!(
+            "--requests 2000 --workload oltp --shards 4 --array-stripe 16 --array-parity \
+             --fail-shard 1@3000 --spare-shards 1 --spo-at-us 2000 {FILES}"
         ),
     ];
     for (i, line) in lines.iter().enumerate() {

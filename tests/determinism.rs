@@ -13,8 +13,7 @@ mod common;
 use common::{check_golden, eval, run};
 use cubeftl::harness::{EvalConfig, KvSpec, Phase, QosSpec, Scenario, SpoConfig, TelemetrySpec};
 use cubeftl::{
-    events_to_ndjson, AgingState, FaultKind, FaultPlan, FtlKind, MetricRegistry, SimReport,
-    StandardWorkload,
+    events_to_ndjson, AgingState, FaultKind, FaultPlan, FtlKind, SimReport, StandardWorkload,
 };
 
 /// A smoke-scale config with every fault class enabled at a rate high
@@ -236,7 +235,7 @@ fn scenario_with_every_spec_off_reproduces_the_goldens() {
     let off = |requests: u64, telemetry: TelemetrySpec| {
         let mut cfg = EvalConfig::smoke();
         cfg.requests = requests;
-        run(&Scenario {
+        Scenario {
             ftl: None,
             array: None,
             qos: QosSpec::off(),
@@ -252,14 +251,13 @@ fn scenario_with_every_spec_off_reproduces_the_goldens() {
                 AgingState::Fresh,
                 &cfg,
             )
-        })
+        }
     };
-    assert_golden_smoke(off(2_000, TelemetrySpec::off()).sim());
-    let traced = off(300, TelemetrySpec::all(2_000.0));
+    assert_golden_smoke(run(&off(2_000, TelemetrySpec::off())).sim());
+    let sc = off(300, TelemetrySpec::all(2_000.0));
+    let traced = run(&sc);
     let telemetry = &traced.telemetry;
     check_golden("golden_trace.ndjson", &events_to_ndjson(&telemetry.events));
     check_golden("golden_series.csv", &telemetry.series.to_csv());
-    let mut reg = MetricRegistry::new();
-    traced.sim().register_metrics(&mut reg, "ssd");
-    check_golden("golden_metrics.ndjson", &reg.to_ndjson());
+    check_golden("golden_metrics.ndjson", &traced.metrics(&sc).to_ndjson());
 }

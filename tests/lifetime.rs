@@ -9,8 +9,8 @@
 mod common;
 
 use common::run;
-use cubeftl::harness::{ArrayEvalConfig, EvalConfig, Scenario, WorkloadSource};
-use cubeftl::{AgingState, FtlKind, LifetimeConfig, StandardWorkload, Trace};
+use cubeftl::harness::{ArrayEvalConfig, EvalConfig, Scenario, TelemetrySpec, WorkloadSource};
+use cubeftl::{AgingState, EventMask, FtlKind, LifetimeConfig, StandardWorkload, Trace};
 use nand3d::Environment;
 use proptest::prelude::*;
 
@@ -27,7 +27,8 @@ fn campaign() -> LifetimeConfig {
     life
 }
 
-/// A fresh Cube device (or array) under `life`.
+/// A fresh Cube device (or array) under `life`, the aging category
+/// armed: the barrier events are the run's whole event list.
 fn scenario(
     workload: impl Into<WorkloadSource>,
     aging: AgingState,
@@ -37,6 +38,10 @@ fn scenario(
     Scenario {
         array: arr,
         lifetime: life,
+        telemetry: TelemetrySpec {
+            events: EventMask::AGING,
+            sample_interval_us: None,
+        },
         ..Scenario::new(FtlKind::Cube, workload, aging, &cfg())
     }
 }
@@ -60,6 +65,7 @@ fn campaign_double_run_is_byte_identical() {
         "per-epoch reports diverged between identical campaigns"
     );
     assert_eq!(format!("{:?}", a.aging), format!("{:?}", b.aging));
+    assert_eq!(a.telemetry.events, b.telemetry.events);
 }
 
 #[test]
@@ -79,7 +85,7 @@ fn array_campaign_is_identical_at_any_thread_count() {
                 Some(campaign()),
             ));
             assert_eq!(r.epochs().count(), 3, "every epoch ran");
-            format!("{:?} {:?}", r.phases, r.aging)
+            format!("{:?} {:?} {:?}", r.phases, r.aging, r.telemetry.events)
         };
         let one = at(1);
         assert_eq!(one, at(common::threads()), "1 vs env worker threads");
@@ -98,7 +104,7 @@ fn assert_off_campaign_is_the_identity(plain: Scenario) {
     let aging = r.aging.as_ref().expect("campaign part present");
     assert_eq!(r.epochs().count(), 1, "off config runs a single epoch");
     assert!(aging.summaries.is_empty(), "no aging steps applied");
-    assert!(aging.events.is_empty(), "no barrier events emitted");
+    assert!(r.telemetry.events.is_empty(), "no barrier events emitted");
     assert_eq!(
         format!("{:?}", r.phases),
         format!("{:?}", run(&plain).phases),
@@ -143,7 +149,7 @@ fn campaign_ages_the_device_and_emits_barrier_events() {
     let aging = r.aging.as_ref().expect("campaign ran");
     assert_eq!(r.epochs().count(), life.epochs as usize);
     assert_eq!(aging.summaries.len(), life.steps() as usize);
-    assert_eq!(aging.events.len(), life.steps() as usize);
+    assert_eq!(r.telemetry.events.len(), life.steps() as usize);
     for s in aging.summaries.iter().flatten() {
         assert!(s.blocks_aged > 0, "every step must touch blocks");
         assert!(s.pe_added > 0);
@@ -151,7 +157,7 @@ fn campaign_ages_the_device_and_emits_barrier_events() {
     }
     // Barrier timestamps sit on the concatenated campaign timeline.
     let mut last = 0.0;
-    for e in &aging.events {
+    for e in &r.telemetry.events {
         assert!(e.t_us >= last, "barrier events must not run backwards");
         last = e.t_us;
     }

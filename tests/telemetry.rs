@@ -11,38 +11,56 @@ mod common;
 
 use common::{check_golden, eval, run};
 use cubeftl::harness::{
-    ArrayEvalConfig, EvalConfig, Scenario, TelemetryOutput, TelemetrySpec, WorkloadSource,
+    ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, QosSpec, Scenario, SpoConfig,
+    TelemetryOutput, TelemetrySpec, WorkloadSource,
 };
 use cubeftl::{
-    events_to_ndjson, AgingState, EventMask, FtlKind, MetricRegistry, SimReport, StandardWorkload,
+    events_to_ndjson, AgingState, EventMask, FtlKind, LifetimeConfig, MaintConfig, SimReport,
+    SpoTrigger, StandardWorkload, TenantMix, YcsbKind,
 };
+use std::collections::BTreeMap;
 use telemetry::json::parse_object_keys;
 use telemetry::{validate_ndjson, validate_trace_ndjson, EventKind, TraceEvent};
 
-/// One traced fresh Cube run of `requests` smoke-scale requests.
+/// One traced fresh Cube scenario of `requests` smoke-scale requests.
+fn scenario(workload: impl Into<WorkloadSource>, requests: u64, tel: TelemetrySpec) -> Scenario {
+    let mut cfg = EvalConfig::smoke();
+    cfg.requests = requests;
+    Scenario {
+        telemetry: tel,
+        ..Scenario::new(FtlKind::Cube, workload, AgingState::Fresh, &cfg)
+    }
+}
+
+/// Runs `sc`: the device report and the telemetry.
+fn traced_run(sc: &Scenario) -> (SimReport, TelemetryOutput) {
+    let mut r = run(sc);
+    let telemetry = std::mem::take(&mut r.telemetry);
+    (r.into_sim(), telemetry)
+}
+
+/// Runs [`scenario`].
 fn traced(
     workload: impl Into<WorkloadSource>,
     requests: u64,
     tel: TelemetrySpec,
 ) -> (SimReport, TelemetryOutput) {
-    let mut cfg = EvalConfig::smoke();
-    cfg.requests = requests;
-    let mut r = run(&Scenario {
-        telemetry: tel,
-        ..Scenario::new(FtlKind::Cube, workload, AgingState::Fresh, &cfg)
-    });
-    let telemetry = std::mem::take(&mut r.telemetry);
-    (r.into_sim(), telemetry)
+    traced_run(&scenario(workload, requests, tel))
 }
 
-/// One traced smoke run with every category on and a tight sampling
+/// The smoke scenario with every category on and a tight sampling
 /// interval (2 ms of virtual time).
-fn traced_smoke(requests: u64) -> (SimReport, TelemetryOutput) {
-    traced(
+fn smoke_scenario(requests: u64) -> Scenario {
+    scenario(
         StandardWorkload::Mail,
         requests,
         TelemetrySpec::all(2_000.0),
     )
+}
+
+/// Runs [`smoke_scenario`].
+fn traced_smoke(requests: u64) -> (SimReport, TelemetryOutput) {
+    traced_run(&smoke_scenario(requests))
 }
 
 #[test]
@@ -83,7 +101,9 @@ fn traced_double_run_is_byte_identical() {
 
 #[test]
 fn emitted_files_are_schema_valid() {
-    let (report, out) = traced_smoke(2_000);
+    let sc = smoke_scenario(2_000);
+    let r = run(&sc);
+    let out = &r.telemetry;
     let trace = events_to_ndjson(&out.events);
     let n = validate_trace_ndjson(&trace).expect("trace NDJSON is well-formed");
     assert_eq!(n, out.events.len());
@@ -92,8 +112,7 @@ fn emitted_files_are_schema_valid() {
     let n = validate_ndjson(&series).expect("series NDJSON is well-formed");
     assert_eq!(n, out.series.rows.len());
 
-    let mut reg = MetricRegistry::new();
-    report.register_metrics(&mut reg, "ssd");
+    let reg = r.metrics(&sc);
     let metrics = reg.to_ndjson();
     let n = validate_ndjson(&metrics).expect("metrics NDJSON is well-formed");
     assert_eq!(n, reg.entries().len());
@@ -122,12 +141,14 @@ fn event_mask_filters_categories() {
 fn golden_trace_and_series_are_stable() {
     // A short run keeps the committed files small while still covering
     // host I/O, ISPP and GC event emission plus several sample rows.
-    let (report, out) = traced_smoke(300);
-    check_golden("golden_trace.ndjson", &events_to_ndjson(&out.events));
-    check_golden("golden_series.csv", &out.series.to_csv());
-    let mut reg = MetricRegistry::new();
-    report.register_metrics(&mut reg, "ssd");
-    check_golden("golden_metrics.ndjson", &reg.to_ndjson());
+    let sc = smoke_scenario(300);
+    let r = run(&sc);
+    check_golden(
+        "golden_trace.ndjson",
+        &events_to_ndjson(&r.telemetry.events),
+    );
+    check_golden("golden_series.csv", &r.telemetry.series.to_csv());
+    check_golden("golden_metrics.ndjson", &r.metrics(&sc).to_ndjson());
 }
 
 #[test]
@@ -200,10 +221,135 @@ fn trace_replay_emits_telemetry_like_any_other_stream() {
     assert_eq!(out.series.to_csv(), again.series.to_csv());
 }
 
+/// Six tiny scenarios, every category armed and the sampler on; between
+/// them they compose every barrier the pipeline has.
+fn reachability_scenarios() -> Vec<(&'static str, Scenario)> {
+    let tel = TelemetrySpec::all(2_000.0);
+    let mut cfg = EvalConfig::smoke();
+    cfg.blocks_per_chip = 16;
+    cfg.requests = 600;
+    let base = |workload: WorkloadSource, aging| Scenario {
+        telemetry: tel,
+        ..Scenario::new(FtlKind::Cube, workload, aging, &cfg)
+    };
+    let mut arr = ArrayEvalConfig::new(4);
+    arr.stripe_pages = 16;
+    let mut maint = cfg.clone();
+    maint.maint = Some(MaintConfig::default_on());
+    let mut life = LifetimeConfig::campaign();
+    life.epochs = 3;
+    vec![
+        (
+            "plain + maint",
+            Scenario {
+                cfg: maint,
+                ..base(StandardWorkload::Web.into(), AgingState::EndOfLife)
+            },
+        ),
+        (
+            "spo",
+            Scenario {
+                spo: Some(SpoConfig {
+                    trigger: SpoTrigger::AtOps(300),
+                    ckpt_interval_host_wls: 32,
+                }),
+                ..base(StandardWorkload::Oltp.into(), AgingState::MidLife)
+            },
+        ),
+        (
+            "campaign",
+            Scenario {
+                lifetime: Some(life),
+                ..base(StandardWorkload::Mail.into(), AgingState::Fresh)
+            },
+        ),
+        (
+            "failure + spare + cut",
+            Scenario {
+                array: Some(arr),
+                failure: Some(ArrayFailureConfig {
+                    parity: true,
+                    fail: Some(FailSpec {
+                        shard: 1,
+                        at_us: 3_000.0,
+                    }),
+                    spare_shards: 1,
+                    ..ArrayFailureConfig::off()
+                }),
+                spo: Some(SpoConfig {
+                    trigger: SpoTrigger::AtTimeUs(2_000.0),
+                    ckpt_interval_host_wls: 64,
+                }),
+                ..base(StandardWorkload::Oltp.into(), AgingState::Fresh)
+            },
+        ),
+        (
+            "qos + slo",
+            Scenario {
+                qos: QosSpec {
+                    queues: 4,
+                    tenants: 12,
+                    weights: vec![8, 4, 2, 1],
+                    slo_read_us: Some(5_000.0),
+                    ..QosSpec::off()
+                },
+                ..base(StandardWorkload::Mail.into(), AgingState::Fresh)
+            },
+        ),
+        (
+            "kv",
+            base(TenantMix::Kv(YcsbKind::A).into(), AgingState::Fresh),
+        ),
+    ]
+}
+
+/// Telemetry is a spec like any other: every category `--trace-events`
+/// advertises is emitted by some scenario, and whatever phases and
+/// barriers a scenario composes, its one event list and its one series
+/// sit on one timeline.
+#[test]
+fn every_category_is_reachable_on_one_timeline() {
+    let mut reached = EventMask::NONE;
+    for (name, sc) in reachability_scenarios() {
+        let out = run(&sc).telemetry;
+        assert!(!out.events.is_empty(), "{name}: no events");
+        // Per shard tag the clock never runs backwards — barrier events
+        // included. The KV engines stamp their own clock (the measured
+        // op ordinal), so they are a stream of their own.
+        let mut last = BTreeMap::new();
+        for e in &out.events {
+            reached = reached.union(e.kind.category());
+            let t = last
+                .entry((e.shard, e.kind.category() == EventMask::KV))
+                .or_insert(0.0);
+            assert!(
+                e.t_us >= *t,
+                "{name}: shard {} runs backwards: {e:?}",
+                e.shard
+            );
+            *t = e.t_us;
+        }
+        assert!(!out.series.rows.is_empty(), "{name}: no samples");
+        let mut last = BTreeMap::new();
+        for (shard, row) in &out.series.rows {
+            let (t, done) = last.entry(*shard).or_insert((0.0, 0));
+            assert!(row.t_us > *t, "{name}: shard {shard} sampled twice at {t}");
+            assert!(row.completed >= *done, "{name}: shard {shard} uncounted");
+            (*t, *done) = (row.t_us, row.completed);
+        }
+    }
+    let missing: Vec<&str> = EventMask::NAMES
+        .iter()
+        .filter(|(_, bit)| !reached.contains(*bit))
+        .map(|(name, _)| *name)
+        .collect();
+    assert!(missing.is_empty(), "no scenario emits {missing:?}");
+    assert_eq!(reached, EventMask::ALL);
+}
+
 /// One hand-built event per kind — plus `fault: None` and `Some`, both
 /// `bool` values and non-finite `f64`s (clamped to `0`) — so every
-/// declared field of every kind is serialized at least once, including
-/// the kinds no `--trace-out` run can reach (`checkpoint`, `spo`).
+/// declared field of every kind is serialized at least once.
 fn one_event_per_kind() -> Vec<TraceEvent> {
     let kinds = [
         EventKind::HostIo {
