@@ -10,136 +10,121 @@
 //!
 //! Run with: `cargo run --release -p bench --bin ablate`
 
-use bench::{banner, eval, eval_custom, BenchArgs, Table};
-use cubeftl::{AgingState, FtlKind, StandardWorkload};
-use ftl::{Ftl, LatencyPredictor, Opm};
+use bench::{banner, num, text, BenchArgs, Cell, Columns, Sweep, Table};
+use cubeftl::harness::{EvalConfig, Scenario};
+use cubeftl::{AgingState, FtlConfig, FtlKind, StandardWorkload};
+use ftl::{LatencyPredictor, Opm};
 use nand3d::{BlockId, EccModel, NandChip, NandConfig, ProgramParams, WlData};
+
+/// The host write-latency percentile `pct` of a cell, ms.
+fn write_ms<L>(c: &Cell<L>, pct: f64) -> f64 {
+    c.sim().write_latency.percentile(pct) / 1000.0
+}
 
 fn main() {
     let mut cfg = BenchArgs::parse(false).cfg;
     cfg.requests = cfg.requests.min(40_000);
+    // A fresh cubeFTL cell under `workload`, with the FTL or the
+    // evaluation configuration varied by the section.
+    let cube = |workload, aging, cfg: &EvalConfig, ftl: Option<FtlConfig>| Scenario {
+        ftl,
+        ..Scenario::new(FtlKind::Cube, workload, aging, cfg)
+    };
+    let (fresh, rocks) = (AgingState::Fresh, StandardWorkload::Rocks);
 
     // ---- 1. μ_TH sweep --------------------------------------------------
     banner("ablation 1 — WAM burst threshold μ_TH (Rocks, fresh)");
-    let mut t = Table::new(["μ_TH", "IOPS", "p90 write (ms)", "follower share"]);
-    for mu in [0.0, 0.5, 0.8, 0.9, 0.99] {
+    let sweep = Sweep::run([0.0, 0.5, 0.8, 0.9, 0.99].map(|mu| {
         let mut ftl_cfg = cfg.ftl_config();
         ftl_cfg.mu_threshold = mu;
-        let r = eval_custom(
-            FtlKind::Cube,
-            StandardWorkload::Rocks,
-            AgingState::Fresh,
-            &cfg,
-            ftl_cfg,
-        );
-        t.row([
-            format!("{mu}"),
-            format!("{:.0}", r.iops),
-            format!("{:.3}", r.write_latency.percentile(90.0) / 1000.0),
-            format!(
-                "{:.2}",
-                r.ftl.follower_wl_programs as f64 / r.ftl.host_wl_programs.max(1) as f64
-            ),
-        ]);
-    }
-    t.print();
+        (mu, cube(rocks, fresh, &cfg, Some(ftl_cfg)))
+    }));
+    let mut cols = Columns::<Cell<f64>>::default();
+    cols.col("μ_TH", |c| text(c.label));
+    cols.col("IOPS", |c| num(c.sim().iops, 0));
+    cols.col("p90 write (ms)", |c| num(write_ms(c, 90.0), 3));
+    cols.col("follower share", |c| {
+        let ftl = &c.sim().ftl;
+        let share = ftl.follower_wl_programs as f64 / ftl.host_wl_programs.max(1) as f64;
+        num(share, 2)
+    });
+    cols.table(&sweep.cells).print();
     println!("(μ_TH = 0 spends followers immediately; μ_TH ≈ 1 never banks for bursts;");
     println!(" the paper's 0.9 balances burst absorption against leader availability)");
 
     // ---- 2. active blocks per chip --------------------------------------
     banner("ablation 2 — active blocks per chip (OLTP, fresh)");
-    let mut t = Table::new(["active blocks", "IOPS", "p90 write (ms)"]);
-    for blocks in [1usize, 2, 4] {
+    let sweep = Sweep::run([1usize, 2, 4].map(|blocks| {
         let mut ftl_cfg = cfg.ftl_config();
         ftl_cfg.active_blocks_per_chip = blocks;
         ftl_cfg.gc_free_block_threshold = ftl_cfg.gc_free_block_threshold.max(blocks);
-        let r = eval_custom(
-            FtlKind::Cube,
-            StandardWorkload::Oltp,
-            AgingState::Fresh,
-            &cfg,
-            ftl_cfg,
-        );
-        t.row([
-            blocks.to_string(),
-            format!("{:.0}", r.iops),
-            format!("{:.3}", r.write_latency.percentile(90.0) / 1000.0),
-        ]);
-    }
-    t.print();
+        let oltp = StandardWorkload::Oltp;
+        (blocks, cube(oltp, fresh, &cfg, Some(ftl_cfg)))
+    }));
+    let mut cols = Columns::<Cell<usize>>::default();
+    cols.col("active blocks", |c| text(c.label));
+    cols.col("IOPS", |c| num(c.sim().iops, 0));
+    cols.col("p90 write (ms)", |c| num(write_ms(c, 90.0), 3));
+    cols.table(&sweep.cells).print();
     println!("(the paper settles on two per chip, §5.2)");
 
     // ---- 3. write-buffer size --------------------------------------------
     banner("ablation 3 — write-buffer size (Rocks, fresh)");
-    let mut t = Table::new(["buffer (pages)", "IOPS", "p50 write (ms)", "p90 write (ms)"]);
-    for pages in [16usize, 48, 128, 256] {
+    let sweep = Sweep::run([16usize, 48, 128, 256].map(|pages| {
         let mut c = cfg.clone();
         c.ssd.buffer_pages = pages;
-        let r = eval(
-            FtlKind::Cube,
-            StandardWorkload::Rocks,
-            AgingState::Fresh,
-            &c,
-        );
-        t.row([
-            pages.to_string(),
-            format!("{:.0}", r.iops),
-            format!("{:.3}", r.write_latency.percentile(50.0) / 1000.0),
-            format!("{:.3}", r.write_latency.percentile(90.0) / 1000.0),
-        ]);
-    }
-    t.print();
+        (pages, cube(rocks, fresh, &c, None))
+    }));
+    let mut cols = Columns::<Cell<usize>>::default();
+    cols.col("buffer (pages)", |c| text(c.label));
+    cols.col("IOPS", |c| num(c.sim().iops, 0));
+    cols.col("p50 write (ms)", |c| num(write_ms(c, 50.0), 3));
+    cols.col("p90 write (ms)", |c| num(write_ms(c, 90.0), 3));
+    cols.table(&sweep.cells).print();
 
     // ---- 4. disturbance rate ---------------------------------------------
     banner("ablation 4 — ambient disturbance rate (Mail, mid-life)");
-    let mut t = Table::new(["P(disturbance)", "IOPS", "safety re-programs"]);
-    for p in [0.0, 0.002, 0.01, 0.05] {
+    let sweep = Sweep::run([0.0, 0.002, 0.01, 0.05].map(|p| {
         let mut c = cfg.clone();
         c.disturbance_prob = p;
-        let r = eval(
-            FtlKind::Cube,
-            StandardWorkload::Mail,
-            AgingState::MidLife,
-            &c,
-        );
-        t.row([
-            format!("{p}"),
-            format!("{:.0}", r.iops),
-            r.ftl.safety_reprograms.to_string(),
-        ]);
-    }
-    t.print();
+        let (mail, midlife) = (StandardWorkload::Mail, AgingState::MidLife);
+        (p, cube(mail, midlife, &c, None))
+    }));
+    let mut cols = Columns::<Cell<f64>>::default();
+    cols.col("P(disturbance)", |c| text(c.label));
+    cols.col("IOPS", |c| num(c.sim().iops, 0));
+    cols.col("safety re-programs", |c| {
+        text(c.sim().ftl.safety_reprograms)
+    });
+    cols.table(&sweep.cells).print();
     println!("(the §4.1.4 safety check turns rare condition changes into re-programs");
     println!(" instead of reliability loss; its cost stays small at realistic rates)");
 
     // ---- 5. ambient temperature (extension; cf. HeatWatch [40]) ----------
     banner("extension — ambient temperature (Web, 2K P/E + 1-month retention)");
+    let kinds = [FtlKind::Page, FtlKind::Cube];
+    let sweep = Sweep::run([5.0, 30.0, 45.0, 55.0].iter().flat_map(|&celsius| {
+        let mut c = cfg.clone();
+        c.ambient_celsius = celsius;
+        // The section isolates the Arrhenius effect on retention.
+        c.disturbance_prob = 0.0;
+        let (web, midlife) = (StandardWorkload::Web, AgingState::MidLife);
+        kinds.map(|kind| ((celsius, kind), Scenario::new(kind, web, midlife, &c)))
+    }));
+    // One table row per temperature: the pageFTL and the cubeFTL cell.
     let mut t = Table::new([
         "temperature (°C)",
         "pageFTL IOPS",
         "cubeFTL IOPS",
         "cube/page",
     ]);
-    for celsius in [5.0, 30.0, 45.0, 55.0] {
-        let mut iops = Vec::new();
-        for kind in [FtlKind::Page, FtlKind::Cube] {
-            let ftl_cfg = cfg.ftl_config();
-            let mut ftl = Ftl::new(kind, ftl_cfg);
-            let mut sim = ssdsim::SsdSim::new(cfg.ssd);
-            ftl.set_aging(AgingState::MidLife);
-            ftl.set_ambient_celsius(celsius);
-            let logical = ftl.logical_pages();
-            let prefill = (logical as f64 * cfg.prefill_fraction) as u64;
-            sim.prefill(&mut ftl, 0..prefill);
-            ftl.reset_stats();
-            let stream = StandardWorkload::Web.build(prefill.max(1024), cfg.seed);
-            iops.push(sim.run(&mut ftl, stream, cfg.requests).iops);
-        }
+    for row in sweep.cells.chunks(kinds.len()) {
+        let (page, cube) = (row[0].sim().iops, row[1].sim().iops);
         t.row([
-            format!("{celsius}"),
-            format!("{:.0}", iops[0]),
-            format!("{:.0}", iops[1]),
-            format!("{:.2}", iops[1] / iops[0]),
+            format!("{}", row[0].label.0),
+            format!("{page:.0}"),
+            format!("{cube:.0}"),
+            format!("{:.2}", cube / page),
         ]);
     }
     t.print();
@@ -221,5 +206,4 @@ fn main() {
     );
     println!("(PS makes per-WL response times predictable before issuing the command —");
     println!(" the paper's proposed answer to the SSD long-tail problem)");
-    let _ = Ftl::cube; // keep the import obviously used across feature tweaks
 }

@@ -11,8 +11,8 @@
 //!
 //! Run with: `cargo run --release -p bench --bin campaign`
 
-use bench::{banner, f3, Table, FIGURE_SEED};
-use nand3d::{delta_h, delta_v, BlockId, FlashArray, NandConfig};
+use bench::{banner, delta_h_of, delta_v_of, f3, Table, FIGURE_SEED};
+use nand3d::{FlashArray, NandConfig};
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     let idx = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
@@ -47,20 +47,9 @@ fn main() {
 
     banner("ΔH distribution per aging condition (intra-layer similarity, §3.2)");
     let mut t = Table::new(["P/E", "ret (mo)", "p50", "p99", "max", "share > 1.08"]);
-    for (pe, months) in grid {
-        let mut dhs = Vec::new();
-        for chip in array.iter() {
-            let process = chip.process();
-            let rel = chip.reliability();
-            for b in 0..blocks_per_chip {
-                for hl in 0..g.hlayers_per_block {
-                    let bers: Vec<f64> = (0..g.wls_per_hlayer)
-                        .map(|v| rel.ber(process, g.wl_addr(BlockId(b), hl, v), pe, months))
-                        .collect();
-                    dhs.push(delta_h(&bers));
-                }
-            }
-        }
+    for aging @ (pe, months) in grid {
+        let of_chip = |chip| delta_h_of(chip, 0..blocks_per_chip, 0..g.hlayers_per_block, aging);
+        let mut dhs: Vec<f64> = array.iter().flat_map(of_chip).collect();
         dhs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let above = dhs.iter().filter(|d| **d > 1.08).count();
         t.row([
@@ -77,18 +66,9 @@ fn main() {
 
     banner("ΔV distribution per aging condition (inter-layer variability, §3.3)");
     let mut t = Table::new(["P/E", "ret (mo)", "p25", "p50", "p75", "max"]);
-    for (pe, months) in grid {
-        let mut dvs = Vec::new();
-        for chip in array.iter() {
-            let process = chip.process();
-            let rel = chip.reliability();
-            for b in 0..blocks_per_chip {
-                let bers: Vec<f64> = (0..g.hlayers_per_block)
-                    .map(|hl| rel.ber(process, g.wl_addr(BlockId(b), hl, 0), pe, months))
-                    .collect();
-                dvs.push(delta_v(&bers));
-            }
-        }
+    for aging @ (pe, months) in grid {
+        let of_chip = |chip| delta_v_of(chip, 0..blocks_per_chip, aging);
+        let mut dvs: Vec<f64> = array.iter().flat_map(of_chip).collect();
         dvs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         t.row([
             pe.to_string(),

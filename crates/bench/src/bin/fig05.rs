@@ -5,8 +5,8 @@
 //! (ΔH = 1). (c) ΔH across blocks, P/E cycles and retention times.
 //! (d) tPROG of each WL on the same h-layer.
 
-use bench::{banner, exemplar_layers, f2, f3, paper_chip, Table};
-use nand3d::{delta_h, BlockId};
+use bench::{banner, delta_h_of, exemplar_layers, f2, f3, paper_chip, Table};
+use nand3d::BlockId;
 
 fn main() {
     let chip = paper_chip();
@@ -37,10 +37,10 @@ fn main() {
             let bers: Vec<f64> = (0..4u16)
                 .map(|v| rel.ber(process, g.wl_addr(block, h, v), pe, months))
                 .collect();
-            let dh = delta_h(&bers);
+            let dh = delta_h_of(&chip, [block.0], [h], (pe, months));
             let mut row: Vec<String> = vec![label.to_owned()];
             row.extend(bers.iter().map(|b| f2(b / best)));
-            row.push(f3(dh));
+            row.push(f3(dh[0]));
             t.row(row);
         }
         t.print();
@@ -55,26 +55,14 @@ fn main() {
         (2000, 1.0),
         (2000, 12.0),
     ] {
-        let mut max_dh: f64 = 0.0;
-        let mut sum = 0.0;
-        let mut n = 0.0;
-        for b in (0..g.blocks_per_chip).step_by(4) {
-            for h in 0..g.hlayers_per_block {
-                let bers: Vec<f64> = (0..g.wls_per_hlayer)
-                    .map(|v| rel.ber(process, g.wl_addr(BlockId(b), h, v), pe, months))
-                    .collect();
-                let dh = delta_h(&bers);
-                max_dh = max_dh.max(dh);
-                sum += dh;
-                n += 1.0;
-            }
-        }
+        let blocks = (0..g.blocks_per_chip).step_by(4);
+        let dhs = delta_h_of(&chip, blocks, 0..g.hlayers_per_block, (pe, months));
         t.row([
             pe.to_string(),
             format!("{months}"),
             (g.blocks_per_chip / 4).to_string(),
-            f3(max_dh),
-            f3(sum / n),
+            f3(dhs.iter().fold(0.0, |max, &dh| dh.max(max))),
+            f3(dhs.iter().sum::<f64>() / dhs.len() as f64),
         ]);
     }
     t.print();

@@ -5,8 +5,8 @@
 //! (d) Per-block ΔV differences (two sample blocks and the population
 //! spread).
 
-use bench::{banner, f2, f3, paper_chip, Table};
-use nand3d::{delta_v, BlockId};
+use bench::{banner, delta_v_of, f2, f3, paper_chip, Table};
+use nand3d::BlockId;
 
 fn main() {
     let chip = paper_chip();
@@ -38,13 +38,7 @@ fn main() {
     let mut t = Table::new(["aging", "mean ΔV", "paper"]);
     let paper_vals = ["≈1.6", "-", "≈2.3"];
     for ((pe, months), paper) in states.into_iter().zip(paper_vals) {
-        let mut sum = 0.0;
-        for b in 0..64u32 {
-            let bers: Vec<f64> = (0..g.hlayers_per_block)
-                .map(|h| rel.ber(process, g.wl_addr(BlockId(b), h, 0), pe, months))
-                .collect();
-            sum += delta_v(&bers);
-        }
+        let sum: f64 = delta_v_of(&chip, 0..64, (pe, months)).iter().sum();
         t.row([
             format!("{pe} P/E + {months} mo"),
             f3(sum / 64.0),
@@ -54,13 +48,8 @@ fn main() {
     t.print();
 
     banner("Fig. 6(d) — per-block ΔV differences (2K P/E + 1-year retention)");
-    let dv = |b: u32| -> f64 {
-        let bers: Vec<f64> = (0..g.hlayers_per_block)
-            .map(|h| rel.ber(process, g.wl_addr(BlockId(b), h, 0), 2000, 12.0))
-            .collect();
-        delta_v(&bers)
-    };
-    let mut dvs: Vec<(u32, f64)> = (0..128u32).map(|b| (b, dv(b))).collect();
+    let dvs = delta_v_of(&chip, 0..128, (2000, 12.0));
+    let mut dvs: Vec<(u32, f64)> = (0..128).zip(dvs).collect();
     dvs.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
     // The paper shows two sample blocks differing by 18%; the upper and
     // lower quartiles of the population are representative samples.

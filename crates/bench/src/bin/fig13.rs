@@ -5,37 +5,22 @@
 //! transistors isolate v-layers, so the orders are reliability-equivalent
 //! (the paper measured <3% difference, attributable to RTN).
 
-use bench::{banner, f3, paper_chip, Table};
+use bench::{banner, f3, paper_chip, program_blocks, Table};
 use cubeftl::ProgramOrder;
-use nand3d::{BlockId, ProgramParams, WlData};
+use nand3d::BlockId;
 
 fn main() {
     let mut chip = paper_chip();
-    let g = *chip.geometry();
 
     banner("Fig. 13 — normalized BER per program sequence");
-    let mut results = Vec::new();
-    for order in ProgramOrder::ALL {
-        // Program the *same* blocks for every order (erasing in
-        // between), so the comparison isolates the ordering effect the
-        // way the paper's controlled experiment does.
-        let mut sum = 0.0;
-        let mut n = 0.0;
-        for rep in 0..8u32 {
-            let block = BlockId(60 + rep * 7);
-            chip.erase(block).expect("in range");
-            let mut tag = 0u64;
-            for wl in order.sequence(&g, block).collect::<Vec<_>>() {
-                let report = chip
-                    .program_wl(wl, WlData::host(tag), &ProgramParams::default())
-                    .expect("erased WL");
-                sum += report.post_ber;
-                n += 1.0;
-                tag += 3;
-            }
-        }
-        results.push((order, sum / n));
-    }
+    // Program the *same* blocks for every order (erasing in between),
+    // so the comparison isolates the ordering effect the way the
+    // paper's controlled experiment does.
+    let results = ProgramOrder::ALL.map(|order| {
+        let blocks = (0..8u32).map(|rep| BlockId(60 + rep * 7));
+        let bers = program_blocks(&mut chip, blocks, order);
+        (order, bers.iter().sum::<f64>() / bers.len() as f64)
+    });
 
     let reference = results[0].1;
     let mut t = Table::new(["program sequence", "mean BER (normalized)"]);

@@ -11,80 +11,52 @@
 //!
 //! The paper reports a 66% average `NumRetry` reduction.
 
-use bench::{banner, paper_chip, Table};
-use ftl::Opm;
-use nand3d::{AgingState, BlockId, ProgramParams, ReadParams, WlData};
+use bench::{banner, paper_chip, program_blocks, read_passes, Table};
+use cubeftl::ProgramOrder;
+use nand3d::{AgingState, BlockId};
 
 fn main() {
     let mut chip = paper_chip();
-    let g = *chip.geometry();
+    let blocks_per_chip = chip.geometry().blocks_per_chip;
 
     // Program a population of pages across blocks and layers.
     let blocks: Vec<BlockId> = (0..24u32)
-        .map(|b| BlockId(b * 16 % g.blocks_per_chip))
+        .map(|b| BlockId(b * 16 % blocks_per_chip))
         .collect();
-    for &b in &blocks {
-        chip.erase(b).expect("in range");
-        for wl in g.wls_of_block(b).collect::<Vec<_>>() {
-            chip.program_wl(wl, WlData::host(0), &ProgramParams::default())
-                .expect("erased");
-        }
-    }
+    program_blocks(
+        &mut chip,
+        blocks.iter().copied(),
+        ProgramOrder::HorizontalFirst,
+    );
 
     chip.set_aging(AgingState::EndOfLife);
     chip.env_mut().set_disturbance_prob(0.01);
-
-    let passes = 2;
-    let mut unaware_hist = [0u64; 8];
-    let mut aware_hist = [0u64; 8];
-    let mut unaware_total = 0u64;
-    let mut aware_total = 0u64;
-    let mut reads = 0u64;
-
-    let mut opm = Opm::new(&g, 1);
-    for _pass in 0..passes {
-        for &b in &blocks {
-            for wl in g.wls_of_block(b).collect::<Vec<_>>() {
-                for page in g.pages_of_wl(wl).collect::<Vec<_>>() {
-                    // PS-unaware read: default references.
-                    let r = chip
-                        .read_page(page, ReadParams::default())
-                        .expect("written");
-                    unaware_hist[(r.retries as usize).min(7)] += 1;
-                    unaware_total += u64::from(r.retries);
-
-                    // PS-aware read: start from the ORT.
-                    let start = opm.read_offset(0, wl);
-                    let r = chip
-                        .read_page(page, ReadParams::from_offset(start))
-                        .expect("written");
-                    opm.update_read_offset(0, wl, r.final_offset);
-                    aware_hist[(r.retries as usize).min(7)] += 1;
-                    aware_total += u64::from(r.retries);
-                    reads += 1;
-                }
-            }
-        }
-    }
+    let n = read_passes(&mut chip, &blocks);
 
     banner("Fig. 14 — NumRetry distribution at 2K P/E + 1-year retention");
     let mut t = Table::new(["NumRetry", "PS-unaware (%)", "PS-aware (%)"]);
-    for n in 0..8usize {
-        let label = if n == 7 {
+    for retries in 0..8usize {
+        let label = if retries == 7 {
             "7+".to_owned()
         } else {
-            n.to_string()
+            retries.to_string()
         };
         t.row([
             label,
-            format!("{:.1}", 100.0 * unaware_hist[n] as f64 / reads as f64),
-            format!("{:.1}", 100.0 * aware_hist[n] as f64 / reads as f64),
+            format!(
+                "{:.1}",
+                100.0 * n.unaware_hist[retries] as f64 / n.reads as f64
+            ),
+            format!(
+                "{:.1}",
+                100.0 * n.aware_hist[retries] as f64 / n.reads as f64
+            ),
         ]);
     }
     t.print();
 
-    let unaware_avg = unaware_total as f64 / reads as f64;
-    let aware_avg = aware_total as f64 / reads as f64;
+    let unaware_avg = n.unaware as f64 / n.reads as f64;
+    let aware_avg = n.aware as f64 / n.reads as f64;
     println!("\naverage NumRetry: PS-unaware {unaware_avg:.2}, PS-aware {aware_avg:.2}");
     println!(
         "reduction: {:.0}% (paper: 66% on average)",

@@ -7,7 +7,8 @@
 //! (b) Read-latency CDF — even with no read retries at the fresh state,
 //! reads queue behind fewer/shorter programs under cubeFTL.
 
-use bench::{banner, eval, BenchArgs, Table};
+use bench::{banner, num, text, BenchArgs, Columns, Sweep};
+use cubeftl::harness::Scenario;
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
 
 fn main() {
@@ -17,13 +18,13 @@ fn main() {
         cfg.blocks_per_chip, cfg.requests
     );
 
-    let kinds = FtlKind::ALL; // page, vert, cube-, cube
-    let mut reports: Vec<_> = kinds
-        .iter()
-        .map(|&k| eval(k, StandardWorkload::Rocks, AgingState::Fresh, &cfg))
-        .collect();
+    // page, vert, cube-, cube
+    let sweep = Sweep::run(FtlKind::ALL.map(|kind| {
+        let (rocks, fresh) = (StandardWorkload::Rocks, AgingState::Fresh);
+        (kind, Scenario::new(kind, rocks, fresh, &cfg))
+    }));
 
-    for (which, title) in [
+    for (write, title) in [
         (
             true,
             "Fig. 18(a) — write latency percentiles, Rocks, fresh (ms)",
@@ -34,37 +35,29 @@ fn main() {
         ),
     ] {
         banner(title);
-        let mut headers = vec!["percentile".to_owned()];
-        headers.extend(kinds.iter().map(|k| k.name().to_owned()));
-        let mut t = Table::new(headers);
-        for p in [50.0, 70.0, 80.0, 90.0, 95.0, 99.0] {
-            let mut row = vec![format!("p{p:.0}")];
-            for r in reports.iter_mut() {
-                let lat = if which {
-                    r.write_latency.percentile(p)
-                } else {
-                    r.read_latency.percentile(p)
-                };
-                row.push(format!("{:.3}", lat / 1000.0));
-            }
-            t.row(row);
+        // One row per percentile, one column per FTL.
+        let mut cols = Columns::<f64>::default();
+        cols.col("percentile", |p| text(format!("p{p:.0}")));
+        for c in &sweep.cells {
+            let r = c.sim();
+            let lat = if write {
+                &r.write_latency
+            } else {
+                &r.read_latency
+            };
+            cols.col(c.label.name(), move |&p| num(lat.percentile(p) / 1000.0, 3));
         }
-        t.print();
+        cols.table(&[50.0, 70.0, 80.0, 90.0, 95.0, 99.0]).print();
         println!();
     }
 
-    let p90 = |r: &mut cubeftl::SimReport| r.write_latency.percentile(90.0);
-    let page90 = p90(&mut reports[0]);
-    let cube90 = p90(&mut reports[3]);
+    let write_pct = |kind, p| sweep.cell(&kind).sim().write_latency.percentile(p);
     println!(
         "90th-percentile write latency: pageFTL/cubeFTL = {:.2}x (paper: ≈1.53x)",
-        page90 / cube90
+        write_pct(FtlKind::Page, 90.0) / write_pct(FtlKind::Cube, 90.0)
     );
-    let p80 = |r: &mut cubeftl::SimReport| r.write_latency.percentile(80.0);
-    let minus80 = p80(&mut reports[2]);
-    let cube80 = p80(&mut reports[3]);
     println!(
         "80th-percentile write latency: cubeFTL is {:.0}% shorter than cubeFTL- (paper: ≈42%)",
-        (1.0 - cube80 / minus80) * 100.0
+        (1.0 - write_pct(FtlKind::Cube, 80.0) / write_pct(FtlKind::CubeMinus, 80.0)) * 100.0
     );
 }

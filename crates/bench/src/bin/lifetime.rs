@@ -15,10 +15,10 @@
 //!   the end than at the start (the device really ages);
 //! * maintenance pays for itself at end-of-life: the maintenance-on
 //!   campaign's final-epoch retry rate is below the maintenance-off
-//!   one's;
-//! * a double run reproduces the curve CSV byte-for-byte;
-//! * a 4-shard array campaign is byte-identical at 1 and 4 worker
-//!   threads.
+//!   one's.
+//!
+//! (Double-run and 1-vs-4-thread byte-identity of campaigns are proved
+//! by `tests/lifetime.rs`, not here.)
 //!
 //! `--out PATH` overrides the curve path (default
 //! `./lifetime_curve.csv`); `--smoke` runs the CI-scale configuration.
@@ -27,94 +27,25 @@
 //!
 //! Run with: `cargo run --release -p bench --bin lifetime`
 
-use bench::{banner, run, BenchArgs, Table};
-use cubeftl::harness::{ArrayEvalConfig, EvalConfig, Scenario};
-use cubeftl::{AgingState, FtlKind, LifetimeConfig, MaintConfig, StandardWorkload};
+use bench::{assert_order, banner, num2, text, write_curve, BenchArgs, Cell, Columns, Sweep};
+use cubeftl::harness::Scenario;
+use cubeftl::{AgingState, FtlKind, LifetimeConfig, MaintConfig, SimReport, StandardWorkload};
 
-/// What one campaign epoch contributed to the curve.
-struct CurvePoint {
-    maint: &'static str,
-    epoch: u32,
-    pe_cum: u32,
-    months_cum: f64,
-    iops: f64,
-    tprog_mean_us: f64,
-    num_retry: u64,
-    retry_per_read: f64,
-    wa_host: f64,
-    wa_total: f64,
-    gc_runs: u64,
-    scrub_blocks: u64,
+/// A row is one epoch of one campaign (labelled by its maintenance
+/// setting).
+type Row<'a> = (&'a Cell<&'static str>, usize);
+
+/// The device report of a row's epoch.
+fn rep<'a>(&(c, e): &Row<'a>) -> &'a SimReport {
+    &c.out.epochs().nth(e).expect("epoch ran").shards[0]
 }
 
-/// One Cube Mail campaign from a fresh device (or array).
-fn campaign(cfg: &EvalConfig, life: &LifetimeConfig, arr: Option<ArrayEvalConfig>) -> Scenario {
-    Scenario {
-        array: arr,
-        lifetime: Some(*life),
-        ..Scenario::new(
-            FtlKind::Cube,
-            StandardWorkload::Mail,
-            AgingState::Fresh,
-            cfg,
-        )
-    }
-}
-
-/// Runs one single-device campaign and flattens it into curve points.
-fn run_campaign(label: &'static str, cfg: &EvalConfig, life: &LifetimeConfig) -> Vec<CurvePoint> {
-    let r = run(&campaign(cfg, life, None));
-    let summaries = &r.aging.as_ref().expect("campaign ran").summaries;
-    let mut pe_cum = 0u32;
-    let mut months_cum = 0.0f64;
-    let mut points = Vec::new();
-    for (e, rep) in r.epochs().map(|p| &p.shards[0]).enumerate() {
-        if e > 0 {
-            pe_cum += life.pe_per_epoch;
-            months_cum += summaries[e - 1][0].retention_added_months;
-        }
-        points.push(CurvePoint {
-            maint: label,
-            epoch: e as u32,
-            pe_cum,
-            months_cum,
-            iops: rep.iops,
-            tprog_mean_us: rep.write_latency.mean(),
-            num_retry: rep.ftl.read_retries,
-            retry_per_read: r.retry_rate(e),
-            wa_host: rep.wa_host().unwrap_or(0.0),
-            wa_total: rep.wa_total().unwrap_or(0.0),
-            gc_runs: rep.ftl.gc_runs,
-            scrub_blocks: rep.ftl.scrub_blocks,
-        });
-    }
-    points
-}
-
-/// The curve as CSV — also the double-run byte-identity witness.
-fn curve_csv(points: &[CurvePoint]) -> String {
-    let mut csv = String::from(
-        "maint,epoch,pe_cum,months_cum,iops,tprog_mean_us,num_retry,retry_per_read,\
-         wa_host,wa_total,gc_runs,scrub_blocks\n",
-    );
-    for p in points {
-        csv.push_str(&format!(
-            "{},{},{},{:.4},{:.2},{:.3},{},{:.5},{:.5},{:.5},{},{}\n",
-            p.maint,
-            p.epoch,
-            p.pe_cum,
-            p.months_cum,
-            p.iops,
-            p.tprog_mean_us,
-            p.num_retry,
-            p.retry_per_read,
-            p.wa_host,
-            p.wa_total,
-            p.gc_runs,
-            p.scrub_blocks,
-        ));
-    }
-    csv
+/// Retention months the aging barriers before a row's epoch added.
+fn months_cum(&(c, e): &Row) -> f64 {
+    let steps = &c.out.aging.as_ref().expect("campaign ran").summaries[..e];
+    steps
+        .iter()
+        .fold(0.0, |sum, s| sum + s[0].retention_added_months)
 }
 
 fn main() {
@@ -144,128 +75,76 @@ fn main() {
         if life.pattern_wear { "on" } else { "off" },
     );
 
-    cfg.maint = None;
-    let no_maint = run_campaign("off", &cfg, &life);
     let mut maint = MaintConfig::default_on();
     // The stock 6-month scrub bar is sized for the paper's static aging
     // states; under this accelerated schedule (~12 retention-months per
     // campaign) the scrubber must engage proactively to race the drift.
     maint.scrub_retention_min_months = 2.0;
-    cfg.maint = Some(maint);
-    let with_maint = run_campaign("on", &cfg, &life);
+    // One Cube Mail campaign from a fresh device per maintenance setting.
+    let sweep = Sweep::run([("off", None), ("on", Some(maint))].map(|(label, maint)| {
+        cfg.maint = maint;
+        let (kind, mail) = (FtlKind::Cube, StandardWorkload::Mail);
+        let sc = Scenario {
+            lifetime: Some(life),
+            ..Scenario::new(kind, mail, AgingState::Fresh, &cfg)
+        };
+        (label, sc)
+    }));
+    let epochs = |c| (0..life.epochs as usize).map(move |e| (c, e));
+    let rows: Vec<Row> = sweep.cells.iter().flat_map(epochs).collect();
 
-    let mut t = Table::new([
-        "maint",
-        "epoch",
-        "+P/E",
-        "+months",
-        "IOPS",
-        "tPROG(us)",
-        "NumRetry",
-        "retry/read",
-        "WA(h)",
-        "WA(t)",
-    ]);
-    for p in no_maint.iter().chain(with_maint.iter()) {
-        t.row([
-            p.maint.to_owned(),
-            p.epoch.to_string(),
-            p.pe_cum.to_string(),
-            format!("{:.1}", p.months_cum),
-            format!("{:.0}", p.iops),
-            format!("{:.1}", p.tprog_mean_us),
-            p.num_retry.to_string(),
-            format!("{:.3}", p.retry_per_read),
-            format!("{:.2}", p.wa_host),
-            format!("{:.2}", p.wa_total),
-        ]);
-    }
-    t.print();
-
-    let mut csv = curve_csv(&no_maint);
-    csv.push_str(
-        curve_csv(&with_maint)
-            .split_once('\n')
-            .map(|x| x.1)
-            .unwrap_or(""),
-    );
-    std::fs::write(out_path, &csv).expect("write curve CSV");
-    println!("\ncurve written to {out_path}");
+    let wa = |w: Option<f64>| w.unwrap_or(0.0);
+    let mut cols = Columns::<Row>::default();
+    cols.out_col("maint", "maint", |r| text(r.0.label));
+    cols.out_col("epoch", "epoch", |r| text(r.1));
+    cols.out_col("+P/E", "pe_cum", |r| text(r.1 as u32 * life.pe_per_epoch));
+    cols.out_col("+months", "months_cum", |r| num2(months_cum(r), 1, 4));
+    cols.out_col("IOPS", "iops", |r| num2(rep(r).iops, 0, 2));
+    cols.out_col("tPROG(us)", "tprog_mean_us", |r| {
+        num2(rep(r).write_latency.mean(), 1, 3)
+    });
+    cols.out_col("NumRetry", "num_retry", |r| text(rep(r).ftl.read_retries));
+    cols.out_col("retry/read", "retry_per_read", |r| {
+        num2(r.0.out.retry_rate(r.1), 3, 5)
+    });
+    cols.out_col("WA(h)", "wa_host", |r| num2(wa(rep(r).wa_host()), 2, 5));
+    cols.out_col("WA(t)", "wa_total", |r| num2(wa(rep(r).wa_total()), 2, 5));
+    cols.out_col("", "gc_runs", |r| text(rep(r).ftl.gc_runs));
+    cols.out_col("", "scrub_blocks", |r| text(rep(r).ftl.scrub_blocks));
+    cols.table(&rows).print();
+    write_curve(out_path, &cols.file_table(&rows));
 
     // Bar 1: the maintenance-off retry curve is monotone non-decreasing
     // and the device really ages.
-    for w in no_maint.windows(2) {
-        assert!(
-            w[1].retry_per_read >= w[0].retry_per_read,
-            "retries/read must not decrease with age without maintenance \
-             (epoch {} {:.4} -> epoch {} {:.4})",
-            w[0].epoch,
-            w[0].retry_per_read,
-            w[1].epoch,
-            w[1].retry_per_read
-        );
+    let last = life.epochs as usize - 1;
+    let off = sweep.cell(&"off");
+    let retry = |c: &Cell<&'static str>, e| ((c.label, e), c.out.retry_rate(e));
+    for e in 0..last {
+        let what = "retries/read by epoch without maintenance";
+        assert_order(what, retry(off, e), "<=", retry(off, e + 1));
     }
-    let (fresh, eol) = (no_maint.first().unwrap(), no_maint.last().unwrap());
-    assert!(
-        eol.retry_per_read > fresh.retry_per_read,
-        "end-of-life must retry more than fresh ({:.4} vs {:.4})",
-        eol.retry_per_read,
-        fresh.retry_per_read
-    );
-    assert!(
-        eol.wa_total >= fresh.wa_total,
-        "write amplification must not improve with age ({:.4} -> {:.4})",
-        fresh.wa_total,
-        eol.wa_total
-    );
+    assert_order("retries/read", retry(off, 0), "<", retry(off, last));
+    let wa_total = |e| (("off", e), wa(rep(&(off, e)).wa_total()));
+    assert_order("total WA", wa_total(0), "<=", wa_total(last));
 
     // Bar 2: maintenance pays for itself at end-of-life.
-    let eol_maint = with_maint.last().unwrap();
-    assert!(
-        eol_maint.retry_per_read < eol.retry_per_read,
-        "maintenance must beat no-maintenance on end-of-life retry rate \
-         ({:.4} vs {:.4})",
-        eol_maint.retry_per_read,
-        eol.retry_per_read
-    );
-
-    // Bar 3: a double run reproduces the maintenance-off curve CSV
-    // byte-for-byte.
-    cfg.maint = None;
-    let again = run_campaign("off", &cfg, &life);
-    assert_eq!(
-        curve_csv(&no_maint),
-        curve_csv(&again),
-        "double run must reproduce the drift curve byte-identically"
-    );
-
-    // Bar 4: a 4-shard array campaign is worker-thread invariant — the
-    // witness is the campaign's whole metric registry, epoch by epoch.
-    let mut short = life;
-    short.epochs = 3;
-    let metrics_at = |threads: usize| {
-        let mut arr = ArrayEvalConfig::new(4);
-        arr.threads = threads;
-        let sc = campaign(&cfg, &short, Some(arr));
-        run(&sc).metrics(&sc).to_ndjson()
-    };
-    assert_eq!(
-        metrics_at(1),
-        metrics_at(4),
-        "array campaign must be byte-identical at 1 and 4 worker threads"
-    );
+    let on = sweep.cell(&"on");
+    let what = "end-of-life retries/read";
+    assert_order(what, retry(on, last), "<", retry(off, last));
 
     println!(
         "\n(the device aged {} P/E and {:.1} retention-months across {} epochs:",
-        eol.pe_cum, eol.months_cum, life.epochs
+        last as u32 * life.pe_per_epoch,
+        months_cum(&(off, last)),
+        life.epochs
     );
     println!(
         " retries/read drifted {:.3} -> {:.3} without maintenance; with scrubbing and",
-        fresh.retry_per_read, eol.retry_per_read
+        retry(off, 0).1,
+        retry(off, last).1
     );
     println!(
-        " wear leveling racing the same schedule it held {:.3} at end-of-life — and the",
-        eol_maint.retry_per_read
+        " wear leveling racing the same schedule it held {:.3} at end-of-life)",
+        retry(on, last).1
     );
-    println!(" double-run and 1-vs-4-thread checks held, so the campaign is deterministic)");
 }

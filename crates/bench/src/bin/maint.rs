@@ -10,7 +10,8 @@
 //!
 //! Run with: `cargo run --release -p bench --bin maint`
 
-use bench::{banner, eval, BenchArgs, Table};
+use bench::{assert_order, banner, num, text, BenchArgs, Cell, Columns, Sweep};
+use cubeftl::harness::Scenario;
 use cubeftl::{AgingState, FaultKind, FaultPlan, FtlKind, MaintConfig, StandardWorkload};
 
 fn main() {
@@ -23,55 +24,47 @@ fn main() {
     );
 
     banner("background maintenance — retention-heavy scenario (Web, EndOfLife)");
-    let mut t = Table::new([
-        "maint",
-        "IOPS",
-        "p99 rd (ms)",
-        "mean retries",
-        "uncorrectable",
-        "WA(h)",
-        "WA(t)",
-    ]);
     // "eager" trades host bandwidth for scrub coverage: a small
     // host-priority gap and a large migration batch, the settings the
     // reliability-direction e2e test uses.
     let mut eager = MaintConfig::default_on();
     eager.scrub_batch_pages = 96;
-    let mut reports = Vec::new();
-    for (label, maint, gap_us) in [
+    let settings = [
         ("off", None, 0.0),
         ("on", Some(MaintConfig::default_on()), 200.0),
         ("eager", Some(eager), 50.0),
-    ] {
+    ];
+    let sweep = Sweep::run(settings.map(|(label, maint, gap_us)| {
         cfg.maint = maint;
         cfg.ssd.maint.enabled = maint.is_some();
         cfg.ssd.maint.min_gap_us = gap_us;
-        let r = eval(
-            FtlKind::Cube,
-            StandardWorkload::Web,
-            AgingState::EndOfLife,
-            &cfg,
-        );
-        t.row([
-            label.to_owned(),
-            format!("{:.0}", r.iops),
-            format!("{:.3}", r.read_latency.percentile(99.0) / 1000.0),
-            format!(
-                "{:.3}",
-                r.ftl.read_retries as f64 / r.ftl.nand_reads.max(1) as f64
-            ),
-            format!("{}", r.ftl.uncorrectable_recoveries),
-            r.wa_host().map(|w| format!("{w:.2}")).unwrap_or_default(),
-            r.wa_total().map(|w| format!("{w:.2}")).unwrap_or_default(),
-        ]);
-        reports.push(r);
-    }
-    t.print();
+        let (web, eol) = (StandardWorkload::Web, AgingState::EndOfLife);
+        (label, Scenario::new(FtlKind::Cube, web, eol, &cfg))
+    }));
 
-    for (label, r) in ["on", "eager"].iter().zip(&reports[1..]) {
+    let wa = |w: Option<f64>| w.map_or(text(""), |w| num(w, 2));
+    let mut cols = Columns::<Cell<&str>>::default();
+    cols.col("maint", |c| text(c.label));
+    cols.col("IOPS", |c| num(c.sim().iops, 0));
+    cols.col("p99 rd (ms)", |c| {
+        num(c.sim().read_latency.percentile(99.0) / 1000.0, 3)
+    });
+    cols.col("mean retries", |c| {
+        let ftl = &c.sim().ftl;
+        num(ftl.read_retries as f64 / ftl.nand_reads.max(1) as f64, 3)
+    });
+    cols.col("uncorrectable", |c| {
+        text(c.sim().ftl.uncorrectable_recoveries)
+    });
+    cols.col("WA(h)", |c| wa(c.sim().wa_host()));
+    cols.col("WA(t)", |c| wa(c.sim().wa_total()));
+    cols.table(&sweep.cells).print();
+
+    for c in &sweep.cells[1..] {
+        let r = c.sim();
         println!(
-            "\nmaint-{label} background work: {} scrubs ({} page moves, {} sample reads),",
-            r.ftl.scrub_blocks, r.ftl.scrub_page_moves, r.ftl.scrub_sample_reads
+            "\nmaint-{} background work: {} scrubs ({} page moves, {} sample reads),",
+            c.label, r.ftl.scrub_blocks, r.ftl.scrub_page_moves, r.ftl.scrub_sample_reads
         );
         println!(
             " {} re-monitored layers, {} wear-level moves, {} maintenance-GC moves,",
@@ -85,20 +78,20 @@ fn main() {
         );
     }
 
-    let (off, eager) = (&reports[0], &reports[2]);
-    assert!(
-        eager.ftl.uncorrectable_recoveries < off.ftl.uncorrectable_recoveries,
-        "scrubbing must reduce uncorrectable recoveries ({} -> {})",
-        off.ftl.uncorrectable_recoveries,
-        eager.ftl.uncorrectable_recoveries
+    let uncorrectable = |label| {
+        let n = sweep.cell(&label).sim().ftl.uncorrectable_recoveries;
+        (label, n as f64)
+    };
+    let (off, on, eager) = (
+        uncorrectable("off"),
+        uncorrectable("on"),
+        uncorrectable("eager"),
     );
+    assert_order("uncorrectable recoveries", eager, "<", off);
     println!(
         "\n(eager scrubbing cut uncorrectable recoveries {} -> {};",
-        off.ftl.uncorrectable_recoveries, eager.ftl.uncorrectable_recoveries
+        off.1, eager.1
     );
     println!(" the default keeps host priority — gap 200 µs, batch 12 — and trades");
-    println!(
-        " coverage for tail latency: {} -> {})",
-        off.ftl.uncorrectable_recoveries, reports[1].ftl.uncorrectable_recoveries
-    );
+    println!(" coverage for tail latency: {} -> {})", off.1, on.1);
 }

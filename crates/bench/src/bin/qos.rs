@@ -20,21 +20,19 @@
 //! latency stayed within the SLO, and every shed request landed on a
 //! best-effort tenant.
 //!
-//! A double run of the 2× cell must reproduce the full report
-//! byte-identically (the front adds no nondeterminism).
+//! (Double-run byte-identity of an engaged run is proved by
+//! `tests/qos.rs`, not here.)
 //!
 //! `--out PATH` writes both phases as one CSV (`phase` column).
 //!
 //! Run with: `cargo run --release -p bench --bin qos` (`--smoke` for
 //! the CI-sized variant).
 
-use bench::{banner, run, BenchArgs, Table};
-use cubeftl::harness::{EvalConfig, QosSpec, Scenario};
-use cubeftl::{AgingState, FtlKind, QosReport, SimReport, TenantClass, TenantMix};
-
-const KIND: FtlKind = FtlKind::Cube;
-const WORKLOAD: TenantMix = TenantMix::Uniform;
-const AGING: AgingState = AgingState::MidLife;
+use bench::{banner, num, num2, run, text, write_curve, BenchArgs, Cell, Columns, Sweep};
+use cubeftl::harness::{EvalConfig, QosSpec, RunOutput, Scenario};
+use cubeftl::{
+    AgingState, ClassSummary, FtlKind, QosReport, TenantClass, TenantMix, TenantSummary,
+};
 
 /// Phase A / calibration weights.
 const PROP_WEIGHTS: [u32; 4] = [8, 4, 2, 1];
@@ -59,21 +57,17 @@ fn base_spec() -> QosSpec {
     }
 }
 
-/// The device report and per-tenant outcome of one engaged run.
-struct QosRun {
-    sim: SimReport,
-    qos: QosReport,
+/// A mid-life Cube device behind the front-end `spec` describes, every
+/// tenant emitting uniform single-page traffic.
+fn qos_scenario(cfg: &EvalConfig, spec: QosSpec) -> Scenario {
+    Scenario {
+        qos: spec,
+        ..Scenario::new(FtlKind::Cube, TenantMix::Uniform, AgingState::MidLife, cfg)
+    }
 }
 
-fn qos_run(cfg: &EvalConfig, spec: &QosSpec) -> QosRun {
-    let mut r = run(&Scenario {
-        qos: spec.clone(),
-        ..Scenario::new(KIND, WORKLOAD, AGING, cfg)
-    });
-    QosRun {
-        qos: r.qos.take().expect("front-end engaged"),
-        sim: r.into_sim(),
-    }
+fn qos(out: &RunOutput) -> &QosReport {
+    out.qos.as_ref().expect("front-end engaged")
 }
 
 /// Measures uniform-traffic device capacity (requests per simulated
@@ -86,20 +80,15 @@ fn calibrate(cfg: &EvalConfig) -> f64 {
         arrival_interval_us: 0.01,
         ..base_spec()
     };
-    let r = qos_run(&cal_cfg, &spec);
-    assert!(r.sim.iops > 0.0, "calibration run completed nothing");
-    r.sim.iops
+    let iops = run(&qos_scenario(&cal_cfg, spec)).sim().iops;
+    assert!(iops > 0.0, "calibration run completed nothing");
+    iops
 }
 
 fn main() {
     let args = BenchArgs::parse(true);
-    let out_path = args.out.as_deref();
     let mut cfg = args.cfg;
     cfg.requests = cfg.requests.clamp(6_000, 20_000);
-    let mut csv = String::from(
-        "phase,cell,tenant_or_class,weight,admitted,shed,completed,share,expected_share,\
-         read_p99_us,slo_violations\n",
-    );
 
     banner("QoS front-end — capacity calibration (uniform single-page traffic)");
     let capacity = calibrate(&cfg);
@@ -117,78 +106,53 @@ fn main() {
         arrival_interval_us: 1e6 / (2.0 * capacity),
         ..base_spec()
     };
-    let ra = qos_run(&cfg, &spec_a);
-    let total_completed: u64 = ra.qos.tenants.iter().map(|t| t.completed).sum();
+    let ra = run(&qos_scenario(&cfg, spec_a));
+    let tenants = &qos(&ra).tenants;
+    let total_completed: u64 = tenants.iter().map(|t| t.completed).sum();
     let w_total: u32 = PROP_WEIGHTS.iter().sum();
-    let mut t = Table::new([
-        "tenant",
-        "weight",
-        "admitted",
-        "shed",
-        "completed",
-        "share",
-        "expected",
-        "err",
-    ]);
-    let mut worst_err = 0.0f64;
-    for tn in &ra.qos.tenants {
-        let share = tn.completed as f64 / total_completed as f64;
-        let expected = f64::from(tn.weight) / f64::from(w_total);
-        let err = (share - expected).abs() / expected;
-        worst_err = worst_err.max(err);
-        t.row([
-            format!("{}", tn.id),
-            format!("{}", tn.weight),
-            format!("{}", tn.admitted),
-            format!("{}", tn.shed),
-            format!("{}", tn.completed),
-            format!("{:.3}", share),
-            format!("{:.3}", expected),
-            format!("{:.1}%", err * 100.0),
-        ]);
-        csv.push_str(&format!(
-            "proportionality,2x,tenant{},{},{},{},{},{:.4},{:.4},{:.1},{}\n",
-            tn.id,
-            tn.weight,
-            tn.admitted,
-            tn.shed,
-            tn.completed,
-            share,
-            expected,
-            tn.read_latency.percentile(99.0),
-            tn.violations,
-        ));
+    let share = |t: &TenantSummary| t.completed as f64 / total_completed as f64;
+    let expected = |t: &TenantSummary| f64::from(t.weight) / f64::from(w_total);
+    let err = |t: &TenantSummary| (share(t) - expected(t)).abs() / expected(t);
+    let mut cols = Columns::<TenantSummary>::default();
+    cols.out_col("", "phase", |_| text("proportionality"));
+    cols.out_col("", "cell", |_| text("2x"));
+    cols.col("tenant", |t| text(t.id));
+    cols.out_col("", "tenant_or_class", |t| text(format!("tenant{}", t.id)));
+    cols.out_col("weight", "weight", |t| text(t.weight));
+    cols.out_col("admitted", "admitted", |t| text(t.admitted));
+    cols.out_col("shed", "shed", |t| text(t.shed));
+    cols.out_col("completed", "completed", |t| text(t.completed));
+    cols.out_col("share", "share", |t| num2(share(t), 3, 4));
+    cols.out_col("expected", "expected_share", |t| num2(expected(t), 3, 4));
+    cols.col("err", |t| text(format!("{:.1}%", err(t) * 100.0)));
+    cols.out_col("", "read_p99_us", |t| {
+        num(t.read_latency.percentile(99.0), 1)
+    });
+    cols.out_col("", "slo_violations", |t| text(t.violations));
+    for t in tenants {
         assert!(
-            err <= SHARE_TOLERANCE,
-            "tenant {} (weight {}): completion share {share:.3} strays {:.1}% from the \
-             configured weight share {expected:.3} (tolerance {:.0}%)",
-            tn.id,
-            tn.weight,
-            err * 100.0,
+            err(t) <= SHARE_TOLERANCE,
+            "tenant {} (weight {}): completion share {:.3} strays {:.1}% from the \
+             configured weight share {:.3} (tolerance {:.0}%)",
+            t.id,
+            t.weight,
+            share(t),
+            err(t) * 100.0,
+            expected(t),
             SHARE_TOLERANCE * 100.0
         );
     }
-    t.print();
+    cols.table(tenants).print();
+    let mut curve = cols.file_table(tenants);
     println!(
         "\n(every share within {:.0}% of its weight share; worst error {:.1}%)",
         SHARE_TOLERANCE * 100.0,
-        worst_err * 100.0
+        tenants.iter().map(err).fold(0.0, f64::max) * 100.0
     );
 
     // ---- Phase B: overload sweep with a protected tenant -------------
     banner("phase B — overload sweep, weights [8,1,1,1], equal arrival rates");
-    let mut t = Table::new([
-        "load",
-        "class",
-        "tenants",
-        "admitted",
-        "shed",
-        "completed",
-        "p99 rd (ms)",
-        "SLO viol",
-    ]);
-    let mut at_2x = None;
-    for load in [1.0f64, 1.5, 2.0] {
+    let sweep = Sweep::run([1.0f64, 1.5, 2.0].map(|load| {
         let spec = QosSpec {
             weights: SWEEP_WEIGHTS.to_vec(),
             arrival_interval_us: 1e6 / (load * capacity),
@@ -196,46 +160,41 @@ fn main() {
             slo_read_us: Some(slo_read_us),
             ..base_spec()
         };
-        let r = qos_run(&cfg, &spec);
-        for (class, sum) in r.qos.by_class() {
-            t.row([
-                format!("{load:.1}x"),
-                class.label().to_owned(),
-                format!("{}", sum.tenants),
-                format!("{}", sum.admitted),
-                format!("{}", sum.shed),
-                format!("{}", sum.completed),
-                format!("{:.3}", sum.read_latency.percentile(99.0) / 1000.0),
-                format!("{}", sum.violations),
-            ]);
-            csv.push_str(&format!(
-                "overload,{load:.1}x,{},,{},{},{},,,{:.1},{}\n",
-                class.label(),
-                sum.admitted,
-                sum.shed,
-                sum.completed,
-                sum.read_latency.percentile(99.0),
-                sum.violations,
-            ));
-        }
-        if load == 2.0 {
-            at_2x = Some((r, spec));
-        }
-    }
-    t.print();
+        (load, qos_scenario(&cfg, spec))
+    }));
+    // One row per (load, tenant class).
+    type Row = (f64, TenantClass, ClassSummary);
+    let classes = |c: &Cell<f64>| {
+        let (load, by_class) = (c.label, qos(&c.out).by_class());
+        by_class
+            .into_iter()
+            .map(move |(class, sum)| (load, class, sum))
+    };
+    let rows: Vec<Row> = sweep.cells.iter().flat_map(classes).collect();
+    let p99 = |r: &Row| r.2.read_latency.percentile(99.0);
+    let mut cols = Columns::<Row>::default();
+    cols.out_col("", "phase", |_| text("overload"));
+    cols.out_col("load", "cell", |r| text(format!("{:.1}x", r.0)));
+    cols.out_col("class", "tenant_or_class", |r| text(r.1.label()));
+    cols.col("tenants", |r| text(r.2.tenants));
+    cols.out_col("", "weight", |_| text(""));
+    cols.out_col("admitted", "admitted", |r| text(r.2.admitted));
+    cols.out_col("shed", "shed", |r| text(r.2.shed));
+    cols.out_col("completed", "completed", |r| text(r.2.completed));
+    cols.out_col("", "share", |_| text(""));
+    cols.out_col("", "expected_share", |_| text(""));
+    cols.col("p99 rd (ms)", |r| num(p99(r) / 1000.0, 3));
+    cols.out_col("", "read_p99_us", |r| num(p99(r), 1));
+    cols.out_col("SLO viol", "slo_violations", |r| text(r.2.violations));
+    cols.table(&rows).print();
+    curve.append(cols.file_table(&rows));
 
-    let (r2, spec2) = at_2x.expect("2x cell ran");
-    let classes = r2.qos.by_class();
-    let protected = &classes
-        .iter()
-        .find(|(c, _)| *c == TenantClass::Protected)
-        .expect("protected class present")
-        .1;
-    let best_effort = &classes
-        .iter()
-        .find(|(c, _)| *c == TenantClass::BestEffort)
-        .expect("best-effort class present")
-        .1;
+    let at_2x = |class| {
+        let row = rows.iter().find(|r| r.0 == 2.0 && r.1 == class);
+        &row.expect("class present in the 2x cell").2
+    };
+    let protected = at_2x(TenantClass::Protected);
+    let best_effort = at_2x(TenantClass::BestEffort);
     let prot_p99 = protected.read_latency.percentile(99.0);
     assert!(
         protected.shed == 0,
@@ -263,17 +222,7 @@ fn main() {
         best_effort.read_latency.percentile(99.0) / 1000.0
     );
 
-    // Determinism: the 2x cell double-runs byte-identically.
-    let again = qos_run(&cfg, &spec2);
-    assert_eq!(
-        format!("{:?}", (&r2.sim, &r2.qos.tenants)),
-        format!("{:?}", (&again.sim, &again.qos.tenants)),
-        "double run must reproduce the 2x overload cell byte-identically"
-    );
-    println!("(double run of the 2x cell reproduced byte-identically)");
-
-    if let Some(path) = &out_path {
-        std::fs::write(path, &csv).expect("write QoS CSV");
-        println!("\ncurve written to {path}");
+    if let Some(path) = &args.out {
+        write_curve(path, &curve);
     }
 }

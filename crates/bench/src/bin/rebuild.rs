@@ -21,9 +21,23 @@
 //! Run with: `cargo run --release -p bench --bin rebuild` (`--smoke`
 //! for the CI-sized variant).
 
-use bench::{banner, run, BenchArgs, Table};
-use cubeftl::harness::{ArrayEvalConfig, ArrayFailureConfig, FailSpec, Phase, Scenario};
+use bench::{assert_order, banner, num, run, text, write_out, BenchArgs, Cell, Columns, Sweep};
+use cubeftl::harness::{
+    ArrayEvalConfig, ArrayFailureConfig, FailSpec, FailureReport, Phase, Scenario,
+};
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
+
+/// A cell is one rebuild pacing: (batch pages, host-priority gap µs).
+type Row = Cell<(u32, f64)>;
+
+fn failure(c: &Row) -> &FailureReport {
+    c.out.failure.as_ref().expect("failure spec was set")
+}
+
+/// A read-latency percentile of a cell's degraded phase, µs.
+fn degraded(c: &Row, pct: f64) -> f64 {
+    c.out.phases[1].merged.read_latency.percentile(pct)
+}
 
 fn main() {
     let mut cfg = BenchArgs::parse(false).cfg;
@@ -61,29 +75,22 @@ fn main() {
         healthy_p50 / 1000.0,
         healthy_p99 / 1000.0,
     );
-    let mut t = Table::new([
-        "batch/gap µs",
-        "rebuild ms",
-        "pages",
-        "degr p50 (ms)",
-        "degr p99 (ms)",
-        "p99 vs healthy",
-        "lost",
-    ]);
-    let mut default_cell = None;
-    let mut gap_times = Vec::new();
-    for (batch, gap_us) in [(8u32, 50.0f64), (8, 200.0), (8, 800.0), (32, 200.0)] {
+    let pacings = [(8u32, 50.0f64), (8, 200.0), (8, 800.0), (32, 200.0)];
+    let sweep = Sweep::run(pacings.map(|(batch, gap_us)| {
         let mut fc = ArrayFailureConfig::off();
         fc.parity = true;
         fc.fail = Some(fail);
         fc.spare_shards = 1;
         fc.rebuild.batch_pages = batch;
         fc.rebuild.gap_us = gap_us;
-        let out = run(&Scenario {
+        let sc = Scenario {
             failure: Some(fc),
             ..array.clone()
-        });
-        let r = out.failure.expect("failure spec was set");
+        };
+        ((batch, gap_us), sc)
+    }));
+    for c in &sweep.cells {
+        let (r, (batch, gap_us)) = (failure(c), c.label);
         assert!(
             r.audit.zero_loss,
             "batch {batch} gap {gap_us}: rebuild must reach zero loss ({:?})",
@@ -91,61 +98,46 @@ fn main() {
         );
         assert_eq!(r.audit.rebuilt_mapped_pages, r.audit.acked_pages);
         assert!(r.resilience.degraded_reads > 0, "degraded reads exercised");
-        let d = &out.phases[1].merged;
-        assert_eq!(out.phases[1].phase, Phase::Degraded, "degraded phase ran");
-        let (p50, p99) = (
-            d.read_latency.percentile(50.0),
-            d.read_latency.percentile(99.0),
-        );
-        t.row([
-            format!("{batch}/{gap_us:.0}"),
-            format!("{:.1}", r.resilience.rebuild_time_us / 1000.0),
-            format!("{}", r.resilience.rebuild_pages),
-            format!("{:.3}", p50 / 1000.0),
-            format!("{:.3}", p99 / 1000.0),
-            format!("{:+.1}%", (p99 / healthy_p99 - 1.0) * 100.0),
-            format!("{}", r.audit.lost_pages),
-        ]);
-        if batch == 8 {
-            gap_times.push((gap_us, r.resilience.rebuild_time_us));
-        }
-        if batch == 8 && gap_us == 200.0 {
-            default_cell = Some(r);
-        }
+        assert_eq!(c.out.phases[1].phase, Phase::Degraded, "degraded phase ran");
     }
-    t.print();
+
+    let rebuild_us = |c: &Row| failure(c).resilience.rebuild_time_us;
+    let mut cols = Columns::<Row>::default();
+    cols.col("batch/gap µs", |c| {
+        text(format!("{}/{:.0}", c.label.0, c.label.1))
+    });
+    cols.col("rebuild ms", |c| num(rebuild_us(c) / 1000.0, 1));
+    cols.col("pages", |c| text(failure(c).resilience.rebuild_pages));
+    cols.col("degr p50 (ms)", |c| num(degraded(c, 50.0) / 1000.0, 3));
+    cols.col("degr p99 (ms)", |c| num(degraded(c, 99.0) / 1000.0, 3));
+    cols.col("p99 vs healthy", |c| {
+        let inflation = (degraded(c, 99.0) / healthy_p99 - 1.0) * 100.0;
+        text(format!("{inflation:+.1}%"))
+    });
+    cols.col("lost", |c| text(failure(c).audit.lost_pages));
+    cols.table(&sweep.cells).print();
 
     // A wider host-priority gap must stretch the rebuild: the pacing
     // budget, not raw NAND bandwidth, bounds the drain.
-    let (tightest, widest) = (gap_times[0], gap_times[gap_times.len() - 1]);
-    assert!(
-        widest.1 > tightest.1,
-        "gap {} µs must rebuild slower than gap {} µs ({:.0} vs {:.0} µs)",
-        widest.0,
-        tightest.0,
-        widest.1,
-        tightest.1
-    );
+    let at = |label| (label, rebuild_us(sweep.cell(&label)));
+    let (tightest, widest) = (at((8, 50.0)), at((8, 800.0)));
+    assert_order("rebuild time (µs) by (batch, gap)", tightest, "<", widest);
     println!(
         "\n(the idle-window budget bounds the drain: gap {:.0} -> {:.0} µs stretches \
          the rebuild {:.1}x;\n\x20every cell rebuilt every array-acked page onto the \
          spare with zero host-acknowledged loss)",
-        tightest.0,
-        widest.0,
+        tightest.0 .1,
+        widest.0 .1,
         widest.1 / tightest.1,
     );
 
     // The default cell's rebuild curve — the CI artifact.
-    let r = default_cell.expect("default cell ran");
-    let path = std::path::Path::new("./rebuild_curve.csv");
+    let curve = &failure(sweep.cell(&(8, 200.0))).rebuild.curve;
+    let path = "./rebuild_curve.csv";
     let mut csv = String::from("t_us,ops_done\n");
-    for (t_us, ops) in &r.rebuild.curve {
+    for (t_us, ops) in curve {
         csv.push_str(&format!("{t_us},{ops}\n"));
     }
-    std::fs::write(path, csv).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!(
-        "\nrebuild curve ({} points) written to {}",
-        r.rebuild.curve.len(),
-        path.display()
-    );
+    write_out(path, &csv);
+    println!("\nrebuild curve ({} points) written to {path}", curve.len());
 }

@@ -9,20 +9,20 @@
 //! split seeded from unseeded chains.
 //!
 //! Asserts the tentpole bar — at the aged EndOfLife state the v2
-//! pipeline must cut NumRetry by at least 66% — and that the retry
-//! trace is byte-identical across a double run (the pipeline adds no
-//! nondeterminism).
+//! pipeline must cut NumRetry by at least 66% — and that the trace's
+//! NumRetry agrees with the aggregate counter in every cell. (Double-run
+//! trace byte-identity is proved by `tests/retry_cluster.rs`, not here.)
 //!
 //! `--out PATH` writes the curve as CSV for plotting; `--smoke` runs the
 //! CI-scale configuration.
 //!
 //! Run with: `cargo run --release -p bench --bin retry`
 
-use bench::{banner, run, BenchArgs, Table};
+use bench::{banner, num, text, write_curve, BenchArgs, Cell, Columns, Sweep};
 use cubeftl::harness::{Scenario, TelemetrySpec};
 use cubeftl::{
-    events_to_ndjson, AgingState, EventKind, EventMask, FtlKind, OrtClusterConfig, RetryOptConfig,
-    StandardWorkload, TraceEvent,
+    AgingState, EventKind, EventMask, FtlKind, OrtClusterConfig, RetryOptConfig, StandardWorkload,
+    TraceEvent,
 };
 
 /// The reduction bar of the tentpole: v2 must cut NumRetry by at least
@@ -37,204 +37,140 @@ fn sram_ort_capacity(blocks_per_chip: u32) -> usize {
     (blocks_per_chip as usize / 4).max(4)
 }
 
-/// What one traced run contributed to the curve.
-struct CurvePoint {
-    aging: &'static str,
-    pipeline: &'static str,
-    reads: u64,
-    retry_events: u64,
+/// What a cell's retry trace sums to.
+#[derive(Default)]
+struct TraceSum {
+    events: u64,
     num_retry: u64,
-    seeded_events: u64,
+    seeded: u64,
     early_terms: u64,
-    trace: String,
 }
 
-fn sum_trace(events: &[TraceEvent]) -> (u64, u64, u64, u64) {
-    let (mut evs, mut num, mut seeded, mut early) = (0u64, 0u64, 0u64, 0u64);
+/// A row is one traced (aging, pipeline) cell and its trace's sums.
+type Row<'a> = (&'a Cell<(&'static str, &'static str)>, TraceSum);
+
+fn trace_sum(events: &[TraceEvent]) -> TraceSum {
+    let mut sum = TraceSum::default();
     for e in events {
         if let EventKind::ReadRetry {
             retries,
-            seeded: s,
+            seeded,
             early_term,
             ..
         } = e.kind
         {
-            evs += 1;
-            num += u64::from(retries);
-            seeded += u64::from(s);
-            early += u64::from(early_term);
+            sum.events += 1;
+            sum.num_retry += u64::from(retries);
+            sum.seeded += u64::from(seeded);
+            sum.early_terms += u64::from(early_term);
         }
     }
-    (evs, num, seeded, early)
+    sum
 }
 
 fn main() {
     let args = BenchArgs::parse(true);
-    let out_path = args.out.as_deref();
     let mut cfg = args.cfg;
     // Enough read traffic for the cluster to warm past its per-h-layer
     // sample threshold even at smoke scale, bounded for CI runtimes.
     cfg.requests = cfg.requests.clamp(15_000, 30_000);
     cfg.ort_capacity = sram_ort_capacity(cfg.blocks_per_chip);
-    let tel = TelemetrySpec {
-        events: EventMask::READ_RETRY,
-        sample_interval_us: None,
-    };
 
     banner("read-retry pipeline v2 — NumRetry vs age (Rocks, SRAM-bounded ORT)");
-    let mut points: Vec<CurvePoint> = Vec::new();
-    for (aging_label, aging) in [
+    let agings = [
         ("fresh", AgingState::Fresh),
         ("midlife", AgingState::MidLife),
         ("eol", AgingState::EndOfLife),
-    ] {
-        for (pipeline, cluster, opt) in [
-            (
-                "baseline",
-                OrtClusterConfig::default(),
-                RetryOptConfig::default(),
-            ),
-            ("v2", OrtClusterConfig::on(), RetryOptConfig::on()),
-        ] {
+    ];
+    let pipelines = [
+        (
+            "baseline",
+            OrtClusterConfig::default(),
+            RetryOptConfig::default(),
+        ),
+        ("v2", OrtClusterConfig::on(), RetryOptConfig::on()),
+    ];
+    let sweep = Sweep::run(agings.iter().flat_map(|&(aging_label, aging)| {
+        pipelines.map(|(pipeline, cluster, opt)| {
             cfg.ort_cluster = cluster;
             cfg.retry_opt = opt;
-            let out = run(&Scenario {
-                telemetry: tel,
-                ..Scenario::new(FtlKind::Cube, StandardWorkload::Rocks, aging, &cfg)
-            });
-            let (report, telemetry) = (out.sim(), &out.telemetry);
-            let (retry_events, num_retry, seeded_events, early_terms) =
-                sum_trace(&telemetry.events);
-            assert_eq!(
-                num_retry, report.ftl.read_retries,
-                "trace NumRetry must agree with the aggregate counter"
-            );
-            if std::env::var("RETRY_DEBUG").is_ok() {
-                eprintln!(
-                    "DBG {aging_label}/{pipeline}: reads={} hits={} misses={} evict={} seeds={} chits={} mis={} fallbacks={}",
-                    report.ftl.nand_reads,
-                    report.ftl.ort_hits,
-                    report.ftl.ort_misses,
-                    report.ftl.ort_evictions,
-                    report.ftl.cluster_seeds,
-                    report.ftl.cluster_hits,
-                    report.ftl.cluster_mispredicts,
-                    report.ftl.ort_fallbacks,
-                );
-            }
-            points.push(CurvePoint {
-                aging: aging_label,
-                pipeline,
-                reads: report.ftl.nand_reads,
-                retry_events,
-                num_retry,
-                seeded_events,
-                early_terms,
-                trace: events_to_ndjson(&telemetry.events),
-            });
-        }
-    }
-
-    let mut t = Table::new([
-        "aging",
-        "pipeline",
-        "NumRetry",
-        "retries/read",
-        "retry events",
-        "seeded",
-        "early term",
-        "reduction",
-    ]);
-    for pair in points.chunks(2) {
-        let (base, v2) = (&pair[0], &pair[1]);
-        for p in pair {
-            let reduction = if p.pipeline == "v2" && base.num_retry > 0 {
-                format!(
-                    "{:.1}%",
-                    (1.0 - v2.num_retry as f64 / base.num_retry as f64) * 100.0
-                )
-            } else {
-                String::new()
+            let telemetry = TelemetrySpec {
+                events: EventMask::READ_RETRY,
+                sample_interval_us: None,
             };
-            t.row([
-                p.aging.to_owned(),
-                p.pipeline.to_owned(),
-                format!("{}", p.num_retry),
-                format!("{:.3}", p.num_retry as f64 / p.reads.max(1) as f64),
-                format!("{}", p.retry_events),
-                format!("{}", p.seeded_events),
-                format!("{}", p.early_terms),
-                reduction,
-            ]);
-        }
-    }
-    t.print();
-
-    if let Some(path) = &out_path {
-        let mut csv = String::from(
-            "aging,pipeline,reads,retry_events,num_retry,seeded_events,early_terminations\n",
+            let sc = Scenario {
+                telemetry,
+                ..Scenario::new(FtlKind::Cube, StandardWorkload::Rocks, aging, &cfg)
+            };
+            ((aging_label, pipeline), sc)
+        })
+    }));
+    let rows: Vec<Row> = (sweep.cells.iter())
+        .map(|c| (c, trace_sum(&c.out.telemetry.events)))
+        .collect();
+    for (c, sum) in &rows {
+        assert_eq!(
+            sum.num_retry,
+            c.sim().ftl.read_retries,
+            "trace NumRetry must agree with the aggregate counter"
         );
-        for p in &points {
-            csv.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
-                p.aging,
-                p.pipeline,
-                p.reads,
-                p.retry_events,
-                p.num_retry,
-                p.seeded_events,
-                p.early_terms
-            ));
-        }
-        std::fs::write(path, csv).expect("write curve CSV");
-        println!("\ncurve written to {path}");
+    }
+
+    let num_retry = |aging, pipeline| {
+        let row = rows.iter().find(|r| r.0.label == (aging, pipeline));
+        row.expect("cell ran").1.num_retry
+    };
+    // NumRetry removed relative to the same aging's baseline cell.
+    let reduction = |r: &Row| {
+        let base = num_retry(r.0.label.0, "baseline");
+        let cut = 1.0 - r.1.num_retry as f64 / base.max(1) as f64;
+        (r.0.label.1 == "v2" && base > 0).then_some(cut)
+    };
+    let reads = |r: &Row| r.0.sim().ftl.nand_reads;
+    let mut cols = Columns::<Row>::default();
+    cols.out_col("aging", "aging", |r| text(r.0.label.0));
+    cols.out_col("pipeline", "pipeline", |r| text(r.0.label.1));
+    cols.out_col("", "reads", |r| text(reads(r)));
+    cols.out_col("", "retry_events", |r| text(r.1.events));
+    cols.out_col("NumRetry", "num_retry", |r| text(r.1.num_retry));
+    cols.col("retries/read", |r| {
+        num(r.1.num_retry as f64 / reads(r).max(1) as f64, 3)
+    });
+    cols.col("retry events", |r| text(r.1.events));
+    cols.out_col("seeded", "seeded_events", |r| text(r.1.seeded));
+    cols.out_col("early term", "early_terminations", |r| {
+        text(r.1.early_terms)
+    });
+    cols.col("reduction", |r| {
+        text(reduction(r).map_or(String::new(), |cut| format!("{:.1}%", cut * 100.0)))
+    });
+    cols.table(&rows).print();
+    if let Some(path) = &args.out {
+        write_curve(path, &cols.file_table(&rows));
     }
 
     // Fresh state: the cluster has nothing to seed (offset 0 everywhere)
     // and must not disturb the run.
-    let fresh: Vec<&CurvePoint> = points.iter().filter(|p| p.aging == "fresh").collect();
     assert_eq!(
-        fresh[0].num_retry, fresh[1].num_retry,
+        num_retry("fresh", "baseline"),
+        num_retry("fresh", "v2"),
         "fresh state has no retries to remove"
     );
 
     // The tentpole bar: ≥66% NumRetry reduction at the aged state.
-    let eol: Vec<&CurvePoint> = points.iter().filter(|p| p.aging == "eol").collect();
-    let (base, v2) = (eol[0], eol[1]);
-    let reduction = 1.0 - v2.num_retry as f64 / base.num_retry.max(1) as f64;
+    let (base, v2) = (num_retry("eol", "baseline"), num_retry("eol", "v2"));
+    let reduction = 1.0 - v2 as f64 / base.max(1) as f64;
     assert!(
         reduction >= REDUCTION_BAR,
-        "v2 must cut NumRetry by >= {:.0}% at EndOfLife, got {:.1}% ({} -> {})",
+        "v2 must cut NumRetry by >= {:.0}% at EndOfLife, got {:.1}% ({base} -> {v2})",
         REDUCTION_BAR * 100.0,
         reduction * 100.0,
-        base.num_retry,
-        v2.num_retry
-    );
-
-    // Determinism: a double run of the v2 EndOfLife cell reproduces the
-    // retry trace byte for byte.
-    let again = run(&Scenario {
-        telemetry: tel,
-        ..Scenario::new(
-            FtlKind::Cube,
-            StandardWorkload::Rocks,
-            AgingState::EndOfLife,
-            &cfg,
-        )
-    });
-    assert_eq!(
-        v2.trace,
-        events_to_ndjson(&again.telemetry.events),
-        "double run must reproduce the retry trace byte-identically"
     );
 
     println!(
-        "\n(v2 cut NumRetry {} -> {} at EndOfLife, a {:.1}% reduction — cross-block",
-        base.num_retry,
-        v2.num_retry,
+        "\n(v2 cut NumRetry {base} -> {v2} at EndOfLife, a {:.1}% reduction — cross-block",
         reduction * 100.0
     );
     println!(" cluster seeding turns evicted/cold ORT lookups from full retry walks into");
-    println!(" one-step refinements, and the retry-chain optimizations shorten what's left;");
-    println!(" the double-run trace check held, so the pipeline stays deterministic)");
+    println!(" one-step refinements, and the retry-chain optimizations shorten what's left)");
 }

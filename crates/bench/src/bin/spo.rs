@@ -24,8 +24,8 @@
 //! Run with: `cargo run --release -p bench --bin spo` (`--smoke` for
 //! the CI-sized variant).
 
-use bench::{banner, run, BenchArgs, Table};
-use cubeftl::harness::{CrashReport, EvalConfig, RunOutput, Scenario, SpoConfig};
+use bench::{banner, num, text, BenchArgs, Cell, Columns, Sweep, Table};
+use cubeftl::harness::{CrashReport, EvalConfig, Scenario, SpoConfig};
 use cubeftl::{AgingState, FtlDriver, FtlKind, SpoTrigger, StandardWorkload};
 use ssdsim::HostContext;
 
@@ -35,48 +35,41 @@ fn main() {
     let cut_at = cfg.requests * 3 / 4;
 
     banner("sudden power-off — recovery cost vs checkpoint cadence (OLTP, MidLife)");
-    let mut t = Table::new([
-        "ckpt every",
-        "ckpts",
-        "scanned/total blk",
-        "OOB replayed",
-        "torn WLs",
-        "recovery ms",
-        "lost LPNs",
-    ]);
-    for interval in [0u64, 1024, 256, 64] {
+    let sweep = Sweep::run([0u64, 1024, 256, 64].map(|interval| {
         let spo = SpoConfig {
             trigger: SpoTrigger::AtOps(cut_at),
             ckpt_interval_host_wls: interval,
         };
-        let (_, r) = crash_run(&cfg, spo);
+        (interval, crash_scenario(&cfg, spo))
+    }));
+    for c in &sweep.cells {
+        let r = crash(c);
         assert_eq!(
             r.shards_cut(),
             1,
             "cut at {cut_at} of {} must fire",
             cfg.requests
         );
-        let rec = r.recoveries[0].as_ref().expect("recovery ran");
         assert!(
             r.lost_lpns.is_empty(),
-            "host-acknowledged data lost at interval {interval}: {:?}",
+            "host-acknowledged data lost at interval {}: {:?}",
+            c.label,
             r.lost_lpns
         );
-        t.row([
-            if interval == 0 {
-                "off".to_owned()
-            } else {
-                format!("{interval} WLs")
-            },
-            format!("{}", r.checkpoints_taken),
-            format!("{}/{}", rec.blocks_scanned, r.total_blocks),
-            format!("{}", rec.oob_records_replayed),
-            format!("{}", rec.torn_wls_quarantined),
-            format!("{:.3}", rec.nand_us / 1000.0),
-            format!("{}", r.lost_lpns.len()),
-        ]);
     }
-    t.print();
+    let rec = |c: &Cell<u64>| crash(c).recoveries[0].expect("recovery ran");
+    let mut cols = Columns::<Cell<u64>>::default();
+    cols.col("ckpt every", |c| text(cadence(c.label)));
+    cols.col("ckpts", |c| text(crash(c).checkpoints_taken));
+    cols.col("scanned/total blk", |c| {
+        let scanned = rec(c).blocks_scanned;
+        text(format!("{scanned}/{}", crash(c).total_blocks))
+    });
+    cols.col("OOB replayed", |c| text(rec(c).oob_records_replayed));
+    cols.col("torn WLs", |c| text(rec(c).torn_wls_quarantined));
+    cols.col("recovery ms", |c| num(rec(c).nand_us / 1000.0, 3));
+    cols.col("lost LPNs", |c| text(crash(c).lost_lpns.len()));
+    cols.table(&sweep.cells).print();
     println!(
         "\n(every row recovers the full L2P map from checkpoint + OOB scan alone and\n\
          \x20loses zero host-acknowledged writes; denser checkpoints bound the boot scan)"
@@ -89,40 +82,39 @@ fn main() {
     warmup_curve();
 }
 
+/// One OLTP mid-life crash experiment on a single Cube device.
+fn crash_scenario(cfg: &EvalConfig, spo: SpoConfig) -> Scenario {
+    let (oltp, midlife) = (StandardWorkload::Oltp, AgingState::MidLife);
+    Scenario {
+        spo: Some(spo),
+        ..Scenario::new(FtlKind::Cube, oltp, midlife, cfg)
+    }
+}
+
+fn crash<L>(c: &Cell<L>) -> &CrashReport {
+    c.out.crash.as_ref().expect("a cut was armed")
+}
+
+fn cadence(interval: u64) -> String {
+    match interval {
+        0 => "off".to_owned(),
+        n => format!("{n} WLs"),
+    }
+}
+
 /// Sweeps the crash-consistency contract over where the cut lands, not
 /// just when: a seeded Bernoulli trigger draws once per completed
 /// request, so each (cadence, rate) cell cuts at a different,
 /// reproducible point in the run — early cuts land mid-prefill-GC,
 /// late cuts after many checkpoints. Every fired cell must lose zero
 /// host-acknowledged LPNs.
-/// One OLTP mid-life crash experiment on a single Cube device.
-fn crash_run(cfg: &EvalConfig, spo: SpoConfig) -> (RunOutput, CrashReport) {
-    let out = run(&Scenario {
-        spo: Some(spo),
-        ..Scenario::new(
-            FtlKind::Cube,
-            StandardWorkload::Oltp,
-            AgingState::MidLife,
-            cfg,
-        )
-    });
-    let crash = out.crash.clone().expect("a cut was armed");
-    (out, crash)
-}
-
 fn cadence_rate_grid(cfg: &EvalConfig) {
     let mut cfg = cfg.clone();
     cfg.requests = cfg.requests.min(6_000);
     let rates = [0.0005, 0.002, 0.008];
-    let mut t = Table::new(["ckpt \\ rate", "0.0005", "0.002", "0.008"]);
-    let mut fired_cells = 0u32;
-    for interval in [0u64, 256, 64] {
-        let mut cells = vec![if interval == 0 {
-            "off".to_owned()
-        } else {
-            format!("{interval} WLs")
-        }];
-        for (i, &rate) in rates.iter().enumerate() {
+    let sweep = Sweep::run([0u64, 256, 64].iter().flat_map(|&interval| {
+        let cfg = &cfg;
+        rates.iter().enumerate().map(move |(i, &rate)| {
             let spo = SpoConfig {
                 // One seed per cell: the cut point varies across the
                 // grid but every cell is individually reproducible.
@@ -132,24 +124,33 @@ fn cadence_rate_grid(cfg: &EvalConfig) {
                 },
                 ckpt_interval_host_wls: interval,
             };
-            let (out, r) = crash_run(&cfg, spo);
-            assert!(
-                r.lost_lpns.is_empty(),
-                "lost {} host-acknowledged LPNs at cadence {interval}, rate {rate}",
-                r.lost_lpns.len()
-            );
-            cells.push(if let Some(rec) = &r.recoveries[0] {
-                fired_cells += 1;
-                format!(
-                    "cut@{} ({:.1}ms, 0 lost)",
-                    out.sim().completed,
-                    rec.nand_us / 1000.0
-                )
-            } else {
-                "no cut".to_owned()
-            });
+            ((interval, rate), crash_scenario(cfg, spo))
+        })
+    }));
+    let mut fired_cells = 0;
+    for c in &sweep.cells {
+        let r = crash(c);
+        assert!(
+            r.lost_lpns.is_empty(),
+            "lost {} host-acknowledged LPNs at cadence {}, rate {}",
+            r.lost_lpns.len(),
+            c.label.0,
+            c.label.1
+        );
+        fired_cells += u32::from(r.recoveries[0].is_some());
+    }
+    // One table row per cadence, one column per rate.
+    let outcome = |c: &Cell<(u64, f64)>| match &crash(c).recoveries[0] {
+        Some(rec) => {
+            let (cut, ms) = (c.sim().completed, rec.nand_us / 1000.0);
+            format!("cut@{cut} ({ms:.1}ms, 0 lost)")
         }
-        t.row(cells);
+        None => "no cut".to_owned(),
+    };
+    let mut t = Table::new(["ckpt \\ rate", "0.0005", "0.002", "0.008"]);
+    for row in sweep.cells.chunks(rates.len()) {
+        let cells = row.iter().map(outcome);
+        t.row(std::iter::once(cadence(row[0].label.0)).chain(cells));
     }
     t.print();
     assert!(

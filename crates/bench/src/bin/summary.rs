@@ -4,11 +4,11 @@
 //! Run with: `cargo run --release -p bench --bin summary` (add `--full`
 //! for the paper-scale SSD in the simulation rows).
 
-use bench::{banner, eval, paper_chip, BenchArgs, Table};
+use bench::{banner, delta_h_of, delta_v_of, eval, paper_chip, program_blocks, read_passes};
+use bench::{BenchArgs, Table};
 use cubeftl::{AgingState, FtlKind, ProgramOrder, StandardWorkload};
-use ftl::Opm;
 use nand3d::ispp::split_margin_mv;
-use nand3d::{delta_h, delta_v, BlockId, ProgramParams, ReadParams, WlData};
+use nand3d::{BlockId, ProgramParams};
 
 fn main() {
     let cfg = BenchArgs::parse(false).cfg;
@@ -17,19 +17,13 @@ fn main() {
     // --- Device-level anchors ------------------------------------------
     let chip = paper_chip();
     let g = *chip.geometry();
-    let rel = chip.reliability();
     let process = chip.process();
 
     // ΔH.
-    let mut max_dh: f64 = 0.0;
-    for b in (0..g.blocks_per_chip).step_by(16) {
-        for h in (0..g.hlayers_per_block).step_by(3) {
-            let bers: Vec<f64> = (0..g.wls_per_hlayer)
-                .map(|v| rel.ber(process, g.wl_addr(BlockId(b), h, v), 2000, 12.0))
-                .collect();
-            max_dh = max_dh.max(delta_h(&bers));
-        }
-    }
+    let blocks = (0..g.blocks_per_chip).step_by(16);
+    let hlayers = (0..g.hlayers_per_block).step_by(3);
+    let dhs = delta_h_of(&chip, blocks, hlayers, (2000, 12.0));
+    let max_dh = dhs.iter().fold(0.0, |max, &dh| dh.max(max));
     t.row([
         "max ΔH (intra-layer)",
         "≈1",
@@ -38,39 +32,22 @@ fn main() {
     ]);
 
     // ΔV.
-    let avg_dv = |pe: u32, months: f64| -> f64 {
-        (0..48u32)
-            .map(|b| {
-                let bers: Vec<f64> = (0..g.hlayers_per_block)
-                    .map(|h| rel.ber(process, g.wl_addr(BlockId(b), h, 0), pe, months))
-                    .collect();
-                delta_v(&bers)
-            })
-            .sum::<f64>()
-            / 48.0
-    };
+    let avg_dv = |aging| delta_v_of(&chip, 0..48, aging).iter().sum::<f64>() / 48.0;
     t.row([
         "ΔV fresh",
         "1.6",
-        &format!("{:.2}", avg_dv(0, 0.0)),
+        &format!("{:.2}", avg_dv((0, 0.0))),
         "Fig. 6",
     ]);
     t.row([
         "ΔV 2K P/E + 1 yr",
         "2.3",
-        &format!("{:.2}", avg_dv(2000, 12.0)),
+        &format!("{:.2}", avg_dv((2000, 12.0))),
         "Fig. 6",
     ]);
 
     // Per-block ΔV quartile spread.
-    let mut dvs: Vec<f64> = (0..128u32)
-        .map(|b| {
-            let bers: Vec<f64> = (0..g.hlayers_per_block)
-                .map(|h| rel.ber(process, g.wl_addr(BlockId(b), h, 0), 2000, 12.0))
-                .collect();
-            delta_v(&bers)
-        })
-        .collect();
+    let mut dvs = delta_v_of(&chip, 0..128, (2000, 12.0));
     dvs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let spread = (dvs[dvs.len() * 3 / 4] / dvs[dvs.len() / 4] - 1.0) * 100.0;
     t.row([
@@ -93,9 +70,8 @@ fn main() {
     t.row(["tREAD (no retry)", "≈80 µs", "80 µs", "§5.1"]);
 
     // VFY skip, window shrink, combined, vertFTL-style (averaged).
-    let mut sums = [0.0f64; 4]; // default, skip-only, 320mv-only, combined
+    let mut sums = [0.0f64; 5]; // default, skip-only, 320mv-only, combined, vertFTL
     let mut max_combined: f64 = 0.0;
-    let mut n = 0.0;
     for b in 0..16u32 {
         for h in (0..g.hlayers_per_block).step_by(4) {
             let chars = engine.characterize(process, g.wl_addr(BlockId(b), h, 1), chip.env(), 0);
@@ -121,15 +97,19 @@ fn main() {
             combined.v_start_up_mv = up;
             combined.v_final_down_mv = down;
             let comb_out = engine.program(&chars, &combined).unwrap();
+            // vertFTL: the static guard step, on V_Final only.
+            let vert = ProgramParams {
+                v_final_down_mv: engine.ispp_model().delta_v_ispp_mv,
+                ..ProgramParams::default()
+            };
             sums[0] += default.latency_us;
             sums[1] += skip_out.latency_us;
             sums[2] += win.latency_us;
             sums[3] += comb_out.latency_us;
+            sums[4] += engine.program(&chars, &vert).unwrap().latency_us;
             max_combined = max_combined.max(1.0 - comb_out.latency_us / default.latency_us);
-            n += 1.0;
         }
     }
-    let _ = n;
     t.row([
         "VFY-skip tPROG reduction (avg)",
         "16.2%",
@@ -155,54 +135,20 @@ fn main() {
         "§6.1",
     ]);
 
-    // vertFTL static reduction.
-    let mut vert_sum = 0.0;
-    let mut def_sum = 0.0;
-    for b in 0..16u32 {
-        for h in (0..g.hlayers_per_block).step_by(4) {
-            let chars = engine.characterize(process, g.wl_addr(BlockId(b), h, 1), chip.env(), 0);
-            def_sum += engine
-                .program(&chars, &ProgramParams::default())
-                .unwrap()
-                .latency_us;
-            vert_sum += engine
-                .program(
-                    &chars,
-                    &ProgramParams {
-                        v_final_down_mv: engine.ispp_model().delta_v_ispp_mv,
-                        ..ProgramParams::default()
-                    },
-                )
-                .unwrap()
-                .latency_us;
-        }
-    }
     t.row([
         "vertFTL tPROG reduction",
         "≈8%",
-        &format!("{:.1}%", 100.0 * (1.0 - vert_sum / def_sum)),
+        &format!("{:.1}%", 100.0 * (1.0 - sums[4] / sums[0])),
         "§6.2",
     ]);
 
     // Program-order equivalence.
     let mut order_chip = paper_chip();
-    let mut means = Vec::new();
-    for order in ProgramOrder::ALL {
-        let mut sum = 0.0;
-        let mut count = 0.0;
-        for rep in 0..4u32 {
-            let b = BlockId(200 + rep);
-            order_chip.erase(b).unwrap();
-            for wl in order.sequence(&g, b).collect::<Vec<_>>() {
-                sum += order_chip
-                    .program_wl(wl, WlData::host(0), &ProgramParams::default())
-                    .unwrap()
-                    .post_ber;
-                count += 1.0;
-            }
-        }
-        means.push(sum / count);
-    }
+    let means = ProgramOrder::ALL.map(|order| {
+        let blocks = (0..4u32).map(|rep| BlockId(200 + rep));
+        let bers = program_blocks(&mut order_chip, blocks, order);
+        bers.iter().sum::<f64>() / bers.len() as f64
+    });
     let omax = means.iter().cloned().fold(f64::MIN, f64::max);
     let omin = means.iter().cloned().fold(f64::MAX, f64::min);
     t.row([
@@ -214,41 +160,18 @@ fn main() {
 
     // NumRetry reduction (Fig. 14 protocol).
     let mut retry_chip = paper_chip();
-    for b in 0..8u32 {
-        retry_chip.erase(BlockId(b)).unwrap();
-        for wl in g.wls_of_block(BlockId(b)).collect::<Vec<_>>() {
-            retry_chip
-                .program_wl(wl, WlData::host(0), &ProgramParams::default())
-                .unwrap();
-        }
-    }
+    let blocks: Vec<BlockId> = (0..8).map(BlockId).collect();
+    program_blocks(
+        &mut retry_chip,
+        blocks.iter().copied(),
+        ProgramOrder::HorizontalFirst,
+    );
     retry_chip.set_aging(AgingState::EndOfLife);
-    let mut opm = Opm::new(&g, 1);
-    let mut unaware = 0u64;
-    let mut aware = 0u64;
-    let mut reads = 0u64;
-    for _pass in 0..2 {
-        for b in 0..8u32 {
-            for wl in g.wls_of_block(BlockId(b)).collect::<Vec<_>>() {
-                for page in g.pages_of_wl(wl).collect::<Vec<_>>() {
-                    let r = retry_chip.read_page(page, ReadParams::default()).unwrap();
-                    unaware += u64::from(r.retries);
-                    let start = opm.read_offset(0, wl);
-                    let r = retry_chip
-                        .read_page(page, ReadParams::from_offset(start))
-                        .unwrap();
-                    opm.update_read_offset(0, wl, r.final_offset);
-                    aware += u64::from(r.retries);
-                    reads += 1;
-                }
-            }
-        }
-    }
-    let _ = reads;
+    let n = read_passes(&mut retry_chip, &blocks);
     t.row([
         "NumRetry reduction (PS-aware)",
         "66%",
-        &format!("{:.0}%", 100.0 * (1.0 - aware as f64 / unaware as f64)),
+        &format!("{:.0}%", 100.0 * (1.0 - n.aware as f64 / n.unaware as f64)),
         "Fig. 14",
     ]);
 
@@ -277,24 +200,8 @@ fn main() {
         "Fig. 17(c)",
     ]);
 
-    let page_rocks = eval(
-        FtlKind::Page,
-        StandardWorkload::Rocks,
-        AgingState::Fresh,
-        &cfg,
-    );
-    let minus_rocks = eval(
-        FtlKind::CubeMinus,
-        StandardWorkload::Rocks,
-        AgingState::Fresh,
-        &cfg,
-    );
-    let cube_rocks = eval(
-        FtlKind::Cube,
-        StandardWorkload::Rocks,
-        AgingState::Fresh,
-        &cfg,
-    );
+    let [page_rocks, minus_rocks, cube_rocks] = [FtlKind::Page, FtlKind::CubeMinus, FtlKind::Cube]
+        .map(|kind| eval(kind, StandardWorkload::Rocks, AgingState::Fresh, &cfg));
     t.row([
         "p90 write latency, pageFTL/cubeFTL (Rocks)",
         "1.53x",

@@ -31,7 +31,7 @@ pub mod rng;
 pub mod ycsb;
 pub mod zipf;
 
-pub use lsm::{KvConfig, KvEvent, KvStats, LsmTree, PAGE_BYTES};
+pub use lsm::{KvConfig, KvEvent, KvStats, LsmTree, ENTRY_HEADER_BYTES, PAGE_BYTES};
 pub use rng::{splitmix64, SplitMix};
 pub use ycsb::{KvOp, YcsbGen, YcsbKind};
 pub use zipf::IntZipf;

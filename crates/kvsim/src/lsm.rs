@@ -29,6 +29,10 @@ use std::collections::{BTreeMap, VecDeque};
 /// simulator's 16-KiB page).
 pub const PAGE_BYTES: u32 = 16 * 1024;
 
+/// Bytes of key, fingerprint and length header in front of every
+/// entry's value payload inside an SST page.
+pub const ENTRY_HEADER_BYTES: u32 = 24;
+
 /// Largest single span the engine emits (pages); longer SST reads and
 /// writes are chunked so request sizes stay in the range the device
 /// model was calibrated for — and, crucially, within the simulator's
@@ -77,7 +81,7 @@ impl KvConfig {
     /// Bytes one entry occupies inside an SST page (key, fingerprint
     /// and length header plus the value payload).
     pub fn entry_bytes(&self) -> u32 {
-        24 + self.value_bytes
+        ENTRY_HEADER_BYTES + self.value_bytes
     }
 
     /// Entries packed per device page (at least one).
@@ -103,7 +107,10 @@ impl KvConfig {
     pub fn validate(&self) {
         assert!(self.keys >= 1, "need at least one key");
         assert!(self.value_bytes >= 1, "need a value payload");
-        assert!(self.value_bytes <= PAGE_BYTES - 24, "value must fit a page");
+        assert!(
+            self.value_bytes <= PAGE_BYTES - ENTRY_HEADER_BYTES,
+            "value must fit a page"
+        );
         assert!(self.memtable_entries >= 1, "need a memtable");
         assert!(self.sst_entries >= 1, "need SST capacity");
         assert!(self.l0_files >= 2, "L0 trigger must be at least 2");

@@ -74,6 +74,9 @@ impl std::fmt::Display for AgingState {
     }
 }
 
+/// The plausible operating range of the ambient temperature, °C.
+pub const AMBIENT_CELSIUS_RANGE: std::ops::RangeInclusive<f64> = -40.0..=125.0;
+
 /// Reference ambient temperature of the paper's evaluation (§6.2: all
 /// aging states are evaluated at 30 °C).
 pub const REFERENCE_CELSIUS: f64 = 30.0;
@@ -296,10 +299,10 @@ impl Environment {
     ///
     /// # Panics
     ///
-    /// Panics outside the plausible operating range −40..=125 °C.
+    /// Panics outside [`AMBIENT_CELSIUS_RANGE`].
     pub fn set_ambient_celsius(&mut self, celsius: f64) {
         assert!(
-            (-40.0..=125.0).contains(&celsius),
+            AMBIENT_CELSIUS_RANGE.contains(&celsius),
             "temperature out of operating range"
         );
         self.ambient_celsius = celsius;

@@ -65,7 +65,9 @@ pub use chip::{
 };
 pub use config::{CalibratedModel, NandConfig, NandTiming};
 pub use ecc::{DecodeMode, EccModel};
-pub use environment::{AgingState, Environment, ACTIVATION_ENERGY_EV, REFERENCE_CELSIUS};
+pub use environment::{
+    AgingState, Environment, ACTIVATION_ENERGY_EV, AMBIENT_CELSIUS_RANGE, REFERENCE_CELSIUS,
+};
 pub use error::NandError;
 pub use faults::{
     FaultCounters, FaultInjector, FaultKind, FaultPlan, ProgramFault, ReadFaultKind, TargetedFault,

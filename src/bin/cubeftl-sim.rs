@@ -26,6 +26,11 @@
 //!
 //! `--fault-rate` enables seeded fault injection (repeatable); CLASS is one
 //! of `ispp-outlier`, `ber-spike`, `stuck-retry`, `uncorrectable`, `abort`.
+//! RATE is a probability; an `abort` rate above
+//! `harness::MAX_PROGRAM_ABORT_RATE` (0.3) is rejected (aborted WLs eat the space GC
+//! needs). `--temp` takes −40 to 125 °C and `--kv-value-bytes` at most
+//! 16360 (a page less the entry header); `Scenario::validate` owns all
+//! three checks.
 //!
 //! `--maint` enables the background maintenance subsystem (retention
 //! scrubbing, wear leveling, OPM re-monitoring) with default thresholds;
@@ -212,7 +217,7 @@
 
 use cubeftl::harness::{
     ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, KvSpec, Phase, QosSpec, RunOutput,
-    Scenario, ScenarioError, SpoConfig, TelemetrySpec, WorkloadSource,
+    Scenario, ScenarioError, SpoConfig, TelemetrySpec, WorkloadSource, MAX_PROGRAM_ABORT_RATE,
 };
 use cubeftl::{
     events_to_ndjson, AgingState, ArrayReport, EventMask, FaultKind, FaultPlan, FtlKind,
@@ -320,9 +325,10 @@ fn usage() {
          \x20                  [--kv-levels N] [--capture-trace-out PATH]\n\
          \x20                  [--trace-out PATH] [--trace-events SPEC] [--metrics-out PATH]\n\
          \x20                  [--series-out PATH] [--sample-interval-us T]\n\
-         \x20 CLASS: ispp-outlier|ber-spike|stuck-retry|uncorrectable|abort\n\
+         \x20 CLASS: ispp-outlier|ber-spike|stuck-retry|uncorrectable|abort (abort RATE <= {})\n\
          \x20 SPEC:  all|none|comma list of {}\n\
          \x20 W:     mail|web|proxy|oltp|rocks|mongo or a YCSB KV kind a|b|c|d|f",
+        MAX_PROGRAM_ABORT_RATE,
         EventMask::name_list(",")
     );
 }
@@ -613,9 +619,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     if arr.shards > 1 && fc.fail.is_some() && fail_seed.is_some() {
         return message("--fail-shard and --fail-seed are exclusive: pick one");
     }
-    let runs_kv = matches!(&source, WorkloadSource::Phases(p)
-        if p.iter().any(|w| matches!(w, TenantMix::Kv(_))));
-    if kv_knob_seen && !runs_kv {
+    if kv_knob_seen && !source.names_kv() {
         return message(
             "KV engine knobs (--kv-*) shape the kvsim engine: pass --kv KIND \
              or a KV phase in --lifetime-workloads",

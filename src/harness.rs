@@ -40,9 +40,9 @@
 
 use ftl::{Ftl, FtlConfig, FtlKind, MaintConfig, OrtClusterConfig, RecoveryReport};
 use hostq::{split_arrival_budget, split_even_budget, HostQueueConfig, HostQueueFront, QosReport};
-use kvsim::{KvAppReport, KvConfig, KvEvent};
+use kvsim::{KvAppReport, KvConfig, KvEvent, ENTRY_HEADER_BYTES, PAGE_BYTES};
 use lifetime::{EpochSummary, LifetimeConfig, LifetimeEngine};
-use nand3d::{AgingState, FaultPlan, RetryOptConfig};
+use nand3d::{AgingState, FaultPlan, RetryOptConfig, AMBIENT_CELSIUS_RANGE};
 use ssdarray::{
     ArrayReport, ArrayShard, PageRole, ParityRouter, RebuildPlan, ResilienceReport, SsdArray,
 };
@@ -582,6 +582,14 @@ pub enum WorkloadSource {
     Trace(Trace),
 }
 
+impl WorkloadSource {
+    /// Whether any phase runs a KV personality (a [`kvsim`] engine).
+    pub fn names_kv(&self) -> bool {
+        matches!(self, WorkloadSource::Phases(p)
+            if p.iter().any(|mix| matches!(mix, TenantMix::Kv(_))))
+    }
+}
+
 impl From<TenantMix> for WorkloadSource {
     fn from(mix: TenantMix) -> Self {
         WorkloadSource::Phases(vec![mix])
@@ -606,6 +614,15 @@ impl From<Vec<TenantMix>> for WorkloadSource {
     }
 }
 
+/// The largest [`FaultKind::ProgramAbort`](nand3d::FaultKind) rate a
+/// scenario may ask for (`--fault-rate abort=RATE`). An aborted WL stays
+/// erased but spent, so a high rate eats the over-provisioned space GC
+/// lives on. Measured on every `--ftl` kind at `--blocks 16` over seeds
+/// 1..8: 0.3 completed every run tried (12 000 OLTP and Mail requests,
+/// 3 000 of each workload); 0.4 starves GC at 12 000 OLTP requests and
+/// 0.5 at 3 000, and 0.7 and up leave WAM without an active block.
+pub const MAX_PROGRAM_ABORT_RATE: f64 = 0.3;
+
 /// Why a [`Scenario`] cannot run. The messages name the `cubeftl-sim`
 /// flag behind each field, since the CLI prints them verbatim. Every
 /// rejected *combination* of features gives its reason in one line: it
@@ -623,6 +640,13 @@ pub enum ScenarioError {
     /// The block count per chip is below what GC and the active blocks
     /// need, or its pages overflow the mapping's 32-bit page index.
     BlocksOutOfRange { blocks: u32, min: u32, max: u32 },
+    /// An ambient temperature outside [`nand3d::AMBIENT_CELSIUS_RANGE`].
+    TempOutOfRange(f64),
+    /// A KV value that, with its entry header, does not fit a device
+    /// page (`max` = `kvsim::PAGE_BYTES - kvsim::ENTRY_HEADER_BYTES`).
+    KvValueTooLarge { bytes: u32, max: u32 },
+    /// A program-abort fault rate above [`MAX_PROGRAM_ABORT_RATE`].
+    AbortRateTooHigh(f64),
     /// A series sampling interval finer than any simulated operation:
     /// the sampler emits one row per interval of virtual time, so the
     /// run would not end.
@@ -687,6 +711,21 @@ impl std::fmt::Display for ScenarioError {
             BlocksOutOfRange { blocks, min, max } => write!(
                 f,
                 "{blocks} blocks per chip is out of range: this configuration takes {min} to {max}"
+            ),
+            TempOutOfRange(celsius) => write!(
+                f,
+                "--temp {celsius} is outside the operating range: use {} to {} °C",
+                AMBIENT_CELSIUS_RANGE.start(),
+                AMBIENT_CELSIUS_RANGE.end()
+            ),
+            KvValueTooLarge { bytes, max } => write!(
+                f,
+                "--kv-value-bytes {bytes} does not fit a page: use at most {max}"
+            ),
+            AbortRateTooHigh(rate) => write!(
+                f,
+                "--fault-rate abort={rate} is more than the device can absorb: \
+                 use at most {MAX_PROGRAM_ABORT_RATE}"
             ),
             SampleIntervalTooSmall {
                 interval_us,
@@ -1306,6 +1345,14 @@ impl Scenario {
             !(min..=max).contains(&blocks),
             BlocksOutOfRange { blocks, min, max },
         )?;
+        let celsius = self.cfg.ambient_celsius;
+        let in_range = AMBIENT_CELSIUS_RANGE.contains(&celsius);
+        check(!in_range, TempOutOfRange(celsius))?;
+        let (bytes, max) = (self.kv.value_bytes, PAGE_BYTES - ENTRY_HEADER_BYTES);
+        let too_large = self.workload.names_kv() && bytes > max;
+        check(too_large, KvValueTooLarge { bytes, max })?;
+        let abort = self.cfg.faults.as_ref().map_or(0.0, |f| f.abort_rate);
+        check(abort > MAX_PROGRAM_ABORT_RATE, AbortRateTooHigh(abort))?;
         if let Some(interval_us) = self.telemetry.sample_interval_us {
             // 1 µs: below the shortest simulated operation.
             let min_us = 1.0;

@@ -201,6 +201,26 @@ cases! {
     rejects_oversized_trace_write: "--ftl cube --blocks 16 --trace-file tests/data/oversized_write.csv";
     rejects_too_few_blocks: "--ftl cube --blocks 4";
     rejects_too_many_blocks: "--ftl cube --blocks 4000000000";
+    rejects_temp_out_of_range: "--ftl cube --blocks 16 --temp 1e9";
+    rejects_kv_value_larger_than_a_page: "--ftl cube --blocks 16 --kv a --kv-value-bytes 16385";
+    rejects_abort_rate_the_device_cannot_absorb: "--ftl cube --blocks 16 --requests 500 \
+                                                  --fault-rate abort=0.8";
+}
+
+/// The last value inside each range `Scenario::validate` checks is not
+/// rejected with its neighbour.
+#[test]
+fn boundary_values_of_the_checked_ranges_still_run() {
+    for flags in [
+        "--temp -40",
+        "--temp 125",
+        "--kv a --kv-value-bytes 16360",
+        "--fault-rate abort=0.3",
+    ] {
+        let line = format!("--ftl cube --blocks 16 --requests 500 {flags}");
+        let seen = observe("boundary_values", &line);
+        assert!(seen.contains("\nexit: Some(0)\n"), "{seen}");
+    }
 }
 
 #[test]
