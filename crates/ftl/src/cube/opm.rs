@@ -12,8 +12,10 @@
 //!   the most recent working `ΔV_Ref` offset per h-layer (2 bytes per
 //!   h-layer in the paper's encoding, ~0.001% space overhead).
 //!
-//! Both live in one flat table per chip with a slot per h-layer of
-//! every block, allocated once: every operation is an index, and an
+//! Both live in flat per-chip tables with a slot per h-layer of every
+//! block, allocated once — the program parameters in 88-byte
+//! `LayerSlot`s, the ORT in a 4-byte-per-entry table of its own, which
+//! is all a page read touches: every operation is an index, and an
 //! erase touches one block's h-layers however large the device is.
 
 use crate::config::OrtClusterConfig;
@@ -76,20 +78,25 @@ impl LeaderParams {
     }
 }
 
-/// One cached `ΔV_Ref` offset plus its LRU stamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct OrtEntry {
+/// One h-layer's ORT entry: the last known good read offset, while
+/// `present`. Four bytes, in a table of their own beside the
+/// [`LayerSlot`]s, because a page read needs nothing else from the OPM:
+/// at 256 blocks a chip's whole ORT is 48 KB and stays cache-resident
+/// where the slot table (88 B per h-layer) cannot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct OrtSlot {
     offset: u8,
+    present: bool,
     /// Q8.8 EWMA of the key's decoded offsets — only maintained in
     /// smoothed mode (cluster enabled), where `offset` is its rounding.
     /// Smoothing filters the per-read ±1 thermal jitter out of the
     /// cached start, so warm reads launch from the jitter-free optimum
     /// instead of chasing the previous read's jitter.
     ewma_q8: u16,
-    stamp: u64,
 }
 
-/// Everything the OPM holds about one h-layer of one block. The paper's
+/// Everything the OPM holds about one h-layer of one block besides its
+/// [`OrtSlot`]: what a program needs to know. The paper's
 /// OPM is a table indexed by position (§5.1) and so is this one: a
 /// chip's slots sit at `block * hlayers_per_block + h`, so every lookup
 /// is an index and an erase clears one contiguous run of slots.
@@ -115,51 +122,65 @@ struct LayerSlot {
     /// crash recovery for torn or resumed h-layers whose pre-cut offsets
     /// are no longer trustworthy.
     quarantined: bool,
-    /// The ORT entry: the last known good read offset, while cached. It
-    /// describes the cells' read behaviour, not a program, so unlike the
-    /// fields above it survives the block's erase.
-    ort: Option<OrtEntry>,
 }
 
-/// One chip's slot table and the bookkeeping of its capacity-bounded ORT.
+/// One chip's slot table, its ORT and the bookkeeping of the ORT's
+/// capacity bound.
 ///
 /// The paper sizes the ORT at ~2 bytes per h-layer of the whole device
 /// (§5.1); a real controller holds it in scarce SRAM, so it is modelled
-/// as a cache: at most `capacity` slots per chip hold an [`OrtEntry`],
-/// and caching one more evicts the least recently used. A lookup miss
-/// falls back to the default offset (0 — read reference unshifted). With
+/// as a cache: at most `capacity` entries per chip are present, and
+/// caching one more evicts the least recently used. A lookup miss falls
+/// back to the default offset (0 — read reference unshifted). With
 /// `capacity` equal to the slot count (the default) nothing is ever
 /// evicted and the ORT is the paper's full table.
 #[derive(Debug, Clone)]
 struct ChipTable {
     slots: Vec<LayerSlot>,
-    /// Indices of the slots holding an ORT entry, in no particular
-    /// order: an eviction scans these (at most `capacity`) slots rather
-    /// than the table, and their number is the entry count.
+    /// The ORT, indexed like `slots`. An entry describes the cells' read
+    /// behaviour, not a program, so it survives the block's erase.
+    ort: Vec<OrtSlot>,
+    /// LRU stamp of each present entry, indexed like `slots` — empty
+    /// unless `capacity` is below the slot count: a full table never
+    /// evicts, so it keeps (and on every hit dirties) no recency at all.
+    stamps: Vec<u64>,
+    /// Indices of the present entries, in no particular order: an
+    /// eviction scans these (at most `capacity`) stamps rather than the
+    /// table, and their number is the entry count.
     cached: Vec<u32>,
     capacity: usize,
-    /// Monotonic access counter, bumped by every `ort_get` and
-    /// `ort_insert`; stamps are unique per entry, so the LRU victim is
+    /// Monotonic access counter, bumped by every touch of a present
+    /// entry; stamps are unique per entry, so the LRU victim is
     /// unambiguous.
     tick: u64,
 }
 
 impl ChipTable {
     fn new(slots: usize, capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         ChipTable {
             slots: vec![LayerSlot::default(); slots],
+            ort: vec![OrtSlot::default(); slots],
+            stamps: vec![0; if capacity < slots { slots } else { 0 }],
             cached: Vec::new(),
-            capacity: capacity.max(1),
+            capacity,
             tick: 0,
+        }
+    }
+
+    /// Marks entry `i` the most recently used (bounded tables only).
+    fn touch(&mut self, i: usize) {
+        if let Some(stamp) = self.stamps.get_mut(i) {
+            self.tick += 1;
+            *stamp = self.tick;
         }
     }
 
     /// Slot `i`'s cached offset, bumping the entry's recency.
     fn ort_get(&mut self, i: usize) -> Option<u8> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.slots[i].ort.as_mut().map(|e| {
-            e.stamp = tick;
+        let e = self.ort[i];
+        e.present.then(|| {
+            self.touch(i);
             e.offset
         })
     }
@@ -169,36 +190,32 @@ impl ChipTable {
     /// the new decode into the entry's Q8.8 EWMA (weight 1/4) and caches
     /// its rounding; otherwise the entry stores the decode verbatim.
     fn ort_insert(&mut self, i: usize, offset: u8, smooth: bool) -> bool {
-        self.tick += 1;
-        let stamp = self.tick;
-        let mut fresh = OrtEntry {
+        let old = self.ort[i];
+        let mut fresh = OrtSlot {
             offset,
+            present: true,
             ewma_q8: u16::from(offset) << 8,
-            stamp,
         };
-        if let Some(e) = &mut self.slots[i].ort {
-            if smooth {
-                let ewma = (u32::from(e.ewma_q8) * 3 + u32::from(fresh.ewma_q8)) / 4;
-                fresh.offset = (((ewma + 128) >> 8) as u8).min(MAX_OFFSET_INDEX);
-                fresh.ewma_q8 = ewma as u16;
-            }
-            *e = fresh;
-            return false;
+        if old.present && smooth {
+            let ewma = (u32::from(old.ewma_q8) * 3 + u32::from(fresh.ewma_q8)) / 4;
+            fresh.offset = (((ewma + 128) >> 8) as u8).min(MAX_OFFSET_INDEX);
+            fresh.ewma_q8 = ewma as u16;
         }
-        let evicted = self.cached.len() >= self.capacity;
+        let evicted = !old.present && self.cached.len() >= self.capacity;
         if evicted {
-            let slots = &self.slots;
+            let stamps = &self.stamps;
             let lru = self
                 .cached
                 .iter_mut()
-                .min_by_key(|s| slots[**s as usize].ort.map(|e| e.stamp))
+                .min_by_key(|s| stamps[**s as usize])
                 .expect("capacity is at least 1");
-            self.slots[*lru as usize].ort = None;
+            self.ort[*lru as usize].present = false;
             *lru = i as u32;
-        } else {
+        } else if !old.present {
             self.cached.push(i as u32);
         }
-        self.slots[i].ort = Some(fresh);
+        self.ort[i] = fresh;
+        self.touch(i);
         evicted
     }
 }
@@ -476,10 +493,7 @@ impl Opm {
         for slot in &mut self.chips[chip].slots[first..first + self.hlayers] {
             self.pending -= usize::from(slot.leader.is_some());
             self.demoted -= usize::from(slot.demoted);
-            *slot = LayerSlot {
-                ort: slot.ort,
-                ..LayerSlot::default()
-            };
+            *slot = LayerSlot::default();
         }
     }
 
@@ -541,16 +555,14 @@ impl Opm {
     /// default) and counts a fallback when it lands on the default, so
     /// `ort_fallbacks` agrees between the read path and prediction.
     pub fn peek_offset(&self, chip: usize, wl: WlAddr) -> u8 {
-        match self.slot(chip, wl).ort {
-            Some(e) => e.offset,
-            None => match self.cluster_seed(chip, wl) {
-                Some(offset) => offset,
-                None => {
-                    self.ort_fallbacks.set(self.ort_fallbacks.get() + 1);
-                    0
-                }
-            },
+        let e = self.chips[chip].ort[self.index(wl.block.0, wl.h.0)];
+        if e.present {
+            return e.offset;
         }
+        self.cluster_seed(chip, wl).unwrap_or_else(|| {
+            self.ort_fallbacks.set(self.ort_fallbacks.get() + 1);
+            0
+        })
     }
 
     /// Scores a seeded lookup against the offset the decode actually
@@ -839,13 +851,14 @@ mod tests {
 
     #[test]
     fn ort_memory_matches_paper_overhead_estimate() {
-        // §5.1: ~2 bytes per h-layer → ~10 MB for a 1-TB SSD. At full
-        // capacity the per-chip bound is one entry per h-layer per block.
+        // §5.1: ~2 bytes per h-layer → ~10 MB for a 1-TB SSD (this
+        // model's entry is 4). At full capacity the per-chip bound is
+        // one entry per h-layer per block.
         let config = NandConfig::paper();
         let opm = Opm::new(&config.geometry, 8);
         let per_chip = opm.ort_capacity();
         assert_eq!(per_chip, 428 * 48);
-        let bytes_total = per_chip * 2 * 8;
+        let bytes_total = per_chip * std::mem::size_of::<OrtSlot>() * 8;
         let ssd_bytes = config.geometry.bytes_per_chip() * 8;
         let overhead = bytes_total as f64 / ssd_bytes as f64;
         assert!(overhead < 1e-4, "ORT overhead {overhead}");
@@ -854,7 +867,29 @@ mod tests {
     #[test]
     fn slot_size_matches_the_design_notes() {
         // DESIGN.md "OPM memory" quotes bytes per h-layer from this.
-        assert_eq!(std::mem::size_of::<LayerSlot>(), 112);
+        assert_eq!(std::mem::size_of::<LayerSlot>(), 88);
+    }
+
+    #[test]
+    fn ort_entry_is_four_bytes() {
+        assert_eq!(std::mem::size_of::<OrtSlot>(), 4);
+    }
+
+    #[test]
+    fn unbounded_ort_allocates_no_stamps() {
+        let (mut opm, chip) = setup();
+        let g = *chip.geometry();
+        for block in 0..g.blocks_per_chip {
+            for h in 0..g.hlayers_per_block {
+                let wl = g.wl_addr(nand3d::BlockId(block), h, 0);
+                opm.update_read_offset(0, wl, 2);
+                assert_eq!(opm.read_offset(0, wl), 2);
+            }
+        }
+        assert!(opm.chips.iter().all(|c| c.stamps.capacity() == 0));
+        assert_eq!(opm.chips[0].tick, 0, "a full table keeps no recency");
+        let bounded = Opm::with_ort_capacity(&g, 1, 4);
+        assert_eq!(bounded.chips[0].stamps.len(), bounded.chips[0].slots.len());
     }
 
     #[test]
@@ -1044,6 +1079,16 @@ mod tests {
     }
 
     type Key = (usize, u32, u16);
+
+    /// The reference's ORT entry: one cached `ΔV_Ref` offset, its Q8.8
+    /// EWMA and its LRU stamp, as the table held them before the ORT
+    /// became [`OrtSlot`]s beside the slots.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct OrtEntry {
+        offset: u8,
+        ewma_q8: u16,
+        stamp: u64,
+    }
 
     /// The OPM as it was before the slot table — one hash container per
     /// field keyed by `(chip, block, h)`, erase by `retain`, LRU victim

@@ -19,7 +19,7 @@ use crate::faults::{FaultCounters, FaultInjector, FaultPlan, ProgramFault, ReadF
 use crate::geometry::{BlockId, Geometry, PageAddr, WlAddr};
 use crate::ispp::{IsppEngine, LoopInterval, ProgramParams, NUM_PROGRAM_STATES};
 use crate::process::ProcessModel;
-use crate::read::{ReadParams, RetryEngine};
+use crate::read::{shift_prefix, ReadParams, RetryEngine};
 use crate::reliability::ReliabilityModel;
 use serde::{Deserialize, Serialize};
 
@@ -179,6 +179,29 @@ pub struct ReadReport {
     pub early_terminated: bool,
 }
 
+/// What the read and program models derive from a block's effective
+/// `(P/E, retention)` pair alone. The pair is the row's key: a row is
+/// compared against the environment on every use and re-derived when
+/// either half moved, so no event that ages, wears, refreshes or reheats
+/// a block has to remember to invalidate anything.
+#[derive(Debug, Clone, Copy)]
+struct BlockTerms {
+    pe: u32,
+    months_bits: u64,
+    /// [`shift_prefix`] of the pair.
+    shift_prefix: f64,
+    /// [`RetryEngine::retry_need_probability`] of the block.
+    need_probability: f64,
+    /// [`RetryEngine::predicted_offset`] of the block.
+    predicted: u8,
+    /// [`ReliabilityModel::retention_term`] of the block.
+    retention_term: f64,
+}
+
+/// Marks an h-layer whose optimum has not been derived since its
+/// block's [`BlockTerms`] last moved (real optima are `0..=7`).
+const UNKNOWN_OPTIMUM: u8 = u8::MAX;
+
 /// One 3D TLC NAND chip.
 ///
 /// # Example
@@ -206,6 +229,11 @@ pub struct NandChip {
     retry: RetryEngine,
     reliability: ReliabilityModel,
     env: Environment,
+    /// Per-block memo of the aging-dependent model terms.
+    block_terms: Vec<BlockTerms>,
+    /// `layer_optimum[block * hlayers + h]`: the ground-truth optimal
+    /// offset under the block's current terms, or [`UNKNOWN_OPTIMUM`].
+    layer_optimum: Vec<u8>,
     /// Installed fault injector, if a plan is active.
     faults: Option<FaultInjector>,
     /// Per-WL program state.
@@ -235,12 +263,16 @@ impl NandChip {
     pub fn new(config: NandConfig, seed: u64) -> Self {
         let process = ProcessModel::new(config.geometry, config.model.reliability, seed);
         let wls = (config.geometry.blocks_per_chip * config.geometry.wls_per_block()) as usize;
-        NandChip {
+        let blocks = config.geometry.blocks_per_chip as usize;
+        let hlayers = usize::from(config.geometry.hlayers_per_block);
+        let mut chip = NandChip {
             process,
             ispp: IsppEngine::new(config.model),
             retry: RetryEngine::new(config.model),
             reliability: ReliabilityModel::new(config.model.reliability),
-            env: Environment::new(config.geometry.blocks_per_chip as usize, seed ^ 0xABCD),
+            env: Environment::new(blocks, seed ^ 0xABCD),
+            block_terms: Vec::new(),
+            layer_optimum: vec![UNKNOWN_OPTIMUM; blocks * hlayers],
             faults: None,
             wl_state: vec![PageState::Free; wls],
             wl_data: vec![
@@ -251,14 +283,17 @@ impl NandChip {
             ],
             wl_post_ber: vec![0.0; wls],
             wl_oob: vec![None; wls],
-            block_prog_seq: vec![0; config.geometry.blocks_per_chip as usize],
-            block_erase_seq: vec![0; config.geometry.blocks_per_chip as usize],
-            erase_interrupted: vec![false; config.geometry.blocks_per_chip as usize],
+            block_prog_seq: vec![0; blocks],
+            block_erase_seq: vec![0; blocks],
+            erase_interrupted: vec![false; blocks],
             erases: 0,
             programs: 0,
             reads: 0,
             config,
-        }
+        };
+        // Every block starts in the same state: one derivation serves all.
+        chip.block_terms = vec![chip.derive_terms(0); blocks];
+        chip
     }
 
     /// The chip geometry.
@@ -329,6 +364,53 @@ impl NandChip {
     /// Lifetime command counts `(erases, programs, reads)`.
     pub fn op_counts(&self) -> (u64, u64, u64) {
         (self.erases, self.programs, self.reads)
+    }
+
+    /// `block`'s model terms under the environment as it stands.
+    fn derive_terms(&self, block: usize) -> BlockTerms {
+        let pe = self.env.pe(block);
+        let months = self.env.effective_retention_months_of(block);
+        let shift_prefix = shift_prefix(pe, months);
+        BlockTerms {
+            pe,
+            months_bits: months.to_bits(),
+            shift_prefix,
+            need_probability: self.retry.retry_need_probability(&self.env, block),
+            predicted: self.retry.predicted_from(shift_prefix),
+            retention_term: self.reliability.retention_term(months),
+        }
+    }
+
+    /// `block`'s model terms, re-derived first if its wear or retention
+    /// age moved since they were last used (which also forgets the
+    /// block's h-layer optima).
+    fn block_terms(&mut self, block: usize) -> BlockTerms {
+        let pe = self.env.pe(block);
+        let months_bits = self.env.effective_retention_months_of(block).to_bits();
+        let terms = self.block_terms[block];
+        if (terms.pe, terms.months_bits) == (pe, months_bits) {
+            return terms;
+        }
+        let hlayers = usize::from(self.config.geometry.hlayers_per_block);
+        self.layer_optimum[block * hlayers..][..hlayers].fill(UNKNOWN_OPTIMUM);
+        self.block_terms[block] = self.derive_terms(block);
+        self.block_terms[block]
+    }
+
+    /// `wl`'s block terms and the ground-truth optimal offset of its
+    /// h-layer ([`RetryEngine::optimal_offset`]), derived at most once
+    /// per h-layer while the block's terms stand.
+    fn read_terms(&mut self, wl: WlAddr) -> (BlockTerms, u8) {
+        let block = wl.block.0 as usize;
+        let terms = self.block_terms(block);
+        let hlayers = usize::from(self.config.geometry.hlayers_per_block);
+        let optimum = &mut self.layer_optimum[block * hlayers + usize::from(wl.h.0)];
+        if *optimum == UNKNOWN_OPTIMUM {
+            *optimum = self
+                .retry
+                .layer_offset(terms.shift_prefix, &self.process, wl);
+        }
+        (terms, *optimum)
     }
 
     fn check_wl(&self, wl: WlAddr) -> Result<usize, NandError> {
@@ -411,7 +493,10 @@ impl NandChip {
         if let Some(ProgramFault::LoopOutlier(extra)) = fault {
             shift = shift.saturating_add(extra);
         }
-        let chars = self.ispp.characterize(&self.process, wl, &self.env, shift);
+        let terms = self.block_terms(wl.block.0 as usize);
+        let chars =
+            self.ispp
+                .characterize_at(&self.process, wl, terms.pe, terms.retention_term, shift);
         let mut outcome = self.ispp.program(&chars, params)?;
         if let Some(ProgramFault::BerSpike(factor)) = fault {
             outcome.apply_ber_spike(factor);
@@ -430,7 +515,7 @@ impl NandChip {
                 verifies: outcome.verifies / 2,
                 margin_excess_loops: outcome.margin_excess_loops,
                 disturbed,
-                pe_cycles: self.env.pe(wl.block.0 as usize),
+                pe_cycles: terms.pe,
                 aborted: true,
             });
         }
@@ -448,7 +533,7 @@ impl NandChip {
             verifies: outcome.verifies,
             margin_excess_loops: outcome.margin_excess_loops,
             disturbed,
-            pe_cycles: self.env.pe(wl.block.0 as usize),
+            pe_cycles: terms.pe,
             aborted: false,
         })
     }
@@ -482,15 +567,14 @@ impl NandChip {
             // refreshed is still comfortably correctable.
             fault = None;
         }
-        let needs_retry = self
-            .retry
-            .needs_retry_at_default(&self.process, page.wl, &mut self.env);
+        let (terms, optimum) = self.read_terms(page.wl);
+        let needs_retry =
+            RetryEngine::draw_needs_retry(optimum, terms.need_probability, &mut self.env);
         let disturbed = self.env.sample_disturbance();
         let jitter = self.retry.sample_thermal_jitter(&mut self.env, block);
-        let outcome = self.retry.read_faulted(
-            &self.process,
-            page.wl,
-            &self.env,
+        let outcome = self.retry.read_faulted_at(
+            optimum,
+            terms.predicted,
             params,
             needs_retry,
             disturbed,
@@ -785,6 +869,7 @@ impl FlashArray {
 mod tests {
     use super::*;
     use crate::ispp::ProgramParams;
+    use proptest::prelude::*;
 
     fn chip() -> NandChip {
         NandChip::new(NandConfig::small(), 5)
@@ -1023,6 +1108,97 @@ mod tests {
         assert!(!c.block_erase_interrupted(b));
         c.program_wl(wl, WlData::host(0), &ProgramParams::default())
             .unwrap();
+    }
+
+    /// Fills `block` so its pages can be read.
+    fn rewrite(c: &mut NandChip, block: u32) {
+        c.erase(BlockId(block)).unwrap();
+        let g = *c.geometry();
+        for h in 0..g.hlayers_per_block {
+            for v in 0..g.wls_per_hlayer {
+                let wl = g.wl_addr(BlockId(block), h, v);
+                c.program_wl(wl, WlData::host(0), &ProgramParams::default())
+                    .unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn steady_state_reads_evaluate_no_formula() {
+        use crate::read::EVALS;
+        let mut c = chip();
+        rewrite(&mut c, 1);
+        rewrite(&mut c, 2);
+        c.set_aging(AgingState::EndOfLife);
+        let g = *c.geometry();
+        let read_layer = |c: &mut NandChip, n: u32| {
+            let before = EVALS.get();
+            for i in 0..n {
+                let page = g.page_addr(BlockId(1), 3, (i % 4) as u16, (i % 3) as u8);
+                c.read_page(page, ReadParams::default()).unwrap();
+            }
+            let after = EVALS.get();
+            (after.0 - before.0, after.1 - before.1)
+        };
+        // (block-prefix evaluations, h-layer offset evaluations)
+        assert_eq!(read_layer(&mut c, 100), (1, 1), "first read derives both");
+        assert_eq!(read_layer(&mut c, 100), (0, 0), "steady state");
+        c.erase(BlockId(2)).unwrap();
+        assert_eq!(read_layer(&mut c, 100), (0, 0), "another block's erase");
+        c.env_mut().set_ambient_celsius(40.0);
+        assert_eq!(read_layer(&mut c, 100), (1, 1), "the months half moved");
+        let before = EVALS.get();
+        rewrite(&mut c, 1);
+        assert_eq!(EVALS.get().0 - before.0, 1, "one erase, one block prefix");
+        assert_eq!(read_layer(&mut c, 100), (0, 1), "the P/E half moved");
+    }
+
+    proptest! {
+        /// The memo against the formulas it caches: after every event
+        /// that can move a block's wear or retention, what the chip
+        /// would use for a random WL equals `RetryEngine`'s and
+        /// `IsppEngine`'s direct evaluation bit for bit.
+        #[test]
+        fn cached_optimum_matches_the_formula(
+            ops in prop::collection::vec(
+                (0u8..12, 0u32..8, 0u16..8, 0u32..3000, 0u32..140),
+                1..120,
+            ),
+        ) {
+            let mut c = chip();
+            let g = *c.geometry();
+            for &(op, block, h, pe, tenths) in &ops {
+                let (b, months) = (block as usize, f64::from(tenths) / 10.0);
+                match op {
+                    0 => { c.erase(BlockId(block)).unwrap(); }
+                    1 => c.set_aging(AgingState::ALL[pe as usize % 3]),
+                    2 => c.env_mut().set_aging_raw(pe, months),
+                    3 => c.env_mut().clear_aging(),
+                    4 => c.env_mut().mark_refreshed(b),
+                    5 => c.set_block_retention_tracking(pe % 2 == 0),
+                    6 => c.env_mut().enable_lifetime_aging(),
+                    7 if c.env().lifetime_aging_enabled() => {
+                        c.env_mut().advance_block_age(b, pe / 4, months / 4.0);
+                    }
+                    8 => c.env_mut().set_ambient_celsius(f64::from(tenths) - 20.0),
+                    9 => rewrite(&mut c, block),
+                    _ => {}
+                }
+                let wl = g.wl_addr(BlockId(block), h, (pe % 4) as u16);
+                let (terms, optimum) = c.read_terms(wl);
+                prop_assert_eq!(optimum, c.retry.optimal_offset(&c.process, wl, &c.env));
+                prop_assert_eq!(terms.predicted, c.retry.predicted_offset(&c.env, b));
+                prop_assert_eq!(
+                    terms.need_probability.to_bits(),
+                    c.retry.retry_need_probability(&c.env, b).to_bits()
+                );
+                let direct = c.ispp.characterize(&c.process, wl, &c.env, 0);
+                let cached =
+                    c.ispp.characterize_at(&c.process, wl, terms.pe, terms.retention_term, 0);
+                prop_assert_eq!(cached.base_ber.to_bits(), direct.base_ber.to_bits());
+                prop_assert_eq!(cached, direct);
+            }
+        }
     }
 
     #[test]

@@ -88,6 +88,13 @@ pub const ACTIVATION_ENERGY_EV: f64 = 1.1;
 /// Boltzmann constant in eV/K.
 const BOLTZMANN_EV_PER_K: f64 = 8.617e-5;
 
+/// `exp(Ea/k · (1/T_ref − 1/T))` at ambient temperature `celsius`.
+fn arrhenius_acceleration(celsius: f64) -> f64 {
+    let t_ref = REFERENCE_CELSIUS + 273.15;
+    let t = celsius + 273.15;
+    (ACTIVATION_ENERGY_EV / BOLTZMANN_EV_PER_K * (1.0 / t_ref - 1.0 / t)).exp()
+}
+
 /// Per-block fast-forwarded age, maintained by the lifetime engine's
 /// epoch barriers. Once present it is the authoritative source of
 /// per-block retention age (replacing the global override + refreshed
@@ -124,6 +131,9 @@ pub struct Environment {
     /// Ambient temperature, °C. Retention loss accelerates above the
     /// 30 °C reference following an Arrhenius law.
     ambient_celsius: f64,
+    /// [`arrhenius_acceleration`] of `ambient_celsius`, refreshed by
+    /// [`Environment::set_ambient_celsius`] only.
+    retention_acceleration: f64,
     /// When true, erases reset the block's retention clock: a refreshed
     /// block holds new data and no longer carries the override's baked-in
     /// retention age. Off by default so characterization experiments keep
@@ -146,6 +156,7 @@ impl Environment {
             pe_override: None,
             disturbance_prob: 0.0,
             ambient_celsius: REFERENCE_CELSIUS,
+            retention_acceleration: arrhenius_acceleration(REFERENCE_CELSIUS),
             track_block_retention: false,
             refreshed: vec![false; blocks],
             lifetime: None,
@@ -306,6 +317,7 @@ impl Environment {
             "temperature out of operating range"
         );
         self.ambient_celsius = celsius;
+        self.retention_acceleration = arrhenius_acceleration(celsius);
     }
 
     /// The ambient temperature, °C.
@@ -317,24 +329,25 @@ impl Environment {
     /// Arrhenius acceleration factor of retention loss relative to the
     /// 30 °C reference: `exp(Ea/k · (1/T_ref − 1/T))`. Equals 1 at 30 °C,
     /// ≈4–5× at 55 °C, well below 1 in cold storage.
+    #[inline]
     pub fn retention_acceleration(&self) -> f64 {
-        let t_ref = REFERENCE_CELSIUS + 273.15;
-        let t = self.ambient_celsius + 273.15;
-        (ACTIVATION_ENERGY_EV / BOLTZMANN_EV_PER_K * (1.0 / t_ref - 1.0 / t)).exp()
+        self.retention_acceleration
     }
 
     /// Temperature-adjusted retention time in months: the quantity the
-    /// reliability and read-retry models consume.
+    /// reliability and read-retry models consume. The acceleration
+    /// factor is cached; only a temperature change refreshes it.
     #[inline]
     pub fn effective_retention_months(&self) -> f64 {
-        self.retention_months() * self.retention_acceleration()
+        self.retention_months() * self.retention_acceleration
     }
 
     /// Temperature-adjusted retention of `block`'s data (see
-    /// [`Environment::retention_months_of`]).
+    /// [`Environment::retention_months_of`]). The acceleration factor is
+    /// cached; only a temperature change refreshes it.
     #[inline]
     pub fn effective_retention_months_of(&self, block: usize) -> f64 {
-        self.retention_months_of(block) * self.retention_acceleration()
+        self.retention_months_of(block) * self.retention_acceleration
     }
 
     /// Records one erase of `block`. Under a lifetime campaign the

@@ -205,8 +205,24 @@ impl IsppEngine {
         env: &Environment,
         disturbance_shift: i8,
     ) -> WlCharacteristics {
-        let pe = env.pe(wl.block.0 as usize);
-        let retention = env.effective_retention_months_of(wl.block.0 as usize);
+        let block = wl.block.0 as usize;
+        let months = env.effective_retention_months_of(block);
+        let term = self.reliability.retention_term(months);
+        self.characterize_at(process, wl, env.pe(block), term, disturbance_shift)
+    }
+
+    /// [`IsppEngine::characterize`] of a WL in a block with `pe`
+    /// effective P/E cycles and the given
+    /// [`ReliabilityModel::retention_term`] — the chip memoises both per
+    /// block, so its programs enter here.
+    pub(crate) fn characterize_at(
+        &self,
+        process: &ProcessModel,
+        wl: WlAddr,
+        pe: u32,
+        retention_term: f64,
+        disturbance_shift: i8,
+    ) -> WlCharacteristics {
         let ispp = &self.model.ispp;
 
         // Program-speed shifts: degraded (wide-hole / rugged) layers need
@@ -250,7 +266,7 @@ impl IsppEngine {
         let spare = self.spare_margin(ber_ep1, pe);
         let safe_margin_mv = margin_mv_for_spare(spare, ispp);
 
-        let base_ber = self.reliability.ber(process, wl, pe, retention);
+        let base_ber = self.reliability.ber_at(process, wl, pe, retention_term);
 
         WlCharacteristics {
             intervals,

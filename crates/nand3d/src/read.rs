@@ -24,6 +24,27 @@ use serde::{Deserialize, Serialize};
 /// `2^3 − 1 = 7` adjustment levels per reference).
 pub const MAX_OFFSET_INDEX: u8 = 7;
 
+/// The part of the Vth shift every h-layer of a block shares,
+/// `2.1 · t̂^0.3 · (0.25 + x̂)`: retention (`t̂ = months / 12`) dominates
+/// the shift and wear (`x̂ = pe / 2000`) steepens it. It moves only when
+/// the block's wear or retention age does, so the chip memoises it per
+/// block.
+pub(crate) fn shift_prefix(pe: u32, months: f64) -> f64 {
+    #[cfg(test)]
+    EVALS.with(|e| e.set((e.get().0 + 1, e.get().1)));
+    let x = f64::from(pe) / 2000.0;
+    let t = (months / 12.0).max(0.0);
+    2.1 * t.powf(0.3) * (0.25 + x)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Evaluations of ([`shift_prefix`], [`RetryEngine::layer_offset`])
+    /// on this thread.
+    pub(crate) static EVALS: std::cell::Cell<(u64, u64)> =
+        const { std::cell::Cell::new((0, 0)) };
+}
+
 /// Parameters of one page read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ReadParams {
@@ -141,17 +162,26 @@ impl RetryEngine {
     /// have different optima (§4.2: "each h-layer in a block has
     /// different D"), while WLs of one h-layer share one.
     pub fn optimal_offset(&self, process: &ProcessModel, wl: WlAddr, env: &Environment) -> u8 {
-        let pe = env.pe(wl.block.0 as usize);
-        let months = env.effective_retention_months_of(wl.block.0 as usize);
+        let block = wl.block.0 as usize;
+        let prefix = shift_prefix(env.pe(block), env.effective_retention_months_of(block));
+        self.layer_offset(prefix, process, wl)
+    }
+
+    /// [`RetryEngine::optimal_offset`] from the block's [`shift_prefix`]:
+    /// the layer's aging sensitivity scales the shift and its layer
+    /// factor spreads the optimum across h-layers.
+    pub(crate) fn layer_offset(&self, prefix: f64, process: &ProcessModel, wl: WlAddr) -> u8 {
+        #[cfg(test)]
+        EVALS.with(|e| e.set((e.get().0, e.get().1 + 1)));
         let sens = process.aging_sensitivity(wl.block, wl.h.0);
         let factor = process.layer_factor(wl.block, wl.h.0);
-        let x = f64::from(pe) / 2000.0;
-        let t = (months / 12.0).max(0.0);
-        // Retention dominates the shift; wear steepens it. The layer
-        // factor spreads the optimum across h-layers.
-        let shift = (2.1 * t.powf(0.3) * (0.25 + x) * sens * (0.6 + 0.4 * factor))
-            / self.model.retry.shift_per_step;
-        (shift.round() as i64).clamp(0, i64::from(MAX_OFFSET_INDEX)) as u8
+        self.offset_index(prefix * sens * (0.6 + 0.4 * factor))
+    }
+
+    /// Quantizes a Vth shift into an offset index.
+    fn offset_index(&self, shift: f64) -> u8 {
+        let steps = shift / self.model.retry.shift_per_step;
+        (steps.round() as i64).clamp(0, i64::from(MAX_OFFSET_INDEX)) as u8
     }
 
     /// Samples the ambient thermal jitter for one read: a ±1 step shift
@@ -188,11 +218,15 @@ impl RetryEngine {
         env: &mut Environment,
     ) -> bool {
         let optimal = self.optimal_offset(process, wl, env);
-        if optimal == 0 {
-            return false;
-        }
         let p = self.retry_need_probability(env, wl.block.0 as usize);
-        env.sample_uniform() < p
+        Self::draw_needs_retry(optimal, p, env)
+    }
+
+    /// The per-read draw behind [`RetryEngine::needs_retry_at_default`]:
+    /// an h-layer whose optimum is the default never retries (and draws
+    /// nothing); any other retries with probability `p`.
+    pub(crate) fn draw_needs_retry(optimal: u8, p: f64, env: &mut Environment) -> bool {
+        optimal != 0 && env.sample_uniform() < p
     }
 
     /// The probability that a read of a page in `block` needs retries
@@ -219,14 +253,16 @@ impl RetryEngine {
     /// Deterministic — no RNG draw, so enabling prediction never
     /// perturbs the simulation's random stream.
     pub fn predicted_offset(&self, env: &Environment, block: usize) -> u8 {
-        let pe = env.pe(block);
         let months = env.effective_retention_months_of(block);
-        let x = f64::from(pe) / 2000.0;
-        let t = (months / 12.0).max(0.0);
-        // The optimal-offset formula with sens = 1 and the central layer
-        // factor 0.5 — what is knowable without per-layer monitoring.
-        let shift = (2.1 * t.powf(0.3) * (0.25 + x) * 0.8) / self.model.retry.shift_per_step;
-        (shift.round() as i64).clamp(0, i64::from(MAX_OFFSET_INDEX)) as u8
+        self.predicted_from(shift_prefix(env.pe(block), months))
+    }
+
+    /// [`RetryEngine::predicted_offset`] from the block's
+    /// [`shift_prefix`]: the optimal-offset formula with sens = 1 and the
+    /// central layer factor 0.5 — what is knowable without per-layer
+    /// monitoring.
+    pub(crate) fn predicted_from(&self, prefix: f64) -> u8 {
+        self.offset_index(prefix * 0.8)
     }
 
     /// The retry-chain cost of reaching `optimal` from `params`:
@@ -239,24 +275,19 @@ impl RetryEngine {
     ///   of a hopeless chain — and the default cost is paid. A seed can
     ///   never lose to a cold start.
     /// * `predict`: a cold read (default start, unseeded) spends one
-    ///   retry jumping to [`RetryEngine::predicted_offset`], then walks
-    ///   from there — taken only when it beats the plain walk.
+    ///   retry jumping to `predicted` (the block's
+    ///   [`RetryEngine::predicted_offset`]), then walks from there —
+    ///   taken only when it beats the plain walk.
     /// * `speculate`: chains longer than one step sense two offsets per
     ///   retry (rounded up).
-    fn chain_cost(
-        &self,
-        params: ReadParams,
-        optimal: u8,
-        env: &Environment,
-        block: usize,
-    ) -> (u32, bool) {
+    fn chain_cost(&self, params: ReadParams, optimal: u8, predicted: u8) -> (u32, bool) {
         let walk = u32::from(params.start_offset.abs_diff(optimal));
         // Cost of the predicted jump (one retry to move there, then the
         // residual walk), when prediction is on and has something to say.
         let jump = self
             .opt
             .predict
-            .then(|| self.predicted_offset(env, block))
+            .then_some(predicted)
             .filter(|&p| p > 0)
             .map(|p| 1 + u32::from(p.abs_diff(optimal)));
         let (mut cost, mut early_terminated) = if params.seeded {
@@ -312,7 +343,30 @@ impl RetryEngine {
         disturbed: bool,
         thermal_jitter: i8,
     ) -> RetryOutcome {
-        let base = self.optimal_offset(process, wl, env);
+        self.read_faulted(
+            process,
+            wl,
+            env,
+            params,
+            needs_retry,
+            disturbed,
+            thermal_jitter,
+            None,
+        )
+    }
+
+    /// [`RetryEngine::read`] of an h-layer whose ground-truth optimum
+    /// under the current conditions is `base`, in a block whose
+    /// [`RetryEngine::predicted_offset`] is `predicted`.
+    fn read_at(
+        &self,
+        base: u8,
+        predicted: u8,
+        params: ReadParams,
+        needs_retry: bool,
+        disturbed: bool,
+        thermal_jitter: i8,
+    ) -> RetryOutcome {
         let mut optimal = (i16::from(base) + i16::from(thermal_jitter))
             .clamp(0, i16::from(MAX_OFFSET_INDEX)) as u8;
         if disturbed {
@@ -342,8 +396,7 @@ impl RetryEngine {
         // it hits the optimum (Fig. 4: `V_Ref` is adjusted by one offset
         // per retry); seeding and the chain optimizations only shorten
         // that walk — the chain always ends decoding at the optimum.
-        let (retries, early_terminated) =
-            self.chain_cost(params, optimal, env, wl.block.0 as usize);
+        let (retries, early_terminated) = self.chain_cost(params, optimal, predicted);
         RetryOutcome {
             retries,
             latency_us: t.t_read_us + f64::from(retries) * t.t_retry_us,
@@ -376,20 +429,41 @@ impl RetryEngine {
         thermal_jitter: i8,
         fault: Option<ReadFaultKind>,
     ) -> RetryOutcome {
+        let block = wl.block.0 as usize;
+        let prefix = shift_prefix(env.pe(block), env.effective_retention_months_of(block));
+        self.read_faulted_at(
+            self.layer_offset(prefix, process, wl),
+            self.predicted_from(prefix),
+            params,
+            needs_retry,
+            disturbed,
+            thermal_jitter,
+            fault,
+        )
+    }
+
+    /// [`RetryEngine::read_faulted`] from the h-layer's optimum `base`
+    /// and the block's `predicted` offset — the chip memoises both, so
+    /// its reads enter here.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn read_faulted_at(
+        &self,
+        base: u8,
+        predicted: u8,
+        params: ReadParams,
+        needs_retry: bool,
+        disturbed: bool,
+        thermal_jitter: i8,
+        fault: Option<ReadFaultKind>,
+    ) -> RetryOutcome {
         let t = &self.model.timing;
+        let read = |needs_retry, jitter| {
+            self.read_at(base, predicted, params, needs_retry, disturbed, jitter)
+        };
         match fault {
-            None => self.read(
-                process,
-                wl,
-                env,
-                params,
-                needs_retry,
-                disturbed,
-                thermal_jitter,
-            ),
+            None => read(needs_retry, thermal_jitter),
             Some(ReadFaultKind::StuckRetry) => {
-                let stale_jitter = thermal_jitter.saturating_add(2);
-                let mut out = self.read(process, wl, env, params, true, disturbed, stale_jitter);
+                let mut out = read(true, thermal_jitter.saturating_add(2));
                 if out.retries == 0 {
                     // The drifted optimum collided with the cached offset;
                     // the stale entry still costs one corrective retry.
@@ -400,7 +474,7 @@ impl RetryEngine {
                 out
             }
             Some(ReadFaultKind::Uncorrectable) => {
-                let mut out = self.read(process, wl, env, params, true, disturbed, thermal_jitter);
+                let mut out = read(true, thermal_jitter);
                 let full_scan = u32::from(MAX_OFFSET_INDEX) + 1;
                 // With early termination on, soft-decision sensing stops
                 // the hopeless scan at half the offset budget.

@@ -50,9 +50,15 @@ impl ReliabilityModel {
     /// `pe` program/erase cycles, under the process variation of
     /// `process`.
     pub fn ber(&self, process: &ProcessModel, wl: WlAddr, pe: u32, retention_months: f64) -> f64 {
+        self.ber_at(process, wl, pe, self.retention_term(retention_months))
+    }
+
+    /// [`ReliabilityModel::ber`] from the block's
+    /// [`ReliabilityModel::retention_term`].
+    pub(crate) fn ber_at(&self, process: &ProcessModel, wl: WlAddr, pe: u32, term: f64) -> f64 {
         let f = process.wl_factor(wl);
         let s = process.aging_sensitivity(wl.block, wl.h.0);
-        self.ber_from_factors(f, s, pe, retention_months)
+        self.ber_from_terms(f, s, pe, term)
     }
 
     /// Same as [`ReliabilityModel::ber`] but starting from precomputed
@@ -64,12 +70,30 @@ impl ReliabilityModel {
         pe: u32,
         retention_months: f64,
     ) -> f64 {
+        let t_q = self.retention_term(retention_months);
+        self.ber_from_terms(process_factor, aging_sensitivity, pe, t_q)
+    }
+
+    /// `t̂^q` of the BER formula. It depends on the block's retention age
+    /// alone, so the chip memoises it per block.
+    pub(crate) fn retention_term(&self, retention_months: f64) -> f64 {
+        let t = (retention_months / 12.0).max(0.0);
+        t.powf(self.params.retention_exp)
+    }
+
+    /// [`ReliabilityModel::ber_from_factors`] from the block's
+    /// [`ReliabilityModel::retention_term`].
+    fn ber_from_terms(
+        &self,
+        process_factor: f64,
+        aging_sensitivity: f64,
+        pe: u32,
+        retention_term: f64,
+    ) -> f64 {
         let p = &self.params;
         let x = f64::from(pe) / 2000.0;
-        let t = (retention_months / 12.0).max(0.0);
         let wear = 1.0 + p.pe_wear * x;
-        let retention =
-            1.0 + p.retention_amp * aging_sensitivity * t.powf(p.retention_exp) * (0.35 + x);
+        let retention = 1.0 + p.retention_amp * aging_sensitivity * retention_term * (0.35 + x);
         p.base_ber * process_factor * wear * retention
     }
 

@@ -135,7 +135,13 @@ fn read_reports_survive_every_aging_event() {
         s.chip.set_aging(state);
         s.reads(300);
     }
-    for (pe, months) in [(2000, 12.0), (500, 12.0), (500, 3.0), (1500, 3.0), (2000, 6.0)] {
+    for (pe, months) in [
+        (2000, 12.0),
+        (500, 12.0),
+        (500, 3.0),
+        (1500, 3.0),
+        (2000, 6.0),
+    ] {
         s.chip.env_mut().set_aging_raw(pe, months);
         s.reads(300);
         s.rewrite_random();
