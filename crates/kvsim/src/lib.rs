@@ -99,7 +99,9 @@ impl KvStream {
     /// Applies one generator op to the engine, tallying its page
     /// costs. Returns whether any device I/O was queued.
     fn step(&mut self) -> bool {
-        let before = self.lsm.stats().clone();
+        let before = self.lsm.stats();
+        let read_before = before.probe_pages_read;
+        let written_before = before.sst_pages_written + before.wal_pages_written;
         self.lsm.next_op();
         let op = self.gen.next_op();
         match op {
@@ -119,9 +121,8 @@ impl KvStream {
             }
         }
         let after = self.lsm.stats();
-        let read_pages = after.probe_pages_read - before.probe_pages_read;
-        let write_pages = (after.sst_pages_written + after.wal_pages_written)
-            - (before.sst_pages_written + before.wal_pages_written);
+        let read_pages = after.probe_pages_read - read_before;
+        let write_pages = after.sst_pages_written + after.wal_pages_written - written_before;
         match op {
             KvOp::Read(_) => {
                 bump(&mut self.read_cost, read_pages);

@@ -132,34 +132,44 @@ impl Default for KvConfig {
     }
 }
 
-/// One sorted run: its key range, entries, and device extent.
+/// One sorted run: its key range, entries, and device extent. The
+/// range sits inline so that searching a level for the run covering a
+/// key reads the level's run array only, never a run's entries.
 #[derive(Debug, Clone)]
 struct Sst {
+    first: u64,
+    last: u64,
     entries: Vec<(u64, u64)>,
     lpn: u64,
     pages: u32,
 }
 
 impl Sst {
-    fn first(&self) -> u64 {
-        self.entries.first().expect("non-empty run").0
-    }
-
-    fn last(&self) -> u64 {
-        self.entries.last().expect("non-empty run").0
-    }
-
     fn covers(&self, key: u64) -> bool {
-        self.first() <= key && key <= self.last()
+        self.first <= key && key <= self.last
     }
 
-    /// Device page holding `key`'s slot (or its insertion point).
-    fn page_of(&self, key: u64, epp: u32) -> u64 {
-        let pos = match self.entries.binary_search_by_key(&key, |e| e.0) {
-            Ok(p) | Err(p) => p,
+    /// One search of the run: the device page holding `key`'s slot (or
+    /// its insertion point), and the fingerprint if the key is there.
+    fn probe(&self, key: u64, epp: u32) -> (u64, Option<u64>) {
+        let (pos, hit) = match self.entries.binary_search_by_key(&key, |e| e.0) {
+            Ok(p) => (p, Some(self.entries[p].1)),
+            Err(p) => (p, None),
         };
-        self.lpn + (pos as u64 / u64::from(epp)).min(u64::from(self.pages) - 1)
+        let page = (pos as u64 / u64::from(epp)).min(u64::from(self.pages) - 1);
+        (self.lpn + page, hit)
     }
+}
+
+/// The runs a lookup of `key` has to search, in the order their
+/// versions supersede each other: L0 newest first (its runs overlap),
+/// then at most one run per leveled tier.
+fn covering(levels: &[Vec<Sst>], key: u64) -> impl Iterator<Item = &Sst> {
+    let (l0, tiers) = levels.split_first().expect("L0 exists");
+    let tiered = tiers
+        .iter()
+        .filter_map(move |tier| tier.get(tier.partition_point(|s| s.last < key)));
+    l0.iter().rev().chain(tiered).filter(move |s| s.covers(key))
 }
 
 /// One flush or compaction, recorded for telemetry.
@@ -341,57 +351,20 @@ impl LsmTree {
     /// Whether `key` exists, without emitting any device I/O (used by
     /// the bulk loader; not a measured operation).
     pub fn contains(&self, key: u64) -> bool {
-        if self.mem.contains_key(&key) {
-            return true;
-        }
-        for sst in self.levels[0].iter().rev() {
-            if sst.covers(key) && sst.entries.binary_search_by_key(&key, |e| e.0).is_ok() {
-                return true;
-            }
-        }
-        for level in &self.levels[1..] {
-            let idx = level.partition_point(|s| s.last() < key);
-            if idx < level.len()
-                && level[idx].covers(key)
-                && level[idx]
-                    .entries
-                    .binary_search_by_key(&key, |e| e.0)
-                    .is_ok()
-            {
-                return true;
-            }
-        }
-        false
+        self.mem.contains_key(&key)
+            || covering(&self.levels, key).any(|sst| sst.probe(key, self.epp).1.is_some())
     }
 
     fn get_inner(&mut self, key: u64, probes: &mut u64) -> Option<u64> {
         if let Some(&fp) = self.mem.get(&key) {
             return Some(fp);
         }
-        // L0: newest run last; probe newest first.
-        for i in (0..self.levels[0].len()).rev() {
-            if self.levels[0][i].covers(key) {
-                let page = self.levels[0][i].page_of(key, self.epp);
-                self.out.push_back(HostRequest::read(page));
-                *probes += 1;
-                if let Ok(p) = self.levels[0][i]
-                    .entries
-                    .binary_search_by_key(&key, |e| e.0)
-                {
-                    return Some(self.levels[0][i].entries[p].1);
-                }
-            }
-        }
-        for n in 1..self.levels.len() {
-            let level = &self.levels[n];
-            let idx = level.partition_point(|s| s.last() < key);
-            if idx < level.len() && level[idx].covers(key) {
-                let page = level[idx].page_of(key, self.epp);
-                self.out.push_back(HostRequest::read(page));
-                *probes += 1;
-                if let Ok(p) = level[idx].entries.binary_search_by_key(&key, |e| e.0) {
-                    return Some(level[idx].entries[p].1);
-                }
+        for sst in covering(&self.levels, key) {
+            let (page, hit) = sst.probe(key, self.epp);
+            self.out.push_back(HostRequest::read(page));
+            *probes += 1;
+            if hit.is_some() {
+                return hit;
             }
         }
         None
@@ -523,20 +496,25 @@ impl LsmTree {
 
     /// Writes `entries` (sorted, deduplicated) as runs of at most
     /// `sst_entries` into tier `level`, emitting the device writes.
-    /// Returns the pages written.
-    fn write_runs(&mut self, entries: Vec<(u64, u64)>, level: usize) -> u64 {
+    /// Each run is streamed into a vector of exactly its size: resident
+    /// runs hold no spare capacity. Returns the pages written.
+    fn write_runs(
+        &mut self,
+        mut entries: impl ExactSizeIterator<Item = (u64, u64)>,
+        level: usize,
+    ) -> u64 {
         let mut written = 0u64;
-        let mut rest = entries;
-        while !rest.is_empty() {
-            let take = rest.len().min(self.cfg.sst_entries as usize);
-            let tail = rest.split_off(take);
-            let run = rest;
-            rest = tail;
+        while entries.len() > 0 {
+            let take = entries.len().min(self.cfg.sst_entries as usize);
+            let mut run = Vec::with_capacity(take);
+            run.extend(entries.by_ref().take(take));
             let pages = (run.len() as u64).div_ceil(u64::from(self.epp));
             let lpn = self.alloc(pages);
             self.emit_span(SpanKind::Write, lpn, pages);
             written += pages;
             let sst = Sst {
+                first: run[0].0,
+                last: run[take - 1].0,
                 entries: run,
                 lpn,
                 pages: u32::try_from(pages).expect("run pages fit"),
@@ -544,7 +522,7 @@ impl LsmTree {
             if level == 0 {
                 self.levels[0].push(sst);
             } else {
-                let at = self.levels[level].partition_point(|s| s.first() < sst.first());
+                let at = self.levels[level].partition_point(|s| s.first < sst.first);
                 self.levels[level].insert(at, sst);
             }
         }
@@ -553,11 +531,11 @@ impl LsmTree {
     }
 
     fn flush_memtable(&mut self) {
-        let entries: Vec<(u64, u64)> = std::mem::take(&mut self.mem).into_iter().collect();
-        if entries.is_empty() {
+        if self.mem.is_empty() {
             return;
         }
-        let written = self.write_runs(entries, 0);
+        let mem = std::mem::take(&mut self.mem);
+        let written = self.write_runs(mem.into_iter(), 0);
         self.stats.flushes += 1;
         self.events.push(KvEvent {
             op_index: self.op_index,
@@ -592,16 +570,35 @@ impl LsmTree {
         }
     }
 
-    /// Merges input runs newest-first (earlier sources win on key
-    /// collisions) into one sorted, deduplicated entry list.
-    fn merge(sources: Vec<Vec<(u64, u64)>>) -> Vec<(u64, u64)> {
-        let mut map = BTreeMap::new();
-        for src in sources {
-            for (k, v) in src {
-                map.entry(k).or_insert(v);
+    /// Merges `upper` (overlapping runs, newest first) and `lower` (the
+    /// disjoint runs of one tier, in key order) into one sorted,
+    /// deduplicated entry list in a single linear pass. `lower` is
+    /// concatenated into one sorted source behind `upper`, so there are
+    /// at most `l0_files + 1` heads however many runs overlap; each step
+    /// emits the smallest head from the earliest source that has it
+    /// (the newest version) and advances every source past that key.
+    fn merge(mut upper: Vec<Vec<(u64, u64)>>, lower: Vec<Vec<(u64, u64)>>) -> Vec<(u64, u64)> {
+        upper.push(lower.concat());
+        let mut heads: Vec<&[(u64, u64)]> = upper.iter().map(Vec::as_slice).collect();
+        let mut out = Vec::with_capacity(heads.iter().map(|h| h.len()).sum());
+        loop {
+            // Strictly smaller only: of equal keys the earliest source stays.
+            let mut min: Option<&(u64, u64)> = None;
+            for head in &heads {
+                if let Some(e) = head.first() {
+                    if min.is_none_or(|m| e.0 < m.0) {
+                        min = Some(e);
+                    }
+                }
+            }
+            let Some(&min) = min else { return out };
+            out.push(min);
+            for head in &mut heads {
+                if head.first().is_some_and(|e| e.0 == min.0) {
+                    *head = &head[1..];
+                }
             }
         }
-        map.into_iter().collect()
     }
 
     fn compact_level(&mut self, n: usize) {
@@ -609,10 +606,10 @@ impl LsmTree {
         // so compaction pressure sweeps the key space evenly.
         let cursor = self.cursors[n];
         let level = &mut self.levels[n];
-        let idx = level.partition_point(|s| s.first() < cursor);
+        let idx = level.partition_point(|s| s.first < cursor);
         let idx = if idx >= level.len() { 0 } else { idx };
         let victim = level.remove(idx);
-        self.cursors[n] = victim.last().wrapping_add(1);
+        self.cursors[n] = victim.last.wrapping_add(1);
         self.compact(vec![victim], n + 1);
     }
 
@@ -620,21 +617,29 @@ impl LsmTree {
     /// with every overlapping run of level `into`, and writes the
     /// result back into `into`.
     fn compact(&mut self, upper: Vec<Sst>, into: usize) {
-        let lo = upper.iter().map(Sst::first).min().expect("non-empty upper");
-        let hi = upper.iter().map(Sst::last).max().expect("non-empty upper");
+        let lo = upper.iter().map(|s| s.first).min().expect("upper has runs");
+        let hi = upper.iter().map(|s| s.last).max().expect("upper has runs");
         let overlap = Self::extract_overlap(&mut self.levels[into], lo, hi);
-        // Newest first: earlier sources win on key collisions.
-        let newest_first = upper.iter().rev().chain(&overlap);
-        let merged = Self::merge(newest_first.map(|sst| sst.entries.clone()).collect());
+        // The inputs' extents are all that outlives the merge; their
+        // entry vectors move into it.
+        let extents: Vec<(u64, u64)> = upper
+            .iter()
+            .chain(&overlap)
+            .map(|sst| (sst.lpn, u64::from(sst.pages)))
+            .collect();
+        let merged = Self::merge(
+            upper.into_iter().rev().map(|sst| sst.entries).collect(),
+            overlap.into_iter().map(|sst| sst.entries).collect(),
+        );
         let mut pages_in = 0u64;
-        for sst in upper.iter().chain(&overlap) {
-            pages_in += u64::from(sst.pages);
-            self.emit_span(SpanKind::Read, sst.lpn, u64::from(sst.pages));
+        for &(lpn, pages) in &extents {
+            pages_in += pages;
+            self.emit_span(SpanKind::Read, lpn, pages);
         }
-        let pages_out = self.write_runs(merged, into);
-        for sst in upper.iter().chain(&overlap) {
-            self.emit_span(SpanKind::Trim, sst.lpn, u64::from(sst.pages));
-            self.release(sst.lpn, u64::from(sst.pages));
+        let pages_out = self.write_runs(merged.into_iter(), into);
+        for &(lpn, pages) in &extents {
+            self.emit_span(SpanKind::Trim, lpn, pages);
+            self.release(lpn, pages);
         }
         self.stats.compactions += 1;
         self.stats.compaction_pages_read += pages_in;
@@ -650,9 +655,9 @@ impl LsmTree {
 
     /// Removes and returns the runs of `level` overlapping `[lo, hi]`.
     fn extract_overlap(level: &mut Vec<Sst>, lo: u64, hi: u64) -> Vec<Sst> {
-        let start = level.partition_point(|s| s.last() < lo);
+        let start = level.partition_point(|s| s.last < lo);
         let mut end = start;
-        while end < level.len() && level[end].first() <= hi {
+        while end < level.len() && level[end].first <= hi {
             end += 1;
         }
         level.drain(start..end).collect()
@@ -669,6 +674,7 @@ enum SpanKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ssdsim::HostOp;
 
     fn tiny() -> KvConfig {
@@ -682,6 +688,33 @@ mod tests {
             max_levels: 3,
             wal_pages: 8,
         }
+    }
+
+    fn free_plus_live_pages(t: &LsmTree) -> u64 {
+        let free: u64 = t.free.values().sum();
+        let live: u64 = t.levels.iter().flatten().map(|s| u64::from(s.pages)).sum();
+        free + live
+    }
+
+    /// The merge as it was before it became a linear pass: every entry
+    /// of every source, newest source first, into an ordered map that
+    /// keeps the first value it sees for a key.
+    fn ref_merge(sources: Vec<Vec<(u64, u64)>>) -> Vec<(u64, u64)> {
+        let mut map = BTreeMap::new();
+        for src in sources {
+            for (k, v) in src {
+                map.entry(k).or_insert(v);
+            }
+        }
+        map.into_iter().collect()
+    }
+
+    /// A sorted, duplicate-free run over `keys` whose values carry
+    /// `source`, so the output shows which source won each key.
+    fn run_of(mut keys: Vec<u64>, source: u64) -> Vec<(u64, u64)> {
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter().map(|k| (k, source << 32 | k)).collect()
     }
 
     fn drain(t: &mut LsmTree) -> Vec<HostRequest> {
@@ -767,11 +800,28 @@ mod tests {
             t.put(splitmix64(i) % 512, false);
             drain(&mut t);
         }
-        let free: u64 = t.free.values().sum();
-        let live: u64 = (0..t.level_count())
-            .flat_map(|n| t.levels[n].iter().map(|s| u64::from(s.pages)))
-            .sum();
-        assert_eq!(free + live, t.data_pages, "allocator leaked extents");
+        assert_eq!(
+            free_plus_live_pages(&t),
+            t.data_pages,
+            "allocator leaked extents"
+        );
+    }
+
+    #[test]
+    fn resident_runs_hold_no_spare_capacity() {
+        let mut t = LsmTree::new(tiny(), 8_192);
+        for i in 0..6_000u64 {
+            t.put(splitmix64(i) % 512, false);
+            drain(&mut t);
+        }
+        for sst in t.levels.iter().flatten() {
+            assert!(
+                sst.entries.capacity() <= t.cfg.sst_entries as usize,
+                "a run of {} entries holds room for {}",
+                sst.entries.len(),
+                sst.entries.capacity()
+            );
+        }
     }
 
     #[test]
@@ -787,5 +837,66 @@ mod tests {
             (io, format!("{:?}", t.stats()))
         };
         assert_eq!(run(), run());
+    }
+
+    proptest! {
+        /// The linear merge against the ordered-map merge it replaced:
+        /// one to four overlapping upper runs (newest first) over zero
+        /// to six disjoint lower runs, all keys below 40 so that most
+        /// keys sit in several sources; single-entry runs and an empty
+        /// lower tier included.
+        #[test]
+        fn merge_matches_the_btree_reference(
+            upper_keys in prop::collection::vec(prop::collection::vec(0u64..40, 1..30), 1..5),
+            lower_keys in prop::collection::vec(0u64..40, 0..40),
+            lower_cuts in prop::collection::vec(1usize..9, 0..7),
+        ) {
+            let upper: Vec<_> = upper_keys
+                .into_iter()
+                .zip(0..)
+                .map(|(keys, source)| run_of(keys, source))
+                .collect();
+            // One sorted key set cut front to back into the tier's runs.
+            let tier = run_of(lower_keys, 9);
+            let mut rest = tier.as_slice();
+            let mut lower = Vec::new();
+            for cut in lower_cuts {
+                let (run, tail) = rest.split_at(cut.min(rest.len()));
+                if !run.is_empty() {
+                    lower.push(run.to_vec());
+                }
+                rest = tail;
+            }
+            let every_source = upper.iter().chain(&lower).cloned().collect();
+            prop_assert_eq!(LsmTree::merge(upper, lower), ref_merge(every_source));
+        }
+
+        /// Every `get` returns the fingerprint of the key's last `put`
+        /// through whatever flushes and compactions the sequence
+        /// forces. The model recomputes the fingerprint on its own.
+        #[test]
+        fn every_get_returns_the_last_put(
+            ops in prop::collection::vec((0u8..3, 0u64..512), 1..3_000),
+        ) {
+            let mut t = LsmTree::new(tiny(), 8_192);
+            let mut model = BTreeMap::new();
+            let mut seq = 0u64;
+            // 0 = put, 1 = get, 2 = read-modify-write.
+            for &(op, key) in &ops {
+                if op != 0 {
+                    prop_assert_eq!(t.get(key), model.get(&key).copied(), "key {}", key);
+                }
+                if op != 1 {
+                    t.put(key, false);
+                    seq += 1;
+                    model.insert(key, splitmix64(key ^ seq.rotate_left(17)));
+                }
+                drain(&mut t);
+            }
+            for (&key, &fp) in &model {
+                prop_assert_eq!(t.get(key), Some(fp), "key {} at the end", key);
+            }
+            prop_assert_eq!(free_plus_live_pages(&t), t.data_pages);
+        }
     }
 }
