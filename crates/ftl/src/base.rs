@@ -103,8 +103,9 @@ pub struct Ftl {
     /// OPM (Cube and CubeMinus).
     pub(crate) opm: Option<Opm>,
     pub(crate) stats: FtlStats,
-    /// Scratch list of the LPNs one page migration moves.
-    pub(crate) migrate_lpns: Vec<u64>,
+    /// Scratch list of the `(lpn, flat page)` pairs one page migration
+    /// moves.
+    pub(crate) migrate_batch: Vec<(u64, u32)>,
     /// Background maintenance services (when enabled).
     pub(crate) maint: Option<MaintState>,
     /// Monotonic operation sequence number stamped on every OOB record
@@ -178,7 +179,7 @@ impl Ftl {
                 opm
             }),
             stats: FtlStats::default(),
-            migrate_lpns: Vec::new(),
+            migrate_batch: Vec::new(),
             maint: None,
             seq_counter: 0,
             last_gc_erase: vec![None; config.chips],
@@ -354,6 +355,10 @@ impl FtlDriver for Ftl {
             did_gc,
             leader,
         }
+    }
+
+    fn accepts_flush(&self, chip: usize) -> bool {
+        self.has_room(chip)
     }
 
     fn read_page(&mut self, lpn: u64, ctx: &HostContext) -> Option<PageRead> {

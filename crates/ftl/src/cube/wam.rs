@@ -71,6 +71,15 @@ impl ActiveBlock {
         !self.has_leader(g) && self.next_follower.0 >= g.hlayers_per_block
     }
 
+    /// WLs of the block not handed out yet.
+    fn unwritten(&self, g: &Geometry) -> u32 {
+        let leaders = u32::from(g.hlayers_per_block - self.next_leader_h);
+        let (h, v) = self.next_follower;
+        let followers =
+            u32::from(g.hlayers_per_block.saturating_sub(h)) * u32::from(g.wls_per_hlayer - 1);
+        leaders + followers.saturating_sub(u32::from(v) - 1)
+    }
+
     fn take_leader(&mut self, g: &Geometry) -> WlAddr {
         debug_assert!(self.has_leader(g));
         let wl = g.wl_addr(self.block, self.next_leader_h, 0);
@@ -234,6 +243,12 @@ impl Wam {
         }
         state.active.push(resumed);
         true
+    }
+
+    /// WLs the active blocks of `chip` can still hand out.
+    pub fn unwritten_wls(&self, chip: usize) -> u32 {
+        let active = &self.per_chip[chip].active;
+        active.iter().map(|b| b.unwritten(&self.geometry)).sum()
     }
 
     /// Blocks currently open for writing on `chip` (these must not be

@@ -9,7 +9,8 @@
 //! drained block returns to the free pool, `Ftl::release_block`.
 
 use crate::base::{Ftl, Origin};
-use crate::mapping::Mapping;
+use crate::mapping::{Mapping, Ppn};
+use crate::write::MAX_SAFETY_ATTEMPTS;
 use nand3d::{BlockId, Environment, WlData};
 use telemetry::{EventKind, EventMask};
 
@@ -52,30 +53,21 @@ impl Ftl {
     /// latency spent.
     pub(crate) fn run_gc(&mut self, chip: usize, mu: f64, origin: Origin) -> f64 {
         let mut latency = 0.0;
-        let g = self.geometry();
-        let per_block = g.pages_per_block();
         // Bound the work per invocation: GC latency is charged to the
         // triggering write, and unbounded rounds would stall the host.
         let mut rounds = 0;
         while self.pool_low(chip) && rounds < 16 {
             rounds += 1;
-            let Some(victim) = self.gc_victim(chip) else {
-                // No block holds any garbage (e.g. right after a unique
-                // prefill): collecting would only shuffle valid pages
-                // between blocks without freeing anything. Keep writing
-                // into the remaining free pool; overwrites will create
-                // reclaimable garbage before it runs out (guaranteed by
-                // the over-provisioning: unique data can never fill the
-                // physical space).
+            let Some(victim) = self.profitable_victim(chip) else {
+                // No block holds a WL of garbage (e.g. right after a
+                // unique prefill): collecting would only shuffle valid
+                // pages between blocks without freeing anything. Keep
+                // writing into the remaining free pool; overwrites will
+                // create reclaimable garbage before it runs out
+                // (`has_room` keeps the flushes away from a chip where
+                // they have not).
                 break;
             };
-            // Profitability check: migrating the victim consumes free WLs
-            // for its valid pages; require at least one WL of net gain or
-            // GC cannot make forward progress.
-            let reclaimable = per_block - self.mapping.valid_in_block(chip, victim.0);
-            if reclaimable < u32::from(g.pages_per_wl) {
-                break;
-            }
 
             let (moved, _) = self.migrate_block(chip, victim, usize::MAX, mu, origin, &mut latency);
             match origin {
@@ -137,12 +129,64 @@ impl Ftl {
         select_victim(&self.mapping, chip, candidates, g.pages_per_block(), wear)
     }
 
-    /// Moves up to `limit` valid pages of `block` to fresh WLs — each is
-    /// read through the variant's read policy (the ORT benefits GC reads
-    /// too), then they are re-programmed three to a WL — and, once none
-    /// remain, releases the block. The NAND time is added to `latency`
-    /// term by term. Returns the number of pages moved and whether the
-    /// block was released.
+    /// [`Ftl::gc_victim`], if collecting it gains anything: migrating
+    /// the victim consumes free WLs for its valid pages, so it must hold
+    /// at least one WL of garbage or GC makes no forward progress.
+    fn profitable_victim(&self, chip: usize) -> Option<BlockId> {
+        let g = self.geometry();
+        self.gc_victim(chip).filter(|v| {
+            let reclaimable = g.pages_per_block() - self.mapping.valid_in_block(chip, v.0);
+            reclaimable >= u32::from(g.pages_per_wl)
+        })
+    }
+
+    /// Whether `chip` can take a host WL and still collect garbage
+    /// afterwards. Flushes are placed by queue length, not by fill, so a
+    /// chip can be handed more valid data than its blocks hold next to
+    /// the open ones; once its erased WLs — open blocks plus free pool —
+    /// are down to what one host program can take
+    /// (`MAX_SAFETY_ATTEMPTS`) plus a block's worth for the victim GC
+    /// moves next, it sits out unless that victim is profitable and
+    /// fits. Trims and overwrites landing elsewhere turn its pages into
+    /// garbage, and it takes flushes again.
+    pub(crate) fn has_room(&self, chip: usize) -> bool {
+        let g = self.geometry();
+        let free = self.free[chip].len() as u32;
+        // Asked per chip on every flush: two free blocks are room
+        // enough whatever the open blocks hold.
+        if free >= 2 {
+            return true;
+        }
+        let open = match &self.wam {
+            Some(wam) => wam.unwritten_wls(chip),
+            None => self.seq[chip].map_or(0, |sa| g.wls_per_block() - sa.next),
+        };
+        let room = open + free * g.wls_per_block();
+        room >= g.wls_per_block() + MAX_SAFETY_ATTEMPTS
+            || self.profitable_victim(chip).is_some_and(|v| {
+                let valid = self.mapping.valid_in_block(chip, v.0);
+                valid.div_ceil(u32::from(g.pages_per_wl)) + MAX_SAFETY_ATTEMPTS <= room
+            })
+    }
+
+    /// Moves up to `limit` valid pages of `block` to fresh WLs and, once
+    /// none remain, releases the block. A staged batch: (1) the block's
+    /// P2L walk collects the `(lpn, page)` pairs; (2) one tight pass
+    /// checks that the L2P maps every LPN back to that page — loads that
+    /// depend on nothing but the list, so their cache misses overlap
+    /// here instead of queueing one behind each read, and the entries
+    /// are resident when stage 4 remaps them; (3) the pages are read by
+    /// physical address through the variant's read policy (the ORT
+    /// benefits GC reads too), in the block's physical order — the order
+    /// of the P2L walk, which fixes the chip's RNG draws and the trace;
+    /// (4) they are re-programmed three to a WL. The NAND time is added
+    /// to `latency` term by term. Returns the number of pages moved and
+    /// whether the block was released.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any page is read, if the L2P and the P2L disagree
+    /// about a page of the block.
     pub(crate) fn migrate_block(
         &mut self,
         chip: usize,
@@ -154,28 +198,37 @@ impl Ftl {
     ) -> (u64, bool) {
         // The list must be taken before the mapping changes under it;
         // its buffer is reused from one migration to the next.
-        let mut lpns = std::mem::take(&mut self.migrate_lpns);
-        lpns.clear();
-        lpns.extend(
-            self.mapping
-                .valid_pages_of_block(chip, block.0)
-                .map(|(lpn, _)| lpn),
-        );
-        let drained = lpns.len() <= limit;
-        lpns.truncate(limit);
-        for lpn in &lpns {
-            *latency += self
-                .read_mapped(*lpn, origin)
-                .expect("valid page must be mapped")
-                .nand_us;
+        let mut batch = std::mem::take(&mut self.migrate_batch);
+        batch.clear();
+        batch.extend(self.mapping.valid_pages_of_block(chip, block.0));
+        let drained = batch.len() <= limit;
+        batch.truncate(limit);
+        for &(lpn, page) in &batch {
+            let here = Ppn {
+                chip: chip as u32,
+                page,
+            };
+            assert_eq!(
+                self.mapping.lookup(lpn),
+                Some(here),
+                "valid page of lpn {lpn} must be mapped where the P2L holds it"
+            );
         }
-        for group in lpns.chunks(3) {
+        let g = self.geometry();
+        let first = block.0 * g.pages_per_block();
+        for &(lpn, page) in &batch {
+            let addr = g.page_in_block(block, page - first);
+            *latency += self.read_at(lpn, chip, addr, origin).nand_us;
+        }
+        for group in batch.chunks(3) {
             let mut wl = [WlData::PAD; 3];
-            wl[..group.len()].copy_from_slice(group);
+            for (slot, &(lpn, _)) in wl.iter_mut().zip(group) {
+                *slot = lpn;
+            }
             *latency += self.program_and_map(chip, wl, mu, origin).0;
         }
-        let moved = lpns.len() as u64;
-        self.migrate_lpns = lpns;
+        let moved = batch.len() as u64;
+        self.migrate_batch = batch;
         if drained {
             *latency += self.release_block(chip, block);
         }
@@ -213,7 +266,6 @@ impl Ftl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::Ppn;
     use crate::testutil::{ctx, write_all};
     use crate::FtlConfig;
     use nand3d::Geometry;
@@ -414,6 +466,73 @@ mod tests {
                     kind.name()
                 );
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be mapped where the P2L holds it")]
+    fn migration_refuses_a_victim_whose_l2p_disagrees() {
+        let cfg = FtlConfig::small();
+        let mut ftl = Ftl::cube(cfg);
+        write_all(&mut ftl, 0..300, cfg.chips, 0.5);
+        let g = ftl.geometry();
+        let block = (0..g.blocks_per_chip)
+            .map(BlockId)
+            .find(|b| ftl.is_closed(0, *b) && ftl.mapping.valid_in_block(0, b.0) > 3)
+            .expect("300 pages close a block");
+        // The L2P entry of the block's third valid page now names its
+        // neighbour; the P2L still holds the page.
+        let (lpn, page) = ftl.mapping.valid_pages_of_block(0, block.0).nth(2).unwrap();
+        let elsewhere = Ppn {
+            chip: 0,
+            page: page + 1,
+        };
+        ftl.mapping.corrupt_l2p(lpn, elsewhere);
+        let reads_before = ftl.stats().nand_reads;
+        let mut latency = 0.0;
+        let migration = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ftl.migrate_block(0, block, usize::MAX, 0.5, Origin::Gc, &mut latency)
+        }));
+        let refusal = migration.expect_err("a corrupt L2P entry must stop the migration");
+        assert_eq!(ftl.stats().nand_reads, reads_before, "no page read yet");
+        assert_eq!(latency, 0.0, "no NAND time charged yet");
+        std::panic::resume_unwind(refusal);
+    }
+
+    #[test]
+    fn an_overfilled_chip_sits_out_until_trims_make_room() {
+        let cfg = FtlConfig::small();
+        for kind in crate::FtlKind::ALL {
+            let mut ftl = Ftl::new(kind, cfg);
+            let g = ftl.geometry();
+            // Unique data to chip 0 alone: more logical pages than the
+            // chip has physical ones, and never a page of garbage.
+            let mut lpn = 0;
+            while ftl.has_room(0) {
+                assert!(lpn < g.pages_per_chip(), "{}: never refused", kind.name());
+                ftl.write_wl(0, [lpn, lpn + 1, lpn + 2], &ctx(0.5));
+                lpn += 3;
+            }
+            assert!(ftl.has_room(1), "{}: chip 1 is empty", kind.name());
+            let held = ftl.mapping.valid_in_block(0, 0);
+            assert_eq!(held, g.pages_per_block(), "{}: no garbage", kind.name());
+            // A block's worth of trims later GC has a victim that fits,
+            // the chip takes flushes again and collects under them.
+            for lpn in ftl
+                .mapping
+                .valid_pages_of_block(0, 0)
+                .map(|(l, _)| l)
+                .collect::<Vec<_>>()
+            {
+                ftl.trim(lpn);
+            }
+            assert!(ftl.has_room(0), "{}: still refusing", kind.name());
+            for _ in 0..g.wls_per_block() / 2 {
+                assert!(ftl.has_room(0), "{}: refusing again", kind.name());
+                ftl.write_wl(0, [lpn, lpn + 1, lpn + 2], &ctx(0.5));
+                lpn += 3;
+            }
+            assert!(ftl.stats().gc_runs > 0, "{}: GC never ran", kind.name());
         }
     }
 

@@ -196,6 +196,13 @@ impl Mapping {
     pub fn chips(&self) -> usize {
         self.chips
     }
+
+    /// Overwrites the L2P entry of `lpn` alone, leaving the P2L and the
+    /// valid counts as they were: the corruption a migration must catch.
+    #[cfg(test)]
+    pub(crate) fn corrupt_l2p(&mut self, lpn: u64, ppn: Ppn) {
+        self.l2p[lpn as usize] = ppn;
+    }
 }
 
 #[cfg(test)]

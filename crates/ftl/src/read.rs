@@ -1,6 +1,7 @@
 //! The read path: one policy read — ORT lookup, read parameters, NAND
-//! read, ORT / cluster update — under the host's and GC's mapped reads
-//! and maintenance's leader-WL sample reads alike.
+//! read, ORT / cluster update — under the host's mapped reads, a
+//! migration's reads by physical address and maintenance's leader-WL
+//! sample reads alike.
 
 use crate::base::{Ftl, Origin};
 use crate::cube::opm::OffsetLookup;
@@ -36,13 +37,25 @@ impl Ftl {
         (report, lookup)
     }
 
-    /// Reads the mapped location of `lpn`. Host and GC reads feed the
-    /// host-visible read statistics; maintenance migration reads are
-    /// background work and must not distort them.
+    /// Reads the mapped location of `lpn` — the host's entry: one L2P
+    /// lookup, then [`Ftl::read_at`].
     pub(crate) fn read_mapped(&mut self, lpn: u64, origin: Origin) -> Option<PageRead> {
         let ppn = self.mapping.lookup(lpn)?;
         let page = self.geometry().page_unflat(ppn.page as usize);
-        let chip = ppn.chip as usize;
+        Some(self.read_at(lpn, ppn.chip as usize, page, origin))
+    }
+
+    /// Reads `page` of `chip`, which the caller knows to hold `lpn` (the
+    /// host through the L2P, a migration through the victim's P2L). Host
+    /// and GC reads feed the host-visible read statistics; maintenance
+    /// migration reads are background work and must not distort them.
+    pub(crate) fn read_at(
+        &mut self,
+        lpn: u64,
+        chip: usize,
+        page: PageAddr,
+        origin: Origin,
+    ) -> PageRead {
         let (report, lookup) = self.policy_read(chip, page);
         debug_assert_eq!(report.data, lpn, "mapping returned wrong data");
         if origin != Origin::Maint {
@@ -76,11 +89,11 @@ impl Ftl {
                 },
             );
         }
-        Some(PageRead {
+        PageRead {
             chip,
             nand_us: report.latency_us,
             retries: report.retries,
-        })
+        }
     }
 
     /// Reads the first page of `wl` during maintenance (BER sampling
@@ -140,7 +153,7 @@ mod tests {
         ftl.set_fault_plan(&plan);
         ftl.reset_stats();
         for lpn in 0..300 {
-            // read_mapped debug-asserts the page data matches the LPN, so
+            // read_at debug-asserts the page data matches the LPN, so
             // a faulted read returning wrong data would panic here.
             assert!(ftl.read_page(lpn, &ctx(0.0)).is_some());
         }

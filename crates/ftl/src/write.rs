@@ -78,6 +78,11 @@ impl FreePool {
     }
 }
 
+/// WLs one `program_and_map` call can take, fault-plan aborts aside: the
+/// program and the §4.1.4 safety check's re-programs, which stop after
+/// this many attempts.
+pub(crate) const MAX_SAFETY_ATTEMPTS: u32 = 4;
+
 /// Sequential (horizontal-first) write point for the non-WAM variants.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SeqAlloc {
@@ -263,7 +268,8 @@ impl Ftl {
                 // improperly programmed. The h-layer's monitored
                 // parameters are demoted (discarded) until a new leader
                 // re-monitors it.
-                let demoted = (opm.safety_check(chip, wl, &report) && attempts < 4)
+                let demoted = (opm.safety_check(chip, wl, &report)
+                    && attempts < MAX_SAFETY_ATTEMPTS)
                     .then(|| opm.demote_layer(chip, wl));
                 if monitored {
                     self.trace_opm(chip, wl, "monitor");

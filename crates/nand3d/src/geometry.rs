@@ -210,15 +210,26 @@ impl Geometry {
 
     /// Inverse of [`Geometry::page_flat`].
     pub fn page_unflat(&self, flat: usize) -> PageAddr {
-        let pages_per_wl = self.pages_per_wl as usize;
-        let page = (flat % pages_per_wl) as u8;
-        let wl_flat = flat / pages_per_wl;
-        let per_block = self.wls_per_block() as usize;
-        let block = BlockId((wl_flat / per_block) as u32);
-        let in_block = wl_flat % per_block;
-        let h = (in_block / self.wls_per_hlayer as usize) as u16;
-        let v = (in_block % self.wls_per_hlayer as usize) as u16;
-        self.page_addr(block, h, v, page)
+        let per_block = self.pages_per_block() as usize;
+        self.page_in_block(
+            BlockId((flat / per_block) as u32),
+            (flat % per_block) as u32,
+        )
+    }
+
+    /// The address of the `index`-th page of `block` in flat
+    /// (programming) order, `index < pages_per_block()`.
+    #[inline]
+    pub fn page_in_block(&self, block: BlockId, index: u32) -> PageAddr {
+        let pages_per_wl = u32::from(self.pages_per_wl);
+        let wls_per_hlayer = u32::from(self.wls_per_hlayer);
+        let wl = index / pages_per_wl;
+        self.page_addr(
+            block,
+            (wl / wls_per_hlayer) as u16,
+            (wl % wls_per_hlayer) as u16,
+            (index % pages_per_wl) as u8,
+        )
     }
 
     /// Iterates over all WL addresses of a block in `(h, v)`

@@ -29,6 +29,13 @@
 //! intervals and safe margin of a WL; [`IsppEngine::program`] executes a
 //! program with arbitrary [`ProgramParams`] and reports latency, the
 //! observed intervals, and any BER penalty from unsafe parameters.
+//!
+//! The intervals (the WL's *ladder*) depend on two small integers only —
+//! the net whole-loop shift of layer, wear and disturbance, and whether
+//! the cells are aged enough to spread wider — so the engine tabulates
+//! `build_ladder` over both once at construction and a characterization
+//! indexes the table; the BER terms, which carry the WL's own RTN
+//! factor, are computed per program.
 
 use crate::config::{CalibratedModel, IsppModel};
 use crate::environment::Environment;
@@ -172,21 +179,50 @@ impl IsppOutcome {
 
 /// The ISPP program engine for one chip.
 ///
-/// Stateless apart from the calibrated model; all per-WL state comes in
-/// through [`WlCharacteristics`].
+/// Stateless apart from the calibrated model and the ladder table
+/// derived from it; all per-WL state comes in through
+/// [`WlCharacteristics`].
 #[derive(Debug, Clone)]
 pub struct IsppEngine {
     model: CalibratedModel,
     reliability: ReliabilityModel,
+    /// The loop ladder of every `(extra spread, net loop shift)` pair,
+    /// the shift clamped to `±max_loop` (beyond that every state already
+    /// sits on a rail): `2 · (2·max_loop + 1)` ladders of 14 bytes,
+    /// indexed by [`IsppEngine::ladder`].
+    ladders: Vec<Ladder>,
 }
+
+/// The seven `[L_min, L_max]` intervals of one WL program.
+type Ladder = [LoopInterval; NUM_PROGRAM_STATES];
 
 impl IsppEngine {
     /// Creates an engine from the calibrated model.
     pub fn new(model: CalibratedModel) -> Self {
+        let ispp = &model.ispp;
+        debug_assert!(
+            ispp.base_lmax.iter().all(|&b| b <= ispp.max_loop),
+            "a base ladder above MaxLoop still moves past the table's ±max_loop"
+        );
+        let max = i32::from(ispp.max_loop);
+        let ladders = [0u8, 1]
+            .into_iter()
+            .flat_map(|extra| (-max..=max).map(move |net| build_ladder(ispp, net, extra)))
+            .collect();
         IsppEngine {
             reliability: ReliabilityModel::new(model.reliability),
             model,
+            ladders,
         }
+    }
+
+    /// The ladder of a WL whose layer, wear and disturbance shift its
+    /// completion loops by `net`, with the wider spread of aged cells
+    /// when `extra_spread` is 1.
+    fn ladder(&self, net: i32, extra_spread: u8) -> Ladder {
+        let max = i32::from(self.model.ispp.max_loop);
+        let row = usize::from(extra_spread) * (2 * max + 1) as usize;
+        self.ladders[row + (net.clamp(-max, max) + max) as usize]
     }
 
     /// The ISPP window parameters.
@@ -237,26 +273,7 @@ impl IsppEngine {
         // Aged cells have wider program-speed variation.
         let extra_spread = u8::from(pe >= 1500);
 
-        let mut intervals = [LoopInterval { lmin: 1, lmax: 1 }; NUM_PROGRAM_STATES];
-        for ((iv, base), spread) in intervals
-            .iter_mut()
-            .zip(ispp.base_lmax)
-            .zip(ispp.base_spread)
-        {
-            let lmax = clamp_loop(i32::from(base) + net, ispp.max_loop);
-            let lmin = lmax.saturating_sub(spread + extra_spread).max(1);
-            *iv = LoopInterval { lmin, lmax };
-        }
-        // Keep completion order monotonic after clamping.
-        for s in 1..NUM_PROGRAM_STATES {
-            if intervals[s].lmax <= intervals[s - 1].lmax {
-                intervals[s].lmax = (intervals[s - 1].lmax + 1).min(ispp.max_loop);
-                intervals[s].lmin = intervals[s]
-                    .lmax
-                    .saturating_sub(ispp.base_spread[s] + extra_spread)
-                    .max(1);
-            }
-        }
+        let intervals = self.ladder(net, extra_spread);
 
         let mut ber_ep1 = self.reliability.ber_ep1(process, wl, pe);
         if disturbance_shift != 0 {
@@ -436,6 +453,33 @@ impl IsppEngine {
     }
 }
 
+/// The loop intervals of a WL whose completion loops are shifted by `net`
+/// from the model's base ladder — the formula behind
+/// [`IsppEngine::ladder`]'s table.
+fn build_ladder(ispp: &IsppModel, net: i32, extra_spread: u8) -> Ladder {
+    let mut intervals = [LoopInterval { lmin: 1, lmax: 1 }; NUM_PROGRAM_STATES];
+    for ((iv, base), spread) in intervals
+        .iter_mut()
+        .zip(ispp.base_lmax)
+        .zip(ispp.base_spread)
+    {
+        let lmax = clamp_loop(i32::from(base) + net, ispp.max_loop);
+        let lmin = lmax.saturating_sub(spread + extra_spread).max(1);
+        *iv = LoopInterval { lmin, lmax };
+    }
+    // Keep completion order monotonic after clamping.
+    for s in 1..NUM_PROGRAM_STATES {
+        if intervals[s].lmax <= intervals[s - 1].lmax {
+            intervals[s].lmax = (intervals[s - 1].lmax + 1).min(ispp.max_loop);
+            intervals[s].lmin = intervals[s]
+                .lmax
+                .saturating_sub(ispp.base_spread[s] + extra_spread)
+                .max(1);
+        }
+    }
+    intervals
+}
+
 fn clamp_loop(v: i32, max_loop: u8) -> u8 {
     v.clamp(1, i32::from(max_loop)) as u8
 }
@@ -487,6 +531,53 @@ mod tests {
 
     fn wl(process: &ProcessModel, b: u32, h: u16, v: u16) -> WlAddr {
         process.geometry().wl_addr(BlockId(b), h, v)
+    }
+
+    /// The interval loop as `characterize_at` ran it on every program
+    /// before the ladders were tabulated.
+    fn ref_ladder(ispp: &IsppModel, net: i32, extra_spread: u8) -> Ladder {
+        let mut intervals = [LoopInterval { lmin: 1, lmax: 1 }; NUM_PROGRAM_STATES];
+        for ((iv, base), spread) in intervals
+            .iter_mut()
+            .zip(ispp.base_lmax)
+            .zip(ispp.base_spread)
+        {
+            let lmax = clamp_loop(i32::from(base) + net, ispp.max_loop);
+            let lmin = lmax.saturating_sub(spread + extra_spread).max(1);
+            *iv = LoopInterval { lmin, lmax };
+        }
+        // Keep completion order monotonic after clamping.
+        for s in 1..NUM_PROGRAM_STATES {
+            if intervals[s].lmax <= intervals[s - 1].lmax {
+                intervals[s].lmax = (intervals[s - 1].lmax + 1).min(ispp.max_loop);
+                intervals[s].lmin = intervals[s]
+                    .lmax
+                    .saturating_sub(ispp.base_spread[s] + extra_spread)
+                    .max(1);
+            }
+        }
+        intervals
+    }
+
+    #[test]
+    fn ladder_table_matches_the_formula() {
+        let (engine, ..) = setup();
+        let ispp = *engine.ispp_model();
+        // Past ±max_loop the lookup clamps; the formula must not care.
+        let reach = i32::from(ispp.max_loop) + 4;
+        for extra_spread in [0, 1] {
+            for net in -reach..=reach {
+                assert_eq!(
+                    engine.ladder(net, extra_spread),
+                    ref_ladder(&ispp, net, extra_spread),
+                    "net {net}, extra spread {extra_spread}"
+                );
+            }
+        }
+        assert_eq!(
+            engine.ladders.len(),
+            2 * (2 * usize::from(ispp.max_loop) + 1)
+        );
     }
 
     #[test]

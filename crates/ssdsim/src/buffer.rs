@@ -13,8 +13,13 @@
 
 use std::collections::VecDeque;
 
+/// The LPN of a free table slot: the pad value of a short flush batch,
+/// which no host page can carry.
+const EMPTY: u64 = u64::MAX;
+
 /// One distinct buffered LPN. An entry lives while `resident > 0`, and
-/// `queued <= resident` always holds.
+/// `queued <= resident` always holds; a free slot holds [`EMPTY`] and
+/// zero counts.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     lpn: u64,
@@ -24,16 +29,27 @@ struct Entry {
     queued: u32,
 }
 
+const FREE: Entry = Entry {
+    lpn: EMPTY,
+    resident: 0,
+    queued: 0,
+};
+
 /// FIFO write buffer with in-place update and in-flight accounting.
 #[derive(Debug, Clone)]
 pub struct WriteBuffer {
     capacity: usize,
     /// Pages accepted but not yet picked for a flush.
     queue: VecDeque<u64>,
-    /// The distinct resident LPNs, unordered. Every entry owns at least
-    /// one slot, so the table never outgrows the `capacity` entries it
-    /// is allocated with; at the 16–256 pages the workspace configures,
-    /// a linear scan beats hashing the key.
+    /// The distinct resident LPNs in an open-addressing table: linear
+    /// probing from a multiplicative hash of the LPN, backward-shift
+    /// deletion (no tombstones). Every entry owns at least one buffer
+    /// slot, so at most `capacity` of the table's power-of-two
+    /// `>= 2 * capacity` slots are ever live: a probe always ends, and
+    /// push / take / complete / read probe cost O(1) at any capacity
+    /// with nothing allocated after `new`. LPNs chosen to share a home
+    /// slot cost a probe of at most `capacity` entries — the linear scan
+    /// this table replaced.
     table: Vec<Entry>,
     /// Pages picked for an ongoing flush but not yet programmed.
     in_flight: usize,
@@ -50,7 +66,7 @@ impl WriteBuffer {
         WriteBuffer {
             capacity,
             queue: VecDeque::with_capacity(capacity),
-            table: Vec::with_capacity(capacity),
+            table: vec![FREE; (2 * capacity).next_power_of_two()],
             in_flight: 0,
         }
     }
@@ -80,36 +96,68 @@ impl WriteBuffer {
         self.fill() + n <= self.capacity
     }
 
+    /// The table slot a probe for `lpn` starts at: the top bits of a
+    /// Fibonacci hash.
+    fn home(&self, lpn: u64) -> usize {
+        let bits = self.table.len().trailing_zeros();
+        (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// The slot holding `lpn`, or else the free slot ending its probe
+    /// chain (where it would be inserted).
+    fn probe(&self, lpn: u64) -> usize {
+        debug_assert_ne!(lpn, EMPTY, "the pad value is not a host page");
+        let mask = self.table.len() - 1;
+        let mut i = self.home(lpn);
+        while self.table[i].lpn != lpn && self.table[i].lpn != EMPTY {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
     fn position(&self, lpn: u64) -> Option<usize> {
-        self.table.iter().position(|e| e.lpn == lpn)
+        let i = self.probe(lpn);
+        (self.table[i].lpn == lpn).then_some(i)
+    }
+
+    /// Frees slot `hole`, shifting back every later entry of the chain
+    /// whose probe would otherwise stop at the hole.
+    fn remove(&mut self, mut hole: usize) {
+        let mask = self.table.len() - 1;
+        let mut next = (hole + 1) & mask;
+        while self.table[next].lpn != EMPTY {
+            let home = self.home(self.table[next].lpn);
+            // Movable iff the hole lies on its path from home to `next`.
+            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
+                self.table[hole] = self.table[next];
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.table[hole] = FREE;
     }
 
     /// Accepts a host page write. Returns `false` (and changes nothing)
     /// if the buffer is full; returns `true` on acceptance. Re-writing a
     /// page that is still queued updates it in place.
     pub fn push(&mut self, lpn: u64) -> bool {
-        let at = self.position(lpn);
+        let i = self.probe(lpn);
         // In-place update only if a queued (not yet in-flight) copy
         // exists; an in-flight copy is already bound to a NAND program,
         // so the re-write needs its own slot.
-        if at.is_some_and(|i| self.table[i].queued > 0) {
+        if self.table[i].queued > 0 {
             return true;
         }
         if !self.has_room(1) {
             return false;
         }
         self.queue.push_back(lpn);
-        match at {
-            Some(i) => {
-                self.table[i].resident += 1;
-                self.table[i].queued += 1;
-            }
-            None => self.table.push(Entry {
-                lpn,
-                resident: 1,
-                queued: 1,
-            }),
-        }
+        // A free slot counts zero copies, so a new entry and a further
+        // copy of a resident one are the same update.
+        let entry = &mut self.table[i];
+        entry.lpn = lpn;
+        entry.resident += 1;
+        entry.queued += 1;
         true
     }
 
@@ -139,6 +187,7 @@ impl WriteBuffer {
     /// Queued (not yet in-flight) pages in FIFO order — together with
     /// the in-flight flush batches held by the chips, this is what the
     /// power-loss-protection capacitor dumps on a sudden power-off.
+    /// Deterministic: iterates the FIFO, never the hashed table.
     pub fn queued_lpns(&self) -> impl Iterator<Item = u64> + '_ {
         self.queue.iter().copied()
     }
@@ -156,7 +205,7 @@ impl WriteBuffer {
                 .expect("flush completion for unknown page");
             self.table[i].resident -= 1;
             if self.table[i].resident == 0 {
-                self.table.swap_remove(i);
+                self.remove(i);
             }
         }
     }
@@ -168,8 +217,8 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    /// The buffer as it was before the fixed table — two hash maps keyed
-    /// by LPN — kept as the reference the table is compared against.
+    /// The buffer as it first was — two hash maps keyed by LPN — kept as
+    /// the reference the hashed table is compared against.
     #[derive(Debug, Clone)]
     struct RefBuffer {
         capacity: usize,
@@ -299,23 +348,48 @@ mod tests {
         }
     }
 
+    /// Twelve LPNs picked to collide: eight whose probe starts at the
+    /// table's last slot and four at slot 0, at every capacity (`home`
+    /// takes the hash's top bits, so all-ones / all-zeros at the widest
+    /// table is all-ones / all-zeros at the narrower ones). Their chains
+    /// run across the wrap-around, and a deletion must shift some
+    /// entries back and leave others at home.
+    fn colliding_lpns() -> Vec<u64> {
+        let widest = WriteBuffer::new(256);
+        let last = widest.table.len() - 1;
+        let homed = |slot, n| -> Vec<u64> {
+            let at_slot = (0u64..).filter(|&l| widest.home(l) == slot);
+            at_slot.take(n).collect()
+        };
+        [homed(last, 8), homed(0, 4)].concat()
+    }
+
     proptest! {
-        /// The fixed table against the two-hash-map buffer it replaced:
-        /// random operation sequences over six LPNs (so in-place updates
-        /// and re-writes of in-flight copies are frequent) at capacities
-        /// 1, 3, 16 and 256. Every return value and every observable
+        /// The hashed table against the two-hash-map buffer it replaced:
+        /// random operation sequences at capacities 1, 3, 16 and 256
+        /// over one of two LPN domains — six small LPNs (so in-place
+        /// updates and re-writes of in-flight copies are frequent) or
+        /// `colliding_lpns`. Every return value and every observable
         /// must agree after every step.
         #[test]
         fn fixed_table_matches_the_hash_map_buffer(
-            ops in prop::collection::vec((0u8..12, 0u64..6, 0usize..5), 1..400),
+            ops in prop::collection::vec((0u8..12, 0usize..12, 0usize..5), 1..400),
+            colliding in prop::bool::ANY,
         ) {
+            let lpns = if colliding { colliding_lpns() } else { (0..6).collect() };
             for capacity in [1, 3, 16, 256] {
                 let mut buffer = WriteBuffer::new(capacity);
                 let mut reference = RefBuffer::new(capacity);
+                if colliding {
+                    let last = buffer.table.len() - 1;
+                    prop_assert!(lpns[..8].iter().all(|&l| buffer.home(l) == last));
+                    prop_assert!(lpns[8..].iter().all(|&l| buffer.home(l) == 0));
+                }
                 // Batches taken and not yet completed; flushes complete
                 // in chip order, not FIFO, so any of them may be next.
                 let mut in_flight: Vec<[u64; 3]> = Vec::new();
-                for &(op, lpn, n) in &ops {
+                for &(op, key, n) in &ops {
+                    let lpn = lpns[key % lpns.len()];
                     match op {
                         0..=4 => prop_assert_eq!(buffer.push(lpn), reference.push(lpn)),
                         5 | 6 => {
@@ -330,7 +404,7 @@ mod tests {
                         }
                         _ => prop_assert_eq!(buffer.has_room(n), reference.has_room(n)),
                     }
-                    for l in 0..6 {
+                    for &l in &lpns {
                         prop_assert_eq!(buffer.contains(l), reference.contains(l));
                     }
                     prop_assert_eq!(buffer.capacity(), reference.capacity());
@@ -338,7 +412,9 @@ mod tests {
                     prop_assert_eq!(buffer.queued(), reference.queued());
                     prop_assert_eq!(buffer.utilization(), reference.utilization());
                     prop_assert!(buffer.queued_lpns().eq(reference.queued_lpns()));
-                    prop_assert!(buffer.table.len() <= capacity);
+                    let live = buffer.table.iter().filter(|e| e.lpn != EMPTY).count();
+                    prop_assert_eq!(live, reference.resident.len());
+                    prop_assert!(live <= capacity);
                 }
             }
         }

@@ -227,6 +227,15 @@ pub trait FtlDriver {
     /// never written.
     fn read_page(&mut self, lpn: u64, ctx: &HostContext) -> Option<PageRead>;
 
+    /// Whether `chip` can take a buffer flush now: the simulator places
+    /// flushes by queue length and asks before it picks a chip, so that
+    /// a chip already holding all the data its blocks can carry is
+    /// passed over instead of overfilled. Default: always.
+    fn accepts_flush(&self, chip: usize) -> bool {
+        let _ = chip;
+        true
+    }
+
     /// Invalidate a logical page (TRIM). Default: ignored.
     fn trim(&mut self, lpn: u64) {
         let _ = lpn;

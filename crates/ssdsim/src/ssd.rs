@@ -1416,7 +1416,7 @@ impl SsdSim {
                 return;
             }
             // Pick the least-loaded chip that can still accept a flush.
-            let Some(chip) = self.pick_flush_chip() else {
+            let Some(chip) = self.pick_flush_chip(ftl) else {
                 return;
             };
             let Some(lpns) = self.buffer.take_for_flush(min_pages) else {
@@ -1608,11 +1608,12 @@ impl SsdSim {
         self.sampler = Some(s);
     }
 
-    fn pick_flush_chip(&self) -> Option<usize> {
+    fn pick_flush_chip<F: FtlDriver + ?Sized>(&self, ftl: &F) -> Option<usize> {
         self.chips
             .iter()
             .enumerate()
             .filter(|(_, c)| c.pending_flushes < self.config.max_pending_flush_per_chip)
+            .filter(|(i, _)| ftl.accepts_flush(*i))
             .min_by_key(|(_, c)| (c.queue.len() + usize::from(c.busy), c.pending_flushes))
             .map(|(i, _)| i)
     }
@@ -1636,6 +1637,8 @@ mod tests {
         /// Background-maintenance units this stub still wants to run
         /// (0 = never asks for maintenance).
         maint_budget: u64,
+        /// A chip that accepts no flush.
+        full_chip: Option<usize>,
     }
 
     impl StubFtl {
@@ -1648,6 +1651,7 @@ mod tests {
                 stats: FtlStats::default(),
                 utilizations: Vec::new(),
                 maint_budget: 0,
+                full_chip: None,
             }
         }
     }
@@ -1666,6 +1670,10 @@ mod tests {
                 did_gc: false,
                 leader: true,
             }
+        }
+
+        fn accepts_flush(&self, chip: usize) -> bool {
+            self.full_chip != Some(chip)
         }
 
         fn read_page(&mut self, lpn: u64, _ctx: &HostContext) -> Option<PageRead> {
@@ -1826,6 +1834,17 @@ mod tests {
         assert!(lat.percentile(2.0) <= cfg.t_buffer_us + 1e-9);
         // ... while the tail pays for NAND programs (backpressure).
         assert!(lat.percentile(99.0) > 100.0);
+    }
+
+    #[test]
+    fn flushes_pass_over_a_chip_that_accepts_none() {
+        let cfg = SsdConfig::small();
+        let mut sim = SsdSim::new(cfg);
+        let mut ftl = StubFtl::new(cfg.chips);
+        ftl.full_chip = Some(0);
+        let report = sim.run(&mut ftl, (0..400u64).map(HostRequest::write), 400);
+        assert_eq!(report.writes, 400, "the other chips absorb every write");
+        assert!(ftl.mapped.values().all(|&chip| chip != 0));
     }
 
     #[test]

@@ -120,6 +120,11 @@ cases! {
                      --capture-trace-out {out}/cap.csv";
     kv_a: &format!("--ftl cube --blocks 16 --requests 3000 --kv a --aging eol {FILES}");
     kv_a_all_kinds: "--ftl all --blocks 16 --requests 2000 --kv f --kv-keys 4000 --kv-fanout 4";
+    // A key space that churns the whole prefilled device: flush placement
+    // must pass over the chips it has overfilled (this line used to die in
+    // `Wam::select`, "the allocator returned none").
+    kv_churns_a_tight_device: "--ftl cube --kv a --blocks 16 --kv-value-bytes 16360 \
+                               --kv-keys 1000000 --requests 300000";
     kv_a_shards4: &format!("--ftl cube --blocks 16 --requests 3000 --kv a --shards 4 --array-threads 2 {FILES}");
     qos: &format!("--ftl cube --blocks 16 --requests 3000 --queues 4 --tenants 12 \
                    --tenant-weights 8,4,2,1 --qos-slo-read-us 5000 {FILES}");
