@@ -14,9 +14,10 @@
 //!
 //! Both live in flat per-chip tables with a slot per h-layer of every
 //! block, allocated once — the program parameters in 88-byte
-//! `LayerSlot`s, the ORT in a 4-byte-per-entry table of its own, which
-//! is all a page read touches: every operation is an index, and an
-//! erase touches one block's h-layers however large the device is.
+//! `LayerSlot`s, the ORT (with the recovery quarantine flags) in a
+//! 4-byte-per-entry table of its own, which is all a page read touches:
+//! every operation is an index, and an erase touches one block's
+//! h-layers however large the device is.
 
 use crate::config::OrtClusterConfig;
 use nand3d::ispp::{margin_mv_for_spare, split_margin_mv};
@@ -79,20 +80,43 @@ impl LeaderParams {
 }
 
 /// One h-layer's ORT entry: the last known good read offset, while
-/// `present`. Four bytes, in a table of their own beside the
-/// [`LayerSlot`]s, because a page read needs nothing else from the OPM:
-/// at 256 blocks a chip's whole ORT is 48 KB and stays cache-resident
-/// where the slot table (88 B per h-layer) cannot.
+/// [`OrtSlot::PRESENT`], and the key's recovery quarantine. Four bytes,
+/// in a table of their own beside the [`LayerSlot`]s, because a page
+/// read needs nothing else from the OPM — neither to look its offset up
+/// nor to store the decoded one back: at 256 blocks a chip's whole ORT
+/// is 48 KB and stays cache-resident where the slot table (88 B per
+/// h-layer) cannot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct OrtSlot {
     offset: u8,
-    present: bool,
+    /// [`OrtSlot::PRESENT`] and [`OrtSlot::QUARANTINED`].
+    flags: u8,
     /// Q8.8 EWMA of the key's decoded offsets — only maintained in
     /// smoothed mode (cluster enabled), where `offset` is its rounding.
     /// Smoothing filters the per-read ±1 thermal jitter out of the
     /// cached start, so warm reads launch from the jitter-free optimum
     /// instead of chasing the previous read's jitter.
     ewma_q8: u16,
+}
+
+impl OrtSlot {
+    /// `offset` (and `ewma_q8`) hold a cached entry. LRU eviction clears
+    /// this bit alone.
+    const PRESENT: u8 = 1;
+    /// Excluded from cluster seeding until the next decode — set by
+    /// crash recovery for torn or resumed h-layers whose pre-cut offsets
+    /// are no longer trustworthy. Independent of `PRESENT`: a key keeps
+    /// its quarantine through an eviction, and an erase lifts it while
+    /// the offset stays.
+    const QUARANTINED: u8 = 2;
+
+    fn present(self) -> bool {
+        self.flags & Self::PRESENT != 0
+    }
+
+    fn quarantined(self) -> bool {
+        self.flags & Self::QUARANTINED != 0
+    }
 }
 
 /// Everything the OPM holds about one h-layer of one block besides its
@@ -118,10 +142,6 @@ struct LayerSlot {
     /// skips, full window) until a leader-style program re-monitors the
     /// layer.
     demoted: bool,
-    /// Excluded from cluster seeding until the next decode — set by
-    /// crash recovery for torn or resumed h-layers whose pre-cut offsets
-    /// are no longer trustworthy.
-    quarantined: bool,
 }
 
 /// One chip's slot table, its ORT and the bookkeeping of the ORT's
@@ -179,29 +199,30 @@ impl ChipTable {
     /// Slot `i`'s cached offset, bumping the entry's recency.
     fn ort_get(&mut self, i: usize) -> Option<u8> {
         let e = self.ort[i];
-        e.present.then(|| {
+        e.present().then(|| {
             self.touch(i);
             e.offset
         })
     }
 
-    /// Inserts or refreshes slot `i`'s entry; returns `true` when a
-    /// victim was evicted to make room. In smoothed mode a refresh folds
-    /// the new decode into the entry's Q8.8 EWMA (weight 1/4) and caches
-    /// its rounding; otherwise the entry stores the decode verbatim.
+    /// Inserts or refreshes slot `i`'s entry, lifting its quarantine in
+    /// the same store; returns `true` when a victim was evicted to make
+    /// room. In smoothed mode a refresh folds the new decode into the
+    /// entry's Q8.8 EWMA (weight 1/4) and caches its rounding; otherwise
+    /// the entry stores the decode verbatim.
     fn ort_insert(&mut self, i: usize, offset: u8, smooth: bool) -> bool {
         let old = self.ort[i];
         let mut fresh = OrtSlot {
             offset,
-            present: true,
+            flags: OrtSlot::PRESENT,
             ewma_q8: u16::from(offset) << 8,
         };
-        if old.present && smooth {
+        if old.present() && smooth {
             let ewma = (u32::from(old.ewma_q8) * 3 + u32::from(fresh.ewma_q8)) / 4;
             fresh.offset = (((ewma + 128) >> 8) as u8).min(MAX_OFFSET_INDEX);
             fresh.ewma_q8 = ewma as u16;
         }
-        let evicted = !old.present && self.cached.len() >= self.capacity;
+        let evicted = !old.present() && self.cached.len() >= self.capacity;
         if evicted {
             let stamps = &self.stamps;
             let lru = self
@@ -209,9 +230,9 @@ impl ChipTable {
                 .iter_mut()
                 .min_by_key(|s| stamps[**s as usize])
                 .expect("capacity is at least 1");
-            self.ort[*lru as usize].present = false;
+            self.ort[*lru as usize].flags &= !OrtSlot::PRESENT;
             *lru = i as u32;
-        } else if !old.present {
+        } else if !old.present() {
             self.cached.push(i as u32);
         }
         self.ort[i] = fresh;
@@ -362,8 +383,8 @@ impl Opm {
         } else {
             self.cluster = None;
         }
-        for slot in self.chips.iter_mut().flat_map(|c| &mut c.slots) {
-            slot.quarantined = false;
+        for e in self.chips.iter_mut().flat_map(|c| &mut c.ort) {
+            e.flags &= !OrtSlot::QUARANTINED;
         }
     }
 
@@ -377,7 +398,10 @@ impl Opm {
             return false;
         }
         let i = self.index(block, h);
-        !std::mem::replace(&mut self.chips[chip].slots[i].quarantined, true)
+        let e = &mut self.chips[chip].ort[i];
+        let newly = !e.quarantined();
+        e.flags |= OrtSlot::QUARANTINED;
+        newly
     }
 
     /// Index of h-layer `h` of `block` in its chip's slot table.
@@ -486,14 +510,19 @@ impl Opm {
     /// Drops all monitored program parameters of `block` (erase): one
     /// contiguous run of `hlayers` slots, whatever the device size. An
     /// erase also clears demotion flags — a fresh block starts clean —
-    /// and recovery quarantines, which are moot once the block is
-    /// re-programmed from scratch. Cached read offsets stay.
+    /// and recovery quarantines (in the block's run of ORT entries),
+    /// which are moot once the block is re-programmed from scratch.
+    /// Cached read offsets stay.
     pub fn invalidate_block(&mut self, chip: usize, block: u32) {
         let first = self.index(block, 0);
-        for slot in &mut self.chips[chip].slots[first..first + self.hlayers] {
+        let table = &mut self.chips[chip];
+        for slot in &mut table.slots[first..first + self.hlayers] {
             self.pending -= usize::from(slot.leader.is_some());
             self.demoted -= usize::from(slot.demoted);
             *slot = LayerSlot::default();
+        }
+        for e in &mut table.ort[first..first + self.hlayers] {
+            e.flags &= !OrtSlot::QUARANTINED;
         }
     }
 
@@ -503,8 +532,8 @@ impl Opm {
     /// is not quarantined by crash recovery.
     fn cluster_seed(&self, chip: usize, wl: WlAddr) -> Option<u8> {
         let clusters = self.cluster.as_ref()?;
-        let slot = self.slot(chip, wl);
-        if slot.demoted || slot.quarantined {
+        let i = self.index(wl.block.0, wl.h.0);
+        if self.chips[chip].slots[i].demoted || self.chips[chip].ort[i].quarantined() {
             return None;
         }
         clusters[chip].predict(usize::from(wl.h.0), self.cluster_min_samples)
@@ -556,7 +585,7 @@ impl Opm {
     /// `ort_fallbacks` agrees between the read path and prediction.
     pub fn peek_offset(&self, chip: usize, wl: WlAddr) -> u8 {
         let e = self.chips[chip].ort[self.index(wl.block.0, wl.h.0)];
-        if e.present {
+        if e.present() {
             return e.offset;
         }
         self.cluster_seed(chip, wl).unwrap_or_else(|| {
@@ -581,15 +610,14 @@ impl Opm {
     /// Updates the ORT after a read decoded at `final_offset`, evicting
     /// the least recently used entry of the chip's table when full. The
     /// decode also feeds the h-layer cluster and lifts any recovery
-    /// quarantine on the key — a fresh decode re-vouches for it.
+    /// quarantine on the key — a fresh decode re-vouches for it. Writes
+    /// the key's ORT entry and nothing else of the chip's tables.
     pub fn update_read_offset(&mut self, chip: usize, wl: WlAddr, final_offset: u8) {
         let smooth = self.cluster.is_some();
         let i = self.index(wl.block.0, wl.h.0);
-        let table = &mut self.chips[chip];
-        if table.ort_insert(i, final_offset, smooth) {
+        if self.chips[chip].ort_insert(i, final_offset, smooth) {
             self.ort_evictions += 1;
         }
-        table.slots[i].quarantined = false;
         if let Some(clusters) = self.cluster.as_mut() {
             clusters[chip].record(usize::from(wl.h.0), final_offset);
         }
@@ -1034,6 +1062,46 @@ mod tests {
         assert!(opm.quarantine_cluster_key(0, 1, 4));
         opm.invalidate_block(0, 1);
         assert!(opm.quarantine_cluster_key(0, 1, 4), "erase cleared the key");
+    }
+
+    #[test]
+    fn quarantine_outlives_eviction_and_erase_keeps_offsets() {
+        let g = NandConfig::small().geometry;
+        let mut opm = Opm::with_ort_capacity(&g, 1, 1);
+        opm.set_cluster(cluster_on(1));
+        let suspect = g.wl_addr(nand3d::BlockId(1), 4, 0);
+        let other = g.wl_addr(nand3d::BlockId(0), 4, 0);
+        opm.update_read_offset(0, suspect, 5);
+        assert!(opm.quarantine_cluster_key(0, 1, 4));
+        // The one-entry table evicts the suspect key's offset...
+        opm.update_read_offset(0, other, 5);
+        assert_eq!(opm.ort_counters().2, 1);
+        // ...but not its quarantine: the cold lookup is still not seeded.
+        let cold = opm.lookup_offset(0, suspect);
+        assert_eq!(
+            cold,
+            OffsetLookup {
+                offset: 0,
+                seeded: false
+            }
+        );
+        assert!(!opm.quarantine_cluster_key(0, 1, 4), "still quarantined");
+        // An erase lifts the quarantine: the h-layer's cluster seeds it.
+        opm.invalidate_block(0, 1);
+        assert!(opm.lookup_offset(0, suspect).seeded);
+        // A quarantined key with a cached offset: the erase lifts the
+        // quarantine and leaves the offset.
+        assert!(opm.quarantine_cluster_key(0, 0, 4));
+        opm.invalidate_block(0, 0);
+        assert_eq!(
+            opm.lookup_offset(0, other),
+            OffsetLookup {
+                offset: 5,
+                seeded: false
+            },
+            "the ORT entry survives (a hit, not a cluster seed)"
+        );
+        assert!(opm.quarantine_cluster_key(0, 0, 4), "erase cleared the key");
     }
 
     #[test]

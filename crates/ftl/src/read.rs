@@ -57,7 +57,11 @@ impl Ftl {
         origin: Origin,
     ) -> PageRead {
         let (report, lookup) = self.policy_read(chip, page);
-        debug_assert_eq!(report.data, lpn, "mapping returned wrong data");
+        debug_assert_eq!(
+            self.array.chip(chip).expect("valid chip").page_tag(page),
+            Some(lpn),
+            "mapping returned wrong data"
+        );
         if origin != Origin::Maint {
             self.stats.nand_reads += 1;
             self.stats.read_retries += u64::from(report.retries);

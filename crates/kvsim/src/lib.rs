@@ -37,7 +37,6 @@ pub use ycsb::{KvOp, YcsbGen, YcsbKind};
 pub use zipf::IntZipf;
 
 use ssdsim::HostRequest;
-use std::collections::BTreeMap;
 
 /// An endless iterator of device requests produced by a YCSB generator
 /// feeding an LSM engine. Pass `&mut stream` to `SsdSim::run` so the
@@ -46,10 +45,10 @@ use std::collections::BTreeMap;
 pub struct KvStream {
     gen: YcsbGen,
     lsm: LsmTree,
-    /// Per-op read-probe page costs (pages → ops).
-    read_cost: BTreeMap<u32, u64>,
+    /// Per-op read-probe page costs: `read_cost[pages]` ops.
+    read_cost: Vec<u64>,
     /// Per-op write page costs, flush/compaction bursts included.
-    update_cost: BTreeMap<u32, u64>,
+    update_cost: Vec<u64>,
     load_requests: u64,
 }
 
@@ -78,8 +77,8 @@ impl KvStream {
         let mut s = KvStream {
             gen,
             lsm,
-            read_cost: BTreeMap::new(),
-            update_cost: BTreeMap::new(),
+            read_cost: Vec::new(),
+            update_cost: Vec::new(),
             load_requests: 0,
         };
         s.load_requests = s.lsm.stats().sst_pages_written;
@@ -168,27 +167,27 @@ impl KvStream {
     }
 }
 
-/// Raises the histogram bucket for a cost observation.
-fn bump(hist: &mut BTreeMap<u32, u64>, pages: u64) {
-    let bucket = u32::try_from(pages.min(u64::from(u32::MAX))).unwrap_or(u32::MAX);
-    *hist.entry(bucket).or_insert(0) += 1;
+/// Raises the histogram bucket for a cost observation: `hist[pages]`,
+/// with the page count clamped to `u32::MAX`.
+fn bump(hist: &mut Vec<u64>, pages: u64) {
+    let bucket = pages.min(u64::from(u32::MAX)) as usize;
+    if bucket >= hist.len() {
+        hist.resize(bucket + 1, 0);
+    }
+    hist[bucket] += 1;
 }
 
-/// Integer percentile over a cost histogram (nearest-rank).
-fn percentile(hist: &BTreeMap<u32, u64>, pct: u64) -> u64 {
-    let total: u64 = hist.values().sum();
-    if total == 0 {
-        return 0;
-    }
-    let rank = (total * pct).div_ceil(100).max(1);
+/// Integer percentile over a cost histogram (nearest-rank; 0 when the
+/// histogram is empty).
+fn percentile(hist: &[u64], pct: u64) -> u64 {
+    let rank = (hist.iter().sum::<u64>() * pct).div_ceil(100).max(1);
     let mut seen = 0u64;
-    for (&bucket, &count) in hist {
-        seen += count;
-        if seen >= rank {
-            return u64::from(bucket);
-        }
-    }
-    u64::from(hist.keys().next_back().copied().unwrap_or(0))
+    hist.iter()
+        .position(|&count| {
+            seen += count;
+            seen >= rank
+        })
+        .map_or(0, |bucket| bucket as u64)
 }
 
 impl Iterator for KvStream {

@@ -159,7 +159,9 @@ pub struct ProgramReport {
     pub aborted: bool,
 }
 
-/// Report of one page read command.
+/// Report of one page read command: what the sense cost and which
+/// reference offset decoded the page. The page's stored tag is not a
+/// sense result and is not in it — see [`NandChip::page_tag`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ReadReport {
     /// Total command latency in µs.
@@ -168,10 +170,8 @@ pub struct ReadReport {
     pub retries: u32,
     /// Offset index that decoded the page (ORT update value).
     pub final_offset: u8,
-    /// Logical tag stored in the page.
-    pub data: u64,
     /// The injected read fault this command recovered from, if any.
-    /// Recovery costs retries/latency but never corrupts `data`.
+    /// Recovery costs retries/latency but never corrupts the page's data.
     pub fault: Option<ReadFaultKind>,
     /// Whether a hopeless retry chain was cut short (seeded walk
     /// abandoned for the default schedule, or a shortened full scan —
@@ -217,7 +217,8 @@ const UNKNOWN_OPTIMUM: u8 = u8::MAX;
 /// chip.program_wl(wl, WlData::host(100), &ProgramParams::default())?;
 /// let page = chip.geometry().page_addr(block, 0, 0, 1);
 /// let read = chip.read_page(page, ReadParams::default())?;
-/// assert_eq!(read.data, 101);
+/// assert!(read.latency_us > 0.0);
+/// assert_eq!(chip.page_tag(page), Some(101));
 /// # Ok(())
 /// # }
 /// ```
@@ -587,10 +588,20 @@ impl NandChip {
             latency_us: outcome.latency_us,
             retries: outcome.retries,
             final_offset: outcome.final_offset,
-            data: self.wl_data[idx].pages[page.page.0 as usize],
             fault,
             early_terminated: outcome.early_terminated,
         })
+    }
+
+    /// The logical tag `page`'s WL was programmed with, or `None` while
+    /// the WL is unwritten. The simulator moves no real bytes, so this
+    /// is what the page "contains"; it is bookkeeping for checks (an FTL
+    /// asserting that its mapping points where the data is), not a sense
+    /// result, and [`NandChip::read_page`] does not load it.
+    pub fn page_tag(&self, page: PageAddr) -> Option<u64> {
+        let idx = self.config.geometry.wl_flat(page.wl);
+        (self.wl_state[idx] == PageState::Written)
+            .then(|| self.wl_data[idx].pages[page.page.0 as usize])
     }
 
     /// Get-Features: the post-program BER of a written WL, used by the
@@ -885,10 +896,8 @@ mod tests {
             .unwrap();
         for (i, expected) in [7u64, 8, 9].iter().enumerate() {
             let p = c.geometry().page_addr(b, 2, 1, i as u8);
-            assert_eq!(
-                c.read_page(p, ReadParams::default()).unwrap().data,
-                *expected
-            );
+            c.read_page(p, ReadParams::default()).unwrap();
+            assert_eq!(c.page_tag(p), Some(*expected));
         }
     }
 

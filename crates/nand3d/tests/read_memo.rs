@@ -20,11 +20,11 @@ impl Fnv {
         }
     }
 
-    fn read(&mut self, r: &ReadReport) {
+    fn read(&mut self, r: &ReadReport, tag: u64) {
         self.word(r.latency_us.to_bits());
         self.word(u64::from(r.retries));
         self.word(u64::from(r.final_offset));
-        self.word(r.data);
+        self.word(tag);
         self.word(r.fault.map_or(0, |f| 1 + f as u64));
         self.word(u64::from(r.early_terminated));
     }
@@ -107,7 +107,7 @@ impl Script {
                 ReadParams::from_offset(start)
             };
             let r = self.chip.read_page(page, params).unwrap();
-            self.fnv.read(&r);
+            self.fnv.read(&r, self.chip.page_tag(page).unwrap());
         }
     }
 }

@@ -9,9 +9,9 @@ use telemetry::LogHistogram;
 ///
 /// Backed by a deterministic log-bucketed histogram
 /// ([`telemetry::LogHistogram`]) rather than a raw sample buffer, so
-/// memory is bounded by the number of distinct latency buckets touched
-/// — million-op runs cost a few hundred map entries, not a `Vec` of
-/// every sample. The trade: percentiles and CDF points are reported at
+/// memory is bounded by the span of the latencies — about 10 KB for
+/// 1 µs to 1 s, however many samples — not a `Vec` of every sample.
+/// The trade: percentiles and CDF points are reported at
 /// bucket granularity (the lower bound of the bucket holding the rank),
 /// under-estimating the true nearest-rank sample by at most
 /// [`LogHistogram::MAX_RELATIVE_ERROR`] (1.6%); count, mean and max

@@ -10,23 +10,45 @@
 //! exact). Bucketing uses only integer bit manipulation — no `log2`, no
 //! libm — so it is bit-stable across platforms.
 //!
-//! Storage is a `BTreeMap` keyed by bucket index: iteration order is
-//! value order (deterministic), and memory is bounded by the number of
-//! *distinct* buckets touched (a few hundred for µs-scale latencies),
-//! not the number of samples.
-
-use std::collections::BTreeMap;
+//! Storage is dense: one counter for bucket 0 (every non-positive or
+//! non-finite sample) and a `Vec<u64>` over the positive buckets from
+//! the smallest to the largest one touched, so `record` is an index and
+//! an increment. Iteration order is value order (deterministic), and
+//! memory is 512 B per octave spanned by the positive samples — about
+//! 10 KB for latencies between 1 µs and 1 s, at most about 1 MB for the
+//! whole `f64` range (up to twice that once the front has grown) — never
+//! a function of the number of samples.
 
 /// A log-bucketed histogram of non-negative `f64` samples.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct LogHistogram {
-    /// Sparse bucket counts, keyed by [`LogHistogram::bucket_index`].
-    buckets: BTreeMap<u32, u64>,
+    /// Samples in bucket 0: non-positive and non-finite values. Kept
+    /// apart so a `0.0` beside a `100.0` does not stretch `counts` over
+    /// the 65 000 buckets between them.
+    floor: u64,
+    /// Bucket index of `counts[0]` (at least 1 once anything is held).
+    base: u32,
+    /// Counts of the positive buckets `base..base + counts.len()`; a
+    /// bucket no sample fell into holds 0.
+    counts: Vec<u64>,
     count: u64,
     sum: f64,
     /// Exact extrema; meaningful only when `count > 0`.
     min: f64,
     max: f64,
+}
+
+impl PartialEq for LogHistogram {
+    /// Content equality: the same samples compare equal however the
+    /// bucket array grew to hold them.
+    fn eq(&self, other: &Self) -> bool {
+        self.floor == other.floor
+            && self.count == other.count
+            && self.sum == other.sum
+            && self.min == other.min
+            && self.max == other.max
+            && self.buckets().eq(other.buckets())
+    }
 }
 
 impl LogHistogram {
@@ -60,9 +82,47 @@ impl LogHistogram {
         }
     }
 
+    /// The occupied buckets in value order: `(index, count)`, bucket 0
+    /// first.
+    fn buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let floor = (self.floor > 0).then_some((0, self.floor));
+        let positive = (self.base..).zip(self.counts.iter().copied());
+        floor.into_iter().chain(positive.filter(|&(_, n)| n > 0))
+    }
+
+    /// Adds `n` samples to bucket `idx`.
+    fn add(&mut self, idx: u32, n: u64) {
+        if idx == 0 {
+            self.floor += n;
+        } else if let Some(c) = self.counts.get_mut(idx.wrapping_sub(self.base) as usize) {
+            *c += n;
+        } else {
+            self.grow_to(idx);
+            self.counts[(idx - self.base) as usize] += n;
+        }
+    }
+
+    /// Grows `counts` to hold the positive bucket `idx`. The front grows
+    /// by at least the current length, so a run of ever smaller samples
+    /// costs amortised O(1) each; the back grows to exactly `idx`.
+    fn grow_to(&mut self, idx: u32) {
+        if self.counts.is_empty() {
+            self.base = idx;
+            self.counts.push(0);
+        } else if idx < self.base {
+            let pad = (self.base - idx).max(self.counts.len() as u32);
+            let base = self.base.saturating_sub(pad).max(1);
+            let front = (self.base - base) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, front));
+            self.base = base;
+        } else {
+            self.counts.resize((idx - self.base) as usize + 1, 0);
+        }
+    }
+
     /// Records one sample.
     pub fn record(&mut self, v: f64) {
-        *self.buckets.entry(Self::bucket_index(v)).or_insert(0) += 1;
+        self.add(Self::bucket_index(v), 1);
         if self.count == 0 {
             self.min = v;
             self.max = v;
@@ -79,8 +139,8 @@ impl LogHistogram {
         if other.count == 0 {
             return;
         }
-        for (&idx, &n) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += n;
+        for (idx, n) in other.buckets() {
+            self.add(idx, n);
         }
         if self.count == 0 {
             self.min = other.min;
@@ -150,7 +210,7 @@ impl LogHistogram {
         }
         let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (&idx, &n) in &self.buckets {
+        for (idx, n) in self.buckets() {
             seen += n;
             if seen >= rank {
                 return Self::bucket_lower_bound(idx).clamp(self.min, self.max);
@@ -168,10 +228,9 @@ impl LogHistogram {
             .iter()
             .map(|&p| {
                 let below: u64 = self
-                    .buckets
-                    .iter()
-                    .take_while(|&(&idx, _)| Self::bucket_lower_bound(idx) <= p)
-                    .map(|(_, &n)| n)
+                    .buckets()
+                    .take_while(|&(idx, _)| Self::bucket_lower_bound(idx) <= p)
+                    .map(|(_, n)| n)
                     .sum();
                 let frac = if self.count == 0 {
                     0.0
@@ -185,85 +244,4 @@ impl LogHistogram {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn exact_aggregates_survive_bucketing() {
-        let mut h = LogHistogram::new();
-        for v in [5.0, 100.0, 250.0, 1000.0] {
-            h.record(v);
-        }
-        assert_eq!(h.len(), 4);
-        assert!((h.mean() - 338.75).abs() < 1e-9);
-        assert_eq!(h.min(), 5.0);
-        assert_eq!(h.max(), 1000.0);
-        assert_eq!(h.percentile(100.0), 1000.0);
-    }
-
-    #[test]
-    fn percentile_under_estimates_within_one_bucket() {
-        let mut h = LogHistogram::new();
-        for i in 1..=1000 {
-            h.record(i as f64);
-        }
-        for p in [10.0, 50.0, 90.0, 99.0] {
-            let exact = (p / 100.0 * 1000.0_f64).ceil();
-            let approx = h.percentile(p);
-            assert!(approx <= exact + 1e-9, "p{p}: {approx} > {exact}");
-            assert!(
-                approx >= exact * (1.0 - LogHistogram::MAX_RELATIVE_ERROR) - 1e-9,
-                "p{p}: {approx} below error bound of {exact}"
-            );
-        }
-    }
-
-    #[test]
-    fn absorb_matches_recording_directly() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut all = LogHistogram::new();
-        for i in 0..500 {
-            let v = (i as f64) * 1.7 + 0.3;
-            if i % 2 == 0 { &mut a } else { &mut b }.record(v);
-            all.record(v);
-        }
-        a.absorb(&b);
-        assert_eq!(a, all);
-    }
-
-    #[test]
-    fn cdf_is_monotonic() {
-        let mut h = LogHistogram::new();
-        for i in 0..300 {
-            h.record((i % 37) as f64 + 0.5);
-        }
-        let pts: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        let cdf = h.cdf(&pts);
-        for w in cdf.windows(2) {
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_and_negative_fall_into_the_floor_bucket() {
-        let mut h = LogHistogram::new();
-        h.record(0.0);
-        h.record(-3.0);
-        h.record(2.0);
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.percentile(50.0), 0.0_f64.clamp(h.min(), h.max()));
-        assert_eq!(h.max(), 2.0);
-    }
-
-    #[test]
-    fn memory_is_bounded_by_distinct_buckets() {
-        let mut h = LogHistogram::new();
-        for i in 0..1_000_000u64 {
-            h.record(50.0 + (i % 1000) as f64);
-        }
-        assert_eq!(h.len(), 1_000_000);
-        assert!(h.buckets.len() < 700, "got {} buckets", h.buckets.len());
-    }
-}
+mod tests;
