@@ -1,10 +1,10 @@
-//! Shared pieces of the figure-regeneration binaries (`src/bin/figNN.rs`)
-//! and the experiment binaries; `DESIGN.md` has the figure → binary
-//! index. An experiment is said once, through three things this crate
-//! owns:
+//! Shared pieces of the experiments the `bench` binary runs
+//! (`src/main.rs`, one module per experiment under `src/exp/`);
+//! `DESIGN.md` has the figure → experiment index. An experiment is said
+//! once, through three things this crate owns:
 //!
-//! **The sweep.** A binary that runs the simulator names its cells as
-//! labelled [`Scenario`]s and hands them to [`Sweep::run`], which runs
+//! **The sweep.** An experiment that runs the simulator names its cells
+//! as labelled [`Scenario`]s and hands them to [`Sweep::run`], which runs
 //! them in order through [`run`]. What it reports is one [`Columns`]
 //! list over its row type (a [`Cell`], an epoch of one, a tenant of
 //! one, …): a column is one entry — the table header, the name in the
@@ -18,9 +18,9 @@
 //! own those.
 //!
 //! **The one `--out` rule.** [`write_out`] is the only place this crate
-//! writes a file; [`write_curve`] is it plus the `curve written to`
-//! echo. A binary passes `writes_a_file` to [`BenchArgs::parse`] to
-//! accept `--out PATH`.
+//! writes a file, and an experiment calls it exactly when `--out PATH`
+//! names the file; [`write_curve`] is it plus the `curve written to`
+//! echo. Everything else an experiment prints goes to stdout.
 //!
 //! **The device-level protocols.** The characterization figures share
 //! three measurements, each taking its population as an argument so
@@ -33,27 +33,14 @@
 //!   blocks in one program order: Fig. 13, Fig. 14, `summary`;
 //! * [`read_passes`] — the PS-unaware vs ORT-seeded read pass: Fig. 14,
 //!   `summary`.
-//!
-//! The binaries that run the simulator parse their command line through
-//! [`BenchArgs`]:
-//!
-//! * `--full` — the paper-scale SSD (428 blocks/chip ≈ 32 GB),
-//! * `--smoke` — a tiny CI-scale run,
-//! * `--requests N` — override the simulated request count,
-//! * (default) — the reduced scale (64 blocks/chip), which preserves the
-//!   topology and FTL behaviour at laptop runtimes,
-//! * `--out PATH` — where a binary writes a result file,
-//!
-//! and exit non-zero on anything else. `tools/bench_smoke.sh OUTDIR`
-//! runs all 24 at CI scale — the referee for "no number moved".
 
 use cubeftl::harness::{EvalConfig, RunOutput, Scenario, WorkloadSource};
-use cubeftl::{AgingState, FtlKind, ProgramOrder, SimReport};
+use cubeftl::{AgingState, FtlKind, ProgramOrder, SimReport, StandardWorkload};
 use ftl::Opm;
 use nand3d::{delta_h, delta_v, BlockId, NandChip, NandConfig, ProgramParams, ReadParams, WlData};
 use std::fmt::{Debug, Display};
 
-/// Seed used by every figure binary (reproducible output).
+/// Seed used by every figure (reproducible output).
 pub const FIGURE_SEED: u64 = 2019;
 
 /// A paper-configuration chip for characterization figures.
@@ -73,8 +60,8 @@ pub fn exemplar_layers(chip: &NandChip) -> [(&'static str, u16); 4] {
     ]
 }
 
-/// Runs a scenario a binary assembled itself: a rejection is a bug in
-/// that binary, so it panics with the reason.
+/// Runs a scenario an experiment assembled itself: a rejection is a bug
+/// in that experiment, so it panics with the reason.
 pub fn run(sc: &Scenario) -> RunOutput {
     sc.run()
         .unwrap_or_else(|e| panic!("scenario rejected: {e}"))
@@ -90,10 +77,24 @@ pub fn eval(
     run(&Scenario::new(kind, workload, aging, cfg)).into_sim()
 }
 
+/// A fresh cubeFTL cell under `workload` with `blocks` active blocks per
+/// chip (the §5.2 memory/availability trade-off); GC keeps at least one
+/// free block per write point.
+pub fn active_blocks_cell(workload: StandardWorkload, blocks: usize, cfg: &EvalConfig) -> Scenario {
+    let mut ftl = cfg.ftl_config();
+    ftl.active_blocks_per_chip = blocks;
+    ftl.gc_free_block_threshold = ftl.gc_free_block_threshold.max(blocks);
+    let fresh = AgingState::Fresh;
+    Scenario {
+        ftl: Some(ftl),
+        ..Scenario::new(FtlKind::Cube, workload, fresh, cfg)
+    }
+}
+
 /// One executed cell of a [`Sweep`].
 #[derive(Debug)]
 pub struct Cell<L> {
-    /// What the binary calls the cell (`"eager"`, `(batch, gap)`, …).
+    /// What the experiment calls the cell (`"eager"`, `(batch, gap)`, …).
     pub label: L,
     /// Everything the cell's scenario produced.
     pub out: RunOutput,
@@ -166,7 +167,7 @@ pub fn num2(v: f64, table: usize, file: usize) -> Val {
     Val::Num(v, table, file)
 }
 
-/// What a binary reports about rows of type `R`, each quantity
+/// What an experiment reports about rows of type `R`, each quantity
 /// declared once: its header in the printed table, its name in the
 /// result file (`""` keeps it out of either) and how it is read off a
 /// row.
@@ -239,7 +240,7 @@ pub fn assert_order(what: &str, a: (impl Debug, f64), rel: &str, b: (impl Debug,
     );
 }
 
-/// Writes a result file — the one place a bench binary touches the
+/// Writes a result file — the one place an experiment touches the
 /// filesystem. A failure is reported and exits with status 1.
 pub fn write_out(path: &str, body: &str) {
     if let Err(e) = std::fs::write(path, body) {
@@ -248,10 +249,13 @@ pub fn write_out(path: &str, body: &str) {
     }
 }
 
-/// [`write_out`] for a curve CSV, echoing where it went.
-pub fn write_curve(path: &str, curve: &Table) {
-    write_out(path, &curve.csv());
-    println!("\ncurve written to {path}");
+/// [`write_out`] for a curve CSV where `--out PATH` names one (`out`),
+/// echoing where it went.
+pub fn write_curve(out: Option<&str>, curve: &Table) {
+    if let Some(path) = out {
+        write_out(path, &curve.csv());
+        println!("\ncurve written to {path}");
+    }
 }
 
 /// ΔH of every `(block, h-layer)` pair in `blocks` × `hlayers` on `chip`
@@ -350,59 +354,6 @@ pub fn read_passes(chip: &mut NandChip, blocks: &[BlockId]) -> NumRetry {
     n
 }
 
-/// The parsed command line of a bench binary.
-#[derive(Debug, Clone)]
-pub struct BenchArgs {
-    /// The evaluation scale — paper (`--full`), CI (`--smoke`) or the
-    /// reduced default — with `--requests N` applied.
-    pub cfg: EvalConfig,
-    /// Whether `--full` chose the paper scale.
-    pub full: bool,
-    /// `--out PATH`: where to write the binary's result file.
-    pub out: Option<String>,
-}
-
-impl BenchArgs {
-    /// Parses the process arguments: `--full | --smoke | --requests N`,
-    /// and `--out PATH` for a binary that `writes_a_file`. Anything
-    /// else is reported on stderr and the process exits with status 2.
-    pub fn parse(writes_a_file: bool) -> Self {
-        Self::try_parse(std::env::args().skip(1), writes_a_file).unwrap_or_else(|e| {
-            let out = if writes_a_file { " [--out PATH]" } else { "" };
-            eprintln!("{e}\nflags: [--full | --smoke] [--requests N]{out}");
-            std::process::exit(2)
-        })
-    }
-
-    fn try_parse(
-        mut args: impl Iterator<Item = String>,
-        writes_a_file: bool,
-    ) -> Result<Self, String> {
-        let mut parsed = BenchArgs {
-            cfg: EvalConfig::reduced(),
-            full: false,
-            out: None,
-        };
-        let mut requests = None;
-        while let Some(flag) = args.next() {
-            let mut value = || args.next().ok_or(format!("{flag} needs a value"));
-            match flag.as_str() {
-                "--full" => (parsed.cfg, parsed.full) = (EvalConfig::paper(), true),
-                "--smoke" => (parsed.cfg, parsed.full) = (EvalConfig::smoke(), false),
-                "--requests" => {
-                    let v = value()?;
-                    let n = v.parse::<u64>();
-                    requests = Some(n.map_err(|_| format!("--requests: {v:?} is not a count"))?);
-                }
-                "--out" if writes_a_file => parsed.out = Some(value()?),
-                _ => return Err(format!("unknown flag {flag:?}")),
-            }
-        }
-        parsed.cfg.requests = requests.unwrap_or(parsed.cfg.requests);
-        Ok(parsed)
-    }
-}
-
 /// A minimal fixed-width text-table printer for figure output.
 #[derive(Debug, Default)]
 pub struct Table {
@@ -491,12 +442,6 @@ pub fn banner(title: &str) {
     println!("\n=== {title} ===\n");
 }
 
-/// Prints a figure banner to stderr — for binaries whose stdout is a
-/// machine-readable export (e.g. `active_sweep`'s metrics NDJSON).
-pub fn banner_err(title: &str) {
-    eprintln!("\n=== {title} ===\n");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,28 +460,6 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn row_arity_checked() {
         Table::new(["a", "b"]).row(["only-one"]);
-    }
-
-    #[test]
-    fn bench_args_reject_what_they_do_not_know() {
-        let parse = |line: &str, writes_a_file| {
-            BenchArgs::try_parse(line.split_whitespace().map(str::to_owned), writes_a_file)
-        };
-        let ok = parse("--smoke --requests 300 --out f.csv", true).unwrap();
-        assert_eq!(ok.cfg.requests, 300);
-        assert_eq!(ok.cfg.blocks_per_chip, EvalConfig::smoke().blocks_per_chip);
-        assert_eq!((ok.out.as_deref(), ok.full), (Some("f.csv"), false));
-        assert!(parse("--full", false).unwrap().full);
-        for bad in [
-            "--smok",
-            "--requests",
-            "--requests many",
-            "--out f.csv",
-            "extra",
-        ] {
-            assert!(parse(bad, false).is_err(), "{bad} must be rejected");
-        }
-        assert!(parse("--out", true).is_err(), "--out needs its path");
     }
 
     #[test]

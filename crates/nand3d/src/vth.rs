@@ -10,7 +10,7 @@
 //! It is used to
 //!
 //! * regenerate Fig. 4 (the optimal-read-reference illustration, see
-//!   `bench --bin fig04`),
+//!   `bench fig04`),
 //! * cross-validate the behavioral models: the overlap-derived BER grows
 //!   with aging like [`ReliabilityModel`](crate::ReliabilityModel), the
 //!   overlap-minimizing reference offsets drift like

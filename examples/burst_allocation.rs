@@ -50,5 +50,5 @@ fn main() {
         }
     );
     println!("that asymmetry is what keeps the write buffer draining fast under pressure");
-    println!("(compare cubeFTL vs cubeFTL- in Fig. 18: `cargo run -p bench --bin fig18`).");
+    println!("(compare cubeFTL vs cubeFTL- in Fig. 18: `cargo run -p bench -- fig18`).");
 }

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # tools/bench_smoke.sh OUTDIR — the bench crate's referee.
 #
-# Builds the 24 bench binaries in release and runs each once at CI scale
-# with OUTDIR as the working directory: one `<name>.stdout` per binary
-# (plus `<name>.stderr` where it wrote any, and `fig17_full.stdout`), the
-# `--out` file of every binary that takes one, and `rebuild_curve.csv`.
-# Everything a run prints is a function of the seed, except the two
-# things masked here: `shard`'s wall-clock column and the OUTDIR prefix
-# of echoed paths. So two trees that print the same numbers produce
-# `diff -r`-equal OUTDIRs.
+# Builds the `bench` binary in release and runs every experiment once at
+# CI scale with OUTDIR as the working directory: one `<name>.stdout` per
+# experiment (plus `<name>.stderr` where it wrote any, and
+# `fig17_full.stdout`), and the `--out` file of every experiment that
+# writes one. Everything a run prints is a function of the seed, except
+# the two things masked here: `shard`'s wall-clock column and the OUTDIR
+# prefix of echoed paths. So two trees that print the same numbers
+# produce `diff -r`-equal OUTDIRs.
 #
-# A binary that exits non-zero (a failed self-assertion) fails the
+# An experiment that exits non-zero (a failed self-assertion) fails the
 # script after its stderr is shown.
 set -euo pipefail
 
@@ -20,13 +20,13 @@ mkdir -p "$1"
 out=$(cd "$1" && pwd)
 
 cargo build --release -p bench --manifest-path "$root/Cargo.toml"
-bin=${CARGO_TARGET_DIR:-$root/target}/release
+bench=${CARGO_TARGET_DIR:-$root/target}/release/bench
 cd "$out"
 
 run() {
     local name=$1
     shift
-    if ! "$bin/$name" "$@" >"$name.stdout" 2>"$name.stderr"; then
+    if ! "$bench" "$name" "$@" >"$name.stdout" 2>"$name.stderr"; then
         cat "$name.stderr" >&2
         echo "bench_smoke: $name $* failed" >&2
         exit 1
@@ -40,7 +40,7 @@ for fig in fig04 fig05 fig06 fig08 fig09 fig10 fig11 fig13 fig14; do
     run "$fig"
 done
 
-# The `BenchArgs` binaries. `maint` and `spo` need more requests than
+# The simulator experiments. `maint` and `spo` need more requests than
 # the smoke default for their rare events (uncorrectable reads, seeded
 # cuts) to occur at all.
 run maint --smoke --requests 6000
@@ -50,10 +50,11 @@ run spo --smoke --requests 4000
 # loop below then writes the reduced-scale `fig17.stdout`.
 run fig17 --full
 mv fig17.stdout fig17_full.stdout
-for name in ablate campaign fig17 fig18 rebuild shard summary sweep_aging; do
+for name in ablate campaign fig17 fig18 shard summary sweep_aging; do
     run "$name" --smoke
 done
 run active_sweep --smoke --out "$out/active_sweep.ndjson"
+run rebuild --smoke --out ./rebuild_curve.csv
 for name in kv lifetime qos retry; do
     run "$name" --smoke --out "$out/$name.csv"
 done
