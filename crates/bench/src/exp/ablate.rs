@@ -12,7 +12,7 @@
 
 use bench::{active_blocks_cell, banner, num, text, Cell, Columns, Sweep, Table};
 use cubeftl::harness::{EvalConfig, Scenario};
-use cubeftl::{AgingState, FtlConfig, FtlKind, StandardWorkload};
+use cubeftl::{AgingState, FtlKind, StandardWorkload};
 use ftl::{LatencyPredictor, Opm};
 use nand3d::{BlockId, EccModel, NandChip, NandConfig, ProgramParams, WlData};
 
@@ -22,20 +22,17 @@ fn write_ms<L>(c: &Cell<L>, pct: f64) -> f64 {
 }
 
 pub fn run(crate::BenchArgs { cfg, .. }: &crate::BenchArgs) {
-    // A fresh cubeFTL cell under `workload`, with the FTL or the
-    // evaluation configuration varied by the section.
-    let cube = |workload, aging, cfg: &EvalConfig, ftl: Option<FtlConfig>| Scenario {
-        ftl,
-        ..Scenario::new(FtlKind::Cube, workload, aging, cfg)
-    };
+    // A cubeFTL cell under `workload`, with the evaluation
+    // configuration (its FTL included) varied by the section.
+    let cube = |workload, aging, cfg: &EvalConfig| Scenario::new(FtlKind::Cube, workload, aging, cfg);
     let (fresh, rocks) = (AgingState::Fresh, StandardWorkload::Rocks);
 
     // ---- 1. μ_TH sweep --------------------------------------------------
     banner("ablation 1 — WAM burst threshold μ_TH (Rocks, fresh)");
     let sweep = Sweep::run([0.0, 0.5, 0.8, 0.9, 0.99].map(|mu| {
-        let mut ftl_cfg = cfg.ftl_config();
-        ftl_cfg.mu_threshold = mu;
-        (mu, cube(rocks, fresh, cfg, Some(ftl_cfg)))
+        let mut c = cfg.clone();
+        c.ftl.mu_threshold = mu;
+        (mu, cube(rocks, fresh, &c))
     }));
     let mut cols = Columns::<Cell<f64>>::default();
     cols.col("μ_TH", |c| text(c.label));
@@ -66,7 +63,7 @@ pub fn run(crate::BenchArgs { cfg, .. }: &crate::BenchArgs) {
     let sweep = Sweep::run([16usize, 48, 128, 256].map(|pages| {
         let mut c = cfg.clone();
         c.ssd.buffer_pages = pages;
-        (pages, cube(rocks, fresh, &c, None))
+        (pages, cube(rocks, fresh, &c))
     }));
     let mut cols = Columns::<Cell<usize>>::default();
     cols.col("buffer (pages)", |c| text(c.label));
@@ -81,7 +78,7 @@ pub fn run(crate::BenchArgs { cfg, .. }: &crate::BenchArgs) {
         let mut c = cfg.clone();
         c.disturbance_prob = p;
         let (mail, midlife) = (StandardWorkload::Mail, AgingState::MidLife);
-        (p, cube(mail, midlife, &c, None))
+        (p, cube(mail, midlife, &c))
     }));
     let mut cols = Columns::<Cell<f64>>::default();
     cols.col("P(disturbance)", |c| text(c.label));

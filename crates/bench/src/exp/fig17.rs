@@ -12,7 +12,7 @@ use cubeftl::{AgingState, FtlKind, StandardWorkload};
 pub fn run(crate::BenchArgs { cfg, .. }: &crate::BenchArgs) {
     println!(
         "scale: {} blocks/chip, {} requests per cell",
-        cfg.blocks_per_chip, cfg.requests
+        cfg.blocks_per_chip(), cfg.requests
     );
 
     let mut best_vs_page: f64 = 0.0;

@@ -14,7 +14,7 @@ use cubeftl::{AgingState, FtlKind, StandardWorkload};
 pub fn run(crate::BenchArgs { cfg, .. }: &crate::BenchArgs) {
     println!(
         "scale: {} blocks/chip, {} requests per FTL",
-        cfg.blocks_per_chip, cfg.requests
+        cfg.blocks_per_chip(), cfg.requests
     );
 
     // page, vert, cube-, cube

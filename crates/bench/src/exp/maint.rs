@@ -28,15 +28,14 @@ pub fn run(args: &crate::BenchArgs) {
     // reliability-direction e2e test uses.
     let mut eager = MaintConfig::default_on();
     eager.scrub_batch_pages = 96;
+    eager.gap_us = 50.0;
     let settings = [
-        ("off", None, 0.0),
-        ("on", Some(MaintConfig::default_on()), 200.0),
-        ("eager", Some(eager), 50.0),
+        ("off", None),
+        ("on", Some(MaintConfig::default_on())),
+        ("eager", Some(eager)),
     ];
-    let sweep = Sweep::run(settings.map(|(label, maint, gap_us)| {
+    let sweep = Sweep::run(settings.map(|(label, maint)| {
         cfg.maint = maint;
-        cfg.ssd.maint.enabled = maint.is_some();
-        cfg.ssd.maint.min_gap_us = gap_us;
         let (web, eol) = (StandardWorkload::Web, AgingState::EndOfLife);
         (label, Scenario::new(FtlKind::Cube, web, eol, &cfg))
     }));

@@ -70,7 +70,7 @@ fn trace_sum(events: &[TraceEvent]) -> TraceSum {
 
 pub fn run(args: &crate::BenchArgs) {
     let mut cfg = args.cfg.clone();
-    cfg.ort_capacity = sram_ort_capacity(cfg.blocks_per_chip);
+    cfg.ftl.ort_capacity = sram_ort_capacity(cfg.blocks_per_chip());
 
     banner("read-retry pipeline v2 — NumRetry vs age (Rocks, SRAM-bounded ORT)");
     let agings = [
@@ -88,8 +88,8 @@ pub fn run(args: &crate::BenchArgs) {
     ];
     let sweep = Sweep::run(agings.iter().flat_map(|&(aging_label, aging)| {
         pipelines.map(|(pipeline, cluster, opt)| {
-            cfg.ort_cluster = cluster;
-            cfg.retry_opt = opt;
+            cfg.ftl.ort_cluster = cluster;
+            cfg.ftl.retry_opt = opt;
             let telemetry = TelemetrySpec {
                 events: EventMask::READ_RETRY,
                 sample_interval_us: None,

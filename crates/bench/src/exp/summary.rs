@@ -227,6 +227,6 @@ pub fn run(crate::BenchArgs { cfg, .. }: &crate::BenchArgs) {
     t.print();
     println!(
         "\nsimulation rows at {} blocks/chip, {} requests (pass --full for paper scale)",
-        cfg.blocks_per_chip, cfg.requests
+        cfg.blocks_per_chip(), cfg.requests
     );
 }

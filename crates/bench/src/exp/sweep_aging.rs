@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release -p bench -- sweep_aging`
 
 use bench::{banner, Table};
-use cubeftl::{FtlKind, StandardWorkload};
+use cubeftl::{FtlConfig, FtlKind, StandardWorkload};
 use ftl::Ftl;
 use ssdsim::SsdSim;
 
@@ -27,8 +27,7 @@ pub fn run(crate::BenchArgs { cfg, .. }: &crate::BenchArgs) {
         for kind in [FtlKind::Page, FtlKind::Vert, FtlKind::Cube] {
             // Custom aging: pin raw (pe, months) rather than one of the
             // three named states.
-            let ftl_cfg = cfg.ftl_config();
-            let mut ftl = Ftl::new(kind, ftl_cfg);
+            let mut ftl = Ftl::new(kind, FtlConfig { seed: cfg.seed, ..cfg.ftl });
             let mut sim = SsdSim::new(cfg.ssd);
             ftl.set_aging_raw(2000, months);
             let logical = ftl.logical_pages();

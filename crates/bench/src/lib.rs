@@ -81,14 +81,10 @@ pub fn eval(
 /// chip (the §5.2 memory/availability trade-off); GC keeps at least one
 /// free block per write point.
 pub fn active_blocks_cell(workload: StandardWorkload, blocks: usize, cfg: &EvalConfig) -> Scenario {
-    let mut ftl = cfg.ftl_config();
-    ftl.active_blocks_per_chip = blocks;
-    ftl.gc_free_block_threshold = ftl.gc_free_block_threshold.max(blocks);
-    let fresh = AgingState::Fresh;
-    Scenario {
-        ftl: Some(ftl),
-        ..Scenario::new(FtlKind::Cube, workload, fresh, cfg)
-    }
+    let mut cfg = cfg.clone();
+    cfg.ftl.active_blocks_per_chip = blocks;
+    cfg.ftl.gc_free_block_threshold = cfg.ftl.gc_free_block_threshold.max(blocks);
+    Scenario::new(FtlKind::Cube, workload, AgingState::Fresh, &cfg)
 }
 
 /// One executed cell of a [`Sweep`].

@@ -156,7 +156,10 @@ mod tests {
 
         let parse = |line: &str| parse(line.split_whitespace().map(str::to_owned)).map(|p| p.1);
         let ok = parse("kv --smoke --requests 9000 --out f.csv").expect("a valid line");
-        assert_eq!(ok.cfg.blocks_per_chip, EvalConfig::smoke().blocks_per_chip);
+        assert_eq!(
+            ok.cfg.blocks_per_chip(),
+            EvalConfig::smoke().blocks_per_chip()
+        );
         assert_eq!((ok.out.as_deref(), ok.full), (Some("f.csv"), false));
         // The request count each line runs at: the scale's default or
         // `--requests`, clamped into the experiment's range.

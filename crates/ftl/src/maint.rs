@@ -6,7 +6,8 @@
 //! at 2K P/E + 1-year retention (§3), and §4.1.4 prescribes re-monitoring
 //! after anomalies. This module supplies the *time-driven* counterpart to
 //! that event-driven safety net: during chip idle windows (offered by the
-//! simulator's [`MaintSchedule`](ssdsim::MaintSchedule)) the FTL
+//! simulator once [`SsdSim::enable_maintenance`](ssdsim::SsdSim::enable_maintenance) armed
+//! it with [`MaintConfig::gap_us`]) the FTL
 //!
 //! 1. **scrubs** blocks by retention age — samples BER via a leader-WL
 //!    read (refreshing the ORT `ΔV_Ref` entry in place) and migrates the
@@ -30,11 +31,16 @@ use crate::recovery::CKPT_PAGE_PROGRAM_US;
 use nand3d::{BlockId, PageState};
 use telemetry::EventKind;
 
-/// Tuning knobs of the background maintenance services.
+/// Tuning knobs of the background maintenance services. There is no
+/// off switch inside: a device without maintenance simply never has
+/// one enabled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintConfig {
-    /// Master switch; [`MaintConfig::off`] disables every service.
-    pub enabled: bool,
+    /// Host-priority gap, µs: after each background operation (or an
+    /// idle poll that found nothing due) a chip stays reserved for host
+    /// work at least this long. The simulator's dispatch enforces it
+    /// (`SsdSim::enable_maintenance`); the FTL services ignore it.
+    pub gap_us: f64,
     /// Retention age (months, temperature-unadjusted) at which a block
     /// qualifies for a scrub refresh regardless of its sampled BER.
     pub scrub_retention_min_months: f64,
@@ -60,28 +66,14 @@ pub struct MaintConfig {
 }
 
 impl MaintConfig {
-    /// Maintenance disabled (the seed behaviour).
-    pub fn off() -> Self {
-        MaintConfig {
-            enabled: false,
-            scrub_retention_min_months: f64::INFINITY,
-            scrub_ber_threshold: f64::INFINITY,
-            remonitor_pe_budget: u32::MAX,
-            remonitor_retention_budget_months: f64::INFINITY,
-            wear_leveling: false,
-            wear_spread_limit: u32::MAX,
-            scrub_batch_pages: u32::MAX,
-        }
-    }
-
     /// All three services on, with defaults sized for the paper's aging
-    /// states: a 6-month scrub bar (EndOfLife data at 12 months
-    /// qualifies, MidLife at 1 month does not), a BER escape hatch one
-    /// decade under typical ECC limits, and re-monitoring budgets of
-    /// 50 P/E cycles or 6 months.
+    /// states: a 200 µs host-priority gap, a 6-month scrub bar
+    /// (EndOfLife data at 12 months qualifies, MidLife at 1 month does
+    /// not), a BER escape hatch one decade under typical ECC limits,
+    /// and re-monitoring budgets of 50 P/E cycles or 6 months.
     pub fn default_on() -> Self {
         MaintConfig {
-            enabled: true,
+            gap_us: 200.0,
             scrub_retention_min_months: 6.0,
             scrub_ber_threshold: 1e-3,
             remonitor_pe_budget: 50,
@@ -90,12 +82,6 @@ impl MaintConfig {
             wear_spread_limit: 8,
             scrub_batch_pages: 12,
         }
-    }
-}
-
-impl Default for MaintConfig {
-    fn default() -> Self {
-        MaintConfig::off()
     }
 }
 
@@ -134,18 +120,16 @@ impl MaintState {
 const REMONITOR_LAYER_BATCH: usize = 8;
 
 impl Ftl {
-    /// Enables (or disables) the background maintenance subsystem:
-    /// retention scrubbing, wear leveling and periodic OPM re-monitoring,
+    /// Enables the background maintenance subsystem: retention
+    /// scrubbing, wear leveling and periodic OPM re-monitoring,
     /// performed one bounded unit at a time via
     /// [`FtlDriver::maintenance_step`](ssdsim::FtlDriver) during chip
     /// idle windows. Enabling also turns on per-block retention tracking
     /// so scrubbed blocks actually rejuvenate (an erase resets the
     /// block's retention clock).
     pub fn enable_maintenance(&mut self, config: MaintConfig) {
-        self.maint = config
-            .enabled
-            .then(|| MaintState::new(config, self.config.chips));
-        self.array.set_block_retention_tracking(config.enabled);
+        self.maint = Some(MaintState::new(config, self.config.chips));
+        self.array.set_block_retention_tracking(true);
     }
 
     /// The active maintenance configuration, if the subsystem is enabled.
@@ -470,17 +454,10 @@ mod tests {
     use ssdsim::FtlDriver;
 
     #[test]
-    fn off_config_disables_everything() {
-        let c = MaintConfig::off();
-        assert!(!c.enabled);
-        assert!(!c.wear_leveling);
-        assert_eq!(MaintConfig::default(), c);
-    }
-
-    #[test]
     fn default_on_orders_thresholds_sanely() {
         let c = MaintConfig::default_on();
-        assert!(c.enabled && c.wear_leveling);
+        assert!(c.wear_leveling);
+        assert_eq!(c.gap_us, 200.0);
         // MidLife (1 month) must not qualify for scrubbing; EndOfLife
         // (12 months) must.
         assert!(c.scrub_retention_min_months > 1.0);

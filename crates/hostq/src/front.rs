@@ -4,9 +4,9 @@
 
 use crate::report::{QosReport, TenantSummary};
 use crate::sched::DwrrScheduler;
-use ssdsim::{FrontRequest, HostFront, HostOp, HostRequest, LatencyRecorder};
+use ssdsim::{FrontRequest, HostFront, HostOp, HostRequest};
 use std::collections::{BinaryHeap, VecDeque};
-use telemetry::{Collector, EventKind, EventMask, TraceEvent};
+use telemetry::{Collector, EventKind, EventMask, LogHistogram, TraceEvent};
 use workloads::{TenantProfile, Workload};
 
 /// Configuration of one [`HostQueueFront`].
@@ -107,8 +107,8 @@ struct TenantState {
     admitted: u64,
     shed: u64,
     completed: u64,
-    read_latency: LatencyRecorder,
-    write_latency: LatencyRecorder,
+    read_latency: LogHistogram,
+    write_latency: LogHistogram,
     violations: u64,
 }
 
@@ -223,8 +223,8 @@ impl HostQueueFront {
                 admitted: 0,
                 shed: 0,
                 completed: 0,
-                read_latency: LatencyRecorder::new(),
-                write_latency: LatencyRecorder::new(),
+                read_latency: LogHistogram::new(),
+                write_latency: LogHistogram::new(),
                 violations: 0,
             });
         }

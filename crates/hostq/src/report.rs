@@ -1,8 +1,7 @@
 //! Per-tenant outcome summaries: shard-ordered merge and
 //! bounded-cardinality metric registration.
 
-use ssdsim::LatencyRecorder;
-use telemetry::MetricRegistry;
+use telemetry::{LogHistogram, MetricRegistry};
 use workloads::TenantClass;
 
 /// The outcome of one tenant's run (or its merge across shards).
@@ -23,9 +22,9 @@ pub struct TenantSummary {
     /// Requests completed by the device.
     pub completed: u64,
     /// Read latency distribution (µs, from scheduled arrival).
-    pub read_latency: LatencyRecorder,
+    pub read_latency: LogHistogram,
     /// Write latency distribution (µs, from scheduled arrival).
-    pub write_latency: LatencyRecorder,
+    pub write_latency: LogHistogram,
     /// SLO violations (completions past the configured target).
     pub violations: u64,
 }
@@ -42,9 +41,9 @@ pub struct ClassSummary {
     /// Summed completions.
     pub completed: u64,
     /// Merged read latency.
-    pub read_latency: LatencyRecorder,
+    pub read_latency: LogHistogram,
     /// Merged write latency.
-    pub write_latency: LatencyRecorder,
+    pub write_latency: LogHistogram,
     /// Summed violations.
     pub violations: u64,
 }
@@ -185,11 +184,8 @@ impl QosReport {
             reg.counter(&format!("{p}.completed"), t.completed);
             reg.counter(&format!("{p}.slo_violations"), t.violations);
             reg.gauge(&format!("{p}.weight"), f64::from(t.weight));
-            reg.histogram(&format!("{p}.read_latency_us"), t.read_latency.histogram());
-            reg.histogram(
-                &format!("{p}.write_latency_us"),
-                t.write_latency.histogram(),
-            );
+            reg.histogram(&format!("{p}.read_latency_us"), &t.read_latency);
+            reg.histogram(&format!("{p}.write_latency_us"), &t.write_latency);
         }
     }
 }
@@ -207,8 +203,8 @@ mod tests {
             admitted: completed,
             shed: id as u64,
             completed,
-            read_latency: LatencyRecorder::new(),
-            write_latency: LatencyRecorder::new(),
+            read_latency: LogHistogram::new(),
+            write_latency: LogHistogram::new(),
             violations: 0,
         }
     }

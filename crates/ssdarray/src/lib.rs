@@ -462,7 +462,7 @@ mod tests {
             out.shard_reports
                 .iter()
                 .map(|r| r.read_latency.len())
-                .sum::<usize>()
+                .sum::<u64>()
         );
     }
 

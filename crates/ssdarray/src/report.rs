@@ -6,7 +6,8 @@
 //! merged report is byte-identical no matter how the shard threads were
 //! scheduled.
 
-use ssdsim::{ChipStats, FtlStats, LatencyRecorder, SimReport};
+use ssdsim::{ChipStats, FtlStats, SimReport};
+use telemetry::LogHistogram;
 
 /// Array-wide results: per-shard reports folded in shard order.
 #[derive(Debug, Clone)]
@@ -29,9 +30,9 @@ pub struct ArrayReport {
     /// Completed TRIMs across all shards.
     pub trims: u64,
     /// Read latencies of every shard, concatenated in shard order.
-    pub read_latency: LatencyRecorder,
+    pub read_latency: LogHistogram,
     /// Write latencies of every shard, concatenated in shard order.
-    pub write_latency: LatencyRecorder,
+    pub write_latency: LogHistogram,
     /// FTL counters accumulated over all shards.
     pub ftl: FtlStats,
     /// Chip statistics of every shard, concatenated in shard order
@@ -61,8 +62,8 @@ impl ArrayReport {
             reads: 0,
             writes: 0,
             trims: 0,
-            read_latency: LatencyRecorder::new(),
-            write_latency: LatencyRecorder::new(),
+            read_latency: LogHistogram::new(),
+            write_latency: LogHistogram::new(),
             ftl: FtlStats::default(),
             chip_stats: Vec::new(),
             per_shard_iops: Vec::with_capacity(reports.len()),

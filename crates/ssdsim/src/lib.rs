@@ -29,15 +29,13 @@ pub mod driver;
 pub mod front;
 pub mod request;
 pub mod ssd;
-pub mod stats;
 
 pub use buffer::WriteBuffer;
 pub use driver::{FtlDriver, FtlStats, HostContext, MaintWork, PageRead, WlWrite};
 pub use front::{FrontRequest, HostFront};
 pub use request::{HostOp, HostRequest};
 pub use ssd::{
-    background_ops, max_queue_depth, mean_busy_fraction, ChipStats, InFlightFlush, MaintSchedule,
-    RebuildOp, RebuildProgress, RebuildSchedule, SimReport, SpoEvent, SpoTrigger, SsdConfig,
-    SsdSim, StepOutcome,
+    background_ops, max_queue_depth, mean_busy_fraction, ChipStats, InFlightFlush, RebuildOp,
+    RebuildProgress, RebuildSchedule, SimReport, SpoEvent, SpoTrigger, SsdConfig, SsdSim,
+    StepOutcome,
 };
-pub use stats::LatencyRecorder;

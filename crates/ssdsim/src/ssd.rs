@@ -17,7 +17,6 @@ use crate::buffer::WriteBuffer;
 use crate::driver::{FtlDriver, HostContext};
 use crate::front::HostFront;
 use crate::request::{HostOp, HostRequest};
-use crate::stats::LatencyRecorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -26,48 +25,6 @@ use telemetry::{
     Collector, EventKind as TraceKind, EventMask, LogHistogram, MetricRegistry, SampleRow, Series,
     TraceEvent,
 };
-
-/// Background-maintenance scheduling policy of the simulator.
-///
-/// When enabled, the simulator offers idle chips to the FTL's
-/// [`FtlDriver::maintenance_step`] hook. Host traffic keeps strict
-/// priority: a chip is only offered while its queue is empty, and after
-/// each background operation (or an idle poll that found nothing due)
-/// the chip stays reserved for host work for at least `min_gap_us` —
-/// the starvation bound that keeps maintenance from monopolizing a chip
-/// under sparse traffic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MaintSchedule {
-    /// Whether background maintenance dispatch is active.
-    pub enabled: bool,
-    /// Minimum host-priority window between background operations on one
-    /// chip, µs.
-    pub min_gap_us: f64,
-}
-
-impl MaintSchedule {
-    /// Maintenance disabled (the default — matches the seed simulator).
-    pub fn off() -> Self {
-        MaintSchedule {
-            enabled: false,
-            min_gap_us: 0.0,
-        }
-    }
-
-    /// Maintenance enabled with a 200 µs host-priority gap.
-    pub fn on() -> Self {
-        MaintSchedule {
-            enabled: true,
-            min_gap_us: 200.0,
-        }
-    }
-}
-
-impl Default for MaintSchedule {
-    fn default() -> Self {
-        MaintSchedule::off()
-    }
-}
 
 /// When the simulated power supply dies mid-run (see
 /// [`SsdSim::run_begin`]).
@@ -145,8 +102,6 @@ pub struct SsdConfig {
     pub t_xfer_page_us: f64,
     /// Maximum flush operations queued per chip at a time.
     pub max_pending_flush_per_chip: usize,
-    /// Background-maintenance scheduling policy.
-    pub maint: MaintSchedule,
 }
 
 impl SsdConfig {
@@ -161,7 +116,6 @@ impl SsdConfig {
             t_buffer_us: 5.0,
             t_xfer_page_us: 20.0,
             max_pending_flush_per_chip: 2,
-            maint: MaintSchedule::off(),
         }
     }
 
@@ -176,7 +130,6 @@ impl SsdConfig {
             t_buffer_us: 5.0,
             t_xfer_page_us: 20.0,
             max_pending_flush_per_chip: 2,
-            maint: MaintSchedule::off(),
         }
     }
 }
@@ -250,14 +203,8 @@ macro_rules! register_host_metrics {
         reg.counter(&format!("{prefix}.reads"), r.reads);
         reg.counter(&format!("{prefix}.writes"), r.writes);
         reg.counter(&format!("{prefix}.trims"), r.trims);
-        reg.histogram(
-            &format!("{prefix}.read_latency_us"),
-            r.read_latency.histogram(),
-        );
-        reg.histogram(
-            &format!("{prefix}.write_latency_us"),
-            r.write_latency.histogram(),
-        );
+        reg.histogram(&format!("{prefix}.read_latency_us"), &r.read_latency);
+        reg.histogram(&format!("{prefix}.write_latency_us"), &r.write_latency);
         reg.gauge(
             &format!("{prefix}.read_p99_us"),
             r.read_latency.percentile(99.0),
@@ -294,10 +241,10 @@ pub struct SimReport {
     pub writes: u64,
     /// Completed TRIM (discard) requests.
     pub trims: u64,
-    /// Host read-request latencies.
-    pub read_latency: LatencyRecorder,
-    /// Host write-request latencies.
-    pub write_latency: LatencyRecorder,
+    /// Host read-request latencies, µs.
+    pub read_latency: LogHistogram,
+    /// Host write-request latencies, µs.
+    pub write_latency: LogHistogram,
     /// FTL-internal counters at the end of the run.
     pub ftl: crate::driver::FtlStats,
     /// Per-chip queueing/utilization statistics.
@@ -356,9 +303,10 @@ impl SimReport {
 
 /// Pacing of the background rebuild service: how many rebuild page
 /// operations one unit may dispatch, and the host-priority gap between
-/// units. Mirrors [`MaintSchedule`]'s idle-window discipline — rebuild
-/// ops only ever start on idle chips, and after each unit the service
-/// backs off by `gap_us` so host traffic reclaims the device.
+/// units. Mirrors the idle-window discipline of background maintenance
+/// ([`SsdSim::enable_maintenance`]) — rebuild ops only ever start on
+/// idle chips, and after each unit the service backs off by `gap_us` so
+/// host traffic reclaims the device.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebuildSchedule {
     /// Page operations dispatched per rebuild unit (bounded burst).
@@ -369,8 +317,8 @@ pub struct RebuildSchedule {
 }
 
 impl RebuildSchedule {
-    /// The default pacing: 8-page units, 200 µs host-priority gap
-    /// (matching [`MaintSchedule::on`]).
+    /// The default pacing: 8-page units, 200 µs host-priority gap (the
+    /// background-maintenance default).
     pub fn on() -> Self {
         RebuildSchedule {
             batch_pages: 8,
@@ -603,8 +551,8 @@ pub struct SsdSim {
     trims_done: u64,
     /// Pages of the completed write requests (the SPO ledger).
     acked_write_pages: u64,
-    read_latency: LatencyRecorder,
-    write_latency: LatencyRecorder,
+    read_latency: LogHistogram,
+    write_latency: LogHistogram,
     /// TRIMmed LPNs of the current run — recorded only while an SPO
     /// trigger is armed (`None` otherwise, zero cost on normal runs).
     spo_trims: Option<Vec<u64>>,
@@ -621,6 +569,9 @@ pub struct SsdSim {
     trace: Collector,
     /// Virtual-time series sampler (`None` = sampling off).
     sampler: Option<SamplerState>,
+    /// Host-priority gap of background maintenance, µs (`None` =
+    /// maintenance off: the FTL's hook is never polled).
+    maint_gap_us: Option<f64>,
     /// Pacing of the background rebuild service (`None` = rebuild off,
     /// the zero-cost default path).
     rebuild_sched: Option<RebuildSchedule>,
@@ -709,8 +660,8 @@ impl SsdSim {
             writes_done: 0,
             trims_done: 0,
             acked_write_pages: 0,
-            read_latency: LatencyRecorder::new(),
-            write_latency: LatencyRecorder::new(),
+            read_latency: LogHistogram::new(),
+            write_latency: LogHistogram::new(),
             spo_trims: None,
             issue_limit: 0,
             spo: None,
@@ -718,6 +669,7 @@ impl SsdSim {
             spo_event: None,
             trace: Collector::disabled(),
             sampler: None,
+            maint_gap_us: None,
             rebuild_sched: None,
             rebuild_queue: VecDeque::new(),
             rebuild_inflight: 0,
@@ -758,6 +710,20 @@ impl SsdSim {
             );
             SamplerState::new(interval_us, shard)
         });
+    }
+
+    /// Arms background maintenance for subsequent runs: while host
+    /// requests are outstanding the engine offers idle chips to the
+    /// FTL's [`FtlDriver::maintenance_step`] hook. Host traffic keeps
+    /// strict priority: a chip is only offered while its queue is empty,
+    /// and after each background operation (or an idle poll that found
+    /// nothing due) it stays reserved for host work for at least
+    /// `gap_us` — the starvation bound that keeps maintenance from
+    /// monopolizing a chip under sparse traffic. Like the telemetry
+    /// arming it carries over [`SsdSim::run_begin`]; without it the hook
+    /// is never polled.
+    pub fn enable_maintenance(&mut self, gap_us: f64) {
+        self.maint_gap_us = Some(gap_us);
     }
 
     /// Drains the simulator-side trace events collected so far (host
@@ -1104,9 +1070,9 @@ impl SsdSim {
         }
     }
 
-    /// Back to the state [`SsdSim::new`] builds; only the telemetry
-    /// arming (collector mask and shard, sampler interval and shard)
-    /// carries over.
+    /// Back to the state [`SsdSim::new`] builds; only the arming carries
+    /// over: telemetry (collector mask and shard, sampler interval and
+    /// shard) and the maintenance gap.
     fn reset(&mut self) {
         let armed = std::mem::replace(self, SsdSim::new(self.config));
         self.trace = armed.trace;
@@ -1114,6 +1080,7 @@ impl SsdSim {
         self.sampler = armed
             .sampler
             .map(|s| SamplerState::new(s.interval_us, s.shard));
+        self.maint_gap_us = armed.maint_gap_us;
     }
 
     fn push_event(&mut self, t: f64, kind: EventKind) {
@@ -1349,7 +1316,10 @@ impl SsdSim {
             ChipOp::Maint { .. } => {
                 // Starvation bound: the chip now belongs to host traffic
                 // for at least the configured gap.
-                self.chips[chip].maint_allowed_at = self.now + self.config.maint.min_gap_us;
+                let gap_us = self
+                    .maint_gap_us
+                    .expect("maintenance ops run only when armed");
+                self.chips[chip].maint_allowed_at = self.now + gap_us;
             }
             ChipOp::Rebuild { .. } => self.rebuild_op_done(),
         }
@@ -1441,7 +1411,10 @@ impl SsdSim {
     /// that finds nothing due backs the chip off by the host-priority
     /// gap rather than re-asking on every event.
     fn try_maint<F: FtlDriver + ?Sized>(&mut self, ftl: &mut F) {
-        if !self.config.maint.enabled || self.outstanding == 0 {
+        let Some(gap_us) = self.maint_gap_us else {
+            return;
+        };
+        if self.outstanding == 0 {
             return;
         }
         for chip in 0..self.chips.len() {
@@ -1461,10 +1434,7 @@ impl SsdSim {
                         },
                     );
                 }
-                None => {
-                    self.chips[chip].maint_allowed_at =
-                        self.now + self.config.maint.min_gap_us.max(1.0);
-                }
+                None => self.chips[chip].maint_allowed_at = self.now + gap_us.max(1.0),
             }
         }
     }
@@ -1581,11 +1551,7 @@ impl SsdSim {
                     completed: self.completed,
                     iops: d_completed as f64 / (s.interval_us / 1e6),
                     tprog_mean_us: s.win_tprog.mean(),
-                    tprog_p99_us: if s.win_tprog.is_empty() {
-                        0.0
-                    } else {
-                        s.win_tprog.percentile(99.0)
-                    },
+                    tprog_p99_us: s.win_tprog.percentile(99.0),
                     retry_rate: if d_reads == 0 {
                         0.0
                     } else {
@@ -1982,7 +1948,6 @@ mod tests {
                 t_buffer_us: 5.0,
                 t_xfer_page_us: 150.0, // transfer-dominated: one bus saturates
                 max_pending_flush_per_chip: 2,
-                maint: MaintSchedule::off(),
             };
             let mut sim = SsdSim::new(cfg);
             let mut ftl = StubFtl::new(cfg.chips);
@@ -2037,7 +2002,7 @@ mod tests {
         let n = 300u64;
         let report = sim.run(&mut ftl, (0..n).map(HostRequest::write), n);
         assert_eq!(report.writes, n);
-        assert_eq!(report.write_latency.len() as u64, n);
+        assert_eq!(report.write_latency.len(), n);
     }
 
     #[test]
@@ -2094,14 +2059,9 @@ mod tests {
 
     #[test]
     fn maintenance_runs_in_idle_windows_and_is_counted() {
-        let cfg = SsdConfig {
-            maint: MaintSchedule {
-                enabled: true,
-                min_gap_us: 50.0,
-            },
-            ..SsdConfig::small()
-        };
+        let cfg = SsdConfig::small();
         let mut sim = SsdSim::new(cfg);
+        sim.enable_maintenance(50.0);
         let mut ftl = StubFtl::new(cfg.chips);
         ftl.maint_budget = 40;
         sim.prefill(&mut ftl, 0..512);
@@ -2119,8 +2079,8 @@ mod tests {
 
     #[test]
     fn maintenance_disabled_never_dispatches() {
-        let cfg = SsdConfig::small(); // maint off
-        let mut sim = SsdSim::new(cfg);
+        let cfg = SsdConfig::small();
+        let mut sim = SsdSim::new(cfg); // maintenance never armed
         let mut ftl = StubFtl::new(cfg.chips);
         ftl.maint_budget = 40;
         let report = sim.run(&mut ftl, (0..200u64).map(HostRequest::write), 200);
@@ -2132,14 +2092,9 @@ mod tests {
     fn endless_maintenance_demand_cannot_stall_the_run() {
         // An FTL that always has maintenance due must not keep the event
         // loop alive after the host workload drains.
-        let cfg = SsdConfig {
-            maint: MaintSchedule {
-                enabled: true,
-                min_gap_us: 10.0,
-            },
-            ..SsdConfig::small()
-        };
+        let cfg = SsdConfig::small();
         let mut sim = SsdSim::new(cfg);
+        sim.enable_maintenance(10.0);
         let mut ftl = StubFtl::new(cfg.chips);
         ftl.maint_budget = u64::MAX;
         let report = sim.run(&mut ftl, (0..120u64).map(HostRequest::write), 120);
@@ -2150,14 +2105,9 @@ mod tests {
     #[test]
     fn larger_host_priority_gap_throttles_maintenance() {
         let run_with = |gap: f64| {
-            let cfg = SsdConfig {
-                maint: MaintSchedule {
-                    enabled: true,
-                    min_gap_us: gap,
-                },
-                ..SsdConfig::small()
-            };
+            let cfg = SsdConfig::small();
             let mut sim = SsdSim::new(cfg);
+            sim.enable_maintenance(gap);
             let mut ftl = StubFtl::new(cfg.chips);
             ftl.maint_budget = u64::MAX;
             // All three LPNs land on chip 0, so chip 1 sees host traffic

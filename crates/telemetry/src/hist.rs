@@ -197,14 +197,17 @@ impl LogHistogram {
 
     /// Nearest-rank percentile, reported as the lower bound of the
     /// bucket holding the rank (≤ 1.6% below the true sample; clamped
-    /// into `[min, max]`). `p = 100` returns the exact maximum.
+    /// into `[min, max]`). `p = 100` returns the exact maximum; an empty
+    /// histogram answers 0, as [`LogHistogram::mean`] does.
     ///
     /// # Panics
     ///
-    /// Panics when the histogram is empty or `p` is outside `(0, 100]`.
+    /// Panics when `p` is outside `(0, 100]`.
     pub fn percentile(&self, p: f64) -> f64 {
-        assert!(self.count > 0, "percentile of an empty histogram");
         assert!(p > 0.0 && p <= 100.0, "percentile {p} outside (0, 100]");
+        if self.count == 0 {
+            return 0.0;
+        }
         if p >= 100.0 {
             return self.max;
         }

@@ -16,6 +16,22 @@ fn exact_aggregates_survive_bucketing() {
 }
 
 #[test]
+fn an_empty_histogram_answers_zero() {
+    let h = LogHistogram::new();
+    assert!(h.is_empty());
+    for p in [1.0, 50.0, 99.9, 100.0] {
+        assert_eq!(h.percentile(p), 0.0, "p{p}");
+    }
+    assert_eq!((h.mean(), h.min(), h.max()), (0.0, 0.0, 0.0));
+}
+
+#[test]
+#[should_panic(expected = "outside (0, 100]")]
+fn percentile_range_is_checked_even_when_empty() {
+    LogHistogram::new().percentile(0.0);
+}
+
+#[test]
 fn percentile_under_estimates_within_one_bucket() {
     let mut h = LogHistogram::new();
     for i in 1..=1000 {
@@ -179,8 +195,10 @@ impl RefHist {
     }
 
     fn percentile(&self, p: f64) -> f64 {
-        assert!(self.count > 0, "percentile of an empty histogram");
         assert!(p > 0.0 && p <= 100.0, "percentile {p} outside (0, 100]");
+        if self.count == 0 {
+            return 0.0;
+        }
         if p >= 100.0 {
             return self.max;
         }
@@ -283,7 +301,7 @@ fn agrees(h: &LogHistogram, r: &RefHist) -> Result<(), String> {
     );
     // `clamp` panics on a NaN bound, which an all-NaN histogram has
     // on either side alike.
-    if r.count > 0 && !r.min.is_nan() && !r.max.is_nan() {
+    if !r.min.is_nan() && !r.max.is_nan() {
         for p in PERCENTILES {
             prop_assert_eq!(bits(h.percentile(p)), bits(r.percentile(p)), "p{}", p);
         }

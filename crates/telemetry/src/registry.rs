@@ -92,19 +92,14 @@ impl MetricRegistry {
                     );
                 }
                 MetricValue::Histogram(h) => {
-                    let (p50, p99) = if h.is_empty() {
-                        (0.0, 0.0)
-                    } else {
-                        (h.percentile(50.0), h.percentile(99.0))
-                    };
                     let _ = writeln!(
                         out,
                         "{{\"metric\":\"{name}\",\"type\":\"histogram\",\"count\":{},\
                          \"mean\":{},\"p50\":{},\"p99\":{},\"min\":{},\"max\":{}}}",
                         h.len(),
                         fmt_num(h.mean()),
-                        fmt_num(p50),
-                        fmt_num(p99),
+                        fmt_num(h.percentile(50.0)),
+                        fmt_num(h.percentile(99.0)),
                         fmt_num(h.min()),
                         fmt_num(h.max())
                     );

@@ -12,7 +12,7 @@ fn main() {
     cfg.requests = 40_000;
     println!(
         "Rocks (YCSB-A over an LSM model), {} requests, {} blocks/chip, 2K P/E + 1-year retention\n",
-        cfg.requests, cfg.blocks_per_chip
+        cfg.requests, cfg.blocks_per_chip()
     );
 
     println!(

@@ -34,9 +34,12 @@
 //!
 //! `--maint` enables the background maintenance subsystem (retention
 //! scrubbing, wear leveling, OPM re-monitoring) with default thresholds;
-//! any `--maint-*` knob implies `--maint`. `--maint-gap-us` is the
-//! host-priority gap: a chip must have been idle that long before a
-//! background op may be dispatched on it.
+//! any `--maint-*` knob implies `--maint`. Every knob, the host-priority
+//! gap included, fills the one `MaintConfig` the scenario carries, and
+//! maintenance is on exactly when it carries one. `--maint-gap-us` is
+//! that gap (default 200): after each background op a chip stays
+//! reserved for host work that long before the next one may be
+//! dispatched on it.
 //!
 //! `--spo-at N` arms a sudden power-off after N completed host requests
 //! (`--spo-at-us` cuts at a simulated time instead, `--spo-rate` draws a
@@ -221,8 +224,8 @@ use cubeftl::harness::{
 };
 use cubeftl::{
     events_to_ndjson, AgingState, ArrayReport, EventMask, FaultKind, FaultPlan, FtlKind,
-    KvAppReport, LifetimeConfig, MaintConfig, MaintSchedule, OrtClusterConfig, QosReport,
-    RetryOptConfig, SpoTrigger, StandardWorkload, TenantMix, Trace, YcsbKind,
+    KvAppReport, LifetimeConfig, MaintConfig, OrtClusterConfig, QosReport, RetryOptConfig,
+    SpoTrigger, StandardWorkload, TenantMix, Trace, YcsbKind,
 };
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -373,7 +376,6 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     // aging campaign (from the standard fresh→end-of-life shape).
     let (mut maint_on, mut life_on) = (false, false);
     let mut maint = MaintConfig::default_on();
-    let mut maint_gap_us: Option<f64> = None;
     let mut life = LifetimeConfig::campaign();
     let mut spo_trigger: Option<SpoTrigger> = None;
     let mut spo_seed: Option<u64> = None;
@@ -424,7 +426,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
             "--workload" => workload = StandardWorkload::parse(v).ok_or(Stop::Usage)?,
             "--aging" => aging = parse_aging(v).ok_or(Stop::Usage)?,
             "--requests" => cfg.requests = num(v, any)?,
-            "--blocks" => cfg.blocks_per_chip = num(v, any)?,
+            "--blocks" => cfg.ftl.nand.geometry.blocks_per_chip = num(v, any)?,
             "--seed" => cfg.seed = num(v, any)?,
             "--temp" => celsius = Some(num(v, any)?),
             "--fault-seed" => fault_seed = Some(num(v, any)?),
@@ -433,7 +435,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
                 let kind = parse_fault_class(class).ok_or(Stop::Usage)?;
                 fault_rates.push((kind, num(rate, |r| (0.0..=1.0).contains(r))?));
             }
-            "--maint-gap-us" => maint_gap_us = Some(num(v, |&g| g >= 0.0)?),
+            "--maint-gap-us" => maint.gap_us = num(v, |&g| g >= 0.0)?,
             "--maint-scrub-months" => maint.scrub_retention_min_months = num(v, |&m| m > 0.0)?,
             "--maint-scrub-ber" => maint.scrub_ber_threshold = num(v, |&b| b > 0.0)?,
             "--maint-remonitor-pe" => maint.remonitor_pe_budget = num(v, any)?,
@@ -462,11 +464,11 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
             "--rebuild-gap-us" => {
                 rebuild_gap_us = Some(num(v, |t: &f64| *t >= 0.0 && t.is_finite())?)
             }
-            "--ort-capacity" => cfg.ort_capacity = num(v, |&n| n >= 1)?,
-            "--ort-cluster" if on_off(v)? => cfg.ort_cluster = OrtClusterConfig::on(),
-            "--ort-cluster" => cfg.ort_cluster = OrtClusterConfig::default(),
-            "--retry-opt" if on_off(v)? => cfg.retry_opt = RetryOptConfig::on(),
-            "--retry-opt" => cfg.retry_opt = RetryOptConfig::default(),
+            "--ort-capacity" => cfg.ftl.ort_capacity = num(v, |&n| n >= 1)?,
+            "--ort-cluster" if on_off(v)? => cfg.ftl.ort_cluster = OrtClusterConfig::on(),
+            "--ort-cluster" => cfg.ftl.ort_cluster = OrtClusterConfig::default(),
+            "--retry-opt" if on_off(v)? => cfg.ftl.retry_opt = RetryOptConfig::on(),
+            "--retry-opt" => cfg.ftl.retry_opt = RetryOptConfig::default(),
             "--trace-file" => trace_file = Some(v.to_owned()),
             "--queues" => qos.queues = num(v, |&n| n >= 1)?,
             "--tenants" => qos.tenants = num(v, |&n| n >= 1)?,
@@ -531,10 +533,6 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     }
     if maint_on {
         cfg.maint = Some(maint);
-        cfg.ssd.maint = MaintSchedule::on();
-        if let Some(g) = maint_gap_us {
-            cfg.ssd.maint.min_gap_us = g;
-        }
     }
     if let Some(SpoTrigger::Seeded { seed, .. }) = &mut spo_trigger {
         *seed = spo_seed.unwrap_or(cfg.seed);
@@ -565,7 +563,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
 
     println!(
         "workload {workload}, {aging}, {} blocks/chip, {} requests, seed {}{}{}{}\n",
-        cfg.blocks_per_chip,
+        cfg.blocks_per_chip(),
         cfg.requests,
         cfg.seed,
         celsius.map(|c| format!(", {c} °C")).unwrap_or_default(),
@@ -574,7 +572,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
             .map(|p| format!(", faults on (seed {})", p.seed))
             .unwrap_or_default(),
         cfg.maint
-            .map(|_| format!(", maint on (gap {} µs)", cfg.ssd.maint.min_gap_us))
+            .map(|m| format!(", maint on (gap {} µs)", m.gap_us))
             .unwrap_or_default()
     );
     if let Some(c) = celsius {

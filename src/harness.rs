@@ -11,6 +11,12 @@
 //! [`Scenario::validate`] names the combinations that are not
 //! supported, each with its reason.
 //!
+//! Every setting a scenario reads is set in exactly one place. The
+//! device is [`Scenario::cfg`]: an [`EvalConfig`] holds the simulator
+//! platform, the one [`FtlConfig`] every shard is built from (its seed
+//! derived per shard) and the background maintenance, which is on
+//! exactly when [`EvalConfig::maint`] is `Some`.
+//!
 //! `run` is one pipeline. It prepares the shard list once — a single
 //! device is a one-element list seeded with the master seed, an array
 //! seeds shard `s` with [`shard_seed`] — and then executes a sequence
@@ -38,18 +44,18 @@
 //! function of the stopped shards, so any scenario is byte-identical at
 //! any worker-thread count.
 
-use ftl::{Ftl, FtlConfig, FtlKind, MaintConfig, OrtClusterConfig, RecoveryReport};
+use ftl::{Ftl, FtlConfig, FtlKind, MaintConfig, RecoveryReport};
 use hostq::{split_arrival_budget, split_even_budget, HostQueueConfig, HostQueueFront, QosReport};
 use kvsim::{KvAppReport, KvConfig, KvEvent, ENTRY_HEADER_BYTES, PAGE_BYTES};
 use lifetime::{EpochSummary, LifetimeConfig, LifetimeEngine};
-use nand3d::{AgingState, FaultPlan, RetryOptConfig, AMBIENT_CELSIUS_RANGE};
+use nand3d::{AgingState, FaultPlan, AMBIENT_CELSIUS_RANGE};
 use ssdarray::{
     ArrayReport, ArrayShard, PageRole, ParityRouter, RebuildPlan, ResilienceReport, SsdArray,
 };
 use ssdsim::detrand::mix64;
 use ssdsim::{
-    HostFront, HostOp, HostRequest, MaintSchedule, RebuildOp, RebuildProgress, RebuildSchedule,
-    SimReport, SpoEvent, SpoTrigger, SsdConfig, SsdSim,
+    HostFront, HostOp, HostRequest, RebuildOp, RebuildProgress, RebuildSchedule, SimReport,
+    SpoEvent, SpoTrigger, SsdConfig, SsdSim,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::{
@@ -59,12 +65,10 @@ use workloads::{
     build_population, shard_seed, StandardWorkload, TenantMix, TenantProfile, Trace, Workload,
 };
 
-/// Scale and length of one evaluation run.
+/// Scale, length and device of one evaluation run — the one place a
+/// scenario's device settings are set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalConfig {
-    /// Blocks per chip (428 reproduces the paper's 32-GB SSD; smaller
-    /// values shrink capacity for faster runs).
-    pub blocks_per_chip: u32,
     /// Host requests to simulate per run.
     pub requests: u64,
     /// Fraction of the logical space written before measuring (drives
@@ -74,78 +78,72 @@ pub struct EvalConfig {
     pub disturbance_prob: f64,
     /// Ambient temperature, °C (the paper evaluates at 30 °C).
     pub ambient_celsius: f64,
-    /// Workload/process seed.
+    /// Workload/process seed; every shard's FTL seed derives from it.
     pub seed: u64,
-    /// Host platform parameters.
+    /// Host platform parameters. `ssd.chips` must equal `ftl.chips`.
     pub ssd: SsdConfig,
+    /// The FTL every shard is built from: its geometry's blocks per
+    /// chip (428 reproduces the paper's 32-GB SSD; smaller values
+    /// shrink capacity for faster runs), ORT capacity and cluster
+    /// (`--ort-capacity`, `--ort-cluster`), retry-chain options
+    /// (`--retry-opt`), μ_TH, active blocks, GC threshold. Its `seed`
+    /// is derived, not read: a single device takes [`EvalConfig::seed`]
+    /// and array shard `s` takes [`shard_seed`] of it.
+    pub ftl: FtlConfig,
     /// Optional fault-injection plan, installed after prefill so the
     /// measured run (not the setup phase) sees the injected faults.
     pub faults: Option<FaultPlan>,
-    /// Optional background maintenance subsystem (retention scrubbing,
-    /// wear leveling, OPM re-monitoring), enabled after prefill so the
-    /// measured run interleaves maintenance with host traffic.
+    /// Background maintenance (retention scrubbing, wear leveling, OPM
+    /// re-monitoring, and the host-priority gap of its dispatch): on
+    /// exactly when `Some`. Enabled after prefill so the measured run
+    /// interleaves maintenance with host traffic.
     pub maint: Option<MaintConfig>,
-    /// Per-chip ORT capacity in h-layer entries (`usize::MAX` = the
-    /// paper's unbounded in-DRAM table; smaller values model scarce
-    /// controller SRAM with LRU eviction).
-    pub ort_capacity: usize,
-    /// Cross-block ΔV_Ref cluster seeding for cold ORT lookups
-    /// (`--ort-cluster`; disabled by default so goldens are unchanged).
-    pub ort_cluster: OrtClusterConfig,
-    /// Retry-chain optimization switches (`--retry-opt`; all off by
-    /// default).
-    pub retry_opt: RetryOptConfig,
 }
 
 impl EvalConfig {
     /// The paper-scale configuration (428 blocks/chip ≈ 32 GB).
     pub fn paper() -> Self {
         EvalConfig {
-            blocks_per_chip: 428,
             requests: 200_000,
             prefill_fraction: 0.9,
             disturbance_prob: 0.002,
             ambient_celsius: 30.0,
             seed: 42,
             ssd: SsdConfig::paper(),
+            ftl: FtlConfig::paper(),
             faults: None,
             maint: None,
-            ort_capacity: usize::MAX,
-            ort_cluster: OrtClusterConfig::default(),
-            retry_opt: RetryOptConfig::default(),
         }
     }
 
     /// A reduced-scale configuration for figure regeneration on a laptop
-    /// (≈4.8 GB SSD, same chip/bus topology and FTL behaviour).
+    /// (64 blocks/chip ≈ 4.8 GB SSD, same chip/bus topology and FTL
+    /// behaviour).
     pub fn reduced() -> Self {
-        EvalConfig {
-            blocks_per_chip: 64,
+        let mut cfg = EvalConfig {
             requests: 60_000,
             ..EvalConfig::paper()
-        }
+        };
+        cfg.ftl.nand.geometry.blocks_per_chip = 64;
+        cfg
     }
 
-    /// A tiny smoke-test configuration for doc examples and CI.
+    /// A tiny smoke-test configuration (12 blocks/chip) for doc
+    /// examples and CI.
     pub fn smoke() -> Self {
-        EvalConfig {
-            blocks_per_chip: 12,
+        let mut cfg = EvalConfig {
             requests: 2_000,
             prefill_fraction: 0.5,
             disturbance_prob: 0.0,
             ..EvalConfig::paper()
-        }
+        };
+        cfg.ftl.nand.geometry.blocks_per_chip = 12;
+        cfg
     }
 
-    /// The FTL configuration this evaluation scale implies.
-    pub fn ftl_config(&self) -> FtlConfig {
-        let mut cfg = FtlConfig::paper();
-        cfg.nand.geometry.blocks_per_chip = self.blocks_per_chip;
-        cfg.seed = self.seed;
-        cfg.ort_capacity = self.ort_capacity;
-        cfg.ort_cluster = self.ort_cluster;
-        cfg.retry_opt = self.retry_opt;
-        cfg
+    /// Blocks per chip of the FTL's geometry.
+    pub fn blocks_per_chip(&self) -> u32 {
+        self.ftl.nand.geometry.blocks_per_chip
     }
 }
 
@@ -323,7 +321,8 @@ pub struct ArrayFailureConfig {
     /// rebuild and the dead shard's redirected writes; additional
     /// spares stand by cold).
     pub spare_shards: usize,
-    /// Background rebuild pacing (unit size, host-priority gap).
+    /// Background rebuild pacing (unit size, host-priority gap) — the
+    /// rebuild service's own, apart from [`MaintConfig::gap_us`].
     pub rebuild: RebuildSchedule,
 }
 
@@ -637,6 +636,9 @@ pub enum ScenarioError {
     NoShards,
     /// `requests` does not fit this platform's `usize`.
     RequestsOverflow(u64),
+    /// The simulator's chips (`cfg.ssd.chips`) are not the chips the
+    /// FTL is sized for (`cfg.ftl.chips`).
+    ChipsDisagree { ssd: usize, ftl: usize },
     /// The block count per chip is below what GC and the active blocks
     /// need, or its pages overflow the mapping's 32-bit page index.
     BlocksOutOfRange { blocks: u32, min: u32, max: u32 },
@@ -708,6 +710,11 @@ impl std::fmt::Display for ScenarioError {
             NoPhases => f.write_str("need at least one workload phase"),
             NoShards => f.write_str("need at least one shard"),
             RequestsOverflow(n) => write!(f, "{n} requests do not fit this platform's usize"),
+            ChipsDisagree { ssd, ftl } => write!(
+                f,
+                "the SSD has {ssd} chips but the FTL is sized for {ftl}: \
+                 give cfg.ssd.chips and cfg.ftl.chips one count"
+            ),
             BlocksOutOfRange { blocks, min, max } => write!(
                 f,
                 "{blocks} blocks per chip is out of range: this configuration takes {min} to {max}"
@@ -807,11 +814,10 @@ pub struct Scenario {
     pub kind: FtlKind,
     /// The pre-baked aging state the device starts from.
     pub aging: AgingState,
-    /// Scale, length, seed and device-side options.
+    /// Scale, length, seed and the device: simulator, FTL (the hook for
+    /// ablation studies — μ_TH sweeps, active-block counts, …), faults
+    /// and maintenance.
     pub cfg: EvalConfig,
-    /// Explicit FTL configuration — the hook for ablation studies (μ_TH
-    /// sweeps, active-block counts, …). `None` = `cfg.ftl_config()`.
-    pub ftl: Option<FtlConfig>,
     /// Where host requests come from — the only field that names a
     /// generator.
     pub workload: WorkloadSource,
@@ -1091,16 +1097,6 @@ fn check_writes(
     }
 }
 
-/// Splits a total request budget over shards: the first `total % shards`
-/// shards take one extra request.
-fn split_requests(total: u64, shards: usize) -> Vec<u64> {
-    let base = total / shards as u64;
-    let rem = total % shards as u64;
-    (0..shards as u64)
-        .map(|s| base + u64::from(s < rem))
-        .collect()
-}
-
 /// Per-epoch seed of a workload stream. Epoch 0 uses the master seed
 /// unchanged — a one-epoch run is the plain run — and later epochs draw
 /// fresh domain-separated substreams, so the device does not replay the
@@ -1301,7 +1297,6 @@ impl Scenario {
             kind,
             aging,
             cfg: cfg.clone(),
-            ftl: None,
             workload: workload.into(),
             array: None,
             qos: QosSpec::off(),
@@ -1331,7 +1326,9 @@ impl Scenario {
             NoPhases,
         )?;
         usize::try_from(self.cfg.requests).map_err(|_| RequestsOverflow(self.cfg.requests))?;
-        let ftl = self.ftl_config();
+        let ftl = &self.cfg.ftl;
+        let (ssd, chips) = (self.cfg.ssd.chips, ftl.chips);
+        check(ssd != chips, ChipsDisagree { ssd, ftl: chips })?;
         let g = ftl.nand.geometry;
         // GC must keep its free-block threshold and the open blocks
         // aside and still have closed blocks to collect.
@@ -1546,29 +1543,13 @@ impl Scenario {
             .collect()
     }
 
-    /// The FTL configuration of every shard: the explicit one, or the
-    /// one the evaluation scale implies.
-    fn ftl_config(&self) -> FtlConfig {
-        self.ftl.unwrap_or_else(|| self.cfg.ftl_config())
-    }
-
     /// One fully prepared shard, seeded from the master seed and the
     /// shard id, prefilled to `prefill_fraction` of its logical space.
     fn prepare_dev(&self, id: usize, prefill_fraction: f64, tel: TelemetrySpec) -> Dev {
         let cfg = &self.cfg;
-        let mut ssd_cfg = cfg.ssd;
-        // Maintenance needs the simulator to offer idle windows: derive
-        // the schedule from the FTL-side config unless one was set
-        // explicitly.
-        if cfg.maint.is_some_and(|m| m.enabled) && !ssd_cfg.maint.enabled {
-            ssd_cfg.maint = MaintSchedule::on();
-        }
-        let mut ftl_cfg = self.ftl_config();
-        if self.array.is_some() {
-            ftl_cfg.seed = shard_seed(cfg.seed, id);
-        }
-        let mut sim = SsdSim::new(ssd_cfg);
-        let mut ftl = Ftl::new(self.kind, ftl_cfg);
+        let mut sim = SsdSim::new(cfg.ssd);
+        let seed = self.seed_for(cfg.seed, id);
+        let mut ftl = Ftl::new(self.kind, FtlConfig { seed, ..cfg.ftl });
         ftl.set_aging(self.aging);
         ftl.set_ambient_celsius(cfg.ambient_celsius);
         let prefill = (ftl.logical_pages() as f64 * prefill_fraction) as u64;
@@ -1579,6 +1560,7 @@ impl Scenario {
         }
         if let Some(maint) = cfg.maint {
             ftl.enable_maintenance(maint);
+            sim.enable_maintenance(maint.gap_us);
         }
         if let Some(spo) = &self.spo {
             ftl.enable_checkpointing(spo.ckpt_interval_host_wls);
@@ -1729,7 +1711,7 @@ impl Scenario {
                         Stream::new(self.source(epoch, d.space(), seed), self.capture)
                     })
                     .collect();
-                Load::new(Hosts::Streams(streams), split_requests(cfg.requests, n))
+                Load::new(Hosts::Streams(streams), split_even_budget(cfg.requests, n))
             }
         })
     }

@@ -62,9 +62,9 @@ pub use ssdarray::{
     RebuildPlan, ResilienceReport, SsdArray,
 };
 pub use ssdsim::{
-    ChipStats, FrontRequest, FtlDriver, FtlStats, HostFront, HostRequest, LatencyRecorder,
-    MaintSchedule, MaintWork, RebuildOp, RebuildProgress, RebuildSchedule, SimReport, SpoEvent,
-    SpoTrigger, SsdConfig, SsdSim, StepOutcome,
+    ChipStats, FrontRequest, FtlDriver, FtlStats, HostFront, HostRequest, MaintWork, RebuildOp,
+    RebuildProgress, RebuildSchedule, SimReport, SpoEvent, SpoTrigger, SsdConfig, SsdSim,
+    StepOutcome,
 };
 pub use telemetry::{
     events_to_ndjson, merge_streams, EventKind, EventMask, LogHistogram, MetricRegistry, SampleRow,

@@ -98,6 +98,21 @@ fn array_completes_the_exact_budget_and_sums_shard_counters() {
 }
 
 #[test]
+fn an_ftl_setting_made_once_reaches_every_shard() {
+    // `cfg.ftl` is the one FTL every shard is built from: a 4-entry ORT
+    // set there evicts on one device and on each shard of an array.
+    let mut cfg = cfg();
+    cfg.ftl.ort_capacity = 4;
+    let (web, eol) = (StandardWorkload::Web, AgingState::EndOfLife);
+    let device = common::eval(FtlKind::Cube, web, eol, &cfg);
+    assert!(device.ftl.ort_evictions > 0, "one device never evicted");
+    let out = array_run(web, eol, &cfg, &ArrayEvalConfig::new(2));
+    for (s, shard) in out.phases[0].shards.iter().enumerate() {
+        assert!(shard.ftl.ort_evictions > 0, "shard {s} never evicted");
+    }
+}
+
+#[test]
 fn array_trace_routing_is_deterministic() {
     let trace = common::msr_trace("sample_trace.csv");
     let cfg = cfg();

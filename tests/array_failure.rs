@@ -262,7 +262,7 @@ fn failure_composes_with_an_array_spo_cut() {
 fn failure_trace_keeps_every_phase_on_one_timeline() {
     let run = |threads: usize, cut_at_us: Option<f64>| {
         let mut cfg = EvalConfig::smoke();
-        cfg.blocks_per_chip = 16;
+        cfg.ftl.nand.geometry.blocks_per_chip = 16;
         let mut arr = ArrayEvalConfig::new(4);
         arr.stripe_pages = 16;
         arr.threads = threads;

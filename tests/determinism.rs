@@ -236,7 +236,6 @@ fn scenario_with_every_spec_off_reproduces_the_goldens() {
         let mut cfg = EvalConfig::smoke();
         cfg.requests = requests;
         Scenario {
-            ftl: None,
             array: None,
             qos: QosSpec::off(),
             kv: KvSpec::default(),

@@ -3,7 +3,7 @@
 mod common;
 
 use common::eval;
-use cubeftl::harness::EvalConfig;
+use cubeftl::harness::{EvalConfig, Scenario, ScenarioError};
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
 
 fn smoke() -> EvalConfig {
@@ -134,6 +134,31 @@ fn vert_beats_page_cube_beats_vert_on_writes() {
 }
 
 #[test]
+fn chip_counts_that_disagree_are_a_typed_error() {
+    // The simulator and the FTL each keep a chip count; a scenario whose
+    // two counts differ is refused before anything runs.
+    for chips in [4, 16] {
+        let mut cfg = smoke();
+        cfg.ssd.chips = chips;
+        let sc = Scenario::new(
+            FtlKind::Cube,
+            StandardWorkload::Mail,
+            AgingState::Fresh,
+            &cfg,
+        );
+        let want = ScenarioError::ChipsDisagree {
+            ssd: chips,
+            ftl: cfg.ftl.chips,
+        };
+        assert_eq!(sc.validate(), Err(want.clone()));
+        assert_eq!(sc.run().err(), Some(want.clone()));
+        let message = want.to_string();
+        assert!(message.contains(&format!("{chips} chips")), "{message}");
+        assert!(message.contains("sized for 8"), "{message}");
+    }
+}
+
+#[test]
 fn reports_are_internally_consistent() {
     let cfg = smoke();
     let r = eval(
@@ -143,8 +168,8 @@ fn reports_are_internally_consistent() {
         &cfg,
     );
     assert_eq!(r.reads + r.writes, r.completed);
-    assert_eq!(r.read_latency.len() as u64, r.reads);
-    assert_eq!(r.write_latency.len() as u64, r.writes);
+    assert_eq!(r.read_latency.len(), r.reads);
+    assert_eq!(r.write_latency.len(), r.writes);
     assert!(r.sim_time_us > 0.0);
     let computed_iops = r.completed as f64 / (r.sim_time_us / 1e6);
     assert!((computed_iops - r.iops).abs() / r.iops < 1e-9);
@@ -229,7 +254,6 @@ fn write_heavy_trace_survives_a_lifetime_epoch() {
     // aging campaign: the full stack (trace folding -> simulator -> FTL
     // -> per-block NAND aging) holds together when the device ages
     // between replays.
-    use cubeftl::harness::Scenario;
     use cubeftl::LifetimeConfig;
 
     let cfg = smoke();

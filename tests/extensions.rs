@@ -93,20 +93,16 @@ fn ps_aware_ecc_never_loses_and_wins_when_aged() {
 
 #[test]
 fn wam_active_block_knob_changes_behaviour_but_not_correctness() {
-    let cfg = EvalConfig::smoke();
     for blocks in [1usize, 2, 3] {
-        let mut ftl_cfg = cfg.ftl_config();
-        ftl_cfg.active_blocks_per_chip = blocks;
-        ftl_cfg.gc_free_block_threshold = ftl_cfg.gc_free_block_threshold.max(blocks);
-        let r = Scenario {
-            ftl: Some(ftl_cfg),
-            ..Scenario::new(
-                FtlKind::Cube,
-                StandardWorkload::Mail,
-                AgingState::Fresh,
-                &cfg,
-            )
-        }
+        let mut cfg = EvalConfig::smoke();
+        cfg.ftl.active_blocks_per_chip = blocks;
+        cfg.ftl.gc_free_block_threshold = cfg.ftl.gc_free_block_threshold.max(blocks);
+        let r = Scenario::new(
+            FtlKind::Cube,
+            StandardWorkload::Mail,
+            AgingState::Fresh,
+            &cfg,
+        )
         .run()
         .expect("a custom FTL configuration is a valid scenario")
         .into_sim();

@@ -8,7 +8,8 @@ mod common;
 use common::eval;
 use cubeftl::harness::EvalConfig;
 use cubeftl::{
-    AgingState, FaultKind, FaultPlan, FtlKind, MaintConfig, SimReport, StandardWorkload,
+    AgingState, FaultKind, FaultPlan, Ftl, FtlConfig, FtlKind, MaintConfig, SimReport, SsdSim,
+    StandardWorkload,
 };
 
 /// A retention-heavy scenario: a read-mostly workload over EndOfLife
@@ -48,9 +49,8 @@ fn scrubber_reduces_uncorrectables_and_retries_under_retention_faults() {
     // direction; the throughput price is the bench's concern.
     let mut maint = MaintConfig::default_on();
     maint.scrub_batch_pages = 96;
+    maint.gap_us = 50.0;
     cfg.maint = Some(maint);
-    cfg.ssd.maint.enabled = true;
-    cfg.ssd.maint.min_gap_us = 50.0;
     let on = run(&cfg);
 
     assert_eq!(off.completed, on.completed, "both runs must finish");
@@ -75,15 +75,26 @@ fn scrubber_reduces_uncorrectables_and_retries_under_retention_faults() {
 
 #[test]
 fn disabled_maintenance_is_bit_identical_to_seed_behavior() {
-    let cfg_none = retention_heavy_cfg();
-    let baseline = run(&cfg_none);
+    // `maint: None` must be indistinguishable from a stack built by hand
+    // that never touches the maintenance API at all.
+    let cfg = retention_heavy_cfg();
+    assert!(cfg.maint.is_none());
+    let baseline = run(&cfg);
 
-    // `MaintConfig::off()` must be indistinguishable from never touching
-    // the maintenance API at all.
-    let mut cfg_off = retention_heavy_cfg();
-    cfg_off.maint = Some(MaintConfig::off());
-    let off = run(&cfg_off);
+    let mut sim = SsdSim::new(cfg.ssd);
+    let seed = cfg.seed;
+    let mut ftl = Ftl::new(FtlKind::Cube, FtlConfig { seed, ..cfg.ftl });
+    ftl.set_aging(AgingState::EndOfLife);
+    ftl.set_ambient_celsius(cfg.ambient_celsius);
+    let prefill = (ftl.logical_pages() as f64 * cfg.prefill_fraction) as u64;
+    sim.prefill(&mut ftl, 0..prefill);
+    ftl.set_disturbance_prob(cfg.disturbance_prob);
+    ftl.set_fault_plan(cfg.faults.as_ref().expect("the config injects faults"));
+    ftl.reset_stats();
+    let stream = StandardWorkload::Web.build(prefill.max(1024), cfg.seed);
+    let seed_stack = sim.run(&mut ftl, stream, cfg.requests);
 
-    assert_eq!(format!("{baseline:?}"), format!("{off:?}"));
+    assert_eq!(format!("{baseline:?}"), format!("{seed_stack:?}"));
     assert_eq!(baseline.ftl.maint_actions(), 0);
+    assert_eq!(baseline.background_ops(), 0);
 }

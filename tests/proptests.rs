@@ -261,11 +261,11 @@ proptest! {
         prop_assert_eq!(run(&plan), run(&plan));
     }
 
-    /// The latency recorder's percentile is monotone and bounded by the
-    /// sample extremes.
+    /// The latency histogram's percentile is monotone and bounded by
+    /// the sample extremes.
     #[test]
     fn percentiles_are_monotone(samples in prop::collection::vec(0.0f64..1e6, 1..200)) {
-        let mut r = ssdsim::LatencyRecorder::new();
+        let mut r = cubeftl::LogHistogram::new();
         for s in &samples {
             r.record(*s);
         }

@@ -32,15 +32,15 @@ use cubeftl::{
 fn bounded_cfg(requests: u64) -> EvalConfig {
     let mut cfg = EvalConfig::smoke();
     cfg.requests = requests;
-    cfg.ort_capacity = 4;
+    cfg.ftl.ort_capacity = 4;
     cfg
 }
 
 /// `bounded_cfg` with the full v2 pipeline on.
 fn v2_cfg(requests: u64) -> EvalConfig {
     let mut cfg = bounded_cfg(requests);
-    cfg.ort_cluster = OrtClusterConfig::on();
-    cfg.retry_opt = RetryOptConfig::on();
+    cfg.ftl.ort_cluster = OrtClusterConfig::on();
+    cfg.ftl.retry_opt = RetryOptConfig::on();
     cfg
 }
 
@@ -73,8 +73,11 @@ fn cluster_off_reproduces_the_pre_pr_golden() {
     // smoke report of determinism.rs intact — same constants, same
     // pipeline, bit for bit.
     let cfg = EvalConfig::smoke();
-    assert!(!cfg.ort_cluster.enabled, "the cluster must default to off");
-    assert_eq!(cfg.retry_opt, RetryOptConfig::default());
+    assert!(
+        !cfg.ftl.ort_cluster.enabled,
+        "the cluster must default to off"
+    );
+    assert_eq!(cfg.ftl.retry_opt, RetryOptConfig::default());
     let r = eval(
         FtlKind::Cube,
         StandardWorkload::Mail,
@@ -92,8 +95,8 @@ fn cluster_off_reproduces_the_pre_pr_golden() {
     // configuration, not merely a similar one: the full report (every
     // counter, every latency sample) matches the default run exactly.
     let mut explicit_off = EvalConfig::smoke();
-    explicit_off.ort_cluster = OrtClusterConfig::default();
-    explicit_off.retry_opt = RetryOptConfig::default();
+    explicit_off.ftl.ort_cluster = OrtClusterConfig::default();
+    explicit_off.ftl.retry_opt = RetryOptConfig::default();
     let r2 = eval(
         FtlKind::Cube,
         StandardWorkload::Mail,
@@ -262,7 +265,7 @@ fn retry_trace_is_deterministic_at_any_ort_capacity() {
     // the capacity knob actually changes eviction behaviour.
     let run = |capacity: usize| {
         let mut cfg = v2_cfg(6_000);
-        cfg.ort_capacity = capacity;
+        cfg.ftl.ort_capacity = capacity;
         events_to_ndjson(
             &retry_traced(&cfg, AgingState::EndOfLife, None)
                 .telemetry

@@ -226,7 +226,7 @@ fn trace_replay_emits_telemetry_like_any_other_stream() {
 fn reachability_scenarios() -> Vec<(&'static str, Scenario)> {
     let tel = TelemetrySpec::all(2_000.0);
     let mut cfg = EvalConfig::smoke();
-    cfg.blocks_per_chip = 16;
+    cfg.ftl.nand.geometry.blocks_per_chip = 16;
     cfg.requests = 600;
     let base = |workload: WorkloadSource, aging| Scenario {
         telemetry: tel,
