@@ -31,7 +31,8 @@
 use bench::{banner, num, num2, text, write_curve, Cell, Columns, Sweep};
 use cubeftl::harness::{EvalConfig, QosSpec, RunOutput, Scenario};
 use cubeftl::{
-    AgingState, ClassSummary, FtlKind, QosReport, TenantClass, TenantMix, TenantSummary,
+    AgingState, ClassSummary, FtlKind, HostQueueConfig, QosReport, TenantClass, TenantMix,
+    TenantSummary,
 };
 
 /// Phase A / calibration weights.
@@ -47,21 +48,27 @@ const SHARE_TOLERANCE: f64 = 0.05;
 /// shared with every tenant. 120 splits the two regimes.
 const SLO_SERVICE_TIMES: f64 = 120.0;
 
-fn base_spec() -> QosSpec {
-    QosSpec {
+/// Four queues, one per tenant, each 16 deep, at `arrival_interval_us`.
+fn base_front(arrival_interval_us: f64) -> HostQueueConfig {
+    HostQueueConfig {
         queues: 4,
-        tenants: 4,
-        weights: PROP_WEIGHTS.to_vec(),
         sq_depth: 16,
-        ..QosSpec::off()
+        arrival_interval_us,
+        ..HostQueueConfig::default()
     }
 }
 
-/// A mid-life Cube device behind the front-end `spec` describes, every
-/// tenant emitting uniform single-page traffic.
-fn qos_scenario(cfg: &EvalConfig, spec: QosSpec) -> Scenario {
+/// A mid-life Cube device behind `front` with four tenants of
+/// `weights`, every tenant emitting uniform single-page traffic.
+fn qos_scenario(cfg: &EvalConfig, weights: &[u32], front: HostQueueConfig) -> Scenario {
+    let qos = QosSpec {
+        tenants: 4,
+        weights: weights.to_vec(),
+        front,
+        ..QosSpec::off()
+    };
     Scenario {
-        qos: spec,
+        qos,
         ..Scenario::new(FtlKind::Cube, TenantMix::Uniform, AgingState::MidLife, cfg)
     }
 }
@@ -76,11 +83,8 @@ fn qos(out: &RunOutput) -> &QosReport {
 fn calibrate(cfg: &EvalConfig) -> f64 {
     let mut cal_cfg = cfg.clone();
     cal_cfg.requests = cfg.requests.min(2_000);
-    let spec = QosSpec {
-        arrival_interval_us: 0.01,
-        ..base_spec()
-    };
-    let iops = bench::run(&qos_scenario(&cal_cfg, spec)).sim().iops;
+    let sc = qos_scenario(&cal_cfg, &PROP_WEIGHTS, base_front(0.01));
+    let iops = bench::run(&sc).sim().iops;
     assert!(iops > 0.0, "calibration run completed nothing");
     iops
 }
@@ -98,11 +102,8 @@ pub fn run(crate::BenchArgs { cfg, out, .. }: &crate::BenchArgs) {
 
     // ---- Phase A: weight-proportional service under saturation -------
     banner("phase A — completion shares vs weights 8:4:2:1 at 2x capacity");
-    let spec_a = QosSpec {
-        arrival_interval_us: 1e6 / (2.0 * capacity),
-        ..base_spec()
-    };
-    let ra = bench::run(&qos_scenario(cfg, spec_a));
+    let front_a = base_front(1e6 / (2.0 * capacity));
+    let ra = bench::run(&qos_scenario(cfg, &PROP_WEIGHTS, front_a));
     let tenants = &qos(&ra).tenants;
     let total_completed: u64 = tenants.iter().map(|t| t.completed).sum();
     let w_total: u32 = PROP_WEIGHTS.iter().sum();
@@ -149,14 +150,12 @@ pub fn run(crate::BenchArgs { cfg, out, .. }: &crate::BenchArgs) {
     // ---- Phase B: overload sweep with a protected tenant -------------
     banner("phase B — overload sweep, weights [8,1,1,1], equal arrival rates");
     let sweep = Sweep::run([1.0f64, 1.5, 2.0].map(|load| {
-        let spec = QosSpec {
-            weights: SWEEP_WEIGHTS.to_vec(),
-            arrival_interval_us: 1e6 / (load * capacity),
-            equal_arrivals: true,
+        let front = HostQueueConfig {
+            weighted_arrivals: false,
             slo_read_us: Some(slo_read_us),
-            ..base_spec()
+            ..base_front(1e6 / (load * capacity))
         };
-        (load, qos_scenario(cfg, spec))
+        (load, qos_scenario(cfg, &SWEEP_WEIGHTS, front))
     }));
     // One row per (load, tenant class).
     type Row = (f64, TenantClass, ClassSummary);

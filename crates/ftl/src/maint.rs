@@ -132,11 +132,6 @@ impl Ftl {
         self.array.set_block_retention_tracking(true);
     }
 
-    /// The active maintenance configuration, if the subsystem is enabled.
-    pub fn maint_config(&self) -> Option<MaintConfig> {
-        self.maint.as_ref().map(|m| m.config)
-    }
-
     /// Whether the wear-leveling service steers victim selection and
     /// free-block allocation.
     pub(crate) fn wear_leveling_on(&self) -> bool {
@@ -473,7 +468,6 @@ mod tests {
         write_all(&mut ftl, 0..300, cfg.chips, 0.5);
         ftl.set_aging(AgingState::EndOfLife);
         assert!(ftl.maintenance_step(0, &ctx(0.0)).is_none());
-        assert_eq!(ftl.maint_config(), None);
         let stats = ftl.stats();
         assert_eq!(stats.scrub_blocks + stats.scrub_sample_reads, 0);
     }

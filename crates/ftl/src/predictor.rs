@@ -97,21 +97,6 @@ impl LatencyPredictor {
         }
     }
 
-    /// Predicts the tREAD of a page on `wl`'s h-layer. With a warm ORT
-    /// entry the read decodes at its first attempt, so the forecast is
-    /// the base read latency; the prediction interval is one retry wide
-    /// (the residual ambient drift of §4.2).
-    pub fn read_tread(&self, opm: &Opm, chip: usize, wl: WlAddr) -> Forecast {
-        // The ORT stores the last working offset; reads starting there
-        // are first-try under process similarity. Peek so a forecast
-        // neither perturbs LRU recency nor counts as a lookup.
-        let _ = opm.peek_offset(chip, wl);
-        Forecast {
-            latency_us: self.timing.t_read_us,
-            monitored: true,
-        }
-    }
-
     /// The conservative estimate for unmonitored WLs (default-parameter
     /// program of a nominal WL).
     pub fn default_tprog_estimate(&self) -> f64 {
@@ -188,14 +173,6 @@ mod tests {
         let f = predictor.follower_tprog(&opm, 0, g.wl_addr(BlockId(0), 0, 1));
         assert!(!f.monitored);
         assert!((f.latency_us - 703.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn read_forecast_is_base_latency_with_warm_ort() {
-        let (chip, opm, predictor) = setup();
-        let g = *chip.geometry();
-        let f = predictor.read_tread(&opm, 0, g.wl_addr(BlockId(0), 2, 1));
-        assert!((f.latency_us - 80.0).abs() < 1e-9);
     }
 
     #[test]

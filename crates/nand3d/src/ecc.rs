@@ -69,11 +69,6 @@ impl EccModel {
         &self.modes
     }
 
-    /// The overall correction capability (strongest mode's ceiling).
-    pub fn capability_ber(&self) -> f64 {
-        self.modes.last().expect("at least one mode").max_ber
-    }
-
     /// The index of the weakest mode that corrects `raw_ber`, or `None`
     /// if the page is uncorrectable.
     pub fn required_mode(&self, raw_ber: f64) -> Option<usize> {
@@ -129,6 +124,9 @@ mod tests {
             assert!(w[0].latency_us < w[1].latency_us);
             assert!(w[0].max_ber < w[1].max_ber);
         }
+        // The strongest mode's ceiling is the retry model's ECC budget.
+        let budget = crate::config::ReliabilityParams::default().ecc_capability_ber;
+        assert_eq!(e.modes().last().map(|m| m.max_ber), Some(budget));
     }
 
     #[test]
@@ -173,14 +171,5 @@ mod tests {
         let e = EccModel::ldpc();
         assert_eq!(e.decode_escalating_us(5e-2), None);
         assert_eq!(e.decode_predicted_us(5e-2, 1e-3), None);
-    }
-
-    #[test]
-    fn capability_matches_reliability_model_budget() {
-        // The strongest mode's ceiling equals the calibrated ECC
-        // capability used by the retry model.
-        let e = EccModel::ldpc();
-        let cfg = crate::config::ReliabilityParams::default();
-        assert_eq!(e.capability_ber(), cfg.ecc_capability_ber);
     }
 }

@@ -87,13 +87,6 @@ pub struct ArrayRunOutcome {
     pub spo_events: Vec<Option<SpoEvent>>,
 }
 
-impl ArrayRunOutcome {
-    /// Whether any shard's power-off trigger fired.
-    pub fn any_fired(&self) -> bool {
-        self.spo_events.iter().any(Option::is_some)
-    }
-}
-
 /// The array front-end: owns the shards and the execution engine.
 pub struct SsdArray<F, H: HostFront> {
     shards: Vec<ArrayShard<F, H>>,
@@ -413,7 +406,7 @@ mod tests {
         for r in &out.shard_reports {
             assert_eq!(r.completed, 300);
         }
-        assert!(!out.any_fired());
+        assert!(out.spo_events.iter().all(Option::is_none));
         // Aggregate IOPS is the sum of shard throughputs.
         let sum: f64 = out.report.per_shard_iops.iter().sum();
         assert!((out.report.iops - sum).abs() < 1e-9);
@@ -441,7 +434,6 @@ mod tests {
     fn array_wide_spo_cuts_every_shard_at_one_instant() {
         let cut_us = 40_000.0;
         let out = build(3, 1_000_000, Some(SpoTrigger::AtTimeUs(cut_us))).run();
-        assert!(out.any_fired());
         for (s, ev) in out.spo_events.iter().enumerate() {
             let ev = ev.as_ref().expect("every shard cut");
             assert!(ev.at_us >= cut_us, "shard {s} cut before the instant");

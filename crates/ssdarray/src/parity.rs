@@ -207,17 +207,6 @@ impl ParityRouter {
         (global_data_pages / per_row) * self.stripe_pages
     }
 
-    /// The surviving `(shard, local)` pages to read (and XOR) to
-    /// reconstruct local page `local` of `failed` — every other
-    /// shard's page at the same local index, ascending shard order.
-    pub fn degraded_sources(&self, failed: usize, local: u64) -> Vec<(usize, u64)> {
-        debug_assert!(self.parity, "reconstruction needs parity");
-        (0..self.shards)
-            .filter(|&s| s != failed)
-            .map(|s| (s, local))
-            .collect()
-    }
-
     /// Splits one global-data-space host request into shard-local
     /// requests, cutting the span at stripe boundaries. Writes and
     /// trims additionally charge the row's parity shard with a write
@@ -407,12 +396,6 @@ mod tests {
         let trims = r.split(HostRequest::trim_span(0, 2));
         assert_eq!(trims.len(), 2);
         assert_eq!(trims[1], (2, HostRequest::write_span(0, 2)));
-    }
-
-    #[test]
-    fn degraded_sources_are_the_survivors_at_the_same_local() {
-        let r = ParityRouter::new(4, 8, true);
-        assert_eq!(r.degraded_sources(1, 13), vec![(0, 13), (2, 13), (3, 13)]);
     }
 
     #[test]

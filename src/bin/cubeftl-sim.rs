@@ -24,6 +24,11 @@
 //!             [--series-out PATH] [--sample-interval-us T]
 //! ```
 //!
+//! Every flag writes the field of the one `harness::Scenario` it names,
+//! so the order flags come in does not matter; `Scenario::run` executes
+//! it once per `--ftl` kind, and the output mode it prints in follows
+//! from the scenario alone.
+//!
 //! `--fault-rate` enables seeded fault injection (repeatable); CLASS is one
 //! of `ispp-outlier`, `ber-spike`, `stuck-retry`, `uncorrectable`, `abort`.
 //! RATE is a probability; an `abort` rate above
@@ -52,7 +57,8 @@
 //! L2P checkpoint cadence in host WL programs (default 64; 0 disables,
 //! forcing a full-array OOB rebuild).
 //!
-//! `--shards N` (N > 1) runs a sharded multi-device array: host LPNs are
+//! `--shards N` (N > 1, at most `harness::MAX_SHARDS` = 256) runs a
+//! sharded multi-device array: host LPNs are
 //! striped across N independent devices (`--array-stripe` pages per
 //! stripe unit), each with its own FTL, chips and seeded workload
 //! substream, executed on `--array-threads` worker threads (default: one
@@ -68,7 +74,8 @@
 //! the surviving shards serve degraded reads by fan-out reconstruction
 //! while a background rebuild — paced by the idle-window scheduler,
 //! `--rebuild-batch` pages per unit with a `--rebuild-gap-us` host
-//! priority gap — repopulates a blank spare (`--spare-shards 1`). Adding
+//! priority gap — repopulates a blank spare (`--spare-shards 1`). Any
+//! of these flags engages array resilience. Adding
 //! `--spo-at-us` composes an array-wide power cut into the degraded
 //! phase. The run exits non-zero unless the audit proves zero
 //! host-acknowledged loss. The request source is free (`--workload`,
@@ -92,17 +99,20 @@
 //!
 //! `--queues N` / `--tenants N` (either > 1) engage the NVMe-style
 //! multi-queue QoS front-end (`crates/hostq`): the closed loop is
-//! replaced by a population of seeded open-loop tenants spread over N
-//! submission/completion queue pairs and scheduled by an integer
+//! replaced by a population of seeded open-loop tenants (at most
+//! `harness::MAX_TENANTS` = 100 000) spread over N submission/completion
+//! queue pairs (no more pairs than tenants) and scheduled by an integer
 //! deficit-weighted-round-robin arbiter. `--tenant-weights A,B,C` cycles
 //! DWRR weights over tenant ids (the largest weight is the *protected*
-//! class, the smallest *best-effort*); `--qos-sq-depth` bounds each
+//! class, the smallest *best-effort*). `--queues` and the `--qos-*`
+//! knobs fill the one `HostQueueConfig` the scenario's `QosSpec`
+//! carries as its front: `--qos-sq-depth` bounds each
 //! tenant's submission queue (beyond it arrivals are deterministically
 //! shed); `--qos-arrival-us` sets the aggregate mean inter-arrival gap
 //! (rates are weight-proportional per tenant, or uniform with
 //! `--qos-equal-arrivals`);
 //! `--qos-slo-read-us`/`--qos-slo-write-us` arm per-op latency SLOs
-//! (violations counted per tenant); `--qos-trace PATH` replays a
+//! (violations counted per tenant). `--qos-trace PATH` replays a
 //! recorded trace as tenant 0's stream instead of its synthetic
 //! generator (single-device runs only). With `--shards`, tenant `t`
 //! routes to shard `t % shards` and results merge in shard order — the
@@ -219,13 +229,13 @@
 //! ```
 
 use cubeftl::harness::{
-    ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, KvSpec, Phase, QosSpec, RunOutput,
-    Scenario, ScenarioError, SpoConfig, TelemetrySpec, WorkloadSource, MAX_PROGRAM_ABORT_RATE,
+    kv_ops_per_sec, ArrayEvalConfig, ArrayFailureConfig, CrashReport, EvalConfig, FailSpec, Phase,
+    RunOutput, Scenario, ScenarioError, SpoConfig, WorkloadSource, MAX_PROGRAM_ABORT_RATE,
 };
 use cubeftl::{
     events_to_ndjson, AgingState, ArrayReport, EventMask, FaultKind, FaultPlan, FtlKind,
-    KvAppReport, LifetimeConfig, MaintConfig, OrtClusterConfig, QosReport, RetryOptConfig,
-    SpoTrigger, StandardWorkload, TenantMix, Trace, YcsbKind,
+    KvAppReport, LifetimeConfig, MaintConfig, OrtClusterConfig, QosReport, RecoveryReport,
+    RetryOptConfig, SpoTrigger, StandardWorkload, TenantMix, Trace, YcsbKind,
 };
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -233,6 +243,13 @@ use std::str::FromStr;
 /// Page size the simulator models (bus transfer is per 16-KB page);
 /// byte-addressed trace files are converted at this granularity.
 const PAGE_BYTES: u64 = 16 * 1024;
+
+/// Prints one line of a run's summary under the table's FTL column.
+macro_rules! detail {
+    ($($arg:tt)*) => {
+        println!("{:<10} {}", "", format_args!($($arg)*))
+    };
+}
 
 /// Why the binary stops before running anything.
 enum Stop {
@@ -363,137 +380,154 @@ struct Outputs {
     capture: Option<String>,
 }
 
+// The optional specs a group of flags writes: the first flag of the
+// group engages the spec with its defaults, every flag sets its field.
+
+fn maint(sc: &mut Scenario) -> &mut MaintConfig {
+    sc.cfg.maint.get_or_insert_with(MaintConfig::default_on)
+}
+
+fn lifetime(sc: &mut Scenario) -> &mut LifetimeConfig {
+    sc.lifetime.get_or_insert_with(LifetimeConfig::campaign)
+}
+
+fn failure(sc: &mut Scenario) -> &mut ArrayFailureConfig {
+    sc.failure.get_or_insert_with(ArrayFailureConfig::off)
+}
+
+/// The array `--shards` and `--array-*` shape; dropped after the parse
+/// unless it has more than one shard.
+fn array(sc: &mut Scenario) -> &mut ArrayEvalConfig {
+    sc.array.get_or_insert(ArrayEvalConfig::new(1))
+}
+
 /// Flags → [`Scenario`] → [`Scenario::run`] per `--ftl` kind → print.
 fn run(args: &[String]) -> Result<ExitCode, Stop> {
+    let mut sc = Scenario::new(
+        FtlKind::Cube,
+        StandardWorkload::Rocks,
+        AgingState::Fresh,
+        &EvalConfig::reduced(),
+    );
+    // What the scenario does not hold: the kinds it runs as, the
+    // banner's echoes, the values patched in after the parse (flag order
+    // must not matter), the flags naming the request source, and the
+    // output files.
     let mut kinds = vec![FtlKind::Cube];
     let mut workload = StandardWorkload::Rocks;
-    let mut aging = AgingState::Fresh;
-    let mut cfg = EvalConfig::reduced();
     let mut celsius: Option<f64> = None;
     let mut fault_seed: Option<u64> = None;
     let mut fault_rates: Vec<(FaultKind, f64)> = Vec::new();
-    // Any --maint* flag enables maintenance, any --lifetime-* flag the
-    // aging campaign (from the standard fresh→end-of-life shape).
-    let (mut maint_on, mut life_on) = (false, false);
-    let mut maint = MaintConfig::default_on();
-    let mut life = LifetimeConfig::campaign();
-    let mut spo_trigger: Option<SpoTrigger> = None;
     let mut spo_seed: Option<u64> = None;
     let mut ckpt_interval: u64 = 64;
-    let mut arr = ArrayEvalConfig::new(1);
-    let mut fc = ArrayFailureConfig::off();
     let mut fail_seed: Option<u64> = None;
-    let (mut rebuild_batch, mut rebuild_gap_us): (Option<u32>, Option<f64>) = (None, None);
     let mut trace_file: Option<String> = None;
-    let mut qos = QosSpec::off();
     let mut qos_trace_file: Option<String> = None;
     let mut phases: Option<Vec<TenantMix>> = None;
     let mut kv_kind: Option<YcsbKind> = None;
-    let mut kv = KvSpec::default();
     // The --qos-* / --kv-* knobs are inert without their layer engaged;
     // that combination is rejected instead of silently ignored.
     let (mut qos_knob_seen, mut kv_knob_seen) = (false, false);
     let mut out = Outputs::default();
     let mut trace_events: Option<String> = None;
-    let mut sample_interval_us: Option<f64> = None;
+    // A power cut; its checkpoint cadence is patched in after the parse.
+    let cut = |trigger| {
+        Some(SpoConfig {
+            trigger,
+            ckpt_interval_host_wls: 0,
+        })
+    };
 
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        maint_on |= flag.starts_with("--maint");
-        life_on |= flag.starts_with("--lifetime-");
+    let mut args = args.iter().map(String::as_str);
+    while let Some(flag) = args.next() {
         qos_knob_seen |= flag.starts_with("--qos-") || flag == "--tenant-weights";
         kv_knob_seen |= flag.starts_with("--kv-");
-        // Valueless flags advance by one; everything else consumes a value.
-        i += 1;
+        let v = match flag {
+            "--maint" | "--qos-equal-arrivals" | "--array-parity" | "--help" | "-h" => "",
+            _ => args.next().ok_or(Stop::Usage)?,
+        };
         match flag {
-            "--maint" => continue,
-            "--qos-equal-arrivals" => {
-                qos.equal_arrivals = true;
-                continue;
-            }
-            "--array-parity" => {
-                fc.parity = true;
-                continue;
-            }
+            "--maint" => _ = maint(&mut sc),
+            "--qos-equal-arrivals" => sc.qos.front.weighted_arrivals = false,
+            "--array-parity" => failure(&mut sc).parity = true,
             "--help" | "-h" => return Err(Stop::Help),
-            _ => {}
-        }
-        let v = args.get(i).ok_or(Stop::Usage)?.as_str();
-        i += 1;
-        match flag {
             "--ftl" => kinds = parse_ftl(v).ok_or(Stop::Usage)?,
             "--workload" => workload = StandardWorkload::parse(v).ok_or(Stop::Usage)?,
-            "--aging" => aging = parse_aging(v).ok_or(Stop::Usage)?,
-            "--requests" => cfg.requests = num(v, any)?,
-            "--blocks" => cfg.ftl.nand.geometry.blocks_per_chip = num(v, any)?,
-            "--seed" => cfg.seed = num(v, any)?,
-            "--temp" => celsius = Some(num(v, any)?),
+            "--aging" => sc.aging = parse_aging(v).ok_or(Stop::Usage)?,
+            "--requests" => sc.cfg.requests = num(v, any)?,
+            "--blocks" => sc.cfg.ftl.nand.geometry.blocks_per_chip = num(v, any)?,
+            "--seed" => sc.cfg.seed = num(v, any)?,
+            "--temp" => sc.cfg.ambient_celsius = *celsius.insert(num(v, any)?),
             "--fault-seed" => fault_seed = Some(num(v, any)?),
             "--fault-rate" => {
                 let (class, rate) = v.split_once('=').ok_or(Stop::Usage)?;
                 let kind = parse_fault_class(class).ok_or(Stop::Usage)?;
                 fault_rates.push((kind, num(rate, |r| (0.0..=1.0).contains(r))?));
             }
-            "--maint-gap-us" => maint.gap_us = num(v, |&g| g >= 0.0)?,
-            "--maint-scrub-months" => maint.scrub_retention_min_months = num(v, |&m| m > 0.0)?,
-            "--maint-scrub-ber" => maint.scrub_ber_threshold = num(v, |&b| b > 0.0)?,
-            "--maint-remonitor-pe" => maint.remonitor_pe_budget = num(v, any)?,
-            "--maint-wear-limit" => maint.wear_spread_limit = num(v, |&n| n > 0)?,
-            "--maint-scrub-batch" => maint.scrub_batch_pages = num(v, |&n| n > 0)?,
-            "--spo-at" => spo_trigger = Some(SpoTrigger::AtOps(num(v, |&n| n > 0)?)),
-            "--spo-at-us" => spo_trigger = Some(SpoTrigger::AtTimeUs(num(v, |&t| t > 0.0)?)),
-            // The seed is patched in after the parse loop (the flag
-            // order must not matter).
+            "--maint-gap-us" => maint(&mut sc).gap_us = num(v, |&g| g >= 0.0)?,
+            "--maint-scrub-months" => {
+                maint(&mut sc).scrub_retention_min_months = num(v, |&m| m > 0.0)?
+            }
+            "--maint-scrub-ber" => maint(&mut sc).scrub_ber_threshold = num(v, |&b| b > 0.0)?,
+            "--maint-remonitor-pe" => maint(&mut sc).remonitor_pe_budget = num(v, any)?,
+            "--maint-wear-limit" => maint(&mut sc).wear_spread_limit = num(v, |&n| n > 0)?,
+            "--maint-scrub-batch" => maint(&mut sc).scrub_batch_pages = num(v, |&n| n > 0)?,
+            "--spo-at" => sc.spo = cut(SpoTrigger::AtOps(num(v, |&n| n > 0)?)),
+            "--spo-at-us" => sc.spo = cut(SpoTrigger::AtTimeUs(num(v, |&t| t > 0.0)?)),
             "--spo-rate" => {
                 let rate = num(v, |p| (0.0..=1.0).contains(p))?;
-                spo_trigger = Some(SpoTrigger::Seeded { seed: 0, rate });
+                sc.spo = cut(SpoTrigger::Seeded { seed: 0, rate });
             }
             "--spo-seed" => spo_seed = Some(num(v, any)?),
             "--ckpt-interval" => ckpt_interval = num(v, any)?,
-            "--shards" => arr.shards = num(v, |&n| n >= 1)?,
-            "--array-stripe" => arr.stripe_pages = num(v, |&n| n >= 1)?,
-            "--array-threads" => arr.threads = num(v, any)?,
+            "--shards" => array(&mut sc).shards = num(v, |&n| n >= 1)?,
+            "--array-stripe" => array(&mut sc).stripe_pages = num(v, |&n| n >= 1)?,
+            "--array-threads" => array(&mut sc).threads = num(v, any)?,
             "--fail-shard" => {
                 let f = FailSpec::parse(v).map_err(|e| Stop::Message(format!("--fail-shard: {e}")));
-                fc.fail = Some(f?);
+                failure(&mut sc).fail = Some(f?);
             }
-            "--fail-seed" => fail_seed = Some(num(v, any)?),
-            "--spare-shards" => fc.spare_shards = num(v, any)?,
-            "--rebuild-batch" => rebuild_batch = Some(num(v, |&n| n >= 1)?),
+            "--fail-seed" => {
+                fail_seed = Some(num(v, any)?);
+                failure(&mut sc);
+            }
+            "--spare-shards" => failure(&mut sc).spare_shards = num(v, any)?,
+            "--rebuild-batch" => failure(&mut sc).rebuild.batch_pages = num(v, |&n| n >= 1)?,
             "--rebuild-gap-us" => {
-                rebuild_gap_us = Some(num(v, |t: &f64| *t >= 0.0 && t.is_finite())?)
+                failure(&mut sc).rebuild.gap_us = num(v, |t: &f64| *t >= 0.0 && t.is_finite())?
             }
-            "--ort-capacity" => cfg.ftl.ort_capacity = num(v, |&n| n >= 1)?,
-            "--ort-cluster" if on_off(v)? => cfg.ftl.ort_cluster = OrtClusterConfig::on(),
-            "--ort-cluster" => cfg.ftl.ort_cluster = OrtClusterConfig::default(),
-            "--retry-opt" if on_off(v)? => cfg.ftl.retry_opt = RetryOptConfig::on(),
-            "--retry-opt" => cfg.ftl.retry_opt = RetryOptConfig::default(),
+            "--ort-capacity" => sc.cfg.ftl.ort_capacity = num(v, |&n| n >= 1)?,
+            "--ort-cluster" if on_off(v)? => sc.cfg.ftl.ort_cluster = OrtClusterConfig::on(),
+            "--ort-cluster" => sc.cfg.ftl.ort_cluster = OrtClusterConfig::default(),
+            "--retry-opt" if on_off(v)? => sc.cfg.ftl.retry_opt = RetryOptConfig::on(),
+            "--retry-opt" => sc.cfg.ftl.retry_opt = RetryOptConfig::default(),
             "--trace-file" => trace_file = Some(v.to_owned()),
-            "--queues" => qos.queues = num(v, |&n| n >= 1)?,
-            "--tenants" => qos.tenants = num(v, |&n| n >= 1)?,
+            "--queues" => sc.qos.front.queues = num(v, |&n| n >= 1)?,
+            "--tenants" => sc.qos.tenants = num(v, |&n| n >= 1)?,
             "--tenant-weights" => {
-                qos.weights = v
+                sc.qos.weights = v
                     .split(',')
                     .map(|w| num(w.trim(), |&w| w >= 1))
                     .collect::<Result<_, _>>()?;
             }
-            "--qos-sq-depth" => qos.sq_depth = num(v, |&n| n >= 1)?,
-            "--qos-arrival-us" => qos.arrival_interval_us = num(v, positive)?,
-            "--qos-slo-read-us" => qos.slo_read_us = Some(num(v, positive)?),
-            "--qos-slo-write-us" => qos.slo_write_us = Some(num(v, positive)?),
+            "--qos-sq-depth" => sc.qos.front.sq_depth = num(v, |&n| n >= 1)?,
+            "--qos-arrival-us" => sc.qos.front.arrival_interval_us = num(v, positive)?,
+            "--qos-slo-read-us" => sc.qos.front.slo_read_us = Some(num(v, positive)?),
+            "--qos-slo-write-us" => sc.qos.front.slo_write_us = Some(num(v, positive)?),
             "--qos-trace" => qos_trace_file = Some(v.to_owned()),
-            "--lifetime-epochs" => life.epochs = num(v, |&n| n >= 1)?,
-            "--lifetime-pe" => life.pe_per_epoch = num(v, any)?,
+            "--lifetime-epochs" => lifetime(&mut sc).epochs = num(v, |&n| n >= 1)?,
+            "--lifetime-pe" => lifetime(&mut sc).pe_per_epoch = num(v, any)?,
             "--lifetime-months" => {
-                life.months_per_epoch = num(v, |m: &f64| *m >= 0.0 && m.is_finite())?;
+                lifetime(&mut sc).months_per_epoch = num(v, |m: &f64| *m >= 0.0 && m.is_finite())?
             }
-            "--lifetime-exp" => life.early_retention_exp = num(v, |&q| q > 0.0 && q <= 1.0)?,
+            "--lifetime-exp" => {
+                lifetime(&mut sc).early_retention_exp = num(v, |&q| q > 0.0 && q <= 1.0)?
+            }
             "--lifetime-variation" => {
-                life.variation_strength = num(v, |s| (0.0..=1.0).contains(s))?;
+                lifetime(&mut sc).variation_strength = num(v, |s| (0.0..=1.0).contains(s))?
             }
-            "--lifetime-pattern-wear" => life.pattern_wear = on_off(v)?,
-            "--lifetime-seed" => life.seed = num(v, any)?,
+            "--lifetime-pattern-wear" => lifetime(&mut sc).pattern_wear = on_off(v)?,
+            "--lifetime-seed" => lifetime(&mut sc).seed = num(v, any)?,
             "--lifetime-workloads" => {
                 let parsed: Option<Vec<TenantMix>> =
                     v.split(',').map(|p| TenantMix::parse(p.trim())).collect();
@@ -504,52 +538,54 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
                             .to_owned(),
                     )
                 })?);
+                lifetime(&mut sc);
             }
             "--kv" => kv_kind = Some(YcsbKind::parse(v).ok_or(Stop::Usage)?),
-            "--kv-keys" => kv.keys = num(v, |&n| n >= 1)?,
-            "--kv-value-bytes" => kv.value_bytes = num(v, |&n| n >= 1)?,
-            "--kv-memtable-entries" => kv.memtable_entries = num(v, |&n| n >= 1)?,
-            "--kv-l0-files" => kv.l0_files = num(v, |&n| n >= 2)?,
-            "--kv-fanout" => kv.fanout = num(v, |&n| n >= 2)?,
-            "--kv-levels" => kv.max_levels = num(v, |&n| n >= 2)?,
+            "--kv-keys" => sc.kv.keys = num(v, |&n| n >= 1)?,
+            "--kv-value-bytes" => sc.kv.value_bytes = num(v, |&n| n >= 1)?,
+            "--kv-memtable-entries" => sc.kv.memtable_entries = num(v, |&n| n >= 1)?,
+            "--kv-l0-files" => sc.kv.l0_files = num(v, |&n| n >= 2)?,
+            "--kv-fanout" => sc.kv.fanout = num(v, |&n| n >= 2)?,
+            "--kv-levels" => sc.kv.max_levels = num(v, |&n| n >= 2)?,
             "--capture-trace-out" => out.capture = Some(v.to_owned()),
             "--trace-out" => out.trace = Some(v.to_owned()),
             "--trace-events" => trace_events = Some(v.to_owned()),
             "--metrics-out" => out.metrics = Some(v.to_owned()),
             "--series-out" => out.series = Some(v.to_owned()),
-            "--sample-interval-us" => sample_interval_us = Some(num(v, positive)?),
+            "--sample-interval-us" => sc.telemetry.sample_interval_us = Some(num(v, positive)?),
             _ => return Err(Stop::Usage),
         }
     }
+    sc.array = sc.array.filter(|a| a.shards > 1);
 
     if fault_seed.is_some() && fault_rates.is_empty() {
         // A seed alone injects nothing; require at least one rate.
         return Err(Stop::Usage);
     }
     if !fault_rates.is_empty() {
-        let plan = FaultPlan::seeded(fault_seed.unwrap_or(cfg.seed));
+        let plan = FaultPlan::seeded(fault_seed.unwrap_or(sc.cfg.seed));
         let with_rate = |plan: FaultPlan, (kind, rate)| plan.with_rate(kind, rate);
-        cfg.faults = Some(fault_rates.into_iter().fold(plan, with_rate));
+        sc.cfg.faults = Some(fault_rates.into_iter().fold(plan, with_rate));
     }
-    if maint_on {
-        cfg.maint = Some(maint);
+    if let Some(spo) = &mut sc.spo {
+        spo.ckpt_interval_host_wls = ckpt_interval;
     }
-    if let Some(SpoTrigger::Seeded { seed, .. }) = &mut spo_trigger {
-        *seed = spo_seed.unwrap_or(cfg.seed);
-    } else if spo_seed.is_some() {
+    match sc.spo.as_mut().map(|s| &mut s.trigger) {
+        Some(SpoTrigger::Seeded { seed, .. }) => *seed = spo_seed.unwrap_or(sc.cfg.seed),
         // A seed alone arms nothing; it only parameterizes --spo-rate.
-        return Err(Stop::Usage);
+        _ if spo_seed.is_some() => return Err(Stop::Usage),
+        _ => {}
     }
 
     let message = |m: &str| Err(Stop::Message(m.to_owned()));
     if trace_events.is_some() && out.trace.is_none() {
         return message("--trace-events only filters --trace-out; add --trace-out PATH");
     }
-    if out.series.is_some() != sample_interval_us.is_some() {
+    if out.series.is_some() != sc.telemetry.sample_interval_us.is_some() {
         return message("--series-out and --sample-interval-us must be given together");
     }
     // --trace-out alone traces every category.
-    let events = match (&out.trace, &trace_events) {
+    sc.telemetry.events = match (&out.trace, &trace_events) {
         (None, _) => EventMask::NONE,
         (Some(_), None) => EventMask::ALL,
         (Some(_), Some(spec)) => {
@@ -561,8 +597,10 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         return message("telemetry output files cover one run: use a single --ftl kind");
     }
 
+    let cfg = &sc.cfg;
     println!(
-        "workload {workload}, {aging}, {} blocks/chip, {} requests, seed {}{}{}{}\n",
+        "workload {workload}, {}, {} blocks/chip, {} requests, seed {}{}{}{}\n",
+        sc.aging,
         cfg.blocks_per_chip(),
         cfg.requests,
         cfg.seed,
@@ -575,9 +613,6 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
             .map(|m| format!(", maint on (gap {} µs)", m.gap_us))
             .unwrap_or_default()
     );
-    if let Some(c) = celsius {
-        cfg.ambient_celsius = c;
-    }
     // One field says where requests come from, so at most one flag may
     // (--workload only sets the default the others replace).
     let named = [
@@ -591,7 +626,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
             "{a} and {b} both name the request source: pick one"
         ));
     }
-    let source =
+    sc.workload =
         match &trace_file {
             Some(path) => {
                 let t = load_trace(path)?;
@@ -604,45 +639,22 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         };
 
     // Checks that concern flags rather than the scenario they build.
-    if qos_knob_seen && !qos.engaged() {
+    if qos_knob_seen && !sc.qos.engaged() {
         return message("QoS flags need the front-end engaged: pass --queues > 1 or --tenants > 1");
     }
-    qos.trace = qos_trace_file.as_deref().map(load_trace).transpose()?;
-    let resilience = fc.parity
-        || fc.fail.is_some()
-        || fail_seed.is_some()
-        || fc.spare_shards > 0
-        || rebuild_batch.is_some()
-        || rebuild_gap_us.is_some();
-    if arr.shards > 1 && fc.fail.is_some() && fail_seed.is_some() {
+    sc.qos.trace = qos_trace_file.as_deref().map(load_trace).transpose()?;
+    let failing = sc.failure.is_some_and(|fc| fc.fail.is_some());
+    if sc.array.is_some() && failing && fail_seed.is_some() {
         return message("--fail-shard and --fail-seed are exclusive: pick one");
     }
-    if kv_knob_seen && !source.names_kv() {
+    if kv_knob_seen && !sc.workload.names_kv() {
         return message(
             "KV engine knobs (--kv-*) shape the kvsim engine: pass --kv KIND \
              or a KV phase in --lifetime-workloads",
         );
     }
 
-    fc.rebuild.batch_pages = rebuild_batch.unwrap_or(fc.rebuild.batch_pages);
-    fc.rebuild.gap_us = rebuild_gap_us.unwrap_or(fc.rebuild.gap_us);
-    let mut sc = Scenario {
-        array: (arr.shards > 1).then_some(arr),
-        qos,
-        kv,
-        lifetime: life_on.then_some(life),
-        spo: spo_trigger.map(|trigger| SpoConfig {
-            trigger,
-            ckpt_interval_host_wls: ckpt_interval,
-        }),
-        failure: resilience.then_some(fc),
-        telemetry: TelemetrySpec {
-            events,
-            sample_interval_us,
-        },
-        capture: out.capture.is_some(),
-        ..Scenario::new(kinds[0], source, aging, &cfg)
-    };
+    sc.capture = out.capture.is_some();
     sc.validate()?;
     if sc.capture && kinds.len() > 1 {
         return message("--capture-trace-out covers one run: use a single --ftl kind");
@@ -652,7 +664,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         println!("qos trace {path}: {n} requests ({label}) as tenant 0");
     }
 
-    print_banners(&sc);
+    let print_run = print_banners(&sc);
     let mut lost = false;
     for kind in kinds {
         sc.kind = kind;
@@ -663,14 +675,15 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
             let probe = Scenario {
                 array: sc.array,
                 kv: sc.kv,
-                ..Scenario::new(kind, sc.workload.clone(), aging, &cfg)
+                ..Scenario::new(kind, sc.workload.clone(), sc.aging, &sc.cfg)
             };
-            let makespan = probe.run()?.phases[0]
-                .shards
+            let healthy = probe.run()?;
+            let shards = &healthy.phases[0].shards;
+            let makespan = shards
                 .iter()
                 .map(|s| s.sim_time_us)
                 .fold(f64::INFINITY, f64::min);
-            let f = FailSpec::seeded(seed, arr.shards, makespan);
+            let f = FailSpec::seeded(seed, shards.len(), makespan);
             println!(
                 "seeded failure plan (seed {seed}): shard {} dies at {:.1} ms",
                 f.shard,
@@ -694,91 +707,112 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     })
 }
 
-/// "checkpoint every N host WLs", with 0 spelled out.
-fn ckpt_cadence(interval: u64) -> String {
-    if interval == 0 {
-        "∞ (disabled)".to_owned()
-    } else {
-        interval.to_string()
+/// How one run prints; returns whether any host-acknowledged data was
+/// lost.
+type PrintRun = fn(&Scenario, &RunOutput) -> bool;
+
+/// The instant of a cut armed at a virtual time, µs (the only cut an
+/// array takes).
+fn cut_at_us(sc: &Scenario) -> Option<f64> {
+    match sc.spo?.trigger {
+        SpoTrigger::AtTimeUs(t) => Some(t),
+        _ => None,
     }
 }
 
-/// The lines that announce a run mode, once before the per-FTL output.
-fn print_banners(sc: &Scenario) {
-    if let Some(life) = &sc.lifetime {
-        println!(
-            "lifetime campaign: {} epochs × {} requests, +{} P/E and +{} months per step \
-             (exp {}), variation {}, pattern wear {}, seed {}",
-            life.epochs.max(1),
-            sc.cfg.requests,
-            life.pe_per_epoch,
-            life.months_per_epoch,
-            life.early_retention_exp,
-            life.variation_strength,
-            if life.pattern_wear { "on" } else { "off" },
-            life.seed,
-        );
-        if let WorkloadSource::Phases(phases) = &sc.workload {
-            if phases.len() > 1 {
-                let names: Vec<&str> = phases.iter().map(|p| p.label()).collect();
-                println!("phases (cycled per epoch): {}", names.join(", "));
+/// "checkpoint every N host WLs", with 0 spelled out.
+fn ckpt_cadence(spo: &SpoConfig) -> String {
+    match spo.ckpt_interval_host_wls {
+        0 => "∞ (disabled)".to_owned(),
+        n => n.to_string(),
+    }
+}
+
+/// Announces the scenario's output mode, once before the per-FTL
+/// output, and returns how each run prints in it. The one place the
+/// modes' precedence is spelled: a lifetime campaign, then array
+/// resilience, then a power cut on an array or on one device.
+fn print_banners(sc: &Scenario) -> PrintRun {
+    match (&sc.lifetime, &sc.failure, &sc.spo, sc.array) {
+        (Some(life), ..) => {
+            println!(
+                "lifetime campaign: {} epochs × {} requests, +{} P/E and +{} months per step \
+                 (exp {}), variation {}, pattern wear {}, seed {}",
+                life.epochs.max(1),
+                sc.cfg.requests,
+                life.pe_per_epoch,
+                life.months_per_epoch,
+                life.early_retention_exp,
+                life.variation_strength,
+                if life.pattern_wear { "on" } else { "off" },
+                life.seed,
+            );
+            if let WorkloadSource::Phases(phases) = &sc.workload {
+                if phases.len() > 1 {
+                    let names: Vec<&str> = phases.iter().map(|p| p.label()).collect();
+                    println!("phases (cycled per epoch): {}", names.join(", "));
+                }
             }
+            println!();
+            print_lifetime
         }
-        println!();
-        return;
+        (None, Some(fc), ..) => {
+            println!(
+                "array resilience: parity {}, {} spare shard(s), rebuild batch {} pages / gap {:.0} µs{}\n",
+                if fc.parity { "on" } else { "off" },
+                fc.spare_shards,
+                fc.rebuild.batch_pages,
+                fc.rebuild.gap_us,
+                cut_at_us(sc)
+                    .map(|t| format!(", SPO cut at {:.1} ms into the degraded phase", t / 1000.0))
+                    .unwrap_or_default(),
+            );
+            print_failure
+        }
+        (None, None, Some(spo), Some(_)) => {
+            println!(
+                "array-wide sudden power-off armed: every shard cut at {:.1} ms, \
+                 checkpoint every {} host WLs\n",
+                cut_at_us(sc).unwrap_or(0.0) / 1000.0,
+                ckpt_cadence(spo)
+            );
+            print_array_spo
+        }
+        (None, None, Some(spo), None) => {
+            println!(
+                "sudden power-off armed: {:?}, checkpoint every {} host WLs\n",
+                spo.trigger,
+                ckpt_cadence(spo)
+            );
+            print_spo
+        }
+        (None, None, None, _) => {
+            print_table_banner(sc);
+            print_table_run
+        }
     }
-    let cut = sc
-        .spo
-        .as_ref()
-        .map(|s| (s.trigger, s.ckpt_interval_host_wls));
-    if let Some(fc) = &sc.failure {
-        println!(
-            "array resilience: parity {}, {} spare shard(s), rebuild batch {} pages / gap {:.0} µs{}\n",
-            if fc.parity { "on" } else { "off" },
-            fc.spare_shards,
-            fc.rebuild.batch_pages,
-            fc.rebuild.gap_us,
-            match cut {
-                Some((SpoTrigger::AtTimeUs(t), _)) =>
-                    format!(", SPO cut at {:.1} ms into the degraded phase", t / 1000.0),
-                _ => String::new(),
-            },
-        );
-        return;
-    }
-    match cut {
-        Some((SpoTrigger::AtTimeUs(t), ckpt)) if sc.array.is_some() => println!(
-            "array-wide sudden power-off armed: every shard cut at {:.1} ms, \
-             checkpoint every {} host WLs\n",
-            t / 1000.0,
-            ckpt_cadence(ckpt)
-        ),
-        Some((trigger, ckpt)) => println!(
-            "sudden power-off armed: {trigger:?}, checkpoint every {} host WLs\n",
-            ckpt_cadence(ckpt)
-        ),
-        None => {}
-    }
-    if cut.is_some() {
-        return;
-    }
+}
+
+/// The table mode's banners (array, QoS front, KV engine) and the
+/// table header.
+fn print_table_banner(sc: &Scenario) {
     if let Some(arr) = sc.array {
         println!(
             "array: {} shards, stripe {} pages, {} worker threads\n",
             arr.shards,
             arr.stripe_pages,
-            if arr.threads == 0 {
-                arr.shards
-            } else {
-                arr.threads
-            }
+            sc.threads()
         );
     }
     let qos = &sc.qos;
     if qos.engaged() {
         println!(
             "qos: {} queues, {} tenants (weights {:?}), sq depth {}, arrival {} µs\n",
-            qos.queues, qos.tenants, qos.weights, qos.sq_depth, qos.arrival_interval_us
+            qos.front.queues,
+            qos.tenants,
+            qos.weights,
+            qos.front.sq_depth,
+            qos.front.arrival_interval_us
         );
     }
     if let WorkloadSource::Phases(phases) = &sc.workload {
@@ -797,34 +831,21 @@ fn print_banners(sc: &Scenario) {
             );
         }
     }
-    print_table_header();
+    // The columns of `print_row`.
+    println!(
+        "FTL              IOPS  p50 rd (ms)  p99 rd (ms)  p90 wr (ms)   GC runs   retries  WA(h)  WA(t)"
+    );
 }
 
-/// Prints one run in the format of its mode; returns whether any
-/// host-acknowledged data was lost.
-fn print_run(sc: &Scenario, r: &RunOutput) -> bool {
-    if let Some(life) = &sc.lifetime {
-        print_lifetime(life, r, sc.array.is_none());
-        return false;
-    }
-    if sc.failure.is_some() {
-        return print_failure(sc, r);
-    }
-    if sc.spo.is_some() {
-        return match sc.array {
-            Some(arr) => print_array_spo(sc, &arr, r),
-            None => print_spo(r),
-        };
-    }
-    // A device prints as its one-shard merge: field for field the
-    // device report.
+/// One table row and the lines under it. A device prints as its
+/// one-shard merge: field for field the device report.
+fn print_table_run(sc: &Scenario, r: &RunOutput) -> bool {
     let m = r.merged();
     print_row(m);
     if sc.array.is_some() {
         let per_shard: Vec<String> = m.per_shard_iops.iter().map(|i| format!("{i:.0}")).collect();
-        println!(
-            "{:<10} shards: [{}] IOPS, makespan {:.1} ms, {} requests total",
-            "", // aligned under the FTL column
+        detail!(
+            "shards: [{}] IOPS, makespan {:.1} ms, {} requests total",
             per_shard.join(", "),
             m.sim_time_us / 1000.0,
             m.completed,
@@ -843,20 +864,11 @@ fn print_run(sc: &Scenario, r: &RunOutput) -> bool {
     false
 }
 
-fn ops_per_sec(ops: u64, sim_time_us: f64) -> f64 {
-    if sim_time_us > 0.0 {
-        ops as f64 / (sim_time_us / 1e6)
-    } else {
-        0.0
-    }
-}
-
 /// The app-level KV outcome lines under a report row.
 fn print_kv_summary(app: &KvAppReport, sim_time_us: f64) {
     let s = &app.stats;
-    println!(
-        "{:<10} kv: {} ({} keys): {} ops ({} rd / {} upd / {} ins / {} rmw) at {:.0} ops/s",
-        "", // aligned under the FTL column
+    detail!(
+        "kv: {} ({} keys): {} ops ({} rd / {} upd / {} ins / {} rmw) at {:.0} ops/s",
         app.kind.label(),
         app.keys,
         s.ops,
@@ -864,12 +876,11 @@ fn print_kv_summary(app: &KvAppReport, sim_time_us: f64) {
         s.updates,
         s.inserts,
         s.rmws,
-        ops_per_sec(s.ops, sim_time_us),
+        kv_ops_per_sec(s.ops, sim_time_us),
     );
-    println!(
-        "{:<10} kv: app-WA {:.2}, rd p99 {} pages, upd p99 {} pages, \
+    detail!(
+        "kv: app-WA {:.2}, rd p99 {} pages, upd p99 {} pages, \
          {} flushes, {} compactions, debt {} pages",
-        "", // aligned under the FTL column
         app.app_wa(),
         app.read_p99_pages,
         app.update_p99_pages,
@@ -884,12 +895,11 @@ fn print_kv_summary(app: &KvAppReport, sim_time_us: f64) {
 fn print_kv_engines_summary(apps: &[KvAppReport], unit: &str, sim_time_us: f64) {
     let ops: u64 = apps.iter().map(|a| a.stats.ops).sum();
     let was: Vec<String> = apps.iter().map(|a| format!("{:.2}", a.app_wa())).collect();
-    println!(
-        "{:<10} kv: {} total ops across {} engines at {:.0} ops/s, per-{unit} app-WA [{}]",
-        "", // aligned under the FTL column
+    detail!(
+        "kv: {} total ops across {} engines at {:.0} ops/s, per-{unit} app-WA [{}]",
         ops,
         apps.len(),
-        ops_per_sec(ops, sim_time_us),
+        kv_ops_per_sec(ops, sim_time_us),
         was.join(", "),
     );
 }
@@ -937,21 +947,6 @@ fn load_trace(path: &str) -> Result<Trace, Stop> {
     .map_err(|e| Stop::Message(format!("{path}: {e}")))
 }
 
-fn print_table_header() {
-    println!(
-        "{:<10} {:>10} {:>12} {:>12} {:>12} {:>9} {:>9} {:>6} {:>6}",
-        "FTL",
-        "IOPS",
-        "p50 rd (ms)",
-        "p99 rd (ms)",
-        "p90 wr (ms)",
-        "GC runs",
-        "retries",
-        "WA(h)",
-        "WA(t)"
-    );
-}
-
 fn fmt_wa(w: Option<f64>) -> String {
     w.map(|w| format!("{w:.2}"))
         .unwrap_or_else(|| "-".to_owned())
@@ -975,9 +970,8 @@ fn print_row(m: &ArrayReport) {
         fmt_wa(m.wa_host()),
         fmt_wa(m.wa_total()),
     );
-    println!(
-        "{:<10} latency: rd p99 {:.3} / p999 {:.3} ms, wr p99 {:.3} / p999 {:.3} ms",
-        "", // aligned under the FTL column
+    detail!(
+        "latency: rd p99 {:.3} / p999 {:.3} ms, wr p99 {:.3} / p999 {:.3} ms",
         read.percentile(99.0) / 1000.0,
         read.percentile(99.9) / 1000.0,
         write.percentile(99.0) / 1000.0,
@@ -985,12 +979,11 @@ fn print_row(m: &ArrayReport) {
     );
 }
 
-/// The per-FTL detail lines shared by every table mode.
+/// The per-FTL detail lines of a table row.
 fn print_detail_lines(m: &ArrayReport, maint_on: bool, faults_on: bool) {
     let (ftl, chips) = (&m.ftl, &m.chip_stats);
-    println!(
-        "{:<10} chips: max queue depth {}, mean busy {:.1}%{}",
-        "", // aligned under the FTL column
+    detail!(
+        "chips: max queue depth {}, mean busy {:.1}%{}",
         ssdsim::max_queue_depth(chips),
         ssdsim::mean_busy_fraction(chips, m.sim_time_us) * 100.0,
         if maint_on {
@@ -1006,9 +999,8 @@ fn print_detail_lines(m: &ArrayReport, maint_on: bool, faults_on: bool) {
         }
     );
     if let Some(rate) = ftl.ort_hit_rate() {
-        println!(
-            "{:<10} ORT: {:.1}% hit rate ({} hits, {} misses, {} evictions)",
-            "", // aligned under the FTL column
+        detail!(
+            "ORT: {:.1}% hit rate ({} hits, {} misses, {} evictions)",
             rate * 100.0,
             ftl.ort_hits,
             ftl.ort_misses,
@@ -1016,9 +1008,8 @@ fn print_detail_lines(m: &ArrayReport, maint_on: bool, faults_on: bool) {
         );
     }
     if ftl.cluster_seeds > 0 {
-        println!(
-            "{:<10} cluster: {} seeded cold reads ({} exact, {} refined), {} early terminations",
-            "", // aligned under the FTL column
+        detail!(
+            "cluster: {} seeded cold reads ({} exact, {} refined), {} early terminations",
             ftl.cluster_seeds,
             ftl.cluster_hits,
             ftl.cluster_mispredicts,
@@ -1026,10 +1017,9 @@ fn print_detail_lines(m: &ArrayReport, maint_on: bool, faults_on: bool) {
         );
     }
     if faults_on {
-        println!(
-            "{:<10} recoveries: {} safety re-programs, {} demotions, {} aborts, \
+        detail!(
+            "recoveries: {} safety re-programs, {} demotions, {} aborts, \
              {} stuck retries, {} uncorrectable",
-            "", // aligned under the FTL column
             ftl.safety_reprograms,
             ftl.safety_demotions,
             ftl.program_aborts,
@@ -1051,9 +1041,8 @@ fn print_qos_summary(qos: &QosReport) {
     } else {
         0.0
     };
-    println!(
-        "{:<10} qos: {} tenants, {} admitted, {} shed ({:.1}%), {} SLO violations",
-        "", // aligned under the FTL column
+    detail!(
+        "qos: {} tenants, {} admitted, {} shed ({:.1}%), {} SLO violations",
         qos.tenants.len(),
         total.admitted,
         total.shed,
@@ -1061,10 +1050,9 @@ fn print_qos_summary(qos: &QosReport) {
         total.violations,
     );
     for (class, s) in qos.by_class() {
-        println!(
-            "{:<10}   {:<11} {:>5} tenants {:>9} done {:>7} shed  rd p99 {:>9.3} ms  \
+        detail!(
+            "  {:<11} {:>5} tenants {:>9} done {:>7} shed  rd p99 {:>9.3} ms  \
              wr p99 {:>9.3} ms  {:>5} viol",
-            "",
             class.label(),
             s.tenants,
             s.completed,
@@ -1074,23 +1062,12 @@ fn print_qos_summary(qos: &QosReport) {
             s.violations,
         );
     }
-    println!(
-        "{:<10}   {:>6} {:>4} {:<11} {:>9} {:>7} {:>9} {:>12} {:>12} {:>5}",
-        "",
-        "tenant",
-        "wt",
-        "class",
-        "admitted",
-        "shed",
-        "completed",
-        "rd p99 (ms)",
-        "wr p99 (ms)",
-        "viol"
+    detail!(
+        "  tenant   wt class        admitted    shed completed  rd p99 (ms)  wr p99 (ms)  viol"
     );
     for t in qos.tenants.iter().take(QosReport::MAX_TENANT_DETAIL) {
-        println!(
-            "{:<10}   {:>6} {:>4} {:<11} {:>9} {:>7} {:>9} {:>12.3} {:>12.3} {:>5}",
-            "",
+        detail!(
+            "  {:>6} {:>4} {:<11} {:>9} {:>7} {:>9} {:>12.3} {:>12.3} {:>5}",
             t.id,
             t.weight,
             t.class.label(),
@@ -1103,9 +1080,8 @@ fn print_qos_summary(qos: &QosReport) {
         );
     }
     if qos.tenants.len() > QosReport::MAX_TENANT_DETAIL {
-        println!(
-            "{:<10}   ... {} more tenants folded into the class aggregates",
-            "",
+        detail!(
+            "  ... {} more tenants folded into the class aggregates",
             qos.tenants.len() - QosReport::MAX_TENANT_DETAIL,
         );
     }
@@ -1116,20 +1092,9 @@ fn print_qos_summary(qos: &QosReport) {
 /// write amplification), keyed by the cumulative nominal age behind the
 /// epoch — and, for a single device, the verdict line: retry and WA
 /// drift from the fresh epoch to end-of-life.
-fn print_lifetime(life: &LifetimeConfig, r: &RunOutput, verdict: bool) {
-    println!(
-        "{:<10} {:>5} {:>8} {:>8} {:>10} {:>9} {:>11} {:>9} {:>6} {:>6}",
-        "FTL",
-        "epoch",
-        "+P/E",
-        "+months",
-        "IOPS",
-        "retries",
-        "retry/read",
-        "GC runs",
-        "WA(h)",
-        "WA(t)"
-    );
+fn print_lifetime(sc: &Scenario, r: &RunOutput) -> bool {
+    let life = sc.lifetime.as_ref().expect("a campaign prints its epochs");
+    println!("FTL        epoch     +P/E  +months       IOPS   retries  retry/read   GC runs  WA(h)  WA(t)");
     let summaries = &r.aging.as_ref().expect("campaign ran").summaries;
     let (mut pe, mut months) = (0u64, 0.0);
     for (e, rep) in r.epochs().enumerate() {
@@ -1152,11 +1117,10 @@ fn print_lifetime(life: &LifetimeConfig, r: &RunOutput, verdict: bool) {
             fmt_wa(m.wa_total()),
         );
     }
-    if let (true, Some(fresh), Some(eol)) = (verdict, r.epochs().next(), r.epochs().last()) {
+    if let (None, Some(fresh), Some(eol)) = (sc.array, r.epochs().next(), r.epochs().last()) {
         let last = r.epochs().count() - 1;
-        println!(
-            "{:<10} drift: retry/read {:.4} -> {:.4}, WA(h) {} -> {}, IOPS {:.0} -> {:.0}",
-            "", // aligned under the FTL column
+        detail!(
+            "drift: retry/read {:.4} -> {:.4}, WA(h) {} -> {}, IOPS {:.0} -> {:.0}",
             r.retry_rate(0),
             r.retry_rate(last),
             fmt_wa(fresh.merged.wa_host()),
@@ -1166,6 +1130,32 @@ fn print_lifetime(life: &LifetimeConfig, r: &RunOutput, verdict: bool) {
         );
     }
     println!();
+    false
+}
+
+/// What crash recovery did across an array: torn WLs quarantined,
+/// h-layers demoted and OOB records replayed, summed over the shards
+/// the cut hit.
+fn recovery_totals(crash: &CrashReport) -> (u64, u64, u64) {
+    let sum =
+        |field: fn(&RecoveryReport) -> u64| crash.recoveries.iter().flatten().map(field).sum();
+    (
+        sum(|rec| rec.torn_wls_quarantined),
+        sum(|rec| rec.layers_demoted),
+        sum(|rec| rec.oob_records_replayed),
+    )
+}
+
+/// The resumed phase of an array run after a cut, if one ran.
+fn print_array_resumed(r: &RunOutput) -> bool {
+    let Some(res) = r.phase(Phase::Resumed) else {
+        return false;
+    };
+    println!(
+        "  resumed  {} remaining requests at {:.0} aggregate IOPS",
+        res.merged.completed, res.merged.iops,
+    );
+    true
 }
 
 /// The array resilience experiment: rotating parity, an optional
@@ -1219,22 +1209,15 @@ fn print_failure(sc: &Scenario, r: &RunOutput) -> bool {
         );
     }
     let crash = r.crash.as_ref();
-    if let (Some(SpoTrigger::AtTimeUs(cut)), Some(crash)) = (sc.spo.map(|s| s.trigger), crash) {
-        let recs = || crash.recoveries.iter().flatten();
+    if let (Some(cut), Some(crash)) = (cut_at_us(sc), crash) {
+        let (torn, _, replayed) = recovery_totals(crash);
         println!(
             "  spo      composed cut at {:.1} ms hit {} shard(s): \
-             {} torn WLs quarantined, {} OOB records replayed",
+             {torn} torn WLs quarantined, {replayed} OOB records replayed",
             cut / 1000.0,
-            recs().count(),
-            recs().map(|rec| rec.torn_wls_quarantined).sum::<u64>(),
-            recs().map(|rec| rec.oob_records_replayed).sum::<u64>(),
+            crash.shards_cut(),
         );
-        if let Some(res) = r.phase(Phase::Resumed) {
-            println!(
-                "  resumed  {} remaining requests at {:.0} aggregate IOPS",
-                res.merged.completed, res.merged.iops,
-            );
-        }
+        print_array_resumed(r);
     }
     let spo_lost = crash.map_or(0, |c| c.lost_lpns.len());
     if f.audit.zero_loss && spo_lost == 0 {
@@ -1260,36 +1243,24 @@ fn print_failure(sc: &Scenario, r: &RunOutput) -> bool {
 /// The array-wide crash experiment: every shard cut at the same virtual
 /// instant, recovered independently, merged in shard order. Returns
 /// whether any shard lost host-acknowledged data.
-fn print_array_spo(sc: &Scenario, arr: &ArrayEvalConfig, r: &RunOutput) -> bool {
-    let crash = r.crash.as_ref().expect("a cut was armed");
-    let cut_at_us = match sc.spo.map(|s| s.trigger) {
-        Some(SpoTrigger::AtTimeUs(t)) => t,
-        _ => 0.0,
-    };
-    println!("{}:", r.merged().ftl_name);
+fn print_array_spo(sc: &Scenario, r: &RunOutput) -> bool {
+    let (crash, m) = (r.crash.as_ref().expect("a cut was armed"), r.merged());
+    println!("{}:", m.ftl_name);
     println!(
         "  cut      {}/{} shards hit at {:.1} ms; {} requests completed before the cut, \
          {} checkpoints taken",
         crash.shards_cut(),
-        arr.shards,
-        cut_at_us / 1000.0,
-        r.merged().completed,
+        m.shards,
+        cut_at_us(sc).unwrap_or(0.0) / 1000.0,
+        m.completed,
         crash.checkpoints_taken,
     );
-    let recs = || crash.recoveries.iter().flatten();
+    let (torn, demoted, replayed) = recovery_totals(crash);
     println!(
-        "  recovery {} torn WLs quarantined, {} h-layers demoted, \
-         {} OOB records replayed across the array",
-        recs().map(|rec| rec.torn_wls_quarantined).sum::<u64>(),
-        recs().map(|rec| rec.layers_demoted).sum::<u64>(),
-        recs().map(|rec| rec.oob_records_replayed).sum::<u64>(),
+        "  recovery {torn} torn WLs quarantined, {demoted} h-layers demoted, \
+         {replayed} OOB records replayed across the array",
     );
-    if let Some(res) = r.phase(Phase::Resumed) {
-        println!(
-            "  resumed  {} remaining requests at {:.0} aggregate IOPS",
-            res.merged.completed, res.merged.iops,
-        );
-    } else {
+    if !print_array_resumed(r) {
         println!("  resumed  nothing left to replay");
     }
     if crash.lost_lpns.is_empty() {
@@ -1306,7 +1277,7 @@ fn print_array_spo(sc: &Scenario, arr: &ArrayEvalConfig, r: &RunOutput) -> bool 
 
 /// The double-run crash experiment: golden run, cut, recovery, resume.
 /// Returns whether any host-acknowledged write was lost.
-fn print_spo(r: &RunOutput) -> bool {
+fn print_spo(_: &Scenario, r: &RunOutput) -> bool {
     let crash = r.crash.as_ref().expect("a cut was armed");
     let golden = &r.phase(Phase::Golden).expect("golden phase ran").shards[0];
     let pre_cut = r.sim();

@@ -200,6 +200,11 @@ cases! {
     rejects_array_spo_by_ops: "--ftl cube --blocks 16 --shards 4 --spo-at 100";
     rejects_resilience_without_array: "--ftl cube --blocks 16 --array-parity";
     rejects_fewer_tenants_than_shards: "--ftl cube --blocks 16 --shards 4 --queues 4 --tenants 2";
+    // Each of the next three used to abort in the allocator.
+    rejects_more_queues_than_tenants: "--requests 200 --blocks 12 --queues 4294967295";
+    rejects_more_tenants_than_a_run_builds: "--requests 200 --blocks 12 --queues 2 \
+                                             --tenants 4294967295";
+    rejects_more_shards_than_a_run_builds: "--requests 200 --blocks 12 --shards 4000000000";
     rejects_capture_on_an_array: "--ftl cube --blocks 16 --shards 4 --capture-trace-out {out}/cap.csv";
     rejects_qos_knob_without_engagement: "--ftl cube --blocks 16 --qos-sq-depth 4";
     rejects_unknown_flag: "--ftl cube --bogus 1";
@@ -225,6 +230,37 @@ fn boundary_values_of_the_checked_ranges_still_run() {
         let line = format!("--ftl cube --blocks 16 --requests 500 {flags}");
         let seen = observe("boundary_values", &line);
         assert!(seen.contains("\nexit: Some(0)\n"), "{seen}");
+    }
+}
+
+/// Each flag writes the scenario field it names, so the order the flags
+/// come in cannot change the run.
+#[test]
+fn flag_order_does_not_change_the_output() {
+    for pair in [
+        ["--maint-gap-us 500 --maint", "--maint --maint-gap-us 500"],
+        [
+            "--array-stripe 32 --shards 2",
+            "--shards 2 --array-stripe 32",
+        ],
+        [
+            "--rebuild-gap-us 100 --spare-shards 1 --array-parity --shards 3 --fail-shard 1@2000",
+            "--shards 3 --fail-shard 1@2000 --array-parity --rebuild-gap-us 100 --spare-shards 1",
+        ],
+        [
+            "--lifetime-pe 500 --lifetime-epochs 3",
+            "--lifetime-epochs 3 --lifetime-pe 500",
+        ],
+    ] {
+        let [a, b] = pair.map(|flags| {
+            let seen = observe(
+                "flag_order",
+                &format!("--blocks 16 --requests 1500 {flags}"),
+            );
+            assert!(seen.contains("\nexit: Some(0)\n"), "{seen}");
+            seen.lines().skip(1).collect::<Vec<_>>().join("\n")
+        });
+        assert_eq!(a, b, "{pair:?}");
     }
 }
 

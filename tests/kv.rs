@@ -16,8 +16,8 @@ use cubeftl::harness::{
     ArrayEvalConfig, EvalConfig, KvSpec, QosSpec, RunOutput, Scenario, SpoConfig, WorkloadSource,
 };
 use cubeftl::{
-    splitmix64, AgingState, FtlKind, IntZipf, KvAppReport, KvConfig, KvStream, LsmTree, SplitMix,
-    SpoTrigger, StandardWorkload, TenantMix, Trace, YcsbKind,
+    splitmix64, AgingState, FtlKind, HostQueueConfig, IntZipf, KvAppReport, KvConfig, KvStream,
+    LsmTree, SplitMix, SpoTrigger, StandardWorkload, TenantMix, Trace, YcsbKind,
 };
 use proptest::prelude::*;
 
@@ -162,10 +162,13 @@ fn every_tenant_behind_a_front_runs_its_own_engine() {
     // deterministic as the device's.
     let sc = Scenario {
         qos: QosSpec {
-            queues: 2,
             tenants: 4,
             weights: vec![4, 1],
-            arrival_interval_us: 40.0,
+            front: HostQueueConfig {
+                queues: 2,
+                arrival_interval_us: 40.0,
+                ..HostQueueConfig::default()
+            },
             ..QosSpec::off()
         },
         ..kv_scenario(YcsbKind::A)

@@ -14,7 +14,8 @@ mod common;
 use common::run;
 use cubeftl::harness::{ArrayEvalConfig, EvalConfig, QosSpec, Scenario, TelemetrySpec};
 use cubeftl::{
-    events_to_ndjson, AgingState, DwrrScheduler, FtlKind, StandardWorkload, TenantMix, Trace,
+    events_to_ndjson, AgingState, DwrrScheduler, FtlKind, HostQueueConfig, StandardWorkload,
+    TenantMix, Trace,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -42,10 +43,18 @@ fn scenario(aging: AgingState, requests: u64, qos: QosSpec, tel: TelemetrySpec) 
 /// An engaged spec: 8 queues, 32 tenants, a 4-step weight cycle.
 fn engaged_spec() -> QosSpec {
     QosSpec {
-        queues: 8,
         tenants: 32,
         weights: vec![8, 4, 2, 1],
+        front: queues(8),
         ..QosSpec::off()
+    }
+}
+
+/// The default front over `n` queue pairs.
+fn queues(n: u32) -> HostQueueConfig {
+    HostQueueConfig {
+        queues: n,
+        ..HostQueueConfig::default()
     }
 }
 
@@ -54,10 +63,12 @@ fn engaged_spec() -> QosSpec {
 /// run — report, trace and series — is the plain run's.
 fn assert_knobs_are_inert_when_disengaged(base: Scenario) {
     let knobs = QosSpec {
-        queues: 1,
         tenants: 1,
-        sq_depth: 2,
-        slo_read_us: Some(1.0),
+        front: HostQueueConfig {
+            sq_depth: 2,
+            slo_read_us: Some(1.0),
+            ..queues(1)
+        },
         ..engaged_spec()
     };
     assert!(!knobs.engaged());
@@ -104,7 +115,7 @@ fn disengaged_array_spec_is_byte_identical_to_the_legacy_path() {
 #[test]
 fn engaged_double_run_is_byte_identical() {
     let mut spec = engaged_spec();
-    spec.slo_read_us = Some(5_000.0);
+    spec.front.slo_read_us = Some(5_000.0);
     let sc = scenario(AgingState::Fresh, 2_500, spec, TelemetrySpec::all(2_000.0));
     let (a, b) = (run(&sc), run(&sc));
     assert_eq!(format!("{:?}", a.sim()), format!("{:?}", b.sim()));
@@ -162,9 +173,9 @@ fn overload_differentiates_service_by_class() {
     // queues saturate, so completions track DWRR service shares and the
     // protected class sees a lower queueing tail than best-effort.
     let spec = QosSpec {
-        queues: 4,
         tenants: 8,
         weights: vec![8, 4, 2, 1],
+        front: queues(4),
         ..QosSpec::off()
     };
     let r = run(&Scenario {

@@ -15,8 +15,8 @@ use cubeftl::harness::{
     TelemetryOutput, TelemetrySpec, WorkloadSource,
 };
 use cubeftl::{
-    events_to_ndjson, AgingState, EventMask, FtlKind, LifetimeConfig, MaintConfig, SimReport,
-    SpoTrigger, StandardWorkload, TenantMix, YcsbKind,
+    events_to_ndjson, AgingState, EventMask, FtlKind, HostQueueConfig, LifetimeConfig, MaintConfig,
+    SimReport, SpoTrigger, StandardWorkload, TenantMix, YcsbKind,
 };
 use std::collections::BTreeMap;
 use telemetry::json::parse_object_keys;
@@ -287,10 +287,13 @@ fn reachability_scenarios() -> Vec<(&'static str, Scenario)> {
             "qos + slo",
             Scenario {
                 qos: QosSpec {
-                    queues: 4,
                     tenants: 12,
                     weights: vec![8, 4, 2, 1],
-                    slo_read_us: Some(5_000.0),
+                    front: HostQueueConfig {
+                        queues: 4,
+                        slo_read_us: Some(5_000.0),
+                        ..HostQueueConfig::default()
+                    },
                     ..QosSpec::off()
                 },
                 ..base(StandardWorkload::Mail.into(), AgingState::Fresh)
