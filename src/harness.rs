@@ -630,7 +630,8 @@ pub enum ScenarioError {
     /// FTL is sized for (`cfg.ftl.chips`).
     ChipsDisagree { ssd: usize, ftl: usize },
     /// The block count per chip is below what GC and the active blocks
-    /// need, or its pages overflow the mapping's 32-bit page index.
+    /// need, or the device's pages (all chips) overflow the mapping's
+    /// 32-bit page index ([`ftl::FtlConfig::max_blocks_per_chip`]).
     BlocksOutOfRange { blocks: u32, min: u32, max: u32 },
     /// An ambient temperature outside [`nand3d::AMBIENT_CELSIUS_RANGE`].
     TempOutOfRange(f64),
@@ -1345,7 +1346,7 @@ impl Scenario {
         let (blocks, min, max) = (
             g.blocks_per_chip,
             2 * reserved + 2,
-            u32::MAX / g.pages_per_block(),
+            ftl.max_blocks_per_chip(),
         );
         check(
             !(min..=max).contains(&blocks),
@@ -2328,6 +2329,38 @@ mod tests {
         let b = eval(FtlKind::Cube, StandardWorkload::Web, AgingState::MidLife);
         assert_eq!(a.iops, b.iops);
         assert_eq!(a.sim_time_us, b.sim_time_us);
+    }
+
+    /// The block bound follows the device: `max` validates and `max + 1`
+    /// is rejected at two chip counts, and the device's pages at `max`
+    /// fit the mapping's `u32` page index. Nothing is built.
+    #[test]
+    fn block_bound_is_the_device_wide_page_index() {
+        for (chips, want) in [(8, 932_067), (3, 2_485_513)] {
+            let mut cfg = EvalConfig::smoke();
+            cfg.ftl.chips = chips;
+            cfg.ssd.chips = chips;
+            let with_blocks = |blocks| {
+                let mut cfg = cfg.clone();
+                cfg.ftl.nand.geometry.blocks_per_chip = blocks;
+                Scenario::new(
+                    FtlKind::Cube,
+                    StandardWorkload::Web,
+                    AgingState::Fresh,
+                    &cfg,
+                )
+            };
+            let max = cfg.ftl.max_blocks_per_chip();
+            assert_eq!(max, want);
+            assert_eq!(with_blocks(max).validate(), Ok(()));
+            assert!(matches!(
+                with_blocks(max + 1).validate(),
+                Err(ScenarioError::BlocksOutOfRange { blocks, max: m, .. })
+                    if blocks == max + 1 && m == max
+            ));
+            let pages = u64::from(max) * u64::from(cfg.ftl.nand.geometry.pages_per_block());
+            assert!(pages * (chips as u64) < u64::from(u32::MAX));
+        }
     }
 
     #[test]
