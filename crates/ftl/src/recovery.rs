@@ -24,7 +24,7 @@
 //! metadata ring, [`Ftl::power_cut`] and [`Ftl::power_cycle`] — follows.
 
 use crate::base::{Ftl, Origin};
-use crate::mapping::{mapped, Mapping, Ppn, UNMAPPED_PPN};
+use crate::mapping::{Mapping, Ppn};
 use crate::write::{block_wls, FreePool, SeqAlloc};
 use nand3d::{BlockId, OobStatus, PageState, WlAddr, WlData};
 use ssdsim::FtlStats;
@@ -41,6 +41,18 @@ pub const CKPT_PAGE_PROGRAM_US: f64 = 703.0;
 /// Nominal latency charged per OOB probe/scan read during recovery
 /// (spare-area read at default references, no retry search).
 pub const OOB_READ_US: f64 = 61.0;
+
+/// The checkpoint's L2P entry of an unmapped LPN (`chip == u32::MAX`):
+/// the 8-byte on-flash form, which the in-memory table does not share.
+pub(crate) const UNMAPPED_PPN: Ppn = Ppn {
+    chip: u32::MAX,
+    page: 0,
+};
+
+/// Decodes one checkpoint L2P entry.
+pub(crate) fn mapped(entry: Ppn) -> Option<Ppn> {
+    (entry.chip != UNMAPPED_PPN.chip).then_some(entry)
+}
 
 /// A decoded checkpoint: everything the FTL persists about its own state.
 #[derive(Debug, Clone, PartialEq, Eq)]
