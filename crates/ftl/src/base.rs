@@ -1,15 +1,15 @@
 //! The FTL family: one shared page-level engine, four parameter policies.
 //!
 //! [`Ftl`] owns the flash array, the page mapping, the free-block pools
-//! and the garbage collector. A [`FtlKind`] selects how WLs are
-//! allocated and parameterized:
+//! and the garbage collector. Every kind allocates WLs through a [`Wam`];
+//! a [`FtlKind`] selects the WAM's policy and how WLs are parameterized:
 //!
-//! | kind | allocation | program params | read params |
+//! | kind | WAM policy | program params | read params |
 //! |---|---|---|---|
-//! | [`FtlKind::Page`] | horizontal-first | device defaults | default references |
-//! | [`FtlKind::Vert`] | horizontal-first | offline conservative `V_Final` −1 step (all WLs) | default references |
-//! | [`FtlKind::CubeMinus`] | horizontal-first | OPM (leaders default, followers optimized) | ORT |
-//! | [`FtlKind::Cube`] | WAM (mixed order, `μ`-driven) | OPM | ORT |
+//! | [`FtlKind::Page`] | [`Wam::horizontal_first`] | device defaults | default references |
+//! | [`FtlKind::Vert`] | [`Wam::horizontal_first`] | offline conservative `V_Final` −1 step (all WLs) | default references |
+//! | [`FtlKind::CubeMinus`] | [`Wam::horizontal_first`] | OPM (leaders default, followers optimized) | ORT |
+//! | [`FtlKind::Cube`] | §5.2: mixed order, `μ > mu_threshold` takes followers, `active_blocks_per_chip` | OPM | ORT |
 //!
 //! This file holds the struct, its constructors and accessors and the
 //! [`FtlDriver`] entry points; the mechanisms live beside it, each said
@@ -25,7 +25,7 @@ use crate::cube::wam::Wam;
 use crate::maint::MaintState;
 use crate::mapping::Mapping;
 use crate::recovery::CkptState;
-use crate::write::{FreePool, SeqAlloc};
+use crate::write::FreePool;
 use nand3d::{AgingState, BlockId, FaultCounters, FaultPlan, FlashArray, Geometry};
 use ssdsim::{FtlDriver, FtlStats, HostContext, MaintWork, PageRead, WlWrite};
 use telemetry::{Collector, EventMask, MetricRegistry, TraceEvent};
@@ -38,7 +38,8 @@ pub enum FtlKind {
     /// `vertFTL` — offline conservative `V_Final`-only adjustment, after
     /// Hung et al. \[13\] (§6.1).
     Vert,
-    /// `cubeFTL-` — cubeFTL with the WAM disabled (§6.3).
+    /// `cubeFTL-` — cubeFTL with the WAM's §5.2 policy disabled: it
+    /// allocates horizontal-first (§6.3).
     CubeMinus,
     /// `cubeFTL` — the full PS-aware FTL (§5).
     Cube,
@@ -96,10 +97,8 @@ pub struct Ftl {
     pub(crate) mapping: Mapping,
     /// Per chip: erased blocks ready for allocation.
     pub(crate) free: Vec<FreePool>,
-    /// Per chip: sequential write point (Page / Vert / CubeMinus).
-    pub(crate) seq: Vec<Option<SeqAlloc>>,
-    /// WAM (Cube only).
-    pub(crate) wam: Option<Wam>,
+    /// The active blocks and the kind's WL allocation policy.
+    pub(crate) wam: Wam,
     /// OPM (Cube and CubeMinus).
     pub(crate) opm: Option<Opm>,
     pub(crate) stats: FtlStats,
@@ -164,15 +163,17 @@ impl Ftl {
             array,
             mapping,
             free,
-            seq: vec![None; config.chips],
-            wam: (kind == FtlKind::Cube).then(|| {
-                Wam::with_active_blocks(
+            wam: match kind {
+                FtlKind::Cube => Wam::with_active_blocks(
                     g,
                     config.chips,
                     config.mu_threshold,
                     config.active_blocks_per_chip,
-                )
-            }),
+                ),
+                FtlKind::Page | FtlKind::Vert | FtlKind::CubeMinus => {
+                    Wam::horizontal_first(g, config.chips)
+                }
+            },
             opm: kind.ps_aware().then(|| {
                 let mut opm = Opm::with_ort_capacity(&g, config.chips, config.ort_capacity);
                 opm.set_cluster(config.ort_cluster);
@@ -205,7 +206,8 @@ impl Ftl {
         Ftl::new(FtlKind::Cube, config)
     }
 
-    /// `cubeFTL-`: cubeFTL with the WAM disabled (§6.3 ablation).
+    /// `cubeFTL-`: cubeFTL with the WAM's §5.2 policy disabled (§6.3
+    /// ablation).
     pub fn cube_minus(config: FtlConfig) -> Self {
         Ftl::new(FtlKind::CubeMinus, config)
     }

@@ -12,6 +12,13 @@
 //!
 //! The paper uses **two active blocks per chip** so that leader WLs
 //! rarely run out while followers are being banked.
+//!
+//! Every FTL kind allocates through a WAM; only its policy differs.
+//! cubeFTL runs the §5.2 policy above. pageFTL, vertFTL and cubeFTL−
+//! run [`Wam::horizontal_first`]: one active block under a permanent
+//! burst (`μ_TH = −∞`), so each h-layer's leader is followed by its
+//! followers before the next leader — the conventional horizontal-first
+//! order, which §4.1.3 shows is as reliable as the mixed one.
 
 use nand3d::{BlockId, Geometry, WlAddr};
 use serde::{Deserialize, Serialize};
@@ -105,8 +112,8 @@ struct ChipWam {
     active: Vec<ActiveBlock>,
 }
 
-/// The WL Allocation Manager: two mixed-order active blocks per chip and
-/// the `μ`-driven leader/follower policy.
+/// The WL Allocation Manager: mixed-order active blocks per chip and the
+/// `μ`-driven leader/follower policy.
 #[derive(Debug, Clone)]
 pub struct Wam {
     geometry: Geometry,
@@ -116,15 +123,10 @@ pub struct Wam {
 }
 
 impl Wam {
-    /// A WAM for `chips` chips with burst threshold `mu_threshold`
-    /// (§5.2; the paper suggests 0.9) and two active blocks per chip.
-    pub fn new(geometry: Geometry, chips: usize, mu_threshold: f64) -> Self {
-        Wam::with_active_blocks(geometry, chips, mu_threshold, 2)
-    }
-
-    /// A WAM with a custom number of active blocks per chip — the §5.2
-    /// trade-off: more active blocks keep leader WLs available longer
-    /// but grow the OPM's parameter memory.
+    /// A WAM for `chips` chips with burst threshold `mu_threshold` (§5.2;
+    /// the paper suggests 0.9) and `active_per_chip` active blocks per
+    /// chip — the §5.2 trade-off: more active blocks keep leader WLs
+    /// available longer but grow the OPM's parameter memory.
     ///
     /// # Panics
     ///
@@ -142,6 +144,14 @@ impl Wam {
             mu_threshold,
             active_per_chip,
         }
+    }
+
+    /// The horizontal-first WAM of the kinds without the §5.2 policy: one
+    /// active block per chip under a permanent burst (`μ_TH = −∞`). The
+    /// follower cursor is taken whenever it may be, so each h-layer's
+    /// leader is followed by its followers before the next leader.
+    pub fn horizontal_first(geometry: Geometry, chips: usize) -> Self {
+        Wam::with_active_blocks(geometry, chips, f64::NEG_INFINITY, 1)
     }
 
     /// Selects the next WL on `chip` for a host (or GC) write.
@@ -206,7 +216,9 @@ impl Wam {
     /// each such h-layer runs conservative defaults and re-monitors.
     ///
     /// Returns `false` (leaving the block closed) if the block is
-    /// already full or the chip's active slots are all taken.
+    /// already full — which includes a block whose only erased WLs are
+    /// holes below both cursors — or the chip's active slots are all
+    /// taken.
     pub fn resume_block(
         &mut self,
         chip: usize,
@@ -214,8 +226,9 @@ impl Wam {
         is_free: impl Fn(WlAddr) -> bool,
     ) -> bool {
         let g = self.geometry;
-        // Cursors point one past the last used WL of each kind; torn
-        // (unprogrammable) WLs count as used, abort holes are skipped.
+        // Each cursor sits one past the last non-erased WL of its kind;
+        // torn (unprogrammable) WLs count as used. An abort hole below
+        // that WL is skipped for good; one above it is handed out again.
         let next_leader_h = (0..g.hlayers_per_block)
             .rev()
             .find(|&h| !is_free(g.wl_addr(block, h, 0)))
@@ -245,6 +258,12 @@ impl Wam {
         true
     }
 
+    /// Active blocks per chip: how many partially written blocks crash
+    /// recovery may resume on each chip.
+    pub fn active_per_chip(&self) -> usize {
+        self.active_per_chip
+    }
+
     /// WLs the active blocks of `chip` can still hand out.
     pub fn unwritten_wls(&self, chip: usize) -> u32 {
         let active = &self.per_chip[chip].active;
@@ -271,19 +290,15 @@ impl Wam {
             (from..=to).map(move |h| (b.block, h))
         })
     }
-
-    /// The burst threshold `μ_TH`.
-    pub fn mu_threshold(&self) -> f64 {
-        self.mu_threshold
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::order::ProgramOrder;
 
     fn wam() -> Wam {
-        Wam::new(Geometry::small(), 1, 0.9)
+        Wam::with_active_blocks(Geometry::small(), 1, 0.9, 2)
     }
 
     #[test]
@@ -400,6 +415,27 @@ mod tests {
         let _ = w.select(0, 0.0, &mut alloc);
         let blocks: Vec<BlockId> = w.active_blocks(0).collect();
         assert_eq!(blocks.len(), 2, "paper: two active blocks per chip");
+    }
+
+    #[test]
+    fn horizontal_first_hands_out_the_horizontal_first_sequence() {
+        let g = Geometry::small();
+        // The order must not depend on μ: every value is above −∞.
+        for mu in [0.0, 0.5, 1.0] {
+            let mut w = Wam::horizontal_first(g, 1);
+            let mut next = 0u32;
+            let mut alloc = || {
+                next += 1;
+                Some(BlockId(next - 1))
+            };
+            for block in [BlockId(0), BlockId(1)] {
+                for want in ProgramOrder::HorizontalFirst.sequence(&g, block) {
+                    let got = w.select(0, mu, &mut alloc);
+                    assert_eq!(got.addr(), want, "μ = {mu}");
+                    assert_eq!(got.is_leader(), want.is_leader(), "μ = {mu}, {want}");
+                }
+            }
+        }
     }
 
     #[test]

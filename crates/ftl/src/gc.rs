@@ -93,10 +93,7 @@ impl Ftl {
 
     /// Whether `block` is currently open for writing on `chip`.
     pub(crate) fn is_active(&self, chip: usize, block: BlockId) -> bool {
-        match &self.wam {
-            Some(wam) => wam.active_blocks(chip).any(|b| b == block),
-            None => self.seq[chip].is_some_and(|sa| sa.block == block),
-        }
+        self.wam.active_blocks(chip).any(|b| b == block)
     }
 
     /// Whether `block` is a closed data block of `chip` — neither free,
@@ -157,11 +154,7 @@ impl Ftl {
         if free >= 2 {
             return true;
         }
-        let open = match &self.wam {
-            Some(wam) => wam.unwritten_wls(chip),
-            None => self.seq[chip].map_or(0, |sa| g.wls_per_block() - sa.next),
-        };
-        let room = open + free * g.wls_per_block();
+        let room = self.wam.unwritten_wls(chip) + free * g.wls_per_block();
         room >= g.wls_per_block() + MAX_SAFETY_ATTEMPTS
             || self.profitable_victim(chip).is_some_and(|v| {
                 let valid = self.mapping.valid_in_block(chip, v.0);

@@ -16,8 +16,10 @@
 //!   optimal read-reference table (ORT, §4.2), and runs the §4.1.4
 //!   safety check. Its WL Allocation Manager ([`Wam`]) serves bursty
 //!   writes from fast follower WLs using the mixed-order scheme (§5.2).
-//! * [`Ftl::cube_minus`] — **cubeFTL-**: cubeFTL with the WAM disabled
-//!   (horizontal-first allocation), the ablation of §6.3.
+//! * [`Ftl::cube_minus`] — **cubeFTL-**: cubeFTL with the WAM's §5.2
+//!   policy disabled (horizontal-first allocation, like pageFTL and
+//!   vertFTL: every kind allocates through a [`Wam`]), the ablation of
+//!   §6.3.
 //!
 //! All four implement [`ssdsim::FtlDriver`] and run unmodified under the
 //! `ssdsim` engine.

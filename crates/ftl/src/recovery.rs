@@ -25,7 +25,7 @@
 
 use crate::base::{Ftl, Origin};
 use crate::mapping::{Mapping, Ppn};
-use crate::write::{block_wls, FreePool, SeqAlloc};
+use crate::write::{block_wls, FreePool};
 use nand3d::{BlockId, OobStatus, PageState, WlAddr, WlData};
 use ssdsim::FtlStats;
 use telemetry::{EventKind, EventMask};
@@ -585,8 +585,8 @@ impl Ftl {
 
         // 5. Fresh volatile state: the OPM/ORT (and its cluster) boot
         // cold — re-derived on first touch per h-layer, re-warmed from
-        // post-boot decode traffic, deterministically — and the WAM and
-        // write points reset. The pre-crash region block's WLs are all
+        // post-boot decode traffic, deterministically — and the WAM
+        // resets. The pre-crash region block's WLs are all
         // erased, so the pool rebuild above reclaimed it as free; the
         // next flush re-allocates a backing block.
         let mut ftl = Ftl {
@@ -600,17 +600,6 @@ impl Ftl {
             tel_now_us,
             ..Ftl::cold(kind, config, array, mapping, free)
         };
-        // H-layers holding a torn WL boot demoted — the §4.1.4
-        // quarantine — and untrusted for cluster seeding until a fresh
-        // decode re-vouches for them.
-        if let Some(opm) = &mut ftl.opm {
-            for &(chip, wl) in &torn {
-                report.layers_demoted += u64::from(opm.demote_layer(chip, wl));
-                report.cluster_keys_quarantined +=
-                    u64::from(opm.quarantine_cluster_key(chip, wl.block.0, wl.h.0));
-            }
-        }
-
         // Resume the write points that were open at the power cut: the
         // partially-filled blocks (most recent program sequence first)
         // are re-opened rather than abandoned. Their remaining follower
@@ -627,29 +616,26 @@ impl Ftl {
                 .map(|b| (c.block_prog_seq(b), b))
                 .collect();
             partial.sort_unstable_by_key(|&(seq, b)| (std::cmp::Reverse(seq), b.0));
-            if let Some(wam) = &mut ftl.wam {
-                for &(_, b) in partial.iter().take(config.active_blocks_per_chip) {
-                    wam.resume_block(chip, b, is_erased);
-                }
-            } else if let Some(&(_, b)) = partial.first() {
-                // Sequential write point: continue one past the last
-                // used WL in program order (abort holes stay skipped).
-                let next = block_wls(&g, b)
-                    .rposition(|wl| !is_erased(wl))
-                    .map_or(0, |w| w as u32 + 1);
-                ftl.seq[chip] = Some(SeqAlloc { block: b, next });
+            for &(_, b) in partial.iter().take(ftl.wam.active_per_chip()) {
+                ftl.wam.resume_block(chip, b, is_erased);
             }
         }
 
-        // The re-opened write points hold h-layers whose leader-program
-        // history died with the RAM: their upcoming WLs will be
-        // re-programmed under conservative defaults, so their pre-cut
-        // `ΔV_Ref` behaviour is not representative of the cluster
-        // average. Quarantine those keys from cluster seeding until a
-        // fresh decode re-vouches for each one.
-        if let (Some(opm), Some(wam)) = (&mut ftl.opm, &ftl.wam) {
+        // H-layers holding a torn WL boot demoted — the §4.1.4
+        // quarantine — and untrusted for cluster seeding until a fresh
+        // decode re-vouches for them. So do the open layers of the
+        // re-opened write points: their leader-program history died with
+        // the RAM and their upcoming WLs run conservative defaults, so
+        // their pre-cut `ΔV_Ref` behaviour is not representative of the
+        // cluster average.
+        if let Some(opm) = &mut ftl.opm {
+            for &(chip, wl) in &torn {
+                report.layers_demoted += u64::from(opm.demote_layer(chip, wl));
+                report.cluster_keys_quarantined +=
+                    u64::from(opm.quarantine_cluster_key(chip, wl.block.0, wl.h.0));
+            }
             for chip in 0..chips {
-                for (block, h) in wam.open_layers(chip) {
+                for (block, h) in ftl.wam.open_layers(chip) {
                     report.cluster_keys_quarantined +=
                         u64::from(opm.quarantine_cluster_key(chip, block.0, h));
                 }
@@ -684,8 +670,10 @@ impl Ftl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cube::wam::WlChoice;
     use crate::testutil::{ctx, write_all};
-    use crate::FtlConfig;
+    use crate::{FtlConfig, FtlKind, OrtClusterConfig};
+    use nand3d::{FaultKind, FaultPlan};
     use ssdsim::FtlDriver;
 
     fn sample() -> Checkpoint {
@@ -856,6 +844,65 @@ mod tests {
             ftl.seq_counter() >= seq_before,
             "the sequence horizon is recovered from flash, never rewound"
         );
+    }
+
+    /// A pageFTL whose program of F(1,3) — chip 0, block 0, h-layer 1,
+    /// v-layer 3 — aborts once.
+    fn page_with_an_abort_hole() -> Ftl {
+        let mut ftl = Ftl::new(FtlKind::Page, FtlConfig::small());
+        ftl.set_fault_plan(&FaultPlan::default().with_target(0, 1, 3, FaultKind::ProgramAbort));
+        ftl
+    }
+
+    #[test]
+    fn power_cycle_hands_out_an_abort_hole_above_the_last_follower_again() {
+        let mut ftl = page_with_an_abort_hole();
+        let g = ftl.geometry();
+        // L0 F(0,1..3) L1 F(1,1) F(1,2) program; F(1,3) aborts and its
+        // pages land on L2. Then the cut.
+        for i in 0..8 {
+            ftl.write_wl(0, [3 * i, 3 * i + 1, 3 * i + 2], &ctx(0.5));
+        }
+        assert_eq!(ftl.stats().program_aborts, 1);
+        let (mut ftl, _) = ftl.power_cycle(&[]);
+        // The follower cursor resumes one past F(1,2), the last used
+        // follower: the hole is written under L2 (mixed order, §4.1.3).
+        let wl = |h, v| g.wl_addr(BlockId(0), h, v);
+        assert_eq!(ftl.select_wl(0, 0.5), WlChoice::Follower(wl(1, 3)));
+        assert_eq!(ftl.select_wl(0, 0.5), WlChoice::Follower(wl(2, 1)));
+    }
+
+    #[test]
+    fn power_cycle_closes_a_block_whose_only_erased_wls_are_skipped_holes() {
+        let mut ftl = page_with_an_abort_hole();
+        let g = ftl.geometry();
+        // 31 WLs of data fill block 0 around the F(1,3) hole.
+        for i in 0..u64::from(g.wls_per_block() - 1) {
+            ftl.write_wl(0, [3 * i, 3 * i + 1, 3 * i + 2], &ctx(0.5));
+        }
+        assert_eq!(
+            ftl.mapping.valid_in_block(0, 0),
+            g.pages_per_block() - u32::from(g.pages_per_wl)
+        );
+        let (ftl, _) = ftl.power_cycle(&[]);
+        assert!(ftl.is_closed(0, BlockId(0)), "no write point resumes on it");
+        assert_eq!(ftl.gc_victim(0), Some(BlockId(0)), "GC may collect it");
+    }
+
+    #[test]
+    fn power_cycle_quarantines_the_resumed_layers_of_cube_minus() {
+        let cfg = FtlConfig {
+            ort_cluster: OrtClusterConfig::on(),
+            ..FtlConfig::small()
+        };
+        let mut ftl = Ftl::cube_minus(cfg);
+        // Five WLs per chip: L0 F(0,1..3) L1.
+        write_all(&mut ftl, 0..30, cfg.chips, 0.5);
+        let (_, report) = ftl.power_cycle(&[]);
+        assert_eq!(report.torn_wls_quarantined, 0);
+        // Per chip: h-layer 1, whose followers are still erased, and the
+        // leader frontier h-layer 2.
+        assert_eq!(report.cluster_keys_quarantined, 2 * cfg.chips as u64);
     }
 
     #[test]

@@ -83,13 +83,6 @@ impl FreePool {
 /// this many attempts.
 pub(crate) const MAX_SAFETY_ATTEMPTS: u32 = 4;
 
-/// Sequential (horizontal-first) write point for the non-WAM variants.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SeqAlloc {
-    pub(crate) block: BlockId,
-    pub(crate) next: u32,
-}
-
 /// Every WL of `block`, in (horizontal-first) program order.
 pub(crate) fn block_wls(
     g: &Geometry,
@@ -124,36 +117,12 @@ impl Ftl {
         self.free[chip].take(wear)
     }
 
-    /// Selects the next WL to program on `chip` according to the
-    /// variant's allocation policy.
+    /// Selects the next WL to program on `chip` through the WAM, which
+    /// opens a fresh block from the free pool when it needs one.
     pub(crate) fn select_wl(&mut self, chip: usize, mu: f64) -> WlChoice {
-        if let Some(wam) = &mut self.wam {
-            let wear = wear_env(&self.maint, &self.array, chip);
-            let free = &mut self.free[chip];
-            return wam.select(chip, mu, || free.take(wear));
-        }
-        // Sequential horizontal-first write point.
-        let g = self.geometry();
-        let per_block = g.wls_per_block();
-        loop {
-            match &mut self.seq[chip] {
-                Some(sa) if sa.next < per_block => {
-                    let wl = ProgramOrder::HorizontalFirst.wl_at(&g, sa.block, sa.next);
-                    sa.next += 1;
-                    return if wl.is_leader() {
-                        WlChoice::Leader(wl)
-                    } else {
-                        WlChoice::Follower(wl)
-                    };
-                }
-                _ => {
-                    let b = self
-                        .pop_free_block(chip)
-                        .expect("GC must maintain free blocks");
-                    self.seq[chip] = Some(SeqAlloc { block: b, next: 0 });
-                }
-            }
-        }
+        let wear = wear_env(&self.maint, &self.array, chip);
+        let free = &mut self.free[chip];
+        self.wam.select(chip, mu, || free.take(wear))
     }
 
     /// The program parameters the variant applies to `choice`.
@@ -435,7 +404,7 @@ mod tests {
     #[test]
     fn targeted_ber_spike_triggers_one_safety_reprogram_and_remonitor() {
         let cfg = FtlConfig::small();
-        // cubeFTL- allocates sequentially (horizontal-first), so chip 0's
+        // cubeFTL- allocates horizontal-first, so chip 0's
         // first block programs WL (b0,h0,v0) leader, then (b0,h0,v1)
         // follower. Spike the follower's post-program BER 4× — past the
         // §4.1.4 safety factor of 3×.
@@ -513,8 +482,8 @@ mod tests {
 
     #[test]
     fn wear_leveling_allocates_the_least_worn_free_block_lowest_id_first() {
-        // Cube allocates through the WAM's closure, Page through the
-        // sequential write point: both must pick by wear, then by id.
+        // Cube's WAM opens two blocks at once, Page's horizontal-first
+        // WAM one at a time: both must pick by wear, then by id.
         for kind in [FtlKind::Cube, FtlKind::Page] {
             let mut ftl = Ftl::new(kind, FtlConfig::small());
             // Wear every block of chip 0 except 3 and 5; FIFO order
