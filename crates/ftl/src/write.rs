@@ -7,9 +7,7 @@ use crate::base::{Ftl, FtlKind, Origin};
 use crate::cube::wam::WlChoice;
 use crate::maint::MaintState;
 use crate::order::ProgramOrder;
-use nand3d::{
-    BlockId, Environment, FlashArray, Geometry, OobStatus, ProgramParams, WlAddr, WlData, WlOob,
-};
+use nand3d::{BlockId, Environment, FlashArray, Geometry, ProgramParams, WlAddr, WlData};
 use std::collections::VecDeque;
 use telemetry::{EventKind, EventMask};
 
@@ -255,20 +253,14 @@ impl Ftl {
                 }
             }
 
-            // Success: map the live pages and deposit the OOB record
-            // recovery replays (LPNs + sequence number + status tag).
+            // Success: map the live pages and complete the OOB record
+            // recovery replays (the program stored the LPNs; this stamps
+            // the sequence number and the status tag).
             self.seq_counter += 1;
             self.array
                 .chip_mut(chip)
                 .expect("valid chip")
-                .write_oob(
-                    wl,
-                    WlOob {
-                        lpns,
-                        seq: self.seq_counter,
-                        status: OobStatus::Complete,
-                    },
-                )
+                .write_oob(wl, self.seq_counter)
                 .expect("WL was just programmed");
             self.mapping.map_wl(chip, wl, &lpns);
             if !choice.is_leader() {

@@ -47,13 +47,15 @@ pub enum OobStatus {
     Torn,
 }
 
-/// Out-of-band (spare-area) metadata one WL program deposits alongside
-/// its three pages: the logical page numbers, a monotonically increasing
-/// FTL sequence number, and a program-status tag. Boot-time recovery
-/// rebuilds the L2P map from these records alone.
+/// Out-of-band (spare-area) metadata of one WL: the logical page
+/// numbers its program carried, a monotonically increasing FTL sequence
+/// number, and a program-status tag. Boot-time recovery rebuilds the L2P
+/// map from these records alone. [`NandChip::wl_oob`] reads it out of
+/// the WL's spare record, which stores the tags once for both this view
+/// and [`NandChip::page_tag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WlOob {
-    /// Logical tags of the three pages (`u64::MAX` = padding).
+    /// Logical tags of the three pages ([`WlData::PAD`] = padding).
     pub lpns: [u64; 3],
     /// FTL-assigned sequence number of the program operation.
     pub seq: u64,
@@ -61,59 +63,39 @@ pub struct WlOob {
     pub status: OobStatus,
 }
 
-impl WlOob {
-    /// Size of the on-flash encoding in bytes.
-    pub const ENCODED_LEN: usize = 33;
-
-    /// Serializes the record into its on-flash byte layout: three
-    /// little-endian u64 LPNs, a little-endian u64 sequence number, and
-    /// one status byte (0 = complete, 1 = torn).
-    pub fn encode(&self) -> [u8; Self::ENCODED_LEN] {
-        let mut out = [0u8; Self::ENCODED_LEN];
-        for (i, lpn) in self.lpns.iter().enumerate() {
-            out[i * 8..i * 8 + 8].copy_from_slice(&lpn.to_le_bytes());
-        }
-        out[24..32].copy_from_slice(&self.seq.to_le_bytes());
-        out[32] = match self.status {
-            OobStatus::Complete => 0,
-            OobStatus::Torn => 1,
-        };
-        out
-    }
-
-    /// Deserializes a record encoded by [`WlOob::encode`]. Returns `None`
-    /// for a wrong-length slice or an unknown status byte.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != Self::ENCODED_LEN {
-            return None;
-        }
-        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        let status = match bytes[32] {
-            0 => OobStatus::Complete,
-            1 => OobStatus::Torn,
-            _ => return None,
-        };
-        Some(WlOob {
-            lpns: [word(0), word(8), word(16)],
-            seq: word(24),
-            status,
-        })
-    }
-}
-
 /// The payload tag a WL program carries. The simulator does not move real
 /// bytes; a [`WlData`] records what the three pages of the WL contain so
-/// FTL bookkeeping can be validated.
+/// FTL bookkeeping can be validated. The chip keeps each tag in 32 bits:
+/// a tag is an LPN below `u32::MAX` or [`WlData::PAD`], which is stored
+/// as `u32::MAX`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WlData {
     /// Logical tags of the three pages (e.g. logical page numbers), or
-    /// `u64::MAX` for padding.
+    /// [`WlData::PAD`] for padding.
     pub pages: [u64; 3],
 }
 
 impl WlData {
     /// Tag used for padding/dummy pages.
     pub const PAD: u64 = u64::MAX;
+
+    /// `tag` as the spare record stores it, or `None` if it does not
+    /// fit in 32 bits.
+    fn narrow(tag: u64) -> Option<u32> {
+        if tag == Self::PAD {
+            return Some(u32::MAX);
+        }
+        u32::try_from(tag).ok().filter(|&t| t != u32::MAX)
+    }
+
+    /// The tag a stored `u32` stands for.
+    fn widen(tag: u32) -> u64 {
+        if tag == u32::MAX {
+            Self::PAD
+        } else {
+            u64::from(tag)
+        }
+    }
 
     /// A WL filled with three consecutive tags starting at `first`.
     pub fn host(first: u64) -> Self {
@@ -198,6 +180,25 @@ struct BlockTerms {
     retention_term: f64,
 }
 
+/// What a WL's spare area holds: the three page tags its program
+/// carried (narrowed by [`WlData::narrow`]) and its OOB record's sequence
+/// number and status (`None` until [`NandChip::write_oob`] stamps it).
+/// 24 bytes; an erased WL holds [`WlSpare::ERASED`].
+#[derive(Debug, Clone, Copy)]
+struct WlSpare {
+    seq: u64,
+    tags: [u32; 3],
+    status: Option<OobStatus>,
+}
+
+impl WlSpare {
+    const ERASED: WlSpare = WlSpare {
+        seq: 0,
+        tags: [u32::MAX; 3],
+        status: None,
+    };
+}
+
 /// Marks an h-layer whose optimum has not been derived since its
 /// block's [`BlockTerms`] last moved (real optima are `0..=7`).
 const UNKNOWN_OPTIMUM: u8 = u8::MAX;
@@ -237,14 +238,10 @@ pub struct NandChip {
     layer_optimum: Vec<u8>,
     /// Installed fault injector, if a plan is active.
     faults: Option<FaultInjector>,
-    /// Per-WL program state.
+    /// Per-WL program state: the one per-WL array a read loads.
     wl_state: Vec<PageState>,
-    /// Per-WL stored data tags.
-    wl_data: Vec<WlData>,
-    /// Per-WL post-program BER (set by the last program).
-    wl_post_ber: Vec<f64>,
-    /// Per-WL OOB spare-area metadata (set by [`NandChip::write_oob`]).
-    wl_oob: Vec<Option<WlOob>>,
+    /// Per-WL spare area: data tags and OOB record.
+    spare: Vec<WlSpare>,
     /// Highest OOB sequence number deposited into each block since its
     /// last erase (conceptually the block's summary/metadata page).
     block_prog_seq: Vec<u64>,
@@ -276,14 +273,7 @@ impl NandChip {
             layer_optimum: vec![UNKNOWN_OPTIMUM; blocks * hlayers],
             faults: None,
             wl_state: vec![PageState::Free; wls],
-            wl_data: vec![
-                WlData {
-                    pages: [WlData::PAD; 3]
-                };
-                wls
-            ],
-            wl_post_ber: vec![0.0; wls],
-            wl_oob: vec![None; wls],
+            spare: vec![WlSpare::ERASED; wls],
             block_prog_seq: vec![0; blocks],
             block_erase_seq: vec![0; blocks],
             erase_interrupted: vec![false; blocks],
@@ -434,14 +424,8 @@ impl NandChip {
         let g = &self.config.geometry;
         let first = g.wl_flat(g.wl_addr(block, 0, 0));
         let count = g.wls_per_block() as usize;
-        for i in first..first + count {
-            self.wl_state[i] = PageState::Free;
-            self.wl_data[i] = WlData {
-                pages: [WlData::PAD; 3],
-            };
-            self.wl_post_ber[i] = 0.0;
-            self.wl_oob[i] = None;
-        }
+        self.wl_state[first..first + count].fill(PageState::Free);
+        self.spare[first..first + count].fill(WlSpare::ERASED);
         let b = block.0 as usize;
         self.block_prog_seq[b] = 0;
         self.erase_interrupted[b] = false;
@@ -475,6 +459,9 @@ impl NandChip {
     /// * [`NandError::WlOutOfRange`] for an invalid address.
     /// * [`NandError::ProgramOnDirtyWl`] if the WL was already programmed
     ///   since the last erase of its block.
+    /// * [`NandError::TagOutOfRange`] if a tag is neither below
+    ///   `u32::MAX` nor [`WlData::PAD`] (checked before anything is
+    ///   drawn).
     /// * [`NandError::IllegalParameters`] if `params` exceeds device
     ///   limits.
     pub fn program_wl(
@@ -486,6 +473,10 @@ impl NandChip {
         let idx = self.check_wl(wl)?;
         if self.wl_state[idx] != PageState::Free {
             return Err(NandError::ProgramOnDirtyWl(wl));
+        }
+        let mut tags = [0; 3];
+        for (stored, &tag) in tags.iter_mut().zip(&data.pages) {
+            *stored = WlData::narrow(tag).ok_or(NandError::TagOutOfRange(tag))?;
         }
 
         let fault = self.faults.as_mut().and_then(|f| f.on_program(wl));
@@ -522,8 +513,7 @@ impl NandChip {
         }
 
         self.wl_state[idx] = PageState::Written;
-        self.wl_data[idx] = data;
-        self.wl_post_ber[idx] = outcome.post_ber;
+        self.spare[idx].tags = tags;
 
         Ok(ProgramReport {
             latency_us: outcome.latency_us,
@@ -597,30 +587,27 @@ impl NandChip {
     /// the WL is unwritten. The simulator moves no real bytes, so this
     /// is what the page "contains"; it is bookkeeping for checks (an FTL
     /// asserting that its mapping points where the data is), not a sense
-    /// result, and [`NandChip::read_page`] does not load it.
+    /// result, and [`NandChip::read_page`] does not load it. It is read
+    /// out of the WL's spare record, the same tags [`NandChip::wl_oob`]
+    /// reports.
     pub fn page_tag(&self, page: PageAddr) -> Option<u64> {
         let idx = self.config.geometry.wl_flat(page.wl);
         (self.wl_state[idx] == PageState::Written)
-            .then(|| self.wl_data[idx].pages[page.page.0 as usize])
+            .then(|| WlData::widen(self.spare[idx].tags[page.page.0 as usize]))
     }
 
-    /// Get-Features: the post-program BER of a written WL, used by the
-    /// §4.1.4 safety check. Returns `None` for unwritten WLs.
-    pub fn wl_post_ber(&self, wl: WlAddr) -> Option<f64> {
-        let idx = self.config.geometry.wl_flat(wl);
-        (self.wl_state[idx] == PageState::Written).then(|| self.wl_post_ber[idx])
-    }
-
-    /// Deposits OOB spare-area metadata on a written WL (the FTL calls
-    /// this immediately after every successful program). Also advances
-    /// the block's running max-program-sequence tracker.
+    /// Completes a written WL's OOB record: stamps the FTL sequence
+    /// number `seq` and [`OobStatus::Complete`] next to the page tags
+    /// its program stored (the FTL calls this immediately after every
+    /// successful program). Also advances the block's running
+    /// max-program-sequence tracker.
     ///
     /// # Errors
     ///
     /// * [`NandError::WlOutOfRange`] for an invalid address.
     /// * [`NandError::ReadUnwritten`] if the WL holds no data (OOB rides
     ///   the data pages; there is nothing to attach it to).
-    pub fn write_oob(&mut self, wl: WlAddr, oob: WlOob) -> Result<(), NandError> {
+    pub fn write_oob(&mut self, wl: WlAddr, seq: u64) -> Result<(), NandError> {
         let idx = self.check_wl(wl)?;
         if self.wl_state[idx] != PageState::Written {
             return Err(NandError::ReadUnwritten(PageAddr {
@@ -628,16 +615,23 @@ impl NandChip {
                 page: crate::geometry::PageIndex(0),
             }));
         }
-        self.wl_oob[idx] = Some(oob);
+        let spare = &mut self.spare[idx];
+        spare.seq = seq;
+        spare.status = Some(OobStatus::Complete);
         let b = wl.block.0 as usize;
-        self.block_prog_seq[b] = self.block_prog_seq[b].max(oob.seq);
+        self.block_prog_seq[b] = self.block_prog_seq[b].max(seq);
         Ok(())
     }
 
     /// Reads back a WL's OOB spare-area metadata, if any was deposited
     /// since the last erase. Torn WLs keep their (status-tagged) OOB.
     pub fn wl_oob(&self, wl: WlAddr) -> Option<WlOob> {
-        self.wl_oob[self.config.geometry.wl_flat(wl)]
+        let spare = &self.spare[self.config.geometry.wl_flat(wl)];
+        spare.status.map(|status| WlOob {
+            lpns: spare.tags.map(WlData::widen),
+            seq: spare.seq,
+            status,
+        })
     }
 
     /// Highest OOB sequence number programmed into `block` since its
@@ -660,10 +654,11 @@ impl NandChip {
     }
 
     /// Models a sudden power-off cutting an in-flight ISPP sequence on
-    /// `wl`: a written WL degrades to [`PageState::Partial`] with a
-    /// sharply elevated BER, and its OOB record (if any) is re-tagged
-    /// [`OobStatus::Torn`]. Returns `true` if the WL was written and is
-    /// now torn; free WLs are untouched (nothing was in flight).
+    /// `wl`: a written WL degrades to [`PageState::Partial`] (cells left
+    /// mid-distribution: neither readable nor programmable until erase),
+    /// and its OOB record (if any) is re-tagged [`OobStatus::Torn`].
+    /// Returns `true` if the WL was written and is now torn; free WLs are
+    /// untouched (nothing was in flight).
     pub fn interrupt_program(&mut self, wl: WlAddr) -> bool {
         let Ok(idx) = self.check_wl(wl) else {
             return false;
@@ -672,11 +667,8 @@ impl NandChip {
             return false;
         }
         self.wl_state[idx] = PageState::Partial;
-        // An interrupted ISPP staircase leaves cells mid-distribution:
-        // well past the 3x post-BER bar the §4.1.4 safety check applies.
-        self.wl_post_ber[idx] = (self.wl_post_ber[idx] * 8.0).max(1e-3);
-        if let Some(oob) = &mut self.wl_oob[idx] {
-            oob.status = OobStatus::Torn;
+        if let Some(status) = &mut self.spare[idx].status {
+            *status = OobStatus::Torn;
         }
         true
     }
@@ -957,10 +949,8 @@ mod tests {
         c.program_wl(wl, WlData::host(0), &ProgramParams::default())
             .unwrap();
         assert_eq!(c.wl_state(wl), PageState::Written);
-        assert!(c.wl_post_ber(wl).is_some());
         c.erase(b).unwrap();
         assert_eq!(c.wl_state(wl), PageState::Free);
-        assert!(c.wl_post_ber(wl).is_none());
         assert_eq!(c.env().erase_count(3), 2);
     }
 
@@ -1020,15 +1010,17 @@ mod tests {
         assert_eq!(c.block_prog_seq(b), 0);
         let wl = c.geometry().wl_addr(b, 0, 0);
         // OOB on an unwritten WL is rejected.
+        assert!(c.write_oob(wl, 42).is_err());
+        let data = WlData::from_pages([10, 11, WlData::PAD]);
+        c.program_wl(wl, data, &ProgramParams::default()).unwrap();
+        // The program stored the tags; the record is complete once stamped.
+        assert_eq!(c.wl_oob(wl), None);
+        c.write_oob(wl, 42).unwrap();
         let oob = WlOob {
-            lpns: [10, 11, WlData::PAD],
+            lpns: data.pages,
             seq: 42,
             status: OobStatus::Complete,
         };
-        assert!(c.write_oob(wl, oob).is_err());
-        c.program_wl(wl, WlData::host(10), &ProgramParams::default())
-            .unwrap();
-        c.write_oob(wl, oob).unwrap();
         assert_eq!(c.wl_oob(wl), Some(oob));
         assert_eq!(c.block_prog_seq(b), 42);
         // Erase clears OOB and the program-seq tracker.
@@ -1039,18 +1031,51 @@ mod tests {
     }
 
     #[test]
-    fn oob_encode_decode_roundtrip() {
-        let oob = WlOob {
-            lpns: [3, u64::MAX, 7_000_000_000],
-            seq: 0x0123_4567_89ab_cdef,
-            status: OobStatus::Torn,
+    fn spare_record_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<WlSpare>(), 24);
+    }
+
+    #[test]
+    fn out_of_range_tag_is_rejected_before_any_draw() {
+        let plan = FaultPlan::seeded(3)
+            .with_rate(crate::FaultKind::ProgramAbort, 0.2)
+            .with_rate(crate::FaultKind::BerSpike, 0.2);
+        let twin = || {
+            let mut c = chip();
+            c.set_fault_plan(&plan, 0);
+            c.env_mut().set_disturbance_prob(0.5);
+            c.erase(BlockId(1)).unwrap();
+            c
         };
-        let bytes = oob.encode();
-        assert_eq!(WlOob::decode(&bytes), Some(oob));
-        assert_eq!(WlOob::decode(&bytes[..32]), None);
-        let mut bad = bytes;
-        bad[32] = 9;
-        assert_eq!(WlOob::decode(&bad), None);
+        let (mut c, mut untouched) = (twin(), twin());
+        let wl = c.geometry().wl_addr(BlockId(1), 2, 1);
+        let tag = u64::from(u32::MAX);
+        assert_eq!(
+            c.program_wl(
+                wl,
+                WlData::from_pages([5, tag, 6]),
+                &ProgramParams::default()
+            ),
+            Err(NandError::TagOutOfRange(tag))
+        );
+        assert_eq!(c.wl_state(wl), PageState::Free);
+        assert_eq!(c.op_counts(), untouched.op_counts());
+        // The next commands of both chips report alike: the rejected
+        // call drew no fault and no disturbance.
+        let next = |c: &mut NandChip| {
+            let g = *c.geometry();
+            let data = WlData::from_pages([5, u64::from(u32::MAX - 1), WlData::PAD]);
+            let reports: Vec<_> = (0..4)
+                .map(|v| {
+                    let wl = g.wl_addr(BlockId(1), 2, v);
+                    let program = c.program_wl(wl, data, &ProgramParams::default());
+                    let read = c.read_page(g.page_addr(BlockId(1), 2, v, 1), ReadParams::default());
+                    (program, read)
+                })
+                .collect();
+            (reports, c.fault_counters(), c.op_counts())
+        };
+        assert_eq!(next(&mut c), next(&mut untouched));
     }
 
     #[test]
@@ -1059,21 +1084,17 @@ mod tests {
         let b = BlockId(2);
         c.erase(b).unwrap();
         let wl = c.geometry().wl_addr(b, 1, 0);
-        let report = c
-            .program_wl(wl, WlData::host(30), &ProgramParams::default())
+        c.program_wl(wl, WlData::host(30), &ProgramParams::default())
             .unwrap();
-        c.write_oob(
-            wl,
-            WlOob {
-                lpns: [30, 31, 32],
-                seq: 7,
-                status: OobStatus::Complete,
-            },
-        )
-        .unwrap();
+        c.write_oob(wl, 7).unwrap();
         assert!(c.interrupt_program(wl));
         assert_eq!(c.wl_state(wl), PageState::Partial);
-        assert_eq!(c.wl_oob(wl).unwrap().status, OobStatus::Torn);
+        let torn = WlOob {
+            lpns: [30, 31, 32],
+            seq: 7,
+            status: OobStatus::Torn,
+        };
+        assert_eq!(c.wl_oob(wl), Some(torn));
         // Partial WLs reject both reads and re-programs until erase.
         let p = c.geometry().page_addr(b, 1, 0, 0);
         assert!(matches!(
@@ -1084,12 +1105,10 @@ mod tests {
             c.program_wl(wl, WlData::host(60), &ProgramParams::default()),
             Err(NandError::ProgramOnDirtyWl(_))
         ));
-        // BER elevated well past the 3x safety-check bar.
-        assert!(c.wl_post_ber(wl).is_none());
+        assert_eq!(c.wl_state(wl), PageState::Partial);
         // A free WL has nothing in flight to tear.
         let free_wl = c.geometry().wl_addr(b, 2, 0);
         assert!(!c.interrupt_program(free_wl));
-        let _ = report;
         c.erase(b).unwrap();
         assert_eq!(c.wl_state(wl), PageState::Free);
         c.program_wl(wl, WlData::host(60), &ProgramParams::default())

@@ -30,6 +30,10 @@ pub enum NandError {
     ReadUnwritten(PageAddr),
     /// The chip index exceeds the array size.
     ChipOutOfRange(usize),
+    /// A program carried a page tag the spare area cannot store: tags
+    /// are 32-bit, so one must be below `u32::MAX` or be
+    /// [`WlData::PAD`](crate::WlData::PAD).
+    TagOutOfRange(u64),
     /// A program was issued with parameters outside the device's legal
     /// range (e.g. a `V_Start`/`V_Final` adjustment larger than the whole
     /// program window).
@@ -47,6 +51,7 @@ impl fmt::Display for NandError {
             }
             NandError::ReadUnwritten(p) => write!(f, "read issued to unwritten page {p}"),
             NandError::ChipOutOfRange(c) => write!(f, "chip {c} out of range"),
+            NandError::TagOutOfRange(t) => write!(f, "page tag {t} does not fit a 32-bit tag"),
             NandError::IllegalParameters(msg) => write!(f, "illegal operation parameters: {msg}"),
         }
     }
@@ -69,6 +74,7 @@ mod tests {
             NandError::ProgramOnDirtyWl(g.wl_addr(BlockId(1), 2, 3)),
             NandError::ReadUnwritten(g.page_addr(BlockId(1), 2, 3, 1)),
             NandError::ChipOutOfRange(17),
+            NandError::TagOutOfRange(u64::from(u32::MAX)),
             NandError::IllegalParameters("window collapsed".to_owned()),
         ];
         for e in errs {

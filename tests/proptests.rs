@@ -3,8 +3,8 @@
 use cubeftl::{FtlConfig, FtlDriver, Geometry, ProgramOrder};
 use ftl::{Checkpoint, Ftl, FtlKind, Mapping, OffsetLookup, Opm, OrtClusterConfig, Ppn};
 use nand3d::{
-    BlockId, CalibratedModel, Environment, FaultKind, FaultPlan, OobStatus, ProcessModel,
-    ReadParams, RetryEngine, RetryOptConfig, WlOob,
+    BlockId, CalibratedModel, Environment, FaultKind, FaultPlan, NandChip, NandConfig, OobStatus,
+    ProcessModel, ProgramParams, ReadParams, RetryEngine, RetryOptConfig, WlData, WlOob,
 };
 use proptest::prelude::*;
 use ssdsim::{HostContext, WriteBuffer};
@@ -459,26 +459,35 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// Per-WL OOB records survive their fixed-width spare-area encoding
-    /// for arbitrary LPN tags, sequence numbers and status bits.
+    /// Per-WL OOB records survive the chip's fixed-width spare record
+    /// for arbitrary 32-bit LPN tags and padding, sequence numbers and
+    /// status bits.
     #[test]
     fn wl_oob_roundtrips(
-        l0 in 0u64..u64::MAX,
-        l1 in 0u64..u64::MAX,
-        l2 in 0u64..u64::MAX,
+        l0 in 0u64..u64::from(u32::MAX),
+        l1 in 0u64..u64::from(u32::MAX),
+        l2 in 0u64..u64::from(u32::MAX),
+        pads in 0u8..8,
         seq in 0u64..u64::MAX,
         torn in prop::bool::ANY,
     ) {
+        let pad = |i: u8, lpn: u64| if pads >> i & 1 == 1 { WlData::PAD } else { lpn };
+        let lpns = [pad(0, l0), pad(1, l1), pad(2, l2)];
+        let mut chip = NandChip::new(NandConfig::small(), seq);
+        let wl = chip.geometry().wl_addr(BlockId(1), 3, 2);
+        chip.erase(BlockId(1)).unwrap();
+        chip.program_wl(wl, WlData::from_pages(lpns), &ProgramParams::default())
+            .unwrap();
+        chip.write_oob(wl, seq).unwrap();
+        if torn {
+            chip.interrupt_program(wl);
+        }
         let oob = WlOob {
-            lpns: [l0, l1, l2],
+            lpns,
             seq,
             status: if torn { OobStatus::Torn } else { OobStatus::Complete },
         };
-        let bytes = oob.encode();
-        prop_assert_eq!(bytes.len(), WlOob::ENCODED_LEN);
-        prop_assert_eq!(WlOob::decode(&bytes), Some(oob));
-        // A wrong-length slice never decodes.
-        prop_assert_eq!(WlOob::decode(&bytes[..WlOob::ENCODED_LEN - 1]), None);
+        prop_assert_eq!(chip.wl_oob(wl), Some(oob));
     }
 }
 
