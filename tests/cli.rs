@@ -120,6 +120,7 @@ cases! {
                      --capture-trace-out {out}/cap.csv";
     kv_a: &format!("--ftl cube --blocks 16 --requests 3000 --kv a --aging eol {FILES}");
     kv_a_all_kinds: "--ftl all --blocks 16 --requests 2000 --kv f --kv-keys 4000 --kv-fanout 4";
+    kv_memtable: "--ftl cube --blocks 16 --requests 3000 --kv a --kv-keys 4000 --kv-memtable-entries 512";
     // A key space that churns the whole prefilled device: flush placement
     // must pass over the chips it has overfilled (this line used to die in
     // `Wam::select`, "the allocator returned none").
