@@ -166,7 +166,7 @@ pub fn run(crate::BenchArgs { cfg, .. }: &crate::BenchArgs) {
     banner("extension — deterministic latency via PS (§8)");
     let mut chip = NandChip::new(NandConfig::paper(), 13);
     let mut opm = Opm::new(&g, 1);
-    let predictor = LatencyPredictor::new(chip.ispp());
+    let predictor = LatencyPredictor;
     let mut exact = 0u32;
     let mut total = 0u32;
     let mut max_err: f64 = 0.0;

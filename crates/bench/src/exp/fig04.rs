@@ -8,11 +8,11 @@
 
 use bench::{banner, Table};
 use nand3d::vth::{VthConditions, VthModel};
-use nand3d::NandConfig;
+use nand3d::config::ReliabilityParams;
 
 pub fn run(_: &crate::BenchArgs) {
     let model = VthModel::default();
-    let ecc = NandConfig::paper().model.reliability.ecc_capability_ber;
+    let ecc = ReliabilityParams::PAPER.ecc_capability_ber;
 
     banner("Fig. 4 — Vth landscape after 2K P/E + 1-year retention");
     let aged = model.landscape(&VthConditions {

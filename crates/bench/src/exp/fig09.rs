@@ -7,6 +7,7 @@
 //! the ECC correction capability.
 
 use bench::{banner, exemplar_layers, f2, paper_chip, Table};
+use nand3d::config::ReliabilityParams;
 use nand3d::ispp::split_margin_mv;
 use nand3d::{AgingState, BlockId, ProgramParams};
 
@@ -15,7 +16,7 @@ pub fn run(_: &crate::BenchArgs) {
     chip.set_aging(AgingState::MidLife);
     let g = *chip.geometry();
     let engine = chip.ispp();
-    let ecc = chip.config().model.reliability.ecc_capability_ber;
+    let ecc = ReliabilityParams::PAPER.ecc_capability_ber;
     let block = BlockId(17);
 
     banner("Fig. 9 — BER per h-layer before/after PS-aware window adjustment");

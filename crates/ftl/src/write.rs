@@ -7,6 +7,7 @@ use crate::base::{Ftl, FtlKind, Origin};
 use crate::cube::wam::WlChoice;
 use crate::maint::MaintState;
 use crate::order::ProgramOrder;
+use nand3d::config::IsppModel;
 use nand3d::{BlockId, Environment, FlashArray, Geometry, ProgramParams, WlAddr, WlData};
 use std::collections::VecDeque;
 use telemetry::{EventKind, EventMask};
@@ -131,7 +132,7 @@ impl Ftl {
                 // Offline, conservative: spend only the always-safe guard
                 // step, on V_Final only (Hung et al. [13] adjust V_Final).
                 ProgramParams {
-                    v_final_down_mv: self.config.nand.model.ispp.delta_v_ispp_mv,
+                    v_final_down_mv: IsppModel::PAPER.delta_v_ispp_mv,
                     ..ProgramParams::default()
                 }
             }

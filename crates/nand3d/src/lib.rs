@@ -63,7 +63,7 @@ pub mod vth;
 pub use chip::{
     FlashArray, NandChip, OobStatus, PageState, ProgramReport, ReadReport, WlData, WlOob,
 };
-pub use config::{CalibratedModel, NandConfig, NandTiming};
+pub use config::{NandConfig, NandTiming};
 pub use ecc::{DecodeMode, EccModel};
 pub use environment::{
     AgingState, Environment, ACTIVATION_ENERGY_EV, AMBIENT_CELSIUS_RANGE, REFERENCE_CELSIUS,

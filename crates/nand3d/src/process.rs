@@ -39,15 +39,16 @@ pub struct ProcessModel {
     /// Aging-sensitivity cross coefficient per (block, h-layer): less
     /// reliable layers age faster (paper §3.3).
     aging_sensitivity: Vec<f64>,
-    params: ReliabilityParams,
 }
 
 impl ProcessModel {
     /// Samples a process model for one chip.
     ///
-    /// The same `(geometry, params, seed)` triple always produces the same
-    /// model, which keeps every experiment reproducible.
-    pub fn new(geometry: Geometry, params: ReliabilityParams, seed: u64) -> Self {
+    /// The same `(geometry, seed)` pair always produces the same model,
+    /// which keeps every experiment reproducible. The variation
+    /// coefficients are the calibrated [`ReliabilityParams::PAPER`].
+    pub fn new(geometry: Geometry, seed: u64) -> Self {
+        let params = &ReliabilityParams::PAPER;
         let hlayers = usize::from(geometry.hlayers_per_block);
         let blocks = geometry.blocks_per_chip as usize;
         let wls = blocks * hlayers * usize::from(geometry.wls_per_hlayer);
@@ -62,7 +63,7 @@ impl ProcessModel {
             let g: f64 = sample_gaussian(&mut rng);
             block_factor.push((params.block_sigma * g).exp());
             for h in 0..hlayers {
-                let profile = etching_profile(h, hlayers, &params);
+                let profile = etching_profile(h, hlayers, params);
                 // Small per-(block, layer) jitter so the *pattern* of
                 // inter-layer variability differs between blocks
                 // (Fig. 6(d)): the same layer is not equally bad in every
@@ -89,18 +90,12 @@ impl ProcessModel {
             block_factor,
             rtn,
             aging_sensitivity,
-            params,
         }
     }
 
     /// The geometry this model was sampled for.
     pub fn geometry(&self) -> &Geometry {
         &self.geometry
-    }
-
-    /// The reliability parameters the model was sampled with.
-    pub fn params(&self) -> &ReliabilityParams {
-        &self.params
     }
 
     #[inline]
@@ -138,7 +133,8 @@ impl ProcessModel {
         let n = self.geometry.hlayers_per_block;
         let alpha = 0;
         let omega = n - 1;
-        let kappa = ((f64::from(n) * self.params.mid_bump_center).round() as u16).min(n - 1);
+        let kappa =
+            ((f64::from(n) * ReliabilityParams::PAPER.mid_bump_center).round() as u16).min(n - 1);
         // β: the layer with the lowest average factor across blocks.
         let mut best = (f64::INFINITY, 0u16);
         for h in 0..n {
@@ -188,7 +184,7 @@ mod tests {
     use crate::geometry::Geometry;
 
     fn model(seed: u64) -> ProcessModel {
-        ProcessModel::new(Geometry::paper(), ReliabilityParams::default(), seed)
+        ProcessModel::new(Geometry::paper(), seed)
     }
 
     #[test]

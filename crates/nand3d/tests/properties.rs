@@ -13,10 +13,9 @@ use std::sync::OnceLock;
 fn shared() -> &'static (IsppEngine, ProcessModel) {
     static SHARED: OnceLock<(IsppEngine, ProcessModel)> = OnceLock::new();
     SHARED.get_or_init(|| {
-        let config = NandConfig::paper();
         (
-            IsppEngine::new(config.model),
-            ProcessModel::new(config.geometry, config.model.reliability, 5),
+            IsppEngine::new(),
+            ProcessModel::new(NandConfig::paper().geometry, 5),
         )
     })
 }
@@ -118,7 +117,7 @@ proptest! {
         months in 1u16..13,
     ) {
         let (_, process) = shared();
-        let retry = RetryEngine::new(NandConfig::paper().model);
+        let retry = RetryEngine::new();
         let mut env = Environment::new(428, 6);
         env.set_aging_raw(2000, f64::from(months));
         let wl = process.geometry().wl_addr(BlockId(block), h, 1);

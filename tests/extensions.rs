@@ -37,7 +37,7 @@ fn predictor_enables_deadline_scheduling_decisions() {
     let config = NandConfig::small();
     let mut chip = NandChip::new(config, 21);
     let mut opm = Opm::new(&config.geometry, 1);
-    let predictor = LatencyPredictor::new(chip.ispp());
+    let predictor = LatencyPredictor;
     let g = config.geometry;
 
     chip.erase(BlockId(0)).unwrap();

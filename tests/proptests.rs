@@ -3,8 +3,8 @@
 use cubeftl::{FtlConfig, FtlDriver, Geometry, ProgramOrder};
 use ftl::{Checkpoint, Ftl, FtlKind, Mapping, OffsetLookup, Opm, OrtClusterConfig, Ppn};
 use nand3d::{
-    BlockId, CalibratedModel, Environment, FaultKind, FaultPlan, NandChip, NandConfig, OobStatus,
-    ProcessModel, ProgramParams, ReadParams, RetryEngine, RetryOptConfig, WlData, WlOob,
+    BlockId, Environment, FaultKind, FaultPlan, NandChip, NandConfig, OobStatus, ProcessModel,
+    ProgramParams, ReadParams, RetryEngine, RetryOptConfig, WlData, WlOob,
 };
 use proptest::prelude::*;
 use ssdsim::{HostContext, WriteBuffer};
@@ -339,12 +339,11 @@ proptest! {
         disturbed in prop::bool::ANY,
         optimized in prop::bool::ANY,
     ) {
-        let model = CalibratedModel::default();
         let g = Geometry::paper();
-        let process = ProcessModel::new(g, model.reliability, 7);
+        let process = ProcessModel::new(g, 7);
         let mut env = Environment::new(g.blocks_per_chip as usize, 3);
         env.set_aging_raw(pe, f64::from(months_tenths) / 10.0);
-        let mut engine = RetryEngine::new(model);
+        let mut engine = RetryEngine::new();
         if optimized {
             engine.set_opt(RetryOptConfig::on());
         }
