@@ -26,19 +26,20 @@
 //! Run with: `cargo run --release -p bench -- kv`
 
 use bench::{assert_order, banner, num, num2, text, write_curve, Cell, Columns, Sweep};
-use cubeftl::harness::{KvSpec, Scenario};
-use cubeftl::{AgingState, FtlKind, KvAppReport, KvStream, TenantMix, YcsbKind};
+use cubeftl::harness::Scenario;
+use cubeftl::{AgingState, FtlKind, KvAppReport, KvConfig, KvStream, TenantMix, YcsbKind};
 
 /// A cell is one (aging, workload) pair.
 type Row = Cell<(&'static str, YcsbKind)>;
 
 /// The engine shape the bench drives: a small memtable so flushes and
 /// compactions cycle many times inside a CI-scale run.
-fn bench_spec() -> KvSpec {
-    KvSpec {
+fn bench_spec() -> KvConfig {
+    KvConfig {
         keys: 4_096,
         memtable_entries: 512,
-        ..KvSpec::default()
+        sst_entries: 512,
+        ..KvConfig::default_shape()
     }
 }
 
@@ -51,7 +52,7 @@ fn app(c: &Row) -> &KvAppReport {
 /// emits for exactly `ops` measured operations — the equal-op-count
 /// comparison the A-vs-C bar is stated over.
 fn write_pages_at_ops(kind: YcsbKind, space: u64, seed: u64, ops: u64) -> u64 {
-    let mut s = KvStream::new(bench_spec().kv_config(), kind, space, seed);
+    let mut s = KvStream::new(bench_spec(), kind, space, seed);
     while s.report().stats.ops < ops {
         let _ = s.next();
     }

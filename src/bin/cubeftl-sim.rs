@@ -543,7 +543,11 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
             "--kv" => kv_kind = Some(YcsbKind::parse(v).ok_or(Stop::Usage)?),
             "--kv-keys" => sc.kv.keys = num(v, |&n| n >= 1)?,
             "--kv-value-bytes" => sc.kv.value_bytes = num(v, |&n| n >= 1)?,
-            "--kv-memtable-entries" => sc.kv.memtable_entries = num(v, |&n| n >= 1)?,
+            "--kv-memtable-entries" => {
+                // The SST run size follows the memtable.
+                let n = num(v, |&n| n >= 1)?;
+                (sc.kv.memtable_entries, sc.kv.sst_entries) = (n, n);
+            }
             "--kv-l0-files" => sc.kv.l0_files = num(v, |&n| n >= 2)?,
             "--kv-fanout" => sc.kv.fanout = num(v, |&n| n >= 2)?,
             "--kv-levels" => sc.kv.max_levels = num(v, |&n| n >= 2)?,
@@ -817,7 +821,7 @@ fn print_table_banner(sc: &Scenario) {
     }
     if let WorkloadSource::Phases(phases) = &sc.workload {
         if let TenantMix::Kv(kind) = phases[0] {
-            let c = sc.kv.kv_config();
+            let c = sc.kv;
             println!(
                 "kv: {} over {} keys ({}-byte values), memtable {} entries, \
                  L0 trigger {}, fanout {}, {} levels\n",

@@ -17,7 +17,8 @@
 //! derived per shard) and the background maintenance, which is on
 //! exactly when [`EvalConfig::maint`] is `Some`. The QoS front is
 //! [`QosSpec::front`], the one [`HostQueueConfig`] every shard's front
-//! is built from.
+//! is built from. The KV engine is [`Scenario::kv`], the one
+//! [`KvConfig`] every KV personality's engine is built from.
 //!
 //! `run` is one pipeline. It prepares the shard list once — a single
 //! device is a one-element list seeded with the master seed, an array
@@ -431,56 +432,6 @@ impl QosSpec {
     }
 }
 
-/// The shape of the [`kvsim`] LSM engine behind every KV personality
-/// ([`TenantMix::Kv`]) the scenario's workload names; inert when it
-/// names none.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KvSpec {
-    /// Key-space size (clamped by the engine to fit the device).
-    pub keys: u64,
-    /// Value payload per entry, bytes.
-    pub value_bytes: u32,
-    /// Memtable flush threshold, entries (SST run size follows it).
-    pub memtable_entries: u32,
-    /// L0 run count that triggers an L0→L1 compaction.
-    pub l0_files: u32,
-    /// Size ratio between adjacent levels.
-    pub fanout: u32,
-    /// Total level count.
-    pub max_levels: u32,
-}
-
-impl KvSpec {
-    /// The engine configuration this spec describes.
-    pub fn kv_config(&self) -> KvConfig {
-        KvConfig {
-            keys: self.keys,
-            value_bytes: self.value_bytes,
-            memtable_entries: self.memtable_entries,
-            sst_entries: self.memtable_entries,
-            l0_files: self.l0_files,
-            fanout: self.fanout,
-            max_levels: self.max_levels,
-            wal_pages: KvConfig::default_shape().wal_pages,
-        }
-    }
-}
-
-impl Default for KvSpec {
-    /// The default engine shape.
-    fn default() -> Self {
-        let d = KvConfig::default_shape();
-        KvSpec {
-            keys: d.keys,
-            value_bytes: d.value_bytes,
-            memtable_entries: d.memtable_entries,
-            l0_files: d.l0_files,
-            fanout: d.fanout,
-            max_levels: d.max_levels,
-        }
-    }
-}
-
 /// Registers the app-level results of one KV stream under `prefix`
 /// (e.g. `"kv."` or `"kv.shard0."`): raw engine counters, derived
 /// gauges (app-WA, p99 page costs) and throughput against the device's
@@ -541,7 +492,7 @@ pub enum WorkloadSource {
     /// let a lifetime campaign model phase-varying load (e.g. YCSB-A
     /// churn epochs followed by YCSB-C read-back epochs; outside a
     /// campaign only phase 0 runs). KV phases take their engine shape
-    /// from the scenario's [`KvSpec`]; with the QoS front-end engaged
+    /// from [`Scenario::kv`]; with the QoS front-end engaged
     /// every tenant runs the phase's personality.
     Phases(Vec<TenantMix>),
     /// A recorded trace, its LPNs folded into the device's logical
@@ -833,8 +784,10 @@ pub struct Scenario {
     /// Multi-queue QoS front-end (open-loop tenants instead of the
     /// closed-loop stream, when engaged).
     pub qos: QosSpec,
-    /// Engine shape of the workload's KV personalities.
-    pub kv: KvSpec,
+    /// Engine shape of the workload's KV personalities
+    /// ([`KvConfig::default_shape`] unless set); inert when the
+    /// workload names none.
+    pub kv: KvConfig,
     /// Fast-forward aging campaign: `epochs` workload epochs separated
     /// by aging barriers.
     pub lifetime: Option<LifetimeConfig>,
@@ -1307,7 +1260,7 @@ impl Scenario {
             workload: workload.into(),
             array: None,
             qos: QosSpec::off(),
-            kv: KvSpec::default(),
+            kv: KvConfig::default_shape(),
             lifetime: None,
             spo: None,
             failure: None,
@@ -1600,7 +1553,7 @@ impl Scenario {
     fn source(&self, epoch: u32, space: u64, seed: u64) -> Box<dyn Workload + Send> {
         match &self.workload {
             WorkloadSource::Phases(phases) => {
-                phases[epoch as usize % phases.len()].build(self.kv.kv_config(), space, seed)
+                phases[epoch as usize % phases.len()].build(self.kv, space, seed)
             }
             WorkloadSource::Trace(t) => replay(t.label(), fold_requests(t.requests(), space)),
         }
@@ -1649,7 +1602,7 @@ impl Scenario {
                             .filter(|(p, _)| p.id as usize % n == d.id)
                             .map(|(p, b)| (*p, *b))
                             .unzip();
-                        let streams = self.qos.streams(&profiles, d.space(), self.kv.kv_config());
+                        let streams = self.qos.streams(&profiles, d.space(), self.kv);
                         let mut front =
                             HostQueueFront::new(self.qos.front, profiles, streams, shard_budgets);
                         front.enable_telemetry(self.telemetry.events, d.id as u32);

@@ -11,12 +11,13 @@
 mod common;
 
 use cubeftl::harness::{
-    ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, FailureReport, KvSpec, Phase,
-    RunOutput, Scenario, SpoConfig, TelemetrySpec, WorkloadSource,
+    ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, FailureReport, Phase, RunOutput,
+    Scenario, SpoConfig, TelemetrySpec, WorkloadSource,
 };
 use cubeftl::{
     events_to_ndjson, page_fingerprint, xor_parity, AgingState, EventKind, EventMask, FtlKind,
-    HostRequest, PageRole, ParityRouter, SpoTrigger, StandardWorkload, TenantMix, YcsbKind,
+    HostRequest, KvConfig, PageRole, ParityRouter, SpoTrigger, StandardWorkload, TenantMix,
+    YcsbKind,
 };
 use proptest::prelude::*;
 
@@ -53,10 +54,11 @@ fn failure_run_of(
             trigger: SpoTrigger::AtTimeUs(t),
             ckpt_interval_host_wls: 64,
         }),
-        kv: KvSpec {
+        kv: KvConfig {
             keys: 2_048,
             memtable_entries: 256,
-            ..KvSpec::default()
+            sst_entries: 256,
+            ..KvConfig::default_shape()
         },
         telemetry: TelemetrySpec {
             events: EventMask::DEGRADED.union(EventMask::REBUILD),

@@ -11,9 +11,10 @@
 mod common;
 
 use common::{check_golden, eval, run};
-use cubeftl::harness::{EvalConfig, KvSpec, Phase, QosSpec, Scenario, SpoConfig, TelemetrySpec};
+use cubeftl::harness::{EvalConfig, Phase, QosSpec, Scenario, SpoConfig, TelemetrySpec};
 use cubeftl::{
-    events_to_ndjson, AgingState, FaultKind, FaultPlan, FtlKind, SimReport, StandardWorkload,
+    events_to_ndjson, AgingState, FaultKind, FaultPlan, FtlKind, KvConfig, SimReport,
+    StandardWorkload,
 };
 
 /// A smoke-scale config with every fault class enabled at a rate high
@@ -238,7 +239,7 @@ fn scenario_with_every_spec_off_reproduces_the_goldens() {
         Scenario {
             array: None,
             qos: QosSpec::off(),
-            kv: KvSpec::default(),
+            kv: KvConfig::default_shape(),
             lifetime: None,
             spo: None,
             failure: None,

@@ -13,7 +13,7 @@ mod common;
 
 use common::{eval, run};
 use cubeftl::harness::{
-    ArrayEvalConfig, EvalConfig, KvSpec, QosSpec, RunOutput, Scenario, SpoConfig, WorkloadSource,
+    ArrayEvalConfig, EvalConfig, QosSpec, RunOutput, Scenario, SpoConfig, WorkloadSource,
 };
 use cubeftl::{
     splitmix64, AgingState, FtlKind, HostQueueConfig, IntZipf, KvAppReport, KvConfig, KvStream,
@@ -31,11 +31,12 @@ fn cfg() -> EvalConfig {
 
 /// A small engine shape so flushes and compactions cycle many times
 /// inside a test-scale run.
-fn spec() -> KvSpec {
-    KvSpec {
+fn spec() -> KvConfig {
+    KvConfig {
         keys: 2_048,
         memtable_entries: 256,
-        ..KvSpec::default()
+        sst_entries: 256,
+        ..KvConfig::default_shape()
     }
 }
 
