@@ -32,7 +32,6 @@ impl Ftl {
         let g = self.geometry();
         let blocks = g.blocks_per_chip as usize;
         let pattern_on = engine.config().pattern_wear;
-        let pattern_strength = engine.config().pattern_wear_strength;
         let mut summary = EpochSummary {
             step: k,
             retention_added_months: engine.plan().step_delta(k).retention_months,
@@ -60,7 +59,7 @@ impl Ftl {
                         .flat_map(|oob| oob.lpns)
                         .filter(|&lpn| lpn != WlData::PAD)
                         .map(page_state_fraction);
-                    block_pattern_stress(fractions, pattern_strength)
+                    block_pattern_stress(fractions)
                 } else {
                     1.0
                 };

@@ -50,9 +50,6 @@ pub struct MaintConfig {
     /// Re-monitor an h-layer once the block has seen this many P/E
     /// cycles since its parameters were recorded.
     pub remonitor_pe_budget: u32,
-    /// Re-monitor an h-layer once its block's data is older than this
-    /// many months.
-    pub remonitor_retention_budget_months: f64,
     /// Whether wear-aware GC victim selection, wear-aware free-block
     /// allocation and cold-block recycling are active.
     pub wear_leveling: bool,
@@ -77,7 +74,6 @@ impl MaintConfig {
             scrub_retention_min_months: 6.0,
             scrub_ber_threshold: 1e-3,
             remonitor_pe_budget: 50,
-            remonitor_retention_budget_months: 6.0,
             wear_leveling: true,
             wear_spread_limit: 8,
             scrub_batch_pages: 12,
@@ -118,6 +114,10 @@ impl MaintState {
 /// Most stale h-layers one re-monitor dispatch handles (each costs a
 /// leader sample read, so this bounds the dispatch's chip time).
 const REMONITOR_LAYER_BATCH: usize = 8;
+
+/// Re-monitor an h-layer once its block's data is older than this many
+/// months (beside [`MaintConfig::remonitor_pe_budget`]).
+const REMONITOR_RETENTION_BUDGET_MONTHS: f64 = 6.0;
 
 impl Ftl {
     /// Enables the background maintenance subsystem: retention
@@ -302,7 +302,7 @@ impl Ftl {
                     continue;
                 };
                 let stale = pe_now.saturating_sub(recorded) > cfg.remonitor_pe_budget
-                    || retention > cfg.remonitor_retention_budget_months;
+                    || retention > REMONITOR_RETENTION_BUDGET_MONTHS;
                 if !stale {
                     continue;
                 }

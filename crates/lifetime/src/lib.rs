@@ -53,10 +53,8 @@ pub struct LifetimeConfig {
     /// the similarity-model sensitivity.
     pub variation_strength: f64,
     /// Whether resident-data cell-state composition modulates wear
-    /// (the STAR effect).
+    /// (the STAR effect), by [`PATTERN_WEAR_STRENGTH`].
     pub pattern_wear: bool,
-    /// Strength of the pattern-wear modulation in `[0, 1]`.
-    pub pattern_wear_strength: f64,
     /// Seed of the per-block jitter (domain-separated internally).
     pub seed: u64,
 }
@@ -72,7 +70,6 @@ impl LifetimeConfig {
             early_retention_exp: 1.0,
             variation_strength: 0.0,
             pattern_wear: false,
-            pattern_wear_strength: 0.0,
             seed: 0,
         }
     }
@@ -88,7 +85,6 @@ impl LifetimeConfig {
             early_retention_exp: 0.6,
             variation_strength: 0.3,
             pattern_wear: true,
-            pattern_wear_strength: 0.2,
             seed: 0x11FE,
         }
     }
@@ -117,10 +113,6 @@ impl LifetimeConfig {
         assert!(
             (0.0..=1.0).contains(&self.variation_strength),
             "variation_strength must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.pattern_wear_strength),
-            "pattern_wear_strength must be in [0, 1]"
         );
     }
 }
@@ -199,12 +191,16 @@ pub fn page_state_fraction(lpn: u64) -> f64 {
     f64::from((h & 0xffff_ffff_ffff).count_ones()) / 48.0
 }
 
+/// Strength of the pattern-wear modulation: block stress ranges over
+/// `[1 − strength, 1 + strength]`.
+pub const PATTERN_WEAR_STRENGTH: f64 = 0.2;
+
 /// Pattern-wear stress of a block from its resident pages' state
 /// fractions: charge-heavy data (> 0.5 mean high-charge fraction) wears
 /// the block faster, charge-light data slower. Neutral (1.0) for an
-/// empty block. Clamped to `[1 − strength, 1 + strength]` by
-/// construction.
-pub fn block_pattern_stress(fractions: impl Iterator<Item = f64>, strength: f64) -> f64 {
+/// empty block. Clamped to `[1 − PATTERN_WEAR_STRENGTH,
+/// 1 + PATTERN_WEAR_STRENGTH]` by construction.
+pub fn block_pattern_stress(fractions: impl Iterator<Item = f64>) -> f64 {
     let (mut sum, mut n) = (0.0, 0u32);
     for f in fractions {
         sum += f;
@@ -214,7 +210,7 @@ pub fn block_pattern_stress(fractions: impl Iterator<Item = f64>, strength: f64)
         return 1.0;
     }
     let mean = sum / f64::from(n);
-    1.0 + strength * (mean - 0.5) * 2.0
+    1.0 + PATTERN_WEAR_STRENGTH * (mean - 0.5) * 2.0
 }
 
 /// What the FTL reports back after applying one aging step: the inputs
@@ -416,13 +412,13 @@ mod tests {
 
     #[test]
     fn pattern_stress_is_neutral_at_center_and_bounded() {
-        assert_eq!(block_pattern_stress([].into_iter(), 0.5), 1.0);
-        let s = block_pattern_stress([0.5, 0.5].into_iter(), 0.4);
+        assert_eq!(block_pattern_stress([].into_iter()), 1.0);
+        let s = block_pattern_stress([0.5, 0.5].into_iter());
         assert!((s - 1.0).abs() < 1e-12);
-        let heavy = block_pattern_stress([1.0, 1.0].into_iter(), 0.4);
-        let light = block_pattern_stress([0.0, 0.0].into_iter(), 0.4);
-        assert!((heavy - 1.4).abs() < 1e-12);
-        assert!((light - 0.6).abs() < 1e-12);
+        let heavy = block_pattern_stress([1.0, 1.0].into_iter());
+        let light = block_pattern_stress([0.0, 0.0].into_iter());
+        assert!((heavy - 1.2).abs() < 1e-12);
+        assert!((light - 0.8).abs() < 1e-12);
     }
 
     #[test]
