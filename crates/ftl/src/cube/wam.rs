@@ -21,10 +21,9 @@
 //! order, which §4.1.3 shows is as reliable as the mixed one.
 
 use nand3d::{BlockId, Geometry, WlAddr};
-use serde::{Deserialize, Serialize};
 
 /// A WL selected by the WAM, tagged with its role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WlChoice {
     /// A leading WL, programmed with default parameters and monitored.
     Leader(WlAddr),
@@ -47,7 +46,7 @@ impl WlChoice {
 }
 
 /// Write-point state of one active block under the mixed-order scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ActiveBlock {
     block: BlockId,
     /// `i_Leader`: h-layer of the next free leader WL.

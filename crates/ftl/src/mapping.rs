@@ -2,11 +2,10 @@
 //! accounting.
 
 use nand3d::{Geometry, PageAddr, PageIndex, WlAddr, WlData};
-use serde::{Deserialize, Serialize};
 
 /// A physical page number: chip index plus the page's flat index within
 /// the chip (see [`Geometry::page_flat`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ppn {
     /// Chip holding the page.
     pub chip: u32,

@@ -14,10 +14,9 @@
 //!   follower, maximizing the pool the WAM can serve bursts from.
 
 use nand3d::{BlockId, Geometry, WlAddr};
-use serde::{Deserialize, Serialize};
 
 /// The order in which a block's WLs are programmed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProgramOrder {
     /// Conventional: h-layer by h-layer (Fig. 12(a)).
     HorizontalFirst,

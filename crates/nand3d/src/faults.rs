@@ -32,11 +32,10 @@
 use crate::geometry::WlAddr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The injectable fault kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Program: ISPP loop-count outlier (extra characterization shift).
     IsppLoopOutlier,
@@ -71,7 +70,7 @@ impl FaultKind {
 
 /// A fault pinned to one WL address; fires once per chip when that WL
 /// sees a matching operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TargetedFault {
     /// Block index.
     pub block: u32,
@@ -88,7 +87,7 @@ pub struct TargetedFault {
 /// `FaultPlan::default()` injects nothing. Rates are per matching
 /// operation and must be `< 1.0` for program faults (an FTL cannot make
 /// progress if *every* program attempt aborts).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault RNG stream (independent of the environment
     /// seed; per-chip streams are derived from it).
@@ -189,7 +188,7 @@ pub enum ProgramFault {
 /// A fault resolved against one read operation. Carried on
 /// [`ReadReport`](crate::chip::ReadReport) so the FTL can count its
 /// recovery actions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadFaultKind {
     /// Stale cached `ΔV_Ref`: forced re-search from the cached offset.
     StuckRetry,
@@ -198,7 +197,7 @@ pub enum ReadFaultKind {
 }
 
 /// Counts of injected faults (per chip; sum over the array for totals).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultCounters {
     /// ISPP loop-count outliers injected into programs.
     pub ispp_loop_outliers: u64,

@@ -12,36 +12,35 @@
 //! `Copy` data; [`Geometry`] holds the dimensions and the flattening /
 //! unflattening arithmetic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a NAND chip inside a [`FlashArray`](crate::FlashArray).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChipId(pub u32);
 
 /// Identifier of a flash block within one chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u32);
 
 /// Index of a horizontal layer within a block (0 = **topmost** layer; the
 /// etching process proceeds top → bottom, so layer 0 has the widest channel
 /// holes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HLayer(pub u16);
 
 /// Index of a vertical layer within a block. WL `v = 0` of each h-layer is
 /// the **leading WL** whose monitored parameters PS-aware techniques reuse
 /// for the remaining (follower) WLs `v > 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VLayer(pub u16);
 
 /// Index of a logical page within a TLC word line (0 = LSB, 1 = CSB,
 /// 2 = MSB).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageIndex(pub u8);
 
 /// Address of one word line: a (block, h-layer, v-layer) triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WlAddr {
     /// The block containing this WL.
     pub block: BlockId,
@@ -70,7 +69,7 @@ impl fmt::Display for WlAddr {
 }
 
 /// Address of one logical page: a WL plus the page slot within the WL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageAddr {
     /// The word line holding this page.
     pub wl: WlAddr,
@@ -89,7 +88,7 @@ impl fmt::Display for PageAddr {
 /// The default [`Geometry::paper`] matches the evaluation platform of
 /// §6.1: 428 blocks/chip, 48 h-layers/block, 4 WLs/h-layer, 3 pages/WL
 /// (TLC) and 16-KB pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Geometry {
     /// Number of blocks per chip.
     pub blocks_per_chip: u32,

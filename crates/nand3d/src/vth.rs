@@ -19,13 +19,11 @@
 //!   state overlap — the physical reason window shrinking consumes the
 //!   spare margin `S_M`.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of Vth states of a TLC cell (E plus P1..P7).
 pub const NUM_STATES: usize = 8;
 
 /// One Gaussian Vth state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VthState {
     /// Mean threshold voltage, volts.
     pub mean_v: f64,
@@ -47,7 +45,7 @@ impl VthState {
 }
 
 /// A full TLC Vth landscape: eight states and seven read references.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VthLandscape {
     /// The eight states, E first.
     pub states: [VthState; NUM_STATES],
@@ -59,7 +57,7 @@ pub struct VthLandscape {
 }
 
 /// Operating conditions the landscape is evaluated under.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VthConditions {
     /// Process factor of the WL's h-layer (≥ ~1, from
     /// [`ProcessModel`](crate::ProcessModel)).

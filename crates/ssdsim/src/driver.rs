@@ -7,8 +7,6 @@
 //! the write-buffer utilization `μ` that cubeFTL's WL allocation manager
 //! consumes (§5.2).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-call context the simulator passes to the FTL.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostContext {
@@ -19,7 +17,7 @@ pub struct HostContext {
 }
 
 /// Result of asking the FTL to program one WL worth of host pages.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WlWrite {
     /// NAND time the chip is busy for this write, µs: any GC the FTL ran
     /// first, plus the WL program itself (and a §4.1.4 re-program if the
@@ -34,7 +32,7 @@ pub struct WlWrite {
 /// Result of asking the FTL to perform one unit of background
 /// maintenance (retention scrub, wear-level migration, OPM re-monitor)
 /// on an idle chip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintWork {
     /// NAND time the chip is busy with the background operation, µs.
     /// Maintenance data moves stay on-chip (copy-back style), so the
@@ -43,7 +41,7 @@ pub struct MaintWork {
 }
 
 /// Result of asking the FTL to read one logical page.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageRead {
     /// Chip holding the mapped physical page.
     pub chip: usize,
@@ -60,7 +58,7 @@ macro_rules! ftl_stats {
     ($($(#[$doc:meta])* $name:ident,)*) => {
         /// FTL-internal counters, reported alongside the simulator's own
         /// statistics.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
         pub struct FtlStats {
             $($(#[$doc])* pub $name: u64,)*
         }

@@ -1,9 +1,7 @@
 //! Host request types.
 
-use serde::{Deserialize, Serialize};
-
 /// Direction of a host request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostOp {
     /// Read `n_pages` starting at `lpn`.
     Read,
@@ -16,7 +14,7 @@ pub enum HostOp {
 
 /// One block-level host request, page-granular (the paper's platform uses
 /// 16-KB pages; sub-page host I/O occupies a whole page).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HostRequest {
     /// Read or write.
     pub op: HostOp,
