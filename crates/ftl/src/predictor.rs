@@ -15,7 +15,7 @@
 
 use crate::cube::opm::Opm;
 use nand3d::config::IsppModel;
-use nand3d::{NandTiming, ProgramReport, WlAddr, NUM_PROGRAM_STATES};
+use nand3d::{LoopInterval, NandTiming, ProgramParams, ProgramReport, WlAddr, NUM_PROGRAM_STATES};
 
 /// A latency forecast with the information it was built from.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +48,23 @@ impl LatencyPredictor {
                 monitored: false,
             };
         };
-        let leader = params.leader_intervals;
+        Forecast {
+            latency_us: Self::monitored_tprog_us(
+                &params.leader_intervals,
+                &params.to_program_params(),
+            ),
+            monitored: true,
+        }
+    }
+
+    /// The tPROG of a follower programmed with `params` on an h-layer
+    /// whose leader finished its states at `leader` — the equation
+    /// behind [`follower_tprog`](Self::follower_tprog), fed the very
+    /// parameters the write path programs the follower with.
+    pub(crate) fn monitored_tprog_us(
+        leader: &[LoopInterval; NUM_PROGRAM_STATES],
+        params: &ProgramParams,
+    ) -> f64 {
         let step_mv = IsppModel::PAPER.delta_v_ispp_mv;
         let r_start = (params.v_start_up_mv / step_mv).floor() as u8;
         let r_final = (params.v_final_down_mv / step_mv).floor() as u8;
@@ -81,12 +97,7 @@ impl LatencyPredictor {
             verifies += u32::from(*l).saturating_sub(skip).max(1);
         }
         let t = &NandTiming::PAPER;
-        Forecast {
-            latency_us: f64::from(pulses) * t.t_pgm_us
-                + f64::from(verifies) * t.t_vfy_us
-                + t.t_set_features_us,
-            monitored: true,
-        }
+        f64::from(pulses) * t.t_pgm_us + f64::from(verifies) * t.t_vfy_us + t.t_set_features_us
     }
 
     /// The conservative estimate for unmonitored WLs (default-parameter
