@@ -216,6 +216,7 @@ cases! {
     rejects_kv_value_larger_than_a_page: "--ftl cube --blocks 16 --kv a --kv-value-bytes 16385";
     rejects_abort_rate_the_device_cannot_absorb: "--ftl cube --blocks 16 --requests 500 \
                                                   --fault-rate abort=0.8";
+    rejects_zero_ort_capacity: "--ftl cube --blocks 16 --ort-capacity 0";
 }
 
 /// The last value inside each range `Scenario::validate` checks is not
