@@ -7,32 +7,16 @@ use nand3d::{NandConfig, RetryOptConfig};
 /// recently decoded `ΔV_Ref` offsets instead of the cold default 0.
 /// Off by default — the conservative setting preserves every pre-cluster
 /// golden bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OrtClusterConfig {
     /// Master switch (`--ort-cluster on|off`).
     pub enabled: bool,
-    /// Decode samples an h-layer must accumulate before its cluster
-    /// average seeds cold blocks. Low thresholds warm up faster; higher
-    /// ones resist early-outlier skew.
-    pub min_samples: u32,
 }
 
 impl OrtClusterConfig {
-    /// The enabled configuration with the default warm-up threshold.
+    /// The enabled configuration.
     pub fn on() -> Self {
-        OrtClusterConfig {
-            enabled: true,
-            min_samples: 2,
-        }
-    }
-}
-
-impl Default for OrtClusterConfig {
-    fn default() -> Self {
-        OrtClusterConfig {
-            enabled: false,
-            min_samples: 2,
-        }
+        OrtClusterConfig { enabled: true }
     }
 }
 

@@ -292,6 +292,10 @@ pub struct OffsetLookup {
     pub seeded: bool,
 }
 
+/// Decode samples an h-layer cluster must accumulate before its average
+/// seeds cold blocks: a single early outlier never seeds on its own.
+const CLUSTER_MIN_SAMPLES: u32 = 2;
+
 /// Per-chip cross-block offset cluster (§4.2.2): one exponentially
 /// weighted moving average of recently decoded `ΔV_Ref` offsets per
 /// h-layer, aggregated across all blocks of the chip. Horizontal process
@@ -330,10 +334,10 @@ impl OffsetCluster {
         self.samples[h] = self.samples[h].saturating_add(1);
     }
 
-    /// The rounded cluster average for `h`, once at least `min_samples`
-    /// decodes have been folded in.
-    fn predict(&self, h: usize, min_samples: u32) -> Option<u8> {
-        (self.samples[h] >= min_samples.max(1))
+    /// The rounded cluster average for `h`, once at least
+    /// [`CLUSTER_MIN_SAMPLES`] decodes have been folded in.
+    fn predict(&self, h: usize) -> Option<u8> {
+        (self.samples[h] >= CLUSTER_MIN_SAMPLES)
             .then(|| (((self.ewma_q8[h] + 128) >> 8) as u8).min(MAX_OFFSET_INDEX))
     }
 }
@@ -362,8 +366,6 @@ pub struct Opm {
     ort_fallbacks: Cell<u64>,
     /// Cross-block offset clusters, one per chip (`None`: feature off).
     cluster: Option<Vec<OffsetCluster>>,
-    /// Minimum decode samples an h-layer cluster needs before it seeds.
-    cluster_min_samples: u32,
     /// ORT misses answered with a cluster seed.
     cluster_seeds: u64,
     /// Seeded reads whose decode confirmed the seed exactly.
@@ -403,7 +405,6 @@ impl Opm {
             ort_evictions: 0,
             ort_fallbacks: Cell::new(0),
             cluster: None,
-            cluster_min_samples: 1,
             cluster_seeds: 0,
             cluster_hits: 0,
             cluster_mispredicts: 0,
@@ -418,7 +419,6 @@ impl Opm {
         if cfg.enabled {
             let (chips, hlayers) = (self.chips.len(), self.hlayers);
             self.cluster = Some((0..chips).map(|_| OffsetCluster::new(hlayers)).collect());
-            self.cluster_min_samples = cfg.min_samples.max(1);
         } else {
             self.cluster = None;
         }
@@ -577,7 +577,7 @@ impl Opm {
         if table.slots[i].has(LayerSlot::DEMOTED) || table.ort[i].quarantined() {
             return None;
         }
-        clusters[chip].predict(usize::from(wl.h.0), self.cluster_min_samples)
+        clusters[chip].predict(usize::from(wl.h.0))
     }
 
     /// The starting read offset for `wl` (§4.2): the block's own cached
@@ -1013,18 +1013,11 @@ mod tests {
         );
     }
 
-    fn cluster_on(min_samples: u32) -> OrtClusterConfig {
-        OrtClusterConfig {
-            enabled: true,
-            min_samples,
-        }
-    }
-
     #[test]
     fn cluster_seeds_cold_lookup_from_hlayer_average() {
         let (mut opm, chip) = setup();
         let g = *chip.geometry();
-        opm.set_cluster(cluster_on(2));
+        opm.set_cluster(OrtClusterConfig::on());
         // Two blocks decode their h-layer 5 at offset 4.
         opm.update_read_offset(0, g.wl_addr(nand3d::BlockId(0), 5, 0), 4);
         opm.update_read_offset(0, g.wl_addr(nand3d::BlockId(1), 5, 1), 4);
@@ -1059,21 +1052,21 @@ mod tests {
     fn cluster_needs_min_samples_before_seeding() {
         let (mut opm, chip) = setup();
         let g = *chip.geometry();
-        opm.set_cluster(cluster_on(3));
+        opm.set_cluster(OrtClusterConfig::on());
         opm.update_read_offset(0, g.wl_addr(nand3d::BlockId(0), 2, 0), 5);
-        opm.update_read_offset(0, g.wl_addr(nand3d::BlockId(1), 2, 0), 5);
         let cold = g.wl_addr(nand3d::BlockId(2), 2, 0);
-        assert_eq!(opm.read_offset(0, cold), 0, "two samples < threshold 3");
-        opm.update_read_offset(0, g.wl_addr(nand3d::BlockId(3), 2, 0), 5);
-        assert_eq!(opm.read_offset(0, cold), 5, "third sample arms the seed");
+        assert_eq!(opm.read_offset(0, cold), 0, "one sample < threshold 2");
+        opm.update_read_offset(0, g.wl_addr(nand3d::BlockId(1), 2, 0), 5);
+        assert_eq!(opm.read_offset(0, cold), 5, "second sample arms the seed");
     }
 
     #[test]
     fn cluster_respects_quarantine_and_demotion() {
         let (mut opm, chip) = setup();
         let g = *chip.geometry();
-        opm.set_cluster(cluster_on(1));
+        opm.set_cluster(OrtClusterConfig::on());
         opm.update_read_offset(0, g.wl_addr(nand3d::BlockId(0), 4, 0), 3);
+        opm.update_read_offset(0, g.wl_addr(nand3d::BlockId(3), 4, 0), 3);
 
         // Crash recovery quarantines block 1's h-layer 4: no seed.
         assert!(opm.quarantine_cluster_key(0, 1, 4));
@@ -1100,7 +1093,7 @@ mod tests {
             "cluster off: nothing to quarantine, recovery reports unchanged"
         );
         // Erase clears any quarantine for the block.
-        opm.set_cluster(cluster_on(1));
+        opm.set_cluster(OrtClusterConfig::on());
         assert!(opm.quarantine_cluster_key(0, 1, 4));
         opm.invalidate_block(0, 1);
         assert!(opm.quarantine_cluster_key(0, 1, 4), "erase cleared the key");
@@ -1110,7 +1103,7 @@ mod tests {
     fn quarantine_outlives_eviction_and_erase_keeps_offsets() {
         let g = NandConfig::small().geometry;
         let mut opm = Opm::with_ort_capacity(&g, 1, 1);
-        opm.set_cluster(cluster_on(1));
+        opm.set_cluster(OrtClusterConfig::on());
         let suspect = g.wl_addr(nand3d::BlockId(1), 4, 0);
         let other = g.wl_addr(nand3d::BlockId(0), 4, 0);
         opm.update_read_offset(0, suspect, 5);
@@ -1158,7 +1151,7 @@ mod tests {
 
         // Cluster on: jittering decodes around 4 are averaged away, so
         // the warm start stays at the jitter-free optimum.
-        opm.set_cluster(cluster_on(1));
+        opm.set_cluster(OrtClusterConfig::on());
         let jittery = g.wl_addr(nand3d::BlockId(1), 3, 0);
         for &o in &[4u8, 5, 4, 3, 4, 5, 4, 3] {
             opm.update_read_offset(0, jittery, o);
@@ -1170,8 +1163,9 @@ mod tests {
     fn cluster_counters_score_seeded_outcomes() {
         let (mut opm, chip) = setup();
         let g = *chip.geometry();
-        opm.set_cluster(cluster_on(1));
+        opm.set_cluster(OrtClusterConfig::on());
         opm.update_read_offset(0, g.wl_addr(nand3d::BlockId(0), 1, 0), 2);
+        opm.update_read_offset(0, g.wl_addr(nand3d::BlockId(2), 1, 0), 2);
         let cold = g.wl_addr(nand3d::BlockId(1), 1, 0);
         let lookup = opm.lookup_offset(0, cold);
         assert!(lookup.seeded);
@@ -1382,7 +1376,7 @@ mod tests {
             if self.demoted.contains(&key) || self.quarantine.contains(&key) {
                 return None;
             }
-            clusters[key.0].predict(usize::from(key.2), 2)
+            clusters[key.0].predict(usize::from(key.2))
         }
 
         fn lookup_offset(&mut self, key: Key) -> OffsetLookup {
@@ -1504,7 +1498,7 @@ mod tests {
                 .flat_map(|c| [1, 4, usize::MAX].map(|cap| (c, cap)))
             {
                 let mut opm = Opm::with_ort_capacity(&g, 2, capacity);
-                opm.set_cluster(OrtClusterConfig { enabled: cluster_on, min_samples: 2 });
+                opm.set_cluster(OrtClusterConfig { enabled: cluster_on });
                 let mut reference = RefOpm {
                     capacity: capacity.min(4 * 6),
                     cluster: cluster_on.then(|| vec![OffsetCluster::new(6); 2]),

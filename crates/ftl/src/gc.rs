@@ -115,14 +115,10 @@ impl Ftl {
         let candidates = (0..g.blocks_per_chip)
             .map(BlockId)
             .filter(|b| self.is_closed(chip, *b));
-        let wear = self
-            .maint
-            .as_ref()
-            .filter(|m| m.config.wear_leveling)
-            .map(|m| {
-                let env = self.array.chip(chip).expect("valid chip").env();
-                (env, m.config.wear_spread_limit)
-            });
+        let wear = self.maint.as_ref().map(|m| {
+            let env = self.array.chip(chip).expect("valid chip").env();
+            (env, m.config.wear_spread_limit)
+        });
         select_victim(&self.mapping, chip, candidates, g.pages_per_block(), wear)
     }
 

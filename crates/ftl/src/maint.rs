@@ -50,9 +50,6 @@ pub struct MaintConfig {
     /// Re-monitor an h-layer once the block has seen this many P/E
     /// cycles since its parameters were recorded.
     pub remonitor_pe_budget: u32,
-    /// Whether wear-aware GC victim selection, wear-aware free-block
-    /// allocation and cold-block recycling are active.
-    pub wear_leveling: bool,
     /// Target bound on the hot/cold erase-count spread; the wear-level
     /// service recycles cold blocks while the spread exceeds it.
     pub wear_spread_limit: u32,
@@ -74,7 +71,6 @@ impl MaintConfig {
             scrub_retention_min_months: 6.0,
             scrub_ber_threshold: 1e-3,
             remonitor_pe_budget: 50,
-            wear_leveling: true,
             wear_spread_limit: 8,
             scrub_batch_pages: 12,
         }
@@ -133,9 +129,9 @@ impl Ftl {
     }
 
     /// Whether the wear-leveling service steers victim selection and
-    /// free-block allocation.
+    /// free-block allocation: whenever maintenance is on.
     pub(crate) fn wear_leveling_on(&self) -> bool {
-        self.maint.as_ref().is_some_and(|m| m.config.wear_leveling)
+        self.maint.is_some()
     }
 
     fn maint_state(&mut self) -> &mut MaintState {
@@ -335,9 +331,6 @@ impl Ftl {
     /// the allocation pool, narrowing the spread from both ends.
     fn wear_step(&mut self, chip: usize, mu: f64) -> Option<f64> {
         let cfg = self.maint.as_ref()?.config;
-        if !cfg.wear_leveling {
-            return None;
-        }
         if let Some(t) = self.ckpt_wear_step(chip) {
             return Some(t);
         }
@@ -451,7 +444,6 @@ mod tests {
     #[test]
     fn default_on_orders_thresholds_sanely() {
         let c = MaintConfig::default_on();
-        assert!(c.wear_leveling);
         assert_eq!(c.gap_us, 200.0);
         // MidLife (1 month) must not qualify for scrubbing; EndOfLife
         // (12 months) must.
@@ -551,7 +543,7 @@ mod tests {
         // Isolate the re-monitor service.
         maint.scrub_retention_min_months = f64::INFINITY;
         maint.scrub_ber_threshold = f64::INFINITY;
-        maint.wear_leveling = false;
+        maint.wear_spread_limit = u32::MAX;
         ftl.enable_maintenance(maint);
 
         let pending_before = ftl.opm().unwrap().pending_layers();

@@ -91,7 +91,7 @@ pub(crate) fn block_wls(
 }
 
 /// The erase counters that steer allocation and victim selection on
-/// `chip` while the wear-leveling service is on. A function of the two
+/// `chip` while maintenance, and with it wear leveling, is on. A function of the two
 /// fields it reads, so callers can go on mutating the free pools.
 pub(crate) fn wear_env<'a>(
     maint: &Option<MaintState>,
@@ -99,8 +99,7 @@ pub(crate) fn wear_env<'a>(
     chip: usize,
 ) -> Option<&'a Environment> {
     maint
-        .as_ref()
-        .is_some_and(|m| m.config.wear_leveling)
+        .is_some()
         .then(|| array.chip(chip).expect("valid chip").env())
 }
 

@@ -58,13 +58,14 @@ pub struct KvConfig {
     /// Total level count (L0 plus `max_levels − 1` leveled tiers; the
     /// last tier absorbs everything, so the count is a hard bound).
     pub max_levels: u32,
-    /// WAL ring size, pages (0 disables the WAL).
-    pub wal_pages: u32,
 }
+
+/// WAL ring size, pages: the top of the engine's logical space.
+const WAL_PAGES: u32 = 64;
 
 impl KvConfig {
     /// The default shape: 1-KiB values, 2 Ki-entry memtable/SSTs,
-    /// 4-run L0, fanout 4, four levels, a 64-page WAL ring.
+    /// 4-run L0, fanout 4, four levels.
     pub fn default_shape() -> Self {
         KvConfig {
             keys: 8_192,
@@ -74,7 +75,6 @@ impl KvConfig {
             l0_files: 4,
             fanout: 4,
             max_levels: 4,
-            wal_pages: 64,
         }
     }
 
@@ -94,7 +94,7 @@ impl KvConfig {
     /// fits in `space_pages` logical pages with headroom.
     pub fn clamped(mut self, space_pages: u64) -> Self {
         let epp = u64::from(self.entries_per_page());
-        let data_pages = space_pages.saturating_sub(u64::from(self.wal_pages));
+        let data_pages = space_pages.saturating_sub(u64::from(WAL_PAGES));
         // Live data ≤ ~2× the key count (bottom level plus upper-level
         // duplicates) and compaction transiently doubles the touched
         // runs: budget 6 entry-slots of space per key.
@@ -250,7 +250,7 @@ impl LsmTree {
     /// takes the top of the space; SST extents come from the rest.
     pub fn new(cfg: KvConfig, space_pages: u64) -> Self {
         cfg.validate();
-        let data_pages = space_pages.saturating_sub(u64::from(cfg.wal_pages));
+        let data_pages = space_pages.saturating_sub(u64::from(WAL_PAGES));
         assert!(
             data_pages >= 64,
             "kv engine needs at least 64 data pages, got {data_pages}"
@@ -384,15 +384,13 @@ impl LsmTree {
                 self.stats.updates += 1;
             }
             self.stats.user_bytes += u64::from(self.cfg.entry_bytes());
-            if self.cfg.wal_pages > 0 {
-                self.wal_batch += 1;
-                if self.wal_batch >= self.epp {
-                    self.wal_batch = 0;
-                    let lpn = self.data_pages + u64::from(self.wal_next);
-                    self.wal_next = (self.wal_next + 1) % self.cfg.wal_pages;
-                    self.out.push_back(HostRequest::write(lpn));
-                    self.stats.wal_pages_written += 1;
-                }
+            self.wal_batch += 1;
+            if self.wal_batch >= self.epp {
+                self.wal_batch = 0;
+                let lpn = self.data_pages + u64::from(self.wal_next);
+                self.wal_next = (self.wal_next + 1) % WAL_PAGES;
+                self.out.push_back(HostRequest::write(lpn));
+                self.stats.wal_pages_written += 1;
             }
         }
         self.mem.insert(key, fp);
@@ -686,7 +684,6 @@ mod tests {
             l0_files: 2,
             fanout: 2,
             max_levels: 3,
-            wal_pages: 8,
         }
     }
 

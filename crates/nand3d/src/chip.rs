@@ -15,7 +15,10 @@
 use crate::config::{NandConfig, NandTiming};
 use crate::environment::{AgingState, Environment};
 use crate::error::NandError;
-use crate::faults::{FaultCounters, FaultInjector, FaultPlan, ProgramFault, ReadFaultKind};
+use crate::faults::{
+    FaultCounters, FaultInjector, FaultPlan, ProgramFault, ReadFaultKind, BER_SPIKE_FACTOR,
+    LOOP_OUTLIER_SHIFT,
+};
 use crate::geometry::{BlockId, Geometry, PageAddr, WlAddr};
 use crate::ispp::{IsppEngine, LoopInterval, ProgramParams, NUM_PROGRAM_STATES};
 use crate::process::ProcessModel;
@@ -304,7 +307,7 @@ impl NandChip {
         &self.ispp
     }
 
-    /// Sets the retry-chain optimization switches (Park-et-al-style
+    /// Sets the retry-chain optimization switch (Park-et-al-style
     /// speculation, prediction and early termination).
     pub fn set_retry_opt(&mut self, opt: crate::read::RetryOptConfig) {
         self.retry.set_opt(opt);
@@ -479,20 +482,20 @@ impl NandChip {
         let fault = self.faults.as_mut().and_then(|f| f.on_program(wl));
         let disturbed = self.env.sample_disturbance();
         let mut shift: i8 = if disturbed { 2 } else { 0 };
-        if let Some(ProgramFault::LoopOutlier(extra)) = fault {
-            shift = shift.saturating_add(extra);
+        if fault == Some(ProgramFault::LoopOutlier) {
+            shift = shift.saturating_add(LOOP_OUTLIER_SHIFT);
         }
         let terms = self.block_terms(wl.block.0 as usize);
         let chars =
             self.ispp
                 .characterize_at(&self.process, wl, terms.pe, terms.retention_term, shift);
         let mut outcome = self.ispp.program(&chars, params)?;
-        if let Some(ProgramFault::BerSpike(factor)) = fault {
-            outcome.apply_ber_spike(factor);
+        if fault == Some(ProgramFault::BerSpike) {
+            outcome.apply_ber_spike(BER_SPIKE_FACTOR);
         }
         self.programs += 1;
 
-        if matches!(fault, Some(ProgramFault::Abort)) {
+        if fault == Some(ProgramFault::Abort) {
             // Suspend/abort mid-ISPP: the WL stays erased, the command
             // still burned part of its pulse budget before aborting.
             return Ok(ProgramReport {

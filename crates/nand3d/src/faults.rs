@@ -87,7 +87,7 @@ pub struct TargetedFault {
 /// `FaultPlan::default()` injects nothing. Rates are per matching
 /// operation and must be `< 1.0` for program faults (an FTL cannot make
 /// progress if *every* program attempt aborts).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed of the fault RNG stream (independent of the environment
     /// seed; per-chip streams are derived from it).
@@ -104,28 +104,6 @@ pub struct FaultPlan {
     pub uncorrectable_rate: f64,
     /// Per-program probability of a suspend/abort event.
     pub abort_rate: f64,
-    /// Multiplier applied to `post_ber` by a BER spike. The default 4.0
-    /// clears the §4.1.4 ×3 safety threshold.
-    pub ber_spike_factor: f64,
-    /// Extra characterization shift of a loop outlier (steps). The
-    /// default 3 exceeds the ambient-disturbance shift of 2.
-    pub loop_outlier_shift: i8,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            seed: 0,
-            targeted: Vec::new(),
-            ispp_outlier_rate: 0.0,
-            ber_spike_rate: 0.0,
-            stuck_retry_rate: 0.0,
-            uncorrectable_rate: 0.0,
-            abort_rate: 0.0,
-            ber_spike_factor: 4.0,
-            loop_outlier_shift: 3,
-        }
-    }
 }
 
 impl FaultPlan {
@@ -174,13 +152,21 @@ impl FaultPlan {
     }
 }
 
+/// Multiplier a BER spike applies to `post_ber`: 4 clears the §4.1.4 ×3
+/// safety threshold.
+pub(crate) const BER_SPIKE_FACTOR: f64 = 4.0;
+
+/// Extra characterization shift of a loop outlier, steps: 3 exceeds the
+/// ambient-disturbance shift of 2.
+pub(crate) const LOOP_OUTLIER_SHIFT: i8 = 3;
+
 /// A fault resolved against one program operation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProgramFault {
-    /// Add this many characterization shift steps.
-    LoopOutlier(i8),
-    /// Multiply the post-program BER by this factor.
-    BerSpike(f64),
+    /// Add [`LOOP_OUTLIER_SHIFT`] characterization shift steps.
+    LoopOutlier,
+    /// Multiply the post-program BER by [`BER_SPIKE_FACTOR`].
+    BerSpike,
     /// Abort the program; the WL stays erased.
     Abort,
 }
@@ -325,11 +311,11 @@ impl FaultInjector {
         Some(match kind {
             FaultKind::IsppLoopOutlier => {
                 self.counters.ispp_loop_outliers += 1;
-                ProgramFault::LoopOutlier(self.plan.loop_outlier_shift)
+                ProgramFault::LoopOutlier
             }
             FaultKind::BerSpike => {
                 self.counters.ber_spikes += 1;
-                ProgramFault::BerSpike(self.plan.ber_spike_factor)
+                ProgramFault::BerSpike
             }
             FaultKind::ProgramAbort => {
                 self.counters.program_aborts += 1;
@@ -408,10 +394,7 @@ mod tests {
             .with_target(0, 0, 0, FaultKind::StuckRetry);
         let mut inj = FaultInjector::new(plan, 0);
         assert_eq!(inj.on_read(wl(0, 0, 0)), Some(ReadFaultKind::StuckRetry));
-        assert!(matches!(
-            inj.on_program(wl(0, 0, 0)),
-            Some(ProgramFault::BerSpike(f)) if f == 4.0
-        ));
+        assert_eq!(inj.on_program(wl(0, 0, 0)), Some(ProgramFault::BerSpike));
         assert_eq!(inj.on_read(wl(0, 0, 0)), None);
         assert_eq!(inj.on_program(wl(0, 0, 0)), None);
     }

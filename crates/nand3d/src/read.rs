@@ -93,42 +93,43 @@ pub struct RetryOutcome {
     pub first_try: bool,
     /// Whether a hopeless retry chain was cut short: a cluster-seeded
     /// walk abandoned in favour of the default schedule, or a full
-    /// offset scan stopped at the shortened budget (with
-    /// [`RetryOptConfig::early_terminate`]).
+    /// offset scan stopped at the shortened budget (under
+    /// [`RetryOptConfig::on`]).
     pub early_terminated: bool,
 }
 
-/// Park-et-al-style retry-chain optimizations (arXiv 2104.09611),
-/// individually switchable. All off by default — the conservative
-/// setting reproduces the unoptimized chain bit for bit.
+/// Park-et-al-style retry-chain optimizations (arXiv 2104.09611), one
+/// switch for all three:
+///
+/// * *prediction* — cold reads (default start, no seed) jump to an
+///   offset predicted from the block's P/E count and retention age
+///   after the first failed sensing, instead of stepping one offset at
+///   a time;
+/// * *speculation* — retry steps speculate two offsets ahead per
+///   sensing, halving long walks (rounded up — the final fine-tune step
+///   still lands exactly);
+/// * *early termination* — uncorrectable-fault full scans stop at half
+///   the offset budget (soft-decision sensing recognizes a hopeless
+///   chain early).
+///
+/// Off by default — the conservative setting reproduces the
+/// unoptimized chain bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetryOptConfig {
-    /// Cold reads (default start, no seed) jump to an offset predicted
-    /// from the block's P/E count and retention age after the first
-    /// failed sensing, instead of stepping one offset at a time.
-    pub predict: bool,
-    /// Retry steps speculate two offsets ahead per sensing, halving long
-    /// walks (rounded up — the final fine-tune step still lands exactly).
-    pub speculate: bool,
-    /// Uncorrectable-fault full scans stop at half the offset budget
-    /// (soft-decision sensing recognizes a hopeless chain early).
-    pub early_terminate: bool,
+    /// Whether the optimizations run (`--retry-opt on|off`).
+    pub enabled: bool,
 }
 
 impl RetryOptConfig {
     /// Every optimization enabled (`--retry-opt on`).
     pub fn on() -> Self {
-        RetryOptConfig {
-            predict: true,
-            speculate: true,
-            early_terminate: true,
-        }
+        RetryOptConfig { enabled: true }
     }
 }
 
 /// The read-retry engine for one chip: the calibrated
 /// [`RetryModel::PAPER`] and [`NandTiming::PAPER`] plus the chip's
-/// retry-chain optimization switches.
+/// retry-chain optimization switch.
 #[derive(Debug, Clone, Default)]
 pub struct RetryEngine {
     opt: RetryOptConfig,
@@ -140,12 +141,12 @@ impl RetryEngine {
         RetryEngine::default()
     }
 
-    /// Sets the retry-chain optimization switches.
+    /// Sets the retry-chain optimization switch.
     pub fn set_opt(&mut self, opt: RetryOptConfig) {
         self.opt = opt;
     }
 
-    /// The current retry-chain optimization switches.
+    /// The current retry-chain optimization switch.
     pub fn opt(&self) -> RetryOptConfig {
         self.opt
     }
@@ -270,19 +271,19 @@ impl RetryEngine {
     ///   is strictly shorter, the seed is abandoned — early termination
     ///   of a hopeless chain — and the default cost is paid. A seed can
     ///   never lose to a cold start.
-    /// * `predict`: a cold read (default start, unseeded) spends one
-    ///   retry jumping to `predicted` (the block's
+    /// * Prediction (optimizations on): a cold read (default start,
+    ///   unseeded) spends one retry jumping to `predicted` (the block's
     ///   [`RetryEngine::predicted_offset`]), then walks from there —
     ///   taken only when it beats the plain walk.
-    /// * `speculate`: chains longer than one step sense two offsets per
-    ///   retry (rounded up).
+    /// * Speculation (optimizations on): chains longer than one step
+    ///   sense two offsets per retry (rounded up).
     fn chain_cost(&self, params: ReadParams, optimal: u8, predicted: u8) -> (u32, bool) {
         let walk = u32::from(params.start_offset.abs_diff(optimal));
         // Cost of the predicted jump (one retry to move there, then the
         // residual walk), when prediction is on and has something to say.
         let jump = self
             .opt
-            .predict
+            .enabled
             .then_some(predicted)
             .filter(|&p| p > 0)
             .map(|p| 1 + u32::from(p.abs_diff(optimal)));
@@ -311,7 +312,7 @@ impl RetryEngine {
             }
             (c, false)
         };
-        if self.opt.speculate && cost > 1 {
+        if self.opt.enabled && cost > 1 {
             cost = cost.div_ceil(2);
         }
         if cost == 0 {
@@ -474,7 +475,7 @@ impl RetryEngine {
                 let full_scan = u32::from(MAX_OFFSET_INDEX) + 1;
                 // With early termination on, soft-decision sensing stops
                 // the hopeless scan at half the offset budget.
-                let scan = if self.opt.early_terminate {
+                let scan = if self.opt.enabled {
                     out.early_terminated = true;
                     full_scan / 2
                 } else {
@@ -724,19 +725,17 @@ mod tests {
         let plain = engine.read(&process, wl, &env, ReadParams::default(), true, false, 0);
         assert_eq!(plain.retries, u32::from(optimal));
 
-        engine.set_opt(RetryOptConfig {
-            predict: true,
-            speculate: false,
-            early_terminate: false,
-        });
+        engine.set_opt(RetryOptConfig::on());
         let predicted = engine.read(&process, wl, &env, ReadParams::default(), true, false, 0);
         let p = engine.predicted_offset(&env, wl.block.0 as usize);
         assert!(p > 0, "aged block has a nonzero predicted shift");
-        assert_eq!(
-            predicted.retries,
-            u32::from(optimal).min(1 + u32::from(p.abs_diff(optimal)))
+        let jump = u32::from(optimal).min(1 + u32::from(p.abs_diff(optimal)));
+        assert!(
+            jump.div_ceil(2) < u32::from(optimal).div_ceil(2),
+            "the jump must beat the walk even at two offsets per sensing"
         );
-        assert!(predicted.retries < plain.retries);
+        // The jump, then speculation halves what is left of the chain.
+        assert_eq!(predicted.retries, jump.div_ceil(2));
         // Prediction never touches warm (nonzero-start) or seeded reads.
         let warm = engine.read(
             &process,
@@ -759,23 +758,47 @@ mod tests {
             .map(|h| g.wl_addr(BlockId(7), h, 0))
             .max_by_key(|&wl| engine.optimal_offset(&process, wl, &env))
             .unwrap();
-        let plain = engine.read(&process, wl, &env, ReadParams::default(), true, false, 0);
+        // A warm start away from the optimum: prediction only ever
+        // shortens cold walks, so this isolates speculation.
+        let warm = ReadParams::from_offset(1);
+        let plain = engine.read(&process, wl, &env, warm, true, false, 0);
         assert!(plain.retries > 1);
-        engine.set_opt(RetryOptConfig {
-            predict: false,
-            speculate: true,
-            early_terminate: false,
-        });
-        let spec = engine.read(&process, wl, &env, ReadParams::default(), true, false, 0);
+        engine.set_opt(RetryOptConfig::on());
+        let spec = engine.read(&process, wl, &env, warm, true, false, 0);
         assert_eq!(spec.retries, plain.retries.div_ceil(2));
         assert_eq!(spec.final_offset, plain.final_offset);
     }
 
     #[test]
+    fn early_termination_halves_uncorrectable_scans() {
+        let (mut engine, process, env) = setup();
+        let wl = process.geometry().wl_addr(BlockId(4), 10, 0);
+        let uncorrectable = |engine: &RetryEngine| {
+            engine.read_faulted(
+                &process,
+                wl,
+                &env,
+                ReadParams::default(),
+                true,
+                false,
+                0,
+                Some(ReadFaultKind::Uncorrectable),
+            )
+        };
+        let full_scan = u32::from(MAX_OFFSET_INDEX) + 1;
+        let full = uncorrectable(&engine);
+        assert_eq!(full.retries, full_scan);
+        assert!(!full.early_terminated);
+        engine.set_opt(RetryOptConfig::on());
+        let cut = uncorrectable(&engine);
+        assert_eq!(cut.retries, full_scan / 2);
+        assert!(cut.early_terminated);
+        assert_eq!(cut.final_offset, full.final_offset);
+    }
+
+    #[test]
     fn retry_opt_default_is_all_off() {
-        let opt = RetryOptConfig::default();
-        assert!(!opt.predict && !opt.speculate && !opt.early_terminate);
-        let on = RetryOptConfig::on();
-        assert!(on.predict && on.speculate && on.early_terminate);
+        assert!(!RetryOptConfig::default().enabled);
+        assert!(RetryOptConfig::on().enabled);
     }
 }

@@ -94,15 +94,19 @@ pub struct SsdConfig {
     pub queue_depth: usize,
     /// Write-buffer capacity in pages.
     pub buffer_pages: usize,
-    /// Host submission overhead per request, µs.
-    pub t_submit_us: f64,
-    /// DRAM buffer access latency (write acceptance / read hit), µs.
-    pub t_buffer_us: f64,
-    /// Bus transfer time per 16-KB page, µs.
-    pub t_xfer_page_us: f64,
-    /// Maximum flush operations queued per chip at a time.
-    pub max_pending_flush_per_chip: usize,
 }
+
+/// Host submission overhead per request, µs.
+const T_SUBMIT_US: f64 = 1.5;
+
+/// DRAM buffer access latency (write acceptance / read hit), µs.
+const T_BUFFER_US: f64 = 5.0;
+
+/// Bus transfer time per 16-KB page, µs.
+const T_XFER_PAGE_US: f64 = 20.0;
+
+/// Maximum flush operations queued per chip at a time.
+const MAX_PENDING_FLUSH_PER_CHIP: usize = 2;
 
 impl SsdConfig {
     /// The paper's platform: 2 buses × 4 chips (§6.1), queue depth 32.
@@ -112,10 +116,6 @@ impl SsdConfig {
             buses: 2,
             queue_depth: 32,
             buffer_pages: 48,
-            t_submit_us: 1.5,
-            t_buffer_us: 5.0,
-            t_xfer_page_us: 20.0,
-            max_pending_flush_per_chip: 2,
         }
     }
 
@@ -126,10 +126,6 @@ impl SsdConfig {
             buses: 1,
             queue_depth: 4,
             buffer_pages: 16,
-            t_submit_us: 1.5,
-            t_buffer_us: 5.0,
-            t_xfer_page_us: 20.0,
-            max_pending_flush_per_chip: 2,
         }
     }
 }
@@ -1105,7 +1101,7 @@ impl SsdSim {
             "request larger than the write buffer"
         );
         let submit = self.now.max(self.host_free_at);
-        self.host_free_at = submit + self.config.t_submit_us;
+        self.host_free_at = submit + T_SUBMIT_US;
 
         let id = self.requests.insert(InFlightRequest {
             arrival_us: submit,
@@ -1128,10 +1124,7 @@ impl SsdSim {
                         let accepted = self.buffer.push(lpn);
                         debug_assert!(accepted, "room was checked");
                     }
-                    self.push_event(
-                        submit + self.config.t_buffer_us,
-                        EventKind::WriteAccepted { req: id },
-                    );
+                    self.push_event(submit + T_BUFFER_US, EventKind::WriteAccepted { req: id });
                 } else {
                     self.stalled.push_back(StalledWrite {
                         req: id,
@@ -1150,16 +1143,13 @@ impl SsdSim {
                 for lpn in req.lpns() {
                     ftl.trim(lpn);
                 }
-                self.push_event(
-                    submit + self.config.t_buffer_us,
-                    EventKind::WriteAccepted { req: id },
-                );
+                self.push_event(submit + T_BUFFER_US, EventKind::WriteAccepted { req: id });
             }
             HostOp::Read => {
                 for lpn in req.lpns() {
                     if self.buffer.contains(lpn) {
                         self.push_event(
-                            submit + self.config.t_buffer_us,
+                            submit + T_BUFFER_US,
                             EventKind::ReadPartServed { req: id },
                         );
                         continue;
@@ -1179,7 +1169,7 @@ impl SsdSim {
                             // Never-written page: served as an unmapped
                             // read at DRAM speed.
                             self.push_event(
-                                submit + self.config.t_buffer_us,
+                                submit + T_BUFFER_US,
                                 EventKind::ReadPartServed { req: id },
                             );
                         }
@@ -1271,7 +1261,7 @@ impl SsdSim {
             | ChipOp::Rebuild { nand_us } => *nand_us,
         };
         let done = if pages > 0.0 {
-            let transfer = pages * self.config.t_xfer_page_us;
+            let transfer = pages * T_XFER_PAGE_US;
             let start = self.now.max(self.bus_free_at[bus]);
             self.bus_free_at[bus] = start + transfer;
             start + transfer + nand_us
@@ -1373,7 +1363,7 @@ impl SsdSim {
                 debug_assert!(accepted, "room was checked");
             }
             self.push_event(
-                self.now + self.config.t_buffer_us,
+                self.now + T_BUFFER_US,
                 EventKind::WriteAccepted { req: sw.req },
             );
         }
@@ -1578,7 +1568,7 @@ impl SsdSim {
         self.chips
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.pending_flushes < self.config.max_pending_flush_per_chip)
+            .filter(|(_, c)| c.pending_flushes < MAX_PENDING_FLUSH_PER_CHIP)
             .filter(|(i, _)| ftl.accepts_flush(*i))
             .min_by_key(|(_, c)| (c.queue.len() + usize::from(c.busy), c.pending_flushes))
             .map(|(i, _)| i)
@@ -1797,7 +1787,7 @@ mod tests {
         let lat = report.write_latency;
         // The fastest writes (those that find buffer room — the first
         // ~buffer_pages of them) only pay the buffer latency...
-        assert!(lat.percentile(2.0) <= cfg.t_buffer_us + 1e-9);
+        assert!(lat.percentile(2.0) <= T_BUFFER_US + 1e-9);
         // ... while the tail pays for NAND programs (backpressure).
         assert!(lat.percentile(99.0) > 100.0);
     }
@@ -1944,13 +1934,12 @@ mod tests {
                 buses,
                 queue_depth: 8,
                 buffer_pages: 16,
-                t_submit_us: 0.5,
-                t_buffer_us: 5.0,
-                t_xfer_page_us: 150.0, // transfer-dominated: one bus saturates
-                max_pending_flush_per_chip: 2,
             };
             let mut sim = SsdSim::new(cfg);
             let mut ftl = StubFtl::new(cfg.chips);
+            // Transfer-dominated: a 5 µs array read against the 20 µs
+            // page transfer, so one bus saturates.
+            ftl.read_us = 5.0;
             sim.prefill(&mut ftl, 0..512);
             sim.run(
                 &mut ftl,

@@ -160,8 +160,9 @@ impl Trace {
                 4 => (fields[3], fields[1], fields[2]),
                 n => return Err(err(format!("expected 4 or 7 CSV fields, got {n}"))),
             };
-            // Header row: skip if the type column is a column name.
-            if idx == 0 && offset_field.parse::<u64>().is_err() {
+            // Header row: skip if the type column is a column name (both
+            // header forms name it `Type`).
+            if idx == 0 && op_field.eq_ignore_ascii_case("type") {
                 continue;
             }
             let op = match op_field.to_ascii_lowercase().as_str() {
@@ -383,6 +384,25 @@ Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
         assert!(Trace::from_msr_csv("1,2,3\n", 16384, 100).is_err());
         assert!(Trace::from_msr_csv("1000,65536,4096,Fsync\n", 16384, 100).is_err());
         let e = Trace::from_msr_csv("0,0,1,R\n1000,notanumber,4096,R\n", 16384, 100).unwrap_err();
+        assert_eq!(e.line, 2);
+    }
+
+    #[test]
+    fn msr_csv_first_row_is_a_header_only_if_it_names_the_type_column() {
+        // A malformed first data row is an error, not a skipped header.
+        let e = Trace::from_msr_csv("0,host,0,Read,abc,4096,0\n", 16384, 100).unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("bad byte offset"), "{}", e.message);
+        let e = Trace::from_msr_csv("0,abc,4096,R\n", 16384, 100).unwrap_err();
+        assert_eq!(e.line, 1);
+        // Both header forms name the type column `Type`.
+        let full = "Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime\n0,h,0,W,0,1,0\n";
+        assert_eq!(Trace::from_msr_csv(full, 16384, 100).unwrap().len(), 1);
+        let reduced = "Timestamp,Offset,Size,Type\n0,0,1,W\n";
+        assert_eq!(Trace::from_msr_csv(reduced, 16384, 100).unwrap().len(), 1);
+        // Only the first row may be a header.
+        let e =
+            Trace::from_msr_csv("0,0,1,W\nTimestamp,Offset,Size,Type\n", 16384, 100).unwrap_err();
         assert_eq!(e.line, 2);
     }
 

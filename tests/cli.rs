@@ -217,6 +217,12 @@ cases! {
     rejects_abort_rate_the_device_cannot_absorb: "--ftl cube --blocks 16 --requests 500 \
                                                   --fault-rate abort=0.8";
     rejects_zero_ort_capacity: "--ftl cube --blocks 16 --ort-capacity 0";
+    rejects_malformed_first_trace_row: "--ftl cube --blocks 16 \
+                                        --trace-file tests/data/malformed_first_row.csv";
+    rejects_malformed_fail_shard: "--ftl cube --blocks 16 --shards 2 --array-parity \
+                                   --fail-shard 1@";
+    rejects_zero_tenant_weights: "--ftl cube --blocks 16 --queues 2 --tenants 4 \
+                                  --tenant-weights 0,0";
 }
 
 /// The last value inside each range `Scenario::validate` checks is not

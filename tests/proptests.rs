@@ -388,7 +388,9 @@ proptest! {
         let block_a = block_seed % blocks;
         let block_b = (block_a + 1) % blocks;
         let mut opm = Opm::new(&g, 2);
-        opm.set_cluster(OrtClusterConfig { enabled: true, min_samples: 1 });
+        opm.set_cluster(OrtClusterConfig::on());
+        // Two decodes warm the h-layer's cluster up.
+        opm.update_read_offset(0, g.wl_addr(BlockId(block_a), h, 0), offset);
         opm.update_read_offset(0, g.wl_addr(BlockId(block_a), h, 0), offset);
         // Same block + h-layer, any WL index: the block's own ORT entry.
         prop_assert_eq!(
@@ -420,7 +422,6 @@ proptest! {
     fn bounded_ort_with_cluster_replays_deterministically(
         ops in prop::collection::vec((0u32..4, 0u16..6, 0u8..8, prop::bool::ANY), 1..200),
         cap in 1usize..6,
-        min_samples in 1u32..4,
     ) {
         let g = Geometry {
             blocks_per_chip: 4,
@@ -431,7 +432,7 @@ proptest! {
         };
         let run = || {
             let mut opm = Opm::with_ort_capacity(&g, 2, cap);
-            opm.set_cluster(OrtClusterConfig { enabled: true, min_samples });
+            opm.set_cluster(OrtClusterConfig::on());
             let mut answers = Vec::new();
             for &(block, h, off, decode) in &ops {
                 let chip = (block % 2) as usize;
