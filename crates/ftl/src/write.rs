@@ -91,8 +91,9 @@ pub(crate) fn block_wls(
 }
 
 /// The erase counters that steer allocation and victim selection on
-/// `chip` while maintenance, and with it wear leveling, is on. A function of the two
-/// fields it reads, so callers can go on mutating the free pools.
+/// `chip` while maintenance, and with it wear leveling, is on. A
+/// function of the two fields it reads, so callers can go on mutating
+/// the free pools.
 pub(crate) fn wear_env<'a>(
     maint: &Option<MaintState>,
     array: &'a FlashArray,

@@ -734,8 +734,9 @@ mod tests {
             jump.div_ceil(2) < u32::from(optimal).div_ceil(2),
             "the jump must beat the walk even at two offsets per sensing"
         );
-        // The jump, then speculation halves what is left of the chain.
+        // Speculation halves the predicted chain (rounded up).
         assert_eq!(predicted.retries, jump.div_ceil(2));
+        assert!(predicted.retries < plain.retries);
         // Prediction never touches warm (nonzero-start) or seeded reads.
         let warm = engine.read(
             &process,
