@@ -4,7 +4,8 @@
 //! the plain way — one array each, as `NandChip` once stored them — and
 //! models every command's effect on them. A `NandChip` and a `RefSpare`
 //! see the same random sequences of `erase`, `program_wl`, `write_oob`,
-//! `interrupt_program` and `interrupt_erase` on `Geometry::small()`
+//! `interrupt_program` (of a drawn WL, or of the WL the last `write_oob`
+//! addressed) and `interrupt_erase` on `Geometry::small()`
 //! (with and without program aborts), and after every step the chip's
 //! `page_tag` of every page, `wl_oob` and `wl_state` of every WL,
 //! `block_prog_seq` of every block and every returned error or flag must
@@ -152,6 +153,10 @@ enum Op {
     Program(WlAddr, WlData),
     WriteOob(WlAddr, u64),
     InterruptProgram(WlAddr),
+    /// A power cut catching the WL the last `write_oob` addressed: the
+    /// FTL stamps every WL right after programming it, so a torn WL
+    /// usually carries a record.
+    InterruptStamped,
     InterruptErase(BlockId),
 }
 
@@ -174,11 +179,13 @@ fn tag(d: u64) -> u64 {
     }
 }
 
-/// A sequence number: `u64::MAX`, an arbitrary one or a small one.
+/// A sequence number: `u64::MAX`, one of `u32::MAX - 1`, `u32::MAX` and
+/// `u32::MAX + 1`, an arbitrary one or a small one.
 fn seq(d: u64) -> u64 {
-    match d % 4 {
+    match d % 8 {
         0 => u64::MAX,
-        1 => d,
+        1 => u64::from(u32::MAX) - 1 + (d >> 3) % 3,
+        2 | 3 => d,
         _ => d % 50,
     }
 }
@@ -194,6 +201,7 @@ fn decode(g: &Geometry, (kind, b, h, v, tags, s): (u8, u16, u16, u16, u64, u64))
         }
         5..=7 => Op::WriteOob(wl, seq(s)),
         8 => Op::InterruptProgram(wl),
+        9 => Op::InterruptStamped,
         _ => Op::InterruptErase(block),
     }
 }
@@ -231,7 +239,7 @@ fn assert_same(chip: &NandChip, r: &RefSpare) -> Result<(), String> {
 proptest! {
     #[test]
     fn spare_area_matches_the_reference(
-        draws in prop::collection::vec((0u8..10, 0u16..28, 0u16..28, 0u16..5, 0u64..u64::MAX, 0u64..u64::MAX), 1..160),
+        draws in prop::collection::vec((0u8..11, 0u16..28, 0u16..28, 0u16..5, 0u64..u64::MAX, 0u64..u64::MAX), 1..160),
         aborts in prop::bool::ANY,
         seed in 0u64..1000,
     ) {
@@ -244,6 +252,7 @@ proptest! {
         }
         let g = *chip.geometry();
         let mut r = RefSpare::new(g);
+        let mut stamped = None;
         for draw in draws {
             match decode(&g, draw) {
                 Op::Erase(block) => {
@@ -264,9 +273,15 @@ proptest! {
                 Op::WriteOob(wl, seq) => {
                     let got = chip.write_oob(wl, seq);
                     prop_assert_eq!(got, r.write_oob(wl, seq));
+                    stamped = Some(wl);
                 }
                 Op::InterruptProgram(wl) => {
                     prop_assert_eq!(chip.interrupt_program(wl), r.interrupt_program(wl));
+                }
+                Op::InterruptStamped => {
+                    if let Some(wl) = stamped {
+                        prop_assert_eq!(chip.interrupt_program(wl), r.interrupt_program(wl));
+                    }
                 }
                 Op::InterruptErase(block) => {
                     prop_assert_eq!(chip.interrupt_erase(block), r.interrupt_erase(block));
