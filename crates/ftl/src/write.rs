@@ -258,11 +258,14 @@ impl Ftl {
             // recovery replays (the program stored the LPNs; this stamps
             // the sequence number and the status tag).
             self.seq_counter += 1;
+            // Invariant: the WL was just programmed, and the counter (one
+            // step per WL program and tagged erase) stays below the spare
+            // record's 32-bit limit (DESIGN.md "Memory model").
             self.array
                 .chip_mut(chip)
                 .expect("valid chip")
                 .write_oob(wl, self.seq_counter)
-                .expect("WL was just programmed");
+                .expect("WL was just programmed, under u32::MAX WL programs per FTL instance");
             self.mapping.map_wl(chip, wl, &lpns);
             if !choice.is_leader() {
                 self.stats.follower_wl_programs += 1;

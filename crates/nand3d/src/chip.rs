@@ -53,15 +53,18 @@ pub enum OobStatus {
 /// numbers its program carried, a monotonically increasing FTL sequence
 /// number, and a program-status tag. Boot-time recovery rebuilds the L2P
 /// map from these records alone. [`NandChip::wl_oob`] reads it out of
-/// the WL's spare record, which stores the tags once for both this view
-/// and [`NandChip::page_tag`].
+/// the WL's 16-byte spare record, which stores the tags once for both
+/// this view and [`NandChip::page_tag`] and the sequence number in 32
+/// bits; the status is read off the WL's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WlOob {
     /// Logical tags of the three pages ([`WlData::PAD`] = padding).
     pub lpns: [u64; 3],
-    /// FTL-assigned sequence number of the program operation.
+    /// FTL-assigned sequence number of the program operation (below
+    /// `u32::MAX`: [`NandChip::write_oob`] rejects larger ones).
     pub seq: u64,
-    /// Program-status tag.
+    /// Program-status tag: [`OobStatus::Torn`] exactly when the WL is
+    /// [`PageState::Partial`].
     pub status: OobStatus,
 }
 
@@ -184,20 +187,23 @@ struct BlockTerms {
 
 /// What a WL's spare area holds: the three page tags its program
 /// carried (narrowed by [`WlData::narrow`]) and its OOB record's sequence
-/// number and status (`None` until [`NandChip::write_oob`] stamps it).
-/// 24 bytes; an erased WL holds [`WlSpare::ERASED`].
+/// number ([`WlSpare::NO_RECORD`] until [`NandChip::write_oob`] stamps
+/// it). The record's status is not stored: it is the WL's state
+/// ([`NandChip::wl_oob`]). 16 bytes; an erased WL holds
+/// [`WlSpare::ERASED`].
 #[derive(Debug, Clone, Copy)]
 struct WlSpare {
-    seq: u64,
     tags: [u32; 3],
-    status: Option<OobStatus>,
+    seq: u32,
 }
 
 impl WlSpare {
+    /// The `seq` of a WL without an OOB record.
+    const NO_RECORD: u32 = u32::MAX;
+
     const ERASED: WlSpare = WlSpare {
-        seq: 0,
         tags: [u32::MAX; 3],
-        status: None,
+        seq: Self::NO_RECORD,
     };
 }
 
@@ -597,16 +603,17 @@ impl NandChip {
     }
 
     /// Completes a written WL's OOB record: stamps the FTL sequence
-    /// number `seq` and [`OobStatus::Complete`] next to the page tags
-    /// its program stored (the FTL calls this immediately after every
-    /// successful program). Also advances the block's running
-    /// max-program-sequence tracker.
+    /// number `seq` next to the page tags its program stored (the FTL
+    /// calls this immediately after every successful program). Also
+    /// advances the block's running max-program-sequence tracker.
     ///
     /// # Errors
     ///
     /// * [`NandError::WlOutOfRange`] for an invalid address.
     /// * [`NandError::ReadUnwritten`] if the WL holds no data (OOB rides
     ///   the data pages; there is nothing to attach it to).
+    /// * [`NandError::SeqOutOfRange`] if `seq` is not below `u32::MAX`
+    ///   (checked before anything changes).
     pub fn write_oob(&mut self, wl: WlAddr, seq: u64) -> Result<(), NandError> {
         let idx = self.check_wl(wl)?;
         if self.wl_state[idx] != PageState::Written {
@@ -615,22 +622,31 @@ impl NandChip {
                 page: crate::geometry::PageIndex(0),
             }));
         }
-        let spare = &mut self.spare[idx];
-        spare.seq = seq;
-        spare.status = Some(OobStatus::Complete);
+        self.spare[idx].seq = u32::try_from(seq)
+            .ok()
+            .filter(|&s| s != WlSpare::NO_RECORD)
+            .ok_or(NandError::SeqOutOfRange(seq))?;
         let b = wl.block.0 as usize;
         self.block_prog_seq[b] = self.block_prog_seq[b].max(seq);
         Ok(())
     }
 
     /// Reads back a WL's OOB spare-area metadata, if any was deposited
-    /// since the last erase. Torn WLs keep their (status-tagged) OOB.
+    /// since the last erase. The status is [`OobStatus::Torn`] while the
+    /// WL is [`PageState::Partial`] (a WL with a record only gets there
+    /// through [`NandChip::interrupt_program`]) and
+    /// [`OobStatus::Complete`] otherwise.
     pub fn wl_oob(&self, wl: WlAddr) -> Option<WlOob> {
-        let spare = &self.spare[self.config.geometry.wl_flat(wl)];
-        spare.status.map(|status| WlOob {
+        let idx = self.config.geometry.wl_flat(wl);
+        let spare = &self.spare[idx];
+        (spare.seq != WlSpare::NO_RECORD).then(|| WlOob {
             lpns: spare.tags.map(WlData::widen),
-            seq: spare.seq,
-            status,
+            seq: u64::from(spare.seq),
+            status: if self.wl_state[idx] == PageState::Partial {
+                OobStatus::Torn
+            } else {
+                OobStatus::Complete
+            },
         })
     }
 
@@ -656,9 +672,10 @@ impl NandChip {
     /// Models a sudden power-off cutting an in-flight ISPP sequence on
     /// `wl`: a written WL degrades to [`PageState::Partial`] (cells left
     /// mid-distribution: neither readable nor programmable until erase),
-    /// and its OOB record (if any) is re-tagged [`OobStatus::Torn`].
-    /// Returns `true` if the WL was written and is now torn; free WLs are
-    /// untouched (nothing was in flight).
+    /// so its OOB record (if any) now reads [`OobStatus::Torn`]. The
+    /// spare record itself is untouched. Returns `true` if the WL was
+    /// written and is now torn; free WLs are untouched (nothing was in
+    /// flight).
     pub fn interrupt_program(&mut self, wl: WlAddr) -> bool {
         let Ok(idx) = self.check_wl(wl) else {
             return false;
@@ -667,9 +684,6 @@ impl NandChip {
             return false;
         }
         self.wl_state[idx] = PageState::Partial;
-        if let Some(status) = &mut self.spare[idx].status {
-            *status = OobStatus::Torn;
-        }
         true
     }
 
@@ -1031,8 +1045,29 @@ mod tests {
     }
 
     #[test]
-    fn spare_record_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<WlSpare>(), 24);
+    fn spare_record_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<WlSpare>(), 16);
+    }
+
+    #[test]
+    fn out_of_range_seq_is_rejected_before_any_change() {
+        let mut c = chip();
+        let b = BlockId(1);
+        c.erase(b).unwrap();
+        let wl = c.geometry().wl_addr(b, 0, 0);
+        c.program_wl(wl, WlData::host(10), &ProgramParams::default())
+            .unwrap();
+        c.write_oob(wl, 7).unwrap();
+        let stamped = WlOob {
+            lpns: [10, 11, 12],
+            seq: 7,
+            status: OobStatus::Complete,
+        };
+        for seq in [u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(c.write_oob(wl, seq), Err(NandError::SeqOutOfRange(seq)));
+            assert_eq!(c.wl_oob(wl), Some(stamped));
+            assert_eq!(c.block_prog_seq(b), 7);
+        }
     }
 
     #[test]

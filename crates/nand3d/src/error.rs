@@ -34,6 +34,10 @@ pub enum NandError {
     /// are 32-bit, so one must be below `u32::MAX` or be
     /// [`WlData::PAD`](crate::WlData::PAD).
     TagOutOfRange(u64),
+    /// An OOB record carried a sequence number the spare area cannot
+    /// store: sequence numbers are 32-bit and `u32::MAX` marks a WL
+    /// without a record, so one must be below `u32::MAX`.
+    SeqOutOfRange(u64),
     /// A program was issued with parameters outside the device's legal
     /// range (e.g. a `V_Start`/`V_Final` adjustment larger than the whole
     /// program window).
@@ -52,6 +56,9 @@ impl fmt::Display for NandError {
             NandError::ReadUnwritten(p) => write!(f, "read issued to unwritten page {p}"),
             NandError::ChipOutOfRange(c) => write!(f, "chip {c} out of range"),
             NandError::TagOutOfRange(t) => write!(f, "page tag {t} does not fit a 32-bit tag"),
+            NandError::SeqOutOfRange(s) => {
+                write!(f, "sequence number {s} does not fit a 32-bit OOB record")
+            }
             NandError::IllegalParameters(msg) => write!(f, "illegal operation parameters: {msg}"),
         }
     }
@@ -75,6 +82,7 @@ mod tests {
             NandError::ReadUnwritten(g.page_addr(BlockId(1), 2, 3, 1)),
             NandError::ChipOutOfRange(17),
             NandError::TagOutOfRange(u64::from(u32::MAX)),
+            NandError::SeqOutOfRange(u64::from(u32::MAX)),
             NandError::IllegalParameters("window collapsed".to_owned()),
         ];
         for e in errs {

@@ -97,6 +97,9 @@ impl RefSpare {
                 self.g.page_addr(wl.block, wl.h.0, wl.v.0, 0),
             ));
         }
+        if seq >= u64::from(u32::MAX) {
+            return Err(NandError::SeqOutOfRange(seq));
+        }
         self.wl_oob[i] = Some(WlOob {
             lpns: self.data_of(wl),
             seq,

@@ -3,8 +3,8 @@
 use cubeftl::{FtlConfig, FtlDriver, Geometry, ProgramOrder};
 use ftl::{Checkpoint, Ftl, FtlKind, Mapping, OffsetLookup, Opm, OrtClusterConfig, Ppn};
 use nand3d::{
-    BlockId, Environment, FaultKind, FaultPlan, NandChip, NandConfig, OobStatus, ProcessModel,
-    ProgramParams, ReadParams, RetryEngine, RetryOptConfig, WlData, WlOob,
+    BlockId, Environment, FaultKind, FaultPlan, NandChip, NandConfig, NandError, OobStatus,
+    ProcessModel, ProgramParams, ReadParams, RetryEngine, RetryOptConfig, WlData, WlOob,
 };
 use proptest::prelude::*;
 use ssdsim::{HostContext, WriteBuffer};
@@ -460,34 +460,45 @@ proptest! {
     }
 
     /// Per-WL OOB records survive the chip's fixed-width spare record
-    /// for arbitrary 32-bit LPN tags and padding, sequence numbers and
-    /// status bits.
+    /// for arbitrary 32-bit LPN tags and padding, sequence numbers below
+    /// `u32::MAX` and status bits; half the draws take a sequence number
+    /// at or above `u32::MAX`, which the chip must reject and leave the
+    /// WL without a record.
     #[test]
     fn wl_oob_roundtrips(
         l0 in 0u64..u64::from(u32::MAX),
         l1 in 0u64..u64::from(u32::MAX),
         l2 in 0u64..u64::from(u32::MAX),
         pads in 0u8..8,
-        seq in 0u64..u64::MAX,
+        fits in prop::bool::ANY,
+        low in 0u64..u64::from(u32::MAX),
+        high in u64::from(u32::MAX)..u64::MAX,
         torn in prop::bool::ANY,
     ) {
         let pad = |i: u8, lpn: u64| if pads >> i & 1 == 1 { WlData::PAD } else { lpn };
         let lpns = [pad(0, l0), pad(1, l1), pad(2, l2)];
+        let seq = if fits { low } else { high };
         let mut chip = NandChip::new(NandConfig::small(), seq);
         let wl = chip.geometry().wl_addr(BlockId(1), 3, 2);
         chip.erase(BlockId(1)).unwrap();
         chip.program_wl(wl, WlData::from_pages(lpns), &ProgramParams::default())
             .unwrap();
-        chip.write_oob(wl, seq).unwrap();
+        let stamped = chip.write_oob(wl, seq);
         if torn {
             chip.interrupt_program(wl);
         }
-        let oob = WlOob {
-            lpns,
-            seq,
-            status: if torn { OobStatus::Torn } else { OobStatus::Complete },
-        };
-        prop_assert_eq!(chip.wl_oob(wl), Some(oob));
+        if fits {
+            prop_assert_eq!(stamped, Ok(()));
+            let oob = WlOob {
+                lpns,
+                seq,
+                status: if torn { OobStatus::Torn } else { OobStatus::Complete },
+            };
+            prop_assert_eq!(chip.wl_oob(wl), Some(oob));
+        } else {
+            prop_assert_eq!(stamped, Err(NandError::SeqOutOfRange(seq)));
+            prop_assert_eq!(chip.wl_oob(wl), None);
+        }
     }
 }
 
