@@ -369,7 +369,7 @@ impl Ftl {
     /// Models the physical consequences of a sudden power-off caught
     /// while `chip` was flushing `lpns`: the WLs holding those pages are
     /// left partially programmed ([`PageState::Partial`], elevated BER,
-    /// OOB re-tagged torn). If the flush had triggered GC
+    /// OOB record read back torn). If the flush had triggered GC
     /// (`gc_in_flight`), the GC victim's erase pulse is interrupted too,
     /// leaving that block unusable until re-erased. Returns the number of
     /// WLs torn. Call once per in-flight flush before [`Ftl::power_cycle`].

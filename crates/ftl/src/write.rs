@@ -265,7 +265,7 @@ impl Ftl {
                 .chip_mut(chip)
                 .expect("valid chip")
                 .write_oob(wl, self.seq_counter)
-                .expect("WL was just programmed, under u32::MAX WL programs per FTL instance");
+                .expect("WL was just programmed; an FTL makes fewer than u32::MAX WL programs");
             self.mapping.map_wl(chip, wl, &lpns);
             if !choice.is_leader() {
                 self.stats.follower_wl_programs += 1;
