@@ -256,11 +256,10 @@ impl Ftl {
 
             // Success: map the live pages and complete the OOB record
             // recovery replays (the program stored the LPNs; this stamps
-            // the sequence number and the status tag).
+            // the sequence number). Invariant: the counter, one step per
+            // WL program and tagged erase, stays below the spare record's
+            // 32-bit limit (DESIGN.md "Memory model").
             self.seq_counter += 1;
-            // Invariant: the WL was just programmed, and the counter (one
-            // step per WL program and tagged erase) stays below the spare
-            // record's 32-bit limit (DESIGN.md "Memory model").
             self.array
                 .chip_mut(chip)
                 .expect("valid chip")
