@@ -5,6 +5,7 @@
 //! (ΔH = 1). (c) ΔH across blocks, P/E cycles and retention times.
 //! (d) tPROG of each WL on the same h-layer.
 
+use bench::anchors::{fig05c_delta_h, FIG05C_AGINGS};
 use bench::{banner, delta_h_of, exemplar_layers, f2, f3, paper_chip, Table};
 use nand3d::BlockId;
 
@@ -48,15 +49,7 @@ pub fn run(_: &crate::BenchArgs) {
 
     banner("Fig. 5(c) — ΔH across blocks, P/E cycles and retention times");
     let mut t = Table::new(["P/E", "retention (mo)", "blocks", "max ΔH", "mean ΔH"]);
-    for (pe, months) in [
-        (0u32, 0.0f64),
-        (1000, 1.0),
-        (1000, 12.0),
-        (2000, 1.0),
-        (2000, 12.0),
-    ] {
-        let blocks = (0..g.blocks_per_chip).step_by(4);
-        let dhs = delta_h_of(&chip, blocks, 0..g.hlayers_per_block, (pe, months));
+    for ((pe, months), dhs) in FIG05C_AGINGS.into_iter().zip(fig05c_delta_h()) {
         t.row([
             pe.to_string(),
             format!("{months}"),

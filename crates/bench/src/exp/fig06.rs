@@ -5,7 +5,8 @@
 //! (d) Per-block ΔV differences (two sample blocks and the population
 //! spread).
 
-use bench::{banner, delta_v_of, f2, f3, paper_chip, Table};
+use bench::anchors::{fig06_mean_delta_v, fig06d_delta_v, quartile_blocks, FIG06_AGINGS};
+use bench::{banner, f2, f3, paper_chip, Table};
 use nand3d::BlockId;
 
 pub fn run(_: &crate::BenchArgs) {
@@ -23,10 +24,9 @@ pub fn run(_: &crate::BenchArgs) {
 
     banner("Fig. 6(a)-(c) — normalized BER per h-layer (leading WL), block 17");
     let mut t = Table::new(["h-layer", "fresh", "2K+1mo", "2K+1yr"]);
-    let states = [(0u32, 0.0f64), (2000, 1.0), (2000, 12.0)];
     for h in 0..g.hlayers_per_block {
         let mut row = vec![format!("{h}")];
-        for (pe, months) in states {
+        for (pe, months) in FIG06_AGINGS {
             let ber = rel.ber(process, g.wl_addr(block, h, 0), pe, months);
             row.push(f2(ber / reference));
         }
@@ -37,24 +37,21 @@ pub fn run(_: &crate::BenchArgs) {
     banner("ΔV per aging state (averaged over 64 blocks)");
     let mut t = Table::new(["aging", "mean ΔV", "paper"]);
     let paper_vals = ["≈1.6", "-", "≈2.3"];
-    for ((pe, months), paper) in states.into_iter().zip(paper_vals) {
-        let sum: f64 = delta_v_of(&chip, 0..64, (pe, months)).iter().sum();
+    let mean_dvs = fig06_mean_delta_v();
+    for (((pe, months), dv), paper) in FIG06_AGINGS.into_iter().zip(mean_dvs).zip(paper_vals) {
         t.row([
             format!("{pe} P/E + {months} mo"),
-            f3(sum / 64.0),
+            f3(dv),
             paper.to_owned(),
         ]);
     }
     t.print();
 
     banner("Fig. 6(d) — per-block ΔV differences (2K P/E + 1-year retention)");
-    let dvs = delta_v_of(&chip, 0..128, (2000, 12.0));
-    let mut dvs: Vec<(u32, f64)> = (0..128).zip(dvs).collect();
-    dvs.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
     // The paper shows two sample blocks differing by 18%; the upper and
     // lower quartiles of the population are representative samples.
-    let (bmin, vmin) = dvs[dvs.len() / 4];
-    let (bmax, vmax) = dvs[dvs.len() * 3 / 4];
+    let dvs = fig06d_delta_v();
+    let ((bmax, vmax), (bmin, vmin)) = quartile_blocks(&dvs);
     let mut t = Table::new(["block", "ΔV"]);
     t.row([format!("Block I  (#{bmax})"), f3(vmax)]);
     t.row([format!("Block II (#{bmin})"), f3(vmin)]);

@@ -5,9 +5,10 @@
 //! (b) The `S_M` → total-adjustment conversion table, with the paper's
 //! anchor: `S_M = 1.7 → 320 mV → tPROG −19.7%`.
 
+use bench::anchors::fig11_320mv;
 use bench::{banner, f2, f3, paper_chip, Table};
 use nand3d::ispp::{margin_mv_for_spare, split_margin_mv};
-use nand3d::{BlockId, ProgramParams};
+use nand3d::BlockId;
 
 pub fn run(_: &crate::BenchArgs) {
     let chip = paper_chip();
@@ -62,27 +63,11 @@ pub fn run(_: &crate::BenchArgs) {
     }
     t.print();
 
-    // The anchor measurement: a 320 mV total adjustment on a typical WL.
-    let env = chip.env();
-    let chars = engine.characterize(chip.process(), g.wl_addr(block, 12, 1), env, 0);
-    let default = engine
-        .program(&chars, &ProgramParams::default())
-        .expect("default");
-    let (up, down) = split_margin_mv(320.0, ispp);
-    let adjusted = engine
-        .program(
-            &chars,
-            &ProgramParams {
-                v_start_up_mv: up,
-                v_final_down_mv: down,
-                ..ProgramParams::default()
-            },
-        )
-        .expect("legal");
+    let anchor = fig11_320mv();
     println!(
         "\n320 mV total adjustment: tPROG {} -> {} µs ({} reduction; paper: 19.7%)",
-        f2(default.latency_us),
-        f2(adjusted.latency_us),
-        f3(1.0 - adjusted.latency_us / default.latency_us)
+        f2(anchor.default_us),
+        f2(anchor.adjusted_us),
+        f3(anchor.reduction())
     );
 }

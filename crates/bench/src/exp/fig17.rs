@@ -6,8 +6,9 @@
 //! the paper-scale 32-GB SSD (slow); the default reduced scale keeps the
 //! topology and FTL behaviour.
 
-use bench::{banner, eval, Table};
-use cubeftl::{AgingState, FtlKind, StandardWorkload};
+use bench::anchors::{fig17_grid, fig17_max_gains};
+use bench::{banner, Table};
+use cubeftl::AgingState;
 
 pub fn run(crate::BenchArgs { cfg, .. }: &crate::BenchArgs) {
     println!(
@@ -15,31 +16,24 @@ pub fn run(crate::BenchArgs { cfg, .. }: &crate::BenchArgs) {
         cfg.blocks_per_chip(), cfg.requests
     );
 
-    let mut best_vs_page: f64 = 0.0;
-    let mut best_vs_vert: f64 = 0.0;
+    let grid = fig17_grid(cfg);
     for aging in AgingState::ALL {
         banner(&format!("Fig. 17 — normalized IOPS, {aging}"));
         let mut t = Table::new(["workload", "pageFTL", "vertFTL", "cubeFTL", "cube/page"]);
-        for workload in StandardWorkload::ALL {
-            let [page, vert, cube] = [FtlKind::Page, FtlKind::Vert, FtlKind::Cube]
-                .map(|kind| eval(kind, workload, aging, cfg));
-            let norm = |iops: f64| format!("{:.2}", iops / page.iops);
-            best_vs_page = best_vs_page.max(cube.iops / page.iops - 1.0);
-            best_vs_vert = best_vs_vert.max(cube.iops / vert.iops - 1.0);
-            t.row([
-                workload.label().to_owned(),
-                norm(page.iops),
-                norm(vert.iops),
-                norm(cube.iops),
-                format!("+{:.0}%", (cube.iops / page.iops - 1.0) * 100.0),
-            ]);
+        for row in grid.iter().filter(|r| r.aging == aging) {
+            let norm = |iops: f64| format!("{:.2}", iops / row.iops[0]);
+            let mut cells = vec![row.workload.label().to_owned()];
+            cells.extend(row.iops.map(norm));
+            cells.push(format!("+{:.0}%", row.gains()[0] * 100.0));
+            t.row(cells);
         }
         t.print();
     }
 
+    let [vs_page, vs_vert] = fig17_max_gains(&grid);
     println!(
         "\nmax cubeFTL gain: +{:.0}% over pageFTL (paper: up to 48%), +{:.0}% over vertFTL (paper: up to 36%)",
-        best_vs_page * 100.0,
-        best_vs_vert * 100.0
+        vs_page * 100.0,
+        vs_vert * 100.0
     );
 }

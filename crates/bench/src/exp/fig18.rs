@@ -7,9 +7,8 @@
 //! (b) Read-latency CDF — even with no read retries at the fresh state,
 //! reads queue behind fewer/shorter programs under cubeFTL.
 
-use bench::{banner, num, text, Columns, Sweep};
-use cubeftl::harness::Scenario;
-use cubeftl::{AgingState, FtlKind, StandardWorkload};
+use bench::anchors::{fig18_latency, fig18_p80_write_shortening, fig18_p90_write_ratio, fig18_sweep};
+use bench::{banner, num, text, Columns};
 
 pub fn run(crate::BenchArgs { cfg, .. }: &crate::BenchArgs) {
     println!(
@@ -17,11 +16,7 @@ pub fn run(crate::BenchArgs { cfg, .. }: &crate::BenchArgs) {
         cfg.blocks_per_chip(), cfg.requests
     );
 
-    // page, vert, cube-, cube
-    let sweep = Sweep::run(FtlKind::ALL.map(|kind| {
-        let (rocks, fresh) = (StandardWorkload::Rocks, AgingState::Fresh);
-        (kind, Scenario::new(kind, rocks, fresh, cfg))
-    }));
+    let sweep = &fig18_sweep(cfg);
 
     for (write, title) in [
         (
@@ -38,25 +33,21 @@ pub fn run(crate::BenchArgs { cfg, .. }: &crate::BenchArgs) {
         let mut cols = Columns::<f64>::default();
         cols.col("percentile", |p| text(format!("p{p:.0}")));
         for c in &sweep.cells {
-            let r = c.sim();
-            let lat = if write {
-                &r.write_latency
-            } else {
-                &r.read_latency
-            };
-            cols.col(c.label.name(), move |&p| num(lat.percentile(p) / 1000.0, 3));
+            let kind = c.label;
+            cols.col(kind.name(), move |&p| {
+                num(fig18_latency(sweep, kind, write, p) / 1000.0, 3)
+            });
         }
         cols.table(&[50.0, 70.0, 80.0, 90.0, 95.0, 99.0]).print();
         println!();
     }
 
-    let write_pct = |kind, p| sweep.cell(&kind).sim().write_latency.percentile(p);
     println!(
         "90th-percentile write latency: pageFTL/cubeFTL = {:.2}x (paper: ≈1.53x)",
-        write_pct(FtlKind::Page, 90.0) / write_pct(FtlKind::Cube, 90.0)
+        fig18_p90_write_ratio(sweep)
     );
     println!(
         "80th-percentile write latency: cubeFTL is {:.0}% shorter than cubeFTL- (paper: ≈42%)",
-        (1.0 - write_pct(FtlKind::Cube, 80.0) / write_pct(FtlKind::CubeMinus, 80.0)) * 100.0
+        fig18_p80_write_shortening(sweep) * 100.0
     );
 }

@@ -22,17 +22,21 @@
 //! names the file; [`write_curve`] is it plus the `curve written to`
 //! echo. Everything else an experiment prints goes to stdout.
 //!
-//! **The device-level protocols.** The characterization figures share
-//! three measurements, each taking its population as an argument so
-//! every figure keeps its own sampling:
+//! **One measurement per anchor.** Each scalar anchor of the paper is
+//! measured once, in [`anchors`], on the population of the figure that
+//! regenerates it: that figure, `summary` and `tests/paper_anchors.rs`
+//! all call the same function, so no anchor has a second sampling.
+//! Underneath, the device-level protocols take their population as an
+//! argument:
 //!
 //! * [`delta_h_of`] / [`delta_v_of`] — per-h-layer ΔH and per-block ΔV
-//!   of a chip at `(P/E, months)`: Fig. 5, Fig. 6, `summary`,
-//!   `campaign`;
+//!   of a chip at `(P/E, months)`: Fig. 5, Fig. 6, `campaign`;
 //! * [`program_blocks`] — erase and program every WL of the given
-//!   blocks in one program order: Fig. 13, Fig. 14, `summary`;
+//!   blocks in one program order: Fig. 13, Fig. 14, the retry fractions;
 //! * [`read_passes`] — the PS-unaware vs ORT-seeded read pass: Fig. 14,
-//!   `summary`.
+//!   the retry fractions.
+
+pub mod anchors;
 
 use cubeftl::harness::{EvalConfig, RunOutput, Scenario, WorkloadSource};
 use cubeftl::{AgingState, FtlKind, ProgramOrder, SimReport, StandardWorkload};
@@ -321,6 +325,13 @@ pub struct NumRetry {
     pub unaware_hist: [u64; 8],
     /// PS-aware reads by retry count.
     pub aware_hist: [u64; 8],
+}
+
+impl NumRetry {
+    /// The PS-aware reads' `NumRetry` reduction, as a fraction.
+    pub fn reduction(&self) -> f64 {
+        1.0 - self.aware as f64 / self.unaware as f64
+    }
 }
 
 /// The Fig. 14 protocol: reads every page of `blocks` back twice, each

@@ -1,56 +1,26 @@
 //! Scalar anchors from the paper, checked end-to-end against the
-//! calibrated model (see EXPERIMENTS.md for the full figure-by-figure
-//! record).
+//! calibrated model. Each test asserts its band on the one measurement
+//! of the anchor in `bench::anchors` — the same call the figure that
+//! regenerates it prints and `bench summary` tabulates (see
+//! EXPERIMENTS.md for the full figure-by-figure record).
 
-use cubeftl::{BlockId, NandChip, NandConfig, ProgramParams};
-use nand3d::ispp::split_margin_mv;
-use nand3d::{delta_h, delta_v, AgingState, ReadParams, WlData};
-
-fn chip() -> NandChip {
-    NandChip::new(NandConfig::paper(), 2019)
-}
+use bench::anchors::{
+    default_latencies, fig06_mean_delta_v, fig11_320mv, fig13_orders, follower_tprog, max_delta_h,
+    max_over_min, retry_fractions,
+};
+use nand3d::AgingState;
 
 #[test]
 fn anchor_delta_h_is_virtually_one() {
     // Fig. 5: ΔH ≈ 1 for all aging conditions.
-    let c = chip();
-    let g = *c.geometry();
-    for (pe, months) in [(0u32, 0.0f64), (2000, 1.0), (2000, 12.0)] {
-        for b in (0..g.blocks_per_chip).step_by(37) {
-            for h in (0..g.hlayers_per_block).step_by(5) {
-                let bers: Vec<f64> = (0..g.wls_per_hlayer)
-                    .map(|v| {
-                        c.reliability()
-                            .ber(c.process(), g.wl_addr(BlockId(b), h, v), pe, months)
-                    })
-                    .collect();
-                assert!(delta_h(&bers) < 1.08);
-            }
-        }
-    }
+    let max = max_delta_h();
+    assert!(max < 1.08, "max ΔH {max}");
 }
 
 #[test]
 fn anchor_delta_v_1_6_fresh_2_3_aged() {
     // Fig. 6: ΔV ≈ 1.6 fresh → ≈ 2.3 at 2K P/E + 1 year.
-    let c = chip();
-    let g = *c.geometry();
-    let avg_dv = |pe: u32, months: f64| -> f64 {
-        (0..48u32)
-            .map(|b| {
-                let bers: Vec<f64> = (0..g.hlayers_per_block)
-                    .map(|h| {
-                        c.reliability()
-                            .ber(c.process(), g.wl_addr(BlockId(b), h, 0), pe, months)
-                    })
-                    .collect();
-                delta_v(&bers)
-            })
-            .sum::<f64>()
-            / 48.0
-    };
-    let fresh = avg_dv(0, 0.0);
-    let aged = avg_dv(2000, 12.0);
+    let [fresh, _, aged] = fig06_mean_delta_v();
     assert!((1.35..2.0).contains(&fresh), "fresh ΔV {fresh}");
     assert!((2.0..2.8).contains(&aged), "aged ΔV {aged}");
 }
@@ -58,52 +28,15 @@ fn anchor_delta_v_1_6_fresh_2_3_aged() {
 #[test]
 fn anchor_default_tprog_700us_tread_80us() {
     // §5.1 typical latencies.
-    let mut c = chip();
-    c.erase(BlockId(0)).unwrap();
-    let wl = c.geometry().wl_addr(BlockId(0), 12, 0);
-    let report = c
-        .program_wl(wl, WlData::host(0), &ProgramParams::default())
-        .unwrap();
-    assert!(
-        (600.0..820.0).contains(&report.latency_us),
-        "tPROG {}",
-        report.latency_us
-    );
-    let page = c.geometry().page_addr(BlockId(0), 12, 0, 0);
-    let read = c.read_page(page, ReadParams::default()).unwrap();
-    assert!(
-        (70.0..95.0).contains(&read.latency_us),
-        "tREAD {}",
-        read.latency_us
-    );
+    let (tprog, tread) = default_latencies();
+    assert!((600.0..820.0).contains(&tprog), "tPROG {tprog}");
+    assert!((70.0..95.0).contains(&tread), "tREAD {tread}");
 }
 
 #[test]
 fn anchor_vfy_skip_saves_about_16_percent() {
     // §4.1.1: 16.2% average tPROG reduction from VFY skipping alone.
-    let mut c = chip();
-    let g = *c.geometry();
-    let mut t_default = 0.0;
-    let mut t_skip = 0.0;
-    for b in 0..8u32 {
-        c.erase(BlockId(b)).unwrap();
-        for h in (0..g.hlayers_per_block).step_by(6) {
-            let leader = g.wl_addr(BlockId(b), h, 0);
-            let report = c
-                .program_wl(leader, WlData::host(0), &ProgramParams::default())
-                .unwrap();
-            t_default += report.latency_us;
-            let mut params = ProgramParams::default();
-            for (s, iv) in report.loop_intervals.iter().enumerate() {
-                params.n_skip[s] = iv.safe_skip();
-            }
-            let f = c
-                .program_wl(g.wl_addr(BlockId(b), h, 1), WlData::host(3), &params)
-                .unwrap();
-            t_skip += f.latency_us;
-        }
-    }
-    let reduction = 1.0 - t_skip / t_default;
+    let reduction = follower_tprog().vfy_skip;
     assert!(
         (0.12..0.20).contains(&reduction),
         "VFY-skip reduction {reduction:.3}"
@@ -113,23 +46,7 @@ fn anchor_vfy_skip_saves_about_16_percent() {
 #[test]
 fn anchor_320mv_removes_about_19_percent() {
     // Fig. 11(b).
-    let c = chip();
-    let g = *c.geometry();
-    let engine = c.ispp();
-    let chars = engine.characterize(c.process(), g.wl_addr(BlockId(3), 12, 1), c.env(), 0);
-    let default = engine.program(&chars, &ProgramParams::default()).unwrap();
-    let (up, down) = split_margin_mv(320.0, engine.ispp_model());
-    let out = engine
-        .program(
-            &chars,
-            &ProgramParams {
-                v_start_up_mv: up,
-                v_final_down_mv: down,
-                ..ProgramParams::default()
-            },
-        )
-        .unwrap();
-    let reduction = 1.0 - out.latency_us / default.latency_us;
+    let reduction = fig11_320mv().reduction();
     assert!(
         (0.15..0.24).contains(&reduction),
         "320 mV reduction {reduction:.3}"
@@ -139,34 +56,12 @@ fn anchor_320mv_removes_about_19_percent() {
 #[test]
 fn anchor_retry_fractions_0_30_90() {
     // §6.2's probabilistic retry model.
-    let mut c = chip();
-    let g = *c.geometry();
-    // Write a page population.
-    for b in 0..6u32 {
-        c.erase(BlockId(b)).unwrap();
-        for wl in g.wls_of_block(BlockId(b)).collect::<Vec<_>>() {
-            c.program_wl(wl, WlData::host(0), &ProgramParams::default())
-                .unwrap();
-        }
-    }
-    for (state, expected) in [
-        (AgingState::Fresh, 0.0),
-        (AgingState::MidLife, 0.30),
-        (AgingState::EndOfLife, 0.90),
-    ] {
-        c.set_aging(state);
-        let mut retried = 0u32;
-        let mut total = 0u32;
-        for b in 0..6u32 {
-            for wl in g.wls_of_block(BlockId(b)).collect::<Vec<_>>() {
-                for page in g.pages_of_wl(wl).collect::<Vec<_>>() {
-                    let r = c.read_page(page, ReadParams::default()).unwrap();
-                    retried += u32::from(r.retries > 0);
-                    total += 1;
-                }
-            }
-        }
-        let frac = f64::from(retried) / f64::from(total);
+    let fractions = retry_fractions();
+    for ((state, frac), expected) in AgingState::ALL
+        .into_iter()
+        .zip(fractions)
+        .zip([0.0, 0.30, 0.90])
+    {
         assert!(
             (frac - expected).abs() < 0.05,
             "{state}: retry fraction {frac:.3}, expected {expected}"
@@ -177,27 +72,6 @@ fn anchor_retry_fractions_0_30_90() {
 #[test]
 fn anchor_program_orders_are_reliability_equivalent() {
     // Fig. 13: <3% BER difference between orders (plus RTN noise).
-    use cubeftl::ProgramOrder;
-    let mut c = chip();
-    let g = *c.geometry();
-    let mut means = Vec::new();
-    for order in ProgramOrder::ALL {
-        let mut sum = 0.0;
-        let mut n = 0.0;
-        for rep in 0..4u32 {
-            let b = BlockId(100 + rep);
-            c.erase(b).unwrap();
-            for wl in order.sequence(&g, b).collect::<Vec<_>>() {
-                sum += c
-                    .program_wl(wl, WlData::host(0), &ProgramParams::default())
-                    .unwrap()
-                    .post_ber;
-                n += 1.0;
-            }
-        }
-        means.push(sum / n);
-    }
-    let max = means.iter().cloned().fold(f64::MIN, f64::max);
-    let min = means.iter().cloned().fold(f64::MAX, f64::min);
-    assert!(max / min < 1.03, "order BER spread {:.4}", max / min);
+    let ratio = max_over_min(fig13_orders().map(|o| o.1));
+    assert!(ratio < 1.03, "order BER spread {ratio:.4}");
 }
