@@ -145,6 +145,19 @@ struct Sst {
 }
 
 impl Sst {
+    /// The run over `entries` (sorted, deduplicated, non-empty) stored
+    /// at `lpn`, `epp` entries per page.
+    fn new(entries: Vec<(u64, u64)>, lpn: u64, epp: u32) -> Self {
+        let pages = (entries.len() as u64).div_ceil(u64::from(epp));
+        Sst {
+            first: entries[0].0,
+            last: entries[entries.len() - 1].0,
+            entries,
+            lpn,
+            pages: u32::try_from(pages).expect("run pages fit"),
+        }
+    }
+
     fn covers(&self, key: u64) -> bool {
         self.first <= key && key <= self.last
     }
@@ -510,13 +523,7 @@ impl LsmTree {
             let lpn = self.alloc(pages);
             self.emit_span(SpanKind::Write, lpn, pages);
             written += pages;
-            let sst = Sst {
-                first: run[0].0,
-                last: run[take - 1].0,
-                entries: run,
-                lpn,
-                pages: u32::try_from(pages).expect("run pages fit"),
-            };
+            let sst = Sst::new(run, lpn, self.epp);
             if level == 0 {
                 self.levels[0].push(sst);
             } else {
@@ -836,7 +843,90 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// The probe as it was before runs carried a fence index: one
+    /// binary search of the whole run, the page being the slot's index
+    /// over `epp` (a key past the last entry lands on the last page).
+    fn ref_probe(entries: &[(u64, u64)], lpn: u64, key: u64, epp: u32) -> (u64, Option<u64>) {
+        let (pos, hit) = match entries.binary_search_by_key(&key, |e| e.0) {
+            Ok(p) => (p, Some(entries[p].1)),
+            Err(p) => (p, None),
+        };
+        let pages = (entries.len() as u64).div_ceil(u64::from(epp));
+        (lpn + (pos as u64 / u64::from(epp)).min(pages - 1), hit)
+    }
+
+    #[test]
+    fn probe_matches_the_whole_run_binary_search() {
+        for epp in 1..=16u32 {
+            for n in 1..=3 * u64::from(epp) + 1 {
+                // Keys 10, 20, …: every page boundary has keys below,
+                // at and between its neighbours, and the run has keys
+                // below its first entry and above its last.
+                let entries: Vec<(u64, u64)> = (1..=n).map(|i| (10 * i, splitmix64(i))).collect();
+                let sst = Sst::new(entries.clone(), 1_000, epp);
+                for key in 0..=10 * n + 20 {
+                    assert_eq!(
+                        sst.probe(key, epp),
+                        ref_probe(&entries, 1_000, key, epp),
+                        "epp {epp}, {n} entries, key {key}"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
+        /// The memtable against an ordered map: after every operation
+        /// it holds exactly the reference's entries (`len`, `get`, and
+        /// the engine's `get` and `contains` through it and the runs),
+        /// and every flush writes the reference's entries in key order,
+        /// cut into sorted runs of at most `sst_entries`. Fresh keys past
+        /// the base key space stand in for YCSB-D's inserts.
+        #[test]
+        fn memtable_matches_the_btree_reference(
+            ops in prop::collection::vec((0u8..16, 0u64..512), 1..2_000),
+        ) {
+            let cfg = KvConfig { memtable_entries: 4_096, ..tiny() };
+            let mut t = LsmTree::new(cfg, 8_192);
+            let mut mem = BTreeMap::new();
+            let mut all = BTreeMap::new();
+            let (mut seq, mut fresh) = (0u64, cfg.keys);
+            // 0..=7 update, 8..=12 get a base key, 13 get one of the
+            // eight newest keys, 14 insert a fresh key, 15 flush.
+            for &(op, key) in &ops {
+                match op {
+                    0..=7 | 14 => {
+                        let key = if op == 14 { fresh += 1; fresh - 1 } else { key };
+                        t.put(key, op == 14);
+                        seq += 1;
+                        let fp = splitmix64(key ^ seq.rotate_left(17));
+                        mem.insert(key, fp);
+                        all.insert(key, fp);
+                    }
+                    8..=13 => {
+                        let key = if op == 13 { fresh.saturating_sub(1 + key % 8) } else { key };
+                        prop_assert_eq!(t.mem.get(&key), mem.get(&key), "memtable key {}", key);
+                        prop_assert_eq!(t.get(key), all.get(&key).copied(), "key {}", key);
+                        prop_assert_eq!(t.contains(key), all.contains_key(&key), "key {}", key);
+                    }
+                    _ => {
+                        let before = t.levels[0].len();
+                        t.flush_memtable();
+                        let runs = &t.levels[0][before..];
+                        for run in runs {
+                            prop_assert!(run.entries.len() <= cfg.sst_entries as usize);
+                            prop_assert!(run.entries.windows(2).all(|w| w[0].0 < w[1].0));
+                        }
+                        let flushed: Vec<_> = runs.iter().flat_map(|r| r.entries.clone()).collect();
+                        prop_assert_eq!(flushed, std::mem::take(&mut mem).into_iter().collect::<Vec<_>>());
+                        t.maintain();
+                    }
+                }
+                prop_assert_eq!(t.mem.len(), mem.len());
+                drain(&mut t);
+            }
+        }
+
         /// The linear merge against the ordered-map merge it replaced:
         /// one to four overlapping upper runs (newest first) over zero
         /// to six disjoint lower runs, all keys below 40 so that most

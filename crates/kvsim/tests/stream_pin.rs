@@ -7,7 +7,7 @@
 //! a run cut at another boundary or a probe that reads another page
 //! moves them.
 
-use kvsim::{KvConfig, KvStream, YcsbKind};
+use kvsim::{KvConfig, KvStream, YcsbKind, ENTRY_HEADER_BYTES, PAGE_BYTES};
 use ssdsim::HostOp;
 
 const SPACE_PAGES: u64 = 16_384;
@@ -42,8 +42,34 @@ fn small_shape() -> KvConfig {
     }
 }
 
-fn stream_hash(cfg: KvConfig, kind: YcsbKind) -> u64 {
-    let mut stream = KvStream::new(cfg, kind, SPACE_PAGES, 42);
+/// The small shape with one entry per page: every run is as many pages
+/// as entries, so each page boundary is a fence.
+fn one_entry_pages() -> KvConfig {
+    KvConfig {
+        value_bytes: PAGE_BYTES - ENTRY_HEADER_BYTES,
+        ..small_shape()
+    }
+}
+
+/// The small shape with 8-byte values: 512 entries per page, so every
+/// 64-entry run fits one page and has no fence at all.
+fn one_page_runs() -> KvConfig {
+    KvConfig {
+        value_bytes: 8,
+        ..small_shape()
+    }
+}
+
+const KINDS: [YcsbKind; 5] = [
+    YcsbKind::A,
+    YcsbKind::B,
+    YcsbKind::C,
+    YcsbKind::D,
+    YcsbKind::F,
+];
+
+fn stream_hash(cfg: KvConfig, kind: YcsbKind, space_pages: u64) -> u64 {
+    let mut stream = KvStream::new(cfg, kind, space_pages, 42);
     let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
     for req in (&mut stream).take(REQUESTS) {
         fnv.word(match req.op {
@@ -67,13 +93,6 @@ fn stream_hash(cfg: KvConfig, kind: YcsbKind) -> u64 {
 
 #[test]
 fn kv_streams_reproduce_the_pinned_hashes() {
-    let kinds = [
-        YcsbKind::A,
-        YcsbKind::B,
-        YcsbKind::C,
-        YcsbKind::D,
-        YcsbKind::F,
-    ];
     // One row per shape (default at its 8 192 keys, then small), one
     // column per YCSB mix in the order above.
     let pinned: [[u64; 5]; 2] = [
@@ -93,6 +112,34 @@ fn kv_streams_reproduce_the_pinned_hashes() {
         ],
     ];
     let got = [KvConfig::default_shape(), small_shape()]
-        .map(|cfg| kinds.map(|kind| stream_hash(cfg, kind)));
+        .map(|cfg| KINDS.map(|kind| stream_hash(cfg, kind, SPACE_PAGES)));
+    assert_eq!(got, pinned, "got {got:#018x?}");
+}
+
+/// The page-index edge shapes: one-entry pages, then runs of a single
+/// page. Captured from the engine whose probe still binary-searched the
+/// whole run. The space is 16× the other shapes': one-entry pages make
+/// YCSB-D's inserts cost a page each, and at 16 384 pages they would
+/// outgrow the key count the space is budgeted for within the window.
+#[test]
+fn page_index_edge_shapes_reproduce_the_pinned_hashes() {
+    let pinned: [[u64; 5]; 2] = [
+        [
+            0x5c3c_fa28_55bf_a053,
+            0xba90_6e14_f04c_7902,
+            0x48e3_620e_3170_a73e,
+            0x90cd_1a64_bf0f_2adf,
+            0xfa4d_9a21_1db9_24e4,
+        ],
+        [
+            0x1f5f_0939_ec31_f10b,
+            0xac40_1853_f3c0_df1a,
+            0x5892_2a4b_1baf_3ead,
+            0xc634_f4f5_cd57_b031,
+            0xe1a7_473f_6eac_b7d5,
+        ],
+    ];
+    let got = [one_entry_pages(), one_page_runs()]
+        .map(|cfg| KINDS.map(|kind| stream_hash(cfg, kind, 16 * SPACE_PAGES)));
     assert_eq!(got, pinned, "got {got:#018x?}");
 }
