@@ -14,9 +14,12 @@
 //! - a single seeded splitmix64 counter stream per [`KvStream`] is the
 //!   only randomness, consumed exclusively by the YCSB generator; the
 //!   LSM engine itself is a pure function of the op sequence;
-//! - no wall-clock, no `HashMap` iteration order, no thread count in
-//!   the stream: the emitted [`HostRequest`] sequence is a pure
-//!   function of `(config, kind, seed)`.
+//! - no wall-clock, no thread count and no hash order in the stream:
+//!   the memtable is a hash map under a fixed, seedless hasher, and the
+//!   engine's flush drains it and sorts the entries once before writing
+//!   the run, so runs, probes and requests only ever see key order. The
+//!   emitted [`HostRequest`] sequence is a pure function of
+//!   `(config, kind, seed)`.
 //!
 //! The stream runs in two phases. A **load phase** inserts every key
 //! (bulk load: no WAL, not measured) and force-flushes, so even a

@@ -13,7 +13,9 @@
 //!   (`fanout`× the level above); the last level absorbs everything,
 //!   bounding the level count at `max_levels`;
 //! - **reads** probe the memtable (no I/O), then one page per
-//!   key-range-covering run, newest first, until the key is found;
+//!   key-range-covering run, newest first, until the key is found; a
+//!   run's fence index (its pages' last keys) picks the page, so a
+//!   probe searches one page's entries, never the whole run;
 //! - **SST space** comes from a first-fit extent allocator over the
 //!   device's logical pages; dead runs are trimmed back to it.
 //!
@@ -23,7 +25,8 @@
 
 use crate::rng::splitmix64;
 use ssdsim::HostRequest;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Device page size the engine packs entries into (matches the
 /// simulator's 16-KiB page).
@@ -132,14 +135,43 @@ impl Default for KvConfig {
     }
 }
 
-/// One sorted run: its key range, entries, and device extent. The
-/// range sits inline so that searching a level for the run covering a
-/// key reads the level's run array only, never a run's entries.
+/// Hashes a memtable key with the splitmix64 finalizer: fixed and
+/// seedless, so the table's layout is a pure function of its inserts.
+/// Its order never leaves the memtable: a flush sorts what it drains.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = splitmix64(self.0 ^ key);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The memtable: key → fingerprint of its newest version.
+type Memtable = HashMap<u64, u64, BuildHasherDefault<KeyHasher>>;
+
+/// One sorted run: its key range, entries, fence index and device
+/// extent. The range sits inline so that searching a level for the run
+/// covering a key reads the level's run array only, never a run's
+/// entries; the fences (the last key of every page but the final one,
+/// 8 B a page, like an SST's index block) let a probe read one page's
+/// entries instead of binary-searching the whole run.
 #[derive(Debug, Clone)]
 struct Sst {
     first: u64,
     last: u64,
     entries: Vec<(u64, u64)>,
+    fences: Vec<u64>,
     lpn: u64,
     pages: u32,
 }
@@ -148,11 +180,16 @@ impl Sst {
     /// The run over `entries` (sorted, deduplicated, non-empty) stored
     /// at `lpn`, `epp` entries per page.
     fn new(entries: Vec<(u64, u64)>, lpn: u64, epp: u32) -> Self {
-        let pages = (entries.len() as u64).div_ceil(u64::from(epp));
+        let epp = epp as usize;
+        let pages = entries.len().div_ceil(epp);
+        let mut fences = Vec::with_capacity(pages - 1);
+        let page_ends = entries.iter().skip(epp - 1).step_by(epp);
+        fences.extend(page_ends.take(pages - 1).map(|e| e.0));
         Sst {
             first: entries[0].0,
             last: entries[entries.len() - 1].0,
             entries,
+            fences,
             lpn,
             pages: u32::try_from(pages).expect("run pages fit"),
         }
@@ -163,14 +200,18 @@ impl Sst {
     }
 
     /// One search of the run: the device page holding `key`'s slot (or
-    /// its insertion point), and the fingerprint if the key is there.
+    /// its insertion point; past the last entry, the last page), and the
+    /// fingerprint if the key is there. The fences name the page, and
+    /// only that page's entries are searched.
     fn probe(&self, key: u64, epp: u32) -> (u64, Option<u64>) {
-        let (pos, hit) = match self.entries.binary_search_by_key(&key, |e| e.0) {
-            Ok(p) => (p, Some(self.entries[p].1)),
-            Err(p) => (p, None),
-        };
-        let page = (pos as u64 / u64::from(epp)).min(u64::from(self.pages) - 1);
-        (self.lpn + page, hit)
+        let page = self.fences.partition_point(|&k| k < key);
+        let start = page * epp as usize;
+        let slots = &self.entries[start..self.entries.len().min(start + epp as usize)];
+        let hit = slots
+            .binary_search_by_key(&key, |e| e.0)
+            .ok()
+            .map(|i| slots[i].1);
+        (self.lpn + page as u64, hit)
     }
 }
 
@@ -243,7 +284,7 @@ pub struct KvStats {
 pub struct LsmTree {
     cfg: KvConfig,
     epp: u32,
-    mem: BTreeMap<u64, u64>,
+    mem: Memtable,
     levels: Vec<Vec<Sst>>,
     cursors: Vec<u64>,
     free: BTreeMap<u64, u64>,
@@ -272,7 +313,7 @@ impl LsmTree {
         free.insert(0u64, data_pages);
         LsmTree {
             epp: cfg.entries_per_page(),
-            mem: BTreeMap::new(),
+            mem: Memtable::default(),
             levels: vec![Vec::new(); cfg.max_levels as usize],
             cursors: vec![0; cfg.max_levels as usize],
             free,
@@ -539,8 +580,11 @@ impl LsmTree {
         if self.mem.is_empty() {
             return;
         }
-        let mem = std::mem::take(&mut self.mem);
-        let written = self.write_runs(mem.into_iter(), 0);
+        // Drained, the table keeps its capacity for the next fill; one
+        // sort puts the entries in the order every run holds.
+        let mut sorted: Vec<(u64, u64)> = self.mem.drain().collect();
+        sorted.sort_unstable_by_key(|e| e.0);
+        let written = self.write_runs(sorted.into_iter(), 0);
         self.stats.flushes += 1;
         self.events.push(KvEvent {
             op_index: self.op_index,
@@ -824,6 +868,10 @@ mod tests {
                 "a run of {} entries holds room for {}",
                 sst.entries.len(),
                 sst.entries.capacity()
+            );
+            assert!(
+                sst.fences.capacity() < sst.pages as usize,
+                "one fence per page boundary"
             );
         }
     }
