@@ -63,7 +63,7 @@ impl KvStream {
         let cfg = cfg.clamped(space_pages);
         let mut lsm = LsmTree::new(cfg, space_pages);
         let keys = cfg.keys;
-        let gen = YcsbGen::new(kind, keys, seed);
+        let gen = YcsbGen::new(kind, keys, seed).with_key_cap(cfg.insert_cap(space_pages));
         lsm.begin_load();
         // Load order is scattered (splitmix64 over the key id) so the
         // initial runs overlap and compaction starts exercised.
@@ -297,6 +297,26 @@ mod tests {
         let r = s.report();
         assert!(r.read_p99_pages >= 1);
         assert!(r.stats.ops > 0);
+    }
+
+    #[test]
+    fn d_inserts_stop_at_the_key_count_the_space_is_budgeted_for() {
+        // 256-entry runs of 1-KiB entries take 18 pages, so the 960 SST
+        // pages of 1 024 hold 13 653 entries: the cap is 6 826 live
+        // keys, 6 314 inserts past the 512 loaded. Run to twice that
+        // many insert draws.
+        let cfg = KvConfig {
+            keys: 512,
+            ..small()
+        };
+        let cap = cfg.insert_cap(1_024);
+        assert_eq!(cap, 6_826);
+        let mut s = KvStream::new(cfg, YcsbKind::D, 1_024, 5);
+        while s.report().stats.inserts + s.report().stats.updates < 2 * (cap - 512) {
+            for _ in (&mut s).take(1_000) {}
+        }
+        assert_eq!(s.report().stats.inserts, cap - 512);
+        assert_eq!(s.gen.live_keys(), cap);
     }
 
     #[test]

@@ -106,6 +106,20 @@ impl KvConfig {
         self
     }
 
+    /// The live key count YCSB-D's inserts may grow the clamped key
+    /// space to in `space_pages` logical pages. An inserted key is
+    /// written once and never updated, so it leaves no older versions in
+    /// the upper levels: budget 2 entry-slots per key (its own and a
+    /// compaction's transient copy). A slot here is a full run's entries
+    /// per page it takes, which is fewer than a page holds when a run
+    /// ends part-way into its last page.
+    pub fn insert_cap(&self, space_pages: u64) -> u64 {
+        let run = u64::from(self.sst_entries);
+        let run_pages = run.div_ceil(u64::from(self.entries_per_page()));
+        let data_pages = space_pages.saturating_sub(u64::from(WAL_PAGES));
+        (data_pages * run / run_pages / 2).max(self.clamped(space_pages).keys)
+    }
+
     /// Panics unless the configuration is coherent.
     pub fn validate(&self) {
         assert!(self.keys >= 1, "need at least one key");

@@ -16,7 +16,8 @@
 //! `fnvhash` scramble, in spirit), so hot ranks are not adjacent keys.
 //! Workload D grows the key space: inserts append fresh keys and reads
 //! draw a zipf rank *back from the newest key* ("latest"
-//! distribution).
+//! distribution). Growth stops at the generator's key cap: from there
+//! an insert draw updates the newest key instead.
 
 use crate::rng::{splitmix64, SplitMix};
 use crate::zipf::IntZipf;
@@ -99,6 +100,8 @@ pub struct YcsbGen {
     base_keys: u64,
     /// Keys inserted beyond the base (workload D).
     inserted: u64,
+    /// Most live keys D's inserts may grow the space to.
+    max_keys: u64,
 }
 
 impl YcsbGen {
@@ -111,7 +114,15 @@ impl YcsbGen {
             zipf: IntZipf::new(keys),
             base_keys: keys,
             inserted: 0,
+            max_keys: u64::MAX,
         }
+    }
+
+    /// Caps the live key count: once D's inserts reach `max_keys` keys,
+    /// an insert draw becomes an update of the newest key.
+    pub fn with_key_cap(mut self, max_keys: u64) -> Self {
+        self.max_keys = max_keys;
+        self
     }
 
     /// Which workload this generates.
@@ -136,6 +147,9 @@ impl YcsbGen {
         match (self.kind, is_write) {
             (YcsbKind::D, true) => {
                 let key = self.base_keys + self.inserted;
+                if self.live_keys() >= self.max_keys {
+                    return KvOp::Update(key - 1);
+                }
                 self.inserted += 1;
                 KvOp::Insert(key)
             }
@@ -246,6 +260,24 @@ mod tests {
             recent_reads * 10 > reads,
             "latest reads too rare: {recent_reads}/{reads}"
         );
+    }
+
+    #[test]
+    fn d_inserts_past_the_key_cap_update_the_newest_key() {
+        let mut g = YcsbGen::new(YcsbKind::D, 100, 3).with_key_cap(110);
+        let mut capped = 0;
+        for _ in 0..5_000 {
+            match g.next_op() {
+                KvOp::Insert(k) => assert!((100..110).contains(&k), "insert {k}"),
+                KvOp::Update(k) => {
+                    assert_eq!((k, g.live_keys()), (109, 110));
+                    capped += 1;
+                }
+                KvOp::Read(k) => assert!(k < 110, "read {k}"),
+                other => panic!("unexpected op {other:?}"),
+            }
+        }
+        assert!(capped > 100, "only {capped} draws past the cap");
     }
 
     #[test]

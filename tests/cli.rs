@@ -126,6 +126,10 @@ cases! {
     // `Wam::select`, "the allocator returned none").
     kv_churns_a_tight_device: "--ftl cube --kv a --blocks 16 --kv-value-bytes 16360 \
                                --kv-keys 1000000 --requests 300000";
+    // YCSB-D inserts fresh keys for as long as it runs: past the key
+    // count the space is budgeted for, an insert updates the newest key
+    // (this line used to run the engine out of device space and panic).
+    kv_d_stops_growing_at_the_space_budget: "--ftl cube --kv d --blocks 10 --requests 3000000 --seed 1";
     kv_a_shards4: &format!("--ftl cube --blocks 16 --requests 3000 --kv a --shards 4 --array-threads 2 {FILES}");
     qos: &format!("--ftl cube --blocks 16 --requests 3000 --queues 4 --tenants 12 \
                    --tenant-weights 8,4,2,1 --qos-slo-read-us 5000 {FILES}");
