@@ -704,11 +704,11 @@ mod tests {
     }
 
     #[test]
-    fn combined_follower_optimization_lands_near_30_percent() {
-        // §6.2: cubeFTL achieves ≈30% average tPROG reduction; §6.1 caps
-        // follower tPROG reduction at 35.9%.
+    fn combined_follower_optimization_stays_inside_the_safe_window() {
+        // VFY skipping plus the WL's safe margin never over-skips and never
+        // asks for margin it does not have. The ≈30% anchor itself is
+        // `tests/paper_anchors.rs`'s, on `bench::anchors::follower_tprog`.
         let (engine, process, env) = setup();
-        let mut reductions = Vec::new();
         for b in 0..24u32 {
             for h in (0..48u16).step_by(3) {
                 let chars = engine.characterize(&process, wl(&process, b, h, 1), &env, 0);
@@ -726,23 +726,9 @@ mod tests {
                 let out = engine.program(&chars, &params).unwrap();
                 assert_eq!(out.over_skip_excess, 0);
                 assert_eq!(out.margin_excess_loops, 0, "requested only the safe margin");
-                reductions.push(1.0 - out.latency_us / default.latency_us);
+                assert!(out.latency_us <= default.latency_us, "never slower than the default");
             }
         }
-        let avg = reductions.iter().sum::<f64>() / reductions.len() as f64;
-        let max = reductions.iter().cloned().fold(f64::MIN, f64::max);
-        assert!(
-            (0.25..0.34).contains(&avg),
-            "avg follower reduction {avg:.3}"
-        );
-        assert!(
-            max <= 0.40,
-            "max follower reduction {max:.3} (paper: 35.9%)"
-        );
-        assert!(
-            max >= 0.28,
-            "max follower reduction {max:.3} (paper: 35.9%)"
-        );
     }
 
     #[test]

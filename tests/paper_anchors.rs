@@ -44,6 +44,20 @@ fn anchor_vfy_skip_saves_about_16_percent() {
 }
 
 #[test]
+fn anchor_combined_follower_saves_about_30_percent() {
+    // §6.2: cubeFTL's follower tPROG falls by ≈30% on average; §6.1 caps
+    // a single WL's reduction at 35.9%; vertFTL's static guard step
+    // saves ≈8%.
+    let follower = follower_tprog();
+    let avg = follower.combined_avg;
+    assert!((0.25..0.34).contains(&avg), "combined reduction (avg) {avg:.3}");
+    let max = follower.combined_max;
+    assert!((0.28..=0.40).contains(&max), "combined reduction (max) {max:.3}");
+    let vert = follower.vert;
+    assert!((0.06..=0.10).contains(&vert), "vertFTL reduction {vert:.3}");
+}
+
+#[test]
 fn anchor_320mv_removes_about_19_percent() {
     // Fig. 11(b).
     let reduction = fig11_320mv().reduction();
