@@ -726,7 +726,10 @@ mod tests {
                 let out = engine.program(&chars, &params).unwrap();
                 assert_eq!(out.over_skip_excess, 0);
                 assert_eq!(out.margin_excess_loops, 0, "requested only the safe margin");
-                assert!(out.latency_us <= default.latency_us, "never slower than the default");
+                assert!(
+                    out.latency_us <= default.latency_us,
+                    "never slower than the default"
+                );
             }
         }
     }

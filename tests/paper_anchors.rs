@@ -50,9 +50,15 @@ fn anchor_combined_follower_saves_about_30_percent() {
     // saves ≈8%.
     let follower = follower_tprog();
     let avg = follower.combined_avg;
-    assert!((0.25..0.34).contains(&avg), "combined reduction (avg) {avg:.3}");
+    assert!(
+        (0.25..0.34).contains(&avg),
+        "combined reduction (avg) {avg:.3}"
+    );
     let max = follower.combined_max;
-    assert!((0.28..=0.40).contains(&max), "combined reduction (max) {max:.3}");
+    assert!(
+        (0.28..=0.40).contains(&max),
+        "combined reduction (max) {max:.3}"
+    );
     let vert = follower.vert;
     assert!((0.06..=0.10).contains(&vert), "vertFTL reduction {vert:.3}");
 }
