@@ -101,7 +101,7 @@ pub struct YcsbGen {
     /// Keys inserted beyond the base (workload D).
     inserted: u64,
     /// Most live keys D's inserts may grow the space to.
-    max_keys: u64,
+    key_cap: u64,
 }
 
 impl YcsbGen {
@@ -114,14 +114,14 @@ impl YcsbGen {
             zipf: IntZipf::new(keys),
             base_keys: keys,
             inserted: 0,
-            max_keys: u64::MAX,
+            key_cap: u64::MAX,
         }
     }
 
-    /// Caps the live key count: once D's inserts reach `max_keys` keys,
+    /// Caps the live key count: once D's inserts reach `key_cap` keys,
     /// an insert draw becomes an update of the newest key.
-    pub fn with_key_cap(mut self, max_keys: u64) -> Self {
-        self.max_keys = max_keys;
+    pub fn with_key_cap(mut self, key_cap: u64) -> Self {
+        self.key_cap = key_cap;
         self
     }
 
@@ -147,7 +147,7 @@ impl YcsbGen {
         match (self.kind, is_write) {
             (YcsbKind::D, true) => {
                 let key = self.base_keys + self.inserted;
-                if self.live_keys() >= self.max_keys {
+                if self.live_keys() >= self.key_cap {
                     return KvOp::Update(key - 1);
                 }
                 self.inserted += 1;
