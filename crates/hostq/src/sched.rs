@@ -165,7 +165,136 @@ impl DwrrScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::VecDeque;
+
+    /// The scheduler as it was before `idle()`, kept verbatim as the
+    /// reference: every poll, idle or not, is a full `pick` scan.
+    struct RefDwrr {
+        quantum: Vec<u64>,
+        deficit: Vec<u64>,
+        order: Vec<u32>,
+        cursor: usize,
+        current: Option<usize>,
+    }
+
+    impl RefDwrr {
+        fn new(weights: &[u32], order: Vec<u32>) -> Self {
+            RefDwrr {
+                quantum: weights.iter().map(|&w| u64::from(w) << Q_SHIFT).collect(),
+                deficit: vec![0; weights.len()],
+                order,
+                cursor: 0,
+                current: None,
+            }
+        }
+
+        fn pick(&mut self, head_cost: &mut dyn FnMut(u32) -> Option<u64>) -> Option<u32> {
+            let n = self.order.len();
+            if let Some(ci) = self.current.take() {
+                let t = self.order[ci];
+                match head_cost(t) {
+                    Some(cost) if self.deficit[t as usize] >= cost => {
+                        self.deficit[t as usize] -= cost;
+                        self.current = Some(ci);
+                        return Some(t);
+                    }
+                    Some(_) => {
+                        self.cursor = (ci + 1) % n;
+                    }
+                    None => {
+                        self.deficit[t as usize] = 0;
+                        self.cursor = (ci + 1) % n;
+                    }
+                }
+            }
+            let mut backlogged_this_round = false;
+            let mut visited = 0usize;
+            loop {
+                let i = self.cursor;
+                let t = self.order[i];
+                self.cursor = (i + 1) % n;
+                match head_cost(t) {
+                    Some(cost) => {
+                        backlogged_this_round = true;
+                        self.deficit[t as usize] += self.quantum[t as usize];
+                        if self.deficit[t as usize] >= cost {
+                            self.deficit[t as usize] -= cost;
+                            self.current = Some(i);
+                            self.cursor = i;
+                            return Some(t);
+                        }
+                    }
+                    None => self.deficit[t as usize] = 0,
+                }
+                visited += 1;
+                if visited.is_multiple_of(n) {
+                    if !backlogged_this_round {
+                        return None;
+                    }
+                    backlogged_this_round = false;
+                }
+            }
+        }
+
+        fn fingerprint(&self) -> u64 {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut mix = |v: u64| {
+                h ^= v;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            };
+            for &d in &self.deficit {
+                mix(d);
+            }
+            mix(self.cursor as u64);
+            mix(match self.current {
+                Some(c) => c as u64 + 1,
+                None => 0,
+            });
+            h
+        }
+    }
+
+    proptest! {
+        /// Driven the way `HostQueueFront` drives it — `pick` while any
+        /// tenant is backlogged, the idle poll otherwise — the scheduler
+        /// makes the reference's picks and leaves its state after every
+        /// call. Heads of up to 11 pages against weights 1–8 make some
+        /// picks take several rounds.
+        #[test]
+        fn scheduler_matches_the_scanning_reference(
+            weights in prop::collection::vec(1u32..9, 1..41),
+            keys in prop::collection::vec(0u64..u64::MAX, 40..41),
+            admit_pct in 5u32..95,
+            ops in prop::collection::vec((0u32..100, 0u32..40, 1u32..12), 0..600),
+        ) {
+            let n = weights.len();
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.sort_by_key(|&t| keys[t as usize]);
+            let mut s = DwrrScheduler::new(&weights, order.clone());
+            let mut r = RefDwrr::new(&weights, order);
+            let mut backlog: Vec<VecDeque<u32>> = vec![VecDeque::new(); n];
+            for (step, &(roll, tenant, pages)) in ops.iter().enumerate() {
+                if roll < admit_pct {
+                    backlog[tenant as usize % n].push_back(pages);
+                    continue;
+                }
+                let mut head =
+                    |t: u32| backlog[t as usize].front().map(|&p| DwrrScheduler::cost(p));
+                let want = r.pick(&mut head);
+                let got = if backlog.iter().all(VecDeque::is_empty) {
+                    s.pick(&mut |_| None)
+                } else {
+                    s.pick(&mut head)
+                };
+                prop_assert_eq!(got, want, "step {}", step);
+                prop_assert_eq!(s.fingerprint(), r.fingerprint(), "step {}", step);
+                if let Some(t) = got {
+                    backlog[t as usize].pop_front();
+                }
+            }
+        }
+    }
 
     fn drive(weights: &[u32], backlog: &mut [VecDeque<u32>], picks: usize) -> Vec<u64> {
         let order: Vec<u32> = (0..weights.len() as u32).collect();

@@ -165,6 +165,46 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the first 10 000 samples.
+    fn sample_hash(z: &mut Zipfian) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for _ in 0..10_000 {
+            for b in z.sample().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn samples_and_zeta_match_the_pinned_hashes() {
+        // (n, θ, scatter, seed). Rows 0–1 share n at Web's and Mail's θ,
+        // in one process, so a law looked up by n alone serves one of
+        // them the other's; row 3 is past `EXACT_LIMIT` (the integral
+        // tail); row 4 builds row 1's law again.
+        let cases = [
+            (100_000, 0.85, true, 7),
+            (100_000, 0.90, true, 7),
+            (100_000, 0.90, false, 8),
+            (50_000_000, 0.99, true, 9),
+            (100_000, 0.90, true, 7),
+        ];
+        // (FNV of the samples, ζ(n, θ) bits), row by row.
+        let pinned: [(u64, u64); 5] = [
+            (0x8961_dc7e_0577_be8c, 0x403f_6393_7252_1d19),
+            (0xe477_93fb_b0b7_0b89, 0x4036_3153_5f07_5b42),
+            (0x9ff6_f0b0_7f83_bcdb, 0x4036_3153_5f07_5b42),
+            (0x08cb_e751_4b1e_9593, 0x4033_f8f3_8e07_3fae),
+            (0xe477_93fb_b0b7_0b89, 0x4036_3153_5f07_5b42),
+        ];
+        for (i, (&(n, theta, scatter, seed), &want)) in cases.iter().zip(&pinned).enumerate() {
+            let hash = sample_hash(&mut Zipfian::new(n, theta, scatter, seed));
+            let got = (hash, zeta(n, theta).to_bits());
+            assert_eq!(got, want, "case {i}: n {n}, θ {theta}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "empty domain")]
     fn empty_domain_rejected() {
