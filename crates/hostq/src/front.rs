@@ -117,6 +117,8 @@ struct TenantState {
 pub struct HostQueueFront {
     cfg: HostQueueConfig,
     tenants: Vec<TenantState>,
+    /// Tenants whose submission queue is non-empty.
+    backlogged: usize,
     sched: DwrrScheduler,
     arrivals: BinaryHeap<Arrival>,
     /// In-flight token slab; freed slots are recycled LIFO.
@@ -231,6 +233,7 @@ impl HostQueueFront {
         HostQueueFront {
             cfg,
             tenants,
+            backlogged: 0,
             sched,
             arrivals,
             inflight: Vec::new(),
@@ -334,6 +337,7 @@ impl HostQueueFront {
             });
         }
         if tenant.sq.len() < self.cfg.sq_depth {
+            self.backlogged += usize::from(tenant.sq.is_empty());
             tenant.sq.push_back(Pending {
                 req,
                 arrival_us: t_us,
@@ -374,6 +378,10 @@ impl HostFront for HostQueueFront {
     }
 
     fn pop(&mut self, now_us: f64) -> Option<FrontRequest> {
+        if self.backlogged == 0 {
+            self.sched.idle();
+            return None;
+        }
         let tenants = &mut self.tenants;
         let local = self.sched.pick(&mut |t| {
             tenants[t as usize]
@@ -381,10 +389,11 @@ impl HostFront for HostQueueFront {
                 .front()
                 .map(|p| DwrrScheduler::cost(p.req.n_pages))
         })?;
-        let pending = self.tenants[local as usize]
-            .sq
+        let sq = &mut self.tenants[local as usize].sq;
+        let pending = sq
             .pop_front()
             .expect("scheduler picked a backlogged tenant");
+        self.backlogged -= usize::from(sq.is_empty());
         let slot = InFlight {
             tenant: local,
             arrival_us: pending.arrival_us,
@@ -437,9 +446,7 @@ impl HostFront for HostQueueFront {
     }
 
     fn exhausted(&self) -> bool {
-        self.arrivals.is_empty()
-            && self.outstanding == 0
-            && self.tenants.iter().all(|t| t.sq.is_empty())
+        self.arrivals.is_empty() && self.outstanding == 0 && self.backlogged == 0
     }
 }
 

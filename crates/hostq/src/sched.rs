@@ -97,12 +97,12 @@ impl DwrrScheduler {
                 Some(_) => {
                     // Deficit exhausted: keep the residual for its next
                     // visit, move the scan past it.
-                    self.cursor = (ci + 1) % n;
+                    self.cursor = self.after(ci);
                 }
                 None => {
                     // Backlog drained mid-service: no hoarding.
                     self.deficit[t as usize] = 0;
-                    self.cursor = (ci + 1) % n;
+                    self.cursor = self.after(ci);
                 }
             }
         }
@@ -116,7 +116,7 @@ impl DwrrScheduler {
         loop {
             let i = self.cursor;
             let t = self.order[i];
-            self.cursor = (i + 1) % n;
+            self.cursor = self.after(i);
             match head_cost(t) {
                 Some(cost) => {
                     backlogged_this_round = true;
@@ -131,12 +131,35 @@ impl DwrrScheduler {
                 None => self.deficit[t as usize] = 0,
             }
             visited += 1;
-            if visited.is_multiple_of(n) {
+            if visited == n {
                 if !backlogged_this_round {
                     return None;
                 }
                 backlogged_this_round = false;
+                visited = 0;
             }
+        }
+    }
+
+    /// The poll of a caller that knows no tenant is backlogged, in O(1):
+    /// the same state change as a [`pick`](Self::pick) that finds every
+    /// queue empty. That scan zeroes each deficit and leaves the cursor
+    /// one past the tenant being served, if any. Only that tenant can
+    /// hold a deficit here: any other tenant with one still has a head
+    /// it could not afford, so it is backlogged (no hoarding).
+    pub fn idle(&mut self) {
+        if let Some(ci) = self.current.take() {
+            self.deficit[self.order[ci] as usize] = 0;
+            self.cursor = self.after(ci);
+        }
+    }
+
+    /// The walk position after `i`, wrapping to the start.
+    fn after(&self, i: usize) -> usize {
+        if i + 1 == self.order.len() {
+            0
+        } else {
+            i + 1
         }
     }
 
@@ -283,7 +306,8 @@ mod tests {
                     |t: u32| backlog[t as usize].front().map(|&p| DwrrScheduler::cost(p));
                 let want = r.pick(&mut head);
                 let got = if backlog.iter().all(VecDeque::is_empty) {
-                    s.pick(&mut |_| None)
+                    s.idle();
+                    None
                 } else {
                     s.pick(&mut head)
                 };

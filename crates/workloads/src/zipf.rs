@@ -5,18 +5,52 @@
 //! constant-time sampling after an O(n) zeta precomputation. Combined
 //! with a multiplicative hash scatter so that the popular items are
 //! spread over the address space rather than clustered at low LPNs.
+//!
+//! The precomputation is a pure function of `(n, θ)`, computed once per
+//! process: every sampler over the same law (each tenant, shard,
+//! lifetime epoch or bench cell) copies it out of one memo.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
+
+/// The constants of one Zipf law over `0..n` with skew θ.
+#[derive(Debug, Clone, Copy)]
+struct Law {
+    n: u64,
+    alpha: f64,
+    zetan: f64,
+    eta: f64,
+    /// `ζ(2, θ) = 1 + 0.5^θ`: a draw below it (scaled by ζ(n)) is rank 1.
+    rank1_cut: f64,
+}
+
+/// Every law built so far, keyed by `(n, θ bits)`.
+static LAWS: Mutex<BTreeMap<(u64, u64), Law>> = Mutex::new(BTreeMap::new());
+
+impl Law {
+    /// The law for `(n, theta)`, computed on its first request.
+    fn get(n: u64, theta: f64) -> Law {
+        let mut laws = LAWS.lock().unwrap_or_else(PoisonError::into_inner);
+        *laws.entry((n, theta.to_bits())).or_insert_with(|| {
+            let zetan = zeta(n, theta);
+            let zeta2 = zeta(2, theta);
+            Law {
+                n,
+                alpha: 1.0 / (1.0 - theta),
+                zetan,
+                eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan),
+                rank1_cut: 1.0 + 0.5f64.powf(theta),
+            }
+        })
+    }
+}
 
 /// Zipf-distributed sampler over `0..n`.
 #[derive(Debug, Clone)]
 pub struct Zipfian {
-    n: u64,
-    theta: f64,
-    alpha: f64,
-    zetan: f64,
-    eta: f64,
+    law: Law,
     scatter: bool,
     rng: StdRng,
 }
@@ -38,16 +72,8 @@ impl Zipfian {
             (0.0..1.0).contains(&theta) && theta > 0.0,
             "theta must be in (0,1)"
         );
-        let zetan = zeta(n, theta);
-        let zeta2 = zeta(2, theta);
-        let alpha = 1.0 / (1.0 - theta);
-        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         Zipfian {
-            n,
-            theta,
-            alpha,
-            zetan,
-            eta,
+            law: Law::get(n, theta),
             scatter,
             rng: StdRng::seed_from_u64(seed ^ 0x5851_f42d_4c95_7f2d),
         }
@@ -60,21 +86,28 @@ impl Zipfian {
 
     /// Draws the next sample in `0..n`.
     pub fn sample(&mut self) -> u64 {
+        let Law {
+            n,
+            alpha,
+            zetan,
+            eta,
+            rank1_cut,
+        } = self.law;
         let u: f64 = self.rng.gen();
-        let uz = u * self.zetan;
+        let uz = u * zetan;
         let rank = if uz < 1.0 {
             0
-        } else if uz < 1.0 + 0.5f64.powf(self.theta) {
+        } else if uz < rank1_cut {
             1
         } else {
-            (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64
+            (n as f64 * (eta * u - eta + 1.0).powf(alpha)) as u64
         };
-        let rank = rank.min(self.n - 1);
+        let rank = rank.min(n - 1);
         if self.scatter {
             // FNV-ish multiplicative scramble, then fold into range.
             rank.wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 .wrapping_add(0x1234_5678)
-                % self.n
+                % n
         } else {
             rank
         }
@@ -82,7 +115,7 @@ impl Zipfian {
 
     /// The domain size.
     pub fn domain(&self) -> u64 {
-        self.n
+        self.law.n
     }
 }
 

@@ -245,6 +245,18 @@ fn boundary_values_of_the_checked_ranges_still_run() {
     }
 }
 
+/// `MAX_TENANTS` itself runs: the one Zipf law the tenants share is
+/// summed once, so setting up the population costs about a second even
+/// in a debug build.
+#[test]
+fn the_largest_tenant_population_runs() {
+    let seen = observe(
+        "max_tenants",
+        "--tenants 100000 --blocks 12 --requests 200 --queues 2",
+    );
+    assert!(seen.contains("\nexit: Some(0)\n"), "{seen}");
+}
+
 /// Each flag writes the scenario field it names, so the order the flags
 /// come in cannot change the run.
 #[test]
