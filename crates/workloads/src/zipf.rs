@@ -33,17 +33,21 @@ impl Law {
     /// The law for `(n, theta)`, computed on its first request.
     fn get(n: u64, theta: f64) -> Law {
         let mut laws = LAWS.lock().unwrap_or_else(PoisonError::into_inner);
-        *laws.entry((n, theta.to_bits())).or_insert_with(|| {
-            let zetan = zeta(n, theta);
-            let zeta2 = zeta(2, theta);
-            Law {
-                n,
-                alpha: 1.0 / (1.0 - theta),
-                zetan,
-                eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan),
-                rank1_cut: 1.0 + 0.5f64.powf(theta),
-            }
-        })
+        *laws
+            .entry((n, theta.to_bits()))
+            .or_insert_with(|| Law::compute(n, theta))
+    }
+
+    fn compute(n: u64, theta: f64) -> Law {
+        let zetan = zeta(n, theta);
+        let zeta2 = zeta(2, theta);
+        Law {
+            n,
+            alpha: 1.0 / (1.0 - theta),
+            zetan,
+            eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan),
+            rank1_cut: 1.0 + 0.5f64.powf(theta),
+        }
     }
 }
 
@@ -139,6 +143,7 @@ fn zeta(n: u64, theta: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn samples_stay_in_range() {
@@ -235,6 +240,43 @@ mod tests {
             let hash = sample_hash(&mut Zipfian::new(n, theta, scatter, seed));
             let got = (hash, zeta(n, theta).to_bits());
             assert_eq!(got, want, "case {i}: n {n}, θ {theta}");
+        }
+    }
+
+    fn law_bits(l: Law) -> [u64; 5] {
+        [
+            l.n,
+            l.alpha.to_bits(),
+            l.zetan.to_bits(),
+            l.eta.to_bits(),
+            l.rank1_cut.to_bits(),
+        ]
+    }
+
+    proptest! {
+        /// A sampler built from the memo, on a miss or a hit, holds the
+        /// floats a fresh computation gives and draws what a sampler
+        /// over the fresh law draws.
+        #[test]
+        fn memo_hits_return_the_fresh_law(
+            n in 1u64..200_000,
+            theta in 0.01f64..0.99,
+            scatter in prop::bool::ANY,
+            seed in 0u64..u64::MAX,
+        ) {
+            let fresh = Law::compute(n, theta);
+            let mut reference = Zipfian {
+                law: fresh,
+                scatter,
+                rng: StdRng::seed_from_u64(seed ^ 0x5851_f42d_4c95_7f2d),
+            };
+            let want: Vec<u64> = (0..200).map(|_| reference.sample()).collect();
+            for _ in 0..2 {
+                let mut z = Zipfian::new(n, theta, scatter, seed);
+                prop_assert_eq!(law_bits(z.law), law_bits(fresh));
+                let got: Vec<u64> = (0..200).map(|_| z.sample()).collect();
+                prop_assert_eq!(&got, &want);
+            }
         }
     }
 
