@@ -191,8 +191,9 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
-    /// The scheduler as it was before `idle()`, kept verbatim as the
-    /// reference: every poll, idle or not, is a full `pick` scan.
+    /// The reference: the scheduler without `idle()` or the compare
+    /// wraps, so every poll, idle or not, is a `pick` scan that steps
+    /// its cursor and counts rounds with `%`.
     struct RefDwrr {
         quantum: Vec<u64>,
         deficit: Vec<u64>,

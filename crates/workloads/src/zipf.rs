@@ -32,6 +32,8 @@ static LAWS: Mutex<BTreeMap<(u64, u64), Law>> = Mutex::new(BTreeMap::new());
 impl Law {
     /// The law for `(n, theta)`, computed on its first request.
     fn get(n: u64, theta: f64) -> Law {
+        // A panic in `compute` inserts nothing, so a poisoned map still
+        // holds only finished laws.
         let mut laws = LAWS.lock().unwrap_or_else(PoisonError::into_inner);
         *laws
             .entry((n, theta.to_bits()))
