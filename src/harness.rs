@@ -553,10 +553,11 @@ pub const MAX_SHARDS: usize = 256;
 
 /// The largest tenant population a scenario may ask for (`--tenants`).
 /// Every tenant holds its own generator, queue and statistics, built
-/// before the first arrival. Measured on one device at `--blocks 12
+/// before the first arrival; tenants over the same space share one Zipf
+/// law, summed once per process. Measured on one device at `--blocks 12
 /// --requests 200 --queues 2` on a 2-core Xeon: 10 000 tenants take
-/// 15 MB peak RSS and 5.5 s, 100 000 take 100 MB and 55 s (about 1 KB
-/// and 0.55 ms per tenant).
+/// 14 MB peak RSS and 0.03 s, 100 000 take 98 MB and 0.25 s (about 1 KB
+/// and 2.5 µs per tenant). Memory, not time, is what the bound guards.
 pub const MAX_TENANTS: u32 = 100_000;
 
 /// Why a [`Scenario`] cannot run. The messages name the `cubeftl-sim`
