@@ -89,7 +89,7 @@ pub(crate) enum Origin {
 
 /// A page-level FTL over a [`FlashArray`]. See the
 /// [crate docs](crate) for the four variants.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Ftl {
     pub(crate) kind: FtlKind,
     pub(crate) config: FtlConfig,

@@ -229,7 +229,7 @@ pub struct RecoveryReport {
 const CKPT_PAGE_BYTES: usize = 16 * 1024;
 
 /// Periodic L2P-checkpointing state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct CkptState {
     /// Host WLs between checkpoint flushes.
     interval_host_wls: u64,
@@ -757,6 +757,39 @@ mod tests {
         assert_eq!(ckpt.pages(16), 5); // 76 bytes / 16 = 4.75 → 5
         assert_eq!(ckpt.pages(76), 1);
         assert_eq!(ckpt.pages(75), 2);
+    }
+
+    /// The flushed checkpoint's charged size, pinned: `28 + 8·LPNs +
+    /// 4·chips·blocks` bytes, rounded up to 16-KB metadata pages.
+    #[test]
+    fn flushed_checkpoint_size_is_pinned() {
+        let paper = |blocks| {
+            let mut cfg = FtlConfig::paper();
+            cfg.nand.geometry.blocks_per_chip = blocks;
+            cfg
+        };
+        for (cfg, pages, bytes) in [
+            (FtlConfig::small(), 1, 9_308),
+            (paper(16), 32, 516_636),
+            (paper(64), 127, 2_066_460),
+        ] {
+            let mut ftl = Ftl::page(cfg);
+            ftl.enable_telemetry(EventMask::CKPT, 0);
+            ftl.enable_checkpointing(u64::MAX);
+            ftl.take_checkpoint();
+            assert_eq!(ftl.stats().ckpt_page_programs, pages);
+            let trace = ftl.take_trace();
+            let [event] = trace.as_slice() else {
+                panic!("one checkpoint event, got {trace:?}")
+            };
+            let EventKind::Checkpoint {
+                pages: p, bytes: b, ..
+            } = event.kind
+            else {
+                panic!("not a checkpoint event: {event:?}")
+            };
+            assert_eq!((u64::from(p), b), (pages, bytes));
+        }
     }
 
     #[test]

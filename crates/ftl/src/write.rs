@@ -14,7 +14,7 @@ use telemetry::{EventKind, EventMask};
 
 /// One chip's erased blocks: the allocation queue plus a membership
 /// bitmap, kept in step by construction.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct FreePool {
     queue: VecDeque<BlockId>,
     is_free: Vec<bool>,

@@ -768,7 +768,7 @@ impl NandChip {
 ///
 /// The SSD simulator and FTLs use this as the physical storage substrate:
 /// 8 chips of the paper geometry form the 32-GB evaluation SSD (§6.1).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlashArray {
     chips: Vec<NandChip>,
 }

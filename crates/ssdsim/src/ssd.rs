@@ -428,7 +428,7 @@ enum ChipOp {
     },
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct ChipState {
     busy: bool,
     queue: VecDeque<ChipOp>,
@@ -440,7 +440,7 @@ struct ChipState {
     stats: ChipStats,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct InFlightRequest {
     arrival_us: f64,
     /// Pages not yet served. A read counts down to zero, one
@@ -459,7 +459,7 @@ struct InFlightRequest {
 /// and is reused before the table grows, so the table holds as many
 /// slots as requests were ever in flight at once — at most
 /// `queue_depth`, however long the run.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct RequestTable {
     slots: Vec<Option<InFlightRequest>>,
     free: Vec<usize>,
@@ -504,7 +504,7 @@ impl RequestTable {
 }
 
 /// A write waiting for buffer room: its table slot and its span.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StalledWrite {
     req: usize,
     lpn: u64,
@@ -526,7 +526,7 @@ pub enum StepOutcome {
 
 /// The simulation engine. Owns the platform state; borrows the FTL and
 /// the workload for the duration of [`SsdSim::run`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SsdSim {
     config: SsdConfig,
     now: f64,
@@ -593,7 +593,7 @@ pub struct SsdSim {
 /// idempotent at `run_step` slice boundaries, so the rows are a pure
 /// function of the workload/FTL/config — independent of step budgets
 /// and worker-thread counts.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SamplerState {
     /// Sampling interval, virtual µs.
     interval_us: f64,
@@ -1009,8 +1009,12 @@ impl SsdSim {
         self.try_rebuild(ftl);
     }
 
-    /// The armed trigger fired: freeze the device state at `now`.
-    fn cut_power(&mut self) -> StepOutcome {
+    /// Cuts the power now: freezes the device state at the current
+    /// instant exactly as an armed trigger firing here would, so the
+    /// next [`SsdSim::run_end`] returns the [`SpoEvent`]. The armed
+    /// trigger calls this; a crash sweep calls it on a clone of a
+    /// stepped engine to cut the same run at every step boundary.
+    pub fn cut_power(&mut self) -> StepOutcome {
         self.spo_event = Some(self.spo_snapshot());
         StepOutcome::PowerCut
     }

@@ -373,7 +373,7 @@ pub fn events_to_ndjson(events: &[TraceEvent]) -> String {
 /// A mask-gated event sink owned by one component (the simulator or the
 /// FTL of one shard). With an empty mask the collector is inert: no
 /// event is ever pushed and the buffer never allocates.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Collector {
     mask: EventMask,
     shard: u32,
