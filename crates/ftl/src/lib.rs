@@ -32,7 +32,7 @@
 //! as an argument: [`mod@write`] (free pools, WL allocation,
 //! program-and-map), [`read`] (the policy read), [`gc`] (victim
 //! selection, block migration, `release_block`), [`recovery`]
-//! (checkpoint codec, metadata ring, power cut and power cycle),
+//! (checkpoints, metadata ring, power cut and power cycle),
 //! [`maint`] (scrub / re-monitor / wear-level services) and [`aging`]
 //! (lifetime epochs), over [`mapping`] (L2P/P2L), [`cube`] (OPM and
 //! WAM), [`order`] (program orders), [`config`] and [`predictor`].
@@ -74,4 +74,4 @@ pub use maint::MaintConfig;
 pub use mapping::{Mapping, Ppn};
 pub use order::ProgramOrder;
 pub use predictor::{Forecast, LatencyPredictor};
-pub use recovery::{Checkpoint, CheckpointError, RecoveryReport};
+pub use recovery::RecoveryReport;

@@ -195,8 +195,8 @@ impl Ftl {
             let chip_ref = self.array.chip(chip).expect("valid chip");
             let retention = chip_ref.block_retention_months(b);
             if self.ckpt_region_contains(chip, b) {
-                // Metadata scrub: the region block holds the checkpoint
-                // blob, not mapped pages, so refreshing it is an
+                // Metadata scrub: the region block holds checkpoint
+                // pages, not mapped pages, so refreshing it is an
                 // in-place erase plus a rewrite of the live metadata
                 // pages — the block stays in the region.
                 if retention < cfg.scrub_retention_min_months {

@@ -26,7 +26,7 @@ const NONE: u32 = u32::MAX;
 /// so each table is a flat `Vec<u32>`, 4 bytes per page. The L2P
 /// direction serves host reads; the P2L direction and the valid counts
 /// serve garbage collection (victim selection and migration). A
-/// checkpoint still writes each L2P entry as an 8-byte `Ppn`.
+/// checkpoint is a copy of the L2P table, restored entry by entry.
 #[derive(Debug, Clone)]
 pub struct Mapping {
     geometry: Geometry,
@@ -100,8 +100,13 @@ impl Mapping {
     /// trimmed.
     #[inline]
     pub fn lookup(&self, lpn: u64) -> Option<Ppn> {
-        let g = *self.l2p.get(lpn as usize)?;
-        (g != NONE).then(|| self.ppn(g))
+        self.ppn_of(*self.l2p.get(lpn as usize)?)
+    }
+
+    /// The page an L2P entry names, or `None` for an unmapped one.
+    #[inline]
+    pub(crate) fn ppn_of(&self, entry: u32) -> Option<Ppn> {
+        (entry != NONE).then(|| self.ppn(entry))
     }
 
     /// The logical page stored at `ppn`, or `None` if the physical page
@@ -214,10 +219,10 @@ impl Mapping {
         self.p2l[pages].fill(NONE);
     }
 
-    /// The full L2P table in LPN order, read in place — the payload a
-    /// periodic checkpoint serializes.
-    pub fn l2p_entries(&self) -> impl ExactSizeIterator<Item = Option<Ppn>> + '_ {
-        self.l2p.iter().map(|&g| (g != NONE).then(|| self.ppn(g)))
+    /// The L2P table in LPN order (entries decode through
+    /// [`Mapping::ppn_of`]): what a checkpoint copies.
+    pub(crate) fn l2p(&self) -> &[u32] {
+        &self.l2p
     }
 
     /// Total valid pages across all chips (live data).

@@ -1,5 +1,4 @@
 use super::*;
-use crate::recovery::{mapped, Checkpoint, UNMAPPED_PPN};
 use nand3d::BlockId;
 use proptest::prelude::*;
 
@@ -98,6 +97,17 @@ fn tables_are_four_bytes_per_page() {
 }
 
 const UNMAPPED: u64 = u64::MAX;
+
+/// The reference's L2P entry of an unmapped LPN (`chip == u32::MAX`).
+const UNMAPPED_PPN: Ppn = Ppn {
+    chip: u32::MAX,
+    page: 0,
+};
+
+/// Decodes one reference L2P entry.
+fn mapped(entry: Ppn) -> Option<Ppn> {
+    (entry.chip != UNMAPPED_PPN.chip).then_some(entry)
+}
 
 /// The mapping as it was before its tables became flat `u32` page
 /// indices — an 8-byte `Ppn` per LPN, a `u64` LPN per physical page in
@@ -213,10 +223,6 @@ impl RefMapping {
         }
     }
 
-    fn l2p_entries(&self) -> impl ExactSizeIterator<Item = Option<Ppn>> + '_ {
-        self.l2p.iter().copied().map(mapped)
-    }
-
     fn total_valid(&self) -> u64 {
         self.valid
             .iter()
@@ -230,20 +236,9 @@ impl RefMapping {
     }
 }
 
-/// The checkpoint blob a flush of `entries` writes, with a per-chip
-/// erase-count table of the geometry's shape.
-fn blob(entries: impl ExactSizeIterator<Item = Option<Ppn>>, g: Geometry, chips: usize) -> Vec<u8> {
-    Checkpoint {
-        seq: 7,
-        l2p: entries.collect(),
-        erase_counts: vec![vec![1; g.blocks_per_chip as usize]; chips],
-    }
-    .encode()
-}
-
 /// Every answer of `m` equals the reference's: every LPN (and two past
 /// the end), every physical page of every chip, every block's count and
-/// valid pages, the whole L2P and the checkpoint blob it encodes to.
+/// valid pages.
 fn agrees(m: &Mapping, r: &RefMapping) -> Result<(), String> {
     let g = Geometry::small();
     prop_assert_eq!(m.chips(), r.chips());
@@ -268,11 +263,6 @@ fn agrees(m: &Mapping, r: &RefMapping) -> Result<(), String> {
             prop_assert_eq!(got, want, "valid_pages_of_block({}, {})", chip, block);
         }
     }
-    prop_assert!(m.l2p_entries().eq(r.l2p_entries()), "l2p_entries");
-    prop_assert!(
-        blob(m.l2p_entries(), g, r.chips()) == blob(r.l2p_entries(), g, r.chips()),
-        "checkpoint blob"
-    );
     Ok(())
 }
 

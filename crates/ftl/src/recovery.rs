@@ -5,10 +5,9 @@
 //! everything the controller needs must be rebuilt from flash. This
 //! module provides the two durable artifacts the rebuild consumes:
 //!
-//! * a **checkpoint** — a periodic serialization of the L2P map plus the
-//!   per-block erase counters into a reserved metadata region (encoded
-//!   here as a deterministic little-endian byte blob, see
-//!   [`Checkpoint::encode`]), and
+//! * a **checkpoint** — a periodic copy of the L2P map flushed into a
+//!   reserved metadata region, with the sequence number it was taken
+//!   at, and
 //! * the **per-WL OOB records** ([`nand3d::WlOob`]) deposited on every
 //!   program, which recovery replays in sequence order for the blocks
 //!   programmed after the last checkpoint.
@@ -20,18 +19,20 @@
 //! full retry search until each h-layer's leader WL is re-monitored —
 //! which is exactly the post-boot warm-up curve the `spo` bench plots.
 //!
-//! The codec comes first; the [`Ftl`] side — periodic flushes into the
-//! metadata ring, [`Ftl::power_cut`] and [`Ftl::power_cycle`] — follows.
+//! No byte of the checkpoint is ever read outside this module, so it is
+//! kept as the table itself; only its size is simulated. A flush is
+//! charged the pages of its on-flash form: a 28-byte header, an 8-byte
+//! `(chip, page)` entry per LPN and a 4-byte erase counter per block.
+//! The erase counters count toward that size but are never restored,
+//! and nothing can corrupt the copy, so recovery has no full-scan
+//! fallback for a bad checkpoint.
 
 use crate::base::{Ftl, Origin};
-use crate::mapping::{Mapping, Ppn};
+use crate::mapping::Mapping;
 use crate::write::{block_wls, FreePool};
 use nand3d::{BlockId, OobStatus, PageState, WlAddr, WlData};
 use ssdsim::FtlStats;
 use telemetry::{EventKind, EventMask};
-
-/// Magic prefix of the checkpoint blob ("CKP1").
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CKP1";
 
 /// Nominal program latency charged per metadata page when a checkpoint
 /// is flushed to the reserved region (full-verify TLC page program; the
@@ -42,153 +43,11 @@ pub const CKPT_PAGE_PROGRAM_US: f64 = 703.0;
 /// (spare-area read at default references, no retry search).
 pub const OOB_READ_US: f64 = 61.0;
 
-/// The checkpoint's L2P entry of an unmapped LPN (`chip == u32::MAX`):
-/// the 8-byte on-flash form, which the in-memory table does not share.
-pub(crate) const UNMAPPED_PPN: Ppn = Ppn {
-    chip: u32::MAX,
-    page: 0,
-};
-
-/// Decodes one checkpoint L2P entry.
-pub(crate) fn mapped(entry: Ppn) -> Option<Ppn> {
-    (entry.chip != UNMAPPED_PPN.chip).then_some(entry)
-}
-
-/// A decoded checkpoint: everything the FTL persists about its own state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Checkpoint {
-    /// FTL sequence number at capture time: recovery scans only blocks
-    /// whose OOB program sequence exceeds this.
-    pub seq: u64,
-    /// Full L2P table, index = LPN.
-    pub l2p: Vec<Option<Ppn>>,
-    /// Per chip, per block erase counters (wear-leveling state).
-    pub erase_counts: Vec<Vec<u32>>,
-}
-
-/// Why a checkpoint blob failed to decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// Blob is shorter than the fixed header.
-    Truncated,
-    /// Magic prefix mismatch: not a checkpoint.
-    BadMagic,
-    /// Header-declared dimensions disagree with the blob length.
-    LengthMismatch,
-}
-
-impl Checkpoint {
-    /// Serializes the checkpoint into its on-flash byte layout:
-    ///
-    /// ```text
-    /// magic "CKP1"                       4 bytes
-    /// seq                                u64 LE
-    /// logical_pages                      u64 LE
-    /// chips                              u32 LE
-    /// blocks_per_chip                    u32 LE
-    /// l2p[lpn] = (chip u32, page u32)    8 bytes each, chip=u32::MAX ⇒ unmapped
-    /// erase_counts[chip][block]          u32 LE each
-    /// ```
-    pub fn encode(&self) -> Vec<u8> {
-        encode_checkpoint(self.seq, self.l2p.iter().copied(), &self.erase_counts)
-    }
-
-    /// Deserializes a blob produced by [`Checkpoint::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CheckpointError`] for truncated input, a bad magic
-    /// prefix, or a length that disagrees with the declared dimensions.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < 28 {
-            return Err(CheckpointError::Truncated);
-        }
-        if bytes[0..4] != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let seq = u64_at(4);
-        let logical_pages = u64_at(12) as usize;
-        let chips = u32_at(20) as usize;
-        let blocks = u32_at(24) as usize;
-        let expected = 28 + logical_pages * 8 + chips * blocks * 4;
-        if bytes.len() != expected {
-            return Err(CheckpointError::LengthMismatch);
-        }
-        let mut l2p = Vec::with_capacity(logical_pages);
-        let mut at = 28;
-        for _ in 0..logical_pages {
-            let chip = u32_at(at);
-            let page = u32_at(at + 4);
-            l2p.push(mapped(Ppn { chip, page }));
-            at += 8;
-        }
-        let mut erase_counts = Vec::with_capacity(chips);
-        for _ in 0..chips {
-            let mut per_chip = Vec::with_capacity(blocks);
-            for _ in 0..blocks {
-                per_chip.push(u32_at(at));
-                at += 4;
-            }
-            erase_counts.push(per_chip);
-        }
-        Ok(Checkpoint {
-            seq,
-            l2p,
-            erase_counts,
-        })
-    }
-
-    /// Number of metadata pages a blob of this checkpoint occupies, given
-    /// the page size in bytes (what the periodic flush charges latency
-    /// for).
-    pub fn pages(&self, page_bytes: usize) -> u64 {
-        let len = self.encode_len();
-        (len as u64).div_ceil(page_bytes.max(1) as u64)
-    }
-
-    fn encode_len(&self) -> usize {
-        let chips = self.erase_counts.len();
-        let blocks = self.erase_counts.first().map_or(0, Vec::len);
-        28 + self.l2p.len() * 8 + chips * blocks * 4
-    }
-}
-
-/// Writes the [`Checkpoint::encode`] layout from its parts, so a flush
-/// serializes the live L2P table without first copying it.
-fn encode_checkpoint(
-    seq: u64,
-    l2p: impl ExactSizeIterator<Item = Option<Ppn>>,
-    erase_counts: &[Vec<u32>],
-) -> Vec<u8> {
-    let chips = erase_counts.len() as u32;
-    let blocks = erase_counts.first().map_or(0, Vec::len) as u32;
-    let mut out =
-        Vec::with_capacity(4 + 8 + 8 + 4 + 4 + l2p.len() * 8 + (chips * blocks) as usize * 4);
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(l2p.len() as u64).to_le_bytes());
-    out.extend_from_slice(&chips.to_le_bytes());
-    out.extend_from_slice(&blocks.to_le_bytes());
-    for entry in l2p {
-        let ppn = entry.unwrap_or(UNMAPPED_PPN);
-        out.extend_from_slice(&ppn.chip.to_le_bytes());
-        out.extend_from_slice(&ppn.page.to_le_bytes());
-    }
-    for per_chip in erase_counts {
-        for &count in per_chip {
-            out.extend_from_slice(&count.to_le_bytes());
-        }
-    }
-    out
-}
-
 /// What boot-time recovery did and what it cost, returned by
 /// `Ftl::power_cycle`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RecoveryReport {
-    /// Whether a checkpoint blob was found and decoded.
+    /// Whether a flushed checkpoint was found.
     pub checkpoint_loaded: bool,
     /// Sequence number of the loaded checkpoint (0 if none).
     pub checkpoint_seq: u64,
@@ -226,7 +85,7 @@ pub struct RecoveryReport {
 
 /// Page size used to charge checkpoint-flush latency (the paper's
 /// platform uses 16-KB pages).
-const CKPT_PAGE_BYTES: usize = 16 * 1024;
+const CKPT_PAGE_BYTES: u64 = 16 * 1024;
 
 /// Periodic L2P-checkpointing state.
 #[derive(Debug, Clone)]
@@ -235,8 +94,9 @@ pub(crate) struct CkptState {
     interval_host_wls: u64,
     /// Host WLs programmed since the last flush.
     host_wls_since: u64,
-    /// Last flushed blob (the content of the reserved metadata region).
-    blob: Option<Vec<u8>>,
+    /// The last flush (the content of the reserved metadata region):
+    /// the sequence number it was taken at and a copy of the L2P table.
+    flushed: Option<(u64, Vec<u32>)>,
     /// Checkpoints flushed so far.
     taken: u64,
     /// Cumulative metadata pages programmed into the region (the region
@@ -253,14 +113,14 @@ pub(crate) struct CkptState {
 
 impl Ftl {
     /// Enables periodic L2P checkpointing: every `interval_host_wls` host
-    /// WL programs, the full L2P map and per-block erase counters are
-    /// serialized into the reserved metadata region (latency charged to
-    /// the triggering write). An interval of 0 disables.
+    /// WL programs, the full L2P map is flushed into the reserved
+    /// metadata region (latency charged to the triggering write). An
+    /// interval of 0 disables.
     pub fn enable_checkpointing(&mut self, interval_host_wls: u64) {
         self.ckpt = (interval_host_wls > 0).then_some(CkptState {
             interval_host_wls,
             host_wls_since: 0,
-            blob: None,
+            flushed: None,
             taken: 0,
             pages_written: 0,
             region: Vec::new(),
@@ -299,23 +159,19 @@ impl Ftl {
             .map_or(0, |c| c.pages_written % per_block)
     }
 
-    /// Flushes a checkpoint of the L2P map + erase counters to the
-    /// reserved metadata region now, returning the NAND time charged
-    /// (metadata pages × full-verify program latency). Requires
-    /// checkpointing to be enabled; no-op returning 0.0 otherwise.
+    /// Flushes a checkpoint of the L2P map to the reserved metadata
+    /// region now, returning the NAND time charged (metadata pages ×
+    /// full-verify program latency). Requires checkpointing to be
+    /// enabled; no-op returning 0.0 otherwise.
     pub fn take_checkpoint(&mut self) -> f64 {
         if self.ckpt.is_none() {
             return 0.0;
         }
-        let blocks = self.geometry().blocks_per_chip as usize;
-        let erase_counts: Vec<Vec<u32>> = self
-            .array
-            .iter()
-            .map(|c| (0..blocks).map(|b| c.env().erase_count(b)).collect())
-            .collect();
-        let blob = encode_checkpoint(self.seq_counter, self.mapping.l2p_entries(), &erase_counts);
-        let bytes = blob.len() as u64;
-        let pages = bytes.div_ceil(CKPT_PAGE_BYTES as u64);
+        // The on-flash form (see the module docs): header, one 8-byte
+        // entry per LPN, one 4-byte erase counter per block.
+        let blocks = u64::from(self.geometry().blocks_per_chip) * self.config.chips as u64;
+        let bytes = 28 + 8 * self.mapping.logical_pages() + 4 * blocks;
+        let pages = bytes.div_ceil(CKPT_PAGE_BYTES);
         let mut latency = pages as f64 * CKPT_PAGE_PROGRAM_US;
         // Metadata-region wear: the flushed pages are real NAND programs,
         // and the ring recycles (erases) a region block every time the
@@ -337,7 +193,7 @@ impl Ftl {
         st.pages_written += pages;
         let crossings = st.pages_written / per_block - filled_before;
         self.stats.ckpt_erases += crossings;
-        st.blob = Some(blob);
+        st.flushed = Some((self.seq_counter, self.mapping.l2p().to_vec()));
         st.taken += 1;
         st.host_wls_since = 0;
         if let Some(b) = st.region.first().copied() {
@@ -464,19 +320,10 @@ impl Ftl {
         let blocks = g.blocks_per_chip;
         let mut report = RecoveryReport::default();
 
-        // 1. Load the last checkpoint (reject dimension mismatches — a
-        // corrupt region must degrade to a full scan, not a panic).
-        let checkpoint = ckpt
-            .as_ref()
-            .and_then(|c| c.blob.as_deref())
-            .and_then(|b| Checkpoint::decode(b).ok())
-            .filter(|c| {
-                c.l2p.len() as u64 == config.logical_pages()
-                    && c.erase_counts.len() == chips
-                    && c.erase_counts.iter().all(|e| e.len() == blocks as usize)
-            });
+        // 1. Load the last checkpoint.
+        let checkpoint = ckpt.as_ref().and_then(|c| c.flushed.as_ref());
         report.checkpoint_loaded = checkpoint.is_some();
-        let ckpt_seq = checkpoint.as_ref().map_or(0, |c| c.seq);
+        let ckpt_seq = checkpoint.map_or(0, |&(seq, _)| seq);
         report.checkpoint_seq = ckpt_seq;
 
         // 2. Probe every block's metadata page: recover the sequence
@@ -547,21 +394,20 @@ impl Ftl {
         // 4. Rebuild the L2P map: checkpoint entries first (minus stale
         // ones), then the post-checkpoint records in sequence order.
         let mut mapping = Mapping::new(g, chips, config.logical_pages());
-        if let Some(c) = &checkpoint {
-            for (lpn, entry) in c.l2p.iter().enumerate() {
-                let Some(ppn) = entry else { continue };
-                let chip = ppn.chip as usize;
-                let in_range = chip < chips && u64::from(ppn.page) < g.pages_per_chip();
-                let stale = !in_range || {
-                    let wl = g.page_unflat(ppn.page as usize).wl;
-                    erased_since[chip][wl.block.0 as usize]
-                        || array.chip(chip).expect("valid chip").wl_state(wl) != PageState::Written
+        if let Some((_, l2p)) = checkpoint {
+            for (lpn, &entry) in l2p.iter().enumerate() {
+                let Some(ppn) = mapping.ppn_of(entry) else {
+                    continue;
                 };
-                if stale {
+                let chip = ppn.chip as usize;
+                let wl = g.page_unflat(ppn.page as usize).wl;
+                if erased_since[chip][wl.block.0 as usize]
+                    || array.chip(chip).expect("valid chip").wl_state(wl) != PageState::Written
+                {
                     report.stale_ckpt_entries_dropped += 1;
                     continue;
                 }
-                mapping.map(lpn as u64, *ppn);
+                mapping.map(lpn as u64, ppn);
                 report.ckpt_entries_restored += 1;
             }
         }
@@ -675,89 +521,6 @@ mod tests {
     use crate::{FtlConfig, FtlKind, OrtClusterConfig};
     use nand3d::{FaultKind, FaultPlan};
     use ssdsim::FtlDriver;
-
-    fn sample() -> Checkpoint {
-        Checkpoint {
-            seq: 0xDEAD_BEEF,
-            l2p: vec![
-                Some(Ppn { chip: 0, page: 12 }),
-                None,
-                Some(Ppn { chip: 3, page: 0 }),
-            ],
-            erase_counts: vec![vec![1, 2, 3], vec![0, 9, 4]],
-        }
-    }
-
-    #[test]
-    fn checkpoint_roundtrip() {
-        let ckpt = sample();
-        let blob = ckpt.encode();
-        assert_eq!(blob.len(), 28 + 3 * 8 + 6 * 4);
-        assert_eq!(Checkpoint::decode(&blob), Ok(ckpt));
-    }
-
-    /// The flush encodes the live table in place. The pinned bytes were
-    /// captured from the encoder that serialized a cloned
-    /// `Vec<Option<Ppn>>` of this same mapping: mapped, re-mapped,
-    /// trimmed and never-written LPNs.
-    #[test]
-    fn live_table_encodes_to_the_pinned_bytes() {
-        let mut m = Mapping::new(nand3d::Geometry::small(), 2, 8);
-        m.map(0, Ppn { chip: 0, page: 5 });
-        m.map(2, Ppn { chip: 1, page: 17 });
-        m.map(5, Ppn { chip: 0, page: 99 });
-        m.map(6, Ppn { chip: 1, page: 3 });
-        m.map(5, Ppn { chip: 1, page: 200 });
-        m.unmap(2);
-        let seq = 0x0102_0304_0506_0708;
-        let erase_counts = vec![vec![1, 2, 3], vec![0, 9, 4]];
-        let blob = encode_checkpoint(seq, m.l2p_entries(), &erase_counts);
-        let hex: String = blob.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(
-            hex,
-            "434b5031080706050403020108000000000000000200000003000000\
-             0000000005000000ffffffff00000000ffffffff00000000ffffffff00000000\
-             ffffffff0000000001000000c80000000100000003000000ffffffff00000000\
-             010000000200000003000000000000000900000004000000"
-        );
-        let decoded = Checkpoint::decode(&blob).expect("well-formed blob");
-        assert!(decoded.l2p.iter().copied().eq(m.l2p_entries()));
-        assert_eq!(decoded.encode(), blob);
-    }
-
-    #[test]
-    fn decode_rejects_corruption() {
-        let blob = sample().encode();
-        assert_eq!(
-            Checkpoint::decode(&blob[..10]),
-            Err(CheckpointError::Truncated)
-        );
-        assert_eq!(
-            Checkpoint::decode(&blob[..blob.len() - 1]),
-            Err(CheckpointError::LengthMismatch)
-        );
-        let mut bad = blob;
-        bad[0] = b'X';
-        assert_eq!(Checkpoint::decode(&bad), Err(CheckpointError::BadMagic));
-    }
-
-    #[test]
-    fn empty_checkpoint_roundtrip() {
-        let ckpt = Checkpoint {
-            seq: 0,
-            l2p: Vec::new(),
-            erase_counts: Vec::new(),
-        };
-        assert_eq!(Checkpoint::decode(&ckpt.encode()), Ok(ckpt));
-    }
-
-    #[test]
-    fn page_count_rounds_up() {
-        let ckpt = sample();
-        assert_eq!(ckpt.pages(16), 5); // 76 bytes / 16 = 4.75 → 5
-        assert_eq!(ckpt.pages(76), 1);
-        assert_eq!(ckpt.pages(75), 2);
-    }
 
     /// The flushed checkpoint's charged size, pinned: `28 + 8·LPNs +
     /// 4·chips·blocks` bytes, rounded up to 16-KB metadata pages.

@@ -37,8 +37,7 @@
 //! ```
 
 pub use ftl::{
-    Checkpoint, CheckpointError, Ftl, FtlConfig, FtlKind, MaintConfig, Opm, OrtClusterConfig,
-    ProgramOrder, RecoveryReport, Wam,
+    Ftl, FtlConfig, FtlKind, MaintConfig, Opm, OrtClusterConfig, ProgramOrder, RecoveryReport, Wam,
 };
 pub use lifetime::{
     block_pattern_stress, page_state_fraction, AgingPlan, EpochDelta, EpochSummary, LifetimeConfig,

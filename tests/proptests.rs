@@ -1,7 +1,7 @@
 //! Property-based tests on the core data structures and invariants.
 
 use cubeftl::{FtlConfig, FtlDriver, Geometry, ProgramOrder};
-use ftl::{Checkpoint, Ftl, FtlKind, Mapping, OffsetLookup, Opm, OrtClusterConfig, Ppn};
+use ftl::{Ftl, FtlKind, Mapping, OffsetLookup, Opm, OrtClusterConfig, Ppn};
 use nand3d::{
     BlockId, Environment, FaultKind, FaultPlan, NandChip, NandConfig, NandError, OobStatus,
     ProcessModel, ProgramParams, ReadParams, RetryEngine, RetryOptConfig, WlData, WlOob,
@@ -285,41 +285,6 @@ proptest! {
         let mut z = workloads::Zipfian::ycsb(n, seed);
         for _ in 0..100 {
             prop_assert!(z.sample() < n);
-        }
-    }
-
-    /// L2P checkpoints survive encode/decode byte-identically for
-    /// arbitrary maps, erase-count matrices and sequence numbers — the
-    /// crash-recovery path depends on this blob being self-describing.
-    #[test]
-    fn checkpoint_roundtrips(
-        seq in 0u64..u64::MAX,
-        entries in prop::collection::vec((0u64..3, 0u32..8, 0u32..10_000), 0..120),
-        chips in 1usize..4,
-        blocks in 0usize..24,
-        counts in prop::collection::vec(0u32..100_000, 0..96),
-    ) {
-        let l2p: Vec<Option<Ppn>> = entries
-            .iter()
-            .map(|&(tag, chip, page)| (tag != 0).then_some(Ppn { chip, page }))
-            .collect();
-        let erase_counts: Vec<Vec<u32>> = (0..chips)
-            .map(|c| {
-                (0..blocks)
-                    .map(|b| {
-                        if counts.is_empty() { 0 } else { counts[(c * blocks + b) % counts.len()] }
-                    })
-                    .collect()
-            })
-            .collect();
-        let ckpt = Checkpoint { seq, l2p, erase_counts };
-        let blob = ckpt.encode();
-        prop_assert_eq!(Checkpoint::decode(&blob).unwrap(), ckpt.clone());
-        // Encoding is canonical: re-encoding the decode is byte-identical.
-        prop_assert_eq!(Checkpoint::decode(&blob).unwrap().encode(), blob.clone());
-        // Truncation is always detected.
-        if !blob.is_empty() {
-            prop_assert!(Checkpoint::decode(&blob[..blob.len() - 1]).is_err());
         }
     }
 
