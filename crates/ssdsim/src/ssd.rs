@@ -72,9 +72,6 @@ pub struct SpoEvent {
     /// Pages of every *acknowledged* write request — how much data the
     /// device must not lose.
     pub acked_write_pages: u64,
-    /// Every LPN trimmed before the cut (a resurrected trimmed LPN is
-    /// acceptable; a lost acknowledged LPN is not).
-    pub trimmed_lpns: Vec<u64>,
     /// The power-loss-protection dump: all buffer-resident LPNs in
     /// deterministic order, oldest copy first (so a sequential replay
     /// leaves the newest copy mapped).
@@ -549,9 +546,6 @@ pub struct SsdSim {
     acked_write_pages: u64,
     read_latency: LogHistogram,
     write_latency: LogHistogram,
-    /// TRIMmed LPNs of the current run — recorded only while an SPO
-    /// trigger is armed (`None` otherwise, zero cost on normal runs).
-    spo_trims: Option<Vec<u64>>,
     /// Cap on host requests pulled from the workload this run.
     issue_limit: u64,
     /// The armed sudden-power-off trigger, if any.
@@ -658,7 +652,6 @@ impl SsdSim {
             acked_write_pages: 0,
             read_latency: LogHistogram::new(),
             write_latency: LogHistogram::new(),
-            spo_trims: None,
             issue_limit: 0,
             spo: None,
             spo_rng: None,
@@ -797,10 +790,8 @@ impl SsdSim {
         self.reset();
         self.issue_limit = max_requests;
         // The SPO machinery only exists while a trigger is armed: normal
-        // runs create no RNG, record no trims and take the exact same
-        // event path as before.
+        // runs create no RNG and take the exact same event path as before.
         self.spo = spo;
-        self.spo_trims = spo.map(|_| Vec::new());
         self.spo_rng = match spo {
             Some(SpoTrigger::Seeded { seed, .. }) => {
                 Some(StdRng::seed_from_u64(seed ^ 0x5b0f_f00d))
@@ -945,7 +936,6 @@ impl SsdSim {
         }
         self.spo = None;
         self.spo_rng = None;
-        self.spo_trims = None;
         let sim_time_us = self.now.max(1e-9);
         let report = SimReport {
             ftl_name: ftl.name().to_owned(),
@@ -1022,7 +1012,7 @@ impl SsdSim {
     /// Captures the device state at the instant of the power cut: the
     /// interrupted flush batches (current + queued per chip, in chip
     /// order), the PLP buffer dump and the acknowledged-write ledger.
-    fn spo_snapshot(&mut self) -> SpoEvent {
+    fn spo_snapshot(&self) -> SpoEvent {
         let mut interrupted = Vec::new();
         for (chip, c) in self.chips.iter().enumerate() {
             if let Some(ChipOp::Flush { lpns, did_gc, .. }) = &c.current {
@@ -1064,7 +1054,6 @@ impl SsdSim {
             issued: self.issued,
             completed: self.completed,
             acked_write_pages: self.acked_write_pages,
-            trimmed_lpns: self.spo_trims.take().unwrap_or_default(),
             buffered_lpns: buffered,
             interrupted_flushes: interrupted,
         }
@@ -1141,9 +1130,6 @@ impl SsdSim {
             HostOp::Trim => {
                 // TRIM is a mapping-table operation: it completes at
                 // DRAM speed and leaves reclaimable garbage behind.
-                if let Some(trims) = &mut self.spo_trims {
-                    trims.extend(req.lpns());
-                }
                 for lpn in req.lpns() {
                     ftl.trim(lpn);
                 }
@@ -2403,10 +2389,10 @@ mod tests {
         // The expected numbers were printed by the engine as it was when
         // `requests` kept one entry per issued request for the whole run
         // and the acked-write ledger was rebuilt by walking it.
-        for (queue_depth, at, issued, acked_write_pages, trimmed, buffered) in [
-            (4usize, 1_500u64, 1_504u64, 1_428u64, 430usize, 12usize),
-            (1, 700, 701, 667, 200, 8),
-            (32, 2_345, 2_377, 2_180, 680, 16),
+        for (queue_depth, at, issued, acked_write_pages, buffered) in [
+            (4usize, 1_500u64, 1_504u64, 1_428u64, 12usize),
+            (1, 700, 701, 667, 8),
+            (32, 2_345, 2_377, 2_180, 16),
         ] {
             let cfg = SsdConfig {
                 queue_depth,
@@ -2428,7 +2414,6 @@ mod tests {
             assert_eq!(event.issued, issued);
             assert_eq!(event.completed, at);
             assert_eq!(event.acked_write_pages, acked_write_pages);
-            assert_eq!(event.trimmed_lpns.len(), trimmed);
             assert_eq!(event.buffered_lpns.len(), buffered);
         }
     }

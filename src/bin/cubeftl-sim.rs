@@ -55,7 +55,7 @@
 //! (the OPM/ORT boot cold and re-monitor on first touch), and a resumed
 //! run over the workload remainder. `--ckpt-interval` sets the periodic
 //! L2P checkpoint cadence in host WL programs (default 64; 0 disables,
-//! forcing a full-array OOB rebuild).
+//! forcing a full-array OOB rebuild); without a cut it is rejected.
 //!
 //! `--shards N` (N > 1, at most `harness::MAX_SHARDS` = 256) runs a
 //! sharded multi-device array: host LPNs are
@@ -419,7 +419,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     let mut fault_seed: Option<u64> = None;
     let mut fault_rates: Vec<(FaultKind, f64)> = Vec::new();
     let mut spo_seed: Option<u64> = None;
-    let mut ckpt_interval: u64 = 64;
+    let mut ckpt_interval: Option<u64> = None;
     let mut fail_seed: Option<u64> = None;
     let mut trace_file: Option<String> = None;
     let mut qos_trace_file: Option<String> = None;
@@ -479,7 +479,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
                 sc.spo = cut(SpoTrigger::Seeded { seed: 0, rate });
             }
             "--spo-seed" => spo_seed = Some(num(v, any)?),
-            "--ckpt-interval" => ckpt_interval = num(v, any)?,
+            "--ckpt-interval" => ckpt_interval = Some(num(v, any)?),
             "--shards" => array(&mut sc).shards = num(v, |&n| n >= 1)?,
             "--array-stripe" => array(&mut sc).stripe_pages = num(v, |&n| n >= 1)?,
             "--array-threads" => array(&mut sc).threads = num(v, any)?,
@@ -572,7 +572,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         sc.cfg.faults = Some(fault_rates.into_iter().fold(plan, with_rate));
     }
     if let Some(spo) = &mut sc.spo {
-        spo.ckpt_interval_host_wls = ckpt_interval;
+        spo.ckpt_interval_host_wls = ckpt_interval.unwrap_or(64);
     }
     match sc.spo.as_mut().map(|s| &mut s.trigger) {
         Some(SpoTrigger::Seeded { seed, .. }) => *seed = spo_seed.unwrap_or(sc.cfg.seed),
@@ -645,6 +645,12 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     // Checks that concern flags rather than the scenario they build.
     if qos_knob_seen && !sc.qos.engaged() {
         return message("QoS flags need the front-end engaged: pass --queues > 1 or --tenants > 1");
+    }
+    if ckpt_interval.is_some() && sc.spo.is_none() {
+        return message(
+            "--ckpt-interval sets the checkpoint cadence of a power-cut run: \
+             add --spo-at, --spo-at-us or --spo-rate",
+        );
     }
     sc.qos.trace = qos_trace_file.as_deref().map(load_trace).transpose()?;
     let failing = sc.failure.is_some_and(|fc| fc.fail.is_some());

@@ -212,6 +212,7 @@ cases! {
     rejects_more_shards_than_a_run_builds: "--requests 200 --blocks 12 --shards 4000000000";
     rejects_capture_on_an_array: "--ftl cube --blocks 16 --shards 4 --capture-trace-out {out}/cap.csv";
     rejects_qos_knob_without_engagement: "--ftl cube --blocks 16 --qos-sq-depth 4";
+    rejects_ckpt_interval_without_a_cut: "--ftl cube --blocks 16 --requests 200 --ckpt-interval 16";
     rejects_unknown_flag: "--ftl cube --bogus 1";
     rejects_oversized_trace_write: "--ftl cube --blocks 16 --trace-file tests/data/oversized_write.csv";
     rejects_too_few_blocks: "--ftl cube --blocks 4";
