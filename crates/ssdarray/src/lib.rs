@@ -397,6 +397,43 @@ mod tests {
     }
 
     #[test]
+    fn pool_returns_jobs_in_index_order_at_any_thread_count() {
+        // Job `i` sleeps longest for `i = 0`, so with more than one
+        // worker the jobs finish roughly in reverse index order.
+        for threads in [1, 2, 3, 8] {
+            let out = fan_out((0..5u64).collect(), threads, |job: &mut u64| {
+                std::thread::sleep(std::time::Duration::from_millis(10 * (5 - *job)));
+                *job += 100;
+                *job * 2
+            });
+            let want: Vec<(u64, u64)> = (0..5).map(|i| (i + 100, (i + 100) * 2)).collect();
+            assert_eq!(out, want, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn two_workers_run_two_jobs_at_once() {
+        // Each job waits for the other's message: a pool that ran one
+        // job at a time would time out here instead of hanging.
+        let (a_tx, a_rx) = mpsc::channel();
+        let (b_tx, b_rx) = mpsc::channel();
+        let jobs = vec![(0usize, b_tx, a_rx), (1, a_tx, b_rx)];
+        let out = fan_out(jobs, 2, |(id, to_other, from_other)| {
+            to_other.send(*id).expect("the other job is alive");
+            from_other.recv_timeout(std::time::Duration::from_secs(10))
+        });
+        let heard: Vec<_> = out.into_iter().map(|(_, got)| got).collect();
+        assert_eq!(heard, vec![Ok(1), Ok(0)]);
+    }
+
+    #[test]
+    fn one_worker_runs_every_job_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let out = fan_out(vec![(); 4], 1, |_| std::thread::current().id());
+        assert!(out.iter().all(|(_, id)| *id == caller));
+    }
+
+    #[test]
     fn array_completes_every_shard_budget() {
         let mut array = build(4, 300, None);
         let out = array.run();
