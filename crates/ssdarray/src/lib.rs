@@ -167,7 +167,11 @@ where
 /// index order before returning — so neither the thread count nor the
 /// completion order can reach a report. One worker needs no pool: the
 /// shards run back to back on the caller's thread.
-fn fan_out<S: Send, R: Send>(
+///
+/// [`SsdArray::run`] runs its shards here; a front-end may hand it any
+/// other per-shard job whose result depends only on the job's own
+/// input (the harness builds its devices and host streams this way).
+pub fn fan_out<S: Send, R: Send>(
     shards: Vec<S>,
     threads: usize,
     run_one: impl Fn(&mut S) -> R + Sync,

@@ -53,7 +53,8 @@ use kvsim::{KvAppReport, KvConfig, KvEvent, ENTRY_HEADER_BYTES, PAGE_BYTES};
 use lifetime::{EpochSummary, LifetimeConfig, LifetimeEngine};
 use nand3d::{AgingState, FaultPlan, AMBIENT_CELSIUS_RANGE};
 use ssdarray::{
-    ArrayReport, ArrayShard, PageRole, ParityRouter, RebuildPlan, ResilienceReport, SsdArray,
+    fan_out, ArrayReport, ArrayShard, PageRole, ParityRouter, RebuildPlan, ResilienceReport,
+    SsdArray,
 };
 use ssdsim::detrand::mix64;
 use ssdsim::{
@@ -1504,11 +1505,16 @@ impl Scenario {
     }
 
     /// Builds every shard: device simulator and prefilled FTL, with
-    /// `tel` armed.
+    /// `tel` armed. A shard's build depends only on its id, so the
+    /// shards are built on the worker pool and come back in id order.
     fn prepare(&self, tel: TelemetrySpec) -> Vec<Dev> {
-        (0..self.array.map_or(1, |a| a.shards))
-            .map(|s| self.prepare_dev(s, self.cfg.prefill_fraction, tel))
-            .collect()
+        let ids = (0..self.array.map_or(1, |a| a.shards)).collect();
+        fan_out(ids, self.threads(), |&mut id| {
+            self.prepare_dev(id, self.cfg.prefill_fraction, tel)
+        })
+        .into_iter()
+        .map(|(_, dev)| dev)
+        .collect()
     }
 
     /// One fully prepared shard, seeded from the master seed and the
@@ -1668,13 +1674,17 @@ impl Scenario {
                 Load::replay(t.label(), vec![folded], self.capture)
             }
             (WorkloadSource::Phases(_), None) => {
-                let streams = devs
-                    .iter()
-                    .map(|d| {
-                        let seed = self.seed_for(seed, d.id);
-                        Stream::new(self.source(epoch, d.space(), seed), self.capture)
-                    })
-                    .collect();
+                // Built on the worker pool (a KV stream's bulk load is
+                // most of it); a `Dev` is not `Sync`, so only each
+                // shard's id and space go to the jobs.
+                let jobs = devs.iter().map(|d| (d.id, d.space())).collect();
+                let streams = fan_out(jobs, self.threads(), |&mut (id, space)| {
+                    let seed = self.seed_for(seed, id);
+                    Stream::new(self.source(epoch, space, seed), self.capture)
+                })
+                .into_iter()
+                .map(|(_, stream)| stream)
+                .collect();
                 Load::new(Hosts::Streams(streams), split_even_budget(cfg.requests, n))
             }
         })
