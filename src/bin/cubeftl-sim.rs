@@ -427,7 +427,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     let mut kv_kind: Option<YcsbKind> = None;
     // The --qos-* / --kv-* knobs are inert without their layer engaged;
     // that combination is rejected instead of silently ignored.
-    let (mut qos_knob_seen, mut kv_knob_seen) = (false, false);
+    let (mut qos_knob_seen, mut kv_knob_seen, mut array_knob_seen) = (false, false, false);
     let mut out = Outputs::default();
     let mut trace_events: Option<String> = None;
     // A power cut; its checkpoint cadence is patched in after the parse.
@@ -442,6 +442,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     while let Some(flag) = args.next() {
         qos_knob_seen |= flag.starts_with("--qos-") || flag == "--tenant-weights";
         kv_knob_seen |= flag.starts_with("--kv-");
+        array_knob_seen |= flag == "--array-stripe" || flag == "--array-threads";
         let v = match flag {
             "--maint" | "--qos-equal-arrivals" | "--array-parity" | "--help" | "-h" => "",
             _ => args.next().ok_or(Stop::Usage)?,
@@ -651,6 +652,9 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
             "--ckpt-interval sets the checkpoint cadence of a power-cut run: \
              add --spo-at, --spo-at-us or --spo-rate",
         );
+    }
+    if array_knob_seen && sc.array.is_none() {
+        return message("--array-stripe/--array-threads shape an array: pass --shards > 1");
     }
     sc.qos.trace = qos_trace_file.as_deref().map(load_trace).transpose()?;
     let failing = sc.failure.is_some_and(|fc| fc.fail.is_some());

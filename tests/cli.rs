@@ -204,6 +204,7 @@ cases! {
     rejects_lifetime_with_spo: "--ftl cube --blocks 16 --lifetime-epochs 3 --spo-at 100";
     rejects_array_spo_by_ops: "--ftl cube --blocks 16 --shards 4 --spo-at 100";
     rejects_resilience_without_array: "--ftl cube --blocks 16 --array-parity";
+    rejects_array_knobs_without_shards: "--ftl cube --blocks 16 --requests 100 --array-threads 2 --array-stripe 8";
     rejects_fewer_tenants_than_shards: "--ftl cube --blocks 16 --shards 4 --queues 4 --tenants 2";
     // Each of the next three used to abort in the allocator.
     rejects_more_queues_than_tenants: "--requests 200 --blocks 12 --queues 4294967295";
