@@ -61,9 +61,11 @@
 //! sharded multi-device array: host LPNs are
 //! striped across N independent devices (`--array-stripe` pages per
 //! stripe unit), each with its own FTL, chips and seeded workload
-//! substream, executed on `--array-threads` worker threads (default: one
-//! per shard) and merged deterministically — the same seed produces a
-//! byte-identical merged report at any thread count. Combined with a
+//! substream, built and executed on `--array-threads` worker threads
+//! (default: one per shard) and merged deterministically — the same seed
+//! produces a byte-identical merged report at any thread count. Without
+//! `--shards > 1`, `--array-stripe` and `--array-threads` are rejected.
+//! Combined with a
 //! power cut, the array demands `--spo-at-us`: every shard is cut at the
 //! same virtual instant and recovered independently.
 //!
@@ -425,8 +427,9 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     let mut qos_trace_file: Option<String> = None;
     let mut phases: Option<Vec<TenantMix>> = None;
     let mut kv_kind: Option<YcsbKind> = None;
-    // The --qos-* / --kv-* knobs are inert without their layer engaged;
-    // that combination is rejected instead of silently ignored.
+    // The --qos-* / --kv-* / --array-stripe / --array-threads knobs are
+    // inert without their layer engaged; that combination is rejected
+    // instead of silently ignored.
     let (mut qos_knob_seen, mut kv_knob_seen, mut array_knob_seen) = (false, false, false);
     let mut out = Outputs::default();
     let mut trace_events: Option<String> = None;

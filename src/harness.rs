@@ -40,8 +40,11 @@
 //!
 //! A phase hands each shard and its host (request stream or QoS front —
 //! the engine does not care which) to the worker pool and collects the
-//! reports in shard order. A barrier is a sequence point — every shard
-//! has stopped — at which the caller's thread rewrites the shard list:
+//! reports in shard order. Set-up uses the same pool: building a
+//! shard's device is one job, and so is building its closed-loop
+//! stream; both are gathered in shard order. A barrier is a sequence
+//! point — every shard has stopped — at which the caller's thread
+//! rewrites the shard list:
 //! crash recovery after a power cut, the failure redirect and rebuild
 //! plan, or a lifetime aging step. Everything a barrier computes is a pure
 //! function of the stopped shards, so any scenario is byte-identical at
