@@ -15,8 +15,9 @@
 //!
 //! Run with: `cargo run --release -p bench -- active_sweep`
 
-use bench::{active_blocks_cell, banner, num, text, write_out, Cell, Columns, Sweep};
-use cubeftl::{MetricRegistry, StandardWorkload};
+use bench::{banner, num, text, write_out, Cell, Columns, Sweep};
+use cubeftl::harness::Scenario;
+use cubeftl::{AgingState, FtlKind, MetricRegistry, StandardWorkload};
 
 pub fn run(crate::BenchArgs { cfg, out, .. }: &crate::BenchArgs) {
     banner("sensitivity — active blocks per chip × workload (cubeFTL, fresh)");
@@ -27,7 +28,14 @@ pub fn run(crate::BenchArgs { cfg, out, .. }: &crate::BenchArgs) {
         ("rocks", StandardWorkload::Rocks),
     ];
     let sweep = Sweep::run(workloads.iter().flat_map(|&(name, workload)| {
-        [1usize, 2, 4].map(|blocks| ((name, blocks), active_blocks_cell(workload, blocks, cfg)))
+        [1usize, 2, 4].map(|blocks| {
+            // GC keeps at least one free block per write point.
+            let mut c = cfg.clone();
+            c.ftl.active_blocks_per_chip = blocks;
+            c.ftl.gc_free_block_threshold = c.ftl.gc_free_block_threshold.max(blocks);
+            let cell = Scenario::new(FtlKind::Cube, workload, AgingState::Fresh, &c);
+            ((name, blocks), cell)
+        })
     }));
 
     let mut reg = MetricRegistry::new();

@@ -39,7 +39,7 @@
 pub mod anchors;
 
 use cubeftl::harness::{EvalConfig, RunOutput, Scenario, WorkloadSource};
-use cubeftl::{AgingState, FtlKind, ProgramOrder, SimReport, StandardWorkload};
+use cubeftl::{AgingState, FtlKind, ProgramOrder, SimReport};
 use ftl::Opm;
 use nand3d::{delta_h, delta_v, BlockId, NandChip, NandConfig, ProgramParams, ReadParams, WlData};
 use std::fmt::{Debug, Display};
@@ -79,16 +79,6 @@ pub fn eval(
     cfg: &EvalConfig,
 ) -> SimReport {
     run(&Scenario::new(kind, workload, aging, cfg)).into_sim()
-}
-
-/// A fresh cubeFTL cell under `workload` with `blocks` active blocks per
-/// chip (the §5.2 memory/availability trade-off); GC keeps at least one
-/// free block per write point.
-pub fn active_blocks_cell(workload: StandardWorkload, blocks: usize, cfg: &EvalConfig) -> Scenario {
-    let mut cfg = cfg.clone();
-    cfg.ftl.active_blocks_per_chip = blocks;
-    cfg.ftl.gc_free_block_threshold = cfg.ftl.gc_free_block_threshold.max(blocks);
-    Scenario::new(FtlKind::Cube, workload, AgingState::Fresh, &cfg)
 }
 
 /// One executed cell of a [`Sweep`].

@@ -35,8 +35,8 @@ use std::cell::Cell;
 /// the skip counts and the voltages are derived from them on demand.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeaderParams {
-    /// The raw monitored `[L_min, L_max]` intervals (kept for latency
-    /// prediction, see [`LatencyPredictor`](crate::predictor::LatencyPredictor)).
+    /// The raw monitored `[L_min, L_max]` intervals; the skip counts
+    /// [`n_skip`](Self::n_skip) derive from them.
     pub leader_intervals: [LoopInterval; NUM_PROGRAM_STATES],
     /// `V_Start` increase, in `ΔV_ISPP` steps.
     start_steps: u8,
@@ -717,7 +717,6 @@ impl Opm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predictor::LatencyPredictor;
     use nand3d::{LoopInterval, NandChip, NandConfig, WlData};
     use proptest::prelude::*;
     use std::collections::{HashMap, HashSet};
@@ -1452,20 +1451,6 @@ mod tests {
         fn ort_entries(&self, chip: usize) -> usize {
             self.ort.keys().filter(|k| k.0 == chip).count()
         }
-
-        /// [`LatencyPredictor::follower_tprog`] on the reference's
-        /// parameters.
-        fn follower_tprog(&self, key: Key) -> f64 {
-            self.leader.get(&key).map_or_else(
-                || LatencyPredictor.default_tprog_estimate(),
-                |p| {
-                    LatencyPredictor::monitored_tprog_us(
-                        &p.leader_intervals,
-                        &p.to_program_params(),
-                    )
-                },
-            )
-        }
     }
 
     proptest! {
@@ -1473,10 +1458,10 @@ mod tests {
         /// operation sequences, cluster on and off, ORT capacities 1, 4
         /// and the full table. Every return value and every counter must
         /// agree after every step — which, for the bounded capacities,
-        /// pins the LRU victim — and the follower parameters, their
-        /// intervals and the forecast tPROG bit for bit. Reports draw
-        /// their intervals, both window splits, and post-BERs on both
-        /// sides of the ×3 safety threshold.
+        /// pins the LRU victim — and the follower parameters and their
+        /// intervals bit for bit. Reports draw their intervals, both
+        /// window splits, and post-BERs on both sides of the ×3 safety
+        /// threshold.
         #[test]
         fn slot_table_matches_the_hash_map_opm(
             ops in prop::collection::vec(
@@ -1559,10 +1544,6 @@ mod tests {
                             param_bits(&want.to_program_params())
                         );
                     }
-                    prop_assert_eq!(
-                        LatencyPredictor.follower_tprog(&opm, chip, wl).latency_us.to_bits(),
-                        reference.follower_tprog(key).to_bits()
-                    );
                     prop_assert_eq!(
                         opm.recorded_pe(chip, wl),
                         reference.recorded_pe.get(&key).copied()

@@ -35,7 +35,7 @@
 //! (checkpoints, metadata ring, power cut and power cycle),
 //! [`maint`] (scrub / re-monitor / wear-level services) and [`aging`]
 //! (lifetime epochs), over [`mapping`] (L2P/P2L), [`cube`] (OPM and
-//! WAM), [`order`] (program orders), [`config`] and [`predictor`].
+//! WAM), [`order`] (program orders) and [`config`].
 //!
 //! # Example
 //!
@@ -59,7 +59,6 @@ pub mod gc;
 pub mod maint;
 pub mod mapping;
 pub mod order;
-pub mod predictor;
 pub mod read;
 pub mod recovery;
 #[cfg(test)]
@@ -73,5 +72,4 @@ pub use cube::wam::{Wam, WlChoice};
 pub use maint::MaintConfig;
 pub use mapping::{Mapping, Ppn};
 pub use order::ProgramOrder;
-pub use predictor::{Forecast, LatencyPredictor};
 pub use recovery::RecoveryReport;

@@ -49,7 +49,6 @@
 
 pub mod chip;
 pub mod config;
-pub mod ecc;
 pub mod environment;
 pub mod error;
 pub mod faults;
@@ -64,7 +63,6 @@ pub use chip::{
     FlashArray, NandChip, OobStatus, PageState, ProgramReport, ReadReport, WlData, WlOob,
 };
 pub use config::{NandConfig, NandTiming};
-pub use ecc::{DecodeMode, EccModel};
 pub use environment::{
     AgingState, Environment, ACTIVATION_ENERGY_EV, AMBIENT_CELSIUS_RANGE, REFERENCE_CELSIUS,
 };

@@ -564,6 +564,12 @@ pub const MAX_SHARDS: usize = 256;
 /// and 2.5 µs per tenant). Memory, not time, is what the bound guards.
 pub const MAX_TENANTS: u32 = 100_000;
 
+/// The most LSM levels a KV scenario may ask for (`--kv-levels`). The
+/// engine allocates every level up front, and every leveled tier holds
+/// at least twice the one before it (fanout ≥ 2), so no `u64` key space
+/// fills more than 64. A billion levels ask the allocator for 24 GB.
+pub const MAX_KV_LEVELS: u32 = 64;
+
 /// Why a [`Scenario`] cannot run. The messages name the `cubeftl-sim`
 /// flag behind each field, since the CLI prints them verbatim. Every
 /// rejected *combination* of features gives its reason in one line: it
@@ -580,6 +586,8 @@ pub enum ScenarioError {
     TooManyShards(usize),
     /// A tenant population above [`MAX_TENANTS`].
     TooManyTenants(u32),
+    /// An LSM level count above [`MAX_KV_LEVELS`].
+    TooManyKvLevels(u32),
     /// `requests` does not fit this platform's `usize`.
     RequestsOverflow(u64),
     /// The simulator's chips (`cfg.ssd.chips`) are not the chips the
@@ -668,6 +676,11 @@ impl std::fmt::Display for ScenarioError {
                 f,
                 "--tenants {n}: every tenant's generator and queue are built up front; \
                  use at most {MAX_TENANTS}"
+            ),
+            TooManyKvLevels(n) => write!(
+                f,
+                "--kv-levels {n}: no key space fills more than {MAX_KV_LEVELS} levels; \
+                 use at most {MAX_KV_LEVELS}"
             ),
             RequestsOverflow(n) => write!(f, "{n} requests do not fit this platform's usize"),
             ChipsDisagree { ssd, ftl } => write!(
@@ -1316,6 +1329,9 @@ impl Scenario {
         let (bytes, max) = (self.kv.value_bytes, PAGE_BYTES - ENTRY_HEADER_BYTES);
         let too_large = self.workload.names_kv() && bytes > max;
         check(too_large, KvValueTooLarge { bytes, max })?;
+        let levels = self.kv.max_levels;
+        let too_many = self.workload.names_kv() && levels > MAX_KV_LEVELS;
+        check(too_many, TooManyKvLevels(levels))?;
         let abort = self.cfg.faults.as_ref().map_or(0.0, |f| f.abort_rate);
         check(abort > MAX_PROGRAM_ABORT_RATE, AbortRateTooHigh(abort))?;
         if let Some(interval_us) = self.telemetry.sample_interval_us {

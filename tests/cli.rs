@@ -206,11 +206,13 @@ cases! {
     rejects_resilience_without_array: "--ftl cube --blocks 16 --array-parity";
     rejects_array_knobs_without_shards: "--ftl cube --blocks 16 --requests 100 --array-threads 2 --array-stripe 8";
     rejects_fewer_tenants_than_shards: "--ftl cube --blocks 16 --shards 4 --queues 4 --tenants 2";
-    // Each of the next three used to abort in the allocator.
+    // Each of the next four used to abort in the allocator.
     rejects_more_queues_than_tenants: "--requests 200 --blocks 12 --queues 4294967295";
     rejects_more_tenants_than_a_run_builds: "--requests 200 --blocks 12 --queues 2 \
                                              --tenants 4294967295";
     rejects_more_shards_than_a_run_builds: "--requests 200 --blocks 12 --shards 4000000000";
+    rejects_more_kv_levels_than_a_run_builds: "--ftl cube --blocks 16 --requests 300 --kv a \
+                                                --kv-levels 1000000000";
     rejects_capture_on_an_array: "--ftl cube --blocks 16 --shards 4 --capture-trace-out {out}/cap.csv";
     rejects_qos_knob_without_engagement: "--ftl cube --blocks 16 --qos-sq-depth 4";
     rejects_ckpt_interval_without_a_cut: "--ftl cube --blocks 16 --requests 200 --ckpt-interval 16";
@@ -239,6 +241,7 @@ fn boundary_values_of_the_checked_ranges_still_run() {
         "--temp -40",
         "--temp 125",
         "--kv a --kv-value-bytes 16360",
+        "--kv a --kv-levels 64",
         "--fault-rate abort=0.3",
     ] {
         let line = format!("--ftl cube --blocks 16 --requests 500 {flags}");

@@ -1,10 +1,10 @@
 //! Integration tests for the extension features: trace record/replay,
-//! latency prediction, PS-aware ECC, and the configurable WAM.
+//! the configurable WAM, and the OPM kept per chip.
 
 use cubeftl::harness::{EvalConfig, Scenario};
 use cubeftl::{AgingState, FtlKind, StandardWorkload};
-use ftl::{Ftl, FtlConfig, LatencyPredictor, Opm};
-use nand3d::{BlockId, EccModel, NandChip, NandConfig, ProgramParams, WlData};
+use ftl::{Ftl, FtlConfig};
+use nand3d::BlockId;
 use ssdsim::{FtlDriver, HostContext, SsdSim};
 use workloads::Trace;
 
@@ -27,68 +27,6 @@ fn trace_replay_reproduces_simulation_bit_for_bit() {
         (r.iops, r.sim_time_us, r.completed, r.ftl)
     };
     assert_eq!(run(&trace), run(&parsed));
-}
-
-#[test]
-fn predictor_enables_deadline_scheduling_decisions() {
-    // End-to-end: monitor leaders through the chip, then check the
-    // predictor's forecasts rank WLs correctly (a deadline scheduler
-    // only needs correct relative order + tight absolute error).
-    let config = NandConfig::small();
-    let mut chip = NandChip::new(config, 21);
-    let mut opm = Opm::new(&config.geometry, 1);
-    let predictor = LatencyPredictor;
-    let g = config.geometry;
-
-    chip.erase(BlockId(0)).unwrap();
-    let mut pairs = Vec::new();
-    for h in 0..g.hlayers_per_block {
-        let leader = g.wl_addr(BlockId(0), h, 0);
-        let report = chip
-            .program_wl(leader, WlData::host(0), &ProgramParams::default())
-            .unwrap();
-        opm.record_leader(0, leader, &report, chip.ispp());
-        let follower = g.wl_addr(BlockId(0), h, 1);
-        let forecast = predictor.follower_tprog(&opm, 0, follower);
-        let params = opm
-            .follower_params(0, follower)
-            .unwrap()
-            .to_program_params();
-        let actual = chip.program_wl(follower, WlData::host(3), &params).unwrap();
-        pairs.push((forecast.latency_us, actual.latency_us));
-    }
-    for (f, a) in &pairs {
-        assert!((f - a).abs() / a < 0.01, "forecast {f} vs actual {a}");
-    }
-}
-
-#[test]
-fn ps_aware_ecc_never_loses_and_wins_when_aged() {
-    let ecc = EccModel::ldpc();
-    let chip = NandChip::new(NandConfig::paper(), 9);
-    let g = *chip.geometry();
-    let rel = chip.reliability();
-    let mut total_unaware = 0.0;
-    let mut total_aware = 0.0;
-    for b in 0..8u32 {
-        for h in 0..g.hlayers_per_block {
-            let raw = rel.ber(chip.process(), g.wl_addr(BlockId(b), h, 2), 2000, 12.0);
-            let predicted = rel.ber(chip.process(), g.wl_addr(BlockId(b), h, 0), 2000, 12.0);
-            let unaware = ecc.decode_escalating_us(raw).expect("correctable");
-            let aware = ecc
-                .decode_predicted_us(raw, predicted)
-                .expect("correctable");
-            // ΔH ≈ 1 means the leader's BER predicts the right mode, so
-            // the PS-aware decode never pays *more* than escalation.
-            assert!(aware <= unaware + 1e-9);
-            total_unaware += unaware;
-            total_aware += aware;
-        }
-    }
-    assert!(
-        total_aware < 0.95 * total_unaware,
-        "PS-aware decoding should save time at end of life"
-    );
 }
 
 #[test]
