@@ -97,10 +97,10 @@ impl LeaderParams {
 /// is 48 KB and stays cache-resident where the slot table (32 B per
 /// h-layer) cannot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct OrtSlot {
+pub(crate) struct OrtSlot {
     offset: u8,
     /// [`OrtSlot::PRESENT`] and [`OrtSlot::QUARANTINED`].
-    flags: u8,
+    pub(crate) flags: u8,
     /// Q8.8 EWMA of the key's decoded offsets — only maintained in
     /// smoothed mode (cluster enabled), where `offset` is its rounding.
     /// Smoothing filters the per-read ±1 thermal jitter out of the
@@ -112,7 +112,7 @@ struct OrtSlot {
 impl OrtSlot {
     /// `offset` (and `ewma_q8`) hold a cached entry. LRU eviction clears
     /// this bit alone.
-    const PRESENT: u8 = 1;
+    pub(crate) const PRESENT: u8 = 1;
     /// Excluded from cluster seeding until the next decode — set by
     /// crash recovery for torn or resumed h-layers whose pre-cut offsets
     /// are no longer trustworthy. Independent of `PRESENT`: a key keeps
@@ -120,7 +120,7 @@ impl OrtSlot {
     /// the offset stays.
     const QUARANTINED: u8 = 2;
 
-    fn present(self) -> bool {
+    pub(crate) fn present(self) -> bool {
         self.flags & Self::PRESENT != 0
     }
 
@@ -136,7 +136,7 @@ impl OrtSlot {
 /// is an index and an erase clears one contiguous run of slots. A field
 /// holds a value only while its flag is set.
 #[derive(Debug, Clone, Copy)]
-struct LayerSlot {
+pub(crate) struct LayerSlot {
     /// Post-program BER of the last WL programmed on the h-layer
     /// (safety-check reference), while [`LayerSlot::POST_BER`].
     last_post_ber: f64,
@@ -150,13 +150,13 @@ struct LayerSlot {
     leader: LeaderParams,
     /// [`LayerSlot::LEADER`], [`LayerSlot::POST_BER`] and
     /// [`LayerSlot::DEMOTED`].
-    flags: u8,
+    pub(crate) flags: u8,
 }
 
 impl LayerSlot {
     /// `leader` and `recorded_pe` hold a monitor's record: the two are
     /// written together by `record_leader` and dropped together.
-    const LEADER: u8 = 1;
+    pub(crate) const LEADER: u8 = 1;
     /// `last_post_ber` holds a reference. Set apart from `LEADER`
     /// because the safety check also records it on unmonitored layers.
     const POST_BER: u8 = 2;
@@ -164,7 +164,7 @@ impl LayerSlot {
     /// discarded (followers fall back to conservative defaults — no VFY
     /// skips, full window) until a leader-style program re-monitors the
     /// layer.
-    const DEMOTED: u8 = 4;
+    pub(crate) const DEMOTED: u8 = 4;
 
     /// No flag set: every slot of a fresh table.
     const EMPTY: LayerSlot = LayerSlot {
@@ -178,7 +178,7 @@ impl LayerSlot {
         flags: 0,
     };
 
-    fn has(&self, flag: u8) -> bool {
+    pub(crate) fn has(&self, flag: u8) -> bool {
         self.flags & flag != 0
     }
 }
@@ -194,19 +194,19 @@ impl LayerSlot {
 /// `capacity` equal to the slot count (the default) nothing is ever
 /// evicted and the ORT is the paper's full table.
 #[derive(Debug, Clone)]
-struct ChipTable {
-    slots: Vec<LayerSlot>,
+pub(crate) struct ChipTable {
+    pub(crate) slots: Vec<LayerSlot>,
     /// The ORT, indexed like `slots`. An entry describes the cells' read
     /// behaviour, not a program, so it survives the block's erase.
-    ort: Vec<OrtSlot>,
+    pub(crate) ort: Vec<OrtSlot>,
     /// LRU stamp of each present entry, indexed like `slots` — empty
     /// unless `capacity` is below the slot count: a full table never
     /// evicts, so it keeps (and on every hit dirties) no recency at all.
-    stamps: Vec<u64>,
+    pub(crate) stamps: Vec<u64>,
     /// Indices of the present entries, in no particular order: an
     /// eviction scans these (at most `capacity`) stamps rather than the
     /// table, and their number is the entry count.
-    cached: Vec<u32>,
+    pub(crate) cached: Vec<u32>,
     capacity: usize,
     /// Monotonic access counter, bumped by every touch of a present
     /// entry; stamps are unique per entry, so the LRU victim is
@@ -346,9 +346,9 @@ impl OffsetCluster {
 #[derive(Debug, Clone)]
 pub struct Opm {
     /// One slot table per chip, allocated once for the whole device.
-    chips: Vec<ChipTable>,
+    pub(crate) chips: Vec<ChipTable>,
     /// H-layers per block: the slot stride of one block.
-    hlayers: usize,
+    pub(crate) hlayers: usize,
     /// Slots currently holding leader parameters.
     pending: usize,
     /// Slots currently demoted.

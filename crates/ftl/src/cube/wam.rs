@@ -47,12 +47,12 @@ impl WlChoice {
 
 /// Write-point state of one active block under the mixed-order scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ActiveBlock {
-    block: BlockId,
+pub(crate) struct ActiveBlock {
+    pub(crate) block: BlockId,
     /// `i_Leader`: h-layer of the next free leader WL.
-    next_leader_h: u16,
+    pub(crate) next_leader_h: u16,
     /// `i_Follower`: (h-layer, v-layer) of the next free follower WL.
-    next_follower: (u16, u16),
+    pub(crate) next_follower: (u16, u16),
 }
 
 impl ActiveBlock {
@@ -107,8 +107,8 @@ impl ActiveBlock {
 }
 
 #[derive(Debug, Clone, Default)]
-struct ChipWam {
-    active: Vec<ActiveBlock>,
+pub(crate) struct ChipWam {
+    pub(crate) active: Vec<ActiveBlock>,
 }
 
 /// The WL Allocation Manager: mixed-order active blocks per chip and the
@@ -116,7 +116,7 @@ struct ChipWam {
 #[derive(Debug, Clone)]
 pub struct Wam {
     geometry: Geometry,
-    per_chip: Vec<ChipWam>,
+    pub(crate) per_chip: Vec<ChipWam>,
     mu_threshold: f64,
     active_per_chip: usize,
 }

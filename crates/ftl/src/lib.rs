@@ -52,6 +52,7 @@
 //! ```
 
 pub mod aging;
+pub mod audit;
 pub mod base;
 pub mod config;
 pub mod cube;
@@ -65,6 +66,7 @@ pub mod recovery;
 mod testutil;
 pub mod write;
 
+pub use audit::AuditError;
 pub use base::{Ftl, FtlKind};
 pub use config::{FtlConfig, OrtClusterConfig};
 pub use cube::opm::{LeaderParams, OffsetLookup, Opm};

@@ -15,7 +15,7 @@ pub struct Ppn {
 
 /// The entry of both tables that names no page: an unmapped LPN in the
 /// L2P, a free or stale physical page in the P2L.
-const NONE: u32 = u32::MAX;
+pub(crate) const NONE: u32 = u32::MAX;
 
 /// Bidirectional page mapping with per-block valid-page counts.
 ///
@@ -35,10 +35,10 @@ pub struct Mapping {
     /// Logical page → global physical page, or `NONE`.
     l2p: Vec<u32>,
     /// Global physical page → logical page, or `NONE`.
-    p2l: Vec<u32>,
+    pub(crate) p2l: Vec<u32>,
     /// Global block (`chip × blocks_per_chip + block`, which is a global
     /// page divided by `pages_per_block`) → number of valid pages.
-    valid: Vec<u32>,
+    pub(crate) valid: Vec<u32>,
 }
 
 impl Mapping {

@@ -16,8 +16,8 @@ use telemetry::{EventKind, EventMask};
 /// bitmap, kept in step by construction.
 #[derive(Debug, Clone)]
 pub(crate) struct FreePool {
-    queue: VecDeque<BlockId>,
-    is_free: Vec<bool>,
+    pub(crate) queue: VecDeque<BlockId>,
+    pub(crate) is_free: Vec<bool>,
 }
 
 impl FreePool {

@@ -49,6 +49,8 @@
 //! plan, or a lifetime aging step. Everything a barrier computes is a pure
 //! function of the stopped shards, so any scenario is byte-identical at
 //! any worker-thread count.
+//! In a debug build every barrier, and the final drain, also runs
+//! [`Ftl::audit`] on every shard's FTL and panics on a broken invariant.
 
 use ftl::{Ftl, FtlConfig, FtlKind, MaintConfig, RecoveryReport};
 use hostq::{split_arrival_budget, split_even_budget, HostQueueConfig, HostQueueFront, QosReport};
@@ -1813,6 +1815,7 @@ impl Scenario {
                 }
                 None => 0,
             };
+            d.ftl.debug_audit();
             devs.push(d);
         }
         plans
@@ -1977,6 +1980,7 @@ impl Scenario {
             global: load.global.take(),
             ..Load::replay("", phase_b, false)
         };
+        devs.iter().for_each(|d| d.ftl.debug_audit());
         (state, plans)
     }
 
@@ -1986,6 +1990,7 @@ impl Scenario {
     /// — and the timeline's per-shard buffers concatenate in shard-id
     /// order.
     fn drain(&self, devs: &mut [Dev], mut load: Load, mut line: Timeline, out: &mut RunOutput) {
+        devs.iter().for_each(|d| d.ftl.debug_audit());
         // The QoS reports first: they close each front's event stream
         // with its end-of-run SLO summaries.
         let qos: Vec<QosReport> = match &mut load.hosts {
@@ -2270,6 +2275,7 @@ fn age(
         .zip(engines)
         .map(|(d, engine)| {
             let s = d.ftl.advance_lifetime_epoch(engine);
+            d.ftl.debug_audit();
             let mut c = Collector::enabled(EventMask::AGING, d.id as u32);
             c.emit(
                 line.start_us,

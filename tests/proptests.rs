@@ -160,6 +160,7 @@ proptest! {
         }
         // Unwritten pages stay unmapped.
         prop_assert!(ftl.read_page(9999, &ctx).is_none());
+        prop_assert_eq!(ftl.audit(), Ok(()));
     }
 
     /// Read-your-writes holds under ANY seeded fault plan, for every FTL
@@ -207,6 +208,7 @@ proptest! {
         prop_assert_eq!(stats.program_aborts, c.program_aborts);
         prop_assert_eq!(stats.stuck_retry_recoveries, c.stuck_retries);
         prop_assert_eq!(stats.uncorrectable_recoveries, c.uncorrectable_reads);
+        prop_assert_eq!(ftl.audit(), Ok(()));
     }
 
     /// Garbage collection under fault injection neither loses data nor
@@ -239,6 +241,7 @@ proptest! {
         for lpn in 0..working_set {
             prop_assert!(ftl.read_page(lpn, &ctx).is_some(), "lost {lpn}");
         }
+        prop_assert_eq!(ftl.audit(), Ok(()));
     }
 
     /// A fault plan is a pure function of its seed: replaying the same

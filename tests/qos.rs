@@ -241,6 +241,24 @@ fn recorded_traces_replay_as_tenant_zero() {
     }
 }
 
+/// The ledger's `qos_open` flag line at 1/50 of its 450 000 requests.
+/// In a debug build the harness runs `Ftl::audit` at every barrier, so
+/// a broken FTL invariant on this run panics the binary.
+#[test]
+fn qos_open_line_at_one_fiftieth_passes_the_audit() {
+    let line = "--ftl cube --workload mail --aging midlife --blocks 64 --queues 4 \
+                --tenants 12 --tenant-weights 4,2,1 --qos-arrival-us 650 \
+                --qos-slo-read-us 270000 --qos-slo-write-us 70000 --requests 9000 --seed 42";
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cubeftl-sim"))
+        .args(line.split_whitespace())
+        .output()
+        .expect("run cubeftl-sim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("9000 admitted, 0 shed"), "{stdout}");
+}
+
 // ---------------------------------------------------------------------
 // DWRR scheduler properties
 // ---------------------------------------------------------------------

@@ -16,6 +16,7 @@
 //! * (c) every dumped LPN maps to a page programmed after the cut (OOB
 //!   sequence number above the cut's `seq_counter()`);
 //! * (d) every mapped LPN's page carries that LPN as its tag.
+//! * (e) the recovered FTL passes [`Ftl::audit`].
 //!
 //! A fork is only a referee if it cuts the device a real trigger cuts,
 //! so a sample of the forked cuts is compared with the [`SpoEvent`] an
@@ -136,7 +137,7 @@ fn complete_oob(ftl: &Ftl, ppn: Ppn) -> Option<WlOob> {
 }
 
 /// Applies the power-cut physics to the frozen `ftl`, boots it and
-/// checks properties (a)–(d); the error names the first violation.
+/// checks properties (a)–(e); the error names the first violation.
 fn check_cut(mut ftl: Ftl, event: &SpoEvent) -> Result<(), String> {
     let seq_at_cut = ftl.seq_counter();
     let dumped: HashSet<u64> = event.buffered_lpns.iter().copied().collect();
@@ -153,6 +154,8 @@ fn check_cut(mut ftl: Ftl, event: &SpoEvent) -> Result<(), String> {
         ftl.power_cut(f.chip, f.lpns, f.did_gc);
     }
     let (rec, _) = ftl.power_cycle(&event.buffered_lpns);
+    rec.audit()
+        .map_err(|e| format!("(e) audit after recovery: {e}"))?;
     let g = rec.geometry();
     for (lpn, was) in at_cut.into_iter().enumerate() {
         let lpn = lpn as u64;
