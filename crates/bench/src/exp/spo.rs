@@ -178,7 +178,7 @@ fn warmup_curve() {
     let passes = 4;
 
     // Warm baseline: same device, same passes, no power cycle.
-    let mut warm = cubeftl::Ftl::cube(cfg);
+    let mut warm = cubeftl::Ftl::new(cubeftl::FtlKind::Cube, cfg);
     warm.set_aging(cubeftl::AgingState::MidLife);
     write_pass(&mut warm, working_set, &ctx, cfg.chips);
     let warm_tprog = write_pass(&mut warm, working_set, &ctx, cfg.chips);
@@ -186,7 +186,7 @@ fn warmup_curve() {
 
     // Crashed device: identical history, then a power cycle that tears
     // nothing — the curve below is purely the cold monitored state.
-    let mut crashed = cubeftl::Ftl::cube(cfg);
+    let mut crashed = cubeftl::Ftl::new(cubeftl::FtlKind::Cube, cfg);
     crashed.set_aging(cubeftl::AgingState::MidLife);
     write_pass(&mut crashed, working_set, &ctx, cfg.chips);
     let (mut cold, report) = crashed.power_cycle(&[]);

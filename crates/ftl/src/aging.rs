@@ -92,14 +92,14 @@ impl Ftl {
 mod tests {
     use super::*;
     use crate::testutil::{ctx, write_all};
-    use crate::FtlConfig;
+    use crate::{FtlConfig, FtlKind};
     use ssdsim::FtlDriver;
 
     #[test]
     fn lifetime_epochs_age_blocks_monotonically() {
         use lifetime::LifetimeConfig;
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::page(cfg);
+        let mut ftl = Ftl::new(FtlKind::Page, cfg);
         write_all(&mut ftl, 0..300, cfg.chips, 0.5);
         ftl.enable_lifetime_aging();
         let read_retries = |ftl: &mut Ftl| {
@@ -134,7 +134,7 @@ mod tests {
         use lifetime::LifetimeConfig;
         let run = || {
             let cfg = FtlConfig::small();
-            let mut ftl = Ftl::cube(cfg);
+            let mut ftl = Ftl::new(FtlKind::Cube, cfg);
             write_all(&mut ftl, 0..300, cfg.chips, 0.5);
             ftl.enable_lifetime_aging();
             let mut engine = LifetimeEngine::new(LifetimeConfig::campaign());

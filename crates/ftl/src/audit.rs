@@ -241,7 +241,7 @@ impl Ftl {
                         } else {
                             (h, v) < b.next_follower
                         };
-                        let demoted = self.opm.as_ref().is_some_and(|o| o.is_demoted(chip, wl));
+                        let demoted = self.opm().is_some_and(|o| o.is_demoted(chip, wl));
                         if v > 0 && handed_out && h >= b.next_leader_h && !demoted {
                             return Err(err("follower handed out above the leader cursor"));
                         }
@@ -257,7 +257,7 @@ impl Ftl {
 
     /// Invariants 5 and 6.
     fn audit_opm(&self) -> Result<(), AuditError> {
-        let Some(opm) = &self.opm else {
+        let Some(opm) = self.opm() else {
             return Ok(());
         };
         let count = |chip: Option<usize>, counter, counted, recounted| {
@@ -319,6 +319,7 @@ impl Ftl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::Params;
     use crate::testutil::write_all;
     use crate::{FtlConfig, FtlKind};
     use nand3d::{FaultKind, FaultPlan};
@@ -369,7 +370,10 @@ mod tests {
         assert!(matches!(ftl.audit(), Err(AuditError::WamCursor { .. })));
 
         let mut ftl = base.clone();
-        ftl.opm.as_mut().unwrap().chips[1].slots[0].flags ^= LayerSlot::DEMOTED;
+        let Params::Opm(opm) = &mut ftl.params else {
+            unreachable!("cubeFTL has an OPM")
+        };
+        opm.chips[1].slots[0].flags ^= LayerSlot::DEMOTED;
         assert!(matches!(ftl.audit(), Err(AuditError::OpmCount { .. })));
 
         let mut cfg = FtlConfig::small();
@@ -380,7 +384,10 @@ mod tests {
             ssdsim::FtlDriver::read_page(&mut ftl, lpn, &crate::testutil::ctx(0.0));
         }
         assert_eq!(ftl.audit(), Ok(()));
-        let table = &mut ftl.opm.as_mut().unwrap().chips[0];
+        let Params::Opm(opm) = &mut ftl.params else {
+            unreachable!("cubeFTL has an OPM")
+        };
+        let table = &mut opm.chips[0];
         let (a, b) = (table.cached[0] as usize, table.cached[1] as usize);
         table.stamps[a] = table.stamps[b];
         assert!(matches!(ftl.audit(), Err(AuditError::OrtStamp { .. })));

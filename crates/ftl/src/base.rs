@@ -1,15 +1,17 @@
 //! The FTL family: one shared page-level engine, four parameter policies.
 //!
 //! [`Ftl`] owns the flash array, the page mapping, the free-block pools
-//! and the garbage collector. Every kind allocates WLs through a [`Wam`];
-//! a [`FtlKind`] selects the WAM's policy and how WLs are parameterized:
+//! and the garbage collector. The four kinds differ in two decisions
+//! only — how WLs are allocated (every kind through a [`Wam`]) and how
+//! they are parameterized (a `Params` value) — and `Ftl::cold` makes
+//! both from one row per [`FtlKind`]:
 //!
-//! | kind | WAM policy | program params | read params |
+//! | kind | WAM | params | ORT |
 //! |---|---|---|---|
-//! | [`FtlKind::Page`] | [`Wam::horizontal_first`] | device defaults | default references |
-//! | [`FtlKind::Vert`] | [`Wam::horizontal_first`] | offline conservative `V_Final` −1 step (all WLs) | default references |
-//! | [`FtlKind::CubeMinus`] | [`Wam::horizontal_first`] | OPM (leaders default, followers optimized) | ORT |
-//! | [`FtlKind::Cube`] | §5.2: mixed order, `μ > mu_threshold` takes followers, `active_blocks_per_chip` | OPM | ORT |
+//! | [`FtlKind::Page`] | [`Wam::horizontal_first`] | `Default`: device defaults | none: default references |
+//! | [`FtlKind::Vert`] | [`Wam::horizontal_first`] | `VertGuard`: offline conservative `V_Final` −1 step on every WL | none: default references |
+//! | [`FtlKind::CubeMinus`] | [`Wam::horizontal_first`] | `Opm`: leaders at defaults and monitored, followers optimized | the OPM's |
+//! | [`FtlKind::Cube`] | §5.2: mixed order, `μ > mu_threshold` takes followers, `active_blocks_per_chip` | `Opm` | the OPM's |
 //!
 //! This file holds the struct, its constructors and accessors and the
 //! [`FtlDriver`] entry points; the mechanisms live beside it, each said
@@ -63,11 +65,21 @@ impl FtlKind {
             FtlKind::Cube => "cubeFTL",
         }
     }
+}
 
-    /// Whether the variant uses the OPM (PS-aware parameters).
-    pub fn ps_aware(self) -> bool {
-        matches!(self, FtlKind::Cube | FtlKind::CubeMinus)
-    }
+/// How an [`Ftl`] parameterizes its WL programs and reads — the second
+/// of the two decisions the kinds differ in (the module table). Only
+/// `Opm` holds state, so "PS-aware" and "has an OPM" are one fact.
+#[derive(Debug, Clone)]
+pub(crate) enum Params {
+    /// Device defaults and default read references (`pageFTL`).
+    Default,
+    /// Offline, conservative: the always-safe guard step off `V_Final`
+    /// on every WL, after Hung et al. \[13\]; default read references
+    /// (`vertFTL`).
+    VertGuard,
+    /// The §5.1 OPM and its ORT (`cubeFTL-`, `cubeFTL`).
+    Opm(Opm),
 }
 
 /// On whose behalf the FTL reads or programs a page. The shared paths
@@ -99,8 +111,8 @@ pub struct Ftl {
     pub(crate) free: Vec<FreePool>,
     /// The active blocks and the kind's WL allocation policy.
     pub(crate) wam: Wam,
-    /// OPM (Cube and CubeMinus).
-    pub(crate) opm: Option<Opm>,
+    /// The kind's WL parameter policy.
+    pub(crate) params: Params,
     pub(crate) stats: FtlStats,
     /// Scratch list of the `(lpn, flat page)` pairs one page migration
     /// moves.
@@ -157,28 +169,29 @@ impl Ftl {
         mapping: Mapping,
         free: Vec<FreePool>,
     ) -> Self {
-        let g = config.nand.geometry;
+        let (g, chips) = (config.nand.geometry, config.chips);
+        let horizontal_first = || Wam::horizontal_first(g, chips);
+        let opm = || {
+            let mut opm = Opm::with_ort_capacity(&g, chips, config.ort_capacity);
+            opm.set_cluster(config.ort_cluster);
+            Params::Opm(opm)
+        };
+        let (wam, params) = match kind {
+            FtlKind::Page => (horizontal_first(), Params::Default),
+            FtlKind::Vert => (horizontal_first(), Params::VertGuard),
+            FtlKind::CubeMinus => (horizontal_first(), opm()),
+            FtlKind::Cube => {
+                let (mu, active) = (config.mu_threshold, config.active_blocks_per_chip);
+                (Wam::with_active_blocks(g, chips, mu, active), opm())
+            }
+        };
         Ftl {
             kind,
             array,
             mapping,
             free,
-            wam: match kind {
-                FtlKind::Cube => Wam::with_active_blocks(
-                    g,
-                    config.chips,
-                    config.mu_threshold,
-                    config.active_blocks_per_chip,
-                ),
-                FtlKind::Page | FtlKind::Vert | FtlKind::CubeMinus => {
-                    Wam::horizontal_first(g, config.chips)
-                }
-            },
-            opm: kind.ps_aware().then(|| {
-                let mut opm = Opm::with_ort_capacity(&g, config.chips, config.ort_capacity);
-                opm.set_cluster(config.ort_cluster);
-                opm
-            }),
+            wam,
+            params,
             stats: FtlStats::default(),
             migrate_batch: Vec::new(),
             maint: None,
@@ -189,27 +202,6 @@ impl Ftl {
             tel_now_us: 0.0,
             config,
         }
-    }
-
-    /// A `pageFTL` (PS-unaware baseline).
-    pub fn page(config: FtlConfig) -> Self {
-        Ftl::new(FtlKind::Page, config)
-    }
-
-    /// A `vertFTL` (conservative offline `V_Final` adjustment).
-    pub fn vert(config: FtlConfig) -> Self {
-        Ftl::new(FtlKind::Vert, config)
-    }
-
-    /// The full PS-aware `cubeFTL`.
-    pub fn cube(config: FtlConfig) -> Self {
-        Ftl::new(FtlKind::Cube, config)
-    }
-
-    /// `cubeFTL-`: cubeFTL with the WAM's §5.2 policy disabled (§6.3
-    /// ablation).
-    pub fn cube_minus(config: FtlConfig) -> Self {
-        Ftl::new(FtlKind::CubeMinus, config)
     }
 
     /// The variant this instance runs as.
@@ -273,7 +265,7 @@ impl Ftl {
     /// collector enabled before prefill starts the measured run clean.
     pub fn reset_stats(&mut self) {
         self.stats = FtlStats::default();
-        if let Some(opm) = &mut self.opm {
+        if let Params::Opm(opm) = &mut self.params {
             opm.reset_ort_counters();
         }
         self.trace.reset();
@@ -318,7 +310,10 @@ impl Ftl {
     /// Reference to the OPM (PS-aware kinds only); exposed for
     /// experiments.
     pub fn opm(&self) -> Option<&Opm> {
-        self.opm.as_ref()
+        match &self.params {
+            Params::Opm(opm) => Some(opm),
+            Params::Default | Params::VertGuard => None,
+        }
     }
 
     /// The page mapping (read-only; exposed for recovery verification).
@@ -383,7 +378,7 @@ impl FtlDriver for Ftl {
 
     fn stats(&self) -> FtlStats {
         let mut stats = self.stats;
-        if let Some(opm) = &self.opm {
+        if let Some(opm) = self.opm() {
             let (hits, misses, evictions) = opm.ort_counters();
             stats.ort_hits = hits;
             stats.ort_misses = misses;
@@ -414,7 +409,7 @@ mod tests {
     #[test]
     fn stats_reset_clears_counters() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::page(cfg);
+        let mut ftl = Ftl::new(FtlKind::Page, cfg);
         write_all(&mut ftl, 0..30, cfg.chips, 0.5);
         assert!(ftl.stats().host_wl_programs > 0);
         ftl.reset_stats();
@@ -424,16 +419,16 @@ mod tests {
     #[test]
     fn names_match_paper() {
         let cfg = FtlConfig::small();
-        assert_eq!(Ftl::page(cfg).name(), "pageFTL");
-        assert_eq!(Ftl::vert(cfg).name(), "vertFTL");
-        assert_eq!(Ftl::cube(cfg).name(), "cubeFTL");
-        assert_eq!(Ftl::cube_minus(cfg).name(), "cubeFTL-");
+        let names = ["pageFTL", "vertFTL", "cubeFTL-", "cubeFTL"];
+        for (kind, name) in FtlKind::ALL.into_iter().zip(names) {
+            assert_eq!(Ftl::new(kind, cfg).name(), name);
+        }
     }
 
     #[test]
     fn trim_unmaps() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::page(cfg);
+        let mut ftl = Ftl::new(FtlKind::Page, cfg);
         write_all(&mut ftl, 0..3, cfg.chips, 0.5);
         assert!(ftl.read_page(0, &ctx(0.0)).is_some());
         ftl.trim(0);

@@ -8,7 +8,7 @@
 //! there is one migration routine, `Ftl::migrate_block`, and one way a
 //! drained block returns to the free pool, `Ftl::release_block`.
 
-use crate::base::{Ftl, Origin};
+use crate::base::{Ftl, Origin, Params};
 use crate::mapping::{Mapping, Ppn};
 use crate::write::MAX_SAFETY_ATTEMPTS;
 use nand3d::{BlockId, Environment, WlData};
@@ -243,7 +243,7 @@ impl Ftl {
     pub(crate) fn release_block(&mut self, chip: usize, block: BlockId) -> f64 {
         self.mapping.assert_block_clean(chip, block.0);
         let latency = self.erase_tagged(chip, block);
-        if let Some(opm) = &mut self.opm {
+        if let Params::Opm(opm) = &mut self.params {
             opm.invalidate_block(chip, block.0);
         }
         self.free[chip].put(block);
@@ -256,7 +256,7 @@ impl Ftl {
 mod tests {
     use super::*;
     use crate::testutil::{ctx, write_all};
-    use crate::FtlConfig;
+    use crate::{FtlConfig, FtlKind};
     use nand3d::Geometry;
     use ssdsim::FtlDriver;
 
@@ -462,7 +462,7 @@ mod tests {
     #[should_panic(expected = "must be mapped where the P2L holds it")]
     fn migration_refuses_a_victim_whose_l2p_disagrees() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         write_all(&mut ftl, 0..300, cfg.chips, 0.5);
         let g = ftl.geometry();
         let block = (0..g.blocks_per_chip)
@@ -528,7 +528,7 @@ mod tests {
     #[test]
     fn checkpoint_region_is_never_a_gc_victim() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         ftl.enable_checkpointing(u64::MAX);
         write_all(&mut ftl, 0..120, cfg.chips, 0.5);
         ftl.take_checkpoint();

@@ -26,7 +26,7 @@
 //! unit per [`FtlDriver::maintenance_step`](ssdsim::FtlDriver), every
 //! read and write of theirs under `Origin::Maint` — follow.
 
-use crate::base::{Ftl, Origin};
+use crate::base::{Ftl, Origin, Params};
 use crate::recovery::CKPT_PAGE_PROGRAM_US;
 use nand3d::{BlockId, PageState};
 use telemetry::EventKind;
@@ -275,7 +275,6 @@ impl Ftl {
     /// their `recorded_pe` stamp, so they are skipped naturally).
     fn remonitor_step(&mut self, chip: usize) -> Option<f64> {
         let cfg = self.maint.as_ref()?.config;
-        self.opm.as_ref()?;
         let g = self.geometry();
         let blocks = g.blocks_per_chip;
         let cursor = self.maint_state().remonitor_cursor[chip];
@@ -293,7 +292,10 @@ impl Ftl {
             let mut remaining = false;
             for h in 0..g.hlayers_per_block {
                 let wl = g.wl_addr(b, h, 0);
-                let opm = self.opm.as_mut().expect("checked above");
+                // A kind without an OPM has nothing to re-monitor.
+                let Params::Opm(opm) = &mut self.params else {
+                    return None;
+                };
                 let Some(recorded) = opm.recorded_pe(chip, wl) else {
                     continue;
                 };
@@ -437,7 +439,7 @@ impl Ftl {
 mod tests {
     use super::*;
     use crate::testutil::{ctx, write_all};
-    use crate::FtlConfig;
+    use crate::{FtlConfig, FtlKind};
     use nand3d::AgingState;
     use ssdsim::FtlDriver;
 
@@ -456,7 +458,7 @@ mod tests {
     #[test]
     fn maintenance_step_is_noop_until_enabled() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         write_all(&mut ftl, 0..300, cfg.chips, 0.5);
         ftl.set_aging(AgingState::EndOfLife);
         assert!(ftl.maintenance_step(0, &ctx(0.0)).is_none());
@@ -467,7 +469,7 @@ mod tests {
     #[test]
     fn scrubber_refreshes_aged_blocks_and_counts_work() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         write_all(&mut ftl, 0..300, cfg.chips, 0.5);
         ftl.set_aging(AgingState::EndOfLife); // 12 months > 6-month bar
         ftl.enable_maintenance(MaintConfig::default_on());
@@ -504,7 +506,7 @@ mod tests {
             }
             r
         };
-        let mut unscrubbed = Ftl::cube(cfg);
+        let mut unscrubbed = Ftl::new(FtlKind::Cube, cfg);
         write_all(&mut unscrubbed, 0..300, cfg.chips, 0.5);
         unscrubbed.set_aging(AgingState::EndOfLife);
         let retries_unscrubbed = {
@@ -523,7 +525,7 @@ mod tests {
     #[test]
     fn scrubber_idles_on_fresh_data() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         write_all(&mut ftl, 0..300, cfg.chips, 0.5);
         // Fresh aging: retention 0 — nothing qualifies, not even for
         // sampling.
@@ -535,7 +537,7 @@ mod tests {
     #[test]
     fn remonitor_drops_stale_layer_params() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube_minus(cfg);
+        let mut ftl = Ftl::new(FtlKind::CubeMinus, cfg);
         write_all(&mut ftl, 0..300, cfg.chips, 0.5);
         assert!(ftl.opm().unwrap().pending_layers() > 0);
         ftl.set_aging(AgingState::EndOfLife); // 12 months > 6-month budget
@@ -564,7 +566,7 @@ mod tests {
     fn maintenance_preserves_determinism() {
         let run = || {
             let cfg = FtlConfig::small();
-            let mut ftl = Ftl::cube(cfg);
+            let mut ftl = Ftl::new(FtlKind::Cube, cfg);
             write_all(&mut ftl, 0..400, cfg.chips, 0.5);
             ftl.set_aging(AgingState::EndOfLife);
             ftl.enable_maintenance(MaintConfig::default_on());
@@ -587,7 +589,7 @@ mod tests {
     #[test]
     fn hot_checkpoint_block_is_wear_leveled_back_into_the_pool() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         ftl.enable_checkpointing(u64::MAX); // manual flushes only
         write_all(&mut ftl, 0..120, cfg.chips, 0.5);
         assert!(ftl.take_checkpoint() > 0.0);

@@ -3,7 +3,7 @@
 //! migration's reads by physical address and maintenance's leader-WL
 //! sample reads alike.
 
-use crate::base::{Ftl, Origin};
+use crate::base::{Ftl, Origin, Params};
 use crate::cube::opm::OffsetLookup;
 use nand3d::{PageAddr, PageIndex, ReadFaultKind, ReadParams, ReadReport, WlAddr};
 use ssdsim::PageRead;
@@ -15,10 +15,10 @@ impl Ftl {
     /// feed the decoding offset back; the others read at the default
     /// references. Counts nothing — callers attribute the read.
     fn policy_read(&mut self, chip: usize, page: PageAddr) -> (ReadReport, Option<OffsetLookup>) {
-        let lookup = self
-            .opm
-            .as_mut()
-            .map(|opm| opm.lookup_offset(chip, page.wl));
+        let lookup = match &mut self.params {
+            Params::Opm(opm) => Some(opm.lookup_offset(chip, page.wl)),
+            Params::Default | Params::VertGuard => None,
+        };
         let params = match lookup {
             Some(l) if l.seeded => ReadParams::seeded_from(l.offset),
             Some(l) => ReadParams::from_offset(l.offset),
@@ -30,7 +30,7 @@ impl Ftl {
             .expect("valid chip")
             .read_page(page, params)
             .expect("policy reads target written pages");
-        if let (Some(opm), Some(l)) = (&mut self.opm, lookup) {
+        if let (Params::Opm(opm), Some(l)) = (&mut self.params, lookup) {
             opm.note_read_outcome(l, report.final_offset);
             opm.update_read_offset(chip, page.wl, report.final_offset);
         }
@@ -149,7 +149,7 @@ mod tests {
     #[test]
     fn read_faults_are_recovered_and_counted() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         write_all(&mut ftl, 0..300, cfg.chips, 0.5);
         let plan = FaultPlan::seeded(11)
             .with_rate(FaultKind::StuckRetry, 0.05)

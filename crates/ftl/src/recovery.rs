@@ -27,7 +27,7 @@
 //! and nothing can corrupt the copy, so recovery has no full-scan
 //! fallback for a bad checkpoint.
 
-use crate::base::{Ftl, Origin};
+use crate::base::{Ftl, Origin, Params};
 use crate::mapping::Mapping;
 use crate::write::{block_wls, FreePool};
 use nand3d::{BlockId, OobStatus, PageState, WlAddr, WlData};
@@ -474,7 +474,7 @@ impl Ftl {
         // the RAM and their upcoming WLs run conservative defaults, so
         // their pre-cut `ΔV_Ref` behaviour is not representative of the
         // cluster average.
-        if let Some(opm) = &mut ftl.opm {
+        if let Params::Opm(opm) = &mut ftl.params {
             for &(chip, wl) in &torn {
                 report.layers_demoted += u64::from(opm.demote_layer(chip, wl));
                 report.cluster_keys_quarantined +=
@@ -536,7 +536,7 @@ mod tests {
             (paper(16), 32, 516_636),
             (paper(64), 127, 2_066_460),
         ] {
-            let mut ftl = Ftl::page(cfg);
+            let mut ftl = Ftl::new(FtlKind::Page, cfg);
             ftl.enable_telemetry(EventMask::CKPT, 0);
             ftl.enable_checkpointing(u64::MAX);
             ftl.take_checkpoint();
@@ -560,7 +560,7 @@ mod tests {
         // No checkpoint ever taken: the whole map must come back from
         // the per-WL OOB records, in sequence order.
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         write_all(&mut ftl, 0..300, cfg.chips, 0.5);
         write_all(&mut ftl, 0..100, cfg.chips, 0.5); // overwrites: replay order matters
         let (mut ftl, report) = ftl.power_cycle(&[]);
@@ -578,7 +578,7 @@ mod tests {
     #[test]
     fn power_cycle_restores_checkpoint_and_scans_only_the_tail() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         ftl.enable_checkpointing(u64::MAX); // manual flushes only
         write_all(&mut ftl, 0..200, cfg.chips, 0.5);
         assert!(ftl.take_checkpoint() > 0.0, "flush charges NAND time");
@@ -602,7 +602,7 @@ mod tests {
     #[test]
     fn power_cut_tears_wls_and_recovery_replays_the_plp_dump() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         write_all(&mut ftl, 0..120, cfg.chips, 0.5);
         // LPNs 0..3 were mid-flush on chip 0 when the power died.
         let torn = ftl.power_cut(0, [0, 1, 2], false);
@@ -623,7 +623,7 @@ mod tests {
     #[test]
     fn power_cycle_boots_the_opm_cold() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         write_all(&mut ftl, 0..200, cfg.chips, 0.5);
         assert!(
             ftl.opm().unwrap().pending_layers() > 0,
@@ -691,7 +691,7 @@ mod tests {
             ort_cluster: OrtClusterConfig::on(),
             ..FtlConfig::small()
         };
-        let mut ftl = Ftl::cube_minus(cfg);
+        let mut ftl = Ftl::new(FtlKind::CubeMinus, cfg);
         // Five WLs per chip: L0 F(0,1..3) L1.
         write_all(&mut ftl, 0..30, cfg.chips, 0.5);
         let (_, report) = ftl.power_cycle(&[]);
@@ -704,7 +704,7 @@ mod tests {
     #[test]
     fn interrupted_gc_erase_is_redone_on_boot() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         // Overwrite heavily so GC has certainly erased a victim.
         write_all(&mut ftl, (0..1200).map(|i| i % 200), cfg.chips, 0.9);
         assert!(ftl.stats().gc_runs > 0, "workload must trigger GC");

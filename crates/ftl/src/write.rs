@@ -3,7 +3,7 @@
 //! host, garbage collection, maintenance migrations and the post-crash
 //! PLP replay differ only in the `Origin` they pass.
 
-use crate::base::{Ftl, FtlKind, Origin};
+use crate::base::{Ftl, Origin, Params};
 use crate::cube::wam::WlChoice;
 use crate::maint::MaintState;
 use crate::order::ProgramOrder;
@@ -126,28 +126,18 @@ impl Ftl {
 
     /// The program parameters the variant applies to `choice`.
     fn program_params(&self, chip: usize, choice: &WlChoice) -> ProgramParams {
-        match self.kind {
-            FtlKind::Page => ProgramParams::default(),
-            FtlKind::Vert => {
-                // Offline, conservative: spend only the always-safe guard
-                // step, on V_Final only (Hung et al. [13] adjust V_Final).
-                ProgramParams {
-                    v_final_down_mv: IsppModel::PAPER.delta_v_ispp_mv,
-                    ..ProgramParams::default()
-                }
-            }
-            FtlKind::Cube | FtlKind::CubeMinus => {
-                if choice.is_leader() {
-                    // Leaders are monitored with default parameters
-                    // (footnote 4).
-                    ProgramParams::default()
-                } else {
-                    let opm = self.opm.as_ref().expect("PS-aware kinds have an OPM");
-                    opm.follower_params(chip, choice.addr())
-                        .map(|p| p.to_program_params())
-                        .unwrap_or_default()
-                }
-            }
+        match &self.params {
+            Params::Default => ProgramParams::default(),
+            Params::VertGuard => ProgramParams {
+                v_final_down_mv: IsppModel::PAPER.delta_v_ispp_mv,
+                ..ProgramParams::default()
+            },
+            // Leaders are monitored with default parameters (footnote 4).
+            Params::Opm(_) if choice.is_leader() => ProgramParams::default(),
+            Params::Opm(opm) => opm
+                .follower_params(chip, choice.addr())
+                .map(|p| p.to_program_params())
+                .unwrap_or_default(),
         }
     }
 
@@ -220,7 +210,7 @@ impl Ftl {
                 continue;
             }
 
-            if let Some(opm) = &mut self.opm {
+            if let Params::Opm(opm) = &mut self.params {
                 // Leaders are always monitored. A follower whose h-layer
                 // has no monitored parameters (and is not §4.1.4-demoted)
                 // also ran with full-verify defaults — after a crash this
@@ -279,7 +269,7 @@ impl Ftl {
 mod tests {
     use super::*;
     use crate::testutil::{ctx, write_all};
-    use crate::{FtlConfig, MaintConfig};
+    use crate::{FtlConfig, FtlKind, MaintConfig};
     use nand3d::{FaultKind, FaultPlan};
     use ssdsim::FtlDriver;
 
@@ -302,7 +292,7 @@ mod tests {
     #[test]
     fn overwrites_remap_to_latest() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         write_all(&mut ftl, 0..30, cfg.chips, 0.5);
         write_all(&mut ftl, 0..30, cfg.chips, 0.5);
         for lpn in 0..30 {
@@ -313,7 +303,7 @@ mod tests {
     #[test]
     fn cube_writes_followers_under_bursts() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         // Calm phase banks leaders; burst phase must hit followers.
         write_all(&mut ftl, 0..120, cfg.chips, 0.2);
         let calm_followers = ftl.stats().follower_wl_programs;
@@ -383,7 +373,7 @@ mod tests {
     #[test]
     fn safety_reprograms_occur_under_disturbance() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         ftl.set_disturbance_prob(0.05);
         write_all(&mut ftl, (0..3000).map(|i| i % 700), cfg.chips, 0.95);
         assert!(
@@ -403,7 +393,7 @@ mod tests {
         // first block programs WL (b0,h0,v0) leader, then (b0,h0,v1)
         // follower. Spike the follower's post-program BER 4× — past the
         // §4.1.4 safety factor of 3×.
-        let mut ftl = Ftl::cube_minus(cfg);
+        let mut ftl = Ftl::new(FtlKind::CubeMinus, cfg);
         let plan = FaultPlan::seeded(7).with_target(0, 0, 1, FaultKind::BerSpike);
         ftl.set_fault_plan(&plan);
 
@@ -435,7 +425,7 @@ mod tests {
     #[test]
     fn targeted_abort_reissues_on_next_wl() {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube_minus(cfg);
+        let mut ftl = Ftl::new(FtlKind::CubeMinus, cfg);
         let plan = FaultPlan::seeded(7).with_target(0, 0, 1, FaultKind::ProgramAbort);
         ftl.set_fault_plan(&plan);
 
@@ -454,7 +444,7 @@ mod tests {
     fn fault_injection_is_deterministic() {
         let run = || {
             let cfg = FtlConfig::small();
-            let mut ftl = Ftl::cube(cfg);
+            let mut ftl = Ftl::new(FtlKind::Cube, cfg);
             let plan = FaultPlan::seeded(99)
                 .with_rate(FaultKind::IsppLoopOutlier, 0.02)
                 .with_rate(FaultKind::BerSpike, 0.02)

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example burst_allocation`
 
 use cubeftl::{FtlConfig, FtlDriver};
-use ftl::Ftl;
+use ftl::{Ftl, FtlKind};
 use ssdsim::HostContext;
 
 fn phase(ftl: &mut Ftl, label: &str, mu: f64, wls: u64, start_lpn: u64) -> u64 {
@@ -31,7 +31,7 @@ fn phase(ftl: &mut Ftl, label: &str, mu: f64, wls: u64, start_lpn: u64) -> u64 {
 
 fn main() {
     let cfg = FtlConfig::small();
-    let mut ftl = Ftl::cube(cfg);
+    let mut ftl = Ftl::new(FtlKind::Cube, cfg);
 
     println!("cubeFTL's WAM (μ_TH = {}):\n", cfg.mu_threshold);
     // Calm traffic: leaders are spent, followers banked for later.

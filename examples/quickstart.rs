@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use cubeftl::{FtlConfig, FtlDriver, NandChip, NandConfig, ProgramParams};
-use ftl::Ftl;
+use ftl::{Ftl, FtlKind};
 use nand3d::WlData;
 use ssdsim::HostContext;
 
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Level 2: the full FTL ------------------------------------------
     // cubeFTL packages the same trick (plus V_Start/V_Final shrinking,
     // the mixed program order and the ORT) behind a page-level FTL.
-    let mut ftl = Ftl::cube(FtlConfig::small());
+    let mut ftl = Ftl::new(FtlKind::Cube, FtlConfig::small());
     let ctx = HostContext {
         buffer_utilization: 0.95, // a write burst: the WAM picks follower WLs
         now_us: 0.0,

@@ -94,10 +94,13 @@
 //! enables the retry-chain optimizations (P/E+retention-conditioned
 //! offset prediction, speculative double-stepping, early-terminated
 //! uncorrectable scans). Both default to off, which reproduces the
-//! pre-cluster pipeline byte-for-byte. `--trace-file PATH` replays a trace
-//! instead of a synthetic workload — either the native `# cubeftl trace
-//! v1` format or an MSR-Cambridge-style CSV (byte offsets folded into
-//! the simulated address space at 16-KB page granularity).
+//! pre-cluster pipeline byte-for-byte. `--ort-capacity` and
+//! `--ort-cluster` need a kind with an ORT among `--ftl`'s (`cube`,
+//! `cube-` or `all`); `--retry-opt` is a chip option every kind reads.
+//! `--trace-file PATH` replays a trace instead of a synthetic workload —
+//! either the native `# cubeftl trace v1` format or an
+//! MSR-Cambridge-style CSV (byte offsets folded into the simulated
+//! address space at 16-KB page granularity).
 //!
 //! `--queues N` / `--tenants N` (either > 1) engage the NVMe-style
 //! multi-queue QoS front-end (`crates/hostq`): the closed loop is
@@ -427,10 +430,11 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     let mut qos_trace_file: Option<String> = None;
     let mut phases: Option<Vec<TenantMix>> = None;
     let mut kv_kind: Option<YcsbKind> = None;
-    // The --qos-* / --kv-* / --array-stripe / --array-threads knobs are
-    // inert without their layer engaged; that combination is rejected
-    // instead of silently ignored.
+    // The --qos-* / --kv-* / --array-stripe / --array-threads /
+    // --ort-capacity / --ort-cluster knobs are inert without their layer
+    // engaged; that combination is rejected instead of silently ignored.
     let (mut qos_knob_seen, mut kv_knob_seen, mut array_knob_seen) = (false, false, false);
+    let mut ort_knob_seen = false;
     let mut out = Outputs::default();
     let mut trace_events: Option<String> = None;
     // A power cut; its checkpoint cadence is patched in after the parse.
@@ -446,6 +450,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         qos_knob_seen |= flag.starts_with("--qos-") || flag == "--tenant-weights";
         kv_knob_seen |= flag.starts_with("--kv-");
         array_knob_seen |= flag == "--array-stripe" || flag == "--array-threads";
+        ort_knob_seen |= flag == "--ort-capacity" || flag == "--ort-cluster";
         let v = match flag {
             "--maint" | "--qos-equal-arrivals" | "--array-parity" | "--help" | "-h" => "",
             _ => args.next().ok_or(Stop::Usage)?,
@@ -658,6 +663,14 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     }
     if array_knob_seen && sc.array.is_none() {
         return message("--array-stripe/--array-threads shape an array: pass --shards > 1");
+    }
+    // cubeFTL and cubeFTL- are the kinds whose OPM keeps an ORT.
+    let has_ort = |k: &FtlKind| matches!(k, FtlKind::Cube | FtlKind::CubeMinus);
+    if ort_knob_seen && !kinds.iter().any(has_ort) {
+        return message(
+            "--ort-capacity/--ort-cluster shape the ORT of cubeFTL and cubeFTL-: \
+             pass --ftl cube, cube- or all",
+        );
     }
     sc.qos.trace = qos_trace_file.as_deref().map(load_trace).transpose()?;
     let failing = sc.failure.is_some_and(|fc| fc.fail.is_some());

@@ -205,6 +205,8 @@ cases! {
     rejects_array_spo_by_ops: "--ftl cube --blocks 16 --shards 4 --spo-at 100";
     rejects_resilience_without_array: "--ftl cube --blocks 16 --array-parity";
     rejects_array_knobs_without_shards: "--ftl cube --blocks 16 --requests 100 --array-threads 2 --array-stripe 8";
+    rejects_ort_knobs_without_an_ort: "--ftl vert --blocks 16 --requests 100 --ort-capacity 16 \
+                                        --ort-cluster on --retry-opt on";
     rejects_fewer_tenants_than_shards: "--ftl cube --blocks 16 --shards 4 --queues 4 --tenants 2";
     // Each of the next four used to abort in the allocator.
     rejects_more_queues_than_tenants: "--requests 200 --blocks 12 --queues 4294967295";
@@ -246,6 +248,20 @@ fn boundary_values_of_the_checked_ranges_still_run() {
     ] {
         let line = format!("--ftl cube --blocks 16 --requests 500 {flags}");
         let seen = observe("boundary_values", &line);
+        assert!(seen.contains("\nexit: Some(0)\n"), "{seen}");
+    }
+}
+
+/// The ORT knobs' check rejects no line that has an ORT to shape:
+/// `--retry-opt` is a chip option every kind reads, and `--ftl all`
+/// runs the two kinds with an ORT.
+#[test]
+fn ort_knobs_run_under_ftl_all_and_retry_opt_under_any_kind() {
+    for flags in [
+        "--ftl page --retry-opt on",
+        "--ftl all --ort-capacity 16 --ort-cluster on",
+    ] {
+        let seen = observe("ort_knobs", &format!("{flags} --blocks 16 --requests 200"));
         assert!(seen.contains("\nexit: Some(0)\n"), "{seen}");
     }
 }

@@ -19,7 +19,7 @@ fn trace_replay_reproduces_simulation_bit_for_bit() {
     let parsed: Trace = text.parse().expect("parse");
 
     let run = |t: &Trace| {
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         let mut sim = SsdSim::new(ssdsim::SsdConfig::small());
         sim.prefill(&mut ftl, 0..800);
         ftl.reset_stats();
@@ -68,7 +68,7 @@ fn trace_of_every_workload_replays_through_every_ftl() {
 fn opm_is_shared_correctly_across_chips() {
     // Writes on chip 0 must not leak monitored parameters to chip 1.
     let cfg = FtlConfig::small();
-    let mut ftl = Ftl::cube(cfg);
+    let mut ftl = Ftl::new(FtlKind::Cube, cfg);
     let ctx = HostContext {
         buffer_utilization: 0.95,
         now_us: 0.0,

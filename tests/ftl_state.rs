@@ -223,7 +223,7 @@ fn maintenance(kind: FtlKind) -> u64 {
     assert!(stats.scrub_page_moves > 0 && stats.scrub_sample_reads > 0);
     assert!(stats.wear_level_moves > 0 && stats.maint_gc_page_moves > 0);
     assert!(stats.ckpt_erases > 0 && stats.ckpt_page_programs > 0);
-    assert_eq!(stats.remonitored_layers > 0, kind.ps_aware());
+    assert_eq!(stats.remonitored_layers > 0, rig.ftl.opm().is_some());
     rig.fingerprint()
 }
 
@@ -249,7 +249,7 @@ fn faults(kind: FtlKind) -> u64 {
     let stats = rig.ftl.stats();
     assert!(stats.program_aborts > 0 && stats.gc_runs > 0);
     assert!(stats.stuck_retry_recoveries > 0 && stats.uncorrectable_recoveries > 0);
-    assert_eq!(stats.safety_reprograms > 0, kind.ps_aware());
+    assert_eq!(stats.safety_reprograms > 0, rig.ftl.opm().is_some());
     rig.fingerprint()
 }
 

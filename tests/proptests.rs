@@ -217,7 +217,7 @@ proptest! {
     #[test]
     fn gc_with_faults_preserves_data(seed in 0u64..10_000) {
         let cfg = FtlConfig::small();
-        let mut ftl = Ftl::cube(cfg);
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         let plan = FaultPlan::seeded(seed)
             .with_rate(FaultKind::BerSpike, 0.02)
             .with_rate(FaultKind::ProgramAbort, 0.01)
@@ -250,7 +250,7 @@ proptest! {
     fn fault_plans_are_deterministic(plan in arb_fault_plan()) {
         let run = |plan: &FaultPlan| {
             let cfg = FtlConfig::small();
-            let mut ftl = Ftl::cube(cfg);
+            let mut ftl = Ftl::new(FtlKind::Cube, cfg);
             ftl.set_fault_plan(plan);
             let ctx = HostContext { buffer_utilization: 0.7, now_us: 0.0 };
             for i in 0..60u64 {
