@@ -320,24 +320,39 @@ impl Ftl {
 mod tests {
     use super::*;
     use crate::base::Params;
-    use crate::testutil::write_all;
-    use crate::{FtlConfig, FtlKind};
+    use crate::testutil::{ctx, write_all};
+    use crate::{FtlConfig, FtlKind, MaintConfig};
     use nand3d::{FaultKind, FaultPlan};
+    use ssdsim::FtlDriver;
 
-    /// A written-to device of every kind with GC, faults and a power
-    /// cycle behind it audits clean.
+    /// A device of every kind audits clean after every 33 WL writes,
+    /// after a read-back and after a power cycle — with GC, wear-aware
+    /// allocation, a bounded ORT, faults and checkpoints behind it.
     #[test]
     fn a_busy_device_audits_clean() {
         for kind in FtlKind::ALL {
-            let cfg = FtlConfig::small();
+            let mut cfg = FtlConfig::small();
+            cfg.ort_capacity = 16;
             let mut ftl = Ftl::new(kind, cfg);
             ftl.enable_checkpointing(8);
+            ftl.enable_maintenance(MaintConfig::default_on());
             ftl.set_fault_plan(
                 &FaultPlan::seeded(5)
                     .with_rate(FaultKind::ProgramAbort, 0.02)
                     .with_rate(FaultKind::BerSpike, 0.02),
             );
-            write_all(&mut ftl, (0..2400).map(|i| i % 500), cfg.chips, 0.95);
+            for round in 0..24 {
+                write_all(
+                    &mut ftl,
+                    (0..99).map(|i| (round * 99 + i) % 500),
+                    cfg.chips,
+                    0.95,
+                );
+                assert_eq!(ftl.audit(), Ok(()), "{} round {round}", kind.name());
+            }
+            for lpn in 0..500 {
+                ftl.read_page(lpn, &ctx(0.0));
+            }
             assert_eq!(ftl.audit(), Ok(()), "{}", kind.name());
             let (ftl, _) = ftl.power_cycle(&[]);
             assert_eq!(ftl.audit(), Ok(()), "{} after a power cycle", kind.name());
@@ -381,7 +396,7 @@ mod tests {
         let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         write_all(&mut ftl, 0..90, cfg.chips, 0.95);
         for lpn in 0..90 {
-            ssdsim::FtlDriver::read_page(&mut ftl, lpn, &crate::testutil::ctx(0.0));
+            ftl.read_page(lpn, &ctx(0.0));
         }
         assert_eq!(ftl.audit(), Ok(()));
         let Params::Opm(opm) = &mut ftl.params else {

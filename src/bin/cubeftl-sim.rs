@@ -667,10 +667,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     // cubeFTL and cubeFTL- are the kinds whose OPM keeps an ORT.
     let has_ort = |k: &FtlKind| matches!(k, FtlKind::Cube | FtlKind::CubeMinus);
     if ort_knob_seen && !kinds.iter().any(has_ort) {
-        return message(
-            "--ort-capacity/--ort-cluster shape the ORT of cubeFTL and cubeFTL-: \
-             pass --ftl cube, cube- or all",
-        );
+        return message("--ort-capacity/--ort-cluster shape an ORT: pass --ftl cube, cube- or all");
     }
     sc.qos.trace = qos_trace_file.as_deref().map(load_trace).transpose()?;
     let failing = sc.failure.is_some_and(|fc| fc.fail.is_some());

@@ -236,7 +236,9 @@ cases! {
 }
 
 /// The last value inside each range `Scenario::validate` checks is not
-/// rejected with its neighbour.
+/// rejected with its neighbour, and the ORT knobs' check passes every
+/// line with an ORT to shape: `--ftl all` runs the kinds with one, and
+/// `--retry-opt` is a chip option every kind reads.
 #[test]
 fn boundary_values_of_the_checked_ranges_still_run() {
     for flags in [
@@ -245,23 +247,11 @@ fn boundary_values_of_the_checked_ranges_still_run() {
         "--kv a --kv-value-bytes 16360",
         "--kv a --kv-levels 64",
         "--fault-rate abort=0.3",
-    ] {
-        let line = format!("--ftl cube --blocks 16 --requests 500 {flags}");
-        let seen = observe("boundary_values", &line);
-        assert!(seen.contains("\nexit: Some(0)\n"), "{seen}");
-    }
-}
-
-/// The ORT knobs' check rejects no line that has an ORT to shape:
-/// `--retry-opt` is a chip option every kind reads, and `--ftl all`
-/// runs the two kinds with an ORT.
-#[test]
-fn ort_knobs_run_under_ftl_all_and_retry_opt_under_any_kind() {
-    for flags in [
         "--ftl page --retry-opt on",
         "--ftl all --ort-capacity 16 --ort-cluster on",
     ] {
-        let seen = observe("ort_knobs", &format!("{flags} --blocks 16 --requests 200"));
+        let line = format!("--ftl cube --blocks 16 --requests 500 {flags}");
+        let seen = observe("boundary_values", &line);
         assert!(seen.contains("\nexit: Some(0)\n"), "{seen}");
     }
 }
