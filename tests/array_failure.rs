@@ -256,6 +256,40 @@ fn failure_composes_with_an_array_spo_cut() {
     );
 }
 
+/// The failure report's derived numbers agree with what they are
+/// derived from, on a parity-on, a parity-off and a failure × SPO run:
+/// the loss count, the spare's rebuild progress, the unprotected pages,
+/// the zero-loss verdict and the per-shard fragment-read split.
+#[test]
+fn failure_report_numbers_agree_with_their_sources() {
+    let mut off = fail_cfg();
+    off.parity = false;
+    let runs = [
+        failure_run(&arr(3), &fail_cfg(), None),
+        failure_run(&arr(3), &off, None),
+        failure_run(&arr(3), &fail_cfg(), Some(2_000.0)),
+    ];
+    for (_, r) in &runs {
+        let (res, audit) = (&r.resilience, &r.audit);
+        assert_eq!(audit.lost_pages, res.lost_pages);
+        assert_eq!(r.rebuild.writes_done, res.rebuild_pages);
+        assert_eq!(r.rebuild.done_at_us, res.rebuild_time_us);
+        assert_eq!(
+            audit.durable_data_pages - audit.acked_pages,
+            audit.unprotected_pages
+        );
+        assert_eq!(audit.zero_loss, res.lost_pages == 0);
+        assert_eq!(
+            res.degraded_fragment_reads,
+            res.per_shard_degraded_reads.iter().sum::<u64>()
+        );
+        assert_eq!(
+            res.rebuild_reads,
+            res.per_shard_rebuild_reads.iter().sum::<u64>()
+        );
+    }
+}
+
 /// A failure run's event trace spans every phase on one timeline: no
 /// phase's device-side events are dropped at the next `run_begin`, and
 /// no shard's clock runs backwards across a barrier — the failure's, or
