@@ -22,15 +22,13 @@
 //! the CI-sized variant).
 
 use bench::{assert_order, banner, num, text, write_out, Cell, Columns, Sweep};
-use cubeftl::harness::{
-    ArrayEvalConfig, ArrayFailureConfig, FailSpec, FailureReport, Phase, Scenario,
-};
-use cubeftl::{AgingState, FtlKind, StandardWorkload};
+use cubeftl::harness::{ArrayEvalConfig, ArrayFailureConfig, FailSpec, Phase, Scenario};
+use cubeftl::{AgingState, FtlKind, ResilienceReport, StandardWorkload};
 
 /// A cell is one rebuild pacing: (batch pages, host-priority gap µs).
 type Row = Cell<(u32, f64)>;
 
-fn failure(c: &Row) -> &FailureReport {
+fn failure(c: &Row) -> &ResilienceReport {
     c.out.failure.as_ref().expect("failure spec was set")
 }
 
@@ -78,7 +76,7 @@ pub fn run(crate::BenchArgs { cfg, out, .. }: &crate::BenchArgs) {
         let mut fc = ArrayFailureConfig::off();
         fc.parity = true;
         fc.fail = Some(fail);
-        fc.spare_shards = 1;
+        fc.spare = true;
         fc.rebuild.batch_pages = batch;
         fc.rebuild.gap_us = gap_us;
         let sc = Scenario {
@@ -90,29 +88,28 @@ pub fn run(crate::BenchArgs { cfg, out, .. }: &crate::BenchArgs) {
     for c in &sweep.cells {
         let (r, (batch, gap_us)) = (failure(c), c.label);
         assert!(
-            r.audit.zero_loss,
-            "batch {batch} gap {gap_us}: rebuild must reach zero loss ({:?})",
-            r.audit
+            r.zero_loss(),
+            "batch {batch} gap {gap_us}: rebuild must reach zero loss ({r:?})"
         );
-        assert_eq!(r.audit.rebuilt_mapped_pages, r.audit.acked_pages);
-        assert!(r.resilience.degraded_reads > 0, "degraded reads exercised");
+        assert_eq!(r.rebuilt_mapped_pages, r.acked_pages);
+        assert!(r.degraded_reads > 0, "degraded reads exercised");
         assert_eq!(c.out.phases[1].phase, Phase::Degraded, "degraded phase ran");
     }
 
-    let rebuild_us = |c: &Row| failure(c).resilience.rebuild_time_us;
+    let rebuild_us = |c: &Row| failure(c).rebuild.done_at_us;
     let mut cols = Columns::<Row>::default();
     cols.col("batch/gap µs", |c| {
         text(format!("{}/{:.0}", c.label.0, c.label.1))
     });
     cols.col("rebuild ms", |c| num(rebuild_us(c) / 1000.0, 1));
-    cols.col("pages", |c| text(failure(c).resilience.rebuild_pages));
+    cols.col("pages", |c| text(failure(c).rebuild.writes_done));
     cols.col("degr p50 (ms)", |c| num(degraded(c, 50.0) / 1000.0, 3));
     cols.col("degr p99 (ms)", |c| num(degraded(c, 99.0) / 1000.0, 3));
     cols.col("p99 vs healthy", |c| {
         let inflation = (degraded(c, 99.0) / healthy_p99 - 1.0) * 100.0;
         text(format!("{inflation:+.1}%"))
     });
-    cols.col("lost", |c| text(failure(c).audit.lost_pages));
+    cols.col("lost", |c| text(failure(c).lost_pages));
     cols.table(&sweep.cells).print();
 
     // A wider host-priority gap must stretch the rebuild: the pacing

@@ -6,7 +6,7 @@
 //! merged report is byte-identical no matter how the shard threads were
 //! scheduled.
 
-use ssdsim::{ChipStats, FtlStats, SimReport};
+use ssdsim::{ChipStats, FtlStats, RebuildProgress, SimReport};
 use telemetry::LogHistogram;
 
 /// Array-wide results: per-shard reports folded in shard order.
@@ -128,10 +128,17 @@ impl ArrayReport {
     }
 }
 
-/// Resilience outcome of a failure-injection run: what the degraded
-/// path served, what the rebuild moved, and what (if anything) was
-/// lost. All counters are derived at the deterministic phase barriers,
-/// so the report is byte-identical at any worker-thread count.
+/// Outcome of a failure-injection run: what the degraded path served,
+/// what the rebuild moved, and the zero-host-acknowledged-loss audit.
+/// All counters are derived at the deterministic phase barriers, so the
+/// report is byte-identical at any worker-thread count.
+///
+/// "Array-acknowledged" means both legs of a write were durable at the
+/// failure instant: the data page on the (now dead) shard *and* its
+/// row's parity page on the surviving parity holder. Pages whose data
+/// leg was durable but whose parity leg had not yet landed are
+/// [`unprotected`](Self::unprotected_pages) — a real array would not
+/// have acknowledged them to the host, so they are not loss.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceReport {
     /// Whether rotating parity was enabled for the run.
@@ -146,17 +153,23 @@ pub struct ResilienceReport {
     pub degraded_reads: u64,
     /// Survivor fragment reads issued to serve those (≈ `(S−1)×`).
     pub degraded_fragment_reads: u64,
-    /// Durable pages of the failed shard reconstructed onto the spare.
-    pub rebuild_pages: u64,
     /// Survivor fragment reads issued by the rebuild.
     pub rebuild_reads: u64,
-    /// Virtual time the spare finished absorbing the rebuild, µs.
-    pub rebuild_time_us: f64,
     /// Dead-shard host writes redirected to the spare.
     pub redirected_writes: u64,
-    /// Host-acknowledged durable pages that could NOT be recovered
-    /// (non-zero only with parity off — the loss the tentpole audit
-    /// proves parity eliminates).
+    /// Dead-shard requests with no redirect target (reads with parity
+    /// off, writes without a spare).
+    pub dropped_requests: u64,
+    /// Durable data pages on the failed shard at the failure instant
+    /// (mapped or PLP-buffered, within the routed region).
+    pub durable_data_pages: u64,
+    /// Of those, array-acknowledged (parity leg also durable).
+    pub acked_pages: u64,
+    /// Array-acknowledged pages mapped on the spare after the rebuild.
+    pub rebuilt_mapped_pages: u64,
+    /// Array-acknowledged pages that are neither on the spare nor
+    /// reconstructable from survivors — with parity off, every durable
+    /// data page. **Must be 0 with parity on.**
     pub lost_pages: u64,
     /// Per-shard survivor fragment reads served for degraded host
     /// reads, indexed by shard (0 on the failed shard itself).
@@ -164,12 +177,28 @@ pub struct ResilienceReport {
     /// Per-shard survivor fragment reads served for the rebuild,
     /// indexed by shard.
     pub per_shard_rebuild_reads: Vec<u64>,
+    /// The spare's rebuild progress over every phase after the failure:
+    /// `writes_done` pages reconstructed onto it, drained at
+    /// `done_at_us` (µs after the failure instant), and the curve.
+    pub rebuild: RebuildProgress,
 }
 
 impl ResilienceReport {
+    /// No array-acknowledged page was lost.
+    pub fn zero_loss(&self) -> bool {
+        self.lost_pages == 0
+    }
+
+    /// Durable data pages whose parity leg had not landed (data-leg
+    /// only: the array had not acknowledged them yet).
+    pub fn unprotected_pages(&self) -> u64 {
+        self.durable_data_pages - self.acked_pages
+    }
+
     /// Registers the resilience counters under `{prefix}.resilience`:
     /// run-wide counters plus per-shard failure/degraded-read/rebuild
-    /// detail (`{prefix}.shard{s}.*`).
+    /// detail (`{prefix}.shard{s}.*`). The audit's page counts,
+    /// `dropped_requests` and the rebuild curve are not registered.
     pub fn register_metrics(&self, reg: &mut telemetry::MetricRegistry, prefix: &str) {
         let p = format!("{prefix}.resilience");
         reg.counter(&format!("{p}.parity"), u64::from(self.parity));
@@ -185,9 +214,9 @@ impl ResilienceReport {
             &format!("{p}.degraded_fragment_reads"),
             self.degraded_fragment_reads,
         );
-        reg.counter(&format!("{p}.rebuild_pages"), self.rebuild_pages);
+        reg.counter(&format!("{p}.rebuild_pages"), self.rebuild.writes_done);
         reg.counter(&format!("{p}.rebuild_reads"), self.rebuild_reads);
-        reg.gauge(&format!("{p}.rebuild_time_us"), self.rebuild_time_us);
+        reg.gauge(&format!("{p}.rebuild_time_us"), self.rebuild.done_at_us);
         reg.counter(&format!("{p}.redirected_writes"), self.redirected_writes);
         reg.counter(&format!("{p}.lost_pages"), self.lost_pages);
         let shards = self

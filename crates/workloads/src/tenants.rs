@@ -10,8 +10,8 @@
 //! its workload personality is either fixed or cycled over the six
 //! standard generators.
 
-use crate::{StandardWorkload, Workload, YcsbWorkload};
-use kvsim::{KvConfig, YcsbKind};
+use crate::{StandardWorkload, Workload};
+use kvsim::{KvConfig, KvStream, YcsbKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssdsim::detrand::mix64;
@@ -104,7 +104,7 @@ impl TenantMix {
         match self {
             TenantMix::Standard(w) => w.build(logical_pages, seed),
             TenantMix::Uniform => Box::new(UniformTenantWorkload::new(logical_pages, seed)),
-            TenantMix::Kv(kind) => Box::new(YcsbWorkload::new(kv, kind, logical_pages, seed)),
+            TenantMix::Kv(kind) => Box::new(KvStream::new(kv, kind, logical_pages, seed)),
         }
     }
 

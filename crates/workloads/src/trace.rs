@@ -2,26 +2,14 @@
 //!
 //! Workload generators are deterministic per seed, but experiments often
 //! need to pin the *exact* request stream across codebase versions or
-//! share it between tools. A [`Trace`] captures a request stream in a
-//! simple line-oriented text format:
-//!
-//! ```text
-//! # cubeftl trace v1
-//! R 4096 1
-//! W 128 3
-//! T 640 4
-//! ```
-//!
-//! (`R`/`W`/`T` for read/write/trim, first LPN, page count.) [`Trace::replay`] turns it back
-//! into a request iterator usable anywhere a generator is.
+//! share it between tools. A [`Trace`] holds a request stream; its one
+//! file format is MSR-Cambridge-style CSV ([`Trace::from_msr_csv`],
+//! [`Trace::to_msr_csv`]). [`Trace::replay`] turns it back into a
+//! request iterator usable anywhere a generator is.
 
 use crate::Workload;
 use ssdsim::{HostOp, HostRequest};
 use std::fmt::Write as _;
-use std::str::FromStr;
-
-/// Header line identifying the format.
-pub const TRACE_HEADER: &str = "# cubeftl trace v1";
 
 /// A recorded request stream.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -82,23 +70,6 @@ impl Trace {
     /// The recorded requests.
     pub fn requests(&self) -> &[HostRequest] {
         &self.requests
-    }
-
-    /// Serializes to the line format.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(TRACE_HEADER);
-        out.push('\n');
-        let _ = writeln!(out, "# label: {}", self.label);
-        for r in &self.requests {
-            let op = match r.op {
-                HostOp::Read => 'R',
-                HostOp::Write => 'W',
-                HostOp::Trim => 'T',
-            };
-            let _ = writeln!(out, "{op} {} {}", r.lpn, r.n_pages);
-        }
-        out
     }
 
     /// An owning iterator replaying the trace as a [`Workload`].
@@ -217,65 +188,6 @@ impl Trace {
     }
 }
 
-impl FromStr for Trace {
-    type Err = ParseTraceError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut lines = s.lines().enumerate();
-        match lines.next() {
-            Some((_, l)) if l.trim() == TRACE_HEADER => {}
-            _ => {
-                return Err(ParseTraceError {
-                    line: 1,
-                    message: format!("missing header `{TRACE_HEADER}`"),
-                })
-            }
-        }
-        let mut label = String::new();
-        let mut requests = Vec::new();
-        for (idx, line) in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# label:") {
-                label = rest.trim().to_owned();
-                continue;
-            }
-            if line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let err = |message: String| ParseTraceError {
-                line: idx + 1,
-                message,
-            };
-            let op = match parts.next() {
-                Some("R") => HostOp::Read,
-                Some("W") => HostOp::Write,
-                Some("T") => HostOp::Trim,
-                other => return Err(err(format!("expected R, W or T, got {other:?}"))),
-            };
-            let lpn: u64 = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| err("bad LPN".to_owned()))?;
-            let n_pages: u32 = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| err("bad page count".to_owned()))?;
-            if n_pages == 0 {
-                return Err(err("page count must be positive".to_owned()));
-            }
-            if parts.next().is_some() {
-                return Err(err("trailing fields".to_owned()));
-            }
-            requests.push(HostRequest { op, lpn, n_pages });
-        }
-        Ok(Trace { requests, label })
-    }
-}
-
 /// Iterator replaying a [`Trace`].
 #[derive(Debug, Clone)]
 pub struct TraceReplay {
@@ -306,17 +218,6 @@ mod tests {
     use crate::StandardWorkload;
 
     #[test]
-    fn record_serialize_parse_roundtrip() {
-        let mut gen = StandardWorkload::Mail.build(10_000, 5);
-        let trace = Trace::record(gen.as_mut(), 200);
-        assert_eq!(trace.len(), 200);
-        assert_eq!(trace.label(), "Mail");
-        let text = trace.to_text();
-        let parsed: Trace = text.parse().expect("roundtrip");
-        assert_eq!(parsed, trace);
-    }
-
-    #[test]
     fn replay_matches_recording() {
         let mut gen = StandardWorkload::Rocks.build(10_000, 5);
         let trace = Trace::record(gen.as_mut(), 100);
@@ -325,27 +226,6 @@ mod tests {
         // Replay again from a fresh iterator: identical.
         let again: Vec<_> = trace.replay().collect();
         assert_eq!(again, replayed);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!("not a trace".parse::<Trace>().is_err());
-        let bad_op = format!("{TRACE_HEADER}\nX 1 1\n");
-        let e = bad_op.parse::<Trace>().unwrap_err();
-        assert_eq!(e.line, 2);
-        let bad_pages = format!("{TRACE_HEADER}\nR 1 0\n");
-        assert!(bad_pages.parse::<Trace>().is_err());
-        let trailing = format!("{TRACE_HEADER}\nR 1 1 junk\n");
-        assert!(trailing.parse::<Trace>().is_err());
-    }
-
-    #[test]
-    fn comments_and_blank_lines_are_skipped() {
-        let text = format!("{TRACE_HEADER}\n# a comment\n\nR 7 2\nW 9 1\n");
-        let t: Trace = text.parse().unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.requests()[0], HostRequest::read_span(7, 2));
-        assert_eq!(t.requests()[1], HostRequest::write(9));
     }
 
     #[test]
@@ -360,10 +240,17 @@ Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
         assert_eq!(t.requests()[0], HostRequest::read_span(4, 1));
         assert_eq!(t.requests()[1], HostRequest::write_span(8, 2));
 
-        let reduced = "1000,65536,4096,R\n2000,16384,16385,w\n";
+        // Blank lines and `#` comments are skipped.
+        let reduced = "1000,65536,4096,R\n# a comment\n\n2000,16384,16385,w\n";
         let t = Trace::from_msr_csv(reduced, 16384, 1_000_000).unwrap();
+        assert_eq!(t.len(), 2);
         assert_eq!(t.requests()[0], HostRequest::read_span(4, 1));
         assert_eq!(t.requests()[1], HostRequest::write_span(1, 2), "size ceils");
+
+        // Empty input is an empty trace.
+        let t = Trace::from_msr_csv("", 16384, 1_000_000).unwrap();
+        assert!(t.is_empty());
+        assert_eq!(t.replay().count(), 0);
     }
 
     #[test]
@@ -410,6 +297,7 @@ Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
     fn msr_csv_export_round_trips_including_trims() {
         let mut gen = StandardWorkload::Mail.build(10_000, 5);
         let mut trace = Trace::record(gen.as_mut(), 300);
+        assert_eq!((trace.len(), trace.label()), (300, "Mail"));
         trace.requests.push(HostRequest::trim_span(123, 4));
         let csv = trace.to_msr_csv(16_384);
         let parsed = Trace::from_msr_csv(&csv, 16_384, 10_000).unwrap();
@@ -417,12 +305,5 @@ Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
         assert_eq!(parsed.label(), trace.label(), "label survives the CSV");
         // And the export is byte-stable.
         assert_eq!(parsed.to_msr_csv(16_384), csv);
-    }
-
-    #[test]
-    fn empty_trace_is_valid() {
-        let t: Trace = TRACE_HEADER.parse().unwrap();
-        assert!(t.is_empty());
-        assert_eq!(t.replay().count(), 0);
     }
 }

@@ -97,9 +97,8 @@
 //! pre-cluster pipeline byte-for-byte. `--ort-capacity` and
 //! `--ort-cluster` need a kind with an ORT among `--ftl`'s (`cube`,
 //! `cube-` or `all`); `--retry-opt` is a chip option every kind reads.
-//! `--trace-file PATH` replays a trace instead of a synthetic workload —
-//! either the native `# cubeftl trace v1` format or an
-//! MSR-Cambridge-style CSV (byte offsets folded into the simulated
+//! `--trace-file PATH` replays an MSR-Cambridge-style CSV trace instead
+//! of a synthetic workload (byte offsets folded into the simulated
 //! address space at 16-KB page granularity).
 //!
 //! `--queues N` / `--tenants N` (either > 1) engage the NVMe-style
@@ -500,7 +499,16 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
                 fail_seed = Some(num(v, any)?);
                 failure(&mut sc);
             }
-            "--spare-shards" => failure(&mut sc).spare_shards = num(v, any)?,
+            "--spare-shards" => {
+                failure(&mut sc).spare = match num(v, any)? {
+                    0u32 => false,
+                    1 => true,
+                    n => {
+                        let why = "the rebuild provisions one hot spare; use 0 or 1";
+                        return Err(Stop::Message(format!("--spare-shards {n}: {why}")));
+                    }
+                }
+            }
             "--rebuild-batch" => failure(&mut sc).rebuild.batch_pages = num(v, |&n| n >= 1)?,
             "--rebuild-gap-us" => {
                 failure(&mut sc).rebuild.gap_us = num(v, |t: &f64| *t >= 0.0 && t.is_finite())?
@@ -787,7 +795,7 @@ fn print_banners(sc: &Scenario) -> PrintRun {
             println!(
                 "array resilience: parity {}, {} spare shard(s), rebuild batch {} pages / gap {:.0} µs{}\n",
                 if fc.parity { "on" } else { "off" },
-                fc.spare_shards,
+                u8::from(fc.spare),
                 fc.rebuild.batch_pages,
                 fc.rebuild.gap_us,
                 cut_at_us(sc)
@@ -960,18 +968,14 @@ fn write_telemetry(out: &Outputs, sc: &Scenario, r: &RunOutput) -> Result<(), St
     Ok(())
 }
 
-/// Loads a trace file: the native `cubeftl trace v1` line format, or an
-/// MSR-Cambridge-style CSV (byte offsets converted to 16-KB pages; LPNs
-/// are folded into the simulated address space at run time).
+/// Loads an MSR-Cambridge-style CSV trace file (byte offsets converted
+/// to 16-KB pages; LPNs are folded into the simulated address space at
+/// run time).
 fn load_trace(path: &str) -> Result<Trace, Stop> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| Stop::Message(format!("cannot read trace {path}: {e}")))?;
-    if text.lines().next().map(str::trim) == Some(workloads::trace::TRACE_HEADER) {
-        text.parse()
-    } else {
-        Trace::from_msr_csv(&text, PAGE_BYTES, 1 << 40)
-    }
-    .map_err(|e| Stop::Message(format!("{path}: {e}")))
+    Trace::from_msr_csv(&text, PAGE_BYTES, 1 << 40)
+        .map_err(|e| Stop::Message(format!("{path}: {e}")))
 }
 
 fn fmt_wa(w: Option<f64>) -> String {
@@ -1196,16 +1200,16 @@ fn print_failure(sc: &Scenario, r: &RunOutput) -> bool {
     let f = r.failure.as_ref().expect("failure mode reports resilience");
     let healthy = r.merged();
     println!("{}:", healthy.ftl_name);
-    match (&fc.fail, f.resilience.failed_shard) {
+    match (&fc.fail, f.failed_shard) {
         (Some(fail), Some(s)) => {
             println!(
                 "  failure  shard {s} died at {:.1} ms; {} requests completed before, \
                  {} durable data pages on the dead shard ({} array-acked, {} unprotected)",
                 fail.at_us / 1000.0,
                 healthy.completed,
-                f.audit.durable_data_pages,
-                f.audit.acked_pages,
-                f.audit.unprotected_pages,
+                f.durable_data_pages,
+                f.acked_pages,
+                f.unprotected_pages(),
             );
         }
         _ => {
@@ -1220,19 +1224,19 @@ fn print_failure(sc: &Scenario, r: &RunOutput) -> bool {
             "  degraded {} requests on the survivors: {} degraded reads \
              ({} survivor fragment reads), {} writes redirected, {} dropped",
             d.merged.completed,
-            f.resilience.degraded_reads,
-            f.resilience.degraded_fragment_reads,
-            f.resilience.redirected_writes,
-            f.audit.dropped_requests,
+            f.degraded_reads,
+            f.degraded_fragment_reads,
+            f.redirected_writes,
+            f.dropped_requests,
         );
     }
-    if let Some(spare) = f.resilience.spare_shard {
+    if let Some(spare) = f.spare_shard {
         println!(
             "  rebuild  {} pages onto spare shard {spare} in {:.1} ms \
              ({} survivor reads, idle-window paced)",
-            f.resilience.rebuild_pages,
-            f.resilience.rebuild_time_us / 1000.0,
-            f.resilience.rebuild_reads,
+            f.rebuild.writes_done,
+            f.rebuild.done_at_us / 1000.0,
+            f.rebuild_reads,
         );
     }
     let crash = r.crash.as_ref();
@@ -1247,16 +1251,16 @@ fn print_failure(sc: &Scenario, r: &RunOutput) -> bool {
         print_array_resumed(r);
     }
     let spo_lost = crash.map_or(0, |c| c.lost_lpns.len());
-    if f.audit.zero_loss && spo_lost == 0 {
+    if f.zero_loss() && spo_lost == 0 {
         println!(
             "  audit    zero host-acknowledged loss: {}/{} acked pages rebuilt and mapped\n",
-            f.audit.rebuilt_mapped_pages, f.audit.acked_pages,
+            f.rebuilt_mapped_pages, f.acked_pages,
         );
         return false;
     }
     println!(
         "  audit    LOST {} host-acknowledged pages, {} SPO-lost LPNs{}\n",
-        f.audit.lost_pages,
+        f.lost_pages,
         spo_lost,
         if fc.parity {
             ""

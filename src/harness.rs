@@ -308,7 +308,7 @@ impl FailSpec {
 }
 
 /// Array-resilience switches of a sharded scenario: rotating
-/// cross-shard parity, whole-shard failure injection, hot spares and
+/// cross-shard parity, whole-shard failure injection, one hot spare and
 /// the background rebuild pacing. With the spec present the host
 /// stream is one global stream routed through the [`ParityRouter`]
 /// (with everything off it is plain LPN striping) instead of per-shard
@@ -320,10 +320,10 @@ pub struct ArrayFailureConfig {
     pub parity: bool,
     /// Optional whole-shard failure injection.
     pub fail: Option<FailSpec>,
-    /// Hot spares provisioned beyond the array (the first absorbs the
-    /// rebuild and the dead shard's redirected writes; additional
-    /// spares stand by cold).
-    pub spare_shards: usize,
+    /// One hot spare provisioned beyond the array: it takes the dead
+    /// shard's slot, absorbs the rebuild and the dead shard's redirected
+    /// writes.
+    pub spare: bool,
     /// Background rebuild pacing (unit size, host-priority gap) — the
     /// rebuild service's own, apart from [`MaintConfig::gap_us`].
     pub rebuild: RebuildSchedule,
@@ -335,40 +335,10 @@ impl ArrayFailureConfig {
         ArrayFailureConfig {
             parity: false,
             fail: None,
-            spare_shards: 0,
+            spare: false,
             rebuild: RebuildSchedule::on(),
         }
     }
-}
-
-/// The zero-host-acknowledged-loss audit of one failure-injection run.
-///
-/// "Array-acknowledged" means both legs of a write were durable at the
-/// failure instant: the data page on the (now dead) shard *and* its
-/// row's parity page on the surviving parity holder. Pages whose data
-/// leg was durable but whose parity leg had not yet landed are counted
-/// `unprotected` — a real array would not have acknowledged them to the
-/// host, so they are not loss.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FailureAudit {
-    /// Durable data pages on the failed shard at the failure instant
-    /// (mapped or PLP-buffered, within the routed region).
-    pub durable_data_pages: u64,
-    /// Of those, array-acknowledged (parity leg also durable).
-    pub acked_pages: u64,
-    /// Of those, data-leg-only durable (array had not acked them yet).
-    pub unprotected_pages: u64,
-    /// Array-acknowledged pages mapped on the spare after the rebuild.
-    pub rebuilt_mapped_pages: u64,
-    /// Dead-shard requests with no redirect target (reads with parity
-    /// off, writes without a spare).
-    pub dropped_requests: u64,
-    /// Array-acknowledged pages that are neither on the spare nor
-    /// reconstructable from survivors — with parity off, every durable
-    /// data page. **Must be 0 with parity on.**
-    pub lost_pages: u64,
-    /// `lost_pages == 0`.
-    pub zero_loss: bool,
 }
 
 /// Multi-queue QoS front-end switches: the tenant population, and the
@@ -877,17 +847,6 @@ impl CrashReport {
     }
 }
 
-/// The resilience part of a run with an [`ArrayFailureConfig`].
-#[derive(Debug, Clone, Default)]
-pub struct FailureReport {
-    /// Resilience counters (degraded reads, rebuild traffic, loss).
-    pub resilience: ResilienceReport,
-    /// The spare's combined rebuild progress (reads/writes/curve).
-    pub rebuild: RebuildProgress,
-    /// The zero-loss audit.
-    pub audit: FailureAudit,
-}
-
 /// The aging part of a lifetime campaign.
 #[derive(Debug, Clone, Default)]
 pub struct AgingReport {
@@ -924,7 +883,7 @@ pub struct RunOutput {
     /// Crash recovery, when a power cut was armed.
     pub crash: Option<CrashReport>,
     /// Resilience counters and audit, with a failure spec.
-    pub failure: Option<FailureReport>,
+    pub failure: Option<ResilienceReport>,
     /// Aging steps, in a lifetime campaign.
     pub aging: Option<AgingReport>,
     /// Per-tenant outcomes, with the QoS front-end engaged.
@@ -1018,7 +977,7 @@ impl RunOutput {
             qos.register_metrics(&mut reg);
         }
         if let Some(f) = &self.failure {
-            f.resilience.register_metrics(&mut reg, "array");
+            f.register_metrics(&mut reg, "array");
         }
         reg
     }
@@ -1246,19 +1205,13 @@ impl Dev {
     }
 }
 
-/// What the failure barrier hands to the final audit.
+/// What the failure barrier hands to the end-of-run audit.
 struct FailureState {
-    fail: FailSpec,
     router: ParityRouter,
-    spare: Option<usize>,
-    durable_data: Vec<u64>,
+    /// The dead shard's array-acknowledged data pages.
     acked: Vec<u64>,
-    degraded_reads: u64,
-    degraded_fragment_reads: u64,
-    per_shard_degraded_reads: Vec<u64>,
-    redirected_writes: u64,
-    dropped_requests: u64,
-    degraded_read_events: Vec<(u64, u32)>,
+    /// LPNs of the degraded reads, in routed order.
+    degraded_lpns: Vec<u64>,
     /// Rebuild progress per degraded-phase participant, and that
     /// phase's makespan (the resumed phase's clock offset).
     progress: Vec<RebuildProgress>,
@@ -1397,6 +1350,10 @@ impl Scenario {
         self.validate()?;
         let mut out = RunOutput {
             crash: self.spo.map(|_| CrashReport::default()),
+            failure: self.failure.map(|fc| ResilienceReport {
+                parity: fc.parity,
+                ..ResilienceReport::default()
+            }),
             aging: self.lifetime.map(|_| AgingReport::default()),
             ..RunOutput::default()
         };
@@ -1457,10 +1414,11 @@ impl Scenario {
             out.phases.push(main);
 
             let mut failure = None;
-            if let Some(fail) = fail {
+            if let (Some(fail), Some(report)) = (fail, &mut out.failure) {
                 // The dead shard leaves at the barrier, its events with it.
                 line.gather(&mut devs, &mut load.hosts, &out.phases);
-                let (mut state, plans) = self.fail_barrier(fail, &mut devs, &mut load, &events);
+                let (mut state, plans) =
+                    self.fail_barrier(fail, &mut devs, &mut load, &events, report);
                 let (degraded, cut_events) =
                     load.run(self, Phase::Degraded, &mut devs, cut, Some(plans));
                 (line.start_us, span) = (fail.at_us, degraded.merged.sim_time_us);
@@ -1484,21 +1442,8 @@ impl Scenario {
                     resumed_progress = rebuild_progress(&devs);
                 }
             }
-            if let Some(fc) = &self.failure {
-                out.failure = Some(match failure {
-                    Some(state) => state.audit(fc.parity, &devs, &resumed_progress, &mut line),
-                    None => FailureReport {
-                        resilience: ResilienceReport {
-                            parity: fc.parity,
-                            ..ResilienceReport::default()
-                        },
-                        audit: FailureAudit {
-                            zero_loss: true,
-                            ..FailureAudit::default()
-                        },
-                        ..FailureReport::default()
-                    },
-                });
+            if let (Some(state), Some(report)) = (failure, &mut out.failure) {
+                state.audit(&devs, &resumed_progress, &mut line, report);
             }
         }
         self.drain(&mut devs, load, line, &mut out);
@@ -1828,13 +1773,15 @@ impl Scenario {
     /// the hot spare — swaps the spare into the dead slot and plans the
     /// background rebuild (survivors read fragments, the spare programs
     /// reconstructed pages). Rewrites `devs` and `load` for the degraded
-    /// phase and returns the rebuild plans with it.
+    /// phase, fills the barrier's part of `report` and returns the
+    /// rebuild plans.
     fn fail_barrier(
         &self,
         fail: FailSpec,
         devs: &mut Vec<Dev>,
         load: &mut Load,
         events: &[Option<SpoEvent>],
+        report: &mut ResilienceReport,
     ) -> (FailureState, Vec<Option<RebuildPlan>>) {
         let fc = self.failure.expect("a failure was injected");
         let s_total = devs.len();
@@ -1858,14 +1805,17 @@ impl Scenario {
         // The dead shard's durable ledger over the routed region, split
         // by page role; live parity stripes (any survivor data in the
         // row) join the rebuild so the spare restores full redundancy.
-        let mut durable_data: Vec<u64> = Vec::new();
+        let mut acked: Vec<u64> = Vec::new();
         let mut rebuild_set: Vec<u64> = Vec::new();
         for l in 0..rows * p {
             let keep = match router.page_at(failed, l) {
                 PageRole::Data(_) => {
                     let d = durable(failed, l);
-                    if d {
-                        durable_data.push(l);
+                    report.durable_data_pages += u64::from(d);
+                    // Array-acknowledged = both legs durable at the
+                    // failure instant.
+                    if d && fc.parity && durable(router.parity_shard(l / p), l) {
+                        acked.push(l);
                     }
                     d
                 }
@@ -1875,15 +1825,9 @@ impl Scenario {
                 rebuild_set.push(l);
             }
         }
-        // Array-acknowledged = both legs durable at the failure instant.
-        let acked: Vec<u64> = durable_data
-            .iter()
-            .copied()
-            .filter(|&l| fc.parity && durable(router.parity_shard(l / p), l))
-            .collect();
 
         // Redirect the dead shard's unissued remainder.
-        let spare = (fc.spare_shards > 0).then_some(s_total);
+        let spare = fc.spare.then_some(s_total);
         let mut ids: Vec<usize> = (0..s_total).collect();
         match spare {
             Some(id) => ids[failed] = id,
@@ -1896,21 +1840,12 @@ impl Scenario {
                 .position(|&x| x == id)
                 .expect("participant shard")
         };
-        let mut state = FailureState {
-            fail,
-            router,
-            spare,
-            durable_data,
-            acked,
-            degraded_reads: 0,
-            degraded_fragment_reads: 0,
-            per_shard_degraded_reads: vec![0; s_total + usize::from(spare.is_some())],
-            redirected_writes: 0,
-            dropped_requests: 0,
-            degraded_read_events: Vec::new(),
-            progress: Vec::new(),
-            offset_us: 0.0,
-        };
+        report.failed_shard = Some(failed as u32);
+        report.fail_at_us = fail.at_us;
+        report.spare_shard = spare.map(|id| id as u32);
+        report.acked_pages = acked.len() as u64;
+        report.per_shard_degraded_reads = vec![0; s_total + usize::from(spare.is_some())];
+        let mut degraded_lpns = Vec::new();
         let mut phase_b: Vec<Vec<HostRequest>> = vec![Vec::new(); ids.len()];
         let mut cursors = vec![0u64; s_total];
         for &(s, req) in &load.routed {
@@ -1928,29 +1863,27 @@ impl Scenario {
                     // at the same local index; XOR reconstructs the
                     // data.
                     let pages = u64::from(req.n_pages);
-                    state.degraded_reads += pages;
+                    report.degraded_reads += pages;
                     for t in (0..s_total).filter(|&t| t != failed) {
                         phase_b[pos_of(t)].push(HostRequest {
                             op: HostOp::Read,
                             ..req
                         });
-                        state.degraded_fragment_reads += pages;
-                        state.per_shard_degraded_reads[t] += pages;
+                        report.degraded_fragment_reads += pages;
+                        report.per_shard_degraded_reads[t] += pages;
                     }
-                    state
-                        .degraded_read_events
-                        .push((req.lpn, (s_total - 1) as u32));
+                    degraded_lpns.push(req.lpn);
                 }
-                HostOp::Read => state.dropped_requests += 1,
+                HostOp::Read => report.dropped_requests += 1,
                 HostOp::Write | HostOp::Trim => match spare {
                     // The spare takes over the dead slot; the
                     // fragment's parity update already sits in its
                     // holder's stream.
                     Some(id) => {
                         phase_b[pos_of(id)].push(req);
-                        state.redirected_writes += 1;
+                        report.redirected_writes += 1;
                     }
-                    None => state.dropped_requests += 1,
+                    None => report.dropped_requests += 1,
                 },
             }
         }
@@ -1981,6 +1914,13 @@ impl Scenario {
             ..Load::replay("", phase_b, false)
         };
         devs.iter().for_each(|d| d.ftl.debug_audit());
+        let state = FailureState {
+            router,
+            acked,
+            degraded_lpns,
+            progress: Vec::new(),
+            offset_us: 0.0,
+        };
         (state, plans)
     }
 
@@ -2054,17 +1994,17 @@ impl Scenario {
 impl FailureState {
     /// The end of a failure experiment: combines each participant's
     /// rebuild progress over the degraded and resumed phases, audits
-    /// the array-acknowledged pages against the final shard list and
-    /// emits the barrier-level trace events.
+    /// the array-acknowledged pages against the final shard list, fills
+    /// the rest of `report` and emits the barrier-level trace events.
     fn audit(
         self,
-        parity: bool,
         devs: &[Dev],
         resumed: &[RebuildProgress],
         line: &mut Timeline,
-    ) -> FailureReport {
+        report: &mut ResilienceReport,
+    ) {
         let s_total = self.router.shards();
-        let failed = self.fail.shard;
+        let failed = report.failed_shard.expect("a failure was injected") as usize;
         let p = self.router.stripe_pages();
         let progress: Vec<RebuildProgress> = self
             .progress
@@ -2073,24 +2013,25 @@ impl FailureState {
             .map(|(b, c)| combine_progress(b, c, self.offset_us))
             .collect();
         let spare_pos = devs.iter().position(|d| d.id == s_total);
-        let spare_progress = spare_pos
-            .map(|pos| progress[pos].clone())
-            .unwrap_or_default();
-        let mut per_shard_rebuild_reads = vec![0u64; self.per_shard_degraded_reads.len()];
+        if let Some(pos) = spare_pos {
+            report.rebuild = progress[pos].clone();
+        }
+        report.per_shard_rebuild_reads = vec![0; report.per_shard_degraded_reads.len()];
         for (d, prog) in devs.iter().zip(&progress) {
             if d.id < s_total {
-                per_shard_rebuild_reads[d.id] = prog.reads_done;
+                report.per_shard_rebuild_reads[d.id] = prog.reads_done;
             }
         }
+        report.rebuild_reads = report.per_shard_rebuild_reads.iter().sum();
 
         let spare_ftl = spare_pos.map(|pos| &devs[pos].ftl);
         let on_spare = |l: u64| spare_ftl.is_some_and(|f| f.is_mapped(l));
-        let rebuilt_mapped_pages = self.acked.iter().filter(|&&l| on_spare(l)).count() as u64;
+        report.rebuilt_mapped_pages = self.acked.iter().filter(|&&l| on_spare(l)).count() as u64;
         // A page survives if the spare holds it, or if it is still
         // reconstructable: the parity leg (and every survivor data leg)
         // lives on an alive shard. Survivor durability after a composed
         // power cut is audited separately through the crash report.
-        let lost_pages = if parity {
+        report.lost_pages = if report.parity {
             self.acked
                 .iter()
                 .filter(|&&l| {
@@ -2099,22 +2040,12 @@ impl FailureState {
                 })
                 .count() as u64
         } else {
-            self.durable_data.len() as u64
-        };
-        let durable_data_pages = self.durable_data.len() as u64;
-        let audit = FailureAudit {
-            durable_data_pages,
-            acked_pages: self.acked.len() as u64,
-            unprotected_pages: durable_data_pages - self.acked.len() as u64,
-            rebuilt_mapped_pages,
-            dropped_requests: self.dropped_requests,
-            lost_pages,
-            zero_loss: lost_pages == 0,
+            report.durable_data_pages
         };
 
         // Barrier-level trace events (degraded/rebuild categories),
         // numbered as one stream whatever the scenario's mask keeps.
-        let at = self.fail.at_us;
+        let at = report.fail_at_us;
         let mut collector =
             Collector::enabled(EventMask::DEGRADED.union(EventMask::REBUILD), failed as u32);
         let mut shard_fail = |t: f64, phase: &'static str, detail: u64| {
@@ -2128,12 +2059,17 @@ impl FailureState {
                 },
             );
         };
-        shard_fail(at, "inject", durable_data_pages);
-        shard_fail(at, "detect", self.degraded_reads + self.redirected_writes);
-        for &(lpn, fragments) in &self.degraded_read_events {
+        shard_fail(at, "inject", report.durable_data_pages);
+        shard_fail(
+            at,
+            "detect",
+            report.degraded_reads + report.redirected_writes,
+        );
+        let fragments = (s_total - 1) as u32;
+        for &lpn in &self.degraded_lpns {
             collector.emit(at, EventKind::DegradedRead { lpn, fragments });
         }
-        if self.spare.is_some() {
+        if report.spare_shard.is_some() {
             let mut unit = |t: f64, spare: usize, action: &'static str, pages: u64| {
                 let spare = spare as u32;
                 collector.emit(
@@ -2145,7 +2081,7 @@ impl FailureState {
                     },
                 );
             };
-            for &(t, ops) in &spare_progress.curve {
+            for &(t, ops) in &report.rebuild.curve {
                 unit(t, s_total, "write", ops);
             }
             for (d, prog) in devs.iter().zip(&progress) {
@@ -2153,38 +2089,18 @@ impl FailureState {
                     unit(prog.done_at_us, d.id, "read", prog.reads_done);
                 }
             }
-            if spare_progress.writes_done > 0 {
+            if report.rebuild.writes_done > 0 {
                 collector.emit(
-                    at + spare_progress.done_at_us,
+                    at + report.rebuild.done_at_us,
                     EventKind::ShardFail {
                         failed: failed as u32,
                         phase: "restored",
-                        detail: rebuilt_mapped_pages,
+                        detail: report.rebuilt_mapped_pages,
                     },
                 );
             }
         }
-
         line.insert(failed, collector.take());
-        FailureReport {
-            resilience: ResilienceReport {
-                parity,
-                failed_shard: Some(failed as u32),
-                fail_at_us: at,
-                spare_shard: self.spare.map(|id| id as u32),
-                degraded_reads: self.degraded_reads,
-                degraded_fragment_reads: self.degraded_fragment_reads,
-                rebuild_pages: spare_progress.writes_done,
-                rebuild_reads: per_shard_rebuild_reads.iter().sum(),
-                rebuild_time_us: spare_progress.done_at_us,
-                redirected_writes: self.redirected_writes,
-                lost_pages,
-                per_shard_degraded_reads: self.per_shard_degraded_reads,
-                per_shard_rebuild_reads,
-            },
-            rebuild: spare_progress,
-            audit,
-        }
     }
 }
 

@@ -71,7 +71,7 @@ pub use telemetry::{
 };
 pub use workloads::{
     build_population, shard_seed, tenant_seed, StandardWorkload, TenantClass, TenantMix,
-    TenantProfile, Trace, TraceReplay, UniformTenantWorkload, Workload, YcsbWorkload,
+    TenantProfile, Trace, TraceReplay, UniformTenantWorkload, Workload,
 };
 
 pub mod harness;

@@ -11,15 +11,16 @@
 mod common;
 
 use cubeftl::harness::{
-    ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, FailureReport, Phase, RunOutput,
-    Scenario, SpoConfig, TelemetrySpec, WorkloadSource,
+    ArrayEvalConfig, ArrayFailureConfig, EvalConfig, FailSpec, Phase, RunOutput, Scenario,
+    SpoConfig, TelemetrySpec, WorkloadSource,
 };
 use cubeftl::{
     events_to_ndjson, page_fingerprint, xor_parity, AgingState, EventKind, EventMask, FtlKind,
-    HostRequest, KvConfig, PageRole, ParityRouter, SpoTrigger, StandardWorkload, TenantMix,
-    YcsbKind,
+    HostRequest, KvConfig, MetricRegistry, PageRole, ParityRouter, ResilienceReport, SpoTrigger,
+    StandardWorkload, TenantMix, YcsbKind,
 };
 use proptest::prelude::*;
+use telemetry::MetricValue;
 
 fn cfg() -> EvalConfig {
     let mut cfg = EvalConfig::smoke();
@@ -46,7 +47,7 @@ fn failure_run_of(
     arr: &ArrayEvalConfig,
     fc: &ArrayFailureConfig,
     spo_cut_at_us: Option<f64>,
-) -> (RunOutput, FailureReport) {
+) -> (RunOutput, ResilienceReport) {
     let out = common::run(&Scenario {
         array: Some(*arr),
         failure: Some(*fc),
@@ -75,7 +76,7 @@ fn failure_run(
     arr: &ArrayEvalConfig,
     fc: &ArrayFailureConfig,
     spo_cut_at_us: Option<f64>,
-) -> (RunOutput, FailureReport) {
+) -> (RunOutput, ResilienceReport) {
     failure_run_of(StandardWorkload::Oltp, arr, fc, spo_cut_at_us)
 }
 
@@ -87,7 +88,7 @@ fn fail_cfg() -> ArrayFailureConfig {
         shard: 1,
         at_us: 3_000.0,
     });
-    fc.spare_shards = 1;
+    fc.spare = true;
     fc
 }
 
@@ -136,13 +137,13 @@ fn healthy_run_is_deterministic_and_loss_free() {
     fc.parity = true;
     let (out_a, a) = failure_run(&arr, &fc, None);
     let (out_b, b) = failure_run(&arr, &fc, None);
-    assert!(a.audit.zero_loss);
+    assert!(a.zero_loss());
     assert!(out_a.phase(Phase::Degraded).is_none());
-    assert_eq!(a.resilience.failed_shard, None);
+    assert_eq!(a.failed_shard, None);
     assert!(out_a.merged().completed > 0);
     assert_eq!(
-        format!("{:?}", (out_a.merged(), &a.audit)),
-        format!("{:?}", (out_b.merged(), &b.audit)),
+        format!("{:?}", (out_a.merged(), &a)),
+        format!("{:?}", (out_b.merged(), &b)),
         "healthy parity-on run diverged between identical runs"
     );
 }
@@ -150,28 +151,25 @@ fn healthy_run_is_deterministic_and_loss_free() {
 #[test]
 fn failure_degraded_rebuild_reaches_zero_loss() {
     let (out, r) = failure_run(&arr(3), &fail_cfg(), None);
-    assert_eq!(r.resilience.failed_shard, Some(1));
-    assert_eq!(r.resilience.spare_shard, Some(3));
+    assert_eq!(r.failed_shard, Some(1));
+    assert_eq!(r.spare_shard, Some(3));
     assert!(
-        r.audit.durable_data_pages > 0,
+        r.durable_data_pages > 0,
         "the dead shard must have held durable data"
     );
-    assert!(r.audit.acked_pages > 0, "some pages were array-acked");
-    assert_eq!(r.audit.lost_pages, 0, "parity must eliminate loss");
-    assert!(r.audit.zero_loss);
+    assert!(r.acked_pages > 0, "some pages were array-acked");
+    assert_eq!(r.lost_pages, 0, "parity must eliminate loss");
+    assert!(r.zero_loss());
     // The rebuild actually moved the acked pages onto the spare.
-    assert_eq!(r.audit.rebuilt_mapped_pages, r.audit.acked_pages);
-    assert!(r.resilience.rebuild_pages >= r.audit.acked_pages);
-    assert!(r.resilience.rebuild_time_us > 0.0, "rebuild drained");
+    assert_eq!(r.rebuilt_mapped_pages, r.acked_pages);
+    assert!(r.rebuild.writes_done >= r.acked_pages);
+    assert!(r.rebuild.done_at_us > 0.0, "rebuild drained");
     assert!(r.rebuild.curve.windows(2).all(|w| w[0].1 <= w[1].1));
     // Degraded reads served during the rebuild, fanned out to both
     // survivors.
-    assert!(r.resilience.degraded_reads > 0, "degraded reads served");
-    assert_eq!(
-        r.resilience.degraded_fragment_reads,
-        r.resilience.degraded_reads * 2
-    );
-    assert_eq!(r.resilience.per_shard_degraded_reads[1], 0);
+    assert!(r.degraded_reads > 0, "degraded reads served");
+    assert_eq!(r.degraded_fragment_reads, r.degraded_reads * 2);
+    assert_eq!(r.per_shard_degraded_reads[1], 0);
     // The barrier emitted the degraded/rebuild trace events.
     let events = &out.telemetry.events;
     assert!(events.iter().any(|e| e
@@ -190,11 +188,11 @@ fn parity_off_failure_loses_the_dead_shard() {
     let mut fc = fail_cfg();
     fc.parity = false; // no redundancy: the dead shard's data is gone
     let (_, r) = failure_run(&arr(3), &fc, None);
-    assert!(r.audit.durable_data_pages > 0);
-    assert_eq!(r.audit.lost_pages, r.audit.durable_data_pages);
-    assert!(!r.audit.zero_loss, "parity off must show the loss");
-    assert_eq!(r.resilience.degraded_reads, 0);
-    assert_eq!(r.resilience.rebuild_pages, 0);
+    assert!(r.durable_data_pages > 0);
+    assert_eq!(r.lost_pages, r.durable_data_pages);
+    assert!(!r.zero_loss(), "parity off must show the loss");
+    assert_eq!(r.degraded_reads, 0);
+    assert_eq!(r.rebuild.writes_done, 0);
 }
 
 #[test]
@@ -215,8 +213,8 @@ fn failure_report_is_identical_at_any_thread_count_and_on_reruns() {
             let mut a = arr(shards);
             a.threads = threads;
             let (out, r) = failure_run_of(source.clone(), &a, &fc, None);
-            assert!(r.audit.zero_loss, "{source:?} lost data");
-            assert!(r.audit.acked_pages > 0, "{source:?} acked nothing");
+            assert!(r.zero_loss(), "{source:?} lost data");
+            assert!(r.acked_pages > 0, "{source:?} acked nothing");
             let apps = out.kv.as_ref().map_or(0, |kv| kv.apps.len());
             assert_eq!(apps, usize::from(runs_engine), "one engine feeds the array");
             assert!(!out.telemetry.events.is_empty(), "the barrier emitted");
@@ -246,46 +244,50 @@ fn failure_composes_with_an_array_spo_cut() {
         "crash recovery lost acknowledged data: {:?}",
         crash.lost_lpns
     );
-    assert!(r.audit.zero_loss, "failure + SPO still reaches zero loss");
-    assert_eq!(r.audit.rebuilt_mapped_pages, r.audit.acked_pages);
+    assert!(r.zero_loss(), "failure + SPO still reaches zero loss");
+    assert_eq!(r.rebuilt_mapped_pages, r.acked_pages);
     // Determinism holds for the composed scenario too.
     let (_, rerun) = failure_run(&arr, &fc, cut);
-    assert_eq!(
-        format!("{:?}", (&r.resilience, &r.audit, &r.rebuild)),
-        format!("{:?}", (&rerun.resilience, &rerun.audit, &rerun.rebuild)),
-    );
+    assert_eq!(format!("{r:?}"), format!("{rerun:?}"),);
 }
 
 /// The failure report's derived numbers agree with what they are
 /// derived from, on a parity-on, a parity-off and a failure × SPO run:
-/// the loss count, the spare's rebuild progress, the unprotected pages,
-/// the zero-loss verdict and the per-shard fragment-read split.
+/// the unprotected pages, the zero-loss verdict, the per-shard
+/// fragment-read split, and the registered rebuild metrics against the
+/// spare's progress.
 #[test]
 fn failure_report_numbers_agree_with_their_sources() {
     let mut off = fail_cfg();
     off.parity = false;
-    let runs = [
-        failure_run(&arr(3), &fail_cfg(), None),
-        failure_run(&arr(3), &off, None),
-        failure_run(&arr(3), &fail_cfg(), Some(2_000.0)),
-    ];
-    for (_, r) in &runs {
-        let (res, audit) = (&r.resilience, &r.audit);
-        assert_eq!(audit.lost_pages, res.lost_pages);
-        assert_eq!(r.rebuild.writes_done, res.rebuild_pages);
-        assert_eq!(r.rebuild.done_at_us, res.rebuild_time_us);
+    let runs = [(fail_cfg(), None), (off, None), (fail_cfg(), Some(2_000.0))];
+    for (fc, cut) in runs {
+        let (_, r) = failure_run(&arr(3), &fc, cut);
+        assert_eq!(r.durable_data_pages - r.acked_pages, r.unprotected_pages());
+        assert!(r.acked_pages <= r.durable_data_pages);
+        assert_eq!(r.zero_loss(), r.lost_pages == 0);
         assert_eq!(
-            audit.durable_data_pages - audit.acked_pages,
-            audit.unprotected_pages
-        );
-        assert_eq!(audit.zero_loss, res.lost_pages == 0);
-        assert_eq!(
-            res.degraded_fragment_reads,
-            res.per_shard_degraded_reads.iter().sum::<u64>()
+            r.degraded_fragment_reads,
+            r.per_shard_degraded_reads.iter().sum::<u64>()
         );
         assert_eq!(
-            res.rebuild_reads,
-            res.per_shard_rebuild_reads.iter().sum::<u64>()
+            r.rebuild_reads,
+            r.per_shard_rebuild_reads.iter().sum::<u64>()
+        );
+        let mut reg = MetricRegistry::new();
+        r.register_metrics(&mut reg, "array");
+        let metric = |name: &str| reg.get(&format!("array.resilience.{name}")).cloned();
+        assert_eq!(
+            metric("rebuild_pages"),
+            Some(MetricValue::Counter(r.rebuild.writes_done))
+        );
+        assert_eq!(
+            metric("rebuild_time_us"),
+            Some(MetricValue::Gauge(r.rebuild.done_at_us))
+        );
+        assert_eq!(
+            metric("lost_pages"),
+            Some(MetricValue::Counter(r.lost_pages))
         );
     }
 }

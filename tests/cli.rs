@@ -231,6 +231,8 @@ cases! {
                                         --trace-file tests/data/malformed_first_row.csv";
     rejects_malformed_fail_shard: "--ftl cube --blocks 16 --shards 2 --array-parity \
                                    --fail-shard 1@";
+    rejects_more_than_one_spare_shard: "--ftl cube --blocks 16 --shards 3 --array-parity \
+                                        --fail-shard 1@3000 --spare-shards 3";
     rejects_zero_tenant_weights: "--ftl cube --blocks 16 --queues 2 --tenants 4 \
                                   --tenant-weights 0,0";
 }

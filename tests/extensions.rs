@@ -15,8 +15,8 @@ fn trace_replay_reproduces_simulation_bit_for_bit() {
     let cfg = FtlConfig::small();
     let mut gen = StandardWorkload::Mongo.build(800, 3);
     let trace = Trace::record(gen.as_mut(), 1_500);
-    let text = trace.to_text();
-    let parsed: Trace = text.parse().expect("parse");
+    let csv = trace.to_msr_csv(16_384);
+    let parsed = Trace::from_msr_csv(&csv, 16_384, 800).expect("parse");
 
     let run = |t: &Trace| {
         let mut ftl = Ftl::new(FtlKind::Cube, cfg);

@@ -273,7 +273,7 @@ fn reachability_scenarios() -> Vec<(&'static str, Scenario)> {
                         shard: 1,
                         at_us: 3_000.0,
                     }),
-                    spare_shards: 1,
+                    spare: true,
                     ..ArrayFailureConfig::off()
                 }),
                 spo: Some(SpoConfig {

@@ -48,14 +48,6 @@ fn trace_lpns_fold_into_the_device_address_space() {
 }
 
 #[test]
-fn native_trace_format_still_round_trips() {
-    let trace = sample();
-    let back: Trace = trace.to_text().parse().expect("native format round-trips");
-    assert_eq!(back.len(), trace.len());
-    assert_eq!(back.requests(), trace.requests());
-}
-
-#[test]
 fn trace_replay_survives_a_power_cut_with_zero_loss() {
     // The crash barrier does not care where requests come from: a
     // replayed trace is cut, recovered and resumed over its unissued
