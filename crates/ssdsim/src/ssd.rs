@@ -577,6 +577,9 @@ pub struct SsdSim {
     rebuild_tick_armed: bool,
     /// Round-robin cursor for placing rebuild writes on chips.
     rebuild_chip: usize,
+    /// The chip an idle-device flush tries first (see
+    /// [`SsdSim::pick_flush_chip`]).
+    flush_cursor: usize,
     /// Progress accounting for the current run's rebuild service.
     rebuild_progress: RebuildProgress,
 }
@@ -665,6 +668,7 @@ impl SsdSim {
             rebuild_allowed_at: 0.0,
             rebuild_tick_armed: false,
             rebuild_chip: 0,
+            flush_cursor: 0,
             rebuild_progress: RebuildProgress::default(),
             config,
         }
@@ -1554,14 +1558,33 @@ impl SsdSim {
         self.sampler = Some(s);
     }
 
-    fn pick_flush_chip<F: FtlDriver + ?Sized>(&self, ftl: &F) -> Option<usize> {
-        self.chips
+    /// The chip for the next buffer flush: the least-loaded chip (queued
+    /// ops plus the running one, then pending flushes) that can take one.
+    /// When the least-loaded chips are idle, the first of them at or
+    /// after the flush cursor takes it and the cursor moves past it, so
+    /// a light load spreads its flushes over every chip; a tie among
+    /// loaded chips keeps the lowest id.
+    fn pick_flush_chip<F: FtlDriver + ?Sized>(&mut self, ftl: &F) -> Option<usize> {
+        let load = |c: &ChipState| (c.queue.len() + usize::from(c.busy), c.pending_flushes);
+        let eligible = |i: usize, c: &ChipState| {
+            c.pending_flushes < MAX_PENDING_FLUSH_PER_CHIP && ftl.accepts_flush(i)
+        };
+        let (chip, c) = self
+            .chips
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.pending_flushes < MAX_PENDING_FLUSH_PER_CHIP)
-            .filter(|(i, _)| ftl.accepts_flush(*i))
-            .min_by_key(|(_, c)| (c.queue.len() + usize::from(c.busy), c.pending_flushes))
-            .map(|(i, _)| i)
+            .filter(|&(i, c)| eligible(i, c))
+            .min_by_key(|(_, c)| load(c))?;
+        if load(c) != (0, 0) {
+            return Some(chip);
+        }
+        let n = self.chips.len();
+        let chip = (0..n)
+            .map(|k| (self.flush_cursor + k) % n)
+            .find(|&i| load(&self.chips[i]) == (0, 0) && eligible(i, &self.chips[i]))
+            .expect("an idle eligible chip exists");
+        self.flush_cursor = (chip + 1) % n;
+        Some(chip)
     }
 }
 
@@ -1585,6 +1608,8 @@ mod tests {
         maint_budget: u64,
         /// A chip that accepts no flush.
         full_chip: Option<usize>,
+        /// The chip of every flush, in order.
+        flush_chips: Vec<usize>,
     }
 
     impl StubFtl {
@@ -1598,6 +1623,7 @@ mod tests {
                 utilizations: Vec::new(),
                 maint_budget: 0,
                 full_chip: None,
+                flush_chips: Vec::new(),
             }
         }
     }
@@ -1605,6 +1631,7 @@ mod tests {
     impl FtlDriver for StubFtl {
         fn write_wl(&mut self, chip: usize, lpns: [u64; 3], ctx: &HostContext) -> WlWrite {
             self.utilizations.push(ctx.buffer_utilization);
+            self.flush_chips.push(chip);
             for lpn in lpns {
                 if lpn != u64::MAX {
                     self.mapped.insert(lpn, chip);
@@ -1966,6 +1993,45 @@ mod tests {
         for (i, count) in per_chip.iter().enumerate() {
             assert!(*count > 0, "chip {i} never received a flush: {per_chip:?}");
         }
+    }
+
+    /// The chips the flushes of one-WL writes arriving at `at(i)` µs
+    /// went to, on the paper's 8-chip platform.
+    fn flush_chips_of_writes(n: u64, at: impl Fn(u64) -> f64) -> Vec<usize> {
+        let mut sim = SsdSim::new(SsdConfig::paper());
+        let mut ftl = StubFtl::new(8);
+        let mut front =
+            StubFront::from_requests((0..n).map(|i| HostRequest::write_span(3 * i, 3)), at);
+        sim.run_begin(u64::MAX, None);
+        while sim.run_step(&mut ftl, &mut front, u64::MAX) == StepOutcome::Running {}
+        assert_eq!(front.done.len() as u64, n);
+        ftl.flush_chips
+    }
+
+    #[test]
+    fn flushes_onto_an_idle_device_take_every_chip_in_turn() {
+        // One WL every 5 ms: each flush finds all eight chips idle.
+        let n = 8 * 5 + 3;
+        let chips = flush_chips_of_writes(n, |i| i as f64 * 5_000.0);
+        assert_eq!(chips.len() as u64, n);
+        let mut per_chip = [0u64; 8];
+        for &chip in &chips {
+            per_chip[chip] += 1;
+        }
+        assert!(
+            per_chip.iter().all(|&k| k == n / 8 || k == n.div_ceil(8)),
+            "{per_chip:?}"
+        );
+    }
+
+    #[test]
+    fn a_tie_among_busy_chips_goes_to_the_lowest_id() {
+        // Three sparse WLs leave the idle-chip cursor at chip 3; a burst
+        // of nine then fills chips 3..=7, 0..=2 in turn, and the ninth
+        // finds every chip busy with one flush: the lowest id takes it.
+        let chips =
+            flush_chips_of_writes(12, |i| if i < 3 { i as f64 * 5_000.0 } else { 20_000.0 });
+        assert_eq!(chips, [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 0]);
     }
 
     #[test]

@@ -241,22 +241,52 @@ fn recorded_traces_replay_as_tenant_zero() {
     }
 }
 
-/// The ledger's `qos_open` flag line at 1/50 of its 450 000 requests.
-/// In a debug build the harness runs `Ftl::audit` at every barrier, so
-/// a broken FTL invariant on this run panics the binary.
-#[test]
-fn qos_open_line_at_one_fiftieth_passes_the_audit() {
+/// Runs the ledger's `qos_open` flag line at 1/50 of its 450 000
+/// requests with `extra` flags, returning stdout; a failed run panics.
+fn qos_open_line_at_one_fiftieth(extra: &str) -> String {
     let line = "--ftl cube --workload mail --aging midlife --blocks 64 --queues 4 \
                 --tenants 12 --tenant-weights 4,2,1 --qos-arrival-us 650 \
                 --qos-slo-read-us 270000 --qos-slo-write-us 70000 --requests 9000 --seed 42";
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_cubeftl-sim"))
-        .args(line.split_whitespace())
+        .args(line.split_whitespace().chain(extra.split_whitespace()))
         .output()
         .expect("run cubeftl-sim");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// In a debug build the harness runs `Ftl::audit` at every barrier, so
+/// a broken FTL invariant on this run panics the binary.
+#[test]
+fn qos_open_line_at_one_fiftieth_passes_the_audit() {
+    let stdout = qos_open_line_at_one_fiftieth("");
     assert!(stdout.contains("9000 admitted, 0 shed"), "{stdout}");
+}
+
+/// The open loop finds idle chips at almost every flush; those flushes
+/// take the chips in turn, so no chip works much longer than another.
+/// (With idle ties going to the lowest id, chip 0 was busy 23× as long
+/// as the least-busy chip on this line.)
+#[test]
+fn qos_open_line_at_one_fiftieth_keeps_every_chip_equally_busy() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("qos_open_balance");
+    std::fs::create_dir_all(&dir).expect("create the output directory");
+    let metrics = dir.join("metrics.ndjson");
+    qos_open_line_at_one_fiftieth(&format!("--metrics-out {}", metrics.display()));
+    let text = std::fs::read_to_string(&metrics).expect("read the metrics");
+    let busy: Vec<f64> = text
+        .lines()
+        .filter(|l| l.contains("\"metric\":\"ssd.chip") && l.contains(".busy_us\""))
+        .map(|l| {
+            let v = &l[l.rfind("\"value\":").expect("a value") + 8..];
+            v.trim_end_matches('}').parse().expect("a number")
+        })
+        .collect();
+    assert_eq!(busy.len(), 8, "{text}");
+    let max = busy.iter().copied().fold(f64::MIN, f64::max);
+    let min = busy.iter().copied().fold(f64::MAX, f64::min);
+    assert!(max <= 1.5 * min, "per-chip busy µs {busy:?}");
 }
 
 // ---------------------------------------------------------------------
