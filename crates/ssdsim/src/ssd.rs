@@ -437,6 +437,17 @@ struct ChipState {
     stats: ChipStats,
 }
 
+impl ChipState {
+    /// Flush placement's load order: queued ops plus the running one,
+    /// then pending flushes. `(0, 0)` is an idle chip.
+    fn load(&self) -> (usize, usize) {
+        (
+            self.queue.len() + usize::from(self.busy),
+            self.pending_flushes,
+        )
+    }
+}
+
 #[derive(Debug, Clone)]
 struct InFlightRequest {
     arrival_us: f64,
@@ -1558,32 +1569,32 @@ impl SsdSim {
         self.sampler = Some(s);
     }
 
-    /// The chip for the next buffer flush: the least-loaded chip (queued
-    /// ops plus the running one, then pending flushes) that can take one.
-    /// When the least-loaded chips are idle, the first of them at or
-    /// after the flush cursor takes it and the cursor moves past it, so
-    /// a light load spreads its flushes over every chip; a tie among
-    /// loaded chips keeps the lowest id.
+    /// The chip for the next buffer flush: the chip of least
+    /// [`ChipState::load`] that can take one. When those chips are idle,
+    /// the first of them at or after the flush cursor takes it and the
+    /// cursor moves past it, so a light load spreads its flushes over
+    /// every chip; a tie among loaded chips keeps the lowest id.
     fn pick_flush_chip<F: FtlDriver + ?Sized>(&mut self, ftl: &F) -> Option<usize> {
-        let load = |c: &ChipState| (c.queue.len() + usize::from(c.busy), c.pending_flushes);
-        let eligible = |i: usize, c: &ChipState| {
-            c.pending_flushes < MAX_PENDING_FLUSH_PER_CHIP && ftl.accepts_flush(i)
-        };
-        let (chip, c) = self
+        let n = self.chips.len();
+        let cursor = self.flush_cursor;
+        let chip = self
             .chips
             .iter()
             .enumerate()
-            .filter(|&(i, c)| eligible(i, c))
-            .min_by_key(|(_, c)| load(c))?;
-        if load(c) != (0, 0) {
-            return Some(chip);
+            .filter(|(_, c)| c.pending_flushes < MAX_PENDING_FLUSH_PER_CHIP)
+            .filter(|(i, _)| ftl.accepts_flush(*i))
+            .min_by_key(|&(i, c)| {
+                let order = if c.load() == (0, 0) {
+                    (i + n - cursor) % n
+                } else {
+                    i
+                };
+                (c.load(), order)
+            })
+            .map(|(i, _)| i)?;
+        if self.chips[chip].load() == (0, 0) {
+            self.flush_cursor = (chip + 1) % n;
         }
-        let n = self.chips.len();
-        let chip = (0..n)
-            .map(|k| (self.flush_cursor + k) % n)
-            .find(|&i| load(&self.chips[i]) == (0, 0) && eligible(i, &self.chips[i]))
-            .expect("an idle eligible chip exists");
-        self.flush_cursor = (chip + 1) % n;
         Some(chip)
     }
 }
