@@ -266,8 +266,6 @@ fn qos_open_line_at_one_fiftieth_passes_the_audit() {
 
 /// The open loop finds idle chips at almost every flush; those flushes
 /// take the chips in turn, so no chip works much longer than another.
-/// (With idle ties going to the lowest id, chip 0 was busy 23× as long
-/// as the least-busy chip on this line.)
 #[test]
 fn qos_open_line_at_one_fiftieth_keeps_every_chip_equally_busy() {
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("qos_open_balance");

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# tools/ab_pairs.sh PARENT_BIN CHANGE_BIN N -- <cubeftl-sim flags>
+# tools/ab_pairs.sh [--sim-moves] PARENT_BIN CHANGE_BIN N -- <cubeftl-sim flags>
 #
 # The alternating-pairs measurement behind a host-time claim, for use
 # while iterating (the claim itself is >= 10 alternating `benchmark/run.sh`
@@ -11,13 +11,23 @@
 # of user+sys CPU seconds, the ratio of the medians (base: parent) and
 # how many pairs the change won (ties count for neither side).
 #
+# --sim-moves is for a change that moves the simulation on purpose: the
+# two sides may then write different metrics, but each side must write
+# the same file in every pair (each binary is still deterministic), and
+# the summary says that the sides simulate different devices.
+#
 # bash + coreutils only; pass no `--metrics-out` in the flags.
 set -euo pipefail
 
 usage() {
-    echo "usage: $0 PARENT_BIN CHANGE_BIN N -- <cubeftl-sim flags>" >&2
+    echo "usage: $0 [--sim-moves] PARENT_BIN CHANGE_BIN N -- <cubeftl-sim flags>" >&2
     exit 2
 }
+sim_moves=0
+if [ "${1:-}" = "--sim-moves" ]; then
+    sim_moves=1
+    shift
+fi
 [ $# -ge 5 ] && [ "$4" = "--" ] || usage
 parent=$1 change=$2 pairs=$3
 shift 4
@@ -66,7 +76,15 @@ for ((i = 1; i <= pairs; i++)); do
         c=$(cpu_ms "$change" "$tmp/change.ndjson" "$@")
         p=$(cpu_ms "$parent" "$tmp/parent.ndjson" "$@")
     fi
-    if ! cmp -s "$tmp/parent.ndjson" "$tmp/change.ndjson"; then
+    if ((sim_moves)); then
+        for side in parent change; do
+            [ -f "$tmp/$side.first" ] || cp "$tmp/$side.ndjson" "$tmp/$side.first"
+            if ! cmp -s "$tmp/$side.first" "$tmp/$side.ndjson"; then
+                echo "$0: pair $i: the $side binary wrote other metrics than in pair 1" >&2
+                exit 1
+            fi
+        done
+    elif ! cmp -s "$tmp/parent.ndjson" "$tmp/change.ndjson"; then
         echo "$0: pair $i: the two --metrics-out files differ" >&2
         cmp "$tmp/parent.ndjson" "$tmp/change.ndjson" >&2 || true
         exit 1
@@ -81,8 +99,17 @@ read -r pq1 pmed pq3 < <(quartiles "$tmp/parent.ms")
 read -r cq1 cmed cq3 < <(quartiles "$tmp/change.ms")
 echo "parent: median $(secs "$pmed") s [$(secs "$pq1"), $(secs "$pq3")]"
 echo "change: median $(secs "$cmed") s [$(secs "$cq1"), $(secs "$cq3")]"
-if ((pmed > 0)); then
-    echo "ratio change/parent: $(secs $((cmed * 1000 / pmed))), change wins $wins/$pairs, metrics equal in every pair"
+if ((sim_moves)); then
+    if cmp -s "$tmp/parent.first" "$tmp/change.first"; then
+        metrics="metrics equal in every pair"
+    else
+        metrics="each side's metrics the same in every pair, the two sides' differ"
+    fi
 else
-    echo "ratio change/parent: n/a (parent median below 1 ms), change wins $wins/$pairs, metrics equal in every pair"
+    metrics="metrics equal in every pair"
+fi
+if ((pmed > 0)); then
+    echo "ratio change/parent: $(secs $((cmed * 1000 / pmed))), change wins $wins/$pairs, $metrics"
+else
+    echo "ratio change/parent: n/a (parent median below 1 ms), change wins $wins/$pairs, $metrics"
 fi
