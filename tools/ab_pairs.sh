@@ -99,14 +99,9 @@ read -r pq1 pmed pq3 < <(quartiles "$tmp/parent.ms")
 read -r cq1 cmed cq3 < <(quartiles "$tmp/change.ms")
 echo "parent: median $(secs "$pmed") s [$(secs "$pq1"), $(secs "$pq3")]"
 echo "change: median $(secs "$cmed") s [$(secs "$cq1"), $(secs "$cq3")]"
-if ((sim_moves)); then
-    if cmp -s "$tmp/parent.first" "$tmp/change.first"; then
-        metrics="metrics equal in every pair"
-    else
-        metrics="each side's metrics the same in every pair, the two sides' differ"
-    fi
-else
-    metrics="metrics equal in every pair"
+metrics="metrics equal in every pair"
+if ((sim_moves)) && ! cmp -s "$tmp/parent.first" "$tmp/change.first"; then
+    metrics="each side's metrics the same in every pair, the two sides' differ"
 fi
 if ((pmed > 0)); then
     echo "ratio change/parent: $(secs $((cmed * 1000 / pmed))), change wins $wins/$pairs, $metrics"
