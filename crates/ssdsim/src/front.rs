@@ -31,8 +31,10 @@
 //!   event *and* every arrival at or past `t`, so no such arrival is
 //!   consumed and no completion is delivered after the cut.
 //! * Armed rebuild work ([`SsdSim::arm_rebuild`](crate::SsdSim::arm_rebuild))
-//!   keeps the run alive past the last arrival; the front only sees
-//!   `advance`/`pop` polls that find nothing.
+//!   keeps the run alive past the last arrival, through the background
+//!   scheduler's liveness tick; background maintenance never does.
+//!   After its last request completes, the front sees only `advance`,
+//!   `next_arrival_us` and `pop` calls that find nothing.
 
 use crate::request::HostRequest;
 

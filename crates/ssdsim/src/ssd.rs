@@ -296,10 +296,10 @@ impl SimReport {
 
 /// Pacing of the background rebuild service: how many rebuild page
 /// operations one unit may dispatch, and the host-priority gap between
-/// units. Mirrors the idle-window discipline of background maintenance
-/// ([`SsdSim::enable_maintenance`]) — rebuild ops only ever start on
-/// idle chips, and after each unit the service backs off by `gap_us` so
-/// host traffic reclaims the device.
+/// units. Rebuild feeds the same background scheduler as maintenance
+/// ([`SsdSim::enable_maintenance`]): its ops only ever start on idle
+/// chips, and after each unit it backs off by `gap_us` so host traffic
+/// reclaims the device.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebuildSchedule {
     /// Page operations dispatched per rebuild unit (bounded burst).
@@ -367,10 +367,10 @@ enum EventKind {
     ReadPartServed { req: usize },
     /// A chip finished its current operation.
     ChipIdle { chip: usize },
-    /// Rebuild-service poll timer: keeps the event loop alive while
-    /// rebuild work is pending but nothing else is in flight (e.g.
-    /// after the host workload drained, between paced units).
-    RebuildTick,
+    /// The background scheduler's liveness tick: keeps the event loop
+    /// alive while a feeder holds work but nothing else is in flight
+    /// (after the host drained, between paced rebuild units).
+    BackgroundTick,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -412,17 +412,21 @@ enum ChipOp {
         nand_us: f64,
         did_gc: bool,
     },
-    /// A background maintenance operation. Data moves stay on-chip, so
-    /// no bus transfer is charged.
-    Maint {
+    /// An op of the background scheduler, from either feeder.
+    Background {
+        feeder: Feeder,
         nand_us: f64,
     },
-    /// A background rebuild page operation. The page crosses the device
-    /// boundary (survivor fragment out, reconstructed page in), so one
-    /// page of bus transfer is charged like a host read.
-    Rebuild {
-        nand_us: f64,
-    },
+}
+
+/// The two feeders of the background scheduler. They differ in the
+/// bus transfer their ops charge: maintenance moves data on-chip (no
+/// page), a rebuild page crosses the device boundary — survivor
+/// fragment out, reconstructed page in — like a host read (one page).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Feeder {
+    Maint,
+    Rebuild,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -431,21 +435,57 @@ struct ChipState {
     queue: VecDeque<ChipOp>,
     pending_flushes: usize,
     current: Option<ChipOp>,
-    /// Earliest time the maintenance scheduler may use this chip again
-    /// (the host-priority/starvation bound, and the idle-poll backoff).
-    maint_allowed_at: f64,
     stats: ChipStats,
 }
 
 impl ChipState {
+    /// Nothing running and nothing queued: the only chips background
+    /// work starts on, and the ones flush placement spreads over.
+    fn is_idle(&self) -> bool {
+        !self.busy && self.queue.is_empty()
+    }
+
     /// Flush placement's load order: queued ops plus the running one,
-    /// then pending flushes. `(0, 0)` is an idle chip.
+    /// then pending flushes.
     fn load(&self) -> (usize, usize) {
         (
             self.queue.len() + usize::from(self.busy),
             self.pending_flushes,
         )
     }
+}
+
+/// The background scheduler's state. Two feeders share it, each with
+/// its own host-priority gap:
+///
+/// * maintenance works per chip, and only while host requests are
+///   outstanding, so it never keeps the run alive. A chip's gap runs
+///   from the end of its last maintenance op, or from a poll that found
+///   nothing due (then at least 1 µs);
+/// * rebuild works in units of at most `batch_pages` ops, one unit at a
+///   time, started while any chip is idle. Its gap (at least 1 µs) runs
+///   from the completion of a unit's last op, and the liveness tick
+///   keeps the run alive until its queue drains.
+#[derive(Debug, Clone, Default)]
+struct Background {
+    /// Maintenance's gap, µs (`None` = off: the FTL's hook is never
+    /// polled). The only arming that carries over [`SsdSim::run_begin`].
+    maint_gap_us: Option<f64>,
+    /// Per chip, the earliest time maintenance may use it again.
+    maint_allowed_at: Vec<f64>,
+    /// Rebuild pacing (`None` = off).
+    rebuild: Option<RebuildSchedule>,
+    /// Pending rebuild ops, dispatched front-to-back.
+    queue: VecDeque<RebuildOp>,
+    /// Ops of the open rebuild unit still on chips.
+    inflight: u32,
+    /// Earliest time the next rebuild unit may start.
+    rebuild_allowed_at: f64,
+    /// Where the search for a rebuild write's idle chip starts.
+    cursor: usize,
+    /// Whether a [`EventKind::BackgroundTick`] is in the heap.
+    tick_armed: bool,
+    progress: RebuildProgress,
 }
 
 #[derive(Debug, Clone)]
@@ -494,12 +534,14 @@ impl RequestTable {
     /// Panics if the slot is free: no event may name a request after
     /// the one that completed it.
     fn get_mut(&mut self, id: usize) -> &mut InFlightRequest {
+        // Invariant: `finish_request` frees a slot after its last event.
         self.slots[id].as_mut().expect("event names a free slot")
     }
 
     /// Frees slot `id` and returns its request (panics like
     /// [`RequestTable::get_mut`]).
     fn remove(&mut self, id: usize) -> InFlightRequest {
+        // Invariant as in `get_mut`: each request is removed once.
         let request = self.slots[id].take().expect("event names a free slot");
         self.free.push(id);
         request
@@ -570,29 +612,11 @@ pub struct SsdSim {
     trace: Collector,
     /// Virtual-time series sampler (`None` = sampling off).
     sampler: Option<SamplerState>,
-    /// Host-priority gap of background maintenance, µs (`None` =
-    /// maintenance off: the FTL's hook is never polled).
-    maint_gap_us: Option<f64>,
-    /// Pacing of the background rebuild service (`None` = rebuild off,
-    /// the zero-cost default path).
-    rebuild_sched: Option<RebuildSchedule>,
-    /// Pending rebuild page operations, dispatched front-to-back.
-    rebuild_queue: VecDeque<RebuildOp>,
-    /// Rebuild ops currently executing on chips (one unit at a time:
-    /// the next unit starts only after this reaches zero again).
-    rebuild_inflight: u32,
-    /// Earliest time the next rebuild unit may start.
-    rebuild_allowed_at: f64,
-    /// Whether a [`EventKind::RebuildTick`] is already in the heap
-    /// (dedupes the liveness timer).
-    rebuild_tick_armed: bool,
-    /// Round-robin cursor for placing rebuild writes on chips.
-    rebuild_chip: usize,
+    /// Maintenance and rebuild: the background scheduler.
+    bg: Background,
     /// The chip an idle-device flush tries first (see
     /// [`SsdSim::pick_flush_chip`]).
     flush_cursor: usize,
-    /// Progress accounting for the current run's rebuild service.
-    rebuild_progress: RebuildProgress,
 }
 
 /// State of the periodic registry sampler: the next virtual-time
@@ -672,15 +696,11 @@ impl SsdSim {
             spo_event: None,
             trace: Collector::disabled(),
             sampler: None,
-            maint_gap_us: None,
-            rebuild_sched: None,
-            rebuild_queue: VecDeque::new(),
-            rebuild_inflight: 0,
-            rebuild_allowed_at: 0.0,
-            rebuild_tick_armed: false,
-            rebuild_chip: 0,
+            bg: Background {
+                maint_allowed_at: vec![0.0; config.chips],
+                ..Background::default()
+            },
             flush_cursor: 0,
-            rebuild_progress: RebuildProgress::default(),
             config,
         }
     }
@@ -727,7 +747,7 @@ impl SsdSim {
     /// arming it carries over [`SsdSim::run_begin`]; without it the hook
     /// is never polled.
     pub fn enable_maintenance(&mut self, gap_us: f64) {
-        self.maint_gap_us = Some(gap_us);
+        self.bg.maint_gap_us = Some(gap_us);
     }
 
     /// Drains the simulator-side trace events collected so far (host
@@ -838,29 +858,29 @@ impl SsdSim {
             sched.gap_us >= 0.0 && sched.gap_us.is_finite(),
             "rebuild gap must be a finite non-negative time"
         );
-        self.rebuild_sched = Some(sched);
-        self.rebuild_queue = ops.into_iter().collect();
-        self.rebuild_inflight = 0;
-        self.rebuild_allowed_at = 0.0;
-        self.rebuild_tick_armed = false;
-        self.rebuild_chip = 0;
-        self.rebuild_progress = RebuildProgress::default();
+        self.bg = Background {
+            rebuild: Some(sched),
+            queue: ops.into_iter().collect(),
+            maint_gap_us: self.bg.maint_gap_us,
+            maint_allowed_at: std::mem::take(&mut self.bg.maint_allowed_at),
+            ..Background::default()
+        };
     }
 
     /// Progress of the current run's rebuild service (all-zero when
     /// rebuild was never armed).
     pub fn rebuild_progress(&self) -> &RebuildProgress {
-        &self.rebuild_progress
+        &self.bg.progress
     }
 
-    /// Drains the pending rebuild queue — used to carry unfinished
-    /// rebuild work across a power cut into the recovery run (the next
-    /// [`SsdSim::run_begin`] would otherwise discard it).
-    pub fn take_rebuild_pending(&mut self) -> Vec<RebuildOp> {
-        self.rebuild_sched = None;
-        self.rebuild_inflight = 0;
-        self.rebuild_tick_armed = false;
-        self.rebuild_queue.drain(..).collect()
+    /// Disarms the rebuild service and hands back its pacing with the
+    /// ops still pending (`None` when none are) — used to carry
+    /// unfinished rebuild work across a power cut into the recovery run
+    /// (the next [`SsdSim::run_begin`] would otherwise discard it).
+    pub fn take_rebuild_pending(&mut self) -> Option<(RebuildSchedule, Vec<RebuildOp>)> {
+        let sched = self.bg.rebuild.take()?;
+        let ops: Vec<RebuildOp> = self.bg.queue.drain(..).collect();
+        (!ops.is_empty()).then_some((sched, ops))
     }
 
     /// Advances the armed run by at most `max_events` steps. This is
@@ -871,7 +891,7 @@ impl SsdSim {
     /// room (otherwise the arrival is consumed naturally once event
     /// processing moves `now` past it). After every step the engine
     /// hands the step's completion back to the host, polls it for new
-    /// work, offers idle chips to maintenance and the rebuild service,
+    /// work, runs the background scheduler's dispatch pass,
     /// and checks the armed power-off trigger; an
     /// [`SpoTrigger::AtTimeUs`] cut precedes any step at or past its
     /// instant, arrivals included.
@@ -915,22 +935,21 @@ impl SsdSim {
             if arrival.is_some() {
                 // Jump virtual time to the arrival; the poll admits it.
                 self.now = self.now.max(t);
-            } else {
-                let ev = self.events.pop().expect("peeked event exists");
+            } else if let Some(ev) = self.events.pop() {
                 debug_assert!(ev.t >= self.now - 1e-9, "time went backwards");
                 self.now = ev.t;
                 match ev.kind {
                     EventKind::WriteAccepted { req } => self.finish_request(req, host),
                     EventKind::ReadPartServed { req } => self.read_part_done(req, host),
                     EventKind::ChipIdle { chip } => self.chip_op_done(chip, ftl, host),
-                    EventKind::RebuildTick => self.rebuild_tick_armed = false,
+                    EventKind::BackgroundTick => self.bg.tick_armed = false,
                 }
             }
             self.poll(ftl, host);
-            let fired = match self.spo {
-                Some(SpoTrigger::AtOps(n)) => self.completed >= n,
-                Some(SpoTrigger::Seeded { rate, .. }) if rate > 0.0 => {
-                    let rng = self.spo_rng.as_mut().expect("seeded trigger has an RNG");
+            // The seeded trigger's RNG exists exactly while it is armed.
+            let fired = match (self.spo, &mut self.spo_rng) {
+                (Some(SpoTrigger::AtOps(n)), _) => self.completed >= n,
+                (Some(SpoTrigger::Seeded { rate, .. }), Some(rng)) if rate > 0.0 => {
                     (completed_before..self.completed).any(|_| rng.gen_bool(rate))
                 }
                 _ => false,
@@ -998,8 +1017,8 @@ impl SsdSim {
 
     /// The poll after every step: advances the host to `now`
     /// (consuming arrivals), pulls requests while the device has queue
-    /// room, then offers idle chips to maintenance and the rebuild
-    /// service. Idempotent at an unchanged `now`.
+    /// room, then runs the background scheduler's dispatch pass.
+    /// Idempotent at an unchanged `now`.
     fn poll<F, H>(&mut self, ftl: &mut F, host: &mut H)
     where
         F: FtlDriver + ?Sized,
@@ -1010,8 +1029,7 @@ impl SsdSim {
             let Some(fr) = host.pop(self.now) else { break };
             self.issue(fr.req, fr.token, ftl);
         }
-        self.try_maint(ftl);
-        self.try_rebuild(ftl);
+        self.try_background(ftl);
     }
 
     /// Cuts the power now: freezes the device state at the current
@@ -1084,7 +1102,7 @@ impl SsdSim {
         self.sampler = armed
             .sampler
             .map(|s| SamplerState::new(s.interval_us, s.shard));
-        self.maint_gap_us = armed.maint_gap_us;
+        self.bg.maint_gap_us = armed.bg.maint_gap_us;
     }
 
     fn push_event(&mut self, t: f64, kind: EventKind) {
@@ -1255,15 +1273,14 @@ impl SsdSim {
         };
         let bus = chip % self.config.buses;
         let pages = match &op {
-            ChipOp::Read { .. } | ChipOp::Rebuild { .. } => 1.0,
+            ChipOp::Read { .. } => 1.0,
             ChipOp::Flush { lpns, .. } => lpns.iter().filter(|&&l| l != u64::MAX).count() as f64,
-            ChipOp::Maint { .. } => 0.0,
+            ChipOp::Background { feeder, .. } => f64::from(u8::from(*feeder == Feeder::Rebuild)),
         };
         let nand_us = match &op {
             ChipOp::Read { nand_us, .. }
             | ChipOp::Flush { nand_us, .. }
-            | ChipOp::Maint { nand_us }
-            | ChipOp::Rebuild { nand_us } => *nand_us,
+            | ChipOp::Background { nand_us, .. } => *nand_us,
         };
         let done = if pages > 0.0 {
             let transfer = pages * T_XFER_PAGE_US;
@@ -1285,6 +1302,7 @@ impl SsdSim {
         F: FtlDriver + ?Sized,
         H: HostFront + ?Sized,
     {
+        // Only `start_next_op` pushes a `ChipIdle`, and it sets `current`.
         let op = self.chips[chip]
             .current
             .take()
@@ -1308,61 +1326,61 @@ impl SsdSim {
                 self.buffer.complete_flush(lpns);
                 self.retry_stalled_writes();
             }
-            ChipOp::Maint { .. } => {
-                // Starvation bound: the chip now belongs to host traffic
-                // for at least the configured gap.
-                let gap_us = self
-                    .maint_gap_us
-                    .expect("maintenance ops run only when armed");
-                self.chips[chip].maint_allowed_at = self.now + gap_us;
-            }
-            ChipOp::Rebuild { .. } => self.rebuild_op_done(),
+            ChipOp::Background { feeder, .. } => self.background_done(chip, feeder),
         }
         self.start_next_op(chip);
         self.try_flush(ftl);
     }
 
-    /// One rebuild page op finished on a chip; the last of its unit
-    /// closes the unit.
-    fn rebuild_op_done(&mut self) {
-        debug_assert!(self.rebuild_inflight > 0, "rebuild completion unaccounted");
-        self.rebuild_inflight -= 1;
-        if self.rebuild_inflight == 0 {
-            self.close_rebuild_unit();
+    /// The background scheduler's completion path: a maintenance op
+    /// starts its chip's gap, and the last op of a rebuild unit closes
+    /// the unit.
+    fn background_done(&mut self, chip: usize, feeder: Feeder) {
+        let bg = &mut self.bg;
+        match feeder {
+            Feeder::Maint => {
+                // Only an armed scheduler dispatches maintenance.
+                if let Some(gap_us) = bg.maint_gap_us {
+                    bg.maint_allowed_at[chip] = self.now + gap_us;
+                }
+            }
+            Feeder::Rebuild => {
+                debug_assert!(bg.inflight > 0, "rebuild completion unaccounted");
+                bg.inflight -= 1;
+                if bg.inflight == 0 {
+                    self.close_rebuild_unit();
+                }
+            }
         }
     }
 
     /// Closes a rebuild unit: checkpoint the progress curve, start the
-    /// host-priority gap, and keep the liveness timer armed while work
-    /// remains.
+    /// gap, and keep the liveness tick armed while work remains.
     fn close_rebuild_unit(&mut self) {
-        let gap = self.rebuild_sched.map_or(0.0, |s| s.gap_us.max(1.0));
-        self.rebuild_allowed_at = self.now + gap;
-        self.rebuild_progress
-            .curve
-            .push((self.now, self.rebuild_progress.ops_done()));
-        if self.rebuild_queue.is_empty() {
-            self.rebuild_progress.done_at_us = self.now;
+        let bg = &mut self.bg;
+        bg.rebuild_allowed_at = self.now + bg.rebuild.map_or(0.0, |s| s.gap_us.max(1.0));
+        bg.progress.curve.push((self.now, bg.progress.ops_done()));
+        if bg.queue.is_empty() {
+            bg.progress.done_at_us = self.now;
         } else {
-            self.arm_rebuild_tick(self.rebuild_allowed_at);
+            self.arm_tick(self.bg.rebuild_allowed_at);
         }
     }
 
-    /// Pushes the rebuild liveness timer unless one is already pending.
-    fn arm_rebuild_tick(&mut self, at: f64) {
-        if self.rebuild_tick_armed {
-            return;
+    /// Pushes the liveness tick unless one is already pending.
+    fn arm_tick(&mut self, at: f64) {
+        if !self.bg.tick_armed {
+            self.bg.tick_armed = true;
+            self.push_event(at.max(self.now), EventKind::BackgroundTick);
         }
-        self.rebuild_tick_armed = true;
-        self.push_event(at.max(self.now), EventKind::RebuildTick);
     }
 
     fn retry_stalled_writes(&mut self) {
-        while let Some(front) = self.stalled.front() {
-            if !self.buffer.has_room(front.pages as usize) {
+        while let Some(sw) = self.stalled.pop_front() {
+            if !self.buffer.has_room(sw.pages as usize) {
+                self.stalled.push_front(sw);
                 break;
             }
-            let sw = self.stalled.pop_front().expect("front exists");
             for lpn in sw.lpn..sw.lpn + u64::from(sw.pages) {
                 let accepted = self.buffer.push(lpn);
                 debug_assert!(accepted, "room was checked");
@@ -1400,129 +1418,85 @@ impl SsdSim {
         }
     }
 
-    /// Offers every idle chip to the FTL's maintenance hook. Runs only
-    /// while host requests are outstanding, so maintenance can never
-    /// keep the event loop alive past the workload — and an idle poll
-    /// that finds nothing due backs the chip off by the host-priority
-    /// gap rather than re-asking on every event.
-    fn try_maint<F: FtlDriver + ?Sized>(&mut self, ftl: &mut F) {
-        let Some(gap_us) = self.maint_gap_us else {
-            return;
-        };
-        if self.outstanding == 0 {
-            return;
-        }
-        for chip in 0..self.chips.len() {
-            let c = &self.chips[chip];
-            if c.busy || !c.queue.is_empty() || self.now < c.maint_allowed_at {
-                continue;
-            }
-            let ctx = self.ctx();
-            match ftl.maintenance_step(chip, &ctx) {
-                Some(work) => {
-                    self.chips[chip].stats.maint_ops += 1;
-                    self.chips[chip].stats.maint_us += work.nand_us;
-                    self.enqueue_chip_op(
-                        chip,
-                        ChipOp::Maint {
-                            nand_us: work.nand_us,
-                        },
-                    );
+    /// The background scheduler's dispatch pass, once per poll:
+    /// maintenance offers each idle chip past its gap (0..n) to the
+    /// FTL's hook, then rebuild dispatches its next unit once no unit is
+    /// open, its gap has passed and any chip is idle. A unit dispatches
+    /// whole, one FTL call per op, and every precondition is state-only,
+    /// so how often a slice boundary re-polls cannot change the FTL's
+    /// side effects. Progress counts ops at dispatch.
+    fn try_background<F: FtlDriver + ?Sized>(&mut self, ftl: &mut F) {
+        if let (Some(gap_us), true) = (self.bg.maint_gap_us, self.outstanding > 0) {
+            for chip in 0..self.chips.len() {
+                if !self.chips[chip].is_idle() || self.now < self.bg.maint_allowed_at[chip] {
+                    continue;
                 }
-                None => self.chips[chip].maint_allowed_at = self.now + gap_us.max(1.0),
+                let ctx = self.ctx();
+                match ftl.maintenance_step(chip, &ctx) {
+                    Some(work) => {
+                        self.chips[chip].stats.maint_ops += 1;
+                        self.chips[chip].stats.maint_us += work.nand_us;
+                        let op = ChipOp::Background {
+                            feeder: Feeder::Maint,
+                            nand_us: work.nand_us,
+                        };
+                        self.enqueue_chip_op(chip, op);
+                    }
+                    None => self.bg.maint_allowed_at[chip] = self.now + gap_us.max(1.0),
+                }
             }
         }
-    }
 
-    /// Dispatches the next rebuild unit when the service is armed, no
-    /// unit is in flight, the host-priority gap has elapsed, and an
-    /// idle window is open (at least one chip has nothing queued — the
-    /// maintenance scheduler's idleness signal). The unit then
-    /// dispatches atomically: each op makes exactly one FTL call, so
-    /// FTL side effects cannot depend on how often a slice boundary
-    /// re-polls the service — the precondition checks are state-only.
-    /// Counters account ops at dispatch; the unit closes (and the
-    /// curve checkpoints) when the last of its ops completes.
-    fn try_rebuild<F: FtlDriver + ?Sized>(&mut self, ftl: &mut F) {
-        let Some(sched) = self.rebuild_sched else {
+        let Some(sched) = self.bg.rebuild else {
             return;
         };
-        if self.rebuild_queue.is_empty() || self.rebuild_inflight > 0 {
+        if self.bg.queue.is_empty() || self.bg.inflight > 0 {
             return;
         }
-        if self.now < self.rebuild_allowed_at {
-            self.arm_rebuild_tick(self.rebuild_allowed_at);
-            return;
+        if self.now < self.bg.rebuild_allowed_at {
+            return self.arm_tick(self.bg.rebuild_allowed_at);
         }
-        let idle_window = self.chips.iter().any(|c| !c.busy && c.queue.is_empty());
-        if !idle_window {
-            // Device saturated by host work: back off by the gap. The
-            // timer lands strictly in the future (gap ≥ 1 µs), so a
-            // blocked poll cannot spin at one timestamp; chip-idle
-            // events re-poll sooner anyway.
-            self.arm_rebuild_tick(self.now + sched.gap_us.max(1.0));
-            return;
+        if !self.chips.iter().any(ChipState::is_idle) {
+            // Saturated by host work: back off by the gap. The tick
+            // lands strictly in the future, so a blocked poll cannot
+            // spin at one timestamp.
+            return self.arm_tick(self.now + sched.gap_us.max(1.0));
         }
-        let mut dispatched = 0u32;
-        while dispatched < sched.batch_pages {
-            let Some(op) = self.rebuild_queue.pop_front() else {
+        for _ in 0..sched.batch_pages {
+            let Some(op) = self.bg.queue.pop_front() else {
                 break;
             };
-            dispatched += 1;
-            match op {
+            let ctx = self.ctx();
+            let (chip, nand_us) = match op {
                 RebuildOp::Read(lpn) => {
-                    let ctx = self.ctx();
-                    match ftl.read_page(lpn, &ctx) {
-                        Some(pr) => {
-                            self.rebuild_inflight += 1;
-                            self.rebuild_progress.reads_done += 1;
-                            self.enqueue_chip_op(
-                                pr.chip,
-                                ChipOp::Rebuild {
-                                    nand_us: pr.nand_us,
-                                },
-                            );
-                        }
-                        None => {
-                            // Never-mapped page: nothing durable to
-                            // fetch — account and move on.
-                            self.rebuild_progress.skipped += 1;
-                        }
-                    }
+                    let Some(pr) = ftl.read_page(lpn, &ctx) else {
+                        // Never-mapped page: nothing durable to fetch.
+                        self.bg.progress.skipped += 1;
+                        continue;
+                    };
+                    self.bg.progress.reads_done += 1;
+                    (pr.chip, pr.nand_us)
                 }
                 RebuildOp::Write(lpn) => {
-                    let chip = self.pick_rebuild_chip();
-                    let ctx = self.ctx();
+                    // The first idle chip from the cursor, else the
+                    // cursor's own: the spare's chips share the load.
+                    let n = self.chips.len();
+                    let cursor = self.bg.cursor;
+                    let chip = self.first_idle_from(cursor, |_| true).unwrap_or(cursor);
+                    self.bg.cursor = (chip + 1) % n;
+                    self.bg.progress.writes_done += 1;
                     let w = ftl.write_wl(chip, [lpn, u64::MAX, u64::MAX], &ctx);
-                    self.rebuild_inflight += 1;
-                    self.rebuild_progress.writes_done += 1;
-                    self.enqueue_chip_op(chip, ChipOp::Rebuild { nand_us: w.nand_us });
+                    (chip, w.nand_us)
                 }
-            }
+            };
+            self.bg.inflight += 1;
+            let feeder = Feeder::Rebuild;
+            self.enqueue_chip_op(chip, ChipOp::Background { feeder, nand_us });
         }
-        if dispatched > 0 && self.rebuild_inflight == 0 {
-            // The whole unit was skips: close it here, nothing will
-            // complete on a chip.
+        if self.bg.inflight == 0 {
+            // The whole unit was skips: nothing will complete on a chip.
             self.close_rebuild_unit();
         }
-    }
-
-    /// The chip for the next rebuild write: the first idle chip from
-    /// the round-robin cursor when one exists (preferring the idle
-    /// window), else plain round-robin — reconstruction load spreads
-    /// over the spare's chips either way.
-    fn pick_rebuild_chip(&mut self) -> usize {
-        let n = self.chips.len();
-        for i in 0..n {
-            let chip = (self.rebuild_chip + i) % n;
-            if !self.chips[chip].busy && self.chips[chip].queue.is_empty() {
-                self.rebuild_chip = (chip + 1) % n;
-                return chip;
-            }
-        }
-        let chip = self.rebuild_chip % n;
-        self.rebuild_chip = (chip + 1) % n;
-        chip
     }
 
     /// Emits a sample row for every interval threshold at or below `t`.
@@ -1530,10 +1504,9 @@ impl SsdSim {
     /// reflects the device state at its threshold instant (nothing can
     /// change between two consecutive event times).
     fn sample_until<F: FtlDriver + ?Sized>(&mut self, t: f64, ftl: &F) {
-        if self.sampler.is_none() {
+        let Some(mut s) = self.sampler.take() else {
             return;
-        }
-        let mut s = self.sampler.take().expect("sampler present");
+        };
         while s.next_us <= t {
             let stats = ftl.stats();
             let d_completed = self.completed - s.win_completed;
@@ -1569,33 +1542,32 @@ impl SsdSim {
         self.sampler = Some(s);
     }
 
-    /// The chip for the next buffer flush: the chip of least
-    /// [`ChipState::load`] that can take one. When those chips are idle,
-    /// the first of them at or after the flush cursor takes it and the
+    /// The chip for the next buffer flush. An idle chip that accepts
+    /// one comes first: the first at or after the flush cursor, and the
     /// cursor moves past it, so a light load spreads its flushes over
-    /// every chip; a tie among loaded chips keeps the lowest id.
+    /// every chip. Otherwise the chip of least [`ChipState::load`] that
+    /// can take one, the lowest id on a tie.
     fn pick_flush_chip<F: FtlDriver + ?Sized>(&mut self, ftl: &F) -> Option<usize> {
-        let n = self.chips.len();
-        let cursor = self.flush_cursor;
-        let chip = self
-            .chips
+        if let Some(chip) = self.first_idle_from(self.flush_cursor, |i| ftl.accepts_flush(i)) {
+            self.flush_cursor = (chip + 1) % self.chips.len();
+            return Some(chip);
+        }
+        self.chips
             .iter()
             .enumerate()
             .filter(|(_, c)| c.pending_flushes < MAX_PENDING_FLUSH_PER_CHIP)
             .filter(|(i, _)| ftl.accepts_flush(*i))
-            .min_by_key(|&(i, c)| {
-                let order = if c.load() == (0, 0) {
-                    (i + n - cursor) % n
-                } else {
-                    i
-                };
-                (c.load(), order)
-            })
-            .map(|(i, _)| i)?;
-        if self.chips[chip].load() == (0, 0) {
-            self.flush_cursor = (chip + 1) % n;
-        }
-        Some(chip)
+            .min_by_key(|(_, c)| c.load())
+            .map(|(i, _)| i)
+    }
+
+    /// The first idle chip at or after `cursor`, cyclically, that `ok`
+    /// accepts.
+    fn first_idle_from(&self, cursor: usize, ok: impl Fn(usize) -> bool) -> Option<usize> {
+        let n = self.chips.len();
+        (cursor..cursor + n)
+            .map(|i| i % n)
+            .find(|&i| self.chips[i].is_idle() && ok(i))
     }
 }
 

@@ -1727,17 +1727,11 @@ impl Scenario {
             crash.total_blocks += u64::from(g.blocks_per_chip) * d.ftl.mapping().chips() as u64;
         }
         crash.recoveries = vec![None; devs.len()];
-        let sched = self
-            .failure
-            .map_or_else(RebuildSchedule::on, |fc| fc.rebuild);
         let stopped: Vec<Dev> = std::mem::take(devs);
         let mut plans = Vec::with_capacity(stopped.len());
         for (pos, mut d) in stopped.into_iter().enumerate() {
             let pending = d.sim.take_rebuild_pending();
-            plans.push((!pending.is_empty()).then_some(RebuildPlan {
-                sched,
-                ops: pending,
-            }));
+            plans.push(pending.map(|(sched, ops)| RebuildPlan { sched, ops }));
             budgets[pos] = match &events[pos] {
                 Some(event) => {
                     let durable = durable_ledger(&d.ftl, event);
