@@ -605,7 +605,8 @@ pub struct SsdSim {
     spo: Option<SpoTrigger>,
     /// Dedicated RNG stream for [`SpoTrigger::Seeded`].
     spo_rng: Option<StdRng>,
-    /// Set once the armed trigger fires; consumed by [`SsdSim::run_end`].
+    /// Set once the armed trigger fires; kept until the next
+    /// [`SsdSim::run_begin`].
     spo_event: Option<SpoEvent>,
     /// Structured event trace sink (inert unless
     /// [`SsdSim::enable_telemetry`] armed a mask).
@@ -822,6 +823,11 @@ impl SsdSim {
     /// is the stepping API an external engine (the sharded array
     /// front-end) drives; [`SsdSim::run`] is the one-call wrapper.
     pub fn run_begin(&mut self, max_requests: u64, spo: Option<SpoTrigger>) {
+        debug_assert!(
+            self.buffer.queued() == 0 || self.spo_event.is_some(),
+            "a new run would drop {} buffered pages: flush_buffer them first",
+            self.buffer.queued()
+        );
         self.reset();
         self.issue_limit = max_requests;
         // The SPO machinery only exists while a trigger is armed: normal
@@ -964,7 +970,7 @@ impl SsdSim {
     /// Finalizes the armed run and returns its report plus the SPO
     /// event, if the trigger fired.
     pub fn run_end<F: FtlDriver + ?Sized>(&mut self, ftl: &F) -> (SimReport, Option<SpoEvent>) {
-        let spo_event = self.spo_event.take();
+        let spo_event = self.spo_event.clone();
         if spo_event.is_none() {
             debug_assert_eq!(self.outstanding, 0, "drain left requests in flight");
         }
@@ -985,6 +991,26 @@ impl SsdSim {
             chip_stats: self.chips.iter().map(|c| c.stats).collect(),
         };
         (report, spo_event)
+    }
+
+    /// Hands every page still queued in the write buffer to `ftl`, as
+    /// padded WLs where fewer than three remain, without simulating
+    /// time. A drained run can end with one or two pages queued (a
+    /// flush waits for a full WL unless a write is stalled), and the
+    /// next [`SsdSim::run_begin`] drops whatever is queued. So a barrier
+    /// that starts another phase calls this first, except after a power
+    /// cut: its [`SpoEvent::buffered_lpns`] already hold those pages.
+    pub fn flush_buffer<F: FtlDriver + ?Sized>(&mut self, ftl: &mut F) {
+        while let Some(lpns) = self.buffer.take_for_flush(1) {
+            // No time passes, so the cap on queued flushes does not bind.
+            let chip = self.pick_flush_chip(ftl).unwrap_or_else(|| {
+                let n = self.chips.len();
+                (0..n).find(|&c| ftl.accepts_flush(c)).unwrap_or(0)
+            });
+            let ctx = self.ctx();
+            ftl.write_wl(chip, lpns, &ctx);
+            self.buffer.complete_flush(lpns);
+        }
     }
 
     // The three `run_front_*` names are one-line aliases kept for their

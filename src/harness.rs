@@ -1394,6 +1394,7 @@ impl Scenario {
         let mut t_offset = 0.0;
         for epoch in 0..self.lifetime.map_or(1, |l| l.epochs.max(1)) {
             if let (Some(aging), true) = (&mut out.aging, epoch > 0) {
+                flush_buffers(&mut devs, None);
                 line.gather(&mut devs, &mut load.hosts, &out.phases);
                 line.start_us = t_offset;
                 let step = age(&mut devs, &mut engines, epoch, &mut line);
@@ -1415,7 +1416,9 @@ impl Scenario {
 
             let mut failure = None;
             if let (Some(fail), Some(report)) = (fail, &mut out.failure) {
-                // The dead shard leaves at the barrier, its events with it.
+                // The dead shard leaves at the barrier, its events and its
+                // buffer with it.
+                flush_buffers(&mut devs, Some(fail.shard));
                 line.gather(&mut devs, &mut load.hosts, &out.phases);
                 let (mut state, plans) =
                     self.fail_barrier(fail, &mut devs, &mut load, &events, report);
@@ -1669,6 +1672,8 @@ impl Scenario {
         spo: Option<SpoTrigger>,
         plans: Option<Vec<Option<RebuildPlan>>>,
     ) -> (PhaseReport, Vec<Option<SpoEvent>>) {
+        #[cfg(test)]
+        tests::note_phase_start(devs);
         let meta: Vec<(usize, u64)> = devs.iter().map(|d| (d.id, d.prefill)).collect();
         let mut plans = plans.unwrap_or_default().into_iter();
         let shards = devs
@@ -2168,6 +2173,20 @@ fn rebuild_progress(devs: &[Dev]) -> Vec<RebuildProgress> {
         .collect()
 }
 
+/// The flush at a barrier that starts another phase: every device but
+/// `dead` hands its leftover write buffer to its FTL
+/// ([`SsdSim::flush_buffer`]), so the next phase's `run_begin` drops no
+/// acknowledged page. It happens before the barrier gathers telemetry,
+/// so the FTL events it causes belong to the phase it ends. A power cut
+/// needs none: its PLP dump holds the buffer.
+fn flush_buffers(devs: &mut [Dev], dead: Option<usize>) {
+    for (s, d) in devs.iter_mut().enumerate() {
+        if Some(s) != dead {
+            d.sim.flush_buffer(&mut d.ftl);
+        }
+    }
+}
+
 /// The lifetime aging barrier before `epoch` (sequence point: every
 /// shard drained). Walks the shards in index order on this thread:
 /// every block's virtual age advances — P/E cycles scaled by the
@@ -2206,6 +2225,94 @@ fn age(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::collections::HashSet;
+
+    thread_local! {
+        /// Pages queued in the write buffers at phase starts, summed
+        /// over the phases this thread ran.
+        static QUEUED_AT_PHASE_START: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Adds the pages queued in `devs`' write buffers as a phase starts:
+    /// what its `run_begin` throws away. A power cut now would dump the
+    /// queued pages and the in-flight flushes; the FTL already holds
+    /// the latter, so they are not counted.
+    pub(super) fn note_phase_start(devs: &[Dev]) {
+        let queued: usize = devs
+            .iter()
+            .map(|d| {
+                let mut sim = d.sim.clone();
+                sim.cut_power();
+                let cut = sim.run_end(&d.ftl).1.expect("the cut fired");
+                let in_flight: HashSet<u64> = cut
+                    .interrupted_flushes
+                    .iter()
+                    .flat_map(|f| f.lpns)
+                    .collect();
+                let queued = cut.buffered_lpns.iter().filter(|l| !in_flight.contains(l));
+                queued.count()
+            })
+            .sum();
+        QUEUED_AT_PHASE_START.with(|n| n.set(n.get() + queued as u64));
+    }
+
+    /// Write-buffer pages the phase boundaries of `sc` threw away. None
+    /// of the scenarios below arms a power cut, whose PLP dump would
+    /// keep them.
+    fn pages_dropped_at_phase_starts(sc: &Scenario) -> u64 {
+        QUEUED_AT_PHASE_START.with(|n| n.set(0));
+        sc.run().expect("a valid scenario");
+        QUEUED_AT_PHASE_START.with(Cell::get)
+    }
+
+    /// A drained run can leave one or two acknowledged pages queued
+    /// (a flush waits for a full WL), and so can a run stopped at a
+    /// failure. Every barrier that starts another phase hands them to
+    /// the FTL first: lifetime epochs on one device and on four shards,
+    /// and a failure with parity and a spare.
+    #[test]
+    fn phase_boundaries_drop_no_buffered_page() {
+        let reduced = EvalConfig::reduced();
+        let campaign = |epochs, pe_per_epoch, shards| Scenario {
+            lifetime: Some(LifetimeConfig {
+                epochs,
+                pe_per_epoch,
+                ..LifetimeConfig::campaign()
+            }),
+            array: (shards > 1).then(|| ArrayEvalConfig::new(shards)),
+            ..Scenario::new(
+                FtlKind::Cube,
+                StandardWorkload::Rocks,
+                AgingState::Fresh,
+                &reduced,
+            )
+        };
+        let mut failure = Scenario::new(
+            FtlKind::Cube,
+            StandardWorkload::Oltp,
+            AgingState::MidLife,
+            &EvalConfig {
+                requests: 40_000,
+                ..reduced.clone()
+            },
+        );
+        failure.array = Some(ArrayEvalConfig::new(4));
+        failure.failure = Some(ArrayFailureConfig {
+            parity: true,
+            fail: Some(FailSpec {
+                shard: 2,
+                at_us: 200_000.0,
+            }),
+            spare: true,
+            ..ArrayFailureConfig::off()
+        });
+        let dropped: Vec<u64> = [campaign(3, 500, 1), campaign(6, 3000, 4), failure]
+            .iter()
+            .map(pages_dropped_at_phase_starts)
+            .collect();
+        assert_eq!(dropped, [0, 0, 0]);
+    }
 
     fn eval(kind: FtlKind, workload: StandardWorkload, aging: AgingState) -> SimReport {
         Scenario::new(kind, workload, aging, &EvalConfig::smoke())
