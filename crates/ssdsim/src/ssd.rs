@@ -1590,9 +1590,8 @@ impl SsdSim {
     /// The first idle chip at or after `cursor`, cyclically, that `ok`
     /// accepts.
     fn first_idle_from(&self, cursor: usize, ok: impl Fn(usize) -> bool) -> Option<usize> {
-        let n = self.chips.len();
-        (cursor..cursor + n)
-            .map(|i| i % n)
+        (cursor..self.chips.len())
+            .chain(0..cursor)
             .find(|&i| self.chips[i].is_idle() && ok(i))
     }
 }
