@@ -469,7 +469,8 @@ impl ChipState {
 #[derive(Debug, Clone, Default)]
 struct Background {
     /// Maintenance's gap, µs (`None` = off: the FTL's hook is never
-    /// polled). The only arming that carries over [`SsdSim::run_begin`].
+    /// polled). The only part of this state that survives
+    /// [`SsdSim::run_begin`].
     maint_gap_us: Option<f64>,
     /// Per chip, the earliest time maintenance may use it again.
     maint_allowed_at: Vec<f64>,
