@@ -297,9 +297,9 @@ impl SimReport {
 /// Pacing of the background rebuild service: how many rebuild page
 /// operations one unit may dispatch, and the host-priority gap between
 /// units. Rebuild feeds the same background scheduler as maintenance
-/// ([`SsdSim::enable_maintenance`]): its ops only ever start on idle
-/// chips, and after each unit it backs off by `gap_us` so host traffic
-/// reclaims the device.
+/// ([`SsdSim::enable_maintenance`]): a unit only starts while some chip
+/// is idle, and after each unit it backs off by `gap_us` so host
+/// traffic reclaims the device.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebuildSchedule {
     /// Page operations dispatched per rebuild unit (bounded burst).
