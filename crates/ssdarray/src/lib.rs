@@ -228,7 +228,7 @@ where
     shard.sim.run_begin(shard.requests, shard.spo);
     // Arm after run_begin: the reset inside run_begin clears any prior
     // rebuild queue. `take` so a later resume run does not re-arm the
-    // same ops (remainders travel via `SsdSim::take_rebuild_pending`).
+    // same ops (remainders travel via `SsdSim::power_cycle`).
     if let Some(plan) = shard.rebuild.take() {
         shard.sim.arm_rebuild(plan.sched, plan.ops);
     }

@@ -606,8 +606,7 @@ pub struct SsdSim {
     spo: Option<SpoTrigger>,
     /// Dedicated RNG stream for [`SpoTrigger::Seeded`].
     spo_rng: Option<StdRng>,
-    /// Set once the armed trigger fires; kept until the next
-    /// [`SsdSim::run_begin`].
+    /// Set once the armed trigger fires; taken by [`SsdSim::run_end`].
     spo_event: Option<SpoEvent>,
     /// Structured event trace sink (inert unless
     /// [`SsdSim::enable_telemetry`] armed a mask).
@@ -825,8 +824,8 @@ impl SsdSim {
     /// front-end) drives; [`SsdSim::run`] is the one-call wrapper.
     pub fn run_begin(&mut self, max_requests: u64, spo: Option<SpoTrigger>) {
         debug_assert!(
-            self.buffer.queued() == 0 || self.spo_event.is_some(),
-            "a new run would drop {} buffered pages: flush_buffer them first",
+            self.buffer.queued() == 0,
+            "a new run would drop {} buffered pages: flush_buffer them, or power_cycle after a cut",
             self.buffer.queued()
         );
         self.reset();
@@ -865,13 +864,14 @@ impl SsdSim {
             sched.gap_us >= 0.0 && sched.gap_us.is_finite(),
             "rebuild gap must be a finite non-negative time"
         );
-        self.bg = Background {
-            rebuild: Some(sched),
-            queue: ops.into_iter().collect(),
-            maint_gap_us: self.bg.maint_gap_us,
-            maint_allowed_at: std::mem::take(&mut self.bg.maint_allowed_at),
-            ..Background::default()
-        };
+        let bg = &mut self.bg;
+        bg.rebuild = Some(sched);
+        bg.queue = ops.into_iter().collect();
+        bg.inflight = 0;
+        bg.rebuild_allowed_at = 0.0;
+        bg.cursor = 0;
+        bg.tick_armed = false;
+        bg.progress = RebuildProgress::default();
     }
 
     /// Progress of the current run's rebuild service (all-zero when
@@ -880,11 +880,14 @@ impl SsdSim {
         &self.bg.progress
     }
 
-    /// Disarms the rebuild service and hands back its pacing with the
-    /// ops still pending (`None` when none are) — used to carry
-    /// unfinished rebuild work across a power cut into the recovery run
-    /// (the next [`SsdSim::run_begin`] would otherwise discard it).
-    pub fn take_rebuild_pending(&mut self) -> Option<(RebuildSchedule, Vec<RebuildOp>)> {
+    /// The power cut the last run ended with has taken effect: the
+    /// write buffer is emptied (the cut's [`SpoEvent::buffered_lpns`]
+    /// hold its pages) and the rebuild service is disarmed, its pacing
+    /// and the ops still pending handed back (`None` when none are) so
+    /// the recovery run can carry them on (the next
+    /// [`SsdSim::run_begin`] would otherwise discard them).
+    pub fn power_cycle(&mut self) -> Option<(RebuildSchedule, Vec<RebuildOp>)> {
+        self.buffer = WriteBuffer::new(self.config.buffer_pages);
         let sched = self.bg.rebuild.take()?;
         let ops: Vec<RebuildOp> = self.bg.queue.drain(..).collect();
         (!ops.is_empty()).then_some((sched, ops))
@@ -971,7 +974,7 @@ impl SsdSim {
     /// Finalizes the armed run and returns its report plus the SPO
     /// event, if the trigger fired.
     pub fn run_end<F: FtlDriver + ?Sized>(&mut self, ftl: &F) -> (SimReport, Option<SpoEvent>) {
-        let spo_event = self.spo_event.clone();
+        let spo_event = self.spo_event.take();
         if spo_event.is_none() {
             debug_assert_eq!(self.outstanding, 0, "drain left requests in flight");
         }
@@ -998,16 +1001,22 @@ impl SsdSim {
     /// padded WLs where fewer than three remain, without simulating
     /// time. A drained run can end with one or two pages queued (a
     /// flush waits for a full WL unless a write is stalled), and the
-    /// next [`SsdSim::run_begin`] drops whatever is queued. So a barrier
-    /// that starts another phase calls this first, except after a power
-    /// cut: its [`SpoEvent::buffered_lpns`] already hold those pages.
+    /// next [`SsdSim::run_begin`] asserts that nothing is queued. So a
+    /// barrier that starts another phase calls this first, except after
+    /// a power cut, where [`SsdSim::power_cycle`] drops the pages its
+    /// [`SpoEvent::buffered_lpns`] already hold.
     pub fn flush_buffer<F: FtlDriver + ?Sized>(&mut self, ftl: &mut F) {
         while let Some(lpns) = self.buffer.take_for_flush(1) {
-            // No time passes, so the cap on queued flushes does not bind.
-            let chip = self.pick_flush_chip(ftl).unwrap_or_else(|| {
-                let n = self.chips.len();
-                (0..n).find(|&c| ftl.accepts_flush(c)).unwrap_or(0)
-            });
+            // No time passes, so neither load nor the cap on queued
+            // flushes matters: an idle chip that accepts one (from the
+            // flush cursor), else any chip that does.
+            let accepts = |c: usize| ftl.accepts_flush(c);
+            let chip = self
+                .first_idle_from(self.flush_cursor, accepts)
+                .or_else(|| (0..self.chips.len()).find(|&c| accepts(c)));
+            debug_assert!(chip.is_some(), "no chip accepts the barrier flush");
+            let Some(chip) = chip else { return };
+            self.flush_cursor = (chip + 1) % self.chips.len();
             let ctx = self.ctx();
             ftl.write_wl(chip, lpns, &ctx);
             self.buffer.complete_flush(lpns);
@@ -1302,7 +1311,10 @@ impl SsdSim {
         let pages = match &op {
             ChipOp::Read { .. } => 1.0,
             ChipOp::Flush { lpns, .. } => lpns.iter().filter(|&&l| l != u64::MAX).count() as f64,
-            ChipOp::Background { feeder, .. } => f64::from(u8::from(*feeder == Feeder::Rebuild)),
+            ChipOp::Background { feeder, .. } => match feeder {
+                Feeder::Rebuild => 1.0,
+                Feeder::Maint => 0.0,
+            },
         };
         let nand_us = match &op {
             ChipOp::Read { nand_us, .. }
