@@ -1,17 +1,17 @@
 //! Lifetime aging: per-block virtual-age fast-forwards at the epoch
 //! barriers of a campaign (DESIGN.md §15).
 
-use crate::base::Ftl;
+use crate::base::{Chips, Ftl};
 use crate::write::block_wls;
 use lifetime::{block_pattern_stress, page_state_fraction, EpochSummary, LifetimeEngine};
 use nand3d::{BlockId, PageState, WlData};
 
 impl Ftl {
-    /// Engages per-block lifetime aging on every chip (idempotent):
-    /// each block's current age is captured into per-block vectors that
-    /// become authoritative, replacing the fixed aged-state presets;
-    /// [`Ftl::advance_lifetime_epoch`] then steps individual blocks and
-    /// erases rejuvenate retention (never wear) per block.
+    /// Engages lifetime aging on every chip: from here on an erase
+    /// zeroes its block's retention age (never its wear), as
+    /// maintenance's retention tracking does. Every block keeps the age
+    /// it has — the preset's, or young if tracking already refreshed it
+    /// — and [`Ftl::advance_lifetime_epoch`] adds to it block by block.
     pub fn enable_lifetime_aging(&mut self) {
         for chip in self.array.iter_mut() {
             chip.env_mut().enable_lifetime_aging();
@@ -26,7 +26,8 @@ impl Ftl {
     /// fast-forward is added to data-holding blocks only (free blocks
     /// hold nothing to lose charge from). The walk is chip-major then
     /// block-ordered and draws from no RNG, so campaigns are identical
-    /// at any worker-thread count.
+    /// at any worker-thread count. A campaign calls
+    /// [`Ftl::enable_lifetime_aging`] once before its first epoch.
     pub fn advance_lifetime_epoch(&mut self, engine: &mut LifetimeEngine) -> EpochSummary {
         let k = engine.begin_step();
         let g = self.geometry();
@@ -44,7 +45,7 @@ impl Ftl {
             // Immutable pass: per-block sensitivity (mean of the
             // similarity model's h-layer aging sensitivities, 1.0 =
             // nominal) and resident-data pattern stress.
-            let c = self.array.chip(chip).expect("valid chip");
+            let c = self.array.nand(chip);
             let mut info = Vec::with_capacity(blocks);
             for b in 0..blocks {
                 let block = BlockId(b as u32);
@@ -66,8 +67,7 @@ impl Ftl {
                 info.push((sens_norm, stress));
             }
             let free = &self.free[chip];
-            let env = self.array.chip_mut(chip).expect("valid chip").env_mut();
-            env.enable_lifetime_aging();
+            let env = self.array.nand_mut(chip).env_mut();
             for (b, &(sens, stress)) in info.iter().enumerate() {
                 let d = engine.block_delta(k, chip, b, sens, stress);
                 let holds_data = !free.contains(BlockId(b as u32));

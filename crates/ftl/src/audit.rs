@@ -8,7 +8,7 @@
 //! drain), `tests/spo_sweep.rs` after every power cycle and the FTL
 //! proptests at the end of every case.
 
-use crate::base::Ftl;
+use crate::base::{Chips, Ftl};
 use crate::cube::opm::LayerSlot;
 use crate::mapping::NONE;
 use nand3d::{PageState, WlAddr};
@@ -230,7 +230,7 @@ impl Ftl {
     fn audit_wam(&self) -> Result<(), AuditError> {
         let g = self.geometry();
         for (chip, state) in self.wam.per_chip.iter().enumerate() {
-            let nand = self.array.chip(chip).expect("valid chip");
+            let nand = self.array.nand(chip);
             for b in &state.active {
                 for h in 0..g.hlayers_per_block {
                     for v in 0..g.wls_per_hlayer {

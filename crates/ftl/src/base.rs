@@ -28,7 +28,7 @@ use crate::maint::MaintState;
 use crate::mapping::Mapping;
 use crate::recovery::CkptState;
 use crate::write::FreePool;
-use nand3d::{AgingState, BlockId, FaultCounters, FaultPlan, FlashArray, Geometry};
+use nand3d::{AgingState, BlockId, FaultCounters, FaultPlan, FlashArray, Geometry, NandChip};
 use ssdsim::{FtlDriver, FtlStats, HostContext, MaintWork, PageRead, WlWrite};
 use telemetry::{Collector, EventMask, MetricRegistry, TraceEvent};
 
@@ -132,6 +132,28 @@ pub struct Ftl {
     /// Virtual time of the current host call, µs — stamps trace events
     /// emitted from internal helpers that carry no [`HostContext`].
     pub(crate) tel_now_us: f64,
+}
+
+/// The FTL's chip access. `Ftl::new` builds the array with
+/// `config.chips` chips and nothing ever adds or removes one, and every
+/// chip index the FTL handles (the simulator's dispatch, a mapped PPN, a
+/// per-chip pool, cursor or loop) is below that count, so a lookup never
+/// misses. [`FlashArray::chip`] keeps its `Result` for outside callers.
+pub(crate) trait Chips {
+    /// Chip `chip` of the array.
+    fn nand(&self, chip: usize) -> &NandChip;
+    /// Chip `chip` of the array, mutably.
+    fn nand_mut(&mut self, chip: usize) -> &mut NandChip;
+}
+
+impl Chips for FlashArray {
+    fn nand(&self, chip: usize) -> &NandChip {
+        self.chip(chip).expect("chip index below config.chips")
+    }
+
+    fn nand_mut(&mut self, chip: usize) -> &mut NandChip {
+        self.chip_mut(chip).expect("chip index below config.chips")
+    }
 }
 
 // The array front-end runs one Ftl per shard on worker threads.

@@ -8,7 +8,7 @@
 //! there is one migration routine, `Ftl::migrate_block`, and one way a
 //! drained block returns to the free pool, `Ftl::release_block`.
 
-use crate::base::{Ftl, Origin, Params};
+use crate::base::{Chips, Ftl, Origin, Params};
 use crate::mapping::{Mapping, Ppn};
 use crate::write::MAX_SAFETY_ATTEMPTS;
 use nand3d::{BlockId, Environment, WlData};
@@ -116,7 +116,7 @@ impl Ftl {
             .map(BlockId)
             .filter(|b| self.is_closed(chip, *b));
         let wear = self.maint.as_ref().map(|m| {
-            let env = self.array.chip(chip).expect("valid chip").env();
+            let env = self.array.nand(chip).env();
             (env, m.config.wear_spread_limit)
         });
         select_victim(&self.mapping, chip, candidates, g.pages_per_block(), wear)
@@ -230,8 +230,7 @@ impl Ftl {
     pub(crate) fn erase_tagged(&mut self, chip: usize, block: BlockId) -> f64 {
         self.seq_counter += 1;
         self.array
-            .chip_mut(chip)
-            .expect("valid chip")
+            .nand_mut(chip)
             .erase_tagged(block, self.seq_counter)
             .expect("block in range")
     }

@@ -26,7 +26,7 @@
 //! unit per [`FtlDriver::maintenance_step`](ssdsim::FtlDriver), every
 //! read and write of theirs under `Origin::Maint` — follow.
 
-use crate::base::{Ftl, Origin, Params};
+use crate::base::{Chips, Ftl, Origin, Params};
 use crate::recovery::CKPT_PAGE_PROGRAM_US;
 use nand3d::{BlockId, PageState};
 use telemetry::EventKind;
@@ -125,7 +125,7 @@ impl Ftl {
     /// block's retention clock).
     pub fn enable_maintenance(&mut self, config: MaintConfig) {
         self.maint = Some(MaintState::new(config, self.config.chips));
-        self.array.set_block_retention_tracking(true);
+        self.array.track_block_retention();
     }
 
     /// Whether the wear-leveling service steers victim selection and
@@ -192,7 +192,7 @@ impl Ftl {
             if self.free[chip].contains(b) || self.is_active(chip, b) {
                 continue;
             }
-            let chip_ref = self.array.chip(chip).expect("valid chip");
+            let chip_ref = self.array.nand(chip);
             let retention = chip_ref.block_retention_months(b);
             if self.ckpt_region_contains(chip, b) {
                 // Metadata scrub: the region block holds checkpoint
@@ -284,7 +284,7 @@ impl Ftl {
                 continue;
             }
             let (pe_now, retention) = {
-                let c = self.array.chip(chip).expect("valid chip");
+                let c = self.array.nand(chip);
                 (c.env().pe(b.0 as usize), c.block_retention_months(b))
             };
             let mut latency = 0.0;
@@ -309,8 +309,7 @@ impl Ftl {
                     break;
                 }
                 opm.invalidate_layer(chip, wl);
-                let written =
-                    self.array.chip(chip).expect("valid chip").wl_state(wl) == PageState::Written;
+                let written = self.array.nand(chip).wl_state(wl) == PageState::Written;
                 if written {
                     latency += self.sample_read(chip, wl);
                 }
@@ -336,7 +335,7 @@ impl Ftl {
         if let Some(t) = self.ckpt_wear_step(chip) {
             return Some(t);
         }
-        let env = self.array.chip(chip).expect("valid chip").env();
+        let env = self.array.nand(chip).env();
         let wear = |b: u32| env.erase_count(b as usize);
         let blocks = 0..self.geometry().blocks_per_chip;
         let hottest = blocks.clone().map(wear).max()?;
@@ -372,7 +371,7 @@ impl Ftl {
         }
         let cfg = self.maint.as_ref()?.config;
         let old = *self.ckpt.as_ref()?.region.first()?;
-        let env = self.array.chip(0).expect("chip 0 exists").env();
+        let env = self.array.nand(0).env();
         let wear = |b: BlockId| env.erase_count(b.0 as usize);
         let coldest_free = self.free[0].iter().map(wear).min()?;
         if wear(old).saturating_sub(coldest_free) <= cfg.wear_spread_limit {

@@ -3,7 +3,7 @@
 //! migration's reads by physical address and maintenance's leader-WL
 //! sample reads alike.
 
-use crate::base::{Ftl, Origin, Params};
+use crate::base::{Chips, Ftl, Origin, Params};
 use crate::cube::opm::OffsetLookup;
 use nand3d::{PageAddr, PageIndex, ReadFaultKind, ReadParams, ReadReport, WlAddr};
 use ssdsim::PageRead;
@@ -26,8 +26,7 @@ impl Ftl {
         };
         let report = self
             .array
-            .chip_mut(chip)
-            .expect("valid chip")
+            .nand_mut(chip)
             .read_page(page, params)
             .expect("policy reads target written pages");
         if let (Params::Opm(opm), Some(l)) = (&mut self.params, lookup) {
@@ -58,7 +57,7 @@ impl Ftl {
     ) -> PageRead {
         let (report, lookup) = self.policy_read(chip, page);
         debug_assert_eq!(
-            self.array.chip(chip).expect("valid chip").page_tag(page),
+            self.array.nand(chip).page_tag(page),
             Some(lpn),
             "mapping returned wrong data"
         );

@@ -27,7 +27,7 @@
 //! and nothing can corrupt the copy, so recovery has no full-scan
 //! fallback for a bad checkpoint.
 
-use crate::base::{Ftl, Origin, Params};
+use crate::base::{Chips, Ftl, Origin, Params};
 use crate::mapping::Mapping;
 use crate::write::{block_wls, FreePool};
 use nand3d::{BlockId, OobStatus, PageState, WlAddr, WlData};
@@ -250,15 +250,14 @@ impl Ftl {
             // co-relocated victims' newest copies.
             let programmed_here = self
                 .array
-                .chip(chip)
-                .expect("valid chip")
+                .nand(chip)
                 .wl_oob(wl)
                 .is_some_and(|oob| oob.lpns == lpns);
             if programmed_here && !wls.contains(&wl) {
                 wls.push(wl);
             }
         }
-        let chip_ref = self.array.chip_mut(chip).expect("valid chip");
+        let chip_ref = self.array.nand_mut(chip);
         let mut torn = 0u64;
         for wl in wls {
             torn += u64::from(chip_ref.interrupt_program(wl));
@@ -334,7 +333,7 @@ impl Ftl {
         let mut to_reerase: Vec<(usize, BlockId)> = Vec::new();
         let mut to_scan: Vec<(usize, BlockId)> = Vec::new();
         for (chip, erased) in erased_since.iter_mut().enumerate() {
-            let c = array.chip(chip).expect("valid chip");
+            let c = array.nand(chip);
             for b in 0..blocks {
                 let block = BlockId(b);
                 report.blocks_probed += 1;
@@ -359,8 +358,7 @@ impl Ftl {
         for &(chip, block) in &to_reerase {
             seq_counter += 1;
             report.nand_us += array
-                .chip_mut(chip)
-                .expect("valid chip")
+                .nand_mut(chip)
                 .erase_tagged(block, seq_counter)
                 .expect("probed block in range");
             report.interrupted_erases_redone += 1;
@@ -371,7 +369,7 @@ impl Ftl {
         let mut replay: Vec<(u64, usize, WlAddr, [u64; 3])> = Vec::new();
         for &(chip, block) in &to_scan {
             report.blocks_scanned += 1;
-            let c = array.chip(chip).expect("valid chip");
+            let c = array.nand(chip);
             for wl in block_wls(&g, block) {
                 report.nand_us += OOB_READ_US;
                 match c.wl_state(wl) {
@@ -402,7 +400,7 @@ impl Ftl {
                 let chip = ppn.chip as usize;
                 let wl = g.page_unflat(ppn.page as usize).wl;
                 if erased_since[chip][wl.block.0 as usize]
-                    || array.chip(chip).expect("valid chip").wl_state(wl) != PageState::Written
+                    || array.nand(chip).wl_state(wl) != PageState::Written
                 {
                     report.stale_ckpt_entries_dropped += 1;
                     continue;
@@ -454,7 +452,7 @@ impl Ftl {
         // runs conservative full-verify defaults and re-monitors — the
         // post-boot tPROG warm-up.
         for chip in 0..chips {
-            let c = ftl.array.chip(chip).expect("valid chip");
+            let c = ftl.array.nand(chip);
             let is_erased = |wl: WlAddr| c.wl_state(wl) == PageState::Free;
             let mut partial: Vec<(u64, BlockId)> = (0..blocks)
                 .map(BlockId)

@@ -3,7 +3,7 @@
 //! host, garbage collection, maintenance migrations and the post-crash
 //! PLP replay differ only in the `Origin` they pass.
 
-use crate::base::{Ftl, Origin, Params};
+use crate::base::{Chips, Ftl, Origin, Params};
 use crate::cube::wam::WlChoice;
 use crate::maint::MaintState;
 use crate::order::ProgramOrder;
@@ -99,9 +99,7 @@ pub(crate) fn wear_env<'a>(
     array: &'a FlashArray,
     chip: usize,
 ) -> Option<&'a Environment> {
-    maint
-        .is_some()
-        .then(|| array.chip(chip).expect("valid chip").env())
+    maint.is_some().then(|| array.nand(chip).env())
 }
 
 impl Ftl {
@@ -177,8 +175,7 @@ impl Ftl {
             let wl = choice.addr();
             let report = self
                 .array
-                .chip_mut(chip)
-                .expect("chip index validated by simulator")
+                .nand_mut(chip)
                 .program_wl(wl, WlData::from_pages(lpns), &params)
                 .expect("allocator hands out erased WLs");
             latency += report.latency_us;
@@ -219,7 +216,7 @@ impl Ftl {
                 let monitored = choice.is_leader()
                     || (opm.follower_params(chip, wl).is_none() && !opm.is_demoted(chip, wl));
                 if monitored {
-                    let engine = self.array.chip(chip).expect("valid chip").ispp();
+                    let engine = self.array.nand(chip).ispp();
                     opm.record_leader(chip, wl, &report, engine);
                 }
                 // §4.1.4: a WL failing the safety check is considered
@@ -251,8 +248,7 @@ impl Ftl {
             // 32-bit limit (DESIGN.md "Memory model").
             self.seq_counter += 1;
             self.array
-                .chip_mut(chip)
-                .expect("valid chip")
+                .nand_mut(chip)
                 .write_oob(wl, self.seq_counter)
                 .expect("WL was just programmed; an FTL makes fewer than u32::MAX WL programs");
             self.mapping.map_wl(chip, wl, &lpns);

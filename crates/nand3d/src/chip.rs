@@ -324,7 +324,7 @@ impl NandChip {
         &ReliabilityModel
     }
 
-    /// Mutable access to the operating environment (aging overrides,
+    /// Mutable access to the operating environment (aging presets,
     /// disturbance probability).
     pub fn env_mut(&mut self) -> &mut Environment {
         &mut self.env
@@ -734,22 +734,19 @@ impl NandChip {
         })
     }
 
-    /// Retention age of `block`'s data in months (per-block when tracking
-    /// is enabled, otherwise the global override).
+    /// Retention age of `block`'s data in months (reference temperature).
     pub fn block_retention_months(&self, block: BlockId) -> f64 {
         self.env.retention_months_of(block.0 as usize)
     }
 
-    /// Enables (or disables) per-block retention tracking. Blocks that
-    /// hold no written WL at enable time are marked refreshed: they carry
-    /// no pre-enable data, so whatever is written into them afterwards is
-    /// young — only data present when tracking starts inherits the global
+    /// Starts per-block retention tracking
+    /// ([`Environment::track_block_retention`]). Blocks that hold no
+    /// written WL at this point are marked refreshed: they carry no
+    /// earlier data, so whatever is written into them afterwards is
+    /// young — only data present when tracking starts keeps its
     /// retention age.
-    pub fn set_block_retention_tracking(&mut self, on: bool) {
-        self.env.set_block_retention_tracking(on);
-        if !on {
-            return;
-        }
+    pub fn track_block_retention(&mut self) {
+        self.env.track_block_retention();
         let g = self.config.geometry;
         for b in 0..g.blocks_per_chip {
             let block = BlockId(b);
@@ -844,12 +841,12 @@ impl FlashArray {
         }
     }
 
-    /// Enables per-block retention tracking on every chip: erases reset a
+    /// Starts per-block retention tracking on every chip: erases reset a
     /// block's retention age, so background scrubbing actually rejuvenates
-    /// data (see [`Environment::set_block_retention_tracking`]).
-    pub fn set_block_retention_tracking(&mut self, on: bool) {
+    /// data (see [`NandChip::track_block_retention`]).
+    pub fn track_block_retention(&mut self) {
         for c in &mut self.chips {
-            c.set_block_retention_tracking(on);
+            c.track_block_retention();
         }
     }
 
@@ -885,6 +882,7 @@ impl FlashArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultKind;
     use crate::ispp::ProgramParams;
     use proptest::prelude::*;
 
@@ -1173,9 +1171,8 @@ mod tests {
             .unwrap();
     }
 
-    /// Fills `block` so its pages can be read.
-    fn rewrite(c: &mut NandChip, block: u32) {
-        c.erase(BlockId(block)).unwrap();
+    /// Programs every WL of the erased (or never written) `block`.
+    fn fill(c: &mut NandChip, block: u32) {
         let g = *c.geometry();
         for h in 0..g.hlayers_per_block {
             for v in 0..g.wls_per_hlayer {
@@ -1184,6 +1181,53 @@ mod tests {
                     .unwrap();
             }
         }
+    }
+
+    /// Fills `block` so its pages can be read.
+    fn rewrite(c: &mut NandChip, block: u32) {
+        c.erase(BlockId(block)).unwrap();
+        fill(c, block);
+    }
+
+    /// A targeted uncorrectable read is spared exactly on the blocks
+    /// retention tracking marked refreshed, not on every block whose
+    /// retention reads zero.
+    #[test]
+    fn uncorrectable_reads_spare_only_tracked_refreshes() {
+        let fault = |c: &mut NandChip| {
+            let plan = FaultPlan::seeded(3).with_target(1, 2, 1, FaultKind::UncorrectableRead);
+            c.set_fault_plan(&plan, 0);
+            let page = c.geometry().page_addr(BlockId(1), 2, 1, 0);
+            c.read_page(page, ReadParams::default()).unwrap().fault
+        };
+
+        let mut c = chip();
+        c.set_aging(AgingState::EndOfLife);
+        c.track_block_retention();
+        rewrite(&mut c, 1);
+        assert_eq!(fault(&mut c), None, "erased after tracking began");
+
+        let mut c = chip();
+        c.set_aging(AgingState::EndOfLife);
+        c.env_mut().enable_lifetime_aging();
+        rewrite(&mut c, 1);
+        assert_eq!(c.block_retention_months(BlockId(1)), 0.0);
+        assert_eq!(
+            fault(&mut c),
+            Some(ReadFaultKind::Uncorrectable),
+            "erased under lifetime rejuvenation alone"
+        );
+
+        let mut c = chip();
+        fill(&mut c, 1);
+        c.set_aging(AgingState::Fresh);
+        c.track_block_retention();
+        assert_eq!(c.block_retention_months(BlockId(1)), 0.0);
+        assert_eq!(
+            fault(&mut c),
+            Some(ReadFaultKind::Uncorrectable),
+            "never erased, at Fresh with tracking on"
+        );
     }
 
     #[test]
@@ -1236,13 +1280,10 @@ mod tests {
                     0 => { c.erase(BlockId(block)).unwrap(); }
                     1 => c.set_aging(AgingState::ALL[pe as usize % 3]),
                     2 => c.env_mut().set_aging_raw(pe, months),
-                    3 => c.env_mut().clear_aging(),
                     4 => c.env_mut().mark_refreshed(b),
-                    5 => c.set_block_retention_tracking(pe % 2 == 0),
+                    5 => c.track_block_retention(),
                     6 => c.env_mut().enable_lifetime_aging(),
-                    7 if c.env().lifetime_aging_enabled() => {
-                        c.env_mut().advance_block_age(b, pe / 4, months / 4.0);
-                    }
+                    7 => c.env_mut().advance_block_age(b, pe / 4, months / 4.0),
                     8 => c.env_mut().set_ambient_celsius(f64::from(tenths) - 20.0),
                     9 => rewrite(&mut c, block),
                     _ => {}

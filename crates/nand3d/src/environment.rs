@@ -3,10 +3,11 @@
 //!
 //! The paper evaluates three aging states (§6.2): fresh (0K P/E, no
 //! retention), 2K P/E + 1-month retention, and 2K P/E + 1-year retention.
-//! [`AgingState`] names them; [`Environment`] tracks per-block P/E counts
-//! and the retention clock, and models the *sudden operating-condition
-//! changes* (e.g. temperature surges, §4.1.4) that can invalidate
-//! monitored parameters and must be caught by the safety check.
+//! [`AgingState`] names them; [`Environment`] keeps one age per block
+//! (P/E cycles and retention months), and models the *sudden
+//! operating-condition changes* (e.g. temperature surges, §4.1.4) that
+//! can invalidate monitored parameters and must be caught by the safety
+//! check.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,36 +95,35 @@ fn arrhenius_acceleration(celsius: f64) -> f64 {
     (ACTIVATION_ENERGY_EV / BOLTZMANN_EV_PER_K * (1.0 / t_ref - 1.0 / t)).exp()
 }
 
-/// Per-block fast-forwarded age, maintained by the lifetime engine's
-/// epoch barriers. Once present it is the authoritative source of
-/// per-block retention age (replacing the global override + refreshed
-/// marks), and its P/E leg adds on top of the live counters — so
-/// blocks wear and age individually as a campaign advances.
-#[derive(Debug, Clone)]
-struct BlockAging {
-    /// Fast-forwarded P/E cycles per block (on top of live erases and
-    /// any global override).
-    pe_add: Vec<u32>,
-    /// Absolute retention age per block, months at reference
-    /// temperature. Erasing (or scrub-refreshing) a block zeroes it.
-    retention_months: Vec<f64>,
-}
-
 /// Mutable operating conditions of one chip.
 ///
-/// During SSD simulation the P/E counters advance with erases; for
-/// characterization experiments the whole environment can be pinned to an
-/// [`AgingState`] with [`Environment::set_aging`], mirroring how the paper
-/// pre-cycles blocks and bakes chips to emulate retention.
+/// Every block has one age: a P/E offset on top of its live erase count
+/// and the retention months of its data. An aging preset
+/// ([`Environment::set_aging`]) fills both for every block, mirroring how
+/// the paper pre-cycles blocks and bakes chips to emulate retention; a
+/// lifetime epoch adds to one block ([`Environment::advance_block_age`]);
+/// and once erases rejuvenate, an erase or
+/// [`Environment::mark_refreshed`] zeroes the block's retention.
 #[derive(Debug, Clone)]
 pub struct Environment {
     /// Per-block program/erase cycle counts.
     pe_cycles: Vec<u32>,
-    /// Global retention override in months (None → use per-WL program
-    /// timestamps, which short simulations keep at ≈0).
-    retention_override_months: Option<f64>,
-    /// P/E override applied on top of the live counters (pre-cycling).
-    pe_override: Option<u32>,
+    /// Per-block P/E cycles on top of the live counts: an aging preset's
+    /// pre-cycling plus a lifetime campaign's fast-forwards.
+    pe_offset: Vec<u32>,
+    /// Per-block retention age of the data, months at the reference
+    /// temperature.
+    retention_months: Vec<f64>,
+    /// Whether an erase (or a scrub mark) zeroes the block's retention:
+    /// refreshed data is young however long the device sat. Set by
+    /// retention tracking and by a lifetime campaign; off by default so
+    /// characterization experiments keep the paper's uniform aging
+    /// states.
+    rejuvenate: bool,
+    /// Per-block "erased since retention tracking began" marks, empty
+    /// until [`Environment::track_block_retention`]. An aging preset
+    /// clears them.
+    refreshed: Vec<bool>,
     /// Bernoulli process modelling sudden ambient changes: probability
     /// that a given operation happens under disturbed conditions.
     disturbance_prob: f64,
@@ -133,16 +133,6 @@ pub struct Environment {
     /// [`arrhenius_acceleration`] of `ambient_celsius`, refreshed by
     /// [`Environment::set_ambient_celsius`] only.
     retention_acceleration: f64,
-    /// When true, erases reset the block's retention clock: a refreshed
-    /// block holds new data and no longer carries the override's baked-in
-    /// retention age. Off by default so characterization experiments keep
-    /// the paper's uniform aging states.
-    track_block_retention: bool,
-    /// Per-block "erased since retention tracking was enabled" marks.
-    refreshed: Vec<bool>,
-    /// Per-block fast-forwarded age (None until a lifetime campaign
-    /// engages — the defaults-off path never allocates or consults it).
-    lifetime: Option<BlockAging>,
     rng: StdRng,
 }
 
@@ -151,115 +141,75 @@ impl Environment {
     pub fn new(blocks: usize, seed: u64) -> Self {
         Environment {
             pe_cycles: vec![0; blocks],
-            retention_override_months: None,
-            pe_override: None,
+            pe_offset: vec![0; blocks],
+            retention_months: vec![0.0; blocks],
+            rejuvenate: false,
+            refreshed: Vec::new(),
             disturbance_prob: 0.0,
             ambient_celsius: REFERENCE_CELSIUS,
             retention_acceleration: arrhenius_acceleration(REFERENCE_CELSIUS),
-            track_block_retention: false,
-            refreshed: vec![false; blocks],
-            lifetime: None,
             rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
         }
     }
 
-    /// Enables (or disables) per-block retention tracking: while enabled,
-    /// erasing a block resets its retention age to zero until the next
-    /// global aging override. Background scrubbing relies on this — moving
+    /// Starts per-block retention tracking: from here on erasing a block
+    /// resets its retention age to zero and marks it refreshed until the
+    /// next aging preset. Background scrubbing relies on this — moving
     /// data to a freshly erased block is what buys the reliability back.
-    pub fn set_block_retention_tracking(&mut self, on: bool) {
-        self.track_block_retention = on;
-        if !on {
-            self.refreshed.fill(false);
+    pub fn track_block_retention(&mut self) {
+        self.rejuvenate = true;
+        if self.refreshed.is_empty() {
+            self.refreshed = vec![false; self.pe_cycles.len()];
         }
     }
 
     /// Whether `block` was erased (and thus retention-refreshed) since
-    /// tracking was enabled.
+    /// tracking began.
     #[inline]
     pub fn block_is_refreshed(&self, block: usize) -> bool {
-        self.track_block_retention && self.refreshed[block]
+        self.refreshed.get(block) == Some(&true)
     }
 
-    /// Marks `block` as retention-refreshed without an erase. Used when
-    /// tracking is enabled on a chip with empty blocks: blocks holding no
-    /// data cannot carry the global (pre-enable) retention age, so data
+    /// Refreshes `block` without an erase: zeroes its retention age
+    /// while erases rejuvenate, and marks it refreshed while tracking.
+    /// Used when tracking starts on a chip with empty blocks: blocks
+    /// holding no data cannot carry the preset's retention age, so data
     /// written into them afterwards is young.
     pub fn mark_refreshed(&mut self, block: usize) {
-        if self.track_block_retention {
-            self.refreshed[block] = true;
+        if self.rejuvenate {
+            self.retention_months[block] = 0.0;
         }
-        if let Some(life) = &mut self.lifetime {
-            life.retention_months[block] = 0.0;
+        if let Some(mark) = self.refreshed.get_mut(block) {
+            *mark = true;
         }
     }
 
-    /// Pins the environment to one of the paper's aging states.
+    /// Pins every block to one of the paper's aging states.
     pub fn set_aging(&mut self, state: AgingState) {
-        self.pe_override = Some(state.pe_cycles());
-        self.retention_override_months = Some(state.retention_months());
-        self.refreshed.fill(false);
+        self.set_aging_raw(state.pe_cycles(), state.retention_months());
     }
 
-    /// Pins raw P/E cycles and retention months (for sweeps).
+    /// Pins every block to raw P/E cycles (on top of its live erases) and
+    /// retention months (for sweeps).
     pub fn set_aging_raw(&mut self, pe: u32, retention_months: f64) {
-        self.pe_override = Some(pe);
-        self.retention_override_months = Some(retention_months);
+        self.pe_offset.fill(pe);
+        self.retention_months.fill(retention_months);
         self.refreshed.fill(false);
     }
 
-    /// Removes any aging override, returning to live accounting.
-    pub fn clear_aging(&mut self) {
-        self.pe_override = None;
-        self.retention_override_months = None;
-    }
-
-    /// Engages per-block lifetime aging: every block's current
-    /// retention age (global override respecting refreshed marks) is
-    /// captured into a per-block vector that becomes authoritative, and
-    /// a per-block P/E fast-forward vector starts at zero. Idempotent.
-    /// From here on, epoch barriers advance individual blocks with
-    /// [`Environment::advance_block_age`], and erases rejuvenate
-    /// retention (but not wear) per block.
+    /// Engages lifetime aging: from here on erases rejuvenate retention
+    /// (never wear) per block, while epoch barriers advance individual
+    /// blocks with [`Environment::advance_block_age`].
     pub fn enable_lifetime_aging(&mut self) {
-        if self.lifetime.is_some() {
-            return;
-        }
-        let blocks = self.pe_cycles.len();
-        let retention = (0..blocks).map(|b| self.retention_months_of(b)).collect();
-        self.lifetime = Some(BlockAging {
-            pe_add: vec![0; blocks],
-            retention_months: retention,
-        });
-    }
-
-    /// Whether per-block lifetime aging is engaged.
-    #[inline]
-    pub fn lifetime_aging_enabled(&self) -> bool {
-        self.lifetime.is_some()
+        self.rejuvenate = true;
     }
 
     /// Fast-forwards `block` by `pe_add` P/E cycles and `months_add`
     /// retention months (reference temperature).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`Environment::enable_lifetime_aging`] ran first.
     pub fn advance_block_age(&mut self, block: usize, pe_add: u32, months_add: f64) {
         assert!(months_add >= 0.0, "aging cannot run backwards");
-        let life = self
-            .lifetime
-            .as_mut()
-            .expect("enable_lifetime_aging before advancing block age");
-        life.pe_add[block] = life.pe_add[block].saturating_add(pe_add);
-        life.retention_months[block] += months_add;
-    }
-
-    /// Fast-forwarded P/E cycles of `block` (0 when no campaign is
-    /// engaged) — the lifetime component of [`Environment::pe`].
-    #[inline]
-    pub fn lifetime_pe_add(&self, block: usize) -> u32 {
-        self.lifetime.as_ref().map_or(0, |life| life.pe_add[block])
+        self.pe_offset[block] = self.pe_offset[block].saturating_add(pe_add);
+        self.retention_months[block] += months_add;
     }
 
     /// Sets the probability that any one operation happens under suddenly
@@ -270,39 +220,17 @@ impl Environment {
         self.disturbance_prob = p;
     }
 
-    /// Effective P/E cycles of `block`.
+    /// Effective P/E cycles of `block`: its offset plus its live erases.
     #[inline]
     pub fn pe(&self, block: usize) -> u32 {
-        let lifetime = self.lifetime.as_ref().map_or(0, |life| life.pe_add[block]);
-        self.pe_override
-            .unwrap_or(0)
-            .saturating_add(self.pe_cycles[block])
-            .saturating_add(lifetime)
+        self.pe_offset[block].saturating_add(self.pe_cycles[block])
     }
 
-    /// Raw retention time in months at the reference temperature
-    /// (global model; per-WL data age is negligible at simulation time
-    /// scales).
-    #[inline]
-    pub fn retention_months(&self) -> f64 {
-        self.retention_override_months.unwrap_or(0.0)
-    }
-
-    /// Retention time of `block`'s data in months. With a lifetime
-    /// campaign engaged the per-block aging vector is authoritative;
-    /// otherwise the global override applies, unless per-block tracking
-    /// is on and the block was erased since — refreshed data is young
-    /// regardless of how long the device sat.
+    /// Retention time of `block`'s data in months at the reference
+    /// temperature.
     #[inline]
     pub fn retention_months_of(&self, block: usize) -> f64 {
-        if let Some(life) = &self.lifetime {
-            return life.retention_months[block];
-        }
-        if self.block_is_refreshed(block) {
-            0.0
-        } else {
-            self.retention_months()
-        }
+        self.retention_months[block]
     }
 
     /// Sets the ambient temperature in °C (default: the paper's 30 °C).
@@ -333,14 +261,6 @@ impl Environment {
         self.retention_acceleration
     }
 
-    /// Temperature-adjusted retention time in months: the quantity the
-    /// reliability and read-retry models consume. The acceleration
-    /// factor is cached; only a temperature change refreshes it.
-    #[inline]
-    pub fn effective_retention_months(&self) -> f64 {
-        self.retention_months() * self.retention_acceleration
-    }
-
     /// Temperature-adjusted retention of `block`'s data (see
     /// [`Environment::retention_months_of`]). The acceleration factor is
     /// cached; only a temperature change refreshes it.
@@ -349,21 +269,16 @@ impl Environment {
         self.retention_months_of(block) * self.retention_acceleration
     }
 
-    /// Records one erase of `block`. Under a lifetime campaign the
-    /// erase zeroes the block's fast-forwarded retention age (new data
-    /// is young) while its accumulated P/E wear stays.
+    /// Records one erase of `block`: one more P/E cycle, and the block
+    /// refreshed as by [`Environment::mark_refreshed`] (new data is
+    /// young once erases rejuvenate; accumulated wear always stays).
     #[inline]
     pub fn record_erase(&mut self, block: usize) {
         self.pe_cycles[block] = self.pe_cycles[block].saturating_add(1);
-        if self.track_block_retention {
-            self.refreshed[block] = true;
-        }
-        if let Some(life) = &mut self.lifetime {
-            life.retention_months[block] = 0.0;
-        }
+        self.mark_refreshed(block);
     }
 
-    /// Live (non-overridden) erase count of `block`.
+    /// Live erase count of `block` (without its P/E offset).
     #[inline]
     pub fn erase_count(&self, block: usize) -> u32 {
         self.pe_cycles[block]
@@ -400,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn overrides_and_live_counts_compose() {
+    fn presets_and_live_counts_compose() {
         let mut env = Environment::new(4, 1);
         assert_eq!(env.pe(0), 0);
         env.record_erase(0);
@@ -409,9 +324,10 @@ mod tests {
         assert_eq!(env.pe(0), 2, "live erases count toward effective P/E");
         env.set_aging(AgingState::EndOfLife);
         assert_eq!(env.pe(0), 2002);
-        assert_eq!(env.retention_months(), 12.0);
-        env.clear_aging();
-        assert_eq!(env.retention_months(), 0.0);
+        assert_eq!(env.retention_months_of(0), 12.0);
+        env.set_aging_raw(0, 0.0);
+        assert_eq!(env.retention_months_of(0), 0.0);
+        assert_eq!(env.pe(0), 2);
     }
 
     #[test]
@@ -423,8 +339,9 @@ mod tests {
         // Without tracking, erases do not touch the retention clock.
         env.record_erase(0);
         assert_eq!(env.retention_months_of(0), 12.0);
+        assert!(!env.block_is_refreshed(0));
 
-        env.set_block_retention_tracking(true);
+        env.track_block_retention();
         env.record_erase(0);
         assert_eq!(env.retention_months_of(0), 0.0, "refreshed block is young");
         assert_eq!(env.effective_retention_months_of(0), 0.0);
@@ -432,14 +349,9 @@ mod tests {
         assert!(env.block_is_refreshed(0));
         assert!(!env.block_is_refreshed(1));
 
-        // A new global override re-bakes every block's age.
+        // A new preset re-bakes every block's age and clears the marks.
         env.set_aging(AgingState::EndOfLife);
         assert_eq!(env.retention_months_of(0), 12.0);
-
-        // Disabling tracking clears the marks.
-        env.record_erase(0);
-        assert!(env.block_is_refreshed(0));
-        env.set_block_retention_tracking(false);
         assert!(!env.block_is_refreshed(0));
     }
 
@@ -448,49 +360,43 @@ mod tests {
         let mut env = Environment::new(3, 1);
         env.set_aging(AgingState::MidLife);
         env.record_erase(0);
-        assert!(!env.lifetime_aging_enabled());
-
-        // Engagement captures the current per-block state and becomes
-        // authoritative for retention.
-        env.enable_lifetime_aging();
-        assert!(env.lifetime_aging_enabled());
-        assert_eq!(env.retention_months_of(0), 1.0);
         assert_eq!(
-            env.pe(0),
-            2001,
-            "override + live erase, no fast-forward yet"
+            env.retention_months_of(0),
+            1.0,
+            "erases do not rejuvenate yet"
         );
+
+        env.enable_lifetime_aging();
+        assert_eq!(env.retention_months_of(0), 1.0);
+        assert_eq!(env.pe(0), 2001, "preset + live erase, no fast-forward yet");
 
         env.advance_block_age(0, 500, 3.0);
         env.advance_block_age(1, 250, 3.0);
         assert_eq!(env.pe(0), 2501);
         assert_eq!(env.pe(1), 2250);
         assert_eq!(env.pe(2), 2000, "untouched block keeps its age");
-        assert_eq!(env.lifetime_pe_add(0), 500);
         assert_eq!(env.retention_months_of(0), 4.0);
         assert_eq!(env.retention_months_of(2), 1.0);
 
-        // Erase rejuvenates retention but never wear.
+        // Erase rejuvenates retention but never wear, and marks nothing
+        // refreshed without tracking.
         env.record_erase(0);
         assert_eq!(env.retention_months_of(0), 0.0);
         assert_eq!(env.pe(0), 2502, "erase adds wear on top of fast-forward");
+        assert!(!env.block_is_refreshed(0));
 
         // mark_refreshed (scrub without erase) also zeroes retention.
         env.advance_block_age(1, 0, 2.0);
         env.mark_refreshed(1);
         assert_eq!(env.retention_months_of(1), 0.0);
         assert_eq!(env.pe(1), 2250);
-
-        // Idempotent re-engagement keeps accumulated state.
-        env.enable_lifetime_aging();
-        assert_eq!(env.lifetime_pe_add(0), 500);
     }
 
     #[test]
     fn lifetime_engagement_respects_refreshed_marks() {
         let mut env = Environment::new(2, 1);
         env.set_aging(AgingState::EndOfLife);
-        env.set_block_retention_tracking(true);
+        env.track_block_retention();
         env.record_erase(0);
         env.enable_lifetime_aging();
         assert_eq!(
@@ -499,12 +405,6 @@ mod tests {
             "refreshed block engages young"
         );
         assert_eq!(env.retention_months_of(1), 12.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "enable_lifetime_aging")]
-    fn advancing_without_engagement_panics() {
-        Environment::new(1, 0).advance_block_age(0, 1, 0.0);
     }
 
     #[test]
@@ -519,13 +419,13 @@ mod tests {
         let mut env = Environment::new(1, 0);
         env.set_aging_raw(2000, 6.0);
         env.set_ambient_celsius(55.0);
-        let hot = env.effective_retention_months();
+        let hot = env.effective_retention_months_of(0);
         assert!(
             hot > 6.0 * 3.0,
             "55°C should accelerate several-fold: {hot}"
         );
         env.set_ambient_celsius(5.0);
-        let cold = env.effective_retention_months();
+        let cold = env.effective_retention_months_of(0);
         assert!(cold < 6.0 * 0.1, "5°C should slow retention loss: {cold}");
     }
 

@@ -161,7 +161,7 @@ fn read_reports_survive_every_aging_event() {
     s.chip.set_aging(AgingState::EndOfLife);
     s.rewrite(2);
     s.reads(300);
-    s.chip.set_block_retention_tracking(true);
+    s.chip.track_block_retention();
     s.reads(200);
     s.rewrite(3);
     s.reads(300);
@@ -196,20 +196,21 @@ fn read_reports_survive_every_aging_event() {
     s.chip.set_fault_plan(&FaultPlan::none(), 0);
     s.reads(200);
 
-    // Tracking off re-bakes every block; clearing the override returns
-    // to live accounting; a fresh override ages everything again.
-    s.chip.set_block_retention_tracking(false);
+    // A preset re-bakes every block, refreshed ones included; a zero
+    // preset returns to live accounting; a fresh preset ages everything
+    // again.
+    s.chip.set_aging(AgingState::EndOfLife);
     s.reads(300);
-    s.chip.env_mut().clear_aging();
+    s.chip.env_mut().set_aging_raw(0, 0.0);
     s.reads(200);
     s.chip.set_aging(AgingState::MidLife);
-    s.chip.set_block_retention_tracking(true);
+    s.chip.track_block_retention();
     s.rewrite(6);
     s.reads(200);
 
-    // A lifetime campaign: per-block ages become authoritative, blocks
-    // advance individually between reads, erases rejuvenate retention
-    // only, and the ambient temperature moves under it.
+    // A lifetime campaign: blocks advance individually between reads,
+    // erases rejuvenate retention only, and the ambient temperature
+    // moves under it.
     s.chip.env_mut().enable_lifetime_aging();
     s.reads(300);
     for step in 0..60 {

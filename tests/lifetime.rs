@@ -234,7 +234,7 @@ proptest! {
         let block = 0;
         env.advance_block_age(block, pe_add, months_add);
         prop_assert!(env.retention_months_of(block) > 0.0);
-        let wear_before = env.lifetime_pe_add(block);
+        let wear_before = env.pe(block) - env.erase_count(block);
         let erases_before = env.erase_count(block);
         if via_erase {
             env.record_erase(block);
@@ -248,7 +248,7 @@ proptest! {
             "refresh must zero the fast-forwarded retention age"
         );
         prop_assert_eq!(
-            env.lifetime_pe_add(block), wear_before,
+            env.pe(block) - env.erase_count(block), wear_before,
             "refresh must not undo fast-forwarded P/E wear"
         );
     }
