@@ -65,8 +65,8 @@ pub fn run(args: &crate::BenchArgs) {
             c.label, r.ftl.scrub_blocks, r.ftl.scrub_page_moves, r.ftl.scrub_sample_reads
         );
         println!(
-            " {} re-monitored layers, {} wear-level moves, {} maintenance-GC moves,",
-            r.ftl.remonitored_layers, r.ftl.wear_level_moves, r.ftl.maint_gc_page_moves
+            " {} re-monitored layers, {} wear-level moves, {} GC page moves,",
+            r.ftl.remonitored_layers, r.ftl.wear_level_moves, r.ftl.gc_page_moves
         );
         println!(
             " {} background ops over {} chips (mean busy {:.1}%)",

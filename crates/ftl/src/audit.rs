@@ -6,7 +6,10 @@
 //! a runtime guard: the harness runs it at every barrier of a debug
 //! build (crash recovery, array failure, lifetime aging, the final
 //! drain), `tests/spo_sweep.rs` after every power cycle and the FTL
-//! proptests at the end of every case.
+//! proptests at the end of every case. Its per-chip part (invariants 1
+//! to 4 on one chip's pages and blocks) runs after every background
+//! unit of a debug build, so a half-migrated GC victim is checked where
+//! it stands.
 
 use crate::base::{Chips, Ftl};
 use crate::cube::opm::LayerSlot;
@@ -147,9 +150,10 @@ impl Ftl {
     /// Returns the first violation found. O(device): a referee for
     /// tests and debug-build barriers, never called on a hot path.
     pub fn audit(&self) -> Result<(), AuditError> {
-        self.audit_mapping()?;
-        self.audit_blocks()?;
-        self.audit_wam()?;
+        self.audit_l2p()?;
+        for chip in 0..self.config.chips {
+            self.audit_chip(chip)?;
+        }
         self.audit_opm()
     }
 
@@ -163,31 +167,62 @@ impl Ftl {
         }
     }
 
-    /// Invariants 1 and 2.
-    fn audit_mapping(&self) -> Result<(), AuditError> {
+    /// The per-chip part of [`Ftl::debug_audit`] (O(pages per chip)):
+    /// after a background unit on `chip`, in debug builds only.
+    pub(crate) fn debug_audit_chip(&self, chip: usize) {
+        if cfg!(debug_assertions) {
+            if let Err(e) = self.audit_chip(chip) {
+                panic!(
+                    "{} failed its audit after a background unit: {e}",
+                    self.kind.name()
+                );
+            }
+        }
+    }
+
+    /// Invariants 1 (from each page's side) to 4 on `chip`.
+    fn audit_chip(&self, chip: usize) -> Result<(), AuditError> {
+        self.audit_p2l(chip)?;
+        self.audit_blocks(chip)?;
+        self.audit_wam(chip)
+    }
+
+    /// Invariant 1 from each LPN's side.
+    fn audit_l2p(&self) -> Result<(), AuditError> {
         let m = &self.mapping;
-        let l2p = m.l2p();
-        for (lpn, &page) in l2p.iter().enumerate() {
+        for (lpn, &page) in m.l2p().iter().enumerate() {
             if page != NONE && m.p2l.get(page as usize) != Some(&(lpn as u32)) {
                 let lpn = lpn as u64;
                 return Err(AuditError::Bijection { lpn, page });
             }
         }
-        for (page, &lpn) in m.p2l.iter().enumerate() {
+        Ok(())
+    }
+
+    /// Invariant 1 from the side of `chip`'s pages, and invariant 2.
+    fn audit_p2l(&self, chip: usize) -> Result<(), AuditError> {
+        let m = &self.mapping;
+        let l2p = m.l2p();
+        let g = self.geometry();
+        let per_chip = g.pages_per_chip() as usize;
+        let first = chip * per_chip;
+        let pages = &m.p2l[first..first + per_chip];
+        for (page, &lpn) in (first..).zip(pages) {
             if lpn != NONE && l2p.get(lpn as usize) != Some(&(page as u32)) {
                 let (lpn, page) = (u64::from(lpn), page as u32);
                 return Err(AuditError::Bijection { lpn, page });
             }
         }
-        let g = self.geometry();
         let per_block = g.pages_per_block() as usize;
-        for (b, pages) in m.p2l.chunks(per_block).enumerate() {
+        let first_block = chip * g.blocks_per_chip as usize;
+        for (block, pages) in pages.chunks(per_block).enumerate() {
             let recounted = pages.iter().filter(|&&l| l != NONE).count() as u32;
-            if m.valid[b] != recounted {
+            let counted = m.valid[first_block + block];
+            if counted != recounted {
                 return Err(AuditError::ValidCount {
-                    chip: b / g.blocks_per_chip as usize,
-                    block: (b % g.blocks_per_chip as usize) as u32,
-                    counted: m.valid[b],
+                    chip,
+                    block: block as u32,
+                    counted,
                     recounted,
                 });
             }
@@ -195,59 +230,59 @@ impl Ftl {
         Ok(())
     }
 
-    /// Invariant 3.
-    fn audit_blocks(&self) -> Result<(), AuditError> {
-        let region = self.ckpt_region();
-        for (chip, pool) in self.free.iter().enumerate() {
-            let err = |block: usize, what| AuditError::BlockOwners {
-                chip,
-                block: block as u32,
-                what,
-            };
-            let mut held = vec![false; pool.is_free.len()];
-            for b in pool.iter() {
-                if std::mem::replace(&mut held[b.0 as usize], true) {
-                    return Err(err(b.0 as usize, "queued twice in the free pool"));
-                }
+    /// Invariant 3 on `chip`.
+    fn audit_blocks(&self, chip: usize) -> Result<(), AuditError> {
+        let pool = &self.free[chip];
+        let err = |block: usize, what| AuditError::BlockOwners {
+            chip,
+            block: block as u32,
+            what,
+        };
+        let mut held = vec![false; pool.is_free.len()];
+        for b in pool.iter() {
+            if std::mem::replace(&mut held[b.0 as usize], true) {
+                return Err(err(b.0 as usize, "queued twice in the free pool"));
             }
-            if let Some(i) = (0..held.len()).find(|&i| held[i] != pool.is_free[i]) {
-                return Err(err(i, "the free pool's queue and its free bit disagree"));
-            }
-            let ckpt = region.iter().copied().filter(|_| chip == 0);
-            for b in self.wam.active_blocks(chip).chain(ckpt) {
-                if std::mem::replace(&mut held[b.0 as usize], true) {
-                    return Err(err(
-                        b.0 as usize,
-                        "held twice by the free pool, the active blocks and the checkpoint region",
-                    ));
-                }
+        }
+        if let Some(i) = (0..held.len()).find(|&i| held[i] != pool.is_free[i]) {
+            return Err(err(i, "the free pool's queue and its free bit disagree"));
+        }
+        let region = if chip == 0 {
+            self.ckpt_region()
+        } else {
+            Vec::new()
+        };
+        for b in self.wam.active_blocks(chip).chain(region) {
+            if std::mem::replace(&mut held[b.0 as usize], true) {
+                return Err(err(
+                    b.0 as usize,
+                    "held twice by the free pool, the active blocks and the checkpoint region",
+                ));
             }
         }
         Ok(())
     }
 
-    /// Invariant 4.
-    fn audit_wam(&self) -> Result<(), AuditError> {
+    /// Invariant 4 on `chip`.
+    fn audit_wam(&self, chip: usize) -> Result<(), AuditError> {
         let g = self.geometry();
-        for (chip, state) in self.wam.per_chip.iter().enumerate() {
-            let nand = self.array.nand(chip);
-            for b in &state.active {
-                for h in 0..g.hlayers_per_block {
-                    for v in 0..g.wls_per_hlayer {
-                        let wl = g.wl_addr(b.block, h, v);
-                        let err = |what| AuditError::WamCursor { chip, wl, what };
-                        let handed_out = if v == 0 {
-                            h < b.next_leader_h
-                        } else {
-                            (h, v) < b.next_follower
-                        };
-                        let demoted = self.opm().is_some_and(|o| o.is_demoted(chip, wl));
-                        if v > 0 && handed_out && h >= b.next_leader_h && !demoted {
-                            return Err(err("follower handed out above the leader cursor"));
-                        }
-                        if !handed_out && nand.wl_state(wl) != PageState::Free {
-                            return Err(err("not handed out yet, but not erased"));
-                        }
+        let nand = self.array.nand(chip);
+        for b in &self.wam.per_chip[chip].active {
+            for h in 0..g.hlayers_per_block {
+                for v in 0..g.wls_per_hlayer {
+                    let wl = g.wl_addr(b.block, h, v);
+                    let err = |what| AuditError::WamCursor { chip, wl, what };
+                    let handed_out = if v == 0 {
+                        h < b.next_leader_h
+                    } else {
+                        (h, v) < b.next_follower
+                    };
+                    let demoted = self.opm().is_some_and(|o| o.is_demoted(chip, wl));
+                    if v > 0 && handed_out && h >= b.next_leader_h && !demoted {
+                        return Err(err("follower handed out above the leader cursor"));
+                    }
+                    if !handed_out && nand.wl_state(wl) != PageState::Free {
+                        return Err(err("not handed out yet, but not erased"));
                     }
                 }
             }

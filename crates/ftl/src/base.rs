@@ -87,15 +87,17 @@ pub(crate) enum Params {
 /// feeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Origin {
-    /// A host request: counts as a host WL program / host-visible read.
+    /// A host request (a rebuild's survivor reads arrive through the
+    /// same `read_page`): counts as a host WL program, and its reads in
+    /// `nand_reads` and `host_nand_reads`.
     Host,
-    /// Garbage collection under a host write: its reads are
-    /// host-visible, its programs are not host WLs, its page moves are
-    /// `gc_page_moves`.
+    /// Garbage collection, a background unit or the foreground floor:
+    /// its reads count in `nand_reads` but not `host_nand_reads`, its
+    /// programs are not host WLs, its page moves are `gc_page_moves`.
     Gc,
-    /// Background maintenance (and the post-crash PLP replay): counts
-    /// in neither the host WL nor the host read statistics; GC it runs
-    /// is `maint_gc_page_moves`.
+    /// Background maintenance (and the post-crash PLP replay): its
+    /// reads count only in `maint_nand_reads`, its programs are not host
+    /// WLs.
     Maint,
 }
 
@@ -360,7 +362,7 @@ impl FtlDriver for Ftl {
         self.tel_now_us = ctx.now_us;
         let mu = ctx.buffer_utilization;
         let mut nand_us = 0.0;
-        let did_gc = self.pool_low(chip);
+        let did_gc = self.pool_at_floor(chip);
         if did_gc {
             nand_us += self.run_gc(chip, mu, Origin::Gc);
         }
@@ -391,11 +393,26 @@ impl FtlDriver for Ftl {
         }
     }
 
+    /// The one background hook: a GC unit while `chip`'s free pool is
+    /// down to the threshold and a victim is profitable, otherwise one
+    /// maintenance service unit once [`Ftl::enable_maintenance`] ran.
     fn maintenance_step(&mut self, chip: usize, ctx: &HostContext) -> Option<MaintWork> {
-        self.maint.as_ref()?;
+        if !self.pool_low(chip) && self.maint.is_none() {
+            // Nothing can be due: the trace clock stays where the last
+            // host call set it.
+            return None;
+        }
         self.tel_now_us = ctx.now_us;
-        let nand_us = self.maintenance_unit(chip, ctx.buffer_utilization)?;
-        Some(MaintWork { nand_us })
+        let mu = ctx.buffer_utilization;
+        let work = match self.gc_unit(chip, mu) {
+            Some(nand_us) => MaintWork { nand_us, gc: true },
+            None => MaintWork {
+                nand_us: self.maintenance_unit(chip, mu)?,
+                gc: false,
+            },
+        };
+        self.debug_audit_chip(chip);
+        Some(work)
     }
 
     fn stats(&self) -> FtlStats {

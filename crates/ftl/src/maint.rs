@@ -36,9 +36,9 @@ use telemetry::EventKind;
 /// one enabled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintConfig {
-    /// Host-priority gap, µs: after each background operation (or an
-    /// idle poll that found nothing due) a chip stays reserved for host
-    /// work at least this long. The simulator's dispatch enforces it
+    /// Host-priority gap, µs: after each background operation (a GC
+    /// unit included) a chip stays reserved for host work at least this
+    /// long. The simulator's dispatch enforces it
     /// (`SsdSim::enable_maintenance`); the FTL services ignore it.
     pub gap_us: f64,
     /// Retention age (months, temperature-unadjusted) at which a block
@@ -84,10 +84,12 @@ pub(crate) struct MaintState {
     pub(crate) config: MaintConfig,
     /// Next block each chip's scrubber examines.
     pub(crate) scrub_cursor: Vec<u32>,
-    /// Whether the block under `scrub_cursor` is mid-refresh (a bounded
-    /// migration batch ran out before the block was clean); the next
-    /// scrub window resumes it without re-sampling its BER.
-    pub(crate) scrub_resume: Vec<bool>,
+    /// While the block under `scrub_cursor` is mid-refresh (a bounded
+    /// migration batch ran out before the block was clean), its erase
+    /// stamp: the next scrub window resumes it without re-sampling its
+    /// BER only while the block still carries that stamp. One that GC
+    /// released and the allocator filled again since is examined afresh.
+    pub(crate) scrub_resume: Vec<Option<u64>>,
     /// Next block each chip's OPM re-monitor examines.
     pub(crate) remonitor_cursor: Vec<u32>,
     /// Round-robin position over the three services per chip, so one
@@ -100,7 +102,7 @@ impl MaintState {
         MaintState {
             config,
             scrub_cursor: vec![0; chips],
-            scrub_resume: vec![false; chips],
+            scrub_resume: vec![None; chips],
             remonitor_cursor: vec![0; chips],
             next_service: vec![0; chips],
         }
@@ -176,17 +178,21 @@ impl Ftl {
     /// first one holding aged data, samples its BER via a leader-WL read
     /// (which refreshes the h-layer's ORT `ΔV_Ref` entry in place) and
     /// refreshes the whole block when its retention age or sampled BER
-    /// crosses the configured thresholds.
+    /// crosses the configured thresholds. A refresh consumes free WLs,
+    /// so the scrubber waits while the free pool is down to the GC
+    /// threshold: GC units come first there.
     fn scrub_step(&mut self, chip: usize, mu: f64) -> Option<f64> {
         let cfg = self.maint.as_ref()?.config;
+        if self.pool_low(chip) {
+            return None;
+        }
         let g = self.geometry();
         let blocks = g.blocks_per_chip;
         let st = self.maint_state();
         let cursor = st.scrub_cursor[chip];
-        // Taking the flag clears it; it is re-armed below only while the
-        // cursor block is still mid-refresh, so a block recycled out from
-        // under the scrubber (e.g. by GC) cannot inherit a stale resume.
-        let resuming = std::mem::take(&mut st.scrub_resume[chip]);
+        // Taking the stamp clears it; it is re-armed below only while the
+        // cursor block is still mid-refresh.
+        let resume_stamp = st.scrub_resume[chip].take();
         for i in 0..blocks {
             let b = BlockId((cursor + i) % blocks);
             if self.free[chip].contains(b) || self.is_active(chip, b) {
@@ -207,16 +213,16 @@ impl Ftl {
                 latency += live as f64 * CKPT_PAGE_PROGRAM_US;
                 self.stats.scrub_blocks += 1;
                 self.stats.scrub_page_moves += live;
-                let st = self.maint_state();
-                st.scrub_cursor[chip] = (b.0 + 1) % blocks;
-                st.scrub_resume[chip] = false;
+                self.maint_state().scrub_cursor[chip] = (b.0 + 1) % blocks;
                 self.trace_maint(chip, "scrub", live);
                 return Some(latency);
             }
             let mut latency = 0.0;
-            let refresh = if resuming && i == 0 {
-                // Mid-refresh block: the decision was already made (and
-                // its BER sampled) when the refresh started.
+            let stamp = chip_ref.block_erase_seq(b);
+            let refresh = if i == 0 && resume_stamp == Some(stamp) {
+                // Mid-refresh block, not erased since: the decision was
+                // already made (and its BER sampled) when the refresh
+                // started.
                 true
             } else {
                 if retention <= 0.0 {
@@ -237,25 +243,23 @@ impl Ftl {
             // The cursor parks on a partially-migrated block so the next
             // scrub window resumes it; otherwise it moves on.
             let mut next_cursor = (b.0 + 1) % blocks;
-            let mut in_progress = false;
+            let mut parked = None;
             let mut moved = 0;
             if refresh {
-                let (t, outcome) = self.refresh_block(chip, b, mu, cfg.scrub_batch_pages);
+                let (t, pages, released) = self.refresh_block(chip, b, mu, cfg.scrub_batch_pages);
                 latency += t;
-                if let Some((pages_moved, released)) = outcome {
-                    self.stats.scrub_page_moves += pages_moved;
-                    moved = pages_moved;
-                    if released {
-                        self.stats.scrub_blocks += 1;
-                    } else {
-                        next_cursor = b.0;
-                        in_progress = true;
-                    }
+                moved = pages;
+                self.stats.scrub_page_moves += moved;
+                if released {
+                    self.stats.scrub_blocks += 1;
+                } else {
+                    next_cursor = b.0;
+                    parked = Some(stamp);
                 }
             }
             let st = self.maint_state();
             st.scrub_cursor[chip] = next_cursor;
-            st.scrub_resume[chip] = in_progress;
+            st.scrub_resume[chip] = parked;
             if latency > 0.0 {
                 self.trace_maint(chip, "scrub", moved);
                 return Some(latency);
@@ -329,11 +333,16 @@ impl Ftl {
     /// Wear leveling: when the chip's erase-count spread exceeds the
     /// configured bound, recycle the coldest closed block — its cold data
     /// migrates to (hotter) free blocks and the least-worn block joins
-    /// the allocation pool, narrowing the spread from both ends.
+    /// the allocation pool, narrowing the spread from both ends. Like a
+    /// scrub, a data migration waits while the free pool is down to the
+    /// GC threshold; moving the checkpoint ring frees as much as it takes.
     fn wear_step(&mut self, chip: usize, mu: f64) -> Option<f64> {
         let cfg = self.maint.as_ref()?.config;
         if let Some(t) = self.ckpt_wear_step(chip) {
             return Some(t);
+        }
+        if self.pool_low(chip) {
+            return None;
         }
         let env = self.array.nand(chip).env();
         let wear = |b: u32| env.erase_count(b as usize);
@@ -350,8 +359,7 @@ impl Ftl {
         // A partial migration leaves the block as the coldest closed one,
         // so the next wear window resumes it automatically.
         let batch = cfg.scrub_batch_pages;
-        let (latency, outcome) = self.refresh_block(chip, coldest_block, mu, batch);
-        let moved = outcome.map_or(0, |(pages_moved, _)| pages_moved);
+        let (latency, moved, _) = self.refresh_block(chip, coldest_block, mu, batch);
         self.stats.wear_level_moves += moved;
         if latency > 0.0 {
             self.trace_maint(chip, "wear_level", moved);
@@ -393,44 +401,20 @@ impl Ftl {
     /// its age on erase). Bounding the batch keeps each maintenance
     /// dispatch short, so host requests never queue behind a whole-block
     /// migration; callers resume a partially migrated block on their
-    /// next idle window. Returns the NAND time spent and `(pages moved,
-    /// block released)`.
-    ///
-    /// When the free pool is at the GC threshold, this dispatch instead
-    /// spends its batch draining the chip's best reclaim victim (often
-    /// `block` itself — a half-drained block is the emptiest around), so
-    /// maintenance never issues the multi-block GC pass the host write
-    /// path is allowed. With no reclaimable garbage — or no free block
-    /// at all: migration itself consumes free WLs, and the batch could
-    /// strand the allocator — it gives up (`None`) and a later pass
-    /// retries once overwrites have created some.
+    /// next idle window. Returns the NAND time spent, the pages moved
+    /// and whether the block was released.
     fn refresh_block(
         &mut self,
         chip: usize,
         block: BlockId,
         mu: f64,
         batch: u32,
-    ) -> (f64, Option<(u64, bool)>) {
-        let mut target = block;
-        if self.pool_low(chip) {
-            if self.free[chip].is_empty() {
-                return (0.0, None);
-            }
-            let Some(victim) = self.gc_victim(chip) else {
-                return (0.0, None);
-            };
-            target = victim;
-        }
+    ) -> (f64, u64, bool) {
         let mut latency = 0.0;
         let limit = batch.max(1) as usize;
-        let outcome = self.migrate_block(chip, target, limit, mu, Origin::Maint, &mut latency);
-        if target != block {
-            self.stats.maint_gc_page_moves += outcome.0;
-            // `block` itself made no progress; report it unreleased so
-            // the caller parks on it and retries next window.
-            return (latency, Some((0, false)));
-        }
-        (latency, Some(outcome))
+        let (moved, released) =
+            self.migrate_block(chip, block, limit, mu, Origin::Maint, &mut latency);
+        (latency, moved, released)
     }
 }
 
@@ -531,6 +515,45 @@ mod tests {
         ftl.enable_maintenance(MaintConfig::default_on());
         assert!(ftl.maintenance_step(0, &ctx(0.0)).is_none());
         assert_eq!(ftl.stats().scrub_sample_reads, 0);
+    }
+
+    #[test]
+    fn a_parked_refresh_is_not_resumed_on_a_block_refilled_since() {
+        let cfg = FtlConfig::small();
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
+        write_all(&mut ftl, 0..300, cfg.chips, 0.5);
+        ftl.set_aging(AgingState::EndOfLife);
+        let mut maint = MaintConfig::default_on();
+        maint.scrub_batch_pages = 6;
+        ftl.enable_maintenance(maint);
+        // One scrub window parks mid-refresh on chip 0's first aged block.
+        assert!(ftl.scrub_step(0, 0.5).is_some());
+        let parked = BlockId(ftl.maint.as_ref().unwrap().scrub_cursor[0]);
+        assert!(ftl.is_closed(0, parked) && ftl.mapping.valid_in_block(0, parked.0) > 0);
+        // GC reclaims the parked block, and the allocator fills and
+        // closes it again with fresh (young) overwrites.
+        let mut latency = 0.0;
+        ftl.migrate_block(0, parked, usize::MAX, 0.5, Origin::Gc, &mut latency);
+        let mut lpn = 0;
+        for _ in 0..10_000 {
+            if ftl.is_closed(0, parked) {
+                break;
+            }
+            ftl.write_wl(0, [lpn, lpn + 1, lpn + 2], &ctx(0.5));
+            lpn = (lpn + 3) % 300;
+        }
+        let held = ftl.mapping.valid_in_block(0, parked.0);
+        assert!(
+            ftl.is_closed(0, parked) && held > 0,
+            "the block was never refilled"
+        );
+        // The next window examines it afresh: young data is not refreshed.
+        ftl.scrub_step(0, 0.5);
+        assert_eq!(
+            ftl.mapping.valid_in_block(0, parked.0),
+            held,
+            "the scrubber resumed a refresh of data it never sampled"
+        );
     }
 
     #[test]

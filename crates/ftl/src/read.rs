@@ -46,8 +46,10 @@ impl Ftl {
 
     /// Reads `page` of `chip`, which the caller knows to hold `lpn` (the
     /// host through the L2P, a migration through the victim's P2L). Host
-    /// and GC reads feed the host-visible read statistics; maintenance
+    /// and GC reads feed `nand_reads` / `read_retries`; maintenance
     /// migration reads are background work and must not distort them.
+    /// Each origin also has its own pair (`host_*`, `maint_*`; GC's is
+    /// the difference).
     pub(crate) fn read_at(
         &mut self,
         lpn: u64,
@@ -61,9 +63,21 @@ impl Ftl {
             Some(lpn),
             "mapping returned wrong data"
         );
+        let retries = u64::from(report.retries);
+        match origin {
+            Origin::Host => {
+                self.stats.host_nand_reads += 1;
+                self.stats.host_read_retries += retries;
+            }
+            Origin::Gc => {}
+            Origin::Maint => {
+                self.stats.maint_nand_reads += 1;
+                self.stats.maint_read_retries += retries;
+            }
+        }
         if origin != Origin::Maint {
             self.stats.nand_reads += 1;
-            self.stats.read_retries += u64::from(report.retries);
+            self.stats.read_retries += retries;
             self.stats.early_terminations += u64::from(report.early_terminated);
             match report.fault {
                 // Stale cached ΔV_Ref: the extra retry found a working

@@ -35,10 +35,6 @@ impl FreePool {
         self.queue.len()
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     pub(crate) fn contains(&self, block: BlockId) -> bool {
         self.is_free[block.0 as usize]
     }
@@ -103,9 +99,19 @@ pub(crate) fn wear_env<'a>(
 }
 
 impl Ftl {
-    /// Whether `chip`'s free pool is down to the GC threshold.
+    /// Whether `chip`'s free pool is down to the GC threshold, where
+    /// background GC units start.
     pub(crate) fn pool_low(&self, chip: usize) -> bool {
         self.free[chip].len() <= self.config.gc_free_block_threshold
+    }
+
+    /// Whether `chip`'s free pool is down to the foreground floor, one
+    /// block under the threshold (and at least one block), where a host
+    /// write collects a victim itself because the background units fell
+    /// behind.
+    pub(crate) fn pool_at_floor(&self, chip: usize) -> bool {
+        let floor = self.config.gc_free_block_threshold.saturating_sub(1).max(1);
+        self.free[chip].len() <= floor
     }
 
     /// Pops a free block on `chip` (the least worn under wear leveling).

@@ -29,15 +29,19 @@ pub struct WlWrite {
     pub leader: bool,
 }
 
-/// Result of asking the FTL to perform one unit of background
-/// maintenance (retention scrub, wear-level migration, OPM re-monitor)
-/// on an idle chip.
+/// Result of asking the FTL to perform one unit of background work
+/// (a garbage-collection unit, or a maintenance service: retention
+/// scrub, wear-level migration, OPM re-monitor) on an idle chip.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintWork {
     /// NAND time the chip is busy with the background operation, µs.
-    /// Maintenance data moves stay on-chip (copy-back style), so the
+    /// Background data moves stay on-chip (copy-back style), so the
     /// simulator charges no bus transfer for them.
     pub nand_us: f64,
+    /// Whether the unit collected garbage (counted in
+    /// [`ChipStats::gc_units`](crate::ChipStats)) rather than ran a
+    /// maintenance service (counted in `maint_ops`).
+    pub gc: bool,
 }
 
 /// Result of asking the FTL to read one logical page.
@@ -118,10 +122,6 @@ ftl_stats! {
     remonitored_layers,
     /// Valid pages migrated by the wear-leveling service.
     wear_level_moves,
-    /// Valid pages migrated by garbage collections that ran *inside*
-    /// maintenance (free-pool top-up before a scrub migration);
-    /// `gc_page_moves` then counts host-triggered GC only.
-    maint_gc_page_moves,
     /// ORT lookups answered by a cached per-h-layer `ΔV_Ref` entry.
     ort_hits,
     /// ORT lookups that found no cached entry (the read starts from the
@@ -149,6 +149,19 @@ ftl_stats! {
     /// Checkpoint-region block erases (the region is a ring: a block is
     /// recycled whenever cumulative checkpoint pages fill one).
     ckpt_erases,
+    /// The host's share of `nand_reads`: page reads for host requests
+    /// (a rebuild's survivor reads included) — the paper's NumRetry
+    /// denominator. GC's share is `nand_reads - host_nand_reads`.
+    host_nand_reads,
+    /// The host's share of `read_retries`.
+    host_read_retries,
+    /// Page reads of maintenance migrations (scrub and wear-level
+    /// refreshes, the PLP replay), counted in neither `nand_reads` nor
+    /// `host_nand_reads`; the scrubber's sample reads are
+    /// `scrub_sample_reads`.
+    maint_nand_reads,
+    /// Read retries of `maint_nand_reads`.
+    maint_read_retries,
 }
 
 impl FtlStats {
@@ -163,9 +176,9 @@ impl FtlStats {
     }
 
     /// NAND pages written by background maintenance (scrub and
-    /// wear-level migrations plus maintenance-triggered GC).
+    /// wear-level migrations).
     pub fn maint_page_moves(&self) -> u64 {
-        self.scrub_page_moves + self.wear_level_moves + self.maint_gc_page_moves
+        self.scrub_page_moves + self.wear_level_moves
     }
 
     /// Host-attributed write amplification: NAND pages programmed on
@@ -177,7 +190,7 @@ impl FtlStats {
     }
 
     /// Total write amplification: background maintenance (scrub and
-    /// wear-level migrations, maintenance-triggered GC) and
+    /// wear-level migrations) and
     /// checkpoint-region metadata programs on top of the
     /// host-attributed pages. `wa_total == wa_host` when maintenance
     /// and checkpointing are off.
@@ -239,12 +252,14 @@ pub trait FtlDriver {
         let _ = lpn;
     }
 
-    /// Performs one bounded unit of background maintenance on an idle
-    /// `chip` (scrub one block, migrate one cold block, re-monitor one
-    /// h-layer, …) and returns its NAND cost, or `None` when no
-    /// maintenance is due there. The simulator calls this only during
-    /// chip idle windows, subject to the configured host-priority gap.
-    /// Default: the FTL performs no background work.
+    /// The one background hook: performs one bounded unit of background
+    /// work on an idle `chip` — a garbage-collection unit while its free
+    /// pool is low, else a maintenance service unit (scrub one block,
+    /// migrate one cold block, re-monitor one h-layer, …) — and returns
+    /// its NAND cost, or `None` when nothing is due there. The simulator
+    /// offers idle chips while the host stream is live, after each chip's
+    /// host-priority gap (0 unless maintenance is armed). Default: the
+    /// FTL performs no background work.
     fn maintenance_step(&mut self, chip: usize, ctx: &HostContext) -> Option<MaintWork> {
         let _ = (chip, ctx);
         None
@@ -292,9 +307,10 @@ mod tests {
             "a field outside the `ftl_stats!` list escapes accumulate and register_metrics"
         );
         let keys: Vec<&str> = reg.entries().iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys.len(), 29);
+        assert_eq!(keys.len(), 32);
         assert_eq!(keys[0], "ftl.host_wl_programs");
-        assert_eq!(keys[28], "ftl.ckpt_erases");
+        assert_eq!(keys[27], "ftl.ckpt_erases");
+        assert_eq!(keys[31], "ftl.maint_read_retries");
         assert_eq!((sum.erases, sum.ckpt_erases, sum.gc_runs), (2, 4, 0));
     }
 

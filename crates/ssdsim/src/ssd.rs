@@ -144,6 +144,10 @@ pub struct ChipStats {
     pub maint_ops: u64,
     /// NAND time spent on background maintenance, µs.
     pub maint_us: f64,
+    /// Background garbage-collection units executed on this chip.
+    pub gc_units: u64,
+    /// NAND time spent on background garbage collection, µs.
+    pub gc_us: f64,
 }
 
 impl ChipStats {
@@ -290,6 +294,8 @@ impl SimReport {
             reg.gauge(&format!("{prefix}.chip{i}.busy_us"), c.busy_us);
             reg.counter(&format!("{prefix}.chip{i}.maint_ops"), c.maint_ops);
             reg.gauge(&format!("{prefix}.chip{i}.maint_us"), c.maint_us);
+            reg.counter(&format!("{prefix}.chip{i}.gc_units"), c.gc_units);
+            reg.gauge(&format!("{prefix}.chip{i}.gc_us"), c.gc_us);
         }
     }
 }
@@ -420,12 +426,13 @@ enum ChipOp {
 }
 
 /// The two feeders of the background scheduler. They differ in the
-/// bus transfer their ops charge: maintenance moves data on-chip (no
-/// page), a rebuild page crosses the device boundary — survivor
-/// fragment out, reconstructed page in — like a host read (one page).
+/// bus transfer their ops charge: the FTL's hook (GC units and
+/// maintenance) moves data on-chip (no page), a rebuild page crosses the
+/// device boundary — survivor fragment out, reconstructed page in —
+/// like a host read (one page).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Feeder {
-    Maint,
+    Hook,
     Rebuild,
 }
 
@@ -458,22 +465,40 @@ impl ChipState {
 /// The background scheduler's state. Two feeders share it, each with
 /// its own host-priority gap:
 ///
-/// * maintenance works per chip, and only while host requests are
-///   outstanding, so it never keeps the run alive. A chip's gap runs
-///   from the end of its last maintenance op, or from a poll that found
-///   nothing due (then at least 1 µs);
+/// * the FTL's hook (GC units, and maintenance once armed) works per
+///   chip, and only while the host stream is live — requests in flight,
+///   or arrivals still to come — so it never keeps the run alive. A
+///   chip's gap runs from the end of its last hook op; a chip whose
+///   poll found nothing due is offered again once it goes idle after an
+///   op, and its hook is asked only if a write or trim reached the FTL
+///   since its last answer: what the hook decides on moves with those,
+///   never with reads;
 /// * rebuild works in units of at most `batch_pages` ops, one unit at a
 ///   time, started while any chip is idle. Its gap (at least 1 µs) runs
 ///   from the completion of a unit's last op, and the liveness tick
 ///   keeps the run alive until its queue drains.
 #[derive(Debug, Clone, Default)]
 struct Background {
-    /// Maintenance's gap, µs (`None` = off: the FTL's hook is never
-    /// polled). The only part of this state that survives
+    /// The hook's gap after an op, µs: 0 until maintenance is armed.
+    /// The only part of this state that survives
     /// [`SsdSim::run_begin`].
-    maint_gap_us: Option<f64>,
-    /// Per chip, the earliest time maintenance may use it again.
-    maint_allowed_at: Vec<f64>,
+    hook_gap_us: f64,
+    /// Per chip, the earliest time the hook may use it again: infinite
+    /// while a hook op runs on it (its completion starts the gap) and
+    /// after a poll that found nothing due (until the chip goes idle
+    /// again after an op).
+    hook_allowed_at: Vec<f64>,
+    /// FTL calls of this run that can change what the hook decides
+    /// (free blocks, valid counts, erase counts, retention): flushes,
+    /// trims, rebuild writes and hook units. Reads change none of it.
+    ftl_writes: u64,
+    /// Per chip, `ftl_writes` at its last offer (`u64::MAX` before the
+    /// first): after an offer that found nothing due, the FTL gives the
+    /// same answer until the count moves, so the offer is skipped.
+    hook_parked_at: Vec<u64>,
+    /// The earliest of `hook_allowed_at`: a poll before it offers no
+    /// chip, so it skips the scan.
+    hook_next_at: f64,
     /// Rebuild pacing (`None` = off).
     rebuild: Option<RebuildSchedule>,
     /// Pending rebuild ops, dispatched front-to-back.
@@ -698,7 +723,8 @@ impl SsdSim {
             trace: Collector::disabled(),
             sampler: None,
             bg: Background {
-                maint_allowed_at: vec![0.0; config.chips],
+                hook_allowed_at: vec![0.0; config.chips],
+                hook_parked_at: vec![u64::MAX; config.chips],
                 ..Background::default()
             },
             flush_cursor: 0,
@@ -737,18 +763,21 @@ impl SsdSim {
         });
     }
 
-    /// Arms background maintenance for subsequent runs: while host
-    /// requests are outstanding the engine offers idle chips to the
-    /// FTL's [`FtlDriver::maintenance_step`] hook. Host traffic keeps
-    /// strict priority: a chip is only offered while its queue is empty,
-    /// and after each background operation (or an idle poll that found
-    /// nothing due) it stays reserved for host work for at least
-    /// `gap_us` — the starvation bound that keeps maintenance from
-    /// monopolizing a chip under sparse traffic. Like the telemetry
-    /// arming it carries over [`SsdSim::run_begin`]; without it the hook
-    /// is never polled.
+    /// Arms background maintenance for subsequent runs. The engine
+    /// always offers idle chips to the FTL's
+    /// [`FtlDriver::maintenance_step`] hook while the host stream is
+    /// live (that is how GC units run); arming sets the host-priority
+    /// gap after each hook op, 0 by default. Host traffic keeps strict
+    /// priority: a chip is only offered while its queue is empty, and
+    /// after each background operation it stays reserved for host work
+    /// for at least `gap_us` — the starvation bound that keeps
+    /// maintenance from monopolizing a chip under sparse traffic. A
+    /// chip whose poll found nothing due waits until it goes idle after
+    /// an op, and is asked again only if a write or trim reached the FTL
+    /// since. Like the telemetry arming it carries over
+    /// [`SsdSim::run_begin`].
     pub fn enable_maintenance(&mut self, gap_us: f64) {
-        self.bg.maint_gap_us = Some(gap_us);
+        self.bg.hook_gap_us = gap_us;
     }
 
     /// Drains the simulator-side trace events collected so far (host
@@ -1065,7 +1094,7 @@ impl SsdSim {
             let Some(fr) = host.pop(self.now) else { break };
             self.issue(fr.req, fr.token, ftl);
         }
-        self.try_background(ftl);
+        self.try_background(ftl, host);
     }
 
     /// Cuts the power now: freezes the device state at the current
@@ -1138,7 +1167,7 @@ impl SsdSim {
         self.sampler = armed
             .sampler
             .map(|s| SamplerState::new(s.interval_us, s.shard));
-        self.bg.maint_gap_us = armed.bg.maint_gap_us;
+        self.bg.hook_gap_us = armed.bg.hook_gap_us;
     }
 
     fn push_event(&mut self, t: f64, kind: EventKind) {
@@ -1202,6 +1231,7 @@ impl SsdSim {
                 for lpn in req.lpns() {
                     ftl.trim(lpn);
                 }
+                self.bg.ftl_writes += 1;
                 self.push_event(submit + T_BUFFER_US, EventKind::WriteAccepted { req: id });
             }
             HostOp::Read => {
@@ -1291,8 +1321,13 @@ impl SsdSim {
 
     fn enqueue_chip_op(&mut self, chip: usize, op: ChipOp) {
         assert!(chip < self.chips.len(), "FTL returned invalid chip {chip}");
-        if matches!(op, ChipOp::Flush { .. }) {
-            self.chips[chip].pending_flushes += 1;
+        match op {
+            ChipOp::Read { .. } => {}
+            ChipOp::Flush { .. } => {
+                self.chips[chip].pending_flushes += 1;
+                self.bg.ftl_writes += 1;
+            }
+            ChipOp::Background { .. } => self.bg.ftl_writes += 1,
         }
         self.chips[chip].queue.push_back(op);
         let depth = self.chips[chip].queue.len() + usize::from(self.chips[chip].busy);
@@ -1313,7 +1348,7 @@ impl SsdSim {
             ChipOp::Flush { lpns, .. } => lpns.iter().filter(|&&l| l != u64::MAX).count() as f64,
             ChipOp::Background { feeder, .. } => match feeder {
                 Feeder::Rebuild => 1.0,
-                Feeder::Maint => 0.0,
+                Feeder::Hook => 0.0,
             },
         };
         let nand_us = match &op {
@@ -1368,20 +1403,25 @@ impl SsdSim {
             ChipOp::Background { feeder, .. } => self.background_done(chip, feeder),
         }
         self.start_next_op(chip);
+        // A chip whose poll found nothing due is offered again once it
+        // goes idle after an op.
+        let bg = &mut self.bg;
+        if bg.hook_allowed_at[chip].is_infinite() && self.chips[chip].is_idle() {
+            bg.hook_allowed_at[chip] = self.now;
+            bg.hook_next_at = bg.hook_next_at.min(self.now);
+        }
         self.try_flush(ftl);
     }
 
-    /// The background scheduler's completion path: a maintenance op
-    /// starts its chip's gap, and the last op of a rebuild unit closes
-    /// the unit.
+    /// The background scheduler's completion path: a hook op starts its
+    /// chip's gap, and the last op of a rebuild unit closes the unit.
     fn background_done(&mut self, chip: usize, feeder: Feeder) {
         let bg = &mut self.bg;
         match feeder {
-            Feeder::Maint => {
-                // Only an armed scheduler dispatches maintenance.
-                if let Some(gap_us) = bg.maint_gap_us {
-                    bg.maint_allowed_at[chip] = self.now + gap_us;
-                }
+            Feeder::Hook => {
+                let at = self.now + bg.hook_gap_us;
+                bg.hook_allowed_at[chip] = at;
+                bg.hook_next_at = bg.hook_next_at.min(at);
             }
             Feeder::Rebuild => {
                 debug_assert!(bg.inflight > 0, "rebuild completion unaccounted");
@@ -1457,33 +1497,21 @@ impl SsdSim {
         }
     }
 
-    /// The background scheduler's dispatch pass, once per poll:
-    /// maintenance offers each idle chip past its gap (0..n) to the
-    /// FTL's hook, then rebuild dispatches its next unit once no unit is
-    /// open, its gap has passed and any chip is idle. A unit dispatches
-    /// whole, one FTL call per op, and every precondition is state-only,
-    /// so how often a slice boundary re-polls cannot change the FTL's
-    /// side effects. Progress counts ops at dispatch.
-    fn try_background<F: FtlDriver + ?Sized>(&mut self, ftl: &mut F) {
-        if let (Some(gap_us), true) = (self.bg.maint_gap_us, self.outstanding > 0) {
-            for chip in 0..self.chips.len() {
-                if !self.chips[chip].is_idle() || self.now < self.bg.maint_allowed_at[chip] {
-                    continue;
-                }
-                let ctx = self.ctx();
-                match ftl.maintenance_step(chip, &ctx) {
-                    Some(work) => {
-                        self.chips[chip].stats.maint_ops += 1;
-                        self.chips[chip].stats.maint_us += work.nand_us;
-                        let op = ChipOp::Background {
-                            feeder: Feeder::Maint,
-                            nand_us: work.nand_us,
-                        };
-                        self.enqueue_chip_op(chip, op);
-                    }
-                    None => self.bg.maint_allowed_at[chip] = self.now + gap_us.max(1.0),
-                }
-            }
+    /// The background scheduler's dispatch pass, once per poll: while
+    /// the host stream is live, the hook feeder offers each idle chip
+    /// past its gap (0..n) to the FTL, then rebuild dispatches its next
+    /// unit once no unit is open, its gap has passed and any chip is
+    /// idle. A unit dispatches whole, one FTL call per op, and every
+    /// precondition is state-only, so how often a slice boundary
+    /// re-polls cannot change the FTL's side effects. Progress counts
+    /// ops at dispatch.
+    fn try_background<F, H>(&mut self, ftl: &mut F, host: &H)
+    where
+        F: FtlDriver + ?Sized,
+        H: HostFront + ?Sized,
+    {
+        if self.now >= self.bg.hook_next_at {
+            self.offer_idle_chips(ftl, host);
         }
 
         let Some(sched) = self.bg.rebuild else {
@@ -1536,6 +1564,62 @@ impl SsdSim {
             // The whole unit was skips: nothing will complete on a chip.
             self.close_rebuild_unit();
         }
+    }
+
+    /// The hook feeder's pass: offers each idle chip past its gap to the
+    /// FTL's hook (0..n) while the host stream is live, and records the
+    /// earliest time a chip can be offered next.
+    fn offer_idle_chips<F, H>(&mut self, ftl: &mut F, host: &H)
+    where
+        F: FtlDriver + ?Sized,
+        H: HostFront + ?Sized,
+    {
+        // A closed loop has no arrivals, so its stream is live exactly
+        // while requests are in flight.
+        let live = self.outstanding > 0
+            || (self.issued < self.issue_limit && host.next_arrival_us().is_some());
+        if !live {
+            return;
+        }
+        let mut next_at = f64::INFINITY;
+        for chip in 0..self.chips.len() {
+            if self.now >= self.bg.hook_allowed_at[chip] && self.chips[chip].is_idle() {
+                // A unit runs until its completion starts the gap; with
+                // nothing due, only a write or trim can change that, so
+                // without one since its last answer the hook is not asked.
+                self.bg.hook_allowed_at[chip] = f64::INFINITY;
+                if self.bg.hook_parked_at[chip] != self.bg.ftl_writes {
+                    self.bg.hook_parked_at[chip] = self.bg.ftl_writes;
+                    self.offer(chip, ftl);
+                }
+            }
+            if self.bg.hook_allowed_at[chip] < next_at {
+                next_at = self.bg.hook_allowed_at[chip];
+            }
+        }
+        self.bg.hook_next_at = next_at;
+    }
+
+    /// Asks the FTL's hook for one unit on idle `chip` and dispatches
+    /// it, if any.
+    fn offer<F: FtlDriver + ?Sized>(&mut self, chip: usize, ftl: &mut F) {
+        let ctx = self.ctx();
+        let Some(work) = ftl.maintenance_step(chip, &ctx) else {
+            return;
+        };
+        let stats = &mut self.chips[chip].stats;
+        if work.gc {
+            stats.gc_units += 1;
+            stats.gc_us += work.nand_us;
+        } else {
+            stats.maint_ops += 1;
+            stats.maint_us += work.nand_us;
+        }
+        let op = ChipOp::Background {
+            feeder: Feeder::Hook,
+            nand_us: work.nand_us,
+        };
+        self.enqueue_chip_op(chip, op);
     }
 
     /// Emits a sample row for every interval threshold at or below `t`.
@@ -1627,6 +1711,8 @@ mod tests {
         /// Background-maintenance units this stub still wants to run
         /// (0 = never asks for maintenance).
         maint_budget: u64,
+        /// Calls of the background hook.
+        hook_polls: u64,
         /// A chip that accepts no flush.
         full_chip: Option<usize>,
         /// The chip of every flush, in order.
@@ -1643,6 +1729,7 @@ mod tests {
                 stats: FtlStats::default(),
                 utilizations: Vec::new(),
                 maint_budget: 0,
+                hook_polls: 0,
                 full_chip: None,
                 flush_chips: Vec::new(),
             }
@@ -1691,12 +1778,16 @@ mod tests {
             _chip: usize,
             _ctx: &HostContext,
         ) -> Option<crate::driver::MaintWork> {
+            self.hook_polls += 1;
             if self.maint_budget == 0 {
                 return None;
             }
             self.maint_budget -= 1;
             self.stats.scrub_blocks += 1;
-            Some(crate::driver::MaintWork { nand_us: 300.0 })
+            Some(crate::driver::MaintWork {
+                nand_us: 300.0,
+                gc: false,
+            })
         }
 
         fn stats(&self) -> FtlStats {
@@ -2144,14 +2235,40 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_disabled_never_dispatches() {
+    fn the_hook_runs_unarmed_with_no_gap() {
         let cfg = SsdConfig::small();
         let mut sim = SsdSim::new(cfg); // maintenance never armed
         let mut ftl = StubFtl::new(cfg.chips);
         ftl.maint_budget = 40;
-        let report = sim.run(&mut ftl, (0..200u64).map(HostRequest::write), 200);
-        assert_eq!(report.background_ops(), 0);
-        assert_eq!(ftl.maint_budget, 40, "hook must never be polled");
+        sim.prefill(&mut ftl, 0..512);
+        let reads = (0..2000u64).map(|i| HostRequest::read(i % 512));
+        let report = sim.run(&mut ftl, reads, 2000);
+        let ran = 40 - ftl.maint_budget;
+        assert!(ran > 0, "the hook is polled without arming");
+        assert_eq!(report.background_ops(), ran);
+    }
+
+    #[test]
+    fn a_chip_with_nothing_due_waits_for_a_write_or_trim() {
+        let cfg = SsdConfig::small();
+        // Reads change nothing the hook decides on: a chip's hook is
+        // asked at most once, finds nothing due and is never asked again.
+        let mut sim = SsdSim::new(cfg);
+        let mut ftl = StubFtl::new(cfg.chips);
+        sim.prefill(&mut ftl, 0..512);
+        let reads = (0..2000u64).map(|i| HostRequest::read(i % 512));
+        assert_eq!(sim.run(&mut ftl, reads, 2000).completed, 2000);
+        assert!(ftl.hook_polls <= cfg.chips as u64);
+        // After a write, a chip is asked again once it goes idle.
+        let mut sim = SsdSim::new(cfg);
+        let mut ftl = StubFtl::new(cfg.chips);
+        sim.prefill(&mut ftl, 0..512);
+        let mixed = (0..2000u64).map(|i| match i % 4 {
+            0 => HostRequest::write(i % 512),
+            _ => HostRequest::read(i % 512),
+        });
+        assert_eq!(sim.run(&mut ftl, mixed, 2000).completed, 2000);
+        assert!(ftl.hook_polls > cfg.chips as u64);
     }
 
     #[test]

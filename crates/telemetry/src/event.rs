@@ -194,13 +194,14 @@ event_kinds! {
         /// or the `--retry-opt` early-termination scan).
         early_term: bool,
     }
-    /// GC selected a victim block.
+    /// GC migrated valid WLs off a victim block: one event per
+    /// background unit and per foreground collection.
     GcVictim "gc_victim" GC {
         /// Chip index.
         chip: u32,
         /// Victim block id.
         block: u32,
-        /// Valid WLs migrated off the victim.
+        /// Valid WLs migrated off the victim by this step.
         moved_wls: u32,
         /// Whether the wear-aware selector was used.
         wear_aware: bool,

@@ -22,6 +22,13 @@
 //! so a sample of the forked cuts is compared with the [`SpoEvent`] an
 //! armed [`SpoTrigger::AtOps`] produces on a fresh copy of the same run.
 //!
+//! Garbage collection runs in bounded background units, so a victim can
+//! stand half-migrated at a cut: some of its valid pages already on
+//! fresh WLs, the rest still on it. The units window cuts there: the
+//! paper chip's 576-page blocks on the small platform, where a victim
+//! takes several units, and it must cut inside a victim (GC moved pages
+//! since the last victim release) at least once.
+//!
 //! The default window is `FtlConfig::small()` on `SsdConfig::small()`
 //! over 300 requests, checkpoints off and every 8 host WLs.
 //! `CUBEFTL_SPO_WINDOW=long` selects the paper chip at 16 blocks per
@@ -29,10 +36,11 @@
 //! every 8 and every 64 host WLs.
 
 use cubeftl::{
-    AgingState, FrontRequest, Ftl, FtlConfig, FtlKind, HostFront, HostRequest, OobStatus, SpoEvent,
-    SpoTrigger, SsdConfig, SsdSim, StandardWorkload, StepOutcome, WlOob,
+    AgingState, FrontRequest, Ftl, FtlConfig, FtlDriver, FtlKind, HostFront, HostRequest,
+    OobStatus, SpoEvent, SpoTrigger, SsdConfig, SsdSim, StandardWorkload, StepOutcome, WlOob,
 };
 use ftl::Ppn;
+use nand3d::Geometry;
 use std::collections::HashSet;
 
 /// The device and the stream one sweep cuts.
@@ -44,6 +52,24 @@ struct Window {
     ckpts: &'static [u64],
     /// Every `stride`-th cut is also compared with a real trigger.
     stride: u64,
+}
+
+/// The units window: `FtlConfig::small()` with the paper chip's
+/// 576-page blocks (twelve per chip) on `SsdConfig::small()` over 300
+/// requests, checkpoints off.
+fn units_window() -> Window {
+    let mut ftl = FtlConfig::small();
+    ftl.nand.geometry = Geometry {
+        blocks_per_chip: 12,
+        ..Geometry::paper()
+    };
+    Window {
+        ssd: SsdConfig::small(),
+        ftl,
+        requests: 300,
+        ckpts: &[0],
+        stride: 37,
+    }
 }
 
 fn window() -> Window {
@@ -201,12 +227,13 @@ fn triggered(start: &Device, stream: &[HostRequest], ops: u64) -> SpoEvent {
     d.sim.run_end(&d.ftl).1.expect("the trigger fires")
 }
 
-/// Cuts `kind`'s run at every completed-request boundary of the window,
-/// once per checkpoint cadence.
-fn sweep(kind: FtlKind) {
-    let w = window();
+/// Cuts `kind`'s run at every completed-request boundary of `w`, once
+/// per checkpoint cadence. Returns how many cuts landed inside a
+/// half-migrated GC victim.
+fn sweep(w: &Window, kind: FtlKind) -> u64 {
+    let mut inside_victims = 0;
     for &ckpt in w.ckpts {
-        let start = prepare(&w, kind, ckpt);
+        let start = prepare(w, kind, ckpt);
         let stream: Vec<HostRequest> = StandardWorkload::Oltp
             .build(start.ftl.logical_pages(), 42)
             .take(w.requests)
@@ -215,11 +242,18 @@ fn sweep(kind: FtlKind) {
         let mut host = Recorded::new(&stream);
         dev.sim.run_begin(stream.len() as u64, None);
         let (mut cuts, mut compared) = (0u64, 0u64);
+        // GC page moves at the last victim release.
+        let mut released = (0, 0);
         let mut failures = Vec::new();
         loop {
             let before = host.completed;
             let outcome = dev.sim.run_step(&mut dev.ftl, &mut host, 1);
+            let stats = dev.ftl.stats();
+            if stats.gc_runs != released.0 {
+                released = (stats.gc_runs, stats.gc_page_moves);
+            }
             if host.completed > before {
+                inside_victims += u64::from(stats.gc_page_moves > released.1);
                 let mut fork = dev.clone();
                 fork.sim.cut_power();
                 let event = fork.sim.run_end(&fork.ftl).1.expect("the cut is recorded");
@@ -259,24 +293,31 @@ fn sweep(kind: FtlKind) {
             );
         }
     }
+    inside_victims
 }
 
 #[test]
 fn page_ftl_recovers_at_every_cut() {
-    sweep(FtlKind::Page);
+    sweep(&window(), FtlKind::Page);
 }
 
 #[test]
 fn vert_ftl_recovers_at_every_cut() {
-    sweep(FtlKind::Vert);
+    sweep(&window(), FtlKind::Vert);
 }
 
 #[test]
 fn cube_minus_ftl_recovers_at_every_cut() {
-    sweep(FtlKind::CubeMinus);
+    sweep(&window(), FtlKind::CubeMinus);
 }
 
 #[test]
 fn cube_ftl_recovers_at_every_cut() {
-    sweep(FtlKind::Cube);
+    sweep(&window(), FtlKind::Cube);
+}
+
+#[test]
+fn cube_ftl_recovers_at_cuts_inside_gc_units() {
+    let inside = sweep(&units_window(), FtlKind::Cube);
+    assert!(inside > 0, "no cut landed inside a half-migrated GC victim");
 }
