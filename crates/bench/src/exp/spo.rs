@@ -1,12 +1,12 @@
 //! Sudden-power-off recovery cost and post-boot warm-up.
 //!
-//! Two experiments:
+//! Three experiments:
 //!
-//! 1. **Recovery-cost sweep** — the double-run SPO harness at one fixed
-//!    cut point across checkpoint cadences. Denser checkpoints shrink
-//!    the post-checkpoint OOB scan (the dominant boot cost) at the
-//!    price of periodic metadata programs; every row re-asserts the
-//!    zero-loss contract against the uninterrupted golden run.
+//! 1. **Recovery-cost sweep** — the SPO harness at one fixed cut point
+//!    across checkpoint cadences. Denser checkpoints shrink the
+//!    post-checkpoint OOB scan (the dominant boot cost) at the price of
+//!    periodic metadata programs; every row re-asserts the zero-loss
+//!    contract against the durable ledger at the cut.
 //!
 //! 2. **Cadence × cut-rate grid** — the cut point swept too: a seeded
 //!    per-request Bernoulli trigger at several rates against several

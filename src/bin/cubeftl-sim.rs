@@ -26,8 +26,11 @@
 //!
 //! Every flag writes the field of the one `harness::Scenario` it names,
 //! so the order flags come in does not matter; `Scenario::run` executes
-//! it once per `--ftl` kind, and the output mode it prints in follows
-//! from the scenario alone.
+//! it once per `--ftl` kind. The report is composed the same way: one
+//! banner per engaged spec, then per kind the main phase's row (or a
+//! campaign's epoch table) followed by a block for each feature the run
+//! produced — resilience, crash, QoS, KV. The binary exits non-zero
+//! exactly when an audit found host-acknowledged data lost.
 //!
 //! `--fault-rate` enables seeded fault injection (repeatable); CLASS is one
 //! of `ispp-outlier`, `ber-spike`, `stuck-retry`, `uncorrectable`, `abort`.
@@ -48,14 +51,16 @@
 //!
 //! `--spo-at N` arms a sudden power-off after N completed host requests
 //! (`--spo-at-us` cuts at a simulated time instead, `--spo-rate` draws a
-//! seeded per-request Bernoulli cut). The run then becomes the double-run
-//! crash experiment: an uninterrupted golden run, the cut, the power-cut
-//! physics (torn WL programs, interrupted erases), a boot-time recovery
-//! that rebuilds the L2P map from the last checkpoint plus an OOB scan
-//! (the OPM/ORT boot cold and re-monitor on first touch), and a resumed
-//! run over the workload remainder. `--ckpt-interval` sets the periodic
-//! L2P checkpoint cadence in host WL programs (default 64; 0 disables,
-//! forcing a full-array OOB rebuild); without a cut it is rejected.
+//! seeded per-request Bernoulli cut). The run then becomes the crash
+//! experiment, the same pipeline on one device as on an array: the cut,
+//! the power-cut physics (torn WL programs, interrupted erases), a
+//! boot-time recovery that rebuilds the L2P map from the last checkpoint
+//! plus an OOB scan (the OPM/ORT boot cold and re-monitor on first
+//! touch), an audit of every host-acknowledged page against the durable
+//! ledger at the cut, and a resumed run over the workload remainder.
+//! `--ckpt-interval` sets the periodic L2P checkpoint cadence in host WL
+//! programs (default 64; 0 disables, forcing a full-array OOB rebuild);
+//! without a cut it is rejected.
 //!
 //! `--shards N` (N > 1, at most `harness::MAX_SHARDS` = 256) runs a
 //! sharded multi-device array: host LPNs are
@@ -202,9 +207,9 @@
 //! counters, gauges and latency histograms) as NDJSON. The files
 //! require a single `--ftl` kind; beyond that they are what the flags
 //! say on every run. Whatever phases a run composes — the cut and the
-//! resumed run of an SPO experiment (its golden reference run stays
-//! untraced), the degraded phase after a shard failure, the epochs of a
-//! lifetime campaign — sit end to end on one timeline, with the barrier
+//! resumed run of an SPO experiment, the degraded phase after a shard
+//! failure, the epochs of a lifetime campaign — sit end to end on one
+//! timeline, with the barrier
 //! events (`spo`, `degraded`, `rebuild`, `aging`) in between; the
 //! series keeps counting `completed` across them, and the metrics name
 //! each phase (`ssd`/`array`, `degraded`, `resumed`, with `epoch{e}.`
@@ -233,13 +238,14 @@
 //! ```
 
 use cubeftl::harness::{
-    kv_ops_per_sec, ArrayEvalConfig, ArrayFailureConfig, CrashReport, EvalConfig, FailSpec, Phase,
-    RunOutput, Scenario, ScenarioError, SpoConfig, WorkloadSource, MAX_PROGRAM_ABORT_RATE,
+    kv_ops_per_sec, ArrayEvalConfig, ArrayFailureConfig, CrashReport, EvalConfig, FailSpec,
+    KvReport, Phase, RunOutput, Scenario, ScenarioError, SpoConfig, WorkloadSource,
+    MAX_PROGRAM_ABORT_RATE,
 };
 use cubeftl::{
     events_to_ndjson, AgingState, ArrayReport, EventMask, FaultKind, FaultPlan, FtlKind,
-    KvAppReport, LifetimeConfig, MaintConfig, OrtClusterConfig, QosReport, RecoveryReport,
-    RetryOptConfig, SpoTrigger, StandardWorkload, TenantMix, Trace, YcsbKind,
+    LifetimeConfig, MaintConfig, OrtClusterConfig, QosReport, RecoveryReport, ResilienceReport,
+    RetryOptConfig, SpoEvent, SpoTrigger, StandardWorkload, TenantMix, Trace, YcsbKind,
 };
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -699,7 +705,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         println!("qos trace {path}: {n} requests ({label}) as tenant 0");
     }
 
-    let print_run = print_banners(&sc);
+    print_banners(&sc);
     let mut lost = false;
     for kind in kinds {
         sc.kind = kind;
@@ -718,16 +724,12 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
                 .iter()
                 .map(|s| s.sim_time_us)
                 .fold(f64::INFINITY, f64::min);
-            let f = FailSpec::seeded(seed, shards.len(), makespan);
-            println!(
-                "seeded failure plan (seed {seed}): shard {} dies at {:.1} ms",
-                f.shard,
-                f.at_us / 1000.0
-            );
-            fc.fail = Some(f);
+            // The resilience block's failure line reports the plan.
+            fc.fail = Some(FailSpec::seeded(seed, shards.len(), makespan));
         }
         let r = sc.run()?;
-        lost |= print_run(&sc, &r);
+        print_run(&sc, &r);
+        lost |= host_data_lost(&r);
         if let (Some(path), Some(c)) = (&out.capture, &r.captured) {
             std::fs::write(path, c.to_msr_csv(PAGE_BYTES))
                 .map_err(|e| Stop::Message(format!("cannot write {path}: {e}")))?;
@@ -735,102 +737,20 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         }
         write_telemetry(&out, &sc, &r).map_err(Stop::Message)?;
     }
-    Ok(if lost {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    })
+    Ok(ExitCode::from(u8::from(lost)))
 }
 
-/// How one run prints; returns whether any host-acknowledged data was
-/// lost.
-type PrintRun = fn(&Scenario, &RunOutput) -> bool;
-
-/// The instant of a cut armed at a virtual time, µs (the only cut an
-/// array takes).
-fn cut_at_us(sc: &Scenario) -> Option<f64> {
-    match sc.spo?.trigger {
-        SpoTrigger::AtTimeUs(t) => Some(t),
-        _ => None,
-    }
+/// Whether the run lost host-acknowledged data: a page the crash audit
+/// found unmapped after recovery, or one the resilience audit could not
+/// rebuild. The binary exits non-zero exactly then.
+fn host_data_lost(r: &RunOutput) -> bool {
+    r.crash.as_ref().is_some_and(|c| !c.lost_lpns.is_empty())
+        || r.failure.as_ref().is_some_and(|f| !f.zero_loss())
 }
 
-/// "checkpoint every N host WLs", with 0 spelled out.
-fn ckpt_cadence(spo: &SpoConfig) -> String {
-    match spo.ckpt_interval_host_wls {
-        0 => "∞ (disabled)".to_owned(),
-        n => n.to_string(),
-    }
-}
-
-/// Announces the scenario's output mode, once before the per-FTL
-/// output, and returns how each run prints in it. The one place the
-/// modes' precedence is spelled: a lifetime campaign, then array
-/// resilience, then a power cut on an array or on one device.
-fn print_banners(sc: &Scenario) -> PrintRun {
-    match (&sc.lifetime, &sc.failure, &sc.spo, sc.array) {
-        (Some(life), ..) => {
-            println!(
-                "lifetime campaign: {} epochs × {} requests, +{} P/E and +{} months per step \
-                 (exp {}), variation {}, pattern wear {}, seed {}",
-                life.epochs.max(1),
-                sc.cfg.requests,
-                life.pe_per_epoch,
-                life.months_per_epoch,
-                life.early_retention_exp,
-                life.variation_strength,
-                if life.pattern_wear { "on" } else { "off" },
-                life.seed,
-            );
-            if let WorkloadSource::Phases(phases) = &sc.workload {
-                if phases.len() > 1 {
-                    let names: Vec<&str> = phases.iter().map(|p| p.label()).collect();
-                    println!("phases (cycled per epoch): {}", names.join(", "));
-                }
-            }
-            println!();
-            print_lifetime
-        }
-        (None, Some(fc), ..) => {
-            println!(
-                "array resilience: parity {}, {} spare shard(s), rebuild batch {} pages / gap {:.0} µs{}\n",
-                if fc.parity { "on" } else { "off" },
-                u8::from(fc.spare),
-                fc.rebuild.batch_pages,
-                fc.rebuild.gap_us,
-                cut_at_us(sc)
-                    .map(|t| format!(", SPO cut at {:.1} ms into the degraded phase", t / 1000.0))
-                    .unwrap_or_default(),
-            );
-            print_failure
-        }
-        (None, None, Some(spo), Some(_)) => {
-            println!(
-                "array-wide sudden power-off armed: every shard cut at {:.1} ms, \
-                 checkpoint every {} host WLs\n",
-                cut_at_us(sc).unwrap_or(0.0) / 1000.0,
-                ckpt_cadence(spo)
-            );
-            print_array_spo
-        }
-        (None, None, Some(spo), None) => {
-            println!(
-                "sudden power-off armed: {:?}, checkpoint every {} host WLs\n",
-                spo.trigger,
-                ckpt_cadence(spo)
-            );
-            print_spo
-        }
-        (None, None, None, _) => {
-            print_table_banner(sc);
-            print_table_run
-        }
-    }
-}
-
-/// The table mode's banners (array, QoS front, KV engine) and the
-/// table header.
-fn print_table_banner(sc: &Scenario) {
+/// One banner per engaged spec, once before the per-FTL output, then
+/// the table header (a campaign's epoch table prints its own).
+fn print_banners(sc: &Scenario) {
     if let Some(arr) = sc.array {
         println!(
             "array: {} shards, stripe {} pages, {} worker threads\n",
@@ -866,68 +786,129 @@ fn print_table_banner(sc: &Scenario) {
             );
         }
     }
-    // The columns of `print_row`.
-    println!(
-        "FTL              IOPS  p50 rd (ms)  p99 rd (ms)  p90 wr (ms)   GC runs   retries  WA(h)  WA(t)"
-    );
-}
-
-/// One table row and the lines under it. A device prints as its
-/// one-shard merge: field for field the device report.
-fn print_table_run(sc: &Scenario, r: &RunOutput) -> bool {
-    let m = r.merged();
-    print_row(m);
-    if sc.array.is_some() {
-        let per_shard: Vec<String> = m.per_shard_iops.iter().map(|i| format!("{i:.0}")).collect();
-        detail!(
-            "shards: [{}] IOPS, makespan {:.1} ms, {} requests total",
-            per_shard.join(", "),
-            m.sim_time_us / 1000.0,
-            m.completed,
+    if let Some(life) = &sc.lifetime {
+        println!(
+            "lifetime campaign: {} epochs × {} requests, +{} P/E and +{} months per step \
+             (exp {}), variation {}, pattern wear {}, seed {}",
+            life.epochs.max(1),
+            sc.cfg.requests,
+            life.pe_per_epoch,
+            life.months_per_epoch,
+            life.early_retention_exp,
+            life.variation_strength,
+            if life.pattern_wear { "on" } else { "off" },
+            life.seed,
+        );
+        if let WorkloadSource::Phases(phases) = &sc.workload {
+            if phases.len() > 1 {
+                let names: Vec<&str> = phases.iter().map(|p| p.label()).collect();
+                println!("phases (cycled per epoch): {}", names.join(", "));
+            }
+        }
+        println!();
+    }
+    if let Some(fc) = &sc.failure {
+        println!(
+            "array resilience: parity {}, {} spare shard(s), rebuild batch {} pages / gap {:.0} µs\n",
+            if fc.parity { "on" } else { "off" },
+            u8::from(fc.spare),
+            fc.rebuild.batch_pages,
+            fc.rebuild.gap_us,
         );
     }
-    print_detail_lines(m, sc.cfg.maint.is_some(), sc.cfg.faults.is_some());
+    if let Some(spo) = &sc.spo {
+        let scope = match (sc.array, sc.failure) {
+            (None, _) => "",
+            (Some(_), None) => " on every shard at once",
+            (Some(_), Some(_)) => " on every shard, timed from the degraded phase",
+        };
+        let cadence = match spo.ckpt_interval_host_wls {
+            0 => "∞ (disabled)".to_owned(),
+            n => n.to_string(),
+        };
+        println!(
+            "sudden power-off armed: {:?}{scope}, checkpoint every {cadence} host WLs\n",
+            spo.trigger
+        );
+    }
+    if sc.lifetime.is_none() {
+        // The columns of `print_row`.
+        println!(
+            "FTL              IOPS  p50 rd (ms)  p99 rd (ms)  p90 wr (ms)   GC runs   retries  WA(h)  WA(t)"
+        );
+    }
+}
+
+/// One kind's report, its blocks in the order of the banners: the
+/// epoch table of a campaign or the main phase's row and the lines
+/// under it (a device prints as its one-shard merge: field for field
+/// the device report), then the resilience, crash, QoS and KV blocks
+/// the run produced. A multi-line block ends the kind with a blank line.
+fn print_run(sc: &Scenario, r: &RunOutput) {
+    let m = r.merged();
+    if sc.lifetime.is_some() {
+        print_epochs(sc, r);
+    } else {
+        print_row(m);
+        if sc.array.is_some() {
+            let per_shard: Vec<String> =
+                m.per_shard_iops.iter().map(|i| format!("{i:.0}")).collect();
+            detail!(
+                "shards: [{}] IOPS, makespan {:.1} ms, {} requests total",
+                per_shard.join(", "),
+                m.sim_time_us / 1000.0,
+                m.completed,
+            );
+        }
+        print_detail_lines(m, sc.cfg.maint.is_some(), sc.cfg.faults.is_some());
+    }
+    if let Some(f) = &r.failure {
+        print_resilience(f, r);
+    }
+    if let Some(crash) = &r.crash {
+        print_crash(crash, r);
+    }
     if let Some(qos) = &r.qos {
         print_qos_summary(qos);
     }
     if let Some(kv) = &r.kv {
-        match kv.unit {
-            Some(unit) => print_kv_engines_summary(&kv.apps, unit, m.sim_time_us),
-            None => print_kv_summary(&kv.apps[0], m.sim_time_us),
-        }
+        print_kv(kv, r.kv_time_us());
     }
-    false
+    if sc.lifetime.is_some() || r.crash.is_some() || r.failure.is_some() {
+        println!();
+    }
 }
 
-/// The app-level KV outcome lines under a report row.
-fn print_kv_summary(app: &KvAppReport, sim_time_us: f64) {
-    let s = &app.stats;
-    detail!(
-        "kv: {} ({} keys): {} ops ({} rd / {} upd / {} ins / {} rmw) at {:.0} ops/s",
-        app.kind.label(),
-        app.keys,
-        s.ops,
-        s.reads,
-        s.updates,
-        s.inserts,
-        s.rmws,
-        kv_ops_per_sec(s.ops, sim_time_us),
-    );
-    detail!(
-        "kv: app-WA {:.2}, rd p99 {} pages, upd p99 {} pages, \
-         {} flushes, {} compactions, debt {} pages",
-        app.app_wa(),
-        app.read_p99_pages,
-        app.update_p99_pages,
-        s.flushes,
-        s.compactions,
-        app.compaction_debt_pages,
-    );
-}
-
-/// The KV outcome of a run with one engine per `unit`: the aggregate
+/// The app-level KV outcome lines under a report row: the one engine's
+/// results, or with one engine per [`KvReport::unit`] the aggregate
 /// plus each engine's app-WA.
-fn print_kv_engines_summary(apps: &[KvAppReport], unit: &str, sim_time_us: f64) {
+fn print_kv(kv: &KvReport, sim_time_us: f64) {
+    let Some(unit) = kv.unit else {
+        let (app, s) = (&kv.apps[0], &kv.apps[0].stats);
+        detail!(
+            "kv: {} ({} keys): {} ops ({} rd / {} upd / {} ins / {} rmw) at {:.0} ops/s",
+            app.kind.label(),
+            app.keys,
+            s.ops,
+            s.reads,
+            s.updates,
+            s.inserts,
+            s.rmws,
+            kv_ops_per_sec(s.ops, sim_time_us),
+        );
+        detail!(
+            "kv: app-WA {:.2}, rd p99 {} pages, upd p99 {} pages, \
+             {} flushes, {} compactions, debt {} pages",
+            app.app_wa(),
+            app.read_p99_pages,
+            app.update_p99_pages,
+            s.flushes,
+            s.compactions,
+            app.compaction_debt_pages,
+        );
+        return;
+    };
+    let apps = &kv.apps;
     let ops: u64 = apps.iter().map(|a| a.stats.ops).sum();
     let was: Vec<String> = apps.iter().map(|a| format!("{:.2}", a.app_wa())).collect();
     detail!(
@@ -1123,7 +1104,7 @@ fn print_qos_summary(qos: &QosReport) {
 /// write amplification), keyed by the cumulative nominal age behind the
 /// epoch — and, for a single device, the verdict line: retry and WA
 /// drift from the fresh epoch to end-of-life.
-fn print_lifetime(sc: &Scenario, r: &RunOutput) -> bool {
+fn print_epochs(sc: &Scenario, r: &RunOutput) {
     let life = sc.lifetime.as_ref().expect("a campaign prints its epochs");
     println!("FTL        epoch     +P/E  +months       IOPS   retries  retry/read   GC runs  WA(h)  WA(t)");
     let summaries = &r.aging.as_ref().expect("campaign ran").summaries;
@@ -1160,59 +1141,25 @@ fn print_lifetime(sc: &Scenario, r: &RunOutput) -> bool {
             eol.merged.iops,
         );
     }
-    println!();
-    false
 }
 
-/// What crash recovery did across an array: torn WLs quarantined,
-/// h-layers demoted and OOB records replayed, summed over the shards
-/// the cut hit.
-fn recovery_totals(crash: &CrashReport) -> (u64, u64, u64) {
-    let sum =
-        |field: fn(&RecoveryReport) -> u64| crash.recoveries.iter().flatten().map(field).sum();
-    (
-        sum(|rec| rec.torn_wls_quarantined),
-        sum(|rec| rec.layers_demoted),
-        sum(|rec| rec.oob_records_replayed),
-    )
-}
-
-/// The resumed phase of an array run after a cut, if one ran.
-fn print_array_resumed(r: &RunOutput) -> bool {
-    let Some(res) = r.phase(Phase::Resumed) else {
-        return false;
-    };
-    println!(
-        "  resumed  {} remaining requests at {:.0} aggregate IOPS",
-        res.merged.completed, res.merged.iops,
-    );
-    true
-}
-
-/// The array resilience experiment: rotating parity, an optional
-/// whole-shard failure (explicit `--fail-shard` or a seeded plan),
-/// degraded reads on the survivors, and a deterministic background
-/// rebuild onto the spare — optionally composed with an array-wide SPO
-/// cut mid-rebuild. Returns whether the audit found any
-/// host-acknowledged loss.
-fn print_failure(sc: &Scenario, r: &RunOutput) -> bool {
-    let fc = sc.failure.as_ref().expect("failure mode");
-    let f = r.failure.as_ref().expect("failure mode reports resilience");
+/// The resilience block: the failure, the degraded phase, the rebuild
+/// onto the spare and the audit of the dead shard's acknowledged pages.
+fn print_resilience(f: &ResilienceReport, r: &RunOutput) {
     let healthy = r.merged();
-    println!("{}:", healthy.ftl_name);
-    match (&fc.fail, f.failed_shard) {
-        (Some(fail), Some(s)) => {
+    match f.failed_shard {
+        Some(s) => {
             println!(
                 "  failure  shard {s} died at {:.1} ms; {} requests completed before, \
                  {} durable data pages on the dead shard ({} array-acked, {} unprotected)",
-                fail.at_us / 1000.0,
+                f.fail_at_us / 1000.0,
                 healthy.completed,
                 f.durable_data_pages,
                 f.acked_pages,
                 f.unprotected_pages(),
             );
         }
-        _ => {
+        None => {
             println!(
                 "  failure  none injected; healthy run: {} requests at {:.0} aggregate IOPS",
                 healthy.completed, healthy.iops,
@@ -1239,142 +1186,88 @@ fn print_failure(sc: &Scenario, r: &RunOutput) -> bool {
             f.rebuild_reads,
         );
     }
-    let crash = r.crash.as_ref();
-    if let (Some(cut), Some(crash)) = (cut_at_us(sc), crash) {
-        let (torn, _, replayed) = recovery_totals(crash);
+    if f.zero_loss() {
         println!(
-            "  spo      composed cut at {:.1} ms hit {} shard(s): \
-             {torn} torn WLs quarantined, {replayed} OOB records replayed",
-            cut / 1000.0,
-            crash.shards_cut(),
-        );
-        print_array_resumed(r);
-    }
-    let spo_lost = crash.map_or(0, |c| c.lost_lpns.len());
-    if f.zero_loss() && spo_lost == 0 {
-        println!(
-            "  audit    zero host-acknowledged loss: {}/{} acked pages rebuilt and mapped\n",
+            "  audit    zero host-acknowledged loss: {}/{} acked pages rebuilt and mapped",
             f.rebuilt_mapped_pages, f.acked_pages,
         );
-        return false;
-    }
-    println!(
-        "  audit    LOST {} host-acknowledged pages, {} SPO-lost LPNs{}\n",
-        f.lost_pages,
-        spo_lost,
-        if fc.parity {
-            ""
-        } else {
-            " — parity off, the dead shard is unrecoverable"
-        },
-    );
-    true
-}
-
-/// The array-wide crash experiment: every shard cut at the same virtual
-/// instant, recovered independently, merged in shard order. Returns
-/// whether any shard lost host-acknowledged data.
-fn print_array_spo(sc: &Scenario, r: &RunOutput) -> bool {
-    let (crash, m) = (r.crash.as_ref().expect("a cut was armed"), r.merged());
-    println!("{}:", m.ftl_name);
-    println!(
-        "  cut      {}/{} shards hit at {:.1} ms; {} requests completed before the cut, \
-         {} checkpoints taken",
-        crash.shards_cut(),
-        m.shards,
-        cut_at_us(sc).unwrap_or(0.0) / 1000.0,
-        m.completed,
-        crash.checkpoints_taken,
-    );
-    let (torn, demoted, replayed) = recovery_totals(crash);
-    println!(
-        "  recovery {torn} torn WLs quarantined, {demoted} h-layers demoted, \
-         {replayed} OOB records replayed across the array",
-    );
-    if !print_array_resumed(r) {
-        println!("  resumed  nothing left to replay");
-    }
-    if crash.lost_lpns.is_empty() {
-        println!("  audit    zero host-acknowledged data loss on any shard\n");
-        return false;
-    }
-    println!(
-        "  audit    LOST {} host-acknowledged (shard, LPN) pairs: {:?}\n",
-        crash.lost_lpns.len(),
-        &crash.lost_lpns[..crash.lost_lpns.len().min(16)]
-    );
-    true
-}
-
-/// The double-run crash experiment: golden run, cut, recovery, resume.
-/// Returns whether any host-acknowledged write was lost.
-fn print_spo(_: &Scenario, r: &RunOutput) -> bool {
-    let crash = r.crash.as_ref().expect("a cut was armed");
-    let golden = &r.phase(Phase::Golden).expect("golden phase ran").shards[0];
-    let pre_cut = r.sim();
-    println!("{}:", golden.ftl_name);
-    let (Some(event), Some(rec)) = (&crash.events[0], &crash.recoveries[0]) else {
+    } else {
         println!(
-            "  trigger never fired ({} requests completed in {:.1} ms); \
-             run matches the golden run\n",
-            pre_cut.completed,
-            pre_cut.sim_time_us / 1000.0
+            "  audit    LOST {} host-acknowledged pages{}",
+            f.lost_pages,
+            if f.parity {
+                ""
+            } else {
+                " — parity off, the dead shard is unrecoverable"
+            },
         );
-        return false;
+    }
+}
+
+/// The crash block: the cut, boot-time recovery, the resumed remainder
+/// and the zero-loss audit, summed over the shards the cut hit (a
+/// device is a one-shard array). Recovery takes as long as its slowest
+/// shard: the shards boot side by side.
+fn print_crash(crash: &CrashReport, r: &RunOutput) {
+    // A shard has a recovery exactly where it has a cut.
+    let recoveries = crash.recoveries.iter().flatten();
+    let hit: Vec<_> = crash.events.iter().flatten().zip(recoveries).collect();
+    if hit.is_empty() {
+        println!("  cut      the trigger never fired");
+        return;
+    }
+    let sum = |f: fn(&SpoEvent, &RecoveryReport) -> u64| -> u64 {
+        hit.iter().map(|&(e, rec)| f(e, rec)).sum()
+    };
+    let latest = |f: fn(&SpoEvent, &RecoveryReport) -> f64| {
+        hit.iter().map(|&(e, rec)| f(e, rec)).fold(0.0, f64::max)
     };
     println!(
-        "  cut      at {:.1} ms: {} issued, {} acked ({} acked writes, {} in PLP buffer), \
-         {} checkpoints taken",
-        event.at_us / 1000.0,
-        event.issued,
-        event.completed,
-        event.acked_write_pages,
-        event.buffered_lpns.len(),
+        "  cut      {}/{} shards at {:.1} ms: {} issued, {} acked ({} acked writes, \
+         {} in PLP buffer), {} checkpoints taken",
+        hit.len(),
+        crash.events.len(),
+        latest(|e, _| e.at_us) / 1000.0,
+        sum(|e, _| e.issued),
+        sum(|e, _| e.completed),
+        sum(|e, _| e.acked_write_pages),
+        sum(|e, _| e.buffered_lpns.len() as u64),
         crash.checkpoints_taken,
     );
     println!(
-        "  recovery in {:.3} ms: checkpoint {}, {}/{} blocks scanned ({} probed), \
-         {} OOB records replayed",
-        rec.nand_us / 1000.0,
-        if rec.checkpoint_loaded {
-            format!(
-                "seq {} loaded ({} entries)",
-                rec.checkpoint_seq, rec.ckpt_entries_restored
-            )
-        } else {
-            "none".to_owned()
-        },
-        rec.blocks_scanned,
+        "  recovery in {:.3} ms: {} checkpoint(s) loaded ({} entries), {}/{} blocks scanned \
+         ({} probed), {} OOB records replayed",
+        latest(|_, rec| rec.nand_us) / 1000.0,
+        sum(|_, rec| u64::from(rec.checkpoint_loaded)),
+        sum(|_, rec| rec.ckpt_entries_restored),
+        sum(|_, rec| rec.blocks_scanned),
         crash.total_blocks,
-        rec.blocks_probed,
-        rec.oob_records_replayed,
+        sum(|_, rec| rec.blocks_probed),
+        sum(|_, rec| rec.oob_records_replayed),
     );
     println!(
         "  physics  {} torn WLs quarantined, {} h-layers demoted, \
          {} interrupted erases redone, {} PLP pages replayed",
-        rec.torn_wls_quarantined,
-        rec.layers_demoted,
-        rec.interrupted_erases_redone,
-        rec.plp_pages_replayed,
+        sum(|_, rec| rec.torn_wls_quarantined),
+        sum(|_, rec| rec.layers_demoted),
+        sum(|_, rec| rec.interrupted_erases_redone),
+        sum(|_, rec| rec.plp_pages_replayed),
     );
-    if let Some(res) = r.phase(Phase::Resumed) {
-        println!(
-            "  resumed  {} remaining requests at {:.0} IOPS \
-             (golden full run: {:.0} IOPS)",
-            res.shards[0].completed, res.shards[0].iops, golden.iops,
-        );
-    } else {
-        println!("  resumed  nothing left to replay (cut after the last request)");
+    match r.phase(Phase::Resumed) {
+        Some(res) => println!(
+            "  resumed  {} remaining requests at {:.0} IOPS",
+            res.merged.completed, res.merged.iops,
+        ),
+        None => println!("  resumed  nothing left to replay"),
     }
     if crash.lost_lpns.is_empty() {
-        println!("  audit    zero host-acknowledged data loss\n");
-        return false;
+        println!("  audit    zero host-acknowledged data loss");
+    } else {
+        let lost = &crash.lost_lpns;
+        println!(
+            "  audit    LOST {} host-acknowledged (shard, LPN) pairs: {:?}",
+            lost.len(),
+            &lost[..lost.len().min(16)]
+        );
     }
-    let lost: Vec<u64> = crash.lost_lpns.iter().map(|&(_, l)| l).collect();
-    println!(
-        "  audit    LOST {} host-acknowledged LPNs: {:?}\n",
-        lost.len(),
-        &lost[..lost.len().min(16)]
-    );
-    true
 }

@@ -26,8 +26,8 @@
 //! of *phases* separated by *barriers*:
 //!
 //! ```text
-//! [golden]  per epoch: [age] → main → [fail: redirect + rebuild plan → degraded]
-//!                                   → [cut: crash recovery → resumed]
+//! per epoch: [age] → main → [fail: redirect + rebuild plan → degraded]
+//!                          → [cut: crash recovery → resumed]
 //! drain telemetry / QoS / KV reports in shard order
 //! ```
 //!
@@ -35,8 +35,7 @@
 //! series onto the run's one timeline (each phase clock restarts at
 //! zero; the gather moves the phase to where it started), so telemetry
 //! is a spec like any other: whatever phases a scenario composes, they
-//! all export through [`TelemetryOutput`]. Only the golden phase — the
-//! untraced reference of the crash experiment — stays off it.
+//! all export through [`TelemetryOutput`].
 //!
 //! A phase hands each shard and its host (request stream or QoS front —
 //! the engine does not care which) to the worker pool and collects the
@@ -213,9 +212,9 @@ pub struct TelemetryOutput {
 /// A sudden power-off on top of a scenario: when the power dies and how
 /// often the FTL checkpoints its map before that.
 ///
-/// On a single device the run becomes the double-run crash experiment
-/// (an uninterrupted golden phase first); on an array the trigger must
-/// be [`SpoTrigger::AtTimeUs`] — the cut hits **every shard at the same
+/// A device runs the array's crash pipeline over its one shard: cut,
+/// recovery, resume. On an array the trigger must be
+/// [`SpoTrigger::AtTimeUs`] — the cut hits **every shard at the same
 /// virtual instant**, and each shard runs its own crash recovery. With
 /// a shard failure injected, the instant counts from the start of the
 /// degraded phase.
@@ -796,9 +795,6 @@ pub struct Scenario {
 /// Which step of the pipeline a [`PhaseReport`] covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// The uninterrupted reference run of a single-device power-cut
-    /// experiment (same seed, stream and checkpoint cadence, no cut).
-    Golden,
     /// The first measured phase of an epoch: the whole run, or the part
     /// up to the power cut or the shard failure.
     Main,
@@ -933,30 +929,22 @@ impl RunOutput {
     /// `--metrics-out` writes. One rule names the phases: a main phase
     /// registers under `ssd` (a device) or `array`, a degraded one
     /// under `degraded`, a resumed one under `resumed`, each with
-    /// `epoch{e}.` in front inside a lifetime campaign; the golden
-    /// reference never registers. Beside them: the KV engines (`kv.*`,
-    /// counted per [`KvReport::unit`]), the QoS front and the
-    /// resilience counters.
+    /// `epoch{e}.` in front inside a lifetime campaign. Beside them: the
+    /// KV engines (`kv.*`, counted per [`KvReport::unit`]), the QoS
+    /// front and the resilience counters.
     pub fn metrics(&self, sc: &Scenario) -> MetricRegistry {
         let mut reg = MetricRegistry::new();
         let mut epochs = 0;
-        // The engines ran from the last main phase on (a campaign
-        // builds fresh ones per epoch).
-        let mut engine_time_us = 0.0;
         for p in &self.phases {
             // One device's main phase registers its `SimReport`.
             let device = p.phase == Phase::Main && sc.array.is_none();
             let name = match p.phase {
-                Phase::Golden => continue,
                 Phase::Main if device => "ssd",
                 Phase::Main => "array",
                 Phase::Degraded => "degraded",
                 Phase::Resumed => "resumed",
             };
-            if p.phase == Phase::Main {
-                (epochs, engine_time_us) = (epochs + 1, 0.0);
-            }
-            engine_time_us += p.merged.sim_time_us;
+            epochs += usize::from(p.phase == Phase::Main);
             let name = match sc.lifetime {
                 Some(_) => format!("epoch{}.{name}", epochs - 1),
                 None => name.to_owned(),
@@ -970,7 +958,7 @@ impl RunOutput {
         if let Some(kv) = &self.kv {
             for (i, app) in kv.apps.iter().enumerate() {
                 let prefix = kv.unit.map_or("kv.".to_owned(), |u| format!("kv.{u}{i}."));
-                register_kv_metrics(&mut reg, &prefix, app, engine_time_us);
+                register_kv_metrics(&mut reg, &prefix, app, self.kv_time_us());
             }
         }
         if let Some(qos) = &self.qos {
@@ -980,6 +968,14 @@ impl RunOutput {
             f.register_metrics(&mut reg, "array");
         }
         reg
+    }
+
+    /// Virtual time the KV engines ran: every phase from the last main
+    /// phase on (a campaign builds fresh engines per epoch).
+    pub fn kv_time_us(&self) -> f64 {
+        let last = self.phases.iter().rposition(|p| p.phase == Phase::Main);
+        let from_last = &self.phases[last.unwrap_or(0)..];
+        from_last.iter().fold(0.0, |t, p| t + p.merged.sim_time_us)
     }
 
     /// Read retries per completed read of epoch `e` — a campaign's
@@ -1357,17 +1353,7 @@ impl Scenario {
             aging: self.lifetime.map(|_| AgingReport::default()),
             ..RunOutput::default()
         };
-        if self.spo.is_some() && self.array.is_none() {
-            // The double-run crash experiment: an identically prepared
-            // device runs the same stream uninterrupted first — the
-            // untraced reference, not part of the run's timeline.
-            let mut devs = self.prepare(TelemetrySpec::off());
-            let mut load = self.load(&devs, 0)?;
-            let golden = load.run(self, Phase::Golden, &mut devs, None, None);
-            out.phases.push(golden.0);
-        }
-
-        let mut devs = self.prepare(self.telemetry);
+        let mut devs = self.prepare();
         // One aging engine per shard, seeded from the shard id: shard
         // campaigns are independent, so neither the fan-out order nor
         // the thread count can matter.
@@ -1477,12 +1463,12 @@ impl Scenario {
     }
 
     /// Builds every shard: device simulator and prefilled FTL, with
-    /// `tel` armed. A shard's build depends only on its id, so the
+    /// telemetry armed. A shard's build depends only on its id, so the
     /// shards are built on the worker pool and come back in id order.
-    fn prepare(&self, tel: TelemetrySpec) -> Vec<Dev> {
+    fn prepare(&self) -> Vec<Dev> {
         let ids = (0..self.array.map_or(1, |a| a.shards)).collect();
         fan_out(ids, self.threads(), |&mut id| {
-            self.prepare_dev(id, self.cfg.prefill_fraction, tel)
+            self.prepare_dev(id, self.cfg.prefill_fraction)
         })
         .into_iter()
         .map(|(_, dev)| dev)
@@ -1491,7 +1477,7 @@ impl Scenario {
 
     /// One fully prepared shard, seeded from the master seed and the
     /// shard id, prefilled to `prefill_fraction` of its logical space.
-    fn prepare_dev(&self, id: usize, prefill_fraction: f64, tel: TelemetrySpec) -> Dev {
+    fn prepare_dev(&self, id: usize, prefill_fraction: f64) -> Dev {
         let cfg = &self.cfg;
         let mut sim = SsdSim::new(cfg.ssd);
         let seed = self.seed_for(cfg.seed, id);
@@ -1518,6 +1504,7 @@ impl Scenario {
         // Arm telemetry only now: prefill runs at t = 0 and would
         // otherwise flood the trace with setup writes outside the
         // measured window.
+        let tel = self.telemetry;
         sim.enable_telemetry(tel.events, id as u32, tel.sample_interval_us);
         ftl.enable_telemetry(tel.events, id as u32);
         Dev {
@@ -1892,7 +1879,7 @@ impl Scenario {
         // device of the same geometry under its own seed.
         devs.remove(failed);
         if let Some(id) = spare {
-            devs.insert(failed, self.prepare_dev(id, 0.0, self.telemetry));
+            devs.insert(failed, self.prepare_dev(id, 0.0));
         }
         let do_rebuild = fc.parity && spare.is_some() && !rebuild_set.is_empty();
         let plans = ids
