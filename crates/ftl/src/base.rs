@@ -361,11 +361,14 @@ impl FtlDriver for Ftl {
     fn write_wl(&mut self, chip: usize, lpns: [u64; 3], ctx: &HostContext) -> WlWrite {
         self.tel_now_us = ctx.now_us;
         let mu = ctx.buffer_utilization;
-        let mut nand_us = 0.0;
-        let did_gc = self.pool_at_floor(chip);
-        if did_gc {
-            nand_us += self.run_gc(chip, mu, Origin::Gc);
-        }
+        // A flush did GC only if it erased a victim.
+        let gc_us = if self.pool_at_floor(chip) {
+            self.run_gc(chip, mu, Origin::Gc)
+        } else {
+            None
+        };
+        let did_gc = gc_us.is_some();
+        let mut nand_us = gc_us.unwrap_or(0.0);
         let (t, leader) = self.program_and_map(chip, lpns, mu, Origin::Host);
         nand_us += t;
         if let Some(t) = self.checkpoint_tick() {

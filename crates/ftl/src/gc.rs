@@ -67,19 +67,18 @@ impl Ftl {
     /// replay's top-up after a power cycle. `origin` is [`Origin::Gc`]
     /// under a host write and [`Origin::Maint`] under the replay; it
     /// attributes the migration's reads and writes. Returns the NAND
-    /// latency spent (0 when no block holds a WL of garbage).
-    pub(crate) fn run_gc(&mut self, chip: usize, mu: f64, origin: Origin) -> f64 {
+    /// latency spent, or `None` when no block holds a WL of garbage and
+    /// nothing was erased.
+    pub(crate) fn run_gc(&mut self, chip: usize, mu: f64, origin: Origin) -> Option<f64> {
         // No block holding a WL of garbage (e.g. right after a unique
         // prefill): collecting would only shuffle valid pages between
         // blocks without freeing anything. Keep writing into the
         // remaining free pool; overwrites will create reclaimable garbage
         // before it runs out (`has_room` keeps the flushes away from a
         // chip where they have not).
-        let Some(victim) = self.profitable_victim(chip) else {
-            return 0.0;
-        };
+        let victim = self.profitable_victim(chip)?;
         self.last_gc_erase[chip] = Some(victim);
-        self.collect(chip, victim, usize::MAX, mu, origin)
+        Some(self.collect(chip, victim, usize::MAX, mu, origin))
     }
 
     /// One background GC unit on an idle `chip`: while its free pool is
@@ -577,6 +576,26 @@ mod tests {
             );
         }
         assert!(collections > 10, "the floor fired {collections} times");
+    }
+
+    /// A write at the floor on a chip holding only valid data erases
+    /// nothing, so it reports no GC: a power cut during its flush would
+    /// otherwise redo the erase of a victim an earlier GC freed.
+    #[test]
+    fn a_floor_write_with_no_garbage_reports_no_gc() {
+        // Unique LPNs, all on chip 0: no block there holds garbage, and
+        // the other chip's share of the logical space leaves room to
+        // fill chip 0 down to the floor.
+        let mut ftl = Ftl::new(FtlKind::Cube, FtlConfig::small());
+        let mut lpn = 0;
+        while !ftl.pool_at_floor(0) {
+            ftl.write_wl(0, [lpn, lpn + 1, lpn + 2], &ctx(0.5));
+            lpn += 3;
+        }
+        assert!(lpn + 3 <= ftl.logical_pages());
+        let w = ftl.write_wl(0, [lpn, lpn + 1, lpn + 2], &ctx(0.5));
+        assert!(!w.did_gc, "a floor write that erased nothing reported a GC");
+        assert_eq!(ftl.stats().gc_runs, 0);
     }
 
     #[test]
