@@ -624,22 +624,6 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         return message("telemetry output files cover one run: use a single --ftl kind");
     }
 
-    let cfg = &sc.cfg;
-    println!(
-        "workload {workload}, {}, {} blocks/chip, {} requests, seed {}{}{}{}\n",
-        sc.aging,
-        cfg.blocks_per_chip(),
-        cfg.requests,
-        cfg.seed,
-        celsius.map(|c| format!(", {c} °C")).unwrap_or_default(),
-        cfg.faults
-            .as_ref()
-            .map(|p| format!(", faults on (seed {})", p.seed))
-            .unwrap_or_default(),
-        cfg.maint
-            .map(|m| format!(", maint on (gap {} µs)", m.gap_us))
-            .unwrap_or_default()
-    );
     // One field says where requests come from, so at most one flag may
     // (--workload only sets the default the others replace).
     let named = [
@@ -654,16 +638,37 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         ));
     }
     sc.workload =
-        match &trace_file {
-            Some(path) => {
-                let t = load_trace(path)?;
-                println!("trace {path}: {} requests ({})", t.len(), t.label());
-                WorkloadSource::Trace(t)
-            }
+        match trace_file.as_deref().map(load_trace).transpose()? {
+            Some(t) => WorkloadSource::Trace(t),
             None => WorkloadSource::Phases(phases.unwrap_or_else(|| {
                 vec![kv_kind.map_or(TenantMix::Standard(workload), TenantMix::Kv)]
             })),
         };
+    // The header names the source the run uses: the trace's label, or
+    // the phase list (one phase outside a campaign).
+    let source = match &sc.workload {
+        WorkloadSource::Trace(t) => t.label().to_owned(),
+        WorkloadSource::Phases(p) => p.iter().map(|m| m.label()).collect::<Vec<_>>().join("/"),
+    };
+    let cfg = &sc.cfg;
+    println!(
+        "workload {source}, {}, {} blocks/chip, {} requests, seed {}{}{}{}\n",
+        sc.aging,
+        cfg.blocks_per_chip(),
+        cfg.requests,
+        cfg.seed,
+        celsius.map(|c| format!(", {c} °C")).unwrap_or_default(),
+        cfg.faults
+            .as_ref()
+            .map(|p| format!(", faults on (seed {})", p.seed))
+            .unwrap_or_default(),
+        cfg.maint
+            .map(|m| format!(", maint on (gap {} µs)", m.gap_us))
+            .unwrap_or_default()
+    );
+    if let (Some(path), WorkloadSource::Trace(t)) = (&trace_file, &sc.workload) {
+        println!("trace {path}: {} requests ({})", t.len(), t.label());
+    }
 
     // Checks that concern flags rather than the scenario they build.
     if qos_knob_seen && !sc.qos.engaged() {
