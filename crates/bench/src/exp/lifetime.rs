@@ -82,13 +82,6 @@ pub fn run(args: &crate::BenchArgs) {
     // states; under this accelerated schedule (~12 retention-months per
     // campaign) the scrubber must engage proactively to race the drift.
     maint.scrub_retention_min_months = 2.0;
-    // The stock 12-page batch spreads a refresh over dozens of idle
-    // windows, more than one epoch offers: not one refresh would finish
-    // and the two campaigns would differ only by chance. A whole block
-    // per window lets refreshes complete; host latency, which the small
-    // batch protects, is not what this campaign bars: the price shows
-    // in the maintenance-on IOPS and WA(t) columns.
-    maint.scrub_batch_pages = cfg.ftl.nand.geometry.pages_per_block();
     // One Cube Mail campaign from a fresh device per maintenance setting
     // and seed.
     let settings = [("off", None), ("on", Some(maint))];

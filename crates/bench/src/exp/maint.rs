@@ -13,6 +13,7 @@
 use bench::{assert_order, banner, num, text, Cell, Columns, Sweep};
 use cubeftl::harness::Scenario;
 use cubeftl::{AgingState, FaultKind, FaultPlan, FtlKind, MaintConfig, StandardWorkload};
+use ftl::gc::GC_UNIT_PAGES;
 
 pub fn run(args: &crate::BenchArgs) {
     let mut cfg = args.cfg.clone();
@@ -23,17 +24,7 @@ pub fn run(args: &crate::BenchArgs) {
     );
 
     banner("background maintenance — retention-heavy scenario (Web, EndOfLife)");
-    // "eager" trades host bandwidth for scrub coverage: a small
-    // host-priority gap and a large migration batch, the settings the
-    // reliability-direction e2e test uses.
-    let mut eager = MaintConfig::default_on();
-    eager.scrub_batch_pages = 96;
-    eager.gap_us = 50.0;
-    let settings = [
-        ("off", None),
-        ("on", Some(MaintConfig::default_on())),
-        ("eager", Some(eager)),
-    ];
+    let settings = [("off", None), ("on", Some(MaintConfig::default_on()))];
     let sweep = Sweep::run(settings.map(|(label, maint)| {
         cfg.maint = maint;
         let (web, eol) = (StandardWorkload::Web, AgingState::EndOfLife);
@@ -80,16 +71,12 @@ pub fn run(args: &crate::BenchArgs) {
         let n = sweep.cell(&label).sim().ftl.uncorrectable_recoveries;
         (label, n as f64)
     };
-    let (off, on, eager) = (
-        uncorrectable("off"),
-        uncorrectable("on"),
-        uncorrectable("eager"),
-    );
-    assert_order("uncorrectable recoveries", eager, "<", off);
+    let (off, on) = (uncorrectable("off"), uncorrectable("on"));
+    assert_order("uncorrectable recoveries", on, "<", off);
     println!(
-        "\n(eager scrubbing cut uncorrectable recoveries {} -> {};",
-        off.1, eager.1
+        "\n(scrubbing cut uncorrectable recoveries {} -> {};",
+        off.1, on.1
     );
-    println!(" the default keeps host priority — gap 200 µs, batch 12 — and trades");
-    println!(" coverage for tail latency: {} -> {})", off.1, on.1);
+    println!(" refreshes run in idle windows, {GC_UNIT_PAGES} pages a unit, and their");
+    println!(" price shows in the IOPS, p99 and WA(t) columns)");
 }

@@ -24,6 +24,7 @@
 use crate::config::FtlConfig;
 use crate::cube::opm::Opm;
 use crate::cube::wam::Wam;
+use crate::gc::{Cause, Migration};
 use crate::maint::MaintState;
 use crate::mapping::Mapping;
 use crate::recovery::CkptState;
@@ -119,6 +120,9 @@ pub struct Ftl {
     /// Scratch list of the `(lpn, flat page)` pairs one page migration
     /// moves.
     pub(crate) migrate_batch: Vec<(u64, u32)>,
+    /// Per chip: the block its background units are draining, if any
+    /// (`crate::gc`'s one mover for GC, scrubbing and wear leveling).
+    pub(crate) migration: Vec<Option<Migration>>,
     /// Background maintenance services (when enabled).
     pub(crate) maint: Option<MaintState>,
     /// Monotonic operation sequence number stamped on every OOB record
@@ -218,6 +222,7 @@ impl Ftl {
             params,
             stats: FtlStats::default(),
             migrate_batch: Vec::new(),
+            migration: vec![None; config.chips],
             maint: None,
             seq_counter: 0,
             last_gc_erase: vec![None; config.chips],
@@ -363,7 +368,7 @@ impl FtlDriver for Ftl {
         let mu = ctx.buffer_utilization;
         // A flush did GC only if it erased a victim.
         let gc_us = if self.pool_at_floor(chip) {
-            self.run_gc(chip, mu, Origin::Gc)
+            self.run_gc(chip, mu)
         } else {
             None
         };
@@ -396,26 +401,24 @@ impl FtlDriver for Ftl {
         }
     }
 
-    /// The one background hook: a GC unit while `chip`'s free pool is
-    /// down to the threshold and a victim is profitable, otherwise one
-    /// maintenance service unit once [`Ftl::enable_maintenance`] ran.
+    /// The one background hook: a unit of `chip`'s in-flight migration,
+    /// or of a GC victim while its free pool is down to the threshold,
+    /// otherwise one maintenance service unit once
+    /// [`Ftl::enable_maintenance`] ran.
     fn maintenance_step(&mut self, chip: usize, ctx: &HostContext) -> Option<MaintWork> {
-        if !self.pool_low(chip) && self.maint.is_none() {
+        if !self.pool_low(chip) && self.maint.is_none() && self.in_flight(chip).is_none() {
             // Nothing can be due: the trace clock stays where the last
             // host call set it.
             return None;
         }
         self.tel_now_us = ctx.now_us;
         let mu = ctx.buffer_utilization;
-        let work = match self.gc_unit(chip, mu) {
-            Some(nand_us) => MaintWork { nand_us, gc: true },
-            None => MaintWork {
-                nand_us: self.maintenance_unit(chip, mu)?,
-                gc: false,
-            },
+        let (nand_us, gc) = match self.gc_unit(chip, mu) {
+            Some((nand_us, cause)) => (nand_us, cause == Cause::Gc),
+            None => (self.maintenance_unit(chip, mu)?, false),
         };
         self.debug_audit_chip(chip);
-        Some(work)
+        Some(MaintWork { nand_us, gc })
     }
 
     fn stats(&self) -> FtlStats {

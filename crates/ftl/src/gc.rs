@@ -1,23 +1,28 @@
-//! Greedy garbage collection and block migration.
+//! Greedy garbage collection and the one mover of a block's pages.
 //!
 //! All four FTL variants share the same GC policy (the paper's
 //! contribution is orthogonal to GC): when a chip runs low on free
 //! blocks, the block with the fewest valid pages among the closed blocks
-//! is migrated and erased. It runs in two places: as bounded background
-//! units ([`GC_UNIT_PAGES`] pages each) on idle chips once the free pool
-//! is down to `gc_free_block_threshold`, through the one background
-//! hook, and — a last-resort floor one block lower — as one whole victim
-//! under a host write (`Ftl::run_gc`). Retention scrubbing and wear
-//! leveling are the same page migration with a batch limit (refresh is
-//! migration), so there is one migration routine, `Ftl::migrate_block`,
-//! and one way a drained block returns to the free pool,
+//! is migrated and erased. Retention scrubbing and wear leveling move
+//! pages the same way (refresh is migration), so a chip has one mover:
+//! at most one in-flight [`Migration`], whose [`Cause`] — GC, scrub or
+//! wear — only decides the counters it feeds. Every unit continues it
+//! from where the last one stopped: bounded background units
+//! ([`GC_UNIT_PAGES`] pages each) on idle chips through the one
+//! background hook (`Ftl::gc_unit`), and — a last-resort floor one
+//! block under `gc_free_block_threshold` — the rest of it under a host
+//! write (`Ftl::run_gc`, also the PLP replay's top-up). A chooser names
+//! a new block only while the slot is empty: greedy GC here while the
+//! pool is low, else the scrubber and the wear leveler
+//! (`crate::maint`). Underneath there is one migration routine,
+//! `Ftl::migrate`, and one way a drained block returns to the free pool,
 //! `Ftl::release_block`.
 
 use crate::base::{Chips, Ftl, Origin, Params};
 use crate::mapping::{Mapping, Ppn};
 use crate::write::MAX_SAFETY_ATTEMPTS;
 use nand3d::{BlockId, Environment, WlData};
-use telemetry::{EventKind, EventMask};
+use telemetry::EventKind;
 
 /// Selects the victim on `chip`: the candidate block with the fewest
 /// valid pages, lowest id on ties. Returns `None` when `candidates` is
@@ -61,69 +66,181 @@ pub fn select_victim(
 pub const GC_UNIT_PAGES: usize = 48;
 const _: () = assert!(GC_UNIT_PAGES.is_multiple_of(3), "a unit ends on a full WL");
 
+/// Why a chip's in-flight [`Migration`] moves its block. The cause
+/// picks the counters and trace events its pages feed and the origin of
+/// its reads and programs; the moving is the same.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cause {
+    /// Garbage collection: the greedy victim, chosen while the free
+    /// pool is low.
+    Gc,
+    /// A retention scrub's refresh of an aged block.
+    Scrub,
+    /// Wear leveling: the coldest closed block, recycled.
+    Wear,
+}
+
+/// The one block a chip's background units are draining. Every unit —
+/// a [`GC_UNIT_PAGES`] maintenance step, the foreground floor and the
+/// PLP replay's top-up — continues it from `next_page`; a chooser picks
+/// a new block only once it is released, or once its erase stamp moved
+/// (the block was erased since, so its pages are not the ones chosen).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Migration {
+    pub(crate) block: BlockId,
+    /// The block's erase sequence number when the migration started.
+    erase_stamp: u64,
+    /// Offset in the block of the first page the P2L walk has not
+    /// passed: every valid page left sits at or after it.
+    next_page: u32,
+    pub(crate) cause: Cause,
+}
+
 impl Ftl {
-    /// Collects one victim on `chip` whole — the foreground floor under
-    /// a host write once the background units fell behind, and the PLP
-    /// replay's top-up after a power cycle. `origin` is [`Origin::Gc`]
-    /// under a host write and [`Origin::Maint`] under the replay; it
-    /// attributes the migration's reads and writes. Returns the NAND
-    /// latency spent, or `None` when no block holds a WL of garbage and
-    /// nothing was erased.
-    pub(crate) fn run_gc(&mut self, chip: usize, mu: f64, origin: Origin) -> Option<f64> {
+    /// The foreground floor under a host write once the background
+    /// units fell behind, and the PLP replay's top-up after a power
+    /// cycle: drains the block [`Ftl::floor_victim`] names whole.
+    /// Returns the NAND latency spent, or `None` when nothing is in
+    /// flight and no block holds a WL of garbage, so nothing was erased.
+    pub(crate) fn run_gc(&mut self, chip: usize, mu: f64) -> Option<f64> {
         // No block holding a WL of garbage (e.g. right after a unique
         // prefill): collecting would only shuffle valid pages between
         // blocks without freeing anything. Keep writing into the
         // remaining free pool; overwrites will create reclaimable garbage
         // before it runs out (`has_room` keeps the flushes away from a
         // chip where they have not).
-        let victim = self.profitable_victim(chip)?;
-        self.last_gc_erase[chip] = Some(victim);
-        Some(self.collect(chip, victim, usize::MAX, mu, origin))
-    }
-
-    /// One background GC unit on an idle `chip`: while its free pool is
-    /// down to the threshold, migrates up to [`GC_UNIT_PAGES`] valid
-    /// pages of the greedy victim (re-selected every unit, so a
-    /// half-migrated victim, the emptiest block around, is usually
-    /// finished first) and releases it once drained. Returns the NAND
-    /// latency, or `None` when the pool is not low or no victim is
-    /// profitable.
-    pub(crate) fn gc_unit(&mut self, chip: usize, mu: f64) -> Option<f64> {
-        if !self.pool_low(chip) {
-            return None;
+        let victim = self.floor_victim(chip)?;
+        if self.in_flight(chip).is_none() {
+            self.start_migration(chip, victim, Cause::Gc);
         }
-        let victim = self.profitable_victim(chip)?;
-        Some(self.collect(chip, victim, GC_UNIT_PAGES, mu, Origin::Gc))
+        self.last_gc_erase[chip] = Some(victim);
+        self.migrate(chip, usize::MAX, mu).map(|(t, _)| t)
     }
 
-    /// Migrates up to `limit` valid pages of `victim` as garbage
-    /// collection, releasing it once drained, and records the step in
-    /// the event trace; a drained victim counts as one GC run. Returns
-    /// the NAND latency.
-    fn collect(
-        &mut self,
-        chip: usize,
-        victim: BlockId,
-        limit: usize,
-        mu: f64,
-        origin: Origin,
-    ) -> f64 {
-        let mut latency = 0.0;
-        let (moved, released) = self.migrate_block(chip, victim, limit, mu, origin, &mut latency);
-        self.stats.gc_page_moves += moved;
-        self.stats.gc_runs += u64::from(released);
-        if self.trace.wants(EventMask::GC) {
-            self.trace.emit(
-                self.tel_now_us,
-                EventKind::GcVictim {
-                    chip: chip as u32,
-                    block: victim.0,
-                    moved_wls: (moved as u32).div_ceil(3),
-                    wear_aware: self.wear_leveling_on(),
-                },
+    /// One background unit on an idle `chip`: continues the in-flight
+    /// migration, or — while the free pool is down to the threshold —
+    /// starts one of the greedy victim, for up to [`GC_UNIT_PAGES`]
+    /// pages. Returns the NAND latency and the migration's cause, or
+    /// `None` when nothing is in flight and the pool is not low or no
+    /// victim is profitable.
+    pub(crate) fn gc_unit(&mut self, chip: usize, mu: f64) -> Option<(f64, Cause)> {
+        if self.in_flight(chip).is_none() {
+            let low = self.pool_low(chip);
+            let victim = low.then(|| self.profitable_victim(chip)).flatten()?;
+            self.start_migration(chip, victim, Cause::Gc);
+        }
+        self.migrate(chip, GC_UNIT_PAGES, mu)
+    }
+
+    /// `chip`'s in-flight migration, unless its block was erased since
+    /// it started.
+    pub(crate) fn in_flight(&self, chip: usize) -> Option<Migration> {
+        let chip_ref = self.array.nand(chip);
+        self.migration[chip].filter(|m| chip_ref.block_erase_seq(m.block) == m.erase_stamp)
+    }
+
+    /// Makes `block` `chip`'s in-flight migration, for `cause`.
+    pub(crate) fn start_migration(&mut self, chip: usize, block: BlockId, cause: Cause) {
+        let erase_stamp = self.array.nand(chip).block_erase_seq(block);
+        self.migration[chip] = Some(Migration {
+            block,
+            erase_stamp,
+            next_page: 0,
+            cause,
+        });
+    }
+
+    /// Continues `chip`'s in-flight migration: moves up to `limit` of
+    /// its block's valid pages, from `next_page` on, to fresh WLs,
+    /// releases the block once none remain, and books the step to the
+    /// migration's cause — counters (a released GC victim counts as one
+    /// GC run, a released scrub block as one refresh) and one trace
+    /// event. A staged batch: (1) the block's P2L walk collects the
+    /// first `limit` `(lpn, page)` pairs and stops; (2) one tight pass
+    /// checks that the L2P maps every LPN back to that page — loads that
+    /// depend on nothing but the list, so their cache misses overlap here
+    /// instead of queueing one behind each read, and the entries are
+    /// resident when stage 4 remaps them; (3) the pages are read by
+    /// physical address through the variant's read policy (the ORT
+    /// benefits GC reads too), in the block's physical order — the order
+    /// of the P2L walk, which fixes the chip's RNG draws and the trace;
+    /// (4) they are re-programmed three to a WL. The NAND time is summed
+    /// term by term from zero. Returns it and the cause, or `None` when
+    /// nothing is in flight.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any page is read, if the L2P and the P2L disagree
+    /// about a page of the block.
+    pub(crate) fn migrate(&mut self, chip: usize, limit: usize, mu: f64) -> Option<(f64, Cause)> {
+        let m = self.in_flight(chip)?;
+        let (block, next_page, cause) = (m.block, m.next_page, m.cause);
+        let origin = match cause {
+            Cause::Gc => Origin::Gc,
+            Cause::Scrub | Cause::Wear => Origin::Maint,
+        };
+        // The list must be taken before the mapping changes under it;
+        // its buffer is reused from one migration to the next.
+        let mut batch = std::mem::take(&mut self.migrate_batch);
+        batch.clear();
+        let drained = self.mapping.valid_in_block(chip, block.0) as usize <= limit;
+        let walk = self.mapping.valid_pages_of_block(chip, block.0, next_page);
+        batch.extend(walk.take(limit));
+        for &(lpn, page) in &batch {
+            let here = Ppn {
+                chip: chip as u32,
+                page,
+            };
+            assert_eq!(
+                self.mapping.lookup(lpn),
+                Some(here),
+                "valid page of lpn {lpn} must be mapped where the P2L holds it"
             );
         }
-        latency
+        let g = self.geometry();
+        let first = block.0 * g.pages_per_block();
+        let mut latency = 0.0;
+        for &(lpn, page) in &batch {
+            let addr = g.page_in_block(block, page - first);
+            latency += self.read_at(lpn, chip, addr, origin).nand_us;
+        }
+        for group in batch.chunks(3) {
+            let mut wl = [WlData::PAD; 3];
+            for (slot, &(lpn, _)) in wl.iter_mut().zip(group) {
+                *slot = lpn;
+            }
+            latency += self.program_and_map(chip, wl, mu, origin).0;
+        }
+        let moved = batch.len() as u64;
+        let next_page = batch.last().map_or(next_page, |&(_, p)| p - first + 1);
+        self.migrate_batch = batch;
+        self.migration[chip] = (!drained).then_some(Migration { next_page, ..m });
+        if drained {
+            latency += self.release_block(chip, block);
+        }
+        match cause {
+            Cause::Gc => {
+                self.stats.gc_page_moves += moved;
+                self.stats.gc_runs += u64::from(drained);
+                let event = EventKind::GcVictim {
+                    chip: chip as u32,
+                    block: block.0,
+                    moved_wls: (moved as u32).div_ceil(3),
+                    wear_aware: self.wear_leveling_on(),
+                };
+                self.trace.emit(self.tel_now_us, event);
+            }
+            Cause::Scrub => {
+                self.stats.scrub_page_moves += moved;
+                self.stats.scrub_blocks += u64::from(drained);
+                self.trace_maint(chip, "scrub", moved);
+            }
+            Cause::Wear => {
+                self.stats.wear_level_moves += moved;
+                self.trace_maint(chip, "wear_level", moved);
+            }
+        }
+        Some((latency, cause))
     }
 
     /// Whether `block` is currently open for writing on `chip`.
@@ -168,15 +285,23 @@ impl Ftl {
         })
     }
 
+    /// The block the foreground floor drains next on `chip`: the
+    /// in-flight migration's, else the profitable victim.
+    fn floor_victim(&self, chip: usize) -> Option<BlockId> {
+        self.in_flight(chip)
+            .map(|m| m.block)
+            .or_else(|| self.profitable_victim(chip))
+    }
+
     /// Whether `chip` can take a host WL and still collect garbage
     /// afterwards. Flushes are placed by queue length, not by fill, so a
     /// chip can be handed more valid data than its blocks hold next to
     /// the open ones; once its erased WLs — open blocks plus free pool —
     /// are down to what one host program can take
     /// (`MAX_SAFETY_ATTEMPTS`) plus a block's worth for the victim GC
-    /// moves next, it sits out unless that victim is profitable and
-    /// fits. Trims and overwrites landing elsewhere turn its pages into
-    /// garbage, and it takes flushes again.
+    /// moves next, it sits out unless the block the floor drains next
+    /// ([`Ftl::floor_victim`]) fits. Trims and overwrites landing
+    /// elsewhere turn its pages into garbage, and it takes flushes again.
     pub(crate) fn has_room(&self, chip: usize) -> bool {
         let g = self.geometry();
         let free = self.free[chip].len() as u32;
@@ -187,75 +312,10 @@ impl Ftl {
         }
         let room = self.wam.unwritten_wls(chip) + free * g.wls_per_block();
         room >= g.wls_per_block() + MAX_SAFETY_ATTEMPTS
-            || self.profitable_victim(chip).is_some_and(|v| {
+            || self.floor_victim(chip).is_some_and(|v| {
                 let valid = self.mapping.valid_in_block(chip, v.0);
                 valid.div_ceil(u32::from(g.pages_per_wl)) + MAX_SAFETY_ATTEMPTS <= room
             })
-    }
-
-    /// Moves up to `limit` valid pages of `block` to fresh WLs and, once
-    /// none remain, releases the block. A staged batch: (1) the block's
-    /// P2L walk collects the first `limit` `(lpn, page)` pairs and stops;
-    /// (2) one tight pass checks that the L2P maps every LPN back to that
-    /// page — loads that depend on nothing but the list, so their cache
-    /// misses overlap here instead of queueing one behind each read, and
-    /// the entries are resident when stage 4 remaps them; (3) the pages
-    /// are read by physical address through the variant's read policy
-    /// (the ORT benefits GC reads too), in the block's physical order —
-    /// the order of the P2L walk, which fixes the chip's RNG draws and
-    /// the trace; (4) they are re-programmed three to a WL. The NAND time
-    /// is added to `latency` term by term. Returns the number of pages
-    /// moved and whether the block was released.
-    ///
-    /// # Panics
-    ///
-    /// Panics, before any page is read, if the L2P and the P2L disagree
-    /// about a page of the block.
-    pub(crate) fn migrate_block(
-        &mut self,
-        chip: usize,
-        block: BlockId,
-        limit: usize,
-        mu: f64,
-        origin: Origin,
-        latency: &mut f64,
-    ) -> (u64, bool) {
-        // The list must be taken before the mapping changes under it;
-        // its buffer is reused from one migration to the next.
-        let mut batch = std::mem::take(&mut self.migrate_batch);
-        batch.clear();
-        let drained = self.mapping.valid_in_block(chip, block.0) as usize <= limit;
-        batch.extend(self.mapping.valid_pages_of_block(chip, block.0).take(limit));
-        for &(lpn, page) in &batch {
-            let here = Ppn {
-                chip: chip as u32,
-                page,
-            };
-            assert_eq!(
-                self.mapping.lookup(lpn),
-                Some(here),
-                "valid page of lpn {lpn} must be mapped where the P2L holds it"
-            );
-        }
-        let g = self.geometry();
-        let first = block.0 * g.pages_per_block();
-        for &(lpn, page) in &batch {
-            let addr = g.page_in_block(block, page - first);
-            *latency += self.read_at(lpn, chip, addr, origin).nand_us;
-        }
-        for group in batch.chunks(3) {
-            let mut wl = [WlData::PAD; 3];
-            for (slot, &(lpn, _)) in wl.iter_mut().zip(group) {
-                *slot = lpn;
-            }
-            *latency += self.program_and_map(chip, wl, mu, origin).0;
-        }
-        let moved = batch.len() as u64;
-        self.migrate_batch = batch;
-        if drained {
-            *latency += self.release_block(chip, block);
-        }
-        (moved, drained)
     }
 
     /// Erases `block` on `chip`, stamped with the next operation
@@ -288,7 +348,7 @@ impl Ftl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{ctx, write_all};
+    use crate::testutil::{ctx, overwrite_wl, write_all};
     use crate::{FtlConfig, FtlKind};
     use nand3d::Geometry;
     use ssdsim::FtlDriver;
@@ -508,15 +568,6 @@ mod tests {
         (ftl, space)
     }
 
-    /// Three distinct LPNs below `space` from an LCG step of `x`.
-    fn overwrite_wl(x: &mut u64, space: u64) -> [u64; 3] {
-        *x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let a = (*x >> 33) % space;
-        [a, (a + 1) % space, (a + 2) % space]
-    }
-
     #[test]
     fn background_units_stay_within_one_unit_and_keep_the_floor_idle() {
         let (mut ftl, space) = gc_bound_chip();
@@ -578,6 +629,40 @@ mod tests {
         assert!(collections > 10, "the floor fired {collections} times");
     }
 
+    /// A migration in flight when the floor fires is the block the floor
+    /// drains, even when greedy GC would pick another: the floor is a
+    /// unit of the one mover, and a refresh it abandoned would be paid
+    /// for and finish nothing.
+    #[test]
+    fn the_floor_drains_the_in_flight_block_first() {
+        let (mut ftl, space) = gc_bound_chip();
+        let g = ftl.geometry();
+        let fullest = (0..g.blocks_per_chip)
+            .map(BlockId)
+            .filter(|b| ftl.is_closed(0, *b))
+            .max_by_key(|b| (ftl.mapping.valid_in_block(0, b.0), b.0))
+            .expect("closed blocks");
+        assert_ne!(ftl.profitable_victim(0), Some(fullest));
+        ftl.start_migration(0, fullest, Cause::Scrub);
+        ftl.migrate(0, GC_UNIT_PAGES, 0.5);
+        assert!(ftl.in_flight(0).is_some(), "one unit drained the block");
+        let mut x = 13;
+        for _ in 0..1000 {
+            if ftl
+                .write_wl(0, overwrite_wl(&mut x, space), &ctx(0.5))
+                .did_gc
+            {
+                break;
+            }
+        }
+        assert!(
+            ftl.free[0].contains(fullest),
+            "the floor collected another block before the one in flight"
+        );
+        assert_eq!(ftl.in_flight(0), None);
+        assert_eq!(ftl.stats().scrub_blocks, 1, "the refresh finished");
+    }
+
     /// A write at the floor on a chip holding only valid data erases
     /// nothing, so it reports no GC: a power cut during its flush would
     /// otherwise redo the erase of a victim an earlier GC freed.
@@ -611,20 +696,23 @@ mod tests {
             .expect("300 pages close a block");
         // The L2P entry of the block's third valid page now names its
         // neighbour; the P2L still holds the page.
-        let (lpn, page) = ftl.mapping.valid_pages_of_block(0, block.0).nth(2).unwrap();
+        let (lpn, page) = ftl
+            .mapping
+            .valid_pages_of_block(0, block.0, 0)
+            .nth(2)
+            .unwrap();
         let elsewhere = Ppn {
             chip: 0,
             page: page + 1,
         };
         ftl.mapping.corrupt_l2p(lpn, elsewhere);
         let reads_before = ftl.stats().nand_reads;
-        let mut latency = 0.0;
+        ftl.start_migration(0, block, Cause::Gc);
         let migration = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ftl.migrate_block(0, block, usize::MAX, 0.5, Origin::Gc, &mut latency)
+            ftl.migrate(0, usize::MAX, 0.5)
         }));
         let refusal = migration.expect_err("a corrupt L2P entry must stop the migration");
         assert_eq!(ftl.stats().nand_reads, reads_before, "no page read yet");
-        assert_eq!(latency, 0.0, "no NAND time charged yet");
         std::panic::resume_unwind(refusal);
     }
 
@@ -649,7 +737,7 @@ mod tests {
             // the chip takes flushes again and collects under them.
             for lpn in ftl
                 .mapping
-                .valid_pages_of_block(0, 0)
+                .valid_pages_of_block(0, 0, 0)
                 .map(|(l, _)| l)
                 .collect::<Vec<_>>()
             {

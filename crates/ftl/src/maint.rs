@@ -26,7 +26,8 @@
 //! unit per [`FtlDriver::maintenance_step`](ssdsim::FtlDriver), every
 //! read and write of theirs under `Origin::Maint` — follow.
 
-use crate::base::{Chips, Ftl, Origin, Params};
+use crate::base::{Chips, Ftl, Params};
+use crate::gc::{Cause, GC_UNIT_PAGES};
 use crate::recovery::CKPT_PAGE_PROGRAM_US;
 use nand3d::{BlockId, PageState};
 use telemetry::EventKind;
@@ -53,10 +54,6 @@ pub struct MaintConfig {
     /// Target bound on the hot/cold erase-count spread; the wear-level
     /// service recycles cold blocks while the spread exceeds it.
     pub wear_spread_limit: u32,
-    /// Most valid pages a single maintenance dispatch migrates. A block
-    /// refresh larger than this spreads over several idle windows, so a
-    /// host request never queues behind a whole-block migration.
-    pub scrub_batch_pages: u32,
 }
 
 impl MaintConfig {
@@ -72,7 +69,6 @@ impl MaintConfig {
             scrub_ber_threshold: 1e-3,
             remonitor_pe_budget: 50,
             wear_spread_limit: 8,
-            scrub_batch_pages: 12,
         }
     }
 }
@@ -84,12 +80,6 @@ pub(crate) struct MaintState {
     pub(crate) config: MaintConfig,
     /// Next block each chip's scrubber examines.
     pub(crate) scrub_cursor: Vec<u32>,
-    /// While the block under `scrub_cursor` is mid-refresh (a bounded
-    /// migration batch ran out before the block was clean), its erase
-    /// stamp: the next scrub window resumes it without re-sampling its
-    /// BER only while the block still carries that stamp. One that GC
-    /// released and the allocator filled again since is examined afresh.
-    pub(crate) scrub_resume: Vec<Option<u64>>,
     /// Next block each chip's OPM re-monitor examines.
     pub(crate) remonitor_cursor: Vec<u32>,
     /// Round-robin position over the three services per chip, so one
@@ -102,7 +92,6 @@ impl MaintState {
         MaintState {
             config,
             scrub_cursor: vec![0; chips],
-            scrub_resume: vec![None; chips],
             remonitor_cursor: vec![0; chips],
             next_service: vec![0; chips],
         }
@@ -141,7 +130,7 @@ impl Ftl {
     }
 
     /// Records one unit of `service` in the event trace.
-    fn trace_maint(&mut self, chip: usize, service: &'static str, page_moves: u64) {
+    pub(crate) fn trace_maint(&mut self, chip: usize, service: &'static str, page_moves: u64) {
         self.trace.emit(
             self.tel_now_us,
             EventKind::Maint {
@@ -176,11 +165,13 @@ impl Ftl {
 
     /// Retention scrubbing: walks blocks from the per-chip cursor to the
     /// first one holding aged data, samples its BER via a leader-WL read
-    /// (which refreshes the h-layer's ORT `ΔV_Ref` entry in place) and
-    /// refreshes the whole block when its retention age or sampled BER
-    /// crosses the configured thresholds. A refresh consumes free WLs,
-    /// so the scrubber waits while the free pool is down to the GC
-    /// threshold: GC units come first there.
+    /// (which refreshes the h-layer's ORT `ΔV_Ref` entry in place) and,
+    /// when its retention age or sampled BER crosses the configured
+    /// thresholds, makes the block the chip's in-flight migration — a
+    /// refresh — and runs its first unit. A refresh consumes free WLs,
+    /// so the scrubber starts none while the free pool is down to the GC
+    /// threshold: GC units come first there. (It only runs with no
+    /// migration in flight: the hook continues that one first.)
     fn scrub_step(&mut self, chip: usize, mu: f64) -> Option<f64> {
         let cfg = self.maint.as_ref()?.config;
         if self.pool_low(chip) {
@@ -188,11 +179,7 @@ impl Ftl {
         }
         let g = self.geometry();
         let blocks = g.blocks_per_chip;
-        let st = self.maint_state();
-        let cursor = st.scrub_cursor[chip];
-        // Taking the stamp clears it; it is re-armed below only while the
-        // cursor block is still mid-refresh.
-        let resume_stamp = st.scrub_resume[chip].take();
+        let cursor = self.maint_state().scrub_cursor[chip];
         for i in 0..blocks {
             let b = BlockId((cursor + i) % blocks);
             if self.free[chip].contains(b) || self.is_active(chip, b) {
@@ -217,51 +204,29 @@ impl Ftl {
                 self.trace_maint(chip, "scrub", live);
                 return Some(latency);
             }
-            let mut latency = 0.0;
-            let stamp = chip_ref.block_erase_seq(b);
-            let refresh = if i == 0 && resume_stamp == Some(stamp) {
-                // Mid-refresh block, not erased since: the decision was
-                // already made (and its BER sampled) when the refresh
-                // started.
-                true
-            } else {
-                if retention <= 0.0 {
-                    continue;
-                }
-                let sample_wl = (0..g.hlayers_per_block)
-                    .map(|h| g.wl_addr(b, h, 0))
-                    .find(|wl| chip_ref.wl_state(*wl) == PageState::Written);
-                let sampled_ber = sample_wl
-                    .and_then(|wl| chip_ref.wl_current_ber(wl))
-                    .unwrap_or(0.0);
-                if let Some(wl) = sample_wl {
-                    latency += self.sample_read(chip, wl);
-                    self.stats.scrub_sample_reads += 1;
-                }
-                retention >= cfg.scrub_retention_min_months || sampled_ber > cfg.scrub_ber_threshold
-            };
-            // The cursor parks on a partially-migrated block so the next
-            // scrub window resumes it; otherwise it moves on.
-            let mut next_cursor = (b.0 + 1) % blocks;
-            let mut parked = None;
-            let mut moved = 0;
-            if refresh {
-                let (t, pages, released) = self.refresh_block(chip, b, mu, cfg.scrub_batch_pages);
-                latency += t;
-                moved = pages;
-                self.stats.scrub_page_moves += moved;
-                if released {
-                    self.stats.scrub_blocks += 1;
-                } else {
-                    next_cursor = b.0;
-                    parked = Some(stamp);
-                }
+            if retention <= 0.0 {
+                continue;
             }
-            let st = self.maint_state();
-            st.scrub_cursor[chip] = next_cursor;
-            st.scrub_resume[chip] = parked;
+            let sample_wl = (0..g.hlayers_per_block)
+                .map(|h| g.wl_addr(b, h, 0))
+                .find(|wl| chip_ref.wl_state(*wl) == PageState::Written);
+            let sampled_ber = sample_wl
+                .and_then(|wl| chip_ref.wl_current_ber(wl))
+                .unwrap_or(0.0);
+            let mut latency = 0.0;
+            if let Some(wl) = sample_wl {
+                latency += self.sample_read(chip, wl);
+                self.stats.scrub_sample_reads += 1;
+            }
+            self.maint_state().scrub_cursor[chip] = (b.0 + 1) % blocks;
+            if retention >= cfg.scrub_retention_min_months || sampled_ber > cfg.scrub_ber_threshold
+            {
+                self.start_migration(chip, b, Cause::Scrub);
+                let (t, _) = self.migrate(chip, GC_UNIT_PAGES, mu)?;
+                return Some(latency + t);
+            }
             if latency > 0.0 {
-                self.trace_maint(chip, "scrub", moved);
+                self.trace_maint(chip, "scrub", 0);
                 return Some(latency);
             }
         }
@@ -331,11 +296,12 @@ impl Ftl {
     }
 
     /// Wear leveling: when the chip's erase-count spread exceeds the
-    /// configured bound, recycle the coldest closed block — its cold data
-    /// migrates to (hotter) free blocks and the least-worn block joins
-    /// the allocation pool, narrowing the spread from both ends. Like a
-    /// scrub, a data migration waits while the free pool is down to the
-    /// GC threshold; moving the checkpoint ring frees as much as it takes.
+    /// configured bound, recycle the coldest closed block — it becomes
+    /// the chip's in-flight migration, its cold data moves to (hotter)
+    /// free blocks and the least-worn block joins the allocation pool,
+    /// narrowing the spread from both ends. Like a refresh, a recycling
+    /// starts only while the free pool is above the GC threshold; moving
+    /// the checkpoint ring frees as much as it takes.
     fn wear_step(&mut self, chip: usize, mu: f64) -> Option<f64> {
         let cfg = self.maint.as_ref()?.config;
         if let Some(t) = self.ckpt_wear_step(chip) {
@@ -356,15 +322,8 @@ impl Ftl {
         if hottest.saturating_sub(coldest) <= cfg.wear_spread_limit {
             return None;
         }
-        // A partial migration leaves the block as the coldest closed one,
-        // so the next wear window resumes it automatically.
-        let batch = cfg.scrub_batch_pages;
-        let (latency, moved, _) = self.refresh_block(chip, coldest_block, mu, batch);
-        self.stats.wear_level_moves += moved;
-        if latency > 0.0 {
-            self.trace_maint(chip, "wear_level", moved);
-        }
-        (latency > 0.0).then_some(latency)
+        self.start_migration(chip, coldest_block, Cause::Wear);
+        self.migrate(chip, GC_UNIT_PAGES, mu).map(|(t, _)| t)
     }
 
     /// Wear-levels the checkpoint region itself: ring erases land on
@@ -394,34 +353,12 @@ impl Ftl {
         self.trace_maint(0, "wear_level", live);
         Some(latency)
     }
-
-    /// Refreshes `block` incrementally: migrates up to `batch` of its
-    /// valid pages to fresh WLs per call and, once none remain, releases
-    /// it to the free pool young (per-block retention tracking resets
-    /// its age on erase). Bounding the batch keeps each maintenance
-    /// dispatch short, so host requests never queue behind a whole-block
-    /// migration; callers resume a partially migrated block on their
-    /// next idle window. Returns the NAND time spent, the pages moved
-    /// and whether the block was released.
-    fn refresh_block(
-        &mut self,
-        chip: usize,
-        block: BlockId,
-        mu: f64,
-        batch: u32,
-    ) -> (f64, u64, bool) {
-        let mut latency = 0.0;
-        let limit = batch.max(1) as usize;
-        let (moved, released) =
-            self.migrate_block(chip, block, limit, mu, Origin::Maint, &mut latency);
-        (latency, moved, released)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{ctx, write_all};
+    use crate::testutil::{ctx, overwrite_wl, write_all};
     use crate::{FtlConfig, FtlKind};
     use nand3d::AgingState;
     use ssdsim::FtlDriver;
@@ -517,42 +454,81 @@ mod tests {
         assert_eq!(ftl.stats().scrub_sample_reads, 0);
     }
 
+    /// One paper-geometry chip of 24 blocks (576-page blocks, a dozen
+    /// units a refresh), data a year old, and host overwrites that
+    /// outpace the idle windows six to one, so the pool hovers at the GC
+    /// threshold: GC and a stock scrubber share the windows.
     #[test]
-    fn a_parked_refresh_is_not_resumed_on_a_block_refilled_since() {
+    fn the_stock_scrubber_finishes_refreshes_while_overwrites_hold_the_pool_low() {
+        let mut cfg = FtlConfig::paper();
+        cfg.chips = 1;
+        cfg.nand.geometry.blocks_per_chip = 24;
+        let mut ftl = Ftl::new(FtlKind::Cube, cfg);
+        let space = ftl.logical_pages() * 6 / 10;
+        write_all(&mut ftl, 0..space, 1, 0.5);
+        let mut x = 5;
+        for _ in 0..3000 {
+            ftl.write_wl(0, overwrite_wl(&mut x, space), &ctx(0.5));
+        }
+        ftl.set_aging(AgingState::EndOfLife);
+        ftl.enable_maintenance(MaintConfig::default_on());
+        ftl.reset_stats();
+        let mut low = 0;
+        for i in 0..3000 {
+            ftl.write_wl(0, overwrite_wl(&mut x, space), &ctx(0.5));
+            low += u32::from(ftl.pool_low(0));
+            if i % 6 == 0 {
+                ftl.maintenance_step(0, &ctx(0.5));
+            }
+        }
+        let stats = ftl.stats();
+        assert!(low > 500, "the pool was low after only {low} writes");
+        assert!(stats.gc_runs > 0, "GC never ran");
+        assert!(
+            stats.scrub_blocks > 0,
+            "no refresh finished ({} scrub page moves)",
+            stats.scrub_page_moves
+        );
+    }
+
+    #[test]
+    fn a_slot_whose_block_was_erased_since_is_dropped_not_resumed() {
         let cfg = FtlConfig::small();
         let mut ftl = Ftl::new(FtlKind::Cube, cfg);
         write_all(&mut ftl, 0..300, cfg.chips, 0.5);
         ftl.set_aging(AgingState::EndOfLife);
-        let mut maint = MaintConfig::default_on();
-        maint.scrub_batch_pages = 6;
-        ftl.enable_maintenance(maint);
-        // One scrub window parks mid-refresh on chip 0's first aged block.
+        ftl.enable_maintenance(MaintConfig::default_on());
+        // One scrub window starts refreshing chip 0's first aged block
+        // and moves its first unit.
         assert!(ftl.scrub_step(0, 0.5).is_some());
-        let parked = BlockId(ftl.maint.as_ref().unwrap().scrub_cursor[0]);
-        assert!(ftl.is_closed(0, parked) && ftl.mapping.valid_in_block(0, parked.0) > 0);
-        // GC reclaims the parked block, and the allocator fills and
-        // closes it again with fresh (young) overwrites.
-        let mut latency = 0.0;
-        ftl.migrate_block(0, parked, usize::MAX, 0.5, Origin::Gc, &mut latency);
+        let m = ftl.in_flight(0).expect("a refresh is in flight");
+        assert_eq!(m.cause, Cause::Scrub);
+        assert!(ftl.mapping.valid_in_block(0, m.block.0) > 0);
+        // The block is drained and released, a stale slot is left
+        // naming it, and the allocator fills and closes it again with
+        // fresh (young) overwrites.
+        ftl.migrate(0, usize::MAX, 0.5);
+        ftl.migration[0] = Some(m);
         let mut lpn = 0;
         for _ in 0..10_000 {
-            if ftl.is_closed(0, parked) {
+            if ftl.is_closed(0, m.block) {
                 break;
             }
             ftl.write_wl(0, [lpn, lpn + 1, lpn + 2], &ctx(0.5));
             lpn = (lpn + 3) % 300;
         }
-        let held = ftl.mapping.valid_in_block(0, parked.0);
+        let held = ftl.mapping.valid_in_block(0, m.block.0);
         assert!(
-            ftl.is_closed(0, parked) && held > 0,
+            ftl.is_closed(0, m.block) && held > 0,
             "the block was never refilled"
         );
-        // The next window examines it afresh: young data is not refreshed.
-        ftl.scrub_step(0, 0.5);
+        // The slot is dropped, not resumed on data nobody sampled.
+        assert_eq!(ftl.in_flight(0), None);
+        assert_eq!(ftl.migrate(0, GC_UNIT_PAGES, 0.5), None);
         assert_eq!(
-            ftl.mapping.valid_in_block(0, parked.0),
+            ftl.mapping.valid_in_block(0, m.block.0),
             held,
-            "the scrubber resumed a refresh of data it never sampled"
+            "a refresh resumed on a block erased since it started"
         );
     }
 

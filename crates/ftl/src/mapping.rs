@@ -189,15 +189,18 @@ impl Mapping {
         first..first + per_block
     }
 
-    /// Iterates over the logical pages still valid in `block` of `chip`
-    /// together with their physical flat indices.
+    /// Iterates over the logical pages still valid in `block` of `chip`,
+    /// from page offset `from` of the block on, together with their
+    /// physical flat indices.
     pub fn valid_pages_of_block(
         &self,
         chip: usize,
         block: u32,
+        from: u32,
     ) -> impl Iterator<Item = (u64, u32)> + '_ {
-        let first_page = block * self.geometry.pages_per_block();
-        self.p2l[self.block_pages(chip, block)]
+        let first_page = block * self.geometry.pages_per_block() + from;
+        let pages = self.block_pages(chip, block);
+        self.p2l[pages.start + from as usize..pages.end]
             .iter()
             .zip(first_page..)
             .filter_map(|(&l, p)| (l != NONE).then_some((u64::from(l), p)))

@@ -48,8 +48,10 @@ fn valid_pages_of_block_enumerates() {
     m.map(1, Ppn { chip: 0, page: 0 });
     m.map(2, Ppn { chip: 0, page: 5 });
     m.map(3, Ppn { chip: 0, page: 96 }); // next block
-    let pages: Vec<_> = m.valid_pages_of_block(0, 0).collect();
+    let pages: Vec<_> = m.valid_pages_of_block(0, 0, 0).collect();
     assert_eq!(pages, vec![(1, 0), (2, 5)]);
+    let from_page_1: Vec<_> = m.valid_pages_of_block(0, 0, 1).collect();
+    assert_eq!(from_page_1, vec![(2, 5)]);
 }
 
 #[test]
@@ -258,9 +260,23 @@ fn agrees(m: &Mapping, r: &RefMapping) -> Result<(), String> {
         for block in 0..g.blocks_per_chip {
             let (got, want) = (m.valid_in_block(chip, block), r.valid_in_block(chip, block));
             prop_assert_eq!(got, want, "valid_in_block({}, {})", chip, block);
-            let got: Vec<_> = m.valid_pages_of_block(chip, block).collect();
-            let want: Vec<_> = r.valid_pages_of_block(chip, block).collect();
-            prop_assert_eq!(got, want, "valid_pages_of_block({}, {})", chip, block);
+            // From the block's first page and from its middle on.
+            for from in [0, g.pages_per_block() / 2] {
+                let got: Vec<_> = m.valid_pages_of_block(chip, block, from).collect();
+                let first = block * g.pages_per_block() + from;
+                let want: Vec<_> = r
+                    .valid_pages_of_block(chip, block)
+                    .filter(|&(_, page)| page >= first)
+                    .collect();
+                prop_assert_eq!(
+                    got,
+                    want,
+                    "valid_pages_of_block({}, {}, {})",
+                    chip,
+                    block,
+                    from
+                );
+            }
         }
     }
     Ok(())

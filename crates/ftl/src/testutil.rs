@@ -35,3 +35,12 @@ pub(crate) fn write_all<F: FtlDriver>(
         ftl.write_wl(chip, batch, &ctx(mu));
     }
 }
+
+/// Three distinct LPNs below `space` from an LCG step of `x`.
+pub(crate) fn overwrite_wl(x: &mut u64, space: u64) -> [u64; 3] {
+    *x = x
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    let a = (*x >> 33) % space;
+    [a, (a + 1) % space, (a + 2) % space]
+}

@@ -5,7 +5,7 @@
 //!             [--aging fresh|midlife|eol] [--requests N] [--blocks N] [--seed N] [--temp C]
 //!             [--fault-seed N] [--fault-rate CLASS=RATE]...
 //!             [--maint] [--maint-gap-us F] [--maint-scrub-months F] [--maint-scrub-ber F]
-//!             [--maint-remonitor-pe N] [--maint-wear-limit N] [--maint-scrub-batch N]
+//!             [--maint-remonitor-pe N] [--maint-wear-limit N]
 //!             [--spo-at N | --spo-at-us T | --spo-rate P] [--spo-seed N] [--ckpt-interval N]
 //!             [--shards N] [--array-stripe PAGES] [--array-threads N]
 //!             [--array-parity] [--fail-shard ID@US | --fail-seed N] [--spare-shards N]
@@ -336,7 +336,7 @@ fn usage() {
          \x20                  [--aging fresh|midlife|eol] [--requests N] [--blocks N] [--seed N] [--temp C]\n\
          \x20                  [--fault-seed N] [--fault-rate CLASS=RATE]...\n\
          \x20                  [--maint] [--maint-gap-us F] [--maint-scrub-months F] [--maint-scrub-ber F]\n\
-         \x20                  [--maint-remonitor-pe N] [--maint-wear-limit N] [--maint-scrub-batch N]\n\
+         \x20                  [--maint-remonitor-pe N] [--maint-wear-limit N]\n\
          \x20                  [--spo-at N | --spo-at-us T | --spo-rate P] [--spo-seed N] [--ckpt-interval N]\n\
          \x20                  [--shards N] [--array-stripe PAGES] [--array-threads N]\n\
          \x20                  [--array-parity] [--fail-shard ID@US | --fail-seed N] [--spare-shards N]\n\
@@ -485,7 +485,6 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
             "--maint-scrub-ber" => maint(&mut sc).scrub_ber_threshold = num(v, |&b| b > 0.0)?,
             "--maint-remonitor-pe" => maint(&mut sc).remonitor_pe_budget = num(v, any)?,
             "--maint-wear-limit" => maint(&mut sc).wear_spread_limit = num(v, |&n| n > 0)?,
-            "--maint-scrub-batch" => maint(&mut sc).scrub_batch_pages = num(v, |&n| n > 0)?,
             "--spo-at" => sc.spo = cut(SpoTrigger::AtOps(num(v, |&n| n > 0)?)),
             "--spo-at-us" => sc.spo = cut(SpoTrigger::AtTimeUs(num(v, |&t| t > 0.0)?)),
             "--spo-rate" => {
@@ -639,7 +638,11 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
     }
     sc.workload =
         match trace_file.as_deref().map(load_trace).transpose()? {
-            Some(t) => WorkloadSource::Trace(t),
+            // A trace replays its own length, whatever --requests says.
+            Some(t) => {
+                sc.cfg.requests = t.len() as u64;
+                WorkloadSource::Trace(t)
+            }
             None => WorkloadSource::Phases(phases.unwrap_or_else(|| {
                 vec![kv_kind.map_or(TenantMix::Standard(workload), TenantMix::Kv)]
             })),
@@ -650,6 +653,7 @@ fn run(args: &[String]) -> Result<ExitCode, Stop> {
         WorkloadSource::Trace(t) => t.label().to_owned(),
         WorkloadSource::Phases(p) => p.iter().map(|m| m.label()).collect::<Vec<_>>().join("/"),
     };
+    sc.check_blocks()?;
     let cfg = &sc.cfg;
     println!(
         "workload {source}, {}, {} blocks/chip, {} requests, seed {}{}{}{}\n",
@@ -965,8 +969,7 @@ fn load_trace(path: &str) -> Result<Trace, Stop> {
 }
 
 fn fmt_wa(w: Option<f64>) -> String {
-    w.map(|w| format!("{w:.2}"))
-        .unwrap_or_else(|| "-".to_owned())
+    w.map_or_else(|| "-".to_owned(), |w| format!("{w:.2}"))
 }
 
 /// The headline row of one device or array, and under it the

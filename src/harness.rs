@@ -1238,6 +1238,20 @@ impl Scenario {
         }
     }
 
+    /// Checks that the device's blocks per chip leave GC its free-block
+    /// threshold and the open blocks aside with closed blocks still to
+    /// collect, and that its pages fit the mapping's page index. Part
+    /// of [`Scenario::validate`]; the CLI asks it first, before its
+    /// header names a device that cannot be built.
+    pub fn check_blocks(&self) -> Result<(), ScenarioError> {
+        let ftl = &self.cfg.ftl;
+        let reserved = ftl.gc_free_block_threshold.max(ftl.active_blocks_per_chip) as u32;
+        let (min, max) = (2 * reserved + 2, ftl.max_blocks_per_chip());
+        let blocks = ftl.nand.geometry.blocks_per_chip;
+        let error = ScenarioError::BlocksOutOfRange { blocks, min, max };
+        (min..=max).contains(&blocks).then_some(()).ok_or(error)
+    }
+
     /// Checks the scenario for unsupported combinations and
     /// out-of-range values, in the order the CLI reports them.
     pub fn validate(&self) -> Result<(), ScenarioError> {
@@ -1261,19 +1275,7 @@ impl Scenario {
         let ftl = &self.cfg.ftl;
         let (ssd, chips) = (self.cfg.ssd.chips, ftl.chips);
         check(ssd != chips, ChipsDisagree { ssd, ftl: chips })?;
-        let g = ftl.nand.geometry;
-        // GC must keep its free-block threshold and the open blocks
-        // aside and still have closed blocks to collect.
-        let reserved = ftl.gc_free_block_threshold.max(ftl.active_blocks_per_chip) as u32;
-        let (blocks, min, max) = (
-            g.blocks_per_chip,
-            2 * reserved + 2,
-            ftl.max_blocks_per_chip(),
-        );
-        check(
-            !(min..=max).contains(&blocks),
-            BlocksOutOfRange { blocks, min, max },
-        )?;
+        self.check_blocks()?;
         let celsius = self.cfg.ambient_celsius;
         let in_range = AMBIENT_CELSIUS_RANGE.contains(&celsius);
         check(!in_range, TempOutOfRange(celsius))?;

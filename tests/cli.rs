@@ -102,7 +102,7 @@ cases! {
                          --trace-out {out}/trace.ndjson --trace-events retry,gc";
     all_kinds: "--ftl all --blocks 16 --requests 2000 --workload oltp --aging midlife --temp 45";
     faults_maint: "--ftl all --blocks 16 --requests 1200 --workload web --aging eol --maint \
-                   --maint-gap-us 50 --maint-scrub-batch 96 --fault-seed 7 \
+                   --maint-gap-us 50 --fault-seed 7 \
                    --fault-rate ber-spike=0.02 --fault-rate abort=0.01 \
                    --fault-rate stuck-retry=0.05 --fault-rate uncorrectable=0.02";
     read_pipeline_v2: "--ftl cube --blocks 16 --requests 3000 --workload rocks --aging eol \

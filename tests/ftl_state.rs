@@ -206,7 +206,6 @@ fn maintenance(kind: FtlKind) -> u64 {
     rig.ftl.set_aging(AgingState::EndOfLife);
     let mut maint = MaintConfig::default_on();
     maint.wear_spread_limit = 1;
-    maint.scrub_batch_pages = 5;
     maint.scrub_retention_min_months = 0.5;
     rig.ftl.enable_maintenance(maint);
     let mut engine = LifetimeEngine::new(LifetimeConfig::campaign());
@@ -327,10 +326,10 @@ const WANT: [(&str, Script, [u64; 4]); 5] = [
         "maintenance",
         maintenance,
         [
-            0xad67ab0457e3e939,
-            0xc191d9c870802393,
-            0x3abdf1f87e87c026,
-            0x5d279ff6e0b941b7,
+            0x30e0f006e2e473f8,
+            0x505d4623f4a3ef96,
+            0x2bd1eebd09f2bfd3,
+            0xd7c57ef5c58c94c0,
         ],
     ),
     (

@@ -44,11 +44,10 @@ fn scrubber_reduces_uncorrectables_and_retries_under_retention_faults() {
     let mut cfg = retention_heavy_cfg();
     let off = run(&cfg);
 
-    // Give maintenance generous bandwidth (small host-priority gap,
-    // large migration batch): this test asserts the reliability
-    // direction; the throughput price is the bench's concern.
+    // Give maintenance generous bandwidth (a small host-priority gap):
+    // this test asserts the reliability direction; the throughput price
+    // is the bench's concern.
     let mut maint = MaintConfig::default_on();
-    maint.scrub_batch_pages = 96;
     maint.gap_us = 50.0;
     cfg.maint = Some(maint);
     let on = run(&cfg);

@@ -27,7 +27,11 @@
 //! fresh WLs, the rest still on it. The units window cuts there: the
 //! paper chip's 576-page blocks on the small platform, where a victim
 //! takes several units, and it must cut inside a victim (GC moved pages
-//! since the last victim release) at least once.
+//! since the last victim release) at least once. Retention scrubbing
+//! refreshes a block through the same mover, so the scrub window runs
+//! that device at EndOfLife with maintenance on and must cut inside a
+//! refresh (scrub moved pages since the last refreshed block) at least
+//! once.
 //!
 //! The default window is `FtlConfig::small()` on `SsdConfig::small()`
 //! over 300 requests, checkpoints off and every 8 host WLs.
@@ -36,8 +40,9 @@
 //! every 8 and every 64 host WLs.
 
 use cubeftl::{
-    AgingState, FrontRequest, Ftl, FtlConfig, FtlDriver, FtlKind, HostFront, HostRequest,
-    OobStatus, SpoEvent, SpoTrigger, SsdConfig, SsdSim, StandardWorkload, StepOutcome, WlOob,
+    AgingState, FrontRequest, Ftl, FtlConfig, FtlDriver, FtlKind, FtlStats, HostFront, HostRequest,
+    MaintConfig, OobStatus, SpoEvent, SpoTrigger, SsdConfig, SsdSim, StandardWorkload, StepOutcome,
+    WlOob,
 };
 use ftl::Ppn;
 use nand3d::Geometry;
@@ -52,6 +57,8 @@ struct Window {
     ckpts: &'static [u64],
     /// Every `stride`-th cut is also compared with a real trigger.
     stride: u64,
+    aging: AgingState,
+    maint: Option<MaintConfig>,
 }
 
 /// The units window: `FtlConfig::small()` with the paper chip's
@@ -69,6 +76,25 @@ fn units_window() -> Window {
         requests: 300,
         ckpts: &[0],
         stride: 37,
+        aging: AgingState::MidLife,
+        maint: None,
+    }
+}
+
+/// The scrub window: the units window at queue depth 1, so one chip
+/// idles while the other serves the request in flight, on 24 blocks
+/// per chip, so the prefilled pool stays above the GC threshold and the
+/// scrubber may start refreshes, at EndOfLife (data a year old) with
+/// stock maintenance on, over 150 requests.
+fn scrub_window() -> Window {
+    let mut w = units_window();
+    w.ssd.queue_depth = 1;
+    w.ftl.nand.geometry.blocks_per_chip = 24;
+    w.requests = 150;
+    Window {
+        aging: AgingState::EndOfLife,
+        maint: Some(MaintConfig::default_on()),
+        ..w
     }
 }
 
@@ -80,6 +106,8 @@ fn window() -> Window {
             requests: 300,
             ckpts: &[0, 8],
             stride: 37,
+            aging: AgingState::MidLife,
+            maint: None,
         },
         Ok("long") => {
             let mut ftl = FtlConfig::paper();
@@ -90,6 +118,8 @@ fn window() -> Window {
                 requests: 2_000,
                 ckpts: &[0, 8, 64],
                 stride: 211,
+                aging: AgingState::MidLife,
+                maint: None,
             }
         }
         Ok(other) => panic!("CUBEFTL_SPO_WINDOW={other}: expected short or long"),
@@ -146,9 +176,13 @@ struct Device {
 fn prepare(w: &Window, kind: FtlKind, ckpt: u64) -> Device {
     let mut sim = SsdSim::new(w.ssd);
     let mut ftl = Ftl::new(kind, w.ftl);
-    ftl.set_aging(AgingState::MidLife);
+    ftl.set_aging(w.aging);
     let prefill = (ftl.logical_pages() as f64 * 0.9) as u64;
     sim.prefill(&mut ftl, 0..prefill);
+    if let Some(maint) = w.maint {
+        ftl.enable_maintenance(maint);
+        sim.enable_maintenance(maint.gap_us);
+    }
     ftl.enable_checkpointing(ckpt);
     ftl.reset_stats();
     Device { sim, ftl }
@@ -227,11 +261,26 @@ fn triggered(start: &Device, stream: &[HostRequest], ops: u64) -> SpoEvent {
     d.sim.run_end(&d.ftl).1.expect("the trigger fires")
 }
 
+/// A migration's progress in the counters: blocks it finished, pages it
+/// moved.
+type Progress = fn(&FtlStats) -> (u64, u64);
+
+/// GC's progress: victims released, pages moved.
+fn gc(s: &FtlStats) -> (u64, u64) {
+    (s.gc_runs, s.gc_page_moves)
+}
+
+/// Scrubbing's progress: blocks refreshed, pages moved.
+fn scrub(s: &FtlStats) -> (u64, u64) {
+    (s.scrub_blocks, s.scrub_page_moves)
+}
+
 /// Cuts `kind`'s run at every completed-request boundary of `w`, once
 /// per checkpoint cadence. Returns how many cuts landed inside a
-/// half-migrated GC victim.
-fn sweep(w: &Window, kind: FtlKind) -> u64 {
-    let mut inside_victims = 0;
+/// half-moved block, by `progress`: pages moved since the last block it
+/// finished.
+fn sweep(w: &Window, kind: FtlKind, progress: Progress) -> u64 {
+    let mut inside = 0;
     for &ckpt in w.ckpts {
         let start = prepare(w, kind, ckpt);
         let stream: Vec<HostRequest> = StandardWorkload::Oltp
@@ -242,18 +291,18 @@ fn sweep(w: &Window, kind: FtlKind) -> u64 {
         let mut host = Recorded::new(&stream);
         dev.sim.run_begin(stream.len() as u64, None);
         let (mut cuts, mut compared) = (0u64, 0u64);
-        // GC page moves at the last victim release.
-        let mut released = (0, 0);
+        // Pages moved when the last block was finished.
+        let mut finished = (0, 0);
         let mut failures = Vec::new();
         loop {
             let before = host.completed;
             let outcome = dev.sim.run_step(&mut dev.ftl, &mut host, 1);
-            let stats = dev.ftl.stats();
-            if stats.gc_runs != released.0 {
-                released = (stats.gc_runs, stats.gc_page_moves);
+            let (blocks, moves) = progress(&dev.ftl.stats());
+            if blocks != finished.0 {
+                finished = (blocks, moves);
             }
             if host.completed > before {
-                inside_victims += u64::from(stats.gc_page_moves > released.1);
+                inside += u64::from(moves > finished.1);
                 let mut fork = dev.clone();
                 fork.sim.cut_power();
                 let event = fork.sim.run_end(&fork.ftl).1.expect("the cut is recorded");
@@ -293,31 +342,40 @@ fn sweep(w: &Window, kind: FtlKind) -> u64 {
             );
         }
     }
-    inside_victims
+    inside
 }
 
 #[test]
 fn page_ftl_recovers_at_every_cut() {
-    sweep(&window(), FtlKind::Page);
+    sweep(&window(), FtlKind::Page, gc);
 }
 
 #[test]
 fn vert_ftl_recovers_at_every_cut() {
-    sweep(&window(), FtlKind::Vert);
+    sweep(&window(), FtlKind::Vert, gc);
 }
 
 #[test]
 fn cube_minus_ftl_recovers_at_every_cut() {
-    sweep(&window(), FtlKind::CubeMinus);
+    sweep(&window(), FtlKind::CubeMinus, gc);
 }
 
 #[test]
 fn cube_ftl_recovers_at_every_cut() {
-    sweep(&window(), FtlKind::Cube);
+    sweep(&window(), FtlKind::Cube, gc);
 }
 
 #[test]
 fn cube_ftl_recovers_at_cuts_inside_gc_units() {
-    let inside = sweep(&units_window(), FtlKind::Cube);
+    let inside = sweep(&units_window(), FtlKind::Cube, gc);
     assert!(inside > 0, "no cut landed inside a half-migrated GC victim");
+}
+
+#[test]
+fn cube_ftl_recovers_at_cuts_inside_scrub_refreshes() {
+    let inside = sweep(&scrub_window(), FtlKind::Cube, scrub);
+    assert!(
+        inside > 0,
+        "no cut landed inside a half-moved scrub refresh"
+    );
 }
