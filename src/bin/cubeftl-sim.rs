@@ -104,7 +104,8 @@
 //! `cube-` or `all`); `--retry-opt` is a chip option every kind reads.
 //! `--trace-file PATH` replays an MSR-Cambridge-style CSV trace instead
 //! of a synthetic workload (byte offsets folded into the simulated
-//! address space at 16-KB page granularity).
+//! address space at 16-KB page granularity); the run replays the whole
+//! trace, so `--requests` is ignored and the header counts the trace.
 //!
 //! `--queues N` / `--tenants N` (either > 1) engage the NVMe-style
 //! multi-queue QoS front-end (`crates/hostq`): the closed loop is
