@@ -5,9 +5,12 @@
 //! off — the raw drift curve — and once with maintenance on, where
 //! retention scrubbing and wear leveling race the same aging schedule.
 //! Each epoch's report yields the headline drift metrics: IOPS, mean
-//! tPROG (host write-latency mean), NumRetry, retries/read, and write
-//! amplification, and the blocks scrubbing refreshed. The tables print
-//! seed 42's curves and every seed's end-of-life pair.
+//! tPROG (host write-latency mean), NumRetry, retries/read (every
+//! origin's retries — host and GC — per host read request, the bars'
+//! measure), host retries/read (the host's own NAND reads' retries per
+//! such read, which GC traffic does not move), write amplification, and
+//! the blocks scrubbing refreshed. The tables print seed 42's curves and
+//! every seed's end-of-life pair.
 //!
 //! Asserts the acceptance bars, on every seed of [`SEEDS`]:
 //!
@@ -100,6 +103,7 @@ pub fn run(args: &crate::BenchArgs) {
     let rows: Vec<Row> = sweep.cells.iter().flat_map(epochs).collect();
 
     let wa = |w: Option<f64>| w.unwrap_or(0.0);
+    let per = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
     let mut cols = Columns::<Row>::default();
     cols.out_col("", "seed", |r| text(r.0.label.1));
     cols.out_col("maint", "maint", |r| text(r.0.label.0));
@@ -113,6 +117,10 @@ pub fn run(args: &crate::BenchArgs) {
     cols.out_col("NumRetry", "num_retry", |r| text(rep(r).ftl.read_retries));
     cols.out_col("retry/read", "retry_per_read", |r| {
         num2(r.0.out.retry_rate(r.1), 3, 5)
+    });
+    cols.out_col("host r/r", "host_retry_per_read", |r| {
+        let ftl = &rep(r).ftl;
+        num2(per(ftl.host_read_retries, ftl.host_nand_reads), 3, 5)
     });
     cols.out_col("WA(h)", "wa_host", |r| num2(wa(rep(r).wa_host()), 2, 5));
     cols.out_col("WA(t)", "wa_total", |r| num2(wa(rep(r).wa_total()), 2, 5));

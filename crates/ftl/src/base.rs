@@ -413,12 +413,12 @@ impl FtlDriver for Ftl {
         }
         self.tel_now_us = ctx.now_us;
         let mu = ctx.buffer_utilization;
-        let (nand_us, gc) = match self.gc_unit(chip, mu) {
-            Some((nand_us, cause)) => (nand_us, cause == Cause::Gc),
-            None => (self.maintenance_unit(chip, mu)?, false),
+        let (nand_us, gc, wls) = match self.gc_unit(chip, mu) {
+            Some((nand_us, cause, wls)) => (nand_us, cause == Cause::Gc, wls),
+            None => (self.maintenance_unit(chip, mu)?, false, 0),
         };
         self.debug_audit_chip(chip);
-        Some(MaintWork { nand_us, gc })
+        Some(MaintWork { nand_us, gc, wls })
     }
 
     fn stats(&self) -> FtlStats {

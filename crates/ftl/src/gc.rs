@@ -56,13 +56,15 @@ pub fn select_victim(
 }
 
 /// Most valid pages one background GC unit migrates: an idle chip
-/// collects its victim this many pages at a time, so a host read that
-/// arrives meanwhile waits behind at most one unit, never a whole
-/// victim. A multiple of the three pages a WL holds, or every unit
-/// would end on a padded WL (32 pages raised `qos_open`'s WA by 9 %).
-/// Measured on `qos_open` (seed 42): 48 pages give a 405 µs mean read
-/// at about the parent's host CPU per request; 24 pages give 259 µs at
-/// about +9–13 %.
+/// collects its victim this many pages at a time. The unit bounds the
+/// work of one hook call and how long a flush queued behind it waits. A
+/// host read does not wait for it: the simulator lets the read run at
+/// the unit's next WL boundary (`ssdsim::MaintWork::wls`). A
+/// multiple of the three pages a WL holds, or every unit would end on a
+/// padded WL (32 pages raised `qos_open`'s WA by 9 %). One-WL units
+/// that run whole read about as fast on `qos_open` (seed 42: mean read
+/// 130.5 µs, against 128.7 µs for yielding 48-page units) but run 15×
+/// the units (156,516 against 10,331) at about ×1.28 the host CPU.
 pub const GC_UNIT_PAGES: usize = 48;
 const _: () = assert!(GC_UNIT_PAGES.is_multiple_of(3), "a unit ends on a full WL");
 
@@ -114,16 +116,16 @@ impl Ftl {
             self.start_migration(chip, victim, Cause::Gc);
         }
         self.last_gc_erase[chip] = Some(victim);
-        self.migrate(chip, usize::MAX, mu).map(|(t, _)| t)
+        self.migrate(chip, usize::MAX, mu).map(|(t, ..)| t)
     }
 
     /// One background unit on an idle `chip`: continues the in-flight
     /// migration, or — while the free pool is down to the threshold —
     /// starts one of the greedy victim, for up to [`GC_UNIT_PAGES`]
-    /// pages. Returns the NAND latency and the migration's cause, or
-    /// `None` when nothing is in flight and the pool is not low or no
-    /// victim is profitable.
-    pub(crate) fn gc_unit(&mut self, chip: usize, mu: f64) -> Option<(f64, Cause)> {
+    /// pages. Returns what [`Ftl::migrate`] returns, or `None` when
+    /// nothing is in flight and the pool is not low or no victim is
+    /// profitable.
+    pub(crate) fn gc_unit(&mut self, chip: usize, mu: f64) -> Option<(f64, Cause, u32)> {
         if self.in_flight(chip).is_none() {
             let low = self.pool_low(chip);
             let victim = low.then(|| self.profitable_victim(chip)).flatten()?;
@@ -165,14 +167,20 @@ impl Ftl {
     /// benefits GC reads too), in the block's physical order — the order
     /// of the P2L walk, which fixes the chip's RNG draws and the trace;
     /// (4) they are re-programmed three to a WL. The NAND time is summed
-    /// term by term from zero. Returns it and the cause, or `None` when
-    /// nothing is in flight.
+    /// term by term from zero. Returns it, the cause and the WLs
+    /// programmed (the steps a GC unit's time splits into), or `None`
+    /// when nothing is in flight.
     ///
     /// # Panics
     ///
     /// Panics, before any page is read, if the L2P and the P2L disagree
     /// about a page of the block.
-    pub(crate) fn migrate(&mut self, chip: usize, limit: usize, mu: f64) -> Option<(f64, Cause)> {
+    pub(crate) fn migrate(
+        &mut self,
+        chip: usize,
+        limit: usize,
+        mu: f64,
+    ) -> Option<(f64, Cause, u32)> {
         let m = self.in_flight(chip)?;
         let (block, next_page, cause) = (m.block, m.next_page, m.cause);
         let origin = match cause {
@@ -212,6 +220,7 @@ impl Ftl {
             latency += self.program_and_map(chip, wl, mu, origin).0;
         }
         let moved = batch.len() as u64;
+        let wls = (moved as u32).div_ceil(3);
         let next_page = batch.last().map_or(next_page, |&(_, p)| p - first + 1);
         self.migrate_batch = batch;
         self.migration[chip] = (!drained).then_some(Migration { next_page, ..m });
@@ -225,7 +234,7 @@ impl Ftl {
                 let event = EventKind::GcVictim {
                     chip: chip as u32,
                     block: block.0,
-                    moved_wls: (moved as u32).div_ceil(3),
+                    moved_wls: wls,
                     wear_aware: self.wear_leveling_on(),
                 };
                 self.trace.emit(self.tel_now_us, event);
@@ -240,7 +249,7 @@ impl Ftl {
                 self.trace_maint(chip, "wear_level", moved);
             }
         }
-        Some((latency, cause))
+        Some((latency, cause, wls))
     }
 
     /// Whether `block` is currently open for writing on `chip`.

@@ -222,7 +222,7 @@ impl Ftl {
             if retention >= cfg.scrub_retention_min_months || sampled_ber > cfg.scrub_ber_threshold
             {
                 self.start_migration(chip, b, Cause::Scrub);
-                let (t, _) = self.migrate(chip, GC_UNIT_PAGES, mu)?;
+                let (t, ..) = self.migrate(chip, GC_UNIT_PAGES, mu)?;
                 return Some(latency + t);
             }
             if latency > 0.0 {
@@ -323,7 +323,7 @@ impl Ftl {
             return None;
         }
         self.start_migration(chip, coldest_block, Cause::Wear);
-        self.migrate(chip, GC_UNIT_PAGES, mu).map(|(t, _)| t)
+        self.migrate(chip, GC_UNIT_PAGES, mu).map(|(t, ..)| t)
     }
 
     /// Wear-levels the checkpoint region itself: ring erases land on

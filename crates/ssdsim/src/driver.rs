@@ -32,6 +32,12 @@ pub struct WlWrite {
 /// Result of asking the FTL to perform one unit of background work
 /// (a garbage-collection unit, or a maintenance service: retention
 /// scrub, wear-level migration, OPM re-monitor) on an idle chip.
+///
+/// The FTL applies the whole unit when it returns it; the simulator
+/// only schedules its chip time. A GC unit's time is `wls` equal steps,
+/// and the simulator cuts it at the next step boundary once a host read
+/// queues on its chip: the reads run, then the rest of the unit (which
+/// can be cut again). Every other unit runs whole (DESIGN.md §7).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintWork {
     /// NAND time the chip is busy with the background operation, µs.
@@ -42,6 +48,11 @@ pub struct MaintWork {
     /// [`ChipStats::gc_units`](crate::ChipStats)) rather than ran a
     /// maintenance service (counted in `maint_ops`).
     pub gc: bool,
+    /// WLs the unit programmed when it continued the chip's in-flight
+    /// migration (0 for a maintenance service's own unit): a GC unit's
+    /// `nand_us` is this many equal steps, and it may yield to a host
+    /// read at the boundary between two.
+    pub wls: u32,
 }
 
 /// Result of asking the FTL to read one logical page.
@@ -258,8 +269,9 @@ pub trait FtlDriver {
     /// migrate one cold block, re-monitor one h-layer, …) — and returns
     /// its NAND cost, or `None` when nothing is due there. The simulator
     /// offers idle chips while the host stream is live, after each chip's
-    /// host-priority gap (0 unless maintenance is armed). Default: the
-    /// FTL performs no background work.
+    /// host-priority gap (0 unless maintenance is armed), and may let a
+    /// host read run between the WL steps of a GC unit ([`MaintWork`]).
+    /// Default: the FTL performs no background work.
     fn maintenance_step(&mut self, chip: usize, ctx: &HostContext) -> Option<MaintWork> {
         let _ = (chip, ctx);
         None

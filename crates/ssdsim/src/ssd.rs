@@ -148,6 +148,9 @@ pub struct ChipStats {
     pub gc_units: u64,
     /// NAND time spent on background garbage collection, µs.
     pub gc_us: f64,
+    /// Times a GC unit on this chip yielded to a host read at a WL
+    /// boundary (a unit cut twice counts twice).
+    pub gc_yields: u64,
 }
 
 impl ChipStats {
@@ -296,6 +299,7 @@ impl SimReport {
             reg.gauge(&format!("{prefix}.chip{i}.maint_us"), c.maint_us);
             reg.counter(&format!("{prefix}.chip{i}.gc_units"), c.gc_units);
             reg.gauge(&format!("{prefix}.chip{i}.gc_us"), c.gc_us);
+            reg.counter(&format!("{prefix}.chip{i}.gc_yields"), c.gc_yields);
         }
     }
 }
@@ -422,7 +426,13 @@ enum ChipOp {
     Background {
         feeder: Feeder,
         nand_us: f64,
+        /// Equal steps `nand_us` runs as, at whose boundaries a host
+        /// read may cut it: a GC unit's WLs, else 0 (the op runs whole).
+        wls: u32,
     },
+    /// The part of a cut GC unit that ran before it yielded; its rest
+    /// waits in the queue behind the host reads.
+    GcPiece,
 }
 
 /// The two feeders of the background scheduler. They differ in the
@@ -442,6 +452,18 @@ struct ChipState {
     queue: VecDeque<ChipOp>,
     pending_flushes: usize,
     current: Option<ChipOp>,
+    /// The `seq` of the `ChipIdle` that completes `current`: a cut
+    /// supersedes the one pushed at the start, which is then discarded.
+    idle_seq: u64,
+    /// When the running background op started (its step boundaries
+    /// count from here).
+    started_us: f64,
+    /// While the rest of a cut GC unit waits in `queue`, its index: the
+    /// host reads ahead of it, which a newly queued read joins.
+    rest_at: Option<usize>,
+    /// The running GC unit's NAND time and the chip time its finished
+    /// pieces took, for the debug check that the pieces sum to it.
+    unit_us: (f64, f64),
     stats: ChipStats,
 }
 
@@ -950,6 +972,7 @@ impl SsdSim {
         self.poll(ftl, host);
         let mut sliced = 0u64;
         while sliced < max_events {
+            self.drop_superseded();
             let next_event = self.events.peek().map(|e| e.t);
             let arrival = if self.can_issue() {
                 host.next_arrival_us()
@@ -1170,6 +1193,22 @@ impl SsdSim {
         self.bg.hook_gap_us = armed.bg.hook_gap_us;
     }
 
+    /// Pops the chip completions a cut superseded off the top of the
+    /// heap: they neither move the clock nor poll.
+    fn drop_superseded(&mut self) {
+        while let Some(&Event {
+            seq,
+            kind: EventKind::ChipIdle { chip },
+            ..
+        }) = self.events.peek()
+        {
+            if seq == self.chips[chip].idle_seq {
+                return;
+            }
+            self.events.pop();
+        }
+    }
+
     fn push_event(&mut self, t: f64, kind: EventKind) {
         self.seq += 1;
         self.events.push(Event {
@@ -1319,42 +1358,114 @@ impl SsdSim {
         }
     }
 
+    /// Queues `op` on `chip`, FIFO, except that a host read on a busy
+    /// chip cuts a running GC unit at its next WL boundary
+    /// ([`SsdSim::yield_gc_unit`]) and queues ahead of the unit's rest.
     fn enqueue_chip_op(&mut self, chip: usize, op: ChipOp) {
         assert!(chip < self.chips.len(), "FTL returned invalid chip {chip}");
         match op {
-            ChipOp::Read { .. } => {}
+            ChipOp::Read { .. } => {
+                if self.chips[chip].busy {
+                    self.yield_gc_unit(chip);
+                }
+            }
             ChipOp::Flush { .. } => {
                 self.chips[chip].pending_flushes += 1;
                 self.bg.ftl_writes += 1;
             }
             ChipOp::Background { .. } => self.bg.ftl_writes += 1,
+            ChipOp::GcPiece => unreachable!("a GC piece is never queued"),
         }
-        self.chips[chip].queue.push_back(op);
-        let depth = self.chips[chip].queue.len() + usize::from(self.chips[chip].busy);
         let c = &mut self.chips[chip];
+        match (&op, c.rest_at) {
+            (ChipOp::Read { .. }, Some(at)) => {
+                c.queue.insert(at, op);
+                c.rest_at = Some(at + 1);
+            }
+            _ => c.queue.push_back(op),
+        }
+        let depth = c.queue.len() + usize::from(c.busy);
         c.stats.max_queue_depth = c.stats.max_queue_depth.max(depth);
-        if !self.chips[chip].busy {
+        if !c.busy {
             self.start_next_op(chip);
         }
     }
 
-    fn start_next_op(&mut self, chip: usize) {
-        let Some(op) = self.chips[chip].queue.pop_front() else {
+    /// Cuts the GC unit running on `chip` at its next WL boundary, if it
+    /// has one before its end and is not cut already: the running part
+    /// becomes a [`ChipOp::GcPiece`] that completes at the boundary (a
+    /// new `ChipIdle` supersedes the unit's), and the rest goes to the
+    /// queue's front, where host reads queue ahead of it. The chip's
+    /// busy time loses what the rest will charge when it starts.
+    fn yield_gc_unit(&mut self, chip: usize) {
+        let c = &mut self.chips[chip];
+        let Some(ChipOp::Background {
+            feeder: Feeder::Hook,
+            nand_us,
+            wls,
+        }) = c.current
+        else {
             return;
         };
+        if wls < 2 || c.rest_at.is_some() {
+            return;
+        }
+        let step = nand_us / f64::from(wls);
+        // The boundaries are the unit's start plus whole steps; the
+        // next one strictly after now, if the unit is not ending there.
+        let k = ((self.now - c.started_us) / step).floor() as u32 + 1;
+        if k >= wls {
+            return;
+        }
+        let ran = f64::from(k) * step;
+        let boundary = c.started_us + ran;
+        c.stats.busy_us -= (c.started_us + nand_us) - boundary;
+        c.stats.gc_yields += 1;
+        c.current = Some(ChipOp::GcPiece);
+        debug_assert!(
+            !c.queue.iter().any(|op| matches!(op, ChipOp::Read { .. })),
+            "a host read waited behind a running GC unit"
+        );
+        c.queue.push_front(ChipOp::Background {
+            feeder: Feeder::Hook,
+            nand_us: nand_us - ran,
+            wls: wls - k,
+        });
+        c.rest_at = Some(0);
+        self.push_event(boundary, EventKind::ChipIdle { chip });
+        self.chips[chip].idle_seq = self.seq;
+    }
+
+    fn start_next_op(&mut self, chip: usize) {
+        let c = &mut self.chips[chip];
+        let Some(op) = c.queue.pop_front() else {
+            return;
+        };
+        if let Some(at) = c.rest_at {
+            debug_assert!(
+                at > 0 || !c.queue.iter().any(|op| matches!(op, ChipOp::Read { .. })),
+                "the rest of a GC unit starts while a host read waits"
+            );
+            c.rest_at = at.checked_sub(1);
+        }
         let bus = chip % self.config.buses;
         let pages = match &op {
             ChipOp::Read { .. } => 1.0,
             ChipOp::Flush { lpns, .. } => lpns.iter().filter(|&&l| l != u64::MAX).count() as f64,
             ChipOp::Background { feeder, .. } => match feeder {
                 Feeder::Rebuild => 1.0,
-                Feeder::Hook => 0.0,
+                Feeder::Hook => {
+                    c.started_us = self.now;
+                    0.0
+                }
             },
+            ChipOp::GcPiece => unreachable!("a GC piece is never queued"),
         };
         let nand_us = match &op {
             ChipOp::Read { nand_us, .. }
             | ChipOp::Flush { nand_us, .. }
             | ChipOp::Background { nand_us, .. } => *nand_us,
+            ChipOp::GcPiece => unreachable!("a GC piece is never queued"),
         };
         let done = if pages > 0.0 {
             let transfer = pages * T_XFER_PAGE_US;
@@ -1369,6 +1480,7 @@ impl SsdSim {
         self.chips[chip].stats.busy_us += done - self.now;
         self.chips[chip].current = Some(op);
         self.push_event(done, EventKind::ChipIdle { chip });
+        self.chips[chip].idle_seq = self.seq;
     }
 
     fn chip_op_done<F, H>(&mut self, chip: usize, ftl: &mut F, host: &mut H)
@@ -1400,7 +1512,20 @@ impl SsdSim {
                 self.buffer.complete_flush(lpns);
                 self.retry_stalled_writes();
             }
-            ChipOp::Background { feeder, .. } => self.background_done(chip, feeder),
+            // The rest of the unit waits in the queue behind the reads.
+            ChipOp::GcPiece => {
+                self.piece_done(chip);
+            }
+            ChipOp::Background { feeder, .. } => {
+                if feeder == Feeder::Hook {
+                    let (unit, ran) = self.piece_done(chip);
+                    debug_assert!(
+                        (ran - unit).abs() <= 1e-9 * self.now.max(1.0),
+                        "the pieces of a unit ran {ran} µs of its {unit} µs"
+                    );
+                }
+                self.background_done(chip, feeder);
+            }
         }
         self.start_next_op(chip);
         // A chip whose poll found nothing due is offered again once it
@@ -1411,6 +1536,14 @@ impl SsdSim {
             bg.hook_next_at = bg.hook_next_at.min(self.now);
         }
         self.try_flush(ftl);
+    }
+
+    /// Adds the chip time of the hook op that completes now to its
+    /// unit's; returns the unit's NAND time and the time run so far.
+    fn piece_done(&mut self, chip: usize) -> (f64, f64) {
+        let c = &mut self.chips[chip];
+        c.unit_us.1 += self.now - c.started_us;
+        c.unit_us
     }
 
     /// The background scheduler's completion path: a hook op starts its
@@ -1558,7 +1691,12 @@ impl SsdSim {
             };
             self.bg.inflight += 1;
             let feeder = Feeder::Rebuild;
-            self.enqueue_chip_op(chip, ChipOp::Background { feeder, nand_us });
+            let op = ChipOp::Background {
+                feeder,
+                nand_us,
+                wls: 0,
+            };
+            self.enqueue_chip_op(chip, op);
         }
         if self.bg.inflight == 0 {
             // The whole unit was skips: nothing will complete on a chip.
@@ -1607,17 +1745,23 @@ impl SsdSim {
         let Some(work) = ftl.maintenance_step(chip, &ctx) else {
             return;
         };
-        let stats = &mut self.chips[chip].stats;
-        if work.gc {
-            stats.gc_units += 1;
-            stats.gc_us += work.nand_us;
+        let c = &mut self.chips[chip];
+        c.unit_us = (work.nand_us, 0.0);
+        // Only GC units yield: scrub and wear units have no floor to
+        // fall back on when host reads keep cutting them.
+        let wls = if work.gc {
+            c.stats.gc_units += 1;
+            c.stats.gc_us += work.nand_us;
+            work.wls
         } else {
-            stats.maint_ops += 1;
-            stats.maint_us += work.nand_us;
-        }
+            c.stats.maint_ops += 1;
+            c.stats.maint_us += work.nand_us;
+            0
+        };
         let op = ChipOp::Background {
             feeder: Feeder::Hook,
             nand_us: work.nand_us,
+            wls,
         };
         self.enqueue_chip_op(chip, op);
     }
@@ -1696,7 +1840,7 @@ impl SsdSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{FtlStats, PageRead, WlWrite};
+    use crate::driver::{FtlStats, MaintWork, PageRead, WlWrite};
     use crate::front::FrontRequest;
     use std::collections::HashMap;
 
@@ -1717,6 +1861,11 @@ mod tests {
         full_chip: Option<usize>,
         /// The chip of every flush, in order.
         flush_chips: Vec<usize>,
+        /// Units the hook hands out first, front to back, before any
+        /// of `maint_budget`.
+        units: VecDeque<MaintWork>,
+        /// When the hook handed out each of `units`, µs.
+        unit_times: Vec<f64>,
     }
 
     impl StubFtl {
@@ -1732,6 +1881,8 @@ mod tests {
                 hook_polls: 0,
                 full_chip: None,
                 flush_chips: Vec::new(),
+                units: VecDeque::new(),
+                unit_times: Vec::new(),
             }
         }
     }
@@ -1773,20 +1924,21 @@ mod tests {
             }
         }
 
-        fn maintenance_step(
-            &mut self,
-            _chip: usize,
-            _ctx: &HostContext,
-        ) -> Option<crate::driver::MaintWork> {
+        fn maintenance_step(&mut self, _chip: usize, ctx: &HostContext) -> Option<MaintWork> {
             self.hook_polls += 1;
+            if let Some(unit) = self.units.pop_front() {
+                self.unit_times.push(ctx.now_us);
+                return Some(unit);
+            }
             if self.maint_budget == 0 {
                 return None;
             }
             self.maint_budget -= 1;
             self.stats.scrub_blocks += 1;
-            Some(crate::driver::MaintWork {
+            Some(MaintWork {
                 nand_us: 300.0,
                 gc: false,
+                wls: 0,
             })
         }
 
@@ -2269,6 +2421,101 @@ mod tests {
         });
         assert_eq!(sim.run(&mut ftl, mixed, 2000).completed, 2000);
         assert!(ftl.hook_polls > cfg.chips as u64);
+    }
+
+    /// One chip, LPNs `0..30` mapped, `units` queued in the hook; the
+    /// front's requests arrive at their times. Returns the report, the
+    /// hook's hand-out times and the completion time of every token.
+    fn run_one_chip(
+        units: Vec<MaintWork>,
+        gap_us: f64,
+        requests: Vec<(f64, HostRequest)>,
+    ) -> (SimReport, Vec<f64>, Vec<f64>) {
+        let cfg = SsdConfig {
+            chips: 1,
+            buses: 1,
+            queue_depth: 8,
+            buffer_pages: 16,
+        };
+        let mut sim = SsdSim::new(cfg);
+        sim.enable_maintenance(gap_us);
+        let mut ftl = StubFtl::new(1);
+        sim.prefill(&mut ftl, 0..30);
+        ftl.units = units.into();
+        let times: Vec<f64> = requests.iter().map(|r| r.0).collect();
+        let mut front =
+            StubFront::from_requests(requests.into_iter().map(|r| r.1), |i| times[i as usize]);
+        sim.run_begin(u64::MAX, None);
+        while sim.run_step(&mut ftl, &mut front, 3) == StepOutcome::Running {}
+        let mut done = vec![0.0; times.len()];
+        for (token, t) in front.done {
+            done[token as usize] = t;
+        }
+        (sim.run_end(&ftl).0, ftl.unit_times, done)
+    }
+
+    fn gc_unit(nand_us: f64, wls: u32) -> MaintWork {
+        MaintWork {
+            nand_us,
+            gc: true,
+            wls,
+        }
+    }
+
+    #[test]
+    fn a_gc_unit_yields_to_host_reads_at_wl_boundaries() {
+        // A 16-WL unit of 100 µs steps starts at 0; two flushes queue
+        // behind it. A read at 250 cuts it at 300 and a read at 350
+        // joins the first; the rest (13 steps) runs from 500, a read at
+        // 1000 cuts it again at 1100, and the flushes follow the last
+        // piece in their order. A read costs 20 µs on the bus plus 80,
+        // a flush 60 plus 700.
+        let (report, units, done) = run_one_chip(
+            vec![gc_unit(1_600.0, 16), gc_unit(1_600.0, 16)],
+            2_000.0,
+            vec![
+                (100.0, HostRequest::write_span(0, 3)),
+                (200.0, HostRequest::write_span(3, 3)),
+                (250.0, HostRequest::read(10)),
+                (350.0, HostRequest::read(11)),
+                (1_000.0, HostRequest::read(12)),
+                (4_000.0, HostRequest::write(20)),
+            ],
+        );
+        assert_eq!(done, [105.0, 205.0, 400.0, 500.0, 1_200.0, 4_005.0]);
+        // 1 900 + 2 × 760: the flushes end the chip's work at 3 420, and
+        // the hook's gap runs from the last piece's end, 1 900, so the
+        // second unit is handed out at the next poll past 3 900.
+        assert_eq!(units, [0.0, 4_000.0]);
+        let chip = report.chip_stats[0];
+        assert_eq!(chip.gc_yields, 2);
+        assert_eq!(chip.gc_units, 2);
+        assert_eq!(chip.gc_us, 3_200.0);
+        // Every µs the chip worked, once: both units, three reads and
+        // two flushes.
+        assert_eq!(chip.busy_us, 3_200.0 + 3.0 * 100.0 + 2.0 * 760.0);
+        assert_eq!(report.sim_time_us, 5_600.0);
+    }
+
+    #[test]
+    fn only_gc_units_yield() {
+        // The same unit as a maintenance service's, a GC unit with one
+        // WL, and a read in a GC unit's last step: each runs whole.
+        let service = MaintWork {
+            gc: false,
+            ..gc_unit(1_600.0, 16)
+        };
+        for (unit, read_at) in [
+            (service, 250.0),
+            (gc_unit(1_600.0, 1), 250.0),
+            (gc_unit(1_600.0, 16), 1_550.0),
+        ] {
+            let reads = vec![(read_at, HostRequest::read(10))];
+            let (report, _, done) = run_one_chip(vec![unit], 0.0, reads);
+            assert_eq!(done, [1_700.0], "{unit:?}");
+            assert_eq!(report.chip_stats[0].gc_yields, 0);
+            assert_eq!(report.chip_stats[0].busy_us, 1_700.0);
+        }
     }
 
     #[test]

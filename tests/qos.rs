@@ -244,11 +244,17 @@ fn recorded_traces_replay_as_tenant_zero() {
 /// Runs the ledger's `qos_open` flag line at 1/50 of its 450 000
 /// requests with `extra` flags, returning stdout; a failed run panics.
 fn qos_open_line_at_one_fiftieth(extra: &str) -> String {
-    let line = "--ftl cube --workload mail --aging midlife --blocks 64 --queues 4 \
+    qos_open_line(&format!("--blocks 64 --requests 9000 {extra}"))
+}
+
+/// Runs the ledger's `qos_open` flag line, its size and `extra` flags
+/// given by `args`, returning stdout; a failed run panics.
+fn qos_open_line(args: &str) -> String {
+    let line = "--ftl cube --workload mail --aging midlife --queues 4 \
                 --tenants 12 --tenant-weights 4,2,1 --qos-arrival-us 650 \
-                --qos-slo-read-us 270000 --qos-slo-write-us 70000 --requests 9000 --seed 42";
+                --qos-slo-read-us 270000 --qos-slo-write-us 70000 --seed 42";
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_cubeftl-sim"))
-        .args(line.split_whitespace().chain(extra.split_whitespace()))
+        .args(line.split_whitespace().chain(args.split_whitespace()))
         .output()
         .expect("run cubeftl-sim");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -285,6 +291,51 @@ fn qos_open_line_at_one_fiftieth_keeps_every_chip_equally_busy() {
     let max = busy.iter().copied().fold(f64::MIN, f64::max);
     let min = busy.iter().copied().fold(f64::MAX, f64::min);
     assert!(max <= 1.5 * min, "per-chip busy µs {busy:?}");
+}
+
+/// On 32 blocks per chip the `qos_open` line collects garbage (WA about
+/// 3.9) in background units of up to 48 pages, about 15 ms of chip time
+/// each. A GC unit yields to a queued host read at its next WL
+/// boundary, so no read waits for a whole unit: the longest read is
+/// bounded by one erase (a unit of one WL runs whole, erase included),
+/// one GC step (three page reads and one WL program), and the read
+/// itself at its most retries plus its page transfer (ECC decoding is
+/// part of the model's sense time).
+#[test]
+fn qos_open_line_on_32_blocks_serves_every_read_within_an_erase_and_a_gc_step() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("qos_open_32_blocks");
+    std::fs::create_dir_all(&dir).expect("create the output directory");
+    let metrics = dir.join("metrics.ndjson");
+    let stdout = qos_open_line(&format!(
+        "--blocks 32 --requests 22500 --metrics-out {}",
+        metrics.display()
+    ));
+    let text = std::fs::read_to_string(&metrics).expect("read the metrics");
+    let number = |name: &str, field: &str| -> f64 {
+        let line = text
+            .lines()
+            .find(|l| l.contains(&format!("\"metric\":\"{name}\"")))
+            .unwrap_or_else(|| panic!("no {name} in {text}"));
+        let v = &line[line.find(&format!("\"{field}\":")).expect("the field") + field.len() + 3..];
+        v[..v.find([',', '}']).expect("a number's end")]
+            .parse()
+            .expect("a number")
+    };
+    assert!(number("ssd.ftl.gc_runs", "value") > 0.0, "{stdout}");
+    let t = nand3d::NandTiming::PAPER;
+    let ispp = nand3d::config::IsppModel::PAPER;
+    let read_max = t.t_read_us + f64::from(nand3d::MAX_OFFSET_INDEX + 1) * t.t_retry_us;
+    let states = nand3d::NUM_PROGRAM_STATES as f64;
+    let program_max = f64::from(ispp.max_loop) * (t.t_pgm_us + states * t.t_vfy_us);
+    let gc_step = 3.0 * read_max + program_max;
+    // The page transfer of `ssdsim` (20 µs) and the host's submission.
+    let bus_us = 20.0 + 1.5;
+    let bound = t.t_erase_us + gc_step + read_max + bus_us;
+    let longest = number("ssd.read_latency_us", "max");
+    assert!(
+        longest <= bound,
+        "a host read took {longest} µs, over one erase, one GC step and one read ({bound} µs)"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -25,9 +25,13 @@
 //! Garbage collection runs in bounded background units, so a victim can
 //! stand half-migrated at a cut: some of its valid pages already on
 //! fresh WLs, the rest still on it. The units window cuts there: the
-//! paper chip's 576-page blocks on the small platform, where a victim
-//! takes several units, and it must cut inside a victim (GC moved pages
-//! since the last victim release) at least once. Retention scrubbing
+//! paper chip's 576-page blocks on the small platform at queue depth 1,
+//! where a victim takes several units and one chip idles for them while
+//! the other serves the request in flight; it must run more than one
+//! unit and cut inside a victim (GC moved pages since the last victim
+//! release) at least once. A unit yields its chip to a host read at a
+//! WL boundary, so some of those cuts land while the rest of a cut unit
+//! still waits in its chip's queue. Retention scrubbing
 //! refreshes a block through the same mover, so the scrub window runs
 //! that device at EndOfLife with maintenance on and must cut inside a
 //! refresh (scrub moved pages since the last refreshed block) at least
@@ -44,6 +48,7 @@ use cubeftl::{
     MaintConfig, OobStatus, SpoEvent, SpoTrigger, SsdConfig, SsdSim, StandardWorkload, StepOutcome,
     WlOob,
 };
+use ftl::gc::GC_UNIT_PAGES;
 use ftl::Ppn;
 use nand3d::Geometry;
 use std::collections::HashSet;
@@ -62,8 +67,9 @@ struct Window {
 }
 
 /// The units window: `FtlConfig::small()` with the paper chip's
-/// 576-page blocks (twelve per chip) on `SsdConfig::small()` over 300
-/// requests, checkpoints off.
+/// 576-page blocks (twelve per chip) on `SsdConfig::small()` at queue
+/// depth 1 over 300 requests, checkpoints off. At the platform's depth
+/// of 4 both chips stay busy and the hook runs one unit in the window.
 fn units_window() -> Window {
     let mut ftl = FtlConfig::small();
     ftl.nand.geometry = Geometry {
@@ -71,7 +77,10 @@ fn units_window() -> Window {
         ..Geometry::paper()
     };
     Window {
-        ssd: SsdConfig::small(),
+        ssd: SsdConfig {
+            queue_depth: 1,
+            ..SsdConfig::small()
+        },
         ftl,
         requests: 300,
         ckpts: &[0],
@@ -81,14 +90,12 @@ fn units_window() -> Window {
     }
 }
 
-/// The scrub window: the units window at queue depth 1, so one chip
-/// idles while the other serves the request in flight, on 24 blocks
-/// per chip, so the prefilled pool stays above the GC threshold and the
-/// scrubber may start refreshes, at EndOfLife (data a year old) with
-/// stock maintenance on, over 150 requests.
+/// The scrub window: the units window on 24 blocks per chip, so the
+/// prefilled pool stays above the GC threshold and the scrubber may
+/// start refreshes, at EndOfLife (data a year old) with stock
+/// maintenance on, over 150 requests.
 fn scrub_window() -> Window {
     let mut w = units_window();
-    w.ssd.queue_depth = 1;
     w.ftl.nand.geometry.blocks_per_chip = 24;
     w.requests = 150;
     Window {
@@ -277,10 +284,10 @@ fn scrub(s: &FtlStats) -> (u64, u64) {
 
 /// Cuts `kind`'s run at every completed-request boundary of `w`, once
 /// per checkpoint cadence. Returns how many cuts landed inside a
-/// half-moved block, by `progress`: pages moved since the last block it
-/// finished.
-fn sweep(w: &Window, kind: FtlKind, progress: Progress) -> u64 {
-    let mut inside = 0;
+/// half-moved block, by `progress` (pages moved since the last block it
+/// finished), and the pages moved over the last cadence's run.
+fn sweep(w: &Window, kind: FtlKind, progress: Progress) -> (u64, u64) {
+    let (mut inside, mut moved) = (0, 0);
     for &ckpt in w.ckpts {
         let start = prepare(w, kind, ckpt);
         let stream: Vec<HostRequest> = StandardWorkload::Oltp
@@ -334,6 +341,7 @@ fn sweep(w: &Window, kind: FtlKind, progress: Progress) -> u64 {
             failures[0]
         );
         assert_eq!(host.completed, stream.len() as u64, "the run drained");
+        moved = progress(&dev.ftl.stats()).1;
         assert!(cuts > stream.len() as u64 / 2 && compared > 1);
         if ckpt > 0 {
             assert!(
@@ -342,7 +350,7 @@ fn sweep(w: &Window, kind: FtlKind, progress: Progress) -> u64 {
             );
         }
     }
-    inside
+    (inside, moved)
 }
 
 #[test]
@@ -367,13 +375,17 @@ fn cube_ftl_recovers_at_every_cut() {
 
 #[test]
 fn cube_ftl_recovers_at_cuts_inside_gc_units() {
-    let inside = sweep(&units_window(), FtlKind::Cube, gc);
+    let (inside, moved) = sweep(&units_window(), FtlKind::Cube, gc);
+    assert!(
+        moved > GC_UNIT_PAGES as u64,
+        "the window ran one GC unit at most ({moved} pages moved)"
+    );
     assert!(inside > 0, "no cut landed inside a half-migrated GC victim");
 }
 
 #[test]
 fn cube_ftl_recovers_at_cuts_inside_scrub_refreshes() {
-    let inside = sweep(&scrub_window(), FtlKind::Cube, scrub);
+    let (inside, _) = sweep(&scrub_window(), FtlKind::Cube, scrub);
     assert!(
         inside > 0,
         "no cut landed inside a half-moved scrub refresh"
