@@ -103,7 +103,6 @@ pub fn run(args: &crate::BenchArgs) {
     let rows: Vec<Row> = sweep.cells.iter().flat_map(epochs).collect();
 
     let wa = |w: Option<f64>| w.unwrap_or(0.0);
-    let per = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
     let mut cols = Columns::<Row>::default();
     cols.out_col("", "seed", |r| text(r.0.label.1));
     cols.out_col("maint", "maint", |r| text(r.0.label.0));
@@ -120,7 +119,8 @@ pub fn run(args: &crate::BenchArgs) {
     });
     cols.out_col("host r/r", "host_retry_per_read", |r| {
         let ftl = &rep(r).ftl;
-        num2(per(ftl.host_read_retries, ftl.host_nand_reads), 3, 5)
+        let reads = ftl.host_nand_reads.max(1) as f64;
+        num2(ftl.host_read_retries as f64 / reads, 3, 5)
     });
     cols.out_col("WA(h)", "wa_host", |r| num2(wa(rep(r).wa_host()), 2, 5));
     cols.out_col("WA(t)", "wa_total", |r| num2(wa(rep(r).wa_total()), 2, 5));

@@ -1449,22 +1449,21 @@ impl SsdSim {
             c.rest_at = at.checked_sub(1);
         }
         let bus = chip % self.config.buses;
-        let pages = match &op {
-            ChipOp::Read { .. } => 1.0,
-            ChipOp::Flush { lpns, .. } => lpns.iter().filter(|&&l| l != u64::MAX).count() as f64,
-            ChipOp::Background { feeder, .. } => match feeder {
-                Feeder::Rebuild => 1.0,
+        let (pages, nand_us) = match &op {
+            ChipOp::Read { nand_us, .. } => (1.0, *nand_us),
+            ChipOp::Flush { lpns, nand_us, .. } => {
+                let pages = lpns.iter().filter(|&&l| l != u64::MAX).count();
+                (pages as f64, *nand_us)
+            }
+            ChipOp::Background {
+                feeder, nand_us, ..
+            } => match feeder {
+                Feeder::Rebuild => (1.0, *nand_us),
                 Feeder::Hook => {
                     c.started_us = self.now;
-                    0.0
+                    (0.0, *nand_us)
                 }
             },
-            ChipOp::GcPiece => unreachable!("a GC piece is never queued"),
-        };
-        let nand_us = match &op {
-            ChipOp::Read { nand_us, .. }
-            | ChipOp::Flush { nand_us, .. }
-            | ChipOp::Background { nand_us, .. } => *nand_us,
             ChipOp::GcPiece => unreachable!("a GC piece is never queued"),
         };
         let done = if pages > 0.0 {
