@@ -367,13 +367,12 @@ impl FtlDriver for Ftl {
         self.tel_now_us = ctx.now_us;
         let mu = ctx.buffer_utilization;
         // A flush did GC only if it erased a victim.
-        let gc_us = if self.pool_at_floor(chip) {
+        let gc = if self.pool_at_floor(chip) {
             self.run_gc(chip, mu)
         } else {
             None
         };
-        let did_gc = gc_us.is_some();
-        let mut nand_us = gc_us.unwrap_or(0.0);
+        let (mut nand_us, gc_wls) = gc.unwrap_or((0.0, 0));
         let (t, leader) = self.program_and_map(chip, lpns, mu, Origin::Host);
         nand_us += t;
         if let Some(t) = self.checkpoint_tick() {
@@ -381,7 +380,8 @@ impl FtlDriver for Ftl {
         }
         WlWrite {
             nand_us,
-            did_gc,
+            did_gc: gc.is_some(),
+            gc_wls,
             leader,
         }
     }

@@ -59,7 +59,10 @@ pub fn select_victim(
 /// collects its victim this many pages at a time. The unit bounds the
 /// work of one hook call and how long a flush queued behind it waits. A
 /// host read does not wait for it: the simulator lets the read run at
-/// the unit's next WL boundary (`ssdsim::MaintWork::wls`). A
+/// the unit's next WL boundary (`ssdsim::MaintWork::wls`), as it does
+/// at a floor flush's (`ssdsim::WlWrite::gc_wls`), so where the floor
+/// does every collection (the `write_gc` ledger line runs no unit) a
+/// read waits for neither. A
 /// multiple of the three pages a WL holds, or every unit would end on a
 /// padded WL (32 pages raised `qos_open`'s WA by 9 %). One-WL units
 /// that run whole read about as fast on `qos_open` (seed 42: mean read
@@ -102,9 +105,10 @@ impl Ftl {
     /// The foreground floor under a host write once the background
     /// units fell behind, and the PLP replay's top-up after a power
     /// cycle: drains the block [`Ftl::floor_victim`] names whole.
-    /// Returns the NAND latency spent, or `None` when nothing is in
-    /// flight and no block holds a WL of garbage, so nothing was erased.
-    pub(crate) fn run_gc(&mut self, chip: usize, mu: f64) -> Option<f64> {
+    /// Returns the NAND latency spent and the WLs the migration
+    /// programmed, or `None` when nothing is in flight and no block holds
+    /// a WL of garbage, so nothing was erased.
+    pub(crate) fn run_gc(&mut self, chip: usize, mu: f64) -> Option<(f64, u32)> {
         // No block holding a WL of garbage (e.g. right after a unique
         // prefill): collecting would only shuffle valid pages between
         // blocks without freeing anything. Keep writing into the
@@ -116,7 +120,8 @@ impl Ftl {
             self.start_migration(chip, victim, Cause::Gc);
         }
         self.last_gc_erase[chip] = Some(victim);
-        self.migrate(chip, usize::MAX, mu).map(|(t, ..)| t)
+        self.migrate(chip, usize::MAX, mu)
+            .map(|(t, _, wls)| (t, wls))
     }
 
     /// One background unit on an idle `chip`: continues the in-flight

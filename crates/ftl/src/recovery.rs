@@ -492,7 +492,7 @@ impl Ftl {
         for (i, group) in plp_lpns.chunks(3).enumerate() {
             let chip = i % chips;
             if ftl.pool_low(chip) {
-                report.nand_us += ftl.run_gc(chip, 0.0).unwrap_or(0.0);
+                report.nand_us += ftl.run_gc(chip, 0.0).map_or(0.0, |(t, _)| t);
             }
             let mut lpns = [WlData::PAD; 3];
             lpns[..group.len()].copy_from_slice(group);

@@ -271,6 +271,7 @@ mod tests {
             ssdsim::WlWrite {
                 nand_us: 200.0,
                 did_gc: false,
+                gc_wls: 0,
                 leader: false,
             }
         }

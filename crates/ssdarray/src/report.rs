@@ -104,9 +104,11 @@ impl ArrayReport {
     }
 
     /// Registers the merged array metrics under `prefix`: array-wide
-    /// gauges and counters, the merged latency histograms, the
-    /// accumulated FTL counters (under `{prefix}.ftl`) and per-shard
-    /// throughput (under `{prefix}.shard{s}`).
+    /// gauges and counters (among them the GC units and their cuts
+    /// summed over every chip, `gc_units` and `gc_yields`), the merged
+    /// latency histograms, the accumulated FTL counters (under
+    /// `{prefix}.ftl`) and per-shard throughput (under
+    /// `{prefix}.shard{s}`).
     pub fn register_metrics(&self, reg: &mut telemetry::MetricRegistry, prefix: &str) {
         ssdsim::register_host_metrics!(self, reg, prefix);
         if let Some(wa) = self.wa_host() {
@@ -115,6 +117,9 @@ impl ArrayReport {
         if let Some(wa) = self.wa_total() {
             reg.gauge(&format!("{prefix}.wa_total"), wa);
         }
+        let sum = |f: fn(&ChipStats) -> u64| self.chip_stats.iter().map(f).sum();
+        reg.counter(&format!("{prefix}.gc_units"), sum(|c| c.gc_units));
+        reg.counter(&format!("{prefix}.gc_yields"), sum(|c| c.gc_yields));
         self.ftl.register_metrics(reg, &format!("{prefix}.ftl"));
         for (s, (iops, completed)) in self
             .per_shard_iops

@@ -17,14 +17,24 @@ pub struct HostContext {
 }
 
 /// Result of asking the FTL to program one WL worth of host pages.
+///
+/// A write that ran the foreground GC floor first is a *floor flush*:
+/// the simulator runs its `nand_us` as `gc_wls + 1` equal steps, the WL
+/// program last, and cuts it at the next step boundary once a host read
+/// queues on its chip, as it cuts a GC unit ([`MaintWork`]). The FTL
+/// has applied the whole write, GC included, when it returns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WlWrite {
     /// NAND time the chip is busy for this write, µs: any GC the FTL ran
     /// first, plus the WL program itself (and a §4.1.4 re-program if the
     /// safety check fired).
     pub nand_us: f64,
-    /// Whether a garbage collection ran as part of this write.
+    /// Whether a garbage collection ran as part of this write (it erased
+    /// a victim).
     pub did_gc: bool,
+    /// WLs that garbage collection programmed (0 without one): the GC
+    /// steps of a floor flush.
+    pub gc_wls: u32,
     /// Whether the WL was a (slow) leader WL (`false` = follower).
     pub leader: bool,
 }
@@ -37,7 +47,8 @@ pub struct WlWrite {
 /// only schedules its chip time. A GC unit's time is `wls` equal steps,
 /// and the simulator cuts it at the next step boundary once a host read
 /// queues on its chip: the reads run, then the rest of the unit (which
-/// can be cut again). Every other unit runs whole (DESIGN.md §7).
+/// can be cut again). A floor flush ([`WlWrite::gc_wls`]) yields by the
+/// same rule; every other unit runs whole (DESIGN.md §7).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintWork {
     /// NAND time the chip is busy with the background operation, µs.

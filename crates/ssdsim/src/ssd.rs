@@ -148,8 +148,8 @@ pub struct ChipStats {
     pub gc_units: u64,
     /// NAND time spent on background garbage collection, µs.
     pub gc_us: f64,
-    /// Times a GC unit on this chip yielded to a host read at a WL
-    /// boundary (a unit cut twice counts twice).
+    /// Times a GC unit or a floor flush on this chip yielded to a host
+    /// read at a step boundary (an op cut twice counts twice).
     pub gc_yields: u64,
 }
 
@@ -421,6 +421,15 @@ enum ChipOp {
         lpns: [u64; 3],
         nand_us: f64,
         did_gc: bool,
+        /// Equal steps `nand_us` runs as, at whose boundaries a host
+        /// read may cut it: a floor flush's GC WLs plus its own WL
+        /// program (the last step), fewer for the rest of a cut one;
+        /// else 0 (a plain flush, or one whose GC moved no WL, runs
+        /// whole).
+        steps: u32,
+        /// Whether its pages cross the bus before the NAND time: false
+        /// for the rest of a cut floor flush, whose pages already did.
+        transfer: bool,
     },
     /// An op of the background scheduler, from either feeder.
     Background {
@@ -430,9 +439,62 @@ enum ChipOp {
         /// read may cut it: a GC unit's WLs, else 0 (the op runs whole).
         wls: u32,
     },
-    /// The part of a cut GC unit that ran before it yielded; its rest
-    /// waits in the queue behind the host reads.
+    /// The part of a cut GC unit or floor flush that ran before it
+    /// yielded; its rest waits in the queue behind the host reads.
     GcPiece,
+}
+
+impl ChipOp {
+    /// The NAND time and the equal steps of an op that holds GC work —
+    /// a GC unit from the hook, a floor flush whose GC moved a WL, or
+    /// the rest of either — else `None`. A host read queues ahead of
+    /// such an op and cuts a running one at its next step boundary.
+    fn gc_steps(&self) -> Option<(f64, u32)> {
+        match *self {
+            ChipOp::Flush { nand_us, steps, .. } if steps > 0 => Some((nand_us, steps)),
+            ChipOp::Background {
+                feeder: Feeder::Hook,
+                nand_us,
+                wls,
+            } if wls > 0 => Some((nand_us, wls)),
+            _ => None,
+        }
+    }
+
+    fn holds_gc(&self) -> bool {
+        self.gc_steps().is_some()
+    }
+
+    /// What is left of an op that holds GC work once its first `k`
+    /// steps ran `ran` µs: the same op with the rest of its time and
+    /// steps, whose pages do not cross the bus again.
+    fn rest(self, k: u32, ran: f64) -> ChipOp {
+        match self {
+            ChipOp::Flush {
+                lpns,
+                nand_us,
+                did_gc,
+                steps,
+                ..
+            } => ChipOp::Flush {
+                lpns,
+                nand_us: nand_us - ran,
+                did_gc,
+                steps: steps - k,
+                transfer: false,
+            },
+            ChipOp::Background {
+                feeder,
+                nand_us,
+                wls,
+            } => ChipOp::Background {
+                feeder,
+                nand_us: nand_us - ran,
+                wls: wls - k,
+            },
+            ChipOp::Read { .. } | ChipOp::GcPiece => unreachable!("only GC work yields"),
+        }
+    }
 }
 
 /// The two feeders of the background scheduler. They differ in the
@@ -455,14 +517,12 @@ struct ChipState {
     /// The `seq` of the `ChipIdle` that completes `current`: a cut
     /// supersedes the one pushed at the start, which is then discarded.
     idle_seq: u64,
-    /// When the running background op started (its step boundaries
-    /// count from here).
+    /// When the running op's NAND time started, after any page
+    /// transfer: the step boundaries of an op holding GC count from here.
     started_us: f64,
-    /// While the rest of a cut GC unit waits in `queue`, its index: the
-    /// host reads ahead of it, which a newly queued read joins.
-    rest_at: Option<usize>,
-    /// The running GC unit's NAND time and the chip time its finished
-    /// pieces took, for the debug check that the pieces sum to it.
+    /// The NAND time of the running hook op or flush and the chip time
+    /// its finished pieces took, for the debug check that the pieces of
+    /// a cut one sum to it.
     unit_us: (f64, f64),
     stats: ChipStats,
 }
@@ -1358,15 +1418,16 @@ impl SsdSim {
         }
     }
 
-    /// Queues `op` on `chip`, FIFO, except that a host read on a busy
-    /// chip cuts a running GC unit at its next WL boundary
-    /// ([`SsdSim::yield_gc_unit`]) and queues ahead of the unit's rest.
+    /// Queues `op` on `chip`, FIFO, except for a host read: it cuts a
+    /// running op that holds GC work at its next step boundary
+    /// ([`SsdSim::yield_gc`]) and queues ahead of the first queued op
+    /// that holds GC work ([`ChipOp::gc_steps`]).
     fn enqueue_chip_op(&mut self, chip: usize, op: ChipOp) {
         assert!(chip < self.chips.len(), "FTL returned invalid chip {chip}");
         match op {
             ChipOp::Read { .. } => {
                 if self.chips[chip].busy {
-                    self.yield_gc_unit(chip);
+                    self.yield_gc(chip);
                 }
             }
             ChipOp::Flush { .. } => {
@@ -1377,13 +1438,11 @@ impl SsdSim {
             ChipOp::GcPiece => unreachable!("a GC piece is never queued"),
         }
         let c = &mut self.chips[chip];
-        match (&op, c.rest_at) {
-            (ChipOp::Read { .. }, Some(at)) => {
-                c.queue.insert(at, op);
-                c.rest_at = Some(at + 1);
-            }
-            _ => c.queue.push_back(op),
-        }
+        let at = match op {
+            ChipOp::Read { .. } => c.queue.iter().position(ChipOp::holds_gc),
+            _ => None,
+        };
+        c.queue.insert(at.unwrap_or(c.queue.len()), op);
         let depth = c.queue.len() + usize::from(c.busy);
         c.stats.max_queue_depth = c.stats.max_queue_depth.max(depth);
         if !c.busy {
@@ -1391,47 +1450,34 @@ impl SsdSim {
         }
     }
 
-    /// Cuts the GC unit running on `chip` at its next WL boundary, if it
-    /// has one before its end and is not cut already: the running part
+    /// Cuts the op running on `chip` at its next step boundary, if it
+    /// holds GC work and has a boundary before its end: the running part
     /// becomes a [`ChipOp::GcPiece`] that completes at the boundary (a
-    /// new `ChipIdle` supersedes the unit's), and the rest goes to the
+    /// new `ChipIdle` supersedes the op's), and the rest goes to the
     /// queue's front, where host reads queue ahead of it. The chip's
     /// busy time loses what the rest will charge when it starts.
-    fn yield_gc_unit(&mut self, chip: usize) {
+    fn yield_gc(&mut self, chip: usize) {
         let c = &mut self.chips[chip];
-        let Some(ChipOp::Background {
-            feeder: Feeder::Hook,
-            nand_us,
-            wls,
-        }) = c.current
-        else {
+        let Some((nand_us, steps)) = c.current.as_ref().and_then(ChipOp::gc_steps) else {
             return;
         };
-        if wls < 2 || c.rest_at.is_some() {
+        if steps < 2 {
             return;
         }
-        let step = nand_us / f64::from(wls);
-        // The boundaries are the unit's start plus whole steps; the
-        // next one strictly after now, if the unit is not ending there.
-        let k = ((self.now - c.started_us) / step).floor() as u32 + 1;
-        if k >= wls {
+        let step = nand_us / f64::from(steps);
+        // The boundaries are the NAND start plus whole steps; the next
+        // one strictly after now (the first while a flush's pages are
+        // still on the bus), if the op is not ending there.
+        let k = ((self.now - c.started_us) / step).floor().max(0.0) as u32 + 1;
+        if k >= steps {
             return;
         }
         let ran = f64::from(k) * step;
         let boundary = c.started_us + ran;
         c.stats.busy_us -= (c.started_us + nand_us) - boundary;
         c.stats.gc_yields += 1;
-        c.current = Some(ChipOp::GcPiece);
-        debug_assert!(
-            !c.queue.iter().any(|op| matches!(op, ChipOp::Read { .. })),
-            "a host read waited behind a running GC unit"
-        );
-        c.queue.push_front(ChipOp::Background {
-            feeder: Feeder::Hook,
-            nand_us: nand_us - ran,
-            wls: wls - k,
-        });
-        c.rest_at = Some(0);
+        let cut = c.current.replace(ChipOp::GcPiece).expect("a running op");
+        c.queue.push_front(cut.rest(k, ran));
         self.push_event(boundary, EventKind::ChipIdle { chip });
         self.chips[chip].idle_seq = self.seq;
     }
@@ -1441,43 +1487,48 @@ impl SsdSim {
         let Some(op) = c.queue.pop_front() else {
             return;
         };
-        if let Some(at) = c.rest_at {
-            debug_assert!(
-                at > 0 || !c.queue.iter().any(|op| matches!(op, ChipOp::Read { .. })),
-                "the rest of a GC unit starts while a host read waits"
-            );
-            c.rest_at = at.checked_sub(1);
-        }
+        debug_assert!(
+            !op.holds_gc() || !c.queue.iter().any(|op| matches!(op, ChipOp::Read { .. })),
+            "an op holding GC work starts while a host read waits"
+        );
         let bus = chip % self.config.buses;
         let (pages, nand_us) = match &op {
             ChipOp::Read { nand_us, .. } => (1.0, *nand_us),
-            ChipOp::Flush { lpns, nand_us, .. } => {
+            ChipOp::Flush {
+                lpns,
+                nand_us,
+                transfer: true,
+                ..
+            } => {
+                c.unit_us = (*nand_us, 0.0);
                 let pages = lpns.iter().filter(|&&l| l != u64::MAX).count();
                 (pages as f64, *nand_us)
             }
+            // The rest of a cut floor flush: its pages crossed already.
+            ChipOp::Flush { nand_us, .. } => (0.0, *nand_us),
             ChipOp::Background {
                 feeder, nand_us, ..
             } => match feeder {
                 Feeder::Rebuild => (1.0, *nand_us),
-                Feeder::Hook => {
-                    c.started_us = self.now;
-                    (0.0, *nand_us)
-                }
+                Feeder::Hook => (0.0, *nand_us),
             },
             ChipOp::GcPiece => unreachable!("a GC piece is never queued"),
         };
-        let done = if pages > 0.0 {
+        let start = if pages > 0.0 {
             let transfer = pages * T_XFER_PAGE_US;
             let start = self.now.max(self.bus_free_at[bus]);
             self.bus_free_at[bus] = start + transfer;
-            start + transfer + nand_us
+            start + transfer
         } else {
             // Bus-less (on-chip) operation.
-            self.now + nand_us
+            self.now
         };
-        self.chips[chip].busy = true;
-        self.chips[chip].stats.busy_us += done - self.now;
-        self.chips[chip].current = Some(op);
+        let done = start + nand_us;
+        let c = &mut self.chips[chip];
+        c.started_us = start;
+        c.busy = true;
+        c.stats.busy_us += done - self.now;
+        c.current = Some(op);
         self.push_event(done, EventKind::ChipIdle { chip });
         self.chips[chip].idle_seq = self.seq;
     }
@@ -1499,7 +1550,9 @@ impl SsdSim {
                 lpns,
                 nand_us,
                 did_gc,
+                ..
             } => {
+                self.last_piece_done(chip);
                 // GC-free flushes are the run's tPROG proxy: the NAND
                 // time is the WL program alone.
                 if !did_gc {
@@ -1511,17 +1564,13 @@ impl SsdSim {
                 self.buffer.complete_flush(lpns);
                 self.retry_stalled_writes();
             }
-            // The rest of the unit waits in the queue behind the reads.
+            // The rest waits in the queue behind the reads.
             ChipOp::GcPiece => {
                 self.piece_done(chip);
             }
             ChipOp::Background { feeder, .. } => {
                 if feeder == Feeder::Hook {
-                    let (unit, ran) = self.piece_done(chip);
-                    debug_assert!(
-                        (ran - unit).abs() <= 1e-9 * self.now.max(1.0),
-                        "the pieces of a unit ran {ran} µs of its {unit} µs"
-                    );
+                    self.last_piece_done(chip);
                 }
                 self.background_done(chip, feeder);
             }
@@ -1537,12 +1586,23 @@ impl SsdSim {
         self.try_flush(ftl);
     }
 
-    /// Adds the chip time of the hook op that completes now to its
-    /// unit's; returns the unit's NAND time and the time run so far.
+    /// Adds the chip time of the hook op or flush piece that completes
+    /// now to its op's; returns the op's NAND time and the time run so
+    /// far.
     fn piece_done(&mut self, chip: usize) -> (f64, f64) {
         let c = &mut self.chips[chip];
         c.unit_us.1 += self.now - c.started_us;
         c.unit_us
+    }
+
+    /// The last piece of a hook op or flush completes now: its pieces
+    /// ran its whole NAND time, once.
+    fn last_piece_done(&mut self, chip: usize) {
+        let (whole, ran) = self.piece_done(chip);
+        debug_assert!(
+            (ran - whole).abs() <= 1e-9 * self.now.max(1.0),
+            "the pieces of an op ran {ran} µs of its {whole} µs"
+        );
     }
 
     /// The background scheduler's completion path: a hook op starts its
@@ -1624,6 +1684,8 @@ impl SsdSim {
                     lpns,
                     nand_us: w.nand_us,
                     did_gc: w.did_gc,
+                    steps: if w.gc_wls > 0 { w.gc_wls + 1 } else { 0 },
+                    transfer: true,
                 },
             );
         }
@@ -1865,6 +1927,9 @@ mod tests {
         units: VecDeque<MaintWork>,
         /// When the hook handed out each of `units`, µs.
         unit_times: Vec<f64>,
+        /// Foreground GC the next flushes run first, front to back: its
+        /// NAND µs and the WLs it programmed.
+        floors: VecDeque<(f64, u32)>,
     }
 
     impl StubFtl {
@@ -1882,6 +1947,7 @@ mod tests {
                 flush_chips: Vec::new(),
                 units: VecDeque::new(),
                 unit_times: Vec::new(),
+                floors: VecDeque::new(),
             }
         }
     }
@@ -1896,9 +1962,12 @@ mod tests {
                 }
             }
             self.stats.host_wl_programs += 1;
+            let floor = self.floors.pop_front();
+            let (gc_us, gc_wls) = floor.unwrap_or((0.0, 0));
             WlWrite {
-                nand_us: self.program_us,
-                did_gc: false,
+                nand_us: gc_us + self.program_us,
+                did_gc: floor.is_some(),
+                gc_wls,
                 leader: true,
             }
         }
@@ -2422,11 +2491,13 @@ mod tests {
         assert!(ftl.hook_polls > cfg.chips as u64);
     }
 
-    /// One chip, LPNs `0..30` mapped, `units` queued in the hook; the
-    /// front's requests arrive at their times. Returns the report, the
-    /// hook's hand-out times and the completion time of every token.
+    /// One chip, LPNs `0..30` mapped, `units` queued in the hook and
+    /// `floors` in the flushes; the front's requests arrive at their
+    /// times. Returns the report, the hook's hand-out times and the
+    /// completion time of every token.
     fn run_one_chip(
         units: Vec<MaintWork>,
+        floors: Vec<(f64, u32)>,
         gap_us: f64,
         requests: Vec<(f64, HostRequest)>,
     ) -> (SimReport, Vec<f64>, Vec<f64>) {
@@ -2441,6 +2512,7 @@ mod tests {
         let mut ftl = StubFtl::new(1);
         sim.prefill(&mut ftl, 0..30);
         ftl.units = units.into();
+        ftl.floors = floors.into();
         let times: Vec<f64> = requests.iter().map(|r| r.0).collect();
         let mut front =
             StubFront::from_requests(requests.into_iter().map(|r| r.1), |i| times[i as usize]);
@@ -2471,6 +2543,7 @@ mod tests {
         // a flush 60 plus 700.
         let (report, units, done) = run_one_chip(
             vec![gc_unit(1_600.0, 16), gc_unit(1_600.0, 16)],
+            vec![],
             2_000.0,
             vec![
                 (100.0, HostRequest::write_span(0, 3)),
@@ -2510,11 +2583,113 @@ mod tests {
             (gc_unit(1_600.0, 16), 1_550.0),
         ] {
             let reads = vec![(read_at, HostRequest::read(10))];
-            let (report, _, done) = run_one_chip(vec![unit], 0.0, reads);
+            let (report, _, done) = run_one_chip(vec![unit], vec![], 0.0, reads);
             assert_eq!(done, [1_700.0], "{unit:?}");
             assert_eq!(report.chip_stats[0].gc_yields, 0);
             assert_eq!(report.chip_stats[0].busy_us, 1_700.0);
         }
+    }
+
+    #[test]
+    fn a_floor_flush_yields_to_host_reads_at_wl_boundaries() {
+        // Flush A runs a 2-WL floor GC before its program: 2 100 µs of
+        // NAND in three 700 µs steps after its 60 µs page transfer, from
+        // 160. Flush B (one GC WL, two steps) queues behind it. A read at
+        // 300 cuts A at 860 and runs; A's rest starts at 960 without a
+        // second transfer, and a read at 1 000 cuts it at 1 660. A read
+        // at 2 000 lands in A's last step, so it waits for A's end, 2 460,
+        // but runs ahead of the queued B. A's pages leave the buffer only
+        // then: a read of LPN 0 at 2 400 is a buffer hit, a read of LPN 1
+        // at 2 500 goes to the chip (ahead of B too). B runs from 2 660
+        // (pages on the bus until 2 720), a read at 3 000 cuts it at
+        // 3 420, and its rest ends at 4 220. A read costs 20 µs on the bus
+        // plus 80.
+        let (report, _, done) = run_one_chip(
+            vec![],
+            vec![(1_400.0, 2), (700.0, 1)],
+            0.0,
+            vec![
+                (100.0, HostRequest::write_span(0, 3)),
+                (200.0, HostRequest::write_span(3, 3)),
+                (300.0, HostRequest::read(10)),
+                (1_000.0, HostRequest::read(11)),
+                (2_000.0, HostRequest::read(12)),
+                (2_400.0, HostRequest::read(0)),
+                (2_500.0, HostRequest::read(1)),
+                (3_000.0, HostRequest::read(13)),
+            ],
+        );
+        assert_eq!(
+            done,
+            [105.0, 205.0, 960.0, 1_760.0, 2_560.0, 2_405.0, 2_660.0, 3_520.0]
+        );
+        let chip = report.chip_stats[0];
+        assert_eq!(chip.gc_yields, 3);
+        assert_eq!(chip.gc_units, 0);
+        // Every µs the chip worked, once: both flushes with one page
+        // transfer each, and five reads from the chip.
+        assert_eq!(
+            chip.busy_us,
+            (60.0 + 2_100.0) + (60.0 + 1_400.0) + 5.0 * 100.0
+        );
+    }
+
+    #[test]
+    fn a_power_cut_lists_a_cut_floor_flush_once() {
+        // The floors of the test above, cut at 900: A's first piece ran
+        // to 860, the read that cut it runs, A's rest and B wait.
+        let cfg = SsdConfig {
+            chips: 1,
+            buses: 1,
+            queue_depth: 8,
+            buffer_pages: 16,
+        };
+        let mut sim = SsdSim::new(cfg);
+        let mut ftl = StubFtl::new(1);
+        sim.prefill(&mut ftl, 0..30);
+        ftl.floors = VecDeque::from([(1_400.0, 2), (700.0, 1)]);
+        let requests = [
+            HostRequest::write_span(0, 3),
+            HostRequest::write_span(3, 3),
+            HostRequest::read(10),
+        ];
+        let mut front = StubFront::from_requests(requests.into_iter(), |i| 100.0 * (i + 1) as f64);
+        sim.run_begin(u64::MAX, Some(SpoTrigger::AtTimeUs(900.0)));
+        while sim.run_step(&mut ftl, &mut front, 3) == StepOutcome::Running {}
+        let (report, spo) = sim.run_end(&ftl);
+        assert_eq!(report.chip_stats[0].gc_yields, 1);
+        let spo = spo.expect("the cut fired");
+        let flush = |lpns| InFlightFlush {
+            chip: 0,
+            lpns,
+            did_gc: true,
+        };
+        assert_eq!(
+            spo.interrupted_flushes,
+            [flush([0, 1, 2]), flush([3, 4, 5])]
+        );
+        assert_eq!(spo.buffered_lpns, [0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_floor_flush_that_moved_no_wl_keeps_fifo_order() {
+        // Flush A runs a floor GC that moved no WL (an erase alone): it
+        // runs whole, and a read at 300 waits for it and then for the
+        // plain flush B queued behind it, like behind any plain flush.
+        let (report, _, done) = run_one_chip(
+            vec![],
+            vec![(3_500.0, 0)],
+            0.0,
+            vec![
+                (100.0, HostRequest::write_span(0, 3)),
+                (200.0, HostRequest::write_span(3, 3)),
+                (300.0, HostRequest::read(10)),
+            ],
+        );
+        // A: 100 → 160 on the bus, 4 200 of NAND to 4 360; B: 4 360 →
+        // 4 420 on the bus, 700 of NAND to 5 120; the read to 5 220.
+        assert_eq!(done, [105.0, 205.0, 5_220.0]);
+        assert_eq!(report.chip_stats[0].gc_yields, 0);
     }
 
     #[test]

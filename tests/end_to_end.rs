@@ -276,3 +276,33 @@ fn write_heavy_trace_survives_a_lifetime_epoch() {
         );
     }
 }
+
+/// On 32 blocks per chip the `write_gc` ledger line (Fig. 17's OLTP on a
+/// fresh device) is bound by the foreground floor: most flushes drain a
+/// whole victim before their own WL program. A flush that ran the floor
+/// yields to a queued host read at its next step boundary, as a GC unit
+/// does, and a read queues ahead of a queued one. So the longest read
+/// is bounded by one GC step (three page reads and one WL program), the
+/// host WL program of a flush ahead of it, and the read itself at its
+/// most retries plus its page transfer and submission. A floor flush
+/// spreads its erase over its steps, so a flush that moved few WLs has
+/// longer steps than that; this line stays well inside the bound.
+#[test]
+fn write_gc_line_on_32_blocks_serves_every_read_within_a_gc_step_and_a_program() {
+    let (stdout, text) = common::cli_metrics(
+        "write_gc_32_blocks",
+        "--ftl cube --workload oltp --aging fresh --blocks 32 --requests 30000 --seed 42",
+    );
+    assert!(
+        common::metric(&text, "ssd.ftl.gc_runs", "value") > 0.0,
+        "{stdout}"
+    );
+    let (read_max, program_max) = common::nand_worst_us();
+    let gc_step = 3.0 * read_max + program_max;
+    let bound = gc_step + program_max + read_max + common::READ_BUS_AND_SUBMIT_US;
+    let longest = common::metric(&text, "ssd.read_latency_us", "max");
+    assert!(
+        longest <= bound,
+        "a host read took {longest} µs, over one GC step, one program and one read ({bound} µs)"
+    );
+}

@@ -241,32 +241,23 @@ fn recorded_traces_replay_as_tenant_zero() {
     }
 }
 
-/// Runs the ledger's `qos_open` flag line at 1/50 of its 450 000
-/// requests with `extra` flags, returning stdout; a failed run panics.
-fn qos_open_line_at_one_fiftieth(extra: &str) -> String {
-    qos_open_line(&format!("--blocks 64 --requests 9000 {extra}"))
-}
+/// The ledger's `qos_open` flag line without its size.
+const QOS_OPEN_LINE: &str = "--ftl cube --workload mail --aging midlife --queues 4 \
+                             --tenants 12 --tenant-weights 4,2,1 --qos-arrival-us 650 \
+                             --qos-slo-read-us 270000 --qos-slo-write-us 70000 --seed 42";
 
-/// Runs the ledger's `qos_open` flag line, its size and `extra` flags
-/// given by `args`, returning stdout; a failed run panics.
-fn qos_open_line(args: &str) -> String {
-    let line = "--ftl cube --workload mail --aging midlife --queues 4 \
-                --tenants 12 --tenant-weights 4,2,1 --qos-arrival-us 650 \
-                --qos-slo-read-us 270000 --qos-slo-write-us 70000 --seed 42";
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cubeftl-sim"))
-        .args(line.split_whitespace().chain(args.split_whitespace()))
-        .output()
-        .expect("run cubeftl-sim");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
-    String::from_utf8_lossy(&out.stdout).into_owned()
+/// Runs the ledger's `qos_open` flag line at 1/50 of its 450 000
+/// requests, with its metrics in the test's directory `dir`; returns
+/// stdout and the metrics. A failed run panics.
+fn qos_open_line_at_one_fiftieth(dir: &str) -> (String, String) {
+    common::cli_metrics(dir, &format!("{QOS_OPEN_LINE} --blocks 64 --requests 9000"))
 }
 
 /// In a debug build the harness runs `Ftl::audit` at every barrier, so
 /// a broken FTL invariant on this run panics the binary.
 #[test]
 fn qos_open_line_at_one_fiftieth_passes_the_audit() {
-    let stdout = qos_open_line_at_one_fiftieth("");
+    let (stdout, _) = qos_open_line_at_one_fiftieth("qos_open_audit");
     assert!(stdout.contains("9000 admitted, 0 shed"), "{stdout}");
 }
 
@@ -274,11 +265,7 @@ fn qos_open_line_at_one_fiftieth_passes_the_audit() {
 /// take the chips in turn, so no chip works much longer than another.
 #[test]
 fn qos_open_line_at_one_fiftieth_keeps_every_chip_equally_busy() {
-    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("qos_open_balance");
-    std::fs::create_dir_all(&dir).expect("create the output directory");
-    let metrics = dir.join("metrics.ndjson");
-    qos_open_line_at_one_fiftieth(&format!("--metrics-out {}", metrics.display()));
-    let text = std::fs::read_to_string(&metrics).expect("read the metrics");
+    let (_, text) = qos_open_line_at_one_fiftieth("qos_open_balance");
     let busy: Vec<f64> = text
         .lines()
         .filter(|l| l.contains("\"metric\":\"ssd.chip") && l.contains(".busy_us\""))
@@ -303,35 +290,19 @@ fn qos_open_line_at_one_fiftieth_keeps_every_chip_equally_busy() {
 /// part of the model's sense time).
 #[test]
 fn qos_open_line_on_32_blocks_serves_every_read_within_an_erase_and_a_gc_step() {
-    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("qos_open_32_blocks");
-    std::fs::create_dir_all(&dir).expect("create the output directory");
-    let metrics = dir.join("metrics.ndjson");
-    let stdout = qos_open_line(&format!(
-        "--blocks 32 --requests 22500 --metrics-out {}",
-        metrics.display()
-    ));
-    let text = std::fs::read_to_string(&metrics).expect("read the metrics");
-    let number = |name: &str, field: &str| -> f64 {
-        let line = text
-            .lines()
-            .find(|l| l.contains(&format!("\"metric\":\"{name}\"")))
-            .unwrap_or_else(|| panic!("no {name} in {text}"));
-        let v = &line[line.find(&format!("\"{field}\":")).expect("the field") + field.len() + 3..];
-        v[..v.find([',', '}']).expect("a number's end")]
-            .parse()
-            .expect("a number")
-    };
-    assert!(number("ssd.ftl.gc_runs", "value") > 0.0, "{stdout}");
-    let t = nand3d::NandTiming::PAPER;
-    let ispp = nand3d::config::IsppModel::PAPER;
-    let read_max = t.t_read_us + f64::from(nand3d::MAX_OFFSET_INDEX + 1) * t.t_retry_us;
-    let states = nand3d::NUM_PROGRAM_STATES as f64;
-    let program_max = f64::from(ispp.max_loop) * (t.t_pgm_us + states * t.t_vfy_us);
+    let (stdout, text) = common::cli_metrics(
+        "qos_open_32_blocks",
+        &format!("{QOS_OPEN_LINE} --blocks 32 --requests 22500"),
+    );
+    assert!(
+        common::metric(&text, "ssd.ftl.gc_runs", "value") > 0.0,
+        "{stdout}"
+    );
+    let (read_max, program_max) = common::nand_worst_us();
     let gc_step = 3.0 * read_max + program_max;
-    // The page transfer of `ssdsim` (20 µs) and the host's submission.
-    let bus_us = 20.0 + 1.5;
-    let bound = t.t_erase_us + gc_step + read_max + bus_us;
-    let longest = number("ssd.read_latency_us", "max");
+    let erase = nand3d::NandTiming::PAPER.t_erase_us;
+    let bound = erase + gc_step + read_max + common::READ_BUS_AND_SUBMIT_US;
+    let longest = common::metric(&text, "ssd.read_latency_us", "max");
     assert!(
         longest <= bound,
         "a host read took {longest} µs, over one erase, one GC step and one read ({bound} µs)"

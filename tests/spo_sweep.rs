@@ -18,6 +18,9 @@
 //! * (d) every mapped LPN's page carries that LPN as its tag.
 //! * (e) the recovered FTL passes [`Ftl::audit`].
 //!
+//! Every cut also checks the [`SpoEvent`] itself: each interrupted
+//! flush is listed once and each of its LPNs is dumped once.
+//!
 //! A fork is only a referee if it cuts the device a real trigger cuts,
 //! so a sample of the forked cuts is compared with the [`SpoEvent`] an
 //! armed [`SpoTrigger::AtOps`] produces on a fresh copy of the same run.
@@ -35,7 +38,10 @@
 //! refreshes a block through the same mover, so the scrub window runs
 //! that device at EndOfLife with maintenance on and must cut inside a
 //! refresh (scrub moved pages since the last refreshed block) at least
-//! once.
+//! once. A flush that ran the foreground GC floor yields to host reads
+//! the same way, so the floor window (the default one, checkpoints off)
+//! must cut at least once while the rest of a cut floor flush waits on
+//! its chip.
 //!
 //! The default window is `FtlConfig::small()` on `SsdConfig::small()`
 //! over 300 requests, checkpoints off and every 8 host WLs.
@@ -105,17 +111,23 @@ fn scrub_window() -> Window {
     }
 }
 
+/// The default window: `FtlConfig::small()` on `SsdConfig::small()`
+/// over 300 requests, checkpoints off and every 8 host WLs.
+fn short_window() -> Window {
+    Window {
+        ssd: SsdConfig::small(),
+        ftl: FtlConfig::small(),
+        requests: 300,
+        ckpts: &[0, 8],
+        stride: 37,
+        aging: AgingState::MidLife,
+        maint: None,
+    }
+}
+
 fn window() -> Window {
     match std::env::var("CUBEFTL_SPO_WINDOW").as_deref() {
-        Err(_) | Ok("short") => Window {
-            ssd: SsdConfig::small(),
-            ftl: FtlConfig::small(),
-            requests: 300,
-            ckpts: &[0, 8],
-            stride: 37,
-            aging: AgingState::MidLife,
-            maint: None,
-        },
+        Err(_) | Ok("short") => short_window(),
         Ok("long") => {
             let mut ftl = FtlConfig::paper();
             ftl.nand.geometry.blocks_per_chip = 16;
@@ -282,12 +294,41 @@ fn scrub(s: &FtlStats) -> (u64, u64) {
     (s.scrub_blocks, s.scrub_page_moves)
 }
 
+/// Every interrupted flush is listed once, and each of its LPNs is in
+/// the power-loss-protection dump once.
+fn listed_once(event: &SpoEvent) -> Result<(), String> {
+    let flushes = &event.interrupted_flushes;
+    for (i, f) in flushes.iter().enumerate() {
+        if flushes[..i].contains(f) {
+            return Err(format!("flush {f:?} is interrupted twice"));
+        }
+        for lpn in f.lpns.into_iter().filter(|&l| l != u64::MAX) {
+            let n = event.buffered_lpns.iter().filter(|&&l| l == lpn).count();
+            if n != 1 {
+                return Err(format!("lpn {lpn} of {f:?} is dumped {n} times"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// What one sweep saw: cuts inside a half-moved block, the pages moved
+/// over the last cadence's run, and cuts in the step that cut a floor
+/// flush (so its rest waits on its chip behind the reads).
+struct Swept {
+    inside: u64,
+    moved: u64,
+    floor_rests: u64,
+}
+
 /// Cuts `kind`'s run at every completed-request boundary of `w`, once
-/// per checkpoint cadence. Returns how many cuts landed inside a
-/// half-moved block, by `progress` (pages moved since the last block it
-/// finished), and the pages moved over the last cadence's run.
-fn sweep(w: &Window, kind: FtlKind, progress: Progress) -> (u64, u64) {
-    let (mut inside, mut moved) = (0, 0);
+/// per checkpoint cadence. `inside` counts the cuts inside a half-moved
+/// block, by `progress` (pages moved since the last block it finished).
+/// In a closed loop a host read is issued only in a step that completed
+/// a request, so every cut of a running op lands in a step that is
+/// forked; it was a floor flush's when its chip never ran a GC unit.
+fn sweep(w: &Window, kind: FtlKind, progress: Progress) -> Swept {
+    let (mut inside, mut moved, mut floor_rests) = (0, 0, 0);
     for &ckpt in w.ckpts {
         let start = prepare(w, kind, ckpt);
         let stream: Vec<HostRequest> = StandardWorkload::Oltp
@@ -300,6 +341,7 @@ fn sweep(w: &Window, kind: FtlKind, progress: Progress) -> (u64, u64) {
         let (mut cuts, mut compared) = (0u64, 0u64);
         // Pages moved when the last block was finished.
         let mut finished = (0, 0);
+        let mut yields = vec![0; w.ssd.chips];
         let mut failures = Vec::new();
         loop {
             let before = host.completed;
@@ -312,8 +354,14 @@ fn sweep(w: &Window, kind: FtlKind, progress: Progress) -> (u64, u64) {
                 inside += u64::from(moves > finished.1);
                 let mut fork = dev.clone();
                 fork.sim.cut_power();
-                let event = fork.sim.run_end(&fork.ftl).1.expect("the cut is recorded");
+                let (report, event) = fork.sim.run_end(&fork.ftl);
+                let event = event.expect("the cut is recorded");
                 assert_eq!(event.completed, host.completed);
+                for (c, chip) in report.chip_stats.iter().enumerate() {
+                    let cut = chip.gc_yields > yields[c];
+                    floor_rests += u64::from(cut && chip.gc_units == 0);
+                    yields[c] = chip.gc_yields;
+                }
                 if cuts % w.stride == 0 {
                     assert_eq!(
                         event,
@@ -324,7 +372,7 @@ fn sweep(w: &Window, kind: FtlKind, progress: Progress) -> (u64, u64) {
                     );
                     compared += 1;
                 }
-                if let Err(e) = check_cut(fork.ftl, &event) {
+                if let Err(e) = listed_once(&event).and_then(|()| check_cut(fork.ftl, &event)) {
                     failures.push(format!("op {}: {e}", host.completed));
                 }
                 cuts += 1;
@@ -350,7 +398,11 @@ fn sweep(w: &Window, kind: FtlKind, progress: Progress) -> (u64, u64) {
             );
         }
     }
-    (inside, moved)
+    Swept {
+        inside,
+        moved,
+        floor_rests,
+    }
 }
 
 #[test]
@@ -375,7 +427,7 @@ fn cube_ftl_recovers_at_every_cut() {
 
 #[test]
 fn cube_ftl_recovers_at_cuts_inside_gc_units() {
-    let (inside, moved) = sweep(&units_window(), FtlKind::Cube, gc);
+    let Swept { inside, moved, .. } = sweep(&units_window(), FtlKind::Cube, gc);
     assert!(
         moved > GC_UNIT_PAGES as u64,
         "the window ran one GC unit at most ({moved} pages moved)"
@@ -385,9 +437,31 @@ fn cube_ftl_recovers_at_cuts_inside_gc_units() {
 
 #[test]
 fn cube_ftl_recovers_at_cuts_inside_scrub_refreshes() {
-    let (inside, _) = sweep(&scrub_window(), FtlKind::Cube, scrub);
+    let Swept { inside, .. } = sweep(&scrub_window(), FtlKind::Cube, scrub);
     assert!(
         inside > 0,
         "no cut landed inside a half-moved scrub refresh"
+    );
+}
+
+/// The floor window: the default window with checkpoints off, whatever
+/// `CUBEFTL_SPO_WINDOW` says. Its GC runs as foreground floor flushes
+/// (the hook runs no unit on the chip of a counted cut), and host reads
+/// cut them, so cuts land while the rest of a cut floor flush waits on
+/// its chip: it must be listed once, its LPNs dumped once
+/// ([`listed_once`]), and recovery must pass (a)–(e) there.
+fn floor_window() -> Window {
+    Window {
+        ckpts: &[0],
+        ..short_window()
+    }
+}
+
+#[test]
+fn cube_ftl_recovers_at_cuts_while_a_cut_floor_flush_waits() {
+    let Swept { floor_rests, .. } = sweep(&floor_window(), FtlKind::Cube, gc);
+    assert!(
+        floor_rests > 0,
+        "no cut landed while the rest of a cut floor flush waited"
     );
 }
